@@ -109,7 +109,7 @@ fn reuse_vs_fresh(c: &mut Criterion) {
     let tree = RTree::bulk_load(3, &ds.coords);
     let spec = WorkloadSpec::paper_default();
     let case = build_case(&tree, &spec, 3);
-    let base = DominanceFrontier::from_tree(&tree, &case.q);
+    let base = DominanceFrontier::new(&tree, &case.q);
     let samples: Vec<Vec<f64>> = wqrtq_core::sampling::sample_query_points(
         &case.q.iter().map(|x| x * 0.9).collect::<Vec<_>>(),
         &case.q,
@@ -129,7 +129,7 @@ fn reuse_vs_fresh(c: &mut Criterion) {
     g.bench_function("fresh_traversal", |b| {
         b.iter(|| {
             for (i, qp) in samples.iter().enumerate() {
-                let f = DominanceFrontier::from_tree(&tree, qp);
+                let f = DominanceFrontier::new(&tree, qp);
                 mwk_with_frontier(&f, case.k, &case.why_not, 50, &tol, i as u64);
             }
         })
@@ -146,7 +146,7 @@ fn sampler_quality(c: &mut Criterion) {
     let tree = RTree::bulk_load(3, &ds.coords);
     let spec = WorkloadSpec::paper_default();
     let case = build_case(&tree, &spec, 5);
-    let frontier = DominanceFrontier::from_tree(&tree, &case.q);
+    let frontier = DominanceFrontier::new(&tree, &case.q);
     let mut g = small_group(c, "ablation_sampler");
     g.bench_function("hyperplane_hit_and_run", |b| {
         b.iter(|| WeightSampler::new(&frontier, &case.why_not, 1).sample(400))
@@ -163,27 +163,6 @@ fn sampler_quality(c: &mut Criterion) {
                 .collect::<Vec<_>>()
         })
     });
-    g.finish();
-}
-
-fn brs_vs_ta_topk(c: &mut Criterion) {
-    // Two independent top-k engines: best-first branch-and-bound over
-    // the R-tree (BRS, the paper's default) vs the threshold algorithm
-    // over per-dimension sorted lists.
-    let ds = independent(100_000, 3, 21);
-    let tree = RTree::bulk_load(3, &ds.coords);
-    let lists = wqrtq_query::ta::SortedLists::new(&ds.coords, 3);
-    let w = [0.25, 0.35, 0.4];
-    let mut g = small_group(c, "ablation_brs_vs_ta");
-    for k in [10usize, 100] {
-        g.bench_function(format!("brs_k{k}"), |b| {
-            b.iter(|| wqrtq_query::topk::topk(&tree, &w, k))
-        });
-        g.bench_function(format!("ta_k{k}"), |b| b.iter(|| lists.topk(&w, k)));
-        g.bench_function(format!("scan_k{k}"), |b| {
-            b.iter(|| wqrtq_query::topk::topk_scan(&ds.coords, &w, k))
-        });
-    }
     g.finish();
 }
 
@@ -214,39 +193,6 @@ fn sampled_vs_exact2d_mwk(c: &mut Criterion) {
     g.finish();
 }
 
-fn view_cache_vs_direct(c: &mut Criterion) {
-    // Membership probes over a fan of similar weights: the cached-views
-    // component (paper §2's cached top-k family) vs direct index probes.
-    let ds = independent(50_000, 3, 29);
-    let tree = RTree::bulk_load(3, &ds.coords);
-    let q = [0.6, 0.6, 0.6]; // far from the top: probes are negative
-    let weights: Vec<Weight> = (0..100)
-        .map(|i| {
-            let t = i as f64 / 100.0;
-            Weight::normalized(vec![0.3 + 0.1 * t, 0.4 - 0.1 * t, 0.3])
-        })
-        .collect();
-    let mut g = small_group(c, "ablation_view_cache");
-    g.bench_function("cached_views", |b| {
-        b.iter(|| {
-            let mut cache = wqrtq_query::cache::TopkViewCache::new(10, 8);
-            weights
-                .iter()
-                .filter(|w| cache.is_in_topk(&tree, w, &q))
-                .count()
-        })
-    });
-    g.bench_function("direct_probes", |b| {
-        b.iter(|| {
-            weights
-                .iter()
-                .filter(|w| wqrtq_query::rank::is_in_topk(&tree, w, &q, 10))
-                .count()
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     ablations,
     qp_vs_exact2d,
@@ -254,8 +200,6 @@ criterion_group!(
     rta_vs_naive,
     reuse_vs_fresh,
     sampler_quality,
-    brs_vs_ta_topk,
     sampled_vs_exact2d_mwk,
-    view_cache_vs_direct,
 );
 criterion_main!(ablations);

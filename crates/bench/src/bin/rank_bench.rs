@@ -57,14 +57,12 @@ fn main() {
     let report = compare(&cfg);
     eprintln!(
         "naive scan     : {:>10.1} req/s\n\
-         legacy RTA     : {:>10.1} req/s\n\
-         flat RTA       : {:>10.1} req/s  (speedup vs legacy {:.2}×)\n\
+         flat RTA       : {:>10.1} req/s  (speedup vs naive {:.2}×)\n\
          engine 1 worker: {:>10.1} req/s\n\
          engine {} workers: {:>9.1} req/s  (scaling {:.2}× on {} core(s))",
         report.naive_scan.rps(),
-        report.legacy_rta.rps(),
         report.flat_rta.rps(),
-        report.speedup_flat_vs_legacy(),
+        report.speedup_flat_vs_naive(),
         report.engine_workers_1.rps(),
         report.config.workers,
         report.engine_workers_n.rps(),

@@ -14,7 +14,7 @@
 //! (`scripts/bench.sh` writes it to `BENCH_engine.json`).
 
 use std::time::{Duration, Instant};
-use wqrtq_core::explain;
+use wqrtq_core::{explain, ProbeCtx};
 use wqrtq_data::synthetic::independent;
 use wqrtq_engine::{Engine, Histogram, HistogramSnapshot, Request, Response};
 use wqrtq_geom::Weight;
@@ -260,7 +260,7 @@ fn run_sequential(cfg: &EngineBenchConfig, coords: &[f64], rebuild_per_call: boo
                 Request::TopK { weight, k, .. } => sink += topk(tree, &weight, k).len(),
                 Request::WhyNotExplain {
                     weight, q, limit, ..
-                } => sink += explain(tree, &weight, &q, limit).rank,
+                } => sink += explain(tree, &weight, &q, limit, &mut ProbeCtx::new()).rank,
                 Request::ReverseTopKBi { q, k, .. } => {
                     sink += bichromatic_reverse_topk_rta(tree, &pop, &q, k).len()
                 }

@@ -1,20 +1,15 @@
-//! Single-request bichromatic reverse top-k latency: the rank-kernel
-//! rebuild (flat SoA kernels + early-exit probe + culprit-pool RTA)
-//! against the frozen PR-1 path, plus engine-level scaling across
-//! worker counts.
+//! Single-request bichromatic reverse top-k latency: the RTA hot path
+//! (flat SoA kernels + early-exit probe + culprit-pool RTA) against the
+//! naive oracle, plus engine-level scaling across worker counts.
 //!
-//! Four ways to answer one `BRTOPk(q)` request over `n` points and
+//! Three ways to answer one `BRTOPk(q)` request over `n` points and
 //! `|W|` customer weights:
 //!
 //! * **naive scan** — an independent full rank scan per weight (the
 //!   correctness oracle every other path is checked against, bit for
 //!   bit);
-//! * **legacy RTA** — the pre-PR rank path
-//!   ([`wqrtq_query::brtopk::bichromatic_reverse_topk_rta_legacy`]):
-//!   buffered threshold test, then `is_in_topk` plus a full best-first
-//!   top-k buffer refresh per verified weight;
-//! * **flat RTA** — the rebuilt hot path with a steady-state reused
-//!   scratch, as a serving worker runs it;
+//! * **flat RTA** — the hot path with a steady-state reused
+//!   [`ProbeCtx`], as a serving worker runs it;
 //! * **engine** — the same single request through `Engine::submit`, at
 //!   1 worker and at `workers` workers (the pool shards the weight set
 //!   for a single request). Queries are jittered per repeat so the
@@ -27,10 +22,7 @@ use std::time::{Duration, Instant};
 use wqrtq_data::synthetic::independent;
 use wqrtq_engine::{Engine, Histogram, Request, Response, WeightSet};
 use wqrtq_geom::{Point, Weight};
-use wqrtq_query::brtopk::{
-    bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta_legacy, rta_over_order,
-    rta_sorted_order, RtaScratch,
-};
+use wqrtq_query::{bichromatic_reverse_topk_naive, rta_over_order, rta_sorted_order, ProbeCtx};
 use wqrtq_rtree::RTree;
 
 /// Workload shape for the rank-path comparison.
@@ -100,9 +92,7 @@ pub struct RankComparison {
     pub result_size: usize,
     /// Oracle full scans.
     pub naive_scan: PathTiming,
-    /// The frozen pre-PR RTA.
-    pub legacy_rta: PathTiming,
-    /// The rebuilt kernel path (steady-state scratch reuse).
+    /// The RTA hot path (steady-state context reuse).
     pub flat_rta: PathTiming,
     /// Engine single-request throughput at 1 worker.
     pub engine_workers_1: PathTiming,
@@ -118,9 +108,9 @@ pub struct RankComparison {
 }
 
 impl RankComparison {
-    /// flat / legacy single-request speedup.
-    pub fn speedup_flat_vs_legacy(&self) -> f64 {
-        self.flat_rta.rps() / self.legacy_rta.rps().max(1e-12)
+    /// flat / naive single-request speedup.
+    pub fn speedup_flat_vs_naive(&self) -> f64 {
+        self.flat_rta.rps() / self.naive_scan.rps().max(1e-12)
     }
 
     /// multi-worker / single-worker engine scaling for one request.
@@ -152,12 +142,11 @@ impl RankComparison {
                 "  \"cores\": {},\n",
                 "  \"result_size\": {},\n",
                 "  \"naive_scan\": {},\n",
-                "  \"legacy_rta\": {},\n",
                 "  \"flat_rta\": {},\n",
                 "  \"engine_workers_1\": {},\n",
                 "  \"engine_workers_n\": {{\"workers\": {}, \"timing\": {}}},\n",
                 "  \"engine_workers_n_forced_shards\": {{\"workers\": {}, \"timing\": {}}},\n",
-                "  \"speedup_flat_vs_legacy\": {:.2},\n",
+                "  \"speedup_flat_vs_naive\": {:.2},\n",
                 "  \"engine_scaling_nv1\": {:.2},\n",
                 "  \"results_bit_identical_to_naive\": true\n",
                 "}}"
@@ -172,14 +161,13 @@ impl RankComparison {
             self.cores,
             self.result_size,
             path(&self.naive_scan),
-            path(&self.legacy_rta),
             path(&self.flat_rta),
             path(&self.engine_workers_1),
             self.config.workers,
             path(&self.engine_workers_n),
             self.config.workers,
             path(&self.engine_workers_n_forced),
-            self.speedup_flat_vs_legacy(),
+            self.speedup_flat_vs_naive(),
             self.engine_scaling(),
         )
     }
@@ -299,11 +287,9 @@ pub fn compare(cfg: &RankBenchConfig) -> RankComparison {
 
     // Correctness first: all paths must agree bit-for-bit.
     let oracle = bichromatic_reverse_topk_naive(&points, &weights, &q, cfg.k);
-    let legacy = bichromatic_reverse_topk_rta_legacy(&tree, &weights, &q, cfg.k);
-    assert_eq!(oracle, legacy, "legacy RTA diverged from the naive scan");
     let order = rta_sorted_order(&weights);
-    let mut scratch = RtaScratch::new();
-    let (mut flat, _) = rta_over_order(&tree, &weights, &order, &q, cfg.k, &mut scratch);
+    let mut scratch = ProbeCtx::new();
+    let mut flat = rta_over_order(&tree, &weights, &order, &q, cfg.k, &mut scratch);
     flat.sort_unstable();
     assert_eq!(oracle, flat, "flat RTA diverged from the naive scan");
 
@@ -313,16 +299,11 @@ pub fn compare(cfg: &RankBenchConfig) -> RankComparison {
     let naive_scan = time_requests(naive_repeats, |_| {
         std::hint::black_box(bichromatic_reverse_topk_naive(&points, &weights, &q, cfg.k));
     });
-    let legacy_rta = time_requests(cfg.repeats, |_| {
-        std::hint::black_box(bichromatic_reverse_topk_rta_legacy(
-            &tree, &weights, &q, cfg.k,
-        ));
-    });
     let flat_rta = time_requests(cfg.repeats, |_| {
         // Steady-state serving shape: similarity order per request, the
-        // worker's scratch reused across requests.
+        // worker's context reused across requests.
         let order = rta_sorted_order(&weights);
-        let (mut members, _) = rta_over_order(&tree, &weights, &order, &q, cfg.k, &mut scratch);
+        let mut members = rta_over_order(&tree, &weights, &order, &q, cfg.k, &mut scratch);
         members.sort_unstable();
         std::hint::black_box(members);
     });
@@ -335,7 +316,6 @@ pub fn compare(cfg: &RankBenchConfig) -> RankComparison {
         config: *cfg,
         result_size: oracle.len(),
         naive_scan,
-        legacy_rta,
         flat_rta,
         engine_workers_1,
         engine_workers_n,
@@ -364,11 +344,10 @@ mod tests {
     fn comparison_runs_and_report_is_json_shaped() {
         let c = compare(&tiny());
         assert_eq!(c.naive_scan.requests, 2);
-        assert_eq!(c.legacy_rta.requests, 2);
         assert!(c.flat_rta.rps() > 0.0);
         let json = c.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"speedup_flat_vs_legacy\""));
+        assert!(json.contains("\"speedup_flat_vs_naive\""));
         assert!(json.contains("\"engine_workers_1\""));
         assert!(json.contains("\"engine_workers_n\": {\"workers\": 2,"));
         assert!(json.contains("\"engine_workers_n_forced_shards\""));

@@ -9,7 +9,7 @@
 //!   index (the path the engine takes for every large dataset): the
 //!   dominance-masked probe against the unmasked one.
 //! * **RTA** — the culprit-pool reverse top-k sweep over the whole
-//!   population ([`rta_over_order_masked`]), masked against unmasked.
+//!   population ([`rta_over_order`]), masked against unmasked.
 //!
 //! A four-way flat-scan ablation rides along (quantized + mask,
 //! quantized only, mask only, exact) — the overlay-correction path —
@@ -33,9 +33,8 @@ use std::time::{Duration, Instant};
 use wqrtq_data::synthetic::independent;
 use wqrtq_geom::delta::DeltaView;
 use wqrtq_geom::flat::FlatPoints;
-use wqrtq_query::brtopk::{rta_over_order_masked, rta_sorted_order, RtaScratch};
-use wqrtq_query::rank::{is_in_topk_masked, is_in_topk_scratch};
-use wqrtq_rtree::{DominanceIndex, ProbeScratch, RTree};
+use wqrtq_query::{is_in_topk, rta_over_order, rta_sorted_order, ProbeCtx, Snapshot};
+use wqrtq_rtree::{DominanceIndex, RTree};
 
 use crate::rank_bench::{population, query_point};
 
@@ -343,27 +342,26 @@ fn measure_cell(cfg: &ScaleBenchConfig, n: usize, dim: usize) -> ScaleCell {
     bit_identical &= oracle == verdicts(&|w| view_quant.is_in_topk_masked(w, &q, k, counts));
     bit_identical &= oracle == verdicts(&|w| view_quant.is_in_topk(w, &q, k));
     bit_identical &= oracle == verdicts(&|w| view_exact.is_in_topk_masked(w, &q, k, counts));
-    let mut probe_scratch = ProbeScratch::new();
-    {
+    // The same single entry points, with and without the mask on the
+    // snapshot.
+    let unmasked = Snapshot::from(&tree);
+    let masked = unmasked.mask(&dom);
+    let mut ctx = ProbeCtx::new();
+    for snap in [unmasked, masked] {
         let probed: Vec<bool> = weights
             .iter()
-            .map(|w| is_in_topk_scratch(&tree, w.as_slice(), &q, k, &mut probe_scratch))
+            .map(|w| is_in_topk(snap, w.as_slice(), &q, k, &mut ctx))
             .collect();
         bit_identical &= oracle == probed;
-        let probed_masked: Vec<bool> = weights
-            .iter()
-            .map(|w| is_in_topk_masked(&tree, &dom, w.as_slice(), &q, k, &mut probe_scratch))
-            .collect();
-        bit_identical &= oracle == probed_masked;
     }
     let expected_members = oracle.iter().filter(|&&b| b).count();
 
     let order = rta_sorted_order(&weights);
-    let mut scratch = RtaScratch::new();
-    let (rta_unmasked, _) =
-        rta_over_order_masked(&tree, &weights, &order, &q, k, None, &mut scratch);
-    let (rta_masked, rta_stats) =
-        rta_over_order_masked(&tree, &weights, &order, &q, k, Some(&dom), &mut scratch);
+    let rta_unmasked = rta_over_order(unmasked, &weights, &order, &q, k, &mut ctx);
+    // A context of its own, so its counters are the masked run's alone.
+    let mut masked_ctx = ProbeCtx::new();
+    let rta_masked = rta_over_order(masked, &weights, &order, &q, k, &mut masked_ctx);
+    let rta_stats = masked_ctx.rta;
     bit_identical &= rta_masked == rta_unmasked;
     bit_identical &= rta_masked.len() == expected_members;
     let frontier_size = counts.iter().filter(|&&c| (c as usize) < k).count();
@@ -377,28 +375,17 @@ fn measure_cell(cfg: &ScaleBenchConfig, n: usize, dim: usize) -> ScaleCell {
         assert_eq!(hits, expected_members, "membership verdicts drifted");
     };
     let m = weights.len();
-    let membership_on = {
-        let scratch = &mut probe_scratch;
-        let mut pass = || {
+    let mut probe_pass = |snap: Snapshot<'_>| {
+        time_passes(cfg.repeats, m, || {
             let hits = weights
                 .iter()
-                .filter(|w| is_in_topk_masked(&tree, &dom, w.as_slice(), &q, k, scratch))
-                .count();
-            assert_eq!(hits, expected_members, "masked probe verdicts drifted");
-        };
-        time_passes(cfg.repeats, m, &mut pass)
-    };
-    let membership_off = {
-        let scratch = &mut probe_scratch;
-        let mut pass = || {
-            let hits = weights
-                .iter()
-                .filter(|w| is_in_topk_scratch(&tree, w.as_slice(), &q, k, scratch))
+                .filter(|w| is_in_topk(snap, w.as_slice(), &q, k, &mut ctx))
                 .count();
             assert_eq!(hits, expected_members, "probe verdicts drifted");
-        };
-        time_passes(cfg.repeats, m, &mut pass)
+        })
     };
+    let membership_on = probe_pass(masked);
+    let membership_off = probe_pass(unmasked);
     let flat_two_tier = time_passes(cfg.repeats, m, || {
         membership_pass(&|w| view_quant.is_in_topk_masked(w, &q, k, counts))
     });
@@ -412,16 +399,14 @@ fn measure_cell(cfg: &ScaleBenchConfig, n: usize, dim: usize) -> ScaleCell {
         membership_pass(&|w| view_exact.is_in_topk(w, &q, k))
     });
 
-    let rta_on = time_passes(cfg.repeats, 1, || {
-        let (members, _) =
-            rta_over_order_masked(&tree, &weights, &order, &q, k, Some(&dom), &mut scratch);
-        assert_eq!(members.len(), expected_members, "masked RTA drifted");
-    });
-    let rta_off = time_passes(cfg.repeats, 1, || {
-        let (members, _) =
-            rta_over_order_masked(&tree, &weights, &order, &q, k, None, &mut scratch);
-        assert_eq!(members.len(), expected_members, "unmasked RTA drifted");
-    });
+    let mut rta_pass = |snap: Snapshot<'_>| {
+        time_passes(cfg.repeats, 1, || {
+            let members = rta_over_order(snap, &weights, &order, &q, k, &mut ctx);
+            assert_eq!(members.len(), expected_members, "RTA drifted");
+        })
+    };
+    let rta_on = rta_pass(masked);
+    let rta_off = rta_pass(unmasked);
 
     let totals = flat_quant.tier_totals();
     ScaleCell {

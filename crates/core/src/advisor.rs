@@ -17,10 +17,8 @@ use crate::error::WhyNotError;
 use crate::explain::Explanation;
 use crate::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use crate::penalty::{delta_wm, query_point_penalty, Tolerances};
-use std::borrow::Borrow;
 use wqrtq_geom::weight::MAX_SIMPLEX_DISTANCE;
 use wqrtq_geom::Weight;
-use wqrtq_rtree::RTree;
 
 /// One of the paper's three refinement strategies, as a plain
 /// (data-only) selector for the advisor and the serving layers.
@@ -213,7 +211,7 @@ fn canonical_strategies(requested: &[StrategyKind]) -> Vec<StrategyKind> {
         .collect()
 }
 
-impl<T: Borrow<RTree>> Wqrtq<T> {
+impl Wqrtq<'_> {
     /// Runs one strategy on an **already validated** why-not set —
     /// no re-validation, no verification, no breakdown: exactly the
     /// compute of the matching `modify_*` call minus its validation
@@ -236,32 +234,27 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
             ),
             StrategyKind::Mwk => {
                 // The exact 2-D sweep is globally optimal and needs the
-                // live row buffer; it applies whenever the facade holds
-                // a view (the engine always does) and the caller did not
-                // pin the sampled path.
-                if options.exact_2d && self.tree().dim() == 2 && self.view().is_some() {
-                    let live = self
-                        .view()
-                        .expect("checked above")
-                        .materialize_row_major()
-                        .0;
-                    (
-                        self.answer_mwk_exact_2d(&live, why_not)?,
+                // live row buffer; it applies whenever the snapshot
+                // carries a view to materialise it from (the engine's
+                // always does) and the caller did not pin the sampled
+                // path.
+                match self.snapshot().view {
+                    Some(view) if options.exact_2d && view.dim() == 2 => (
+                        self.answer_mwk_exact_2d(&view.materialize_row_major().0, why_not)?,
                         StepStats {
                             exact: true,
                             sample_size: 0,
                             query_samples: 0,
                         },
-                    )
-                } else {
-                    (
+                    ),
+                    _ => (
                         self.answer_mwk(why_not, options.sample_size, options.seed)?,
                         StepStats {
                             exact: false,
                             sample_size: options.sample_size,
                             query_samples: 0,
                         },
-                    )
+                    ),
                 }
             }
             StrategyKind::Mqwk => (
@@ -463,6 +456,8 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wqrtq_query::Snapshot;
+    use wqrtq_rtree::RTree;
 
     fn fig_points() -> Vec<f64> {
         vec![
@@ -478,11 +473,10 @@ mod tests {
         vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
     }
 
-    fn plain_view_facade(tree: &RTree) -> Wqrtq<&RTree> {
+    fn plain_view() -> wqrtq_geom::DeltaView {
         use std::sync::Arc;
         use wqrtq_geom::{DeltaView, FlatPoints};
-        let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &fig_points())));
-        Wqrtq::with_view(tree, view, &[4.0, 4.0], 3).unwrap()
+        DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &fig_points())))
     }
 
     #[test]
@@ -542,7 +536,8 @@ mod tests {
     #[test]
     fn exact_2d_is_auto_selected_on_view_facades() {
         let tree = fig_tree();
-        let w = plain_view_facade(&tree);
+        let view = plain_view();
+        let w = Wqrtq::new(Snapshot::from(&tree).overlay(&view), &[4.0, 4.0], 3).unwrap();
         let wn = kevin_julia();
         let plan = w.advise(&wn, &WhyNotOptions::default()).unwrap();
         let mwk = plan

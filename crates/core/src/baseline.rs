@@ -40,7 +40,7 @@ pub fn separate_refinement(
             got: q.len(),
         });
     }
-    let frontier = DominanceFrontier::from_tree(tree, q);
+    let frontier = DominanceFrontier::new(tree, q);
 
     let mut refined = Vec::with_capacity(why_not.len());
     let mut k_prime = k;

@@ -32,6 +32,9 @@ pub enum WhyNotError {
         /// The query's `k`.
         k: usize,
     },
+    /// The query's `k` is zero: no top-0 result exists for `q` to be
+    /// missing from.
+    ZeroK,
     /// The quadratic program could not be solved numerically.
     QpFailure(String),
     /// An advisor call requested an empty strategy set — there is
@@ -53,6 +56,7 @@ impl fmt::Display for WhyNotError {
             WhyNotError::DatasetSmallerThanK { len, k } => {
                 write!(f, "dataset of {len} points is smaller than k = {k}")
             }
+            WhyNotError::ZeroK => write!(f, "k must be at least 1"),
             WhyNotError::QpFailure(msg) => write!(f, "quadratic programming failed: {msg}"),
             WhyNotError::NoStrategies => {
                 write!(f, "the refinement strategy set is empty — nothing to run")

@@ -7,9 +7,8 @@
 //! scan that stops as soon as `q`'s score is reached, exactly as the
 //! paper suggests using progressive top-k algorithms.
 
-use wqrtq_geom::{score, DeltaView};
-use wqrtq_query::topk::ViewBestFirst;
-use wqrtq_rtree::RTree;
+use wqrtq_geom::score;
+use wqrtq_query::{ProbeCtx, Snapshot};
 
 /// A data point responsible for excluding a why-not weighting vector.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,76 +37,24 @@ pub struct Explanation {
 /// Explains why `q` is not in `TOPk(w)` by listing the points that
 /// outrank it. `limit` bounds the number of returned culprits (the rank
 /// is still exact); pass `usize::MAX` for all of them.
-pub fn explain(tree: &RTree, w: &[f64], q: &[f64], limit: usize) -> Explanation {
-    explain_with_stats(tree, w, q, limit).0
-}
-
-/// [`explain`], additionally reporting the number of index nodes the
-/// progressive scan expanded (the `|RT|` cost term) — used by serving
-/// layers for per-request metrics.
-pub fn explain_with_stats(
-    tree: &RTree,
+///
+/// The progressive scan runs on the snapshot's merged live ranking (base
+/// index minus tombstones, plus appended rows), so culprits and the
+/// exact rank are those of a dataset rebuilt from the live rows. The
+/// index nodes it expands (the `|RT|` cost term) are added to
+/// `ctx.nodes_visited`.
+pub fn explain<'a>(
+    snap: impl Into<Snapshot<'a>>,
     w: &[f64],
     q: &[f64],
     limit: usize,
-) -> (Explanation, usize) {
-    let sq = score(w, q);
-    let mut culprits = Vec::new();
-    let mut rank = 1usize;
-    let mut truncated = false;
-    let mut bf = tree.best_first(w);
-    while let Some(p) = bf.next_entry() {
-        if p.score >= sq {
-            break;
-        }
-        rank += 1;
-        if culprits.len() < limit {
-            culprits.push(Culprit {
-                id: p.id,
-                score: p.score,
-                coords: p.coords.to_vec(),
-            });
-        } else {
-            truncated = true;
-        }
-    }
-    (
-        Explanation {
-            culprits,
-            rank,
-            truncated,
-        },
-        bf.nodes_visited(),
-    )
-}
-
-/// [`explain`] over a delta overlay: the progressive scan runs on the
-/// merged live ranking (base index minus tombstones, plus appended
-/// rows), so culprits and the exact rank are those of a dataset rebuilt
-/// from the live rows.
-pub fn explain_view(
-    tree: &RTree,
-    view: &DeltaView,
-    w: &[f64],
-    q: &[f64],
-    limit: usize,
+    ctx: &mut ProbeCtx,
 ) -> Explanation {
-    explain_view_with_stats(tree, view, w, q, limit).0
-}
-
-/// [`explain_view`] with the index-node count of the base traversal.
-pub fn explain_view_with_stats(
-    tree: &RTree,
-    view: &DeltaView,
-    w: &[f64],
-    q: &[f64],
-    limit: usize,
-) -> (Explanation, usize) {
     let sq = score(w, q);
     let mut culprits = Vec::new();
     let mut rank = 1usize;
     let mut truncated = false;
-    let mut bf = ViewBestFirst::new(tree, view, w);
+    let mut bf = snap.into().best_first(w);
     while let Some(p) = bf.next_entry() {
         if p.score >= sq {
             break;
@@ -123,19 +70,18 @@ pub fn explain_view_with_stats(
             truncated = true;
         }
     }
-    (
-        Explanation {
-            culprits,
-            rank,
-            truncated,
-        },
-        bf.nodes_visited(),
-    )
+    ctx.nodes_visited += bf.nodes_visited();
+    Explanation {
+        culprits,
+        rank,
+        truncated,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wqrtq_rtree::RTree;
 
     fn fig_tree() -> RTree {
         let pts = vec![
@@ -149,7 +95,13 @@ mod tests {
         // §3: "for w1 in Figure 1, there are three points, i.e., p1, p2,
         // and p4, with scores smaller than that of q".
         let t = fig_tree();
-        let e = explain(&t, &[0.1, 0.9], &[4.0, 4.0], usize::MAX);
+        let e = explain(
+            &t,
+            &[0.1, 0.9],
+            &[4.0, 4.0],
+            usize::MAX,
+            &mut ProbeCtx::new(),
+        );
         let ids: Vec<u32> = e.culprits.iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![0, 1, 3]); // ascending score: 1.1, 3.3, 3.6
         assert_eq!(e.rank, 4);
@@ -159,7 +111,13 @@ mod tests {
     #[test]
     fn julia_is_excluded_by_p3_p1_p7() {
         let t = fig_tree();
-        let e = explain(&t, &[0.9, 0.1], &[4.0, 4.0], usize::MAX);
+        let e = explain(
+            &t,
+            &[0.9, 0.1],
+            &[4.0, 4.0],
+            usize::MAX,
+            &mut ProbeCtx::new(),
+        );
         let ids: Vec<u32> = e.culprits.iter().map(|c| c.id).collect();
         assert_eq!(ids, vec![2, 0, 6]); // scores 1.8 < 1.9 < 3.4
         assert_eq!(e.rank, 4);
@@ -168,7 +126,13 @@ mod tests {
     #[test]
     fn member_vector_has_no_culprits_beyond_its_rank() {
         let t = fig_tree();
-        let e = explain(&t, &[0.5, 0.5], &[4.0, 4.0], usize::MAX);
+        let e = explain(
+            &t,
+            &[0.5, 0.5],
+            &[4.0, 4.0],
+            usize::MAX,
+            &mut ProbeCtx::new(),
+        );
         assert_eq!(e.rank, 2);
         assert_eq!(e.culprits.len(), 1);
         assert_eq!(e.culprits[0].id, 0);
@@ -177,7 +141,7 @@ mod tests {
     #[test]
     fn limit_truncates_but_rank_stays_exact() {
         let t = fig_tree();
-        let e = explain(&t, &[0.1, 0.9], &[4.0, 4.0], 1);
+        let e = explain(&t, &[0.1, 0.9], &[4.0, 4.0], 1, &mut ProbeCtx::new());
         assert_eq!(e.culprits.len(), 1);
         assert_eq!(e.rank, 4);
         assert!(e.truncated);
@@ -186,7 +150,7 @@ mod tests {
     #[test]
     fn view_explanation_matches_rebuilt_oracle() {
         use std::sync::Arc;
-        use wqrtq_geom::FlatPoints;
+        use wqrtq_geom::{DeltaView, FlatPoints};
         let pts = vec![
             2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
         ];
@@ -202,8 +166,10 @@ mod tests {
         let rebuilt = RTree::bulk_load(2, &live);
         for w in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]] {
             for limit in [0, 2, usize::MAX] {
-                let got = explain_view(&tree, &view, &w, &[4.0, 4.0], limit);
-                let oracle = explain(&rebuilt, &w, &[4.0, 4.0], limit);
+                let overlaid = Snapshot::from(&tree).overlay(&view);
+                let mut ctx = ProbeCtx::new();
+                let got = explain(overlaid, &w, &[4.0, 4.0], limit, &mut ctx);
+                let oracle = explain(&rebuilt, &w, &[4.0, 4.0], limit, &mut ctx);
                 assert_eq!(got.rank, oracle.rank, "w {w:?}");
                 assert_eq!(got.truncated, oracle.truncated);
                 assert_eq!(got.culprits.len(), oracle.culprits.len());
@@ -219,7 +185,13 @@ mod tests {
     #[test]
     fn scores_are_ascending_and_below_q() {
         let t = fig_tree();
-        let e = explain(&t, &[0.3, 0.7], &[4.0, 4.0], usize::MAX);
+        let e = explain(
+            &t,
+            &[0.3, 0.7],
+            &[4.0, 4.0],
+            usize::MAX,
+            &mut ProbeCtx::new(),
+        );
         let sq = 0.3 * 4.0 + 0.7 * 4.0;
         assert!(e.culprits.windows(2).all(|w| w[0].score <= w[1].score));
         assert!(e.culprits.iter().all(|c| c.score < sq));

@@ -8,15 +8,13 @@
 //! explanation under one roof.
 
 use crate::error::WhyNotError;
-use crate::explain::{explain, explain_view, Explanation};
-use crate::mqp::{mqp, mqp_view};
-use crate::mqwk::{mqwk, mqwk_view};
-use crate::mwk::{mwk, mwk_view};
+use crate::explain::{explain, Explanation};
+use crate::mqp::mqp;
+use crate::mqwk::mqwk;
+use crate::mwk::mwk;
 use crate::penalty::Tolerances;
-use std::borrow::Borrow;
-use wqrtq_geom::{DeltaView, Weight};
-use wqrtq_query::rank::{is_in_topk_scratch, is_in_topk_view, rank_of_point, rank_of_point_view};
-use wqrtq_rtree::{ProbeScratch, RTree};
+use wqrtq_geom::Weight;
+use wqrtq_query::{bichromatic_reverse_topk_rta, is_in_topk, rank_of_point, ProbeCtx, Snapshot};
 
 /// A refined reverse top-k query, as returned by the framework.
 #[derive(Clone, Debug)]
@@ -55,91 +53,56 @@ pub struct WqrtqAnswer {
 
 /// The WQRTQ facade: a reverse top-k query under why-not investigation.
 ///
-/// Generic over how the pre-built index is held (`T: Borrow<RTree>`), so
-/// one-shot callers keep passing `&RTree` while long-lived serving layers
-/// (the `wqrtq-engine` worker pool) hand in a shared `Arc<RTree>` — the
-/// index is built once, never per call.
-///
-/// The facade is also generic over the *snapshot* it answers against:
-/// constructed with [`Wqrtq::new`] it serves the indexed rows verbatim;
-/// constructed with [`Wqrtq::with_view`] it serves a [`DeltaView`]
-/// overlay — appended rows and tombstones folded into every rank test,
-/// constraint plane, dominance frontier and verification, so answers
-/// match a dataset rebuilt from the live rows without any rebuild.
+/// Answers against a borrowed [`Snapshot`]: one-shot callers pass
+/// `&RTree`, a serving layer passes its dataset handle's snapshot (the
+/// shared pre-built index plus the overlay of appends and tombstones,
+/// folded into every rank test, constraint plane, dominance frontier
+/// and verification) — the index is built once, never per call, and
+/// answers match a dataset rebuilt from the live rows.
 #[derive(Clone, Debug)]
-pub struct Wqrtq<T: Borrow<RTree>> {
-    tree: T,
-    /// `Some` when answering over a delta overlay of the indexed base.
-    view: Option<DeltaView>,
+pub struct Wqrtq<'a> {
+    snapshot: Snapshot<'a>,
     q: Vec<f64>,
     k: usize,
     tol: Tolerances,
 }
 
-impl<T: Borrow<RTree>> Wqrtq<T> {
-    /// Wraps a query. `tree` is the pre-built index over the product
-    /// dataset `P` (borrowed or shared); `q` is the query point and `k`
-    /// the original parameter.
+impl<'a> Wqrtq<'a> {
+    /// Wraps a query: `q` is the query point and `k` the original
+    /// parameter, answered against `snapshot`.
     ///
     /// # Errors
-    /// Returns [`WhyNotError::DimensionMismatch`] when `q` does not match
-    /// the dataset.
-    pub fn new(tree: T, q: &[f64], k: usize) -> Result<Self, WhyNotError> {
-        if q.len() != tree.borrow().dim() {
-            return Err(WhyNotError::DimensionMismatch {
-                expected: tree.borrow().dim(),
-                got: q.len(),
-            });
-        }
-        Ok(Self {
-            tree,
-            view: None,
-            q: q.to_vec(),
-            k,
-            tol: Tolerances::paper_default(),
-        })
-    }
-
-    /// Wraps a query over a delta overlay: `tree` is the index of
-    /// `view`'s *base* rows; every answer accounts for the overlay's
-    /// appends and tombstones.
-    ///
-    /// # Errors
-    /// Returns [`WhyNotError::DimensionMismatch`] when `q` or the view
-    /// does not match the index.
-    pub fn with_view(tree: T, view: DeltaView, q: &[f64], k: usize) -> Result<Self, WhyNotError> {
-        let dim = tree.borrow().dim();
-        if q.len() != dim || view.dim() != dim {
+    /// Returns [`WhyNotError::DimensionMismatch`] when `q` (or the
+    /// snapshot's overlay) does not match the index, and
+    /// [`WhyNotError::ZeroK`] for `k = 0`.
+    pub fn new(
+        snapshot: impl Into<Snapshot<'a>>,
+        q: &[f64],
+        k: usize,
+    ) -> Result<Self, WhyNotError> {
+        let snapshot = snapshot.into();
+        let dim = snapshot.dim();
+        let view_dim = snapshot.view.map_or(dim, |v| v.dim());
+        if q.len() != dim || view_dim != dim {
             return Err(WhyNotError::DimensionMismatch {
                 expected: dim,
-                got: if q.len() != dim { q.len() } else { view.dim() },
+                got: if q.len() != dim { q.len() } else { view_dim },
             });
         }
+        if k == 0 {
+            return Err(WhyNotError::ZeroK);
+        }
         Ok(Self {
-            tree,
-            view: Some(view),
+            snapshot,
             q: q.to_vec(),
             k,
             tol: Tolerances::paper_default(),
         })
     }
 
-    /// The overlay snapshot, when answering over one.
-    pub fn view(&self) -> Option<&DeltaView> {
-        self.view.as_ref()
-    }
-
-    /// Rank of `q` under `w` against this facade's snapshot.
-    fn rank_under(&self, w: &Weight) -> usize {
-        match &self.view {
-            Some(v) => rank_of_point_view(self.tree(), v, w, &self.q),
-            None => rank_of_point(self.tree(), w, &self.q),
-        }
-    }
-
-    /// The wrapped index.
-    pub fn tree(&self) -> &RTree {
-        self.tree.borrow()
+    /// The snapshot every answer is computed against.
+    pub fn snapshot(&self) -> Snapshot<'a> {
+        self.snapshot
     }
 
     /// Overrides the default (paper) tolerances α, β, γ, λ.
@@ -174,13 +137,13 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
         }
         let mut ranks = Vec::with_capacity(why_not.len());
         for (i, w) in why_not.iter().enumerate() {
-            if w.dim() != self.tree().dim() {
+            if w.dim() != self.snapshot.dim() {
                 return Err(WhyNotError::DimensionMismatch {
-                    expected: self.tree().dim(),
+                    expected: self.snapshot.dim(),
                     got: w.dim(),
                 });
             }
-            let r = self.rank_under(w);
+            let r = rank_of_point(self.snapshot, w, &self.q);
             if r <= self.k {
                 return Err(WhyNotError::NotWhyNot {
                     index: i,
@@ -196,10 +159,7 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
     /// Aspect 1: why is `w` not in the reverse top-k result? Lists the
     /// culprit points (§3).
     pub fn explain(&self, w: &Weight, limit: usize) -> Explanation {
-        match &self.view {
-            Some(v) => explain_view(self.tree(), v, w, &self.q, limit),
-            None => explain(self.tree(), w, &self.q, limit),
-        }
+        explain(self.snapshot, w, &self.q, limit, &mut ProbeCtx::new())
     }
 
     /// Splits a bichromatic weight population `W` into
@@ -207,21 +167,7 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
     /// of *valid why-not inputs* per Definition 5. Indices refer to
     /// `weights`.
     pub fn partition_population(&self, weights: &[Weight]) -> (Vec<usize>, Vec<usize>) {
-        let members = match &self.view {
-            Some(v) => wqrtq_query::brtopk::bichromatic_reverse_topk_rta_view(
-                self.tree(),
-                v,
-                weights,
-                &self.q,
-                self.k,
-            ),
-            None => wqrtq_query::brtopk::bichromatic_reverse_topk_rta(
-                self.tree(),
-                weights,
-                &self.q,
-                self.k,
-            ),
-        };
+        let members = bichromatic_reverse_topk_rta(self.snapshot, weights, &self.q, self.k);
         let mut in_result = vec![false; weights.len()];
         for &i in &members {
             in_result[i] = true;
@@ -239,10 +185,7 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
     /// MQP without the why-not validation pass — for callers (the
     /// advisor) that validated the set once already.
     pub(crate) fn answer_mqp(&self, why_not: &[Weight]) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = match &self.view {
-            Some(v) => mqp_view(self.tree(), v, &self.q, self.k, why_not)?,
-            None => mqp(self.tree(), &self.q, self.k, why_not)?,
-        };
+        let res = mqp(self.snapshot, &self.q, self.k, why_not)?;
         Ok(WqrtqAnswer {
             refined: RefinedQuery::QueryPoint {
                 q_prime: res.q_prime,
@@ -269,27 +212,15 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
         sample_size: usize,
         seed: u64,
     ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = match &self.view {
-            Some(v) => mwk_view(
-                self.tree(),
-                v,
-                &self.q,
-                self.k,
-                why_not,
-                sample_size,
-                &self.tol,
-                seed,
-            )?,
-            None => mwk(
-                self.tree(),
-                &self.q,
-                self.k,
-                why_not,
-                sample_size,
-                &self.tol,
-                seed,
-            )?,
-        };
+        let res = mwk(
+            self.snapshot,
+            &self.q,
+            self.k,
+            why_not,
+            sample_size,
+            &self.tol,
+            seed,
+        )?;
         Ok(WqrtqAnswer {
             refined: RefinedQuery::Preferences {
                 why_not: res.refined,
@@ -352,29 +283,16 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
         query_samples: usize,
         seed: u64,
     ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = match &self.view {
-            Some(v) => mqwk_view(
-                self.tree(),
-                v,
-                &self.q,
-                self.k,
-                why_not,
-                sample_size,
-                query_samples,
-                &self.tol,
-                seed,
-            )?,
-            None => mqwk(
-                self.tree(),
-                &self.q,
-                self.k,
-                why_not,
-                sample_size,
-                query_samples,
-                &self.tol,
-                seed,
-            )?,
-        };
+        let res = mqwk(
+            self.snapshot,
+            &self.q,
+            self.k,
+            why_not,
+            sample_size,
+            query_samples,
+            &self.tol,
+            seed,
+        )?;
         Ok(WqrtqAnswer {
             refined: RefinedQuery::Everything {
                 q_prime: res.q_prime,
@@ -407,14 +325,12 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
     /// (refined) why-not vector must contain the (refined) query point in
     /// its (refined) top-k.
     pub fn verify(&self, why_not: &[Weight], answer: &WqrtqAnswer) -> bool {
-        // One probe scratch serves every membership test in the loop —
+        // One probe context serves every membership test in the loop —
         // the traversal queue allocates once, not per vector.
-        let mut scratch = ProbeScratch::new();
+        let mut ctx = ProbeCtx::new();
         let mut all_in = |ws: &[Weight], q: &[f64], k: usize| {
-            ws.iter().all(|w| match &self.view {
-                Some(v) => is_in_topk_view(self.tree(), v, w, q, k, &mut scratch),
-                None => is_in_topk_scratch(self.tree(), w, q, k, &mut scratch),
-            })
+            ws.iter()
+                .all(|w| is_in_topk(self.snapshot, w, q, k, &mut ctx))
         };
         match &answer.refined {
             RefinedQuery::QueryPoint { q_prime } => all_in(why_not, q_prime, self.k),
@@ -434,6 +350,7 @@ impl<T: Borrow<RTree>> Wqrtq<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wqrtq_rtree::RTree;
 
     fn fig_tree() -> RTree {
         let pts = vec![
@@ -560,8 +477,13 @@ mod tests {
         let rebuilt = RTree::bulk_load(2, &live);
         let plain_view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &live)));
 
-        let overlay = Wqrtq::with_view(&tree, view, &[4.0, 4.0], 3).unwrap();
-        let oracle = Wqrtq::with_view(&rebuilt, plain_view, &[4.0, 4.0], 3).unwrap();
+        let overlay = Wqrtq::new(Snapshot::from(&tree).overlay(&view), &[4.0, 4.0], 3).unwrap();
+        let oracle = Wqrtq::new(
+            Snapshot::from(&rebuilt).overlay(&plain_view),
+            &[4.0, 4.0],
+            3,
+        )
+        .unwrap();
         let wn = kevin_julia();
         assert_eq!(
             overlay.validate_why_not(&wn).unwrap(),
@@ -611,11 +533,15 @@ mod tests {
     }
 
     #[test]
-    fn dimension_mismatch_detected_at_construction() {
+    fn dimension_mismatch_and_zero_k_detected_at_construction() {
         let tree = fig_tree();
         assert!(matches!(
             Wqrtq::new(&tree, &[1.0, 2.0, 3.0], 3),
             Err(WhyNotError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            Wqrtq::new(&tree, &[4.0, 4.0], 0),
+            Err(WhyNotError::ZeroK)
         ));
     }
 }

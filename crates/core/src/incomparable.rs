@@ -14,7 +14,7 @@
 //! paper's reuse technique (revised `FindIncom`, §4.4).
 
 use wqrtq_geom::{dominates, score, DeltaView, FlatPoints};
-use wqrtq_rtree::{search::DominanceSplit, RTree};
+use wqrtq_query::Snapshot;
 
 /// The classified frontier of a query point: everything needed to rank
 /// that point under arbitrary (positive) weighting vectors without the
@@ -34,85 +34,71 @@ pub struct DominanceFrontier {
     incomparable_cols: FlatPoints,
 }
 
+/// The live rows of one side of a dominance split, tagged with their ids.
+fn live_rows<'s>(
+    ids: &[u32],
+    coords: &'s [f64],
+    dim: usize,
+    view: Option<&DeltaView>,
+) -> Vec<(u32, &'s [f64])> {
+    ids.iter()
+        .zip(coords.chunks_exact(dim))
+        .filter(|(&id, _)| !view.is_some_and(|v| v.is_deleted(id)))
+        .map(|(&id, row)| (id, row))
+        .collect()
+}
+
 impl DominanceFrontier {
-    /// Runs `FindIncom` against the index and captures the result, in
-    /// **canonical (id-ascending) order** — the traversal's own order
-    /// depends on the tree's build parameters, and a frontier that varies
-    /// with fanout would make the MWK sampler's candidate sequence (and
-    /// hence sampled refinements) structure-dependent.
-    pub fn from_tree(tree: &RTree, q: &[f64]) -> Self {
-        let dim = tree.dim();
-        let split = tree.split_by_dominance(q);
-        let sorted = |ids: &[u32], coords: &[f64]| -> Vec<f64> {
-            let mut rows: Vec<(u32, &[f64])> = ids
-                .iter()
-                .zip(coords.chunks_exact(dim))
-                .map(|(&id, row)| (id, row))
-                .collect();
-            rows.sort_by_key(|(id, _)| *id);
-            rows.into_iter().flat_map(|(_, row)| row.to_vec()).collect()
-        };
-        Self::from_parts(
-            dim,
-            q.to_vec(),
-            sorted(&split.dominating_ids, &split.dominating_coords),
-            sorted(&split.incomparable_ids, &split.incomparable_coords),
-        )
-    }
-
-    /// Builds from a pre-computed dominance split.
-    pub fn from_split(dim: usize, q: &[f64], split: &DominanceSplit) -> Self {
-        Self::from_parts(
-            dim,
-            q.to_vec(),
-            split.dominating_coords.clone(),
-            split.incomparable_coords.clone(),
-        )
-    }
-
-    /// Runs `FindIncom` over a delta overlay: the base index's pruned
-    /// traversal classifies the base rows, tombstoned rows are dropped,
-    /// and the appended rows are classified by direct dominance tests
-    /// (`O(Δ)`).
+    /// Runs `FindIncom` over the snapshot's live rows: the base index's
+    /// pruned traversal classifies the base rows, tombstoned rows are
+    /// dropped, and the appended rows are classified by direct dominance
+    /// tests (`O(Δ)`).
     ///
-    /// Both sets are assembled in **canonical (id-ascending) order**, so
-    /// the frontier — and everything seeded from it, like the MWK weight
-    /// sampler's candidate sequence — is identical for any two structures
-    /// holding the same live rows. In particular it matches the frontier
-    /// of a dataset rebuilt from [`DeltaView::materialize_row_major`].
-    pub fn from_view(tree: &RTree, view: &DeltaView, q: &[f64]) -> Self {
-        let dim = tree.dim();
-        let split = tree.split_by_dominance(q);
-        // (id, which-set) pairs, merged id-ascending across base + delta.
-        let mut dominating: Vec<(u32, Vec<f64>)> = Vec::new();
-        let mut incomparable: Vec<(u32, Vec<f64>)> = Vec::new();
-        for (i, &id) in split.dominating_ids.iter().enumerate() {
-            if !view.is_deleted(id) {
-                dominating.push((id, split.dominating_coords[i * dim..(i + 1) * dim].to_vec()));
+    /// Both sets are assembled in **canonical (id-ascending) order** —
+    /// the traversal's own order depends on the tree's build parameters,
+    /// and a frontier that varies with fanout or with how the live rows
+    /// are split between base and overlay would make the MWK sampler's
+    /// candidate sequence (and hence sampled refinements)
+    /// structure-dependent. So the frontier is identical for any two
+    /// snapshots holding the same live rows; in particular it matches
+    /// the frontier of a dataset rebuilt from
+    /// [`DeltaView::materialize_row_major`].
+    pub fn new<'a>(snap: impl Into<Snapshot<'a>>, q: &[f64]) -> Self {
+        let snap = snap.into();
+        let dim = snap.dim();
+        let split = snap.tree.split_by_dominance(q);
+        let mut dominating = live_rows(
+            &split.dominating_ids,
+            &split.dominating_coords,
+            dim,
+            snap.view,
+        );
+        let mut incomparable = live_rows(
+            &split.incomparable_ids,
+            &split.incomparable_coords,
+            dim,
+            snap.view,
+        );
+        if let Some(view) = snap.view {
+            for (i, &id) in view.delta_ids().iter().enumerate() {
+                let p = view.delta_row(i);
+                if dominates(p, q) {
+                    dominating.push((id, p));
+                } else if !dominates(q, p) {
+                    incomparable.push((id, p));
+                }
             }
         }
-        for (i, &id) in split.incomparable_ids.iter().enumerate() {
-            if !view.is_deleted(id) {
-                incomparable.push((
-                    id,
-                    split.incomparable_coords[i * dim..(i + 1) * dim].to_vec(),
-                ));
-            }
-        }
-        for (i, &id) in view.delta_ids().iter().enumerate() {
-            let p = view.delta_row(i);
-            if dominates(p, q) {
-                dominating.push((id, p.to_vec()));
-            } else if !dominates(q, p) {
-                incomparable.push((id, p.to_vec()));
-            }
-        }
-        dominating.sort_by_key(|(id, _)| *id);
-        incomparable.sort_by_key(|(id, _)| *id);
-        let flatten = |rows: Vec<(u32, Vec<f64>)>| -> Vec<f64> {
-            rows.into_iter().flat_map(|(_, c)| c).collect()
+        let canonical = |mut rows: Vec<(u32, &[f64])>| -> Vec<f64> {
+            rows.sort_by_key(|(id, _)| *id);
+            rows.into_iter().flat_map(|(_, row)| row).copied().collect()
         };
-        Self::from_parts(dim, q.to_vec(), flatten(dominating), flatten(incomparable))
+        Self::from_parts(
+            dim,
+            q.to_vec(),
+            canonical(dominating),
+            canonical(incomparable),
+        )
     }
 
     fn from_parts(dim: usize, q: Vec<f64>, dominating: Vec<f64>, incomparable: Vec<f64>) -> Self {
@@ -207,7 +193,8 @@ impl DominanceFrontier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wqrtq_query::rank::rank_of_point;
+    use wqrtq_query::rank_of_point;
+    use wqrtq_rtree::RTree;
 
     fn fig_tree() -> RTree {
         let pts = vec![
@@ -218,7 +205,7 @@ mod tests {
 
     #[test]
     fn figure_2a_frontier() {
-        let f = DominanceFrontier::from_tree(&fig_tree(), &[4.0, 4.0]);
+        let f = DominanceFrontier::new(&fig_tree(), &[4.0, 4.0]);
         assert_eq!(f.num_dominating(), 1); // p1
         assert_eq!(f.num_incomparable(), 4); // p2, p3, p4, p7
         assert_eq!(f.rank_range(), (2, 6));
@@ -228,7 +215,7 @@ mod tests {
     fn frontier_rank_matches_tree_rank() {
         let tree = fig_tree();
         let q = [4.0, 4.0];
-        let f = DominanceFrontier::from_tree(&tree, &q);
+        let f = DominanceFrontier::new(&tree, &q);
         for w in [[0.1, 0.9], [0.3, 0.7], [0.5, 0.5], [0.9, 0.1], [0.25, 0.75]] {
             assert_eq!(
                 f.rank_under(&w),
@@ -241,10 +228,10 @@ mod tests {
     #[test]
     fn reclassify_matches_fresh_traversal() {
         let tree = fig_tree();
-        let base = DominanceFrontier::from_tree(&tree, &[4.0, 4.0]);
+        let base = DominanceFrontier::new(&tree, &[4.0, 4.0]);
         for q_prime in [[3.5, 3.8], [3.0, 3.0], [4.0, 2.0], [0.5, 0.5], [4.0, 4.0]] {
             let reused = base.reclassify(&q_prime);
-            let fresh = DominanceFrontier::from_tree(&tree, &q_prime);
+            let fresh = DominanceFrontier::new(&tree, &q_prime);
             assert_eq!(
                 reused.num_dominating(),
                 fresh.num_dominating(),
@@ -264,7 +251,7 @@ mod tests {
     #[test]
     fn rank_range_brackets_every_weight() {
         let tree = fig_tree();
-        let f = DominanceFrontier::from_tree(&tree, &[4.0, 4.0]);
+        let f = DominanceFrontier::new(&tree, &[4.0, 4.0]);
         let (lo, hi) = f.rank_range();
         for i in 1..20 {
             let x = i as f64 / 20.0;
@@ -291,8 +278,8 @@ mod tests {
         let rebuilt = RTree::bulk_load(2, &live);
         let plain = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &live)));
         let q = [4.0, 4.0];
-        let got = DominanceFrontier::from_view(&tree, &view, &q);
-        let oracle = DominanceFrontier::from_view(&rebuilt, &plain, &q);
+        let got = DominanceFrontier::new(Snapshot::from(&tree).overlay(&view), &q);
+        let oracle = DominanceFrontier::new(Snapshot::from(&rebuilt).overlay(&plain), &q);
         // Identical coordinate sequences, not merely identical counts:
         // the MWK sampler consumes the frontier in order.
         assert_eq!(got.dominating, oracle.dominating);
@@ -310,7 +297,7 @@ mod tests {
     #[test]
     fn moving_query_to_origin_dominates_everything() {
         let tree = fig_tree();
-        let base = DominanceFrontier::from_tree(&tree, &[4.0, 4.0]);
+        let base = DominanceFrontier::new(&tree, &[4.0, 4.0]);
         let f = base.reclassify(&[0.0, 0.0]);
         assert_eq!(f.num_dominating(), 0);
         assert_eq!(f.num_incomparable(), 0);

@@ -26,6 +26,11 @@
 //! [`RefinementPlan`]. Penalty semantics follow Equations (1), (3), (4)
 //! and (5); see `DESIGN.md` for the calibration of the normalising
 //! constants against the paper's worked examples.
+//!
+//! Every algorithm takes its dataset as `impl Into<`[`Snapshot`]`>`: a
+//! bare `&RTree` (the paper's "index over `P`") or a serving layer's
+//! index + delta overlay + dominance mask — one function per operation,
+//! the same answer either way.
 
 pub mod advisor;
 pub mod baseline;
@@ -47,13 +52,12 @@ pub use advisor::{
 };
 pub use error::WhyNotError;
 pub use exact2d::{mwk_exact_2d, Exact2dResult};
-pub use explain::{
-    explain, explain_view, explain_view_with_stats, explain_with_stats, Explanation,
-};
+pub use explain::{explain, Explanation};
 pub use framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 pub use incomparable::DominanceFrontier;
-pub use mqp::{mqp, mqp_masked, mqp_view, mqp_view_masked, MqpResult};
-pub use mqwk::{mqwk, mqwk_view, MqwkResult};
-pub use mwk::{mwk, mwk_view, MwkResult};
+pub use mqp::{mqp, MqpResult};
+pub use mqwk::{mqwk, MqwkResult};
+pub use mwk::{mwk, MwkResult};
 pub use penalty::Tolerances;
 pub use safe_region::SafeRegion;
+pub use wqrtq_query::{ProbeCtx, Snapshot};

@@ -11,9 +11,9 @@
 use crate::error::WhyNotError;
 use crate::penalty::query_point_penalty;
 use crate::safe_region::SafeRegion;
-use wqrtq_geom::{DeltaView, Weight};
+use wqrtq_geom::Weight;
 use wqrtq_qp::{solve, QpProblem};
-use wqrtq_rtree::{DominanceIndex, RTree};
+use wqrtq_query::Snapshot;
 
 /// Result of the MQP refinement.
 #[derive(Clone, Debug)]
@@ -28,86 +28,30 @@ pub struct MqpResult {
     pub thresholds: Vec<f64>,
 }
 
-/// Runs MQP: returns the minimum-penalty refined query point.
+/// Runs MQP: returns the minimum-penalty refined query point. Over a
+/// snapshot with an overlay the safe region's constraints come from the
+/// merged live ranking, so the refined point is the one a rebuilt
+/// dataset would produce.
 ///
 /// Assumes non-negative data coordinates (true for all paper datasets),
 /// under which `q′ = 0` is always feasible and the QP can never be
 /// infeasible.
-pub fn mqp(
-    tree: &RTree,
+pub fn mqp<'a>(
+    snap: impl Into<Snapshot<'a>>,
     q: &[f64],
     k: usize,
     why_not: &[Weight],
 ) -> Result<MqpResult, WhyNotError> {
-    if q.len() != tree.dim() {
+    let snap = snap.into();
+    if q.len() != snap.dim() {
         return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
+            expected: snap.dim(),
             got: q.len(),
         });
     }
     // Phase 1: top-k-th point per why-not vector (Algorithm 1, lines 1–12)
     // — shared with the safe-region constructor.
-    let region = SafeRegion::build(tree, q, k, why_not)?;
-    optimise_over(region, q, why_not)
-}
-
-/// [`mqp`] over a delta overlay: the safe region's constraints come from
-/// the merged live ranking, so the refined point is the one a rebuilt
-/// dataset would produce.
-pub fn mqp_view(
-    tree: &RTree,
-    view: &DeltaView,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-) -> Result<MqpResult, WhyNotError> {
-    if q.len() != tree.dim() {
-        return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
-        });
-    }
-    let region = SafeRegion::build_view(tree, view, q, k, why_not)?;
-    optimise_over(region, q, why_not)
-}
-
-/// [`mqp`] consulting a [`DominanceIndex`] built from `tree` during the
-/// constraint-finding phase. Bit-identical to [`mqp`]: the safe region's
-/// thresholds survive masking exactly, and the QP sees the same problem.
-pub fn mqp_masked(
-    tree: &RTree,
-    dom: &DominanceIndex,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-) -> Result<MqpResult, WhyNotError> {
-    if q.len() != tree.dim() {
-        return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
-        });
-    }
-    let region = SafeRegion::build_masked(tree, dom, q, k, why_not)?;
-    optimise_over(region, q, why_not)
-}
-
-/// [`mqp_view`] consulting a [`DominanceIndex`] built from the view's
-/// *base* tree; bit-identical to [`mqp_view`].
-pub fn mqp_view_masked(
-    tree: &RTree,
-    view: &DeltaView,
-    dom: &DominanceIndex,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-) -> Result<MqpResult, WhyNotError> {
-    if q.len() != tree.dim() {
-        return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
-        });
-    }
-    let region = SafeRegion::build_view_masked(tree, view, dom, q, k, why_not)?;
+    let region = SafeRegion::build(snap, q, k, why_not)?;
     optimise_over(region, q, why_not)
 }
 
@@ -168,7 +112,8 @@ fn optimise_over(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wqrtq_query::rank::is_in_topk;
+    use wqrtq_query::{is_in_topk, ProbeCtx};
+    use wqrtq_rtree::RTree;
 
     fn fig_tree() -> RTree {
         let pts = vec![
@@ -198,7 +143,7 @@ mod tests {
         let res = mqp(&tree, &[4.0, 4.0], 3, &kevin_julia()).unwrap();
         for w in kevin_julia() {
             assert!(
-                is_in_topk(&tree, &w, &res.q_prime, 3),
+                is_in_topk(&tree, &w, &res.q_prime, 3, &mut ProbeCtx::new()),
                 "refined q′ {:?} must be in top-3 of {w:?}",
                 res.q_prime
             );
@@ -241,7 +186,13 @@ mod tests {
         let tree = fig_tree();
         let kevin = vec![Weight::new(vec![0.1, 0.9])];
         let res = mqp(&tree, &[4.0, 4.0], 3, &kevin).unwrap();
-        assert!(is_in_topk(&tree, &kevin[0], &res.q_prime, 3));
+        assert!(is_in_topk(
+            &tree,
+            &kevin[0],
+            &res.q_prime,
+            3,
+            &mut ProbeCtx::new()
+        ));
         // Only Kevin's constraint binds: q′ should sit on H(w1, p4).
         let s = 0.1 * res.q_prime[0] + 0.9 * res.q_prime[1];
         assert!(s <= 3.6 + 1e-6, "score {s}");
@@ -279,7 +230,7 @@ mod tests {
         ];
         let res = mqp(&tree, &q, 5, &wn).unwrap();
         for w in &wn {
-            assert!(is_in_topk(&tree, w, &res.q_prime, 5));
+            assert!(is_in_topk(&tree, w, &res.q_prime, 5, &mut ProbeCtx::new()));
         }
         assert!(res.penalty > 0.0 && res.penalty <= 1.0);
     }

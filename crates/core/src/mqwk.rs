@@ -19,12 +19,12 @@
 
 use crate::error::WhyNotError;
 use crate::incomparable::DominanceFrontier;
-use crate::mqp::{mqp, mqp_view, MqpResult};
+use crate::mqp::mqp;
 use crate::mwk::mwk_with_frontier;
 use crate::penalty::{query_point_penalty, Tolerances};
 use crate::sampling::sample_query_points;
-use wqrtq_geom::{DeltaView, Weight};
-use wqrtq_rtree::RTree;
+use wqrtq_geom::Weight;
+use wqrtq_query::Snapshot;
 
 /// Which candidate family produced the best tuple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,9 +56,12 @@ pub struct MqwkResult {
 
 /// Runs MQWK. `sample_size` is `|S|` (weights per MWK call) and
 /// `query_samples` is `|Q|`; the paper's experiments keep them equal.
+/// MQP constraints and the reuse frontier both come from the snapshot's
+/// live rows (canonical order), so every candidate tuple — and hence the
+/// winner — matches a rebuilt dataset.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
-pub fn mqwk(
-    tree: &RTree,
+pub fn mqwk<'a>(
+    snap: impl Into<Snapshot<'a>>,
     q: &[f64],
     k: usize,
     why_not: &[Weight],
@@ -67,69 +70,12 @@ pub fn mqwk(
     tol: &Tolerances,
     seed: u64,
 ) -> Result<MqwkResult, WhyNotError> {
+    let snap = snap.into();
     // Line 2: qmin via MQP (also validates inputs).
-    let mqp_res = mqp(tree, q, k, why_not)?;
-    // Reuse base: one FindIncom traversal at the original q (§4.4).
-    let base = DominanceFrontier::from_tree(tree, q);
-    Ok(search_candidates(
-        mqp_res,
-        &base,
-        q,
-        k,
-        why_not,
-        sample_size,
-        query_samples,
-        tol,
-        seed,
-    ))
-}
-
-/// [`mqwk`] over a delta overlay: MQP constraints and the reuse frontier
-/// both come from the live rows (canonical order), so every candidate
-/// tuple — and hence the winner — matches a rebuilt dataset.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
-pub fn mqwk_view(
-    tree: &RTree,
-    view: &DeltaView,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-    sample_size: usize,
-    query_samples: usize,
-    tol: &Tolerances,
-    seed: u64,
-) -> Result<MqwkResult, WhyNotError> {
-    let mqp_res = mqp_view(tree, view, q, k, why_not)?;
-    let base = DominanceFrontier::from_view(tree, view, q);
-    Ok(search_candidates(
-        mqp_res,
-        &base,
-        q,
-        k,
-        why_not,
-        sample_size,
-        query_samples,
-        tol,
-        seed,
-    ))
-}
-
-/// Lines 3–9 of Algorithm 3 over a pre-computed `qmin` and reuse
-/// frontier: evaluate both endpoints plus `|Q|` sampled interior query
-/// points and keep the minimum-penalty tuple.
-#[allow(clippy::too_many_arguments)]
-fn search_candidates(
-    mqp_res: MqpResult,
-    base: &DominanceFrontier,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-    sample_size: usize,
-    query_samples: usize,
-    tol: &Tolerances,
-    seed: u64,
-) -> MqwkResult {
+    let mqp_res = mqp(snap, q, k, why_not)?;
     let qmin = &mqp_res.q_prime;
+    // Reuse base: one FindIncom traversal at the original q (§4.4).
+    let base = DominanceFrontier::new(snap, q);
 
     // Endpoint candidate 1: move the query all the way to qmin, keep
     // preferences — penalty γ·Δq(qmin).
@@ -143,7 +89,7 @@ fn search_candidates(
     };
 
     // Endpoint candidate 2: keep q, run plain MWK — penalty λ·Eq.(4).
-    let mwk_res = mwk_with_frontier(base, k, why_not, sample_size, tol, seed);
+    let mwk_res = mwk_with_frontier(&base, k, why_not, sample_size, tol, seed);
     let pen = tol.lambda * mwk_res.penalty;
     if pen < best.penalty {
         best.q_prime = q.to_vec();
@@ -175,14 +121,15 @@ fn search_candidates(
             best.source = RefinementSource::Sampled;
         }
     }
-    best
+    Ok(best)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mwk::mwk;
-    use wqrtq_query::rank::rank_of_point;
+    use wqrtq_query::rank_of_point;
+    use wqrtq_rtree::RTree;
 
     fn fig_tree() -> RTree {
         let pts = vec![

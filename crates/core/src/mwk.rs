@@ -26,8 +26,8 @@ use crate::error::WhyNotError;
 use crate::incomparable::DominanceFrontier;
 use crate::penalty::{preference_penalty, Tolerances};
 use crate::sampling::WeightSampler;
-use wqrtq_geom::{DeltaView, Weight};
-use wqrtq_rtree::RTree;
+use wqrtq_geom::Weight;
+use wqrtq_query::Snapshot;
 
 /// Result of the MWK refinement.
 #[derive(Clone, Debug)]
@@ -48,51 +48,11 @@ pub struct MwkResult {
     pub candidates_examined: usize,
 }
 
-/// Runs MWK against an indexed dataset.
-pub fn mwk(
-    tree: &RTree,
-    q: &[f64],
-    k: usize,
-    why_not: &[Weight],
-    sample_size: usize,
-    tol: &Tolerances,
-    seed: u64,
-) -> Result<MwkResult, WhyNotError> {
-    if why_not.is_empty() {
-        return Err(WhyNotError::EmptyWhyNot);
-    }
-    if q.len() != tree.dim() {
-        return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
-        });
-    }
-    for w in why_not {
-        if w.dim() != tree.dim() {
-            return Err(WhyNotError::DimensionMismatch {
-                expected: tree.dim(),
-                got: w.dim(),
-            });
-        }
-    }
-    let frontier = DominanceFrontier::from_tree(tree, q);
-    Ok(mwk_with_frontier(
-        &frontier,
-        k,
-        why_not,
-        sample_size,
-        tol,
-        seed,
-    ))
-}
-
-/// [`mwk`] over a delta overlay: the dominance frontier classifies the
-/// live rows (canonical order), so samples, ranks and the returned
+/// Runs MWK against a snapshot. The dominance frontier classifies the
+/// live rows in canonical order, so samples, ranks and the returned
 /// refinement match a dataset rebuilt from scratch.
-#[allow(clippy::too_many_arguments)] // mirrors Algorithm 2's input list + view
-pub fn mwk_view(
-    tree: &RTree,
-    view: &DeltaView,
+pub fn mwk<'a>(
+    snap: impl Into<Snapshot<'a>>,
     q: &[f64],
     k: usize,
     why_not: &[Weight],
@@ -100,24 +60,20 @@ pub fn mwk_view(
     tol: &Tolerances,
     seed: u64,
 ) -> Result<MwkResult, WhyNotError> {
+    let snap = snap.into();
     if why_not.is_empty() {
         return Err(WhyNotError::EmptyWhyNot);
     }
-    if q.len() != tree.dim() {
+    if let Some(got) = std::iter::once(q.len())
+        .chain(why_not.iter().map(Weight::dim))
+        .find(|&d| d != snap.dim())
+    {
         return Err(WhyNotError::DimensionMismatch {
-            expected: tree.dim(),
-            got: q.len(),
+            expected: snap.dim(),
+            got,
         });
     }
-    for w in why_not {
-        if w.dim() != tree.dim() {
-            return Err(WhyNotError::DimensionMismatch {
-                expected: tree.dim(),
-                got: w.dim(),
-            });
-        }
-    }
-    let frontier = DominanceFrontier::from_view(tree, view, q);
+    let frontier = DominanceFrontier::new(snap, q);
     Ok(mwk_with_frontier(
         &frontier,
         k,
@@ -232,7 +188,8 @@ pub fn mwk_with_frontier(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wqrtq_query::rank::rank_of_point;
+    use wqrtq_query::rank_of_point;
+    use wqrtq_rtree::RTree;
 
     fn fig_tree() -> RTree {
         let pts = vec![

@@ -13,11 +13,8 @@
 //! the QP against (Figure 5(b)).
 
 use crate::error::WhyNotError;
-use wqrtq_geom::{DeltaView, HalfSpace, Polygon2d, Weight};
-use wqrtq_query::topk::{
-    kth_point, kth_point_masked, kth_point_view, kth_point_view_masked, KthPoint,
-};
-use wqrtq_rtree::{DominanceIndex, RTree};
+use wqrtq_geom::{HalfSpace, Polygon2d, Weight};
+use wqrtq_query::{kth_point, Snapshot};
 
 /// The safe region of a query point for a why-not set.
 #[derive(Clone, Debug)]
@@ -30,84 +27,26 @@ pub struct SafeRegion {
 
 impl SafeRegion {
     /// Builds the safe region from the top-k-th points of every why-not
-    /// vector (Lemma 3).
-    pub fn build(
-        tree: &RTree,
+    /// vector (Lemma 3). Each k-th point comes from the snapshot's merged
+    /// live ranking, so the constraint planes are those of a dataset
+    /// rebuilt from the live rows.
+    pub fn build<'a>(
+        snap: impl Into<Snapshot<'a>>,
         q: &[f64],
         k: usize,
         why_not: &[Weight],
     ) -> Result<Self, WhyNotError> {
-        Self::build_with(tree.dim(), tree.len(), q, k, why_not, |w| {
-            kth_point(tree, w, k)
-        })
-    }
-
-    /// [`SafeRegion::build`] over a delta overlay: each why-not vector's
-    /// top-k-th point comes from the merged live ranking, so the
-    /// constraint planes are those of a dataset rebuilt from the live
-    /// rows.
-    pub fn build_view(
-        tree: &RTree,
-        view: &DeltaView,
-        q: &[f64],
-        k: usize,
-        why_not: &[Weight],
-    ) -> Result<Self, WhyNotError> {
-        Self::build_with(tree.dim(), view.live_len(), q, k, why_not, |w| {
-            kth_point_view(tree, view, w, k)
-        })
-    }
-
-    /// [`SafeRegion::build`] consulting a [`DominanceIndex`] built from
-    /// `tree`: each why-not vector's top-k-th point comes from the masked
-    /// best-first traversal. The constraint planes and thresholds are
-    /// bit-identical to the unmasked build — every consumer depends only
-    /// on the k-th *score* (`HalfSpace::below_score_plane`'s offset is
-    /// `f(w, p)`), which masking preserves exactly.
-    pub fn build_masked(
-        tree: &RTree,
-        dom: &DominanceIndex,
-        q: &[f64],
-        k: usize,
-        why_not: &[Weight],
-    ) -> Result<Self, WhyNotError> {
-        Self::build_with(tree.dim(), tree.len(), q, k, why_not, |w| {
-            kth_point_masked(tree, dom, w, k)
-        })
-    }
-
-    /// [`SafeRegion::build_view`] consulting a [`DominanceIndex`] built
-    /// from the view's *base* tree; same bit-identical guarantee as
-    /// [`SafeRegion::build_masked`], with the exclusion threshold
-    /// inflated by the view's tombstone count.
-    pub fn build_view_masked(
-        tree: &RTree,
-        view: &DeltaView,
-        dom: &DominanceIndex,
-        q: &[f64],
-        k: usize,
-        why_not: &[Weight],
-    ) -> Result<Self, WhyNotError> {
-        Self::build_with(tree.dim(), view.live_len(), q, k, why_not, |w| {
-            kth_point_view_masked(tree, view, dom, w, k)
-        })
-    }
-
-    fn build_with(
-        dim: usize,
-        len: usize,
-        q: &[f64],
-        k: usize,
-        why_not: &[Weight],
-        mut kth: impl FnMut(&[f64]) -> Option<KthPoint>,
-    ) -> Result<Self, WhyNotError> {
+        let snap = snap.into();
         if why_not.is_empty() {
             return Err(WhyNotError::EmptyWhyNot);
         }
+        if k == 0 {
+            return Err(WhyNotError::ZeroK);
+        }
         for w in why_not {
-            if w.dim() != dim {
+            if w.dim() != snap.dim() {
                 return Err(WhyNotError::DimensionMismatch {
-                    expected: dim,
+                    expected: snap.dim(),
                     got: w.dim(),
                 });
             }
@@ -115,7 +54,10 @@ impl SafeRegion {
         let mut constraints = Vec::with_capacity(why_not.len());
         let mut thresholds = Vec::with_capacity(why_not.len());
         for w in why_not {
-            let p = kth(w.as_slice()).ok_or(WhyNotError::DatasetSmallerThanK { len, k })?;
+            let p = kth_point(snap, w, k).ok_or(WhyNotError::DatasetSmallerThanK {
+                len: snap.live_len(),
+                k,
+            })?;
             thresholds.push(p.score);
             constraints.push(HalfSpace::below_score_plane(w, &p.coords));
         }
@@ -174,6 +116,7 @@ impl SafeRegion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wqrtq_rtree::RTree;
 
     fn fig_tree() -> RTree {
         let pts = vec![
@@ -239,47 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn masked_build_is_bit_identical_even_with_ties() {
-        use std::sync::Arc;
-        use wqrtq_geom::FlatPoints;
-        // Duplicate every paper point: exact score ties everywhere, and
-        // each duplicate pair dominates nothing of the other — the masked
-        // kth may pick the other twin, but the constraint planes depend
-        // only on the (identical) score.
-        let mut pts = vec![
-            2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
-        ];
-        let dup = pts.clone();
-        pts.extend(&dup);
-        let tree = RTree::bulk_load_with_fanout(2, &pts, 4);
-        let dom = DominanceIndex::build(&tree);
-        let q = [4.0, 4.0];
-        for k in 1..=pts.len() / 2 {
-            let exact = SafeRegion::build(&tree, &q, k, &kevin_julia()).unwrap();
-            let masked = SafeRegion::build_masked(&tree, &dom, &q, k, &kevin_julia()).unwrap();
-            assert_eq!(exact.thresholds(), masked.thresholds(), "k {k}");
-            assert_eq!(exact.constraints(), masked.constraints(), "k {k}");
-        }
-
-        // Same over a mutated view (tombstone two rows, append two).
-        let view = DeltaView::new(
-            Arc::new(FlatPoints::from_row_major(2, &pts)),
-            Arc::new(vec![4.5, 2.0, 0.5, 0.5]),
-            Arc::new(vec![pts.len() as u32 / 2, pts.len() as u32 / 2 + 1]),
-            Arc::new(vec![6.0, 3.0, 7.0, 5.0]),
-            Arc::new(vec![1, 4]),
-        );
-        for k in 1..=view.live_len() {
-            let exact = SafeRegion::build_view(&tree, &view, &q, k, &kevin_julia()).unwrap();
-            let masked =
-                SafeRegion::build_view_masked(&tree, &view, &dom, &q, k, &kevin_julia()).unwrap();
-            assert_eq!(exact.thresholds(), masked.thresholds(), "view k {k}");
-            assert_eq!(exact.constraints(), masked.constraints(), "view k {k}");
-        }
-        assert!(dom.skips() > 0, "the tie-dense build should skip points");
-    }
-
-    #[test]
     fn errors_for_bad_inputs() {
         let tree = fig_tree();
         assert!(matches!(
@@ -293,6 +195,10 @@ mod tests {
         assert!(matches!(
             SafeRegion::build(&tree, &[4.0, 4.0], 99, &kevin_julia()),
             Err(WhyNotError::DatasetSmallerThanK { .. })
+        ));
+        assert!(matches!(
+            SafeRegion::build(&tree, &[4.0, 4.0], 0, &kevin_julia()),
+            Err(WhyNotError::ZeroK)
         ));
     }
 }

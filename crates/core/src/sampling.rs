@@ -305,7 +305,7 @@ mod tests {
             2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
         ];
         let tree = RTree::bulk_load(2, &pts);
-        DominanceFrontier::from_tree(&tree, &[4.0, 4.0])
+        DominanceFrontier::new(&tree, &[4.0, 4.0])
     }
 
     fn kevin_julia() -> Vec<Weight> {
@@ -377,7 +377,7 @@ mod tests {
     fn empty_frontier_yields_no_samples() {
         let pts = vec![0.1, 0.1, 0.2, 0.2]; // both points dominate q: I = ∅
         let tree = RTree::bulk_load(2, &pts);
-        let f = DominanceFrontier::from_tree(&tree, &[5.0, 5.0]);
+        let f = DominanceFrontier::new(&tree, &[5.0, 5.0]);
         assert_eq!(f.num_incomparable(), 0);
         let mut s = WeightSampler::new(&f, &kevin_julia(), 1);
         assert!(s.sample(10).is_empty());
@@ -395,7 +395,7 @@ mod tests {
         ];
         let tree = RTree::bulk_load(3, &pts);
         let q = [4.0, 4.0, 4.0];
-        let f = DominanceFrontier::from_tree(&tree, &q);
+        let f = DominanceFrontier::new(&tree, &q);
         assert!(f.num_incomparable() > 0);
         let anchors = vec![Weight::new(vec![0.2, 0.3, 0.5])];
         let mut s = WeightSampler::new(&f, &anchors, 11);
@@ -427,7 +427,7 @@ mod tests {
             .collect();
         let tree = RTree::bulk_load(3, &pts);
         let q = [3.0, 3.0, 3.0];
-        let f = DominanceFrontier::from_tree(&tree, &q);
+        let f = DominanceFrontier::new(&tree, &q);
         let anchor = Weight::new(vec![0.6, 0.3, 0.1]);
         let mut anchored = WeightSampler::new(&f, std::slice::from_ref(&anchor), 3);
         let mut blind = WeightSampler::new(&f, &[], 3);
@@ -448,7 +448,7 @@ mod tests {
         // polytope has positive dimension for d = 3.
         let pts = vec![5.0, 1.0, 9.0];
         let tree = RTree::bulk_load(3, &pts);
-        let f = DominanceFrontier::from_tree(&tree, &[4.0, 4.0, 4.0]);
+        let f = DominanceFrontier::new(&tree, &[4.0, 4.0, 4.0]);
         let mut s = WeightSampler::new(&f, &[], 3);
         let ws = s.sample(20);
         assert_eq!(ws.len(), 20);

@@ -1,8 +1,6 @@
 //! The engine-level LRU result cache.
 //!
-//! Generalises the per-query `TopkViewCache` of `wqrtq-query` (which
-//! caches top-k *views* to short-circuit one membership predicate) to
-//! whole responses for every request kind: entries are keyed on
+//! Caches whole responses for every request kind: entries are keyed on
 //! `(dataset epoch triple, request fingerprint)`, so a repeat of an
 //! identical request against an unchanged dataset is answered without
 //! touching any index.

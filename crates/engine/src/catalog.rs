@@ -34,6 +34,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
 use wqrtq_geom::{DeltaView, FlatPoints, Weight};
+use wqrtq_query::Snapshot;
 use wqrtq_rtree::{DominanceIndex, RTree};
 
 /// A storage failure surfaced through the engine's error vocabulary.
@@ -120,6 +121,16 @@ impl DatasetHandle {
     /// Number of live points in this snapshot.
     pub fn live_len(&self) -> usize {
         self.view.live_len()
+    }
+
+    /// The borrowed form every query and why-not entry point takes:
+    /// base index + overlay + mask (when the pre-filter is on).
+    pub fn snapshot(&self) -> Snapshot<'_> {
+        Snapshot {
+            tree: &self.index,
+            view: Some(&self.view),
+            dom: self.dom.as_deref(),
+        }
     }
 }
 

@@ -15,10 +15,9 @@
 //!   alone — idle workers merely accelerate it, and the scheme cannot
 //!   deadlock even when every worker is an origin simultaneously.
 //!
-//! Each worker owns a [`WorkerScratch`] — the RTA culprit pool, probe
-//! queue and score buffers live across requests, so the steady-state hot
-//! path performs no per-request allocations (tracked by the
-//! `scratch_reuses` metric).
+//! Each worker owns a [`ProbeCtx`] — the RTA culprit pool and probe
+//! queue live across requests, so the steady-state hot path performs no
+//! per-request allocations (tracked by the `scratch_reuses` metric).
 //!
 //! Execution is deterministic — every algorithm is seed-driven and shard
 //! verdicts are independent — which makes responses identical for any
@@ -42,11 +41,10 @@ use std::time::{Duration, Instant};
 use wqrtq_core::advisor::{AdvisorEvent, RankedStep, RefinementPlan, StrategyKind, WhyNotOptions};
 use wqrtq_core::explain::Explanation;
 use wqrtq_core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
-use wqrtq_geom::{DeltaView, Weight};
+use wqrtq_geom::Weight;
 use wqrtq_obs::{SpanRecord, Stage, Tracer};
-use wqrtq_query::brtopk::{rta_over_order_view_masked, rta_sorted_order, RtaScratch, RtaStats};
-use wqrtq_query::topk::ViewBestFirst;
-use wqrtq_rtree::{DominanceIndex, RTree};
+use wqrtq_query::{monochromatic_reverse_topk_sampled, rta_over_order, rta_sorted_order, ProbeCtx};
+use wqrtq_rtree::DominanceIndex;
 
 /// A bichromatic request is fanned across the pool only when each shard
 /// still gets at least this many weights — below that, sharding overhead
@@ -150,14 +148,6 @@ pub(crate) enum Job {
     Shutdown,
 }
 
-/// Per-worker reusable buffers. Living across requests, they make the
-/// steady-state serving path allocation-free; the `scratch_reuses`
-/// metric counts every request that found them warm.
-#[derive(Debug, Default)]
-pub(crate) struct WorkerScratch {
-    rta: RtaScratch,
-}
-
 /// One request of a [`Job::ServeMany`] run: the request, its boundary
 /// trace id, and the completion that routes its response.
 pub(crate) struct ServeUnit {
@@ -208,12 +198,9 @@ impl ServeManyTask {
 /// A single bichromatic reverse top-k request split into claimable
 /// shards over its similarity-sorted weight order.
 pub(crate) struct ShardTask {
-    tree: Arc<RTree>,
-    /// The overlay every shard's verdicts must account for.
-    view: DeltaView,
-    /// The snapshot's k-dominance mask (`None` with the pre-filter off);
-    /// shard verdicts are bit-identical with or without it.
-    dom: Option<Arc<DominanceIndex>>,
+    /// The dataset snapshot every shard answers against (shards outlive
+    /// the origin's borrow, so the task owns a handle).
+    handle: DatasetHandle,
     weights: Arc<Vec<Weight>>,
     /// Similarity order over all weights (computed once by the origin).
     order: Vec<usize>,
@@ -227,9 +214,8 @@ pub(crate) struct ShardTask {
     done_cv: Condvar,
 }
 
-/// One shard's verdicts and pruning counters, or the panic message that
-/// killed it.
-type ShardOutcome = Result<(Vec<usize>, RtaStats), String>;
+/// One shard's verdicts, or the panic message that killed it.
+type ShardOutcome = Result<Vec<usize>, String>;
 
 struct ShardState {
     results: Vec<Option<ShardOutcome>>,
@@ -238,9 +224,7 @@ struct ShardState {
 
 impl ShardTask {
     fn new(
-        tree: Arc<RTree>,
-        view: DeltaView,
-        dom: Option<Arc<DominanceIndex>>,
+        handle: DatasetHandle,
         weights: Arc<Vec<Weight>>,
         q: Vec<f64>,
         k: usize,
@@ -254,9 +238,7 @@ impl ShardTask {
             .collect();
         let n = ranges.len();
         Self {
-            tree,
-            view,
-            dom,
+            handle,
             weights,
             order,
             ranges,
@@ -284,17 +266,15 @@ impl ShardTask {
     }
 
     /// Executes shard `i` on the caller's scratch and records the result.
-    fn run_shard(&self, i: usize, scratch: &mut RtaScratch) {
+    fn run_shard(&self, i: usize, scratch: &mut ProbeCtx) {
         let (lo, hi) = self.ranges[i];
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rta_over_order_view_masked(
-                &self.tree,
-                &self.view,
+            rta_over_order(
+                self.handle.snapshot(),
                 &self.weights,
                 &self.order[lo..hi],
                 &self.q,
                 self.k,
-                self.dom.as_deref(),
                 scratch,
             )
         }))
@@ -314,9 +294,9 @@ impl ShardTask {
 
     /// Claims and runs at most one shard (the path taken by workers that
     /// pop a [`Job::Shard`] off the queue).
-    pub(crate) fn run_one(&self, scratch: &mut WorkerScratch) {
+    pub(crate) fn run_one(&self, scratch: &mut ProbeCtx) {
         if let Some(i) = self.claim() {
-            self.run_shard(i, &mut scratch.rta);
+            self.run_shard(i, scratch);
         }
     }
 
@@ -328,21 +308,17 @@ impl ShardTask {
             state = self.done_cv.wait(state).expect("shard state lock poisoned");
         }
         let mut members = Vec::new();
-        let mut stats = RtaStats::default();
         for slot in state.results.iter() {
             // lint: allow(no-panic) — the condvar wait above returns
             // only when `recorded == shard_count`, and each shard fills
             // its slot before incrementing `recorded`.
             match slot.as_ref().expect("every shard recorded") {
-                Ok((part, s)) => {
-                    members.extend_from_slice(part);
-                    stats.merge(*s);
-                }
+                Ok(part) => members.extend_from_slice(part),
                 Err(msg) => return Err(msg.clone()),
             }
         }
         members.sort_unstable();
-        Ok((members, stats))
+        Ok(members)
     }
 }
 
@@ -387,7 +363,7 @@ impl Pool {
 }
 
 fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext) {
-    let mut scratch = WorkerScratch::default();
+    let mut scratch = ProbeCtx::new();
     loop {
         // Hold the queue lock only for the dequeue, never during work.
         let job = match queue.lock().expect("work queue lock").recv() {
@@ -492,7 +468,7 @@ pub(crate) fn serve(
     worker: usize,
     trace: TraceContext,
     request: &Request,
-    scratch: &mut WorkerScratch,
+    scratch: &mut ProbeCtx,
     progress: &mut Option<ProgressFn>,
 ) -> Response {
     let started = Instant::now();
@@ -531,7 +507,7 @@ pub(crate) fn serve(
 fn serve_inner(
     ctx: &WorkerContext,
     request: &Request,
-    scratch: &mut WorkerScratch,
+    scratch: &mut ProbeCtx,
     progress: &mut Option<ProgressFn>,
     spans: &mut SpanBuf,
     started: Instant,
@@ -637,7 +613,7 @@ fn execute_bichromatic(
     population: Arc<Vec<Weight>>,
     q: &[f64],
     k: usize,
-    scratch: &mut WorkerScratch,
+    scratch: &mut ProbeCtx,
 ) -> Response {
     // Below this cardinality a fused flat scan of the whole column-major
     // store beats branch-and-bound: no heap, no pointer chasing, one
@@ -667,7 +643,7 @@ fn execute_bichromatic(
     }
 
     // The RTA paths reuse the worker's warm culprit pool / probe queue.
-    if scratch.rta.is_warm() {
+    if scratch.is_warm() {
         ctx.metrics.record_scratch_reuse();
     }
     let shards = ctx
@@ -677,24 +653,13 @@ fn execute_bichromatic(
         .max(1);
     if shards <= 1 {
         let order = rta_sorted_order(&population);
-        let (mut members, _) = rta_over_order_view_masked(
-            &handle.index,
-            &handle.view,
-            &population,
-            &order,
-            q,
-            k,
-            handle.dom.as_deref(),
-            &mut scratch.rta,
-        );
+        let mut members = rta_over_order(handle.snapshot(), &population, &order, q, k, scratch);
         members.sort_unstable();
         return Response::ReverseTopKBi(members);
     }
 
     let task = Arc::new(ShardTask::new(
-        handle.index.clone(),
-        handle.view.clone(),
-        handle.dom.clone(),
+        handle.clone(),
         population,
         q.to_vec(),
         k,
@@ -711,10 +676,10 @@ fn execute_bichromatic(
         let _ = ctx.queue.send(Job::Shard(task.clone()));
     }
     while let Some(i) = task.claim() {
-        task.run_shard(i, &mut scratch.rta);
+        task.run_shard(i, scratch);
     }
     match task.wait_and_merge() {
-        Ok((members, _)) => Response::ReverseTopKBi(members),
+        Ok(members) => Response::ReverseTopKBi(members),
         Err(msg) => Response::Error(format!("request panicked: {msg}")),
     }
 }
@@ -736,7 +701,7 @@ fn execute(
     ctx: &WorkerContext,
     handle: &DatasetHandle,
     request: &Request,
-    scratch: &mut WorkerScratch,
+    scratch: &mut ProbeCtx,
     progress: &mut Option<ProgressFn>,
     spans: &mut SpanBuf,
 ) -> (Response, usize) {
@@ -749,7 +714,7 @@ fn execute(
                 // The merged live traversal: identical to the plain
                 // best-first scan on un-mutated datasets, tombstone-skipping
                 // and delta-merging otherwise.
-                let mut bf = ViewBestFirst::new(&handle.index, &handle.view, weight);
+                let mut bf = handle.snapshot().best_first(weight);
                 // Cap the pre-allocation at the live size: `k` is
                 // caller-controlled, and an oversized with_capacity would
                 // abort (not unwind) on allocation failure, escaping the
@@ -797,13 +762,13 @@ fn execute(
                 })
             } else {
                 probe(ctx, spans, || {
-                    let est = wqrtq_query::mrtopk_nd::monochromatic_reverse_topk_sampled_view(
-                        &handle.index,
-                        &handle.view,
+                    let est = monochromatic_reverse_topk_sampled(
+                        handle.snapshot(),
                         q,
                         *k,
                         *samples,
                         *seed,
+                        scratch,
                     );
                     (
                         Response::MonoSampled {
@@ -850,9 +815,11 @@ fn execute(
             if let Err(e) = check_dim(handle, weight).and_then(|()| check_dim(handle, q)) {
                 return (Response::Error(e.to_string()), 0);
             }
-            let (explanation, nodes) = probe(ctx, spans, || {
-                wqrtq_core::explain_view_with_stats(&handle.index, &handle.view, weight, q, *limit)
+            let nodes_before = scratch.nodes_visited;
+            let explanation = probe(ctx, spans, || {
+                wqrtq_core::explain(handle.snapshot(), weight, q, *limit, scratch)
             });
+            let nodes = scratch.nodes_visited - nodes_before;
             (
                 Response::Explanation {
                     rank: explanation.rank,
@@ -874,13 +841,10 @@ fn execute(
             ..
         } => {
             let why_not: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
-            // The shared pre-built index goes straight into the framework
-            // facade with the overlay snapshot — serving never rebuilds
-            // an index, mutated or not. The engine always takes the view
-            // path (plain datasets get a plain view), so plain and
-            // overlaid answers share one canonical frontier ordering and
-            // stay bit-comparable.
-            let wqrtq = match Wqrtq::with_view(handle.index.clone(), handle.view.clone(), q, *k) {
+            // The framework facade borrows the handle's snapshot — the
+            // shared pre-built index plus the overlay; serving never
+            // rebuilds an index, mutated or not.
+            let wqrtq = match Wqrtq::new(handle.snapshot(), q, *k) {
                 Ok(w) => w,
                 Err(e) => return (Response::Error(e.to_string()), 0),
             };
@@ -904,7 +868,7 @@ fn execute(
             ..
         } => {
             let why_not: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
-            let wqrtq = match Wqrtq::with_view(handle.index.clone(), handle.view.clone(), q, *k) {
+            let wqrtq = match Wqrtq::new(handle.snapshot(), q, *k) {
                 Ok(w) => w.with_tolerances(options.tol),
                 Err(e) => return (Response::Error(e.to_string()), 0),
             };

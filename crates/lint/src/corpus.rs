@@ -102,6 +102,20 @@ pub const CORPUS: &[CorpusCase] = &[
         good_design: None,
     },
     CorpusCase {
+        name: "per-calling-convention twin of a query operation",
+        rule: "variant-suffix",
+        bad: &[(
+            "crates/query/src/rank.rs",
+            "pub fn is_in_topk(snap: Snapshot<'_>) -> bool {\n    true\n}\npub fn is_in_topk_masked(snap: Snapshot<'_>, dom: &Mask) -> bool {\n    true\n}\n",
+        )],
+        bad_design: None,
+        good: &[(
+            "crates/query/src/rank.rs",
+            "pub fn is_in_topk(snap: Snapshot<'_>) -> bool {\n    probe_masked(snap)\n}\nfn probe_masked(snap: Snapshot<'_>) -> bool {\n    true\n}\n",
+        )],
+        good_design: None,
+    },
+    CorpusCase {
         name: "cross-file drift: error coverage and doc table",
         rule: "drift",
         bad: &[

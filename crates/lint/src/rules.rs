@@ -36,10 +36,16 @@
 //! * `narrowing-cast` — in [`CAST_AUDIT_PATHS`], a bare `as` cast to a
 //!   narrow integer type (`u8/u16/u32/i8/i16/i32`) must be `try_into`/
 //!   `try_from` (or waived with the reason the value provably fits).
+//! * `variant-suffix` — in [`SINGLE_ENTRY_PATHS`] (the query and
+//!   why-not crates), no `pub fn` may be named `*_view`, `*_masked`,
+//!   `*_scratch`, `*_with_stats` or `*_legacy`: every operation is one
+//!   function over a `Snapshot` (whose optional parts select the tier)
+//!   and a `ProbeCtx` (which owns the scratch and the counters), so a
+//!   suffixed twin is the variant cross-product growing back.
 //! * `drift` — cross-file vocabulary checks; see [`crate::drift`].
 //!
-//! Test code is exempt from `atomics-audit`, `no-panic`, and
-//! `narrowing-cast` (files under `tests/`, `examples/`, and
+//! Test code is exempt from `atomics-audit`, `no-panic`,
+//! `narrowing-cast`, and `variant-suffix` (files under `tests/`, `examples/`, and
 //! `#[cfg(test)]`/`#[test]` regions); `safety-comment` applies
 //! everywhere — unsafe code in a test still relies on an invariant.
 
@@ -51,6 +57,7 @@ pub const RULES: &[&str] = &[
     "atomics-audit",
     "no-panic",
     "narrowing-cast",
+    "variant-suffix",
     "drift",
 ];
 
@@ -110,6 +117,13 @@ pub const ZONES: &[Zone] = &[
 /// Paths audited for bare narrowing `as` casts (the codec and the
 /// durable-format writers, where a silent truncation corrupts frames).
 pub const CAST_AUDIT_PATHS: &[&str] = &["crates/codec/src/", "crates/engine/src/storage/"];
+
+/// Crates whose public API is one function per operation (see the
+/// `variant-suffix` rule).
+pub const SINGLE_ENTRY_PATHS: &[&str] = &["crates/query/", "crates/core/"];
+
+/// Name endings that mark a per-calling-convention twin of an operation.
+pub const VARIANT_SUFFIXES: &[&str] = &["_view", "_masked", "_scratch", "_with_stats", "_legacy"];
 
 /// One source file under analysis, with its repo-relative path.
 pub struct SourceFile {
@@ -245,6 +259,7 @@ pub fn check_file(file: &SourceFile, out: &mut Vec<Violation>) {
         rule_atomics_audit(file, out);
         rule_no_panic(file, out);
         rule_narrowing_cast(file, out);
+        rule_variant_suffix(file, out);
     }
 }
 
@@ -522,6 +537,39 @@ fn rule_narrowing_cast(file: &SourceFile, out: &mut Vec<Violation>) {
                     ),
                 });
                 break; // one per line
+            }
+        }
+    }
+}
+
+fn rule_variant_suffix(file: &SourceFile, out: &mut Vec<Violation>) {
+    if !SINGLE_ENTRY_PATHS.iter().any(|p| file.path.starts_with(p)) {
+        return;
+    }
+    for (idx, line) in file.lexed.lines.iter().enumerate() {
+        if line.in_test {
+            continue;
+        }
+        for col in find_token(&line.code, "fn") {
+            if !line.code[..col].trim_end().ends_with("pub") {
+                continue;
+            }
+            let name: &str = line.code[col + 2..]
+                .trim_start()
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .next()
+                .unwrap_or("");
+            if let Some(suffix) = VARIANT_SUFFIXES.iter().find(|s| name.ends_with(**s)) {
+                out.push(Violation {
+                    rule: "variant-suffix",
+                    file: file.path.clone(),
+                    line: idx + 1,
+                    message: format!(
+                        "`pub fn {name}` is a `{suffix}` twin — keep one function per \
+                         operation: take `impl Into<Snapshot>` (the overlay and mask are \
+                         optional parts of it) and `&mut ProbeCtx` (scratch + counters)"
+                    ),
+                });
             }
         }
     }

@@ -3,15 +3,9 @@
 //! Given products `P`, customer weighting vectors `W`, a query product `q`
 //! and `k`, return every `w ∈ W` with `q ∈ TOPk(w)`.
 //!
-//! Implementations, from oracle to hot path:
-//!
 //! * [`bichromatic_reverse_topk_naive`] — an independent rank scan per
 //!   weight over the raw points (the correctness oracle);
-//! * [`bichromatic_reverse_topk_rta_legacy`] — the PR-1 RTA: per-weight
-//!   `is_in_topk` plus a *full* best-first top-k refresh of the threshold
-//!   buffer after every index probe. Kept verbatim as the frozen baseline
-//!   the `rank_bench` speedup is measured against;
-//! * [`bichromatic_reverse_topk_rta`] — the rebuilt hot path: weights are
+//! * [`bichromatic_reverse_topk_rta`] — the RTA hot path: weights are
 //!   processed in similarity order; a rolling *culprit pool* (points
 //!   recently proven strictly better than `q`) provides the threshold
 //!   test via the fused [`count_better_rows`] kernel, and weights that
@@ -25,62 +19,21 @@
 //! The hot path is exposed in shardable form ([`rta_sorted_order`] +
 //! [`rta_over_order`]): a serving engine computes the similarity order
 //! once, splits it into contiguous chunks, and runs each chunk on a
-//! different worker with its own scratch — results merge by
+//! different worker with its own [`ProbeCtx`] — results merge by
 //! concatenation because every chunk's verdicts are independent.
 
-use crate::rank::is_in_topk;
-use wqrtq_geom::{count_better_rows, score, DeltaView, Point, Weight};
-use wqrtq_rtree::{search::CulpritBuf, DominanceIndex, ProbeScratch, RTree};
+use crate::snapshot::{ProbeCtx, Snapshot};
+use wqrtq_geom::{count_better_rows, DeltaView, Point, Weight};
+use wqrtq_rtree::DominanceIndex;
 
-/// Work counters exposed by the RTA implementations for the ablation
-/// benchmarks (`ablation_rta_vs_naive`).
+/// Work counters of the RTA runs on one [`ProbeCtx`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RtaStats {
-    /// Weights rejected purely by the reused threshold buffer/pool.
+    /// Weights decided without an index probe (culprit pool, overlay
+    /// sweep or culprit plane).
     pub buffer_prunes: usize,
     /// Weights that needed an index probe.
     pub tree_verifications: usize,
-}
-
-impl RtaStats {
-    /// Merges another shard's counters into this one.
-    pub fn merge(&mut self, other: RtaStats) {
-        self.buffer_prunes += other.buffer_prunes;
-        self.tree_verifications += other.tree_verifications;
-    }
-}
-
-/// Reusable buffers for the RTA hot path: the membership probe's
-/// traversal queue, the rolling culprit pool, and the per-probe culprit
-/// collector. One instance per serving worker; zero allocations per
-/// request after warm-up.
-#[derive(Debug, Default)]
-pub struct RtaScratch {
-    probe: ProbeScratch,
-    /// Flat row-major coordinates of recently-seen culprit points.
-    pool: Vec<f64>,
-    /// Ids parallel to `pool` — the prune counts *distinct* dataset
-    /// points, so the same point must never enter the pool twice.
-    pool_ids: Vec<u32>,
-    /// Culprits collected by the current probe (merged into the pool).
-    fresh: CulpritBuf,
-    /// Whether any RTA has run on this scratch (culprit-plane requests
-    /// allocate nothing at all, so capacity alone can't signal warmth).
-    warm: bool,
-}
-
-impl RtaScratch {
-    /// Fresh (empty) scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Whether the scratch has already served a request — subsequent
-    /// requests reuse its buffers instead of allocating (serving
-    /// metrics count these as buffer-reuse hits).
-    pub fn is_warm(&self) -> bool {
-        self.warm || self.pool.capacity() > 0
-    }
 }
 
 /// Naive bichromatic reverse top-k: a full rank scan per weight.
@@ -105,8 +58,7 @@ pub fn bichromatic_reverse_topk_naive(
 
 /// The similarity order RTA processes weights in: lexicographic over the
 /// entries, so adjacent weights are close and their culprit sets
-/// transfer well. Shared by the legacy and rebuilt implementations (and
-/// by engines sharding [`rta_over_order`]).
+/// transfer well. Engines sharding [`rta_over_order`] compute it once.
 pub fn rta_sorted_order(weights: &[Weight]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..weights.len()).collect();
     order.sort_by(|&a, &b| {
@@ -121,151 +73,131 @@ pub fn rta_sorted_order(weights: &[Weight]) -> Vec<usize> {
     order
 }
 
-/// RTA-style bichromatic reverse top-k over an R-tree.
-/// Returns qualifying indices in ascending order.
-pub fn bichromatic_reverse_topk_rta(
-    tree: &RTree,
+/// RTA-style bichromatic reverse top-k over a snapshot — the one-shot
+/// wrapper over [`rta_over_order`]. Returns qualifying indices in
+/// ascending order.
+pub fn bichromatic_reverse_topk_rta<'a>(
+    snap: impl Into<Snapshot<'a>>,
     weights: &[Weight],
     q: &[f64],
     k: usize,
 ) -> Vec<usize> {
-    bichromatic_reverse_topk_rta_with_stats(tree, weights, q, k).0
-}
-
-/// [`bichromatic_reverse_topk_rta`] with pruning statistics.
-pub fn bichromatic_reverse_topk_rta_with_stats(
-    tree: &RTree,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> (Vec<usize>, RtaStats) {
-    let mut scratch = RtaScratch::new();
     let order = rta_sorted_order(weights);
-    let (mut result, stats) = rta_over_order(tree, weights, &order, q, k, &mut scratch);
+    let mut result = rta_over_order(snap, weights, &order, q, k, &mut ProbeCtx::new());
     result.sort_unstable();
-    (result, stats)
+    result
 }
 
-/// Runs the rebuilt RTA over one contiguous slice of a similarity order
-/// (see [`rta_sorted_order`]). Returns the qualifying original indices
-/// in traversal order (callers sort after merging shards) plus the
-/// shard's pruning counters.
+/// Runs RTA over one contiguous slice of a similarity order (see
+/// [`rta_sorted_order`]). Returns the qualifying original indices in
+/// traversal order (callers sort after merging shards); the prune/verify
+/// split is added to `ctx.rta`.
 ///
-/// Sharding-safe: each call maintains its own culprit pool inside
-/// `scratch`, so verdicts never depend on other shards.
-pub fn rta_over_order(
-    tree: &RTree,
+/// Sharding-safe: each call maintains its own culprit pool inside `ctx`
+/// (cleared on entry), so verdicts never depend on other shards or on
+/// what the context served before.
+///
+/// Verdicts are those of the naive scan over the snapshot's live rows,
+/// whatever the snapshot carries; the mask, when present, only shifts
+/// the prune/verify split. An un-mutated snapshot takes the seeded-pool
+/// loop, a mutated one the overlay-corrected loop — their pools differ
+/// in what may enter them (plane-local ids cannot be tombstone-checked).
+pub fn rta_over_order<'a>(
+    snap: impl Into<Snapshot<'a>>,
     weights: &[Weight],
     order: &[usize],
     q: &[f64],
     k: usize,
-    scratch: &mut RtaScratch,
-) -> (Vec<usize>, RtaStats) {
-    rta_over_order_masked(tree, weights, order, q, k, None, scratch)
+    ctx: &mut ProbeCtx,
+) -> Vec<usize> {
+    let snap = snap.into();
+    if order.is_empty() || k == 0 {
+        return Vec::new();
+    }
+    ctx.warm = true;
+    ctx.pool.clear();
+    ctx.pool_ids.clear();
+    let plane = snap
+        .dom
+        .filter(|d| d.plane_usable_for(k) && d.usable_for(k));
+    match (snap.mutated(), plane) {
+        (Some(view), _) => rta_mutated(snap, view, weights, order, q, k, ctx),
+        (None, Some(d)) => rta_plane(snap, d, weights, order, q, k, ctx),
+        (None, None) => rta_plain(snap, weights, order, q, k, ctx),
+    }
 }
 
-/// [`rta_over_order`] with an optional [`DominanceIndex`] pre-filter:
-/// the seed traversal and every membership probe skip points (and whole
-/// subtrees) that `k` other points dominate. Verdicts are bit-identical
-/// to the unmasked run — masked points can never flip a membership
-/// outcome — though the prune/verify split in [`RtaStats`] may shift
-/// (the culprit pool is filled from whichever points the probes actually
-/// visit). Passing `None`, a mask whose build cap is below `k`, or
-/// weights with negative entries degrades gracefully to the unmasked
-/// path.
-#[allow(clippy::too_many_arguments)]
-pub fn rta_over_order_masked(
-    tree: &RTree,
+/// Whether `k` distinct pooled dataset points strictly beat `sq` under
+/// `w` — proof that `q` is outranked, with zero index work.
+fn pool_outranks(ctx: &ProbeCtx, w: &Weight, sq: f64, k: usize) -> bool {
+    ctx.pool_ids.len() >= k && count_better_rows(&ctx.pool, w, sq) >= k
+}
+
+/// Un-mutated snapshot whose mask has a culprit plane covering `k`: a
+/// point with ≥ k dominators can never be a top-k member or a culprit,
+/// so every verdict is a capped count over the compact k-skyband — no
+/// tree probes at all. A rolling culprit pool still fronts the plane:
+/// most outranked weights are rejected by re-scoring ~2k recent culprit
+/// rows (a dozen FLOPs), and whenever the plane does rule a weight out,
+/// the pool is refreshed with culprits sampled from the same skyband, so
+/// it tracks the sorted weight walk. Pool ids here are *plane-local*
+/// indices — which is why this loop cannot serve a mutated snapshot
+/// (they cannot be tombstone-checked). Weights with negative entries
+/// (where the dominance argument fails) fall back to an exact probe
+/// individually.
+fn rta_plane(
+    snap: Snapshot<'_>,
+    d: &DominanceIndex,
     weights: &[Weight],
     order: &[usize],
     q: &[f64],
     k: usize,
-    dom: Option<&DominanceIndex>,
-    scratch: &mut RtaScratch,
-) -> (Vec<usize>, RtaStats) {
-    let mut stats = RtaStats::default();
+    ctx: &mut ProbeCtx,
+) -> Vec<usize> {
     let mut result = Vec::new();
-    if order.is_empty() || k == 0 {
-        return (result, stats);
-    }
-    scratch.warm = true;
-    let dom = dom.filter(|d| d.usable_for(k));
-    // Culprit-plane fast path: a point with ≥ k dominators can never be
-    // a top-k member or a culprit, so every verdict is a capped count
-    // over the compact k-skyband — no tree probes at all. A rolling
-    // culprit pool still fronts the plane: most outranked weights are
-    // rejected by re-scoring ~2k recent culprit rows (a dozen FLOPs),
-    // and whenever the plane does rule a weight out, the pool is
-    // refreshed with culprits sampled from the same skyband, so it
-    // tracks the sorted weight walk. Weights with negative entries
-    // (where the dominance argument fails) fall back to an exact
-    // unmasked probe individually.
-    if let Some(d) = dom {
-        if d.plane_usable_for(k) {
-            let dim = tree.dim();
-            let pool_points_cap = 2 * k;
-            scratch.pool.clear();
-            scratch.pool_ids.clear();
-            for &idx in order {
-                let w = &weights[idx];
-                let sq = w.score(q);
-                // Pool rows are distinct dataset points (ids here are
-                // plane-local indices, never mixed with the tree path's
-                // dataset ids — both pools are per-request), so k of
-                // them beating q prove it out.
-                if scratch.pool_ids.len() >= k && count_better_rows(&scratch.pool, w, sq) >= k {
-                    stats.buffer_prunes += 1;
-                    continue;
-                }
-                match d.plane_outranked(w.as_slice(), sq, k) {
-                    Some(outranked) => {
-                        stats.buffer_prunes += 1;
-                        if outranked {
-                            // Refresh the pool with culprits sampled
-                            // from the same skyband (id-deduplicated,
-                            // recency-bounded — the exact discipline of
-                            // the tree path's probe-fed pool).
-                            scratch.fresh.clear();
-                            d.plane_culprits_into(w.as_slice(), sq, k, 2 * k, &mut scratch.fresh);
-                            for (i, &id) in scratch.fresh.ids.iter().enumerate() {
-                                if scratch.pool_ids.contains(&id) {
-                                    continue;
-                                }
-                                scratch.pool_ids.push(id);
-                                scratch.pool.extend_from_slice(
-                                    &scratch.fresh.coords[i * dim..(i + 1) * dim],
-                                );
-                            }
-                            if scratch.pool_ids.len() > pool_points_cap {
-                                let excess = scratch.pool_ids.len() - pool_points_cap;
-                                scratch.pool_ids.drain(0..excess);
-                                scratch.pool.drain(0..excess * dim);
-                            }
-                        } else {
-                            result.push(idx);
-                        }
-                    }
-                    None => {
-                        stats.tree_verifications += 1;
-                        if tree
-                            .probe_topk_membership(w.as_slice(), sq, k, &mut scratch.probe, None)
-                            .in_topk
-                        {
-                            result.push(idx);
-                        }
-                    }
+    for &idx in order {
+        let w = &weights[idx];
+        let sq = w.score(q);
+        if pool_outranks(ctx, w, sq, k) {
+            ctx.rta.buffer_prunes += 1;
+            continue;
+        }
+        match d.plane_outranked(w.as_slice(), sq, k) {
+            Some(outranked) => {
+                ctx.rta.buffer_prunes += 1;
+                if outranked {
+                    ctx.fresh.clear();
+                    d.plane_culprits_into(w.as_slice(), sq, k, 2 * k, &mut ctx.fresh);
+                    ctx.pool_fresh(snap.dim(), 2 * k, |_| false);
+                } else {
+                    result.push(idx);
                 }
             }
-            return (result, stats);
+            None => {
+                ctx.rta.tree_verifications += 1;
+                if ctx.probe(snap, w.as_slice(), sq, k, k, false) {
+                    result.push(idx);
+                }
+            }
         }
     }
-    let dim = tree.dim();
-    // The pool keeps at most 2k recent culprits: enough slack that the
-    // k needed for a prune survive drift across the sorted weights,
-    // small enough that the fused count kernel stays in L1.
-    let pool_points_cap = 2 * k;
-    scratch.pool.clear();
-    scratch.pool_ids.clear();
+    result
+}
+
+/// Un-mutated snapshot, probing the tree (masked when the mask's build
+/// cap covers `k`). The pool keeps at most 2k recent culprits: enough
+/// slack that the k needed for a prune survive drift across the sorted
+/// weights, small enough that the fused count kernel stays in L1.
+fn rta_plain(
+    snap: Snapshot<'_>,
+    weights: &[Weight],
+    order: &[usize],
+    q: &[f64],
+    k: usize,
+    ctx: &mut ProbeCtx,
+) -> Vec<usize> {
+    let mut result = Vec::new();
+    let dom = snap.dom.filter(|d| d.usable_for(k));
 
     // Seed: the first weight's exact top-k both decides its membership
     // (q is in iff fewer than k of the k best strictly beat it — every
@@ -275,25 +207,21 @@ pub fn rta_over_order_masked(
     let first = order[0];
     let w0 = &weights[first];
     let sq0 = w0.score(q);
-    stats.tree_verifications += 1;
+    ctx.rta.tree_verifications += 1;
     let mut seeded_better = 0usize;
     let mut bf = match dom {
         Some(d) if !w0.as_slice().iter().any(|&x| x < 0.0) => {
-            tree.best_first_masked(w0.as_slice(), d, k)
+            snap.tree.best_first_masked(w0.as_slice(), d, k)
         }
-        _ => tree.best_first(w0),
+        _ => snap.tree.best_first(w0),
     };
     for _ in 0..k {
-        match bf.next_entry() {
-            Some(r) => {
-                if r.score < sq0 {
-                    seeded_better += 1;
-                }
-                scratch.pool_ids.push(r.id);
-                scratch.pool.extend_from_slice(r.coords);
-            }
-            None => break,
+        let Some(r) = bf.next_entry() else { break };
+        if r.score < sq0 {
+            seeded_better += 1;
         }
+        ctx.pool_ids.push(r.id);
+        ctx.pool.extend_from_slice(r.coords);
     }
     if seeded_better < k {
         result.push(first);
@@ -302,272 +230,88 @@ pub fn rta_over_order_masked(
     for &idx in &order[1..] {
         let w = &weights[idx];
         let sq = w.score(q);
-
-        // Pool threshold test: k *distinct* dataset points strictly
-        // better than q under this weight prove q out with zero index
-        // work (sound for any pool contents — they are dataset points).
-        if scratch.pool_ids.len() >= k && count_better_rows(&scratch.pool, w, sq) >= k {
-            stats.buffer_prunes += 1;
+        if pool_outranks(ctx, w, sq, k) {
+            ctx.rta.buffer_prunes += 1;
             continue;
         }
-
-        stats.tree_verifications += 1;
-        scratch.fresh.clear();
-        let probe = match dom {
-            Some(d) => tree.probe_topk_membership_masked(
-                w.as_slice(),
-                sq,
-                k,
-                k,
-                d,
-                &mut scratch.probe,
-                Some(&mut scratch.fresh),
-            ),
-            None => {
-                tree.probe_topk_membership(w, sq, k, &mut scratch.probe, Some(&mut scratch.fresh))
-            }
-        };
-        if probe.in_topk {
+        ctx.rta.tree_verifications += 1;
+        if ctx.probe(snap, w.as_slice(), sq, k, k, true) {
             result.push(idx);
         }
-        // Merge the probe's culprits into the pool (id-deduplicated),
-        // recency-bounded so stale evidence ages out.
-        for (i, &id) in scratch.fresh.ids.iter().enumerate() {
-            if scratch.pool_ids.contains(&id) {
-                continue;
-            }
-            scratch.pool_ids.push(id);
-            scratch
-                .pool
-                .extend_from_slice(&scratch.fresh.coords[i * dim..(i + 1) * dim]);
-        }
-        if scratch.pool_ids.len() > pool_points_cap {
-            let excess = scratch.pool_ids.len() - pool_points_cap;
-            scratch.pool_ids.drain(0..excess);
-            scratch.pool.drain(0..excess * dim);
-        }
+        ctx.pool_fresh(snap.dim(), 2 * k, |_| false);
     }
-    (result, stats)
+    result
 }
 
-/// [`rta_over_order`] over a delta overlay: every weight's verdict is
-/// corrected by the `O(Δ)` appended/tombstoned sweeps, the culprit pool
-/// keeps only *live* base points (a tombstoned culprit would prune
-/// unsoundly), and the base probe's count target shifts by the overlay
-/// corrections — so the verdicts are exactly those of a dataset rebuilt
-/// from the live rows. Plain views take the unmodified hot path.
+/// Mutated snapshot: every weight's verdict is corrected by the `O(Δ)`
+/// appended/tombstoned sweeps, the culprit pool keeps only *live* base
+/// points (a tombstoned culprit would prune unsoundly), and the base
+/// probe's count target shifts by the overlay corrections — so the
+/// verdicts are exactly those of a dataset rebuilt from the live rows.
 ///
 /// Soundness of the pruning ladder, per weight with `sq = f(w, q)`:
 ///
 /// 1. `d_add` live appended rows beat `q`; if `d_add ≥ k`, `q` is out.
 /// 2. The pool holds live base points; `pool_better ≥ k − d_add` proves
 ///    at least `k` live points beat `q` — out, no index work.
-/// 3. Otherwise probe the base index for target `k − d_add + d_dead`:
-///    the probe decides `base_all < k − d_add + d_dead`, which is
-///    exactly `live_better < k`.
-pub fn rta_over_order_view(
-    tree: &RTree,
+/// 3. Every base point better than `q` — live or tombstoned — either
+///    sits in the mask's k-skyband plane or has `cap` dominators that
+///    do, so a capped plane count with `cap = k − d_add + d_dead`
+///    decides the verdict exactly.
+/// 4. Otherwise probe the base index for target `cap`: the probe decides
+///    `base_all < k − d_add + d_dead`, which is exactly
+///    `live_better < k`. The mask's exclusion threshold is the target
+///    plus the view's tombstone count, so each skipped point keeps
+///    enough *live* dominators.
+fn rta_mutated(
+    snap: Snapshot<'_>,
     view: &DeltaView,
     weights: &[Weight],
     order: &[usize],
     q: &[f64],
     k: usize,
-    scratch: &mut RtaScratch,
-) -> (Vec<usize>, RtaStats) {
-    rta_over_order_view_masked(tree, view, weights, order, q, k, None, scratch)
-}
-
-/// [`rta_over_order_view`] with an optional [`DominanceIndex`]
-/// pre-filter over the *base* index. The exclusion threshold per weight
-/// is the probe's count target plus the view's tombstone count, so each
-/// skipped point keeps enough *live* dominators to make the verdict
-/// bit-identical (see `DominanceIndex`'s module docs for the deletion
-/// argument). `None` or an insufficient build cap degrades to the
-/// unmasked path per weight.
-#[allow(clippy::too_many_arguments)]
-pub fn rta_over_order_view_masked(
-    tree: &RTree,
-    view: &DeltaView,
-    weights: &[Weight],
-    order: &[usize],
-    q: &[f64],
-    k: usize,
-    dom: Option<&DominanceIndex>,
-    scratch: &mut RtaScratch,
-) -> (Vec<usize>, RtaStats) {
-    if view.is_plain() {
-        return rta_over_order_masked(tree, weights, order, q, k, dom, scratch);
-    }
-    let mut stats = RtaStats::default();
+    ctx: &mut ProbeCtx,
+) -> Vec<usize> {
     let mut result = Vec::new();
-    if order.is_empty() || k == 0 {
-        return (result, stats);
-    }
-    scratch.warm = true;
-    let dim = tree.dim();
-    let pool_points_cap = 2 * k;
-    scratch.pool.clear();
-    scratch.pool_ids.clear();
-
     for &idx in order {
         let w = &weights[idx];
         let sq = w.score(q);
         let d_add = view.count_better_delta(w.as_slice(), sq);
-        if d_add >= k {
-            // The appended rows alone outrank q.
-            stats.buffer_prunes += 1;
+        if d_add >= k || pool_outranks(ctx, w, sq, k - d_add) {
+            ctx.rta.buffer_prunes += 1;
             continue;
         }
         let need_live_base = k - d_add;
-        if scratch.pool_ids.len() >= need_live_base
-            && count_better_rows(&scratch.pool, w.as_slice(), sq) >= need_live_base
+        let cap = need_live_base + view.count_better_dead(w.as_slice(), sq);
+        if let Some(outranked) = snap
+            .dom
+            .and_then(|d| d.plane_outranked(w.as_slice(), sq, cap))
         {
-            stats.buffer_prunes += 1;
+            ctx.rta.buffer_prunes += 1;
+            if !outranked {
+                result.push(idx);
+            }
             continue;
         }
-
-        let d_dead = view.count_better_dead(w.as_slice(), sq);
-        // Culprit-plane fast path: every base point better than q —
-        // live or tombstoned — either sits in the k-skyband plane or
-        // has `cap` dominators that do, so a capped plane count with
-        // `cap = need_live_base + d_dead` decides the verdict exactly.
-        if let Some(d) = dom {
-            let cap = need_live_base + d_dead;
-            if let Some(outranked) = d.plane_outranked(w.as_slice(), sq, cap) {
-                stats.buffer_prunes += 1;
-                if !outranked {
-                    result.push(idx);
-                }
-                continue;
-            }
-        }
-
-        stats.tree_verifications += 1;
-        scratch.fresh.clear();
+        ctx.rta.tree_verifications += 1;
         let k_eff = need_live_base + view.tombstone_len();
-        let probe = match dom.filter(|d| d.usable_for(k_eff)) {
-            Some(d) => tree.probe_topk_membership_masked(
-                w.as_slice(),
-                sq,
-                need_live_base + d_dead,
-                k_eff,
-                d,
-                &mut scratch.probe,
-                Some(&mut scratch.fresh),
-            ),
-            None => tree.probe_topk_membership(
-                w.as_slice(),
-                sq,
-                need_live_base + d_dead,
-                &mut scratch.probe,
-                Some(&mut scratch.fresh),
-            ),
-        };
-        if probe.in_topk {
+        if ctx.probe(snap, w.as_slice(), sq, cap, k_eff, true) {
             result.push(idx);
         }
-        // Merge the probe's culprits into the pool — live, deduplicated.
-        for (i, &id) in scratch.fresh.ids.iter().enumerate() {
-            if view.is_deleted(id) || scratch.pool_ids.contains(&id) {
-                continue;
-            }
-            scratch.pool_ids.push(id);
-            scratch
-                .pool
-                .extend_from_slice(&scratch.fresh.coords[i * dim..(i + 1) * dim]);
-        }
-        if scratch.pool_ids.len() > pool_points_cap {
-            let excess = scratch.pool_ids.len() - pool_points_cap;
-            scratch.pool_ids.drain(0..excess);
-            scratch.pool.drain(0..excess * dim);
-        }
+        ctx.pool_fresh(snap.dim(), 2 * k, |id| view.is_deleted(id));
     }
-    (result, stats)
-}
-
-/// Bichromatic reverse top-k over a delta overlay, in ascending index
-/// order — the one-shot wrapper over [`rta_over_order_view`].
-pub fn bichromatic_reverse_topk_rta_view(
-    tree: &RTree,
-    view: &DeltaView,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> Vec<usize> {
-    let mut scratch = RtaScratch::new();
-    let order = rta_sorted_order(weights);
-    let (mut result, _) = rta_over_order_view(tree, view, weights, &order, q, k, &mut scratch);
-    result.sort_unstable();
     result
-}
-
-/// The PR-1 RTA implementation, frozen as the `rank_bench` baseline: a
-/// buffered threshold test over the previous weight's *exact* top-k,
-/// then `is_in_topk` plus a full best-first top-k buffer refresh per
-/// verified weight (two traversals and `k` heap allocations each).
-pub fn bichromatic_reverse_topk_rta_legacy(
-    tree: &RTree,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> Vec<usize> {
-    bichromatic_reverse_topk_rta_legacy_with_stats(tree, weights, q, k).0
-}
-
-/// [`bichromatic_reverse_topk_rta_legacy`] with pruning statistics.
-pub fn bichromatic_reverse_topk_rta_legacy_with_stats(
-    tree: &RTree,
-    weights: &[Weight],
-    q: &[f64],
-    k: usize,
-) -> (Vec<usize>, RtaStats) {
-    let mut stats = RtaStats::default();
-    if weights.is_empty() || k == 0 {
-        return (Vec::new(), stats);
-    }
-
-    let order = rta_sorted_order(weights);
-    let mut result = Vec::new();
-    // Buffer: coordinates of the previous weight's top-k points.
-    let mut buffer: Vec<Vec<f64>> = Vec::new();
-
-    for &idx in &order {
-        let w = &weights[idx];
-        let sq = w.score(q);
-
-        // Threshold test: if k buffered points already beat q under this
-        // weight, q cannot be in TOPk(w) — no index work needed.
-        if buffer.len() >= k {
-            let better = buffer.iter().filter(|p| score(w, p) < sq).count();
-            if better >= k {
-                stats.buffer_prunes += 1;
-                continue;
-            }
-        }
-
-        stats.tree_verifications += 1;
-        if is_in_topk(tree, w, q, k) {
-            result.push(idx);
-        }
-        // Refresh the buffer with this weight's exact top-k.
-        buffer.clear();
-        let mut bf = tree.best_first(w);
-        for _ in 0..k {
-            match bf.next_entry() {
-                Some(r) => buffer.push(r.coords.to_vec()),
-                None => break,
-            }
-        }
-    }
-
-    result.sort_unstable();
-    (result, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rank::is_in_topk;
+    use wqrtq_rtree::RTree;
+
+    // The bit-identical-to-naive contract of every snapshot shape
+    // (sharded and unsharded, cold and warm context) lives in
+    // `tests/differential.rs`.
 
     fn fig_products() -> Vec<Point> {
         [
@@ -609,22 +353,19 @@ mod tests {
 
     #[test]
     fn rta_matches_naive_on_paper_example() {
-        let (res, stats) =
-            bichromatic_reverse_topk_rta_with_stats(&fig_tree(), &fig_customers(), &[4.0, 4.0], 3);
-        assert_eq!(res, vec![1, 2]);
-        assert_eq!(stats.buffer_prunes + stats.tree_verifications, 4);
-    }
-
-    #[test]
-    fn legacy_rta_matches_naive_on_paper_example() {
-        let (res, stats) = bichromatic_reverse_topk_rta_legacy_with_stats(
+        let weights = fig_customers();
+        let mut ctx = ProbeCtx::new();
+        let mut res = rta_over_order(
             &fig_tree(),
-            &fig_customers(),
+            &weights,
+            &rta_sorted_order(&weights),
             &[4.0, 4.0],
             3,
+            &mut ctx,
         );
+        res.sort_unstable();
         assert_eq!(res, vec![1, 2]);
-        assert_eq!(stats.buffer_prunes + stats.tree_verifications, 4);
+        assert_eq!(ctx.rta.buffer_prunes + ctx.rta.tree_verifications, 4);
     }
 
     #[test]
@@ -662,269 +403,34 @@ mod tests {
             .map(|i| Weight::from_first_2d(i as f64 / 100.0))
             .collect();
         let q = [0.9, 0.9]; // dominated by many points: never in top-k
-        let (res, stats) = bichromatic_reverse_topk_rta_with_stats(&tree, &weights, &q, 5);
-        assert!(res.is_empty());
-        assert!(
-            stats.buffer_prunes > stats.tree_verifications,
-            "expected the pool to do most of the work: {stats:?}"
-        );
-    }
-
-    #[test]
-    fn sharded_order_matches_full_run() {
-        // Chunking the sorted order and merging must reproduce the
-        // one-shot result — the contract the engine's parallel path
-        // relies on.
-        let mut pts = Vec::new();
-        let mut state = 99u64;
-        for _ in 0..400 {
-            for _ in 0..2 {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(17);
-                pts.push((state >> 11) as f64 / (1u64 << 53) as f64 * 10.0);
-            }
-        }
-        let tree = RTree::bulk_load(2, &pts);
-        let weights: Vec<Weight> = (1..120)
-            .map(|i| Weight::from_first_2d(i as f64 / 120.0))
-            .collect();
-        let q = [3.0, 3.5];
-        for k in [1, 4, 9] {
-            let full = bichromatic_reverse_topk_rta(&tree, &weights, &q, k);
-            let order = rta_sorted_order(&weights);
-            for shards in [2, 3, 7] {
-                let chunk = order.len().div_ceil(shards);
-                let mut merged = Vec::new();
-                let mut stats = RtaStats::default();
-                for piece in order.chunks(chunk) {
-                    let mut scratch = RtaScratch::new();
-                    let (part, s) = rta_over_order(&tree, &weights, piece, &q, k, &mut scratch);
-                    merged.extend(part);
-                    stats.merge(s);
-                }
-                merged.sort_unstable();
-                assert_eq!(merged, full, "k={k} shards={shards}");
-                assert_eq!(
-                    stats.buffer_prunes + stats.tree_verifications,
-                    weights.len(),
-                    "every weight decided exactly once"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scratch_reuse_preserves_results() {
-        let tree = fig_tree();
-        let weights = fig_customers();
-        let order = rta_sorted_order(&weights);
-        let mut scratch = RtaScratch::new();
-        assert!(!scratch.is_warm());
-        let (mut a, _) = rta_over_order(&tree, &weights, &order, &[4.0, 4.0], 3, &mut scratch);
-        a.sort_unstable();
-        assert!(scratch.is_warm());
-        // Reuse the same scratch for a different query: must not leak
-        // pool state into wrong answers.
-        let (mut b, _) = rta_over_order(&tree, &weights, &order, &[1.0, 1.0], 3, &mut scratch);
-        b.sort_unstable();
-        let naive_b = bichromatic_reverse_topk_naive(&fig_products(), &weights, &[1.0, 1.0], 3);
-        assert_eq!(b, naive_b);
-        let (mut a2, _) = rta_over_order(&tree, &weights, &order, &[4.0, 4.0], 3, &mut scratch);
-        a2.sort_unstable();
-        assert_eq!(a, a2);
-    }
-
-    #[test]
-    fn view_rta_on_plain_view_delegates_to_hot_path() {
-        use std::sync::Arc;
-        use wqrtq_geom::FlatPoints;
-        let flat: Vec<f64> = fig_products()
-            .iter()
-            .flat_map(|p| p.coords().to_vec())
-            .collect();
-        let tree = RTree::bulk_load(2, &flat);
-        let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &flat)));
-        let res = bichromatic_reverse_topk_rta_view(&tree, &view, &fig_customers(), &[4.0, 4.0], 3);
-        assert_eq!(res, vec![1, 2]); // Tony, Anna
-    }
-
-    #[test]
-    fn masked_rta_matches_unmasked_on_paper_example() {
-        let tree = fig_tree();
-        let dom = DominanceIndex::build(&tree);
-        let weights = fig_customers();
-        let order = rta_sorted_order(&weights);
-        let mut scratch = RtaScratch::new();
-        let (mut got, _) = rta_over_order_masked(
+        let mut ctx = ProbeCtx::new();
+        let res = rta_over_order(
             &tree,
             &weights,
-            &order,
-            &[4.0, 4.0],
-            3,
-            Some(&dom),
-            &mut scratch,
+            &rta_sorted_order(&weights),
+            &q,
+            5,
+            &mut ctx,
         );
-        got.sort_unstable();
-        assert_eq!(got, vec![1, 2]); // Tony, Anna
+        assert!(res.is_empty());
+        assert!(
+            ctx.rta.buffer_prunes > ctx.rta.tree_verifications,
+            "expected the pool to do most of the work: {:?}",
+            ctx.rta
+        );
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn masked_rta_matches_unmasked_with_ties_and_mutation(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 5..120),
-            extra in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..10),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            k in 1usize..8,
-            nw in 1usize..16,
-            del_stride in 2usize..5,
-            tie_copies in 0usize..4,
-        ) {
-            use std::sync::Arc;
-            use wqrtq_geom::FlatPoints;
-            // Duplicates of q tie at the boundary under every weight.
-            let mut all = pts.clone();
-            for _ in 0..tie_copies {
-                all.push(q);
-            }
-            let flat: Vec<f64> = all.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let dom = DominanceIndex::build(&tree);
-            let weights: Vec<Weight> = (0..nw)
-                .map(|i| Weight::from_first_2d((i as f64 + 0.5) / nw as f64))
-                .collect();
-            let order = rta_sorted_order(&weights);
-            let qv = [q.0, q.1];
-
-            // Plain RTA: masked vs unmasked verdicts.
-            let mut s1 = RtaScratch::new();
-            let mut s2 = RtaScratch::new();
-            let (mut plain, _) = rta_over_order(&tree, &weights, &order, &qv, k, &mut s1);
-            let (mut masked, _) =
-                rta_over_order_masked(&tree, &weights, &order, &qv, k, Some(&dom), &mut s2);
-            plain.sort_unstable();
-            masked.sort_unstable();
-            prop_assert_eq!(&plain, &masked);
-
-            // View RTA over a mutated overlay: masked vs unmasked.
-            let dead_ids: Vec<u32> = (0..all.len() as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [all[i as usize].0, all[i as usize].1])
-                .collect();
-            let view = DeltaView::new(
-                Arc::new(FlatPoints::from_row_major(2, &flat)),
-                Arc::new(extra.iter().flat_map(|(a, b)| [*a, *b]).collect()),
-                Arc::new((0..extra.len() as u32).map(|i| all.len() as u32 + i).collect()),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
-            let mut s3 = RtaScratch::new();
-            let mut s4 = RtaScratch::new();
-            let (mut vplain, _) =
-                rta_over_order_view(&tree, &view, &weights, &order, &qv, k, &mut s3);
-            let (mut vmasked, _) = rta_over_order_view_masked(
-                &tree, &view, &weights, &order, &qv, k, Some(&dom), &mut s4,
-            );
-            vplain.sort_unstable();
-            vmasked.sort_unstable();
-            prop_assert_eq!(&vplain, &vmasked);
-        }
-
-        #[test]
-        fn view_rta_matches_rebuilt_naive(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 5..120),
-            extra in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..10),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            k in 1usize..8,
-            nw in 1usize..16,
-            del_stride in 2usize..5,
-        ) {
-            use std::sync::Arc;
-            use wqrtq_geom::FlatPoints;
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let dead_ids: Vec<u32> = (0..pts.len() as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [pts[i as usize].0, pts[i as usize].1])
-                .collect();
-            let view = DeltaView::new(
-                Arc::new(FlatPoints::from_row_major(2, &flat)),
-                Arc::new(extra.iter().flat_map(|(a, b)| [*a, *b]).collect()),
-                Arc::new((0..extra.len() as u32).map(|i| pts.len() as u32 + i).collect()),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
-            let (live, _) = view.materialize_row_major();
-            let live_points: Vec<Point> = live
-                .chunks_exact(2)
-                .map(|p| Point::from([p[0], p[1]]))
-                .collect();
-            let weights: Vec<Weight> = (0..nw)
-                .map(|i| Weight::from_first_2d((i as f64 + 0.5) / nw as f64))
-                .collect();
-            let qv = [q.0, q.1];
-            let naive = bichromatic_reverse_topk_naive(&live_points, &weights, &qv, k);
-            let got = bichromatic_reverse_topk_rta_view(&tree, &view, &weights, &qv, k);
-            prop_assert_eq!(&naive, &got);
-            // Sharding the order must reproduce the same verdicts.
-            let order = rta_sorted_order(&weights);
-            let mut merged = Vec::new();
-            for piece in order.chunks(order.len().div_ceil(3).max(1)) {
-                let mut scratch = RtaScratch::new();
-                let (part, _) =
-                    rta_over_order_view(&tree, &view, &weights, piece, &qv, k, &mut scratch);
-                merged.extend(part);
-            }
-            merged.sort_unstable();
-            prop_assert_eq!(&naive, &merged);
-        }
-
-        #[test]
-        fn rta_and_legacy_equal_naive(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 5..120),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            k in 1usize..8,
-            nw in 1usize..16,
-        ) {
-            let points: Vec<Point> = pts.iter().map(|(a, b)| Point::from([*a, *b])).collect();
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let weights: Vec<Weight> = (0..nw)
-                .map(|i| Weight::from_first_2d((i as f64 + 0.5) / nw as f64))
-                .collect();
-            let qv = [q.0, q.1];
-            let naive = bichromatic_reverse_topk_naive(&points, &weights, &qv, k);
-            let rta = bichromatic_reverse_topk_rta(&tree, &weights, &qv, k);
-            prop_assert_eq!(&naive, &rta);
-            let legacy = bichromatic_reverse_topk_rta_legacy(&tree, &weights, &qv, k);
-            prop_assert_eq!(&naive, &legacy);
-        }
-
-        #[test]
-        fn rta_handles_boundary_ties(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 5..80),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            k in 1usize..6,
-            tie_copies in 1usize..4,
-        ) {
-            // Duplicates of q in the dataset tie it under every weight;
-            // the strict-count semantics must keep q in regardless.
-            let mut all = pts.clone();
-            for _ in 0..tie_copies {
-                all.push(q);
-            }
-            let points: Vec<Point> = all.iter().map(|(a, b)| Point::from([*a, *b])).collect();
-            let flat: Vec<f64> = all.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let weights: Vec<Weight> = (0..12)
-                .map(|i| Weight::from_first_2d((i as f64 + 0.5) / 12.0))
-                .collect();
-            let qv = [q.0, q.1];
-            let naive = bichromatic_reverse_topk_naive(&points, &weights, &qv, k);
-            let rta = bichromatic_reverse_topk_rta(&tree, &weights, &qv, k);
-            prop_assert_eq!(naive, rta);
-        }
+    #[test]
+    fn only_an_rta_run_warms_a_context() {
+        // The serving layer's `scratch_reuses` metric counts requests
+        // that found the culprit pool already allocated.
+        let tree = fig_tree();
+        let weights = fig_customers();
+        let mut ctx = ProbeCtx::new();
+        assert!(!ctx.is_warm());
+        is_in_topk(&tree, &[0.5, 0.5], &[4.0, 4.0], 3, &mut ctx);
+        assert!(!ctx.is_warm());
+        rta_over_order(&tree, &weights, &[0, 1, 2, 3], &[4.0, 4.0], 3, &mut ctx);
+        assert!(ctx.is_warm());
     }
 }

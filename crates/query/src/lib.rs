@@ -10,31 +10,34 @@
 //!   (`1 + #points strictly better`), the predicate behind every reverse
 //!   top-k decision;
 //! * [`brtopk`] — **bichromatic** reverse top-k (Definition 3): which of
-//!   the known customer weighting vectors put `q` in their top-k. Includes
-//!   the RTA-style algorithm with threshold-buffer reuse \[31\] and a naive
-//!   per-weight baseline;
+//!   the known customer weighting vectors put `q` in their top-k. The
+//!   RTA-style algorithm with threshold-buffer reuse \[31\] and a naive
+//!   per-weight oracle;
 //! * [`mrtopk`] — **monochromatic** reverse top-k (Definition 2) in two
 //!   dimensions, computing the exact qualifying weight intervals by a
-//!   plane sweep (the segment `BC` of the paper's Figure 2).
+//!   plane sweep (the segment `BC` of the paper's Figure 2), and
+//!   [`mrtopk_nd`] — its sampled estimate in any dimension.
+//!
+//! Every indexed operation is **one function** taking
+//! `impl Into<`[`Snapshot`]`>` — the base R-tree plus an optional delta
+//! overlay and an optional k-dominance mask (see [`snapshot`]). A bare
+//! `&RTree` is a snapshot, so `topk(&tree, w, k)` is the paper's call and
+//! `topk(handle.snapshot(), w, k)` the serving one. Operations that
+//! probe in a hot loop take a reusable [`ProbeCtx`].
 
 pub mod brtopk;
-pub mod cache;
 pub mod mrtopk;
 pub mod mrtopk_nd;
 pub mod rank;
-pub mod ta;
+pub mod snapshot;
 pub mod topk;
 
 pub use brtopk::{
-    bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta,
-    bichromatic_reverse_topk_rta_legacy, rta_over_order, rta_sorted_order, RtaScratch, RtaStats,
+    bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta, rta_over_order, rta_sorted_order,
+    RtaStats,
 };
-pub use cache::TopkViewCache;
 pub use mrtopk::{monochromatic_reverse_topk_2d, WeightInterval};
 pub use mrtopk_nd::{monochromatic_reverse_topk_sampled, MrtopkEstimate};
-pub use rank::{
-    is_in_topk, is_in_topk_scratch, is_in_topk_with_stats, rank_of_flat, rank_of_point,
-    rank_of_point_scan,
-};
-pub use ta::{SortedLists, TaStats};
-pub use topk::{kth_point, topk, topk_scan, KthPoint};
+pub use rank::{is_in_topk, rank_of_point, rank_of_point_scan};
+pub use snapshot::{ProbeCtx, Snapshot};
+pub use topk::{kth_point, topk, topk_scan, KthPoint, LiveBestFirst};

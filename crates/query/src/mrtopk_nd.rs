@@ -11,8 +11,9 @@
 //! In 2-D the estimate converges to the exact interval measure from
 //! [`crate::mrtopk`], which the tests verify.
 
-use wqrtq_geom::{DeltaView, Weight};
-use wqrtq_rtree::{ProbeScratch, RTree};
+use crate::rank::is_in_topk;
+use crate::snapshot::{ProbeCtx, Snapshot};
+use wqrtq_geom::Weight;
 
 /// A sampled estimate of the monochromatic reverse top-k result.
 #[derive(Clone, Debug)]
@@ -38,53 +39,25 @@ fn unit(state: &mut u64) -> f64 {
     (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Estimates `MRTOPk(q)` by uniform simplex sampling.
+/// Estimates `MRTOPk(q)` over the snapshot's live points by uniform
+/// simplex sampling. The weight sequence depends only on
+/// `(dim, samples, seed)` and each membership verdict is exact, so the
+/// estimate is identical for any two snapshots holding the same live
+/// rows.
 ///
 /// # Panics
-/// Panics if `q` does not match the tree's dimensionality.
-pub fn monochromatic_reverse_topk_sampled(
-    tree: &RTree,
+/// Panics if `q` does not match the snapshot's dimensionality.
+pub fn monochromatic_reverse_topk_sampled<'a>(
+    snap: impl Into<Snapshot<'a>>,
     q: &[f64],
     k: usize,
     samples: usize,
     seed: u64,
+    ctx: &mut ProbeCtx,
 ) -> MrtopkEstimate {
-    assert_eq!(q.len(), tree.dim(), "query dimension mismatch");
-    let mut scratch = ProbeScratch::new();
-    sampled_with_membership(tree.dim(), samples, seed, |w| {
-        crate::rank::is_in_topk_scratch(tree, w, q, k, &mut scratch)
-    })
-}
-
-/// [`monochromatic_reverse_topk_sampled`] over a delta overlay: the same
-/// deterministic sample sequence (seed-driven, independent of the data),
-/// with each membership verdict decided against the live point set. The
-/// estimate is therefore identical to sampling a dataset rebuilt from
-/// the overlay's live rows.
-pub fn monochromatic_reverse_topk_sampled_view(
-    tree: &RTree,
-    view: &DeltaView,
-    q: &[f64],
-    k: usize,
-    samples: usize,
-    seed: u64,
-) -> MrtopkEstimate {
-    assert_eq!(q.len(), tree.dim(), "query dimension mismatch");
-    let mut scratch = ProbeScratch::new();
-    sampled_with_membership(tree.dim(), samples, seed, |w| {
-        crate::rank::is_in_topk_view(tree, view, w, q, k, &mut scratch)
-    })
-}
-
-/// The shared sampling loop: the weight sequence depends only on
-/// `(dim, samples, seed)`, so any two membership oracles that agree on
-/// every weight produce bit-identical estimates.
-fn sampled_with_membership(
-    dim: usize,
-    samples: usize,
-    seed: u64,
-    mut is_member: impl FnMut(&[f64]) -> bool,
-) -> MrtopkEstimate {
+    let snap = snap.into();
+    let dim = snap.dim();
+    assert_eq!(q.len(), dim, "query dimension mismatch");
     let mut state = seed ^ 0xd1b54a32d192ed03;
     let mut members = Vec::new();
     for _ in 0..samples {
@@ -96,7 +69,7 @@ fn sampled_with_membership(
         for x in &mut w {
             *x /= total;
         }
-        if is_member(&w) {
+        if is_in_topk(snap, &w, q, k, ctx) {
             members.push(Weight::new(w));
         }
     }
@@ -111,6 +84,8 @@ fn sampled_with_membership(
 mod tests {
     use super::*;
     use crate::mrtopk::monochromatic_reverse_topk_2d;
+    use wqrtq_geom::DeltaView;
+    use wqrtq_rtree::RTree;
 
     fn fig_points() -> Vec<f64> {
         vec![
@@ -124,7 +99,14 @@ mod tests {
         // simplex (x is uniform on [0,1] under simplex sampling in 2-D).
         let pts = fig_points();
         let tree = RTree::bulk_load(2, &pts);
-        let est = monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 4000, 7);
+        let est = monochromatic_reverse_topk_sampled(
+            &tree,
+            &[4.0, 4.0],
+            3,
+            4000,
+            7,
+            &mut ProbeCtx::new(),
+        );
         let exact = monochromatic_reverse_topk_2d(&pts, &[4.0, 4.0], 3);
         let exact_measure: f64 = exact.iter().map(|iv| iv.hi - iv.lo).sum();
         assert!(
@@ -138,7 +120,8 @@ mod tests {
     fn members_are_genuine_members() {
         let pts = fig_points();
         let tree = RTree::bulk_load(2, &pts);
-        let est = monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 500, 3);
+        let est =
+            monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 500, 3, &mut ProbeCtx::new());
         let exact = monochromatic_reverse_topk_2d(&pts, &[4.0, 4.0], 3);
         for w in &est.members {
             assert!(
@@ -160,9 +143,23 @@ mod tests {
             }
         }
         let tree = RTree::bulk_load(3, &pts);
-        let everywhere = monochromatic_reverse_topk_sampled(&tree, &[0.1, 0.1, 0.1], 1, 300, 1);
+        let everywhere = monochromatic_reverse_topk_sampled(
+            &tree,
+            &[0.1, 0.1, 0.1],
+            1,
+            300,
+            1,
+            &mut ProbeCtx::new(),
+        );
         assert_eq!(everywhere.volume_fraction, 1.0);
-        let nowhere = monochromatic_reverse_topk_sampled(&tree, &[10.0, 10.0, 10.0], 1, 300, 1);
+        let nowhere = monochromatic_reverse_topk_sampled(
+            &tree,
+            &[10.0, 10.0, 10.0],
+            1,
+            300,
+            1,
+            &mut ProbeCtx::new(),
+        );
         assert_eq!(nowhere.volume_fraction, 0.0);
         assert!(nowhere.members.is_empty());
     }
@@ -183,9 +180,23 @@ mod tests {
         let (live, _) = view.materialize_row_major();
         let rebuilt = RTree::bulk_load(2, &live);
         for (k, seed) in [(1, 3u64), (3, 9), (5, 42)] {
-            let got =
-                monochromatic_reverse_topk_sampled_view(&tree, &view, &[4.0, 4.0], k, 400, seed);
-            let oracle = monochromatic_reverse_topk_sampled(&rebuilt, &[4.0, 4.0], k, 400, seed);
+            let overlaid = Snapshot::from(&tree).overlay(&view);
+            let got = monochromatic_reverse_topk_sampled(
+                overlaid,
+                &[4.0, 4.0],
+                k,
+                400,
+                seed,
+                &mut ProbeCtx::new(),
+            );
+            let oracle = monochromatic_reverse_topk_sampled(
+                &rebuilt,
+                &[4.0, 4.0],
+                k,
+                400,
+                seed,
+                &mut ProbeCtx::new(),
+            );
             assert_eq!(got.volume_fraction, oracle.volume_fraction, "k {k}");
             assert_eq!(got.members.len(), oracle.members.len());
             for (a, b) in got.members.iter().zip(&oracle.members) {
@@ -197,8 +208,10 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let tree = RTree::bulk_load(2, &fig_points());
-        let a = monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 200, 9);
-        let b = monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 200, 9);
+        let a =
+            monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 200, 9, &mut ProbeCtx::new());
+        let b =
+            monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 200, 9, &mut ProbeCtx::new());
         assert_eq!(a.volume_fraction, b.volume_fraction);
         assert_eq!(a.members.len(), b.members.len());
     }

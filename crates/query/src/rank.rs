@@ -7,28 +7,28 @@
 //! Three engines answer it:
 //!
 //! * [`rank_of_point`] — exact counting over the R-tree (subtree counts
-//!   make it sub-linear);
+//!   make it sub-linear), corrected by the snapshot's overlay;
 //! * [`is_in_topk`] — the *early-exit* membership probe: a best-first
 //!   descent that stops the moment `k` better points are known **or**
 //!   the smallest remaining MBR lower bound reaches `f(w, q)` (at which
 //!   point the count is exact and `count < k` proves membership);
-//! * [`rank_of_flat`] / [`rank_of_point_scan`] — flat scans: the fused
-//!   column-major kernel of [`FlatPoints`] and the naive row-major
-//!   oracle it is validated against.
+//! * [`rank_of_point_scan`] — the naive row-major scan both are
+//!   validated against.
 
-use wqrtq_geom::{score, DeltaView, FlatPoints};
-use wqrtq_rtree::{DominanceIndex, ProbeScratch, RTree};
+use crate::snapshot::{ProbeCtx, Snapshot};
+use wqrtq_geom::{score, DeltaView};
 
-/// Exact rank of `q` under `w` using counted R-tree pruning.
-pub fn rank_of_point(tree: &RTree, w: &[f64], q: &[f64]) -> usize {
+/// Exact rank of `q` under `w` over the snapshot's live points: the base
+/// R-tree's counted pruning plus the `O(Δ)` overlay corrections
+/// (appended rows add, tombstoned rows subtract).
+pub fn rank_of_point<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], q: &[f64]) -> usize {
+    let snap = snap.into();
     let s = score(w, q);
-    tree.count_score_below(w, s, true) + 1
-}
-
-/// Exact rank of `q` over a column-major [`FlatPoints`] store via the
-/// fused count kernel (`f(w, q)` is computed once, outside the scan).
-pub fn rank_of_flat(flat: &FlatPoints, w: &[f64], q: &[f64]) -> usize {
-    flat.rank_of(w, q)
+    let base_all = snap.tree.count_score_below(w, s, true);
+    match snap.mutated() {
+        Some(v) => base_all - v.count_better_dead(w, s) + v.count_better_delta(w, s) + 1,
+        None => base_all + 1,
+    }
 }
 
 /// Linear-scan rank baseline over a flat row-major `n × dim` buffer —
@@ -44,180 +44,59 @@ pub fn rank_of_point_scan(points: &[f64], w: &[f64], q: &[f64]) -> usize {
     points.chunks_exact(dim).filter(|p| score(w, p) < s).count() + 1
 }
 
-/// Decides `q ∈ TOPk(w)` without computing the exact rank, via the
-/// best-first early-exit membership probe. Allocates a fresh traversal
-/// queue; hot loops should use [`is_in_topk_scratch`].
-pub fn is_in_topk(tree: &RTree, w: &[f64], q: &[f64], k: usize) -> bool {
-    let mut scratch = ProbeScratch::new();
-    is_in_topk_scratch(tree, w, q, k, &mut scratch)
-}
-
-/// [`is_in_topk`] with a caller-owned reusable [`ProbeScratch`] — zero
-/// allocations per call once the queue has grown to the tree's depth.
-pub fn is_in_topk_scratch(
-    tree: &RTree,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> bool {
-    is_in_topk_with_stats(tree, w, q, k, scratch).0
-}
-
-/// [`is_in_topk_scratch`], additionally reporting the index nodes the
-/// probe expanded (the paper's `|RT|` cost term, for serving metrics).
-pub fn is_in_topk_with_stats(
-    tree: &RTree,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> (bool, usize) {
-    if k == 0 {
-        return (false, 0);
-    }
-    let s = score(w, q);
-    let probe = tree.probe_topk_membership(w, s, k, scratch, None);
-    (probe.in_topk, probe.nodes_visited)
-}
-
-/// Exact rank of `q` over a delta overlay: the base R-tree's counted
-/// pruning plus the `O(Δ)` overlay corrections (appended rows add,
-/// tombstoned rows subtract). `tree` must be the index of `view`'s base.
-pub fn rank_of_point_view(tree: &RTree, view: &DeltaView, w: &[f64], q: &[f64]) -> usize {
-    let s = score(w, q);
-    let base_all = tree.count_score_below(w, s, true);
-    base_all - view.count_better_dead(w, s) + view.count_better_delta(w, s) + 1
-}
-
-/// Decides `q ∈ TOPk(w)` over a delta overlay without an exact rank:
-/// the overlay corrections shift the base probe's count target, so the
-/// early-exit membership probe still decides the live verdict exactly.
+/// Decides `q ∈ TOPk(w)` over the snapshot's live points without
+/// computing the exact rank. The index nodes expanded are added to
+/// `ctx.nodes_visited`.
 ///
 /// `q` is a live member ⟺ `live_better < k` where
 /// `live_better = base_all − dead_better + delta_better`; substituting
-/// gives `base_all < k − delta_better + dead_better`, which is precisely
-/// the probe with an adjusted `k`. When the delta alone already supplies
-/// `k` better points the verdict is known without touching the index.
-pub fn is_in_topk_view(
-    tree: &RTree,
-    view: &DeltaView,
+/// gives `base_all < k − delta_better + dead_better`, which is the
+/// base probe with an adjusted count target `cap`. The ladder, each rung
+/// bit-identical to the naive count:
+///
+/// 1. the appended rows alone supply `k` better points — out, no index
+///    work;
+/// 2. with a mask, a capped count over its k-skyband culprit plane
+///    decides `base_all < cap` (dead better points are in the plane's
+///    count too, which is why `cap` carries them — see
+///    `DominanceIndex::plane_outranked`);
+/// 3. the early-exit probe, skipping masked points when the mask's
+///    build cap covers `cap` inflated by *all* tombstones (so every
+///    skipped point keeps enough live dominators).
+pub fn is_in_topk<'a>(
+    snap: impl Into<Snapshot<'a>>,
     w: &[f64],
     q: &[f64],
     k: usize,
-    scratch: &mut ProbeScratch,
+    ctx: &mut ProbeCtx,
 ) -> bool {
-    is_in_topk_view_with_stats(tree, view, w, q, k, scratch).0
-}
-
-/// [`is_in_topk_view`], additionally reporting the index nodes expanded.
-pub fn is_in_topk_view_with_stats(
-    tree: &RTree,
-    view: &DeltaView,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> (bool, usize) {
-    if k == 0 {
-        return (false, 0);
-    }
-    let s = score(w, q);
-    let d_add = view.count_better_delta(w, s);
-    if d_add >= k {
-        return (false, 0);
-    }
-    let cap = k - d_add + view.count_better_dead(w, s);
-    let probe = tree.probe_topk_membership(w, s, cap, scratch, None);
-    (probe.in_topk, probe.nodes_visited)
-}
-
-/// [`is_in_topk_scratch`] consulting a [`DominanceIndex`] built from
-/// `tree`: bit-identical verdicts, with masked points and all-masked
-/// subtrees skipped. Falls back to the unmasked probe when the mask's
-/// build cap cannot certify exclusion at `k`.
-pub fn is_in_topk_masked(
-    tree: &RTree,
-    dom: &DominanceIndex,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> bool {
+    let snap = snap.into();
     if k == 0 {
         return false;
     }
     let s = score(w, q);
-    // Culprit-plane fast path: a capped count over the k-skyband plane
-    // decides the verdict without touching the index (see
-    // `DominanceIndex::plane_outranked` for the dominance argument).
-    if let Some(outranked) = dom.plane_outranked(w, s, k) {
+    let view = snap.mutated();
+    let d_add = view.map_or(0, |v| v.count_better_delta(w, s));
+    if d_add >= k {
+        return false;
+    }
+    let cap = k - d_add + view.map_or(0, |v| v.count_better_dead(w, s));
+    if let Some(outranked) = snap.dom.and_then(|d| d.plane_outranked(w, s, cap)) {
         return !outranked;
     }
-    if !dom.usable_for(k) {
-        return tree.probe_topk_membership(w, s, k, scratch, None).in_topk;
-    }
-    tree.probe_topk_membership_masked(w, s, k, k, dom, scratch, None)
-        .in_topk
-}
-
-/// [`is_in_topk_view`] consulting a [`DominanceIndex`] built from the
-/// view's *base* tree. Deletes inflate the exclusion threshold
-/// (`k_eff = adjusted cap + tombstones`, so every exclusion still has
-/// cap-many live dominators); appends never join the mask. Bit-identical
-/// to the unmasked path — the differential proptests below prove it.
-pub fn is_in_topk_view_masked(
-    tree: &RTree,
-    view: &DeltaView,
-    dom: &DominanceIndex,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> bool {
-    is_in_topk_view_masked_with_stats(tree, view, dom, w, q, k, scratch).0
-}
-
-/// [`is_in_topk_view_masked`], additionally reporting the index nodes
-/// expanded.
-pub fn is_in_topk_view_masked_with_stats(
-    tree: &RTree,
-    view: &DeltaView,
-    dom: &DominanceIndex,
-    w: &[f64],
-    q: &[f64],
-    k: usize,
-    scratch: &mut ProbeScratch,
-) -> (bool, usize) {
-    if k == 0 {
-        return (false, 0);
-    }
-    let s = score(w, q);
-    let d_add = view.count_better_delta(w, s);
-    if d_add >= k {
-        return (false, 0);
-    }
-    let cap = k - d_add + view.count_better_dead(w, s);
-    // Culprit-plane fast path over the base: dead better points are
-    // counted by the plane too, so the inflated cap decides the live
-    // verdict exactly (see `rta_over_order_view_masked`).
-    if let Some(outranked) = dom.plane_outranked(w, s, cap) {
-        return (!outranked, 0);
-    }
-    let k_eff = k - d_add + view.tombstone_len();
-    let probe = if dom.usable_for(k_eff) {
-        tree.probe_topk_membership_masked(w, s, cap, k_eff, dom, scratch, None)
-    } else {
-        tree.probe_topk_membership(w, s, cap, scratch, None)
-    };
-    (probe.in_topk, probe.nodes_visited)
+    let k_eff = k - d_add + view.map_or(0, DeltaView::tombstone_len);
+    ctx.probe(snap, w, s, cap, k_eff, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use std::sync::Arc;
+    use wqrtq_geom::FlatPoints;
+    use wqrtq_rtree::RTree;
+
+    // The bit-identical-to-naive contract of every snapshot shape lives
+    // in `tests/differential.rs`; what stays here are the paper's worked
+    // numbers.
 
     fn fig_points() -> Vec<f64> {
         vec![
@@ -255,7 +134,7 @@ mod tests {
             for q in &queries {
                 let scan = rank_of_point_scan(&pts, w, q);
                 assert_eq!(rank_of_point(&t, w, q), scan, "tree vs scan {w:?} {q:?}");
-                assert_eq!(rank_of_flat(&flat, w, q), scan, "flat vs scan {w:?} {q:?}");
+                assert_eq!(flat.rank_of(w, q), scan, "flat vs scan {w:?} {q:?}");
             }
         }
     }
@@ -264,13 +143,15 @@ mod tests {
     fn membership_matches_paper_reverse_top3() {
         let t = RTree::bulk_load(2, &fig_points());
         let q = [4.0, 4.0];
-        assert!(!is_in_topk(&t, &[0.1, 0.9], &q, 3)); // Kevin
-        assert!(is_in_topk(&t, &[0.5, 0.5], &q, 3)); // Tony
-        assert!(is_in_topk(&t, &[0.3, 0.7], &q, 3)); // Anna
-        assert!(!is_in_topk(&t, &[0.9, 0.1], &q, 3)); // Julia
-                                                      // Everyone admits q at k = 4 (Lemma 4: k'max = 4 in the example).
+        let mut ctx = ProbeCtx::new();
+        assert!(!is_in_topk(&t, &[0.1, 0.9], &q, 3, &mut ctx)); // Kevin
+        assert!(is_in_topk(&t, &[0.5, 0.5], &q, 3, &mut ctx)); // Tony
+        assert!(is_in_topk(&t, &[0.3, 0.7], &q, 3, &mut ctx)); // Anna
+        assert!(!is_in_topk(&t, &[0.9, 0.1], &q, 3, &mut ctx)); // Julia
+
+        // Everyone admits q at k = 4 (Lemma 4: k'max = 4 in the example).
         for w in [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]] {
-            assert!(is_in_topk(&t, &w, &q, 4));
+            assert!(is_in_topk(&t, &w, &q, 4, &mut ctx));
         }
     }
 
@@ -281,310 +162,25 @@ mod tests {
         let t = RTree::bulk_load(2, &pts);
         let q = [2.0, 2.0]; // ties with the second point under any weight
         assert_eq!(rank_of_point(&t, &[0.5, 0.5], &q), 2);
-        assert!(is_in_topk(&t, &[0.5, 0.5], &q, 2));
-        let flat = FlatPoints::from_row_major(2, &pts);
-        assert_eq!(rank_of_flat(&flat, &[0.5, 0.5], &q), 2);
+        assert!(is_in_topk(&t, &[0.5, 0.5], &q, 2, &mut ProbeCtx::new()));
     }
 
     #[test]
-    fn k_zero_is_never_member() {
+    fn k_zero_is_never_member_and_probes_nothing() {
         let t = RTree::bulk_load(2, &fig_points());
-        assert!(!is_in_topk(&t, &[0.5, 0.5], &[0.0, 0.0], 0));
+        let mut ctx = ProbeCtx::new();
+        assert!(!is_in_topk(&t, &[0.5, 0.5], &[0.0, 0.0], 0, &mut ctx));
+        assert_eq!(ctx.nodes_visited, 0);
     }
 
     #[test]
-    fn stats_variant_reports_nodes() {
+    fn probes_account_their_nodes_in_the_context() {
         let t = RTree::bulk_load_with_fanout(2, &fig_points(), 4);
-        let mut scratch = ProbeScratch::new();
-        let (member, nodes) = is_in_topk_with_stats(&t, &[0.1, 0.9], &[4.0, 4.0], 3, &mut scratch);
-        assert!(!member);
-        assert!(nodes > 0);
-    }
-
-    /// Builds an overlay over the paper dataset (delete p2/p5, append two
-    /// rows) and the equivalent rebuilt-from-scratch flat buffer.
-    fn overlaid_fig() -> (RTree, DeltaView, Vec<f64>) {
-        let pts = fig_points();
-        let tree = RTree::bulk_load_with_fanout(2, &pts, 4);
-        let view = DeltaView::new(
-            Arc::new(FlatPoints::from_row_major(2, &pts)),
-            Arc::new(vec![4.5, 2.0, 0.5, 0.5]),
-            Arc::new(vec![7, 8]),
-            Arc::new(vec![6.0, 3.0, 7.0, 5.0]),
-            Arc::new(vec![1, 4]),
-        );
-        let (live, _) = view.materialize_row_major();
-        (tree, view, live)
-    }
-
-    #[test]
-    fn view_rank_and_membership_match_rebuilt_scan() {
-        let (tree, view, live) = overlaid_fig();
-        let mut scratch = ProbeScratch::new();
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]] {
-            for q in [[4.0, 4.0], [1.0, 1.0], [0.4, 0.6], [9.0, 9.0]] {
-                let oracle = rank_of_point_scan(&live, &w, &q);
-                assert_eq!(rank_of_point_view(&tree, &view, &w, &q), oracle);
-                for k in 0..=9 {
-                    assert_eq!(
-                        is_in_topk_view(&tree, &view, &w, &q, k, &mut scratch),
-                        k > 0 && oracle <= k,
-                        "w {w:?} q {q:?} k {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn plain_view_agrees_with_plain_primitives() {
-        let pts = fig_points();
-        let tree = RTree::bulk_load(2, &pts);
-        let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &pts)));
-        let mut scratch = ProbeScratch::new();
-        let q = [4.0, 4.0];
-        for w in [[0.1, 0.9], [0.5, 0.5]] {
-            assert_eq!(
-                rank_of_point_view(&tree, &view, &w, &q),
-                rank_of_point(&tree, &w, &q)
-            );
-            for k in 1..=5 {
-                assert_eq!(
-                    is_in_topk_view(&tree, &view, &w, &q, k, &mut scratch),
-                    is_in_topk(&tree, &w, &q, k)
-                );
-            }
-        }
-    }
-
-    /// Injects exact score ties at the k boundary: some points are copies
-    /// of q (tie under every weight), some share q's score under the
-    /// specific w by construction.
-    fn with_boundary_ties(mut pts: Vec<(f64, f64)>, q: (f64, f64), copies: usize) -> Vec<f64> {
-        for _ in 0..copies {
-            pts.push(q);
-        }
-        pts.iter().flat_map(|(a, b)| [*a, *b]).collect()
-    }
-
-    #[test]
-    fn masked_membership_matches_unmasked_on_paper_data() {
-        let t = RTree::bulk_load_with_fanout(2, &fig_points(), 4);
-        let dom = DominanceIndex::build(&t);
-        let mut scratch = ProbeScratch::new();
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]] {
-            for q in [[4.0, 4.0], [1.0, 1.0], [9.0, 9.0]] {
-                for k in 0..=8 {
-                    assert_eq!(
-                        is_in_topk_masked(&t, &dom, &w, &q, k, &mut scratch),
-                        is_in_topk(&t, &w, &q, k),
-                        "w {w:?} q {q:?} k {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn masked_view_membership_matches_unmasked_on_overlay() {
-        let (tree, view, live) = overlaid_fig();
-        let dom = DominanceIndex::build(&tree);
-        let mut scratch = ProbeScratch::new();
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.3, 0.7], [0.9, 0.1]] {
-            for q in [[4.0, 4.0], [1.0, 1.0], [0.4, 0.6], [9.0, 9.0]] {
-                let oracle = rank_of_point_scan(&live, &w, &q);
-                for k in 0..=9 {
-                    assert_eq!(
-                        is_in_topk_view_masked(&tree, &view, &dom, &w, &q, k, &mut scratch),
-                        k > 0 && oracle <= k,
-                        "w {w:?} q {q:?} k {k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn masked_membership_falls_back_when_cap_too_small() {
-        // A mask built with cap = 1 cannot certify exclusion for k ≥ 2;
-        // the wrapper must fall back to the unmasked probe, never panic
-        // or misclassify.
-        let t = RTree::bulk_load_with_fanout(2, &fig_points(), 4);
-        let dom = DominanceIndex::build_with_cap(&t, 1);
-        let mut scratch = ProbeScratch::new();
-        for k in 1..=6 {
-            for w in [[0.5, 0.5], [0.1, 0.9]] {
-                assert_eq!(
-                    is_in_topk_masked(&t, &dom, &w, &[4.0, 4.0], k, &mut scratch),
-                    is_in_topk(&t, &w, &[4.0, 4.0], k),
-                );
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn tree_rank_matches_scan(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..300),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            raw in (0.01f64..1.0, 0.01f64..1.0),
-        ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let t = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let s = raw.0 + raw.1;
-            let w = [raw.0 / s, raw.1 / s];
-            let qv = [q.0, q.1];
-            let scan = rank_of_point_scan(&flat, &w, &qv);
-            prop_assert_eq!(rank_of_point(&t, &w, &qv), scan);
-            let fp = FlatPoints::from_row_major(2, &flat);
-            prop_assert_eq!(rank_of_flat(&fp, &w, &qv), scan);
-        }
-
-        #[test]
-        fn early_exit_membership_matches_naive_count(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..250),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            raw in (0.01f64..1.0, 0.01f64..1.0),
-            k in 1usize..14,
-            tie_copies in 0usize..4,
-        ) {
-            // Exact-tie coverage at the k boundary: duplicate q into the
-            // dataset; under the paper's strict semantics those copies
-            // never count against q, whatever k is.
-            let flat = with_boundary_ties(pts, q, tie_copies);
-            let t = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let s = raw.0 + raw.1;
-            let w = [raw.0 / s, raw.1 / s];
-            let qv = [q.0, q.1];
-            let sq = score(&w, &qv);
-            let naive_better = flat
-                .chunks_exact(2)
-                .filter(|p| score(&w, p) < sq)
-                .count();
-            let mut scratch = ProbeScratch::new();
-            prop_assert_eq!(
-                is_in_topk_scratch(&t, &w, &qv, k, &mut scratch),
-                naive_better < k,
-                "naive better-count {} vs k {}", naive_better, k
-            );
-        }
-
-        #[test]
-        fn view_primitives_match_rebuilt_oracle(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 4..200),
-            extra in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..12),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            raw in (0.01f64..1.0, 0.01f64..1.0),
-            k in 1usize..12,
-            del_stride in 2usize..6,
-        ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let base = Arc::new(FlatPoints::from_row_major(2, &flat));
-            // Tombstone every del_stride-th base row; append `extra`.
-            let dead_ids: Vec<u32> = (0..pts.len() as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [pts[i as usize].0, pts[i as usize].1])
-                .collect();
-            let delta_rows: Vec<f64> = extra.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let delta_ids: Vec<u32> =
-                (0..extra.len() as u32).map(|i| pts.len() as u32 + i).collect();
-            let view = DeltaView::new(
-                base,
-                Arc::new(delta_rows),
-                Arc::new(delta_ids),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
-            let (live, _) = view.materialize_row_major();
-            let s = raw.0 + raw.1;
-            let w = [raw.0 / s, raw.1 / s];
-            let qv = [q.0, q.1];
-            let oracle = rank_of_point_scan(&live, &w, &qv);
-            prop_assert_eq!(rank_of_point_view(&tree, &view, &w, &qv), oracle);
-            prop_assert_eq!(view.rank_of(&w, &qv), oracle);
-            let mut scratch = ProbeScratch::new();
-            prop_assert_eq!(
-                is_in_topk_view(&tree, &view, &w, &qv, k, &mut scratch),
-                oracle <= k
-            );
-            prop_assert_eq!(view.is_in_topk(&w, &qv, k), oracle <= k);
-        }
-
-        #[test]
-        fn masked_view_membership_matches_unmasked_under_mutation(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 4..200),
-            extra in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..12),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            raw in (0.01f64..1.0, 0.01f64..1.0),
-            k in 1usize..12,
-            del_stride in 2usize..6,
-            tie_copies in 0usize..4,
-        ) {
-            // Same overlay construction as view_primitives_match_rebuilt_oracle,
-            // plus exact copies of q in the base so ties sit right at the
-            // masked/unmasked boundary.
-            let flat = with_boundary_ties(pts.clone(), q, tie_copies);
-            let n_base = flat.len() / 2;
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let dom = DominanceIndex::build(&tree);
-            let base = Arc::new(FlatPoints::from_row_major(2, &flat));
-            let dead_ids: Vec<u32> = (0..n_base as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [flat[2 * i as usize], flat[2 * i as usize + 1]])
-                .collect();
-            let delta_rows: Vec<f64> = extra.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let delta_ids: Vec<u32> =
-                (0..extra.len() as u32).map(|i| n_base as u32 + i).collect();
-            let view = DeltaView::new(
-                base,
-                Arc::new(delta_rows),
-                Arc::new(delta_ids),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
-            let s = raw.0 + raw.1;
-            let w = [raw.0 / s, raw.1 / s];
-            let qv = [q.0, q.1];
-            let mut scratch = ProbeScratch::new();
-            // The query point itself probes the tie boundary; also probe a
-            // handful of dataset points.
-            let mut queries = vec![qv];
-            for p in flat.chunks_exact(2).take(6) {
-                queries.push([p[0], p[1]]);
-            }
-            for qq in &queries {
-                let unmasked = is_in_topk_view(&tree, &view, &w, qq, k, &mut scratch);
-                prop_assert_eq!(
-                    is_in_topk_view_masked(&tree, &view, &dom, &w, qq, k, &mut scratch),
-                    unmasked,
-                    "view masked vs unmasked, q {:?} k {}", qq, k
-                );
-                prop_assert_eq!(
-                    is_in_topk_masked(&tree, &dom, &w, qq, k, &mut scratch),
-                    is_in_topk_scratch(&tree, &w, qq, k, &mut scratch),
-                    "plain masked vs unmasked, q {:?} k {}", qq, k
-                );
-            }
-        }
-
-        #[test]
-        fn membership_consistent_with_rank(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 1..200),
-            q in (0.0f64..10.0, 0.0f64..10.0),
-            k in 1usize..12,
-        ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let t = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let w = [0.4, 0.6];
-            let qv = [q.0, q.1];
-            prop_assert_eq!(
-                is_in_topk(&t, &w, &qv, k),
-                rank_of_point(&t, &w, &qv) <= k
-            );
-        }
+        let mut ctx = ProbeCtx::new();
+        assert!(!is_in_topk(&t, &[0.1, 0.9], &[4.0, 4.0], 3, &mut ctx));
+        let first = ctx.nodes_visited;
+        assert!(first > 0);
+        is_in_topk(&t, &[0.1, 0.9], &[4.0, 4.0], 3, &mut ctx);
+        assert_eq!(ctx.nodes_visited, 2 * first, "the counter accumulates");
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! `TOPk(w)` is the set of `k` points with the smallest scores under `w`.
 //! The branch-and-bound implementation rides the R-tree's best-first
-//! traversal (BRS \[29\]); the scan implementation is the baseline used to
-//! cross-check it and to quantify the index's benefit in the ablation
-//! benchmarks.
+//! traversal (BRS \[29\]), merged with the snapshot's overlay; the scan
+//! implementation is the baseline used to cross-check it and to quantify
+//! the index's benefit in the ablation benchmarks.
 
+use crate::snapshot::Snapshot;
 use wqrtq_geom::{score, DeltaView};
-use wqrtq_rtree::{search::BestFirst, DominanceIndex, RTree};
+use wqrtq_rtree::search::{BestFirst, RankedPoint};
 
 /// The top `k`-th point of a weighting vector — the constraint generator
 /// of MQP (Lemma 2/3: a refined `q′` with `f(w, q′) ≤ f(w, p_k)` enters
@@ -22,11 +23,23 @@ pub struct KthPoint {
     pub coords: Vec<f64>,
 }
 
-/// Returns the `(id, score)` pairs of `TOPk(w)` in ascending score order
-/// using best-first search. Returns fewer than `k` entries when the
-/// dataset is smaller than `k`.
-pub fn topk(tree: &RTree, w: &[f64], k: usize) -> Vec<(u32, f64)> {
-    tree.best_first(w).take(k).collect()
+/// Returns the `(id, score)` pairs of `TOPk(w)` over the snapshot's live
+/// points in ascending score order. Returns fewer than `k` entries when
+/// fewer live points exist. Bit-identical to a dataset rebuilt from the
+/// live rows (score ties permitting — see [`LiveBestFirst`]).
+pub fn topk<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Vec<(u32, f64)> {
+    let snap = snap.into();
+    let mut it = snap.best_first(w);
+    // `k` may be caller-controlled: cap the pre-allocation at the live
+    // size so an absurd `k` cannot abort on allocation failure.
+    let mut out = Vec::with_capacity(k.min(snap.live_len()));
+    while out.len() < k {
+        match it.next_entry() {
+            Some(p) => out.push((p.id, p.score)),
+            None => break,
+        }
+    }
+    out
 }
 
 /// Linear-scan top-k baseline over a flat `n × dim` buffer.
@@ -47,11 +60,11 @@ pub fn topk_scan(points: &[f64], w: &[f64], k: usize) -> Vec<(u32, f64)> {
     scored
 }
 
-/// Finds the top `k`-th point under `w` (1-based: `k = 1` is the best
-/// point). Returns `None` when the dataset has fewer than `k` points.
-pub fn kth_point(tree: &RTree, w: &[f64], k: usize) -> Option<KthPoint> {
-    assert!(k >= 1, "k must be at least 1");
-    let mut it = tree.best_first(w);
+/// Finds the top `k`-th live point under `w` (1-based: `k = 1` is the
+/// best point). Returns `None` when fewer than `k` live points exist —
+/// which includes `k = 0`.
+pub fn kth_point<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Option<KthPoint> {
+    let mut it = snap.into().best_first(w);
     let mut last = None;
     for _ in 0..k {
         last = Some(it.next_entry()?);
@@ -63,225 +76,96 @@ pub fn kth_point(tree: &RTree, w: &[f64], k: usize) -> Option<KthPoint> {
     })
 }
 
-/// [`kth_point`] consulting a [`DominanceIndex`] built from `tree`:
-/// points with at least `k` strict dominators (and subtrees of nothing
-/// else) are skipped — they can never hold the top `k`-th *score*. The
-/// returned score is bit-identical to the unmasked selection; the point
-/// identity may differ among exact score ties (every consumer of the
-/// k-th point — the safe-region constraint planes, the QP thresholds —
-/// depends only on the score). Falls back to the unmasked traversal for
-/// negative weights or when the mask's build cap is too small for `k`.
-pub fn kth_point_masked(
-    tree: &RTree,
-    dom: &DominanceIndex,
-    w: &[f64],
-    k: usize,
-) -> Option<KthPoint> {
-    assert!(k >= 1, "k must be at least 1");
-    if w.iter().any(|&x| x < 0.0) || !dom.usable_for(k) {
-        return kth_point(tree, w, k);
-    }
-    let mut it = tree.best_first_masked(w, dom, k);
-    let mut last = None;
-    for _ in 0..k {
-        last = Some(it.next_entry()?);
-    }
-    last.map(|r| KthPoint {
-        id: r.id,
-        score: r.score,
-        coords: r.coords.to_vec(),
-    })
-}
-
-/// One live point produced by [`ViewBestFirst`] in ascending score order.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ViewRanked<'a> {
-    /// The point's stable id (base id, or overlay-assigned delta id).
-    pub id: u32,
-    /// Its score under the traversal's weighting vector.
-    pub score: f64,
-    /// Its coordinates (borrowed from the tree or the overlay).
-    pub coords: &'a [f64],
-}
-
-/// Best-first enumeration of the *live* points of a delta overlay: the
-/// base index's incremental ranking with tombstoned rows skipped, merged
-/// with the (pre-scored, sorted) appended rows. Progressive consumers —
-/// top-k, k-th point, the why-not culprit scan — drive it exactly like
-/// a plain [`RTree::best_first`] traversal.
+/// Best-first enumeration of a snapshot's *live* points: the base
+/// index's incremental ranking with tombstoned rows skipped, merged with
+/// the (pre-scored, sorted) appended rows. Progressive consumers —
+/// top-k, k-th point, the why-not culprit scan — drive it exactly like a
+/// plain [`wqrtq_rtree::RTree::best_first`] traversal, which is what it
+/// reduces to on an un-mutated snapshot.
 ///
 /// Ties: a base point and an appended row with the exact same score are
 /// emitted base-first (appended ids always sit above base ids, so this
 /// is ascending-id order); ties *within* the base keep the index's
 /// traversal order, as ever.
-pub struct ViewBestFirst<'a> {
+pub struct LiveBestFirst<'a> {
     bf: BestFirst<'a>,
-    view: &'a DeltaView,
+    view: Option<&'a DeltaView>,
     /// `(score, delta slot)` of the live appended rows, ascending by
     /// score then append order.
     delta: Vec<(f64, u32)>,
     next_delta: usize,
     /// The next not-yet-emitted live base point, if already pulled.
-    pending: Option<wqrtq_rtree::search::RankedPoint<'a>>,
+    pending: Option<RankedPoint<'a>>,
 }
 
-impl<'a> ViewBestFirst<'a> {
-    /// Starts a merged traversal. `tree` must be the index built over
-    /// `view`'s base rows.
-    pub fn new(tree: &'a RTree, view: &'a DeltaView, w: &[f64]) -> Self {
-        Self::with_base(tree.best_first(w), view, w)
-    }
-
-    /// [`ViewBestFirst::new`] with the *base* traversal consulting a
-    /// [`DominanceIndex`]: masked base points are never surfaced.
-    /// Appended rows are always live and tombstones are skipped as ever.
-    /// `k_eff` must be inflated by the view's tombstone count (a masked
-    /// point's dominators may since have died); callers must check
-    /// `dom.usable_for(k_eff)` and weight non-negativity and fall back
-    /// to [`ViewBestFirst::new`] otherwise.
-    pub fn new_masked(
-        tree: &'a RTree,
-        view: &'a DeltaView,
-        dom: &'a DominanceIndex,
-        k_eff: usize,
-        w: &[f64],
-    ) -> Self {
-        Self::with_base(tree.best_first_masked(w, dom, k_eff), view, w)
-    }
-
-    fn with_base(bf: BestFirst<'a>, view: &'a DeltaView, w: &[f64]) -> Self {
-        let dim = view.dim();
-        let mut delta: Vec<(f64, u32)> = view
-            .delta_rows()
-            .chunks_exact(dim)
-            .enumerate()
-            .map(|(i, row)| (score(w, row), i as u32))
-            .collect();
+impl<'a> Snapshot<'a> {
+    /// Starts the merged live traversal under `w`.
+    pub fn best_first(self, w: &[f64]) -> LiveBestFirst<'a> {
+        let view = self.mutated();
+        let mut delta: Vec<(f64, u32)> = view.map_or_else(Vec::new, |v| {
+            v.delta_rows()
+                .chunks_exact(v.dim())
+                .enumerate()
+                .map(|(i, row)| (score(w, row), i as u32))
+                .collect()
+        });
         delta.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Self {
-            bf,
+        LiveBestFirst {
+            bf: self.tree.best_first(w),
             view,
             delta,
             next_delta: 0,
             pending: None,
         }
     }
+}
 
+impl<'a> LiveBestFirst<'a> {
     /// Index nodes expanded by the base traversal so far.
     pub fn nodes_visited(&self) -> usize {
         self.bf.nodes_visited()
     }
 
     /// Returns the next live point in ascending score order.
-    pub fn next_entry(&mut self) -> Option<ViewRanked<'a>> {
+    pub fn next_entry(&mut self) -> Option<RankedPoint<'a>> {
         if self.pending.is_none() {
             // Pull the next live base point, skipping tombstones.
             while let Some(p) = self.bf.next_entry() {
-                if !self.view.is_deleted(p.id) {
+                if !self.view.is_some_and(|v| v.is_deleted(p.id)) {
                     self.pending = Some(p);
                     break;
                 }
             }
         }
         let delta_head = self.delta.get(self.next_delta).copied();
-        let take_base = match (&self.pending, delta_head) {
+        let base_first = match (&self.pending, delta_head) {
             (Some(p), Some((ds, _))) => p.score <= ds, // tie: base first
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
+            (pending, _) => pending.is_some(),
         };
-        if take_base {
-            // lint: allow(no-panic) — `take_base` is only true in match
-            // arms where `self.pending` is `Some`.
-            let p = self.pending.take().expect("pending base entry");
-            Some(ViewRanked {
-                id: p.id,
-                score: p.score,
-                coords: p.coords,
-            })
-        } else {
-            // lint: allow(no-panic) — `take_base` is only false in match
-            // arms where `delta_head` is `Some`.
-            let (ds, slot) = delta_head.expect("pending delta entry");
-            self.next_delta += 1;
-            Some(ViewRanked {
-                id: self.view.delta_ids()[slot as usize],
-                score: ds,
-                coords: self.view.delta_row(slot as usize),
-            })
+        if base_first {
+            return self.pending.take();
         }
+        // A delta head exists only under an overlay.
+        let ((ds, slot), view) = (delta_head?, self.view?);
+        self.next_delta += 1;
+        Some(RankedPoint {
+            id: view.delta_ids()[slot as usize],
+            score: ds,
+            coords: view.delta_row(slot as usize),
+        })
     }
-}
-
-/// `TOPk(w)` over the live points of a delta overlay, as `(id, score)`
-/// in ascending score order. Bit-identical to running [`topk`] on a
-/// dataset rebuilt from the overlay's live rows (score ties permitting —
-/// see [`ViewBestFirst`]).
-pub fn topk_view(tree: &RTree, view: &DeltaView, w: &[f64], k: usize) -> Vec<(u32, f64)> {
-    let mut it = ViewBestFirst::new(tree, view, w);
-    let mut out = Vec::with_capacity(k.min(view.live_len()));
-    while out.len() < k {
-        match it.next_entry() {
-            Some(p) => out.push((p.id, p.score)),
-            None => break,
-        }
-    }
-    out
-}
-
-/// The top `k`-th live point of a delta overlay (1-based). Returns
-/// `None` when fewer than `k` live points exist.
-pub fn kth_point_view(tree: &RTree, view: &DeltaView, w: &[f64], k: usize) -> Option<KthPoint> {
-    assert!(k >= 1, "k must be at least 1");
-    let mut it = ViewBestFirst::new(tree, view, w);
-    let mut last = None;
-    for _ in 0..k {
-        last = Some(it.next_entry()?);
-    }
-    last.map(|r| KthPoint {
-        id: r.id,
-        score: r.score,
-        coords: r.coords.to_vec(),
-    })
-}
-
-/// [`kth_point_view`] consulting a [`DominanceIndex`] built from the
-/// view's *base* tree. The exclusion threshold is `k` plus the view's
-/// tombstone count, so every skipped point still has `k` *live*
-/// dominators scoring no worse — the k-th live score is bit-identical
-/// to the unmasked selection (identity may differ among exact ties).
-/// Falls back to the unmasked traversal for negative weights or when
-/// the mask's build cap is too small.
-pub fn kth_point_view_masked(
-    tree: &RTree,
-    view: &DeltaView,
-    dom: &DominanceIndex,
-    w: &[f64],
-    k: usize,
-) -> Option<KthPoint> {
-    assert!(k >= 1, "k must be at least 1");
-    let k_eff = k + view.tombstone_len();
-    if w.iter().any(|&x| x < 0.0) || !dom.usable_for(k_eff) {
-        return kth_point_view(tree, view, w, k);
-    }
-    let mut it = ViewBestFirst::new_masked(tree, view, dom, k_eff, w);
-    let mut last = None;
-    for _ in 0..k {
-        last = Some(it.next_entry()?);
-    }
-    last.map(|r| KthPoint {
-        id: r.id,
-        score: r.score,
-        coords: r.coords.to_vec(),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
     use std::sync::Arc;
     use wqrtq_geom::FlatPoints;
+    use wqrtq_rtree::RTree;
+
+    // The bit-identical-to-naive contract of every snapshot shape lives
+    // in `tests/differential.rs`; what stays here are the paper's worked
+    // numbers and one hand-checked overlay merge.
 
     fn fig_points() -> Vec<f64> {
         vec![
@@ -322,10 +206,11 @@ mod tests {
     }
 
     #[test]
-    fn kth_point_beyond_dataset_is_none() {
+    fn kth_point_beyond_dataset_or_at_zero_is_none() {
         let t = RTree::bulk_load(2, &fig_points());
         assert!(kth_point(&t, &[0.5, 0.5], 8).is_none());
         assert!(kth_point(&t, &[0.5, 0.5], 7).is_some());
+        assert!(kth_point(&t, &[0.5, 0.5], 0).is_none());
     }
 
     #[test]
@@ -334,7 +219,9 @@ mod tests {
         assert!(topk(&t, &[0.5, 0.5], 0).is_empty());
     }
 
-    fn overlaid_fig() -> (RTree, DeltaView) {
+    #[test]
+    fn overlay_topk_merges_skips_and_keeps_order() {
+        // Delete p2/p5 (ids 1, 4), append two rows (ids 7, 8).
         let pts = fig_points();
         let tree = RTree::bulk_load_with_fanout(2, &pts, 4);
         let view = DeltaView::new(
@@ -344,189 +231,16 @@ mod tests {
             Arc::new(vec![6.0, 3.0, 7.0, 5.0]),
             Arc::new(vec![1, 4]),
         );
-        (tree, view)
-    }
-
-    #[test]
-    fn view_topk_merges_skips_and_keeps_order() {
-        let (tree, view) = overlaid_fig();
+        let snap = Snapshot::from(&tree).overlay(&view);
         // Kevin (0.1, 0.9): live scores are p1=1.1, p3=8.2, p4=3.6,
         // p6=7.7, p7=6.6, d7=(4.5,2)=2.25, d8=(0.5,0.5)=0.5.
-        let got = topk_view(&tree, &view, &[0.1, 0.9], 4);
+        let got = topk(snap, &[0.1, 0.9], 4);
         let ids: Vec<u32> = got.iter().map(|(i, _)| *i).collect();
         assert_eq!(ids, vec![8, 0, 7, 3]); // 0.5 < 1.1 < 2.25 < 3.6
         assert!(got.windows(2).all(|p| p[0].1 <= p[1].1));
         // Deleted p2 (id 1) never surfaces, at any k.
-        let all = topk_view(&tree, &view, &[0.1, 0.9], 100);
+        let all = topk(snap, &[0.1, 0.9], 100);
         assert_eq!(all.len(), view.live_len());
         assert!(all.iter().all(|(i, _)| *i != 1 && *i != 4));
-    }
-
-    #[test]
-    fn view_kth_point_matches_rebuilt_oracle() {
-        let (tree, view) = overlaid_fig();
-        let (live, ids) = view.materialize_row_major();
-        let rebuilt = RTree::bulk_load(2, &live);
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]] {
-            for k in 1..=view.live_len() {
-                let got = kth_point_view(&tree, &view, &w, k).unwrap();
-                let oracle = kth_point(&rebuilt, &w, k).unwrap();
-                assert_eq!(got.score, oracle.score, "w {w:?} k {k}");
-                assert_eq!(got.id, ids[oracle.id as usize], "w {w:?} k {k}");
-                assert_eq!(got.coords, oracle.coords);
-            }
-            assert!(kth_point_view(&tree, &view, &w, view.live_len() + 1).is_none());
-        }
-    }
-
-    #[test]
-    fn plain_view_topk_is_plain_topk() {
-        let pts = fig_points();
-        let tree = RTree::bulk_load(2, &pts);
-        let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &pts)));
-        for k in [0, 1, 3, 7, 9] {
-            assert_eq!(
-                topk_view(&tree, &view, &[0.3, 0.7], k),
-                topk(&tree, &[0.3, 0.7], k)
-            );
-        }
-    }
-
-    #[test]
-    fn masked_kth_score_matches_unmasked_with_tie_dense_data() {
-        // A 5×5 grid plus exact duplicates of every grid point: lots of
-        // dominated points (masked at small k) and lots of exact score
-        // ties. The k-th *score* must survive masking bit-for-bit.
-        let mut pts = Vec::new();
-        for x in 0..5 {
-            for y in 0..5 {
-                pts.extend([x as f64, y as f64]);
-                pts.extend([x as f64, y as f64]);
-            }
-        }
-        let t = RTree::bulk_load_with_fanout(2, &pts, 8);
-        let dom = DominanceIndex::build(&t);
-        for w in [[0.5, 0.5], [0.1, 0.9], [1.0, 0.0]] {
-            for k in 1..=pts.len() / 2 {
-                let masked = kth_point_masked(&t, &dom, &w, k).unwrap();
-                let exact = kth_point(&t, &w, k).unwrap();
-                assert_eq!(masked.score, exact.score, "w {w:?} k {k}");
-            }
-            assert!(kth_point_masked(&t, &dom, &w, pts.len() / 2 + 1).is_none());
-        }
-        assert!(dom.skips() > 0);
-    }
-
-    #[test]
-    fn masked_view_kth_score_matches_unmasked() {
-        let (tree, view) = overlaid_fig();
-        let dom = DominanceIndex::build(&tree);
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]] {
-            for k in 1..=view.live_len() {
-                let masked = kth_point_view_masked(&tree, &view, &dom, &w, k).unwrap();
-                let exact = kth_point_view(&tree, &view, &w, k).unwrap();
-                assert_eq!(masked.score, exact.score, "w {w:?} k {k}");
-            }
-            assert!(kth_point_view_masked(&tree, &view, &dom, &w, view.live_len() + 1).is_none());
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn masked_kth_matches_unmasked_under_mutation(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 4..150),
-            extra in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..10),
-            raw in (0.01f64..1.0, 0.01f64..1.0),
-            k in 1usize..12,
-            del_stride in 2usize..5,
-        ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let dom = DominanceIndex::build(&tree);
-            let dead_ids: Vec<u32> = (0..pts.len() as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [pts[i as usize].0, pts[i as usize].1])
-                .collect();
-            let view = DeltaView::new(
-                Arc::new(FlatPoints::from_row_major(2, &flat)),
-                Arc::new(extra.iter().flat_map(|(a, b)| [*a, *b]).collect()),
-                Arc::new((0..extra.len() as u32).map(|i| pts.len() as u32 + i).collect()),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
-            let s = raw.0 + raw.1;
-            let w = [raw.0 / s, raw.1 / s];
-            match (kth_point_masked(&tree, &dom, &w, k), kth_point(&tree, &w, k)) {
-                (Some(m), Some(e)) => prop_assert_eq!(m.score, e.score),
-                (m, e) => prop_assert_eq!(m.is_none(), e.is_none()),
-            }
-            match (
-                kth_point_view_masked(&tree, &view, &dom, &w, k),
-                kth_point_view(&tree, &view, &w, k),
-            ) {
-                (Some(m), Some(e)) => prop_assert_eq!(m.score, e.score),
-                (m, e) => prop_assert_eq!(m.is_none(), e.is_none()),
-            }
-        }
-
-        #[test]
-        fn view_topk_matches_rebuilt_scan(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 4..150),
-            extra in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0), 0..10),
-            raw in (0.01f64..1.0, 0.01f64..1.0),
-            k in 1usize..20,
-            del_stride in 2usize..5,
-        ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b)| [*a, *b]).collect();
-            let tree = RTree::bulk_load_with_fanout(2, &flat, 8);
-            let dead_ids: Vec<u32> = (0..pts.len() as u32).step_by(del_stride).collect();
-            let dead_rows: Vec<f64> = dead_ids
-                .iter()
-                .flat_map(|&i| [pts[i as usize].0, pts[i as usize].1])
-                .collect();
-            let view = DeltaView::new(
-                Arc::new(FlatPoints::from_row_major(2, &flat)),
-                Arc::new(extra.iter().flat_map(|(a, b)| [*a, *b]).collect()),
-                Arc::new((0..extra.len() as u32).map(|i| pts.len() as u32 + i).collect()),
-                Arc::new(dead_rows),
-                Arc::new(dead_ids),
-            );
-            let (live, ids) = view.materialize_row_major();
-            let got = topk_view(&tree, &view, &[raw.0, raw.1], k);
-            let oracle = topk_scan(&live, &[raw.0, raw.1], k);
-            prop_assert_eq!(got.len(), oracle.len());
-            for (g, o) in got.iter().zip(&oracle) {
-                prop_assert!((g.1 - o.1).abs() < 1e-12);
-            }
-            // Where scores are strict, ids must map through the live-row
-            // id table (ties may permute between structures).
-            for (i, (g, o)) in got.iter().zip(&oracle).enumerate() {
-                let tied = oracle.iter().filter(|(_, s)| *s == o.1).count() > 1;
-                if !tied {
-                    prop_assert_eq!(g.0, ids[o.0 as usize], "position {}", i);
-                }
-            }
-        }
-
-        #[test]
-        fn tree_topk_matches_scan_scores(
-            pts in proptest::collection::vec((0.0f64..10.0, 0.0f64..10.0, 0.0f64..10.0), 1..250),
-            raw in (0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0),
-            k in 1usize..20,
-        ) {
-            let flat: Vec<f64> = pts.iter().flat_map(|(a, b, c)| [*a, *b, *c]).collect();
-            let t = RTree::bulk_load_with_fanout(3, &flat, 8);
-            let s = raw.0 + raw.1 + raw.2;
-            let w = [raw.0 / s, raw.1 / s, raw.2 / s];
-            let a = topk(&t, &w, k);
-            let b = topk_scan(&flat, &w, k);
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert!((x.1 - y.1).abs() < 1e-9);
-            }
-        }
     }
 }

@@ -14,8 +14,7 @@ use rand::{Rng, SeedableRng};
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::realistic::household_like_scaled;
 use wqrtq::geom::Weight;
-use wqrtq::query::brtopk::bichromatic_reverse_topk_rta_with_stats;
-use wqrtq::query::rank::rank_of_point;
+use wqrtq::query::{rank_of_point, rta_over_order, rta_sorted_order, ProbeCtx};
 use wqrtq::rtree::RTree;
 
 fn main() {
@@ -39,7 +38,13 @@ fn main() {
         base.iter().map(|c| (c * 0.98).max(0.0)).collect()
     };
 
-    let (result, stats) = bichromatic_reverse_topk_rta_with_stats(&tree, &customers, &q, k);
+    // The shardable form of RTA, so the context's pruning counters can
+    // be printed (`bichromatic_reverse_topk_rta` is the one-shot wrapper).
+    let mut ctx = ProbeCtx::new();
+    let order = rta_sorted_order(&customers);
+    let mut result = rta_over_order(&tree, &customers, &order, &q, k, &mut ctx);
+    result.sort_unstable();
+    let stats = ctx.rta;
     println!(
         "reverse top-{k}: {} of {} households shortlist the bundle",
         result.len(),

@@ -4,8 +4,8 @@
 #
 #   BENCH_engine.json   — batched-engine vs sequential throughput on the
 #                         mixed workload, at 1 worker and at --workers;
-#   BENCH_rank.json     — single bichromatic reverse top-k latency: flat
-#                         rank kernels vs the legacy RTA path, plus engine
+#   BENCH_rank.json     — single bichromatic reverse top-k latency: the
+#                         flat-kernel RTA vs the naive oracle, plus engine
 #                         worker scaling (1 vs --workers);
 #   BENCH_mutation.json — append-heavy interleaved workload: the delta
 #                         overlay vs the rebuild-per-mutation baseline;

@@ -14,7 +14,7 @@ use wqrtq::engine::{
     Engine, PlanDelta, RefineStrategy, Request, Response, WhyNotOptions as EngineOptions,
 };
 use wqrtq::geom::{DeltaView, FlatPoints, Weight};
-use wqrtq::query::rank::rank_of_point_scan;
+use wqrtq::query::{rank::rank_of_point_scan, ProbeCtx, Snapshot};
 use wqrtq::rtree::RTree;
 
 const PRODUCTS_2D: [f64; 14] = [
@@ -59,7 +59,7 @@ proptest! {
         let w = Weight::normalized(wraw);
         prop_assume!(rank_of_point_scan(&pts, &w, &qraw) > k);
         let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &pts)));
-        let wqrtq = Wqrtq::with_view(&tree, view, &qraw, k).unwrap();
+        let wqrtq = Wqrtq::new(Snapshot::from(&tree).overlay(&view), &qraw, k).unwrap();
         let wn = vec![w];
         let options = WhyNotOptions {
             sample_size: 80,
@@ -112,7 +112,7 @@ fn legacy_oracle(engine: &Engine, request: &Request) -> Response {
     };
     let handle = engine.catalog().handle(request.dataset()).unwrap();
     let wn: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
-    let wqrtq = Wqrtq::with_view(handle.index.clone(), handle.view.clone(), q, k).unwrap();
+    let wqrtq = Wqrtq::new(handle.snapshot(), q, k).unwrap();
     let answer = match strategy {
         RefineStrategy::Mqp => wqrtq.modify_query(&wn),
         RefineStrategy::Mwk { sample_size, seed } => {
@@ -205,12 +205,12 @@ fn legacy_shims_answer_bit_identically_to_the_pre_advisor_path() {
         limit: 10,
     });
     let handle = engine.catalog().handle("products").unwrap();
-    let (oracle, _) = wqrtq::core::explain_view_with_stats(
-        &handle.index,
-        &handle.view,
+    let oracle = wqrtq::core::explain(
+        handle.snapshot(),
         &[0.1, 0.9],
         &[4.0, 4.0],
         10,
+        &mut ProbeCtx::new(),
     );
     match served {
         Response::Explanation {

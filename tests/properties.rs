@@ -53,7 +53,7 @@ proptest! {
         let tree = RTree::bulk_load(3, &pts);
         prop_assume!(!tree.is_empty());
         let w = Weight::normalized(wraw);
-        let frontier = DominanceFrontier::from_tree(&tree, &qraw);
+        let frontier = DominanceFrontier::new(&tree, &qraw);
         prop_assert_eq!(
             frontier.rank_under(&w),
             rank_of_point_scan(&pts, &w, &qraw)
