@@ -1,4 +1,5 @@
-//! Why-not advisor plan vs sequential legacy calls, as a JSON report.
+//! Why-not advisor plan throughput and streaming head start, as a JSON
+//! report.
 //!
 //! ```text
 //! cargo run --release -p wqrtq-bench --bin whynot_bench
@@ -6,7 +7,7 @@
 //! ```
 
 use std::io::Write;
-use wqrtq_bench::whynot_bench::{compare, WhyNotBenchConfig};
+use wqrtq_bench::whynot_bench::{run, WhyNotBenchConfig};
 
 fn main() {
     let mut cfg = WhyNotBenchConfig::default();
@@ -62,19 +63,13 @@ fn main() {
         "whynot bench: |P| = {}, {} cases x {} vectors, k = {}, |S| = {}, |Q| = {}, {} workers",
         cfg.n, cfg.rounds, cfg.why_not, cfg.k, cfg.sample_size, cfg.query_samples, cfg.workers
     );
-    let report = compare(&cfg);
+    let report = run(&cfg);
     eprintln!(
-        "plan requests  : {:>8.1} cases/s  ({} requests)\n\
-         legacy bundles : {:>8.1} cases/s  ({} requests)\n\
-         speedup        : {:>8.3}x   streaming headstart {:.1}x\n\
-         recommendation matches legacy minimum: {}; steps verified: {}",
+        "plan requests  : {:>8.1} cases/s  ({} cases)\n\
+         streaming headstart {:.1}x; steps verified: {}",
         report.plan.cases_per_sec(),
-        report.plan.requests,
-        report.legacy.cases_per_sec(),
-        report.legacy.requests,
-        report.speedup(),
+        report.plan.rounds,
         report.streaming_headstart,
-        report.recommendation_matches_legacy_minimum,
         report.plan_steps_verified,
     );
     let json = report.to_json();

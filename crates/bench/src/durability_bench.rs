@@ -28,6 +28,7 @@
 //! The binary `durability_bench` emits the JSON report
 //! `scripts/bench.sh` writes to `BENCH_durability.json`.
 
+use crate::engine_bench::mqp_plan_request;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 use wqrtq_data::synthetic::independent;
@@ -323,12 +324,7 @@ fn battery(dim: usize) -> Vec<Request> {
             q: vec![0.4; dim],
             k: 10,
         },
-        Request::WhyNotExplain {
-            dataset: "bench".into(),
-            weight: skew,
-            q: vec![0.2; dim],
-            limit: 8,
-        },
+        mqp_plan_request(vec![0.2; dim], 10, skew, 8),
     ]
 }
 

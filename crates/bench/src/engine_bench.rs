@@ -14,7 +14,8 @@
 //! (`scripts/bench.sh` writes it to `BENCH_engine.json`).
 
 use std::time::{Duration, Instant};
-use wqrtq_core::{explain, ProbeCtx};
+use wqrtq_core::advisor::{StrategyKind, WhyNotOptions};
+use wqrtq_core::framework::Wqrtq;
 use wqrtq_data::synthetic::independent;
 use wqrtq_engine::{Engine, Histogram, HistogramSnapshot, Request, Response};
 use wqrtq_geom::Weight;
@@ -177,10 +178,28 @@ impl EngineComparison {
     }
 }
 
-/// The mixed request stream: mostly top-k probes with periodic why-not
-/// explanations and bichromatic reverse top-k calls, `rounds` distinct
-/// batches followed by one repeated batch (the cache's best case — and a
-/// no-op for the baselines, which recompute it).
+/// The why-not slot of the serving benches' request mixes: one
+/// single-strategy plan (explanation capped at `culprit_limit`, then MQP)
+/// against the `"bench"` dataset.
+pub fn mqp_plan_request(q: Vec<f64>, k: usize, w: Vec<f64>, culprit_limit: usize) -> Request {
+    Request::WhyNot {
+        dataset: "bench".into(),
+        q,
+        k,
+        why_not: vec![w],
+        options: WhyNotOptions {
+            strategies: vec![StrategyKind::Mqp],
+            culprit_limit,
+            exact_2d: false,
+            ..WhyNotOptions::default()
+        },
+    }
+}
+
+/// The mixed request stream: mostly top-k probes with periodic
+/// single-strategy why-not plans and bichromatic reverse top-k calls,
+/// `rounds` distinct batches followed by one repeated batch (the cache's
+/// best case — and a no-op for the baselines, which recompute it).
 pub fn request_stream(cfg: &EngineBenchConfig) -> Vec<Vec<Request>> {
     let mut batches: Vec<Vec<Request>> = (0..cfg.rounds)
         .map(|round| {
@@ -189,12 +208,7 @@ pub fn request_stream(cfg: &EngineBenchConfig) -> Vec<Vec<Request>> {
                     let t = (round * cfg.batch + i) as f64 / (cfg.rounds * cfg.batch) as f64;
                     let w = stream_weight(cfg.dim, t);
                     match i % 8 {
-                        6 => Request::WhyNotExplain {
-                            dataset: "bench".into(),
-                            weight: w,
-                            q: vec![0.35; cfg.dim],
-                            limit: 16,
-                        },
+                        6 => mqp_plan_request(vec![0.35; cfg.dim], 10, w, 16),
                         7 => Request::ReverseTopKBi {
                             dataset: "bench".into(),
                             weights: wqrtq_engine::WeightSet::Named("population".into()),
@@ -258,9 +272,19 @@ fn run_sequential(cfg: &EngineBenchConfig, coords: &[f64], rebuild_per_call: boo
             };
             match request {
                 Request::TopK { weight, k, .. } => sink += topk(tree, &weight, k).len(),
-                Request::WhyNotExplain {
-                    weight, q, limit, ..
-                } => sink += explain(tree, &weight, &q, limit, &mut ProbeCtx::new()).rank,
+                Request::WhyNot {
+                    q,
+                    k,
+                    why_not,
+                    options,
+                    ..
+                } => {
+                    let why_not: Vec<Weight> = why_not.into_iter().map(Weight::new).collect();
+                    let plan = Wqrtq::new(tree, &q, k)
+                        .and_then(|w| w.advise(&why_not, &options))
+                        .expect("stream only emits genuine why-not vectors");
+                    sink += plan.explanations[0].rank;
+                }
                 Request::ReverseTopKBi { q, k, .. } => {
                     sink += bichromatic_reverse_topk_rta(tree, &pop, &q, k).len()
                 }

@@ -26,4 +26,4 @@ pub use params::{Config, DatasetKind, Profile};
 pub use rank_bench::{RankBenchConfig, RankComparison};
 pub use scale_bench::{ScaleBenchConfig, ScaleCell, ScaleReport, TierTiming};
 pub use server_bench::{ServerBenchConfig, ServerComparison, SweepPoint};
-pub use whynot_bench::{WhyNotBenchConfig, WhyNotComparison};
+pub use whynot_bench::{WhyNotBenchConfig, WhyNotReport};

@@ -21,6 +21,7 @@
 //! claim to equivalent answers. The binary `mutation_bench` emits the
 //! JSON report `scripts/bench.sh` writes to `BENCH_mutation.json`.
 
+use crate::engine_bench::mqp_plan_request;
 use std::time::{Duration, Instant};
 use wqrtq_data::synthetic::independent;
 use wqrtq_engine::{Engine, Histogram, Request, Response};
@@ -201,7 +202,9 @@ fn workload(cfg: &MutationBenchConfig) -> Vec<Op> {
             }
         } else if i % 6 == 1 {
             let w: Vec<f64> = (0..cfg.dim).map(|_| 0.05 + unit(&mut state)).collect();
-            let q: Vec<f64> = (0..cfg.dim).map(|_| 0.3 * unit(&mut state)).collect();
+            // Kept off the origin so `q` ranks well past `k` and the
+            // vector is a genuine why-not vector.
+            let q: Vec<f64> = (0..cfg.dim).map(|_| 0.2 + 0.3 * unit(&mut state)).collect();
             ops.push(Op::Explain(normalize(w), q));
         } else {
             let w: Vec<f64> = (0..cfg.dim).map(|_| 0.05 + unit(&mut state)).collect();
@@ -261,12 +264,9 @@ impl RebuildBaseline {
                 assert!(!r.is_error(), "baseline TopK failed");
             }
             Op::Explain(w, q) => {
-                let r = self.engine.submit(Request::WhyNotExplain {
-                    dataset: "bench".into(),
-                    weight: w.clone(),
-                    q: q.clone(),
-                    limit: k,
-                });
+                let r = self
+                    .engine
+                    .submit(mqp_plan_request(q.clone(), k, w.clone(), k));
                 assert!(!r.is_error(), "baseline explain failed");
             }
         }
@@ -307,12 +307,7 @@ fn run_overlay(cfg: &MutationBenchConfig, coords: &[f64], ops: &[Op]) -> (Mutati
                 assert!(!r.is_error(), "overlay TopK failed");
             }
             Op::Explain(w, q) => {
-                let r = engine.submit(Request::WhyNotExplain {
-                    dataset: "bench".into(),
-                    weight: w.clone(),
-                    q: q.clone(),
-                    limit: cfg.k,
-                });
+                let r = engine.submit(mqp_plan_request(q.clone(), cfg.k, w.clone(), cfg.k));
                 assert!(!r.is_error(), "overlay explain failed");
             }
         }

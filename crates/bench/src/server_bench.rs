@@ -16,7 +16,7 @@
 //! The binary `server_bench` runs the comparison and emits a JSON
 //! report (`scripts/bench.sh` writes it to `BENCH_server.json`).
 
-use crate::engine_bench::{throughput_json, Throughput};
+use crate::engine_bench::{mqp_plan_request, throughput_json, Throughput};
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
@@ -257,7 +257,7 @@ fn sweep_grid(cfg: &ServerBenchConfig) -> Vec<(usize, usize)> {
 /// the wire. (The extra stats connection adds a frame and a few
 /// syscalls to the totals — noise against a sweep point's hundreds.)
 fn wire_counters(addr: std::net::SocketAddr) -> ServerCounters {
-    let mut client = Client::connect(addr).expect("connect stats probe");
+    let mut client = Client::connect_v2(addr).expect("connect stats probe");
     client
         .stats()
         .expect("stats over the wire")
@@ -292,12 +292,7 @@ fn conn_stream(cfg: &ServerBenchConfig, tag: usize, conn: usize) -> Vec<Request>
                 tag as f64 * 37.0 + conn as f64 * 11.0 + i as f64 / cfg.requests_per_conn as f64;
             let w = stream_weight(cfg.dim, t);
             match i % 16 {
-                14 => Request::WhyNotExplain {
-                    dataset: "bench".into(),
-                    weight: w,
-                    q: vec![0.35; cfg.dim],
-                    limit: 16,
-                },
+                14 => mqp_plan_request(vec![0.35; cfg.dim], 10, w, 16),
                 15 => Request::ReverseTopKBi {
                     dataset: "bench".into(),
                     weights: WeightSet::Named("population".into()),
@@ -336,7 +331,7 @@ fn drive_connection(
     depth: usize,
     latency: &Histogram,
 ) -> (Vec<Response>, u64) {
-    let mut client = Client::connect(addr).expect("connect load generator");
+    let mut client = Client::connect_v2(addr).expect("connect load generator");
     let mut outstanding: HashMap<u64, (usize, Instant)> = HashMap::new();
     let mut responses: Vec<Option<Response>> = vec![None; stream.len()];
     let mut busy_retries = 0u64;
@@ -358,6 +353,10 @@ fn drive_connection(
             }
         }
         let (id, frame) = client.recv().expect("pipelined recv");
+        // A plan's streamed partials precede the reply they belong to.
+        if matches!(frame, ServerFrame::ReplyPart(_)) {
+            continue;
+        }
         let (slot, sent) = outstanding.remove(&id).expect("response for in-flight id");
         match frame {
             ServerFrame::Reply(response) => {
@@ -510,7 +509,7 @@ pub fn compare(cfg: &ServerBenchConfig) -> ServerComparison {
     // decomposition (admission/queue/execute/serialize) from the
     // engine's histograms, and the full stats snapshot exactly as a
     // wire `Request::Stats` returns it (counters included).
-    let mut stats_client = Client::connect(server.local_addr()).expect("connect stats probe");
+    let mut stats_client = Client::connect_v2(server.local_addr()).expect("connect stats probe");
     let snapshot = stats_client.stats().expect("final stats over the wire");
     let counters = snapshot.server.expect("wire stats carry server counters");
     let stats_json = snapshot.to_json();

@@ -1,37 +1,28 @@
-//! Why-not advisor benchmark: one [`Request::WhyNot`] plan against the
-//! equivalent hand-rolled sequence of legacy calls.
+//! Why-not advisor benchmark: [`Request::WhyNot`] plans through the
+//! engine.
 //!
-//! Before the advisor, a caller wanting the paper's actual deliverable —
-//! "which refinement is cheapest?" — had to issue one `WhyNotExplain`
-//! per why-not vector plus all three `WhyNotRefine` strategies, then
-//! compare penalties by hand. The plan request does the same work in a
-//! single round trip through the engine (one validation pass, one cache
-//! entry, one queue hop) and additionally verifies every answer and
-//! breaks every penalty into its terms.
+//! Two things are measured (distinct query points per round, so the
+//! result cache never flatters the numbers):
 //!
-//! Two things are measured on identical workloads (distinct query
-//! points per round, so the result cache never flatters either side):
-//!
-//! * **throughput** — plans per second vs. legacy bundles per second
-//!   (`speedup_plan_vs_legacy_calls`); the plan runs with the exact-2D
-//!   path pinned off so both sides execute the same algorithms;
+//! * **throughput** — plans per second, with the exact-2D path pinned
+//!   off so every round runs the sampled MWK/MQWK algorithms;
 //! * **streaming latency** — how much sooner the first progressive
 //!   partial (an explanation) lands than the full plan
 //!   (`streaming_headstart` = full-plan time / first-partial time).
 //!
-//! Correctness anchors: the plan's recommendation must equal the
-//! minimum of the three legacy penalties bit for bit, and every plan
-//! step must carry `verified = true`. The binary `whynot_bench` emits
-//! the JSON report `scripts/bench.sh` writes to `BENCH_whynot.json`.
+//! Correctness anchor: every plan step must carry `verified = true`
+//! (that the recommendation is the minimum-penalty step is a proptest in
+//! `tests/advisor.rs`). The binary `whynot_bench` emits the JSON report
+//! `scripts/bench.sh` writes to `BENCH_whynot.json`.
 
 use std::time::{Duration, Instant};
 use wqrtq_core::advisor::WhyNotOptions;
 use wqrtq_data::synthetic::independent;
-use wqrtq_engine::{Engine, Histogram, PlanDelta, RefineStrategy, Request, Response};
+use wqrtq_engine::{Engine, Histogram, PlanDelta, Request, Response};
 use wqrtq_geom::Weight;
 use wqrtq_query::rank::rank_of_point_scan;
 
-/// Workload shape for the advisor comparison.
+/// Workload shape for the advisor benchmark.
 #[derive(Clone, Copy, Debug)]
 pub struct WhyNotBenchConfig {
     /// Dataset cardinality.
@@ -67,17 +58,14 @@ impl Default for WhyNotBenchConfig {
     }
 }
 
-/// One side's timed run.
+/// The timed plan run.
 #[derive(Clone, Copy, Debug)]
 pub struct WhyNotTiming {
-    /// Cases served.
+    /// Cases served (one plan request each).
     pub rounds: usize,
-    /// Requests issued (1 per case for plans; `why_not + 3` for legacy).
-    pub requests: usize,
     /// Total wall-clock.
     pub elapsed: Duration,
-    /// Median per-case latency in microseconds (a legacy case is the
-    /// whole explain + three-refines bundle).
+    /// Median per-case latency in microseconds.
     pub p50_us: f64,
     /// 99th-percentile per-case latency in microseconds.
     pub p99_us: f64,
@@ -90,56 +78,32 @@ impl WhyNotTiming {
     }
 }
 
-/// The full comparison report.
+/// The full report.
 #[derive(Clone, Debug)]
-pub struct WhyNotComparison {
+pub struct WhyNotReport {
     /// Configuration measured.
     pub config: WhyNotBenchConfig,
     /// One-request plan timing.
     pub plan: WhyNotTiming,
-    /// Explain-per-vector + three-refines timing.
-    pub legacy: WhyNotTiming,
     /// Full-plan time / first-partial time on an uncached streamed case.
     pub streaming_headstart: f64,
-    /// Every plan recommendation equalled the legacy minimum bit for bit.
-    pub recommendation_matches_legacy_minimum: bool,
     /// Every plan step carried `verified = true`.
     pub plan_steps_verified: bool,
 }
 
-impl WhyNotComparison {
-    /// plan cases/s over legacy cases/s.
-    pub fn speedup(&self) -> f64 {
-        self.plan.cases_per_sec() / self.legacy.cases_per_sec().max(1e-12)
-    }
-
+impl WhyNotReport {
     /// The report as a JSON object (hand-rolled; std-only workspace).
     pub fn to_json(&self) -> String {
-        let timing = |t: &WhyNotTiming| {
-            format!(
-                concat!(
-                    "{{\"rounds\": {}, \"requests\": {}, \"seconds\": {:.6}, ",
-                    "\"cases_per_sec\": {:.1}, \"p50_us\": {:.3}, \"p99_us\": {:.3}}}"
-                ),
-                t.rounds,
-                t.requests,
-                t.elapsed.as_secs_f64(),
-                t.cases_per_sec(),
-                t.p50_us,
-                t.p99_us,
-            )
-        };
+        let t = &self.plan;
         format!(
             concat!(
                 "{{\n",
-                "  \"bench\": \"whynot_plan_vs_legacy_calls\",\n",
+                "  \"bench\": \"whynot_plan\",\n",
                 "  \"config\": {{\"n\": {}, \"rounds\": {}, \"why_not\": {}, \"k\": {}, ",
                 "\"sample_size\": {}, \"query_samples\": {}, \"workers\": {}, \"seed\": {}}},\n",
-                "  \"plan\": {},\n",
-                "  \"legacy_calls\": {},\n",
-                "  \"speedup_plan_vs_legacy_calls\": {:.3},\n",
+                "  \"plan\": {{\"rounds\": {}, \"seconds\": {:.6}, ",
+                "\"cases_per_sec\": {:.1}, \"p50_us\": {:.3}, \"p99_us\": {:.3}}},\n",
                 "  \"streaming_headstart\": {:.2},\n",
-                "  \"plan_matches_legacy_minimum\": {},\n",
                 "  \"plan_steps_verified\": {}\n",
                 "}}"
             ),
@@ -151,11 +115,12 @@ impl WhyNotComparison {
             self.config.query_samples,
             self.config.workers,
             self.config.seed,
-            timing(&self.plan),
-            timing(&self.legacy),
-            self.speedup(),
+            t.rounds,
+            t.elapsed.as_secs_f64(),
+            t.cases_per_sec(),
+            t.p50_us,
+            t.p99_us,
             self.streaming_headstart,
-            self.recommendation_matches_legacy_minimum,
             self.plan_steps_verified,
         )
     }
@@ -223,9 +188,8 @@ fn plan_options(cfg: &WhyNotBenchConfig) -> WhyNotOptions {
         sample_size: cfg.sample_size,
         query_samples: cfg.query_samples,
         seed: cfg.seed,
-        // Pinned off so the plan and the legacy calls run the *same*
-        // algorithms — the speedup measures the surface, not a better
-        // algorithm sneaking in.
+        // Pinned off so the sampled MWK path is what gets measured, not
+        // the exact 2-D sweep this 2-D workload would auto-select.
         exact_2d: false,
         ..WhyNotOptions::default()
     }
@@ -241,8 +205,8 @@ fn plan_request(cfg: &WhyNotBenchConfig, case: &Case) -> Request {
     }
 }
 
-/// Runs the full comparison.
-pub fn compare(cfg: &WhyNotBenchConfig) -> WhyNotComparison {
+/// Runs the benchmark.
+pub fn run(cfg: &WhyNotBenchConfig) -> WhyNotReport {
     let ds = independent(cfg.n, 2, cfg.seed);
     let all_cases = cases(cfg, &ds.coords, 1);
     let (timed_cases, streamed_case) = all_cases.split_at(cfg.rounds);
@@ -253,74 +217,14 @@ pub fn compare(cfg: &WhyNotBenchConfig) -> WhyNotComparison {
         .expect("register");
     engine.catalog().handle("bench").expect("warm index");
 
-    // Legacy side: one explain per vector + all three strategies, the
-    // pre-advisor recipe for "which refinement is cheapest?".
-    let mut legacy_minima: Vec<f64> = Vec::with_capacity(cfg.rounds);
-    let mut legacy_requests = 0usize;
-    let legacy_latency = Histogram::new();
-    let legacy_start = Instant::now();
-    for case in timed_cases {
-        let case_began = Instant::now();
-        for w in &case.why_not {
-            let r = engine.submit(Request::WhyNotExplain {
-                dataset: "bench".into(),
-                weight: w.clone(),
-                q: case.q.clone(),
-                limit: 16,
-            });
-            assert!(!r.is_error(), "legacy explain failed: {r:?}");
-            legacy_requests += 1;
-        }
-        let mut min = f64::INFINITY;
-        for strategy in [
-            RefineStrategy::Mqp,
-            RefineStrategy::Mwk {
-                sample_size: cfg.sample_size,
-                seed: cfg.seed,
-            },
-            RefineStrategy::Mqwk {
-                sample_size: cfg.sample_size,
-                query_samples: cfg.query_samples,
-                seed: cfg.seed,
-            },
-        ] {
-            let r = engine.submit(Request::WhyNotRefine {
-                dataset: "bench".into(),
-                q: case.q.clone(),
-                k: cfg.k,
-                why_not: case.why_not.clone(),
-                strategy,
-            });
-            legacy_requests += 1;
-            match r {
-                Response::Refinement(refinement) => min = min.min(refinement.penalty),
-                other => panic!("legacy refine failed: {other:?}"),
-            }
-        }
-        legacy_minima.push(min);
-        legacy_latency.record_duration(case_began.elapsed());
-    }
-    let legacy_snap = legacy_latency.snapshot();
-    let legacy = WhyNotTiming {
-        rounds: cfg.rounds,
-        requests: legacy_requests,
-        elapsed: legacy_start.elapsed(),
-        p50_us: legacy_snap.quantile_micros(0.50),
-        p99_us: legacy_snap.quantile_micros(0.99),
-    };
-
-    // Plan side: the same cases, one request each.
-    let mut matches = true;
+    // One plan request per case.
     let mut verified = true;
     let plan_latency = Histogram::new();
     let plan_start = Instant::now();
-    for (case, legacy_min) in timed_cases.iter().zip(&legacy_minima) {
+    for case in timed_cases {
         let case_began = Instant::now();
         match engine.submit(plan_request(cfg, case)) {
-            Response::Plan(plan) => {
-                matches &= plan.recommended().refinement.penalty.to_bits() == legacy_min.to_bits();
-                verified &= plan.steps.iter().all(|s| s.verified);
-            }
+            Response::Plan(plan) => verified &= plan.steps.iter().all(|s| s.verified),
             other => panic!("plan request failed: {other:?}"),
         }
         plan_latency.record_duration(case_began.elapsed());
@@ -328,7 +232,6 @@ pub fn compare(cfg: &WhyNotBenchConfig) -> WhyNotComparison {
     let plan_snap = plan_latency.snapshot();
     let plan = WhyNotTiming {
         rounds: cfg.rounds,
-        requests: cfg.rounds,
         elapsed: plan_start.elapsed(),
         p50_us: plan_snap.quantile_micros(0.50),
         p99_us: plan_snap.quantile_micros(0.99),
@@ -366,12 +269,10 @@ pub fn compare(cfg: &WhyNotBenchConfig) -> WhyNotComparison {
     let full = full_plan.expect("plan completed").as_secs_f64();
     let streaming_headstart = full / first.max(1e-9);
 
-    WhyNotComparison {
+    WhyNotReport {
         config: *cfg,
         plan,
-        legacy,
         streaming_headstart,
-        recommendation_matches_legacy_minimum: matches,
         plan_steps_verified: verified,
     }
 }
@@ -394,21 +295,14 @@ mod tests {
     }
 
     #[test]
-    fn comparison_runs_and_report_is_json_shaped() {
-        let c = compare(&tiny());
+    fn bench_runs_and_report_is_json_shaped() {
+        let c = run(&tiny());
         assert_eq!(c.plan.rounds, 4);
-        assert_eq!(c.plan.requests, 4);
-        assert_eq!(c.legacy.requests, 4 * (2 + 3));
-        assert!(
-            c.recommendation_matches_legacy_minimum,
-            "plan must recommend the legacy minimum"
-        );
         assert!(c.plan_steps_verified, "every step must verify");
         assert!(c.streaming_headstart >= 1.0);
         let json = c.to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"speedup_plan_vs_legacy_calls\""));
-        assert!(json.contains("\"plan_matches_legacy_minimum\": true"));
+        assert!(json.contains("\"streaming_headstart\""));
         assert!(json.contains("\"plan_steps_verified\": true"));
         assert!(json.contains("\"p50_us\""));
         assert!(json.contains("\"p99_us\""));

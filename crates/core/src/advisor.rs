@@ -87,9 +87,9 @@ pub struct WhyNotOptions {
     /// Seed for every sampling step (determinism is seed-driven).
     pub seed: u64,
     /// Allow the advisor to auto-select the exact 2-D MWK path (globally
-    /// optimal, no sampling) when the data is two-dimensional. Disabled
-    /// by the legacy one-strategy shims, which must reproduce the
-    /// sampled behaviour bit for bit.
+    /// optimal, no sampling) when the data is two-dimensional. Disable
+    /// it to pin the sampled path (e.g. to reproduce a direct
+    /// `modify_preferences` call bit for bit).
     pub exact_2d: bool,
 }
 
@@ -212,18 +212,29 @@ fn canonical_strategies(requested: &[StrategyKind]) -> Vec<StrategyKind> {
 }
 
 impl Wqrtq<'_> {
-    /// Runs one strategy on an **already validated** why-not set —
-    /// no re-validation, no verification, no breakdown: exactly the
-    /// compute of the matching `modify_*` call minus its validation
-    /// pass. Shared by [`Wqrtq::refine_step`] and
-    /// [`Wqrtq::refine_answer`].
-    fn answer_for(
+    /// Runs one refinement strategy under `options` and packages it as a
+    /// plan step (penalty breakdown + verification + stats).
+    ///
+    /// `ranks` are the actual ranks of `q` under the original why-not
+    /// vectors **as returned by [`Wqrtq::validate_why_not`]** — passing
+    /// them is the caller's proof that the set was validated; the
+    /// strategies run without a second validation pass (an unvalidated
+    /// set reaches algorithm preconditions directly and may panic).
+    ///
+    /// # Errors
+    /// Propagates the strategy's own failures (dataset smaller than
+    /// `k`, QP failure).
+    pub fn refine_step(
         &self,
         why_not: &[Weight],
         strategy: StrategyKind,
         options: &WhyNotOptions,
-    ) -> Result<(WqrtqAnswer, StepStats), WhyNotError> {
-        Ok(match strategy {
+        ranks: &[usize],
+    ) -> Result<RankedStep, WhyNotError> {
+        let k_max = ranks.iter().copied().max().unwrap_or(self.k());
+        // Exactly the compute of the matching `modify_*` call minus its
+        // validation pass.
+        let (answer, stats) = match strategy {
             StrategyKind::Mqp => (
                 self.answer_mqp(why_not)?,
                 StepStats {
@@ -270,49 +281,7 @@ impl Wqrtq<'_> {
                     query_samples: options.query_samples,
                 },
             ),
-        })
-    }
-
-    /// Runs one refinement strategy under `options` and returns just the
-    /// answer — the thin path the legacy one-strategy serving shims use.
-    /// Validates the why-not set once and then performs exactly the
-    /// compute of the matching `modify_*` call (no verification, no
-    /// breakdown), so a shimmed legacy request costs what it always did
-    /// and answers bit-identically.
-    ///
-    /// # Errors
-    /// Propagates validation and the strategy's own failures.
-    pub fn refine_answer(
-        &self,
-        why_not: &[Weight],
-        strategy: StrategyKind,
-        options: &WhyNotOptions,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        Ok(self.answer_for(why_not, strategy, options)?.0)
-    }
-
-    /// Runs one refinement strategy under `options` and packages it as a
-    /// plan step (penalty breakdown + verification + stats).
-    ///
-    /// `ranks` are the actual ranks of `q` under the original why-not
-    /// vectors **as returned by [`Wqrtq::validate_why_not`]** — passing
-    /// them is the caller's proof that the set was validated; the
-    /// strategies run without a second validation pass (an unvalidated
-    /// set reaches algorithm preconditions directly and may panic).
-    ///
-    /// # Errors
-    /// Propagates the strategy's own failures (dataset smaller than
-    /// `k`, QP failure).
-    pub fn refine_step(
-        &self,
-        why_not: &[Weight],
-        strategy: StrategyKind,
-        options: &WhyNotOptions,
-        ranks: &[usize],
-    ) -> Result<RankedStep, WhyNotError> {
-        let k_max = ranks.iter().copied().max().unwrap_or(self.k());
-        let (answer, stats) = self.answer_for(why_not, strategy, options)?;
+        };
         let breakdown = self.breakdown(why_not, &answer, k_max);
         let verified = self.verify(why_not, &answer);
         Ok(RankedStep {
@@ -629,9 +598,8 @@ mod tests {
 
     #[test]
     fn refine_step_matches_the_one_shot_facade_calls_bit_for_bit() {
-        // The legacy serving shims route through refine_step with
-        // exact_2d disabled; it must reproduce the direct facade calls
-        // exactly.
+        // With exact_2d disabled a plan step must reproduce the direct
+        // facade calls exactly.
         let tree = fig_tree();
         let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
         let wn = kevin_julia();

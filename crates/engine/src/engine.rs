@@ -439,55 +439,19 @@ impl Engine {
     }
 
     /// Enqueues one request and returns immediately; `complete` runs on
-    /// the worker thread that finished it. This is the serving layer's
-    /// entry point: a connection session can keep `N` requests in flight
-    /// without parking `N` threads, and responses are routed wherever
-    /// the caller's completion puts them (tagged by whatever id the
-    /// caller captured), so they may finish out of submission order.
+    /// the worker thread that finished it, so a caller can keep `N`
+    /// requests in flight without parking `N` threads, and responses may
+    /// finish out of submission order. For a [`Request::WhyNot`],
+    /// `progress` observes **partial results** on the worker thread as
+    /// each advisor step completes (explanations first, then one call
+    /// per refinement strategy, in execution order), strictly before
+    /// `complete` delivers the final ranked plan. Other request kinds
+    /// never invoke `progress`, and neither does a result served from
+    /// the cache — the plan arrives whole in that case.
     ///
-    /// The completion must be quick and non-blocking — it runs on a pool
-    /// worker, and blocking there stalls every queued request behind it.
-    pub fn submit_with(&self, request: Request, complete: impl FnOnce(Response) + Send + 'static) {
-        self.submit_with_trace(request, self.next_trace_id(), complete);
-    }
-
-    /// [`Engine::submit_with`] under a caller-assigned trace id — the
-    /// wire boundary's entry point (the server composes
-    /// `connection id << 32 | frame id`, so a slow-log entry names the
-    /// exact frame on the exact connection).
-    pub fn submit_with_trace(
-        &self,
-        request: Request,
-        trace_id: u64,
-        complete: impl FnOnce(Response) + Send + 'static,
-    ) {
-        // Stats requests leave every counter untouched end to end, so
-        // the snapshot they return equals `Engine::metrics()` at the
-        // same quiesced point.
-        if !matches!(request, Request::Stats) {
-            self.metrics.record_async_submit();
-        }
-        self.enqueue(Job::Serve {
-            request,
-            reply: Completion::Callback(Box::new(complete)),
-            progress: None,
-            trace: TraceContext {
-                trace_id,
-                submitted: Instant::now(),
-            },
-        });
-    }
-
-    /// [`Engine::submit_with`], additionally observing **partial
-    /// results**: for a [`Request::WhyNot`], `progress` runs on the
-    /// worker thread as each advisor step completes (explanations first,
-    /// then one call per refinement strategy, in execution order),
-    /// strictly before `complete` delivers the final ranked plan. Other
-    /// request kinds never invoke `progress`, and neither does a result
-    /// served from the cache — the plan arrives whole in that case.
-    ///
-    /// Like completions, the observer must be quick and non-blocking: it
-    /// runs inline on a pool worker.
+    /// Both callbacks must be quick and non-blocking: they run inline on
+    /// a pool worker, and blocking there stalls every queued request
+    /// behind it.
     pub fn submit_with_progress(
         &self,
         request: Request,
@@ -497,8 +461,10 @@ impl Engine {
         self.submit_with_progress_trace(request, self.next_trace_id(), progress, complete);
     }
 
-    /// [`Engine::submit_with_progress`] under a caller-assigned trace
-    /// id (see [`Engine::submit_with_trace`]).
+    /// [`Engine::submit_with_progress`] under a caller-assigned trace id
+    /// — the wire boundary's entry point (the server composes
+    /// `connection id << 32 | frame id`, so a slow-log entry names the
+    /// exact frame on the exact connection).
     pub fn submit_with_progress_trace(
         &self,
         request: Request,
@@ -506,6 +472,9 @@ impl Engine {
         progress: impl FnMut(crate::request::PlanDelta) + Send + 'static,
         complete: impl FnOnce(Response) + Send + 'static,
     ) {
+        // Stats requests leave every counter untouched end to end, so
+        // the snapshot they return equals `Engine::metrics()` at the
+        // same quiesced point.
         if !matches!(request, Request::Stats) {
             self.metrics.record_async_submit();
         }
@@ -522,18 +491,19 @@ impl Engine {
 
     /// Submits a run of pipelined requests in one queue operation, each
     /// with its own caller-assigned trace id and completion (the same
-    /// contract as [`Engine::submit_with_trace`], amortised): the run is
-    /// wrapped in a single claimable task and `min(workers, len)` job
-    /// sentinels are enqueued, so a serving layer that decoded a burst
-    /// of frames pays one mpsc send per *worker that could help*, not
-    /// one per request — while idle workers still steal individual
-    /// items, so a fast request behind a slow one overtakes it exactly
-    /// as it would have under per-request submission.
+    /// contract as [`Engine::submit_with_progress_trace`], amortised):
+    /// the run is wrapped in a single claimable task and
+    /// `min(workers, len)` job sentinels are enqueued, so a serving layer
+    /// that decoded a burst of frames pays one mpsc send per *worker
+    /// that could help*, not one per request — while idle workers still
+    /// steal individual items, so a fast request behind a slow one
+    /// overtakes it exactly as it would have under per-request
+    /// submission.
     ///
     /// Completions run on worker threads and must be quick and
     /// non-blocking, like every completion-routed path. Requests that
-    /// need progressive partial results ([`Request::WhyNot`] over wire
-    /// v2) should keep using [`Engine::submit_with_progress_trace`].
+    /// need progressive partial results ([`Request::WhyNot`] over the
+    /// wire) should keep using [`Engine::submit_with_progress_trace`].
     pub fn submit_batch_with(&self, items: Vec<BatchSubmission>) {
         if items.is_empty() {
             return;
@@ -669,7 +639,19 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{RefineStrategy, WeightSet};
+    use crate::request::WeightSet;
+    use wqrtq_core::advisor::{StrategyKind, WhyNotOptions};
+
+    /// One-strategy, sampled-path options (the single-strategy form of
+    /// a why-not question).
+    fn mqp_only(culprit_limit: usize) -> WhyNotOptions {
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mqp],
+            culprit_limit,
+            exact_2d: false,
+            ..WhyNotOptions::default()
+        }
+    }
 
     fn figure1_engine(workers: usize) -> Engine {
         let engine = Engine::builder()
@@ -721,18 +703,19 @@ mod tests {
                 samples: 0,
                 seed: 0,
             },
-            Request::WhyNotExplain {
+            Request::WhyNot {
                 dataset: "products".into(),
-                weight: vec![0.1, 0.9],
                 q: vec![4.0, 4.0],
-                limit: 10,
+                k: 3,
+                why_not: vec![vec![0.1, 0.9]],
+                options: mqp_only(10),
             },
-            Request::WhyNotRefine {
+            Request::WhyNot {
                 dataset: "products".into(),
                 q: vec![4.0, 4.0],
                 k: 3,
                 why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-                strategy: RefineStrategy::Mqp,
+                options: mqp_only(10),
             },
         ];
         let responses = engine.submit_batch(batch);
@@ -741,19 +724,20 @@ mod tests {
         assert_eq!(responses[1], Response::ReverseTopKBi(vec![1, 2]));
         // Kevin ranks q 4th, behind three culprits.
         match &responses[3] {
-            Response::Explanation { rank, culprits, .. } => {
-                assert_eq!(*rank, 4);
-                assert_eq!(culprits.len(), 3);
+            Response::Plan(plan) => {
+                assert_eq!(plan.explanations[0].rank, 4);
+                assert_eq!(plan.explanations[0].culprits.len(), 3);
             }
-            other => panic!("expected explanation, got {other:?}"),
+            other => panic!("expected a plan, got {other:?}"),
         }
         match &responses[4] {
-            Response::Refinement(r) => {
+            Response::Plan(plan) => {
+                let r = &plan.recommended().refinement;
                 let q_prime = r.q_prime.as_ref().expect("MQP moves q");
                 assert!((q_prime[0] - 3.375).abs() < 1e-5);
                 assert!((q_prime[1] - 3.625).abs() < 1e-5);
             }
-            other => panic!("expected refinement, got {other:?}"),
+            other => panic!("expected a plan, got {other:?}"),
         }
         assert!(responses.iter().all(|r| !r.is_error()));
         let m = engine.metrics();
@@ -806,11 +790,12 @@ mod tests {
                     weight: vec![0.2, 0.5, 0.3],
                     k,
                 },
-                Request::WhyNotExplain {
+                Request::WhyNot {
                     dataset: "d".into(),
-                    weight: vec![0.6, 0.2, 0.2],
                     q: q.clone(),
-                    limit: 8,
+                    k,
+                    why_not: vec![vec![0.6, 0.2, 0.2]],
+                    options: mqp_only(8),
                 },
             ]
         };
@@ -888,7 +873,7 @@ mod tests {
     }
 
     #[test]
-    fn submit_with_routes_completions_without_blocking() {
+    fn submit_batch_with_routes_completions_without_blocking() {
         // The engine must be shareable across session threads: the
         // serving layer submits from many connections concurrently.
         fn assert_shareable<T: Send + Sync>() {}
@@ -896,17 +881,22 @@ mod tests {
 
         let engine = figure1_engine(2);
         let (tx, rx) = mpsc::channel();
-        for (id, k) in [(7u64, 1usize), (8, 2), (9, 3)] {
-            let tx = tx.clone();
-            engine.submit_with(
-                Request::TopK {
-                    dataset: "products".into(),
-                    weight: vec![0.5, 0.5],
-                    k,
-                },
-                move |response| tx.send((id, response)).unwrap(),
-            );
-        }
+        let batch = [(7u64, 1usize), (8, 2), (9, 3)]
+            .into_iter()
+            .map(|(id, k)| {
+                let tx = tx.clone();
+                BatchSubmission::new(
+                    Request::TopK {
+                        dataset: "products".into(),
+                        weight: vec![0.5, 0.5],
+                        k,
+                    },
+                    id,
+                    move |response| tx.send((id, response)).unwrap(),
+                )
+            })
+            .collect();
+        engine.submit_batch_with(batch);
         drop(tx);
         let mut got: Vec<(u64, Response)> = rx.iter().collect();
         got.sort_by_key(|(id, _)| *id);
@@ -928,7 +918,6 @@ mod tests {
     #[test]
     fn why_not_plan_streams_partials_then_recommends_the_minimum() {
         use crate::request::PlanDelta;
-        use wqrtq_core::advisor::WhyNotOptions;
         let engine = figure1_engine(2);
         let request = Request::WhyNot {
             dataset: "products".into(),
@@ -1169,18 +1158,19 @@ mod tests {
                 q: vec![4.0, 4.0],
                 k: 3,
             },
-            Request::WhyNotExplain {
+            Request::WhyNot {
                 dataset: "products".into(),
-                weight: vec![0.1, 0.9],
                 q: vec![f64::NAN, 4.0],
-                limit: 3,
+                k: 3,
+                why_not: vec![vec![0.1, 0.9]],
+                options: mqp_only(3),
             },
-            Request::WhyNotRefine {
+            Request::WhyNot {
                 dataset: "products".into(),
                 q: vec![4.0, 4.0],
                 k: 3,
                 why_not: vec![vec![f64::NAN, 0.9]],
-                strategy: RefineStrategy::Mqp,
+                options: mqp_only(3),
             },
         ];
         for request in cases {

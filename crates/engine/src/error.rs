@@ -40,7 +40,9 @@ pub enum EngineError {
         /// Which input was malformed.
         field: &'static str,
     },
-    /// A weighting vector has a negative component or no positive one.
+    /// A weighting vector has a negative component or no positive one,
+    /// or — for a why-not vector or a customer population entry, which
+    /// must lie on the simplex — does not sum to 1.
     InvalidWeight {
         /// Which input held the vector.
         field: &'static str,
@@ -111,7 +113,8 @@ impl fmt::Display for EngineError {
                 write!(
                     f,
                     "invalid weighting vector in {field}: components must be \
-                     non-negative with at least one positive"
+                     non-negative with at least one positive (why-not and population \
+                     vectors must also sum to 1)"
                 )
             }
             EngineError::InvalidTolerances { reason } => {

@@ -12,8 +12,8 @@
 //!   indexes and mutation **epochs**; immutable customer weight
 //!   populations;
 //! * [`Request`] / [`Response`] — a typed vocabulary covering top-k,
-//!   mono- and bichromatic reverse top-k, why-not explanation, and all
-//!   three refinement solutions (MQP / MWK / MQWK);
+//!   mono- and bichromatic reverse top-k, and the why-not question
+//!   (explanation plus the MQP / MWK / MQWK refinements, ranked);
 //! * [`Engine::submit_batch`] — fans a batch across a fixed worker pool
 //!   over mpsc channels and reassembles **ordered** responses; results
 //!   are deterministic and independent of the worker count;
@@ -57,8 +57,8 @@ pub use storage::{FsyncPolicy, StorageError};
 // Observability vocabulary (histograms, stages, spans) re-exported for
 // the same reason: one dependency gives serving layers the full surface.
 pub use request::{
-    Plan, PlanDelta, PlanExplanation, PlanStep, RefineStrategy, Refinement, Request, RequestKind,
-    Response, WeightSet, REQUEST_KIND_TABLE,
+    Plan, PlanDelta, PlanExplanation, PlanStep, Refinement, Request, RequestKind, Response,
+    WeightSet, REQUEST_KIND_TABLE,
 };
 pub use wqrtq_obs::{
     Histogram, HistogramSnapshot, SlowRequest, SpanRecord, Stage, TraceSnapshot, Tracer,

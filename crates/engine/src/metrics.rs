@@ -38,7 +38,7 @@ pub struct Metrics {
     stages: [Histogram; Stage::COUNT],
     batches: AtomicU64,
     /// Requests submitted through the non-blocking completion-routed
-    /// path ([`crate::Engine::submit_with`]) — the serving layer's
+    /// path ([`crate::Engine::submit_batch_with`]) — the serving layer's
     /// pipelined traffic, as opposed to blocking batches.
     async_submits: AtomicU64,
     /// Requests served with a warm per-worker scratch (buffers reused
@@ -201,7 +201,8 @@ pub struct MetricsSnapshot {
     pub stages: Vec<StageSnapshot>,
     /// Batches submitted.
     pub batches: u64,
-    /// Requests submitted through [`crate::Engine::submit_with`].
+    /// Requests submitted through [`crate::Engine::submit_batch_with`] or
+    /// [`crate::Engine::submit_with_progress`].
     pub async_submits: u64,
     /// Requests served on a warm (reused) per-worker scratch — each one
     /// is a request that allocated no fresh score/probe buffers.
@@ -501,7 +502,7 @@ mod tests {
         );
         m.record(RequestKind::TopK, Duration::from_micros(30), 7, true, false);
         m.record(
-            RequestKind::WhyNotRefine,
+            RequestKind::WhyNot,
             Duration::from_millis(2),
             0,
             false,
@@ -517,7 +518,7 @@ mod tests {
         assert_eq!(topk.cache_hits, 1);
         assert_eq!(topk.avg_latency(), Duration::from_micros(20));
         assert_eq!(topk.max_latency(), Duration::from_micros(30));
-        let refine = &s.per_kind[RequestKind::WhyNotRefine.index()];
+        let refine = &s.per_kind[RequestKind::WhyNot.index()];
         assert_eq!(refine.errors, 1);
     }
 

@@ -35,29 +35,6 @@ pub enum WeightSet {
     Inline(Vec<Vec<f64>>),
 }
 
-/// Which refinement solution a [`Request::WhyNotRefine`] asks for.
-#[derive(Clone, Debug, PartialEq)]
-pub enum RefineStrategy {
-    /// Solution 1 — modify the query point (safe region + QP).
-    Mqp,
-    /// Solution 2 — modify the why-not vectors and `k` (sampling).
-    Mwk {
-        /// Number of weight samples `|S|`.
-        sample_size: usize,
-        /// Sampling seed (determinism is seed-driven).
-        seed: u64,
-    },
-    /// Solution 3 — modify `q`, the vectors and `k` together.
-    Mqwk {
-        /// Number of weight samples `|S|`.
-        sample_size: usize,
-        /// Number of query-point samples `|Q|`.
-        query_samples: usize,
-        /// Sampling seed.
-        seed: u64,
-    },
-}
-
 /// One unit of work for the engine.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -97,26 +74,13 @@ pub enum Request {
         /// The reverse top-k parameter.
         k: usize,
     },
-    /// Aspect 1 of a why-not answer: the culprit points that outrank `q`
-    /// under a why-not weighting vector. **Deprecated**: prefer
-    /// [`Request::WhyNot`], whose plan carries the same explanation for
-    /// every why-not vector (this variant remains a thin shim over the
-    /// identical core path).
-    WhyNotExplain {
-        /// Catalog dataset name.
-        dataset: String,
-        /// The why-not weighting vector.
-        weight: Vec<f64>,
-        /// The query point.
-        q: Vec<f64>,
-        /// Maximum culprits returned (the rank stays exact).
-        limit: usize,
-    },
     /// The unified why-not question (the paper's full deliverable):
     /// explanation plus every requested refinement strategy, verified
     /// and ranked cheapest-first under the configured penalty model.
     /// Served by the core advisor layer; answered with
-    /// [`Response::Plan`].
+    /// [`Response::Plan`]. One strategy alone is
+    /// `options.strategies = vec![kind]`; the explanation's culprit list
+    /// is capped by `options.culprit_limit`.
     WhyNot {
         /// Catalog dataset name.
         dataset: String,
@@ -129,22 +93,6 @@ pub enum Request {
         /// Penalty coefficients, strategy subset, culprit limit, sample
         /// budgets and seed (validated at [`Request::validate`]).
         options: WhyNotOptions,
-    },
-    /// Aspect 2, one strategy at a time. **Deprecated**: prefer
-    /// [`Request::WhyNot`], which runs every strategy and recommends the
-    /// minimum-penalty one. Served as a thin shim over the same advisor
-    /// path (bit-identical to the historical behaviour).
-    WhyNotRefine {
-        /// Catalog dataset name.
-        dataset: String,
-        /// The query point.
-        q: Vec<f64>,
-        /// The original `k`.
-        k: usize,
-        /// The why-not weighting vectors.
-        why_not: Vec<Vec<f64>>,
-        /// Which solution to run.
-        strategy: RefineStrategy,
     },
     /// Appends rows to a dataset's delta overlay (`O(Δ)`, no rebuild).
     Append {
@@ -248,10 +196,6 @@ pub enum RequestKind {
     ReverseTopKMono,
     /// [`Request::ReverseTopKBi`].
     ReverseTopKBi,
-    /// [`Request::WhyNotExplain`].
-    WhyNotExplain,
-    /// [`Request::WhyNotRefine`].
-    WhyNotRefine,
     /// [`Request::WhyNot`].
     WhyNot,
     /// [`Request::Append`].
@@ -271,15 +215,14 @@ pub enum RequestKind {
 /// cannot drift — a conformance test in `wqrtq-server` fails if a tag
 /// is reused, renumbered, or a kind is missing from the codec.
 ///
-/// Wire tags are **append-only**: tags 1–7 predate protocol v2 and must
-/// never be renumbered (v1 clients depend on them); new kinds take the
-/// next free tag regardless of their position in this table.
-pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 9] = [
+/// Wire tags are **append-only**: a tag is never renumbered or reused,
+/// and new kinds take the next free tag regardless of their position in
+/// this table. Tags 4 and 5 are retired (the pre-advisor
+/// explain/refine kinds) and stay reserved.
+pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 7] = [
     (RequestKind::TopK, "topk", 1),
     (RequestKind::ReverseTopKMono, "rtopk-mono", 2),
     (RequestKind::ReverseTopKBi, "rtopk-bi", 3),
-    (RequestKind::WhyNotExplain, "whynot-explain", 4),
-    (RequestKind::WhyNotRefine, "whynot-refine", 5),
     (RequestKind::WhyNot, "whynot-plan", 8),
     (RequestKind::Append, "append", 6),
     (RequestKind::Delete, "delete", 7),
@@ -353,8 +296,6 @@ impl Request {
             Request::TopK { .. } => RequestKind::TopK,
             Request::ReverseTopKMono { .. } => RequestKind::ReverseTopKMono,
             Request::ReverseTopKBi { .. } => RequestKind::ReverseTopKBi,
-            Request::WhyNotExplain { .. } => RequestKind::WhyNotExplain,
-            Request::WhyNotRefine { .. } => RequestKind::WhyNotRefine,
             Request::WhyNot { .. } => RequestKind::WhyNot,
             Request::Append { .. } => RequestKind::Append,
             Request::Delete { .. } => RequestKind::Delete,
@@ -369,8 +310,6 @@ impl Request {
             Request::TopK { dataset, .. }
             | Request::ReverseTopKMono { dataset, .. }
             | Request::ReverseTopKBi { dataset, .. }
-            | Request::WhyNotExplain { dataset, .. }
-            | Request::WhyNotRefine { dataset, .. }
             | Request::WhyNot { dataset, .. }
             | Request::Append { dataset, .. }
             | Request::Delete { dataset, .. } => dataset,
@@ -399,35 +338,6 @@ impl Request {
                     }
                 }
                 Ok(())
-            }
-            Request::WhyNotExplain { weight, q, .. } => {
-                check_weight(weight, "weight")?;
-                check_finite(q, "query point")
-            }
-            Request::WhyNotRefine {
-                q,
-                why_not,
-                strategy,
-                ..
-            } => {
-                check_finite(q, "query point")?;
-                for w in why_not {
-                    check_weight(w, "why-not vector")?;
-                }
-                match strategy {
-                    RefineStrategy::Mqp => Ok(()),
-                    RefineStrategy::Mwk { sample_size, .. } => {
-                        check_budget(*sample_size, "sample size")
-                    }
-                    RefineStrategy::Mqwk {
-                        sample_size,
-                        query_samples,
-                        ..
-                    } => {
-                        check_budget(*sample_size, "sample size")?;
-                        check_budget(*query_samples, "query samples")
-                    }
-                }
             }
             Request::WhyNot {
                 q,
@@ -497,52 +407,6 @@ impl Request {
                 }
                 h.write_floats(q);
                 h.write_u64(*k as u64);
-            }
-            Request::WhyNotExplain {
-                dataset,
-                weight,
-                q,
-                limit,
-            } => {
-                h.write_u64(4);
-                h.write_str(dataset);
-                h.write_floats(weight);
-                h.write_floats(q);
-                h.write_u64(*limit as u64);
-            }
-            Request::WhyNotRefine {
-                dataset,
-                q,
-                k,
-                why_not,
-                strategy,
-            } => {
-                h.write_u64(5);
-                h.write_str(dataset);
-                h.write_floats(q);
-                h.write_u64(*k as u64);
-                h.write_u64(why_not.len() as u64);
-                for w in why_not {
-                    h.write_floats(w);
-                }
-                match strategy {
-                    RefineStrategy::Mqp => h.write_u64(1),
-                    RefineStrategy::Mwk { sample_size, seed } => {
-                        h.write_u64(2);
-                        h.write_u64(*sample_size as u64);
-                        h.write_u64(*seed);
-                    }
-                    RefineStrategy::Mqwk {
-                        sample_size,
-                        query_samples,
-                        seed,
-                    } => {
-                        h.write_u64(3);
-                        h.write_u64(*sample_size as u64);
-                        h.write_u64(*query_samples as u64);
-                        h.write_u64(*seed);
-                    }
-                }
             }
             Request::WhyNot {
                 dataset,
@@ -698,17 +562,6 @@ pub enum Response {
     },
     /// Qualifying customer indices (into the request's population).
     ReverseTopKBi(Vec<usize>),
-    /// Why-not explanation: actual rank plus culprit `(id, score)` pairs.
-    Explanation {
-        /// Actual rank of `q` under the vector.
-        rank: usize,
-        /// Points outranking `q`, ascending by score.
-        culprits: Vec<(u32, f64)>,
-        /// Whether the culprit list hit the request limit.
-        truncated: bool,
-    },
-    /// A minimum-penalty refinement.
-    Refinement(Refinement),
     /// The ranked why-not plan of a [`Request::WhyNot`].
     Plan(Plan),
     /// A mutation was applied; the dataset now holds this many live
@@ -798,11 +651,11 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_kinds_with_same_payload() {
-        let explain = Request::WhyNotExplain {
+        let bi = Request::ReverseTopKBi {
             dataset: "d".into(),
-            weight: vec![0.5, 0.5],
+            weights: WeightSet::Inline(Vec::new()),
             q: vec![1.0, 2.0],
-            limit: 3,
+            k: 3,
         };
         let mono = Request::ReverseTopKMono {
             dataset: "d".into(),
@@ -811,7 +664,7 @@ mod tests {
             samples: 0,
             seed: 0,
         };
-        assert_ne!(explain.fingerprint(), mono.fingerprint());
+        assert_ne!(bi.fingerprint(), mono.fingerprint());
     }
 
     #[test]
@@ -837,7 +690,7 @@ mod tests {
         assert_eq!(r.kind(), RequestKind::TopK);
         assert_eq!(r.dataset(), "p");
         assert_eq!(r.kind().name(), "topk");
-        assert_eq!(RequestKind::ALL.len(), 9);
+        assert_eq!(RequestKind::ALL.len(), 7);
         assert_eq!(Request::Stats.kind(), RequestKind::Stats);
         assert_eq!(Request::Stats.dataset(), "");
         assert!(Request::Stats.validate().is_ok());

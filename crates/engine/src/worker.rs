@@ -28,8 +28,7 @@ use crate::catalog::{Catalog, DatasetEpoch, DatasetHandle};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::request::{
-    Plan, PlanDelta, PlanExplanation, PlanStep, RefineStrategy, Refinement, Request, Response,
-    WeightSet,
+    Plan, PlanDelta, PlanExplanation, PlanStep, Refinement, Request, Response, WeightSet,
 };
 use crate::ResultCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -38,7 +37,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use wqrtq_core::advisor::{AdvisorEvent, RankedStep, RefinementPlan, StrategyKind, WhyNotOptions};
+use wqrtq_core::advisor::{AdvisorEvent, RankedStep, RefinementPlan};
 use wqrtq_core::explain::Explanation;
 use wqrtq_core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use wqrtq_geom::Weight;
@@ -86,11 +85,12 @@ pub(crate) fn compaction_threshold(overlay_limit: Option<usize>, base_len: usize
 /// Where a served request's response goes.
 ///
 /// Batch submission reassembles responses through a per-batch channel;
-/// non-blocking submission ([`crate::Engine::submit_with`]) routes the
-/// response straight into a caller-supplied completion, invoked on the
-/// worker thread that finished the request. Completions must therefore
-/// be quick and non-blocking (hand the response to a queue, flip a
-/// flag) — a completion that blocks would hold a pool worker hostage.
+/// non-blocking submission ([`crate::Engine::submit_with_progress`])
+/// routes the response straight into a caller-supplied completion,
+/// invoked on the worker thread that finished the request. Completions
+/// must therefore be quick and non-blocking (hand the response to a
+/// queue, flip a flag) — a completion that blocks would hold a pool
+/// worker hostage.
 pub(crate) enum Completion {
     /// Reply channel of a [`crate::Engine::submit_batch`] call, with the
     /// request's slot in the batch.
@@ -98,7 +98,7 @@ pub(crate) enum Completion {
         slot: usize,
         reply: Sender<(usize, Response)>,
     },
-    /// Caller-routed completion for [`crate::Engine::submit_with`].
+    /// Caller-routed completion for [`crate::Engine::submit_with_progress`].
     Callback(Box<dyn FnOnce(Response) + Send + 'static>),
 }
 
@@ -604,6 +604,16 @@ fn check_dim(handle: &DatasetHandle, v: &[f64]) -> Result<(), EngineError> {
     Ok(())
 }
 
+/// Lifts a request's raw preference vectors onto the simplex type the
+/// algorithms take. [`Request::validate`] admits any non-negative vector
+/// (a `TopK` weight is scored as a raw slice and need not sum to 1);
+/// why-not vectors and inline populations must, and that is checked here.
+fn simplex_weights(raw: &[Vec<f64>], field: &'static str) -> Result<Vec<Weight>, EngineError> {
+    raw.iter()
+        .map(|w| Weight::try_new(w.clone()).map_err(|_| EngineError::InvalidWeight { field }))
+        .collect()
+}
+
 /// Runs the bichromatic reverse top-k for one request: sequential on the
 /// worker's own scratch for small populations, fanned across the pool in
 /// claimable shards otherwise.
@@ -789,11 +799,10 @@ fn execute(
                     Ok(ws) => ws,
                     Err(e) => return (Response::Error(e.to_string()), 0),
                 },
-                WeightSet::Inline(ws) => Arc::new(
-                    ws.iter()
-                        .map(|w| Weight::new(w.clone()))
-                        .collect::<Vec<_>>(),
-                ),
+                WeightSet::Inline(ws) => match simplex_weights(ws, "inline weight set") {
+                    Ok(ws) => Arc::new(ws),
+                    Err(e) => return (Response::Error(e.to_string()), 0),
+                },
             };
             if let Some(w) = population.iter().find(|w| w.dim() != handle.dim) {
                 let e = EngineError::DimensionMismatch {
@@ -809,57 +818,6 @@ fn execute(
                 )
             })
         }
-        Request::WhyNotExplain {
-            weight, q, limit, ..
-        } => {
-            if let Err(e) = check_dim(handle, weight).and_then(|()| check_dim(handle, q)) {
-                return (Response::Error(e.to_string()), 0);
-            }
-            let nodes_before = scratch.nodes_visited;
-            let explanation = probe(ctx, spans, || {
-                wqrtq_core::explain(handle.snapshot(), weight, q, *limit, scratch)
-            });
-            let nodes = scratch.nodes_visited - nodes_before;
-            (
-                Response::Explanation {
-                    rank: explanation.rank,
-                    culprits: explanation
-                        .culprits
-                        .iter()
-                        .map(|c| (c.id, c.score))
-                        .collect(),
-                    truncated: explanation.truncated,
-                },
-                nodes,
-            )
-        }
-        Request::WhyNotRefine {
-            q,
-            k,
-            why_not,
-            strategy,
-            ..
-        } => {
-            let why_not: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
-            // The framework facade borrows the handle's snapshot — the
-            // shared pre-built index plus the overlay; serving never
-            // rebuilds an index, mutated or not.
-            let wqrtq = match Wqrtq::new(handle.snapshot(), q, *k) {
-                Ok(w) => w,
-                Err(e) => return (Response::Error(e.to_string()), 0),
-            };
-            // Thin shim over the advisor path: one strategy, exact-2D
-            // auto-selection pinned off, paper-default tolerances — the
-            // exact work and call chain of the pre-advisor worker (one
-            // validation pass, then the algorithm; no verification or
-            // breakdown is computed only to be discarded), so responses
-            // stay bit-identical (asserted by the differential test).
-            let (kind, options) = legacy_options(strategy);
-            match wqrtq.refine_answer(&why_not, kind, &options) {
-                Ok(answer) => (Response::Refinement(refinement_from(answer)), 0),
-                Err(e) => (Response::Error(e.to_string()), 0),
-            }
-        }
         Request::WhyNot {
             q,
             k,
@@ -867,7 +825,10 @@ fn execute(
             options,
             ..
         } => {
-            let why_not: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
+            let why_not = match simplex_weights(why_not, "why-not vector") {
+                Ok(ws) => ws,
+                Err(e) => return (Response::Error(e.to_string()), 0),
+            };
             let wqrtq = match Wqrtq::new(handle.snapshot(), q, *k) {
                 Ok(w) => w.with_tolerances(options.tol),
                 Err(e) => return (Response::Error(e.to_string()), 0),
@@ -964,40 +925,6 @@ pub(crate) fn mutate(
         }
     }
     Ok(live_len)
-}
-
-/// Maps a legacy one-strategy request onto the advisor's step runner:
-/// the named strategy with its own budgets, exact-2D off, paper-default
-/// tolerances — exactly what the pre-advisor worker computed.
-fn legacy_options(strategy: &RefineStrategy) -> (StrategyKind, WhyNotOptions) {
-    let base = WhyNotOptions {
-        exact_2d: false,
-        ..WhyNotOptions::default()
-    };
-    match strategy {
-        RefineStrategy::Mqp => (StrategyKind::Mqp, base),
-        RefineStrategy::Mwk { sample_size, seed } => (
-            StrategyKind::Mwk,
-            WhyNotOptions {
-                sample_size: *sample_size,
-                seed: *seed,
-                ..base
-            },
-        ),
-        RefineStrategy::Mqwk {
-            sample_size,
-            query_samples,
-            seed,
-        } => (
-            StrategyKind::Mqwk,
-            WhyNotOptions {
-                sample_size: *sample_size,
-                query_samples: *query_samples,
-                seed: *seed,
-                ..base
-            },
-        ),
-    }
 }
 
 fn plan_explanation_from(explanation: &Explanation) -> PlanExplanation {

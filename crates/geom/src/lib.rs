@@ -38,7 +38,7 @@ pub use hyperplane::Hyperplane;
 pub use mbr::Mbr;
 pub use point::{dominance, dominates, incomparable, Dominance, Point};
 pub use poly2d::Polygon2d;
-pub use weight::{score, Weight};
+pub use weight::{score, Weight, WeightError};
 
 /// Absolute tolerance used for geometric predicates throughout the
 /// workspace. Data coordinates are expected to be O(1)–O(10⁴); 1e-9 keeps

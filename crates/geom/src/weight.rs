@@ -9,6 +9,29 @@ use crate::{dot, EPS};
 use std::fmt;
 use std::ops::Deref;
 
+/// Why a vector is not a [`Weight`] (see [`Weight::try_new`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum WeightError {
+    /// The vector has no entries.
+    Empty,
+    /// An entry is NaN, infinite, or negative.
+    BadEntry,
+    /// The entries sum to this value instead of 1.
+    BadSum(f64),
+}
+
+impl fmt::Display for WeightError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            WeightError::Empty => write!(f, "a weight needs at least one dimension"),
+            WeightError::BadEntry => write!(f, "weight entries must be finite and non-negative"),
+            WeightError::BadSum(sum) => write!(f, "weight entries must sum to 1 (got {sum})"),
+        }
+    }
+}
+
+impl std::error::Error for WeightError {}
+
 /// A preference vector on the standard simplex.
 ///
 /// Invariants enforced at construction: every entry is finite and
@@ -23,23 +46,32 @@ impl Weight {
     /// Creates a weighting vector, validating the simplex invariants.
     ///
     /// # Panics
-    /// Panics if `w` is empty, has negative/non-finite entries, or does not
-    /// sum to 1 within `1e-6`.
+    /// Panics where [`Weight::try_new`] returns an error.
     pub fn new(w: impl Into<Vec<f64>>) -> Self {
+        Self::try_new(w).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Creates a weighting vector from untrusted input: the one place
+    /// the simplex invariants are checked.
+    ///
+    /// # Errors
+    /// [`WeightError`] if `w` is empty, has a non-finite entry or one
+    /// below `-EPS`, or does not sum to 1 within `1e-6`.
+    pub fn try_new(w: impl Into<Vec<f64>>) -> Result<Self, WeightError> {
         let w: Vec<f64> = w.into();
-        assert!(!w.is_empty(), "a weight needs at least one dimension");
-        assert!(
-            w.iter().all(|x| x.is_finite() && *x >= -EPS),
-            "weight entries must be finite and non-negative"
-        );
-        let sum: f64 = w.iter().sum();
-        assert!(
-            (sum - 1.0).abs() < 1e-6,
-            "weight entries must sum to 1 (got {sum})"
-        );
-        Self {
-            w: w.into_boxed_slice(),
+        if w.is_empty() {
+            return Err(WeightError::Empty);
         }
+        if !w.iter().all(|x| x.is_finite() && *x >= -EPS) {
+            return Err(WeightError::BadEntry);
+        }
+        let sum: f64 = w.iter().sum();
+        if (sum - 1.0).abs() >= 1e-6 {
+            return Err(WeightError::BadSum(sum));
+        }
+        Ok(Self {
+            w: w.into_boxed_slice(),
+        })
     }
 
     /// Creates a weighting vector by normalising arbitrary non-negative

@@ -156,6 +156,24 @@ pub const CORPUS: &[CorpusCase] = &[
         ),
     },
     CorpusCase {
+        name: "retired wire tag missing from the reserved line",
+        rule: "drift",
+        bad: &[(
+            "crates/engine/src/request.rs",
+            "pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 2] = [\n    (RequestKind::TopK, \"topk\", 1),\n    (RequestKind::Stats, \"stats\", 3),\n];\n",
+        )],
+        bad_design: Some(
+            "# design\n<!-- lint:wire-tag-table -->\n| kind | name | tag |\n|------|------|-----|\n| TopK | topk | 1 |\n| Stats | stats | 3 |\n<!-- /lint:wire-tag-table -->\n",
+        ),
+        good: &[(
+            "crates/engine/src/request.rs",
+            "pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 2] = [\n    (RequestKind::TopK, \"topk\", 1),\n    (RequestKind::Stats, \"stats\", 3),\n];\n",
+        )],
+        good_design: Some(
+            "# design\n<!-- lint:wire-tag-table -->\n| kind | name | tag |\n|------|------|-----|\n| TopK | topk | 1 |\n| Stats | stats | 3 |\n\nreserved: 2 (requests)\n<!-- /lint:wire-tag-table -->\n",
+        ),
+    },
+    CorpusCase {
         name: "waiver without justification is blanket",
         rule: "blanket-waiver",
         bad: &[(

@@ -18,6 +18,11 @@
 //!    (`<!-- lint:wire-tag-table -->`) must all agree — same row count,
 //!    same (name, tag) pairs — so the documented wire vocabulary cannot
 //!    drift from the one source-of-truth table the codec derives from.
+//!    Wire tags are append-only, so a tag below the highest one in use
+//!    that no kind carries is a **retired** tag: the table's
+//!    `reserved: … (requests), … (responses)` line must list exactly
+//!    those gaps — of `REQUEST_KIND_TABLE` and of the `RESP_*` constants
+//!    in `wire.rs` — so a retired tag is documented and never reused.
 
 use crate::lex::{find_token, string_literals};
 use crate::rules::{SourceFile, Violation};
@@ -159,6 +164,68 @@ fn design_wire_table(design: &str) -> Option<Vec<(String, u64)>> {
     Some(rows)
 }
 
+/// Parses the `reserved: 4, 5 (requests), 5, 6 (responses)` line of the
+/// anchored DESIGN.md block into (request tags, response tags); a
+/// missing line or side reserves nothing.
+fn design_reserved_tags(design: &str) -> (Vec<u64>, Vec<u64>) {
+    let block = design
+        .split("<!-- lint:wire-tag-table -->")
+        .nth(1)
+        .and_then(|rest| rest.split("<!-- /lint:wire-tag-table -->").next())
+        .unwrap_or("");
+    let Some(line) = block
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("reserved:"))
+    else {
+        return (Vec::new(), Vec::new());
+    };
+    let numbers = |text: &str| -> Vec<u64> {
+        text.split(|c: char| !c.is_ascii_digit())
+            .filter_map(|n| n.parse().ok())
+            .collect()
+    };
+    let (requests, rest) = line.split_once("(requests)").unwrap_or(("", line));
+    let responses = rest.split_once("(responses)").map_or("", |(r, _)| r);
+    (numbers(requests), numbers(responses))
+}
+
+/// Parses the values of the `const RESP_*: u8 = N;` response body tags.
+fn response_tags(f: &SourceFile) -> Vec<u64> {
+    f.lexed
+        .lines
+        .iter()
+        .filter_map(|l| {
+            let rest = l.code.trim().strip_prefix("const RESP_")?;
+            rest.split_once('=')?
+                .1
+                .trim()
+                .trim_end_matches(';')
+                .parse()
+                .ok()
+        })
+        .collect()
+}
+
+/// Flags a mismatch between the tags DESIGN.md reserves and the gaps
+/// (unused tags below the highest used one) of the `used` tag set.
+fn check_reserved(what: &str, used: &[u64], reserved: &[u64], out: &mut Vec<Violation>) {
+    let top = used.iter().copied().max().unwrap_or(0);
+    let gaps: Vec<u64> = (1..top).filter(|t| !used.contains(t)).collect();
+    let mut reserved = reserved.to_vec();
+    reserved.sort_unstable();
+    if gaps != reserved {
+        out.push(Violation {
+            rule: "drift",
+            file: "DESIGN.md".into(),
+            line: 1,
+            message: format!(
+                "DESIGN.md reserves {what} tags {reserved:?} but the retired (unused, \
+                 never-reusable) tags in the source are {gaps:?}"
+            ),
+        });
+    }
+}
+
 /// True if `ident` occurs as a token anywhere in test code.
 fn appears_in_tests(files: &[SourceFile], ident: &str) -> bool {
     for f in files {
@@ -272,6 +339,13 @@ pub fn check_drift(files: &[SourceFile], docs: &DriftDocs, out: &mut Vec<Violati
                             rows.len()
                         ),
                     });
+                }
+                if let Some(design) = docs.design_md.as_deref() {
+                    let (requests, responses) = design_reserved_tags(design);
+                    let used: Vec<u64> = rows.iter().map(|(_, tag)| *tag).collect();
+                    check_reserved("request", &used, &requests, out);
+                    let used = file(files, WIRE_RS).map(response_tags).unwrap_or_default();
+                    check_reserved("response", &used, &responses, out);
                 }
                 match docs.design_md.as_deref().and_then(design_wire_table) {
                     None => out.push(Violation {

@@ -8,7 +8,7 @@
 //! case; the bench load generator drives `send`/`recv` directly with a
 //! sliding pipeline window.
 
-use crate::frame::{self, DecodeError, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC, MAGIC_V2};
+use crate::frame::{self, DecodeError, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC_V2};
 use crate::wire::{ClientFrame, ServerFrame};
 use std::fmt;
 use std::io::{self, BufReader, BufWriter, Write};
@@ -81,46 +81,18 @@ pub struct Client {
     next_id: u64,
     max_frame_len: usize,
     buf: Vec<u8>,
-    /// Negotiated protocol version (1 for legacy connections, the
-    /// server's [`ServerFrame::Hello`] answer otherwise).
-    version: u8,
 }
 
 impl Client {
-    /// Connects and sends the **protocol v1** preamble — the legacy
-    /// wire dialect, bit-identical to pre-v2 servers and clients. Plan
-    /// requests are refused on such a connection; use
-    /// [`Client::connect_v2`] for streaming plans.
-    ///
-    /// # Errors
-    /// Propagates socket errors.
-    pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        writer.write_all(&MAGIC)?;
-        writer.flush()?;
-        Ok(Self {
-            reader: BufReader::new(stream),
-            writer,
-            next_id: 1,
-            max_frame_len: DEFAULT_MAX_FRAME_LEN,
-            buf: Vec::new(),
-            version: 1,
-        })
-    }
-
-    /// Connects with the **protocol v2** preamble and completes the
-    /// negotiation handshake: the server's first frame must be a
-    /// [`ServerFrame::Hello`], whose version is recorded on the client
-    /// ([`Client::version`]). v2 connections receive progressive
+    /// Connects, sends the preamble and completes the negotiation
+    /// handshake: the server's first frame must be a
+    /// [`ServerFrame::Hello`]. Connections receive progressive
     /// [`ServerFrame::ReplyPart`] frames for plan requests — see
     /// [`Client::submit_plan`].
     ///
     /// # Errors
     /// [`ClientError::Unexpected`] when the server answers the preamble
-    /// with anything but a Hello (e.g. a pre-v2 server); transport
-    /// failures otherwise.
+    /// with anything but a Hello; transport failures otherwise.
     pub fn connect_v2(addr: impl ToSocketAddrs) -> Result<Self, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -133,22 +105,12 @@ impl Client {
             next_id: 1,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             buf: Vec::new(),
-            version: 1,
         };
         match client.recv()? {
-            (_, ServerFrame::Hello { version, .. }) => {
-                client.version = version;
-                Ok(client)
-            }
+            (_, ServerFrame::Hello { .. }) => Ok(client),
             (_, ServerFrame::ProtocolError(msg)) => Err(ClientError::Protocol(msg)),
             _ => Err(ClientError::Unexpected("expected a hello frame")),
         }
-    }
-
-    /// The negotiated protocol version (1 unless constructed with
-    /// [`Client::connect_v2`] against a v2-capable server).
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// Sets a read timeout for [`Client::recv`] (None blocks forever).
@@ -268,17 +230,17 @@ impl Client {
 
     /// Submits one engine request and returns its response.
     ///
-    /// On a v2 connection, plan requests ([`Request::WhyNot`]) stream
-    /// progressive partial frames before the final reply; this method
-    /// absorbs and discards them (use [`Client::submit_plan`] to
-    /// observe them), so the connection stays in sync regardless of
-    /// which method a plan request goes through.
+    /// Plan requests ([`Request::WhyNot`]) stream progressive partial
+    /// frames before the final reply; this method absorbs and discards
+    /// them (use [`Client::submit_plan`] to observe them), so the
+    /// connection stays in sync regardless of which method a plan
+    /// request goes through.
     ///
     /// # Errors
     /// [`ClientError::Busy`] under backpressure (nothing was executed);
     /// transport/decoding failures otherwise.
     pub fn submit(&mut self, request: &Request) -> Result<Response, ClientError> {
-        if self.version >= 2 && request.kind() == wqrtq_engine::RequestKind::WhyNot {
+        if request.kind() == wqrtq_engine::RequestKind::WhyNot {
             return self
                 .submit_plan(request, |_| {})
                 .map(Response::Plan)
@@ -303,9 +265,6 @@ impl Client {
     /// strategy), returning the final ranked plan. A plan served from
     /// the engine's result cache arrives whole — zero deltas, then the
     /// plan.
-    ///
-    /// Requires a v2 connection ([`Client::connect_v2`]); a v1
-    /// connection receives a typed server error instead.
     ///
     /// # Errors
     /// [`ClientError::Busy`] under backpressure; [`ClientError::Server`]

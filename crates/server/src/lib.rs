@@ -23,21 +23,20 @@
 //! * [`client`] — a blocking client speaking the same protocol, used by
 //!   the loopback tests and the `server_bench` load generator.
 //!
-//! The protocol comes in two dialects, negotiated by the connection
-//! preamble: **v1** ([`frame::MAGIC`]) is the legacy frames-only
-//! dialect and keeps working unchanged, while **v2**
+//! There is one protocol: the connection preamble
 //! ([`frame::MAGIC_V2`]) is acknowledged with a
-//! [`wire::ServerFrame::Hello`] frame and streams progressive
-//! [`wire::ServerFrame::ReplyPart`] partial results for why-not plan
-//! requests ([`wqrtq_engine::Request::WhyNot`]) ahead of the final
-//! ranked plan — see [`client::Client::submit_plan`].
+//! [`wire::ServerFrame::Hello`] frame, and why-not plan requests
+//! ([`wqrtq_engine::Request::WhyNot`]) stream progressive
+//! [`wire::ServerFrame::ReplyPart`] partial results ahead of the final
+//! ranked plan — see [`client::Client::submit_plan`]. Any other
+//! preamble (including the retired v1 one) is a protocol error.
 //!
 //! ```no_run
 //! use wqrtq_server::{Client, Server};
 //! use wqrtq_engine::Request;
 //!
 //! let server = Server::builder().workers(2).bind("127.0.0.1:0")?;
-//! let mut client = Client::connect(server.local_addr())?;
+//! let mut client = Client::connect_v2(server.local_addr())?;
 //! client.register_dataset("products", 2, &[2.0, 1.0, 6.0, 3.0, 1.0, 9.0])?;
 //! let top = client.submit(&Request::TopK {
 //!     dataset: "products".into(),
@@ -56,7 +55,7 @@ pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use frame::{
-    ByteReader, ByteWriter, DecodeError, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC, MAGIC_V2,
+    ByteReader, ByteWriter, DecodeError, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC_V2,
     PROTOCOL_VERSION,
 };
 pub use server::{ConnectionStats, Server, ServerBuilder, ServerStats};

@@ -25,10 +25,10 @@
 //! buffer that `read(2)` appends into, from which complete frames are
 //! split and decoded *in place* ([`crate::frame::split_frame`]) — no
 //! per-frame allocation, no copy between "read buffer" and "frame
-//! buffer". The preamble negotiates the protocol version
-//! ([`crate::frame::MAGIC`] → v1 legacy; [`crate::frame::MAGIC_V2`] →
-//! v2, acknowledged with [`ServerFrame::Hello`] and eligible for
-//! progressive [`ServerFrame::ReplyPart`] streaming on plan requests).
+//! buffer". The preamble ([`crate::frame::MAGIC_V2`]) is acknowledged
+//! with [`ServerFrame::Hello`]; plan requests then stream progressive
+//! [`ServerFrame::ReplyPart`] frames. Any other preamble is a protocol
+//! error.
 //! Control operations (registration, compaction, ping) run inline on
 //! the loop thread; [`ClientFrame::Submit`] goes through the admission
 //! gauge and is **staged into a batch**: one poller wake-up that drains
@@ -67,7 +67,7 @@
 //! the server said yes to is finished; work it never admitted was
 //! already refused with `Busy`.
 
-use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC, MAGIC_V2, PROTOCOL_VERSION};
+use crate::frame::{self, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC_V2, PROTOCOL_VERSION};
 use crate::poll::{self, Event, Poller, WakeHandle, INTEREST_READ, INTEREST_WRITE};
 use crate::wire::{ClientFrame, ServerFrame, CONNECTION_ID};
 use std::collections::{HashMap, VecDeque};
@@ -111,6 +111,11 @@ const TOKEN_WAKER: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
 /// Sentinel for "not yet registered with a loop".
 const TOKEN_NONE: u64 = u64::MAX;
+
+/// The reply to any preamble other than [`MAGIC_V2`] (v1's retired one
+/// included): names the version this server speaks, then the
+/// connection closes.
+const BAD_PREAMBLE: &str = "bad connection preamble: this server speaks protocol v2 (send WQR2)";
 
 /// A counting gauge with capacity-checked acquisition and a drain wait.
 #[derive(Debug, Default)]
@@ -632,7 +637,7 @@ impl ServerBuilder {
 /// use wqrtq_engine::{Request, Response};
 ///
 /// let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
-/// let mut client = Client::connect(server.local_addr()).unwrap();
+/// let mut client = Client::connect_v2(server.local_addr()).unwrap();
 /// client.register_dataset("p", 2, &[2.0, 1.0, 6.0, 3.0]).unwrap();
 /// let response = client
 ///     .submit(&Request::TopK { dataset: "p".into(), weight: vec![0.5, 0.5], k: 1 })
@@ -796,8 +801,8 @@ impl RecvArena {
 struct Conn {
     stream: TcpStream,
     shared: Arc<ConnShared>,
-    /// Negotiated protocol version; 0 until the preamble settles it.
-    version: u8,
+    /// Whether the preamble has been seen and answered with a Hello.
+    greeted: bool,
     arena: RecvArena,
     /// Frames being written; the front one may be partially sent.
     write_queue: VecDeque<Vec<u8>>,
@@ -1024,7 +1029,7 @@ impl EventLoop {
         let mut conn = Conn {
             stream,
             shared: state,
-            version: 0,
+            greeted: false,
             arena: RecvArena::default(),
             write_queue: VecDeque::new(),
             head_written: 0,
@@ -1123,8 +1128,8 @@ impl EventLoop {
             // scan, health probe) is not a protocol violation — just a
             // goodbye. Dying mid-preamble is one; dying mid-frame is an
             // abrupt disconnect (drain what was admitted, silently).
-            if conn.version == 0 && conn.arena.filled > 0 {
-                protocol_error(shared, conn, "bad connection preamble".into());
+            if !conn.greeted && conn.arena.filled > 0 {
+                protocol_error(shared, conn, BAD_PREAMBLE.into());
             }
             conn.read_closed = true;
         }
@@ -1222,35 +1227,28 @@ impl EventLoop {
 /// Splits and serves every complete frame in the arena, consuming the
 /// processed prefix.
 fn process_arena(shared: &Arc<Shared>, conn: &mut Conn, submit_buf: &mut Vec<BatchSubmission>) {
-    // Preamble negotiation: the client proposes a protocol version by
-    // its magic; the server settles it. v1 connections behave exactly
-    // as they always did (no reply, no streaming); v2 connections are
-    // acknowledged with a Hello frame and receive progressive
-    // ReplyPart frames for plan requests.
-    if conn.version == 0 {
+    // The preamble is acknowledged with a Hello frame; anything else
+    // (the retired v1 magic included) is a protocol error.
+    if !conn.greeted {
         if conn.arena.filled < 4 {
             return;
         }
         // lint: allow(no-panic) — guarded by the `filled < 4` early
         // return just above.
-        let magic = &conn.arena.buf[..4];
-        if magic == MAGIC {
-            conn.version = 1;
-        } else if magic == MAGIC_V2 {
-            conn.version = 2;
-            push_control(
-                shared,
-                conn,
-                CONNECTION_ID,
-                ServerFrame::Hello {
-                    version: PROTOCOL_VERSION,
-                    max_frame_len: shared.max_frame_len as u64,
-                },
-            );
-        } else {
-            protocol_error(shared, conn, "bad connection preamble".into());
+        if conn.arena.buf[..4] != MAGIC_V2 {
+            protocol_error(shared, conn, BAD_PREAMBLE.into());
             return;
         }
+        conn.greeted = true;
+        push_control(
+            shared,
+            conn,
+            CONNECTION_ID,
+            ServerFrame::Hello {
+                version: PROTOCOL_VERSION,
+                max_frame_len: shared.max_frame_len as u64,
+            },
+        );
         conn.arena.consume_prefix(4);
     }
     let mut cursor = 0;
@@ -1350,23 +1348,6 @@ fn submit(
     id: u64,
     request: Request,
 ) {
-    let is_plan = request.kind() == wqrtq_engine::RequestKind::WhyNot;
-    // Plan requests stream partial frames a v1 client could not decode;
-    // refuse them with a typed (non-fatal) error instead of poisoning
-    // the connection.
-    if conn.version < 2 && is_plan {
-        push_control(
-            shared,
-            conn,
-            id,
-            ServerFrame::Reply(Response::Error(
-                "why-not plan requests require protocol v2 (connect with the WQR2 \
-                 preamble)"
-                    .into(),
-            )),
-        );
-        return;
-    }
     if !shared.admission.try_acquire(shared.admission_capacity) {
         // ordering: Relaxed — monotonic busy tally, read only by stats
         // snapshots.
@@ -1388,7 +1369,7 @@ fn submit(
     // can decrement, or the loop could observe 0/0 and close early.
     conn.shared.in_flight.fetch_add(1, Ordering::SeqCst);
     let complete = completion(shared.clone(), conn.shared.clone(), id, trace_id);
-    if conn.version >= 2 && is_plan {
+    if request.kind() == wqrtq_engine::RequestKind::WhyNot {
         // Progressive partial frames ride the same bounded reply
         // backlog ahead of the final reply (same worker thread, so
         // order is guaranteed). They are best-effort: when a slow
@@ -1627,26 +1608,21 @@ fn flush_writes(conn: &mut Conn) {
     conn.want_write = false;
 }
 
-/// Validates and registers an inline weight population. The predicate
-/// matches every invariant [`Weight::new`] asserts — non-empty, entries
-/// finite and `>= -EPS`, sum within `1e-6` of 1 — so a hostile frame
-/// gets a typed error back instead of panicking the loop thread, and
-/// wire registration accepts exactly what in-process registration does.
+/// Validates and registers an inline weight population through the
+/// fallible [`Weight::try_new`], so a hostile frame gets a typed error
+/// back instead of panicking the loop thread, and wire registration
+/// accepts exactly what in-process registration does.
 fn register_weights(shared: &Shared, name: &str, weights: Vec<Vec<f64>>) -> Result<(), String> {
-    let mut population = Vec::with_capacity(weights.len());
-    for w in &weights {
-        let sum: f64 = w.iter().sum();
-        if w.is_empty()
-            || !w.iter().all(|x| x.is_finite() && *x >= -wqrtq_geom::EPS)
-            || (sum - 1.0).abs() >= 1e-6
-        {
-            return Err(format!(
+    let population = weights
+        .into_iter()
+        .map(Weight::try_new)
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|_| {
+            format!(
                 "invalid weighting vector in weight set `{name}`: components must be \
                  finite, non-negative, and sum to 1"
-            ));
-        }
-        population.push(Weight::new(w.clone()));
-    }
+            )
+        })?;
     shared
         .engine
         .register_weights(name, population)

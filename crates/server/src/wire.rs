@@ -18,9 +18,9 @@
 use crate::frame::{ByteReader, ByteWriter, DecodeError};
 use wqrtq_engine::{
     CacheStats, CatalogStats, HistogramSnapshot, KindSnapshot, MetricsSnapshot, PenaltyBreakdown,
-    Plan, PlanDelta, PlanExplanation, PlanStep, RefineStrategy, Refinement, Request, RequestKind,
-    Response, ServerCounters, Stage, StageSnapshot, StatsSnapshot, StrategyKind, Tolerances,
-    WeightSet, WhyNotOptions,
+    Plan, PlanDelta, PlanExplanation, PlanStep, Refinement, Request, RequestKind, Response,
+    ServerCounters, Stage, StageSnapshot, StatsSnapshot, StrategyKind, Tolerances, WeightSet,
+    WhyNotOptions,
 };
 
 /// Reserved request id for connection-level errors that cannot be
@@ -71,7 +71,6 @@ const OP_COMPACTED: u8 = 0x83;
 const OP_PONG: u8 = 0x84;
 const OP_BUSY: u8 = 0x85;
 const OP_PROTOCOL_ERROR: u8 = 0x86;
-// Protocol v2 only — never written on a v1 connection.
 const OP_HELLO: u8 = 0x87;
 const OP_REPLY_PART: u8 = 0x88;
 
@@ -127,20 +126,19 @@ pub enum ServerFrame {
     /// The connection violated the protocol (bad preamble, malformed or
     /// oversized frame); the server closes the connection after this.
     ProtocolError(String),
-    /// Protocol-v2 negotiation answer: the server's first frame on a
-    /// connection that sent the [`crate::frame::MAGIC_V2`] preamble
-    /// (carried on the reserved connection id). Never sent to v1
-    /// clients.
+    /// The negotiation answer: the server's first frame on a connection
+    /// that sent the [`crate::frame::MAGIC_V2`] preamble (carried on the
+    /// reserved connection id).
     Hello {
         /// The protocol version the server settled on.
         version: u8,
-        /// The largest frame payload this server accepts, so a v2
-        /// client can size registrations without trial and error.
+        /// The largest frame payload this server accepts, so a client
+        /// can size registrations without trial and error.
         max_frame_len: u64,
     },
-    /// A progressive partial result of an in-flight plan request
-    /// (protocol v2 only): explanations and per-strategy refinements
-    /// stream as the advisor produces them, each echoing the request id,
+    /// A progressive partial result of an in-flight plan request:
+    /// explanations and per-strategy refinements stream as the advisor
+    /// produces them, each echoing the request id,
     /// strictly before the final [`ServerFrame::Reply`] carries the
     /// ranked plan. Best-effort: a client that lets its receive queue
     /// overflow may miss partials, never the final reply.
@@ -339,50 +337,6 @@ fn encode_request(w: &mut ByteWriter, request: &Request) {
             w.put_f64s(q);
             w.put_usize(*k);
         }
-        Request::WhyNotExplain {
-            dataset,
-            weight,
-            q,
-            limit,
-        } => {
-            w.put_str(dataset);
-            w.put_f64s(weight);
-            w.put_f64s(q);
-            w.put_usize(*limit);
-        }
-        Request::WhyNotRefine {
-            dataset,
-            q,
-            k,
-            why_not,
-            strategy,
-        } => {
-            w.put_str(dataset);
-            w.put_f64s(q);
-            w.put_usize(*k);
-            w.put_usize(why_not.len());
-            for weight in why_not {
-                w.put_f64s(weight);
-            }
-            match strategy {
-                RefineStrategy::Mqp => w.put_u8(1),
-                RefineStrategy::Mwk { sample_size, seed } => {
-                    w.put_u8(2);
-                    w.put_usize(*sample_size);
-                    w.put_u64(*seed);
-                }
-                RefineStrategy::Mqwk {
-                    sample_size,
-                    query_samples,
-                    seed,
-                } => {
-                    w.put_u8(3);
-                    w.put_usize(*sample_size);
-                    w.put_usize(*query_samples);
-                    w.put_u64(*seed);
-                }
-            }
-        }
         Request::WhyNot {
             dataset,
             q,
@@ -501,41 +455,6 @@ fn decode_request(r: &mut ByteReader<'_>) -> Result<Request, DecodeError> {
                 k: r.take_usize("k")?,
             }
         }
-        RequestKind::WhyNotExplain => Request::WhyNotExplain {
-            dataset: r.take_str("dataset")?,
-            weight: r.take_f64s("weight")?,
-            q: r.take_f64s("query point")?,
-            limit: r.take_usize("limit")?,
-        },
-        RequestKind::WhyNotRefine => {
-            let dataset = r.take_str("dataset")?;
-            let q = r.take_f64s("query point")?;
-            let k = r.take_usize("k")?;
-            let count = r.take_count(8, "why-not count")?;
-            let why_not = (0..count)
-                .map(|_| r.take_f64s("why-not vector"))
-                .collect::<Result<_, _>>()?;
-            let strategy = match r.take_u8("strategy tag")? {
-                1 => RefineStrategy::Mqp,
-                2 => RefineStrategy::Mwk {
-                    sample_size: r.take_usize("sample size")?,
-                    seed: r.take_u64("seed")?,
-                },
-                3 => RefineStrategy::Mqwk {
-                    sample_size: r.take_usize("sample size")?,
-                    query_samples: r.take_usize("query samples")?,
-                    seed: r.take_u64("seed")?,
-                },
-                _ => return Err(DecodeError::new("unknown strategy tag")),
-            };
-            Request::WhyNotRefine {
-                dataset,
-                q,
-                k,
-                why_not,
-                strategy,
-            }
-        }
         RequestKind::WhyNot => {
             let dataset = r.take_str("dataset")?;
             let q = r.take_f64s("query point")?;
@@ -571,19 +490,19 @@ fn decode_request(r: &mut ByteReader<'_>) -> Result<Request, DecodeError> {
     })
 }
 
-// Response body tags (one per `Response` variant).
+// Response body tags (one per `Response` variant). Tags are never
+// reused: 5 and 6 are retired (the pre-advisor explanation/refinement
+// replies) and stay reserved.
 const RESP_TOPK: u8 = 1;
 const RESP_MONO_EXACT: u8 = 2;
 const RESP_MONO_SAMPLED: u8 = 3;
 const RESP_RTOPK_BI: u8 = 4;
-const RESP_EXPLANATION: u8 = 5;
-const RESP_REFINEMENT: u8 = 6;
 const RESP_MUTATED: u8 = 7;
 const RESP_ERROR: u8 = 8;
 const RESP_PLAN: u8 = 9;
 const RESP_STATS: u8 = 10;
 
-// Plan-delta body tags (protocol v2 partial frames).
+// Plan-delta body tags (partial frames).
 const DELTA_EXPLAINED: u8 = 1;
 const DELTA_STEP: u8 = 2;
 
@@ -619,24 +538,6 @@ fn encode_response(w: &mut ByteWriter, response: &Response) {
             for member in members {
                 w.put_usize(*member);
             }
-        }
-        Response::Explanation {
-            rank,
-            culprits,
-            truncated,
-        } => {
-            w.put_u8(RESP_EXPLANATION);
-            w.put_usize(*rank);
-            w.put_usize(culprits.len());
-            for (id, score) in culprits {
-                w.put_u64(u64::from(*id));
-                w.put_f64(*score);
-            }
-            w.put_u8(u8::from(*truncated));
-        }
-        Response::Refinement(refinement) => {
-            w.put_u8(RESP_REFINEMENT);
-            encode_refinement(w, refinement);
         }
         Response::Plan(plan) => {
             w.put_u8(RESP_PLAN);
@@ -1038,23 +939,6 @@ fn decode_response(r: &mut ByteReader<'_>) -> Result<Response, DecodeError> {
                     .collect::<Result<_, _>>()?,
             )
         }
-        RESP_EXPLANATION => {
-            let rank = r.take_usize("rank")?;
-            let count = r.take_count(16, "culprit count")?;
-            let culprits = (0..count)
-                .map(|_| {
-                    let id = r.take_u64("culprit id")?;
-                    let id = u32::try_from(id).map_err(|_| DecodeError::new("culprit id"))?;
-                    Ok((id, r.take_f64("culprit score")?))
-                })
-                .collect::<Result<_, DecodeError>>()?;
-            Response::Explanation {
-                rank,
-                culprits,
-                truncated: r.take_u8("truncated flag")? != 0,
-            }
-        }
-        RESP_REFINEMENT => Response::Refinement(decode_refinement(r)?),
         RESP_PLAN => Response::Plan(decode_plan(r)?),
         RESP_STATS => Response::Stats(Box::new(decode_stats(r)?)),
         RESP_MUTATED => Response::Mutated {
@@ -1094,40 +978,6 @@ mod tests {
                 weights: WeightSet::Inline(vec![vec![0.1, 0.9], vec![0.5, 0.5]]),
                 q: vec![4.0, 4.0],
                 k: 3,
-            },
-            Request::WhyNotExplain {
-                dataset: "p".into(),
-                weight: vec![0.1, 0.9],
-                q: vec![4.0, 4.0],
-                limit: 10,
-            },
-            Request::WhyNotRefine {
-                dataset: "p".into(),
-                q: vec![4.0, 4.0],
-                k: 3,
-                why_not: vec![vec![0.1, 0.9]],
-                strategy: RefineStrategy::Mqp,
-            },
-            Request::WhyNotRefine {
-                dataset: "p".into(),
-                q: vec![4.0, 4.0],
-                k: 3,
-                why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-                strategy: RefineStrategy::Mwk {
-                    sample_size: 100,
-                    seed: 7,
-                },
-            },
-            Request::WhyNotRefine {
-                dataset: "p".into(),
-                q: vec![4.0, 4.0],
-                k: 3,
-                why_not: vec![vec![0.1, 0.9]],
-                strategy: RefineStrategy::Mqwk {
-                    sample_size: 100,
-                    query_samples: 20,
-                    seed: 7,
-                },
             },
             Request::WhyNot {
                 dataset: "p".into(),
@@ -1298,6 +1148,25 @@ mod tests {
                     sample_size: 0,
                     query_samples: 0,
                 },
+                PlanStep {
+                    strategy: StrategyKind::Mqp,
+                    refinement: Refinement {
+                        q_prime: Some(vec![3.375, 3.625]),
+                        why_not: None,
+                        k: None,
+                        penalty: 0.125,
+                    },
+                    breakdown: PenaltyBreakdown {
+                        combined: 0.125,
+                        query_term: 0.125,
+                        k_term: 0.0,
+                        weight_term: 0.0,
+                    },
+                    verified: true,
+                    exact: false,
+                    sample_size: 0,
+                    query_samples: 0,
+                },
             ],
         }
     }
@@ -1311,29 +1180,6 @@ mod tests {
                 samples: 1000,
             },
             Response::ReverseTopKBi(vec![1, 2, 99]),
-            Response::Explanation {
-                rank: 4,
-                culprits: vec![(2, 7.5), (5, 8.0)],
-                truncated: true,
-            },
-            Response::Refinement(Refinement {
-                q_prime: Some(vec![3.375, 3.625]),
-                why_not: None,
-                k: None,
-                penalty: 0.0625,
-            }),
-            Response::Refinement(Refinement {
-                q_prime: None,
-                why_not: Some(vec![vec![0.2, 0.8]]),
-                k: Some(4),
-                penalty: 0.5,
-            }),
-            Response::Refinement(Refinement {
-                q_prime: Some(vec![1.0]),
-                why_not: Some(vec![vec![1.0]]),
-                k: Some(2),
-                penalty: 0.25,
-            }),
             Response::Plan(sample_plan()),
             Response::Stats(Box::new(sample_stats(None))),
             Response::Stats(Box::new(sample_stats(Some(ServerCounters {
@@ -1450,6 +1296,52 @@ mod tests {
                 );
                 assert_eq!(wqrtq_engine::RequestKind::from_wire_tag(tag), Some(kind));
             }
+        }
+
+        // The surviving tags are frozen at these numbers (the benchmark
+        // pre-encodes frames against them)…
+        let table: Vec<(&str, u8)> = REQUEST_KIND_TABLE.iter().map(|r| (r.1, r.2)).collect();
+        assert_eq!(
+            table,
+            [
+                ("topk", 1),
+                ("rtopk-mono", 2),
+                ("rtopk-bi", 3),
+                ("whynot-plan", 8),
+                ("append", 6),
+                ("delete", 7),
+                ("stats", 9),
+            ]
+        );
+        let mut response_tags: Vec<u8> = all_responses()
+            .iter()
+            // Payload layout: u64 id + u8 opcode + u8 response tag.
+            .map(|r| ServerFrame::Reply(r.clone()).encode(1)[9])
+            .collect();
+        response_tags.sort_unstable();
+        response_tags.dedup();
+        assert_eq!(response_tags, [1, 2, 3, 4, 7, 8, 9, 10]);
+        assert_eq!(
+            [RESP_TOPK, RESP_MONO_EXACT, RESP_MONO_SAMPLED, RESP_RTOPK_BI],
+            [1, 2, 3, 4]
+        );
+        assert_eq!(
+            [RESP_MUTATED, RESP_ERROR, RESP_PLAN, RESP_STATS],
+            [7, 8, 9, 10]
+        );
+
+        // …and the retired ones (requests 4 and 5, responses 5 and 6)
+        // stay reserved: nothing above uses them, and a frame carrying
+        // one is a typed decode error, not a misparse as a newer kind.
+        for retired in [4u8, 5] {
+            let mut payload = ClientFrame::Submit(requests[0].clone()).encode(1);
+            payload[9] = retired;
+            assert!(ClientFrame::decode(&payload).is_err());
+        }
+        for retired in [5u8, 6] {
+            let mut payload = ServerFrame::Reply(Response::TopK(Vec::new())).encode(1);
+            payload[9] = retired;
+            assert!(ServerFrame::decode(&payload).is_err());
         }
     }
 

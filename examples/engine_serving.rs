@@ -1,7 +1,7 @@
 //! Serving a mixed batch through the concurrent engine.
 //!
 //! Registers the paper's Figure-1 example and a synthetic 3-D dataset in
-//! the catalog, fans a mixed batch (all five request kinds) across a
+//! the catalog, fans a mixed batch (every query kind) across a
 //! multi-worker [`Engine`], re-submits it to show the result cache at
 //! work, and prints the metrics snapshot.
 //!
@@ -53,27 +53,27 @@ fn main() {
             samples: 0,
             seed: 0,
         },
-        Request::WhyNotExplain {
+        // One strategy only: explain Kevin's omission, fix it by moving q.
+        Request::WhyNot {
             dataset: "figure1".into(),
-            weight: vec![0.1, 0.9],
             q: vec![4.0, 4.0],
-            limit: 5,
+            k: 3,
+            why_not: vec![vec![0.1, 0.9]],
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mqp],
+                culprit_limit: 5,
+                ..WhyNotOptions::default()
+            },
         },
-        Request::WhyNotRefine {
+        // The whole question: every strategy, ranked cheapest-first.
+        Request::WhyNot {
             dataset: "figure1".into(),
             q: vec![4.0, 4.0],
             k: 3,
             why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            strategy: RefineStrategy::Mqp,
-        },
-        Request::WhyNotRefine {
-            dataset: "figure1".into(),
-            q: vec![4.0, 4.0],
-            k: 3,
-            why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            strategy: RefineStrategy::Mwk {
-                sample_size: 200,
+            options: WhyNotOptions {
                 seed: 7,
+                ..WhyNotOptions::default()
             },
         },
     ];
@@ -96,9 +96,8 @@ fn main() {
     describe("TOP3(Tony) on Figure 1", &responses[0], &fig);
     describe("BRTOP3(Apple) population", &responses[1], &fig);
     describe("MRTOP3(Apple) intervals", &responses[2], &fig);
-    describe("Why-not Kevin, culprits", &responses[3], &fig);
-    describe("MQP refinement", &responses[4], &fig);
-    describe("MWK refinement", &responses[5], &fig);
+    describe("Why-not Kevin, MQP only", &responses[3], &fig);
+    describe("Why-not Kevin + Julia, full plan", &responses[4], &fig);
 
     // Second pass: identical batch, now served from the result cache.
     let again = engine.submit_batch(batch);
@@ -133,23 +132,22 @@ fn describe(label: &str, response: &Response, fig: &figure1::Figure1) {
             "{label}: ≈{:.1}% of the weight simplex",
             100.0 * volume_fraction
         ),
-        Response::Explanation { rank, culprits, .. } => {
-            let names: Vec<&str> = culprits
-                .iter()
-                .map(|&(id, _)| fig.product_names[id as usize])
-                .collect();
-            println!("{label}: rank {rank}, outranked by {names:?}");
-        }
-        Response::Refinement(r) => println!(
-            "{label}: penalty {:.4}, q′ {:?}, k′ {:?}",
-            r.penalty, r.q_prime, r.k
-        ),
         Response::Plan(plan) => {
+            for explanation in &plan.explanations {
+                let names: Vec<&str> = explanation
+                    .culprits
+                    .iter()
+                    .map(|&(id, _)| fig.product_names[id as usize])
+                    .collect();
+                println!("{label}: rank {}, outranked by {names:?}", explanation.rank);
+            }
             let best = plan.recommended();
             println!(
-                "{label}: {} recommended at penalty {:.4} ({} alternatives)",
+                "{label}: {} recommended at penalty {:.4}, q′ {:?}, k′ {:?} ({} alternatives)",
                 best.strategy.name(),
                 best.refinement.penalty,
+                best.refinement.q_prime,
+                best.refinement.k,
                 plan.steps.len() - 1
             );
         }

@@ -20,7 +20,7 @@ fn main() {
         .expect("bind ephemeral port");
     println!("serving on {}", server.local_addr());
 
-    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut client = Client::connect_v2(server.local_addr()).expect("connect");
     client
         .register_dataset(
             "products",

@@ -8,7 +8,7 @@
 //!
 //! 1. the core facade ([`Wqrtq::advise`]) for one-shot library use,
 //! 2. the engine ([`Request::WhyNot`]) for cached, pooled serving,
-//! 3. wire protocol v2 ([`Client::submit_plan`]) with progressive
+//! 3. the wire protocol ([`Client::submit_plan`]) with progressive
 //!    partial frames streaming over TCP.
 //!
 //! ```text
@@ -78,13 +78,13 @@ fn main() {
         other => panic!("unexpected response: {other:?}"),
     }
 
-    // ── 3. Wire v2: negotiation + progressive partial frames ─────────
+    // ── 3. The wire: negotiation + progressive partial frames ────────
     let server = Server::builder()
         .engine(engine)
         .bind("127.0.0.1:0")
         .unwrap();
     let mut client = wqrtq::server::Client::connect_v2(server.local_addr()).unwrap();
-    println!("\nwire v2 — negotiated protocol v{}", client.version());
+    println!("\nover the wire — the server's Hello answered the preamble");
 
     // A fresh query point so the plan is computed live (not a cache
     // hit) and the partial frames actually stream.

@@ -12,10 +12,10 @@
 #   BENCH_server.json   — the TCP front door vs in-process submission:
 #                         connections × pipeline-depth sweep over the
 #                         wire protocol;
-#   BENCH_whynot.json   — the unified why-not advisor: one plan request
-#                         vs the equivalent sequence of legacy calls
-#                         (explain per vector + all three refinements),
-#                         plus the streaming first-partial headstart;
+#   BENCH_whynot.json   — the why-not advisor: plan throughput and
+#                         per-case latency (all three strategies, every
+#                         step verified), plus the streaming
+#                         first-partial headstart;
 #   BENCH_scale.json    — the two-tier data plane at scale: membership
 #                         probes, flat count kernels and the RTA sweep
 #                         with the dominance mask + quantized tier on vs

@@ -65,10 +65,15 @@ pub mod prelude {
     pub use wqrtq_core::penalty::Tolerances;
     pub use wqrtq_engine::{
         CatalogStats, DatasetEpoch, Engine, EngineBuilder, HistogramSnapshot, MetricsSnapshot,
-        Plan, PlanDelta, PlanExplanation, PlanStep, RefineStrategy, Request, RequestKind, Response,
-        ServerCounters, SlowRequest, Stage, StatsSnapshot, TraceSnapshot, WeightSet,
+        Plan, PlanDelta, PlanExplanation, PlanStep, Request, RequestKind, Response, ServerCounters,
+        SlowRequest, Stage, StatsSnapshot, TraceSnapshot, WeightSet,
     };
     pub use wqrtq_geom::{DeltaView, Point, Weight};
     pub use wqrtq_rtree::RTree;
     pub use wqrtq_server::{Client, Server, ServerBuilder};
 }
+
+/// Compiles and runs the README's Rust blocks under `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;

@@ -1,9 +1,8 @@
 //! Integration tests for the why-not advisor: plan optimality under
 //! randomised workloads (the recommendation is minimal and every
-//! alternative verifies), and the differential proof that the legacy
-//! one-strategy requests — now thin shims over the advisor path — answer
-//! bit-identically to the pre-advisor behaviour (direct framework
-//! calls, which is exactly what the PR-4 worker executed).
+//! alternative verifies), and the differential proof that a served
+//! plan's steps and explanations are bit-identical to direct framework
+//! calls on the same index.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -11,7 +10,7 @@ use wqrtq::core::advisor::{StrategyKind, WhyNotOptions};
 use wqrtq::core::framework::Wqrtq;
 use wqrtq::core::penalty::Tolerances;
 use wqrtq::engine::{
-    Engine, PlanDelta, RefineStrategy, Request, Response, WhyNotOptions as EngineOptions,
+    Engine, PlanDelta, Refinement, Request, Response, WhyNotOptions as EngineOptions,
 };
 use wqrtq::geom::{DeltaView, FlatPoints, Weight};
 use wqrtq::query::{rank::rank_of_point_scan, ProbeCtx, Snapshot};
@@ -96,46 +95,42 @@ proptest! {
     }
 }
 
-/// The PR-4 oracle for a legacy refine request: the exact call chain the
-/// pre-advisor worker executed (facade over the catalog's shared index +
-/// view, then one `modify_*` call).
-fn legacy_oracle(engine: &Engine, request: &Request) -> Response {
-    let (q, k, why_not, strategy) = match request {
-        Request::WhyNotRefine {
-            q,
-            k,
-            why_not,
-            strategy,
-            ..
-        } => (q, *k, why_not, strategy),
-        other => panic!("not a legacy refine request: {other:?}"),
-    };
-    let handle = engine.catalog().handle(request.dataset()).unwrap();
+/// The direct-framework oracle for one strategy of a sampled-path plan:
+/// the facade over the catalog's shared index + view, then one
+/// `modify_*` call, converted to plain data the way the worker does.
+fn direct_oracle(
+    engine: &Engine,
+    q: &[f64],
+    k: usize,
+    why_not: &[Vec<f64>],
+    kind: StrategyKind,
+    options: &EngineOptions,
+) -> Refinement {
+    let handle = engine.catalog().handle("products").unwrap();
     let wn: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
     let wqrtq = Wqrtq::new(handle.snapshot(), q, k).unwrap();
-    let answer = match strategy {
-        RefineStrategy::Mqp => wqrtq.modify_query(&wn),
-        RefineStrategy::Mwk { sample_size, seed } => {
-            wqrtq.modify_preferences(&wn, *sample_size, *seed)
-        }
-        RefineStrategy::Mqwk {
-            sample_size,
-            query_samples,
-            seed,
-        } => wqrtq.modify_all(&wn, *sample_size, *query_samples, *seed),
+    let answer = match kind {
+        StrategyKind::Mqp => wqrtq.modify_query(&wn),
+        StrategyKind::Mwk => wqrtq.modify_preferences(&wn, options.sample_size, options.seed),
+        StrategyKind::Mqwk => wqrtq.modify_all(
+            &wn,
+            options.sample_size,
+            options.query_samples,
+            options.seed,
+        ),
     }
     .unwrap();
     // Mirror the worker's plain-data conversion.
     use wqrtq::core::framework::RefinedQuery;
     let to_raw = |ws: Vec<Weight>| ws.into_iter().map(Weight::into_vec).collect::<Vec<_>>();
-    let refinement = match answer.refined {
-        RefinedQuery::QueryPoint { q_prime } => wqrtq::engine::Refinement {
+    match answer.refined {
+        RefinedQuery::QueryPoint { q_prime } => Refinement {
             q_prime: Some(q_prime),
             why_not: None,
             k: None,
             penalty: answer.penalty,
         },
-        RefinedQuery::Preferences { why_not, k } => wqrtq::engine::Refinement {
+        RefinedQuery::Preferences { why_not, k } => Refinement {
             q_prime: None,
             why_not: Some(to_raw(why_not)),
             k: Some(k),
@@ -145,151 +140,62 @@ fn legacy_oracle(engine: &Engine, request: &Request) -> Response {
             q_prime,
             why_not,
             k,
-        } => wqrtq::engine::Refinement {
+        } => Refinement {
             q_prime: Some(q_prime),
             why_not: Some(to_raw(why_not)),
             k: Some(k),
             penalty: answer.penalty,
         },
-    };
-    Response::Refinement(refinement)
-}
-
-fn legacy_refines() -> Vec<Request> {
-    [
-        RefineStrategy::Mqp,
-        RefineStrategy::Mwk {
-            sample_size: 96,
-            seed: 11,
-        },
-        RefineStrategy::Mqwk {
-            sample_size: 64,
-            query_samples: 24,
-            seed: 13,
-        },
-    ]
-    .into_iter()
-    .map(|strategy| Request::WhyNotRefine {
-        dataset: "products".into(),
-        q: vec![4.0, 4.0],
-        k: 3,
-        why_not: kevin_julia(),
-        strategy,
-    })
-    .collect()
-}
-
-/// Legacy shim responses stay bit-identical to the pre-advisor (PR-4)
-/// behaviour: the served refinement matches the direct framework call
-/// chain to the last float bit.
-#[test]
-fn legacy_shims_answer_bit_identically_to_the_pre_advisor_path() {
-    let engine = figure1_engine();
-    for request in legacy_refines() {
-        let served = engine.submit(request.clone());
-        let oracle = legacy_oracle(&engine, &request);
-        assert_eq!(served, oracle, "shim drifted for {request:?}");
-        // PartialEq on f64 fields would accept -0.0 vs 0.0; pin the bits.
-        match (&served, &oracle) {
-            (Response::Refinement(a), Response::Refinement(b)) => {
-                assert_eq!(a.penalty.to_bits(), b.penalty.to_bits());
-            }
-            other => panic!("unexpected response pair {other:?}"),
-        }
-    }
-    // The explain shim equals the core explanation path.
-    let served = engine.submit(Request::WhyNotExplain {
-        dataset: "products".into(),
-        weight: vec![0.1, 0.9],
-        q: vec![4.0, 4.0],
-        limit: 10,
-    });
-    let handle = engine.catalog().handle("products").unwrap();
-    let oracle = wqrtq::core::explain(
-        handle.snapshot(),
-        &[0.1, 0.9],
-        &[4.0, 4.0],
-        10,
-        &mut ProbeCtx::new(),
-    );
-    match served {
-        Response::Explanation {
-            rank,
-            culprits,
-            truncated,
-        } => {
-            assert_eq!(rank, oracle.rank);
-            assert_eq!(truncated, oracle.truncated);
-            let expected: Vec<(u32, f64)> =
-                oracle.culprits.iter().map(|c| (c.id, c.score)).collect();
-            assert_eq!(culprits, expected);
-        }
-        other => panic!("expected an explanation, got {other:?}"),
     }
 }
 
 /// Each step of a sampled-path plan is bit-identical to the matching
-/// legacy one-strategy request — one `WhyNot` round trip really does
-/// subsume the three legacy calls.
+/// direct `modify_*` call, and each explanation to the core `explain` —
+/// the engine is a serving layer, not a different algorithm.
 #[test]
 fn plan_steps_match_legacy_single_strategy_responses_bit_for_bit() {
     let engine = figure1_engine();
-    let plan_request = Request::WhyNot {
+    let options = EngineOptions {
+        culprit_limit: 10,
+        sample_size: 96,
+        query_samples: 24,
+        seed: 11,
+        exact_2d: false,
+        ..EngineOptions::default()
+    };
+    let plan = match engine.submit(Request::WhyNot {
         dataset: "products".into(),
         q: vec![4.0, 4.0],
         k: 3,
         why_not: kevin_julia(),
-        options: EngineOptions {
-            sample_size: 96,
-            query_samples: 24,
-            seed: 11,
-            exact_2d: false,
-            ..EngineOptions::default()
-        },
-    };
-    let plan = match engine.submit(plan_request) {
+        options: options.clone(),
+    }) {
         Response::Plan(plan) => plan,
         other => panic!("expected a plan, got {other:?}"),
     };
-    for (kind, strategy) in [
-        (StrategyKind::Mqp, RefineStrategy::Mqp),
-        (
-            StrategyKind::Mwk,
-            RefineStrategy::Mwk {
-                sample_size: 96,
-                seed: 11,
-            },
-        ),
-        (
-            StrategyKind::Mqwk,
-            RefineStrategy::Mqwk {
-                sample_size: 96,
-                query_samples: 24,
-                seed: 11,
-            },
-        ),
-    ] {
-        let legacy = engine.submit(Request::WhyNotRefine {
-            dataset: "products".into(),
-            q: vec![4.0, 4.0],
-            k: 3,
-            why_not: kevin_julia(),
-            strategy,
-        });
-        let refinement = match legacy {
-            Response::Refinement(r) => r,
-            other => panic!("expected a refinement, got {other:?}"),
-        };
+    for kind in StrategyKind::ALL {
+        let refinement = direct_oracle(&engine, &[4.0, 4.0], 3, &kevin_julia(), kind, &options);
         let step = plan
             .steps
             .iter()
             .find(|s| s.strategy == kind)
             .unwrap_or_else(|| panic!("plan lacks a {kind:?} step"));
         assert_eq!(step.refinement, refinement, "{kind:?} drifted");
+        // PartialEq on f64 fields would accept -0.0 vs 0.0; pin the bits.
         assert_eq!(
             step.refinement.penalty.to_bits(),
             refinement.penalty.to_bits()
         );
+    }
+    // The plan's explanations equal the core explanation path.
+    let handle = engine.catalog().handle("products").unwrap();
+    for (w, served) in kevin_julia().iter().zip(&plan.explanations) {
+        let oracle =
+            wqrtq::core::explain(handle.snapshot(), w, &[4.0, 4.0], 10, &mut ProbeCtx::new());
+        assert_eq!(served.rank, oracle.rank);
+        assert_eq!(served.truncated, oracle.truncated);
+        let expected: Vec<(u32, f64)> = oracle.culprits.iter().map(|c| (c.id, c.score)).collect();
+        assert_eq!(served.culprits, expected);
     }
 }
 
@@ -367,16 +273,13 @@ fn invalid_options_are_rejected_with_typed_errors() {
             "sampling budget",
         ),
         (
-            Request::WhyNotRefine {
-                dataset: "products".into(),
-                q: vec![4.0, 4.0],
-                k: 3,
-                why_not: kevin_julia(),
-                strategy: RefineStrategy::Mwk {
-                    sample_size: 1 << 40,
-                    seed: 1,
-                },
-            },
+            base(EngineOptions {
+                strategies: vec![StrategyKind::Mwk],
+                sample_size: 1 << 40,
+                seed: 1,
+                exact_2d: false,
+                ..EngineOptions::default()
+            }),
             "sampling budget",
         ),
         (
@@ -402,8 +305,8 @@ fn invalid_options_are_rejected_with_typed_errors() {
     assert_eq!(engine.metrics().cache.len, 0);
 }
 
-/// A not-actually-why-not vector fails the plan the same way it fails
-/// the legacy strategies: a typed error naming the offending vector.
+/// A not-actually-why-not vector fails the plan with a typed error
+/// naming the offending vector.
 #[test]
 fn member_vectors_fail_the_plan_with_a_typed_error() {
     let engine = figure1_engine();

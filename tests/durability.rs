@@ -22,7 +22,7 @@ use wqrtq::engine::storage::{
     Durability, FsyncPolicy, MemBackend, StorageBackend, StorageError, WalRecordRef, RECORD_MAGIC,
 };
 use wqrtq::engine::{Engine, Request, Response, WeightSet};
-use wqrtq::prelude::RefineStrategy;
+use wqrtq::prelude::{StrategyKind, WhyNotOptions};
 use wqrtq_server::{Client, Server};
 
 /// A unique temp directory per test (removed on drop, best-effort).
@@ -68,6 +68,15 @@ fn in_memory() -> Engine {
         .build()
 }
 
+/// Options pinned to the sampled path (no exact-2D auto-selection); the
+/// battery narrows them to one strategy per request.
+fn sampled() -> WhyNotOptions {
+    WhyNotOptions {
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    }
+}
+
 /// Every request kind against dataset `d` / population `pop`, with
 /// fixed parameters so both engines receive identical bytes.
 fn query_battery() -> Vec<Request> {
@@ -97,38 +106,51 @@ fn query_battery() -> Vec<Request> {
             q: q.clone(),
             k: 2,
         },
-        Request::WhyNotExplain {
+        // The explanation slot: culprits capped at 8.
+        Request::WhyNot {
             dataset: "d".into(),
-            weight: vec![0.1, 0.9],
             q: q.clone(),
-            limit: 8,
+            k: 3,
+            why_not: vec![vec![0.1, 0.9]],
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mqp],
+                culprit_limit: 8,
+                ..sampled()
+            },
         },
         Request::WhyNot {
             dataset: "d".into(),
             q: q.clone(),
             k: 3,
             why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            options: wqrtq::prelude::WhyNotOptions::default(),
+            options: WhyNotOptions::default(),
         },
     ];
-    for strategy in [
-        RefineStrategy::Mqp,
-        RefineStrategy::Mwk {
+    for options in [
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mqp],
+            ..sampled()
+        },
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mwk],
             sample_size: 40,
             seed: 9,
+            ..sampled()
         },
-        RefineStrategy::Mqwk {
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mqwk],
             sample_size: 30,
             query_samples: 10,
             seed: 5,
+            ..sampled()
         },
     ] {
-        batch.push(Request::WhyNotRefine {
+        batch.push(Request::WhyNot {
             dataset: "d".into(),
             q: q.clone(),
             k: 3,
             why_not: vec![vec![0.15, 0.85]],
-            strategy,
+            options,
         });
     }
     batch
@@ -506,7 +528,7 @@ fn server_restart_keeps_its_datasets() {
             .bind("127.0.0.1:0")
             .unwrap();
         let addr = server.local_addr();
-        let mut client = Client::connect(addr).unwrap();
+        let mut client = Client::connect_v2(addr).unwrap();
         client
             .register_dataset(
                 "d",
@@ -537,7 +559,7 @@ fn server_restart_keeps_its_datasets() {
         .engine(durable(dir.path()))
         .bind("127.0.0.1:0")
         .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     let r = client
         .submit(&Request::ReverseTopKBi {
             dataset: "d".into(),

@@ -6,6 +6,15 @@ use wqrtq::data::figure1;
 use wqrtq::data::synthetic::independent;
 use wqrtq::prelude::*;
 
+/// Options pinned to the sampled path (no exact-2D auto-selection); the
+/// requests below narrow them to one strategy each.
+fn sampled() -> WhyNotOptions {
+    WhyNotOptions {
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    }
+}
+
 /// A mixed batch covering every request kind against two datasets.
 fn mixed_batch() -> Vec<Request> {
     let mut batch = Vec::new();
@@ -16,11 +25,18 @@ fn mixed_batch() -> Vec<Request> {
             weight: vec![0.2 + 0.6 * t, 0.5 - 0.2 * t, 0.3 - 0.4 * t + 0.4 * t * t],
             k: 5 + i,
         });
-        batch.push(Request::WhyNotExplain {
+        // The explanation slot; `k = 1` keeps every vector of the sweep
+        // a genuine why-not vector (Dell always outranks q).
+        batch.push(Request::WhyNot {
             dataset: "figure1".into(),
-            weight: vec![0.1 + 0.1 * t, 0.9 - 0.1 * t],
             q: vec![4.0, 4.0],
-            limit: 8,
+            k: 1,
+            why_not: vec![vec![0.1 + 0.1 * t, 0.9 - 0.1 * t]],
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mqp],
+                culprit_limit: 8,
+                ..sampled()
+            },
         });
     }
     batch.push(Request::ReverseTopKMono {
@@ -49,24 +65,31 @@ fn mixed_batch() -> Vec<Request> {
         q: vec![4.0, 4.0],
         k: 4,
     });
-    for strategy in [
-        RefineStrategy::Mqp,
-        RefineStrategy::Mwk {
+    for options in [
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mqp],
+            ..sampled()
+        },
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mwk],
             sample_size: 120,
             seed: 7,
+            ..sampled()
         },
-        RefineStrategy::Mqwk {
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mqwk],
             sample_size: 120,
             query_samples: 60,
             seed: 7,
+            ..sampled()
         },
     ] {
-        batch.push(Request::WhyNotRefine {
+        batch.push(Request::WhyNot {
             dataset: "figure1".into(),
             q: vec![4.0, 4.0],
             k: 3,
             why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            strategy,
+            options,
         });
     }
     // One deliberate failure: responses must stay slot-aligned around it.
@@ -183,25 +206,28 @@ fn engine_refinements_match_direct_framework_calls() {
     let why_not = vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])];
 
     let direct = wqrtq.modify_preferences(&why_not, 120, 7).unwrap();
-    let served = engine.submit(Request::WhyNotRefine {
+    let served = engine.submit(Request::WhyNot {
         dataset: "figure1".into(),
         q: vec![4.0, 4.0],
         k: 3,
         why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-        strategy: RefineStrategy::Mwk {
+        options: WhyNotOptions {
+            strategies: vec![StrategyKind::Mwk],
             sample_size: 120,
             seed: 7,
+            ..sampled()
         },
     });
     match served {
-        Response::Refinement(r) => {
+        Response::Plan(plan) => {
+            let r = &plan.recommended().refinement;
             assert!((r.penalty - direct.penalty).abs() < 1e-12);
             match direct.refined {
                 RefinedQuery::Preferences { k, .. } => assert_eq!(r.k, Some(k)),
                 other => panic!("MWK returns Preferences, got {other:?}"),
             }
         }
-        other => panic!("expected refinement, got {other:?}"),
+        other => panic!("expected a one-step plan, got {other:?}"),
     }
 }
 

@@ -8,15 +8,16 @@
 //! scores compared by `f64` equality via `Response: PartialEq`, ids
 //! compared through the stable-id table the canonical row order defines.
 //!
-//! This is the same differential pattern whose `repro_tie.rs` instance
-//! caught an unsound RTA prune in PR 2 — run here across the whole
-//! mutation lifecycle before the overlay ships.
+//! This is the differential pattern that caught an unsound RTA prune in
+//! PR 2 (its kernel-level form now lives in
+//! `crates/query/tests/differential.rs`) — run here across the whole
+//! mutation lifecycle.
 //!
 //! `WQRTQ_FUZZ_ROUNDS` scales the mutation rounds per seed (default 10;
 //! the CI smoke run sets 3).
 
 use wqrtq::engine::{Engine, Request, Response, WeightSet};
-use wqrtq::prelude::RefineStrategy;
+use wqrtq::prelude::{StrategyKind, WhyNotOptions};
 
 /// Deterministic LCG, good enough to drive op choices and coordinates.
 struct Rng(u64);
@@ -101,19 +102,24 @@ fn map_ids(response: Response, ids: &[u32]) -> Response {
                 .map(|(id, s)| (ids[id as usize], s))
                 .collect(),
         ),
-        Response::Explanation {
-            rank,
-            culprits,
-            truncated,
-        } => Response::Explanation {
-            rank,
-            culprits: culprits
-                .into_iter()
-                .map(|(id, s)| (ids[id as usize], s))
-                .collect(),
-            truncated,
-        },
+        Response::Plan(mut plan) => {
+            for explanation in &mut plan.explanations {
+                for (id, _) in &mut explanation.culprits {
+                    *id = ids[*id as usize];
+                }
+            }
+            Response::Plan(plan)
+        }
         other => other,
+    }
+}
+
+/// Options pinned to the sampled path (no exact-2D auto-selection); the
+/// battery narrows them to one strategy per request.
+fn sampled() -> WhyNotOptions {
+    WhyNotOptions {
+        exact_2d: false,
+        ..WhyNotOptions::default()
     }
 }
 
@@ -153,32 +159,47 @@ fn query_battery(dim: usize, rng: &mut Rng) -> Vec<Request> {
             q: q.clone(),
             k: 1 + rng.below(5),
         },
-        Request::WhyNotExplain {
+        // The explanation slot. `k = 1` makes its vector a genuine
+        // why-not vector in nearly every round (`q` would have to be the
+        // top-1 point), so the culprit ids really get compared.
+        Request::WhyNot {
             dataset: "d".into(),
-            weight: weights[6].clone(),
             q: q.clone(),
-            limit: 1 + rng.below(8),
+            k: 1,
+            why_not: vec![weights[6].clone()],
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mqp],
+                culprit_limit: 1 + rng.below(8),
+                ..sampled()
+            },
         },
     ];
     let why_not = vec![weights[7].clone()];
-    for strategy in [
-        RefineStrategy::Mqp,
-        RefineStrategy::Mwk {
+    for options in [
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mqp],
+            ..sampled()
+        },
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mwk],
             sample_size: 40,
             seed: 9,
+            ..sampled()
         },
-        RefineStrategy::Mqwk {
+        WhyNotOptions {
+            strategies: vec![StrategyKind::Mqwk],
             sample_size: 30,
             query_samples: 10,
             seed: 5,
+            ..sampled()
         },
     ] {
-        batch.push(Request::WhyNotRefine {
+        batch.push(Request::WhyNot {
             dataset: "d".into(),
             q: q.clone(),
             k: 1 + rng.below(4),
             why_not: why_not.clone(),
-            strategy,
+            options,
         });
     }
     batch
@@ -207,6 +228,7 @@ fn run_fuzz(dim: usize, seed: u64) {
         .overlay_limit(usize::MAX)
         .build();
     overlay.register_dataset("d", dim, coords).unwrap();
+    let mut plans_compared = 0usize;
 
     for round in 0..fuzz_rounds() {
         // A burst of random mutations.
@@ -278,6 +300,7 @@ fn run_fuzz(dim: usize, seed: u64) {
         let expected = oracle.submit_batch(battery.clone());
         for ((g, e), request) in got.into_iter().zip(expected).zip(&battery) {
             let e = map_ids(e, &ids);
+            plans_compared += usize::from(matches!(g, Response::Plan(_)));
             assert_eq!(
                 g, e,
                 "seed {seed} round {round}: overlay diverged from rebuilt \
@@ -285,6 +308,10 @@ fn run_fuzz(dim: usize, seed: u64) {
             );
         }
     }
+    assert!(
+        plans_compared > 0,
+        "seed {seed}: every why-not request errored — no plan was ever compared"
+    );
     // The overlay must actually have served through its overlay at some
     // point (otherwise this fuzz proves nothing).
     let m = overlay.metrics();

@@ -18,7 +18,8 @@
 //! raises it).
 
 use std::path::{Path, PathBuf};
-use wqrtq::engine::{Engine, Request, WeightSet};
+use wqrtq::engine::{Engine, Request, Response, WeightSet};
+use wqrtq::prelude::{StrategyKind, WhyNotOptions};
 
 struct Rng(u64);
 
@@ -157,11 +158,20 @@ fn battery() -> Vec<Request> {
             q: vec![5.0, 3.0],
             k: 4,
         },
-        Request::WhyNotExplain {
+        // Explanation (culprits capped at 6) plus one sampled-path
+        // strategy; `k = 1` keeps the vector a genuine why-not vector on
+        // nearly every surviving prefix.
+        Request::WhyNot {
             dataset: "d".into(),
-            weight: vec![0.45, 0.55],
             q: vec![3.0, 6.0],
-            limit: 6,
+            k: 1,
+            why_not: vec![vec![0.45, 0.55]],
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mqp],
+                culprit_limit: 6,
+                exact_2d: false,
+                ..WhyNotOptions::default()
+            },
         },
     ]
 }
@@ -281,6 +291,11 @@ fn run_round(seed: u64) {
             saved.display()
         );
     }
+
+    assert!(
+        got.iter().any(|r| matches!(r, Response::Plan(_))),
+        "seed {seed}: the why-not request errored — no plan was compared"
+    );
 
     drop(recovered);
     let _ = std::fs::remove_dir_all(&dir);

@@ -8,7 +8,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use wqrtq_engine::{RefineStrategy, Request, Response, WeightSet};
+use wqrtq_engine::{Request, Response, StrategyKind, WeightSet, WhyNotOptions};
 use wqrtq_server::{Client, ClientError, ClientFrame, Server, ServerFrame};
 
 /// Figure 1 products (paper §1).
@@ -33,6 +33,15 @@ fn scatter(n: usize, dim: usize, seed: u64) -> Vec<f64> {
         v.push((state >> 11) as f64 / (1u64 << 53) as f64 * 10.0);
     }
     v
+}
+
+/// Options pinned to the sampled path (no exact-2D auto-selection); the
+/// suite narrows them to one strategy per request.
+fn sampled() -> WhyNotOptions {
+    WhyNotOptions {
+        exact_2d: false,
+        ..WhyNotOptions::default()
+    }
 }
 
 /// Every request kind and strategy, parameterised by catalog names so
@@ -73,38 +82,42 @@ fn all_kind_requests(ds2: &str, ds3: &str, pop: &str) -> Vec<Request> {
             q: vec![4.0, 4.0],
             k: 3,
         },
-        Request::WhyNotExplain {
-            dataset: ds2.into(),
-            weight: vec![0.1, 0.9],
-            q: vec![4.0, 4.0],
-            limit: 10,
-        },
-        Request::WhyNotRefine {
+        // The explanation slot (culprits capped at 10) and the MQP
+        // strategy, in one single-strategy plan.
+        Request::WhyNot {
             dataset: ds2.into(),
             q: vec![4.0, 4.0],
             k: 3,
             why_not: vec![vec![0.1, 0.9]],
-            strategy: RefineStrategy::Mqp,
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mqp],
+                culprit_limit: 10,
+                ..sampled()
+            },
         },
-        Request::WhyNotRefine {
+        Request::WhyNot {
             dataset: ds2.into(),
             q: vec![4.0, 4.0],
             k: 3,
             why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
-            strategy: RefineStrategy::Mwk {
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mwk],
                 sample_size: 48,
                 seed: 11,
+                ..sampled()
             },
         },
-        Request::WhyNotRefine {
+        Request::WhyNot {
             dataset: ds2.into(),
             q: vec![4.0, 4.0],
             k: 3,
             why_not: vec![vec![0.1, 0.9]],
-            strategy: RefineStrategy::Mqwk {
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mqwk],
                 sample_size: 32,
                 query_samples: 8,
                 seed: 13,
+                ..sampled()
             },
         },
         // Mutations, then a query observing their effect.
@@ -146,7 +159,7 @@ fn all_kind_requests(ds2: &str, ds3: &str, pop: &str) -> Vec<Request> {
 #[test]
 fn differential_loopback_wire_responses_bit_identical_to_direct_submit() {
     let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
@@ -208,7 +221,7 @@ fn differential_loopback_wire_responses_bit_identical_to_direct_submit() {
 #[test]
 fn wire_stats_snapshot_equals_engine_metrics_when_quiesced() {
     let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
@@ -289,13 +302,27 @@ fn raw_conn(server: &Server) -> TcpStream {
     stream
 }
 
-fn read_protocol_error(stream: &mut TcpStream) -> String {
+fn read_frame(stream: &mut TcpStream) -> (u64, ServerFrame) {
     let mut prefix = [0u8; 4];
     stream.read_exact(&mut prefix).unwrap();
     let len = u32::from_le_bytes(prefix) as usize;
     let mut payload = vec![0u8; len];
     stream.read_exact(&mut payload).unwrap();
-    match ServerFrame::decode(&payload).unwrap() {
+    ServerFrame::decode(&payload).unwrap()
+}
+
+/// A raw connection past the handshake: preamble sent, Hello consumed.
+fn greeted_raw_conn(server: &Server) -> TcpStream {
+    let mut stream = raw_conn(server);
+    stream.write_all(&wqrtq_server::MAGIC_V2).unwrap();
+    match read_frame(&mut stream) {
+        (_, ServerFrame::Hello { .. }) => stream,
+        other => panic!("expected a hello frame, got {other:?}"),
+    }
+}
+
+fn read_protocol_error(stream: &mut TcpStream) -> String {
+    match read_frame(stream) {
         (id, ServerFrame::ProtocolError(msg)) => {
             assert_eq!(id, wqrtq_server::CONNECTION_ID);
             msg
@@ -314,7 +341,7 @@ fn assert_closed(stream: &mut TcpStream) {
 }
 
 fn assert_still_serving(server: &Server) {
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client.ping().unwrap();
     let response = client
         .submit(&Request::TopK {
@@ -349,8 +376,7 @@ fn bad_magic_is_rejected_and_reported() {
 #[test]
 fn malformed_frame_is_rejected_without_poisoning_the_pool() {
     let server = serving_fixture();
-    let mut stream = raw_conn(&server);
-    stream.write_all(b"WQR1").unwrap();
+    let mut stream = greeted_raw_conn(&server);
     // A well-framed payload full of garbage: 12 bytes that parse as an
     // id + an unknown opcode.
     let garbage = [0xffu8; 12];
@@ -368,8 +394,7 @@ fn malformed_frame_is_rejected_without_poisoning_the_pool() {
 #[test]
 fn request_id_zero_is_reserved_and_rejected() {
     let server = serving_fixture();
-    let mut stream = raw_conn(&server);
-    stream.write_all(b"WQR1").unwrap();
+    let mut stream = greeted_raw_conn(&server);
     // A perfectly well-formed Ping frame, but carrying the reserved
     // connection-level id 0.
     let payload = wqrtq_server::ClientFrame::Ping.encode(0);
@@ -394,11 +419,13 @@ fn connections_beyond_the_cap_are_shed_at_the_door() {
         .engine()
         .register_dataset("p", 2, PRODUCTS_2D.to_vec())
         .unwrap();
-    let mut first = Client::connect(server.local_addr()).unwrap();
+    let mut first = Client::connect_v2(server.local_addr()).unwrap();
     first.ping().unwrap(); // the first session is fully registered
-    let mut second = Client::connect(server.local_addr()).unwrap();
+                           // The handshake itself may already fail: the server drops the socket
+                           // without a Hello.
+    let second = Client::connect_v2(server.local_addr()).and_then(|mut c| c.ping());
     assert!(
-        second.ping().is_err(),
+        second.is_err(),
         "the over-cap connection must be dropped, not served"
     );
     // The capped connection costs nothing persistent: once the first
@@ -407,7 +434,7 @@ fn connections_beyond_the_cap_are_shed_at_the_door() {
     drop(first);
     let deadline = Instant::now() + Duration::from_secs(30);
     loop {
-        if let Ok(mut retry) = Client::connect(server.local_addr()) {
+        if let Ok(mut retry) = Client::connect_v2(server.local_addr()) {
             if retry.ping().is_ok() {
                 break;
             }
@@ -424,7 +451,7 @@ fn connections_beyond_the_cap_are_shed_at_the_door() {
 #[test]
 fn non_normalized_weight_registration_is_a_typed_error_not_a_panic() {
     let server = serving_fixture();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     // Finite and non-negative but not summing to 1: this must come back
     // as a typed error, not panic the session thread.
     let err = client
@@ -443,6 +470,50 @@ fn non_normalized_weight_registration_is_a_typed_error_not_a_panic() {
 }
 
 #[test]
+fn non_normalized_request_weights_are_typed_errors_not_worker_panics() {
+    // A why-not vector or inline customer weight that does not sum to 1
+    // passes request validation (finite, non-negative, some entry
+    // positive) and used to die on `Weight::new`'s assert inside the
+    // worker. It must be a typed error, in process and over the wire.
+    let server = serving_fixture();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    let mut plan = plan_request("p");
+    if let Request::WhyNot { why_not, .. } = &mut plan {
+        *why_not = vec![vec![2.0, 3.0]];
+    }
+    let reverse = Request::ReverseTopKBi {
+        dataset: "p".into(),
+        weights: WeightSet::Inline(vec![vec![2.0, 3.0]]),
+        q: vec![4.0, 4.0],
+        k: 3,
+    };
+    for request in [plan, reverse] {
+        for response in [
+            server.engine().submit(request.clone()),
+            client.submit(&request).unwrap(),
+        ] {
+            match response {
+                Response::Error(msg) => assert!(
+                    msg.contains("sum to 1") && !msg.contains("panicked"),
+                    "{request:?}: {msg}"
+                ),
+                other => panic!("{request:?}: expected a typed error, got {other:?}"),
+            }
+        }
+    }
+    // `TopK` scores its weight as a raw slice: unnormalised is fine.
+    let top = client.submit(&Request::TopK {
+        dataset: "p".into(),
+        weight: vec![2.0, 3.0],
+        k: 2,
+    });
+    assert_eq!(top.unwrap(), Response::TopK(vec![(0, 7.0), (1, 21.0)]));
+    // The connection and the pool behind it keep serving.
+    client.ping().unwrap();
+    assert_still_serving(&server);
+}
+
+#[test]
 fn oversized_frame_is_rejected_before_allocation() {
     let server = Server::builder()
         .workers(1)
@@ -453,8 +524,7 @@ fn oversized_frame_is_rejected_before_allocation() {
         .engine()
         .register_dataset("p", 2, PRODUCTS_2D.to_vec())
         .unwrap();
-    let mut stream = raw_conn(&server);
-    stream.write_all(b"WQR1").unwrap();
+    let mut stream = greeted_raw_conn(&server);
     // Announce a 100 MiB payload; the server must refuse on the prefix
     // alone, before any of it exists.
     stream.write_all(&(100u32 << 20).to_le_bytes()).unwrap();
@@ -500,7 +570,7 @@ fn slow_fixture(workers: usize, admission: usize) -> Server {
 #[test]
 fn busy_backpressure_under_a_tiny_admission_queue() {
     let server = slow_fixture(1, 1);
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
@@ -539,7 +609,7 @@ fn busy_backpressure_under_a_tiny_admission_queue() {
 #[test]
 fn pipelined_responses_complete_out_of_order() {
     let server = slow_fixture(2, 64);
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
@@ -567,7 +637,7 @@ fn pipelined_responses_complete_out_of_order() {
 fn abrupt_disconnect_mid_pipeline_does_not_poison_the_pool() {
     let server = slow_fixture(2, 64);
     {
-        let mut client = Client::connect(server.local_addr()).unwrap();
+        let mut client = Client::connect_v2(server.local_addr()).unwrap();
         // A burst of in-flight work, then vanish without reading a byte.
         for _ in 0..4 {
             client
@@ -607,7 +677,7 @@ fn abrupt_disconnect_mid_pipeline_does_not_poison_the_pool() {
 #[test]
 fn half_closed_socket_still_receives_its_responses() {
     let server = slow_fixture(2, 64);
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
@@ -638,7 +708,7 @@ fn half_closed_socket_still_receives_its_responses() {
 #[test]
 fn shutdown_drains_in_flight_work_before_closing() {
     let server = slow_fixture(2, 64);
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
@@ -659,7 +729,7 @@ fn shutdown_drains_in_flight_work_before_closing() {
     assert!(matches!(client.recv(), Err(ClientError::Closed)));
     // New connections are refused (the listener is gone) — either the
     // connect or the first round trip fails.
-    let refused = match Client::connect(server.local_addr()) {
+    let refused = match Client::connect_v2(server.local_addr()) {
         Err(_) => true,
         Ok(mut late) => late.ping().is_err(),
     };
@@ -676,7 +746,7 @@ fn shutdown_drains_in_flight_work_before_closing() {
 }
 
 // ---------------------------------------------------------------------
-// Protocol v2: preamble negotiation, streaming plans, v1 coexistence.
+// Preamble negotiation, streaming plans, the retired v1 preamble.
 // ---------------------------------------------------------------------
 
 fn plan_request(dataset: &str) -> Request {
@@ -695,15 +765,15 @@ fn plan_request(dataset: &str) -> Request {
 }
 
 #[test]
-fn v2_preamble_negotiates_a_hello_and_v1_stays_silent() {
+fn retired_v1_preamble_is_refused_with_a_typed_version_error() {
     let server = serving_fixture();
-    let v2 = Client::connect_v2(server.local_addr()).unwrap();
-    assert_eq!(v2.version(), wqrtq_server::PROTOCOL_VERSION);
-    // A v1 connection gets no unsolicited frames: its first round trip
-    // answers the request it sent, nothing else.
-    let mut v1 = Client::connect(server.local_addr()).unwrap();
-    v1.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    v1.ping().unwrap();
+    let mut stream = raw_conn(&server);
+    stream.write_all(b"WQR1").unwrap();
+    let msg = read_protocol_error(&mut stream);
+    assert!(msg.contains("WQR2"), "unexpected message: {msg}");
+    assert_closed(&mut stream);
+    assert!(server.stats().protocol_errors >= 1);
+    assert_still_serving(&server);
     server.shutdown();
 }
 
@@ -777,23 +847,6 @@ fn v2_plan_streams_partials_before_the_final_ranked_plan() {
 }
 
 #[test]
-fn v1_connections_refuse_plan_requests_with_a_typed_error() {
-    let server = serving_fixture();
-    let mut v1 = Client::connect(server.local_addr()).unwrap();
-    v1.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    match v1.submit(&plan_request("p")) {
-        Ok(Response::Error(msg)) => {
-            assert!(msg.contains("protocol v2"), "unexpected message: {msg}")
-        }
-        other => panic!("expected a typed error reply, got {other:?}"),
-    }
-    // The connection survives — the refusal is a reply, not a violation.
-    v1.ping().unwrap();
-    assert_still_serving(&server);
-    server.shutdown();
-}
-
-#[test]
 fn invalid_plan_options_over_the_wire_are_typed_engine_errors() {
     let server = serving_fixture();
     let mut client = Client::connect_v2(server.local_addr()).unwrap();
@@ -854,74 +907,6 @@ fn invalid_plan_options_over_the_wire_are_typed_engine_errors() {
 }
 
 #[test]
-fn v2_streaming_and_v1_legacy_suite_coexist_on_one_server() {
-    let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
-    let engine = server.engine();
-    engine
-        .register_dataset("wire2", 2, PRODUCTS_2D.to_vec())
-        .unwrap();
-    engine
-        .register_dataset("wire3", 3, scatter(300, 3, 42))
-        .unwrap();
-    engine
-        .register_dataset("dir2", 2, PRODUCTS_2D.to_vec())
-        .unwrap();
-    engine
-        .register_dataset("dir3", 3, scatter(300, 3, 42))
-        .unwrap();
-    engine
-        .register_weights(
-            "wirepop",
-            customers().into_iter().map(wqrtq::Weight::new).collect(),
-        )
-        .unwrap();
-    engine
-        .register_weights(
-            "dirpop",
-            customers().into_iter().map(wqrtq::Weight::new).collect(),
-        )
-        .unwrap();
-
-    // A v2 client streams a plan on a second dataset name while the v1
-    // client walks the full legacy request suite — both against the
-    // same pool, both bit-identical to direct submission.
-    let addr = server.local_addr();
-    let streamer = std::thread::spawn(move || {
-        let mut v2 = Client::connect_v2(addr).unwrap();
-        v2.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-        let mut partials = 0usize;
-        let plan = v2
-            .submit_plan(&plan_request("wire2"), |_| partials += 1)
-            .unwrap();
-        (partials, plan)
-    });
-
-    let mut v1 = Client::connect(addr).unwrap();
-    v1.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
-    for (wire_req, direct_req) in all_kind_requests("wire2", "wire3", "wirepop")
-        .into_iter()
-        .zip(all_kind_requests("dir2", "dir3", "dirpop"))
-        // The mutation tail of the suite would perturb the twin dataset
-        // mid-plan; the read-only prefix is what coexistence is about.
-        .filter(|(w, _)| !w.kind().is_mutation())
-    {
-        let label = format!("{wire_req:?}");
-        let wire_resp = v1.submit(&wire_req).unwrap();
-        let direct_resp = engine.submit(direct_req);
-        assert_eq!(
-            ServerFrame::Reply(wire_resp).encode(0),
-            ServerFrame::Reply(direct_resp).encode(0),
-            "{label}: v1 responses diverged while v2 streamed"
-        );
-    }
-
-    let (partials, plan) = streamer.join().unwrap();
-    assert!(partials >= 5, "expected streamed partials, got {partials}");
-    assert_eq!(plan.steps.len(), 3);
-    server.shutdown();
-}
-
-#[test]
 fn plain_submit_of_a_plan_request_keeps_a_v2_connection_in_sync() {
     // submit() must absorb the streamed partials (only submit_plan
     // observes them) — otherwise the first ReplyPart would desync every
@@ -946,7 +931,7 @@ fn plain_submit_of_a_plan_request_keeps_a_v2_connection_in_sync() {
         other => panic!("follow-up submit failed: {other:?}"),
     }
     // Engine-level failures still surface as Response::Error through
-    // submit(), exactly like on v1.
+    // submit(), like for every other request kind.
     let mut bad = plan_request("p");
     if let Request::WhyNot { dataset, .. } = &mut bad {
         *dataset = "no-such-dataset".into();
@@ -973,7 +958,7 @@ fn depth_one_round_trips_stay_under_the_nagle_bound() {
     // Nagle/delayed-ACK interaction stretches it to ~40ms. The bound
     // leaves two orders of magnitude of scheduler headroom.
     let server = serving_fixture();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     for _ in 0..5 {
         client.ping().unwrap(); // warm-up
     }
@@ -1006,8 +991,12 @@ fn frames_split_across_reads_reassemble() {
         stream.flush().unwrap();
         std::thread::sleep(Duration::from_millis(20));
     };
-    trickle(&mut stream, &wqrtq_server::MAGIC[..2]);
-    trickle(&mut stream, &wqrtq_server::MAGIC[2..]);
+    trickle(&mut stream, &wqrtq_server::MAGIC_V2[..2]);
+    trickle(&mut stream, &wqrtq_server::MAGIC_V2[2..]);
+    assert!(matches!(
+        read_frame(&mut stream),
+        (_, ServerFrame::Hello { .. })
+    ));
 
     let ping = ClientFrame::Ping.encode(1);
     let mut framed = (ping.len() as u32).to_le_bytes().to_vec();
@@ -1028,12 +1017,7 @@ fn frames_split_across_reads_reassemble() {
     trickle(&mut stream, &ping3[3..]);
 
     for expect_id in 1..=3u64 {
-        let mut prefix = [0u8; 4];
-        stream.read_exact(&mut prefix).unwrap();
-        let len = u32::from_le_bytes(prefix) as usize;
-        let mut payload = vec![0u8; len];
-        stream.read_exact(&mut payload).unwrap();
-        match ServerFrame::decode(&payload).unwrap() {
+        match read_frame(&mut stream) {
             (id, ServerFrame::Pong) => assert_eq!(id, expect_id),
             other => panic!("expected pong {expect_id}, got {other:?}"),
         }
@@ -1061,7 +1045,7 @@ fn slow_reader_overflowing_the_reply_backlog_is_killed() {
         .engine()
         .register_dataset("p", 2, PRODUCTS_2D.to_vec())
         .unwrap();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client.set_recv_buffer(4096).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -1115,7 +1099,7 @@ fn multiple_event_loops_serve_connections_concurrently() {
     let handles: Vec<_> = (0..4)
         .map(|_| {
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = Client::connect_v2(addr).unwrap();
                 client
                     .set_read_timeout(Some(Duration::from_secs(60)))
                     .unwrap();
@@ -1144,7 +1128,7 @@ fn multiple_event_loops_serve_connections_concurrently() {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     let stats = loop {
         let stats = server.stats();
-        if (stats.frames_in >= 200 && stats.frames_out >= 200)
+        if (stats.frames_in >= 200 && stats.frames_out >= 204)
             || std::time::Instant::now() >= deadline
         {
             break stats;
@@ -1155,7 +1139,7 @@ fn multiple_event_loops_serve_connections_concurrently() {
     assert_eq!(stats.protocol_errors, 0);
     assert_eq!(stats.busy_rejections, 0);
     assert_eq!(stats.frames_in, 200);
-    assert_eq!(stats.frames_out, 200);
+    assert_eq!(stats.frames_out, 204, "200 replies + one Hello each");
     server.shutdown();
 }
 
@@ -1165,7 +1149,7 @@ fn pipelined_batch_submit_round_trips_every_reply() {
     // decodes it from few reads and hands the engine one batch. Every
     // id must come back exactly once (order may vary).
     let server = serving_fixture();
-    let mut client = Client::connect(server.local_addr()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();

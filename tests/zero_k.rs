@@ -24,12 +24,16 @@ fn why_not(k: usize) -> Request {
 }
 
 fn refine(k: usize) -> Request {
-    Request::WhyNotRefine {
+    Request::WhyNot {
         dataset: "p".into(),
         q: vec![4.0, 4.0],
         k,
         why_not: vec![vec![0.1, 0.9]],
-        strategy: RefineStrategy::Mqp,
+        options: WhyNotOptions {
+            strategies: vec![StrategyKind::Mqp],
+            exact_2d: false,
+            ..WhyNotOptions::default()
+        },
     }
 }
 
