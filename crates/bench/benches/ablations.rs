@@ -16,7 +16,7 @@ use rand::{Rng, SeedableRng};
 use std::time::Duration;
 use wqrtq_core::incomparable::DominanceFrontier;
 use wqrtq_core::mqp::mqp;
-use wqrtq_core::mwk::mwk_with_frontier;
+use wqrtq_core::mwk::{mwk_with_frontier, Budget};
 use wqrtq_core::penalty::Tolerances;
 use wqrtq_core::safe_region::SafeRegion;
 use wqrtq_core::sampling::WeightSampler;
@@ -117,12 +117,13 @@ fn reuse_vs_fresh(c: &mut Criterion) {
         17,
     );
     let tol = Tolerances::paper_default();
+    let unbounded = Budget::UNBOUNDED;
     let mut g = small_group(c, "ablation_reuse_vs_fresh");
     g.bench_function("reuse_frontier", |b| {
         b.iter(|| {
             for (i, qp) in samples.iter().enumerate() {
                 let f = base.reclassify(qp);
-                mwk_with_frontier(&f, case.k, &case.why_not, 50, &tol, i as u64);
+                mwk_with_frontier(&f, case.k, &case.why_not, 50, &tol, i as u64, &unbounded);
             }
         })
     });
@@ -130,7 +131,7 @@ fn reuse_vs_fresh(c: &mut Criterion) {
         b.iter(|| {
             for (i, qp) in samples.iter().enumerate() {
                 let f = DominanceFrontier::new(&tree, qp);
-                mwk_with_frontier(&f, case.k, &case.why_not, 50, &tol, i as u64);
+                mwk_with_frontier(&f, case.k, &case.why_not, 50, &tol, i as u64, &unbounded);
             }
         })
     });

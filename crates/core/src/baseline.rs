@@ -14,7 +14,7 @@
 
 use crate::error::WhyNotError;
 use crate::incomparable::DominanceFrontier;
-use crate::mwk::{mwk_with_frontier, MwkResult};
+use crate::mwk::{mwk_with_frontier, Budget, MwkResult};
 use crate::penalty::{preference_penalty, Tolerances};
 use wqrtq_geom::Weight;
 use wqrtq_rtree::RTree;
@@ -55,6 +55,7 @@ pub fn separate_refinement(
             sample_size,
             tol,
             seed.wrapping_add(i as u64),
+            &Budget::UNBOUNDED,
         );
         refined.push(res.refined[0].clone());
         k_prime = k_prime.max(res.k_prime);

@@ -13,25 +13,50 @@
 //! re-classified per sample without touching the index again — the
 //! paper's reuse technique (revised `FindIncom`, §4.4).
 
-use wqrtq_geom::{dominates, score, DeltaView, FlatPoints};
+use std::sync::Arc;
+use wqrtq_geom::{dominates, incomparable as neither_dominates, score, DeltaView, FlatPoints};
 use wqrtq_query::Snapshot;
 
 /// The classified frontier of a query point: everything needed to rank
 /// that point under arbitrary (positive) weighting vectors without the
 /// R-tree.
+///
+/// The rows themselves belong to the traversal that found them
+/// ([`DominanceFrontier::new`]) and are shared, never copied: a
+/// re-classification is `|D|` plus an index list over those rows.
 #[derive(Clone, Debug)]
 pub struct DominanceFrontier {
-    dim: usize,
     q: Vec<f64>,
-    /// Flat `|D| × dim` coordinates of points dominating `q` (they beat
-    /// it under every strictly positive weight).
-    dominating: Vec<f64>,
-    /// Flat `|I| × dim` coordinates of the incomparable points.
-    incomparable: Vec<f64>,
-    /// Column-major mirror of `incomparable` feeding the fused count
-    /// kernel — `rank_under` runs in inner loops of MWK/MQWK (one call
-    /// per sampled weight), so the scan layout matters.
-    incomparable_cols: FlatPoints,
+    rows: Arc<FrontierRows>,
+    /// `|D|`: points dominating `q` (they beat it under every strictly
+    /// positive weight, so ranking never scores them).
+    num_dominating: usize,
+    /// `I` as row numbers into `rows`, in canonical (id-ascending) order.
+    incomparable: Vec<u32>,
+    /// The members of `I` that dominated the traversal's own query point
+    /// and so sit outside the column store.
+    promoted: Vec<u32>,
+}
+
+/// What one `FindIncom` traversal found: the rows incomparable with its
+/// query point, then the rows dominating it, each id-ascending.
+#[derive(Debug)]
+struct FrontierRows {
+    ids: Vec<u32>,
+    coords: Vec<f64>,
+    /// Column-major mirror of the incomparable rows (rows `0..cols.len()`)
+    /// feeding the fused count kernel — `rank_under` runs in the inner
+    /// loops of MWK/MQWK (one call per sampled weight), so the scan layout
+    /// matters, and so does building it once per traversal rather than
+    /// once per sampled query point.
+    cols: FlatPoints,
+}
+
+impl FrontierRows {
+    fn row(&self, r: u32) -> &[f64] {
+        let dim = self.cols.dim();
+        &self.coords[r as usize * dim..(r as usize + 1) * dim]
+    }
 }
 
 /// The live rows of one side of a dominance split, tagged with their ids.
@@ -89,33 +114,36 @@ impl DominanceFrontier {
                 }
             }
         }
-        let canonical = |mut rows: Vec<(u32, &[f64])>| -> Vec<f64> {
-            rows.sort_by_key(|(id, _)| *id);
-            rows.into_iter().flat_map(|(_, row)| row).copied().collect()
-        };
-        Self::from_parts(
-            dim,
-            q.to_vec(),
-            canonical(dominating),
-            canonical(incomparable),
-        )
-    }
-
-    fn from_parts(dim: usize, q: Vec<f64>, dominating: Vec<f64>, incomparable: Vec<f64>) -> Self {
-        let incomparable_cols = FlatPoints::from_row_major(dim, &incomparable);
+        // A copy of q ties with it under every weight and has no tie
+        // plane; whether the traversal prunes it depends on its leaf.
+        incomparable.retain(|(_, row)| *row != q);
+        dominating.sort_by_key(|(id, _)| *id);
+        incomparable.sort_by_key(|(id, _)| *id);
+        let (num_incomparable, num_dominating) = (incomparable.len(), dominating.len());
+        incomparable.append(&mut dominating);
+        let coords: Vec<f64> = incomparable
+            .iter()
+            .flat_map(|(_, row)| *row)
+            .copied()
+            .collect();
         Self {
-            dim,
-            q,
-            dominating,
-            incomparable,
-            incomparable_cols,
+            q: q.to_vec(),
+            num_dominating,
+            incomparable: (0..num_incomparable as u32).collect(),
+            promoted: Vec::new(),
+            rows: Arc::new(FrontierRows {
+                ids: incomparable.iter().map(|(id, _)| *id).collect(),
+                cols: FlatPoints::from_row_major(dim, &coords[..num_incomparable * dim]),
+                coords,
+            }),
         }
     }
 
-    /// Re-classifies this frontier for a new query point `q′ ⪯ q`
+    /// Re-classifies the traversal's rows for a new query point `q′ ⪯ q`
     /// (component-wise) — the reuse path of MQWK. Correct because every
     /// point dominated by `q` is also dominated by `q′`, so only the
-    /// frontier members need a fresh dominance test.
+    /// frontier members need a fresh dominance test; and, member for
+    /// member and in the same order, equal to `new(snap, q′)`.
     ///
     /// # Panics
     /// Panics (debug builds) if `q′` does not dominate-or-equal `q`.
@@ -124,35 +152,48 @@ impl DominanceFrontier {
             q_prime.iter().zip(&self.q).all(|(a, b)| a <= b),
             "reuse requires q′ ⪯ q"
         );
-        let dim = self.dim;
-        let mut dominating = Vec::new();
-        let mut incomparable = Vec::new();
-        {
-            let mut scan = |p: &[f64]| {
-                if dominates(p, q_prime) {
-                    dominating.extend_from_slice(p);
-                } else if !dominates(q_prime, p) {
-                    incomparable.extend_from_slice(p);
-                }
-            };
-            for i in 0..self.num_incomparable() {
-                scan(&self.incomparable[i * dim..(i + 1) * dim]);
-            }
-            for i in 0..self.num_dominating() {
-                scan(&self.dominating[i * dim..(i + 1) * dim]);
+        let rows = &self.rows;
+        let kept = rows.cols.len() as u32;
+        // Nothing incomparable with the traversal's point can dominate a
+        // point below it, so only the old dominators can still dominate.
+        let mut num_dominating = 0;
+        let mut promoted = Vec::new();
+        for r in kept..rows.ids.len() as u32 {
+            if dominates(rows.row(r), q_prime) {
+                num_dominating += 1;
+            } else if neither_dominates(rows.row(r), q_prime) {
+                promoted.push(r);
             }
         }
-        DominanceFrontier::from_parts(dim, q_prime.to_vec(), dominating, incomparable)
+        // I(q′) in id order: the survivors with the promoted merged in
+        // (both runs ascend; a sort here cost more than the classification).
+        let id = |r: u32| rows.ids[r as usize];
+        let mut incomparable = Vec::new();
+        let mut pending = promoted.iter().copied().peekable();
+        for r in (0..kept).filter(|&r| neither_dominates(rows.row(r), q_prime)) {
+            while let Some(p) = pending.next_if(|&p| id(p) < id(r)) {
+                incomparable.push(p);
+            }
+            incomparable.push(r);
+        }
+        incomparable.extend(pending);
+        DominanceFrontier {
+            q: q_prime.to_vec(),
+            rows: Arc::clone(rows),
+            num_dominating,
+            incomparable,
+            promoted,
+        }
     }
 
     /// `|D|`.
     pub fn num_dominating(&self) -> usize {
-        self.dominating.len() / self.dim
+        self.num_dominating
     }
 
     /// `|I|`.
     pub fn num_incomparable(&self) -> usize {
-        self.incomparable.len() / self.dim
+        self.incomparable.len()
     }
 
     /// The query point this frontier is relative to.
@@ -162,7 +203,7 @@ impl DominanceFrontier {
 
     /// Coordinates of the `i`-th incomparable point.
     pub fn incomparable_point(&self, i: usize) -> &[f64] {
-        &self.incomparable[i * self.dim..(i + 1) * self.dim]
+        self.rows.row(self.incomparable[i])
     }
 
     /// The possible rank range of `q`: `[|D| + 1, |D| + |I| + 1]` (§4.3).
@@ -173,20 +214,42 @@ impl DominanceFrontier {
         )
     }
 
-    /// Exact rank of `q` under a strictly positive weighting vector,
+    /// Exact rank of `q` under a non-negative weighting vector,
     /// computed from `D` and `I` only (Algorithm 2, lines 4–9), via the
     /// fused column-major count kernel.
     pub fn rank_under(&self, w: &[f64]) -> usize {
-        let sq = score(w, &self.q);
-        self.num_dominating() + self.incomparable_cols.count_better_than(w, sq) + 1
+        self.num_dominating + self.count_better(w, usize::MAX) + 1
     }
 
-    /// Fused score kernel over the incomparable set: writes `f(w, I_i)`
-    /// for every incomparable point into `out` (capacity reused). The
-    /// weight sampler uses this to find each anchor's culprits in one
-    /// sequential sweep instead of a strided per-point loop.
-    pub fn incomparable_scores_into(&self, w: &[f64], out: &mut Vec<f64>) {
-        self.incomparable_cols.scores_into(w, out);
+    /// `|{p ∈ I : f(w, p) < f(w, q)}|`, exact while below `cap` and some
+    /// value `≥ cap` otherwise. The column store is scanned whole: the
+    /// rows in it that `q` has come to dominate score, term by rounded
+    /// term, no lower than `q` under a non-negative weight, so they count
+    /// nothing.
+    pub(crate) fn count_better(&self, w: &[f64], cap: usize) -> usize {
+        let sq = score(w, &self.q);
+        let counted = self.rows.cols.count_better_than_capped(w, sq, cap);
+        if counted >= cap {
+            return counted;
+        }
+        let beats = |r: &&u32| score(w, self.rows.row(**r)) < sq;
+        counted + self.promoted.iter().filter(beats).count()
+    }
+
+    /// Positions in `I` of the points beating `q` under `w` — the anchor's
+    /// culprits, found by one sequential sweep of the fused score kernel
+    /// (`scores` is its buffer, capacity reused).
+    pub(crate) fn culprits(&self, w: &[f64], scores: &mut Vec<f64>) -> Vec<u32> {
+        let sq = score(w, &self.q);
+        self.rows.cols.scores_into(w, scores);
+        let score_of = |r: u32| match scores.get(r as usize) {
+            Some(&s) => s,
+            None => score(w, self.rows.row(r)),
+        };
+        let positions = 0..self.incomparable.len() as u32;
+        positions
+            .filter(|&pos| score_of(self.incomparable[pos as usize]) < sq)
+            .collect()
     }
 }
 
@@ -201,6 +264,12 @@ mod tests {
             2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
         ];
         RTree::bulk_load(2, &pts)
+    }
+
+    fn incomparable_rows(f: &DominanceFrontier) -> Vec<&[f64]> {
+        (0..f.num_incomparable())
+            .map(|i| f.incomparable_point(i))
+            .collect()
     }
 
     #[test]
@@ -242,6 +311,8 @@ mod tests {
                 fresh.num_incomparable(),
                 "I mismatch at {q_prime:?}"
             );
+            // Same members in the same order: the MWK sampler indexes `I`.
+            assert_eq!(incomparable_rows(&reused), incomparable_rows(&fresh));
             for w in [[0.2, 0.8], [0.6, 0.4]] {
                 assert_eq!(reused.rank_under(&w), fresh.rank_under(&w));
             }
@@ -282,16 +353,17 @@ mod tests {
         let oracle = DominanceFrontier::new(Snapshot::from(&rebuilt).overlay(&plain), &q);
         // Identical coordinate sequences, not merely identical counts:
         // the MWK sampler consumes the frontier in order.
-        assert_eq!(got.dominating, oracle.dominating);
-        assert_eq!(got.incomparable, oracle.incomparable);
+        assert_eq!(got.rows.coords, oracle.rows.coords);
+        assert_eq!(got.num_dominating(), oracle.num_dominating());
+        assert_eq!(incomparable_rows(&got), incomparable_rows(&oracle));
         for w in [[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]] {
             assert_eq!(got.rank_under(&w), oracle.rank_under(&w));
         }
         // Reclassification (the MQWK reuse path) stays aligned too.
         let ra = got.reclassify(&[3.0, 3.5]);
         let rb = oracle.reclassify(&[3.0, 3.5]);
-        assert_eq!(ra.dominating, rb.dominating);
-        assert_eq!(ra.incomparable, rb.incomparable);
+        assert_eq!(ra.num_dominating(), rb.num_dominating());
+        assert_eq!(incomparable_rows(&ra), incomparable_rows(&rb));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! 1. runs MQP to obtain `qmin`, the closest fully-safe query point;
 //! 2. samples `|Q|` candidate query points from the box `(qmin, q)` —
 //!    the only region that can beat both endpoint solutions (§4.4);
-//! 3. for every sample `q′` runs MWK *with the reuse technique*: the
-//!    dominance frontier of the original `q` is re-classified for `q′`
-//!    instead of re-traversing the R-tree;
+//! 3. for every sample `q′` that can still beat the best candidate so
+//!    far runs MWK *with the reuse technique*: the dominance frontier of
+//!    the original `q` is re-classified for `q′` instead of re-traversing
+//!    the R-tree;
 //! 4. returns the `(q′, Wm′, k′)` tuple with the smallest combined
 //!    penalty (Eq. 5).
 //!
@@ -20,7 +21,7 @@
 use crate::error::WhyNotError;
 use crate::incomparable::DominanceFrontier;
 use crate::mqp::mqp;
-use crate::mwk::mwk_with_frontier;
+use crate::mwk::{mwk_with_frontier, Budget, MwkResult};
 use crate::penalty::{query_point_penalty, Tolerances};
 use crate::sampling::sample_query_points;
 use wqrtq_geom::Weight;
@@ -48,8 +49,13 @@ pub struct MqwkResult {
     pub k_prime: usize,
     /// Combined penalty (Eq. 5).
     pub penalty: f64,
-    /// Candidate query points evaluated (samples + 2 endpoints).
+    /// Candidate query points evaluated: the two endpoints plus every
+    /// sample MWK ran for.
     pub candidates_evaluated: usize,
+    /// Sampled query points skipped because moving `q` that far already
+    /// costs as much as the best candidate before them
+    /// (`evaluated + pruned = 2 + |Q|`).
+    pub candidates_pruned: usize,
     /// Which family produced the winner.
     pub source: RefinementSource,
 }
@@ -59,6 +65,13 @@ pub struct MqwkResult {
 /// MQP constraints and the reuse frontier both come from the snapshot's
 /// live rows (canonical order), so every candidate tuple — and hence the
 /// winner — matches a rebuilt dataset.
+///
+/// The answer is Algorithm 3's, bit for bit, but not all of its work is
+/// done: the best penalty so far travels with the loop, a sample whose
+/// `γ·Δq(q′)` alone reaches it is skipped, and the others hand MWK what is
+/// left of it as a [`Budget`]. The comparison is strict and in sample
+/// order, so a candidate that cannot go below the incumbent could never
+/// have replaced it.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
 pub fn mqwk<'a>(
     snap: impl Into<Snapshot<'a>>,
@@ -84,44 +97,61 @@ pub fn mqwk<'a>(
         refined: why_not.to_vec(),
         k_prime: k,
         penalty: tol.gamma * mqp_res.penalty,
-        candidates_evaluated: 2 + query_samples,
+        candidates_evaluated: 2,
+        candidates_pruned: 0,
         source: RefinementSource::QueryEndpoint,
     };
 
     // Endpoint candidate 2: keep q, run plain MWK — penalty λ·Eq.(4).
-    let mwk_res = mwk_with_frontier(&base, k, why_not, sample_size, tol, seed);
-    let pen = tol.lambda * mwk_res.penalty;
-    if pen < best.penalty {
-        best.q_prime = q.to_vec();
-        best.refined = mwk_res.refined;
-        best.k_prime = mwk_res.k_prime;
-        best.penalty = pen;
-        best.source = RefinementSource::PreferenceEndpoint;
-    }
+    let budget = Budget {
+        floor: 0.0,
+        lambda: tol.lambda,
+        best: best.penalty,
+    };
+    let res = mwk_with_frontier(&base, k, why_not, sample_size, tol, seed, &budget);
+    best.offer(q, res, &budget, RefinementSource::PreferenceEndpoint);
 
     // Line 3: sample |Q| query points from (qmin, q); lines 5–9: evaluate
-    // each through MWK over the re-classified frontier.
+    // each through MWK over the re-classified frontier. Sample `i` seeds
+    // its MWK with `seed + i + 1` whether or not its predecessors ran.
     let samples = sample_query_points(qmin, q, query_samples, seed ^ 0x9e37_79b9);
     for (i, q_cand) in samples.iter().enumerate() {
-        let frontier = base.reclassify(q_cand);
-        let res = mwk_with_frontier(
-            &frontier,
-            k,
-            why_not,
-            sample_size,
-            tol,
-            seed.wrapping_add(i as u64 + 1),
-        );
-        let pen = tol.gamma * query_point_penalty(q, q_cand) + tol.lambda * res.penalty;
-        if pen < best.penalty {
-            best.q_prime = q_cand.clone();
-            best.refined = res.refined;
-            best.k_prime = res.k_prime;
-            best.penalty = pen;
-            best.source = RefinementSource::Sampled;
+        let budget = Budget {
+            floor: tol.gamma * query_point_penalty(q, q_cand),
+            best: best.penalty,
+            ..budget
+        };
+        if budget.rules_out(0.0) {
+            best.candidates_pruned += 1;
+            continue;
         }
+        best.candidates_evaluated += 1;
+        let frontier = base.reclassify(q_cand);
+        let seed = seed.wrapping_add(i as u64 + 1);
+        let res = mwk_with_frontier(&frontier, k, why_not, sample_size, tol, seed, &budget);
+        best.offer(q_cand, res, &budget, RefinementSource::Sampled);
     }
     Ok(best)
+}
+
+impl MqwkResult {
+    /// Takes the candidate `(q′, MWK(q′))` if it is strictly cheaper.
+    fn offer(
+        &mut self,
+        q_prime: &[f64],
+        res: MwkResult,
+        budget: &Budget,
+        source: RefinementSource,
+    ) {
+        let pen = budget.price(res.penalty);
+        if pen < self.penalty {
+            self.q_prime = q_prime.to_vec();
+            self.refined = res.refined;
+            self.k_prime = res.k_prime;
+            self.penalty = pen;
+            self.source = source;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -170,7 +200,11 @@ mod tests {
         .unwrap();
         verify(&tree, &res);
         assert!(res.penalty > 0.0 && res.penalty < 1.0);
-        assert_eq!(res.candidates_evaluated, 202);
+        // Both endpoints are tight here (each costs about what the winner
+        // does), so most of the box is priced out by its Δq alone — and
+        // the count says what ran, not what was asked for.
+        assert_eq!(res.candidates_evaluated + res.candidates_pruned, 202);
+        assert!(res.candidates_evaluated >= 2 && res.candidates_pruned > 0);
     }
 
     #[test]

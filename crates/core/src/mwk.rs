@@ -24,9 +24,9 @@
 
 use crate::error::WhyNotError;
 use crate::incomparable::DominanceFrontier;
-use crate::penalty::{preference_penalty, Tolerances};
+use crate::penalty::{eq4, Tolerances};
 use crate::sampling::WeightSampler;
-use wqrtq_geom::Weight;
+use wqrtq_geom::{l2_dist, Weight};
 use wqrtq_query::Snapshot;
 
 /// Result of the MWK refinement.
@@ -46,6 +46,43 @@ pub struct MwkResult {
     /// Candidate weighting vectors examined (samples + originals after
     /// the Lemma-4 cut).
     pub candidates_examined: usize,
+}
+
+/// What an MWK answer is worth to its caller: MQWK prices a candidate at
+/// `floor + lambda · Penalty(Wm′, k′)` (Eq. 5, `floor = γ·Δq(q′)`) and
+/// keeps it only if that is strictly below `best`, its incumbent. MWK
+/// uses the same expression to skip work that cannot produce such an
+/// answer; whenever one exists, the answer returned is bit for bit the
+/// one an unbounded run returns.
+#[derive(Clone, Copy, Debug)]
+pub struct Budget {
+    /// The part of the price already spent before MWK runs.
+    pub floor: f64,
+    /// Weight of the Eq.-4 penalty in the price.
+    pub lambda: f64,
+    /// The price to beat.
+    pub best: f64,
+}
+
+impl Budget {
+    /// No incumbent: nothing is ever skipped on price.
+    pub const UNBOUNDED: Budget = Budget {
+        floor: 0.0,
+        lambda: 1.0,
+        best: f64::INFINITY,
+    };
+
+    /// The price of an answer whose Eq.-4 penalty is `penalty`.
+    pub fn price(&self, penalty: f64) -> f64 {
+        self.floor + self.lambda * penalty
+    }
+
+    /// Whether no answer with an Eq.-4 penalty of `lower` or more can
+    /// beat the incumbent. `price` is non-decreasing under IEEE rounding,
+    /// so this is exact, not approximate: no epsilon, and a NaN keeps.
+    pub fn rules_out(&self, lower: f64) -> bool {
+        self.price(lower) >= self.best
+    }
 }
 
 /// Runs MWK against a snapshot. The dominance frontier classifies the
@@ -81,11 +118,13 @@ pub fn mwk<'a>(
         sample_size,
         tol,
         seed,
+        &Budget::UNBOUNDED,
     ))
 }
 
 /// MWK over a pre-computed dominance frontier — the entry point used by
-/// MQWK's reuse technique (the frontier carries the query point).
+/// MQWK's reuse technique (the frontier carries the query point) — for
+/// an answer priced within `budget`.
 pub fn mwk_with_frontier(
     frontier: &DominanceFrontier,
     k: usize,
@@ -93,9 +132,11 @@ pub fn mwk_with_frontier(
     sample_size: usize,
     tol: &Tolerances,
     seed: u64,
+    budget: &Budget,
 ) -> MwkResult {
     assert!(!why_not.is_empty(), "why-not set must be non-empty");
     let m = why_not.len();
+    let dim = frontier.q().len();
 
     // Ranks of q under the originals (Algorithm 2 lines 7–9) and k′max.
     let ranks: Vec<usize> = why_not.iter().map(|w| frontier.rank_under(w)).collect();
@@ -113,75 +154,91 @@ pub fn mwk_with_frontier(
             candidates_examined: 0,
         };
     }
+    let penalty = |k_prime: usize, delta_wm: f64| eq4(tol, k, k_prime, k_max, delta_wm);
 
-    // Candidate pool: hyperplane samples (line 3) plus the originals.
-    let mut sampler = WeightSampler::new(frontier, why_not, seed);
-    let mut pool: Vec<(Weight, usize)> = sampler
-        .sample(sample_size)
-        .into_iter()
-        .map(|w| {
-            let r = frontier.rank_under(&w);
-            (w, r)
-        })
-        .collect();
-    for (w, &r) in why_not.iter().zip(&ranks) {
-        pool.push((w.clone(), r));
-    }
-    // Lemma 4: candidates ranked beyond k′max cannot improve the answer.
-    pool.retain(|(_, r)| *r <= k_max);
-    // Sort by rank of q (line 6).
-    pool.sort_by_key(|(_, r)| *r);
-    let candidates_examined = pool.len();
-
-    // Baseline candidate: keep Wm, raise k to k′max (line 11) — penalty α.
-    let mut best_refined = why_not.to_vec();
-    let mut best_k = k_max;
-    let mut best_pen = preference_penalty(tol, why_not, why_not, k, k_max, k_max);
-
-    // Scan (lines 12–18, Lemma 6): CW starts as the lowest-ranked
-    // candidate replicated across positions.
-    debug_assert!(!pool.is_empty(), "pool contains at least the originals");
-    let (first, first_rank) = (&pool[0].0, pool[0].1);
-    let mut cw: Vec<Weight> = vec![first.clone(); m];
-    let mut cw_dist: Vec<f64> = why_not.iter().map(|w| w.distance(first)).collect();
-    {
-        let k_cand = first_rank.max(k);
-        let pen = preference_penalty(tol, why_not, &cw, k, k_cand, k_max);
-        if pen < best_pen {
-            best_pen = pen;
-            best_k = k_cand;
-            best_refined = cw.clone();
+    // The worst rank worth telling apart. Lemma 4: candidates ranked
+    // beyond k′max cannot improve the answer. And a candidate of rank r
+    // only ever sits in a CW priced at α·Δk(r) or more, so the budget may
+    // stop short of k′max (binary search on the price; it keeps rank k
+    // even when nothing fits).
+    let (mut rank_limit, mut over) = (k, k_max);
+    while rank_limit < over {
+        let mid = over - (over - rank_limit) / 2;
+        if budget.rules_out(penalty(mid, 0.0)) {
+            over = mid - 1;
+        } else {
+            rank_limit = mid;
         }
     }
-    for (ws, rs) in pool.iter().skip(1) {
+    let cap = rank_limit.saturating_sub(frontier.num_dominating());
+
+    // Candidate pool: hyperplane samples (line 3) plus the originals.
+    // Every sample is drawn — the RNG stream is the candidate set — but a
+    // draw is neither ranked nor pooled when, whichever vector it might
+    // replace, that move alone prices the CW out of the budget.
+    let mut candidates: Vec<f64> = Vec::new();
+    let mut pool: Vec<(usize, usize)> = Vec::new();
+    WeightSampler::new(frontier, why_not, seed).sample_each(sample_size, |w| {
+        if why_not
+            .iter()
+            .all(|wi| budget.rules_out(penalty(k, l2_dist(wi, w))))
+        {
+            return;
+        }
+        let better = frontier.count_better(w, cap);
+        if better < cap {
+            pool.push((frontier.num_dominating() + better + 1, pool.len()));
+            candidates.extend_from_slice(w);
+        }
+    });
+    for (w, &rank) in why_not.iter().zip(&ranks) {
+        pool.push((rank, pool.len()));
+        candidates.extend_from_slice(w);
+    }
+    // Sort by rank of q (line 6).
+    pool.sort_by_key(|&(rank, _)| rank);
+    let candidate = |c: usize| &candidates[c * dim..(c + 1) * dim];
+
+    // Baseline candidate: keep Wm, raise k to k′max (line 11) — penalty α.
+    let mut best_cw: Vec<usize> = (pool.len() - m..pool.len()).collect();
+    let mut best_k = k_max;
+    let mut best_pen = penalty(k_max, 0.0);
+
+    // Scan (lines 12–18, Lemma 6): CW starts as the lowest-ranked
+    // candidate replicated across positions, and takes in every later
+    // candidate that is nearer to some original than its current stand-in.
+    let mut cw = vec![usize::MAX; m];
+    let mut cw_dist = vec![f64::INFINITY; m];
+    for &(rank, c) in &pool {
         let mut updated = false;
         for i in 0..m {
-            let d = why_not[i].distance(ws);
-            if d < cw_dist[i] {
-                cw[i] = ws.clone();
+            let d = l2_dist(&why_not[i], candidate(c));
+            if d < cw_dist[i] || cw[i] == usize::MAX {
+                cw[i] = c;
                 cw_dist[i] = d;
                 updated = true;
             }
         }
         if updated {
-            // Pool is rank-sorted, so the max rank inside CW is `rs`.
-            let k_cand = (*rs).max(k);
-            let pen = preference_penalty(tol, why_not, &cw, k, k_cand, k_max);
+            // Pool is rank-sorted, so the max rank inside CW is `rank`.
+            let k_cand = rank.max(k);
+            let pen = penalty(k_cand, cw_dist.iter().sum());
             if pen < best_pen {
                 best_pen = pen;
                 best_k = k_cand;
-                best_refined = cw.clone();
+                best_cw.copy_from_slice(&cw);
             }
         }
     }
 
+    let refined = best_cw.into_iter().map(|c| Weight::new(candidate(c)));
     MwkResult {
-        refined: best_refined,
+        refined: refined.collect(),
         k_prime: best_k,
         penalty: best_pen,
         k_max,
         actual_ranks: ranks,
-        candidates_examined,
+        candidates_examined: pool.len(),
     }
 }
 

@@ -97,10 +97,17 @@ pub fn preference_penalty(
     k_prime: usize,
     k_max: usize,
 ) -> f64 {
+    eq4(tol, k, k_prime, k_max, delta_wm(original, refined))
+}
+
+/// Equation (4) from `ΔWm` itself. Non-decreasing in `k_prime` and in
+/// `delta_wm` under IEEE rounding, which is what lets MWK bound a
+/// candidate from below with the very expression that will price it.
+pub(crate) fn eq4(tol: &Tolerances, k: usize, k_prime: usize, k_max: usize, delta_wm: f64) -> f64 {
     let dk = k_prime.saturating_sub(k) as f64;
     let dk_max = k_max.saturating_sub(k) as f64;
     let k_term = if dk_max > 0.0 { dk / dk_max } else { 0.0 };
-    let w_term = delta_wm(original, refined) / MAX_SIMPLEX_DISTANCE;
+    let w_term = delta_wm / MAX_SIMPLEX_DISTANCE;
     tol.alpha * k_term + tol.beta * w_term
 }
 

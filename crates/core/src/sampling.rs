@@ -26,7 +26,7 @@
 use crate::incomparable::DominanceFrontier;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wqrtq_geom::{score, Weight};
+use wqrtq_geom::{dot, Weight};
 
 /// Samples weighting vectors from the union of the `I`-hyperplanes of a
 /// dominance frontier, anchored at the why-not vectors.
@@ -39,6 +39,13 @@ pub struct WeightSampler<'a> {
     rng: StdRng,
     /// Number of hit-and-run randomisation steps per exploration sample.
     mix_steps: usize,
+    /// The vectors of one draw, so that a draw allocates nothing: the tie
+    /// plane's normal `δ = p − q`, its projection `δ̃` into `Σ = 0`, a
+    /// tangent direction, and the sample itself.
+    delta: Vec<f64>,
+    dtilde: Vec<f64>,
+    dir: Vec<f64>,
+    w: Vec<f64>,
 }
 
 impl<'a> WeightSampler<'a> {
@@ -48,16 +55,7 @@ impl<'a> WeightSampler<'a> {
         let mut scores = Vec::new();
         let culprits = why_not
             .iter()
-            .map(|w| {
-                let sq = score(w, frontier.q());
-                frontier.incomparable_scores_into(w, &mut scores);
-                scores
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &s)| s < sq)
-                    .map(|(i, _)| i as u32)
-                    .collect()
-            })
+            .map(|w| frontier.culprits(w, &mut scores))
             .collect();
         Self {
             frontier,
@@ -65,6 +63,10 @@ impl<'a> WeightSampler<'a> {
             culprits,
             rng: StdRng::seed_from_u64(seed),
             mix_steps: 6,
+            delta: Vec::new(),
+            dtilde: Vec::new(),
+            dir: Vec::new(),
+            w: Vec::new(),
         }
     }
 
@@ -72,118 +74,133 @@ impl<'a> WeightSampler<'a> {
     /// zero) when the frontier has no incomparable points or degenerate
     /// hyperplanes are hit repeatedly.
     pub fn sample(&mut self, n: usize) -> Vec<Weight> {
+        let mut out = Vec::with_capacity(n);
+        self.sample_each(n, |w| out.push(Weight::new(w)));
+        out
+    }
+
+    /// [`WeightSampler::sample`], lending each draw to `sink` instead of
+    /// boxing it.
+    pub(crate) fn sample_each(&mut self, n: usize, mut sink: impl FnMut(&[f64])) {
         let m = self.frontier.num_incomparable();
         if m == 0 {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::with_capacity(n);
-        let mut failures = 0;
-        while out.len() < n && failures < 8 * n + 64 {
+        let (mut drawn, mut failures) = (0, 0);
+        while drawn < n && failures < 8 * n + 64 {
             let drew = if !self.anchors.is_empty() && self.rng.gen::<f64>() < 0.75 {
                 self.sample_projection()
             } else {
-                let idx = self.rng.gen_range(0..m);
-                let p = self.frontier.incomparable_point(idx).to_vec();
-                self.sample_on_plane(&p)
+                let p_idx = self.rng.gen_range(0..m);
+                self.sample_on_plane(p_idx)
             };
-            match drew {
-                Some(w) => out.push(w),
-                None => failures += 1,
+            if drew {
+                sink(&self.w);
+                drawn += 1;
+            } else {
+                failures += 1;
             }
         }
-        out
+    }
+
+    /// Loads the tie plane of the `p_idx`-th incomparable point — `δ` and
+    /// `δ̃ = δ − mean(δ)·1` — and returns `δ̃·δ̃`.
+    fn load_plane(&mut self, p_idx: usize) -> f64 {
+        let (p, q) = (self.frontier.incomparable_point(p_idx), self.frontier.q());
+        self.delta.clear();
+        self.delta.extend(p.iter().zip(q).map(|(x, y)| x - y));
+        let dmean = self.delta.iter().sum::<f64>() / q.len() as f64;
+        self.dtilde.clear();
+        self.dtilde.extend(self.delta.iter().map(|d| d - dmean));
+        self.dtilde.iter().map(|d| d * d).sum()
     }
 
     /// Projection draw: project a random anchor onto the tie hyperplane
     /// of one of its culprit points — the minimal move neutralising that
     /// point (and every nearer one).
-    fn sample_projection(&mut self) -> Option<Weight> {
+    fn sample_projection(&mut self) -> bool {
         let a_idx = self.rng.gen_range(0..self.anchors.len());
         let culprits = &self.culprits[a_idx];
         if culprits.is_empty() {
-            return None;
+            return false;
         }
         let p_idx = culprits[self.rng.gen_range(0..culprits.len())] as usize;
-        let p = self.frontier.incomparable_point(p_idx);
-        let q = self.frontier.q();
-        let dim = q.len();
-        let delta: Vec<f64> = p.iter().zip(q).map(|(x, y)| x - y).collect();
-        let anchor = self.anchors[a_idx].as_slice().to_vec();
+        let dd = self.load_plane(p_idx);
+        if dd < 1e-18 {
+            return false;
+        }
 
         // Projection within the Σw = 1 plane: w = a − μ·δ̃ with
-        // δ̃ = δ − mean(δ)·1 and μ = (a·δ)/(δ̃·δ̃).
-        let dmean = delta.iter().sum::<f64>() / dim as f64;
-        let dtilde: Vec<f64> = delta.iter().map(|d| d - dmean).collect();
-        let dd: f64 = dtilde.iter().map(|d| d * d).sum();
-        if dd < 1e-18 {
-            return None;
-        }
-        let mu = wqrtq_geom::dot(&anchor, &delta) / dd;
-        let mut w: Vec<f64> = anchor
-            .iter()
-            .zip(&dtilde)
-            .map(|(ai, di)| ai - mu * di)
-            .collect();
+        // μ = (a·δ)/(δ̃·δ̃).
+        let anchor = self.anchors[a_idx].as_slice();
+        let mu = dot(anchor, &self.delta) / dd;
+        self.w.clear();
+        let projected = anchor.iter().zip(&self.dtilde).map(|(ai, di)| ai - mu * di);
+        self.w.extend(projected);
 
         // Optional jitter along the hyperplane for diversity (d > 2).
-        if dim > 2 && self.rng.gen::<f64>() < 0.5 {
-            if let Some(dir) = self.tangent_direction(&delta) {
-                let (lo, hi) = step_range(&w, &dir);
-                let lo = lo.max(-0.15);
-                let hi = hi.min(0.15);
-                if hi > lo {
-                    let t = self.rng.gen_range(lo..hi);
-                    for (wk, dk) in w.iter_mut().zip(&dir) {
-                        *wk += t * dk;
-                    }
+        if anchor.len() > 2 && self.rng.gen::<f64>() < 0.5 && self.tangent_direction(dd) {
+            let (lo, hi) = step_range(&self.w, &self.dir);
+            let lo = lo.max(-0.15);
+            let hi = hi.min(0.15);
+            if hi > lo {
+                let t = self.rng.gen_range(lo..hi);
+                for (wk, dk) in self.w.iter_mut().zip(&self.dir) {
+                    *wk += t * dk;
                 }
             }
         }
-
-        self.finish_sample(w, &delta)
+        self.finish_sample(dd)
     }
 
     /// Exploration draw: a feasible point of `{w ∈ simplex : w·δ = 0}`
     /// randomised by hit-and-run.
-    fn sample_on_plane(&mut self, p: &[f64]) -> Option<Weight> {
-        let q = self.frontier.q();
-        let dim = q.len();
-        let delta: Vec<f64> = p.iter().zip(q).map(|(a, b)| a - b).collect();
+    fn sample_on_plane(&mut self, p_idx: usize) -> bool {
+        let dd = self.load_plane(p_idx);
+        let delta = &self.delta;
+        let dim = delta.len();
         // Feasible construction: one index where p is better (δ < 0) and
         // one where it is worse (δ > 0); incomparability guarantees both
         // exist (up to ties, which we skip).
-        let neg: Vec<usize> = (0..dim).filter(|&i| delta[i] < -1e-12).collect();
-        let pos: Vec<usize> = (0..dim).filter(|&i| delta[i] > 1e-12).collect();
-        if neg.is_empty() || pos.is_empty() {
-            return None;
+        let is_neg = |i: &usize| delta[*i] < -1e-12;
+        let is_pos = |i: &usize| delta[*i] > 1e-12;
+        let (negs, poss) = (
+            (0..dim).filter(is_neg).count(),
+            (0..dim).filter(is_pos).count(),
+        );
+        if negs == 0 || poss == 0 {
+            return false;
         }
-        let i = neg[self.rng.gen_range(0..neg.len())];
-        let j = pos[self.rng.gen_range(0..pos.len())];
+        let i = (0..dim).filter(is_neg).nth(self.rng.gen_range(0..negs));
+        let j = (0..dim).filter(is_pos).nth(self.rng.gen_range(0..poss));
+        let (i, j) = (i.expect("counted"), j.expect("counted"));
         // w = t·e_i + (1−t)·e_j with t·δ_i + (1−t)·δ_j = 0.
         let t = delta[j] / (delta[j] - delta[i]);
-        let mut w = vec![0.0; dim];
+        let w = &mut self.w;
+        w.clear();
+        w.resize(dim, 0.0);
         w[i] = t;
         w[j] = 1.0 - t;
 
         // Hit-and-run inside {w ≥ 0, Σw = 1, w·δ = 0} for d > 2.
         if dim > 2 {
             for _ in 0..self.mix_steps {
-                if let Some(d) = self.tangent_direction(&delta) {
-                    let (lo, hi) = step_range(&w, &d);
+                if self.tangent_direction(dd) {
+                    let (lo, hi) = step_range(&self.w, &self.dir);
                     if hi > lo {
                         let t = self.rng.gen_range(lo..hi);
-                        for (wk, dk) in w.iter_mut().zip(&d) {
+                        for (wk, dk) in self.w.iter_mut().zip(&self.dir) {
                             *wk = (*wk + t * dk).max(0.0);
                         }
-                        let s: f64 = w.iter().sum();
-                        for wk in &mut w {
+                        let s: f64 = self.w.iter().sum();
+                        for wk in &mut self.w {
                             *wk /= s;
                         }
                     }
                 }
             }
         }
-        self.finish_sample(w, &delta)
+        self.finish_sample(dd)
     }
 
     /// Clamps to the simplex and nudges ε into the closed "p does not
@@ -191,71 +208,75 @@ impl<'a> WeightSampler<'a> {
     /// (the paper's ≤ semantics); the nudge makes exact-arithmetic rank
     /// computations agree under floating point. Its 1e-9 magnitude is far
     /// above rounding noise and far below any observable penalty.
-    fn finish_sample(&mut self, mut w: Vec<f64>, delta: &[f64]) -> Option<Weight> {
-        let dim = delta.len();
-        for x in &mut w {
+    fn finish_sample(&mut self, dd: f64) -> bool {
+        let Self {
+            delta, dtilde, w, ..
+        } = self;
+        for x in w.iter_mut() {
             if !x.is_finite() {
-                return None;
+                return false;
             }
             *x = x.max(0.0);
         }
         let s: f64 = w.iter().sum();
-        if s <= 0.0 {
-            return None;
+        if s <= 0.0 || dd < 1e-18 {
+            return false;
         }
-        for x in &mut w {
+        for x in w.iter_mut() {
             *x /= s;
         }
         // Clamping may have pushed w off the hyperplane to the beating
         // side; correct by projecting the violation out, then nudge.
-        let dmean = delta.iter().sum::<f64>() / dim as f64;
-        let dtilde: Vec<f64> = delta.iter().map(|d| d - dmean).collect();
-        let dd: f64 = dtilde.iter().map(|d| d * d).sum();
-        if dd < 1e-18 {
-            return None;
-        }
-        let viol = wqrtq_geom::dot(&w, delta);
+        let viol = dot(w, delta);
         if viol < 0.0 {
             let mu = viol / dd;
-            for (wk, dk) in w.iter_mut().zip(&dtilde) {
+            for (wk, dk) in w.iter_mut().zip(dtilde.iter()) {
                 *wk = (*wk - mu * dk).max(0.0);
             }
         }
-        for (wk, dk) in w.iter_mut().zip(&dtilde) {
+        for (wk, dk) in w.iter_mut().zip(dtilde.iter()) {
             *wk = (*wk + 1e-9 * dk).max(0.0);
         }
-        if w.iter().sum::<f64>() <= 0.0 {
-            return None;
+        let s: f64 = w.iter().sum();
+        if s <= 0.0 {
+            return false;
         }
-        Some(Weight::normalized(w))
+        for x in w.iter_mut() {
+            *x /= s;
+        }
+        true
     }
 
-    /// A random direction in the tangent space `{v : Σv = 0, v·δ = 0}`.
-    fn tangent_direction(&mut self, delta: &[f64]) -> Option<Vec<f64>> {
-        let dim = delta.len();
-        let mut v: Vec<f64> = (0..dim).map(|_| self.rng.gen::<f64>() - 0.5).collect();
+    /// A random unit direction in the tangent space
+    /// `{v : Σv = 0, v·δ = 0}` of the loaded plane, into `dir`.
+    fn tangent_direction(&mut self, dd: f64) -> bool {
+        let Self {
+            dtilde, dir, rng, ..
+        } = self;
+        let dim = dtilde.len();
+        dir.clear();
+        dir.extend((0..dim).map(|_| rng.gen::<f64>() - 0.5));
         // Project out the all-ones direction.
-        let mean = v.iter().sum::<f64>() / dim as f64;
-        for x in &mut v {
+        let mean = dir.iter().sum::<f64>() / dim as f64;
+        for x in dir.iter_mut() {
             *x -= mean;
         }
-        // Project out δ (within the Σ=0 subspace: remove δ's mean first).
-        let dmean = delta.iter().sum::<f64>() / dim as f64;
-        let dproj: Vec<f64> = delta.iter().map(|d| d - dmean).collect();
-        let dd: f64 = dproj.iter().map(|d| d * d).sum();
+        // Project out δ (within the Σ=0 subspace: that is δ̃).
         if dd < 1e-18 {
-            return None;
+            return false;
         }
-        let vd: f64 = v.iter().zip(&dproj).map(|(a, b)| a * b).sum();
-        for (x, d) in v.iter_mut().zip(&dproj) {
+        let vd: f64 = dir.iter().zip(dtilde.iter()).map(|(a, b)| a * b).sum();
+        for (x, d) in dir.iter_mut().zip(dtilde.iter()) {
             *x -= vd / dd * d;
         }
-        let norm: f64 = v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let norm: f64 = dir.iter().map(|x| x * x).sum::<f64>().sqrt();
         if norm < 1e-12 {
-            None
-        } else {
-            Some(v.into_iter().map(|x| x / norm).collect())
+            return false;
         }
+        for x in dir.iter_mut() {
+            *x /= norm;
+        }
+        true
     }
 }
 

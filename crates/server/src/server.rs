@@ -258,14 +258,21 @@ impl ConnShared {
     /// their frame — the final completion's wake flushes the whole
     /// batch in one loop cycle instead of waking (and, on small hosts,
     /// preempting the worker) once per reply.
-    fn notify(&self) {
+    ///
+    /// A streamed plan part is `urgent`: the request that staged it is by
+    /// definition still in flight, so none of the reasons above applies
+    /// and the part would wait for another connection's wake or the
+    /// backstop tick — up to the whole plan it exists to run ahead of.
+    /// The wake pipe is de-duplicated, so a burst of parts costs one byte.
+    fn notify(&self, urgent: bool) {
         let token = self.token.load(Ordering::Acquire);
         self.home.dirty.lock().expect("dirty list lock").push(token);
         // ordering: SeqCst — the wake-or-not decision must observe
         // in_flight/backlog in the same total order the loop's own
         // SeqCst updates use; a weaker read here could skip the final
         // wake of a pipelined burst and leave staged replies unflushed.
-        if self.doomed.load(Ordering::Acquire)
+        if urgent
+            || self.doomed.load(Ordering::Acquire)
             || self.in_flight.load(Ordering::SeqCst) == 0
             || self.backlog.load(Ordering::SeqCst) >= WAKE_BACKLOG
         {
@@ -1390,7 +1397,7 @@ fn submit(
                     ServerFrame::ReplyPart(delta),
                 );
                 state.push_frame(bytes, true);
-                state.notify();
+                state.notify(true);
             },
             complete,
         );
@@ -1449,7 +1456,7 @@ fn completion(
         // `service`; the decrement must order after the backlog raise.
         state.push_frame(bytes, false);
         state.in_flight.fetch_sub(1, Ordering::SeqCst);
-        state.notify();
+        state.notify(false);
     }
 }
 

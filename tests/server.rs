@@ -847,6 +847,52 @@ fn v2_plan_streams_partials_before_the_final_ranked_plan() {
 }
 
 #[test]
+fn first_plan_part_is_flushed_while_its_plan_still_runs() {
+    // One connection and one request: nothing but the part's own wake
+    // can flush it before the final reply does. The plan is a single
+    // unbounded MWK — a few hundred milliseconds of sampling that no
+    // incumbent shortens, behind two explanations that take none — and
+    // deliberately shorter than the loop's 500 ms backstop tick, the only
+    // other thing that would have flushed a lone client's part.
+    let server = slow_fixture(2, 4);
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let request = Request::WhyNot {
+        dataset: "slow3".into(),
+        q: vec![5.0, 5.0, 5.0],
+        k: 3,
+        why_not: vec![vec![0.2, 0.3, 0.5], vec![0.6, 0.3, 0.1]],
+        options: WhyNotOptions {
+            strategies: vec![StrategyKind::Mwk],
+            sample_size: if cfg!(debug_assertions) { 15 } else { 200 } * 1000,
+            ..sampled()
+        },
+    };
+    let plans_completed = || {
+        let metrics = server.engine().metrics();
+        let plans = metrics
+            .per_kind
+            .iter()
+            .find(|kind| kind.kind == wqrtq_engine::RequestKind::WhyNot);
+        plans.map_or(0, |kind| kind.requests)
+    };
+    let mut completed_at_part = Vec::new();
+    let plan = client
+        .submit_plan(&request, |_| completed_at_part.push(plans_completed()))
+        .unwrap();
+    assert_eq!(plan.steps.len(), 1);
+    assert_eq!(plans_completed(), 1);
+    assert_eq!(
+        completed_at_part.first(),
+        Some(&0),
+        "the first part arrived only once its plan had completed"
+    );
+    server.shutdown();
+}
+
+#[test]
 fn invalid_plan_options_over_the_wire_are_typed_engine_errors() {
     let server = serving_fixture();
     let mut client = Client::connect_v2(server.local_addr()).unwrap();
