@@ -351,9 +351,17 @@ impl Pool {
 
     /// Waits for every worker to exit (the engine must already have sent
     /// one [`Job::Shutdown`] per worker, otherwise this blocks forever).
+    ///
+    /// A completion closure may own the last `Arc<Engine>`, in which case
+    /// the engine is dropped — and this runs — on a worker. That worker
+    /// cannot join itself (`EDEADLK`); its sentinel is queued, so it
+    /// exits on its own once the closure returns.
     pub(crate) fn join(self) {
+        let me = std::thread::current().id();
         for h in self.handles {
-            let _ = h.join();
+            if h.thread().id() != me {
+                let _ = h.join();
+            }
         }
     }
 

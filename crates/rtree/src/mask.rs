@@ -11,6 +11,21 @@
 //! build cap), plus the minimum of those counts per subtree so probes
 //! can skip whole all-masked subtrees in O(1).
 //!
+//! ## Build
+//!
+//! A capped count is exact over any superset of the points with fewer
+//! than `cap` dominators (the lemma in
+//! [`DominanceIndex::plane_outranked`]'s soundness paragraph, applied to
+//! "dominates `p`" instead of "scores below `q`"), so a point known to be
+//! saturated is never looked at again, as a target or as a source:
+//! (1) *certify* — top-down, one capped branch-and-bound probe of each
+//! node's MBR lower corner; `cap` dominators there saturate the whole
+//! subtree; (2) *restrict* — only the leaves left open are read again;
+//! (3) *count bit-parallel* — the `m` open points, in a
+//! dominance-compatible order, are counted against each other through
+//! per-dimension sorted-prefix bitsets, one source chunk at a time.
+//! `O(nodes · probe + d · m² / 64)` time, `O(m)` scratch.
+//!
 //! ## Verdict preservation, not count preservation
 //!
 //! Masked traversals ([`crate::RTree::probe_topk_membership_masked`])
@@ -93,10 +108,11 @@ impl DominanceIndex {
 
     /// Builds the index, saturating per-point dominator counts at `cap`.
     ///
-    /// One capped branch-and-bound count per point: subtrees with any
-    /// per-dimension lower bound above the point are pruned, subtrees
-    /// entirely at-or-below it (strictly below somewhere) count
-    /// wholesale, and only genuinely straddling leaves scan entries.
+    /// Three steps (see the module docs): certify whole subtrees from
+    /// one capped probe of their MBR's lower corner, restrict to the
+    /// points of the leaves left open, and count those against each
+    /// other with sorted-prefix bitsets — `O(nodes · probe + d · m² / 64)`
+    /// time and `O(m)` scratch for `m` open points.
     ///
     /// # Panics
     /// Panics if `cap` is zero.
@@ -109,10 +125,9 @@ impl DominanceIndex {
             seen = true;
         });
         let mut counts = vec![0u16; if seen { max_id + 1 } else { 0 }];
-        let mut stack = Vec::new();
-        tree.for_each_point(|id, p| {
-            counts[id as usize] = count_dominators_capped(tree, p, cap as usize, &mut stack);
-        });
+        // Saturated unless the point turns out to sit in an open leaf.
+        tree.for_each_point(|id, _| counts[id as usize] = cap);
+        count_open_points(tree, &open_leaves(tree, cap), cap, &mut counts);
         let mut node_min = vec![0u16; tree.nodes.len()];
         if !tree.is_empty() {
             fill_node_min(tree, tree.root_id(), &counts, &mut node_min);
@@ -322,6 +337,148 @@ fn count_dominators_capped(tree: &RTree, p: &[f64], cap: usize, stack: &mut Vec<
     count.min(cap) as u16
 }
 
+/// Step 1 of the build: the leaves no lower-corner probe certified. A
+/// point dominating a node's MBR lower corner dominates every point of
+/// the subtree, so a corner with `cap` dominators saturates the subtree
+/// without descending (loose `insert`-built MBRs only certify less).
+fn open_leaves(tree: &RTree, cap: u16) -> Vec<NodeId> {
+    let mut open = Vec::new();
+    let mut walk = vec![tree.root_id()];
+    let mut stack = Vec::new();
+    while let Some(id) = walk.pop() {
+        let node = tree.node(id);
+        let mbr = node.mbr();
+        if !mbr.is_empty()
+            && count_dominators_capped(tree, mbr.lo(), cap as usize, &mut stack) >= cap
+        {
+            continue;
+        }
+        match node {
+            Node::Leaf { .. } => open.push(id),
+            Node::Internal { children, .. } => walk.extend(children.iter().copied()),
+        }
+    }
+    open
+}
+
+/// Sources per bit-parallel chunk; one chunk's sorted columns and prefix
+/// sets (~100 KiB per dimension) are alive at a time.
+const SOURCE_CHUNK: usize = 4096;
+
+/// Ranks between materialised prefix sets of a sorted column; the ranks
+/// in between are reached by setting single bits.
+const PREFIX_STEP: usize = 32;
+
+/// Steps 2–3 of the build: exact capped counts for the points of the
+/// `open` leaves, taken over those points alone. `#dominators(p)` is
+/// `#{q ≤ p in every dimension} − #{q = p in every dimension}`; the
+/// first term is the popcount of the AND of `d` prefix sets ("source ≤ p
+/// in dimension j") per source chunk, the second the run of copies
+/// around `p` in a dominance-compatible order.
+fn count_open_points(tree: &RTree, open: &[NodeId], cap: u16, counts: &mut [u16]) {
+    /// (coordinate sum, leaf's arena slot, slot in the leaf).
+    type OpenPoint = (f64, u32, u32);
+    let dim = tree.dim();
+    let point = |e: &OpenPoint| tree.nodes[e.1 as usize].point(e.2 as usize, dim);
+    let m = open.iter().map(|&leaf| tree.node(leaf).count()).sum();
+    let mut order: Vec<OpenPoint> = Vec::with_capacity(m);
+    for &leaf in open {
+        let node = tree.node(leaf);
+        for slot in 0..node.count() {
+            let sum = node.point(slot, dim).iter().fold(0.0, |s, x| s + x);
+            order.push((sum, leaf.0, slot as u32));
+        }
+    }
+    // (coordinate sum, then lexicographic) is a linear extension of
+    // dominance: rounded sums added in one order are monotone but not
+    // strictly, hence the tie-break. `dominates` treats −0.0 and 0.0 as
+    // equal and `total_cmp` would separate them, so the key folds them
+    // (`x + 0.0`; a sum started at 0.0 is never −0.0) and copies end up
+    // adjacent.
+    let cmp = |a: &OpenPoint, b: &OpenPoint| {
+        a.0.total_cmp(&b.0).then_with(|| {
+            let lex = point(a).iter().zip(point(b));
+            lex.map(|(x, y)| (x + 0.0).total_cmp(&(y + 0.0)))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        })
+    };
+    order.sort_unstable_by(cmp);
+
+    // room[t] = cap + (copies of t that the chunks up to its own will
+    // count as hits, itself included) − hits so far; 0 = saturated.
+    let mut room = vec![0u32; m];
+    let mut start = 0;
+    while start < m {
+        let mut end = start + 1;
+        while end < m && cmp(&order[start], &order[end]).is_eq() {
+            end += 1;
+        }
+        for (t, r) in room.iter_mut().enumerate().take(end).skip(start) {
+            let chunk_end = (t / SOURCE_CHUNK + 1) * SOURCE_CHUNK;
+            *r = u32::from(cap).saturating_add((end.min(chunk_end) - start) as u32);
+        }
+        start = end;
+    }
+
+    let mut hit = Vec::new();
+    let mut prefix = Vec::new();
+    for base in (0..m).step_by(SOURCE_CHUNK) {
+        let len = SOURCE_CHUNK.min(m - base);
+        let words = len.div_ceil(64);
+        // Per dimension: the chunk sorted by that coordinate, and the
+        // set of its first `r` members for every multiple `r` of the step.
+        let columns: Vec<_> = (0..dim)
+            .map(|j| {
+                let mut col: Vec<(f64, u16)> = (0..len)
+                    .map(|i| (point(&order[base + i])[j], i as u16))
+                    .collect();
+                col.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+                let mut sets = Vec::with_capacity((len / PREFIX_STEP + 1) * words);
+                let mut set = vec![0u64; words];
+                for rank in 0..=len {
+                    if rank % PREFIX_STEP == 0 {
+                        sets.extend_from_slice(&set);
+                    }
+                    if let Some(&(_, i)) = col.get(rank) {
+                        set[i as usize / 64] |= 1 << (i % 64);
+                    }
+                }
+                (col, sets)
+            })
+            .collect();
+        hit.resize(words, 0u64);
+        prefix.resize(words, 0u64);
+        for t in base..m {
+            if room[t] == 0 {
+                continue;
+            }
+            let p = point(&order[t]);
+            for (j, (col, sets)) in columns.iter().enumerate() {
+                // Upper-bound rank: equal coordinates count as `≤`.
+                let rank = col.partition_point(|v| v.0 <= p[j]);
+                let at = rank / PREFIX_STEP;
+                let set = if j == 0 { &mut hit } else { &mut prefix };
+                set.copy_from_slice(&sets[at * words..(at + 1) * words]);
+                for &(_, i) in &col[at * PREFIX_STEP..rank] {
+                    set[i as usize / 64] |= 1 << (i % 64);
+                }
+                if j > 0 {
+                    hit.iter_mut().zip(&prefix).for_each(|(h, s)| *h &= s);
+                }
+            }
+            let hits: u32 = hit.iter().map(|w| w.count_ones()).sum();
+            room[t] = room[t].saturating_sub(hits);
+        }
+    }
+    for (e, r) in order.iter().zip(room) {
+        if let Node::Leaf { ids, .. } = &tree.nodes[e.1 as usize] {
+            let left = u16::try_from(r).map_or(cap, |r| r.min(cap));
+            counts[ids[e.2 as usize] as usize] = cap - left;
+        }
+    }
+}
+
 /// Bottom-up minimum dominator count per subtree.
 fn fill_node_min(tree: &RTree, id: NodeId, counts: &[u16], node_min: &mut [u16]) -> u16 {
     let m = match tree.node(id) {
@@ -524,5 +681,33 @@ mod tests {
         let dom = DominanceIndex::build(&tree);
         assert!(dom.culprit_planes().is_empty());
         assert_eq!(dom.plane_outranked(&[0.5, 0.5], 6.0, 1), None);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "the per-point reference takes minutes unoptimised"
+    )]
+    fn counts_match_the_per_point_probe_at_benchmark_scale() {
+        // The two shapes `rtopk_scan` sets up: uniform 100k×3 and
+        // anti-correlated 50k×5 (every point near the plane Σx = d/2).
+        let uniform = scatter(100_000, 3, 29);
+        let anti: Vec<f64> = scatter(50_000, 5, 31)
+            .chunks_exact(5)
+            .zip(scatter(50_000, 1, 37))
+            .flat_map(|(p, c)| {
+                let scale = (2.0 + c / 10.0) / p.iter().sum::<f64>();
+                p.iter().map(move |x| x * scale)
+            })
+            .collect();
+        for (dim, pts) in [(3, uniform), (5, anti)] {
+            let tree = RTree::bulk_load(dim, &pts);
+            let dom = DominanceIndex::build(&tree);
+            let mut stack = Vec::new();
+            tree.for_each_point(|id, p| {
+                let probed = count_dominators_capped(&tree, p, dom.cap() as usize, &mut stack);
+                assert_eq!(dom.counts()[id as usize], probed, "dim {dim} id {id}");
+            });
+        }
     }
 }

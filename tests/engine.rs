@@ -257,3 +257,37 @@ fn concurrent_batches_share_one_index() {
         assert_eq!(h.join().unwrap(), expected);
     }
 }
+
+#[test]
+fn an_engine_dropped_on_its_own_worker_shuts_down() {
+    // A completion closure may own the last `Arc<Engine>` (the server's
+    // does): the engine is then dropped on the worker that ran it, which
+    // must not try to join its own thread.
+    use std::sync::mpsc;
+    let topk = || Request::TopK {
+        dataset: "synthetic".into(),
+        weight: vec![0.3, 0.3, 0.4],
+        k: 10,
+    };
+    let engine = std::sync::Arc::new(populated_engine(2));
+    let (gate_tx, gate_rx) = mpsc::channel::<()>();
+    let (done_tx, done_rx) = mpsc::channel();
+    let held = engine.clone();
+    engine.submit_with_progress(
+        topk(),
+        |_| {},
+        move |response| {
+            let _ = gate_rx.recv(); // until the test's own reference is gone
+            drop(held);
+            let _ = done_tx.send(response);
+        },
+    );
+    drop(engine);
+    gate_tx.send(()).unwrap();
+    // A worker that panicked in `Engine::drop` unwinds past the send.
+    let response = done_rx
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the worker survived dropping its engine");
+    assert!(!response.is_error());
+    assert_eq!(populated_engine(1).submit(topk()), response);
+}
