@@ -195,9 +195,10 @@ fn unit(state: &mut u64) -> f64 {
 
 /// How many records the recovery stream accumulates before a register
 /// record resets the overlay, mirroring the bound compaction enforces
-/// on live traffic. Without it the COW memtable's `O(Δ)` append makes
-/// the replay quadratic in the stream length, and "ms per 100 k
-/// records" would stop being a rate.
+/// on live traffic. It dates from the copy-per-append memtable, whose
+/// `O(Δ)` append made the replay quadratic in the stream length; appends
+/// are in place now, and the stream keeps its shape so the committed
+/// "ms per 100 k records" stays comparable.
 const REREGISTER_EVERY: usize = 2_000;
 
 /// The deterministic mutation stream all engines serve.

@@ -10,10 +10,17 @@
 //!   cold callers block on the single builder instead of racing
 //!   duplicate `bulk_load`s (the build still runs outside the catalog
 //!   lock, so other datasets never stall behind it).
-//! * **Append** pushes rows into a copy-on-write delta memtable — `O(Δ)`
-//!   work, the built index is untouched.
-//! * **Delete** tombstones a base row (id + coordinates recorded) or
-//!   drops a delta row — `O(Δ)`, index untouched.
+//! * **Append** validates, logs, then extends the delta memtable — in
+//!   place (amortised `O(rows)`) unless a snapshot still holds the
+//!   previous version, in which case exactly that append copies it
+//!   (`Arc::make_mut`); the built index is untouched.
+//! * **Delete** validates, logs, then tombstones a base row (id +
+//!   coordinates recorded) or drops a delta row — `O(Δ)`, index
+//!   untouched.
+//! * Both mutate nothing before the WAL record is written, so a failed
+//!   log leaves the catalog as it was ("unlogged means undone") with no
+//!   roll-back to get wrong; an empty append/delete is not a mutation
+//!   and writes nothing.
 //! * **Compaction** merges base + delta − tombstones into a fresh
 //!   bulk-loaded base in *canonical order* (see
 //!   [`wqrtq_geom::DeltaView::materialize_row_major`]), bumping the base
@@ -146,7 +153,8 @@ struct DatasetEntry {
     appends: u64,
     /// Rows deleted since the base was built (monotone).
     deletes: u64,
-    /// Live appended rows (copy-on-write: snapshots hold the old Arcs).
+    /// Live appended rows (grown in place through `Arc::make_mut`: a
+    /// snapshot holding the old Arcs forces the copy, and keeps them).
     delta_rows: Arc<Vec<f64>>,
     delta_ids: Arc<Vec<u32>>,
     /// Tombstoned base rows, id-sorted.
@@ -399,13 +407,17 @@ impl Catalog {
         Ok(())
     }
 
-    /// Appends points to a dataset's delta memtable: `O(Δ)` copy-on-write
-    /// work, no index is dropped or rebuilt. Returns the live point count
+    /// Appends points to a dataset's delta memtable: validate, log, then
+    /// extend in place — amortised `O(rows)` — unless a snapshot still
+    /// holds the previous version, which then keeps its rows while this
+    /// append copies them. No index is dropped or rebuilt; an empty
+    /// append changes and logs nothing. Returns the live point count
     /// after the append.
     ///
     /// # Errors
     /// [`EngineError::UnknownDataset`] / [`EngineError::RaggedCoordinates`]
-    /// / [`EngineError::NonFiniteInput`] / [`EngineError::DatasetFull`].
+    /// / [`EngineError::NonFiniteInput`] / [`EngineError::DatasetFull`] /
+    /// [`EngineError::Durability`] (nothing was applied).
     pub fn append(&self, name: &str, points: &[f64]) -> Result<usize, EngineError> {
         check_finite(points)?;
         let mut inner = self.inner.write().expect("catalog lock");
@@ -424,21 +436,18 @@ impl Catalog {
         if next_id + rows > u32::MAX as u64 {
             return Err(EngineError::DatasetFull);
         }
-        let saved = (entry.delta_rows.clone(), entry.delta_ids.clone());
-        let mut delta_rows = (*entry.delta_rows).clone();
-        let mut delta_ids = (*entry.delta_ids).clone();
-        delta_rows.extend_from_slice(points);
-        delta_ids.extend((0..rows).map(|i| (next_id + i) as u32));
-        entry.delta_rows = Arc::new(delta_rows);
-        entry.delta_ids = Arc::new(delta_ids);
-        entry.appends += rows;
-        if let Some(d) = self.durability.get() {
-            if let Err(e) = d.log(WalRecordRef::Append { name, points }) {
-                (entry.delta_rows, entry.delta_ids) = saved;
-                entry.appends -= rows;
-                return Err(durability_err(e));
-            }
+        if rows == 0 {
+            return Ok(entry.live_len()); // not a mutation: nothing to log
         }
+        // Log first: nothing is mutated before the record is written, so
+        // a failed log needs no roll-back.
+        if let Some(d) = self.durability.get() {
+            d.log(WalRecordRef::Append { name, points })
+                .map_err(durability_err)?;
+        }
+        Arc::make_mut(&mut entry.delta_rows).extend_from_slice(points);
+        Arc::make_mut(&mut entry.delta_ids).extend((0..rows).map(|i| (next_id + i) as u32));
+        entry.appends += rows;
         let live = entry.live_len();
         if entry.index.get().is_some() {
             // ordering: Relaxed — monotonic stats counter, read only by
@@ -448,19 +457,25 @@ impl Catalog {
         Ok(live)
     }
 
-    /// Deletes points by id: base rows are tombstoned, appended rows are
-    /// dropped from the memtable — `O(Δ + |ids|)`, no index touched.
-    /// All-or-nothing: an unknown or already-deleted id fails the whole
-    /// call without mutating anything. Returns the live count after.
+    /// Deletes points by id: validate, log, then apply — base rows are
+    /// tombstoned, appended rows are dropped from the memtable —
+    /// `O(Δ + |ids|)`, no index touched. All-or-nothing: an unknown or
+    /// already-deleted id fails the whole call without mutating or
+    /// logging anything; an empty delete changes and logs nothing.
+    /// Returns the live count after.
     ///
     /// # Errors
-    /// [`EngineError::UnknownDataset`] / [`EngineError::UnknownPointId`].
+    /// [`EngineError::UnknownDataset`] / [`EngineError::UnknownPointId`] /
+    /// [`EngineError::Durability`] (nothing was applied).
     pub fn delete(&self, name: &str, ids: &[u32]) -> Result<usize, EngineError> {
         let mut inner = self.inner.write().expect("catalog lock");
         let entry = inner
             .datasets
             .get_mut(name)
             .ok_or_else(|| EngineError::UnknownDataset(name.to_string()))?;
+        if ids.is_empty() {
+            return Ok(entry.live_len()); // not a mutation: nothing to log
+        }
         let dim = entry.dim;
         let base_n = entry.base_len() as u32;
         // Validate first (all-or-nothing), splitting the victims into
@@ -492,12 +507,12 @@ impl Catalog {
             return Err(EngineError::UnknownPointId { id });
         }
 
-        let saved = (
-            entry.delta_rows.clone(),
-            entry.delta_ids.clone(),
-            entry.dead_rows.clone(),
-            entry.dead_ids.clone(),
-        );
+        // Log first: nothing is mutated before the record is written, so
+        // a failed log needs no roll-back.
+        if let Some(d) = self.durability.get() {
+            d.log(WalRecordRef::Delete { name, ids })
+                .map_err(durability_err)?;
+        }
         if !delta_victims.is_empty() {
             let keep = entry.delta_ids.len() - delta_victims.len();
             let mut delta_rows = Vec::with_capacity(keep * dim);
@@ -542,18 +557,6 @@ impl Catalog {
             entry.dead_ids = Arc::new(dead_ids);
         }
         entry.deletes += ids.len() as u64;
-        if let Some(d) = self.durability.get() {
-            if let Err(e) = d.log(WalRecordRef::Delete { name, ids }) {
-                (
-                    entry.delta_rows,
-                    entry.delta_ids,
-                    entry.dead_rows,
-                    entry.dead_ids,
-                ) = saved;
-                entry.deletes -= ids.len() as u64;
-                return Err(durability_err(e));
-            }
-        }
         let live = entry.live_len();
         if entry.index.get().is_some() {
             // ordering: Relaxed — monotonic stats counter, read only by
@@ -1021,6 +1024,8 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::{FsyncPolicy, MemBackend, StorageBackend};
+    use std::sync::atomic::AtomicBool;
 
     fn unit_square() -> Vec<f64> {
         vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
@@ -1105,6 +1110,147 @@ mod tests {
             c.delete("sq", &[99]).unwrap_err(),
             EngineError::UnknownPointId { id: 99 }
         );
+    }
+
+    /// A [`MemBackend`] whose `wal_append`
+    /// fails while the shared flag is set.
+    #[derive(Debug)]
+    struct FailingWal {
+        inner: MemBackend,
+        fail: Arc<AtomicBool>,
+    }
+
+    impl StorageBackend for FailingWal {
+        fn wal_bytes(&self) -> std::io::Result<Vec<u8>> {
+            self.inner.wal_bytes()
+        }
+        fn wal_append(&self, record: &[u8], sync: bool) -> std::io::Result<()> {
+            if self.fail.load(Ordering::SeqCst) {
+                return Err(std::io::Error::other("injected WAL failure"));
+            }
+            self.inner.wal_append(record, sync)
+        }
+        fn wal_truncate(&self, len: u64) -> std::io::Result<()> {
+            self.inner.wal_truncate(len)
+        }
+        fn snapshot_bytes(&self) -> std::io::Result<Option<Vec<u8>>> {
+            self.inner.snapshot_bytes()
+        }
+        fn install_checkpoint(&self, snapshot: &[u8]) -> std::io::Result<()> {
+            self.inner.install_checkpoint(snapshot)
+        }
+        fn sync(&self) -> std::io::Result<()> {
+            self.inner.sync()
+        }
+    }
+
+    /// A catalog logging to a [`FailingWal`], plus the failure switch.
+    fn durable_catalog() -> (Catalog, Arc<AtomicBool>) {
+        let fail = Arc::new(AtomicBool::new(false));
+        let backend = FailingWal {
+            inner: MemBackend::new(),
+            fail: fail.clone(),
+        };
+        let recovered = Durability::open(Box::new(backend), FsyncPolicy::Never).unwrap();
+        let c = Catalog::new();
+        c.attach_durability(Arc::new(recovered.durability));
+        (c, fail)
+    }
+
+    /// Everything a mutation may change, read back through the public
+    /// surface: epoch, live count, materialised rows + ids, and a TopK
+    /// answer with its score bits.
+    type Observed = (DatasetEpoch, usize, Vec<u64>, Vec<u32>, Vec<(u32, u64)>);
+
+    fn observe(c: &Catalog, name: &str) -> Observed {
+        let h = c.handle(name).unwrap();
+        let (rows, ids) = h.view.materialize_row_major();
+        let top = wqrtq_query::topk(h.snapshot(), &[0.3, 0.7], usize::MAX);
+        (
+            h.epoch,
+            h.live_len(),
+            rows.iter().map(|x| x.to_bits()).collect(),
+            ids,
+            top.iter().map(|&(id, s)| (id, s.to_bits())).collect(),
+        )
+    }
+
+    #[test]
+    fn empty_mutations_are_not_mutations() {
+        let (c, _fail) = durable_catalog();
+        c.register("sq", 2, unit_square()).unwrap();
+        c.append("sq", &[0.5, 0.5]).unwrap(); // id 4
+        let before = (observe(&c, "sq"), c.stats());
+        assert_eq!(c.append("sq", &[]).unwrap(), 5);
+        assert_eq!(c.delete("sq", &[]).unwrap(), 5);
+        let after = (observe(&c, "sq"), c.stats());
+        assert_eq!(before, after, "no WAL record, no epoch bump, no counter");
+        // An unknown dataset is still an error, and ids are not skipped.
+        assert_eq!(
+            c.append("nope", &[]).unwrap_err(),
+            EngineError::UnknownDataset("nope".into())
+        );
+        assert_eq!(
+            c.delete("nope", &[]).unwrap_err(),
+            EngineError::UnknownDataset("nope".into())
+        );
+        c.append("sq", &[0.25, 0.25]).unwrap();
+        assert_eq!(c.handle("sq").unwrap().view.delta_ids(), &[4, 5]);
+        assert_eq!(c.stats().wal_appends, before.1.wal_appends + 1);
+    }
+
+    #[test]
+    fn unlogged_means_undone() {
+        let (c, fail) = durable_catalog();
+        c.register("sq", 2, unit_square()).unwrap();
+        c.append("sq", &[0.5, 0.5, 0.25, 0.75, 0.75, 0.25]).unwrap(); // ids 4, 5, 6
+        c.delete("sq", &[2]).unwrap();
+        let before = (observe(&c, "sq"), c.stats());
+        let is_durability = |e: EngineError| matches!(e, EngineError::Durability { .. });
+
+        fail.store(true, Ordering::SeqCst);
+        assert!(is_durability(c.append("sq", &[0.1, 0.1]).unwrap_err()));
+        assert!(is_durability(c.delete("sq", &[0, 3]).unwrap_err())); // base ids
+        assert!(is_durability(c.delete("sq", &[4, 6]).unwrap_err())); // delta ids
+        assert!(is_durability(c.delete("sq", &[1, 5]).unwrap_err())); // mixed
+        assert_eq!(before, (observe(&c, "sq"), c.stats()), "nothing applied");
+
+        // The next successful mutations behave as if the failed ones had
+        // never been submitted: same ids assigned, same ids deletable.
+        fail.store(false, Ordering::SeqCst);
+        assert_eq!(c.append("sq", &[0.1, 0.1]).unwrap(), 7);
+        assert_eq!(c.handle("sq").unwrap().view.delta_ids(), &[4, 5, 6, 7]);
+        assert_eq!(c.delete("sq", &[1, 5]).unwrap(), 5);
+        let h = c.handle("sq").unwrap();
+        assert_eq!(h.view.dead_ids(), &[1, 2]);
+        assert_eq!(h.view.delta_ids(), &[4, 6, 7]);
+        assert_eq!(c.stats().wal_appends, before.1.wal_appends + 2);
+    }
+
+    #[test]
+    fn append_grows_in_place_unless_a_snapshot_is_held() {
+        let c = Catalog::new();
+        c.register("sq", 2, unit_square()).unwrap();
+        c.append("sq", &[0.5, 0.5, 0.25, 0.75]).unwrap();
+        let delta_ptrs = |c: &Catalog| {
+            let inner = c.inner.read().unwrap();
+            let e = &inner.datasets["sq"];
+            (Arc::as_ptr(&e.delta_rows), Arc::as_ptr(&e.delta_ids))
+        };
+        // No handle outstanding: the same allocation is extended.
+        let before = delta_ptrs(&c);
+        c.append("sq", &[0.9, 0.9]).unwrap();
+        assert_eq!(before, delta_ptrs(&c), "append must not copy the delta");
+
+        // A held handle forces the copy and keeps reading its own rows.
+        let held = c.handle("sq").unwrap();
+        let seen = held.view.materialize_row_major();
+        c.append("sq", &[0.1, 0.1]).unwrap();
+        c.delete("sq", &[5]).unwrap();
+        assert_ne!(before, delta_ptrs(&c), "a shared delta is copied");
+        assert_eq!(held.view.materialize_row_major(), seen);
+        assert_eq!(held.view.delta_ids(), &[4, 5, 6]);
+        assert_eq!(c.handle("sq").unwrap().view.delta_ids(), &[4, 6, 7]);
     }
 
     #[test]

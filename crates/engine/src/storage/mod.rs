@@ -1,6 +1,6 @@
 //! Durability: write-ahead log + atomic snapshots + crash recovery.
 //!
-//! The catalog's delta-overlay layout (bulk base, copy-on-write delta
+//! The catalog's delta-overlay layout (bulk base, append-in-place delta
 //! memtable, id-sorted tombstones) is already LSM-shaped; this module
 //! persists it as the classic pair:
 //!

@@ -16,10 +16,12 @@
 //! kernel (or an R-tree probe — the view never assumes which engine
 //! counted the base) and the two corrections are
 //! [`count_better_rows`] sweeps over buffers of overlay size `O(Δ)`.
-//! Compaction keeps `Δ` small, so a mutated dataset answers queries at
-//! base speed plus a cache-resident correction — and answers them
-//! **identically** to a dataset rebuilt from scratch, which is the
-//! invariant the engine's differential fuzz enforces.
+//! Compaction only bounds `Δ` (the engine's default lets it reach
+//! `max(1024, base/4)` rows), so a mutated dataset answers queries at
+//! base cost plus two linear sweeps per threshold — at the bound those
+//! sweeps, not the base probe, are most of a rank or RTA verdict — and
+//! answers them **identically** to a dataset rebuilt from scratch, which
+//! is the invariant the engine's differential fuzz enforces.
 //!
 //! ## Point identity
 //!

@@ -7,8 +7,11 @@
 //! the index's benefit in the ablation benchmarks.
 
 use crate::snapshot::Snapshot;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use wqrtq_geom::{score, DeltaView};
 use wqrtq_rtree::search::{BestFirst, RankedPoint};
+use wqrtq_rtree::OrdF64;
 
 /// The top `k`-th point of a weighting vector — the constraint generator
 /// of MQP (Lemma 2/3: a refined `q′` with `f(w, q′) ≤ f(w, p_k)` enters
@@ -78,43 +81,48 @@ pub fn kth_point<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Opti
 
 /// Best-first enumeration of a snapshot's *live* points: the base
 /// index's incremental ranking with tombstoned rows skipped, merged with
-/// the (pre-scored, sorted) appended rows. Progressive consumers —
-/// top-k, k-th point, the why-not culprit scan — drive it exactly like a
-/// plain [`wqrtq_rtree::RTree::best_first`] traversal, which is what it
+/// the appended rows, which are scored up front and then consumed
+/// lazily from a min-heap — `O(Δ + emitted · log Δ)` for `Δ` appended
+/// rows, so a shallow consumer never pays for ordering the whole
+/// overlay. Progressive consumers — top-k, k-th point, the why-not
+/// culprit scan — drive it exactly like a plain
+/// [`wqrtq_rtree::RTree::best_first`] traversal, which is what it
 /// reduces to on an un-mutated snapshot.
 ///
-/// Ties: a base point and an appended row with the exact same score are
-/// emitted base-first (appended ids always sit above base ids, so this
-/// is ascending-id order); ties *within* the base keep the index's
-/// traversal order, as ever.
+/// Order contract: ascending score. A base point and an appended row
+/// with the exact same score are emitted base-first (appended ids always
+/// sit above base ids, so this is ascending-id order); appended rows
+/// leave by `(score via total_cmp, delta slot)` — equal scores in append
+/// order, a strict total order because slots are distinct, so the
+/// sequence does not depend on how deep it is drained; ties *within*
+/// the base keep the index's traversal order, as ever.
 pub struct LiveBestFirst<'a> {
     bf: BestFirst<'a>,
     view: Option<&'a DeltaView>,
-    /// `(score, delta slot)` of the live appended rows, ascending by
-    /// score then append order.
-    delta: Vec<(f64, u32)>,
-    next_delta: usize,
+    /// `(score, delta slot)` of the not-yet-emitted live appended rows,
+    /// min-first.
+    delta: BinaryHeap<Reverse<(OrdF64, u32)>>,
     /// The next not-yet-emitted live base point, if already pulled.
     pending: Option<RankedPoint<'a>>,
 }
 
 impl<'a> Snapshot<'a> {
-    /// Starts the merged live traversal under `w`.
+    /// Starts the merged live traversal under `w`: scores the appended
+    /// rows and heapifies them (`O(Δ)`; nothing is allocated for a plain
+    /// or absent view).
     pub fn best_first(self, w: &[f64]) -> LiveBestFirst<'a> {
         let view = self.mutated();
-        let mut delta: Vec<(f64, u32)> = view.map_or_else(Vec::new, |v| {
+        let delta: Vec<Reverse<(OrdF64, u32)>> = view.map_or_else(Vec::new, |v| {
             v.delta_rows()
                 .chunks_exact(v.dim())
                 .enumerate()
-                .map(|(i, row)| (score(w, row), i as u32))
+                .map(|(i, row)| Reverse((OrdF64(score(w, row)), i as u32)))
                 .collect()
         });
-        delta.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         LiveBestFirst {
             bf: self.tree.best_first(w),
             view,
-            delta,
-            next_delta: 0,
+            delta: BinaryHeap::from(delta),
             pending: None,
         }
     }
@@ -137,17 +145,15 @@ impl<'a> LiveBestFirst<'a> {
                 }
             }
         }
-        let delta_head = self.delta.get(self.next_delta).copied();
-        let base_first = match (&self.pending, delta_head) {
-            (Some(p), Some((ds, _))) => p.score <= ds, // tie: base first
+        let base_first = match (&self.pending, self.delta.peek()) {
+            (Some(p), Some(Reverse((OrdF64(ds), _)))) => p.score <= *ds, // tie: base first
             (pending, _) => pending.is_some(),
         };
         if base_first {
             return self.pending.take();
         }
         // A delta head exists only under an overlay.
-        let ((ds, slot), view) = (delta_head?, self.view?);
-        self.next_delta += 1;
+        let (Reverse((OrdF64(ds), slot)), view) = (self.delta.pop()?, self.view?);
         Some(RankedPoint {
             id: view.delta_ids()[slot as usize],
             score: ds,
