@@ -11,7 +11,7 @@
 //! The `quick` profile (default) caps dataset sizes and sample counts so
 //! the full suite finishes in minutes; `paper` uses the Table-1 grid.
 //! Shapes (algorithm ordering, trends) are preserved under both; see
-//! DESIGN.md and EXPERIMENTS.md.
+//! DESIGN.md and README.md ("Reproducing the paper's figures").
 
 use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -217,7 +217,7 @@ fn main() {
     }
 
     println!(
-        "WQRTQ figure regeneration — profile: {:?} (see EXPERIMENTS.md for paper-vs-measured)",
+        "WQRTQ figure regeneration — profile: {:?} (see README.md, \"Reproducing the paper's figures\")",
         profile
     );
     let started = Instant::now();

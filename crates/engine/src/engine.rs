@@ -43,7 +43,6 @@ pub struct EngineBuilder {
     cache_capacity: usize,
     shard_limit: usize,
     overlay_limit: Option<usize>,
-    tracing: bool,
     prefilter: bool,
     quantized: bool,
     data_dir: Option<PathBuf>,
@@ -57,7 +56,6 @@ impl Default for EngineBuilder {
             cache_capacity: 256,
             shard_limit: std::thread::available_parallelism().map_or(1, |n| n.get()),
             overlay_limit: None,
-            tracing: true,
             prefilter: true,
             quantized: true,
             data_dir: None,
@@ -112,15 +110,6 @@ impl EngineBuilder {
     /// [`Engine::compact`] manually).
     pub fn overlay_limit(mut self, limit: usize) -> Self {
         self.overlay_limit = Some(limit);
-        self
-    }
-
-    /// Whether request tracing (stage spans, slow-request log) is
-    /// active (default true). Stage *histograms* always record — only
-    /// span collection is gated here. Disabling it is the overhead
-    /// baseline the benches compare against.
-    pub fn tracing(mut self, enabled: bool) -> Self {
-        self.tracing = enabled;
         self
     }
 
@@ -216,7 +205,6 @@ impl EngineBuilder {
             self.workers + 1,
             TRACE_RING_CAPACITY,
             SLOW_LOG_CAPACITY,
-            self.tracing,
         ));
         let (queue_tx, queue_rx) = mpsc::channel();
         let pool = Pool::spawn(
@@ -1288,16 +1276,16 @@ mod tests {
     }
 
     #[test]
-    fn tracing_yields_spans_and_a_slow_log_unless_disabled() {
+    fn tracing_yields_spans_and_a_slow_log() {
         let request = Request::TopK {
             dataset: "products".into(),
             weight: vec![0.5, 0.5],
             k: 3,
         };
         let engine = figure1_engine(2);
-        engine.submit(request.clone());
+        engine.submit(request);
         let snap = engine.trace_snapshot();
-        assert!(!snap.spans.is_empty(), "traced engines retain spans");
+        assert!(!snap.spans.is_empty(), "engines retain spans");
         let trace_id = snap.spans[0].trace_id;
         assert!(snap.spans.iter().all(|s| s.trace_id == trace_id));
         let slow = engine.slow_requests();
@@ -1317,22 +1305,6 @@ mod tests {
         assert!(
             probe.start_nanos + probe.duration_nanos <= exec.start_nanos + exec.duration_nanos,
             "the probe ends within the execute span"
-        );
-
-        let untraced = Engine::builder().workers(2).tracing(false).build();
-        untraced
-            .register_dataset("products", 2, vec![2.0, 1.0, 6.0, 3.0])
-            .unwrap();
-        untraced.submit(request);
-        assert!(untraced.trace_snapshot().spans.is_empty());
-        assert!(untraced.slow_requests().is_empty());
-        // Stage histograms record regardless of tracing.
-        assert!(
-            untraced
-                .metrics()
-                .stage_latency(wqrtq_obs::Stage::Execute)
-                .count
-                > 0
         );
     }
 

@@ -232,7 +232,7 @@ impl MetricsSnapshot {
     }
 
     /// Every kind's latency histogram folded into one distribution —
-    /// the engine-wide percentiles the benches report.
+    /// the engine-wide percentiles.
     pub fn merged_latency(&self) -> HistogramSnapshot {
         let mut merged = HistogramSnapshot::default();
         for k in &self.per_kind {

@@ -433,20 +433,16 @@ fn span_nanos(d: Duration) -> u64 {
 
 /// Per-request span collector: buffers the stage spans of one request
 /// and flushes them (plus the slow-log entry) to the tracer in a single
-/// call at completion. Buffering is unconditional but tiny (≤ a dozen
-/// spans); when tracing is disabled the buffer stays empty and the
-/// flush is a no-op.
+/// call at completion. The buffer is tiny (≤ a dozen spans).
 pub(crate) struct SpanBuf {
     trace_id: u64,
-    enabled: bool,
     spans: Vec<SpanRecord>,
 }
 
 impl SpanBuf {
-    fn new(tracer: &Tracer, trace_id: u64) -> Self {
+    fn new(trace_id: u64) -> Self {
         SpanBuf {
             trace_id,
-            enabled: tracer.enabled(),
             spans: Vec::new(),
         }
     }
@@ -454,9 +450,6 @@ impl SpanBuf {
     /// Records a stage that just finished (its start is reconstructed
     /// from `now - duration`, so callers need no start bookkeeping).
     fn push_ended(&mut self, tracer: &Tracer, stage: Stage, duration: Duration) {
-        if !self.enabled {
-            return;
-        }
         let nanos = span_nanos(duration);
         self.spans.push(SpanRecord {
             trace_id: self.trace_id,
@@ -493,20 +486,18 @@ pub(crate) fn serve(
         }));
     }
 
-    let mut spans = SpanBuf::new(&ctx.tracer, trace.trace_id);
+    let mut spans = SpanBuf::new(trace.trace_id);
     let queue_wait = started.saturating_duration_since(trace.submitted);
     ctx.metrics.record_stage(Stage::QueueWait, queue_wait);
     spans.push_ended(&ctx.tracer, Stage::QueueWait, queue_wait);
 
     let response = serve_inner(ctx, request, scratch, progress, &mut spans, started);
-    if spans.enabled {
-        ctx.tracer.record_request(
-            worker,
-            request.fingerprint(),
-            span_nanos(started.elapsed()),
-            &spans.spans,
-        );
-    }
+    ctx.tracer.record_request(
+        worker,
+        request.fingerprint(),
+        span_nanos(started.elapsed()),
+        &spans.spans,
+    );
     response
 }
 

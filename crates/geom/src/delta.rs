@@ -403,21 +403,25 @@ mod tests {
         }
     }
 
+    /// Brute-force dominator count of every row (the mask's contents).
+    fn dominator_counts(rows: &[f64], dim: usize) -> Vec<u16> {
+        let rows: Vec<&[f64]> = rows.chunks_exact(dim).collect();
+        rows.iter()
+            .map(|p| {
+                rows.iter()
+                    .filter(|q| q.iter().zip(*p).all(|(a, b)| a <= b) && *q != p)
+                    .count() as u16
+            })
+            .collect()
+    }
+
     #[test]
     fn masked_membership_matches_unmasked_under_mutation() {
         // Brute-force dominator counts over the *base* (the mask is an
         // epoch artifact: deletes are absorbed by k_eff, appends never
         // join the mask until compaction).
         let base_rows = fig_points();
-        let rows: Vec<&[f64]> = base_rows.chunks_exact(2).collect();
-        let counts: Vec<u16> = rows
-            .iter()
-            .map(|p| {
-                rows.iter()
-                    .filter(|q| q.iter().zip(*p).all(|(a, b)| a <= b) && *q != p)
-                    .count() as u16
-            })
-            .collect();
+        let counts = dominator_counts(&base_rows, 2);
         let v = overlaid();
         for w in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1], [0.3, 0.7]] {
             for q in [[4.0, 4.0], [2.0, 1.0], [9.0, 9.0], [0.1, 0.1]] {
@@ -436,6 +440,41 @@ mod tests {
             v.is_in_topk_masked(&wneg, &[4.0, 4.0], 3, &counts),
             v.is_in_topk(&wneg, &[4.0, 4.0], 3)
         );
+
+        // A plain view over a multi-block quantized base — the shape the
+        // engine's flat-scan path serves (≤ 2 048 points): both tiers on
+        // against the exact, unmasked scan.
+        let (n, dim) = (2000, 3);
+        let mut state = 21u64;
+        let pts: Vec<f64> = (0..n * dim)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(99);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 10.0
+            })
+            .collect();
+        let counts = dominator_counts(&pts, dim);
+        let quantized = DeltaView::plain(Arc::new(FlatPoints::from_row_major(dim, &pts)));
+        let exact = DeltaView::plain(Arc::new(FlatPoints::from_row_major_exact(dim, &pts)));
+        // Skyband points as queries: each threshold is an exact score
+        // near the k boundary, so both verdicts occur.
+        let queries = pts.chunks_exact(dim).zip(&counts).filter(|(_, &c)| c < 10);
+        let mut members = 0;
+        let mut checked = 0;
+        for (q, _) in queries {
+            for w in [[0.2, 0.3, 0.5], [0.8, 0.1, 0.1], [0.0, 0.5, 0.5]] {
+                for k in [1, 10, 40] {
+                    let verdict = exact.is_in_topk(&w, q, k);
+                    assert_eq!(
+                        quantized.is_in_topk_masked(&w, q, k, &counts),
+                        verdict,
+                        "w {w:?} q {q:?} k {k}"
+                    );
+                    members += usize::from(verdict);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(0 < members && members < checked, "{members} of {checked}");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //!
 //! `wqrtq-lint --self-test` (and the same corpus under `cargo test`)
 //! runs every case both ways. This is the same pattern as
-//! `scripts/check_bench.sh --self-test`: a gate you never saw fail is
-//! indistinguishable from a gate wired to `true`, so the corpus proves
-//! each rule actually fires before CI trusts its silence.
+//! `benchmark/run.sh --check`'s comparator self-test: a gate you never
+//! saw fail is indistinguishable from a gate wired to `true`, so the
+//! corpus proves each rule actually fires before CI trusts its silence.
 
 use crate::drift::DriftDocs;
 use crate::lex::lex;

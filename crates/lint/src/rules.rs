@@ -67,7 +67,6 @@ pub const RULES: &[&str] = &[
 /// Everything else justifies its ordering per site.
 pub const ATOMIC_ALLOWLIST: &[&str] = &[
     "crates/engine/src/metrics.rs",
-    "crates/bench/src/alloc_count.rs",
     "crates/bench/src/bin/figures.rs",
     "crates/geom/src/flat.rs",
     "crates/rtree/src/mask.rs",

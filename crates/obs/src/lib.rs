@@ -16,7 +16,7 @@
 //!   drops the span and counts it instead of waiting.
 //!
 //! The pipeline stage taxonomy lives here too ([`Stage`]) so the
-//! engine, the server and the benches agree on the decomposition.
+//! engine, the server and `benchmark/` agree on the decomposition.
 
 #![warn(missing_docs)]
 

@@ -127,7 +127,6 @@ impl Ring {
 #[derive(Debug)]
 pub struct Tracer {
     epoch: Instant,
-    enabled: bool,
     shards: Vec<Mutex<Ring>>,
     dropped: AtomicU64,
     slow: Mutex<Vec<SlowRequest>>,
@@ -139,13 +138,10 @@ pub struct Tracer {
 
 impl Tracer {
     /// A tracer with `shards` rings of `ring_capacity` spans each and a
-    /// slow log keeping the `slow_capacity` slowest requests. With
-    /// `enabled == false` every record call is a no-op (the overhead
-    /// baseline the benches compare against).
-    pub fn new(shards: usize, ring_capacity: usize, slow_capacity: usize, enabled: bool) -> Self {
+    /// slow log keeping the `slow_capacity` slowest requests.
+    pub fn new(shards: usize, ring_capacity: usize, slow_capacity: usize) -> Self {
         Tracer {
             epoch: Instant::now(),
-            enabled,
             shards: (0..shards.max(1))
                 .map(|_| Mutex::new(Ring::new(ring_capacity.max(1))))
                 .collect(),
@@ -156,11 +152,6 @@ impl Tracer {
         }
     }
 
-    /// Whether record calls do anything.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Nanoseconds since this tracer's construction (span timestamps).
     pub fn now_nanos(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
@@ -169,9 +160,6 @@ impl Tracer {
     /// Records one span into the hinted shard. Never blocks: if the
     /// shard is contended the span is dropped and counted.
     pub fn record(&self, shard_hint: usize, span: SpanRecord) {
-        if !self.enabled {
-            return;
-        }
         match self.shards[shard_hint % self.shards.len()].try_lock() {
             Ok(mut ring) => ring.push(span),
             Err(_) => {
@@ -190,9 +178,6 @@ impl Tracer {
         total_nanos: u64,
         spans: &[SpanRecord],
     ) {
-        if !self.enabled {
-            return;
-        }
         for &span in spans {
             self.record(shard_hint, span);
         }
@@ -271,7 +256,7 @@ mod tests {
 
     #[test]
     fn rings_overwrite_oldest_and_drain_in_order() {
-        let t = Tracer::new(1, 4, 4, true);
+        let t = Tracer::new(1, 4, 4);
         for i in 0..6u64 {
             t.record(0, span(i, Stage::Execute, i * 10, 1));
         }
@@ -284,7 +269,7 @@ mod tests {
 
     #[test]
     fn contended_shard_drops_instead_of_blocking() {
-        let t = Arc::new(Tracer::new(1, 8, 4, true));
+        let t = Arc::new(Tracer::new(1, 8, 4));
         let guard = t.shards[0].lock().unwrap();
         // The shard lock is held: recording from another handle must
         // return promptly (drop + count), not deadlock.
@@ -299,7 +284,7 @@ mod tests {
 
     #[test]
     fn slow_log_keeps_the_top_n_with_full_breakdowns() {
-        let t = Tracer::new(2, 16, 3, true);
+        let t = Tracer::new(2, 16, 3);
         for (id, total) in [(1u64, 50u64), (2, 900), (3, 10), (4, 700), (5, 800)] {
             let spans = [
                 span(id, Stage::QueueWait, 0, total / 4),
@@ -317,19 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::new(2, 8, 4, false);
-        t.record_request(0, 7, 1_000_000, &[span(1, Stage::Execute, 0, 1_000_000)]);
-        assert!(t.drain().spans.is_empty());
-        assert!(t.slow_requests().is_empty());
-    }
-
-    #[test]
     fn spans_nest_and_recording_survives_concurrent_drains() {
         // Writers record nested span pairs while a reader drains in a
         // loop; writers must finish promptly (no blocking) and every
         // span either lands in a snapshot or is counted as dropped.
-        let t = Arc::new(Tracer::new(4, 64, 8, true));
+        let t = Arc::new(Tracer::new(4, 64, 8));
         let writers: Vec<_> = (0..4u64)
             .map(|w| {
                 let t = Arc::clone(&t);

@@ -21,7 +21,7 @@
 //!   instead of buffering, and graceful shutdown that drains in-flight
 //!   work before closing;
 //! * [`client`] — a blocking client speaking the same protocol, used by
-//!   the loopback tests and the `server_bench` load generator.
+//!   the loopback tests and `benchmark/`.
 //!
 //! There is one protocol: the connection preamble
 //! ([`frame::MAGIC_V2`]) is acknowledged with a

@@ -1407,17 +1407,15 @@ fn submit(
     // The admission span covers the gauge acquisition and the staging
     // into the batch — boundary cost a worker-side span can never see.
     // Recorded with the connection id as the shard hint.
-    if tracer.enabled() {
-        tracer.record(
-            conn.shared.id as usize,
-            SpanRecord {
-                trace_id,
-                stage: Stage::Admission,
-                start_nanos: admitted,
-                duration_nanos: tracer.now_nanos().saturating_sub(admitted),
-            },
-        );
-    }
+    tracer.record(
+        conn.shared.id as usize,
+        SpanRecord {
+            trace_id,
+            stage: Stage::Admission,
+            start_nanos: admitted,
+            duration_nanos: tracer.now_nanos().saturating_sub(admitted),
+        },
+    );
 }
 
 /// Builds the completion for one admitted request: runs on a pool
@@ -1470,8 +1468,7 @@ fn encode_reply(
     message: ServerFrame,
 ) -> Vec<u8> {
     let tracer = shared.engine.tracer();
-    let traced =
-        tracer.enabled() && matches!(message, ServerFrame::Reply(_) | ServerFrame::ReplyPart(_));
+    let traced = matches!(message, ServerFrame::Reply(_) | ServerFrame::ReplyPart(_));
     let started = if traced { tracer.now_nanos() } else { 0 };
     let bytes = encode_frame(id, &message);
     if traced {

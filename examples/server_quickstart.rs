@@ -3,7 +3,7 @@
 //! Starts a [`wqrtq_server::Server`] on an ephemeral port, registers the
 //! products dataset and the customer population over the wire, then
 //! drives pipelined queries through a [`wqrtq_server::Client`] — the same
-//! protocol `server_bench` load-tests.
+//! protocol the `benchmark/` workloads load-test.
 //!
 //! ```text
 //! cargo run --example server_quickstart
