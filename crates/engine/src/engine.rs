@@ -41,7 +41,6 @@ const SLOW_LOG_CAPACITY: usize = 8;
 pub struct EngineBuilder {
     workers: usize,
     cache_capacity: usize,
-    shard_limit: usize,
     overlay_limit: Option<usize>,
     prefilter: bool,
     quantized: bool,
@@ -54,7 +53,6 @@ impl Default for EngineBuilder {
         Self {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             cache_capacity: 256,
-            shard_limit: std::thread::available_parallelism().map_or(1, |n| n.get()),
             overlay_limit: None,
             prefilter: true,
             quantized: true,
@@ -82,20 +80,6 @@ impl EngineBuilder {
     pub fn cache_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "capacity must be positive");
         self.cache_capacity = capacity;
-        self
-    }
-
-    /// Maximum shards a single bichromatic request fans into (default:
-    /// the machine's available parallelism). Oversubscribing a CPU-bound
-    /// scan beyond the physical cores only adds synchronisation
-    /// overhead, so the default never does; raise it explicitly to force
-    /// the parallel path (tests, oversubscription experiments).
-    ///
-    /// # Panics
-    /// Panics if `limit` is zero.
-    pub fn shard_limit(mut self, limit: usize) -> Self {
-        assert!(limit > 0, "shard limit must be positive");
-        self.shard_limit = limit;
         self
     }
 
@@ -215,11 +199,8 @@ impl EngineBuilder {
                 cache: cache.clone(),
                 metrics: metrics.clone(),
                 tracer: tracer.clone(),
-                // Workers re-enter the queue to fan one large bichromatic
-                // request across the pool as claimable shards.
+                // Workers re-enter the queue to schedule compactions.
                 queue: queue_tx.clone(),
-                pool_size: self.workers,
-                shard_limit: self.shard_limit,
                 overlay_limit: self.overlay_limit,
             }),
         );
@@ -610,8 +591,8 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Workers hold their own queue sender (for shard fan-out), so
-        // dropping ours never disconnects the channel; orderly shutdown
+        // Workers hold their own queue sender (to schedule compactions),
+        // so dropping ours never disconnects the channel; orderly shutdown
         // is one sentinel per worker. The queue is FIFO, so all
         // previously submitted work drains first.
         if let (Some(queue), Some(pool)) = (self.queue.take(), self.pool.take()) {
@@ -996,40 +977,6 @@ mod tests {
                 vec![x, 1.0 - x]
             })
             .collect()
-    }
-
-    #[test]
-    fn large_bichromatic_request_is_sharded_across_the_pool() {
-        let coords = scatter(4000, 2, 42);
-        let population = big_population(400);
-        let request = Request::ReverseTopKBi {
-            dataset: "d".into(),
-            weights: WeightSet::Inline(population),
-            q: vec![3.0, 3.5],
-            k: 10,
-        };
-
-        // Reference: single worker (sequential path, no sharding).
-        let solo = Engine::builder().workers(1).build();
-        solo.register_dataset("d", 2, coords.clone()).unwrap();
-        let expected = solo.submit(request.clone());
-        assert!(matches!(expected, Response::ReverseTopKBi(_)));
-        assert_eq!(solo.metrics().sharded_requests, 0);
-
-        // Multi-worker engine must fan the same request into shards and
-        // produce the identical response. The explicit shard limit
-        // forces the parallel path even on single-core CI machines
-        // (where the adaptive default would stay sequential).
-        let pooled = Engine::builder().workers(4).shard_limit(4).build();
-        pooled.register_dataset("d", 2, coords).unwrap();
-        let got = pooled.submit(request);
-        assert_eq!(got, expected);
-        let m = pooled.metrics();
-        assert_eq!(m.sharded_requests, 1);
-        assert!(
-            m.parallel_shards >= 2,
-            "400 weights on 4 workers must split: {m:?}"
-        );
     }
 
     #[test]

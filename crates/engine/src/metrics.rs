@@ -45,10 +45,6 @@ pub struct Metrics {
     /// instead of allocated) — the zero-allocation hot path's health
     /// signal.
     scratch_reuses: AtomicU64,
-    /// RTA shards executed for parallelised bichromatic requests.
-    parallel_shards: AtomicU64,
-    /// Bichromatic requests that were fanned across the worker pool.
-    sharded_requests: AtomicU64,
     /// Requests executed against a non-empty delta overlay (appends or
     /// tombstones folded into the answer without a rebuild).
     delta_hits: AtomicU64,
@@ -102,12 +98,6 @@ impl Metrics {
         self.scratch_reuses.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one bichromatic request fanned into `shards` pool shards.
-    pub fn record_sharded_request(&self, shards: u64) {
-        self.sharded_requests.fetch_add(1, Ordering::Relaxed);
-        self.parallel_shards.fetch_add(shards, Ordering::Relaxed);
-    }
-
     /// Records one request answered through a non-empty delta overlay.
     pub fn record_delta_hit(&self) {
         self.delta_hits.fetch_add(1, Ordering::Relaxed);
@@ -143,8 +133,8 @@ impl Metrics {
             batches: self.batches.load(Ordering::Relaxed),
             async_submits: self.async_submits.load(Ordering::Relaxed),
             scratch_reuses: self.scratch_reuses.load(Ordering::Relaxed),
-            parallel_shards: self.parallel_shards.load(Ordering::Relaxed),
-            sharded_requests: self.sharded_requests.load(Ordering::Relaxed),
+            parallel_shards: 0,
+            sharded_requests: 0,
             delta_hits: self.delta_hits.load(Ordering::Relaxed),
             catalog,
             cache,
@@ -207,9 +197,10 @@ pub struct MetricsSnapshot {
     /// Requests served on a warm (reused) per-worker scratch — each one
     /// is a request that allocated no fresh score/probe buffers.
     pub scratch_reuses: u64,
-    /// RTA shards executed for pool-parallelised bichromatic requests.
+    /// Always 0: a request runs whole on the worker that picked it up.
+    /// The field only keeps its slot in the `Stats` wire layout.
     pub parallel_shards: u64,
-    /// Bichromatic requests fanned across the worker pool.
+    /// Always 0, as [`Self::parallel_shards`].
     pub sharded_requests: u64,
     /// Requests answered through a non-empty delta overlay.
     pub delta_hits: u64,
@@ -277,7 +268,7 @@ impl MetricsSnapshot {
         format!(
             concat!(
                 "{{\"total_requests\": {}, \"batches\": {}, \"async_submits\": {}, ",
-                "\"scratch_reuses\": {}, \"parallel_shards\": {}, \"sharded_requests\": {}, ",
+                "\"scratch_reuses\": {}, ",
                 "\"delta_hits\": {}, ",
                 "\"cache\": {{\"hits\": {}, \"misses\": {}, \"len\": {}, \"capacity\": {}}}, ",
                 "\"catalog\": {{\"index_builds\": {}, \"rebuilds_avoided\": {}, ",
@@ -292,8 +283,6 @@ impl MetricsSnapshot {
             self.batches,
             self.async_submits,
             self.scratch_reuses,
-            self.parallel_shards,
-            self.sharded_requests,
             self.delta_hits,
             self.cache.hits,
             self.cache.misses,
@@ -404,11 +393,7 @@ impl std::fmt::Display for MetricsSnapshot {
             100.0 * self.cache.hit_rate(),
             self.cache.len,
         )?;
-        writeln!(
-            f,
-            "  scratch reuse {} requests, {} bichromatic requests sharded into {} pool shards",
-            self.scratch_reuses, self.sharded_requests, self.parallel_shards,
-        )?;
+        writeln!(f, "  scratch reuse {} requests", self.scratch_reuses)?;
         writeln!(
             f,
             "  overlay: {} delta hits, {} rebuilds avoided, {} index builds, {} compactions ({} abandoned)",

@@ -1,27 +1,19 @@
 //! The worker pool, per-worker scratch, and the request execution path.
 //!
-//! A fixed set of threads drains a shared mpsc work queue. Two job kinds
-//! flow through it:
-//!
-//! * [`Job::Serve`] — one request of a batch, carrying its slot and a
-//!   per-batch reply sender so the engine reassembles ordered responses
-//!   no matter which worker finished first;
-//! * [`Job::Shard`] — one shard of a *single* large bichromatic reverse
-//!   top-k request. The worker serving such a request splits the
-//!   similarity-sorted weight order into contiguous chunks, enqueues one
-//!   shard job per chunk, then claims and executes unclaimed shards
-//!   itself until none remain. Shards are claimed through an atomic
-//!   counter, so the origin worker can always finish the whole request
-//!   alone — idle workers merely accelerate it, and the scheme cannot
-//!   deadlock even when every worker is an origin simultaneously.
+//! A fixed set of threads drains a shared mpsc work queue. A request
+//! runs start to finish on the worker that picked it up: [`Job::Serve`]
+//! carries one request of a batch with its slot and a per-batch reply
+//! sender, so the engine reassembles ordered responses no matter which
+//! worker finished first, and [`Job::ServeMany`] lets idle workers steal
+//! whole requests of a pipelined run. No worker ever waits on another.
 //!
 //! Each worker owns a [`ProbeCtx`] — the RTA culprit pool and probe
 //! queue live across requests, so the steady-state hot path performs no
 //! per-request allocations (tracked by the `scratch_reuses` metric).
 //!
-//! Execution is deterministic — every algorithm is seed-driven and shard
-//! verdicts are independent — which makes responses identical for any
-//! worker count (asserted by the determinism tests).
+//! Execution is deterministic — every algorithm is seed-driven — which
+//! makes responses identical for any worker count (asserted by the
+//! determinism tests).
 
 use crate::cache::CacheKey;
 use crate::catalog::{Catalog, DatasetEpoch, DatasetHandle};
@@ -34,7 +26,7 @@ use crate::ResultCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use wqrtq_core::advisor::{AdvisorEvent, RankedStep, RefinementPlan};
@@ -43,12 +35,6 @@ use wqrtq_core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use wqrtq_geom::Weight;
 use wqrtq_obs::{SpanRecord, Stage, Tracer};
 use wqrtq_query::{monochromatic_reverse_topk_sampled, rta_over_order, rta_sorted_order, ProbeCtx};
-use wqrtq_rtree::DominanceIndex;
-
-/// A bichromatic request is fanned across the pool only when each shard
-/// still gets at least this many weights — below that, sharding overhead
-/// (task setup, queue traffic) outweighs the parallelism.
-const MIN_WEIGHTS_PER_SHARD: usize = 64;
 
 /// Shared state every worker executes against.
 #[derive(Debug)]
@@ -58,17 +44,11 @@ pub(crate) struct WorkerContext {
     pub(crate) metrics: Arc<Metrics>,
     /// Span sink: per-worker ring buffers plus the slow-request log.
     pub(crate) tracer: Arc<Tracer>,
-    /// Re-entrant handle to the work queue, used to enqueue shard jobs.
-    /// Workers holding this sender keep the channel open, so shutdown is
-    /// signalled with explicit [`Job::Shutdown`] sentinels instead of
-    /// channel disconnection.
+    /// Re-entrant handle to the work queue, used to schedule
+    /// compactions. Workers holding this sender keep the channel open,
+    /// so shutdown is signalled with explicit [`Job::Shutdown`]
+    /// sentinels instead of channel disconnection.
     pub(crate) queue: Sender<Job>,
-    /// Worker count, for shard sizing.
-    pub(crate) pool_size: usize,
-    /// Upper bound on shards per request (defaults to the machine's
-    /// physical parallelism: sharding a CPU-bound scan beyond the cores
-    /// that can actually run it only buys synchronisation overhead).
-    pub(crate) shard_limit: usize,
     /// Overlay rows (delta + tombstones) a dataset may accumulate before
     /// a compaction is scheduled; `None` picks the adaptive default of
     /// `max(1024, base_len / 4)` (quarter-of-base for large datasets, a
@@ -135,8 +115,6 @@ pub(crate) enum Job {
     /// a fast request behind a slow one overtakes it exactly as it
     /// would have as an individual [`Job::Serve`].
     ServeMany(Arc<ServeManyTask>),
-    /// One claimable shard of a parallelised bichromatic request.
-    Shard(Arc<ShardTask>),
     /// A scheduled overlay merge for a dataset, run off the request
     /// path. Carries the epoch the trigger observed: a dataset that
     /// mutated (or compacted) since is left alone.
@@ -157,10 +135,10 @@ pub(crate) struct ServeUnit {
 }
 
 /// A run of pipelined requests submitted in one go. Items are handed
-/// out exactly once through an atomic claim counter (same scheme as
-/// [`ShardTask`]): any worker that picks the job up drains whatever is
-/// left, so the run completes even if only one copy of the job is ever
-/// dequeued, and extra copies degrade to no-ops.
+/// out exactly once through an atomic claim counter: any worker that
+/// picks the job up drains whatever is left, so the run completes even
+/// if only one copy of the job is ever dequeued, and extra copies
+/// degrade to no-ops.
 pub(crate) struct ServeManyTask {
     items: Vec<Mutex<Option<ServeUnit>>>,
     next: AtomicUsize,
@@ -192,133 +170,6 @@ impl ServeManyTask {
                 return Some(unit);
             }
         }
-    }
-}
-
-/// A single bichromatic reverse top-k request split into claimable
-/// shards over its similarity-sorted weight order.
-pub(crate) struct ShardTask {
-    /// The dataset snapshot every shard answers against (shards outlive
-    /// the origin's borrow, so the task owns a handle).
-    handle: DatasetHandle,
-    weights: Arc<Vec<Weight>>,
-    /// Similarity order over all weights (computed once by the origin).
-    order: Vec<usize>,
-    /// Contiguous `order` ranges, one per shard.
-    ranges: Vec<(usize, usize)>,
-    q: Vec<f64>,
-    k: usize,
-    /// Claim counter: `fetch_add` hands out shard indices exactly once.
-    next: AtomicUsize,
-    state: Mutex<ShardState>,
-    done_cv: Condvar,
-}
-
-/// One shard's verdicts, or the panic message that killed it.
-type ShardOutcome = Result<Vec<usize>, String>;
-
-struct ShardState {
-    results: Vec<Option<ShardOutcome>>,
-    done: usize,
-}
-
-impl ShardTask {
-    fn new(
-        handle: DatasetHandle,
-        weights: Arc<Vec<Weight>>,
-        q: Vec<f64>,
-        k: usize,
-        shards: usize,
-    ) -> Self {
-        let order = rta_sorted_order(&weights);
-        let chunk = order.len().div_ceil(shards);
-        let ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|i| (i * chunk, ((i + 1) * chunk).min(order.len())))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let n = ranges.len();
-        Self {
-            handle,
-            weights,
-            order,
-            ranges,
-            q,
-            k,
-            next: AtomicUsize::new(0),
-            state: Mutex::new(ShardState {
-                results: (0..n).map(|_| None).collect(),
-                done: 0,
-            }),
-            done_cv: Condvar::new(),
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Claims the next unexecuted shard index, if any.
-    fn claim(&self) -> Option<usize> {
-        // ordering: SeqCst — exactly-once shard ticket, same contract
-        // as `ServeMany::claim`.
-        let i = self.next.fetch_add(1, Ordering::SeqCst);
-        (i < self.ranges.len()).then_some(i)
-    }
-
-    /// Executes shard `i` on the caller's scratch and records the result.
-    fn run_shard(&self, i: usize, scratch: &mut ProbeCtx) {
-        let (lo, hi) = self.ranges[i];
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            rta_over_order(
-                self.handle.snapshot(),
-                &self.weights,
-                &self.order[lo..hi],
-                &self.q,
-                self.k,
-                scratch,
-            )
-        }))
-        .map_err(|panic| {
-            panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "shard panicked".to_string())
-        });
-        let mut state = self.state.lock().expect("shard state lock");
-        state.results[i] = Some(outcome);
-        state.done += 1;
-        drop(state);
-        self.done_cv.notify_all();
-    }
-
-    /// Claims and runs at most one shard (the path taken by workers that
-    /// pop a [`Job::Shard`] off the queue).
-    pub(crate) fn run_one(&self, scratch: &mut ProbeCtx) {
-        if let Some(i) = self.claim() {
-            self.run_shard(i, scratch);
-        }
-    }
-
-    /// Blocks until every shard has completed, then merges the verdicts
-    /// (sorted ascending, as the sequential path returns them).
-    fn wait_and_merge(&self) -> ShardOutcome {
-        let mut state = self.state.lock().expect("shard state lock");
-        while state.done < self.ranges.len() {
-            state = self.done_cv.wait(state).expect("shard state lock poisoned");
-        }
-        let mut members = Vec::new();
-        for slot in state.results.iter() {
-            // lint: allow(no-panic) — the condvar wait above returns
-            // only when `recorded == shard_count`, and each shard fills
-            // its slot before incrementing `recorded`.
-            match slot.as_ref().expect("every shard recorded") {
-                Ok(part) => members.extend_from_slice(part),
-                Err(msg) => return Err(msg.clone()),
-            }
-        }
-        members.sort_unstable();
-        Ok(members)
     }
 }
 
@@ -415,7 +266,6 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
                     (unit.complete)(response);
                 }
             }
-            Job::Shard(task) => task.run_one(&mut scratch),
             Job::Compact { dataset, epoch } => {
                 // Best-effort: an unknown dataset (dropped since the
                 // trigger) or a superseded epoch is simply skipped.
@@ -613,13 +463,12 @@ fn simplex_weights(raw: &[Vec<f64>], field: &'static str) -> Result<Vec<Weight>,
         .collect()
 }
 
-/// Runs the bichromatic reverse top-k for one request: sequential on the
-/// worker's own scratch for small populations, fanned across the pool in
-/// claimable shards otherwise.
+/// Runs the bichromatic reverse top-k for one request on the worker's
+/// own scratch.
 fn execute_bichromatic(
     ctx: &WorkerContext,
     handle: &DatasetHandle,
-    population: Arc<Vec<Weight>>,
+    population: &[Weight],
     q: &[f64],
     k: usize,
     scratch: &mut ProbeCtx,
@@ -627,70 +476,24 @@ fn execute_bichromatic(
     // Below this cardinality a fused flat scan of the whole column-major
     // store beats branch-and-bound: no heap, no pointer chasing, one
     // sequential sweep per weight (and each weight decided independently
-    // — nothing to shard or pool). The overlay corrections ride along in
-    // the same sweep shape.
+    // — nothing to pool). The overlay corrections ride along in the same
+    // sweep shape.
     const FLAT_SCAN_MAX_POINTS: usize = 2048;
     if handle.flat.len() <= FLAT_SCAN_MAX_POINTS {
-        // The mask rides the flat sweep too: `k_eff` inside the masked
-        // test never exceeds `k + tombstones`, so one usability check
-        // covers every weight (saturated counts stay sound).
-        let mask = handle
-            .dom
-            .as_deref()
-            .filter(|d| d.usable_for(k + handle.view.tombstone_len()))
-            .map(DominanceIndex::counts);
         let members = (0..population.len())
-            .filter(|&i| {
-                let w = population[i].as_slice();
-                match mask {
-                    Some(counts) => handle.view.is_in_topk_masked(w, q, k, counts),
-                    None => handle.view.is_in_topk(w, q, k),
-                }
-            })
+            .filter(|&i| handle.view.is_in_topk(population[i].as_slice(), q, k))
             .collect();
         return Response::ReverseTopKBi(members);
     }
 
-    // The RTA paths reuse the worker's warm culprit pool / probe queue.
+    // RTA reuses the worker's warm culprit pool / probe queue.
     if scratch.is_warm() {
         ctx.metrics.record_scratch_reuse();
     }
-    let shards = ctx
-        .pool_size
-        .min(ctx.shard_limit)
-        .min(population.len() / MIN_WEIGHTS_PER_SHARD)
-        .max(1);
-    if shards <= 1 {
-        let order = rta_sorted_order(&population);
-        let mut members = rta_over_order(handle.snapshot(), &population, &order, q, k, scratch);
-        members.sort_unstable();
-        return Response::ReverseTopKBi(members);
-    }
-
-    let task = Arc::new(ShardTask::new(
-        handle.clone(),
-        population,
-        q.to_vec(),
-        k,
-        shards,
-    ));
-    ctx.metrics
-        .record_sharded_request(task.shard_count() as u64);
-    // One queue entry per shard lets idle workers steal work; the claim
-    // counter guarantees each shard runs exactly once regardless of who
-    // pops the jobs — including nobody (the origin claims the rest).
-    for _ in 0..task.shard_count() {
-        // A send failure means the engine is shutting down; the origin
-        // still completes the request by claiming every shard itself.
-        let _ = ctx.queue.send(Job::Shard(task.clone()));
-    }
-    while let Some(i) = task.claim() {
-        task.run_shard(i, scratch);
-    }
-    match task.wait_and_merge() {
-        Ok(members) => Response::ReverseTopKBi(members),
-        Err(msg) => Response::Error(format!("request panicked: {msg}")),
-    }
+    let order = rta_sorted_order(population);
+    let mut members = rta_over_order(handle.snapshot(), population, &order, q, k, scratch);
+    members.sort_unstable();
+    Response::ReverseTopKBi(members)
 }
 
 /// Times an index-walking kernel and records it as an
@@ -812,7 +615,7 @@ fn execute(
             }
             probe(ctx, spans, || {
                 (
-                    execute_bichromatic(ctx, handle, population, q, *k, scratch),
+                    execute_bichromatic(ctx, handle, &population, q, *k, scratch),
                     0,
                 )
             })

@@ -259,45 +259,6 @@ impl DeltaView {
         self.base.count_better_than_capped(w, sq, cap) < cap
     }
 
-    /// Membership test `q ∈ TOPk(w)` consulting a dominance mask:
-    /// `mask_counts[id]` is the (saturated) number of points strictly
-    /// dominating base row `id`, as built by `wqrtq-rtree`'s
-    /// `DominanceIndex` over this view's base.
-    ///
-    /// Bit-identical to [`DeltaView::is_in_topk`] whenever the mask was
-    /// built from this base: a masked point has `k_eff = (k − d_add) + D`
-    /// dominators (D = tombstones), of which at least the adjusted cap
-    /// are live and score no higher, so skipping it can never flip the
-    /// verdict. Delta rows are never masked (they are not in the base)
-    /// and the tombstone correction stays unmasked, which pairs with the
-    /// base kernel counting masked points wholesale on clearly-better
-    /// blocks. Falls back to the unmasked test when any weight entry is
-    /// negative (the dominance argument needs monotone scoring).
-    ///
-    /// # Panics
-    /// Panics if `q` has the wrong dimensionality or the mask is
-    /// shorter than the base.
-    pub fn is_in_topk_masked(&self, w: &[f64], q: &[f64], k: usize, mask_counts: &[u16]) -> bool {
-        if k == 0 {
-            return false;
-        }
-        if w.iter().any(|&x| x < 0.0) {
-            return self.is_in_topk(w, q, k);
-        }
-        assert_eq!(q.len(), self.dim(), "query dimension mismatch");
-        let sq = dot(w, q);
-        let d_add = self.count_better_delta(w, sq);
-        if d_add >= k {
-            return false; // the delta alone outranks q
-        }
-        let d_dead = self.count_better_dead(w, sq);
-        let cap = k - d_add + d_dead;
-        let k_eff = k - d_add + self.tombstone_len();
-        self.base
-            .count_better_than_capped_masked(w, sq, cap, mask_counts, k_eff)
-            < cap
-    }
-
     /// Materialises the live rows in **canonical order** — surviving
     /// base rows ascending by id, then surviving appended rows in append
     /// order — returning the row-major buffer plus the stable id of each
@@ -401,80 +362,6 @@ mod tests {
                 assert_eq!(v.is_in_topk(&w, &q, k), k > 0 && naive < k, "w {w:?} k {k}");
             }
         }
-    }
-
-    /// Brute-force dominator count of every row (the mask's contents).
-    fn dominator_counts(rows: &[f64], dim: usize) -> Vec<u16> {
-        let rows: Vec<&[f64]> = rows.chunks_exact(dim).collect();
-        rows.iter()
-            .map(|p| {
-                rows.iter()
-                    .filter(|q| q.iter().zip(*p).all(|(a, b)| a <= b) && *q != p)
-                    .count() as u16
-            })
-            .collect()
-    }
-
-    #[test]
-    fn masked_membership_matches_unmasked_under_mutation() {
-        // Brute-force dominator counts over the *base* (the mask is an
-        // epoch artifact: deletes are absorbed by k_eff, appends never
-        // join the mask until compaction).
-        let base_rows = fig_points();
-        let counts = dominator_counts(&base_rows, 2);
-        let v = overlaid();
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1], [0.3, 0.7]] {
-            for q in [[4.0, 4.0], [2.0, 1.0], [9.0, 9.0], [0.1, 0.1]] {
-                for k in 0..=8 {
-                    assert_eq!(
-                        v.is_in_topk_masked(&w, &q, k, &counts),
-                        v.is_in_topk(&w, &q, k),
-                        "w {w:?} q {q:?} k {k}"
-                    );
-                }
-            }
-        }
-        // A (validation-tolerated) negative weight entry falls back.
-        let wneg = [1.0 + 1e-9, -1e-9];
-        assert_eq!(
-            v.is_in_topk_masked(&wneg, &[4.0, 4.0], 3, &counts),
-            v.is_in_topk(&wneg, &[4.0, 4.0], 3)
-        );
-
-        // A plain view over a multi-block quantized base — the shape the
-        // engine's flat-scan path serves (≤ 2 048 points): both tiers on
-        // against the exact, unmasked scan.
-        let (n, dim) = (2000, 3);
-        let mut state = 21u64;
-        let pts: Vec<f64> = (0..n * dim)
-            .map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(99);
-                (state >> 11) as f64 / (1u64 << 53) as f64 * 10.0
-            })
-            .collect();
-        let counts = dominator_counts(&pts, dim);
-        let quantized = DeltaView::plain(Arc::new(FlatPoints::from_row_major(dim, &pts)));
-        let exact = DeltaView::plain(Arc::new(FlatPoints::from_row_major_exact(dim, &pts)));
-        // Skyband points as queries: each threshold is an exact score
-        // near the k boundary, so both verdicts occur.
-        let queries = pts.chunks_exact(dim).zip(&counts).filter(|(_, &c)| c < 10);
-        let mut members = 0;
-        let mut checked = 0;
-        for (q, _) in queries {
-            for w in [[0.2, 0.3, 0.5], [0.8, 0.1, 0.1], [0.0, 0.5, 0.5]] {
-                for k in [1, 10, 40] {
-                    let verdict = exact.is_in_topk(&w, q, k);
-                    assert_eq!(
-                        quantized.is_in_topk_masked(&w, q, k, &counts),
-                        verdict,
-                        "w {w:?} q {q:?} k {k}"
-                    );
-                    members += usize::from(verdict);
-                    checked += 1;
-                }
-            }
-        }
-        assert!(0 < members && members < checked, "{members} of {checked}");
     }
 
     #[test]

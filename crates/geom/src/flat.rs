@@ -145,10 +145,10 @@ impl TierCounters {
 /// classifies almost every block as clearly-in or clearly-out for any
 /// non-degenerate weight. Counting is order-invariant, so the clustered
 /// scan stays bit-identical to the id-order exact kernel; `perm` maps a
-/// clustered slot back to its id for masked scans and exact-`f64`
-/// fallbacks. A welcome side effect: Morton order walks the low-score
-/// corner first, so capped membership scans usually satisfy their cap
-/// within the first few blocks.
+/// clustered slot back to its id for exact-`f64` fallbacks. A welcome
+/// side effect: Morton order walks the low-score corner first, so capped
+/// membership scans usually satisfy their cap within the first few
+/// blocks.
 #[derive(Clone, Debug)]
 struct QuantTier {
     /// Clustered slot → original point index.
@@ -445,7 +445,7 @@ impl FlatPoints {
     /// membership tests that don't need exact counts.
     pub fn count_better_than_capped(&self, w: &[f64], threshold: f64, cap: usize) -> usize {
         let mut stats = ScanStats::default();
-        let c = self.count_capped_impl(w, threshold, cap, true, None, &mut stats);
+        let c = self.count_capped_impl(w, threshold, cap, true, &mut stats);
         self.counters.record(&stats);
         c
     }
@@ -454,7 +454,7 @@ impl FlatPoints {
     /// [`FlatPoints::count_better_than_capped`].
     pub fn count_better_than_capped_exact(&self, w: &[f64], threshold: f64, cap: usize) -> usize {
         let mut stats = ScanStats::default();
-        self.count_capped_impl(w, threshold, cap, false, None, &mut stats)
+        self.count_capped_impl(w, threshold, cap, false, &mut stats)
     }
 
     /// [`FlatPoints::count_better_than_capped`] plus the per-call
@@ -467,45 +467,9 @@ impl FlatPoints {
         cap: usize,
     ) -> (usize, ScanStats) {
         let mut stats = ScanStats::default();
-        let c = self.count_capped_impl(w, threshold, cap, true, None, &mut stats);
+        let c = self.count_capped_impl(w, threshold, cap, true, &mut stats);
         self.counters.record(&stats);
         (c, stats)
-    }
-
-    /// Capped count that additionally skips points a dominance mask
-    /// excludes: point `i` is skipped when `mask_counts[i] ≥ k_eff`.
-    ///
-    /// **Verdict-preserving, not count-preserving.** Blocks decided
-    /// wholesale by their bounds still count masked points, while
-    /// per-point passes skip them, so the returned count `c` only
-    /// satisfies: `c ≥ cap` ⟺ `exact ≥ cap`, *provided* the mask
-    /// invariant holds (every masked point has ≥ `k_eff` dominators
-    /// under a non-negative weight, with `k_eff ≥ cap`-many of them
-    /// live — see `wqrtq-rtree`'s `DominanceIndex`). Use only for
-    /// threshold verdicts, never for exact ranks.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != dim` or `mask_counts.len() < len()`.
-    pub fn count_better_than_capped_masked(
-        &self,
-        w: &[f64],
-        threshold: f64,
-        cap: usize,
-        mask_counts: &[u16],
-        k_eff: usize,
-    ) -> usize {
-        assert!(mask_counts.len() >= self.n, "mask shorter than point set");
-        let mut stats = ScanStats::default();
-        let c = self.count_capped_impl(
-            w,
-            threshold,
-            cap,
-            true,
-            Some((mask_counts, k_eff)),
-            &mut stats,
-        );
-        self.counters.record(&stats);
-        c
     }
 
     /// Appends up to `max_rows` points scoring strictly below
@@ -663,9 +627,7 @@ impl FlatPoints {
     }
 
     /// The shared block loop behind every counting kernel. `use_tier`
-    /// selects the two-tier path (when the mirror exists); `mask`
-    /// optionally carries `(dominator_counts, k_eff)` for the
-    /// verdict-preserving masked scan.
+    /// selects the two-tier path (when the mirror exists).
     ///
     /// The tiered path walks the Morton-clustered blocks (counting is
     /// order-invariant, so the result is bit-identical to the id-order
@@ -676,13 +638,12 @@ impl FlatPoints {
         threshold: f64,
         cap: usize,
         use_tier: bool,
-        mask: Option<(&[u16], usize)>,
         stats: &mut ScanStats,
     ) -> usize {
         assert_eq!(w.len(), self.dim, "weight dimension mismatch");
         if use_tier {
             if let Some(t) = self.tier.as_ref() {
-                return self.count_capped_clustered(t, w, threshold, cap, mask, stats);
+                return self.count_capped_clustered(t, w, threshold, cap, stats);
             }
         }
         let mut count = 0usize;
@@ -708,14 +669,7 @@ impl FlatPoints {
                 }
             }
             // Branchless accumulate so the loop stays vectorizable.
-            count += match mask {
-                None => buf.iter().map(|&s| (s < threshold) as usize).sum::<usize>(),
-                Some((mc, k_eff)) => buf
-                    .iter()
-                    .zip(&mc[start..start + len])
-                    .map(|(&s, &c)| ((c as usize) < k_eff && s < threshold) as usize)
-                    .sum::<usize>(),
-            };
+            count += buf.iter().map(|&s| (s < threshold) as usize).sum::<usize>();
             stats.blocks_visited += 1;
             start += len;
         }
@@ -731,7 +685,6 @@ impl FlatPoints {
         w: &[f64],
         threshold: f64,
         cap: usize,
-        mask: Option<(&[u16], usize)>,
         stats: &mut ScanStats,
     ) -> usize {
         let mut wf = [0.0f32; MAX_QUANT_DIM];
@@ -751,8 +704,7 @@ impl FlatPoints {
             let len = BLOCK.min(self.n - start);
             if t.block_ok[block]
                 && self.try_quantized_block(
-                    t, block, start, len, w, &wf, rel, threshold, mask, stats, &mut buf32,
-                    &mut count,
+                    t, block, start, len, w, &wf, rel, threshold, stats, &mut buf32, &mut count,
                 )
             {
                 start += len;
@@ -778,14 +730,7 @@ impl FlatPoints {
                     *o += wd * col[i as usize];
                 }
             }
-            count += match mask {
-                None => buf.iter().map(|&s| (s < threshold) as usize).sum::<usize>(),
-                Some((mc, k_eff)) => buf
-                    .iter()
-                    .zip(perm)
-                    .map(|(&s, &i)| ((mc[i as usize] as usize) < k_eff && s < threshold) as usize)
-                    .sum::<usize>(),
-            };
+            count += buf.iter().map(|&s| (s < threshold) as usize).sum::<usize>();
             stats.blocks_visited += 1;
             start += len;
             block += 1;
@@ -812,7 +757,6 @@ impl FlatPoints {
         wf: &[f32; MAX_QUANT_DIM],
         rel: f64,
         threshold: f64,
-        mask: Option<(&[u16], usize)>,
         stats: &mut ScanStats,
         buf32: &mut [f32; BLOCK],
         count: &mut usize,
@@ -846,9 +790,6 @@ impl FlatPoints {
         }
         if hi < threshold {
             // Every computed score in the block is < t: count wholesale.
-            // (Masked scans deliberately include masked points here; the
-            // dominance-mask soundness argument allows any overcount on
-            // clearly-better regions.)
             *count += len;
             stats.blocks_skipped += 1;
             return true;
@@ -884,26 +825,13 @@ impl FlatPoints {
                 *o += wdf * x;
             }
         }
-        let (definite, ambiguous) = match mask {
-            None => buf.iter().fold((0usize, 0usize), |(def, amb), &s| {
-                let s = s as f64;
-                (
-                    def + (s < t_lo) as usize,
-                    amb + (s >= t_lo && s < t_hi) as usize,
-                )
-            }),
-            Some((mc, k_eff)) => buf.iter().zip(&tier.perm[start..start + len]).fold(
-                (0usize, 0usize),
-                |(def, amb), (&s, &i)| {
-                    let live = (mc[i as usize] as usize) < k_eff;
-                    let s = s as f64;
-                    (
-                        def + (live && s < t_lo) as usize,
-                        amb + (live && s >= t_lo && s < t_hi) as usize,
-                    )
-                },
-            ),
-        };
+        let (definite, ambiguous) = buf.iter().fold((0usize, 0usize), |(def, amb), &s| {
+            let s = s as f64;
+            (
+                def + (s < t_lo) as usize,
+                amb + (s >= t_lo && s < t_hi) as usize,
+            )
+        });
         stats.quantized_blocks += 1;
         if ambiguous > 0 {
             // The exact rescan (run by the caller) accounts the visit.
@@ -1214,35 +1142,6 @@ mod tests {
                 o.count_better_than_exact(&w2, t),
                 "t {t}"
             );
-        }
-    }
-
-    #[test]
-    fn masked_count_preserves_cap_verdicts() {
-        let pts = scatter(1500, 3, 21);
-        let f = FlatPoints::from_row_major(3, &pts);
-        let w = [0.3, 0.3, 0.4];
-        // Build a *sound* mask by brute force: count true dominators.
-        let rows: Vec<&[f64]> = pts.chunks_exact(3).collect();
-        let mut counts = vec![0u16; rows.len()];
-        for (i, p) in rows.iter().enumerate() {
-            let c = rows
-                .iter()
-                .filter(|q| {
-                    q.iter().zip(*p).all(|(a, b)| a <= b) && q.iter().zip(*p).any(|(a, b)| a < b)
-                })
-                .count();
-            counts[i] = c.min(u16::MAX as usize) as u16;
-        }
-        for k_eff in [1usize, 3, 8, 20] {
-            for i in (0..rows.len()).step_by(53) {
-                let t = dot(&w, rows[i]);
-                for cap in 1..=k_eff {
-                    let masked = f.count_better_than_capped_masked(&w, t, cap, &counts, k_eff);
-                    let exact = f.count_better_than_capped_exact(&w, t, cap);
-                    assert_eq!(masked >= cap, exact >= cap, "k_eff {k_eff} i {i} cap {cap}");
-                }
-            }
         }
     }
 

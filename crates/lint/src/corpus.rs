@@ -106,12 +106,12 @@ pub const CORPUS: &[CorpusCase] = &[
         rule: "variant-suffix",
         bad: &[(
             "crates/query/src/rank.rs",
-            "pub fn is_in_topk(snap: Snapshot<'_>) -> bool {\n    true\n}\npub fn is_in_topk_masked(snap: Snapshot<'_>, dom: &Mask) -> bool {\n    true\n}\n",
+            "pub fn is_member(snap: Snapshot<'_>) -> bool {\n    true\n}\npub fn is_member_masked(snap: Snapshot<'_>, dom: &Mask) -> bool {\n    true\n}\n",
         )],
         bad_design: None,
         good: &[(
             "crates/query/src/rank.rs",
-            "pub fn is_in_topk(snap: Snapshot<'_>) -> bool {\n    probe_masked(snap)\n}\nfn probe_masked(snap: Snapshot<'_>) -> bool {\n    true\n}\n",
+            "pub fn is_member(snap: Snapshot<'_>) -> bool {\n    probe_masked(snap)\n}\nfn probe_masked(snap: Snapshot<'_>) -> bool {\n    true\n}\n",
         )],
         good_design: None,
     },

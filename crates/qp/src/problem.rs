@@ -91,12 +91,6 @@ impl QpProblem {
         self.c.len()
     }
 
-    /// Number of general (non-bound) inequality rows.
-    #[inline]
-    pub fn num_inequalities(&self) -> usize {
-        self.g_rows.len()
-    }
-
     /// Objective value at `x`.
     pub fn objective(&self, x: &[f64]) -> f64 {
         let hx = self.h.matvec(x);

@@ -33,13 +33,11 @@ pub mod bulk;
 pub mod mask;
 pub mod node;
 pub mod search;
-pub mod stats;
 pub mod tree;
 
 pub use mask::{DominanceIndex, CULPRIT_PLANE_K, CULPRIT_PLANE_TIERS, DEFAULT_DOMINANCE_CAP};
 pub use node::{Node, NodeId};
 pub use search::{BestFirst, CulpritBuf, ProbeResult, ProbeScratch};
-pub use stats::TraversalStats;
 pub use tree::RTree;
 
 /// Default maximum number of entries per node.

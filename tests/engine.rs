@@ -65,6 +65,21 @@ fn mixed_batch() -> Vec<Request> {
         q: vec![4.0, 4.0],
         k: 4,
     });
+    // A 400-weight population over the > 2 048-point dataset: the RTA
+    // path (similarity order + culprit pool), on whichever worker took it.
+    batch.push(Request::ReverseTopKBi {
+        dataset: "synthetic".into(),
+        weights: WeightSet::Inline(
+            (0..400)
+                .map(|i| {
+                    let x = 0.05 + 0.6 * (i as f64 / 400.0);
+                    vec![x, 0.3, 0.7 - x]
+                })
+                .collect(),
+        ),
+        q: vec![0.07, 0.07, 0.07],
+        k: 10,
+    });
     for options in [
         WhyNotOptions {
             strategies: vec![StrategyKind::Mqp],
@@ -147,6 +162,9 @@ fn repeated_batches_are_stable_within_one_engine() {
         "second pass should hit the result cache: {:?}",
         m.cache
     );
+    // Requests are never split across workers; the two counters survive
+    // only as always-zero slots of the `Stats` wire layout.
+    assert_eq!((m.parallel_shards, m.sharded_requests), (0, 0));
 }
 
 #[test]

@@ -349,17 +349,15 @@ fn mutation_sequences_match_rebuilt_oracle_3d() {
 }
 
 #[test]
-fn sharded_rta_over_overlay_matches_oracle() {
-    // Datasets above the flat-scan cutoff take the culprit-pool RTA,
-    // fanned across the pool — the overlay corrections must survive
-    // sharding.
+fn large_population_over_overlay_matches_oracle() {
+    // Datasets above the flat-scan cutoff take the culprit-pool RTA —
+    // the overlay corrections must survive a 400-weight population.
     let mut rng = Rng(77);
     let n = 3000;
     let coords: Vec<f64> = (0..n * 2).map(|_| rng.coord()).collect();
     let mut model = Model::new(2, &coords);
     let overlay = Engine::builder()
         .workers(4)
-        .shard_limit(4)
         .overlay_limit(usize::MAX)
         .build();
     overlay.register_dataset("d", 2, coords).unwrap();
@@ -405,12 +403,11 @@ fn sharded_rta_over_overlay_matches_oracle() {
         assert_eq!(got, expected, "k {k}");
     }
     let m = overlay.metrics();
-    assert!(m.sharded_requests > 0, "the parallel path must have run");
     assert_eq!(m.catalog.index_builds, 1, "no rebuild despite mutations");
     assert_eq!(m.catalog.mask_builds, 1, "one mask per base generation");
     assert!(
         m.catalog.prefilter_skips > 0,
-        "the sharded RTA must have consulted the mask"
+        "the RTA must have consulted the mask"
     );
     assert_eq!(
         oracle.metrics().catalog.mask_builds,
