@@ -7,9 +7,10 @@
 //! worker finished first, and [`Job::ServeMany`] lets idle workers steal
 //! whole requests of a pipelined run. No worker ever waits on another.
 //!
-//! Each worker owns a [`ProbeCtx`] — the RTA culprit pool and probe
-//! queue live across requests, so the steady-state hot path performs no
-//! per-request allocations (tracked by the `scratch_reuses` metric).
+//! Each worker owns a [`ProbeCtx`] — the RTA culprit pool and the probe
+//! and top-k queues live across requests, so the steady-state hot path
+//! performs no per-request allocations (tracked by the `scratch_reuses`
+//! metric).
 //!
 //! Execution is deterministic — every algorithm is seed-driven — which
 //! makes responses identical for any worker count (asserted by the
@@ -34,7 +35,9 @@ use wqrtq_core::explain::Explanation;
 use wqrtq_core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use wqrtq_geom::Weight;
 use wqrtq_obs::{SpanRecord, Stage, Tracer};
-use wqrtq_query::{monochromatic_reverse_topk_sampled, rta_over_order, rta_sorted_order, ProbeCtx};
+use wqrtq_query::{
+    monochromatic_reverse_topk_sampled, rta_over_order, rta_sorted_order, topk_with, ProbeCtx,
+};
 
 /// Shared state every worker executes against.
 #[derive(Debug)]
@@ -523,23 +526,9 @@ fn execute(
                 return (Response::Error(e.to_string()), 0);
             }
             probe(ctx, spans, || {
-                // The merged live traversal: identical to the plain
-                // best-first scan on un-mutated datasets, tombstone-skipping
-                // and delta-merging otherwise.
-                let mut bf = handle.snapshot().best_first(weight);
-                // Cap the pre-allocation at the live size: `k` is
-                // caller-controlled, and an oversized with_capacity would
-                // abort (not unwind) on allocation failure, escaping the
-                // per-request panic isolation.
-                let mut out = Vec::with_capacity((*k).min(handle.live_len()));
-                while out.len() < *k {
-                    match bf.next_entry() {
-                        Some(p) => out.push((p.id, p.score)),
-                        None => break,
-                    }
-                }
-                let nodes = bf.nodes_visited();
-                (Response::TopK(out), nodes)
+                let before = scratch.nodes_visited;
+                let out = topk_with(handle.snapshot(), weight, *k, scratch);
+                (Response::TopK(out), scratch.nodes_visited - before)
             })
         }
         Request::ReverseTopKMono {

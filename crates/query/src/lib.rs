@@ -40,4 +40,4 @@ pub use mrtopk::{monochromatic_reverse_topk_2d, WeightInterval};
 pub use mrtopk_nd::{monochromatic_reverse_topk_sampled, MrtopkEstimate};
 pub use rank::{is_in_topk, rank_of_point, rank_of_point_scan};
 pub use snapshot::{ProbeCtx, Snapshot};
-pub use topk::{kth_point, topk, topk_scan, KthPoint, LiveBestFirst};
+pub use topk::{kth_point, topk, topk_scan, topk_with, KthPoint, LiveBestFirst};

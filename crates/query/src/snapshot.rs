@@ -12,7 +12,7 @@
 
 use crate::brtopk::RtaStats;
 use wqrtq_geom::DeltaView;
-use wqrtq_rtree::{search::CulpritBuf, DominanceIndex, ProbeScratch, RTree};
+use wqrtq_rtree::{search::CulpritBuf, DominanceIndex, OrdF64, ProbeScratch, RTree};
 
 /// A borrowed, consistent view of one dataset: the base index plus the
 /// optional overlay and mask. A bare `&RTree` converts into one, so the
@@ -76,9 +76,10 @@ impl<'a> Snapshot<'a> {
 }
 
 /// Per-worker reusable buffers and work counters for the probing
-/// operations ([`crate::is_in_topk`], [`crate::rta_over_order`], and the
-/// why-not explanation scan). One instance per serving worker: after
-/// warm-up the hot paths allocate nothing per request.
+/// operations ([`crate::is_in_topk`], [`crate::topk_with`],
+/// [`crate::rta_over_order`], and the why-not explanation scan). One
+/// instance per serving worker: after warm-up the hot paths allocate
+/// nothing per request.
 #[derive(Debug, Default)]
 pub struct ProbeCtx {
     /// Index nodes expanded by every probe run on this context so far
@@ -87,7 +88,9 @@ pub struct ProbeCtx {
     /// RTA prune/verify counters accumulated over every
     /// [`crate::rta_over_order`] run on this context.
     pub rta: RtaStats,
-    probe: ProbeScratch,
+    pub(crate) probe: ProbeScratch,
+    /// The bounded top-k's appended rows: `(score, delta slot)`.
+    pub(crate) top_delta: Vec<(OrdF64, u32)>,
     /// Flat row-major coordinates of recently-seen culprit points.
     pub(crate) pool: Vec<f64>,
     /// Ids parallel to `pool` — the prune counts *distinct* dataset

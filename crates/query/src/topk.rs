@@ -1,12 +1,13 @@
 //! Top-k queries (Definition 1 of the paper).
 //!
 //! `TOPk(w)` is the set of `k` points with the smallest scores under `w`.
-//! The branch-and-bound implementation rides the R-tree's best-first
-//! traversal (BRS \[29\]), merged with the snapshot's overlay; the scan
-//! implementation is the baseline used to cross-check it and to quantify
-//! the index's benefit in the ablation benchmarks.
+//! The branch-and-bound implementation is the R-tree's best-first
+//! traversal (BRS \[29\]) bounded to `k` points, merged with the
+//! snapshot's overlay; the scan implementation is the baseline used to
+//! cross-check it and to quantify the index's benefit in the ablation
+//! benchmarks.
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{ProbeCtx, Snapshot};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use wqrtq_geom::{score, DeltaView};
@@ -31,17 +32,23 @@ pub struct KthPoint {
 /// fewer live points exist. Bit-identical to a dataset rebuilt from the
 /// live rows (score ties permitting — see [`LiveBestFirst`]).
 pub fn topk<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Vec<(u32, f64)> {
+    topk_with(snap, w, k, &mut ProbeCtx::new())
+}
+
+/// [`topk`] on a reusable [`ProbeCtx`]: its queues are the search's
+/// scratch, and the index nodes expanded are added to
+/// `ctx.nodes_visited`.
+pub fn topk_with<'a>(
+    snap: impl Into<Snapshot<'a>>,
+    w: &[f64],
+    k: usize,
+    ctx: &mut ProbeCtx,
+) -> Vec<(u32, f64)> {
     let snap = snap.into();
-    let mut it = snap.best_first(w);
     // `k` may be caller-controlled: cap the pre-allocation at the live
     // size so an absurd `k` cannot abort on allocation failure.
     let mut out = Vec::with_capacity(k.min(snap.live_len()));
-    while out.len() < k {
-        match it.next_entry() {
-            Some(p) => out.push((p.id, p.score)),
-            None => break,
-        }
-    }
+    ctx.bounded_topk(snap, w, k, |p| out.push((p.id, p.score)));
     out
 }
 
@@ -67,16 +74,90 @@ pub fn topk_scan(points: &[f64], w: &[f64], k: usize) -> Vec<(u32, f64)> {
 /// best point). Returns `None` when fewer than `k` live points exist —
 /// which includes `k = 0`.
 pub fn kth_point<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Option<KthPoint> {
-    let mut it = snap.into().best_first(w);
-    let mut last = None;
-    for _ in 0..k {
-        last = Some(it.next_entry()?);
-    }
-    last.map(|r| KthPoint {
+    let (mut ranked, mut last) = (0, None);
+    ProbeCtx::new().bounded_topk(snap.into(), w, k, |p| {
+        ranked += 1;
+        last = Some(p);
+    });
+    last.filter(|_| ranked == k).map(|r| KthPoint {
         id: r.id,
         score: r.score,
         coords: r.coords.to_vec(),
     })
+}
+
+impl ProbeCtx {
+    /// The bounded top-k: hands the first `k` entries of
+    /// `snap.best_first(w)` to `emit`, in order, without draining it.
+    /// The base's first `k` live points come from
+    /// [`wqrtq_rtree::RTree::topk_into`] (tombstones skipped), the
+    /// appended rows' `k` smallest by `(score via total_cmp, slot)` from
+    /// a k-bounded heap, and the two merge exactly as [`LiveBestFirst`]
+    /// merges them: base first on a tie.
+    fn bounded_topk<'a>(
+        &mut self,
+        snap: Snapshot<'a>,
+        w: &[f64],
+        k: usize,
+        mut emit: impl FnMut(RankedPoint<'a>),
+    ) {
+        let view = snap.mutated();
+        let mut buf = std::mem::take(&mut self.top_delta);
+        buf.clear();
+        let mut kept = BinaryHeap::from(buf);
+        if let Some(v) = view {
+            for (slot, row) in v.delta_rows().chunks_exact(v.dim()).enumerate() {
+                let key = (OrdF64(score(w, row)), slot as u32);
+                if kept.len() < k {
+                    kept.push(key);
+                } else if let Some(mut last) = kept.peek_mut() {
+                    if key < *last {
+                        *last = key;
+                    }
+                }
+            }
+        }
+        self.top_delta = kept.into_sorted_vec();
+
+        let mut delta = view.into_iter().flat_map(|v| {
+            self.top_delta
+                .iter()
+                .map(move |&(OrdF64(score), slot)| RankedPoint {
+                    id: v.delta_ids()[slot as usize],
+                    score,
+                    coords: v.delta_row(slot as usize),
+                })
+        });
+        let mut head = delta.next();
+        let mut left = k;
+        let tree = snap.tree;
+        let dead = |id| view.is_some_and(|v| v.is_deleted(id));
+        let nodes = tree.topk_into(w, k, dead, &mut self.probe, |row, s| {
+            // Appended rows strictly ahead of this base point leave first.
+            while let Some(d) = head.filter(|d| d.score < s) {
+                emit(d);
+                head = delta.next();
+                left -= 1;
+                if left == 0 {
+                    return false;
+                }
+            }
+            let (id, coords) = tree.point(row as usize);
+            emit(RankedPoint {
+                id,
+                score: s,
+                coords,
+            });
+            left -= 1;
+            left > 0
+        });
+        self.nodes_visited += nodes;
+        while let Some(d) = head.filter(|_| left > 0) {
+            emit(d);
+            head = delta.next();
+            left -= 1;
+        }
+    }
 }
 
 /// Best-first enumeration of a snapshot's *live* points: the base
@@ -84,10 +165,10 @@ pub fn kth_point<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Opti
 /// the appended rows, which are scored up front and then consumed
 /// lazily from a min-heap — `O(Δ + emitted · log Δ)` for `Δ` appended
 /// rows, so a shallow consumer never pays for ordering the whole
-/// overlay. Progressive consumers — top-k, k-th point, the why-not
-/// culprit scan — drive it exactly like a plain
+/// overlay. The why-not culprit scan drives it exactly like a plain
 /// [`wqrtq_rtree::RTree::best_first`] traversal, which is what it
-/// reduces to on an un-mutated snapshot.
+/// reduces to on an un-mutated snapshot; [`topk`] and [`kth_point`]
+/// return its first `k` entries.
 ///
 /// Order contract: ascending score. A base point and an appended row
 /// with the exact same score are emitted base-first (appended ids always

@@ -180,6 +180,24 @@ fn check(snap: Snapshot<'_>, view: &DeltaView, w: &[f64], what: &str) {
     assert_eq!(emitted, ids, "{what}: every live id exactly once");
 
     for k in [0, 1, delta, live, live + 1] {
+        // The bounded top-k is the traversal's prefix, base ties and
+        // signs of zero included.
+        let mut fresh = snap.best_first(w);
+        let prefix: Vec<(u32, u64)> = std::iter::from_fn(|| fresh.next_entry())
+            .take(k)
+            .map(|p| (p.id, p.score.to_bits()))
+            .collect();
+        let bounded: Vec<(u32, u64)> = topk(snap, w, k)
+            .into_iter()
+            .map(|(id, s)| (id, s.to_bits()))
+            .collect();
+        assert_eq!(bounded, prefix, "{what}: top-k prefix at k = {k}");
+        assert_eq!(
+            kth_point(snap, w, k).map(|p| (p.id, p.score.to_bits())),
+            k.checked_sub(1).and_then(|i| prefix.get(i).copied()),
+            "{what}: k-th point of the prefix at k = {k}"
+        );
+
         let got = kth_point(snap, w, k);
         match k.checked_sub(1).and_then(|i| want.get(i)) {
             None => assert!(got.is_none(), "{what}: k-th point at k = {k}"),

@@ -3,11 +3,11 @@
 //! STR packs `n` points into `⌈n / fanout⌉` leaves by recursively sorting
 //! on each dimension and slicing into `⌈L^(1/d)⌉` slabs, producing compact,
 //! low-overlap leaves. Upper levels are built by packing consecutive runs
-//! of the (spatially ordered) lower level, up to the root.
+//! of the (spatially ordered) lower level, up to the root — so every
+//! node's children are consecutive ids and the pass writes the arena
+//! directly.
 
-use crate::node::{Node, NodeId};
 use crate::tree::RTree;
-use wqrtq_geom::Mbr;
 
 /// Builds an [`RTree`] over the flat `n × dim` coordinate buffer.
 ///
@@ -20,53 +20,82 @@ pub fn str_bulk_load(dim: usize, points: &[f64], fanout: usize) -> RTree {
     assert_eq!(points.len() % dim, 0, "coordinate buffer length mismatch");
     let n = points.len() / dim;
 
-    let mut tree = RTree::new(dim, fanout);
-    if n == 0 {
-        return tree;
+    // Order point indices with recursive sort-tile slicing; the store
+    // holds the rows in that order, so leaf `i` is rows
+    // `[i · fanout, (i + 1) · fanout)`.
+    let mut ids: Vec<u32> = (0..n as u32).collect();
+    str_order(points, dim, fanout, &mut ids, 0);
+    let mut coords = Vec::with_capacity(points.len());
+    for &id in &ids {
+        coords.extend_from_slice(&points[id as usize * dim..(id as usize + 1) * dim]);
     }
-    tree.nodes.clear();
 
-    // Order point indices with recursive sort-tile slicing.
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    str_order(points, dim, fanout, &mut order, 0);
-
-    // Pack leaves from consecutive runs of the STR order.
-    let mut level: Vec<NodeId> = Vec::with_capacity(n.div_ceil(fanout));
-    for chunk in order.chunks(fanout) {
-        let mut mbr = Mbr::empty(dim);
-        let mut ids = Vec::with_capacity(chunk.len());
-        let mut coords = Vec::with_capacity(chunk.len() * dim);
-        for &id in chunk {
-            let p = &points[id as usize * dim..(id as usize + 1) * dim];
-            mbr.expand(p);
-            ids.push(id);
-            coords.extend_from_slice(p);
+    let leaves = n.div_ceil(fanout);
+    let mut nodes = leaves;
+    let mut level = leaves;
+    while level > 1 {
+        level = level.div_ceil(fanout);
+        nodes += level;
+    }
+    let mut span = Vec::with_capacity(nodes);
+    let mut count = Vec::with_capacity(nodes);
+    for first in (0..n).step_by(fanout) {
+        let end = (first + fanout).min(n);
+        span.push((first as u32, end as u32));
+        count.push(end - first);
+    }
+    // Upper levels: consecutive runs of the level below, up to the root.
+    let mut below = 0..leaves;
+    while below.len() > 1 {
+        let start = span.len();
+        for first in below.clone().step_by(fanout) {
+            let end = (first + fanout).min(below.end);
+            span.push((first as u32, end as u32));
+            count.push(count[first..end].iter().sum());
         }
-        level.push(tree.push_node(Node::Leaf { mbr, ids, coords }));
+        below = start..span.len();
     }
 
-    // Pack upper levels until a single root remains.
-    while level.len() > 1 {
-        let mut next: Vec<NodeId> = Vec::with_capacity(level.len().div_ceil(fanout));
-        for chunk in level.chunks(fanout) {
-            let mut mbr = Mbr::empty(dim);
-            let mut count = 0;
-            for &c in chunk {
-                mbr.union(tree.node(c).mbr());
-                count += tree.node(c).count();
+    // Corners, column-wise, grown exactly like `Mbr::expand` / `union`
+    // (first-seen wins on `±0` ties): a leaf over its rows in order, an
+    // internal node over each child's lower then upper corner.
+    let mut lo = vec![f64::INFINITY; dim * nodes];
+    let mut hi = vec![f64::NEG_INFINITY; dim * nodes];
+    for d in 0..dim {
+        let col = d * nodes;
+        for (node, &(first, end)) in span.iter().enumerate() {
+            let (mut l, mut h) = (lo[col + node], hi[col + node]);
+            let mut grow = |x: f64| {
+                if x < l {
+                    l = x;
+                }
+                if x > h {
+                    h = x;
+                }
+            };
+            if node < leaves {
+                (first..end).for_each(|row| grow(coords[row as usize * dim + d]));
+            } else {
+                for c in first as usize..end as usize {
+                    grow(lo[col + c]);
+                    grow(hi[col + c]);
+                }
             }
-            next.push(tree.push_node(Node::Internal {
-                mbr,
-                children: chunk.to_vec(),
-                count,
-            }));
+            (lo[col + node], hi[col + node]) = (l, h);
         }
-        level = next;
     }
 
-    tree.root = level[0];
-    tree.len = n;
-    tree
+    RTree {
+        dim,
+        fanout,
+        leaves,
+        count,
+        span,
+        lo,
+        hi,
+        ids,
+        coords,
+    }
 }
 
 /// Recursively orders `order[..]` so that consecutive runs of `fanout`
@@ -151,13 +180,8 @@ mod tests {
         }
         let t = str_bulk_load(2, &pts, 16);
         t.validate().unwrap();
-        let root_area = t.root_mbr().unwrap().area();
-        let mut leaf_area = 0.0;
-        for node in &t.nodes {
-            if let Node::Leaf { mbr, .. } = node {
-                leaf_area += mbr.area();
-            }
-        }
+        let root_area = t.mbr(t.root()).area();
+        let leaf_area: f64 = (0..t.leaves as u32).map(|l| t.mbr(l).area()).sum();
         assert!(
             leaf_area < 1.5 * root_area,
             "leaf area {leaf_area} vs root {root_area}"

@@ -7,11 +7,13 @@
 //! that index from scratch:
 //!
 //! * [`RTree::bulk_load`] — Sort-Tile-Recursive packing (the standard way
-//!   to build a static R-tree over a known dataset);
-//! * [`RTree::insert`] — dynamic insertion with linear-split overflow
-//!   handling, so incremental workloads work too;
+//!   to build a static R-tree over a known dataset) straight into one
+//!   frozen arena: range-linked nodes, column-wise corners, one
+//!   leaf-ordered point store;
 //! * [`search::BestFirst`] — best-first (priority-queue) traversal under a
-//!   monotone lower bound, the core of the BRS top-k algorithm \[29\];
+//!   monotone lower bound, the core of the BRS top-k algorithm \[29\],
+//!   and [`RTree::topk_into`], its first `k` points through a k-bounded
+//!   heap;
 //! * [`RTree::count_score_below`] — counted aggregates per subtree make
 //!   rank queries ("how many points score strictly less than q?")
 //!   sub-linear;
@@ -31,12 +33,10 @@
 
 pub mod bulk;
 pub mod mask;
-pub mod node;
 pub mod search;
 pub mod tree;
 
 pub use mask::{DominanceIndex, CULPRIT_PLANE_K, CULPRIT_PLANE_TIERS, DEFAULT_DOMINANCE_CAP};
-pub use node::{Node, NodeId};
 pub use search::{BestFirst, CulpritBuf, ProbeResult, ProbeScratch};
 pub use tree::RTree;
 

@@ -50,7 +50,6 @@
 //! dominators, so callers pass `k_eff = cap + tombstone_count` and fall
 //! back to the unmasked path when that exceeds the build cap.
 
-use crate::node::{Node, NodeId};
 use crate::tree::RTree;
 use std::sync::atomic::{AtomicU64, Ordering};
 use wqrtq_geom::{dominates, FlatPoints};
@@ -118,20 +117,12 @@ impl DominanceIndex {
     /// Panics if `cap` is zero.
     pub fn build_with_cap(tree: &RTree, cap: u16) -> Self {
         assert!(cap > 0, "dominance cap must be positive");
-        let mut max_id = 0usize;
-        let mut seen = false;
-        tree.for_each_point(|id, _| {
-            max_id = max_id.max(id as usize);
-            seen = true;
-        });
-        let mut counts = vec![0u16; if seen { max_id + 1 } else { 0 }];
+        let slots = tree.ids.iter().max().map_or(0, |&m| m as usize + 1);
+        let mut counts = vec![0u16; slots];
         // Saturated unless the point turns out to sit in an open leaf.
-        tree.for_each_point(|id, _| counts[id as usize] = cap);
+        tree.ids.iter().for_each(|&id| counts[id as usize] = cap);
         count_open_points(tree, &open_leaves(tree, cap), cap, &mut counts);
-        let mut node_min = vec![0u16; tree.nodes.len()];
-        if !tree.is_empty() {
-            fill_node_min(tree, tree.root_id(), &counts, &mut node_min);
-        }
+        let node_min = node_min(tree, &counts);
         let mut planes = Vec::new();
         if tree.len() >= PLANE_MAX_FRACTION {
             let dim = tree.dim();
@@ -196,8 +187,8 @@ impl DominanceIndex {
 
     /// Whether every point under `node` is excluded at `k_eff`.
     #[inline]
-    pub(crate) fn node_excluded(&self, node: NodeId, k_eff: usize) -> bool {
-        (self.node_min[node.idx()] as usize) >= k_eff
+    pub(crate) fn node_excluded(&self, node: u32, k_eff: usize) -> bool {
+        (self.node_min[node as usize] as usize) >= k_eff
     }
 
     /// Number of tree nodes this index was built over (must match the
@@ -296,42 +287,42 @@ impl DominanceIndex {
 }
 
 /// Counts points of `tree` strictly dominating `p`, stopping at `cap`.
-fn count_dominators_capped(tree: &RTree, p: &[f64], cap: usize, stack: &mut Vec<NodeId>) -> u16 {
+fn count_dominators_capped(tree: &RTree, p: &[f64], cap: usize, stack: &mut Vec<u32>) -> u16 {
     stack.clear();
     if tree.is_empty() {
         return 0;
     }
-    stack.push(tree.root_id());
-    let dim = tree.dim();
+    stack.push(tree.root());
+    let n = tree.node_count();
     let mut count = 0usize;
-    while let Some(id) = stack.pop() {
-        let node = tree.node(id);
-        let mbr = node.mbr();
-        if mbr.is_empty() || mbr.lo().iter().zip(p).any(|(l, x)| l > x) {
+    while let Some(node) = stack.pop() {
+        let lo = |d: usize| tree.lo[d * n + node as usize];
+        if p.iter().enumerate().any(|(d, x)| lo(d) > *x) {
             continue; // nothing in here is ≤ p in every dimension
         }
-        let hi = mbr.hi();
-        if hi.iter().zip(p).all(|(h, x)| h <= x) && hi.iter().zip(p).any(|(h, x)| h < x) {
+        let hi = |d: usize| tree.hi[d * n + node as usize];
+        if p.iter().enumerate().all(|(d, x)| hi(d) <= *x)
+            && p.iter().enumerate().any(|(d, x)| hi(d) < *x)
+        {
             // Every point sits at-or-below p and strictly below in some
             // dimension: the whole subtree dominates p.
-            count += node.count();
+            count += tree.count[node as usize];
             if count >= cap {
                 return cap as u16;
             }
             continue;
         }
-        match node {
-            Node::Leaf { ids, coords, .. } => {
-                for slot in 0..ids.len() {
-                    if dominates(&coords[slot * dim..(slot + 1) * dim], p) {
-                        count += 1;
-                        if count >= cap {
-                            return cap as u16;
-                        }
+        if tree.is_leaf(node) {
+            for row in tree.range(node) {
+                if dominates(tree.row(row), p) {
+                    count += 1;
+                    if count >= cap {
+                        return cap as u16;
                     }
                 }
             }
-            Node::Internal { children, .. } => stack.extend(children.iter().copied()),
+        } else {
+            stack.extend(tree.range(node).map(|c| c as u32));
         }
     }
     count.min(cap) as u16
@@ -340,22 +331,24 @@ fn count_dominators_capped(tree: &RTree, p: &[f64], cap: usize, stack: &mut Vec<
 /// Step 1 of the build: the leaves no lower-corner probe certified. A
 /// point dominating a node's MBR lower corner dominates every point of
 /// the subtree, so a corner with `cap` dominators saturates the subtree
-/// without descending (loose `insert`-built MBRs only certify less).
-fn open_leaves(tree: &RTree, cap: u16) -> Vec<NodeId> {
+/// without descending.
+fn open_leaves(tree: &RTree, cap: u16) -> Vec<u32> {
     let mut open = Vec::new();
-    let mut walk = vec![tree.root_id()];
+    if tree.is_empty() {
+        return open;
+    }
+    let mut walk = vec![tree.root()];
     let mut stack = Vec::new();
-    while let Some(id) = walk.pop() {
-        let node = tree.node(id);
-        let mbr = node.mbr();
-        if !mbr.is_empty()
-            && count_dominators_capped(tree, mbr.lo(), cap as usize, &mut stack) >= cap
-        {
+    let mut corner = vec![0.0; tree.dim()];
+    while let Some(node) = walk.pop() {
+        tree.corner_into(&tree.lo, node, &mut corner);
+        if count_dominators_capped(tree, &corner, cap as usize, &mut stack) >= cap {
             continue;
         }
-        match node {
-            Node::Leaf { .. } => open.push(id),
-            Node::Internal { children, .. } => walk.extend(children.iter().copied()),
+        if tree.is_leaf(node) {
+            open.push(node);
+        } else {
+            walk.extend(tree.range(node).map(|c| c as u32));
         }
     }
     open
@@ -375,18 +368,17 @@ const PREFIX_STEP: usize = 32;
 /// first term is the popcount of the AND of `d` prefix sets ("source ≤ p
 /// in dimension j") per source chunk, the second the run of copies
 /// around `p` in a dominance-compatible order.
-fn count_open_points(tree: &RTree, open: &[NodeId], cap: u16, counts: &mut [u16]) {
-    /// (coordinate sum, leaf's arena slot, slot in the leaf).
-    type OpenPoint = (f64, u32, u32);
+fn count_open_points(tree: &RTree, open: &[u32], cap: u16, counts: &mut [u16]) {
+    /// (coordinate sum, store row).
+    type OpenPoint = (f64, u32);
     let dim = tree.dim();
-    let point = |e: &OpenPoint| tree.nodes[e.1 as usize].point(e.2 as usize, dim);
-    let m = open.iter().map(|&leaf| tree.node(leaf).count()).sum();
+    let point = |e: &OpenPoint| tree.row(e.1 as usize);
+    let m = open.iter().map(|&leaf| tree.count[leaf as usize]).sum();
     let mut order: Vec<OpenPoint> = Vec::with_capacity(m);
     for &leaf in open {
-        let node = tree.node(leaf);
-        for slot in 0..node.count() {
-            let sum = node.point(slot, dim).iter().fold(0.0, |s, x| s + x);
-            order.push((sum, leaf.0, slot as u32));
+        for row in tree.range(leaf) {
+            let sum = tree.row(row).iter().fold(0.0, |s, x| s + x);
+            order.push((sum, row as u32));
         }
     }
     // (coordinate sum, then lexicographic) is a linear extension of
@@ -472,29 +464,25 @@ fn count_open_points(tree: &RTree, open: &[NodeId], cap: u16, counts: &mut [u16]
         }
     }
     for (e, r) in order.iter().zip(room) {
-        if let Node::Leaf { ids, .. } = &tree.nodes[e.1 as usize] {
-            let left = u16::try_from(r).map_or(cap, |r| r.min(cap));
-            counts[ids[e.2 as usize] as usize] = cap - left;
-        }
+        let left = u16::try_from(r).map_or(cap, |r| r.min(cap));
+        counts[tree.ids[e.1 as usize] as usize] = cap - left;
     }
 }
 
-/// Bottom-up minimum dominator count per subtree.
-fn fill_node_min(tree: &RTree, id: NodeId, counts: &[u16], node_min: &mut [u16]) -> u16 {
-    let m = match tree.node(id) {
-        Node::Leaf { ids, .. } => ids
-            .iter()
-            .map(|&i| counts.get(i as usize).copied().unwrap_or(0))
-            .min()
-            .unwrap_or(u16::MAX),
-        Node::Internal { children, .. } => children
-            .iter()
-            .map(|&c| fill_node_min(tree, c, counts, node_min))
-            .min()
-            .unwrap_or(u16::MAX),
-    };
-    node_min[id.idx()] = m;
-    m
+/// Minimum dominator count per subtree, bottom-up: children always
+/// precede their parent in the arena.
+fn node_min(tree: &RTree, counts: &[u16]) -> Vec<u16> {
+    let mut node_min = Vec::with_capacity(tree.node_count());
+    for node in 0..tree.node_count() as u32 {
+        let range = tree.range(node);
+        let m = if tree.is_leaf(node) {
+            tree.ids[range].iter().map(|&i| counts[i as usize]).min()
+        } else {
+            node_min[range].iter().copied().min()
+        };
+        node_min.push(m.unwrap_or(u16::MAX));
+    }
+    node_min
 }
 
 #[cfg(test)]
@@ -569,22 +557,24 @@ mod tests {
         let tree = RTree::bulk_load_with_fanout(3, &pts, 8);
         let dom = DominanceIndex::build(&tree);
         // Walk every node and check min(counts of subtree) == node_min.
-        fn subtree_min(tree: &RTree, id: NodeId, counts: &[u16]) -> u16 {
-            match tree.node(id) {
-                Node::Leaf { ids, .. } => ids.iter().map(|&i| counts[i as usize]).min().unwrap(),
-                Node::Internal { children, .. } => children
+        fn subtree_min(tree: &RTree, node: u32, counts: &[u16]) -> u16 {
+            let range = tree.range(node);
+            if tree.is_leaf(node) {
+                tree.ids[range]
                     .iter()
-                    .map(|&c| subtree_min(tree, c, counts))
+                    .map(|&i| counts[i as usize])
                     .min()
-                    .unwrap(),
+                    .unwrap()
+            } else {
+                let children = range.map(|c| subtree_min(tree, c as u32, counts));
+                children.min().unwrap()
             }
         }
-        let root = tree.root_id();
-        assert_eq!(
-            dom.node_min[root.idx()],
-            subtree_min(&tree, root, dom.counts())
-        );
-        assert_eq!(dom.node_slots(), tree.nodes.len());
+        for node in 0..tree.node_count() as u32 {
+            let want = subtree_min(&tree, node, dom.counts());
+            assert_eq!(dom.node_min[node as usize], want, "node {node}");
+        }
+        assert_eq!(dom.node_slots(), tree.node_count());
     }
 
     #[test]
@@ -613,7 +603,7 @@ mod tests {
 
     #[test]
     fn empty_tree_builds_empty_index() {
-        let tree = RTree::new(3, 8);
+        let tree = RTree::bulk_load_with_fanout(3, &[], 8);
         let dom = DominanceIndex::build(&tree);
         assert!(dom.counts().is_empty());
         assert!(!dom.is_excluded(0, 1));

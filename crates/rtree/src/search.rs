@@ -1,9 +1,8 @@
-//! Branch-and-bound traversals: best-first ranking, counted rank queries,
-//! and the dominance split behind `FindIncom`.
+//! Branch-and-bound traversals: best-first ranking, the bounded top-k,
+//! counted rank queries, and the dominance split behind `FindIncom`.
 
-use crate::node::{Node, NodeId};
 use crate::tree::RTree;
-use crate::OrdF64;
+use crate::{DominanceIndex, OrdF64};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use wqrtq_geom::{dominates, score};
@@ -19,10 +18,12 @@ pub struct RankedPoint<'a> {
     pub coords: &'a [f64],
 }
 
+/// A queued node id or store row; at equal scores nodes open first and
+/// points leave in (leaf, slot) order, which is row order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum HeapItem {
-    Node(NodeId),
-    Point { leaf: NodeId, slot: u32, id: u32 },
+    Node(u32),
+    Point(u32),
 }
 
 /// Best-first traversal under a linear scoring function — the incremental
@@ -34,44 +35,36 @@ pub struct BestFirst<'a> {
     tree: &'a RTree,
     weight: Vec<f64>,
     heap: BinaryHeap<Reverse<(OrdF64, HeapItem)>>,
+    /// Child bounds of the node being opened.
+    bounds: Vec<f64>,
     nodes_visited: usize,
     /// `(index, k_eff)`: skip points with ≥ `k_eff` strict dominators.
-    mask: Option<(&'a crate::DominanceIndex, usize)>,
+    mask: Option<(&'a DominanceIndex, usize)>,
 }
 
 impl<'a> BestFirst<'a> {
-    fn new(tree: &'a RTree, weight: Vec<f64>) -> Self {
-        Self::with_mask(tree, weight, None)
-    }
-
-    fn with_mask(
-        tree: &'a RTree,
-        weight: Vec<f64>,
-        mask: Option<(&'a crate::DominanceIndex, usize)>,
-    ) -> Self {
+    fn new(tree: &'a RTree, weight: &[f64], mask: Option<(&'a DominanceIndex, usize)>) -> Self {
         assert_eq!(weight.len(), tree.dim(), "weight dimension mismatch");
         let mut heap = BinaryHeap::new();
         if !tree.is_empty() {
-            let root = tree.root_id();
-            let excluded = match mask {
-                Some((dom, k_eff)) => dom.node_excluded(root, k_eff),
-                None => false,
-            };
-            if excluded {
+            let root = tree.root();
+            match mask {
                 // Unreachable for k_eff ≥ 1 (a Pareto-minimal point has
                 // zero dominators), but cheap to keep sound.
-                if let Some((dom, _)) = mask {
+                Some((dom, k_eff)) if dom.node_excluded(root, k_eff) => {
                     dom.note_skips(tree.len() as u64);
                 }
-            } else {
-                let bound = tree.node(root).mbr().min_score(&weight);
-                heap.push(Reverse((OrdF64(bound), HeapItem::Node(root))));
+                _ => {
+                    let bound = tree.min_score(root, weight);
+                    heap.push(Reverse((OrdF64(bound), HeapItem::Node(root))));
+                }
             }
         }
         Self {
             tree,
-            weight,
+            weight: weight.to_vec(),
             heap,
+            bounds: Vec::new(),
             nodes_visited: 0,
             mask,
         }
@@ -86,60 +79,48 @@ impl<'a> BestFirst<'a> {
 
     /// Returns the next point in ascending score order, with coordinates.
     pub fn next_entry(&mut self) -> Option<RankedPoint<'a>> {
-        let dim = self.tree.dim();
+        let tree = self.tree;
         while let Some(Reverse((OrdF64(bound), item))) = self.heap.pop() {
-            match item {
-                HeapItem::Point { leaf, slot, id } => {
-                    let coords = self.tree.node(leaf).point(slot as usize, dim);
+            let node = match item {
+                HeapItem::Point(row) => {
+                    let (id, coords) = tree.point(row as usize);
                     return Some(RankedPoint {
                         id,
                         score: bound,
                         coords,
                     });
                 }
-                HeapItem::Node(node_id) => {
-                    self.nodes_visited += 1;
-                    let mut skipped = 0u64;
-                    match self.tree.node(node_id) {
-                        Node::Leaf { ids, coords, .. } => {
-                            for (slot, &id) in ids.iter().enumerate() {
-                                if let Some((dom, k_eff)) = self.mask {
-                                    if dom.is_excluded(id, k_eff) {
-                                        skipped += 1;
-                                        continue;
-                                    }
-                                }
-                                let p = &coords[slot * dim..(slot + 1) * dim];
-                                let s = score(&self.weight, p);
-                                self.heap.push(Reverse((
-                                    OrdF64(s),
-                                    HeapItem::Point {
-                                        leaf: node_id,
-                                        slot: slot as u32,
-                                        id,
-                                    },
-                                )));
-                            }
-                        }
-                        Node::Internal { children, .. } => {
-                            for &c in children {
-                                if let Some((dom, k_eff)) = self.mask {
-                                    if dom.node_excluded(c, k_eff) {
-                                        skipped += self.tree.node(c).count() as u64;
-                                        continue;
-                                    }
-                                }
-                                let b = self.tree.node(c).mbr().min_score(&self.weight);
-                                self.heap.push(Reverse((OrdF64(b), HeapItem::Node(c))));
-                            }
+                HeapItem::Node(node) => node,
+            };
+            self.nodes_visited += 1;
+            let mut skipped = 0u64;
+            if tree.is_leaf(node) {
+                for row in tree.range(node) {
+                    if let Some((dom, k_eff)) = self.mask {
+                        if dom.is_excluded(tree.ids[row], k_eff) {
+                            skipped += 1;
+                            continue;
                         }
                     }
-                    if skipped > 0 {
-                        if let Some((dom, _)) = self.mask {
-                            dom.note_skips(skipped);
-                        }
-                    }
+                    let s = score(&self.weight, tree.row(row));
+                    self.heap
+                        .push(Reverse((OrdF64(s), HeapItem::Point(row as u32))));
                 }
+            } else {
+                tree.child_bounds(node, &self.weight, &mut self.bounds);
+                for (c, &b) in tree.range(node).zip(&self.bounds) {
+                    if let Some((dom, k_eff)) = self.mask {
+                        if dom.node_excluded(c as u32, k_eff) {
+                            skipped += tree.count[c] as u64;
+                            continue;
+                        }
+                    }
+                    self.heap
+                        .push(Reverse((OrdF64(b), HeapItem::Node(c as u32))));
+                }
+            }
+            if let Some((dom, _)) = self.mask {
+                dom.note_skips(skipped);
             }
         }
         None
@@ -154,13 +135,18 @@ impl Iterator for BestFirst<'_> {
     }
 }
 
-/// Reusable state for [`RTree::probe_topk_membership`]: the best-first
-/// priority queue survives across probes, so a serving worker performs
-/// zero heap allocations per rank test once the queue has grown to the
-/// tree's working depth.
+/// Reusable state for [`RTree::probe_topk_membership`] and
+/// [`RTree::topk_into`]: the priority queues survive across calls, so a
+/// serving worker performs zero heap allocations per rank test or top-k
+/// once they have grown to the tree's working depth.
 #[derive(Debug, Default)]
 pub struct ProbeScratch {
-    heap: BinaryHeap<Reverse<(OrdF64, NodeId)>>,
+    heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
+    bounds: Vec<f64>,
+    /// Top-k: scored points not yet emitted, min-first by `(score, row)`.
+    pending: BinaryHeap<Reverse<(OrdF64, u32)>>,
+    /// Top-k: the `k` smallest `(score, row)` keys accepted so far.
+    kept: BinaryHeap<(OrdF64, u32)>,
 }
 
 impl ProbeScratch {
@@ -244,7 +230,7 @@ impl DominanceSplit {
 impl RTree {
     /// Starts a best-first (ascending score) traversal under `weight`.
     pub fn best_first(&self, weight: &[f64]) -> BestFirst<'_> {
-        BestFirst::new(self, weight.to_vec())
+        BestFirst::new(self, weight, None)
     }
 
     /// [`RTree::best_first`] consulting a [`crate::DominanceIndex`]:
@@ -265,15 +251,103 @@ impl RTree {
     pub fn best_first_masked<'a>(
         &'a self,
         weight: &[f64],
-        dom: &'a crate::DominanceIndex,
+        dom: &'a DominanceIndex,
         k_eff: usize,
     ) -> BestFirst<'a> {
         assert_eq!(
             dom.node_slots(),
-            self.nodes.len(),
+            self.node_count(),
             "dominance index does not match this tree"
         );
-        BestFirst::with_mask(self, weight.to_vec(), Some((dom, k_eff)))
+        BestFirst::new(self, weight, Some((dom, k_eff)))
+    }
+
+    /// The bounded top-k: the first `k` points [`RTree::best_first`]
+    /// would emit, skipping the ids `dead` rejects, as `(store row,
+    /// score)` pairs handed to `emit` in emission order (resolve a row
+    /// with [`RTree::point`]). `emit` returns whether to continue.
+    /// Returns the nodes expanded — the ones the progressive traversal
+    /// expands before its `k`-th live point.
+    ///
+    /// The same best-first order, minus the pushes that cannot matter:
+    /// a scored point enters only while it is among the `k` smallest
+    /// `(score, row)` keys accepted so far — anything larger has `k`
+    /// accepted points leaving ahead of it — and a child is queued only
+    /// while its bound could still open it ahead of the current `k`-th
+    /// key. Points leave when their key precedes the best unopened
+    /// node's bound, so the sequence is the traversal's even where a
+    /// node's bound (`+0.0`) sorts after a point inside it (`−0.0`).
+    ///
+    /// # Panics
+    /// Panics if `weight.len() != dim`.
+    pub fn topk_into(
+        &self,
+        weight: &[f64],
+        k: usize,
+        dead: impl Fn(u32) -> bool,
+        scratch: &mut ProbeScratch,
+        mut emit: impl FnMut(u32, f64) -> bool,
+    ) -> usize {
+        assert_eq!(weight.len(), self.dim(), "weight dimension mismatch");
+        let ProbeScratch {
+            heap,
+            bounds,
+            pending,
+            kept,
+        } = scratch;
+        heap.clear();
+        pending.clear();
+        kept.clear();
+        if k == 0 || self.is_empty() {
+            return 0;
+        }
+        let root = self.root();
+        heap.push(Reverse((OrdF64(self.min_score(root, weight)), root)));
+        let mut visited = 0;
+        let mut emitted = 0;
+        loop {
+            let next = heap.peek().map(|&Reverse((bound, _))| bound);
+            if let Some(&Reverse((s, row))) = pending.peek() {
+                if next.is_none_or(|bound| s < bound) {
+                    pending.pop();
+                    emitted += 1;
+                    if !emit(row, s.0) || emitted == k {
+                        break;
+                    }
+                    continue;
+                }
+            }
+            let Some(Reverse((_, node))) = heap.pop() else {
+                break;
+            };
+            visited += 1;
+            if self.is_leaf(node) {
+                for row in self.range(node) {
+                    if dead(self.ids[row]) {
+                        continue;
+                    }
+                    let key = (OrdF64(score(weight, self.row(row))), row as u32);
+                    if kept.len() == k && kept.peek().is_some_and(|&last| key > last) {
+                        continue;
+                    }
+                    kept.push(key);
+                    if kept.len() > k {
+                        kept.pop();
+                    }
+                    pending.push(Reverse(key));
+                }
+            } else {
+                self.child_bounds(node, weight, bounds);
+                let full = kept.len() == k;
+                let limit = kept.peek().filter(|_| full).map(|&(s, _)| s);
+                for (c, &b) in self.range(node).zip(bounds.iter()) {
+                    if limit.is_none_or(|s| OrdF64(b) <= s) {
+                        heap.push(Reverse((OrdF64(b), c as u32)));
+                    }
+                }
+            }
+        }
+        visited
     }
 
     /// Counts points whose score under `weight` is below `threshold`
@@ -298,44 +372,33 @@ impl RTree {
         if self.is_empty() {
             return 0;
         }
+        let below = |s: f64| {
+            if strict {
+                s < threshold
+            } else {
+                s <= threshold
+            }
+        };
         let mut count = 0usize;
-        let mut stack = vec![self.root_id()];
-        let dim = self.dim();
-        while let Some(node_id) = stack.pop() {
+        let mut stack = vec![self.root()];
+        while let Some(node) = stack.pop() {
             if count >= cap {
                 break;
             }
-            let node = self.node(node_id);
-            let mbr = node.mbr();
-            if mbr.is_empty() {
-                continue;
-            }
-            let lo = mbr.min_score(weight);
-            let hi = mbr.max_score(weight);
-            let below = |s: f64| {
-                if strict {
-                    s < threshold
-                } else {
-                    s <= threshold
-                }
-            };
-            if !below(lo) {
+            if !below(self.min_score(node, weight)) {
                 continue; // entire subtree at-or-above the threshold
             }
-            if below(hi) {
-                count += node.count(); // entire subtree below
+            if below(self.max_score(node, weight)) {
+                count += self.count[node as usize]; // entire subtree below
                 continue;
             }
-            match node {
-                Node::Leaf { ids, coords, .. } => {
-                    for slot in 0..ids.len() {
-                        let p = &coords[slot * dim..(slot + 1) * dim];
-                        if below(score(weight, p)) {
-                            count += 1;
-                        }
-                    }
-                }
-                Node::Internal { children, .. } => stack.extend(children.iter().copied()),
+            if self.is_leaf(node) {
+                let rows = self.range(node);
+                count += rows
+                    .filter(|&row| below(score(weight, self.row(row))))
+                    .count();
+            } else {
+                stack.extend(self.range(node).map(|c| c as u32));
             }
         }
         count
@@ -396,7 +459,7 @@ impl RTree {
         threshold: f64,
         k: usize,
         k_eff: usize,
-        dom: &crate::DominanceIndex,
+        dom: &DominanceIndex,
         scratch: &mut ProbeScratch,
         culprits: Option<&mut CulpritBuf>,
     ) -> ProbeResult {
@@ -405,7 +468,7 @@ impl RTree {
         }
         assert_eq!(
             dom.node_slots(),
-            self.nodes.len(),
+            self.node_count(),
             "dominance index does not match this tree"
         );
         self.probe_impl(weight, threshold, k, scratch, culprits, Some((dom, k_eff)))
@@ -418,7 +481,7 @@ impl RTree {
         k: usize,
         scratch: &mut ProbeScratch,
         mut culprits: Option<&mut CulpritBuf>,
-        mask: Option<(&crate::DominanceIndex, usize)>,
+        mask: Option<(&DominanceIndex, usize)>,
     ) -> ProbeResult {
         assert_eq!(weight.len(), self.dim(), "weight dimension mismatch");
         let mut result = ProbeResult {
@@ -433,15 +496,14 @@ impl RTree {
             result.in_topk = true;
             return result;
         }
-        let dim = self.dim();
-        let heap = &mut scratch.heap;
+        let ProbeScratch { heap, bounds, .. } = scratch;
         heap.clear();
         let mut skipped = 0u64;
-        let excluded = |node: NodeId| match mask {
+        let excluded = |node: u32| match mask {
             Some((dom, k_eff)) => dom.node_excluded(node, k_eff),
             None => false,
         };
-        let root = self.root_id();
+        let root = self.root();
         if excluded(root) {
             // Every point is masked: the better-set must be empty (a
             // non-empty one would contain unmasked points), so q is in.
@@ -451,67 +513,58 @@ impl RTree {
             result.in_topk = true;
             return result;
         }
-        heap.push(Reverse((
-            OrdF64(self.node(root).mbr().min_score(weight)),
-            root,
-        )));
+        heap.push(Reverse((OrdF64(self.min_score(root, weight)), root)));
         'probe: {
-            while let Some(Reverse((OrdF64(lo), node_id))) = heap.pop() {
+            while let Some(Reverse((OrdF64(lo), node))) = heap.pop() {
                 if lo >= threshold {
                     // Best-first order: every remaining subtree scores ≥ lo,
                     // so `better` is exact and q's rank is better + 1 ≤ k.
                     result.in_topk = true;
                     break 'probe;
                 }
-                let node = self.node(node_id);
-                let mbr = node.mbr();
-                if mbr.is_empty() {
-                    continue;
-                }
                 result.nodes_visited += 1;
-                if mbr.max_score(weight) < threshold {
+                if self.max_score(node, weight) < threshold {
                     // Whole subtree strictly better: count without
                     // expanding (masked points included — wholesale
                     // overcounts are verdict-safe).
-                    result.better += node.count();
+                    result.better += self.count[node as usize];
                     if result.better >= k {
                         break 'probe;
                     }
                     continue;
                 }
-                match node {
-                    Node::Leaf { ids, coords, .. } => {
-                        for (p, &id) in coords.chunks_exact(dim).zip(ids) {
-                            if let Some((dom, k_eff)) = mask {
-                                if dom.is_excluded(id, k_eff) {
-                                    skipped += 1;
-                                    continue;
+                if self.is_leaf(node) {
+                    for row in self.range(node) {
+                        let id = self.ids[row];
+                        if let Some((dom, k_eff)) = mask {
+                            if dom.is_excluded(id, k_eff) {
+                                skipped += 1;
+                                continue;
+                            }
+                        }
+                        let p = self.row(row);
+                        if score(weight, p) < threshold {
+                            result.better += 1;
+                            if let Some(out) = culprits.as_deref_mut() {
+                                if out.len() < k {
+                                    out.ids.push(id);
+                                    out.coords.extend_from_slice(p);
                                 }
                             }
-                            if score(weight, p) < threshold {
-                                result.better += 1;
-                                if let Some(out) = culprits.as_deref_mut() {
-                                    if out.len() < k {
-                                        out.ids.push(id);
-                                        out.coords.extend_from_slice(p);
-                                    }
-                                }
-                                if result.better >= k {
-                                    break 'probe;
-                                }
+                            if result.better >= k {
+                                break 'probe;
                             }
                         }
                     }
-                    Node::Internal { children, .. } => {
-                        for &c in children {
-                            if excluded(c) {
-                                skipped += self.node(c).count() as u64;
-                                continue;
-                            }
-                            let b = self.node(c).mbr().min_score(weight);
-                            if b < threshold {
-                                heap.push(Reverse((OrdF64(b), c)));
-                            }
+                } else {
+                    self.child_bounds(node, weight, bounds);
+                    for (c, &b) in self.range(node).zip(bounds.iter()) {
+                        if excluded(c as u32) {
+                            skipped += self.count[c] as u64;
+                            continue;
+                        }
+                        if b < threshold {
+                            heap.push(Reverse((OrdF64(b), c as u32)));
                         }
                     }
                 }
@@ -536,28 +589,28 @@ impl RTree {
         if self.is_empty() {
             return out;
         }
-        let dim = self.dim();
-        let mut stack = vec![self.root_id()];
-        while let Some(node_id) = stack.pop() {
-            let node = self.node(node_id);
-            let mbr = node.mbr();
-            if mbr.is_empty() || mbr.entirely_dominated_by(q) {
+        let n = self.node_count();
+        let mut stack = vec![self.root()];
+        while let Some(node) = stack.pop() {
+            // `q` dominates-or-equals the lower corner: nothing inside
+            // escapes being dominated by (or coinciding with) `q`.
+            let lo = |d: usize| self.lo[d * n + node as usize];
+            if q.iter().enumerate().all(|(d, x)| *x <= lo(d)) {
                 continue;
             }
-            match node {
-                Node::Leaf { ids, coords, .. } => {
-                    for (slot, &id) in ids.iter().enumerate() {
-                        let p = &coords[slot * dim..(slot + 1) * dim];
-                        if dominates(p, q) {
-                            out.dominating_ids.push(id);
-                            out.dominating_coords.extend_from_slice(p);
-                        } else if !dominates(q, p) {
-                            out.incomparable_ids.push(id);
-                            out.incomparable_coords.extend_from_slice(p);
-                        }
+            if self.is_leaf(node) {
+                for row in self.range(node) {
+                    let (id, p) = self.point(row);
+                    if dominates(p, q) {
+                        out.dominating_ids.push(id);
+                        out.dominating_coords.extend_from_slice(p);
+                    } else if !dominates(q, p) {
+                        out.incomparable_ids.push(id);
+                        out.incomparable_coords.extend_from_slice(p);
                     }
                 }
-                Node::Internal { children, .. } => stack.extend(children.iter().copied()),
+            } else {
+                stack.extend(self.range(node).map(|c| c as u32));
             }
         }
         out
@@ -632,8 +685,77 @@ mod tests {
 
     #[test]
     fn best_first_on_empty_tree() {
-        let t = RTree::new(2, 8);
+        let t = RTree::bulk_load(2, &[]);
         assert_eq!(t.best_first(&[0.5, 0.5]).next(), None);
+    }
+
+    #[test]
+    fn bounded_topk_is_the_traversal_prefix() {
+        // Gridded rows with zeros of both signs: exact ties everywhere,
+        // and nodes whose `+0.0` bound sorts after a `−0.0` point inside.
+        let mut state = 5u64;
+        let pts: Vec<f64> = (0..300 * 2)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(99);
+                match (state >> 40) % 6 {
+                    0 => -0.0,
+                    r => (r - 1) as f64 * 0.25,
+                }
+            })
+            .collect();
+        let mut scratch = ProbeScratch::new();
+        for fanout in [4, 8, 64] {
+            let t = RTree::bulk_load_with_fanout(2, &pts, fanout);
+            for w in [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.25, 0.75]] {
+                let mut bf = t.best_first(&w);
+                let drained: Vec<(u32, f64)> = bf.by_ref().collect();
+                for k in [0, 1, 2, 7, 40, 299, 300, 301] {
+                    let mut got = Vec::new();
+                    let nodes = t.topk_into(
+                        &w,
+                        k,
+                        |_| false,
+                        &mut scratch,
+                        |row, s| {
+                            got.push((t.point(row as usize).0, s.to_bits()));
+                            true
+                        },
+                    );
+                    let want: Vec<(u32, u64)> = drained
+                        .iter()
+                        .take(k)
+                        .map(|&(id, s)| (id, s.to_bits()))
+                        .collect();
+                    assert_eq!(got, want, "fanout {fanout} w {w:?} k {k}");
+                    let mut prefix = t.best_first(&w);
+                    prefix.by_ref().take(k).for_each(drop);
+                    assert_eq!(
+                        nodes,
+                        prefix.nodes_visited(),
+                        "fanout {fanout} w {w:?} k {k}"
+                    );
+                }
+                // Dead rows are skipped, not counted.
+                let mut live = Vec::new();
+                t.topk_into(
+                    &w,
+                    10,
+                    |id| id % 3 == 0,
+                    &mut scratch,
+                    |row, _| {
+                        live.push(t.point(row as usize).0);
+                        true
+                    },
+                );
+                let want: Vec<u32> = drained
+                    .iter()
+                    .map(|&(id, _)| id)
+                    .filter(|id| id % 3 != 0)
+                    .take(10)
+                    .collect();
+                assert_eq!(live, want, "fanout {fanout} w {w:?} dead");
+            }
+        }
     }
 
     #[test]
@@ -728,7 +850,7 @@ mod tests {
         let r = t.probe_topk_membership(&[0.5, 0.5], 100.0, 0, &mut scratch, None);
         assert!(!r.in_topk);
         // Empty tree: always a member for k ≥ 1.
-        let empty = RTree::new(2, 8);
+        let empty = RTree::bulk_load(2, &[]);
         let r = empty.probe_topk_membership(&[0.5, 0.5], 0.0, 1, &mut scratch, None);
         assert!(r.in_topk);
         // k > n: always a member even when every point beats q.

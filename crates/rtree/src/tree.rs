@@ -1,41 +1,41 @@
-//! The R-tree container: construction, insertion, statistics, invariants.
+//! The R-tree container: one frozen arena, statistics, invariants.
 
 use crate::bulk;
-use crate::node::{Node, NodeId};
 use crate::DEFAULT_FANOUT;
+use std::ops::Range;
 use wqrtq_geom::Mbr;
 
-/// A d-dimensional R-tree over `(u32, point)` entries.
+/// A d-dimensional R-tree over `(u32, point)` entries, bulk-loaded once
+/// with Sort-Tile-Recursive packing ([`RTree::bulk_load`]) and never
+/// mutated; an empty tree is the bulk load of an empty slice.
 ///
-/// Build statically with [`RTree::bulk_load`] (STR packing) or start from
-/// [`RTree::new`] and [`RTree::insert`] points incrementally; the two can
-/// be mixed.
+/// The storage is one arena. Nodes `0..leaves` are the leaves in STR
+/// order, followed by each upper level bottom-up, the root last. A node
+/// is a point count and a `[first, end)` range: child node ids for an
+/// internal node, rows of the leaf-ordered point store for a leaf. The
+/// node corners are stored column-wise (`lo[d · nodes + node]`), so
+/// bounding a node's children is one contiguous pass per dimension.
 #[derive(Clone, Debug)]
 pub struct RTree {
     pub(crate) dim: usize,
     pub(crate) fanout: usize,
-    pub(crate) nodes: Vec<Node>,
-    pub(crate) root: NodeId,
-    pub(crate) len: usize,
+    /// Number of leaves (the node ids `0..leaves`).
+    pub(crate) leaves: usize,
+    /// Points under each node.
+    pub(crate) count: Vec<usize>,
+    /// `[first, end)` of each node: children or store rows.
+    pub(crate) span: Vec<(u32, u32)>,
+    /// Lower corners, column-wise.
+    pub(crate) lo: Vec<f64>,
+    /// Upper corners, column-wise.
+    pub(crate) hi: Vec<f64>,
+    /// Point ids in leaf order.
+    pub(crate) ids: Vec<u32>,
+    /// Row-major coordinates in leaf order, parallel to `ids`.
+    pub(crate) coords: Vec<f64>,
 }
 
 impl RTree {
-    /// Creates an empty tree.
-    ///
-    /// # Panics
-    /// Panics if `dim == 0` or `fanout < 4`.
-    pub fn new(dim: usize, fanout: usize) -> Self {
-        assert!(dim > 0, "dimension must be positive");
-        assert!(fanout >= 4, "fanout must be at least 4");
-        Self {
-            dim,
-            fanout,
-            nodes: vec![Node::empty_leaf(dim)],
-            root: NodeId(0),
-            len: 0,
-        }
-    }
-
     /// Bulk loads a dataset with Sort-Tile-Recursive packing and the
     /// default fanout. `points` is a flat row-major buffer of
     /// `n × dim` coordinates; point `i` gets id `i as u32`.
@@ -60,288 +60,132 @@ impl RTree {
     /// Number of indexed points.
     #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.ids.len()
     }
 
     /// Whether the tree holds no points.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ids.is_empty()
     }
 
     /// Number of nodes (the paper's `|RT|` cost factor).
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.count.len()
     }
 
-    /// Height of the tree (1 for a single leaf).
+    /// Height of the tree (1 for a single leaf, 0 when empty).
     pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut node = self.node(self.root);
-        while let Node::Internal { children, .. } = node {
+        let mut h = 0;
+        let mut level = self.leaves;
+        while level > 0 {
             h += 1;
-            node = self.node(children[0]);
+            level = if level == 1 {
+                0
+            } else {
+                level.div_ceil(self.fanout)
+            };
         }
         h
     }
 
-    /// Root bounding box (`None` when empty).
-    pub fn root_mbr(&self) -> Option<&Mbr> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(self.node(self.root).mbr())
-        }
+    /// The id and coordinates of the point at row `row` of the
+    /// leaf-ordered store (the rows [`RTree::topk_into`] reports).
+    #[inline]
+    pub fn point(&self, row: usize) -> (u32, &[f64]) {
+        (self.ids[row], self.row(row))
     }
 
     #[inline]
-    pub(crate) fn node(&self, id: NodeId) -> &Node {
-        &self.nodes[id.idx()]
+    pub(crate) fn row(&self, row: usize) -> &[f64] {
+        &self.coords[row * self.dim..(row + 1) * self.dim]
+    }
+
+    /// The root's node id (the tree must not be empty).
+    #[inline]
+    pub(crate) fn root(&self) -> u32 {
+        (self.node_count() - 1) as u32
     }
 
     #[inline]
-    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut Node {
-        &mut self.nodes[id.idx()]
+    pub(crate) fn is_leaf(&self, node: u32) -> bool {
+        (node as usize) < self.leaves
     }
 
-    pub(crate) fn push_node(&mut self, node: Node) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node);
-        id
+    /// A node's children (internal) or store rows (leaf).
+    #[inline]
+    pub(crate) fn range(&self, node: u32) -> Range<usize> {
+        let (first, end) = self.span[node as usize];
+        first as usize..end as usize
     }
 
-    /// Root node id (for traversal code in this crate).
-    pub(crate) fn root_id(&self) -> NodeId {
-        self.root
-    }
-
-    /// Inserts a point with the given id.
-    ///
-    /// # Panics
-    /// Panics if `point.len() != dim`.
-    pub fn insert(&mut self, id: u32, point: &[f64]) {
-        assert_eq!(point.len(), self.dim, "dimension mismatch");
-        let root = self.root;
-        if let Some(sibling) = self.insert_rec(root, id, point) {
-            // Root split: grow the tree by one level.
-            let old_root = self.root;
-            let mbr = self.node(old_root).mbr().unioned(self.node(sibling).mbr());
-            let count = self.node(old_root).count() + self.node(sibling).count();
-            let new_root = self.push_node(Node::Internal {
-                mbr,
-                children: vec![old_root, sibling],
-                count,
-            });
-            self.root = new_root;
+    /// `f(w, corner)` of one node's corner, with the operation order of
+    /// [`wqrtq_geom::score`] so bounds are bit-identical to it.
+    #[inline]
+    pub(crate) fn corner_score(&self, corner: &[f64], node: u32, w: &[f64]) -> f64 {
+        let n = self.node_count();
+        let mut s = w[0] * corner[node as usize];
+        for (d, &wd) in w.iter().enumerate().skip(1) {
+            s += wd * corner[d * n + node as usize];
         }
-        self.len += 1;
+        s
     }
 
-    /// Recursive insert; returns a new sibling node id when `node` split.
-    fn insert_rec(&mut self, node_id: NodeId, id: u32, point: &[f64]) -> Option<NodeId> {
-        let dim = self.dim;
-        let fanout = self.fanout;
-        match self.node_mut(node_id) {
-            Node::Leaf { mbr, ids, coords } => {
-                ids.push(id);
-                coords.extend_from_slice(point);
-                if mbr.is_empty() {
-                    *mbr = Mbr::from_point(point);
-                } else {
-                    mbr.expand(point);
-                }
-                if ids.len() > fanout {
-                    return Some(self.split_leaf(node_id));
-                }
-                None
-            }
-            Node::Internal { .. } => {
-                let child = self.choose_subtree(node_id, point);
-                let split = self.insert_rec(child, id, point);
-                // Refresh this node's MBR and count.
-                let mut new_children: Option<NodeId> = None;
-                if let Some(sibling) = split {
-                    new_children = Some(sibling);
-                }
-                if let Node::Internal {
-                    mbr,
-                    children,
-                    count,
-                } = self.node_mut(node_id)
-                {
-                    *count += 1;
-                    if let Some(sib) = new_children {
-                        children.push(sib);
-                    }
-                    let _ = mbr;
-                }
-                self.refresh_internal_mbr(node_id);
-                let overflow = matches!(
-                    self.node(node_id),
-                    Node::Internal { children, .. } if children.len() > fanout
-                );
-                if overflow {
-                    return Some(self.split_internal(node_id));
-                }
-                let _ = dim;
-                None
-            }
+    /// Lower bound on `f(w, p)` over the subtree (its lower corner's score).
+    #[inline]
+    pub(crate) fn min_score(&self, node: u32, w: &[f64]) -> f64 {
+        self.corner_score(&self.lo, node, w)
+    }
+
+    /// Upper bound on `f(w, p)` over the subtree.
+    #[inline]
+    pub(crate) fn max_score(&self, node: u32, w: &[f64]) -> f64 {
+        self.corner_score(&self.hi, node, w)
+    }
+
+    /// The lower bounds of an internal node's children under `w`, one
+    /// contiguous pass over each corner column, into `out`.
+    pub(crate) fn child_bounds(&self, node: u32, w: &[f64], out: &mut Vec<f64>) {
+        let n = self.node_count();
+        let children = self.range(node);
+        out.clear();
+        out.extend(self.lo[children.clone()].iter().map(|&x| w[0] * x));
+        for (d, &wd) in w.iter().enumerate().skip(1) {
+            let col = &self.lo[d * n + children.start..d * n + children.end];
+            out.iter_mut().zip(col).for_each(|(s, &x)| *s += wd * x);
         }
     }
 
-    /// Picks the child whose MBR needs the least enlargement (ties by
-    /// smaller area) — the classic Guttman descent.
-    fn choose_subtree(&self, node_id: NodeId, point: &[f64]) -> NodeId {
-        let Node::Internal { children, .. } = self.node(node_id) else {
-            unreachable!("choose_subtree on leaf");
-        };
-        let mut best = children[0];
-        let mut best_enl = f64::INFINITY;
-        let mut best_area = f64::INFINITY;
-        for &c in children {
-            let m = self.node(c).mbr();
-            let enl = if m.is_empty() {
-                f64::INFINITY
-            } else {
-                m.enlargement(point)
-            };
-            let area = m.area();
-            if enl < best_enl || (enl == best_enl && area < best_area) {
-                best = c;
-                best_enl = enl;
-                best_area = area;
-            }
-        }
-        best
-    }
-
-    /// Splits an over-full leaf with the linear-cost seed heuristic;
-    /// returns the new sibling's id.
-    #[allow(clippy::needless_range_loop)] // parallel ids/coords indexing
-    fn split_leaf(&mut self, node_id: NodeId) -> NodeId {
-        let dim = self.dim;
-        let (ids, coords) = match self.node_mut(node_id) {
-            Node::Leaf { ids, coords, .. } => (std::mem::take(ids), std::mem::take(coords)),
-            Node::Internal { .. } => unreachable!("split_leaf on internal"),
-        };
-        let n = ids.len();
-        let point = |i: usize| &coords[i * dim..(i + 1) * dim];
-        let (seed_a, seed_b) = linear_seeds(n, point);
-
-        let mut a_ids = vec![ids[seed_a]];
-        let mut a_coords = point(seed_a).to_vec();
-        let mut a_mbr = Mbr::from_point(point(seed_a));
-        let mut b_ids = vec![ids[seed_b]];
-        let mut b_coords = point(seed_b).to_vec();
-        let mut b_mbr = Mbr::from_point(point(seed_b));
-        for i in 0..n {
-            if i == seed_a || i == seed_b {
-                continue;
-            }
-            let p = point(i);
-            if a_mbr.enlargement(p) <= b_mbr.enlargement(p) {
-                a_ids.push(ids[i]);
-                a_coords.extend_from_slice(p);
-                a_mbr.expand(p);
-            } else {
-                b_ids.push(ids[i]);
-                b_coords.extend_from_slice(p);
-                b_mbr.expand(p);
-            }
-        }
-        *self.node_mut(node_id) = Node::Leaf {
-            mbr: a_mbr,
-            ids: a_ids,
-            coords: a_coords,
-        };
-        self.push_node(Node::Leaf {
-            mbr: b_mbr,
-            ids: b_ids,
-            coords: b_coords,
-        })
-    }
-
-    /// Splits an over-full internal node; returns the new sibling's id.
-    #[allow(clippy::needless_range_loop)] // parallel children/centers indexing
-    fn split_internal(&mut self, node_id: NodeId) -> NodeId {
-        let children = match self.node_mut(node_id) {
-            Node::Internal { children, .. } => std::mem::take(children),
-            Node::Leaf { .. } => unreachable!("split_internal on leaf"),
-        };
-        let n = children.len();
-        let center = |i: usize| -> Vec<f64> {
-            let m = self.node(children[i]).mbr();
-            m.lo()
-                .iter()
-                .zip(m.hi())
-                .map(|(l, h)| 0.5 * (l + h))
-                .collect()
-        };
-        let centers: Vec<Vec<f64>> = (0..n).map(center).collect();
-        let (seed_a, seed_b) = linear_seeds(n, |i| centers[i].as_slice());
-
-        let mut group_a = vec![children[seed_a]];
-        let mut a_mbr = self.node(children[seed_a]).mbr().clone();
-        let mut group_b = vec![children[seed_b]];
-        let mut b_mbr = self.node(children[seed_b]).mbr().clone();
-        for i in 0..n {
-            if i == seed_a || i == seed_b {
-                continue;
-            }
-            let m = self.node(children[i]).mbr().clone();
-            let grown_a = a_mbr.unioned(&m).area() - a_mbr.area();
-            let grown_b = b_mbr.unioned(&m).area() - b_mbr.area();
-            if grown_a <= grown_b {
-                group_a.push(children[i]);
-                a_mbr.union(&m);
-            } else {
-                group_b.push(children[i]);
-                b_mbr.union(&m);
-            }
-        }
-        let count_a: usize = group_a.iter().map(|&c| self.node(c).count()).sum();
-        let count_b: usize = group_b.iter().map(|&c| self.node(c).count()).sum();
-        *self.node_mut(node_id) = Node::Internal {
-            mbr: a_mbr,
-            children: group_a,
-            count: count_a,
-        };
-        self.push_node(Node::Internal {
-            mbr: b_mbr,
-            children: group_b,
-            count: count_b,
-        })
-    }
-
-    /// Recomputes an internal node's MBR from its children.
-    fn refresh_internal_mbr(&mut self, node_id: NodeId) {
-        let (children, dim) = match self.node(node_id) {
-            Node::Internal { children, .. } => (children.clone(), self.dim),
-            Node::Leaf { .. } => return,
-        };
-        let mut mbr = Mbr::empty(dim);
-        for c in &children {
-            let m = self.node(*c).mbr();
-            if !m.is_empty() {
-                mbr.union(m);
-            }
-        }
-        if let Node::Internal { mbr: slot, .. } = self.node_mut(node_id) {
-            *slot = mbr;
+    /// One corner of a node as a row.
+    pub(crate) fn corner_into(&self, corner: &[f64], node: u32, out: &mut [f64]) {
+        let n = self.node_count();
+        for (d, x) in out.iter_mut().enumerate() {
+            *x = corner[d * n + node as usize];
         }
     }
 
-    /// Visits every `(id, coords)` pair (test/debug helper; O(n)).
+    pub(crate) fn mbr(&self, node: u32) -> Mbr {
+        let mut lo = vec![0.0; self.dim];
+        let mut hi = vec![0.0; self.dim];
+        self.corner_into(&self.lo, node, &mut lo);
+        self.corner_into(&self.hi, node, &mut hi);
+        Mbr::new(lo, hi)
+    }
+
+    /// Visits every `(id, coords)` pair in depth-first order (the last
+    /// child first).
     pub fn for_each_point(&self, mut f: impl FnMut(u32, &[f64])) {
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            match self.node(id) {
-                Node::Leaf { ids, coords, .. } => {
-                    for (slot, pid) in ids.iter().enumerate() {
-                        f(*pid, &coords[slot * self.dim..(slot + 1) * self.dim]);
-                    }
+        if self.is_empty() {
+            return;
+        }
+        let mut stack = vec![self.root()];
+        while let Some(node) = stack.pop() {
+            if self.is_leaf(node) {
+                for row in self.range(node) {
+                    f(self.ids[row], self.row(row));
                 }
-                Node::Internal { children, .. } => stack.extend(children.iter().copied()),
+            } else {
+                stack.extend(self.range(node).map(|c| c as u32));
             }
         }
     }
@@ -349,111 +193,61 @@ impl RTree {
     /// Checks every structural invariant; returns a description of the
     /// first violation. Used by tests and debug assertions.
     pub fn validate(&self) -> Result<(), String> {
-        let mut seen_points = 0usize;
-        self.validate_rec(self.root, true, &mut seen_points)?;
-        if seen_points != self.len {
-            return Err(format!(
-                "len {} != visited points {}",
-                self.len, seen_points
-            ));
+        let nodes = self.node_count();
+        if self.coords.len() != self.len() * self.dim {
+            return Err("coords length mismatch".into());
+        }
+        if nodes == 0 {
+            return if self.is_empty() {
+                Ok(())
+            } else {
+                Err("points without nodes".into())
+            };
+        }
+        let mut rows = 0;
+        for node in 0..nodes as u32 {
+            let range = self.range(node);
+            if range.is_empty() || range.len() > self.fanout {
+                return Err(format!("node {node} has {} entries", range.len()));
+            }
+            let mbr = self.mbr(node);
+            let count = if self.is_leaf(node) {
+                if range.start != rows {
+                    return Err(format!("leaf {node} does not follow its predecessor"));
+                }
+                rows = range.end;
+                for row in range.clone() {
+                    if !mbr.contains(self.row(row)) {
+                        return Err(format!("leaf {node} MBR misses row {row}"));
+                    }
+                }
+                range.len()
+            } else {
+                let mut sum = 0;
+                for c in range.map(|c| c as u32) {
+                    if c >= node {
+                        return Err(format!("internal {node} links forward to {c}"));
+                    }
+                    let cm = self.mbr(c);
+                    if !mbr.contains(cm.lo()) || !mbr.contains(cm.hi()) {
+                        return Err(format!("internal {node} MBR misses child {c}"));
+                    }
+                    sum += self.count[c as usize];
+                }
+                sum
+            };
+            if count != self.count[node as usize] {
+                return Err(format!(
+                    "node {node} count {} != {count}",
+                    self.count[node as usize]
+                ));
+            }
+        }
+        if rows != self.len() || self.count[self.root() as usize] != self.len() {
+            return Err(format!("len {} != indexed rows {rows}", self.len()));
         }
         Ok(())
     }
-
-    fn validate_rec(
-        &self,
-        node_id: NodeId,
-        is_root: bool,
-        seen_points: &mut usize,
-    ) -> Result<(), String> {
-        let node = self.node(node_id);
-        if node.num_entries() > self.fanout && !node.is_leaf() {
-            return Err(format!("node {node_id:?} exceeds fanout"));
-        }
-        match node {
-            Node::Leaf { mbr, ids, coords } => {
-                if ids.len() > self.fanout {
-                    return Err(format!("leaf {node_id:?} exceeds fanout"));
-                }
-                if coords.len() != ids.len() * self.dim {
-                    return Err(format!("leaf {node_id:?} coords length mismatch"));
-                }
-                for slot in 0..ids.len() {
-                    let p = &coords[slot * self.dim..(slot + 1) * self.dim];
-                    if !mbr.contains(p) {
-                        return Err(format!("leaf {node_id:?} MBR misses point {slot}"));
-                    }
-                }
-                *seen_points += ids.len();
-                if ids.is_empty() && !is_root {
-                    return Err(format!("non-root leaf {node_id:?} is empty"));
-                }
-                Ok(())
-            }
-            Node::Internal {
-                mbr,
-                children,
-                count,
-            } => {
-                if children.is_empty() {
-                    return Err(format!("internal {node_id:?} has no children"));
-                }
-                let mut child_count = 0;
-                for &c in children {
-                    let cm = self.node(c).mbr();
-                    if !cm.is_empty() && (!mbr.contains(cm.lo()) || !mbr.contains(cm.hi())) {
-                        return Err(format!("internal {node_id:?} MBR misses child {c:?}"));
-                    }
-                    child_count += self.node(c).count();
-                    self.validate_rec(c, false, seen_points)?;
-                }
-                if child_count != *count {
-                    return Err(format!(
-                        "internal {node_id:?} count {count} != children sum {child_count}"
-                    ));
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-/// Linear split seed selection: in each dimension find the entries with
-/// the highest low value and the lowest high value; normalise the
-/// separation by the dimension's width and pick the dimension with the
-/// greatest normalised separation.
-fn linear_seeds<'a>(n: usize, point: impl Fn(usize) -> &'a [f64]) -> (usize, usize) {
-    debug_assert!(n >= 2);
-    let dim = point(0).len();
-    let mut best_sep = f64::NEG_INFINITY;
-    let mut pair = (0, 1);
-    for d in 0..dim {
-        let mut lo = f64::INFINITY;
-        let mut hi = f64::NEG_INFINITY;
-        let mut max_lo = (f64::NEG_INFINITY, 0usize);
-        let mut min_hi = (f64::INFINITY, 0usize);
-        for i in 0..n {
-            let v = point(i)[d];
-            lo = lo.min(v);
-            hi = hi.max(v);
-            if v > max_lo.0 {
-                max_lo = (v, i);
-            }
-            if v < min_hi.0 {
-                min_hi = (v, i);
-            }
-        }
-        let width = (hi - lo).max(1e-12);
-        let sep = (max_lo.0 - min_hi.0) / width;
-        if sep > best_sep && max_lo.1 != min_hi.1 {
-            best_sep = sep;
-            pair = (min_hi.1, max_lo.1);
-        }
-    }
-    if pair.0 == pair.1 {
-        pair = (0, if n > 1 { 1 } else { 0 });
-    }
-    pair
 }
 
 #[cfg(test)]
@@ -476,30 +270,12 @@ mod tests {
 
     #[test]
     fn empty_tree_properties() {
-        let t = RTree::new(3, 8);
+        let t = RTree::bulk_load_with_fanout(3, &[], 8);
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
-        assert_eq!(t.height(), 1);
-        assert!(t.root_mbr().is_none());
+        assert_eq!(t.height(), 0);
+        assert_eq!(t.node_count(), 0);
         t.validate().unwrap();
-    }
-
-    #[test]
-    fn insert_points_and_validate() {
-        let mut t = RTree::new(2, 4);
-        let pts = grid_points(200, 2);
-        for i in 0..200 {
-            t.insert(i as u32, &pts[i * 2..i * 2 + 2]);
-            if i % 37 == 0 {
-                t.validate().unwrap();
-            }
-        }
-        assert_eq!(t.len(), 200);
-        t.validate().unwrap();
-        assert!(t.height() > 1);
-        let mut count = 0;
-        t.for_each_point(|_, _| count += 1);
-        assert_eq!(count, 200);
     }
 
     #[test]
@@ -527,32 +303,11 @@ mod tests {
     }
 
     #[test]
-    fn mixed_bulk_then_insert() {
-        let pts = grid_points(300, 2);
-        let mut t = RTree::bulk_load_with_fanout(2, &pts, 8);
-        let extra = grid_points(100, 2);
-        for i in 0..100 {
-            t.insert(1000 + i as u32, &extra[i * 2..i * 2 + 2]);
-        }
-        assert_eq!(t.len(), 400);
-        t.validate().unwrap();
-    }
-
-    #[test]
     fn duplicate_coordinates_are_fine() {
-        let mut t = RTree::new(2, 4);
-        for i in 0..50 {
-            t.insert(i, &[1.0, 1.0]);
-        }
+        let pts: Vec<f64> = (0..50).flat_map(|_| [1.0, 1.0]).collect();
+        let t = RTree::bulk_load_with_fanout(2, &pts, 4);
         assert_eq!(t.len(), 50);
         t.validate().unwrap();
-    }
-
-    #[test]
-    #[should_panic(expected = "dimension mismatch")]
-    fn insert_wrong_dim_panics() {
-        let mut t = RTree::new(3, 4);
-        t.insert(0, &[1.0, 2.0]);
     }
 
     #[test]
@@ -566,19 +321,6 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn invariants_hold_for_random_inserts(
-            pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..150),
-            fanout in 4usize..12,
-        ) {
-            let mut t = RTree::new(2, fanout);
-            for (i, (x, y)) in pts.iter().enumerate() {
-                t.insert(i as u32, &[*x, *y]);
-            }
-            prop_assert_eq!(t.len(), pts.len());
-            prop_assert!(t.validate().is_ok());
-        }
-
         #[test]
         fn invariants_hold_for_bulk_loads(
             pts in proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0, 0.0f64..100.0), 1..400),

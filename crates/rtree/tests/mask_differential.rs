@@ -7,9 +7,9 @@
 //! The data sits on a coarse grid with negative values and both signs of
 //! zero, so copies, whole-dataset copies and equal-sum non-copies are
 //! everywhere — the territory where a sorted sweep goes wrong. Trees are
-//! bulk-loaded, `insert`-built with sparse ids, and mixed, at several
-//! fan-outs and caps; the planes and the masked/plane verdicts are then
-//! checked through the public surface, since they are what serving reads.
+//! bulk-loaded at several fan-outs and caps; the planes and the
+//! masked/plane verdicts are then checked through the public surface,
+//! since they are what serving reads.
 //!
 //! `WQRTQ_FUZZ_ROUNDS` scales the case count (default 8 rounds of 8).
 
@@ -55,17 +55,6 @@ impl Points {
 
     fn bulk(&self, fanout: usize) -> RTree {
         RTree::bulk_load_with_fanout(self.dim, &self.coords, fanout)
-    }
-
-    /// The first `bulk` rows bulk-loaded (their ids must be dense), the
-    /// rest inserted one by one.
-    fn inserted(&self, fanout: usize, bulk: usize) -> RTree {
-        let mut tree =
-            RTree::bulk_load_with_fanout(self.dim, &self.coords[..bulk * self.dim], fanout);
-        for (id, p) in self.ids.iter().zip(self.rows()).skip(bulk) {
-            tree.insert(*id, p);
-        }
-        tree
     }
 }
 
@@ -184,19 +173,8 @@ fn gridded_trees_match_the_definition() {
         let fanout = FANOUTS[rng.gen_range(0..FANOUTS.len())];
         let cap = CAPS[rng.gen_range(0..CAPS.len())];
         let what = format!("round {round} d {dim} n {n} fanout {fanout} cap {cap}");
-        for (shape, tree) in [
-            ("bulk", points.bulk(fanout)),
-            ("insert", points.inserted(fanout, 0)),
-            ("mixed", points.inserted(fanout, n / 2)),
-        ] {
-            check(&points, &oracle, &tree, cap, &format!("{what} {shape}"));
-        }
-        // Sparse, shuffled ids, which only an `insert`-built tree can
-        // carry (`i ↦ 7i + 3 mod 1009` is injective below the prime).
-        let ids = points.ids.iter().map(|i| (i * 7 + 3) % 1009).collect();
-        let sparse = Points { ids, ..points };
-        let tree = sparse.inserted(fanout, 0);
-        check(&sparse, &oracle, &tree, cap, &format!("{what} sparse"));
+        let tree = points.bulk(fanout);
+        check(&points, &oracle, &tree, cap, &format!("{what} bulk"));
     }
 }
 

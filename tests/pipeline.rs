@@ -163,25 +163,32 @@ fn rta_equals_naive_on_generated_population() {
 }
 
 #[test]
-fn insert_built_tree_answers_like_bulk_loaded() {
-    // Query answers must be identical regardless of how the index was
-    // constructed.
+fn bulk_loaded_tree_answers_alike_at_every_fanout() {
+    // Query answers must be identical regardless of the fanout the index
+    // was packed with: fanout 4 gives a deep tree, 64 a shallow one.
     let ds = independent(3_000, 3, 109);
-    let bulk = RTree::bulk_load(3, &ds.coords);
-    let mut incremental = RTree::new(3, 32);
-    for i in 0..ds.len() {
-        incremental.insert(i as u32, ds.point(i));
-    }
-    incremental.validate().unwrap();
+    let reference = RTree::bulk_load(3, &ds.coords);
     let w = [0.3, 0.3, 0.4];
     let q = [0.15, 0.2, 0.1];
-    assert_eq!(
-        rank_of_point(&bulk, &w, &q),
-        rank_of_point(&incremental, &w, &q)
-    );
-    let a: Vec<(u32, f64)> = bulk.best_first(&w).take(25).collect();
-    let b: Vec<(u32, f64)> = incremental.best_first(&w).take(25).collect();
-    let sa: Vec<f64> = a.iter().map(|(_, s)| *s).collect();
-    let sb: Vec<f64> = b.iter().map(|(_, s)| *s).collect();
-    assert_eq!(sa, sb);
+    let want: Vec<(u32, u64)> = reference
+        .best_first(&w)
+        .take(25)
+        .map(|(id, s)| (id, s.to_bits()))
+        .collect();
+    for fanout in [4, 8, 64] {
+        let tree = RTree::bulk_load_with_fanout(3, &ds.coords, fanout);
+        tree.validate().unwrap();
+        assert_eq!(tree.len(), ds.len(), "fanout {fanout}");
+        assert_eq!(
+            rank_of_point(&reference, &w, &q),
+            rank_of_point(&tree, &w, &q),
+            "fanout {fanout}"
+        );
+        let got: Vec<(u32, u64)> = tree
+            .best_first(&w)
+            .take(25)
+            .map(|(id, s)| (id, s.to_bits()))
+            .collect();
+        assert_eq!(want, got, "fanout {fanout}");
+    }
 }
