@@ -179,12 +179,25 @@ impl std::error::Error for DecodeError {}
 #[derive(Debug, Default)]
 pub struct ByteWriter {
     buf: Vec<u8>,
+    /// Made by [`ByteWriter::framed`]: `buf` starts with the reserved
+    /// length prefix.
+    framed: bool,
 }
 
 impl ByteWriter {
     /// An empty payload.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// An empty payload behind a reserved `u32` length prefix, which
+    /// [`ByteWriter::into_frame`] fills in: a whole frame built in one
+    /// buffer, without copying the payload.
+    pub fn framed() -> Self {
+        Self {
+            buf: vec![0; 4],
+            framed: true,
+        }
     }
 
     /// Appends one byte.
@@ -223,6 +236,22 @@ impl ByteWriter {
 
     /// The finished payload.
     pub fn into_vec(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// The finished frame of a [`ByteWriter::framed`] writer: the bytes
+    /// [`write_frame`] puts on the stream for the same payload.
+    ///
+    /// # Panics
+    /// Panics if the writer was not made by [`ByteWriter::framed`], or if
+    /// the payload exceeds `u32::MAX` bytes.
+    pub fn into_frame(mut self) -> Vec<u8> {
+        assert!(
+            self.framed,
+            "into_frame on a writer without a length prefix"
+        );
+        let len = u32::try_from(self.buf.len() - 4).expect("frame payload exceeds u32");
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
         self.buf
     }
 }
@@ -336,6 +365,27 @@ mod tests {
         assert!(read_frame(&mut r, 1024, &mut buf).unwrap());
         assert!(buf.is_empty());
         assert!(!read_frame(&mut r, 1024, &mut buf).unwrap());
+    }
+
+    #[test]
+    fn a_framed_writer_builds_the_frame_write_frame_writes() {
+        for payload in [&b""[..], b"hello", &[7u8; 300]] {
+            let mut w = ByteWriter::framed();
+            for &byte in payload {
+                w.put_u8(byte);
+            }
+            let mut wire = Vec::new();
+            write_frame(&mut wire, payload).unwrap();
+            assert_eq!(w.into_frame(), wire);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "without a length prefix")]
+    fn a_plain_writer_refuses_to_become_a_frame() {
+        let mut w = ByteWriter::new();
+        w.put_u64(7);
+        let _ = w.into_frame();
     }
 
     #[test]

@@ -115,6 +115,14 @@ impl ResultCache {
 
     /// Looks up a response, refreshing its recency on a hit.
     pub fn get(&self, key: &CacheKey) -> Option<Response> {
+        self.lookup(key, true)
+    }
+
+    /// [`ResultCache::get`] for a caller that may not act on a miss: a
+    /// hit is always counted, a miss only when `count_miss`. The event
+    /// loop probes with `false` for a request it would hand to the pool
+    /// on a miss, so that request is counted once, by the pool's lookup.
+    pub fn lookup(&self, key: &CacheKey, count_miss: bool) -> Option<Response> {
         let mut inner = self.inner.lock().expect("cache lock");
         match inner.get_and_touch(key) {
             Some(entry) => {
@@ -123,7 +131,9 @@ impl ResultCache {
                 Some(response)
             }
             None => {
-                inner.misses += 1;
+                if count_miss {
+                    inner.misses += 1;
+                }
                 None
             }
         }
@@ -217,6 +227,16 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn an_uncounted_probe_counts_only_its_hit() {
+        let c = ResultCache::new(4);
+        assert_eq!(c.lookup(&key(1, 7), false), None);
+        c.insert(key(1, 7), "d", resp(1));
+        assert_eq!(c.lookup(&key(1, 7), false), Some(resp(1)));
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 0));
     }
 
     #[test]

@@ -141,6 +141,17 @@ impl DatasetHandle {
     }
 }
 
+/// What [`Catalog::peek`] learns about a dataset without waiting or
+/// building.
+#[derive(Debug)]
+pub(crate) struct Peek {
+    /// Epoch triple at peek time.
+    pub(crate) epoch: DatasetEpoch,
+    /// The base index, when the dataset is overlay-free and its index
+    /// and mask are built — a top-k over it needs no delta state.
+    pub(crate) plain: Option<Arc<RTree>>,
+}
+
 type BuiltIndex = (Arc<RTree>, Arc<FlatPoints>);
 
 #[derive(Debug)]
@@ -786,6 +797,26 @@ impl Catalog {
         Ok(true)
     }
 
+    /// An `O(1)` look at a dataset for a caller that must neither wait
+    /// nor build: its epoch, plus its base index when the overlay is
+    /// empty and the index (and, with the pre-filter on, the mask) is
+    /// already built. `None` when the dataset is unknown or a writer
+    /// holds the catalog lock — the caller then leaves the request to
+    /// [`Catalog::handle`] on the pool.
+    pub(crate) fn peek(&self, name: &str) -> Option<Peek> {
+        let inner = self.inner.try_read().ok()?;
+        let entry = inner.datasets.get(name)?;
+        let ready = entry.overlay_len() == 0 && (!self.prefilter || entry.dom.get().is_some());
+        Some(Peek {
+            epoch: entry.epoch(),
+            plain: entry
+                .index
+                .get()
+                .filter(|_| ready)
+                .map(|(tree, _)| tree.clone()),
+        })
+    }
+
     /// Current epoch triple of a dataset.
     pub fn epoch(&self, name: &str) -> Result<DatasetEpoch, EngineError> {
         self.inner
@@ -987,16 +1018,24 @@ impl Catalog {
     /// retired tallies of replaced base generations, so they are
     /// monotone across compactions and re-registrations.
     pub fn stats(&self) -> CatalogStats {
+        self.stats_under(&self.inner.read().expect("catalog lock"))
+    }
+
+    /// [`Catalog::stats`] for a caller that must not wait: `None` while
+    /// a writer holds the catalog lock.
+    pub(crate) fn try_stats(&self) -> Option<CatalogStats> {
+        let inner = self.inner.try_read().ok()?;
+        Some(self.stats_under(&inner))
+    }
+
+    fn stats_under(&self, inner: &CatalogInner) -> CatalogStats {
         let (mut prefilter_skips, mut quantized_fallbacks) = (0u64, 0u64);
-        {
-            let inner = self.inner.read().expect("catalog lock");
-            for entry in inner.datasets.values() {
-                if let Some((_, flat)) = entry.index.get() {
-                    quantized_fallbacks += flat.tier_totals().quantized_fallbacks;
-                }
-                if let Some(dom) = entry.dom.get() {
-                    prefilter_skips += dom.skips();
-                }
+        for entry in inner.datasets.values() {
+            if let Some((_, flat)) = entry.index.get() {
+                quantized_fallbacks += flat.tier_totals().quantized_fallbacks;
+            }
+            if let Some(dom) = entry.dom.get() {
+                prefilter_skips += dom.skips();
             }
         }
         let durability = self.durability.get().map(|d| d.stats()).unwrap_or_default();
@@ -1046,6 +1085,29 @@ mod tests {
         let h2 = c.handle("sq").unwrap();
         assert!(Arc::ptr_eq(&h.index, &h2.index));
         assert_eq!(c.stats().index_builds, 1);
+    }
+
+    #[test]
+    fn peek_never_builds_never_waits_and_offers_only_plain_built_bases() {
+        let c = Catalog::new();
+        assert!(c.peek("sq").is_none(), "unknown dataset");
+        c.register("sq", 2, unit_square()).unwrap();
+        let cold = c.peek("sq").unwrap();
+        assert_eq!(cold.epoch, DatasetEpoch::fresh(1));
+        assert!(cold.plain.is_none(), "no index yet");
+        assert_eq!(c.stats().index_builds, 0, "the peek built nothing");
+        let h = c.handle("sq").unwrap();
+        let warm = c.peek("sq").unwrap();
+        assert!(Arc::ptr_eq(warm.plain.as_ref().unwrap(), &h.index));
+        {
+            let _writer = c.inner.write().unwrap();
+            assert!(c.peek("sq").is_none(), "a held write lock is not waited on");
+            assert!(c.try_stats().is_none());
+        }
+        c.append("sq", &[2.0, 2.0]).unwrap();
+        let mutated = c.peek("sq").unwrap();
+        assert_eq!(mutated.epoch, c.epoch("sq").unwrap());
+        assert!(mutated.plain.is_none(), "an overlay needs delta state");
     }
 
     #[test]

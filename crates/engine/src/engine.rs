@@ -25,11 +25,12 @@ use crate::storage::{DiskBackend, Durability, FsyncPolicy};
 use crate::worker::{Completion, Job, Pool, ServeManyTask, ServeUnit, TraceContext, WorkerContext};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 use wqrtq_geom::Weight;
 use wqrtq_obs::{SlowRequest, TraceSnapshot, Tracer};
+use wqrtq_query::ProbeCtx;
 
 /// Spans each worker's trace ring retains (oldest overwritten).
 const TRACE_RING_CAPACITY: usize = 256;
@@ -157,7 +158,7 @@ impl EngineBuilder {
     /// opened, its images are structurally corrupt, or the recovered
     /// state violates a catalog invariant.
     pub fn try_build(self) -> Result<Engine, EngineError> {
-        let catalog = Arc::new(Catalog::with_config(self.prefilter, self.quantized));
+        let catalog = Catalog::with_config(self.prefilter, self.quantized);
         if let Some(dir) = &self.data_dir {
             let durability_err = |e: crate::storage::StorageError| EngineError::Durability {
                 reason: e.to_string(),
@@ -179,39 +180,25 @@ impl EngineBuilder {
         Ok(self.spawn(catalog))
     }
 
-    fn spawn(self, catalog: Arc<Catalog>) -> Engine {
-        let cache = Arc::new(ResultCache::new(self.cache_capacity));
-        let metrics = Arc::new(Metrics::new());
-        // One ring shard per worker (workers hint with their own index)
-        // plus one for boundary threads (server read/write loops hint
-        // with the connection id, which lands anywhere).
-        let tracer = Arc::new(Tracer::new(
-            self.workers + 1,
-            TRACE_RING_CAPACITY,
-            SLOW_LOG_CAPACITY,
-        ));
-        let (queue_tx, queue_rx) = mpsc::channel();
-        let pool = Pool::spawn(
-            self.workers,
-            queue_rx,
-            Arc::new(WorkerContext {
-                catalog: catalog.clone(),
-                cache: cache.clone(),
-                metrics: metrics.clone(),
-                tracer: tracer.clone(),
-                // Workers re-enter the queue to schedule compactions.
-                queue: queue_tx.clone(),
-                overlay_limit: self.overlay_limit,
-            }),
-        );
-        Engine {
+    fn spawn(self, catalog: Catalog) -> Engine {
+        let (queue, queue_rx) = mpsc::channel();
+        let ctx = Arc::new(WorkerContext {
             catalog,
-            cache,
-            metrics,
-            tracer,
-            trace_ids: AtomicU64::new(1),
+            cache: ResultCache::new(self.cache_capacity),
+            metrics: Metrics::new(),
+            // One ring shard per worker (workers hint with their own
+            // index) plus the boundary shard (index `workers`: requests
+            // served inline; server loops hint with the connection id,
+            // which lands anywhere).
+            tracer: Tracer::new(self.workers + 1, TRACE_RING_CAPACITY, SLOW_LOG_CAPACITY),
+            // Workers re-enter the queue to schedule compactions.
+            queue,
             overlay_limit: self.overlay_limit,
-            queue: Some(queue_tx),
+        });
+        let pool = Pool::spawn(self.workers, queue_rx, ctx.clone());
+        Engine {
+            ctx,
+            trace_ids: AtomicU64::new(1),
             pool: Some(pool),
         }
     }
@@ -226,15 +213,12 @@ impl EngineBuilder {
 /// [`Metrics`]. Dropping the engine shuts the pool down cleanly.
 #[derive(Debug)]
 pub struct Engine {
-    catalog: Arc<Catalog>,
-    cache: Arc<ResultCache>,
-    metrics: Arc<Metrics>,
-    tracer: Arc<Tracer>,
+    /// Catalog, cache, metrics, tracer and the job queue — the state the
+    /// workers and [`Engine::serve_inline`] serve against.
+    ctx: Arc<WorkerContext>,
     /// Trace ids for in-process submissions (wire callers bring their
     /// own, composed from connection and frame ids).
     trace_ids: AtomicU64,
-    overlay_limit: Option<usize>,
-    queue: Option<Sender<Job>>,
     pool: Option<Pool>,
 }
 
@@ -276,22 +260,14 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// The live job queue. Lifecycle invariant: `queue` is `Some` from
-    /// construction until `Drop` takes it to stop the pool, so every
-    /// `&self` caller observes it alive.
-    fn live_queue(&self) -> &Sender<Job> {
-        // lint: allow(no-panic) — lifecycle invariant above: `Drop` is
-        // the only taker, and it owns the last `&mut self`.
-        self.queue.as_ref().expect("pool alive while engine alive")
-    }
-
     /// Enqueues one job on the worker pool.
     fn enqueue(&self, job: Job) {
-        self.live_queue()
+        self.ctx
+            .queue
             .send(job)
             // lint: allow(no-panic) — a send fails only once every
-            // worker (receiver) exited, and workers only exit after
-            // `Drop` takes the sender; unreachable through `&self`.
+            // worker (receiver) exited, and workers only exit on the
+            // sentinels `Drop` sends; unreachable through `&self`.
             .expect("worker pool alive while engine alive");
     }
 
@@ -310,7 +286,7 @@ impl Engine {
     /// leaves dead entries for LRU eviction to reclaim and skips the
     /// compaction trigger.)
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.ctx.catalog
     }
 
     /// Registers (or replaces) a dataset and evicts its cached results.
@@ -323,8 +299,8 @@ impl Engine {
         dim: usize,
         coords: Vec<f64>,
     ) -> Result<(), EngineError> {
-        self.catalog.register(name, dim, coords)?;
-        self.cache.evict_dataset(name);
+        self.ctx.catalog.register(name, dim, coords)?;
+        self.ctx.cache.evict_dataset(name);
         Ok(())
     }
 
@@ -336,14 +312,7 @@ impl Engine {
     /// # Errors
     /// See [`Catalog::append`].
     pub fn append_points(&self, name: &str, points: &[f64]) -> Result<usize, EngineError> {
-        crate::worker::mutate(
-            &self.catalog,
-            &self.cache,
-            self.live_queue(),
-            self.overlay_limit,
-            name,
-            |catalog| catalog.append(name, points),
-        )
+        crate::worker::mutate(&self.ctx, name, |catalog| catalog.append(name, points))
     }
 
     /// Deletes points by stable id (base rows are tombstoned, appended
@@ -354,14 +323,7 @@ impl Engine {
     /// # Errors
     /// See [`Catalog::delete`].
     pub fn delete_points(&self, name: &str, ids: &[u32]) -> Result<usize, EngineError> {
-        crate::worker::mutate(
-            &self.catalog,
-            &self.cache,
-            self.live_queue(),
-            self.overlay_limit,
-            name,
-            |catalog| catalog.delete(name, ids),
-        )
+        crate::worker::mutate(&self.ctx, name, |catalog| catalog.delete(name, ids))
     }
 
     /// Synchronously merges a dataset's overlay into a fresh bulk-loaded
@@ -372,8 +334,8 @@ impl Engine {
     /// # Errors
     /// [`EngineError::UnknownDataset`].
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
-        let epoch = self.catalog.epoch(name)?;
-        self.catalog.compact_if(name, epoch)
+        let epoch = self.ctx.catalog.epoch(name)?;
+        self.ctx.catalog.compact_if(name, epoch)
     }
 
     /// Registers an immutable customer weight population.
@@ -381,7 +343,7 @@ impl Engine {
     /// # Errors
     /// See [`Catalog::register_weights`].
     pub fn register_weights(&self, name: &str, weights: Vec<Weight>) -> Result<(), EngineError> {
-        self.catalog.register_weights(name, weights)
+        self.ctx.catalog.register_weights(name, weights)
     }
 
     /// Writes a full snapshot of the catalog now and resets the WAL
@@ -394,7 +356,7 @@ impl Engine {
     /// [`EngineError::Durability`] when the snapshot cannot be
     /// installed; the previous snapshot and full WAL stay intact.
     pub fn checkpoint(&self) -> Result<bool, EngineError> {
-        self.catalog.checkpoint()
+        self.ctx.catalog.checkpoint()
     }
 
     /// Serves one request on the pool.
@@ -445,7 +407,7 @@ impl Engine {
         // the snapshot they return equals `Engine::metrics()` at the
         // same quiesced point.
         if !matches!(request, Request::Stats) {
-            self.metrics.record_async_submit();
+            self.ctx.metrics.record_async_submit();
         }
         self.enqueue(Job::Serve {
             request,
@@ -479,7 +441,7 @@ impl Engine {
         }
         for item in &items {
             if !matches!(item.request, Request::Stats) {
-                self.metrics.record_async_submit();
+                self.ctx.metrics.record_async_submit();
             }
         }
         let sends = self.worker_count().max(1).min(items.len());
@@ -498,13 +460,50 @@ impl Engine {
         }
     }
 
+    /// Serves `request` on the calling thread when it is cheap by
+    /// construction; `None` means "submit it to the pool instead", and
+    /// such a request has recorded and counted nothing. Decided in this
+    /// order:
+    ///
+    /// 1. [`Request::Stats`], unless a writer holds the catalog lock;
+    /// 2. a cache hit of any query kind, keyed on an `O(1)` catalog peek;
+    /// 3. a [`Request::TopK`] miss with `k` at most one leaf's worth
+    ///    ([`wqrtq_rtree::DEFAULT_FANOUT`]) on a dataset whose overlay is
+    ///    empty and whose index and mask are already built.
+    ///
+    /// So the caller never builds an index, never waits on a lock a
+    /// writer holds, and never runs work that grows with the overlay.
+    /// The body is the pool's own — validation, cache lookup and fill,
+    /// execution, stage histograms and metrics — with a near-zero queue
+    /// wait, one async submission counted per answered request, and the
+    /// spans recorded into the tracer's boundary shard. `scratch` is the
+    /// caller's own probe context, reused across calls: an event loop
+    /// keeps one and calls this before staging a decoded submit.
+    pub fn serve_inline(
+        &self,
+        request: &Request,
+        trace_id: u64,
+        scratch: &mut ProbeCtx,
+    ) -> Option<Response> {
+        let trace = TraceContext {
+            trace_id,
+            submitted: Instant::now(),
+        };
+        let boundary = self.worker_count();
+        let response = crate::worker::serve_inline(&self.ctx, boundary, trace, request, scratch)?;
+        if !matches!(request, Request::Stats) {
+            self.ctx.metrics.record_async_submit();
+        }
+        Some(response)
+    }
+
     /// Records one boundary-owned pipeline-stage observation into the
     /// engine's stage histograms. Workers record the stages they own
     /// (queue wait, cache lookup, execute); the layers in front of the
     /// pool — the wire server's serialize path, an admission gate —
     /// own stages the workers never see and report them here.
     pub fn record_stage(&self, stage: wqrtq_obs::Stage, latency: std::time::Duration) {
-        self.metrics.record_stage(stage, latency);
+        self.ctx.metrics.record_stage(stage, latency);
     }
 
     /// Fans a batch across the worker pool and reassembles responses in
@@ -518,7 +517,7 @@ impl Engine {
         // A batch of nothing but Stats requests is not workload — it
         // must observe the counters, not move them.
         if requests.iter().any(|r| !matches!(r, Request::Stats)) {
-            self.metrics.record_batch();
+            self.ctx.metrics.record_batch();
         }
         let n = requests.len();
         let (reply_tx, reply_rx) = mpsc::channel();
@@ -556,25 +555,25 @@ impl Engine {
     /// Point-in-time metrics (per-kind latency, index-node accesses,
     /// cache hit rate).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics
-            .snapshot(self.cache.stats(), self.catalog.stats())
+        let ctx = &self.ctx;
+        ctx.metrics.snapshot(ctx.cache.stats(), ctx.catalog.stats())
     }
 
     /// The engine's tracer — boundary threads (the server's read and
     /// write loops) record their admission and serialize spans here.
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.ctx.tracer
     }
 
     /// Drains the per-worker trace rings into one snapshot.
     pub fn trace_snapshot(&self) -> TraceSnapshot {
-        self.tracer.drain()
+        self.ctx.tracer.drain()
     }
 
     /// The slowest requests seen so far (full span breakdown each),
     /// slowest first.
     pub fn slow_requests(&self) -> Vec<SlowRequest> {
-        self.tracer.slow_requests()
+        self.ctx.tracer.slow_requests()
     }
 
     fn next_trace_id(&self) -> u64 {
@@ -591,15 +590,14 @@ impl Engine {
 
 impl Drop for Engine {
     fn drop(&mut self) {
-        // Workers hold their own queue sender (to schedule compactions),
-        // so dropping ours never disconnects the channel; orderly shutdown
-        // is one sentinel per worker. The queue is FIFO, so all
-        // previously submitted work drains first.
-        if let (Some(queue), Some(pool)) = (self.queue.take(), self.pool.take()) {
+        // Workers share the queue sender (to schedule compactions), so
+        // the channel never disconnects; orderly shutdown is one sentinel
+        // per worker. The queue is FIFO, so all previously submitted work
+        // drains first.
+        if let Some(pool) = self.pool.take() {
             for _ in 0..pool.len() {
-                let _ = queue.send(Job::Shutdown);
+                let _ = self.ctx.queue.send(Job::Shutdown);
             }
-            drop(queue);
             pool.join();
         }
     }
@@ -1253,6 +1251,77 @@ mod tests {
             probe.start_nanos + probe.duration_nanos <= exec.start_nanos + exec.duration_nanos,
             "the probe ends within the execute span"
         );
+    }
+
+    #[test]
+    fn serve_inline_runs_only_cheap_requests_and_hands_the_rest_back_untouched() {
+        use wqrtq_obs::Stage;
+        use wqrtq_rtree::DEFAULT_FANOUT;
+        let engine = figure1_engine(1);
+        let twin = figure1_engine(1);
+        let topk = |k: usize| Request::TopK {
+            dataset: "products".into(),
+            weight: vec![0.5, 0.5],
+            k,
+        };
+        let rtopk = Request::ReverseTopKBi {
+            dataset: "products".into(),
+            weights: WeightSet::Named("customers".into()),
+            q: vec![4.0, 4.0],
+            k: 3,
+        };
+        let mut scratch = ProbeCtx::new();
+        let mut inline = |r: &Request| engine.serve_inline(r, 7, &mut scratch);
+
+        // Handed back before anything is recorded: an unbuilt index, a
+        // mutation, an invalid request, an unknown dataset.
+        let untouched = engine.metrics();
+        assert_eq!(inline(&topk(1)), None, "the loop never builds");
+        assert_eq!(
+            inline(&Request::Delete {
+                dataset: "products".into(),
+                ids: vec![0],
+            }),
+            None
+        );
+        let mut nan = topk(1);
+        if let Request::TopK { weight, .. } = &mut nan {
+            weight[0] = f64::NAN;
+        }
+        assert_eq!(inline(&nan), None);
+        assert_eq!(
+            inline(&Request::TopK {
+                dataset: "nope".into(),
+                weight: vec![0.5, 0.5],
+                k: 1,
+            }),
+            None
+        );
+        assert_eq!(engine.metrics(), untouched);
+        assert!(!engine.catalog().is_indexed("products"));
+
+        // Built and overlay-free: small-k misses run, large k and
+        // reverse top-k misses go back, and a warmed entry is a hit.
+        engine.catalog().handle("products").unwrap();
+        let before = engine.metrics();
+        assert_eq!(inline(&topk(3)), Some(twin.submit(topk(3))));
+        assert_eq!(inline(&topk(DEFAULT_FANOUT + 1)), None);
+        assert_eq!(inline(&rtopk), None);
+        let warmed = engine.submit(rtopk.clone());
+        assert_eq!(inline(&rtopk), Some(warmed));
+        assert!(matches!(inline(&Request::Stats), Some(Response::Stats(_))));
+        let m = engine.metrics();
+        assert_eq!(m.async_submits, before.async_submits + 2);
+        assert_eq!((m.cache.hits, m.cache.misses), (1, before.cache.misses + 2));
+        assert_eq!(
+            m.stage_latency(Stage::QueueWait).count,
+            before.stage_latency(Stage::QueueWait).count + 3,
+            "inline requests keep every stage histogram populated"
+        );
+
+        // An overlay is delta state: even a cheap top-k goes back.
+        engine.append_points("products", &[1.0, 0.5]).unwrap();
+        assert_eq!(inline(&topk(1)), None);
     }
 
     #[test]

@@ -68,3 +68,5 @@ pub use wqrtq_obs::{
 // need only this crate for the full request surface.
 pub use wqrtq_core::advisor::{PenaltyBreakdown, StrategyKind, WhyNotOptions};
 pub use wqrtq_core::penalty::Tolerances;
+// The probe scratch a caller of `Engine::serve_inline` owns.
+pub use wqrtq_query::ProbeCtx;

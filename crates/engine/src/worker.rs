@@ -12,12 +12,18 @@
 //! performs no per-request allocations (tracked by the `scratch_reuses`
 //! metric).
 //!
+//! [`serve_inline`], behind [`crate::Engine::serve_inline`], lets an
+//! event loop answer the requests that are cheap by construction on its
+//! own thread and its own `ProbeCtx`; it shares [`serve`]'s validation,
+//! cache lookup and fill, execution and metrics ([`Serving`]) and hands
+//! everything else back untouched.
+//!
 //! Execution is deterministic — every algorithm is seed-driven — which
 //! makes responses identical for any worker count (asserted by the
 //! determinism tests).
 
 use crate::cache::CacheKey;
-use crate::catalog::{Catalog, DatasetEpoch, DatasetHandle};
+use crate::catalog::{Catalog, CatalogStats, DatasetEpoch, DatasetHandle};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::request::{
@@ -37,16 +43,19 @@ use wqrtq_geom::Weight;
 use wqrtq_obs::{SpanRecord, Stage, Tracer};
 use wqrtq_query::{
     monochromatic_reverse_topk_sampled, rta_over_order, rta_sorted_order, topk_with, ProbeCtx,
+    Snapshot,
 };
+use wqrtq_rtree::{RTree, DEFAULT_FANOUT};
 
-/// Shared state every worker executes against.
+/// Shared state every worker (and the engine's inline path) executes
+/// against.
 #[derive(Debug)]
 pub(crate) struct WorkerContext {
-    pub(crate) catalog: Arc<Catalog>,
-    pub(crate) cache: Arc<ResultCache>,
-    pub(crate) metrics: Arc<Metrics>,
+    pub(crate) catalog: Catalog,
+    pub(crate) cache: ResultCache,
+    pub(crate) metrics: Metrics,
     /// Span sink: per-worker ring buffers plus the slow-request log.
-    pub(crate) tracer: Arc<Tracer>,
+    pub(crate) tracer: Tracer,
     /// Re-entrant handle to the work queue, used to schedule
     /// compactions. Workers holding this sender keep the channel open,
     /// so shutdown is signalled with explicit [`Job::Shutdown`]
@@ -257,15 +266,8 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
                         trace_id: unit.trace_id,
                         submitted: task.submitted,
                     };
-                    let mut progress = None;
-                    let response = serve(
-                        ctx,
-                        worker,
-                        trace,
-                        &unit.request,
-                        &mut scratch,
-                        &mut progress,
-                    );
+                    let response =
+                        serve(ctx, worker, trace, &unit.request, &mut scratch, &mut None);
                     (unit.complete)(response);
                 }
             }
@@ -284,9 +286,11 @@ fn span_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Per-request span collector: buffers the stage spans of one request
-/// and flushes them (plus the slow-log entry) to the tracer in a single
-/// call at completion. The buffer is tiny (≤ a dozen spans).
+/// Per-request stage collector: buffers the stage spans of one request
+/// and, once the request is answered, records them into the stage
+/// histograms and the tracer (plus the slow-log entry) in one go. A
+/// request the event loop hands back is dropped unflushed, so it leaves
+/// no trace. The buffer is tiny (≤ a dozen spans).
 pub(crate) struct SpanBuf {
     trace_id: u64,
     spans: Vec<SpanRecord>,
@@ -300,7 +304,7 @@ impl SpanBuf {
         }
     }
 
-    /// Records a stage that just finished (its start is reconstructed
+    /// Notes a stage that just finished (its start is reconstructed
     /// from `now - duration`, so callers need no start bookkeeping).
     fn push_ended(&mut self, tracer: &Tracer, stage: Stage, duration: Duration) {
         let nanos = span_nanos(duration);
@@ -311,145 +315,257 @@ impl SpanBuf {
             duration_nanos: nanos,
         });
     }
+
+    /// Records every span into its stage histogram and the `shard`
+    /// trace ring, and offers the request to the slow log.
+    fn flush(self, ctx: &WorkerContext, shard: usize, fingerprint: u64, total: Duration) {
+        for span in &self.spans {
+            ctx.metrics
+                .record_stage(span.stage, Duration::from_nanos(span.duration_nanos));
+        }
+        ctx.tracer
+            .record_request(shard, fingerprint, span_nanos(total), &self.spans);
+    }
 }
 
-/// Serves one request: cache probe → execute → cache fill → metrics.
-/// `progress` (when present) observes partial results of a
-/// [`Request::WhyNot`] as the advisor produces them; a cache hit skips
-/// it entirely (the plan arrives whole, no steps run).
+/// What a cache miss executes against.
+enum Target<'a> {
+    /// The pool's snapshot: overlay and mask included, the index built
+    /// on first use; `progress` observes a [`Request::WhyNot`]'s partial
+    /// results.
+    Handle(DatasetHandle, &'a mut Option<ProgressFn>),
+    /// The loop's top-k over a built, overlay-free base index — no
+    /// delta state.
+    Plain {
+        tree: Arc<RTree>,
+        weight: &'a [f64],
+        k: usize,
+    },
+}
+
+/// One request between pickup and reply: its span buffer and the clock
+/// its metrics are taken from. [`serve`] and [`serve_inline`] differ only
+/// in how they resolve the dataset and whether they may hand a request
+/// back; validation, cache lookup and fill, execution and metrics are
+/// these methods, shared.
+struct Serving<'r> {
+    request: &'r Request,
+    started: Instant,
+    spans: SpanBuf,
+}
+
+impl<'r> Serving<'r> {
+    /// Starts the clock and notes the queue wait since submission.
+    fn begin(ctx: &WorkerContext, trace: TraceContext, request: &'r Request) -> Self {
+        let started = Instant::now();
+        let mut spans = SpanBuf::new(trace.trace_id);
+        let queue_wait = started.saturating_duration_since(trace.submitted);
+        spans.push_ended(&ctx.tracer, Stage::QueueWait, queue_wait);
+        Self {
+            request,
+            started,
+            spans,
+        }
+    }
+
+    /// Input firewall: rejects non-finite coordinates and malformed
+    /// weighting vectors before any index or cache is touched.
+    fn validate(&mut self, ctx: &WorkerContext) -> Result<(), EngineError> {
+        let admission = Instant::now();
+        let validated = self.request.validate();
+        self.spans
+            .push_ended(&ctx.tracer, Stage::Admission, admission.elapsed());
+        validated
+    }
+
+    /// Records an answer that neither came from nor goes to the cache.
+    fn uncached(&self, ctx: &WorkerContext, response: Response) -> Response {
+        let elapsed = self.started.elapsed();
+        ctx.metrics
+            .record(self.request.kind(), elapsed, 0, false, response.is_error());
+        response
+    }
+
+    fn fail(&self, ctx: &WorkerContext, e: EngineError) -> Response {
+        self.uncached(ctx, Response::Error(e.to_string()))
+    }
+
+    /// Looks `key` up in the result cache and records a hit. A miss is
+    /// counted only if `executes`: by the thread that goes on to run it.
+    fn lookup(&mut self, ctx: &WorkerContext, key: &CacheKey, executes: bool) -> Option<Response> {
+        let lookup = Instant::now();
+        let cached = ctx.cache.lookup(key, executes);
+        self.spans
+            .push_ended(&ctx.tracer, Stage::CacheLookup, lookup.elapsed());
+        if cached.is_some() {
+            let elapsed = self.started.elapsed();
+            ctx.metrics
+                .record(self.request.kind(), elapsed, 0, true, false);
+        }
+        cached
+    }
+
+    /// Runs a miss against `target`, caches a successful answer and
+    /// records it.
+    fn execute(
+        &mut self,
+        ctx: &WorkerContext,
+        key: CacheKey,
+        target: Target<'_>,
+        scratch: &mut ProbeCtx,
+    ) -> Response {
+        if matches!(&target, Target::Handle(handle, _) if !handle.view.is_plain()) {
+            ctx.metrics.record_delta_hit();
+        }
+        let (request, spans) = (self.request, &mut self.spans);
+        let exec = Instant::now();
+        let (response, index_nodes) = catch_unwind(AssertUnwindSafe(|| match target {
+            Target::Handle(handle, progress) => {
+                execute(ctx, &handle, request, scratch, progress, spans)
+            }
+            Target::Plain { tree, weight, k } => {
+                execute_topk(ctx, spans, Snapshot::from(&*tree), weight, k, scratch)
+            }
+        }))
+        .unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "request panicked".to_string());
+            (Response::Error(format!("request panicked: {msg}")), 0)
+        });
+        spans.push_ended(&ctx.tracer, Stage::Execute, exec.elapsed());
+
+        if !response.is_error() {
+            ctx.cache.insert(key, request.dataset(), response.clone());
+        }
+        ctx.metrics.record(
+            request.kind(),
+            self.started.elapsed(),
+            index_nodes,
+            false,
+            response.is_error(),
+        );
+        response
+    }
+
+    /// Records the spans into `shard` and hands the response back.
+    fn finish(self, ctx: &WorkerContext, shard: usize, response: Response) -> Response {
+        let fingerprint = self.request.fingerprint();
+        self.spans
+            .flush(ctx, shard, fingerprint, self.started.elapsed());
+        response
+    }
+}
+
+/// A `Stats` reply. It is built before any recording: the snapshot must
+/// equal `Engine::metrics()` taken at the same quiesced point (the wire
+/// differential test asserts exactly that), so serving it must not
+/// perturb the counters it reports — no metrics, no stage histograms, no
+/// cache or catalog traffic.
+fn stats(ctx: &WorkerContext, catalog: CatalogStats) -> Response {
+    Response::Stats(Box::new(StatsSnapshot {
+        metrics: ctx.metrics.snapshot(ctx.cache.stats(), catalog),
+        server: None,
+    }))
+}
+
+/// Serves one request on a pool worker: validate → snapshot the dataset
+/// (building its index on first use) → cache lookup → execute → cache
+/// fill → metrics, with the spans recorded into `shard`. A
+/// [`Request::WhyNot`]'s `progress` observes partial results as the
+/// advisor produces them; a cache hit skips it entirely (the plan
+/// arrives whole, no steps run).
 pub(crate) fn serve(
     ctx: &WorkerContext,
-    worker: usize,
+    shard: usize,
     trace: TraceContext,
     request: &Request,
     scratch: &mut ProbeCtx,
     progress: &mut Option<ProgressFn>,
 ) -> Response {
-    let started = Instant::now();
-
-    // Stats short-circuits before any recording: the snapshot it
-    // returns must equal `Engine::metrics()` taken at the same quiesced
-    // point (the wire differential test asserts exactly that), so
-    // serving it must not perturb the counters it reports — no metrics,
-    // no stage histograms, no cache or catalog traffic.
     if matches!(request, Request::Stats) {
-        return Response::Stats(Box::new(StatsSnapshot {
-            metrics: ctx.metrics.snapshot(ctx.cache.stats(), ctx.catalog.stats()),
-            server: None,
-        }));
+        return stats(ctx, ctx.catalog.stats());
     }
-
-    let mut spans = SpanBuf::new(trace.trace_id);
-    let queue_wait = started.saturating_duration_since(trace.submitted);
-    ctx.metrics.record_stage(Stage::QueueWait, queue_wait);
-    spans.push_ended(&ctx.tracer, Stage::QueueWait, queue_wait);
-
-    let response = serve_inner(ctx, request, scratch, progress, &mut spans, started);
-    ctx.tracer.record_request(
-        worker,
-        request.fingerprint(),
-        span_nanos(started.elapsed()),
-        &spans.spans,
-    );
-    response
-}
-
-/// The body of [`serve`] past the queue-wait span: every early return
-/// funnels through here so the caller can flush the span buffer once.
-fn serve_inner(
-    ctx: &WorkerContext,
-    request: &Request,
-    scratch: &mut ProbeCtx,
-    progress: &mut Option<ProgressFn>,
-    spans: &mut SpanBuf,
-    started: Instant,
-) -> Response {
-    let kind = request.kind();
-
-    // Input firewall: reject non-finite coordinates and malformed
-    // weighting vectors before touching any index or cache.
-    let admission = Instant::now();
-    let validated = request.validate();
-    let admission_took = admission.elapsed();
-    ctx.metrics.record_stage(Stage::Admission, admission_took);
-    spans.push_ended(&ctx.tracer, Stage::Admission, admission_took);
-    if let Err(e) = validated {
-        let response = Response::Error(e.to_string());
-        ctx.metrics.record(kind, started.elapsed(), 0, false, true);
-        return response;
-    }
-
-    // Mutations bypass the snapshot/cache machinery entirely: they must
-    // not build an index (the overlay absorbs them) and are never cached.
-    if kind.is_mutation() {
+    let mut serving = Serving::begin(ctx, trace, request);
+    let response = if let Err(e) = serving.validate(ctx) {
+        serving.fail(ctx, e)
+    } else if request.kind().is_mutation() {
+        // Mutations bypass the snapshot/cache machinery entirely: they
+        // must not build an index (the overlay absorbs them) and are
+        // never cached.
         let response = match apply_mutation(ctx, request) {
             Ok(live_len) => Response::Mutated { live_len },
             Err(e) => Response::Error(e.to_string()),
         };
-        ctx.metrics
-            .record(kind, started.elapsed(), 0, false, response.is_error());
-        return response;
-    }
-
-    let handle = match ctx.catalog.handle(request.dataset()) {
-        Ok(h) => h,
-        Err(e) => {
-            let response = Response::Error(e.to_string());
-            ctx.metrics.record(kind, started.elapsed(), 0, false, true);
-            return response;
+        serving.uncached(ctx, response)
+    } else {
+        match ctx.catalog.handle(request.dataset()) {
+            Err(e) => serving.fail(ctx, e),
+            Ok(handle) => {
+                let key = CacheKey {
+                    epoch: handle.epoch,
+                    fingerprint: request.fingerprint(),
+                };
+                match serving.lookup(ctx, &key, true) {
+                    Some(hit) => hit,
+                    None => serving.execute(ctx, key, Target::Handle(handle, progress), scratch),
+                }
+            }
         }
     };
-    let lookup = Instant::now();
+    serving.finish(ctx, shard, response)
+}
+
+/// Serves one request on an event loop if it is cheap by construction —
+/// a [`Request::Stats`], a cache hit, or a [`Request::TopK`] miss with
+/// `k` at most one leaf's worth over a built, overlay-free base — and
+/// never waits for a writer. Anything else returns `None` having
+/// recorded and counted nothing, for the pool to [`serve`].
+pub(crate) fn serve_inline(
+    ctx: &WorkerContext,
+    shard: usize,
+    trace: TraceContext,
+    request: &Request,
+    scratch: &mut ProbeCtx,
+) -> Option<Response> {
+    if matches!(request, Request::Stats) {
+        return Some(stats(ctx, ctx.catalog.try_stats()?));
+    }
+    if request.kind().is_mutation() {
+        return None;
+    }
+    let mut serving = Serving::begin(ctx, trace, request);
+    serving.validate(ctx).ok()?;
+    // An `O(1)` look at what is built; no snapshot, no delta state.
+    let peek = ctx.catalog.peek(request.dataset())?;
+    let target = match (request, peek.plain) {
+        (Request::TopK { weight, k, .. }, Some(tree)) if *k <= DEFAULT_FANOUT => {
+            Some(Target::Plain {
+                tree,
+                weight,
+                k: *k,
+            })
+        }
+        _ => None,
+    };
     let key = CacheKey {
-        epoch: handle.epoch,
+        epoch: peek.epoch,
         fingerprint: request.fingerprint(),
     };
-    let cached = ctx.cache.get(&key);
-    let lookup_took = lookup.elapsed();
-    ctx.metrics.record_stage(Stage::CacheLookup, lookup_took);
-    spans.push_ended(&ctx.tracer, Stage::CacheLookup, lookup_took);
-    if let Some(response) = cached {
-        ctx.metrics.record(kind, started.elapsed(), 0, true, false);
-        return response;
-    }
-    if !handle.view.is_plain() {
-        ctx.metrics.record_delta_hit();
-    }
-
-    let exec = Instant::now();
-    let (response, index_nodes) = catch_unwind(AssertUnwindSafe(|| {
-        execute(ctx, &handle, request, scratch, progress, spans)
-    }))
-    .unwrap_or_else(|panic| {
-        let msg = panic
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| panic.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "request panicked".to_string());
-        (Response::Error(format!("request panicked: {msg}")), 0)
-    });
-    let exec_took = exec.elapsed();
-    ctx.metrics.record_stage(Stage::Execute, exec_took);
-    spans.push_ended(&ctx.tracer, Stage::Execute, exec_took);
-
-    if !response.is_error() {
-        ctx.cache.insert(key, request.dataset(), response.clone());
-    }
-    ctx.metrics.record(
-        kind,
-        started.elapsed(),
-        index_nodes,
-        false,
-        response.is_error(),
-    );
-    response
+    let response = match serving.lookup(ctx, &key, target.is_some()) {
+        Some(hit) => hit,
+        None => serving.execute(ctx, key, target?, scratch),
+    };
+    Some(serving.finish(ctx, shard, response))
 }
 
 /// Validates a vector against the dataset dimensionality.
-fn check_dim(handle: &DatasetHandle, v: &[f64]) -> Result<(), EngineError> {
-    if v.len() != handle.dim {
+fn check_dim(dim: usize, v: &[f64]) -> Result<(), EngineError> {
+    if v.len() != dim {
         return Err(EngineError::DimensionMismatch {
-            expected: handle.dim,
+            expected: dim,
             got: v.len(),
         });
     }
@@ -499,15 +615,32 @@ fn execute_bichromatic(
     Response::ReverseTopKBi(members)
 }
 
-/// Times an index-walking kernel and records it as an
-/// [`Stage::IndexProbe`] stage (histogram + span).
+/// Times an index-walking kernel as an [`Stage::IndexProbe`] stage.
 fn probe<T>(ctx: &WorkerContext, spans: &mut SpanBuf, f: impl FnOnce() -> T) -> T {
     let started = Instant::now();
     let out = f();
-    let took = started.elapsed();
-    ctx.metrics.record_stage(Stage::IndexProbe, took);
-    spans.push_ended(&ctx.tracer, Stage::IndexProbe, took);
+    spans.push_ended(&ctx.tracer, Stage::IndexProbe, started.elapsed());
     out
+}
+
+/// Answers a top-k: the `k`-bounded best-first over the base index,
+/// merged with the overlay when the snapshot carries one.
+fn execute_topk(
+    ctx: &WorkerContext,
+    spans: &mut SpanBuf,
+    snap: Snapshot<'_>,
+    weight: &[f64],
+    k: usize,
+    scratch: &mut ProbeCtx,
+) -> (Response, usize) {
+    if let Err(e) = check_dim(snap.dim(), weight) {
+        return (Response::Error(e.to_string()), 0);
+    }
+    probe(ctx, spans, || {
+        let before = scratch.nodes_visited;
+        let out = topk_with(snap, weight, k, scratch);
+        (Response::TopK(out), scratch.nodes_visited - before)
+    })
 }
 
 /// Runs the algorithm behind a request. Returns the response plus the
@@ -522,14 +655,7 @@ fn execute(
 ) -> (Response, usize) {
     match request {
         Request::TopK { weight, k, .. } => {
-            if let Err(e) = check_dim(handle, weight) {
-                return (Response::Error(e.to_string()), 0);
-            }
-            probe(ctx, spans, || {
-                let before = scratch.nodes_visited;
-                let out = topk_with(handle.snapshot(), weight, *k, scratch);
-                (Response::TopK(out), scratch.nodes_visited - before)
-            })
+            execute_topk(ctx, spans, handle.snapshot(), weight, *k, scratch)
         }
         Request::ReverseTopKMono {
             q,
@@ -538,7 +664,7 @@ fn execute(
             seed,
             ..
         } => {
-            if let Err(e) = check_dim(handle, q) {
+            if let Err(e) = check_dim(handle.dim, q) {
                 return (Response::Error(e.to_string()), 0);
             }
             if handle.dim == 2 {
@@ -582,7 +708,7 @@ fn execute(
             }
         }
         Request::ReverseTopKBi { weights, q, k, .. } => {
-            if let Err(e) = check_dim(handle, q) {
+            if let Err(e) = check_dim(handle.dim, q) {
                 return (Response::Error(e.to_string()), 0);
             }
             let population: Arc<Vec<Weight>> = match weights {
@@ -633,7 +759,6 @@ fn execute(
                 let mut on_event = |event: &AdvisorEvent<'_>| {
                     if let AdvisorEvent::StageTimed { nanos, .. } = *event {
                         let took = Duration::from_nanos(nanos);
-                        ctx.metrics.record_stage(Stage::AdvisorStep, took);
                         spans.push_ended(&ctx.tracer, Stage::AdvisorStep, took);
                     }
                 };
@@ -666,22 +791,12 @@ fn execute(
 /// overlay outgrew its threshold. Returns the live point count.
 fn apply_mutation(ctx: &WorkerContext, request: &Request) -> Result<usize, EngineError> {
     match request {
-        Request::Append { dataset, points } => mutate(
-            &ctx.catalog,
-            &ctx.cache,
-            &ctx.queue,
-            ctx.overlay_limit,
-            dataset,
-            |catalog| catalog.append(dataset, points),
-        ),
-        Request::Delete { dataset, ids } => mutate(
-            &ctx.catalog,
-            &ctx.cache,
-            &ctx.queue,
-            ctx.overlay_limit,
-            dataset,
-            |catalog| catalog.delete(dataset, ids),
-        ),
+        Request::Append { dataset, points } => {
+            mutate(ctx, dataset, |catalog| catalog.append(dataset, points))
+        }
+        Request::Delete { dataset, ids } => {
+            mutate(ctx, dataset, |catalog| catalog.delete(dataset, ids))
+        }
         // lint: allow(no-panic) — the single caller matches on
         // mutation kinds before calling; exhaustiveness arm only.
         _ => unreachable!("apply_mutation called on a query request"),
@@ -694,21 +809,19 @@ fn apply_mutation(ctx: &WorkerContext, request: &Request) -> Result<usize, Engin
 /// reclaims capacity early), then schedule an off-request-path
 /// compaction if the overlay outgrew its threshold.
 pub(crate) fn mutate(
-    catalog: &Catalog,
-    cache: &ResultCache,
-    queue: &Sender<Job>,
-    overlay_limit: Option<usize>,
+    ctx: &WorkerContext,
     dataset: &str,
     op: impl FnOnce(&Catalog) -> Result<usize, EngineError>,
 ) -> Result<usize, EngineError> {
+    let catalog = &ctx.catalog;
     let live_len = op(catalog)?;
-    cache.evict_dataset(dataset);
+    ctx.cache.evict_dataset(dataset);
     if let Ok((overlay, base_len)) = catalog.overlay_size(dataset) {
-        if overlay > compaction_threshold(overlay_limit, base_len) {
+        if overlay > compaction_threshold(ctx.overlay_limit, base_len) {
             if let Ok(epoch) = catalog.epoch(dataset) {
                 // A send failure means the pool is shutting down — the
                 // overlay simply persists until the next trigger.
-                let _ = queue.send(Job::Compact {
+                let _ = ctx.queue.send(Job::Compact {
                     dataset: dataset.to_string(),
                     epoch,
                 });

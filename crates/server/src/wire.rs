@@ -228,11 +228,24 @@ impl ServerFrame {
     /// Encodes the message as a frame payload carrying `id`.
     pub fn encode(&self, id: u64) -> Vec<u8> {
         let mut w = ByteWriter::new();
+        self.encode_into(&mut w, id);
+        w.into_vec()
+    }
+
+    /// Encodes the message as a whole wire frame carrying `id`: the
+    /// length prefix and [`ServerFrame::encode`]'s payload, in one buffer.
+    pub fn encode_frame(&self, id: u64) -> Vec<u8> {
+        let mut w = ByteWriter::framed();
+        self.encode_into(&mut w, id);
+        w.into_frame()
+    }
+
+    fn encode_into(&self, w: &mut ByteWriter, id: u64) {
         w.put_u64(id);
         match self {
             ServerFrame::Reply(response) => {
                 w.put_u8(OP_REPLY);
-                encode_response(&mut w, response);
+                encode_response(w, response);
             }
             ServerFrame::Registered => w.put_u8(OP_REGISTERED),
             ServerFrame::Compacted { ran } => {
@@ -255,10 +268,9 @@ impl ServerFrame {
             }
             ServerFrame::ReplyPart(delta) => {
                 w.put_u8(OP_REPLY_PART);
-                encode_plan_delta(&mut w, delta);
+                encode_plan_delta(w, delta);
             }
         }
-        w.into_vec()
     }
 
     /// Decodes a frame payload.
@@ -1352,6 +1364,19 @@ mod tests {
                 ClientFrame::encode_submit(42, &request),
                 ClientFrame::Submit(request).encode(42)
             );
+        }
+    }
+
+    #[test]
+    fn encode_frame_is_the_length_prefixed_payload() {
+        let frames = all_responses()
+            .into_iter()
+            .map(ServerFrame::Reply)
+            .chain([ServerFrame::Busy, ServerFrame::ProtocolError("x".into())]);
+        for frame in frames {
+            let mut wire = Vec::new();
+            crate::frame::write_frame(&mut wire, &frame.encode(9)).unwrap();
+            assert_eq!(frame.encode_frame(9), wire);
         }
     }
 

@@ -567,6 +567,154 @@ fn slow_fixture(workers: usize, admission: usize) -> Server {
     server
 }
 
+/// Sends `requests` in one write. Returns, in request order, each
+/// reply with its arrival position in the reply stream.
+fn send_burst(client: &mut Client, requests: &[&Request]) -> Vec<(usize, ServerFrame)> {
+    let ids = client.send_request_batch(requests).unwrap();
+    let mut replies: Vec<Option<(usize, ServerFrame)>> = ids.iter().map(|_| None).collect();
+    for arrival in 0..ids.len() {
+        let (id, frame) = client.recv().unwrap();
+        let slot = ids.iter().position(|&sent| sent == id).unwrap();
+        replies[slot] = Some((arrival, frame));
+    }
+    replies.into_iter().map(Option::unwrap).collect()
+}
+
+#[test]
+fn cheap_requests_are_answered_on_the_loop_and_the_rest_wait_for_the_pool() {
+    // The slow request holds the only worker, so whatever the loop
+    // answers itself arrives before the slow reply and whatever crosses
+    // to the pool queues behind it: the verdict is read off reply order.
+    let server = slow_fixture(1, 8);
+    let engine = server.engine();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    // An independent engine over the same data is the oracle.
+    let twin = wqrtq_engine::Engine::builder().workers(1).build();
+    twin.register_dataset("slow3", 3, scatter(400, 3, 9))
+        .unwrap();
+    for e in [&**engine, &twin] {
+        e.register_dataset("grown", 2, PRODUCTS_2D.to_vec())
+            .unwrap();
+        e.catalog().handle("grown").unwrap();
+        e.append_points("grown", &[1.0, 0.5]).unwrap();
+        e.register_weights(
+            "pop",
+            customers().into_iter().map(wqrtq::Weight::new).collect(),
+        )
+        .unwrap();
+    }
+    for name in ["p", "cold"] {
+        twin.register_dataset(name, 2, PRODUCTS_2D.to_vec())
+            .unwrap();
+    }
+    // Registered over the wire and never queried: its index is unbuilt.
+    client.register_dataset("cold", 2, &PRODUCTS_2D).unwrap();
+    let topk = |dataset: &str, k: usize| Request::TopK {
+        dataset: dataset.into(),
+        weight: vec![0.5, 0.5],
+        k,
+    };
+    let rtopk = |q: f64| Request::ReverseTopKBi {
+        dataset: "p".into(),
+        weights: WeightSet::Named("pop".into()),
+        q: vec![q, q],
+        k: 3,
+    };
+    assert!(!engine.submit(rtopk(4.0)).is_error(), "warm the cache");
+
+    let slow = slow_request("slow3");
+    let on_loop = [topk("p", 1), rtopk(4.0), Request::Stats];
+    let on_pool = [topk("cold", 1), topk("grown", 1), topk("p", 65), rtopk(5.0)];
+    let burst: Vec<&Request> = std::iter::once(&slow)
+        .chain(&on_loop)
+        .chain(&on_pool)
+        .collect();
+    let replies = send_burst(&mut client, &burst);
+    let slow_at = replies[0].0;
+    for (i, (request, (at, frame))) in burst.iter().zip(&replies).enumerate() {
+        if i > 0 {
+            let expect_inline = i <= on_loop.len();
+            assert_eq!(*at < slow_at, expect_inline, "{request:?} routed wrongly");
+        }
+        let ServerFrame::Reply(response) = frame else {
+            panic!("{request:?}: expected a reply, got {frame:?}");
+        };
+        if matches!(request, Request::Stats) {
+            assert!(matches!(response, Response::Stats(_)));
+            continue;
+        }
+        assert_eq!(
+            ServerFrame::Reply(response.clone()).encode(0),
+            ServerFrame::Reply(twin.submit((*request).clone())).encode(0),
+            "{request:?}: not bit-identical to the pool's answer"
+        );
+    }
+    // Exactly one hit or miss per query submit (the warm-up plus every
+    // request of the burst but `Stats`): the probes of the requests the
+    // loop handed to the pool counted nothing.
+    let cache = engine.metrics().cache;
+    assert_eq!(cache.hits + cache.misses, burst.len() as u64);
+    assert_eq!(cache.hits, 1);
+    server.shutdown();
+}
+
+#[test]
+fn a_pipelined_burst_of_cheap_misses_spills_past_the_per_event_bound() {
+    let server = slow_fixture(1, 2048);
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let slow = slow_request("slow3");
+    // Distinct weights: every one is a cache miss the loop could run.
+    let misses: Vec<Request> = (0..1000)
+        .map(|i| Request::TopK {
+            dataset: "p".into(),
+            weight: vec![1.0 + i as f64, 1.0],
+            k: 1,
+        })
+        .collect();
+    let burst: Vec<&Request> = std::iter::once(&slow).chain(&misses).collect();
+    let replies = send_burst(&mut client, &burst);
+    assert!(replies
+        .iter()
+        .all(|(_, frame)| matches!(frame, ServerFrame::Reply(r) if !r.is_error())));
+    let slow_at = replies[0].0;
+    assert!(
+        replies.iter().any(|(at, _)| *at > slow_at),
+        "no miss of the burst was staged to the pool behind the slow request"
+    );
+    server.shutdown();
+}
+
+#[test]
+fn a_pipelined_burst_of_cache_hits_longer_than_the_reply_backlog_is_answered_in_full() {
+    // Admission 1 caps the reply backlog at 17 frames. Answered on the
+    // loop, the burst takes no permit for long, so nothing is Busy; its
+    // replies outrun the end-of-cycle flush and must be written out as
+    // they pile up rather than doom a client that reads them.
+    let server = slow_fixture(1, 1);
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let hit = Request::TopK {
+        dataset: "p".into(),
+        weight: vec![0.5, 0.5],
+        k: 1,
+    };
+    let burst = vec![&hit; 200];
+    let replies = send_burst(&mut client, &burst);
+    assert!(replies
+        .iter()
+        .all(|(_, frame)| matches!(frame, ServerFrame::Reply(Response::TopK(_)))));
+    assert_eq!(server.engine().metrics().cache.hits, 199);
+    server.shutdown();
+}
+
 #[test]
 fn busy_backpressure_under_a_tiny_admission_queue() {
     let server = slow_fixture(1, 1);
