@@ -14,7 +14,7 @@
 //! paper's reuse technique (revised `FindIncom`, §4.4).
 
 use std::sync::Arc;
-use wqrtq_geom::{dominates, incomparable as neither_dominates, score, DeltaView, FlatPoints};
+use wqrtq_geom::{dominates, incomparable as neither_dominates, score, DeltaView, QuantizedPoints};
 use wqrtq_query::Snapshot;
 
 /// The classified frontier of a query point: everything needed to rank
@@ -44,17 +44,19 @@ pub struct DominanceFrontier {
 struct FrontierRows {
     ids: Vec<u32>,
     coords: Vec<f64>,
-    /// Column-major mirror of the incomparable rows (rows `0..cols.len()`)
-    /// feeding the fused count kernel — `rank_under` runs in the inner
-    /// loops of MWK/MQWK (one call per sampled weight), so the scan layout
-    /// matters, and so does building it once per traversal rather than
-    /// once per sampled query point.
-    cols: FlatPoints,
+    /// Column-major mirror of the incomparable rows (rows
+    /// `0..cols.exact().len()`) feeding the fused count kernel —
+    /// `rank_under` runs in the inner loops of MWK/MQWK (one call per
+    /// sampled weight), so the scan layout matters, and so does building
+    /// it once per traversal rather than once per sampled query point.
+    /// The quantized tier's one reader: those repeated counts over one
+    /// store are what its `f32` pre-pass pays off on.
+    cols: QuantizedPoints,
 }
 
 impl FrontierRows {
     fn row(&self, r: u32) -> &[f64] {
-        let dim = self.cols.dim();
+        let dim = self.cols.exact().dim();
         &self.coords[r as usize * dim..(r as usize + 1) * dim]
     }
 }
@@ -133,7 +135,7 @@ impl DominanceFrontier {
             promoted: Vec::new(),
             rows: Arc::new(FrontierRows {
                 ids: incomparable.iter().map(|(id, _)| *id).collect(),
-                cols: FlatPoints::from_row_major(dim, &coords[..num_incomparable * dim]),
+                cols: QuantizedPoints::from_row_major(dim, &coords[..num_incomparable * dim]),
                 coords,
             }),
         }
@@ -153,7 +155,7 @@ impl DominanceFrontier {
             "reuse requires q′ ⪯ q"
         );
         let rows = &self.rows;
-        let kept = rows.cols.len() as u32;
+        let kept = rows.cols.exact().len() as u32;
         // Nothing incomparable with the traversal's point can dominate a
         // point below it, so only the old dominators can still dominate.
         let mut num_dominating = 0;
@@ -241,7 +243,7 @@ impl DominanceFrontier {
     /// (`scores` is its buffer, capacity reused).
     pub(crate) fn culprits(&self, w: &[f64], scores: &mut Vec<f64>) -> Vec<u32> {
         let sq = score(w, &self.q);
-        self.rows.cols.scores_into(w, scores);
+        self.rows.cols.exact().scores_into(w, scores);
         let score_of = |r: u32| match scores.get(r as usize) {
             Some(&s) => s,
             None => score(w, self.rows.row(r)),
@@ -334,6 +336,7 @@ mod tests {
     #[test]
     fn view_frontier_matches_rebuilt_canonical_frontier() {
         use std::sync::Arc;
+        use wqrtq_geom::FlatPoints;
         let pts = vec![
             2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
         ];

@@ -249,10 +249,6 @@ pub struct CatalogStats {
     /// Points skipped by the k-dominance pre-filter across all masked
     /// traversals (cumulative across base generations).
     pub prefilter_skips: u64,
-    /// Quantized blocks the two-tier scan had to rescore in exact `f64`
-    /// because the `f32` bounds straddled the threshold (cumulative
-    /// across base generations).
-    pub quantized_fallbacks: u64,
     /// WAL records appended by the attached durability layer (0 when
     /// the engine runs without a `data_dir`).
     pub wal_appends: u64,
@@ -272,18 +268,15 @@ pub struct Catalog {
     /// Build the k-dominance exclusion mask per base generation and hand
     /// it to serving snapshots.
     prefilter: bool,
-    /// Build the quantized `f32` mirror tier of every flat store.
-    quantized: bool,
     index_builds: AtomicU64,
     rebuilds_avoided: AtomicU64,
     compactions: AtomicU64,
     compactions_abandoned: AtomicU64,
     mask_builds: AtomicU64,
-    /// Skip/fallback tallies of retired base generations (folded in when
+    /// Pre-filter skips of retired base generations (folded in when
     /// compaction or re-registration replaces an entry, so the stats
     /// stay monotone across rebuilds).
     retired_prefilter_skips: AtomicU64,
-    retired_quantized_fallbacks: AtomicU64,
     /// The durability layer, attached once (after recovery replay, so
     /// replayed mutations are not logged twice). `None` for in-memory
     /// engines — every hook below is then a single branch, leaving the
@@ -293,7 +286,7 @@ pub struct Catalog {
 
 impl Default for Catalog {
     fn default() -> Self {
-        Self::with_config(true, true)
+        Self::with_config(true)
     }
 }
 
@@ -304,28 +297,24 @@ fn check_finite(points: &[f64]) -> Result<(), EngineError> {
 }
 
 impl Catalog {
-    /// An empty catalog with both data-plane tiers enabled.
+    /// An empty catalog with the k-dominance pre-filter enabled.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An empty catalog with the two data-plane tiers individually
-    /// switched: `prefilter` gates the k-dominance exclusion mask,
-    /// `quantized` gates the `f32` block-scan tier. Turning both off
-    /// yields the exact-`f64`, unmasked reference plane the differential
+    /// An empty catalog; `prefilter` gates the k-dominance exclusion
+    /// mask. Off yields the unmasked reference plane the differential
     /// oracles compare against.
-    pub fn with_config(prefilter: bool, quantized: bool) -> Self {
+    pub fn with_config(prefilter: bool) -> Self {
         Self {
             inner: RwLock::default(),
             prefilter,
-            quantized,
             index_builds: AtomicU64::new(0),
             rebuilds_avoided: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
             compactions_abandoned: AtomicU64::new(0),
             mask_builds: AtomicU64::new(0),
             retired_prefilter_skips: AtomicU64::new(0),
-            retired_quantized_fallbacks: AtomicU64::new(0),
             durability: OnceLock::new(),
         }
     }
@@ -344,15 +333,11 @@ impl Catalog {
             .expect("durability layer attached exactly once");
     }
 
-    /// Folds a replaced entry's tier counters into the retired tallies
-    /// (call before dropping the entry's built index / mask).
+    /// Folds a replaced entry's pre-filter skips into the retired tally
+    /// (call before dropping the entry's mask).
     fn retire_entry_counters(&self, entry: &DatasetEntry) {
-        // ordering: Relaxed — monotonic stats tallies read only by
-        // `stats()`; no data is published through them.
-        if let Some((_, flat)) = entry.index.get() {
-            self.retired_quantized_fallbacks
-                .fetch_add(flat.tier_totals().quantized_fallbacks, Ordering::Relaxed);
-        }
+        // ordering: Relaxed — monotonic stats tally read only by
+        // `stats()`; no data is published through it.
         if let Some(dom) = entry.dom.get() {
             self.retired_prefilter_skips
                 .fetch_add(dom.skips(), Ordering::Relaxed);
@@ -410,7 +395,7 @@ impl Catalog {
                 return Err(durability_err(e));
             }
         }
-        // Retire the replaced generation's tier counters only once the
+        // Retire the replaced generation's skip counter only once the
         // replacement is committed (logged or log-free).
         if let Some(p) = &prev {
             self.retire_entry_counters(p);
@@ -661,11 +646,7 @@ impl Catalog {
                 self.index_builds.fetch_add(1, Ordering::Relaxed);
                 (
                     Arc::new(RTree::bulk_load(dim, &coords)),
-                    Arc::new(FlatPoints::from_row_major_with(
-                        dim,
-                        &coords,
-                        self.quantized,
-                    )),
+                    Arc::new(FlatPoints::from_row_major(dim, &coords)),
                 )
             })
             .clone();
@@ -738,11 +719,7 @@ impl Catalog {
         live_coords.extend_from_slice(&delta_rows);
         let built: BuiltIndex = (
             Arc::new(RTree::bulk_load(dim, &live_coords)),
-            Arc::new(FlatPoints::from_row_major_with(
-                dim,
-                &live_coords,
-                self.quantized,
-            )),
+            Arc::new(FlatPoints::from_row_major(dim, &live_coords)),
         );
         // ordering: Relaxed — monotonic stats counter, read only by
         // `stats()`.
@@ -1013,10 +990,10 @@ impl Catalog {
         Ok(true)
     }
 
-    /// Point-in-time mutation/build counters. The two-tier tallies sum
-    /// the live entries' counters (read under the catalog lock) with the
-    /// retired tallies of replaced base generations, so they are
-    /// monotone across compactions and re-registrations.
+    /// Point-in-time mutation/build counters. `prefilter_skips` sums
+    /// the live entries' masks (read under the catalog lock) with the
+    /// retired tally of replaced base generations, so it is monotone
+    /// across compactions and re-registrations.
     pub fn stats(&self) -> CatalogStats {
         self.stats_under(&self.inner.read().expect("catalog lock"))
     }
@@ -1029,15 +1006,12 @@ impl Catalog {
     }
 
     fn stats_under(&self, inner: &CatalogInner) -> CatalogStats {
-        let (mut prefilter_skips, mut quantized_fallbacks) = (0u64, 0u64);
-        for entry in inner.datasets.values() {
-            if let Some((_, flat)) = entry.index.get() {
-                quantized_fallbacks += flat.tier_totals().quantized_fallbacks;
-            }
-            if let Some(dom) = entry.dom.get() {
-                prefilter_skips += dom.skips();
-            }
-        }
+        let prefilter_skips: u64 = inner
+            .datasets
+            .values()
+            .filter_map(|entry| entry.dom.get())
+            .map(|dom| dom.skips())
+            .sum();
         let durability = self.durability.get().map(|d| d.stats()).unwrap_or_default();
         // ordering: Relaxed — stats snapshot reads of monotonic
         // counters; monitoring tolerates momentarily-stale values and
@@ -1050,8 +1024,6 @@ impl Catalog {
             compactions_abandoned: self.compactions_abandoned.load(Ordering::Relaxed),
             mask_builds: self.mask_builds.load(Ordering::Relaxed),
             prefilter_skips: prefilter_skips + self.retired_prefilter_skips.load(Ordering::Relaxed),
-            quantized_fallbacks: quantized_fallbacks
-                + self.retired_quantized_fallbacks.load(Ordering::Relaxed),
             wal_appends: durability.wal_appends,
             snapshot_writes: durability.snapshot_writes,
             recoveries: durability.recoveries,
@@ -1437,7 +1409,6 @@ mod tests {
         let c = Catalog::new();
         c.register("sq", 2, unit_square()).unwrap();
         let h = c.handle("sq").unwrap();
-        assert!(h.flat.is_quantized(), "default catalog quantizes");
         let dom = h.dom.expect("default catalog builds the mask");
         assert_eq!(dom.counts().len(), 4);
         let s = c.stats();
@@ -1450,16 +1421,14 @@ mod tests {
     }
 
     #[test]
-    fn tiers_off_catalog_serves_the_exact_reference_plane() {
-        let c = Catalog::with_config(false, false);
+    fn prefilter_off_catalog_serves_the_unmasked_reference_plane() {
+        let c = Catalog::with_config(false);
         c.register("sq", 2, unit_square()).unwrap();
         let h = c.handle("sq").unwrap();
         assert!(h.dom.is_none(), "prefilter off: no mask");
-        assert!(!h.flat.is_quantized(), "quantized off: exact f64 only");
         let s = c.stats();
         assert_eq!(s.mask_builds, 0);
         assert_eq!(s.prefilter_skips, 0);
-        assert_eq!(s.quantized_fallbacks, 0);
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub struct EngineBuilder {
     cache_capacity: usize,
     overlay_limit: Option<usize>,
     prefilter: bool,
-    quantized: bool,
     data_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
 }
@@ -56,7 +55,6 @@ impl Default for EngineBuilder {
             cache_capacity: 256,
             overlay_limit: None,
             prefilter: true,
-            quantized: true,
             data_dir: None,
             fsync: FsyncPolicy::Always,
         }
@@ -108,15 +106,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether the flat stores carry the quantized `f32` block tier
-    /// (default true). Off means every block scan runs exact `f64`
-    /// arithmetic directly — the other half of the differential-oracle
-    /// opt-out. Counts are bit-identical either way.
-    pub fn quantized(mut self, enabled: bool) -> Self {
-        self.quantized = enabled;
-        self
-    }
-
     /// Persist the catalog in `dir`: every mutation appends to a WAL
     /// there before it is acknowledged, compaction installs snapshots,
     /// and [`EngineBuilder::try_build`] recovers whatever state the
@@ -158,7 +147,7 @@ impl EngineBuilder {
     /// opened, its images are structurally corrupt, or the recovered
     /// state violates a catalog invariant.
     pub fn try_build(self) -> Result<Engine, EngineError> {
-        let catalog = Catalog::with_config(self.prefilter, self.quantized);
+        let catalog = Catalog::with_config(self.prefilter);
         if let Some(dir) = &self.data_dir {
             let durability_err = |e: crate::storage::StorageError| EngineError::Durability {
                 reason: e.to_string(),
@@ -714,7 +703,7 @@ mod tests {
     }
 
     #[test]
-    fn two_tier_plane_is_bit_identical_to_the_exact_oracle() {
+    fn masked_plane_is_bit_identical_to_the_unmasked_oracle() {
         let scatter = |n: usize, seed: u64| -> Vec<f64> {
             let mut v = Vec::with_capacity(n * 3);
             let mut s = seed | 1;
@@ -735,11 +724,7 @@ mod tests {
             })
             .collect();
         let tiered = Engine::builder().workers(2).build();
-        let oracle = Engine::builder()
-            .workers(2)
-            .prefilter(false)
-            .quantized(false)
-            .build();
+        let oracle = Engine::builder().workers(2).prefilter(false).build();
         for e in [&tiered, &oracle] {
             e.register_dataset("d", 3, coords.clone()).unwrap();
         }
@@ -795,7 +780,6 @@ mod tests {
         let mo = oracle.metrics();
         assert_eq!(mo.catalog.mask_builds, 0);
         assert_eq!(mo.catalog.prefilter_skips, 0);
-        assert_eq!(mo.catalog.quantized_fallbacks, 0);
     }
 
     #[test]

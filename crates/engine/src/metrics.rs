@@ -274,7 +274,6 @@ impl MetricsSnapshot {
                 "\"catalog\": {{\"index_builds\": {}, \"rebuilds_avoided\": {}, ",
                 "\"compactions\": {}, \"compactions_abandoned\": {}, ",
                 "\"mask_builds\": {}, \"prefilter_skips\": {}, ",
-                "\"quantized_fallbacks\": {}, ",
                 "\"wal_appends\": {}, \"snapshot_writes\": {}, ",
                 "\"recoveries\": {}, \"wal_replayed\": {}}}, ",
                 "\"per_kind\": [{}], \"stages\": {{{}}}}}"
@@ -294,7 +293,6 @@ impl MetricsSnapshot {
             self.catalog.compactions_abandoned,
             self.catalog.mask_builds,
             self.catalog.prefilter_skips,
-            self.catalog.quantized_fallbacks,
             self.catalog.wal_appends,
             self.catalog.snapshot_writes,
             self.catalog.recoveries,
@@ -405,10 +403,8 @@ impl std::fmt::Display for MetricsSnapshot {
         )?;
         writeln!(
             f,
-            "  two-tier: {} mask builds, {} prefilter skips, {} quantized fallbacks",
-            self.catalog.mask_builds,
-            self.catalog.prefilter_skips,
-            self.catalog.quantized_fallbacks,
+            "  pre-filter: {} mask builds, {} prefilter skips",
+            self.catalog.mask_builds, self.catalog.prefilter_skips,
         )?;
         writeln!(
             f,

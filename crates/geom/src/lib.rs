@@ -13,7 +13,10 @@
 //! * [`Mbr`] — minimum bounding rectangles with score bounds under a
 //!   weighting vector (the branch-and-bound pruning primitive).
 //! * [`FlatPoints`] — a column-major (SoA) point store with fused,
-//!   auto-vectorizable score kernels for the flat-scan hot paths.
+//!   auto-vectorizable, exact score kernels for the flat-scan hot paths.
+//! * [`QuantizedPoints`] — a `FlatPoints` with a Morton-clustered `f32`
+//!   pre-pass that decides most blocks cheaply; MQWK's frontier is its
+//!   one reader.
 //! * [`DeltaView`] — a *base + delta − tombstones* snapshot of a mutated
 //!   dataset whose rank kernels fuse the base scan with `O(Δ)` overlay
 //!   corrections, so appends and deletes serve without a rebuild.
@@ -29,6 +32,7 @@ pub mod hyperplane;
 pub mod mbr;
 pub mod point;
 pub mod poly2d;
+pub mod quantized;
 pub mod weight;
 
 pub use delta::DeltaView;
@@ -38,6 +42,7 @@ pub use hyperplane::Hyperplane;
 pub use mbr::Mbr;
 pub use point::{dominance, dominates, incomparable, Dominance, Point};
 pub use poly2d::Polygon2d;
+pub use quantized::QuantizedPoints;
 pub use weight::{score, Weight, WeightError};
 
 /// Absolute tolerance used for geometric predicates throughout the

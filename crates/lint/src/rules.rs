@@ -68,7 +68,6 @@ pub const RULES: &[&str] = &[
 pub const ATOMIC_ALLOWLIST: &[&str] = &[
     "crates/engine/src/metrics.rs",
     "crates/bench/src/bin/figures.rs",
-    "crates/geom/src/flat.rs",
     "crates/rtree/src/mask.rs",
 ];
 
@@ -108,7 +107,11 @@ pub const ZONES: &[Zone] = &[
     },
     Zone {
         name: "kernels",
-        prefixes: &["crates/geom/src/flat.rs", "crates/query/src/"],
+        prefixes: &[
+            "crates/geom/src/flat.rs",
+            "crates/geom/src/quantized.rs",
+            "crates/query/src/",
+        ],
         check_indexing: false,
     },
 ];

@@ -13,6 +13,8 @@
 //! score bounds assume monotone scoring), so the naive scan is no oracle
 //! for it; what must hold is that every masked tier steps aside — a
 //! shape with a mask answers exactly like the same shape without it.
+//!
+//! `WQRTQ_FUZZ_ROUNDS` scales the case count (default 8 rounds of 6).
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -23,6 +25,14 @@ use wqrtq_query::{
     Snapshot,
 };
 use wqrtq_rtree::{DominanceIndex, RTree};
+
+fn cases() -> ProptestConfig {
+    let rounds = std::env::var("WQRTQ_FUZZ_ROUNDS")
+        .ok()
+        .and_then(|v| v.parse::<u32>().ok())
+        .unwrap_or(8);
+    ProptestConfig::with_cases(6 * rounds.max(1))
+}
 
 /// Everything one case checks a snapshot shape against.
 struct Case<'a> {
@@ -161,7 +171,7 @@ fn check_shape(snap: Snapshot<'_>, shape: &str, c: &Case<'_>) -> Result<(), Test
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(cases())]
 
     #[test]
     fn every_snapshot_shape_matches_the_naive_scan_over_its_live_rows(

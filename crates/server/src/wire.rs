@@ -805,7 +805,9 @@ fn encode_stats(w: &mut ByteWriter, stats: &StatsSnapshot) {
     w.put_u64(m.catalog.compactions_abandoned);
     w.put_u64(m.catalog.mask_builds);
     w.put_u64(m.catalog.prefilter_skips);
-    w.put_u64(m.catalog.quantized_fallbacks);
+    // Reserved: the slot of the retired `quantized_fallbacks` counter,
+    // always 0 and never to be reused.
+    w.put_u64(0);
     w.put_u64(m.catalog.wal_appends);
     w.put_u64(m.catalog.snapshot_writes);
     w.put_u64(m.catalog.recoveries);
@@ -873,8 +875,11 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<StatsSnapshot, DecodeError> {
         compactions_abandoned: r.take_u64("compactions abandoned")?,
         mask_builds: r.take_u64("mask builds")?,
         prefilter_skips: r.take_u64("prefilter skips")?,
-        quantized_fallbacks: r.take_u64("quantized fallbacks")?,
-        wal_appends: r.take_u64("wal appends")?,
+        wal_appends: {
+            // The reserved slot `encode_stats` writes as 0: read, dropped.
+            r.take_u64("reserved stats slot")?;
+            r.take_u64("wal appends")?
+        },
         snapshot_writes: r.take_u64("snapshot writes")?,
         recoveries: r.take_u64("recoveries")?,
         wal_replayed: r.take_u64("wal replayed")?,
@@ -1089,7 +1094,6 @@ mod tests {
                     compactions_abandoned: 0,
                     mask_builds: 1,
                     prefilter_skips: 4321,
-                    quantized_fallbacks: 17,
                     wal_appends: 57,
                     snapshot_writes: 3,
                     recoveries: 1,
@@ -1275,6 +1279,35 @@ mod tests {
             // is canonical, so equality extends to the bit level.
             assert_eq!(got.encode(id), payload);
         }
+    }
+
+    #[test]
+    fn the_reserved_stats_slot_keeps_its_bytes_and_decodes_to_nothing() {
+        let reply = ServerFrame::Reply(Response::Stats(Box::new(sample_stats(None))));
+        let payload = reply.encode(3);
+        // The layout is frozen: the slot still occupies its 8 bytes.
+        assert_eq!(payload.len(), 503);
+        // After the slot: four durability counters, two cache counters,
+        // cache len and capacity (8 bytes each), the server flag byte.
+        let slot = payload.len() - 1 - 8 * 8 - 8;
+        assert_eq!(
+            payload[slot - 8..slot],
+            4321u64.to_le_bytes(),
+            "prefilter skips"
+        );
+        assert_eq!(payload[slot..slot + 8], [0; 8], "written as 0");
+        assert_eq!(
+            payload[slot + 8..slot + 16],
+            57u64.to_le_bytes(),
+            "wal appends"
+        );
+        // Whatever the slot holds is dropped: the frame decodes to the
+        // same reply and re-encodes with the slot back at 0.
+        let mut dirty = payload.clone();
+        dirty[slot..slot + 8].copy_from_slice(&17u64.to_le_bytes());
+        let (_, decoded) = ServerFrame::decode(&dirty).expect("decodes");
+        assert_eq!(decoded, reply);
+        assert_eq!(decoded.encode(3), payload);
     }
 
     #[test]

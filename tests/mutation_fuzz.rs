@@ -283,16 +283,11 @@ fn run_fuzz(dim: usize, seed: u64) {
         }
 
         // Checkpoint: rebuild the oracle from scratch and compare. The
-        // oracle runs with both data-plane tiers off (no dominance mask,
-        // no quantized mirror), so the comparison simultaneously proves
-        // the overlay decomposition AND the two-tier fast path
-        // bit-identical to the exact f64 reference — including rounds
+        // oracle runs without the dominance mask, so the comparison
+        // proves the overlay decomposition and the masked paths
+        // bit-identical to the unmasked reference — including rounds
         // where appends/deletes have moved the mask's epoch.
-        let oracle = Engine::builder()
-            .workers(1)
-            .prefilter(false)
-            .quantized(false)
-            .build();
+        let oracle = Engine::builder().workers(1).prefilter(false).build();
         oracle.register_dataset("d", dim, model.flat()).unwrap();
         let ids = model.id_table();
         let battery = query_battery(dim, &mut rng);
@@ -378,11 +373,7 @@ fn large_population_over_overlay_matches_oracle() {
     }
     overlay.delete_points("d", &victims).unwrap();
 
-    let oracle = Engine::builder()
-        .workers(1)
-        .prefilter(false)
-        .quantized(false)
-        .build();
+    let oracle = Engine::builder().workers(1).prefilter(false).build();
     oracle.register_dataset("d", 2, model.flat()).unwrap();
 
     let population: Vec<Vec<f64>> = (0..400)
