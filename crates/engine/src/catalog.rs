@@ -111,16 +111,17 @@ pub struct DatasetHandle {
     pub epoch: DatasetEpoch,
     /// The shared pre-built base index.
     pub index: Arc<RTree>,
-    /// Column-major mirror of the base coordinates for the fused
-    /// flat-scan kernels, built together with the index.
+    /// Column-major mirror of the base coordinates, built together with
+    /// the index: the base store `view` reads.
     pub flat: Arc<FlatPoints>,
     /// The delta overlay this request must answer against (plain when
     /// the dataset has not mutated since its base was built).
     pub view: DeltaView,
-    /// The k-dominance exclusion mask over the base tree, built lazily
-    /// per base generation next to the index. `None` when the catalog
-    /// was configured with the pre-filter off (the differential-oracle
-    /// opt-out) — serving paths then take the unmasked kernels.
+    /// The k-dominance mask (dominator counts and culprit planes) over
+    /// the base tree, built lazily per base generation next to the
+    /// index. `None` when the catalog was configured with the
+    /// pre-filter off (the differential-oracle opt-out) — membership
+    /// verdicts then always probe the tree.
     pub dom: Option<Arc<DominanceIndex>>,
 }
 
@@ -246,9 +247,6 @@ pub struct CatalogStats {
     /// generation). Deliberately separate from `index_builds`, whose
     /// exact values the overlay-serving gates assert.
     pub mask_builds: u64,
-    /// Points skipped by the k-dominance pre-filter across all masked
-    /// traversals (cumulative across base generations).
-    pub prefilter_skips: u64,
     /// WAL records appended by the attached durability layer (0 when
     /// the engine runs without a `data_dir`).
     pub wal_appends: u64,
@@ -265,18 +263,14 @@ pub struct CatalogStats {
 #[derive(Debug)]
 pub struct Catalog {
     inner: RwLock<CatalogInner>,
-    /// Build the k-dominance exclusion mask per base generation and hand
-    /// it to serving snapshots.
+    /// Build the k-dominance mask per base generation and hand it to
+    /// serving snapshots.
     prefilter: bool,
     index_builds: AtomicU64,
     rebuilds_avoided: AtomicU64,
     compactions: AtomicU64,
     compactions_abandoned: AtomicU64,
     mask_builds: AtomicU64,
-    /// Pre-filter skips of retired base generations (folded in when
-    /// compaction or re-registration replaces an entry, so the stats
-    /// stay monotone across rebuilds).
-    retired_prefilter_skips: AtomicU64,
     /// The durability layer, attached once (after recovery replay, so
     /// replayed mutations are not logged twice). `None` for in-memory
     /// engines — every hook below is then a single branch, leaving the
@@ -302,8 +296,8 @@ impl Catalog {
         Self::default()
     }
 
-    /// An empty catalog; `prefilter` gates the k-dominance exclusion
-    /// mask. Off yields the unmasked reference plane the differential
+    /// An empty catalog; `prefilter` gates the k-dominance mask. Off
+    /// yields the unmasked reference plane the differential
     /// oracles compare against.
     pub fn with_config(prefilter: bool) -> Self {
         Self {
@@ -314,7 +308,6 @@ impl Catalog {
             compactions: AtomicU64::new(0),
             compactions_abandoned: AtomicU64::new(0),
             mask_builds: AtomicU64::new(0),
-            retired_prefilter_skips: AtomicU64::new(0),
             durability: OnceLock::new(),
         }
     }
@@ -331,17 +324,6 @@ impl Catalog {
             // lint: allow(no-panic) — the documented `# Panics`
             // contract: attaching twice is an engine-construction bug.
             .expect("durability layer attached exactly once");
-    }
-
-    /// Folds a replaced entry's pre-filter skips into the retired tally
-    /// (call before dropping the entry's mask).
-    fn retire_entry_counters(&self, entry: &DatasetEntry) {
-        // ordering: Relaxed — monotonic stats tally read only by
-        // `stats()`; no data is published through it.
-        if let Some(dom) = entry.dom.get() {
-            self.retired_prefilter_skips
-                .fetch_add(dom.skips(), Ordering::Relaxed);
-        }
     }
 
     /// Registers (or replaces) a dataset from a flat `n × dim` buffer.
@@ -394,11 +376,6 @@ impl Catalog {
                 }
                 return Err(durability_err(e));
             }
-        }
-        // Retire the replaced generation's skip counter only once the
-        // replacement is committed (logged or log-free).
-        if let Some(p) = &prev {
-            self.retire_entry_counters(p);
         }
         Ok(())
     }
@@ -748,8 +725,7 @@ impl Catalog {
             }
         }
         // The stale generation's mask dies with it (the fresh entry's
-        // OnceLock rebuilds lazily); keep its telemetry.
-        self.retire_entry_counters(entry);
+        // OnceLock rebuilds lazily).
         let base_epoch = entry.base_epoch + 1;
         let mut fresh = DatasetEntry::fresh(entry.dim, live_coords, base_epoch);
         let once = OnceLock::new();
@@ -990,28 +966,9 @@ impl Catalog {
         Ok(true)
     }
 
-    /// Point-in-time mutation/build counters. `prefilter_skips` sums
-    /// the live entries' masks (read under the catalog lock) with the
-    /// retired tally of replaced base generations, so it is monotone
-    /// across compactions and re-registrations.
+    /// Point-in-time mutation/build counters: atomic loads only, so a
+    /// caller never waits on the catalog lock.
     pub fn stats(&self) -> CatalogStats {
-        self.stats_under(&self.inner.read().expect("catalog lock"))
-    }
-
-    /// [`Catalog::stats`] for a caller that must not wait: `None` while
-    /// a writer holds the catalog lock.
-    pub(crate) fn try_stats(&self) -> Option<CatalogStats> {
-        let inner = self.inner.try_read().ok()?;
-        Some(self.stats_under(&inner))
-    }
-
-    fn stats_under(&self, inner: &CatalogInner) -> CatalogStats {
-        let prefilter_skips: u64 = inner
-            .datasets
-            .values()
-            .filter_map(|entry| entry.dom.get())
-            .map(|dom| dom.skips())
-            .sum();
         let durability = self.durability.get().map(|d| d.stats()).unwrap_or_default();
         // ordering: Relaxed — stats snapshot reads of monotonic
         // counters; monitoring tolerates momentarily-stale values and
@@ -1023,7 +980,6 @@ impl Catalog {
             compactions: self.compactions.load(Ordering::Relaxed),
             compactions_abandoned: self.compactions_abandoned.load(Ordering::Relaxed),
             mask_builds: self.mask_builds.load(Ordering::Relaxed),
-            prefilter_skips: prefilter_skips + self.retired_prefilter_skips.load(Ordering::Relaxed),
             wal_appends: durability.wal_appends,
             snapshot_writes: durability.snapshot_writes,
             recoveries: durability.recoveries,
@@ -1074,7 +1030,7 @@ mod tests {
         {
             let _writer = c.inner.write().unwrap();
             assert!(c.peek("sq").is_none(), "a held write lock is not waited on");
-            assert!(c.try_stats().is_none());
+            assert_eq!(c.stats().index_builds, 1, "stats take no lock");
         }
         c.append("sq", &[2.0, 2.0]).unwrap();
         let mutated = c.peek("sq").unwrap();
@@ -1428,7 +1384,6 @@ mod tests {
         assert!(h.dom.is_none(), "prefilter off: no mask");
         let s = c.stats();
         assert_eq!(s.mask_builds, 0);
-        assert_eq!(s.prefilter_skips, 0);
     }
 
     #[test]

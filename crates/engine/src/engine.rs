@@ -97,9 +97,9 @@ impl EngineBuilder {
     }
 
     /// Whether the k-dominance pre-filter is built and consulted
-    /// (default true). Turning it off removes the exclusion mask from
-    /// every serving path — the opt-out the differential oracles use to
-    /// obtain the unmasked reference plane. Verdicts are bit-identical
+    /// (default true). Turning it off removes the mask's culprit planes
+    /// from every serving path — the opt-out the differential oracles use
+    /// to obtain the unmasked reference plane. Verdicts are bit-identical
     /// either way.
     pub fn prefilter(mut self, enabled: bool) -> Self {
         self.prefilter = enabled;
@@ -454,7 +454,7 @@ impl Engine {
     /// such a request has recorded and counted nothing. Decided in this
     /// order:
     ///
-    /// 1. [`Request::Stats`], unless a writer holds the catalog lock;
+    /// 1. [`Request::Stats`] (it never takes the catalog lock);
     /// 2. a cache hit of any query kind, keyed on an `O(1)` catalog peek;
     /// 3. a [`Request::TopK`] miss with `k` at most one leaf's worth
     ///    ([`wqrtq_rtree::DEFAULT_FANOUT`]) on a dataset whose overlay is
@@ -715,7 +715,7 @@ mod tests {
             }
             v
         };
-        // Above the flat-scan cutoff so the masked RTA path runs too.
+        // Big enough for the culprit planes to cover every k sent.
         let coords = scatter(3000, 9);
         let weights: Vec<Vec<f64>> = (0..96)
             .map(|i| {
@@ -773,13 +773,13 @@ mod tests {
         }
         let mt = tiered.metrics();
         assert_eq!(mt.catalog.mask_builds, 1, "one mask per base generation");
-        assert!(
-            mt.catalog.prefilter_skips > 0,
-            "the pre-filter must actually skip points"
-        );
-        let mo = oracle.metrics();
-        assert_eq!(mo.catalog.mask_builds, 0);
-        assert_eq!(mo.catalog.prefilter_skips, 0);
+        // The planes, not the tree probe, decided the masked side.
+        let handle = tiered.catalog().handle("d").unwrap();
+        let dom = handle.dom.expect("the served handle carries the mask");
+        for k in [1usize, 5, 20] {
+            assert!(dom.plane_usable_for(k), "a plane covers k={k}");
+        }
+        assert_eq!(oracle.metrics().catalog.mask_builds, 0);
     }
 
     #[test]
@@ -963,8 +963,7 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_tracked() {
-        // Needs a dataset big enough for the RTA path (small ones are
-        // answered by the flat scan, which uses no worker scratch).
+        // Every bichromatic request runs RTA on the worker's scratch.
         let engine = Engine::builder().workers(1).build();
         engine
             .register_dataset("d", 2, scatter(3000, 2, 5))
@@ -1309,9 +1308,9 @@ mod tests {
     }
 
     #[test]
-    fn small_datasets_answer_bichromatic_via_flat_scan() {
-        // The paper example (7 points) takes the fused flat-scan path;
-        // it must agree with the RTA answer bit for bit.
+    fn small_datasets_answer_bichromatic_through_rta() {
+        // The paper example (7 points) runs RTA like any other dataset;
+        // the first request on a cold worker reuses no scratch.
         let engine = figure1_engine(2);
         let r = engine.submit(Request::ReverseTopKBi {
             dataset: "products".into(),

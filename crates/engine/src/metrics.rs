@@ -273,7 +273,7 @@ impl MetricsSnapshot {
                 "\"cache\": {{\"hits\": {}, \"misses\": {}, \"len\": {}, \"capacity\": {}}}, ",
                 "\"catalog\": {{\"index_builds\": {}, \"rebuilds_avoided\": {}, ",
                 "\"compactions\": {}, \"compactions_abandoned\": {}, ",
-                "\"mask_builds\": {}, \"prefilter_skips\": {}, ",
+                "\"mask_builds\": {}, ",
                 "\"wal_appends\": {}, \"snapshot_writes\": {}, ",
                 "\"recoveries\": {}, \"wal_replayed\": {}}}, ",
                 "\"per_kind\": [{}], \"stages\": {{{}}}}}"
@@ -292,7 +292,6 @@ impl MetricsSnapshot {
             self.catalog.compactions,
             self.catalog.compactions_abandoned,
             self.catalog.mask_builds,
-            self.catalog.prefilter_skips,
             self.catalog.wal_appends,
             self.catalog.snapshot_writes,
             self.catalog.recoveries,
@@ -401,11 +400,7 @@ impl std::fmt::Display for MetricsSnapshot {
             self.catalog.compactions,
             self.catalog.compactions_abandoned,
         )?;
-        writeln!(
-            f,
-            "  pre-filter: {} mask builds, {} prefilter skips",
-            self.catalog.mask_builds, self.catalog.prefilter_skips,
-        )?;
+        writeln!(f, "  pre-filter: {} mask builds", self.catalog.mask_builds)?;
         writeln!(
             f,
             "  durability: {} wal appends, {} snapshots, {} recoveries ({} records replayed)",

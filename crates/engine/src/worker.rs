@@ -531,7 +531,7 @@ pub(crate) fn serve_inline(
     scratch: &mut ProbeCtx,
 ) -> Option<Response> {
     if matches!(request, Request::Stats) {
-        return Some(stats(ctx, ctx.catalog.try_stats()?));
+        return Some(stats(ctx, ctx.catalog.stats()));
     }
     if request.kind().is_mutation() {
         return None;
@@ -592,19 +592,6 @@ fn execute_bichromatic(
     k: usize,
     scratch: &mut ProbeCtx,
 ) -> Response {
-    // Below this cardinality a fused flat scan of the whole column-major
-    // store beats branch-and-bound: no heap, no pointer chasing, one
-    // sequential sweep per weight (and each weight decided independently
-    // — nothing to pool). The overlay corrections ride along in the same
-    // sweep shape.
-    const FLAT_SCAN_MAX_POINTS: usize = 2048;
-    if handle.flat.len() <= FLAT_SCAN_MAX_POINTS {
-        let members = (0..population.len())
-            .filter(|&i| handle.view.is_in_topk(population[i].as_slice(), q, k))
-            .collect();
-        return Response::ReverseTopKBi(members);
-    }
-
     // RTA reuses the worker's warm culprit pool / probe queue.
     if scratch.is_warm() {
         ctx.metrics.record_scratch_reuse();

@@ -33,7 +33,6 @@
 //! surviving appended rows in append order, exactly what
 //! [`DeltaView::materialize_row_major`] emits — and re-assigns dense ids.
 
-use crate::dot;
 use crate::flat::{count_better_rows, FlatPoints};
 use std::sync::Arc;
 
@@ -218,47 +217,6 @@ impl DeltaView {
         count_better_rows(&self.dead_rows, w, threshold)
     }
 
-    /// Counts live points with `f(w, p) < threshold` (strict, the
-    /// paper's tie semantics), fusing the base column-major kernel with
-    /// the two `O(Δ)` overlay corrections.
-    ///
-    /// # Panics
-    /// Panics if `w.len() != dim`.
-    pub fn count_better_than(&self, w: &[f64], threshold: f64) -> usize {
-        let base = self.base.count_better_than(w, threshold);
-        base - self.count_better_dead(w, threshold) + self.count_better_delta(w, threshold)
-    }
-
-    /// Exact rank of `q` under `w` over the live set:
-    /// `1 + #{live p : f(w, p) < f(w, q)}`.
-    ///
-    /// # Panics
-    /// Panics if `w` or `q` has the wrong dimensionality.
-    pub fn rank_of(&self, w: &[f64], q: &[f64]) -> usize {
-        assert_eq!(q.len(), self.dim(), "query dimension mismatch");
-        self.count_better_than(w, dot(w, q)) + 1
-    }
-
-    /// Membership test `q ∈ TOPk(w)` over the live set. The base scan is
-    /// capped: once `k` live better points are certain the verdict is
-    /// known, so the kernel stops at the first block boundary past the
-    /// adjusted cap.
-    pub fn is_in_topk(&self, w: &[f64], q: &[f64], k: usize) -> bool {
-        if k == 0 {
-            return false;
-        }
-        assert_eq!(q.len(), self.dim(), "query dimension mismatch");
-        let sq = dot(w, q);
-        let d_add = self.count_better_delta(w, sq);
-        if d_add >= k {
-            return false; // the delta alone outranks q
-        }
-        let d_dead = self.count_better_dead(w, sq);
-        // Membership ⟺ base_all − dead + delta < k ⟺ base_all < cap.
-        let cap = k - d_add + d_dead;
-        self.base.count_better_than_capped(w, sq, cap) < cap
-    }
-
     /// Materialises the live rows in **canonical order** — surviving
     /// base rows ascending by id, then surviving appended rows in append
     /// order — returning the row-major buffer plus the stable id of each
@@ -317,19 +275,14 @@ mod tests {
     }
 
     #[test]
-    fn plain_view_matches_base_kernels() {
+    fn plain_view_has_no_corrections() {
         let base = Arc::new(FlatPoints::from_row_major(2, &fig_points()));
-        let v = DeltaView::plain(base.clone());
+        let v = DeltaView::plain(base);
         assert!(v.is_plain());
         assert_eq!(v.live_len(), 7);
         let w = [0.1, 0.9];
-        assert_eq!(
-            v.count_better_than(&w, 4.0),
-            base.count_better_than(&w, 4.0)
-        );
-        assert_eq!(v.rank_of(&w, &[4.0, 4.0]), 4);
-        assert!(!v.is_in_topk(&w, &[4.0, 4.0], 3));
-        assert!(v.is_in_topk(&w, &[4.0, 4.0], 4));
+        assert_eq!(v.count_better_delta(&w, 100.0), 0);
+        assert_eq!(v.count_better_dead(&w, 100.0), 0);
     }
 
     #[test]
@@ -344,22 +297,9 @@ mod tests {
         for w in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1], [0.3, 0.7]] {
             for t in [0.5, 2.0, 3.9, 4.0, 5.5, 100.0] {
                 let naive = live.chunks_exact(2).filter(|p| score(&w, p) < t).count();
-                assert_eq!(v.count_better_than(&w, t), naive, "w {w:?} t {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn rank_and_membership_match_live_scan() {
-        let v = overlaid();
-        let live = live_rows();
-        let q = [4.0, 4.0];
-        for w in [[0.1, 0.9], [0.5, 0.5], [0.9, 0.1]] {
-            let sq = score(&w, &q);
-            let naive = live.chunks_exact(2).filter(|p| score(&w, p) < sq).count();
-            assert_eq!(v.rank_of(&w, &q), naive + 1, "w {w:?}");
-            for k in 0..=8 {
-                assert_eq!(v.is_in_topk(&w, &q, k), k > 0 && naive < k, "w {w:?} k {k}");
+                let base = v.base().count_better_than(&w, t);
+                let live_count = base - v.count_better_dead(&w, t) + v.count_better_delta(&w, t);
+                assert_eq!(live_count, naive, "w {w:?} t {t}");
             }
         }
     }
@@ -400,9 +340,7 @@ mod tests {
             Arc::new(vec![0, 1]),
         );
         assert!(v.is_empty());
-        assert_eq!(v.count_better_than(&[0.5, 0.5], 100.0), 0);
-        assert_eq!(v.rank_of(&[0.5, 0.5], &[3.0, 3.0]), 1);
-        assert!(v.is_in_topk(&[0.5, 0.5], &[3.0, 3.0], 1));
+        assert_eq!(v.count_better_dead(&[0.5, 0.5], 100.0), 2);
     }
 
     #[test]

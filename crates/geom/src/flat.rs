@@ -242,25 +242,6 @@ impl FlatPoints {
         }
         pushed
     }
-
-    /// Exact rank of `q` under `w`: `1 + #{p : f(w, p) < f(w, q)}`.
-    /// `f(w, q)` is computed once, outside the point loop.
-    ///
-    /// # Panics
-    /// Panics if `w` or `q` has the wrong dimensionality.
-    pub fn rank_of(&self, w: &[f64], q: &[f64]) -> usize {
-        assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        self.count_better_than(w, dot(w, q)) + 1
-    }
-
-    /// Membership test `q ∈ TOPk(w)` by capped counting.
-    pub fn is_in_topk(&self, w: &[f64], q: &[f64], k: usize) -> bool {
-        if k == 0 {
-            return false;
-        }
-        assert_eq!(q.len(), self.dim, "query dimension mismatch");
-        self.count_better_than_capped(w, dot(w, q), k) < k
-    }
 }
 
 /// Fused strict-count kernel over a *row-major* `m × dim` buffer — the
@@ -357,11 +338,6 @@ mod tests {
         let f = FlatPoints::from_row_major(2, &fig_points());
         // q = (4,4) under Kevin scores 4.0; p1, p2, p4 are strictly below.
         assert_eq!(f.count_better_than(&[0.1, 0.9], 4.0), 3);
-        assert_eq!(f.rank_of(&[0.1, 0.9], &[4.0, 4.0]), 4);
-        assert!(!f.is_in_topk(&[0.1, 0.9], &[4.0, 4.0], 3));
-        assert!(f.is_in_topk(&[0.1, 0.9], &[4.0, 4.0], 4));
-        assert!(f.is_in_topk(&[0.5, 0.5], &[4.0, 4.0], 3));
-        assert!(!f.is_in_topk(&[0.5, 0.5], &[4.0, 4.0], 0));
     }
 
     #[test]
@@ -369,8 +345,6 @@ mod tests {
         // A point scoring exactly the threshold is NOT counted.
         let f = FlatPoints::from_row_major(2, &[1.0, 1.0, 2.0, 2.0]);
         assert_eq!(f.count_better_than(&[0.5, 0.5], 2.0), 1);
-        assert_eq!(f.rank_of(&[0.5, 0.5], &[2.0, 2.0]), 2);
-        assert!(f.is_in_topk(&[0.5, 0.5], &[2.0, 2.0], 2));
     }
 
     #[test]
@@ -424,7 +398,6 @@ mod tests {
         let f = FlatPoints::from_row_major(3, &[]);
         assert!(f.is_empty());
         assert_eq!(f.count_better_than(&[0.2, 0.3, 0.5], 1.0), 0);
-        assert_eq!(f.rank_of(&[0.2, 0.3, 0.5], &[1.0, 1.0, 1.0]), 1);
         let mut out = vec![1.0; 4];
         f.scores_into(&[0.2, 0.3, 0.5], &mut out);
         assert!(out.is_empty());

@@ -68,7 +68,6 @@ pub const RULES: &[&str] = &[
 pub const ATOMIC_ALLOWLIST: &[&str] = &[
     "crates/engine/src/metrics.rs",
     "crates/bench/src/bin/figures.rs",
-    "crates/rtree/src/mask.rs",
 ];
 
 /// A declared no-panic zone: a set of path prefixes plus the checks

@@ -14,7 +14,9 @@
 //!   per-weight allocation. The pool test is sound for *any* pool
 //!   contents: pool members are dataset points, so `k` of them scoring
 //!   strictly below `f(w, q)` proves `rank(q, w) > k` regardless of how
-//!   the pool was assembled.
+//!   the pool was assembled. When the snapshot's mask has a culprit
+//!   plane covering the verdict's cap, a capped count over that skyband
+//!   replaces the probe; the tree is never probed through the mask.
 //!
 //! The hot path is exposed in shardable form ([`rta_sorted_order`] +
 //! [`rta_over_order`]): a serving engine computes the similarity order
@@ -98,10 +100,12 @@ pub fn bichromatic_reverse_topk_rta<'a>(
 /// what the context served before.
 ///
 /// Verdicts are those of the naive scan over the snapshot's live rows,
-/// whatever the snapshot carries; the mask, when present, only shifts
-/// the prune/verify split. An un-mutated snapshot takes the seeded-pool
-/// loop, a mutated one the overlay-corrected loop — their pools differ
-/// in what may enter them (plane-local ids cannot be tombstone-checked).
+/// whatever the snapshot carries; the mask's culprit planes, when one
+/// covers `k`, only shift the prune/verify split. An un-mutated snapshot
+/// takes the plane loop when a plane covers `k` and the seeded-pool loop
+/// otherwise, a mutated one the overlay-corrected loop — their pools
+/// differ in what may enter them (plane-local ids cannot be
+/// tombstone-checked).
 pub fn rta_over_order<'a>(
     snap: impl Into<Snapshot<'a>>,
     weights: &[Weight],
@@ -117,9 +121,7 @@ pub fn rta_over_order<'a>(
     ctx.warm = true;
     ctx.pool.clear();
     ctx.pool_ids.clear();
-    let plane = snap
-        .dom
-        .filter(|d| d.plane_usable_for(k) && d.usable_for(k));
+    let plane = snap.dom.filter(|d| d.plane_usable_for(k));
     match (snap.mutated(), plane) {
         (Some(view), _) => rta_mutated(snap, view, weights, order, q, k, ctx),
         (None, Some(d)) => rta_plane(snap, d, weights, order, q, k, ctx),
@@ -175,7 +177,7 @@ fn rta_plane(
             }
             None => {
                 ctx.rta.tree_verifications += 1;
-                if ctx.probe(snap, w.as_slice(), sq, k, k, false) {
+                if ctx.probe(snap, w.as_slice(), sq, k, false) {
                     result.push(idx);
                 }
             }
@@ -184,10 +186,10 @@ fn rta_plane(
     result
 }
 
-/// Un-mutated snapshot, probing the tree (masked when the mask's build
-/// cap covers `k`). The pool keeps at most 2k recent culprits: enough
-/// slack that the k needed for a prune survive drift across the sorted
-/// weights, small enough that the fused count kernel stays in L1.
+/// Un-mutated snapshot without a plane covering `k`, probing the tree.
+/// The pool keeps at most 2k recent culprits: enough slack that the k
+/// needed for a prune survive drift across the sorted weights, small
+/// enough that the fused count kernel stays in L1.
 fn rta_plain(
     snap: Snapshot<'_>,
     weights: &[Weight],
@@ -197,24 +199,16 @@ fn rta_plain(
     ctx: &mut ProbeCtx,
 ) -> Vec<usize> {
     let mut result = Vec::new();
-    let dom = snap.dom.filter(|d| d.usable_for(k));
 
     // Seed: the first weight's exact top-k both decides its membership
     // (q is in iff fewer than k of the k best strictly beat it — every
     // other point scores no better than the k-th) and fills the pool.
-    // A masked traversal emits the same k scores bit-for-bit, so the
-    // seeded verdict is unchanged.
     let first = order[0];
     let w0 = &weights[first];
     let sq0 = w0.score(q);
     ctx.rta.tree_verifications += 1;
     let mut seeded_better = 0usize;
-    let mut bf = match dom {
-        Some(d) if !w0.as_slice().iter().any(|&x| x < 0.0) => {
-            snap.tree.best_first_masked(w0.as_slice(), d, k)
-        }
-        _ => snap.tree.best_first(w0),
-    };
+    let mut bf = snap.tree.best_first(w0);
     for _ in 0..k {
         let Some(r) = bf.next_entry() else { break };
         if r.score < sq0 {
@@ -235,7 +229,7 @@ fn rta_plain(
             continue;
         }
         ctx.rta.tree_verifications += 1;
-        if ctx.probe(snap, w.as_slice(), sq, k, k, true) {
+        if ctx.probe(snap, w.as_slice(), sq, k, true) {
             result.push(idx);
         }
         ctx.pool_fresh(snap.dim(), 2 * k, |_| false);
@@ -260,9 +254,7 @@ fn rta_plain(
 ///    decides the verdict exactly.
 /// 4. Otherwise probe the base index for target `cap`: the probe decides
 ///    `base_all < k − d_add + d_dead`, which is exactly
-///    `live_better < k`. The mask's exclusion threshold is the target
-///    plus the view's tombstone count, so each skipped point keeps
-///    enough *live* dominators.
+///    `live_better < k`.
 fn rta_mutated(
     snap: Snapshot<'_>,
     view: &DeltaView,
@@ -281,8 +273,7 @@ fn rta_mutated(
             ctx.rta.buffer_prunes += 1;
             continue;
         }
-        let need_live_base = k - d_add;
-        let cap = need_live_base + view.count_better_dead(w.as_slice(), sq);
+        let cap = k - d_add + view.count_better_dead(w.as_slice(), sq);
         if let Some(outranked) = snap
             .dom
             .and_then(|d| d.plane_outranked(w.as_slice(), sq, cap))
@@ -294,8 +285,7 @@ fn rta_mutated(
             continue;
         }
         ctx.rta.tree_verifications += 1;
-        let k_eff = need_live_base + view.tombstone_len();
-        if ctx.probe(snap, w.as_slice(), sq, cap, k_eff, true) {
+        if ctx.probe(snap, w.as_slice(), sq, cap, true) {
             result.push(idx);
         }
         ctx.pool_fresh(snap.dim(), 2 * k, |id| view.is_deleted(id));

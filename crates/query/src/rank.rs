@@ -16,7 +16,7 @@
 //!   validated against.
 
 use crate::snapshot::{ProbeCtx, Snapshot};
-use wqrtq_geom::{score, DeltaView};
+use wqrtq_geom::score;
 
 /// Exact rank of `q` under `w` over the snapshot's live points: the base
 /// R-tree's counted pruning plus the `O(Δ)` overlay corrections
@@ -51,18 +51,16 @@ pub fn rank_of_point_scan(points: &[f64], w: &[f64], q: &[f64]) -> usize {
 /// `q` is a live member ⟺ `live_better < k` where
 /// `live_better = base_all − dead_better + delta_better`; substituting
 /// gives `base_all < k − delta_better + dead_better`, which is the
-/// base probe with an adjusted count target `cap`. The ladder, each rung
-/// bit-identical to the naive count:
+/// base probe with an adjusted count target `cap`. Once the appended
+/// rows alone supply `k` better points `q` is out with no index work;
+/// otherwise one of two rungs, each bit-identical to the naive count,
+/// decides `base_all < cap`:
 ///
-/// 1. the appended rows alone supply `k` better points — out, no index
-///    work;
-/// 2. with a mask, a capped count over its k-skyband culprit plane
-///    decides `base_all < cap` (dead better points are in the plane's
-///    count too, which is why `cap` carries them — see
+/// 1. with a mask whose culprit planes cover `cap`, a capped count over
+///    the smallest covering skyband (dead better points are in the
+///    plane's count too, which is why `cap` carries them — see
 ///    `DominanceIndex::plane_outranked`);
-/// 3. the early-exit probe, skipping masked points when the mask's
-///    build cap covers `cap` inflated by *all* tombstones (so every
-///    skipped point keeps enough live dominators).
+/// 2. else the early-exit probe of the base index.
 pub fn is_in_topk<'a>(
     snap: impl Into<Snapshot<'a>>,
     w: &[f64],
@@ -84,8 +82,7 @@ pub fn is_in_topk<'a>(
     if let Some(outranked) = snap.dom.and_then(|d| d.plane_outranked(w, s, cap)) {
         return !outranked;
     }
-    let k_eff = k - d_add + view.map_or(0, DeltaView::tombstone_len);
-    ctx.probe(snap, w, s, cap, k_eff, false)
+    ctx.probe(snap, w, s, cap, false)
 }
 
 #[cfg(test)]
@@ -134,7 +131,8 @@ mod tests {
             for q in &queries {
                 let scan = rank_of_point_scan(&pts, w, q);
                 assert_eq!(rank_of_point(&t, w, q), scan, "tree vs scan {w:?} {q:?}");
-                assert_eq!(flat.rank_of(w, q), scan, "flat vs scan {w:?} {q:?}");
+                let flat_rank = flat.count_better_than(w, score(w, q)) + 1;
+                assert_eq!(flat_rank, scan, "flat vs scan {w:?} {q:?}");
             }
         }
     }

@@ -5,8 +5,9 @@
 //! system adds two optional parts to that index — a [`DeltaView`] of
 //! rows appended and deleted since it was built, and a
 //! [`DominanceIndex`] pre-filter — neither of which changes an answer:
-//! an un-mutated dataset is an overlay with nothing in it, and the mask
-//! only skips points that can never decide a top-k verdict. So there is
+//! an un-mutated dataset is an overlay with nothing in it, and the
+//! mask's culprit planes hold every point that can decide a top-k
+//! verdict, so a capped count over one decides it exactly. So there is
 //! one [`Snapshot`] with optional parts and one function per operation;
 //! which tier runs is decided from what the snapshot carries.
 
@@ -27,7 +28,8 @@ pub struct Snapshot<'a> {
     /// view are equivalent.
     pub view: Option<&'a DeltaView>,
     /// The k-dominance mask built from `tree`. Only membership tests and
-    /// RTA consult it; every other operation ignores it.
+    /// RTA consult it (its culprit planes); every other operation
+    /// ignores it.
     pub dom: Option<&'a DominanceIndex>,
 }
 
@@ -118,38 +120,23 @@ impl ProbeCtx {
 
     /// Decides "do fewer than `cap` base points score strictly below
     /// `s` under `w`?" with one early-exit descent of the base index.
-    /// The mask is consulted when its build cap covers `k_eff` (`cap`
-    /// inflated by the overlay's tombstone count — a masked point's
-    /// dominators may since have died); the verdict is bit-identical
-    /// either way. With `collect`, the better points the probe scored
-    /// individually land in `self.fresh`.
+    /// With `collect`, the better points the probe scored individually
+    /// land in `self.fresh`.
     pub(crate) fn probe(
         &mut self,
         snap: Snapshot<'_>,
         w: &[f64],
         s: f64,
         cap: usize,
-        k_eff: usize,
         collect: bool,
     ) -> bool {
         let culprits = collect.then(|| {
             self.fresh.clear();
             &mut self.fresh
         });
-        let res = match snap.dom.filter(|d| d.usable_for(k_eff)) {
-            Some(d) => snap.tree.probe_topk_membership_masked(
-                w,
-                s,
-                cap,
-                k_eff,
-                d,
-                &mut self.probe,
-                culprits,
-            ),
-            None => snap
-                .tree
-                .probe_topk_membership(w, s, cap, &mut self.probe, culprits),
-        };
+        let res = snap
+            .tree
+            .probe_topk_membership(w, s, cap, &mut self.probe, culprits);
         self.nodes_visited += res.nodes_visited;
         res.in_topk
     }

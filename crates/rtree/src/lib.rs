@@ -24,9 +24,9 @@
 //! * [`RTree::split_by_dominance`] — the pruned traversal behind
 //!   `FindIncom` (Algorithm 2, lines 20–29);
 //! * [`DominanceIndex`] — the build-time k-dominance pre-filter:
-//!   per-point dominator counts plus per-subtree minima, consulted by
-//!   [`RTree::probe_topk_membership_masked`] to skip points and whole
-//!   subtrees that can never decide a top-k verdict.
+//!   per-point dominator counts and the nested culprit planes they
+//!   select, whose capped counts decide membership verdicts without a
+//!   tree probe.
 //!
 //! Node fanout defaults to 64 entries (~4 KiB per node at d = 3 and two
 //! `f64` corners per entry), mirroring the paper's 4096-byte pages.

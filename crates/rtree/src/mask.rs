@@ -8,8 +8,9 @@
 //! both sides run the same operation order), so at least `k` points rank
 //! at or ahead of it. [`DominanceIndex`] stores, for every point of one
 //! tree, the number of points strictly dominating it (saturated at a
-//! build cap), plus the minimum of those counts per subtree so probes
-//! can skip whole all-masked subtrees in O(1).
+//! build cap), and the nested culprit planes those counts select — plain
+//! immutable data that serving reads through
+//! [`DominanceIndex::plane_outranked`].
 //!
 //! ## Build
 //!
@@ -31,32 +32,16 @@
 //! against 328 µs exact on a 2-core x86-64 Xeon, so the tier stays on
 //! MQWK's frontier only).
 //!
-//! ## Verdict preservation, not count preservation
-//!
-//! Masked traversals ([`crate::RTree::probe_topk_membership_masked`])
-//! keep wholesale subtree counts (which include masked points) while
-//! skipping masked points wherever points are scored individually. The
-//! resulting count `c` is not the exact better-count, but for any
-//! exclusion threshold `k_eff` and verdict cap `cap ≤ k_eff` it
-//! satisfies `c ≥ cap ⟺ exact ≥ cap`: if `exact ≥ cap`, order the
-//! better-set by dominance — a masked point needs `k_eff` strict
-//! predecessors, so the first `min(|B|, k_eff) ≥ cap` points of the
-//! order are unmasked and still counted. Exact-rank and enumeration
-//! paths must never consult the mask.
-//!
 //! ## Lifecycle under mutation
 //!
-//! The mask describes one *base epoch* — it is built from the bulk-loaded
+//! The index describes one *base epoch* — it is built from the bulk-loaded
 //! tree and shared immutably until compaction rebuilds the base.
-//! Appends never join the mask (delta rows are corrected separately and
-//! can only add dominators, which keeps exclusions sound). Deletes are
-//! absorbed by inflating the exclusion threshold: with `D` tombstones,
-//! a point excluded at `k_eff = cap + D` still has at least `cap` live
-//! dominators, so callers pass `k_eff = cap + tombstone_count` and fall
-//! back to the unmasked path when that exceeds the build cap.
+//! Appends never join it (delta rows are counted separately). Deletes
+//! are absorbed by the verdict cap: tombstoned base points stay in the
+//! planes, so a view verdict inflates its cap by the number of dead
+//! points scoring better (`d_dead`), exactly as it does for a tree probe.
 
 use crate::tree::RTree;
-use std::sync::atomic::{AtomicU64, Ordering};
 use wqrtq_geom::{dominates, FlatPoints};
 
 /// Default saturation cap for dominator counts: generous against any
@@ -71,37 +56,33 @@ pub const DEFAULT_DOMINANCE_CAP: u16 = 1024;
 /// tier absorbs the cap inflation view verdicts pay per tombstone.
 pub const CULPRIT_PLANE_TIERS: [u16; 3] = [10, 32, 128];
 
-/// Exclusion-threshold ceiling of the culprit planes (the largest
-/// tier): verdicts with caps above this fall back to masked probes.
+/// Cap ceiling of the culprit planes (the largest tier): verdicts with
+/// caps above this fall back to tree probes.
 pub const CULPRIT_PLANE_K: u16 = 128;
 
 /// Largest fraction of the dataset the culprit plane may hold (as a
 /// denominator): above `n / PLANE_MAX_FRACTION` points the plane would
 /// barely shrink the scan while doubling resident coordinates, so the
-/// build skips it and callers fall back to masked tree probes.
+/// build skips it and callers fall back to tree probes.
 const PLANE_MAX_FRACTION: usize = 4;
 
 /// Immutable dominator-count index over one tree's points (one base
-/// epoch). Cheap to share (`Arc`) across serving workers; the only
-/// mutable state is the relaxed skip counter.
+/// epoch): the counts, their cap and the culprit planes, with no
+/// interior mutability, so it is shared (`Arc`) across serving workers
+/// as is.
 #[derive(Debug)]
 pub struct DominanceIndex {
     /// `counts[id]` = number of points strictly dominating point `id`,
     /// saturated at `cap`.
     counts: Vec<u16>,
-    /// Minimum of `counts` over each tree node's subtree, indexed by
-    /// node arena slot (parallel to the tree it was built from).
-    node_min: Vec<u16>,
     cap: u16,
     /// Nested culprit planes, ascending by skyband threshold: each entry
     /// `(t, plane)` holds the `t`-skyband (every point with fewer than
     /// `t` dominators) as exact columns in leaf order. Tiers whose skyband
     /// would exceed a quarter of the dataset are dropped (high
     /// dimensions / tiny sets), where a compact scan stops paying for
-    /// itself; verdicts then fall back to masked tree probes.
+    /// itself; verdicts then fall back to tree probes.
     planes: Vec<(u16, FlatPoints)>,
-    /// Points skipped by masked traversals since build (telemetry).
-    skips: AtomicU64,
 }
 
 impl DominanceIndex {
@@ -127,7 +108,6 @@ impl DominanceIndex {
         // Saturated unless the point turns out to sit in an open leaf.
         tree.ids.iter().for_each(|&id| counts[id as usize] = cap);
         count_open_points(tree, &open_leaves(tree, cap), cap, &mut counts);
-        let node_min = node_min(tree, &counts);
         let mut planes = Vec::new();
         if tree.len() >= PLANE_MAX_FRACTION {
             let dim = tree.dim();
@@ -151,10 +131,8 @@ impl DominanceIndex {
         }
         Self {
             counts,
-            node_min,
             cap,
             planes,
-            skips: AtomicU64::new(0),
         }
     }
 
@@ -164,43 +142,19 @@ impl DominanceIndex {
         self.cap
     }
 
-    /// Per-point dominator counts (saturated), indexed by point id —
-    /// the raw slice consumed by the flat masked kernels.
+    /// Per-point dominator counts (saturated), indexed by point id.
     #[inline]
     pub fn counts(&self) -> &[u16] {
         &self.counts
     }
 
-    /// Whether exclusion at `k_eff` is sound against the saturated
-    /// counts: a stored count of `cap` only certifies "≥ cap"
-    /// dominators, so thresholds above the cap must use the unmasked
-    /// path.
+    /// Whether `k` lies within the build cap (`0 < k ≤ cap`), where a
+    /// saturated count still certifies "at least `k` dominators". No
+    /// serving path asks ([`DominanceIndex::plane_usable_for`] implies
+    /// it); `benchmark/`'s probe timings do.
     #[inline]
-    pub fn usable_for(&self, k_eff: usize) -> bool {
-        k_eff > 0 && k_eff <= self.cap as usize
-    }
-
-    /// Whether point `id` is excluded at threshold `k_eff` (has at
-    /// least `k_eff` strict dominators). Ids outside the built range
-    /// are never excluded.
-    #[inline]
-    pub fn is_excluded(&self, id: u32, k_eff: usize) -> bool {
-        self.counts
-            .get(id as usize)
-            .is_some_and(|&c| (c as usize) >= k_eff)
-    }
-
-    /// Whether every point under `node` is excluded at `k_eff`.
-    #[inline]
-    pub(crate) fn node_excluded(&self, node: u32, k_eff: usize) -> bool {
-        (self.node_min[node as usize] as usize) >= k_eff
-    }
-
-    /// Number of tree nodes this index was built over (must match the
-    /// tree it is consulted with).
-    #[inline]
-    pub(crate) fn node_slots(&self) -> usize {
-        self.node_min.len()
+    pub fn usable_for(&self, k: usize) -> bool {
+        k > 0 && k <= self.cap as usize
     }
 
     /// Whether a `cap`-capped verdict may be served by a culprit plane:
@@ -241,7 +195,6 @@ impl DominanceIndex {
             return None;
         }
         let (_, plane) = self.planes.iter().find(|(t, _)| (*t as usize) >= cap)?;
-        self.note_skips((self.counts.len() - plane.len()) as u64);
         Some(plane.count_better_than_capped(w, threshold, cap) >= cap)
     }
 
@@ -274,19 +227,6 @@ impl DominanceIndex {
                 plane.collect_better_into(w, threshold, max_rows, &mut out.ids, &mut out.coords)
             }
             None => 0,
-        }
-    }
-
-    /// Points skipped by masked traversals since build.
-    pub fn skips(&self) -> u64 {
-        self.skips.load(Ordering::Relaxed)
-    }
-
-    /// Folds one traversal's skip tally into the cumulative counter.
-    #[inline]
-    pub(crate) fn note_skips(&self, n: u64) {
-        if n > 0 {
-            self.skips.fetch_add(n, Ordering::Relaxed);
         }
     }
 }
@@ -474,22 +414,6 @@ fn count_open_points(tree: &RTree, open: &[u32], cap: u16, counts: &mut [u16]) {
     }
 }
 
-/// Minimum dominator count per subtree, bottom-up: children always
-/// precede their parent in the arena.
-fn node_min(tree: &RTree, counts: &[u16]) -> Vec<u16> {
-    let mut node_min = Vec::with_capacity(tree.node_count());
-    for node in 0..tree.node_count() as u32 {
-        let range = tree.range(node);
-        let m = if tree.is_leaf(node) {
-            tree.ids[range].iter().map(|&i| counts[i as usize]).min()
-        } else {
-            node_min[range].iter().copied().min()
-        };
-        node_min.push(m.unwrap_or(u16::MAX));
-    }
-    node_min
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -531,13 +455,13 @@ mod tests {
 
     #[test]
     fn duplicates_do_not_dominate_each_other() {
-        // 300 copies of one point: nobody dominates anybody, so nothing
-        // may ever be masked (the acyclicity that keeps ties sound).
+        // 300 copies of one point: nobody dominates anybody, so every
+        // copy sits in every skyband (the acyclicity that keeps ties sound).
         let pts: Vec<f64> = (0..300).flat_map(|_| [5.0, 5.0]).collect();
         let tree = RTree::bulk_load_with_fanout(2, &pts, 8);
         let dom = DominanceIndex::build(&tree);
+        assert_eq!(dom.counts().len(), 300);
         assert!(dom.counts().iter().all(|&c| c == 0));
-        assert!(!dom.is_excluded(0, 1));
     }
 
     #[test]
@@ -557,61 +481,10 @@ mod tests {
     }
 
     #[test]
-    fn node_min_is_a_lower_bound_everywhere() {
-        let pts = scatter(600, 3, 11);
-        let tree = RTree::bulk_load_with_fanout(3, &pts, 8);
-        let dom = DominanceIndex::build(&tree);
-        // Walk every node and check min(counts of subtree) == node_min.
-        fn subtree_min(tree: &RTree, node: u32, counts: &[u16]) -> u16 {
-            let range = tree.range(node);
-            if tree.is_leaf(node) {
-                tree.ids[range]
-                    .iter()
-                    .map(|&i| counts[i as usize])
-                    .min()
-                    .unwrap()
-            } else {
-                let children = range.map(|c| subtree_min(tree, c as u32, counts));
-                children.min().unwrap()
-            }
-        }
-        for node in 0..tree.node_count() as u32 {
-            let want = subtree_min(&tree, node, dom.counts());
-            assert_eq!(dom.node_min[node as usize], want, "node {node}");
-        }
-        assert_eq!(dom.node_slots(), tree.node_count());
-    }
-
-    #[test]
-    fn masked_probe_matches_unmasked_with_ties() {
-        let mut pts = scatter(900, 2, 5);
-        // Inject exact duplicates (tie territory).
-        let dup: Vec<f64> = pts[..40].to_vec();
-        pts.extend_from_slice(&dup);
-        let tree = RTree::bulk_load_with_fanout(2, &pts, 8);
-        let dom = DominanceIndex::build(&tree);
-        let mut scratch = crate::ProbeScratch::new();
-        for wraw in [[0.2, 0.8], [0.5, 0.5], [0.85, 0.15]] {
-            for qi in (0..pts.len() / 2).step_by(37) {
-                let q = &pts[qi * 2..qi * 2 + 2];
-                let t = score(&wraw, q);
-                for k in [1usize, 3, 10] {
-                    let plain = tree.probe_topk_membership(&wraw, t, k, &mut scratch, None);
-                    let masked =
-                        tree.probe_topk_membership_masked(&wraw, t, k, k, &dom, &mut scratch, None);
-                    assert_eq!(masked.in_topk, plain.in_topk, "w {wraw:?} q {q:?} k {k}");
-                }
-            }
-        }
-        assert!(dom.skips() > 0, "the mask should have skipped something");
-    }
-
-    #[test]
     fn empty_tree_builds_empty_index() {
         let tree = RTree::bulk_load_with_fanout(3, &[], 8);
         let dom = DominanceIndex::build(&tree);
         assert!(dom.counts().is_empty());
-        assert!(!dom.is_excluded(0, 1));
         assert!(!dom.plane_usable_for(1));
         assert_eq!(dom.plane_outranked(&[0.5, 0.5, 0.0], 1.0, 1), None);
     }
@@ -646,7 +519,6 @@ mod tests {
                 }
             }
         }
-        assert!(dom.skips() > 0, "plane verdicts should report skips");
     }
 
     #[test]

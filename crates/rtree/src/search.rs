@@ -1,5 +1,11 @@
 //! Branch-and-bound traversals: best-first ranking, the bounded top-k,
 //! counted rank queries, and the dominance split behind `FindIncom`.
+//!
+//! Every score-ordered traversal prunes with node bounds that score, per
+//! dimension, the corner the weight entry's sign picks (`lo` below and
+//! `hi` above for a non-negative entry, the reverse for a negative one),
+//! so the bounds hold for any finite weight; for non-negative weights
+//! they are the plain lower and upper corner scores.
 
 use crate::tree::RTree;
 use crate::{DominanceIndex, OrdF64};
@@ -38,27 +44,16 @@ pub struct BestFirst<'a> {
     /// Child bounds of the node being opened.
     bounds: Vec<f64>,
     nodes_visited: usize,
-    /// `(index, k_eff)`: skip points with ≥ `k_eff` strict dominators.
-    mask: Option<(&'a DominanceIndex, usize)>,
 }
 
 impl<'a> BestFirst<'a> {
-    fn new(tree: &'a RTree, weight: &[f64], mask: Option<(&'a DominanceIndex, usize)>) -> Self {
+    fn new(tree: &'a RTree, weight: &[f64]) -> Self {
         assert_eq!(weight.len(), tree.dim(), "weight dimension mismatch");
         let mut heap = BinaryHeap::new();
         if !tree.is_empty() {
             let root = tree.root();
-            match mask {
-                // Unreachable for k_eff ≥ 1 (a Pareto-minimal point has
-                // zero dominators), but cheap to keep sound.
-                Some((dom, k_eff)) if dom.node_excluded(root, k_eff) => {
-                    dom.note_skips(tree.len() as u64);
-                }
-                _ => {
-                    let bound = tree.min_score(root, weight);
-                    heap.push(Reverse((OrdF64(bound), HeapItem::Node(root))));
-                }
-            }
+            let bound = tree.min_score(root, weight);
+            heap.push(Reverse((OrdF64(bound), HeapItem::Node(root))));
         }
         Self {
             tree,
@@ -66,7 +61,6 @@ impl<'a> BestFirst<'a> {
             heap,
             bounds: Vec::new(),
             nodes_visited: 0,
-            mask,
         }
     }
 
@@ -93,15 +87,8 @@ impl<'a> BestFirst<'a> {
                 HeapItem::Node(node) => node,
             };
             self.nodes_visited += 1;
-            let mut skipped = 0u64;
             if tree.is_leaf(node) {
                 for row in tree.range(node) {
-                    if let Some((dom, k_eff)) = self.mask {
-                        if dom.is_excluded(tree.ids[row], k_eff) {
-                            skipped += 1;
-                            continue;
-                        }
-                    }
                     let s = score(&self.weight, tree.row(row));
                     self.heap
                         .push(Reverse((OrdF64(s), HeapItem::Point(row as u32))));
@@ -109,18 +96,9 @@ impl<'a> BestFirst<'a> {
             } else {
                 tree.child_bounds(node, &self.weight, &mut self.bounds);
                 for (c, &b) in tree.range(node).zip(&self.bounds) {
-                    if let Some((dom, k_eff)) = self.mask {
-                        if dom.node_excluded(c as u32, k_eff) {
-                            skipped += tree.count[c] as u64;
-                            continue;
-                        }
-                    }
                     self.heap
                         .push(Reverse((OrdF64(b), HeapItem::Node(c as u32))));
                 }
-            }
-            if let Some((dom, _)) = self.mask {
-                dom.note_skips(skipped);
             }
         }
         None
@@ -230,36 +208,7 @@ impl DominanceSplit {
 impl RTree {
     /// Starts a best-first (ascending score) traversal under `weight`.
     pub fn best_first(&self, weight: &[f64]) -> BestFirst<'_> {
-        BestFirst::new(self, weight, None)
-    }
-
-    /// [`RTree::best_first`] consulting a [`crate::DominanceIndex`]:
-    /// points with at least `k_eff` strict dominators are never emitted,
-    /// and subtrees whose every point is masked are never descended.
-    ///
-    /// For non-negative `weight` and `k ≤ k_eff ≤ dom.cap()` the first
-    /// `k` emitted *scores* equal those of the unmasked traversal
-    /// bit-for-bit (each masked point has ≥ `k_eff` dominators scoring no
-    /// worse, so the k-th order statistic is unchanged); identities may
-    /// differ among exact score ties. Callers must check
-    /// `dom.usable_for(k_eff)` and weight non-negativity themselves and
-    /// fall back to [`RTree::best_first`] otherwise.
-    ///
-    /// # Panics
-    /// Panics if `weight.len() != dim` or the index was built from a
-    /// structurally different tree.
-    pub fn best_first_masked<'a>(
-        &'a self,
-        weight: &[f64],
-        dom: &'a DominanceIndex,
-        k_eff: usize,
-    ) -> BestFirst<'a> {
-        assert_eq!(
-            dom.node_slots(),
-            self.node_count(),
-            "dominance index does not match this tree"
-        );
-        BestFirst::new(self, weight, Some((dom, k_eff)))
+        BestFirst::new(self, weight)
     }
 
     /// The bounded top-k: the first `k` points [`RTree::best_first`]
@@ -429,59 +378,7 @@ impl RTree {
         threshold: f64,
         k: usize,
         scratch: &mut ProbeScratch,
-        culprits: Option<&mut CulpritBuf>,
-    ) -> ProbeResult {
-        self.probe_impl(weight, threshold, k, scratch, culprits, None)
-    }
-
-    /// [`RTree::probe_topk_membership`] consulting a
-    /// [`crate::DominanceIndex`] built from this tree: subtrees whose
-    /// every point has at least `k_eff` strict dominators are skipped
-    /// without descending, as are masked points in scanned leaves, while
-    /// wholesale-counted subtrees still count everything.
-    ///
-    /// The verdict (`in_topk`) is bit-identical to the unmasked probe
-    /// whenever the mask soundness conditions hold: non-negative
-    /// `weight`, `k ≤ k_eff ≤ dom.cap()`, and `k_eff` inflated by the
-    /// live-view tombstone count (see `DominanceIndex`'s module docs).
-    /// `better` may undercount — use only for verdicts. Callers are
-    /// responsible for checking `dom.usable_for(k_eff)` and falling back
-    /// to the unmasked probe otherwise; this method falls back on its
-    /// own when `weight` has a negative entry.
-    ///
-    /// # Panics
-    /// Panics if `weight.len() != dim` or the index was built from a
-    /// structurally different tree.
-    #[allow(clippy::too_many_arguments)]
-    pub fn probe_topk_membership_masked(
-        &self,
-        weight: &[f64],
-        threshold: f64,
-        k: usize,
-        k_eff: usize,
-        dom: &DominanceIndex,
-        scratch: &mut ProbeScratch,
-        culprits: Option<&mut CulpritBuf>,
-    ) -> ProbeResult {
-        if weight.iter().any(|&x| x < 0.0) {
-            return self.probe_impl(weight, threshold, k, scratch, culprits, None);
-        }
-        assert_eq!(
-            dom.node_slots(),
-            self.node_count(),
-            "dominance index does not match this tree"
-        );
-        self.probe_impl(weight, threshold, k, scratch, culprits, Some((dom, k_eff)))
-    }
-
-    fn probe_impl(
-        &self,
-        weight: &[f64],
-        threshold: f64,
-        k: usize,
-        scratch: &mut ProbeScratch,
         mut culprits: Option<&mut CulpritBuf>,
-        mask: Option<(&DominanceIndex, usize)>,
     ) -> ProbeResult {
         assert_eq!(weight.len(), self.dim(), "weight dimension mismatch");
         let mut result = ProbeResult {
@@ -498,85 +395,70 @@ impl RTree {
         }
         let ProbeScratch { heap, bounds, .. } = scratch;
         heap.clear();
-        let mut skipped = 0u64;
-        let excluded = |node: u32| match mask {
-            Some((dom, k_eff)) => dom.node_excluded(node, k_eff),
-            None => false,
-        };
         let root = self.root();
-        if excluded(root) {
-            // Every point is masked: the better-set must be empty (a
-            // non-empty one would contain unmasked points), so q is in.
-            if let Some((dom, _)) = mask {
-                dom.note_skips(self.len() as u64);
-            }
-            result.in_topk = true;
-            return result;
-        }
         heap.push(Reverse((OrdF64(self.min_score(root, weight)), root)));
-        'probe: {
-            while let Some(Reverse((OrdF64(lo), node))) = heap.pop() {
-                if lo >= threshold {
-                    // Best-first order: every remaining subtree scores ≥ lo,
-                    // so `better` is exact and q's rank is better + 1 ≤ k.
-                    result.in_topk = true;
-                    break 'probe;
+        while let Some(Reverse((OrdF64(lo), node))) = heap.pop() {
+            if lo >= threshold {
+                // Best-first order: every remaining subtree scores ≥ lo,
+                // so `better` is exact and q's rank is better + 1 ≤ k.
+                result.in_topk = true;
+                return result;
+            }
+            result.nodes_visited += 1;
+            if self.max_score(node, weight) < threshold {
+                // Whole subtree strictly better: count without expanding.
+                result.better += self.count[node as usize];
+                if result.better >= k {
+                    return result;
                 }
-                result.nodes_visited += 1;
-                if self.max_score(node, weight) < threshold {
-                    // Whole subtree strictly better: count without
-                    // expanding (masked points included — wholesale
-                    // overcounts are verdict-safe).
-                    result.better += self.count[node as usize];
-                    if result.better >= k {
-                        break 'probe;
-                    }
-                    continue;
-                }
-                if self.is_leaf(node) {
-                    for row in self.range(node) {
-                        let id = self.ids[row];
-                        if let Some((dom, k_eff)) = mask {
-                            if dom.is_excluded(id, k_eff) {
-                                skipped += 1;
-                                continue;
+                continue;
+            }
+            if self.is_leaf(node) {
+                for row in self.range(node) {
+                    let p = self.row(row);
+                    if score(weight, p) < threshold {
+                        result.better += 1;
+                        if let Some(out) = culprits.as_deref_mut() {
+                            if out.len() < k {
+                                out.ids.push(self.ids[row]);
+                                out.coords.extend_from_slice(p);
                             }
                         }
-                        let p = self.row(row);
-                        if score(weight, p) < threshold {
-                            result.better += 1;
-                            if let Some(out) = culprits.as_deref_mut() {
-                                if out.len() < k {
-                                    out.ids.push(id);
-                                    out.coords.extend_from_slice(p);
-                                }
-                            }
-                            if result.better >= k {
-                                break 'probe;
-                            }
+                        if result.better >= k {
+                            return result;
                         }
                     }
-                } else {
-                    self.child_bounds(node, weight, bounds);
-                    for (c, &b) in self.range(node).zip(bounds.iter()) {
-                        if excluded(c as u32) {
-                            skipped += self.count[c] as u64;
-                            continue;
-                        }
-                        if b < threshold {
-                            heap.push(Reverse((OrdF64(b), c as u32)));
-                        }
+                }
+            } else {
+                self.child_bounds(node, weight, bounds);
+                for (c, &b) in self.range(node).zip(bounds.iter()) {
+                    if b < threshold {
+                        heap.push(Reverse((OrdF64(b), c as u32)));
                     }
                 }
             }
-            // Heap exhausted: the count is exact (masked skips can only
-            // remove points a sound mask proves irrelevant) and below k.
-            result.in_topk = true;
         }
-        if let Some((dom, _)) = mask {
-            dom.note_skips(skipped);
-        }
+        // Heap exhausted: the count is exact and below k.
+        result.in_topk = true;
         result
+    }
+
+    /// [`RTree::probe_topk_membership`] under the name the masked probe
+    /// had; `k_eff` and `dom` are ignored. Kept only for `benchmark/`,
+    /// whose `rtree.probe_masked_ns` and `rtree.mask_speedup_*` probes
+    /// still call it.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_topk_membership_masked(
+        &self,
+        weight: &[f64],
+        threshold: f64,
+        k: usize,
+        _k_eff: usize,
+        _dom: &DominanceIndex,
+        scratch: &mut ProbeScratch,
+        culprits: Option<&mut CulpritBuf>,
+    ) -> ProbeResult {
+        self.probe_topk_membership(weight, threshold, k, scratch, culprits)
     }
 
     /// The `FindIncom` traversal (Algorithm 2 of the paper, lines 20–29):
@@ -896,6 +778,36 @@ mod tests {
             let probe = t.probe_topk_membership(&w, sq, 10, &mut scratch, None);
             let exact = t.count_score_below(&w, sq, true);
             assert_eq!(probe.in_topk, exact < 10, "weight {w:?}");
+        }
+    }
+
+    #[test]
+    fn negative_weight_entries_keep_every_traversal_exact() {
+        // `Weight::new` admits sub-EPS negative entries, and the bare
+        // index takes any slice: scoring the `lo` corner alone would
+        // overestimate a node's minimum wherever `w_d < 0`.
+        let pts = scatter(300, 3, 13);
+        let t = RTree::bulk_load_with_fanout(3, &pts, 4);
+        let mut scratch = ProbeScratch::new();
+        for w in [
+            [1.0 + 5e-10, -5e-10, 0.0],
+            [0.7, -0.4, 0.7],
+            [-0.3, 0.2, -0.9],
+            [-0.0, 0.5, 0.5],
+        ] {
+            let mut brute: Vec<f64> = pts.chunks_exact(3).map(|p| score(&w, p)).collect();
+            let ranked: Vec<f64> = t.best_first(&w).map(|(_, s)| s).collect();
+            brute.sort_by(f64::total_cmp);
+            assert_eq!(ranked, brute, "best-first order w {w:?}");
+            for q in pts.chunks_exact(3).step_by(23) {
+                let sq = score(&w, q);
+                let better = brute.iter().filter(|&&s| s < sq).count();
+                assert_eq!(t.count_score_below(&w, sq, true), better, "w {w:?}");
+                for k in [1, 2, 10, 150] {
+                    let r = t.probe_topk_membership(&w, sq, k, &mut scratch, None);
+                    assert_eq!(r.in_topk, better < k, "probe w {w:?} q {q:?} k {k}");
+                }
+            }
         }
     }
 

@@ -119,28 +119,42 @@ impl RTree {
         first as usize..end as usize
     }
 
-    /// `f(w, corner)` of one node's corner, with the operation order of
-    /// [`wqrtq_geom::score`] so bounds are bit-identical to it.
+    /// The corner column bounding `wd · x` over a node from below: `lo`
+    /// for a non-negative weight entry (`−0.0` included), `hi` for a
+    /// negative one — the other way round from above (`upper`). Rounded
+    /// products and sums are monotone, so these columns scored in
+    /// [`wqrtq_geom::score`]'s operation order bound every computed
+    /// point score of the subtree.
     #[inline]
-    pub(crate) fn corner_score(&self, corner: &[f64], node: u32, w: &[f64]) -> f64 {
+    fn corner(&self, wd: f64, upper: bool) -> &[f64] {
+        if (wd < 0.0) != upper {
+            &self.hi
+        } else {
+            &self.lo
+        }
+    }
+
+    /// `f(w, ·)` of a node's bounding corner (see `corner`).
+    #[inline]
+    fn corner_score(&self, node: u32, w: &[f64], upper: bool) -> f64 {
         let n = self.node_count();
-        let mut s = w[0] * corner[node as usize];
+        let mut s = w[0] * self.corner(w[0], upper)[node as usize];
         for (d, &wd) in w.iter().enumerate().skip(1) {
-            s += wd * corner[d * n + node as usize];
+            s += wd * self.corner(wd, upper)[d * n + node as usize];
         }
         s
     }
 
-    /// Lower bound on `f(w, p)` over the subtree (its lower corner's score).
+    /// Lower bound on `f(w, p)` over the subtree.
     #[inline]
     pub(crate) fn min_score(&self, node: u32, w: &[f64]) -> f64 {
-        self.corner_score(&self.lo, node, w)
+        self.corner_score(node, w, false)
     }
 
     /// Upper bound on `f(w, p)` over the subtree.
     #[inline]
     pub(crate) fn max_score(&self, node: u32, w: &[f64]) -> f64 {
-        self.corner_score(&self.hi, node, w)
+        self.corner_score(node, w, true)
     }
 
     /// The lower bounds of an internal node's children under `w`, one
@@ -149,9 +163,10 @@ impl RTree {
         let n = self.node_count();
         let children = self.range(node);
         out.clear();
-        out.extend(self.lo[children.clone()].iter().map(|&x| w[0] * x));
+        let first = &self.corner(w[0], false)[children.clone()];
+        out.extend(first.iter().map(|&x| w[0] * x));
         for (d, &wd) in w.iter().enumerate().skip(1) {
-            let col = &self.lo[d * n + children.start..d * n + children.end];
+            let col = &self.corner(wd, false)[d * n + children.start..d * n + children.end];
             out.iter_mut().zip(col).for_each(|(s, &x)| *s += wd * x);
         }
     }

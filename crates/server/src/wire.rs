@@ -804,9 +804,9 @@ fn encode_stats(w: &mut ByteWriter, stats: &StatsSnapshot) {
     w.put_u64(m.catalog.compactions);
     w.put_u64(m.catalog.compactions_abandoned);
     w.put_u64(m.catalog.mask_builds);
-    w.put_u64(m.catalog.prefilter_skips);
-    // Reserved: the slot of the retired `quantized_fallbacks` counter,
-    // always 0 and never to be reused.
+    // Reserved: the slots of the retired `prefilter_skips` and
+    // `quantized_fallbacks` counters, always 0 and never to be reused.
+    w.put_u64(0);
     w.put_u64(0);
     w.put_u64(m.catalog.wal_appends);
     w.put_u64(m.catalog.snapshot_writes);
@@ -874,9 +874,10 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<StatsSnapshot, DecodeError> {
         compactions: r.take_u64("compactions")?,
         compactions_abandoned: r.take_u64("compactions abandoned")?,
         mask_builds: r.take_u64("mask builds")?,
-        prefilter_skips: r.take_u64("prefilter skips")?,
         wal_appends: {
-            // The reserved slot `encode_stats` writes as 0: read, dropped.
+            // The two reserved slots `encode_stats` writes as 0: read,
+            // dropped.
+            r.take_u64("reserved stats slot")?;
             r.take_u64("reserved stats slot")?;
             r.take_u64("wal appends")?
         },
@@ -1093,7 +1094,6 @@ mod tests {
                     compactions: 1,
                     compactions_abandoned: 0,
                     mask_builds: 1,
-                    prefilter_skips: 4321,
                     wal_appends: 57,
                     snapshot_writes: 3,
                     recoveries: 1,
@@ -1285,26 +1285,24 @@ mod tests {
     fn the_reserved_stats_slot_keeps_its_bytes_and_decodes_to_nothing() {
         let reply = ServerFrame::Reply(Response::Stats(Box::new(sample_stats(None))));
         let payload = reply.encode(3);
-        // The layout is frozen: the slot still occupies its 8 bytes.
+        // The layout is frozen: each slot still occupies its 8 bytes.
         assert_eq!(payload.len(), 503);
-        // After the slot: four durability counters, two cache counters,
-        // cache len and capacity (8 bytes each), the server flag byte.
-        let slot = payload.len() - 1 - 8 * 8 - 8;
+        // After the two slots: four durability counters, two cache
+        // counters, cache len and capacity (8 bytes each), the server
+        // flag byte.
+        let slots = payload.len() - 1 - 8 * 8 - 16;
+        assert_eq!(payload[slots - 8..slots], 1u64.to_le_bytes(), "mask builds");
+        assert_eq!(payload[slots..slots + 16], [0; 16], "written as 0");
         assert_eq!(
-            payload[slot - 8..slot],
-            4321u64.to_le_bytes(),
-            "prefilter skips"
-        );
-        assert_eq!(payload[slot..slot + 8], [0; 8], "written as 0");
-        assert_eq!(
-            payload[slot + 8..slot + 16],
+            payload[slots + 16..slots + 24],
             57u64.to_le_bytes(),
             "wal appends"
         );
-        // Whatever the slot holds is dropped: the frame decodes to the
-        // same reply and re-encodes with the slot back at 0.
+        // Whatever the slots hold is dropped: the frame decodes to the
+        // same reply and re-encodes with the slots back at 0.
         let mut dirty = payload.clone();
-        dirty[slot..slot + 8].copy_from_slice(&17u64.to_le_bytes());
+        dirty[slots..slots + 8].copy_from_slice(&4321u64.to_le_bytes());
+        dirty[slots + 8..slots + 16].copy_from_slice(&17u64.to_le_bytes());
         let (_, decoded) = ServerFrame::decode(&dirty).expect("decodes");
         assert_eq!(decoded, reply);
         assert_eq!(decoded.encode(3), payload);

@@ -65,8 +65,8 @@ fn mixed_batch() -> Vec<Request> {
         q: vec![4.0, 4.0],
         k: 4,
     });
-    // A 400-weight population over the > 2 048-point dataset: the RTA
-    // path (similarity order + culprit pool), on whichever worker took it.
+    // A 400-weight population over the synthetic dataset: the RTA path
+    // (similarity order + culprit pool), on whichever worker took it.
     batch.push(Request::ReverseTopKBi {
         dataset: "synthetic".into(),
         weights: WeightSet::Inline(

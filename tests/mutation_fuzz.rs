@@ -345,8 +345,8 @@ fn mutation_sequences_match_rebuilt_oracle_3d() {
 
 #[test]
 fn large_population_over_overlay_matches_oracle() {
-    // Datasets above the flat-scan cutoff take the culprit-pool RTA —
-    // the overlay corrections must survive a 400-weight population.
+    // The culprit-pool RTA over a mutated overlay — its corrections
+    // must survive a 400-weight population.
     let mut rng = Rng(77);
     let n = 3000;
     let coords: Vec<f64> = (0..n * 2).map(|_| rng.coord()).collect();
@@ -396,10 +396,12 @@ fn large_population_over_overlay_matches_oracle() {
     let m = overlay.metrics();
     assert_eq!(m.catalog.index_builds, 1, "no rebuild despite mutations");
     assert_eq!(m.catalog.mask_builds, 1, "one mask per base generation");
-    assert!(
-        m.catalog.prefilter_skips > 0,
-        "the RTA must have consulted the mask"
-    );
+    // The RTA's verdicts came from the mask's culprit planes.
+    let handle = overlay.catalog().handle("d").unwrap();
+    let dom = handle.dom.expect("the served handle carries the mask");
+    for k in [1, 5, 12] {
+        assert!(dom.plane_usable_for(k), "a plane covers k={k}");
+    }
     assert_eq!(
         oracle.metrics().catalog.mask_builds,
         0,
