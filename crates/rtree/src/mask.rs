@@ -1,21 +1,20 @@
-//! The k-dominance pre-filter: per-point dominator counts materialised
-//! at index-build time, in the spirit of Chester et al., *Indexing
-//! Reverse Top-k Queries*.
+//! The k-dominance pre-filter: nested culprit planes selected at
+//! index-build time from per-point dominator counts, in the spirit of
+//! Chester et al., *Indexing Reverse Top-k Queries*.
 //!
 //! A point strictly dominated by `k` others can never be a top-k member
 //! under any non-negative weight vector: each dominator's computed score
 //! is no larger (round-to-nearest multiplies and adds are monotone and
 //! both sides run the same operation order), so at least `k` points rank
-//! at or ahead of it. [`DominanceIndex`] stores, for every point of one
-//! tree, the number of points strictly dominating it (saturated at a
-//! build cap), and the nested culprit planes those counts select — plain
-//! immutable data that serving reads through
-//! [`DominanceIndex::plane_outranked`].
+//! at or ahead of it. [`DominanceIndex`] keeps, for one tree, the nested
+//! skybands those counts select — plain immutable data that serving
+//! reads through [`DominanceIndex::plane_outranked`].
 //!
 //! ## Build
 //!
-//! A capped count is exact over any superset of the points with fewer
-//! than `cap` dominators (the lemma in
+//! [`dominator_counts`] counts each point's strict dominators, saturated
+//! at a cap. A capped count is exact over any superset of the points
+//! with fewer than `cap` dominators (the lemma in
 //! [`DominanceIndex::plane_outranked`]'s soundness paragraph, applied to
 //! "dominates `p`" instead of "scores below `q`"), so a point known to be
 //! saturated is never looked at again, as a target or as a source:
@@ -27,10 +26,12 @@
 //! per-dimension sorted-prefix bitsets, one source chunk at a time.
 //! `O(nodes · probe + d · m² / 64)` time, `O(m)` scratch. The counts
 //! then select the nested culprit planes ([`CULPRIT_PLANE_TIERS`]): each
-//! skyband is copied once, as exact [`FlatPoints`] columns in leaf order
-//! (with the Morton-clustered `f32` tier `rtopk_scan` read p50 420 µs
-//! against 328 µs exact on a 2-core x86-64 Xeon, so the tier stays on
-//! MQWK's frontier only).
+//! skyband is copied once, as exact [`FlatPoints`] columns in leaf order,
+//! and the counts are dropped. The planes read only counts below the top
+//! tier, so the index counts to [`CULPRIT_PLANE_K`] and no further: the
+//! build takes 36 ms at uniform 100k×3, 78 ms at anti-correlated 50k×5
+//! and 16 ms at uniform 40k×3 (71, 169 and 28 ms counting to 1024;
+//! median of 7, 2-core x86-64 Xeon).
 //!
 //! ## Lifecycle under mutation
 //!
@@ -43,10 +44,6 @@
 
 use crate::tree::RTree;
 use wqrtq_geom::{dominates, FlatPoints};
-
-/// Default saturation cap for dominator counts: generous against any
-/// realistic `k + tombstones` while keeping the count storage at u16.
-pub const DEFAULT_DOMINANCE_CAP: u16 = 1024;
 
 /// Skyband thresholds of the nested culprit planes: one compact
 /// [`FlatPoints`] per tier, holding every point with fewer than that
@@ -66,15 +63,12 @@ pub const CULPRIT_PLANE_K: u16 = 128;
 /// build skips it and callers fall back to tree probes.
 const PLANE_MAX_FRACTION: usize = 4;
 
-/// Immutable dominator-count index over one tree's points (one base
-/// epoch): the counts, their cap and the culprit planes, with no
+/// Immutable culprit-plane index over one tree's points (one base
+/// epoch): the planes and the cap their counts were taken at, with no
 /// interior mutability, so it is shared (`Arc`) across serving workers
 /// as is.
 #[derive(Debug)]
 pub struct DominanceIndex {
-    /// `counts[id]` = number of points strictly dominating point `id`,
-    /// saturated at `cap`.
-    counts: Vec<u16>,
     cap: u16,
     /// Nested culprit planes, ascending by skyband threshold: each entry
     /// `(t, plane)` holds the `t`-skyband (every point with fewer than
@@ -86,28 +80,21 @@ pub struct DominanceIndex {
 }
 
 impl DominanceIndex {
-    /// Builds the index with [`DEFAULT_DOMINANCE_CAP`].
+    /// Builds the index at cap [`CULPRIT_PLANE_K`], the top tier.
     pub fn build(tree: &RTree) -> Self {
-        Self::build_with_cap(tree, DEFAULT_DOMINANCE_CAP)
+        Self::build_with_cap(tree, CULPRIT_PLANE_K)
     }
 
-    /// Builds the index, saturating per-point dominator counts at `cap`.
-    ///
-    /// Three steps (see the module docs): certify whole subtrees from
-    /// one capped probe of their MBR's lower corner, restrict to the
-    /// points of the leaves left open, and count those against each
-    /// other with sorted-prefix bitsets — `O(nodes · probe + d · m² / 64)`
-    /// time and `O(m)` scratch for `m` open points.
+    /// Builds the planes from [`dominator_counts`] saturated at `cap`,
+    /// clamped to [`CULPRIT_PLANE_K`]: a count at or above the top tier
+    /// selects no plane, and every count below it is exact at that cap.
+    /// Tiers above `cap` collapse into one `cap`-skyband plane.
     ///
     /// # Panics
     /// Panics if `cap` is zero.
     pub fn build_with_cap(tree: &RTree, cap: u16) -> Self {
-        assert!(cap > 0, "dominance cap must be positive");
-        let slots = tree.ids.iter().max().map_or(0, |&m| m as usize + 1);
-        let mut counts = vec![0u16; slots];
-        // Saturated unless the point turns out to sit in an open leaf.
-        tree.ids.iter().for_each(|&id| counts[id as usize] = cap);
-        count_open_points(tree, &open_leaves(tree, cap), cap, &mut counts);
+        let cap = cap.min(CULPRIT_PLANE_K);
+        let counts = dominator_counts(tree, cap);
         let mut planes = Vec::new();
         if tree.len() >= PLANE_MAX_FRACTION {
             let dim = tree.dim();
@@ -129,27 +116,10 @@ impl DominanceIndex {
                 planes.push((t, FlatPoints::from_row_major(dim, &rows)));
             }
         }
-        Self {
-            counts,
-            cap,
-            planes,
-        }
+        Self { cap, planes }
     }
 
-    /// The saturation cap the counts were built with.
-    #[inline]
-    pub fn cap(&self) -> u16 {
-        self.cap
-    }
-
-    /// Per-point dominator counts (saturated), indexed by point id.
-    #[inline]
-    pub fn counts(&self) -> &[u16] {
-        &self.counts
-    }
-
-    /// Whether `k` lies within the build cap (`0 < k ≤ cap`), where a
-    /// saturated count still certifies "at least `k` dominators". No
+    /// Whether `k` lies within the build cap (`0 < k ≤ cap`). No
     /// serving path asks ([`DominanceIndex::plane_usable_for`] implies
     /// it); `benchmark/`'s probe timings do.
     #[inline]
@@ -229,6 +199,27 @@ impl DominanceIndex {
             None => 0,
         }
     }
+}
+
+/// Per-point strict-dominator counts of `tree`, indexed by point id and
+/// saturated at `cap` (ids absent from the tree read 0).
+///
+/// Three steps (see the module docs): certify whole subtrees from one
+/// capped probe of their MBR's lower corner, restrict to the points of
+/// the leaves left open, and count those against each other with
+/// sorted-prefix bitsets — `O(nodes · probe + d · m² / 64)` time and
+/// `O(m)` scratch for `m` open points.
+///
+/// # Panics
+/// Panics if `cap` is zero.
+pub fn dominator_counts(tree: &RTree, cap: u16) -> Vec<u16> {
+    assert!(cap > 0, "dominance cap must be positive");
+    let slots = tree.ids.iter().max().map_or(0, |&m| m as usize + 1);
+    let mut counts = vec![0u16; slots];
+    // Saturated unless the point turns out to sit in an open leaf.
+    tree.ids.iter().for_each(|&id| counts[id as usize] = cap);
+    count_open_points(tree, &open_leaves(tree, cap), cap, &mut counts);
+    counts
 }
 
 /// Counts points of `tree` strictly dominating `p`, stopping at `cap`.
@@ -441,14 +432,10 @@ mod tests {
         for dim in [2usize, 3, 4] {
             let pts = scatter(400, dim, dim as u64 + 7);
             let tree = RTree::bulk_load_with_fanout(dim, &pts, 8);
-            let dom = DominanceIndex::build(&tree);
+            let counts = dominator_counts(&tree, 1024);
             let brute = brute_counts(&pts, dim);
             for (id, &b) in brute.iter().enumerate() {
-                assert_eq!(
-                    dom.counts()[id] as usize,
-                    b.min(DEFAULT_DOMINANCE_CAP as usize),
-                    "dim {dim} id {id}"
-                );
+                assert_eq!(counts[id] as usize, b.min(1024), "dim {dim} id {id}");
             }
         }
     }
@@ -459,9 +446,9 @@ mod tests {
         // copy sits in every skyband (the acyclicity that keeps ties sound).
         let pts: Vec<f64> = (0..300).flat_map(|_| [5.0, 5.0]).collect();
         let tree = RTree::bulk_load_with_fanout(2, &pts, 8);
-        let dom = DominanceIndex::build(&tree);
-        assert_eq!(dom.counts().len(), 300);
-        assert!(dom.counts().iter().all(|&c| c == 0));
+        let counts = dominator_counts(&tree, 1024);
+        assert_eq!(counts.len(), 300);
+        assert!(counts.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -470,21 +457,28 @@ mod tests {
         pts.extend(scatter(500, 2, 3).iter().map(|x| x + 1.0));
         let tree = RTree::bulk_load_with_fanout(2, &pts, 8);
         let dom = DominanceIndex::build_with_cap(&tree, 4);
-        assert_eq!(dom.cap(), 4);
-        assert!(dom.counts().iter().all(|&c| c <= 4));
+        assert_eq!(dom.cap, 4);
         assert!(dom.usable_for(1) && dom.usable_for(4));
         assert!(!dom.usable_for(5) && !dom.usable_for(0));
+        let counts = dominator_counts(&tree, 4);
+        assert!(counts.iter().all(|&c| c <= 4));
         // The origin point dominates ≥ 4 others? No — it is dominated by
         // nobody; everything else is dominated by it.
-        assert_eq!(dom.counts()[0], 0);
-        assert!(dom.counts()[1..].iter().all(|&c| c >= 1));
+        assert_eq!(counts[0], 0);
+        assert!(counts[1..].iter().all(|&c| c >= 1));
+        // Caps past the top tier select nothing more: they clamp to it.
+        assert_eq!(
+            DominanceIndex::build_with_cap(&tree, 1024).cap,
+            CULPRIT_PLANE_K
+        );
+        assert_eq!(DominanceIndex::build(&tree).cap, CULPRIT_PLANE_K);
     }
 
     #[test]
     fn empty_tree_builds_empty_index() {
         let tree = RTree::bulk_load_with_fanout(3, &[], 8);
+        assert!(dominator_counts(&tree, 1024).is_empty());
         let dom = DominanceIndex::build(&tree);
-        assert!(dom.counts().is_empty());
         assert!(!dom.plane_usable_for(1));
         assert_eq!(dom.plane_outranked(&[0.5, 0.5, 0.0], 1.0, 1), None);
     }
@@ -556,8 +550,9 @@ mod tests {
         ignore = "the per-point reference takes minutes unoptimised"
     )]
     fn counts_match_the_per_point_probe_at_benchmark_scale() {
-        // The two shapes `rtopk_scan` sets up: uniform 100k×3 and
-        // anti-correlated 50k×5 (every point near the plane Σx = d/2).
+        // Stand-ins for the two shapes `rtopk_scan` sets up, uniform
+        // 100k×3 and anti-correlated 50k×5 (every point near the plane
+        // Σx = d/2); `mask_differential` pins the planes at the real inputs.
         let uniform = scatter(100_000, 3, 29);
         let anti: Vec<f64> = scatter(50_000, 5, 31)
             .chunks_exact(5)
@@ -569,11 +564,12 @@ mod tests {
             .collect();
         for (dim, pts) in [(3, uniform), (5, anti)] {
             let tree = RTree::bulk_load(dim, &pts);
-            let dom = DominanceIndex::build(&tree);
+            let cap = DominanceIndex::build(&tree).cap;
+            let counts = dominator_counts(&tree, cap);
             let mut stack = Vec::new();
             tree.for_each_point(|id, p| {
-                let probed = count_dominators_capped(&tree, p, dom.cap() as usize, &mut stack);
-                assert_eq!(dom.counts()[id as usize], probed, "dim {dim} id {id}");
+                let probed = count_dominators_capped(&tree, p, cap as usize, &mut stack);
+                assert_eq!(counts[id as usize], probed, "dim {dim} id {id}");
             });
         }
     }

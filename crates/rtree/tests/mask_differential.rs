@@ -1,6 +1,7 @@
-//! `DominanceIndex::build_with_cap` certifies subtrees, restricts to the
-//! open leaves and counts bit-parallel; this suite proves the counts are
-//! the ones the definition gives.
+//! `dominator_counts` certifies subtrees, restricts to the open leaves
+//! and counts bit-parallel; this suite proves the counts are the ones the
+//! definition gives, and that `DominanceIndex` selects its planes from
+//! them.
 //!
 //! The oracle is the definition taken literally: for every point, the
 //! number of points `wqrtq_geom::dominates` says dominate it, capped.
@@ -15,8 +16,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wqrtq_geom::{dominates, score};
-use wqrtq_rtree::{DominanceIndex, ProbeScratch, RTree, CULPRIT_PLANE_TIERS};
+use wqrtq_geom::{dominates, score, FlatPoints};
+use wqrtq_rtree::{
+    dominator_counts, DominanceIndex, ProbeScratch, RTree, CULPRIT_PLANE_K, CULPRIT_PLANE_TIERS,
+};
 
 const CAPS: [u16; 4] = [1, 3, 17, 1024];
 const FANOUTS: [usize; 3] = [4, 8, 64];
@@ -83,19 +86,20 @@ fn gridded(rng: &mut StdRng, n: usize, dim: usize) -> Vec<f64> {
 /// (uncapped) `dominators`.
 fn check(points: &Points, dominators: &[usize], tree: &RTree, cap: u16, what: &str) {
     let dom = DominanceIndex::build_with_cap(tree, cap);
+    let counts = dominator_counts(tree, cap);
     let expected: Vec<u16> = dominators
         .iter()
         .map(|&c| c.min(cap as usize) as u16)
         .collect();
     let slots = points.ids.iter().max().map_or(0, |&m| m as usize + 1);
-    assert_eq!(dom.counts().len(), slots, "{what}: count slots");
+    assert_eq!(counts.len(), slots, "{what}: count slots");
     let mut present = vec![false; slots];
     for (&id, &c) in points.ids.iter().zip(&expected) {
-        assert_eq!(dom.counts()[id as usize], c, "{what}: id {id}");
+        assert_eq!(counts[id as usize], c, "{what}: id {id}");
         present[id as usize] = true;
     }
     for (id, p) in present.iter().enumerate() {
-        assert!(*p || dom.counts()[id] == 0, "{what}: absent id {id}");
+        assert!(*p || counts[id] == 0, "{what}: absent id {id}");
     }
 
     // Planes: ascending tiers, each exactly the tier's skyband; with
@@ -228,9 +232,55 @@ fn a_nan_row_does_not_panic() {
         coords[3 * 124..3 * 125].fill(f64::NAN);
         let tree = RTree::bulk_load_with_fanout(3, &coords, fanout);
         for cap in CAPS {
-            let dom = DominanceIndex::build_with_cap(&tree, cap);
-            assert_eq!(dom.counts().len(), 500);
-            assert!(dom.counts().iter().all(|&c| c <= cap));
+            DominanceIndex::build_with_cap(&tree, cap);
+            let counts = dominator_counts(&tree, cap);
+            assert_eq!(counts.len(), 500);
+            assert!(counts.iter().all(|&c| c <= cap));
+        }
+    }
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "six counts over 190k points: ~7 s unoptimised, well under 1 s optimised"
+)]
+fn top_tier_counts_select_the_planes_of_the_benchmark_inputs() {
+    // The sets `benchmark/` sets up (`rtopk_scan`'s two sides and
+    // `mutate_mix`'s base): counting to the top tier decides every tier
+    // as counting to 1024 does, and `build` keeps exactly those rows.
+    use wqrtq_data::synthetic::{anticorrelated, independent};
+    let sets = [
+        ("IND 100k×3", independent(100_000, 3, 2015)),
+        ("ANTI 50k×5", anticorrelated(50_000, 5, 2016)),
+        ("IND 40k×3", independent(40_000, 3, 2015)),
+    ];
+    for (what, data) in sets {
+        let tree = RTree::bulk_load(data.dim, &data.coords);
+        let narrow = dominator_counts(&tree, CULPRIT_PLANE_K);
+        let wide = dominator_counts(&tree, 1024);
+        for t in CULPRIT_PLANE_TIERS {
+            for (id, (n, w)) in narrow.iter().zip(&wide).enumerate() {
+                assert_eq!(*n < t, *w < t, "{what}: tier {t} id {id}");
+            }
+        }
+        let dom = DominanceIndex::build(&tree);
+        let skyband = |t: u16| wide.iter().filter(|&&c| c < t).count();
+        let tiers: Vec<u16> = CULPRIT_PLANE_TIERS
+            .into_iter()
+            .take_while(|&t| skyband(t) <= tree.len() / 4)
+            .collect();
+        let built: Vec<u16> = dom.culprit_planes().iter().map(|(t, _)| *t).collect();
+        assert_eq!(built, tiers, "{what}: tier list");
+        for (t, plane) in dom.culprit_planes() {
+            let mut rows = Vec::new();
+            tree.for_each_point(|id, p| {
+                if wide[id as usize] < *t {
+                    rows.extend_from_slice(p);
+                }
+            });
+            let expected = FlatPoints::from_row_major(data.dim, &rows);
+            assert!(*plane == expected, "{what}: tier {t} rows");
         }
     }
 }
