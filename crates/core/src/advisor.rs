@@ -16,7 +16,9 @@
 use crate::error::WhyNotError;
 use crate::explain::Explanation;
 use crate::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
+use crate::incomparable::DominanceFrontier;
 use crate::penalty::{delta_wm, query_point_penalty, Tolerances};
+use std::cell::OnceCell;
 use wqrtq_geom::weight::MAX_SIMPLEX_DISTANCE;
 use wqrtq_geom::Weight;
 
@@ -231,6 +233,21 @@ impl Wqrtq<'_> {
         options: &WhyNotOptions,
         ranks: &[usize],
     ) -> Result<RankedStep, WhyNotError> {
+        self.run_step(why_not, strategy, options, ranks, &OnceCell::new())
+    }
+
+    /// [`Wqrtq::refine_step`] with the query's dominance frontier held in
+    /// `frontier`: the first strategy that needs it builds it, and the
+    /// next one shares it.
+    fn run_step(
+        &self,
+        why_not: &[Weight],
+        strategy: StrategyKind,
+        options: &WhyNotOptions,
+        ranks: &[usize],
+        frontier: &OnceCell<DominanceFrontier>,
+    ) -> Result<RankedStep, WhyNotError> {
+        let frontier = || frontier.get_or_init(|| self.frontier());
         let k_max = ranks.iter().copied().max().unwrap_or(self.k());
         // Exactly the compute of the matching `modify_*` call minus its
         // validation pass.
@@ -259,7 +276,7 @@ impl Wqrtq<'_> {
                         },
                     ),
                     _ => (
-                        self.answer_mwk(why_not, options.sample_size, options.seed)?,
+                        self.answer_mwk(frontier(), why_not, options.sample_size, options.seed),
                         StepStats {
                             exact: false,
                             sample_size: options.sample_size,
@@ -270,6 +287,7 @@ impl Wqrtq<'_> {
             }
             StrategyKind::Mqwk => (
                 self.answer_mqwk(
+                    frontier(),
                     why_not,
                     options.sample_size,
                     options.query_samples,
@@ -400,9 +418,10 @@ impl Wqrtq<'_> {
         }
 
         let mut steps = Vec::with_capacity(strategies.len());
+        let frontier = OnceCell::new();
         for strategy in strategies {
             let started = std::time::Instant::now();
-            let step = self.refine_step(why_not, strategy, options, &ranks)?;
+            let step = self.run_step(why_not, strategy, options, &ranks, &frontier)?;
             emit(AdvisorEvent::StageTimed {
                 stage: strategy.name(),
                 nanos: stage_nanos(started),

@@ -9,9 +9,10 @@
 
 use crate::error::WhyNotError;
 use crate::explain::{explain, Explanation};
+use crate::incomparable::DominanceFrontier;
 use crate::mqp::mqp;
-use crate::mqwk::mqwk;
-use crate::mwk::mwk;
+use crate::mqwk::mqwk_with_frontier;
+use crate::mwk::{mwk_with_frontier, Budget};
 use crate::penalty::Tolerances;
 use wqrtq_geom::Weight;
 use wqrtq_query::{bichromatic_reverse_topk_rta, is_in_topk, rank_of_point, ProbeCtx, Snapshot};
@@ -202,32 +203,40 @@ impl<'a> Wqrtq<'a> {
         seed: u64,
     ) -> Result<WqrtqAnswer, WhyNotError> {
         self.validate_why_not(why_not)?;
-        self.answer_mwk(why_not, sample_size, seed)
+        Ok(self.answer_mwk(&self.frontier(), why_not, sample_size, seed))
     }
 
-    /// Sampled MWK without the why-not validation pass.
+    /// Sampled MWK over `frontier` (this query's
+    /// [`Wqrtq::frontier`]) without the why-not validation pass.
     pub(crate) fn answer_mwk(
         &self,
+        frontier: &DominanceFrontier,
         why_not: &[Weight],
         sample_size: usize,
         seed: u64,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = mwk(
-            self.snapshot,
-            &self.q,
+    ) -> WqrtqAnswer {
+        let res = mwk_with_frontier(
+            frontier,
             self.k,
             why_not,
             sample_size,
             &self.tol,
             seed,
-        )?;
-        Ok(WqrtqAnswer {
+            &Budget::UNBOUNDED,
+        );
+        WqrtqAnswer {
             refined: RefinedQuery::Preferences {
                 why_not: res.refined,
                 k: res.k_prime,
             },
             penalty: res.penalty,
-        })
+        }
+    }
+
+    /// `FindIncom` at this query's point: the dominance frontier the
+    /// sampled MWK and MQWK answers start from.
+    pub(crate) fn frontier(&self) -> DominanceFrontier {
+        DominanceFrontier::new(self.snapshot, &self.q)
     }
 
     /// Solution 2, exact variant (2-D data only): enumerates candidate
@@ -272,20 +281,22 @@ impl<'a> Wqrtq<'a> {
         seed: u64,
     ) -> Result<WqrtqAnswer, WhyNotError> {
         self.validate_why_not(why_not)?;
-        self.answer_mqwk(why_not, sample_size, query_samples, seed)
+        self.answer_mqwk(&self.frontier(), why_not, sample_size, query_samples, seed)
     }
 
-    /// MQWK without the why-not validation pass.
+    /// MQWK over `frontier` (this query's [`Wqrtq::frontier`]) without
+    /// the why-not validation pass.
     pub(crate) fn answer_mqwk(
         &self,
+        frontier: &DominanceFrontier,
         why_not: &[Weight],
         sample_size: usize,
         query_samples: usize,
         seed: u64,
     ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = mqwk(
+        let res = mqwk_with_frontier(
             self.snapshot,
-            &self.q,
+            frontier,
             self.k,
             why_not,
             sample_size,

@@ -12,9 +12,21 @@
 //! (`D ∪ I`) that is a superset of every sample's frontier and can be
 //! re-classified per sample without touching the index again — the
 //! paper's reuse technique (revised `FindIncom`, §4.4).
+//!
+//! [`Reuse`] splits that work by what it depends on. Once per plan: the
+//! *shell* — the base rows some sample might not be incomparable with
+//! (every other row is provably incomparable with the whole sample box)
+//! — and, per why-not anchor, the base rows scoring below the highest
+//! score `q` or any sample reaches, with their scores (one sweep of the
+//! fused kernel each). Per sampled `q′`: a dominance test over `D` and
+//! the shell, and each anchor's culprits picked from its listed rows.
+//! `I(q′)` is kept as the rows that left the base's `I` and the rows
+//! that joined it, so nothing per sample is proportional to `|I|`.
 
 use std::sync::Arc;
-use wqrtq_geom::{dominates, incomparable as neither_dominates, score, DeltaView, QuantizedPoints};
+use wqrtq_geom::{
+    dominates, incomparable as neither_dominates, score, DeltaView, QuantizedPoints, Weight,
+};
 use wqrtq_query::Snapshot;
 
 /// The classified frontier of a query point: everything needed to rank
@@ -23,7 +35,7 @@ use wqrtq_query::Snapshot;
 ///
 /// The rows themselves belong to the traversal that found them
 /// ([`DominanceFrontier::new`]) and are shared, never copied: a
-/// re-classification is `|D|` plus an index list over those rows.
+/// re-classification is `|D|` plus the rows that left or joined `I`.
 #[derive(Clone, Debug)]
 pub struct DominanceFrontier {
     q: Vec<f64>,
@@ -31,11 +43,15 @@ pub struct DominanceFrontier {
     /// `|D|`: points dominating `q` (they beat it under every strictly
     /// positive weight, so ranking never scores them).
     num_dominating: usize,
-    /// `I` as row numbers into `rows`, in canonical (id-ascending) order.
-    incomparable: Vec<u32>,
+    /// The column store's rows that are not in `I`, ascending. `I` is,
+    /// in canonical (id-ascending) order, the column store's other rows
+    /// with the promoted rows merged in.
+    removed: Vec<u32>,
     /// The members of `I` that dominated the traversal's own query point
-    /// and so sit outside the column store.
+    /// and so sit outside the column store, ascending.
     promoted: Vec<u32>,
+    /// The position in `I` of each promoted row.
+    promoted_at: Vec<u32>,
 }
 
 /// What one `FindIncom` traversal found: the rows incomparable with its
@@ -55,10 +71,39 @@ struct FrontierRows {
 }
 
 impl FrontierRows {
+    fn dim(&self) -> usize {
+        self.cols.exact().dim()
+    }
+
     fn row(&self, r: u32) -> &[f64] {
-        let dim = self.cols.exact().dim();
+        let dim = self.dim();
         &self.coords[r as usize * dim..(r as usize + 1) * dim]
     }
+
+    /// Rows in the column store.
+    fn kept(&self) -> u32 {
+        self.cols.exact().len() as u32
+    }
+}
+
+/// The column store's rows scoring below a threshold under one weight,
+/// ascending, with their scores from the fused kernel — the rows an
+/// anchor's culprits are picked from.
+#[derive(Debug, Default)]
+struct RowsBelow {
+    rows: Vec<u32>,
+    scores: Vec<f64>,
+}
+
+/// [`wqrtq_geom::incomparable`] without its early exit: each of `p` and
+/// `q` is below the other somewhere. A NaN is below nothing.
+fn incomparable_at(p: &[f64], q: &[f64]) -> bool {
+    let (mut below, mut above) = (false, false);
+    for (x, y) in p.iter().zip(q) {
+        below |= x < y;
+        above |= x > y;
+    }
+    below & above
 }
 
 /// The live rows of one side of a dominance split, tagged with their ids.
@@ -131,8 +176,9 @@ impl DominanceFrontier {
         Self {
             q: q.to_vec(),
             num_dominating,
-            incomparable: (0..num_incomparable as u32).collect(),
+            removed: Vec::new(),
             promoted: Vec::new(),
+            promoted_at: Vec::new(),
             rows: Arc::new(FrontierRows {
                 ids: incomparable.iter().map(|(id, _)| *id).collect(),
                 cols: QuantizedPoints::from_row_major(dim, &coords[..num_incomparable * dim]),
@@ -145,47 +191,13 @@ impl DominanceFrontier {
     /// (component-wise) — the reuse path of MQWK. Correct because every
     /// point dominated by `q` is also dominated by `q′`, so only the
     /// frontier members need a fresh dominance test; and, member for
-    /// member and in the same order, equal to `new(snap, q′)`.
+    /// member and in the same order, equal to `new(snap, q′)`. The rows
+    /// re-tested are [`Reuse`]'s shell for the one sample `q′`.
     ///
     /// # Panics
     /// Panics (debug builds) if `q′` does not dominate-or-equal `q`.
     pub fn reclassify(&self, q_prime: &[f64]) -> DominanceFrontier {
-        debug_assert!(
-            q_prime.iter().zip(&self.q).all(|(a, b)| a <= b),
-            "reuse requires q′ ⪯ q"
-        );
-        let rows = &self.rows;
-        let kept = rows.cols.exact().len() as u32;
-        // Nothing incomparable with the traversal's point can dominate a
-        // point below it, so only the old dominators can still dominate.
-        let mut num_dominating = 0;
-        let mut promoted = Vec::new();
-        for r in kept..rows.ids.len() as u32 {
-            if dominates(rows.row(r), q_prime) {
-                num_dominating += 1;
-            } else if neither_dominates(rows.row(r), q_prime) {
-                promoted.push(r);
-            }
-        }
-        // I(q′) in id order: the survivors with the promoted merged in
-        // (both runs ascend; a sort here cost more than the classification).
-        let id = |r: u32| rows.ids[r as usize];
-        let mut incomparable = Vec::new();
-        let mut pending = promoted.iter().copied().peekable();
-        for r in (0..kept).filter(|&r| neither_dominates(rows.row(r), q_prime)) {
-            while let Some(p) = pending.next_if(|&p| id(p) < id(r)) {
-                incomparable.push(p);
-            }
-            incomparable.push(r);
-        }
-        incomparable.extend(pending);
-        DominanceFrontier {
-            q: q_prime.to_vec(),
-            rows: Arc::clone(rows),
-            num_dominating,
-            incomparable,
-            promoted,
-        }
+        Reuse::new(self, &[q_prime.to_vec()], &[]).reclassify(q_prime)
     }
 
     /// `|D|`.
@@ -195,7 +207,7 @@ impl DominanceFrontier {
 
     /// `|I|`.
     pub fn num_incomparable(&self) -> usize {
-        self.incomparable.len()
+        self.rows.kept() as usize - self.removed.len() + self.promoted.len()
     }
 
     /// The query point this frontier is relative to.
@@ -205,7 +217,25 @@ impl DominanceFrontier {
 
     /// Coordinates of the `i`-th incomparable point.
     pub fn incomparable_point(&self, i: usize) -> &[f64] {
-        self.rows.row(self.incomparable[i])
+        let i = i as u32;
+        let before = self.promoted_at.partition_point(|&at| at < i);
+        if self.promoted_at.get(before) == Some(&i) {
+            return self.rows.row(self.promoted[before]);
+        }
+        // The column store's `n`-th row outside `removed` is `n + j` for
+        // the first `j` with `removed[j] − j > n` (that difference
+        // ascends).
+        let n = i - before as u32;
+        let (mut lo, mut hi) = (0, self.removed.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.removed[mid] - mid as u32 <= n {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.rows.row(n + lo as u32)
     }
 
     /// The possible rank range of `q`: `[|D| + 1, |D| + |I| + 1]` (§4.3).
@@ -238,19 +268,187 @@ impl DominanceFrontier {
         counted + self.promoted.iter().filter(beats).count()
     }
 
-    /// Positions in `I` of the points beating `q` under `w` — the anchor's
-    /// culprits, found by one sequential sweep of the fused score kernel
+    /// The column store's rows scoring below `threshold` under `w`, with
+    /// their scores: one sequential sweep of the fused score kernel
     /// (`scores` is its buffer, capacity reused).
-    pub(crate) fn culprits(&self, w: &[f64], scores: &mut Vec<f64>) -> Vec<u32> {
-        let sq = score(w, &self.q);
+    fn rows_below(&self, w: &[f64], threshold: f64, scores: &mut Vec<f64>) -> RowsBelow {
         self.rows.cols.exact().scores_into(w, scores);
-        let score_of = |r: u32| match scores.get(r as usize) {
-            Some(&s) => s,
-            None => score(w, self.rows.row(r)),
-        };
-        let positions = 0..self.incomparable.len() as u32;
+        let mut below = RowsBelow::default();
+        for (r, &s) in scores.iter().enumerate() {
+            if s < threshold {
+                below.rows.push(r as u32);
+                below.scores.push(s);
+            }
+        }
+        below
+    }
+
+    /// Positions in `I`, ascending, of the points beating `q` under `w` —
+    /// the anchor's culprits. `below` lists the column store's rows
+    /// scoring below some threshold no lower than `f(w, q)`: the store's
+    /// culprits are its listed rows that score below `q` and are still in
+    /// `I`, at the kernel's scores. The promoted rows are scored directly.
+    /// A fresh frontier's own list is the one at `f(w, q)` itself.
+    fn culprits(&self, w: &[f64], below: &RowsBelow) -> Vec<u32> {
+        let sq = score(w, &self.q);
+        let id = |r: u32| self.rows.ids[r as usize];
+        let promoted_before = |r: u32| self.promoted.partition_point(|&p| id(p) < id(r)) as u32;
+        let mut positions = Vec::new();
+        let mut removed = self.removed.iter().copied().peekable();
+        let mut num_removed = 0;
+        let beating = below
+            .rows
+            .iter()
+            .zip(&below.scores)
+            .filter(|(_, &s)| s < sq);
+        for (&r, _) in beating {
+            while removed.next_if(|&x| x < r).is_some() {
+                num_removed += 1;
+            }
+            if removed.peek() != Some(&r) {
+                positions.push(r - num_removed + promoted_before(r));
+            }
+        }
+        let before_promoted = positions.len();
+        for (&p, &at) in self.promoted.iter().zip(&self.promoted_at) {
+            if score(w, self.rows.row(p)) < sq {
+                positions.push(at);
+            }
+        }
+        if positions.len() > before_promoted {
+            positions.sort_unstable();
+        }
         positions
-            .filter(|&pos| score_of(self.incomparable[pos as usize]) < sq)
+    }
+}
+
+/// MQWK's reuse technique for one plan: a base frontier at `q`, the
+/// query points sampled below it and the why-not anchors, with the work
+/// that depends on those alone done once (see the module docs).
+#[derive(Debug)]
+pub struct Reuse<'f> {
+    base: &'f DominanceFrontier,
+    anchors: &'f [Weight],
+    /// The column store's rows a sample might not be incomparable with,
+    /// ascending, and their coordinates, row-major.
+    shell: Vec<u32>,
+    shell_coords: Vec<f64>,
+    /// Per anchor `wᵢ`, the column store's rows scoring below
+    /// `Tᵢ = max(f(wᵢ, q), maxₛ f(wᵢ, q′ₛ))`.
+    below: Vec<RowsBelow>,
+}
+
+impl<'f> Reuse<'f> {
+    /// Finds the shell of the samples' bounding box `[lo, hi]` and lists
+    /// each anchor's rows below its threshold: one pass over the column
+    /// store, and one sweep of the score kernel per anchor. Every sample
+    /// must dominate-or-equal the base frontier's `q`.
+    ///
+    /// A row outside the shell has a coordinate below `lo` and one above
+    /// `hi`, so every point of the box beats it on one and loses on the
+    /// other. A NaN coordinate, in a row or a sample, proves nothing.
+    pub fn new(base: &'f DominanceFrontier, samples: &[Vec<f64>], anchors: &'f [Weight]) -> Self {
+        let (rows, dim) = (&base.rows, base.q.len());
+        let widen = |b: f64, x: f64, pick: fn(f64, f64) -> f64| {
+            if b.is_nan() || x.is_nan() {
+                f64::NAN
+            } else {
+                pick(b, x)
+            }
+        };
+        let (mut lo, mut hi) = (vec![f64::INFINITY; dim], vec![f64::NEG_INFINITY; dim]);
+        for s in samples {
+            for (d, &x) in s.iter().enumerate() {
+                lo[d] = widen(lo[d], x, f64::min);
+                hi[d] = widen(hi[d], x, f64::max);
+            }
+        }
+        let outside = |p: &[f64]| {
+            p.iter().zip(&lo).any(|(x, l)| x < l) && p.iter().zip(&hi).any(|(x, h)| x > h)
+        };
+        let shell: Vec<u32> = (0..rows.kept())
+            .filter(|&r| !outside(rows.row(r)))
+            .collect();
+        let shell_coords = shell.iter().flat_map(|&r| rows.row(r)).copied().collect();
+        let mut scores = Vec::new();
+        let below = anchors
+            .iter()
+            .map(|w| {
+                let sq = score(w, &base.q);
+                let t = samples.iter().fold(sq, |t, s| t.max(score(w, s)));
+                base.rows_below(w, t, &mut scores)
+            })
+            .collect();
+        Self {
+            base,
+            anchors,
+            shell,
+            shell_coords,
+            below,
+        }
+    }
+
+    /// The base frontier re-classified for `q′`, one of the samples —
+    /// [`DominanceFrontier::reclassify`], re-testing only the shell.
+    pub fn reclassify(&self, q_prime: &[f64]) -> DominanceFrontier {
+        let base = self.base;
+        debug_assert!(
+            q_prime.iter().zip(&base.q).all(|(a, b)| a <= b),
+            "reuse requires q′ ⪯ q"
+        );
+        let rows = &base.rows;
+        let kept = rows.kept();
+        // Nothing incomparable with the traversal's point can dominate a
+        // point below it, so only the old dominators can still dominate.
+        let mut num_dominating = 0;
+        let mut promoted = Vec::new();
+        for r in kept..rows.ids.len() as u32 {
+            if dominates(rows.row(r), q_prime) {
+                num_dominating += 1;
+            } else if neither_dominates(rows.row(r), q_prime) {
+                promoted.push(r);
+            }
+        }
+        // The shell's rows that left I, compacted without a branch per row
+        // (about half of them leave, in no order a predictor could learn).
+        let shell_rows = self.shell_coords.chunks_exact(rows.dim());
+        let mut removed = vec![0u32; self.shell.len()];
+        let mut n = 0;
+        for (&r, p) in self.shell.iter().zip(shell_rows) {
+            removed[n] = r;
+            n += usize::from(!incomparable_at(p, q_prime));
+        }
+        removed.truncate(n);
+        // A promoted row goes after the column store's rows with smaller
+        // ids that are still in I, and after the promoted before it.
+        let kept_ids = &rows.ids[..kept as usize];
+        let promoted_at = promoted
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let below = kept_ids.partition_point(|&x| x < rows.ids[p as usize]);
+                let gone = removed.partition_point(|&r| (r as usize) < below);
+                (i + below - gone) as u32
+            })
+            .collect();
+        DominanceFrontier {
+            q: q_prime.to_vec(),
+            rows: Arc::clone(rows),
+            num_dominating,
+            removed,
+            promoted,
+            promoted_at,
+        }
+    }
+
+    /// Per anchor, the culprits of `frontier` — the base or its
+    /// re-classification for one of the samples: the positions in its
+    /// `I`, ascending, of the points beating its `q` under the anchor.
+    pub fn culprits(&self, frontier: &DominanceFrontier) -> Vec<Vec<u32>> {
+        self.anchors
+            .iter()
+            .zip(&self.below)
+            .map(|(w, below)| frontier.culprits(w, below))
             .collect()
     }
 }
@@ -367,6 +565,23 @@ mod tests {
         let rb = oracle.reclassify(&[3.0, 3.5]);
         assert_eq!(ra.num_dominating(), rb.num_dominating());
         assert_eq!(incomparable_rows(&ra), incomparable_rows(&rb));
+    }
+
+    #[test]
+    fn branchless_incomparable_is_the_geometric_one() {
+        let values = [f64::NAN, -0.0, 0.0, 1.0, 2.0];
+        for &a in &values {
+            for &b in &values {
+                for &c in &values {
+                    let (p, q) = ([a, b], [c, 1.0]);
+                    assert_eq!(
+                        incomparable_at(&p, &q),
+                        neither_dominates(&p, &q),
+                        "{p:?} {q:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! 3. for every sample `q′` that can still beat the best candidate so
 //!    far runs MWK *with the reuse technique*: the dominance frontier of
 //!    the original `q` is re-classified for `q′` instead of re-traversing
-//!    the R-tree;
+//!    the R-tree, and what depends only on the samples and the why-not
+//!    vectors is found once for all of them ([`Reuse`]);
 //! 4. returns the `(q′, Wm′, k′)` tuple with the smallest combined
 //!    penalty (Eq. 5).
 //!
@@ -19,11 +20,11 @@
 //! paper's experimental plots where MQWK has the smallest penalty.
 
 use crate::error::WhyNotError;
-use crate::incomparable::DominanceFrontier;
-use crate::mqp::mqp;
-use crate::mwk::{mwk_with_frontier, Budget, MwkResult};
+use crate::incomparable::{DominanceFrontier, Reuse};
+use crate::mqp::{mqp, MqpResult};
+use crate::mwk::{mwk_sampled, Budget, MwkResult};
 use crate::penalty::{query_point_penalty, Tolerances};
-use crate::sampling::sample_query_points;
+use crate::sampling::{sample_query_points, WeightSampler};
 use wqrtq_geom::Weight;
 use wqrtq_query::Snapshot;
 
@@ -86,9 +87,68 @@ pub fn mqwk<'a>(
     let snap = snap.into();
     // Line 2: qmin via MQP (also validates inputs).
     let mqp_res = mqp(snap, q, k, why_not)?;
-    let qmin = &mqp_res.q_prime;
     // Reuse base: one FindIncom traversal at the original q (§4.4).
     let base = DominanceFrontier::new(snap, q);
+    Ok(refine(
+        &base,
+        mqp_res,
+        k,
+        why_not,
+        sample_size,
+        query_samples,
+        tol,
+        seed,
+    ))
+}
+
+/// [`mqwk`] over `base`, a frontier [`DominanceFrontier::new`] found at
+/// the query point of the same snapshot: the MWK step of a plan hands
+/// its own frontier on, so a plan runs `FindIncom` once.
+///
+/// # Errors
+/// What [`mqwk`] returns for the same inputs.
+#[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
+pub fn mqwk_with_frontier<'a>(
+    snap: impl Into<Snapshot<'a>>,
+    base: &DominanceFrontier,
+    k: usize,
+    why_not: &[Weight],
+    sample_size: usize,
+    query_samples: usize,
+    tol: &Tolerances,
+    seed: u64,
+) -> Result<MqwkResult, WhyNotError> {
+    let mqp_res = mqp(snap, base.q(), k, why_not)?;
+    Ok(refine(
+        base,
+        mqp_res,
+        k,
+        why_not,
+        sample_size,
+        query_samples,
+        tol,
+        seed,
+    ))
+}
+
+/// Algorithm 3 past line 2: the endpoints and the sampled candidates.
+#[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
+fn refine(
+    base: &DominanceFrontier,
+    mqp_res: MqpResult,
+    k: usize,
+    why_not: &[Weight],
+    sample_size: usize,
+    query_samples: usize,
+    tol: &Tolerances,
+    seed: u64,
+) -> MqwkResult {
+    let (q, qmin) = (base.q(), &mqp_res.q_prime);
+    // Line 3: sample |Q| query points from (qmin, q). What depends only
+    // on them and on the anchors — which base rows any of them may
+    // re-classify, and which may beat any of them — is found once.
+    let samples = sample_query_points(qmin, q, query_samples, seed ^ 0x9e37_79b9);
+    let reuse = Reuse::new(base, &samples, why_not);
 
     // Endpoint candidate 1: move the query all the way to qmin, keep
     // preferences — penalty γ·Δq(qmin).
@@ -108,13 +168,13 @@ pub fn mqwk<'a>(
         lambda: tol.lambda,
         best: best.penalty,
     };
-    let res = mwk_with_frontier(&base, k, why_not, sample_size, tol, seed, &budget);
+    let sampler = || WeightSampler::with_culprits(base, why_not, reuse.culprits(base), seed);
+    let res = mwk_sampled(base, k, why_not, sample_size, tol, &budget, sampler);
     best.offer(q, res, &budget, RefinementSource::PreferenceEndpoint);
 
-    // Line 3: sample |Q| query points from (qmin, q); lines 5–9: evaluate
-    // each through MWK over the re-classified frontier. Sample `i` seeds
-    // its MWK with `seed + i + 1` whether or not its predecessors ran.
-    let samples = sample_query_points(qmin, q, query_samples, seed ^ 0x9e37_79b9);
+    // Lines 5–9: evaluate each sample through MWK over the re-classified
+    // frontier. Sample `i` seeds its MWK with `seed + i + 1` whether or
+    // not its predecessors ran.
     for (i, q_cand) in samples.iter().enumerate() {
         let budget = Budget {
             floor: tol.gamma * query_point_penalty(q, q_cand),
@@ -126,12 +186,14 @@ pub fn mqwk<'a>(
             continue;
         }
         best.candidates_evaluated += 1;
-        let frontier = base.reclassify(q_cand);
+        let frontier = reuse.reclassify(q_cand);
         let seed = seed.wrapping_add(i as u64 + 1);
-        let res = mwk_with_frontier(&frontier, k, why_not, sample_size, tol, seed, &budget);
+        let sampler =
+            || WeightSampler::with_culprits(&frontier, why_not, reuse.culprits(&frontier), seed);
+        let res = mwk_sampled(&frontier, k, why_not, sample_size, tol, &budget, sampler);
         best.offer(q_cand, res, &budget, RefinementSource::Sampled);
     }
-    Ok(best)
+    best
 }
 
 impl MqwkResult {

@@ -122,9 +122,9 @@ pub fn mwk<'a>(
     ))
 }
 
-/// MWK over a pre-computed dominance frontier — the entry point used by
-/// MQWK's reuse technique (the frontier carries the query point) — for
-/// an answer priced within `budget`.
+/// MWK over a pre-computed dominance frontier (it carries the query
+/// point), for an answer priced within `budget` — how a plan's MWK step
+/// shares its frontier with the MQWK step after it.
 pub fn mwk_with_frontier(
     frontier: &DominanceFrontier,
     k: usize,
@@ -133,6 +133,22 @@ pub fn mwk_with_frontier(
     tol: &Tolerances,
     seed: u64,
     budget: &Budget,
+) -> MwkResult {
+    let sampler = || WeightSampler::new(frontier, why_not, seed);
+    mwk_sampled(frontier, k, why_not, sample_size, tol, budget, sampler)
+}
+
+/// [`mwk_with_frontier`] drawing its weights from `sampler()`, which runs
+/// only once some original vector misses the top-k. MQWK passes samplers
+/// whose culprits its per-plan [`crate::incomparable::Reuse`] found.
+pub(crate) fn mwk_sampled<'f>(
+    frontier: &'f DominanceFrontier,
+    k: usize,
+    why_not: &[Weight],
+    sample_size: usize,
+    tol: &Tolerances,
+    budget: &Budget,
+    sampler: impl FnOnce() -> WeightSampler<'f>,
 ) -> MwkResult {
     assert!(!why_not.is_empty(), "why-not set must be non-empty");
     let m = why_not.len();
@@ -178,7 +194,7 @@ pub fn mwk_with_frontier(
     // replace, that move alone prices the CW out of the budget.
     let mut candidates: Vec<f64> = Vec::new();
     let mut pool: Vec<(usize, usize)> = Vec::new();
-    WeightSampler::new(frontier, why_not, seed).sample_each(sample_size, |w| {
+    sampler().sample_each(sample_size, |w| {
         if why_not
             .iter()
             .all(|wi| budget.rules_out(penalty(k, l2_dist(wi, w))))

@@ -23,7 +23,7 @@
 //! box `(qmin, q)` where `qmin` is the MQP optimum — any point outside
 //! that box is provably dominated by an endpoint solution (§4.4).
 
-use crate::incomparable::DominanceFrontier;
+use crate::incomparable::{DominanceFrontier, Reuse};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wqrtq_geom::{dot, Weight};
@@ -52,11 +52,18 @@ impl<'a> WeightSampler<'a> {
     /// Creates a sampler over the frontier's incomparable hyperplanes,
     /// anchored at `why_not` (the vectors whose neighbourhood matters).
     pub fn new(frontier: &'a DominanceFrontier, why_not: &[Weight], seed: u64) -> Self {
-        let mut scores = Vec::new();
-        let culprits = why_not
-            .iter()
-            .map(|w| frontier.culprits(w, &mut scores))
-            .collect();
+        let culprits = Reuse::new(frontier, &[], why_not).culprits(frontier);
+        Self::with_culprits(frontier, why_not, culprits, seed)
+    }
+
+    /// [`WeightSampler::new`] with each anchor's culprits (positions in
+    /// the frontier's `I`, ascending) already found.
+    pub(crate) fn with_culprits(
+        frontier: &'a DominanceFrontier,
+        why_not: &[Weight],
+        culprits: Vec<Vec<u32>>,
+        seed: u64,
+    ) -> Self {
         Self {
             frontier,
             anchors: why_not.to_vec(),

@@ -5,8 +5,9 @@
 //! Its one reader is MQWK's dominance frontier (the incomparable set of
 //! the paper's Algorithms 2/3), which counts the same few thousand rows
 //! under every sampled weight of every sampled query point. There the
-//! tier is load-bearing: removing it cut `benchmark/`'s `whynot_plan`
-//! from 56.0 to 26.7 plans/s (2-core x86-64 Xeon). Everywhere else it
+//! tier is load-bearing: building no tier cuts `benchmark/`'s
+//! `whynot_plan` from 74.3 to 22.2 plans/s (medians of three 20 s runs,
+//! seed 2015, 2-core x86-64 Xeon). Everywhere else it
 //! lost — nothing scans the whole-dataset base store above 2 048
 //! points, and the mask's culprit planes answered `rtopk_scan` faster
 //! exact (p50 420 → 328 µs, same box) — so those stay plain
@@ -64,6 +65,14 @@ const QUANT_MIN_SPREAD: f64 = 1e-30;
 #[inline]
 fn quant_rel_bound(dim: usize) -> f64 {
     (2 * dim + 8) as f64 * (f32::EPSILON as f64)
+}
+
+/// Whether the error model holds for a block of this spread: zero, or
+/// inside `[QUANT_MIN_SPREAD, QUANT_MAX_ABS]` (see both). A NaN spread
+/// fails.
+#[inline]
+fn band_holds(spread: f64) -> bool {
+    spread == 0.0 || (QUANT_MIN_SPREAD..=QUANT_MAX_ABS).contains(&spread)
 }
 
 /// The quantized mirror: `f32` columns plus per-block per-dimension
@@ -338,13 +347,57 @@ impl QuantizedPoints {
         buf32: &mut [f32; BLOCK],
         count: &mut usize,
     ) -> bool {
-        let (n, dim) = (self.exact.len(), self.exact.dim());
+        let (lo, hi, spread) = self.block_bounds(tier, block, w);
+        if hi < threshold {
+            // Every computed score in the block is < t: count wholesale.
+            *count += len;
+            stats.blocks_skipped += 1;
+            return true;
+        }
+        if !(lo < threshold) {
+            // Every computed score is ≥ t: nothing to count.
+            stats.blocks_skipped += 1;
+            return true;
+        }
+        // Straddling block. Guard the error model: reject non-finite or
+        // denormal-polluted spreads (see QUANT_MIN_SPREAD) and anything
+        // the f32 mirror could overflow on.
+        if !band_holds(spread) {
+            stats.quantized_fallbacks += 1;
+            return false;
+        }
+        let err = rel * spread;
+        let t_lo = threshold - err;
+        let t_hi = threshold + err;
+        let buf = &mut buf32[..len];
+        self.scores_f32(tier, start, w, wf, buf);
+        let (definite, ambiguous) = buf.iter().fold((0usize, 0usize), |(def, amb), &s| {
+            let s = s as f64;
+            (
+                def + (s < t_lo) as usize,
+                amb + (s >= t_lo && s < t_hi) as usize,
+            )
+        });
+        stats.quantized_blocks += 1;
+        if ambiguous > 0 {
+            // The exact rescan (run by the caller) accounts the visit.
+            stats.quantized_fallbacks += 1;
+            return false;
+        }
+        stats.blocks_visited += 1;
+        *count += definite;
+        true
+    }
+
+    /// Bounds `(lo, hi)` on every computed score in clustered block
+    /// `block`, and `spread = Σ_d |w_d|·max|x_d|`, which sizes its error
+    /// band. `lo`/`hi` accumulate in the *same operation order* as the
+    /// scalar kernel (dimension 0 unconditional, zero weights skipped),
+    /// so round-to-nearest monotonicity makes them exact bounds.
+    fn block_bounds(&self, tier: &QuantTier, block: usize, w: &[f64]) -> (f64, f64, f64) {
+        let dim = self.exact.dim();
         let bounds_lo = &tier.block_lo[block * dim..(block + 1) * dim];
         let bounds_hi = &tier.block_hi[block * dim..(block + 1) * dim];
-        // Accumulate lo/hi in the *same operation order* as the scalar
-        // kernel (dimension 0 unconditional, zero weights skipped), so
-        // round-to-nearest monotonicity makes them exact bounds on the
-        // computed per-point scores. `spread` feeds the error bound.
         let pick = |wd: f64, d: usize| -> (f64, f64) {
             if wd >= 0.0 {
                 (bounds_lo[d], bounds_hi[d])
@@ -365,31 +418,23 @@ impl QuantizedPoints {
             hi += wd * x_hi;
             spread += wd.abs() * bounds_lo[d].abs().max(bounds_hi[d].abs());
         }
-        if hi < threshold {
-            // Every computed score in the block is < t: count wholesale.
-            *count += len;
-            stats.blocks_skipped += 1;
-            return true;
-        }
-        if !(lo < threshold) {
-            // Every computed score is ≥ t: nothing to count.
-            stats.blocks_skipped += 1;
-            return true;
-        }
-        // Straddling block. Guard the error model: reject non-finite or
-        // denormal-polluted spreads (see QUANT_MIN_SPREAD) and anything
-        // the f32 mirror could overflow on.
-        if !(spread == 0.0 || (QUANT_MIN_SPREAD..=QUANT_MAX_ABS).contains(&spread)) {
-            stats.quantized_fallbacks += 1;
-            return false;
-        }
-        let err = rel * spread;
-        let t_lo = threshold - err;
-        let t_hi = threshold + err;
-        let buf = &mut buf32[..len];
+        (lo, hi, spread)
+    }
+
+    /// The `f32` scores of the clustered slots `start..start + out.len()`
+    /// from the mirror (`wf` is `w` rounded to `f32`).
+    fn scores_f32(
+        &self,
+        tier: &QuantTier,
+        start: usize,
+        w: &[f64],
+        wf: &[f32; MAX_QUANT_DIM],
+        out: &mut [f32],
+    ) {
+        let (n, len) = (self.exact.len(), out.len());
         let w0 = wf[0];
         let col0 = &tier.cols_f32[start..start + len];
-        for (o, &x) in buf.iter_mut().zip(col0) {
+        for (o, &x) in out.iter_mut().zip(col0) {
             *o = w0 * x;
         }
         for (d, &wd) in w.iter().enumerate().skip(1) {
@@ -398,26 +443,10 @@ impl QuantizedPoints {
             }
             let wdf = wf[d];
             let col = &tier.cols_f32[d * n + start..d * n + start + len];
-            for (o, &x) in buf.iter_mut().zip(col) {
+            for (o, &x) in out.iter_mut().zip(col) {
                 *o += wdf * x;
             }
         }
-        let (definite, ambiguous) = buf.iter().fold((0usize, 0usize), |(def, amb), &s| {
-            let s = s as f64;
-            (
-                def + (s < t_lo) as usize,
-                amb + (s >= t_lo && s < t_hi) as usize,
-            )
-        });
-        stats.quantized_blocks += 1;
-        if ambiguous > 0 {
-            // The exact rescan (run by the caller) accounts the visit.
-            stats.quantized_fallbacks += 1;
-            return false;
-        }
-        stats.blocks_visited += 1;
-        *count += definite;
-        true
     }
 }
 
@@ -557,6 +586,142 @@ mod tests {
         }
     }
 
+    /// SplitMix64: the draws of [`edge_case`].
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn unit(state: &mut u64) -> f64 {
+        (next(state) >> 11) as f64 / (1u64 << 53) as f64
+    }
+
+    /// A store whose coordinates sit where the error model is fragile —
+    /// near `QUANT_MIN_SPREAD` and `QUANT_MAX_ABS` (either side), among
+    /// `f32` and `f64` denormals, at ±0, or all of these mixed — and a
+    /// weight with zero, `-0.0` and sub-EPS negative entries.
+    fn edge_case(seed: u64) -> (usize, Vec<f64>, Vec<f64>) {
+        let mut state = seed;
+        let state = &mut state;
+        let dim = 1 + (next(state) % 5) as usize;
+        let n = BLOCK / 2 + (next(state) % (3 * BLOCK as u64)) as usize;
+        let scales = [QUANT_MIN_SPREAD, QUANT_MAX_ABS, 1e-40, 1e-310, 1.0];
+        let regime = (next(state) % (scales.len() as u64 + 1)) as usize;
+        let mut coords = Vec::with_capacity(n * dim);
+        for _ in 0..n * dim {
+            let scale = scales
+                .get(regime)
+                .copied()
+                .unwrap_or_else(|| scales[(next(state) % scales.len() as u64) as usize]);
+            let x = match next(state) % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                // A repeat: exact ties between points.
+                2 if !coords.is_empty() => coords[coords.len() - 1],
+                _ => scale * 2.0 * unit(state),
+            };
+            coords.push(x);
+        }
+        let w: Vec<f64> = (0..dim)
+            .map(|_| match next(state) % 6 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => -1e-10,
+                _ => unit(state),
+            })
+            .collect();
+        (dim, coords, w)
+    }
+
+    /// Checks one edge case: per ok block, the bounds bracket every exact
+    /// score and every `f32` score lies within `±E` of an interval
+    /// enclosing the real score (and of the exact one); the two-tier
+    /// counts equal the exact ones. Returns the scan stats.
+    fn check_error_band(seed: u64) -> Result<ScanStats, String> {
+        let (dim, coords, w) = edge_case(seed);
+        let q = QuantizedPoints::from_row_major(dim, &coords);
+        let tier = q.tier.as_ref().expect("dim ≤ MAX_QUANT_DIM");
+        let n = q.exact.len();
+        let mut exact = Vec::new();
+        q.exact.scores_into(&w, &mut exact);
+        let mut wf = [0.0f32; MAX_QUANT_DIM];
+        for (o, &x) in wf.iter_mut().zip(&w) {
+            *o = x as f32;
+        }
+        let mut s32 = [0.0f32; BLOCK];
+        let mut row = vec![0.0; dim];
+        for (block, start) in (0..n).step_by(BLOCK).enumerate() {
+            let len = BLOCK.min(n - start);
+            if !tier.block_ok[block] {
+                continue;
+            }
+            let (lo, hi, spread) = q.block_bounds(tier, block, &w);
+            q.scores_f32(tier, start, &w, &wf, &mut s32[..len]);
+            let e = quant_rel_bound(dim) * spread;
+            for (slot, &got) in s32[..len].iter().enumerate() {
+                let i = tier.perm[start + slot] as usize;
+                let s = exact[i];
+                if !(lo <= s && s <= hi) {
+                    return Err(format!("seed {seed}: score {s:e} outside [{lo:e}, {hi:e}]"));
+                }
+                if !band_holds(spread) {
+                    continue;
+                }
+                // Interval arithmetic on the real score: the exact kernel
+                // is within (dim + 1)·ε·Σ|w_d·x_d| of it, plus one
+                // smallest subnormal per term for underflow.
+                q.exact.point_into(i, &mut row);
+                let abs: f64 = w.iter().zip(&row).map(|(a, b)| (a * b).abs()).sum();
+                let slack =
+                    (dim as f64 + 1.0) * f64::EPSILON * abs + dim as f64 * f64::from_bits(1);
+                let (real_lo, real_hi) = (s - slack, s + slack);
+                let got = got as f64;
+                if !(real_lo - e <= got && got <= real_hi + e && (got - s).abs() <= e) {
+                    return Err(format!(
+                        "seed {seed}: f32 score {got:e} outside ±{e:e} of [{real_lo:e}, {real_hi:e}] (exact {s:e})"
+                    ));
+                }
+            }
+        }
+        let mut thresholds = vec![0.0, -0.0, f64::MIN_POSITIVE, -1e-300, QUANT_MIN_SPREAD];
+        let mut state = !seed;
+        for _ in 0..12 {
+            let s = exact[(next(&mut state) % n as u64) as usize];
+            thresholds.extend([s, s * (1.0 + f64::EPSILON), s * (1.0 - f64::EPSILON)]);
+        }
+        let mut stats = ScanStats::default();
+        for t in thresholds {
+            let (got, st) = q.count_better_than_capped_stats(&w, t, usize::MAX);
+            let want = q.exact.count_better_than(&w, t);
+            if got != want {
+                return Err(format!("seed {seed}: t {t:e} counted {got}, exact {want}"));
+            }
+            stats.quantized_blocks += st.quantized_blocks;
+            stats.quantized_fallbacks += st.quantized_fallbacks;
+            stats.blocks_skipped += st.blocks_skipped;
+        }
+        Ok(stats)
+    }
+
+    #[test]
+    fn error_band_holds_at_the_edges_of_the_model() {
+        // Over these seeds every tier runs: bounds verdicts, f32 passes
+        // and exact fallbacks.
+        let mut total = ScanStats::default();
+        for seed in 0..48 {
+            let stats = check_error_band(seed).unwrap();
+            total.quantized_blocks += stats.quantized_blocks;
+            total.quantized_fallbacks += stats.quantized_fallbacks;
+            total.blocks_skipped += stats.blocks_skipped;
+        }
+        assert!(total.blocks_skipped > 0, "{total:?}");
+        assert!(total.quantized_blocks > 0, "{total:?}");
+        assert!(total.quantized_fallbacks > 0, "{total:?}");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
@@ -585,6 +750,12 @@ mod tests {
             for k in [1usize, 2, 5] {
                 prop_assert_eq!(f.count_better_than_capped(&w, t, k) >= k, better >= k);
             }
+        }
+
+        #[test]
+        fn error_band_holds_for_edge_magnitudes(seed in 0u64..u64::MAX) {
+            let checked = check_error_band(seed);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
 }
