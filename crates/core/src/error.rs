@@ -35,6 +35,9 @@ pub enum WhyNotError {
     /// The query's `k` is zero: no top-0 result exists for `q` to be
     /// missing from.
     ZeroK,
+    /// The query point has zero norm: Eq. 1 prices a moved query point
+    /// relative to `‖q‖`.
+    ZeroQueryPoint,
     /// The quadratic program could not be solved numerically.
     QpFailure(String),
     /// An advisor call requested an empty strategy set — there is
@@ -57,6 +60,10 @@ impl fmt::Display for WhyNotError {
                 write!(f, "dataset of {len} points is smaller than k = {k}")
             }
             WhyNotError::ZeroK => write!(f, "k must be at least 1"),
+            WhyNotError::ZeroQueryPoint => write!(
+                f,
+                "the query point must have a positive norm (a moved q is priced relative to ‖q‖)"
+            ),
             WhyNotError::QpFailure(msg) => write!(f, "quadratic programming failed: {msg}"),
             WhyNotError::NoStrategies => {
                 write!(f, "the refinement strategy set is empty — nothing to run")
@@ -90,6 +97,7 @@ mod tests {
         assert!(WhyNotError::DatasetSmallerThanK { len: 4, k: 9 }
             .to_string()
             .contains("k = 9"));
+        assert!(WhyNotError::ZeroQueryPoint.to_string().contains("norm"));
         assert!(WhyNotError::QpFailure("nope".into())
             .to_string()
             .contains("nope"));

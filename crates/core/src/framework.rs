@@ -13,7 +13,7 @@ use crate::incomparable::DominanceFrontier;
 use crate::mqp::mqp;
 use crate::mqwk::mqwk_with_frontier;
 use crate::mwk::{mwk_with_frontier, Budget};
-use crate::penalty::Tolerances;
+use crate::penalty::{has_positive_norm, Tolerances};
 use wqrtq_geom::Weight;
 use wqrtq_query::{bichromatic_reverse_topk_rta, is_in_topk, rank_of_point, ProbeCtx, Snapshot};
 
@@ -74,8 +74,9 @@ impl<'a> Wqrtq<'a> {
     ///
     /// # Errors
     /// Returns [`WhyNotError::DimensionMismatch`] when `q` (or the
-    /// snapshot's overlay) does not match the index, and
-    /// [`WhyNotError::ZeroK`] for `k = 0`.
+    /// snapshot's overlay) does not match the index,
+    /// [`WhyNotError::ZeroK`] for `k = 0`, and
+    /// [`WhyNotError::ZeroQueryPoint`] when `‖q‖` is not positive.
     pub fn new(
         snapshot: impl Into<Snapshot<'a>>,
         q: &[f64],
@@ -92,6 +93,9 @@ impl<'a> Wqrtq<'a> {
         }
         if k == 0 {
             return Err(WhyNotError::ZeroK);
+        }
+        if !has_positive_norm(q) {
+            return Err(WhyNotError::ZeroQueryPoint);
         }
         Ok(Self {
             snapshot,
@@ -554,5 +558,12 @@ mod tests {
             Wqrtq::new(&tree, &[4.0, 4.0], 0),
             Err(WhyNotError::ZeroK)
         ));
+        // Eq. 1 divides by ‖q‖, and so does every plan that moves q.
+        for origin in [[0.0, 0.0], [-0.0, 0.0], [1e-200, 0.0]] {
+            assert!(matches!(
+                Wqrtq::new(&tree, &origin, 3),
+                Err(WhyNotError::ZeroQueryPoint)
+            ));
+        }
     }
 }

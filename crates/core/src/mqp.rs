@@ -9,7 +9,7 @@
 //! which would not scale with dimensionality (§4.2).
 
 use crate::error::WhyNotError;
-use crate::penalty::query_point_penalty;
+use crate::penalty::{has_positive_norm, query_point_penalty};
 use crate::safe_region::SafeRegion;
 use wqrtq_geom::Weight;
 use wqrtq_qp::{solve, QpProblem};
@@ -36,6 +36,10 @@ pub struct MqpResult {
 /// Assumes non-negative data coordinates (true for all paper datasets),
 /// under which `q′ = 0` is always feasible and the QP can never be
 /// infeasible.
+///
+/// # Errors
+/// [`WhyNotError::ZeroQueryPoint`] when `‖q‖` is not positive (Eq. 1
+/// divides by it), and what [`SafeRegion::build`] returns.
 pub fn mqp<'a>(
     snap: impl Into<Snapshot<'a>>,
     q: &[f64],
@@ -48,6 +52,9 @@ pub fn mqp<'a>(
             expected: snap.dim(),
             got: q.len(),
         });
+    }
+    if !has_positive_norm(q) {
+        return Err(WhyNotError::ZeroQueryPoint);
     }
     // Phase 1: top-k-th point per why-not vector (Algorithm 1, lines 1–12)
     // — shared with the safe-region constructor.
@@ -209,6 +216,12 @@ mod tests {
             mqp(&tree, &[4.0], 3, &kevin_julia()),
             Err(WhyNotError::DimensionMismatch { .. })
         ));
+        for origin in [[0.0, 0.0], [-0.0, 0.0]] {
+            assert_eq!(
+                mqp(&tree, &origin, 3, &kevin_julia()).unwrap_err(),
+                WhyNotError::ZeroQueryPoint
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //!    far runs MWK *with the reuse technique*: the dominance frontier of
 //!    the original `q` is re-classified for `q′` instead of re-traversing
 //!    the R-tree, and what depends only on the samples and the why-not
-//!    vectors is found once for all of them ([`Reuse`]);
+//!    vectors is found once for all of them ([`Reuse`]). MWK runs only
+//!    where it could win: the anchors' culprits at `q′` put a floor under
+//!    any penalty it can return there (Lemma 4's rank argument in weight
+//!    space — a vector ranking `q′` higher lies across the tie planes of
+//!    the culprits it stops), and a sample priced out by `γ·Δq(q′)` plus
+//!    that floor is skipped before a weight is drawn;
 //! 4. returns the `(q′, Wm′, k′)` tuple with the smallest combined
 //!    penalty (Eq. 5).
 //!
@@ -23,9 +28,9 @@ use crate::error::WhyNotError;
 use crate::incomparable::{DominanceFrontier, Reuse};
 use crate::mqp::{mqp, MqpResult};
 use crate::mwk::{mwk_sampled, Budget, MwkResult};
-use crate::penalty::{query_point_penalty, Tolerances};
+use crate::penalty::{eq4, query_point_penalty, Tolerances};
 use crate::sampling::{sample_query_points, WeightSampler};
-use wqrtq_geom::Weight;
+use wqrtq_geom::{score, Weight};
 use wqrtq_query::Snapshot;
 
 /// Which candidate family produced the best tuple.
@@ -53,9 +58,9 @@ pub struct MqwkResult {
     /// Candidate query points evaluated: the two endpoints plus every
     /// sample MWK ran for.
     pub candidates_evaluated: usize,
-    /// Sampled query points skipped because moving `q` that far already
-    /// costs as much as the best candidate before them
-    /// (`evaluated + pruned = 2 + |Q|`).
+    /// Sampled query points skipped because `γ·Δq(q′)` plus `λ` times the
+    /// floor on MWK's penalty at `q′` already reaches the best candidate
+    /// before them (`evaluated + pruned = 2 + |Q|`).
     pub candidates_pruned: usize,
     /// Which family produced the winner.
     pub source: RefinementSource,
@@ -69,10 +74,12 @@ pub struct MqwkResult {
 ///
 /// The answer is Algorithm 3's, bit for bit, but not all of its work is
 /// done: the best penalty so far travels with the loop, a sample whose
-/// `γ·Δq(q′)` alone reaches it is skipped, and the others hand MWK what is
+/// `γ·Δq(q′)` alone reaches it is skipped before it is re-classified, one
+/// whose `γ·Δq(q′)` plus the floor on MWK's penalty there reaches it is
+/// skipped before MWK draws a weight, and the others hand MWK what is
 /// left of it as a [`Budget`]. The comparison is strict and in sample
-/// order, so a candidate that cannot go below the incumbent could never
-/// have replaced it.
+/// order, and the floor holds in computed arithmetic, so a candidate that
+/// cannot go below the incumbent could never have replaced it.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
 pub fn mqwk<'a>(
     snap: impl Into<Snapshot<'a>>,
@@ -132,6 +139,9 @@ pub fn mqwk_with_frontier<'a>(
 }
 
 /// Algorithm 3 past line 2: the endpoints and the sampled candidates.
+/// A sample is re-classified and its anchors' culprits found once: they
+/// price it ([`penalty_floor`]) and, if it may still win, seed its MWK
+/// sampler.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
 fn refine(
     base: &DominanceFrontier,
@@ -173,8 +183,9 @@ fn refine(
     best.offer(q, res, &budget, RefinementSource::PreferenceEndpoint);
 
     // Lines 5–9: evaluate each sample through MWK over the re-classified
-    // frontier. Sample `i` seeds its MWK with `seed + i + 1` whether or
-    // not its predecessors ran.
+    // frontier, unless its price is already out of reach. Sample `i`
+    // seeds its MWK with `seed + i + 1` whether or not its predecessors
+    // ran.
     for (i, q_cand) in samples.iter().enumerate() {
         let budget = Budget {
             floor: tol.gamma * query_point_penalty(q, q_cand),
@@ -185,15 +196,114 @@ fn refine(
             best.candidates_pruned += 1;
             continue;
         }
-        best.candidates_evaluated += 1;
         let frontier = reuse.reclassify(q_cand);
+        let culprits = reuse.culprits(&frontier);
+        if budget.rules_out(penalty_floor(&frontier, k, why_not, &culprits, tol)) {
+            best.candidates_pruned += 1;
+            continue;
+        }
+        best.candidates_evaluated += 1;
         let seed = seed.wrapping_add(i as u64 + 1);
-        let sampler =
-            || WeightSampler::with_culprits(&frontier, why_not, reuse.culprits(&frontier), seed);
+        let sampler = || WeightSampler::with_culprits(&frontier, why_not, culprits, seed);
         let res = mwk_sampled(&frontier, k, why_not, sample_size, tol, &budget, sampler);
         best.offer(q_cand, res, &budget, RefinementSource::Sampled);
     }
     best
+}
+
+/// A floor on every Eq.-4 penalty MWK can return over `frontier`, given
+/// each anchor's culprits there: the positions in `I` of the points
+/// beating its `q′` under it.
+///
+/// Anchor `wᵢ` ranks `q′` at `rᵢ = |D′| + |Cᵢ| + 1`, and `k′max = max rᵢ`
+/// (Lemma 4). A vector ranking `q′` at `k′` or better leaves at most
+/// `k′ − |D′| − 1` points beating it, so it stops at least `rᵢ − k′` of
+/// `wᵢ`'s culprits: it lies across that many of their tie planes, and
+/// no nearer to `wᵢ` than the `(rᵢ − k′)`-th nearest of them. Every
+/// answer MWK prices — the baseline `(Wm, k′max)` or a CW whose vectors
+/// rank `q′` at `k′ ∈ [max(k, |D′| + 1), k′max]` — therefore costs at
+/// least `eq4(k, k′, k′max, Σᵢ dᵢ(k′))` at its own `k′`, and this is the
+/// least of those. The plane distances hold for the computed distances
+/// MWK sums ([`plane_distance`]), and the sum and `eq4` are monotone
+/// under rounding, so the floor holds bit for bit.
+///
+/// A negative anchor entry may score below `q′` a row `q′` dominates,
+/// which the rank counts and the culprits omit: the floor is then 0.
+pub(crate) fn penalty_floor(
+    frontier: &DominanceFrontier,
+    k: usize,
+    why_not: &[Weight],
+    culprits: &[Vec<u32>],
+    tol: &Tolerances,
+) -> f64 {
+    let beyond = frontier.num_dominating() + 1;
+    let ranks = culprits.iter().map(|c| beyond + c.len());
+    let k_max = ranks.max().expect("non-empty why-not set");
+    if k_max <= k || why_not.iter().any(|w| w.iter().any(|&x| x < 0.0)) {
+        return 0.0;
+    }
+    let q = frontier.q();
+    let nearest: Vec<Vec<f64>> = why_not
+        .iter()
+        .zip(culprits)
+        .map(|(w, c)| {
+            let mut d: Vec<f64> = c
+                .iter()
+                .map(|&at| plane_distance(w, frontier.incomparable_point(at as usize), q))
+                .collect();
+            d.sort_unstable_by(f64::total_cmp);
+            d
+        })
+        .collect();
+    (k.max(beyond)..=k_max)
+        .map(|k_prime| {
+            // rᵢ − k′ planes to cross: the (rᵢ − k′)-th nearest bounds them.
+            let stopped = |d: &Vec<f64>| match (beyond + d.len()).saturating_sub(k_prime) {
+                0 => 0.0,
+                must_stop => d[must_stop - 1],
+            };
+            eq4(tol, k, k_prime, k_max, nearest.iter().map(stopped).sum())
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// A lower bound on `‖w′ − w‖`, as MWK computes it, over every `w′` under
+/// which the kernel does not score `p` below `q` — in exact arithmetic,
+/// the distance `(w·q − w·p) / ‖p − q‖` from `w` to the tie plane
+/// `{x : x·(p − q) = 0}` when `w` puts `p` below `q`, and 0 otherwise.
+///
+/// A computed `d`-term dot product, in any order, is off by at most
+/// `γ·Σ|xⱼyⱼ|` with `γ = d·u / (1 − d·u)`, `u = ε/2`, plus `d·2⁻¹⁰⁷⁵` of
+/// underflow. Write `m = Σ|wⱼ|·sⱼ` and `n = Σsⱼ` with
+/// `sⱼ = |pⱼ| + |qⱼ|`, and `t = ‖w′ − w‖`. The two scores under `w` put
+/// `w·(p − q)` at most `−gap + γ·m`, the kernel's two under `w′` put
+/// `w′·(p − q)` at least `−γ·(m + t·n)` (as `|w′ⱼ| ≤ |wⱼ| + |w′ⱼ − wⱼ|`),
+/// and the difference is at most `t·‖p − q‖`; so
+/// `t ≥ (gap − 2·γ·m) / (‖p − q‖ + γ·n)`. The bound below takes
+/// `e = (d + 2)·ε`, about twice `γ`, which also covers computing `gap`,
+/// `m` and `n` and the underflow; scales `‖p − q‖` by its largest entry
+/// so that it cannot underflow; and gives back `4·e` of the result for
+/// the remaining roundings, MWK's own `l2_dist` included. It is never
+/// negative, and 0 where anything is not finite.
+fn plane_distance(w: &[f64], p: &[f64], q: &[f64]) -> f64 {
+    let e = (w.len() + 2) as f64 * f64::EPSILON;
+    let gap = score(w, q) - score(w, p);
+    let (mut m, mut n, mut top) = (0.0, 0.0, 0.0f64);
+    for ((wj, pj), qj) in w.iter().zip(p).zip(q) {
+        let s = pj.abs() + qj.abs();
+        m += wj.abs() * s;
+        n += s;
+        top = top.max((pj - qj).abs());
+    }
+    let lead = gap - (2.0 * e * m + w.len() as f64 * f64::MIN_POSITIVE);
+    if lead > 0.0 {
+        let scaled: f64 = p.iter().zip(q).map(|(a, b)| ((a - b) / top).powi(2)).sum();
+        let t = lead / (top * scaled.sqrt() + e * n) * (1.0 - 4.0 * e);
+        if t.is_finite() {
+            return t;
+        }
+    }
+    0.0
 }
 
 impl MqwkResult {
@@ -219,7 +329,12 @@ impl MqwkResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mwk::mwk;
+    use crate::mwk::{mwk, mwk_with_frontier};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
+    use wqrtq_geom::{DeltaView, FlatPoints};
     use wqrtq_query::rank_of_point;
     use wqrtq_rtree::RTree;
 
@@ -353,5 +468,200 @@ mod tests {
             mqwk(&tree, &[4.0, 4.0], 3, &[], 10, 10, &tol, 1),
             Err(WhyNotError::EmptyWhyNot)
         ));
+    }
+
+    /// One question for the floor: a gridded dataset (ties, duplicates),
+    /// maybe behind an overlay, `q`, `k`, the anchors, the tolerances and
+    /// the query points `q′ ⪯ q` to floor.
+    struct FloorCase {
+        tree: RTree,
+        view: Option<DeltaView>,
+        q: Vec<f64>,
+        k: usize,
+        anchors: Vec<Weight>,
+        tol: Tolerances,
+        samples: Vec<Vec<f64>>,
+    }
+
+    impl FloorCase {
+        fn draw(seed: u64) -> FloorCase {
+            let rng = &mut StdRng::seed_from_u64(seed);
+            let dim = rng.gen_range(2..5usize);
+            let grid = |rng: &mut StdRng| rng.gen_range(0..7) as f64;
+            let n = rng.gen_range(6..90usize);
+            let base: Vec<f64> = (0..n * dim).map(|_| grid(rng)).collect();
+            // On a data point as often as off the grid; never the origin.
+            let q: Vec<f64> = if rng.gen::<bool>() {
+                let at = rng.gen_range(0..n) * dim;
+                base[at..at + dim].iter().map(|c| c.max(1.0)).collect()
+            } else {
+                (0..dim).map(|_| 1.5 + grid(rng).min(5.0)).collect()
+            };
+            let view = rng.gen_range(0..3u32).ne(&0).then(|| {
+                // Appends: grid rows, and rows a step below q that join
+                // I(q′) once q′ passes them; and tombstones.
+                let appended = rng.gen_range(0..12usize);
+                let mut rows = Vec::with_capacity(appended * dim);
+                for _ in 0..appended {
+                    let below_q = rng.gen::<bool>();
+                    for &c in &q {
+                        let step = [0.0, 0.5, 1.0][rng.gen_range(0..3usize)];
+                        rows.push(if below_q { c - step } else { grid(rng) });
+                    }
+                }
+                let dead: Vec<u32> = (0..n as u32).filter(|_| rng.gen::<f64>() < 0.15).collect();
+                let dead_rows = dead.iter().flat_map(|&id| {
+                    let at = id as usize * dim;
+                    base[at..at + dim].to_vec()
+                });
+                DeltaView::new(
+                    Arc::new(FlatPoints::from_row_major(dim, &base)),
+                    Arc::new(rows),
+                    Arc::new((n as u32..(n + appended) as u32).collect()),
+                    Arc::new(dead_rows.collect()),
+                    Arc::new(dead),
+                )
+            });
+            let anchors: Vec<Weight> = (0..rng.gen_range(1..4usize))
+                .map(|_| {
+                    let mut raw: Vec<f64> = (0..dim).map(|_| rng.gen_range(0..4) as f64).collect();
+                    raw[rng.gen_range(0..dim)] += 1.0;
+                    let mut w = Weight::normalized(raw).into_vec();
+                    // Now and then a sub-EPS negative entry where a zero was.
+                    if let Some(zero) = w.iter().position(|&x| x == 0.0) {
+                        if rng.gen_range(0..4u32) == 0 {
+                            let top = (0..dim).max_by(|&a, &b| w[a].total_cmp(&w[b])).unwrap();
+                            w[zero] = -1e-10;
+                            w[top] += 1e-10;
+                        }
+                    }
+                    Weight::new(w)
+                })
+                .collect();
+            let tol = [
+                Tolerances::paper_default(),
+                Tolerances::new(0.5, 0.5, 0.0, 1.0),
+                Tolerances::new(0.5, 0.5, 1.0, 0.0),
+                Tolerances::new(0.0, 1.0, 0.5, 0.5),
+                Tolerances::new(1.0, 0.0, 0.5, 0.5),
+                Tolerances::new(0.2, 0.8, 0.3, 0.7),
+            ][rng.gen_range(0..6usize)];
+            let mut case = FloorCase {
+                tree: RTree::bulk_load(dim, &base),
+                view,
+                q,
+                k: rng.gen_range(1..5usize),
+                anchors,
+                tol,
+                samples: Vec::new(),
+            };
+            case.samples = case.draw_samples(rng, &base);
+            case
+        }
+
+        /// `q` itself, MQP's `qmin` (clamped below `q`), box samples
+        /// (some with zero-width dimensions), and points a few ulps from
+        /// a data point, clamped below `q`.
+        fn draw_samples(&self, rng: &mut StdRng, base: &[f64]) -> Vec<Vec<f64>> {
+            let (q, dim) = (&self.q, self.q.len());
+            let qmin: Vec<f64> = match mqp(self.snapshot(), q, self.k, &self.anchors) {
+                Ok(res) => res.q_prime.iter().zip(q).map(|(a, b)| a.min(*b)).collect(),
+                Err(_) => q.iter().map(|c| c - 1.0).collect(),
+            };
+            let mut samples = vec![q.clone(), qmin.clone()];
+            let pinned: Vec<f64> = qmin
+                .iter()
+                .zip(q)
+                .map(|(lo, hi)| if rng.gen::<bool>() { *hi } else { *lo })
+                .collect();
+            samples.extend(sample_query_points(&pinned, q, 3, rng.gen()));
+            samples.extend(sample_query_points(&qmin, q, 3, rng.gen()));
+            for _ in 0..4 {
+                let at = rng.gen_range(0..base.len() / dim) * dim;
+                let near = base[at..at + dim].iter().zip(q).map(|(&p, &c)| {
+                    let ulps = rng.gen_range(-3..4i64);
+                    let x = f64::from_bits((p.to_bits() as i64 + ulps) as u64);
+                    // A zero coordinate steps to a tiny denormal either way.
+                    let x = if p == 0.0 && ulps < 0 {
+                        -f64::from_bits(ulps.unsigned_abs())
+                    } else {
+                        x
+                    };
+                    x.min(c)
+                });
+                samples.push(near.collect());
+            }
+            samples
+        }
+
+        fn snapshot(&self) -> Snapshot<'_> {
+            let snap = Snapshot::from(&self.tree);
+            match &self.view {
+                Some(view) => snap.overlay(view),
+                None => snap,
+            }
+        }
+
+        /// The floor and MWK's unbounded penalty at every sample.
+        fn floors(&self) -> Vec<(f64, f64)> {
+            let base = DominanceFrontier::new(self.snapshot(), &self.q);
+            let reuse = Reuse::new(&base, &self.samples, &self.anchors);
+            let (k, anchors, tol) = (self.k, &self.anchors, &self.tol);
+            self.samples
+                .iter()
+                .enumerate()
+                .map(|(i, q_prime)| {
+                    let frontier = reuse.reclassify(q_prime);
+                    let culprits = reuse.culprits(&frontier);
+                    let floor = penalty_floor(&frontier, k, anchors, &culprits, tol);
+                    let unbounded = &Budget::UNBOUNDED;
+                    let res =
+                        mwk_with_frontier(&frontier, k, anchors, 96, tol, i as u64, unbounded);
+                    (floor, res.penalty)
+                })
+                .collect()
+        }
+    }
+
+    fn floor_cases() -> ProptestConfig {
+        let rounds = std::env::var("WQRTQ_FUZZ_ROUNDS")
+            .ok()
+            .and_then(|v| v.parse::<u32>().ok())
+            .unwrap_or(8);
+        ProptestConfig::with_cases(16 * rounds.max(1))
+    }
+
+    proptest! {
+        #![proptest_config(floor_cases())]
+
+        #[test]
+        fn the_floor_never_exceeds_mwks_penalty(seed in 0u64..u64::MAX) {
+            let case = FloorCase::draw(seed);
+            for (floor, penalty) in case.floors() {
+                prop_assert!(
+                    floor >= 0.0 && floor <= penalty,
+                    "floor {} above MWK's penalty {} (seed {})", floor, penalty, seed
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_floor_is_often_tight() {
+        // A floor of 0 would pass the property above; this one must
+        // reach MWK's own answer at a good share of the samples.
+        let (mut positive, mut tight, mut total) = (0, 0, 0);
+        for seed in 0..64 {
+            for (floor, penalty) in FloorCase::draw(seed).floors() {
+                total += 1;
+                positive += usize::from(floor > 0.0);
+                tight += usize::from(floor > 0.0 && floor >= 0.9 * penalty);
+            }
+        }
+        assert!(
+            4 * positive >= total,
+            "{positive} of {total} floors positive"
+        );
+        assert!(tight > 0, "no floor within 10 % of MWK's penalty");
     }
 }

@@ -60,15 +60,23 @@ impl Default for Tolerances {
     }
 }
 
+/// Whether Eq. 1 can price a move of `q`: `‖q‖` is positive (not zero,
+/// not NaN).
+pub(crate) fn has_positive_norm(q: &[f64]) -> bool {
+    l2_norm(q) > 0.0
+}
+
 /// Equation (1): normalised modification of the query point,
 /// `‖q − q′‖₂ / ‖q‖₂`.
 ///
 /// # Panics
 /// Panics on dimension mismatch or a zero-norm original query point.
 pub fn query_point_penalty(q: &[f64], q_prime: &[f64]) -> f64 {
-    let norm = l2_norm(q);
-    assert!(norm > 0.0, "original query point must have positive norm");
-    l2_dist(q, q_prime) / norm
+    assert!(
+        has_positive_norm(q),
+        "original query point must have positive norm"
+    );
+    l2_dist(q, q_prime) / l2_norm(q)
 }
 
 /// Equation (3), vector part: `ΔWm = Σᵢ ‖wᵢ − wᵢ′‖₂`.

@@ -1,5 +1,7 @@
 //! MQWK's per-plan reuse ([`Reuse`]) against fresh `FindIncom`
-//! traversals, and a plan's steps against the free functions.
+//! traversals, a plan's steps against the free functions, and `mqwk`'s
+//! answers at the benchmark's scale against answers pinned before its
+//! penalty floor skipped candidates.
 //!
 //! [`Reuse`] re-tests only the shell of the samples' box and picks each
 //! anchor's culprits from rows listed once per plan. For every sampled
@@ -22,8 +24,9 @@ use std::sync::Arc;
 use wqrtq_core::advisor::{StrategyKind, WhyNotOptions};
 use wqrtq_core::incomparable::{DominanceFrontier, Reuse};
 use wqrtq_core::mqp::mqp;
-use wqrtq_core::mqwk::{mqwk, mqwk_with_frontier, MqwkResult};
+use wqrtq_core::mqwk::{mqwk, mqwk_with_frontier, MqwkResult, RefinementSource};
 use wqrtq_core::mwk::mwk;
+use wqrtq_core::penalty::Tolerances;
 use wqrtq_core::sampling::sample_query_points;
 use wqrtq_core::{RefinedQuery, Wqrtq};
 use wqrtq_geom::{score, DeltaView, FlatPoints, Weight};
@@ -357,4 +360,105 @@ fn advisor_steps_equal_the_free_functions_at_benchmark_scale() {
             if *q_prime == free.q_prime && *w == free.refined && *k == free.k_prime)
         );
     }
+}
+
+/// One recorded `mqwk` answer: penalty bits, `q′` and `Wm′` bits, `k′`
+/// and the winner's family.
+type Pinned = (u64, [u64; 3], &'static [[u64; 3]], usize, RefinementSource);
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "six plans over IND 100k×3: ~1 s optimised, minutes unoptimised"
+)]
+fn mqwk_answers_stay_pinned_while_the_floor_skips_candidates() {
+    // The six `whynot_plan`-shaped questions of the test above, answered
+    // by `mqwk` before the penalty floor existed: its answers, bit for
+    // bit, and 448 candidates evaluated between them. The floor may only
+    // skip candidates that could never have won.
+    use wqrtq_data::synthetic::independent;
+    use RefinementSource::{PreferenceEndpoint as Pref, Sampled};
+    const PINNED: [Pinned; 6] = [
+        (
+            0x3f75469316b81cdb,
+            [0x3fa70e4a1cb18a06, 0x3f6b5571cb9c7148, 0x3f95d0e6ebafbb99],
+            &[[0x3fe008115537bae1, 0x3fd7aaa7051fe0d2, 0x3fc08a6ca0e152d9]],
+            10,
+            Pref,
+        ),
+        (
+            0x3faf2730320f7712,
+            [0x3f9741de12a32061, 0x3f623a2fd8abe717, 0x3fc7980aafa5c323],
+            &[
+                [0x3fd92f1f370ca707, 0x3fe0b9948e33b05e, 0x3fb576deb22fe0eb],
+                [0x3fd92f1f370ca707, 0x3fe0b9948e33b05e, 0x3fb576deb22fe0eb],
+            ],
+            10,
+            Pref,
+        ),
+        (
+            0x3fbacf9ee210506e,
+            [0x3fa70e4a1cb18a06, 0x3f6b5571cb9c7148, 0x3f95d0e6ebafbb99],
+            &[
+                [0x3fe7d0bef601eeb4, 0x3fbace612f191e05, 0x3fc355d3906bb62f],
+                [0x3fe81cb63efb9422, 0x3fbeaab6073c69b9, 0x3fc037cc00737a9c],
+                [0x3fe81cbcfaa9493e, 0x3fc4b8a816b31b98, 0x3fb5a8c7fd4f7ee1],
+            ],
+            73,
+            Pref,
+        ),
+        (
+            0x3f892240aa69c974,
+            [0x3fb1d9d8194bd7f4, 0x3f68ced79d7b3f9a, 0x3f9aa5af46017d0a],
+            &[
+                [0x3fd188e33c7dc437, 0x3fd2947dafed72f5, 0x3fdbe29f1394c8d5],
+                [0x3fd2c529a50038a5, 0x3fd626c1dd197bf5, 0x3fd714147de64b66],
+                [0x3fd4969714d11d30, 0x3fe0e4ccc509dbb4, 0x3fc33f9ec23656ce],
+            ],
+            10,
+            Sampled,
+        ),
+        (
+            0x3fab6cd9aa5a8aa5,
+            [0x3f9359df0f31dfce, 0x3f981215277285ab, 0x3fa6195fa1c0e621],
+            &[[0x3fd4f23bff401baa, 0x3fc7b4fc0f6f4da2, 0x3fdf3345f9083d86]],
+            13,
+            Pref,
+        ),
+        (
+            0x3fb64c3f53b295ca,
+            [0x3fab90d7a0c649f1, 0x3f881554c44d938d, 0x3f59f05681c0a1ab],
+            &[
+                [0x3fe68c4edc376f39, 0x3fc397cba61cff37, 0x3fc236f8e90543e5],
+                [0x3fe5dbc2d270899f, 0x3fb7ac0a53f20a0b, 0x3fccbaef8c44d481],
+            ],
+            65,
+            Pref,
+        ),
+    ];
+    let data = independent(100_000, 3, 2015);
+    let tree = RTree::bulk_load(3, &data.coords);
+    let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(3, &data.coords)));
+    let snap = Snapshot::from(&tree).overlay(&view);
+    let rng = &mut StdRng::seed_from_u64(2015);
+    let shapes = [(11, 1), (101, 2), (501, 3), (11, 3), (101, 1), (501, 2)];
+    let tol = Tolerances::paper_default();
+    let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+    let mut evaluated = 0;
+    for (i, (shape, pinned)) in shapes.into_iter().zip(PINNED).enumerate() {
+        let (q, why_not) = benchmark_case(&tree, &data.coords, shape, rng);
+        let got = mqwk(snap, &q, K, &why_not, 200, 200, &tol, 7 + i as u64).unwrap();
+        let (penalty, q_prime, refined, k_prime, source) = pinned;
+        assert_eq!(got.penalty.to_bits(), penalty, "case {i}: penalty");
+        assert_eq!(bits(&got.q_prime), q_prime, "case {i}: q′");
+        let got_refined: Vec<Vec<u64>> = got.refined.iter().map(|w| bits(w)).collect();
+        assert_eq!(got_refined, refined, "case {i}: Wm′");
+        assert_eq!((got.k_prime, got.source), (k_prime, source), "case {i}");
+        assert_eq!(got.candidates_evaluated + got.candidates_pruned, 202);
+        evaluated += got.candidates_evaluated;
+    }
+    assert!(
+        3 * evaluated <= 448,
+        "{evaluated} candidates evaluated, more than a third of 448"
+    );
 }

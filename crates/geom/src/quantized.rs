@@ -4,10 +4,11 @@
 //!
 //! Its one reader is MQWK's dominance frontier (the incomparable set of
 //! the paper's Algorithms 2/3), which counts the same few thousand rows
-//! under every sampled weight of every sampled query point. There the
-//! tier is load-bearing: building no tier cuts `benchmark/`'s
-//! `whynot_plan` from 74.3 to 22.2 plans/s (medians of three 20 s runs,
-//! seed 2015, 2-core x86-64 Xeon). Everywhere else it
+//! under every sampled weight of every sampled query point MQWK does not
+//! price out in advance. There the tier is load-bearing: building no
+//! tier cuts `benchmark/`'s `whynot_plan` from 134.2 to 74.7 plans/s
+//! (medians of three 20 s runs, seed 2015, 2-core x86-64 Xeon), with
+//! ~1 000 counts per plan where it once took ~5 600. Everywhere else it
 //! lost — nothing scans the whole-dataset base store above 2 048
 //! points, and the mask's culprit planes answered `rtopk_scan` faster
 //! exact (p50 420 → 328 µs, same box) — so those stay plain

@@ -2,6 +2,7 @@
 //! worker-count-independent batch results, epoch-driven cache
 //! invalidation, and concurrent shared-index serving.
 
+use wqrtq::core::WhyNotError;
 use wqrtq::data::figure1;
 use wqrtq::data::synthetic::independent;
 use wqrtq::prelude::*;
@@ -308,4 +309,38 @@ fn an_engine_dropped_on_its_own_worker_shuts_down() {
         .expect("the worker survived dropping its engine");
     assert!(!response.is_error());
     assert_eq!(populated_engine(1).submit(topk()), response);
+}
+
+#[test]
+fn a_why_not_at_the_origin_is_a_typed_error() {
+    // Eq. 1 prices a moved query point relative to ‖q‖, so a plan for a
+    // query point at the origin has no answer. With negative coordinates
+    // in the data the origin is not safe, and the plan used to reach the
+    // penalty's division and panic its worker.
+    let engine = Engine::builder().workers(1).build();
+    let points = vec![-1.0, 2.0, 3.0, -2.0, 1.0, 1.0, -0.5, -0.5, 2.0, 2.0];
+    engine.register_dataset("signed", 2, points).unwrap();
+    for q in [vec![0.0, 0.0], vec![-0.0, 0.0]] {
+        let reply = engine.submit(Request::WhyNot {
+            dataset: "signed".into(),
+            q: q.clone(),
+            k: 1,
+            why_not: vec![vec![0.5, 0.5], vec![0.9, 0.1]],
+            options: sampled(),
+        });
+        match reply {
+            Response::Error(msg) => {
+                assert!(!msg.contains("panicked"), "q = {q:?}: {msg}");
+                assert_eq!(msg, WhyNotError::ZeroQueryPoint.to_string(), "q = {q:?}");
+            }
+            other => panic!("q = {q:?}: expected a typed error, got {other:?}"),
+        }
+    }
+    // The worker that answered is still serving.
+    let topk = engine.submit(Request::TopK {
+        dataset: "signed".into(),
+        weight: vec![0.5, 0.5],
+        k: 2,
+    });
+    assert!(!topk.is_error(), "{topk:?}");
 }
