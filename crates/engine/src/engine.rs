@@ -1,6 +1,12 @@
 //! The [`Engine`]: catalog + worker pool + result cache + metrics under
 //! one roof.
 //!
+//! The pool has one way in. [`Engine::submit_batch`] (blocking, in slot
+//! order), [`Engine::submit_with_progress`] and
+//! [`Engine::submit_batch_with`] each wrap their requests as
+//! [`BatchSubmission`]s — request, trace id, optional progress
+//! observer, completion — and queue them as one claimable task.
+//!
 //! ```
 //! use wqrtq_engine::{Engine, Request, Response};
 //!
@@ -20,9 +26,9 @@ use crate::cache::ResultCache;
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::request::{Request, Response};
+use crate::request::{PlanDelta, Request, Response};
 use crate::storage::{DiskBackend, Durability, FsyncPolicy};
-use crate::worker::{Completion, Job, Pool, ServeManyTask, ServeUnit, TraceContext, WorkerContext};
+use crate::worker::{Job, Pool, ProgressFn, ServeTask, TraceContext, WorkerContext};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -211,17 +217,19 @@ pub struct Engine {
     pool: Option<Pool>,
 }
 
-/// One request of an [`Engine::submit_batch_with`] run: the request,
-/// the boundary-assigned trace id, and the completion its response is
+/// One request on its way to the worker pool — the one unit every
+/// submit path queues: the request, the boundary-assigned trace id, an
+/// optional progress observer, and the completion its response is
 /// routed into (invoked on the worker thread that finished it).
 pub struct BatchSubmission {
-    request: Request,
-    trace_id: u64,
-    complete: Box<dyn FnOnce(Response) + Send + 'static>,
+    pub(crate) request: Request,
+    pub(crate) trace_id: u64,
+    pub(crate) progress: Option<ProgressFn>,
+    pub(crate) complete: Box<dyn FnOnce(Response) + Send + 'static>,
 }
 
 impl BatchSubmission {
-    /// Packages one request for batched submission.
+    /// Packages one request for submission.
     pub fn new(
         request: Request,
         trace_id: u64,
@@ -230,8 +238,20 @@ impl BatchSubmission {
         Self {
             request,
             trace_id,
+            progress: None,
             complete: Box::new(complete),
         }
+    }
+
+    /// Attaches a partial-result observer. For a [`Request::WhyNot`] it
+    /// sees each advisor step as it completes (explanations first, then
+    /// one call per refinement strategy, in execution order), strictly
+    /// before the completion delivers the final ranked plan. Other
+    /// request kinds never invoke it, and neither does a result served
+    /// from the cache — the plan arrives whole in that case.
+    pub fn with_progress(mut self, progress: impl FnMut(PlanDelta) + Send + 'static) -> Self {
+        self.progress = Some(Box::new(progress));
+        self
     }
 }
 
@@ -249,15 +269,24 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// Enqueues one job on the worker pool.
-    fn enqueue(&self, job: Job) {
-        self.ctx
-            .queue
-            .send(job)
-            // lint: allow(no-panic) — a send fails only once every
-            // worker (receiver) exited, and workers only exit on the
-            // sentinels `Drop` sends; unreachable through `&self`.
-            .expect("worker pool alive while engine alive");
+    /// Hands `items` to the pool as one claimable task: `min(workers,
+    /// len)` copies of it are enqueued, so a run pays one mpsc send per
+    /// worker that could help, not one per request.
+    fn enqueue_units(&self, items: Vec<BatchSubmission>) {
+        if items.is_empty() {
+            return;
+        }
+        let sends = self.worker_count().max(1).min(items.len());
+        let task = Arc::new(ServeTask::new(items));
+        for _ in 0..sends {
+            self.ctx
+                .queue
+                .send(Job::Serve(task.clone()))
+                // lint: allow(no-panic) — a send fails only once every
+                // worker (receiver) exited, and workers only exit on the
+                // sentinels `Drop` sends; unreachable through `&self`.
+                .expect("worker pool alive while engine alive");
+        }
     }
 
     /// An engine with `workers` threads and default cache capacity.
@@ -361,13 +390,9 @@ impl Engine {
     /// Enqueues one request and returns immediately; `complete` runs on
     /// the worker thread that finished it, so a caller can keep `N`
     /// requests in flight without parking `N` threads, and responses may
-    /// finish out of submission order. For a [`Request::WhyNot`],
-    /// `progress` observes **partial results** on the worker thread as
-    /// each advisor step completes (explanations first, then one call
-    /// per refinement strategy, in execution order), strictly before
-    /// `complete` delivers the final ranked plan. Other request kinds
-    /// never invoke `progress`, and neither does a result served from
-    /// the cache — the plan arrives whole in that case.
+    /// finish out of submission order. `progress` observes a
+    /// [`Request::WhyNot`]'s partial results, as
+    /// [`BatchSubmission::with_progress`] describes.
     ///
     /// Both callbacks must be quick and non-blocking: they run inline on
     /// a pool worker, and blocking there stalls every queued request
@@ -375,78 +400,34 @@ impl Engine {
     pub fn submit_with_progress(
         &self,
         request: Request,
-        progress: impl FnMut(crate::request::PlanDelta) + Send + 'static,
+        progress: impl FnMut(PlanDelta) + Send + 'static,
         complete: impl FnOnce(Response) + Send + 'static,
     ) {
-        self.submit_with_progress_trace(request, self.next_trace_id(), progress, complete);
+        let item =
+            BatchSubmission::new(request, self.next_trace_id(), complete).with_progress(progress);
+        self.submit_batch_with(vec![item]);
     }
 
-    /// [`Engine::submit_with_progress`] under a caller-assigned trace id
-    /// — the wire boundary's entry point (the server composes
-    /// `connection id << 32 | frame id`, so a slow-log entry names the
-    /// exact frame on the exact connection).
-    pub fn submit_with_progress_trace(
-        &self,
-        request: Request,
-        trace_id: u64,
-        progress: impl FnMut(crate::request::PlanDelta) + Send + 'static,
-        complete: impl FnOnce(Response) + Send + 'static,
-    ) {
+    /// Submits a run of requests in one queue operation, each with its
+    /// own caller-assigned trace id, completion and optional progress
+    /// observer (the same contract as [`Engine::submit_with_progress`],
+    /// amortised): a serving layer that decoded a burst of frames pays
+    /// one mpsc send per *worker that could help*, not one per request,
+    /// while idle workers still steal individual items, so a fast
+    /// request behind a slow one overtakes it.
+    ///
+    /// Completions and observers run on worker threads and must be quick
+    /// and non-blocking.
+    pub fn submit_batch_with(&self, items: Vec<BatchSubmission>) {
         // Stats requests leave every counter untouched end to end, so
         // the snapshot they return equals `Engine::metrics()` at the
         // same quiesced point.
-        if !matches!(request, Request::Stats) {
-            self.ctx.metrics.record_async_submit();
-        }
-        self.enqueue(Job::Serve {
-            request,
-            reply: Completion::Callback(Box::new(complete)),
-            progress: Some(Box::new(progress)),
-            trace: TraceContext {
-                trace_id,
-                submitted: Instant::now(),
-            },
-        });
-    }
-
-    /// Submits a run of pipelined requests in one queue operation, each
-    /// with its own caller-assigned trace id and completion (the same
-    /// contract as [`Engine::submit_with_progress_trace`], amortised):
-    /// the run is wrapped in a single claimable task and
-    /// `min(workers, len)` job sentinels are enqueued, so a serving layer
-    /// that decoded a burst of frames pays one mpsc send per *worker
-    /// that could help*, not one per request — while idle workers still
-    /// steal individual items, so a fast request behind a slow one
-    /// overtakes it exactly as it would have under per-request
-    /// submission.
-    ///
-    /// Completions run on worker threads and must be quick and
-    /// non-blocking, like every completion-routed path. Requests that
-    /// need progressive partial results ([`Request::WhyNot`] over the
-    /// wire) should keep using [`Engine::submit_with_progress_trace`].
-    pub fn submit_batch_with(&self, items: Vec<BatchSubmission>) {
-        if items.is_empty() {
-            return;
-        }
         for item in &items {
             if !matches!(item.request, Request::Stats) {
                 self.ctx.metrics.record_async_submit();
             }
         }
-        let sends = self.worker_count().max(1).min(items.len());
-        let task = Arc::new(ServeManyTask::new(
-            items
-                .into_iter()
-                .map(|item| ServeUnit {
-                    request: item.request,
-                    trace_id: item.trace_id,
-                    complete: item.complete,
-                })
-                .collect(),
-        ));
-        for _ in 0..sends {
-            self.enqueue(Job::ServeMany(task.clone()));
-        }
+        self.enqueue_units(items);
     }
 
     /// Serves `request` on the calling thread when it is cheap by
@@ -510,21 +491,19 @@ impl Engine {
         }
         let n = requests.len();
         let (reply_tx, reply_rx) = mpsc::channel();
-        for (slot, request) in requests.into_iter().enumerate() {
-            self.enqueue(Job::Serve {
-                request,
-                reply: Completion::Batch {
-                    slot,
-                    reply: reply_tx.clone(),
-                },
-                progress: None,
-                trace: TraceContext {
-                    trace_id: self.next_trace_id(),
-                    submitted: Instant::now(),
-                },
-            });
-        }
+        let items = requests
+            .into_iter()
+            .enumerate()
+            .map(|(slot, request)| {
+                let reply = reply_tx.clone();
+                BatchSubmission::new(request, self.next_trace_id(), move |response| {
+                    // A dropped receiver means the submitter gave up.
+                    let _ = reply.send((slot, response));
+                })
+            })
+            .collect();
         drop(reply_tx);
+        self.enqueue_units(items);
         let mut responses: Vec<Option<Response>> = vec![None; n];
         for _ in 0..n {
             match reply_rx.recv() {
@@ -867,8 +846,84 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_with_an_observer_rides_a_batch_among_top_ks() {
+        let engine = figure1_engine(2);
+        let topk = |k: usize| Request::TopK {
+            dataset: "products".into(),
+            weight: vec![0.5, 0.5],
+            k,
+        };
+        let plan = Request::WhyNot {
+            dataset: "products".into(),
+            q: vec![4.0, 4.0],
+            k: 3,
+            why_not: vec![vec![0.1, 0.9], vec![0.9, 0.1]],
+            options: WhyNotOptions::default(),
+        };
+        let mix = vec![topk(1), topk(2), plan, topk(3), topk(4)];
+        let before = engine.metrics();
+        let (tx, rx) = mpsc::channel();
+        let items = mix
+            .iter()
+            .cloned()
+            .enumerate()
+            .map(|(slot, request)| {
+                let is_plan = matches!(request, Request::WhyNot { .. });
+                let done = tx.clone();
+                let item = BatchSubmission::new(request, slot as u64, move |response| {
+                    done.send((slot, Ok(response))).unwrap();
+                });
+                if is_plan {
+                    let part = tx.clone();
+                    item.with_progress(move |delta| part.send((slot, Err(delta))).unwrap())
+                } else {
+                    item
+                }
+            })
+            .collect();
+        engine.submit_batch_with(items);
+        drop(tx);
+        let events: Vec<_> = rx.iter().collect();
+        let m = engine.metrics();
+        assert_eq!(m.async_submits, before.async_submits + mix.len() as u64);
+        assert_eq!(m.batches, before.batches, "a claimable run is not a batch");
+
+        // The plan's deltas all precede its completion.
+        let plan_events: Vec<_> = events.iter().filter(|(slot, _)| *slot == 2).collect();
+        assert_eq!(plan_events.len(), 6);
+        let (explained, steps) =
+            plan_events[..5]
+                .iter()
+                .fold((0, 0), |(e, s), (_, event)| match event {
+                    Err(PlanDelta::Explained { .. }) => (e + 1, s),
+                    Err(PlanDelta::Step(_)) => (e, s + 1),
+                    Ok(response) => panic!("completion before a delta: {response:?}"),
+                });
+        assert_eq!((explained, steps), (2, 3));
+        assert!(matches!(plan_events[5].1, Ok(Response::Plan(_))));
+
+        let mut responses: Vec<Option<Response>> = vec![None; mix.len()];
+        for (slot, event) in events {
+            if let Ok(response) = event {
+                assert!(
+                    responses[slot].replace(response).is_none(),
+                    "slot {slot} twice"
+                );
+            }
+        }
+        let responses: Vec<Response> = responses.into_iter().map(Option::unwrap).collect();
+        let direct = figure1_engine(1);
+        for (request, response) in mix.iter().zip(&responses) {
+            if matches!(request, Request::TopK { .. }) {
+                assert_eq!(response, &direct.submit(request.clone()));
+            }
+        }
+        // The blocking path over the same mix answers in slot order.
+        assert_eq!(figure1_engine(2).submit_batch(mix), responses);
+    }
+
+    #[test]
     fn why_not_plan_streams_partials_then_recommends_the_minimum() {
-        use crate::request::PlanDelta;
         let engine = figure1_engine(2);
         let request = Request::WhyNot {
             dataset: "products".into(),

@@ -192,7 +192,8 @@ pub struct MetricsSnapshot {
     /// Batches submitted.
     pub batches: u64,
     /// Requests submitted through [`crate::Engine::submit_batch_with`] or
-    /// [`crate::Engine::submit_with_progress`].
+    /// [`crate::Engine::submit_with_progress`], or answered by
+    /// [`crate::Engine::serve_inline`]; `Stats` requests are not counted.
     pub async_submits: u64,
     /// Requests served on a warm (reused) per-worker scratch — each one
     /// is a request that allocated no fresh score/probe buffers.

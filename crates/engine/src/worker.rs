@@ -1,11 +1,13 @@
 //! The worker pool, per-worker scratch, and the request execution path.
 //!
 //! A fixed set of threads drains a shared mpsc work queue. A request
-//! runs start to finish on the worker that picked it up: [`Job::Serve`]
-//! carries one request of a batch with its slot and a per-batch reply
-//! sender, so the engine reassembles ordered responses no matter which
-//! worker finished first, and [`Job::ServeMany`] lets idle workers steal
-//! whole requests of a pipelined run. No worker ever waits on another.
+//! runs start to finish on the worker that picked it up. Every request
+//! enters as a [`BatchSubmission`] — request, trace id, optional
+//! progress observer, completion — inside one claimable [`ServeTask`]
+//! per submit call, and [`Job::Serve`] lets idle workers steal whole
+//! requests of that run. The completion routes the response: into a
+//! slot of [`crate::Engine::submit_batch`]'s ordered reply, or to the
+//! caller. No worker ever waits on another.
 //!
 //! Each worker owns a [`ProbeCtx`] — the RTA culprit pool and the probe
 //! and top-k queues live across requests, so the steady-state hot path
@@ -24,6 +26,7 @@
 
 use crate::cache::CacheKey;
 use crate::catalog::{Catalog, CatalogStats, DatasetEpoch, DatasetHandle};
+use crate::engine::BatchSubmission;
 use crate::error::EngineError;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::request::{
@@ -74,29 +77,9 @@ pub(crate) fn compaction_threshold(overlay_limit: Option<usize>, base_len: usize
     overlay_limit.unwrap_or_else(|| 1024.max(base_len / 4))
 }
 
-/// Where a served request's response goes.
-///
-/// Batch submission reassembles responses through a per-batch channel;
-/// non-blocking submission ([`crate::Engine::submit_with_progress`])
-/// routes the response straight into a caller-supplied completion,
-/// invoked on the worker thread that finished the request. Completions
-/// must therefore be quick and non-blocking (hand the response to a
-/// queue, flip a flag) — a completion that blocks would hold a pool
-/// worker hostage.
-pub(crate) enum Completion {
-    /// Reply channel of a [`crate::Engine::submit_batch`] call, with the
-    /// request's slot in the batch.
-    Batch {
-        slot: usize,
-        reply: Sender<(usize, Response)>,
-    },
-    /// Caller-routed completion for [`crate::Engine::submit_with_progress`].
-    Callback(Box<dyn FnOnce(Response) + Send + 'static>),
-}
-
 /// A progressive-result observer for one in-flight request: invoked on
-/// the worker thread as each advisor step completes. Subject to the same
-/// contract as completions — quick and non-blocking.
+/// the worker thread as each advisor step completes. Like a completion,
+/// it must be quick and non-blocking.
 pub(crate) type ProgressFn = Box<dyn FnMut(PlanDelta) + Send>;
 
 /// Tracing identity of one queued request: the trace id assigned at the
@@ -110,23 +93,11 @@ pub(crate) struct TraceContext {
 
 /// One unit of queued work.
 pub(crate) enum Job {
-    /// One request to serve.
-    Serve {
-        request: Request,
-        reply: Completion,
-        /// Partial-result observer ([`Request::WhyNot`] only; other
-        /// kinds never emit).
-        progress: Option<ProgressFn>,
-        /// Trace id + submit timestamp (queue-wait measurement).
-        trace: TraceContext,
-    },
-    /// A claimable run of completion-routed requests
-    /// ([`crate::Engine::submit_batch_with`]). The submitter enqueues
+    /// A claimable run of requests. Every submit path enqueues
     /// `min(pool_size, len)` copies of the same task, so one mpsc send
-    /// covers many requests while idle workers can still steal items —
-    /// a fast request behind a slow one overtakes it exactly as it
-    /// would have as an individual [`Job::Serve`].
-    ServeMany(Arc<ServeManyTask>),
+    /// covers many requests while idle workers still steal items — a
+    /// fast request behind a slow one overtakes it.
+    Serve(Arc<ServeTask>),
     /// A scheduled overlay merge for a dataset, run off the request
     /// path. Carries the epoch the trigger observed: a dataset that
     /// mutated (or compacted) since is left alone.
@@ -138,38 +109,29 @@ pub(crate) enum Job {
     Shutdown,
 }
 
-/// One request of a [`Job::ServeMany`] run: the request, its boundary
-/// trace id, and the completion that routes its response.
-pub(crate) struct ServeUnit {
-    pub(crate) request: Request,
-    pub(crate) trace_id: u64,
-    pub(crate) complete: Box<dyn FnOnce(Response) + Send + 'static>,
-}
-
-/// A run of pipelined requests submitted in one go. Items are handed
-/// out exactly once through an atomic claim counter: any worker that
-/// picks the job up drains whatever is left, so the run completes even
-/// if only one copy of the job is ever dequeued, and extra copies
-/// degrade to no-ops.
-pub(crate) struct ServeManyTask {
-    items: Vec<Mutex<Option<ServeUnit>>>,
+/// A run of requests submitted in one go. Items are handed out exactly
+/// once through an atomic claim counter: any worker that picks the job
+/// up drains whatever is left, so the run completes even if only one
+/// copy of the job is ever dequeued, and extra copies degrade to no-ops.
+pub(crate) struct ServeTask {
+    items: Vec<Mutex<Option<BatchSubmission>>>,
     next: AtomicUsize,
     /// Shared submission instant — the whole run entered the queue in
     /// one send, so every item's queue wait starts here.
-    pub(crate) submitted: Instant,
+    submitted: Instant,
 }
 
-impl ServeManyTask {
-    pub(crate) fn new(units: Vec<ServeUnit>) -> Self {
+impl ServeTask {
+    pub(crate) fn new(items: Vec<BatchSubmission>) -> Self {
         Self {
-            items: units.into_iter().map(|u| Mutex::new(Some(u))).collect(),
+            items: items.into_iter().map(|u| Mutex::new(Some(u))).collect(),
             next: AtomicUsize::new(0),
             submitted: Instant::now(),
         }
     }
 
     /// Claims the next unserved item, if any (each exactly once).
-    fn claim(&self) -> Option<ServeUnit> {
+    fn claim(&self) -> Option<BatchSubmission> {
         loop {
             // ordering: SeqCst — exactly-once claim ticket shared by
             // every worker; the single total order over fetch_add is
@@ -178,8 +140,8 @@ impl ServeManyTask {
             let slot = self.items.get(i)?;
             // The slot can only be empty if a previous claimer of this
             // index panicked between claim and take — skip forward.
-            if let Some(unit) = slot.lock().expect("serve-many slot lock").take() {
-                return Some(unit);
+            if let Some(item) = slot.lock().expect("serve-task slot lock").take() {
+                return Some(item);
             }
         }
     }
@@ -242,33 +204,23 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
             Err(_) => return, // channel torn down: shut down
         };
         match job {
-            Job::Serve {
-                request,
-                reply,
-                mut progress,
-                trace,
-            } => {
-                let response = serve(ctx, worker, trace, &request, &mut scratch, &mut progress);
-                match reply {
-                    // A dropped reply receiver means the submitter gave
-                    // up; keep draining the queue for other batches.
-                    Completion::Batch { slot, reply } => {
-                        let _ = reply.send((slot, response));
-                    }
-                    Completion::Callback(complete) => complete(response),
-                }
-            }
-            Job::ServeMany(task) => {
+            Job::Serve(task) => {
                 // Drain whatever the other copies of this task have not
                 // claimed yet; each item is a full serve + completion.
-                while let Some(unit) = task.claim() {
+                while let Some(mut item) = task.claim() {
                     let trace = TraceContext {
-                        trace_id: unit.trace_id,
+                        trace_id: item.trace_id,
                         submitted: task.submitted,
                     };
-                    let response =
-                        serve(ctx, worker, trace, &unit.request, &mut scratch, &mut None);
-                    (unit.complete)(response);
+                    let response = serve(
+                        ctx,
+                        worker,
+                        trace,
+                        &item.request,
+                        &mut scratch,
+                        &mut item.progress,
+                    );
+                    (item.complete)(response);
                 }
             }
             Job::Compact { dataset, epoch } => {

@@ -5,7 +5,6 @@
 //! of a query point (Definition 7 / Lemma 3) is the intersection of the
 //! half-spaces formed by each why-not weight and its top-k-th point.
 
-use crate::hyperplane::Hyperplane;
 use crate::{dot, EPS};
 
 /// The closed half-space `{x : normal·x ≤ offset}`.
@@ -41,11 +40,6 @@ impl HalfSpace {
     /// most `f(w, p)`.
     pub fn below_score_plane(w: &[f64], p: &[f64]) -> Self {
         Self::new(w.to_vec(), dot(w, p))
-    }
-
-    /// The bounding hyperplane.
-    pub fn boundary(&self) -> Hyperplane {
-        Hyperplane::new(self.normal.to_vec(), self.offset)
     }
 
     /// Normal vector (points *out* of the half-space).
@@ -104,14 +98,6 @@ mod tests {
         assert_eq!(hs.slack(&[1.0, 100.0]), 2.0);
         assert_eq!(hs.slack(&[5.0, 0.0]), -2.0);
         assert!(hs.contains(&[3.0, 0.0]));
-    }
-
-    #[test]
-    fn boundary_round_trip() {
-        let hs = HalfSpace::new(vec![2.0, -1.0], 0.5);
-        let b = hs.boundary();
-        assert_eq!(b.normal(), hs.normal());
-        assert_eq!(b.offset(), hs.offset());
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   (non-negative entries summing to one), with the linear scoring
 //!   function `f(w, p) = Σ w[i]·p[i]` of the paper (smaller is better).
 //! * Dominance tests ([`dominates`], [`dominance`]) used by `FindIncom`.
-//! * [`Mbr`] — minimum bounding rectangles with score bounds under a
-//!   weighting vector (the branch-and-bound pruning primitive).
+//! * [`Mbr`] — minimum bounding rectangles, the form in which the R-tree's
+//!   structural check reads a node's corners.
 //! * [`FlatPoints`] — a column-major (SoA) point store with fused,
 //!   auto-vectorizable, exact score kernels for the flat-scan hot paths.
 //! * [`QuantizedPoints`] — a `FlatPoints` with a Morton-clustered `f32`
@@ -20,15 +20,14 @@
 //! * [`DeltaView`] — a *base + delta − tombstones* snapshot of a mutated
 //!   dataset whose rank kernels fuse the base scan with `O(Δ)` overlay
 //!   corrections, so appends and deletes serve without a rebuild.
-//! * [`Hyperplane`] / [`HalfSpace`] — the building blocks of safe regions
-//!   (Definition 7 of the paper) and of the MWK sampling space.
+//! * [`HalfSpace`] — the building block of safe regions (Definition 7 of
+//!   the paper).
 //! * [`Polygon2d`] — exact half-space intersection in two dimensions, used
 //!   to validate the quadratic-programming answer of MQP geometrically.
 
 pub mod delta;
 pub mod flat;
 pub mod halfspace;
-pub mod hyperplane;
 pub mod mbr;
 pub mod point;
 pub mod poly2d;
@@ -38,7 +37,6 @@ pub mod weight;
 pub use delta::DeltaView;
 pub use flat::{count_better_rows, FlatPoints};
 pub use halfspace::HalfSpace;
-pub use hyperplane::Hyperplane;
 pub use mbr::Mbr;
 pub use point::{dominance, dominates, incomparable, Dominance, Point};
 pub use poly2d::Polygon2d;

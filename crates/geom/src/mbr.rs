@@ -1,14 +1,7 @@
-//! Minimum bounding rectangles (MBRs) for R-tree nodes.
-//!
-//! For branch-and-bound query processing the essential facts are:
-//!
-//! * Under a non-negative linear scoring function, the smallest (largest)
-//!   score any point inside an MBR can attain is the score of the MBR's
-//!   lower (upper) corner — [`Mbr::min_score`] / [`Mbr::max_score`].
-//! * If the query point dominates the lower corner, every point inside the
-//!   MBR is dominated (or equal) — the pruning rule of `FindIncom`.
-
-use crate::weight::score;
+//! Minimum bounding rectangles (MBRs) for R-tree nodes: the form in
+//! which `RTree::validate` reads a node's corners to check containment.
+//! The tree stores its corners column-wise and computes its own
+//! sign-aware score bounds from them.
 
 /// An axis-aligned minimum bounding rectangle `[lo, hi]`.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,11 +28,6 @@ impl Mbr {
             lo: lo.into_boxed_slice(),
             hi: hi.into_boxed_slice(),
         }
-    }
-
-    /// The degenerate MBR covering a single point.
-    pub fn from_point(p: &[f64]) -> Self {
-        Self::new(p.to_vec(), p.to_vec())
     }
 
     /// An "empty" placeholder that becomes valid after the first
@@ -94,13 +82,6 @@ impl Mbr {
         self.expand(&other.hi);
     }
 
-    /// The union of two MBRs as a new value.
-    pub fn unioned(&self, other: &Mbr) -> Mbr {
-        let mut m = self.clone();
-        m.union(other);
-        m
-    }
-
     /// Hyper-volume (0 for degenerate boxes).
     pub fn area(&self) -> f64 {
         if self.is_empty() {
@@ -113,21 +94,6 @@ impl Mbr {
             .product()
     }
 
-    /// Sum of side lengths (the "margin" used by R-tree heuristics).
-    pub fn margin(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.lo.iter().zip(self.hi.iter()).map(|(l, h)| h - l).sum()
-    }
-
-    /// Increase in area if `p` were added.
-    pub fn enlargement(&self, p: &[f64]) -> f64 {
-        let mut grown = self.clone();
-        grown.expand(p);
-        grown.area() - self.area()
-    }
-
     /// Whether the point lies inside (closed) the MBR.
     pub fn contains(&self, p: &[f64]) -> bool {
         assert_eq!(p.len(), self.dim(), "dimension mismatch");
@@ -137,40 +103,11 @@ impl Mbr {
             .zip(p)
             .all(|((l, h), x)| *l <= *x && *x <= *h)
     }
-
-    /// Lower bound on `f(w, p)` over all `p` in the MBR (the score of the
-    /// lower corner, valid because weights are non-negative).
-    #[inline]
-    pub fn min_score(&self, w: &[f64]) -> f64 {
-        score(w, &self.lo)
-    }
-
-    /// Upper bound on `f(w, p)` over all `p` in the MBR.
-    #[inline]
-    pub fn max_score(&self, w: &[f64]) -> f64 {
-        score(w, &self.hi)
-    }
-
-    /// `true` when `q` dominates-or-equals the whole box: `q[i] ≤ lo[i]`
-    /// for every dimension. Every point inside is then dominated by (or
-    /// coincides with) `q`, so `FindIncom` may prune the subtree.
-    pub fn entirely_dominated_by(&self, q: &[f64]) -> bool {
-        assert_eq!(q.len(), self.dim(), "dimension mismatch");
-        q.iter().zip(self.lo.iter()).all(|(qi, li)| qi <= li)
-    }
-
-    /// `true` when some point of the box *could* dominate `q`
-    /// (necessary condition: `lo[i] ≤ q[i]` in every dimension).
-    pub fn may_dominate(&self, q: &[f64]) -> bool {
-        assert_eq!(q.len(), self.dim(), "dimension mismatch");
-        self.lo.iter().zip(q).all(|(li, qi)| li <= qi)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     #[test]
     fn construction_and_accessors() {
@@ -179,7 +116,6 @@ mod tests {
         assert_eq!(m.lo(), &[0.0, 1.0]);
         assert_eq!(m.hi(), &[2.0, 3.0]);
         assert_eq!(m.area(), 4.0);
-        assert_eq!(m.margin(), 4.0);
     }
 
     #[test]
@@ -204,67 +140,9 @@ mod tests {
     fn union_covers_both() {
         let a = Mbr::new(vec![0.0, 0.0], vec![1.0, 1.0]);
         let b = Mbr::new(vec![2.0, -1.0], vec![3.0, 0.5]);
-        let u = a.unioned(&b);
+        let mut u = a.clone();
+        u.union(&b);
         assert_eq!(u.lo(), &[0.0, -1.0]);
         assert_eq!(u.hi(), &[3.0, 1.0]);
-    }
-
-    #[test]
-    fn score_bounds_match_corners() {
-        let m = Mbr::new(vec![1.0, 2.0], vec![3.0, 4.0]);
-        let w = [0.5, 0.5];
-        assert_eq!(m.min_score(&w), 1.5);
-        assert_eq!(m.max_score(&w), 3.5);
-    }
-
-    #[test]
-    fn dominance_pruning_rules() {
-        let m = Mbr::new(vec![5.0, 5.0], vec![9.0, 9.0]);
-        assert!(m.entirely_dominated_by(&[4.0, 4.0]));
-        assert!(m.entirely_dominated_by(&[5.0, 5.0]));
-        assert!(!m.entirely_dominated_by(&[6.0, 4.0]));
-        assert!(m.may_dominate(&[9.0, 9.0]));
-        assert!(!m.may_dominate(&[4.0, 9.0]));
-    }
-
-    #[test]
-    fn enlargement_zero_for_contained_point() {
-        let m = Mbr::new(vec![0.0, 0.0], vec![4.0, 4.0]);
-        assert_eq!(m.enlargement(&[1.0, 1.0]), 0.0);
-        assert_eq!(m.enlargement(&[6.0, 4.0]), 8.0);
-    }
-
-    proptest! {
-        #[test]
-        fn score_bounds_contain_all_member_scores(
-            lo in proptest::collection::vec(0.0f64..10.0, 3),
-            delta in proptest::collection::vec(0.0f64..10.0, 3),
-            t in proptest::collection::vec(0.0f64..1.0, 3),
-            raw_w in proptest::collection::vec(0.01f64..1.0, 3),
-        ) {
-            let hi: Vec<f64> = lo.iter().zip(&delta).map(|(l, d)| l + d).collect();
-            let m = Mbr::new(lo.clone(), hi.clone());
-            let p: Vec<f64> = lo.iter().zip(&hi).zip(&t)
-                .map(|((l, h), tt)| l + tt * (h - l)).collect();
-            let w = crate::Weight::normalized(raw_w);
-            let s = w.score(&p);
-            prop_assert!(m.min_score(&w) <= s + 1e-9);
-            prop_assert!(s <= m.max_score(&w) + 1e-9);
-        }
-
-        #[test]
-        fn entirely_dominated_implies_member_dominated(
-            lo in proptest::collection::vec(1.0f64..10.0, 2),
-            delta in proptest::collection::vec(0.0f64..5.0, 2),
-            t in proptest::collection::vec(0.0f64..1.0, 2),
-        ) {
-            let hi: Vec<f64> = lo.iter().zip(&delta).map(|(l, d)| l + d).collect();
-            let m = Mbr::new(lo.clone(), hi.clone());
-            let q = vec![0.5, 0.5];
-            prop_assert!(m.entirely_dominated_by(&q));
-            let p: Vec<f64> = lo.iter().zip(&hi).zip(&t)
-                .map(|((l, h), tt)| l + tt * (h - l)).collect();
-            prop_assert!(crate::dominates(&q, &p) || q == p);
-        }
     }
 }

@@ -116,6 +116,20 @@ pub const CORPUS: &[CorpusCase] = &[
         good_design: None,
     },
     CorpusCase {
+        name: "calling-convention twin of an engine submit method",
+        rule: "variant-suffix",
+        bad: &[(
+            "crates/engine/src/engine.rs",
+            "impl Engine {\n    pub fn submit(&self, item: BatchSubmission) {}\n    pub fn submit_trace(&self, item: BatchSubmission, trace_id: u64) {}\n}\n",
+        )],
+        bad_design: None,
+        good: &[(
+            "crates/engine/src/engine.rs",
+            "impl Engine {\n    pub fn submit(&self, item: BatchSubmission) {}\n}\n",
+        )],
+        good_design: None,
+    },
+    CorpusCase {
         name: "cross-file drift: error coverage and doc table",
         rule: "drift",
         bad: &[

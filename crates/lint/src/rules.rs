@@ -36,12 +36,14 @@
 //! * `narrowing-cast` — in [`CAST_AUDIT_PATHS`], a bare `as` cast to a
 //!   narrow integer type (`u8/u16/u32/i8/i16/i32`) must be `try_into`/
 //!   `try_from` (or waived with the reason the value provably fits).
-//! * `variant-suffix` — in [`SINGLE_ENTRY_PATHS`] (the query and
-//!   why-not crates), no `pub fn` may be named `*_view`, `*_masked`,
-//!   `*_scratch`, `*_with_stats` or `*_legacy`: every operation is one
-//!   function over a `Snapshot` (whose optional parts select the tier)
-//!   and a `ProbeCtx` (which owns the scratch and the counters), so a
-//!   suffixed twin is the variant cross-product growing back.
+//! * `variant-suffix` — in [`SINGLE_ENTRY_PATHS`] (the query, why-not
+//!   and engine crates), no `pub fn` may be named `*_view`, `*_masked`,
+//!   `*_scratch`, `*_with_stats`, `*_legacy` or `*_trace`: every query
+//!   operation is one function over a `Snapshot` (whose optional parts
+//!   select the tier) and a `ProbeCtx` (which owns the scratch and the
+//!   counters), and every engine submit path takes its options (trace
+//!   id, progress observer) on a `BatchSubmission`, so a suffixed twin is
+//!   a calling-convention cross-product growing back.
 //! * `drift` — cross-file vocabulary checks; see [`crate::drift`].
 //!
 //! Test code is exempt from `atomics-audit`, `no-panic`,
@@ -121,10 +123,17 @@ pub const CAST_AUDIT_PATHS: &[&str] = &["crates/codec/src/", "crates/engine/src/
 
 /// Crates whose public API is one function per operation (see the
 /// `variant-suffix` rule).
-pub const SINGLE_ENTRY_PATHS: &[&str] = &["crates/query/", "crates/core/"];
+pub const SINGLE_ENTRY_PATHS: &[&str] = &["crates/query/", "crates/core/", "crates/engine/"];
 
 /// Name endings that mark a per-calling-convention twin of an operation.
-pub const VARIANT_SUFFIXES: &[&str] = &["_view", "_masked", "_scratch", "_with_stats", "_legacy"];
+pub const VARIANT_SUFFIXES: &[&str] = &[
+    "_view",
+    "_masked",
+    "_scratch",
+    "_with_stats",
+    "_legacy",
+    "_trace",
+];
 
 /// One source file under analysis, with its repo-relative path.
 pub struct SourceFile {
@@ -567,8 +576,10 @@ fn rule_variant_suffix(file: &SourceFile, out: &mut Vec<Violation>) {
                     line: idx + 1,
                     message: format!(
                         "`pub fn {name}` is a `{suffix}` twin — keep one function per \
-                         operation: take `impl Into<Snapshot>` (the overlay and mask are \
-                         optional parts of it) and `&mut ProbeCtx` (scratch + counters)"
+                         operation and carry the convention in its arguments: a query \
+                         takes `impl Into<Snapshot>` (overlay and mask are optional parts) \
+                         and `&mut ProbeCtx` (scratch + counters); a submit takes a \
+                         `BatchSubmission` (trace id, progress observer, completion)"
                     ),
                 });
             }

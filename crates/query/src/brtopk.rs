@@ -18,11 +18,12 @@
 //!   plane covering the verdict's cap, a capped count over that skyband
 //!   replaces the probe; the tree is never probed through the mask.
 //!
-//! The hot path is exposed in shardable form ([`rta_sorted_order`] +
-//! [`rta_over_order`]): a serving engine computes the similarity order
-//! once, splits it into contiguous chunks, and runs each chunk on a
-//! different worker with its own [`ProbeCtx`] — results merge by
-//! concatenation because every chunk's verdicts are independent.
+//! The hot path is exposed in slice form ([`rta_sorted_order`] +
+//! [`rta_over_order`]): the serving engine runs one request's whole
+//! order on the worker that picked it up, reusing that worker's
+//! [`ProbeCtx`]. The slice form exists so the `differential` test can
+//! split an order into contiguous chunks, run each on its own context,
+//! and check that the concatenated verdicts equal one unsharded run.
 
 use crate::snapshot::{ProbeCtx, Snapshot};
 use wqrtq_geom::{count_better_rows, DeltaView, Point, Weight};
@@ -60,7 +61,8 @@ pub fn bichromatic_reverse_topk_naive(
 
 /// The similarity order RTA processes weights in: lexicographic over the
 /// entries, so adjacent weights are close and their culprit sets
-/// transfer well. Engines sharding [`rta_over_order`] compute it once.
+/// transfer well. Computed once per request and handed to
+/// [`rta_over_order`].
 pub fn rta_sorted_order(weights: &[Weight]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..weights.len()).collect();
     order.sort_by(|&a, &b| {
@@ -92,12 +94,13 @@ pub fn bichromatic_reverse_topk_rta<'a>(
 
 /// Runs RTA over one contiguous slice of a similarity order (see
 /// [`rta_sorted_order`]). Returns the qualifying original indices in
-/// traversal order (callers sort after merging shards); the prune/verify
-/// split is added to `ctx.rta`.
+/// traversal order (callers sort); the prune/verify split is added to
+/// `ctx.rta`.
 ///
-/// Sharding-safe: each call maintains its own culprit pool inside `ctx`
-/// (cleared on entry), so verdicts never depend on other shards or on
-/// what the context served before.
+/// Each call maintains its own culprit pool inside `ctx` (cleared on
+/// entry), so verdicts never depend on what the context served before,
+/// nor — when `differential` splits an order into slices — on the other
+/// slices.
 ///
 /// Verdicts are those of the naive scan over the snapshot's live rows,
 /// whatever the snapshot carries; the mask's culprit planes, when one

@@ -52,8 +52,9 @@
 //! a burst of pipelined submits hands them to the engine in a single
 //! [`Engine::submit_batch_with`] call — one queue operation per worker
 //! that could help, not one per request — while idle workers still
-//! claim individual items, so cheap requests overtake expensive ones
-//! exactly as under per-request submission.
+//! claim individual items, so cheap requests overtake expensive ones. A
+//! plan request joins the same batch with a progress observer attached
+//! that stages its [`ServerFrame::ReplyPart`] frames.
 //!
 //! Completed responses are encoded on the thread that answered them —
 //! the pool worker that finished them (serialize time attributed there,
@@ -388,7 +389,6 @@ struct Shared {
     max_frame_len: usize,
     max_connections: usize,
     socket_send_buffer: Option<usize>,
-    socket_recv_buffer: Option<usize>,
     shutting_down: AtomicBool,
     accepted: AtomicU64,
     next_conn_id: AtomicU64,
@@ -488,7 +488,6 @@ pub struct ServerBuilder {
     max_connections: usize,
     event_loops: Option<usize>,
     socket_send_buffer: Option<usize>,
-    socket_recv_buffer: Option<usize>,
 }
 
 impl Default for ServerBuilder {
@@ -501,7 +500,6 @@ impl Default for ServerBuilder {
             max_connections: 1024,
             event_loops: None,
             socket_send_buffer: None,
-            socket_recv_buffer: None,
         }
     }
 }
@@ -582,13 +580,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Kernel receive-buffer size requested (`SO_RCVBUF`) for accepted
-    /// sockets; see [`ServerBuilder::socket_send_buffer`].
-    pub fn socket_recv_buffer(mut self, bytes: usize) -> Self {
-        self.socket_recv_buffer = Some(bytes);
-        self
-    }
-
     /// Binds the listener and starts the event loops.
     ///
     /// # Errors
@@ -610,7 +601,6 @@ impl ServerBuilder {
             max_frame_len: self.max_frame_len,
             max_connections: self.max_connections,
             socket_send_buffer: self.socket_send_buffer,
-            socket_recv_buffer: self.socket_recv_buffer,
             shutting_down: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(1),
@@ -1061,12 +1051,8 @@ impl EventLoop {
             return;
         }
         let _ = stream.set_nodelay(true);
-        if self.shared.socket_send_buffer.is_some() || self.shared.socket_recv_buffer.is_some() {
-            let _ = poll::set_socket_buffers(
-                stream.as_raw_fd(),
-                self.shared.socket_send_buffer,
-                self.shared.socket_recv_buffer,
-            );
+        if let Some(bytes) = self.shared.socket_send_buffer {
+            let _ = poll::set_socket_buffers(stream.as_raw_fd(), Some(bytes), None);
         }
         // ordering: Relaxed — monotonic accept tally, read only by
         // stats snapshots.
@@ -1514,37 +1500,24 @@ fn submit(
     // order: the increment must be globally visible before the reply
     // can decrement, or the loop could observe 0/0 and close early.
     conn.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+    let is_plan = request.kind() == wqrtq_engine::RequestKind::WhyNot;
     let complete = completion(shared.clone(), conn.shared.clone(), id, trace_id);
-    if request.kind() == wqrtq_engine::RequestKind::WhyNot {
+    let mut item = BatchSubmission::new(request, trace_id, complete);
+    if is_plan {
         // Progressive partial frames ride the same bounded reply
         // backlog ahead of the final reply (same worker thread, so
         // order is guaranteed). They are best-effort: when a slow
         // reader fills the backlog, partials are dropped — only the
-        // final reply dooms the connection on overflow. Plan requests
-        // keep the dedicated progress path rather than the batch.
-        let shared_p = shared.clone();
+        // final reply dooms the connection on overflow.
+        let shared = shared.clone();
         let state = conn.shared.clone();
-        shared.engine.submit_with_progress_trace(
-            request,
-            trace_id,
-            move |delta| {
-                let bytes = encode_reply(
-                    &shared_p,
-                    &state,
-                    id,
-                    trace_id,
-                    ServerFrame::ReplyPart(delta),
-                );
-                state.push_frame(bytes, true);
-                state.notify(true);
-            },
-            complete,
-        );
-    } else {
-        intake
-            .batch
-            .push(BatchSubmission::new(request, trace_id, complete));
+        item = item.with_progress(move |delta| {
+            let bytes = encode_reply(&shared, &state, id, trace_id, ServerFrame::ReplyPart(delta));
+            state.push_frame(bytes, true);
+            state.notify(true);
+        });
     }
+    intake.batch.push(item);
     record_admission(tracer.now_nanos());
 }
 

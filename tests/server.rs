@@ -1365,3 +1365,53 @@ fn pipelined_batch_submit_round_trips_every_reply() {
     }
     server.shutdown();
 }
+
+#[test]
+fn a_plan_pipelined_between_top_ks_streams_its_parts_before_its_reply() {
+    // One write carries TopKs on both sides of a plan. The index is not
+    // built yet, so the loop serves none of them inline: the plan rides
+    // the cycle's batch with its part observer attached.
+    let server = serving_fixture();
+    let twin = wqrtq_engine::Engine::new(2);
+    twin.register_dataset("p", 2, PRODUCTS_2D.to_vec()).unwrap();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let topk = |k: usize| Request::TopK {
+        dataset: "p".into(),
+        weight: vec![0.5, 0.5],
+        k,
+    };
+    let requests = vec![topk(1), topk(2), plan_request("p"), topk(3), topk(4)];
+    let burst: Vec<&Request> = requests.iter().collect();
+    let ids = client.send_request_batch(&burst).unwrap();
+    let plan_id = ids[2];
+    let mut parts = 0;
+    let mut replies = std::collections::HashMap::new();
+    while replies.len() < ids.len() {
+        let (id, frame) = client.recv().unwrap();
+        match frame {
+            ServerFrame::ReplyPart(_) => {
+                assert_eq!(id, plan_id, "only the plan streams parts");
+                assert!(!replies.contains_key(&id), "a part after its reply");
+                parts += 1;
+            }
+            ServerFrame::Reply(response) => {
+                assert!(ids.contains(&id), "unknown reply id {id}");
+                assert!(replies.insert(id, response).is_none(), "id {id} twice");
+            }
+            other => panic!("unexpected frame {other:?}"),
+        }
+    }
+    assert_eq!(parts, 5, "2 explanations + 3 strategy steps");
+    for (id, request) in ids.iter().zip(requests) {
+        let label = format!("{request:?}");
+        assert_eq!(
+            ServerFrame::Reply(replies.remove(id).unwrap()).encode(0),
+            ServerFrame::Reply(twin.submit(request)).encode(0),
+            "{label}: not bit-identical to a direct submit"
+        );
+    }
+    server.shutdown();
+}
