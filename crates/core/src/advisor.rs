@@ -14,9 +14,13 @@
 //! still running.
 
 use crate::error::WhyNotError;
+use crate::exact2d::mwk_exact_2d;
 use crate::explain::Explanation;
 use crate::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use crate::incomparable::DominanceFrontier;
+use crate::mqp::{mqp, MqpResult};
+use crate::mqwk;
+use crate::mwk::{mwk_with_frontier, Budget};
 use crate::penalty::{delta_wm, query_point_penalty, Tolerances};
 use std::cell::OnceCell;
 use wqrtq_geom::weight::MAX_SIMPLEX_DISTANCE;
@@ -90,8 +94,8 @@ pub struct WhyNotOptions {
     pub seed: u64,
     /// Allow the advisor to auto-select the exact 2-D MWK path (globally
     /// optimal, no sampling) when the data is two-dimensional. Disable
-    /// it to pin the sampled path (e.g. to reproduce a direct
-    /// `modify_preferences` call bit for bit).
+    /// it to pin the sampled path (e.g. to reproduce the free
+    /// [`crate::mwk()`] bit for bit).
     pub exact_2d: bool,
 }
 
@@ -213,93 +217,106 @@ fn canonical_strategies(requested: &[StrategyKind]) -> Vec<StrategyKind> {
         .collect()
 }
 
+/// What a plan's strategies share, each found by the first step that
+/// needs it: the dominance frontier at `q` (MWK's sampled path and
+/// MQWK) and MQP's answer (MQP's step and MQWK's `qmin`).
+#[derive(Default)]
+struct Shared {
+    frontier: OnceCell<DominanceFrontier>,
+    mqp: OnceCell<MqpResult>,
+}
+
 impl Wqrtq<'_> {
     /// Runs one refinement strategy under `options` and packages it as a
-    /// plan step (penalty breakdown + verification + stats).
-    ///
-    /// `ranks` are the actual ranks of `q` under the original why-not
-    /// vectors **as returned by [`Wqrtq::validate_why_not`]** — passing
-    /// them is the caller's proof that the set was validated; the
-    /// strategies run without a second validation pass (an unvalidated
-    /// set reaches algorithm preconditions directly and may panic).
-    ///
-    /// # Errors
-    /// Propagates the strategy's own failures (dataset smaller than
-    /// `k`, QP failure).
-    pub fn refine_step(
-        &self,
-        why_not: &[Weight],
-        strategy: StrategyKind,
-        options: &WhyNotOptions,
-        ranks: &[usize],
-    ) -> Result<RankedStep, WhyNotError> {
-        self.run_step(why_not, strategy, options, ranks, &OnceCell::new())
-    }
-
-    /// [`Wqrtq::refine_step`] with the query's dominance frontier held in
-    /// `frontier`: the first strategy that needs it builds it, and the
-    /// next one shares it.
+    /// plan step (penalty breakdown + verification + stats) — the one
+    /// place a plan runs a strategy. `k_max` is the worst rank of `q`
+    /// under the why-not set, which [`Wqrtq::validate_why_not`] has
+    /// checked: the strategies run without a second validation pass.
     fn run_step(
         &self,
         why_not: &[Weight],
         strategy: StrategyKind,
         options: &WhyNotOptions,
-        ranks: &[usize],
-        frontier: &OnceCell<DominanceFrontier>,
+        k_max: usize,
+        shared: &Shared,
     ) -> Result<RankedStep, WhyNotError> {
-        let frontier = || frontier.get_or_init(|| self.frontier());
-        let k_max = ranks.iter().copied().max().unwrap_or(self.k());
-        // Exactly the compute of the matching `modify_*` call minus its
-        // validation pass.
-        let (answer, stats) = match strategy {
-            StrategyKind::Mqp => (
-                self.answer_mqp(why_not)?,
-                StepStats {
-                    exact: false,
-                    sample_size: 0,
-                    query_samples: 0,
-                },
-            ),
-            StrategyKind::Mwk => {
-                // The exact 2-D sweep is globally optimal and needs the
-                // live row buffer; it applies whenever the snapshot
-                // carries a view to materialise it from (the engine's
-                // always does) and the caller did not pin the sampled
-                // path.
-                match self.snapshot().view {
-                    Some(view) if options.exact_2d && view.dim() == 2 => (
-                        self.answer_mwk_exact_2d(&view.materialize_row_major().0, why_not)?,
-                        StepStats {
-                            exact: true,
-                            sample_size: 0,
-                            query_samples: 0,
-                        },
-                    ),
-                    _ => (
-                        self.answer_mwk(frontier(), why_not, options.sample_size, options.seed),
-                        StepStats {
-                            exact: false,
-                            sample_size: options.sample_size,
-                            query_samples: 0,
-                        },
-                    ),
-                }
+        let (snapshot, q, k, tol) = (self.snapshot(), self.q(), self.k(), self.tolerances());
+        let frontier = || {
+            shared
+                .frontier
+                .get_or_init(|| DominanceFrontier::new(snapshot, q))
+        };
+        let solve_mqp = || match shared.mqp.get() {
+            Some(res) => Ok(res),
+            None => mqp(snapshot, q, k, why_not).map(|res| shared.mqp.get_or_init(|| res)),
+        };
+        let stats = |exact, sample_size, query_samples| StepStats {
+            exact,
+            sample_size,
+            query_samples,
+        };
+        let (refined, penalty, stats) = match strategy {
+            StrategyKind::Mqp => {
+                let res = solve_mqp()?;
+                let q_prime = res.q_prime.clone();
+                (
+                    RefinedQuery::QueryPoint { q_prime },
+                    res.penalty,
+                    stats(false, 0, 0),
+                )
             }
-            StrategyKind::Mqwk => (
-                self.answer_mqwk(
+            // The exact 2-D sweep is globally optimal and needs the live
+            // row buffer; it applies whenever the snapshot carries a view
+            // to materialise it from (the engine's always does) and the
+            // caller did not pin the sampled path.
+            StrategyKind::Mwk => match snapshot.view {
+                Some(view) if options.exact_2d && view.dim() == 2 => {
+                    let points = view.materialize_row_major().0;
+                    let res = mwk_exact_2d(&points, q, k, why_not, tol);
+                    let refined = RefinedQuery::Preferences {
+                        why_not: res.refined,
+                        k: res.k_prime,
+                    };
+                    (refined, res.penalty, stats(true, 0, 0))
+                }
+                _ => {
+                    let res = mwk_with_frontier(
+                        frontier(),
+                        k,
+                        why_not,
+                        options.sample_size,
+                        tol,
+                        options.seed,
+                        &Budget::UNBOUNDED,
+                    );
+                    let refined = RefinedQuery::Preferences {
+                        why_not: res.refined,
+                        k: res.k_prime,
+                    };
+                    (refined, res.penalty, stats(false, options.sample_size, 0))
+                }
+            },
+            StrategyKind::Mqwk => {
+                let res = mqwk::refine(
                     frontier(),
+                    solve_mqp()?,
+                    k,
                     why_not,
                     options.sample_size,
                     options.query_samples,
+                    tol,
                     options.seed,
-                )?,
-                StepStats {
-                    exact: false,
-                    sample_size: options.sample_size,
-                    query_samples: options.query_samples,
-                },
-            ),
+                );
+                let refined = RefinedQuery::Everything {
+                    q_prime: res.q_prime,
+                    why_not: res.refined,
+                    k: res.k_prime,
+                };
+                let stats = stats(false, options.sample_size, options.query_samples);
+                (refined, res.penalty, stats)
+            }
         };
+        let answer = WqrtqAnswer { refined, penalty };
         let breakdown = self.breakdown(why_not, &answer, k_max);
         let verified = self.verify(why_not, &answer);
         Ok(RankedStep {
@@ -418,10 +435,10 @@ impl Wqrtq<'_> {
         }
 
         let mut steps = Vec::with_capacity(strategies.len());
-        let frontier = OnceCell::new();
+        let shared = Shared::default();
         for strategy in strategies {
             let started = std::time::Instant::now();
-            let step = self.run_step(why_not, strategy, options, &ranks, &frontier)?;
+            let step = self.run_step(why_not, strategy, options, k_max, &shared)?;
             emit(AdvisorEvent::StageTimed {
                 stage: strategy.name(),
                 nanos: stage_nanos(started),
@@ -616,29 +633,80 @@ mod tests {
     }
 
     #[test]
-    fn refine_step_matches_the_one_shot_facade_calls_bit_for_bit() {
-        // With exact_2d disabled a plan step must reproduce the direct
-        // facade calls exactly.
-        let tree = fig_tree();
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
-        let wn = kevin_julia();
-        let ranks = w.validate_why_not(&wn).unwrap();
-        let options = WhyNotOptions {
-            exact_2d: false,
-            sample_size: 120,
-            query_samples: 40,
-            seed: 9,
-            ..WhyNotOptions::default()
+    fn a_plan_solves_mqp_once_and_each_step_equals_its_free_function() {
+        // MQWK's `qmin` is the plan's MQP answer, whether or not the plan
+        // has an MQP step before it; every step still equals the free
+        // function at the same snapshot and seed, bit for bit.
+        use crate::{mqwk, mwk};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use StrategyKind::{Mqp, Mqwk, Mwk};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let same_weights = |a: &[Weight], b: &[Weight]| {
+            a.len() == b.len() && a.iter().zip(b).all(|(u, v)| bits(u) == bits(v))
         };
-        let step = w
-            .refine_step(&wn, StrategyKind::Mwk, &options, &ranks)
-            .unwrap();
-        let direct = w.modify_preferences(&wn, 120, 9).unwrap();
-        assert_eq!(step.answer.penalty.to_bits(), direct.penalty.to_bits());
-        let step = w
-            .refine_step(&wn, StrategyKind::Mqwk, &options, &ranks)
-            .unwrap();
-        let direct = w.modify_all(&wn, 120, 40, 9).unwrap();
-        assert_eq!(step.answer.penalty.to_bits(), direct.penalty.to_bits());
+        let mut rng = StdRng::seed_from_u64(35);
+        let cube: Vec<f64> = (0..3 * 200).map(|_| rng.gen::<f64>()).collect();
+        let cases = [
+            (fig_tree(), vec![4.0, 4.0], 3, kevin_julia()),
+            (
+                RTree::bulk_load(3, &cube),
+                vec![0.5, 0.5, 0.5],
+                5,
+                vec![
+                    Weight::new(vec![0.2, 0.3, 0.5]),
+                    Weight::new(vec![0.6, 0.3, 0.1]),
+                ],
+            ),
+        ];
+        let tol = Tolerances::paper_default();
+        let (sample_size, query_samples, seed) = (120, 40, 9);
+        for (tree, q, k, wn) in &cases {
+            let w = Wqrtq::new(tree, q, *k).unwrap();
+            let free_mqp = mqp(tree, q, *k, wn).unwrap();
+            let free_mwk = mwk(tree, q, *k, wn, sample_size, &tol, seed).unwrap();
+            let free_mqwk = mqwk(tree, q, *k, wn, sample_size, query_samples, &tol, seed).unwrap();
+            for strategies in [
+                vec![Mqwk],
+                vec![Mqp, Mqwk],
+                vec![Mwk, Mqwk],
+                StrategyKind::ALL.to_vec(),
+            ] {
+                let options = WhyNotOptions {
+                    strategies: strategies.clone(),
+                    sample_size,
+                    query_samples,
+                    seed,
+                    exact_2d: false,
+                    ..WhyNotOptions::default()
+                };
+                let plan = w.advise(wn, &options).unwrap();
+                assert_eq!(plan.steps.len(), strategies.len());
+                for step in &plan.steps {
+                    let penalty = step.answer.penalty.to_bits();
+                    match &step.answer.refined {
+                        RefinedQuery::QueryPoint { q_prime } => {
+                            assert_eq!(penalty, free_mqp.penalty.to_bits());
+                            assert_eq!(bits(q_prime), bits(&free_mqp.q_prime));
+                        }
+                        RefinedQuery::Preferences { why_not, k } => {
+                            assert_eq!(penalty, free_mwk.penalty.to_bits());
+                            assert_eq!(*k, free_mwk.k_prime);
+                            assert!(same_weights(why_not, &free_mwk.refined));
+                        }
+                        RefinedQuery::Everything {
+                            q_prime,
+                            why_not,
+                            k,
+                        } => {
+                            assert_eq!(penalty, free_mqwk.penalty.to_bits(), "{strategies:?}");
+                            assert_eq!(bits(q_prime), bits(&free_mqwk.q_prime));
+                            assert_eq!(*k, free_mqwk.k_prime);
+                            assert!(same_weights(why_not, &free_mqwk.refined));
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -4,20 +4,19 @@
 //! why-not inputs (for bichromatic queries the vectors must come from
 //! `W ∖ BRTOPk(q)`; for monochromatic queries any non-member vector is
 //! allowed — both reduce to "q ranks below k", which is what we check),
-//! and exposes the three refinement solutions plus the aspect-1
-//! explanation under one roof.
+//! explains an omission (aspect 1) and verifies a refinement. The
+//! refinements themselves (aspect 2) come from one door,
+//! [`Wqrtq::advise`] in [`crate::advisor`]; the free functions
+//! [`crate::mqp()`], [`crate::mwk()`] and [`crate::mqwk()`] run one
+//! strategy without a facade.
 
 use crate::error::WhyNotError;
 use crate::explain::{explain, Explanation};
-use crate::incomparable::DominanceFrontier;
-use crate::mqp::mqp;
-use crate::mqwk::mqwk_with_frontier;
-use crate::mwk::{mwk_with_frontier, Budget};
 use crate::penalty::{has_positive_norm, Tolerances};
 use wqrtq_geom::Weight;
-use wqrtq_query::{bichromatic_reverse_topk_rta, is_in_topk, rank_of_point, ProbeCtx, Snapshot};
+use wqrtq_query::{is_in_topk, rank_of_point, ProbeCtx, Snapshot};
 
-/// A refined reverse top-k query, as returned by the framework.
+/// A refined reverse top-k query: what one plan step changes.
 #[derive(Clone, Debug)]
 pub enum RefinedQuery {
     /// Solution 1 (MQP): only the query point moved.
@@ -167,175 +166,6 @@ impl<'a> Wqrtq<'a> {
         explain(self.snapshot, w, &self.q, limit, &mut ProbeCtx::new())
     }
 
-    /// Splits a bichromatic weight population `W` into
-    /// (`BRTOPk(q)`, `W ∖ BRTOPk(q)`) — the second component is the set
-    /// of *valid why-not inputs* per Definition 5. Indices refer to
-    /// `weights`.
-    pub fn partition_population(&self, weights: &[Weight]) -> (Vec<usize>, Vec<usize>) {
-        let members = bichromatic_reverse_topk_rta(self.snapshot, weights, &self.q, self.k);
-        let mut in_result = vec![false; weights.len()];
-        for &i in &members {
-            in_result[i] = true;
-        }
-        let missing = (0..weights.len()).filter(|&i| !in_result[i]).collect();
-        (members, missing)
-    }
-
-    /// Solution 1: modify the query point (MQP).
-    pub fn modify_query(&self, why_not: &[Weight]) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        self.answer_mqp(why_not)
-    }
-
-    /// MQP without the why-not validation pass — for callers (the
-    /// advisor) that validated the set once already.
-    pub(crate) fn answer_mqp(&self, why_not: &[Weight]) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = mqp(self.snapshot, &self.q, self.k, why_not)?;
-        Ok(WqrtqAnswer {
-            refined: RefinedQuery::QueryPoint {
-                q_prime: res.q_prime,
-            },
-            penalty: res.penalty,
-        })
-    }
-
-    /// Solution 2: modify the why-not vectors and `k` (MWK).
-    pub fn modify_preferences(
-        &self,
-        why_not: &[Weight],
-        sample_size: usize,
-        seed: u64,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        Ok(self.answer_mwk(&self.frontier(), why_not, sample_size, seed))
-    }
-
-    /// Sampled MWK over `frontier` (this query's
-    /// [`Wqrtq::frontier`]) without the why-not validation pass.
-    pub(crate) fn answer_mwk(
-        &self,
-        frontier: &DominanceFrontier,
-        why_not: &[Weight],
-        sample_size: usize,
-        seed: u64,
-    ) -> WqrtqAnswer {
-        let res = mwk_with_frontier(
-            frontier,
-            self.k,
-            why_not,
-            sample_size,
-            &self.tol,
-            seed,
-            &Budget::UNBOUNDED,
-        );
-        WqrtqAnswer {
-            refined: RefinedQuery::Preferences {
-                why_not: res.refined,
-                k: res.k_prime,
-            },
-            penalty: res.penalty,
-        }
-    }
-
-    /// `FindIncom` at this query's point: the dominance frontier the
-    /// sampled MWK and MQWK answers start from.
-    pub(crate) fn frontier(&self) -> DominanceFrontier {
-        DominanceFrontier::new(self.snapshot, &self.q)
-    }
-
-    /// Solution 2, exact variant (2-D data only): enumerates candidate
-    /// `k′` values against the exact monochromatic weight intervals
-    /// instead of sampling, returning the *globally optimal* `(Wm′, k′)`.
-    /// `points` must be the flat buffer the tree was built from.
-    ///
-    /// # Panics
-    /// Panics if the data is not two-dimensional (see
-    /// [`crate::exact2d::mwk_exact_2d`]).
-    pub fn modify_preferences_exact_2d(
-        &self,
-        points: &[f64],
-        why_not: &[Weight],
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        self.answer_mwk_exact_2d(points, why_not)
-    }
-
-    /// Exact 2-D MWK without the why-not validation pass.
-    pub(crate) fn answer_mwk_exact_2d(
-        &self,
-        points: &[f64],
-        why_not: &[Weight],
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = crate::exact2d::mwk_exact_2d(points, &self.q, self.k, why_not, &self.tol);
-        Ok(WqrtqAnswer {
-            refined: RefinedQuery::Preferences {
-                why_not: res.refined,
-                k: res.k_prime,
-            },
-            penalty: res.penalty,
-        })
-    }
-
-    /// Solution 3: modify everything (MQWK).
-    pub fn modify_all(
-        &self,
-        why_not: &[Weight],
-        sample_size: usize,
-        query_samples: usize,
-        seed: u64,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        self.validate_why_not(why_not)?;
-        self.answer_mqwk(&self.frontier(), why_not, sample_size, query_samples, seed)
-    }
-
-    /// MQWK over `frontier` (this query's [`Wqrtq::frontier`]) without
-    /// the why-not validation pass.
-    pub(crate) fn answer_mqwk(
-        &self,
-        frontier: &DominanceFrontier,
-        why_not: &[Weight],
-        sample_size: usize,
-        query_samples: usize,
-        seed: u64,
-    ) -> Result<WqrtqAnswer, WhyNotError> {
-        let res = mqwk_with_frontier(
-            self.snapshot,
-            frontier,
-            self.k,
-            why_not,
-            sample_size,
-            query_samples,
-            &self.tol,
-            seed,
-        )?;
-        Ok(WqrtqAnswer {
-            refined: RefinedQuery::Everything {
-                q_prime: res.q_prime,
-                why_not: res.refined,
-                k: res.k_prime,
-            },
-            penalty: res.penalty,
-        })
-    }
-
-    /// Runs all three solutions and returns them sorted by penalty
-    /// (cheapest first) — the "pick your scenario" view of Figure 4.
-    pub fn all_refinements(
-        &self,
-        why_not: &[Weight],
-        sample_size: usize,
-        query_samples: usize,
-        seed: u64,
-    ) -> Result<Vec<WqrtqAnswer>, WhyNotError> {
-        let mut answers = vec![
-            self.modify_query(why_not)?,
-            self.modify_preferences(why_not, sample_size, seed)?,
-            self.modify_all(why_not, sample_size, query_samples, seed)?,
-        ];
-        answers.sort_by(|a, b| a.penalty.total_cmp(&b.penalty));
-        Ok(answers)
-    }
-
     /// Verifies that an answer actually fixes the why-not question: every
     /// (refined) why-not vector must contain the (refined) query point in
     /// its (refined) top-k.
@@ -365,6 +195,10 @@ impl<'a> Wqrtq<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor::{StrategyKind, WhyNotOptions};
+    use std::sync::Arc;
+    use wqrtq_geom::{DeltaView, FlatPoints};
+    use wqrtq_query::bichromatic_reverse_topk_rta;
     use wqrtq_rtree::RTree;
 
     fn fig_tree() -> RTree {
@@ -376,6 +210,17 @@ mod tests {
 
     fn kevin_julia() -> Vec<Weight> {
         vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])]
+    }
+
+    /// Every strategy on the sampled paths, with these budgets.
+    fn sampled(sample_size: usize, query_samples: usize, seed: u64) -> WhyNotOptions {
+        WhyNotOptions {
+            sample_size,
+            query_samples,
+            seed,
+            exact_2d: false,
+            ..WhyNotOptions::default()
+        }
     }
 
     #[test]
@@ -399,7 +244,8 @@ mod tests {
         let tree = fig_tree();
         let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
         let wn = kevin_julia();
-        for answer in w.all_refinements(&wn, 200, 200, 7).unwrap() {
+        for step in w.advise(&wn, &sampled(200, 200, 7)).unwrap().steps {
+            let answer = step.answer;
             assert!(w.verify(&wn, &answer), "unverified answer {answer:?}");
             assert!(answer.penalty >= 0.0);
         }
@@ -409,13 +255,18 @@ mod tests {
     fn answers_are_sorted_by_penalty() {
         let tree = fig_tree();
         let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
-        let answers = w.all_refinements(&kevin_julia(), 200, 200, 3).unwrap();
-        assert_eq!(answers.len(), 3);
-        assert!(answers.windows(2).all(|p| p[0].penalty <= p[1].penalty));
+        let steps = w
+            .advise(&kevin_julia(), &sampled(200, 200, 3))
+            .unwrap()
+            .steps;
+        assert_eq!(steps.len(), 3);
+        assert!(steps
+            .windows(2)
+            .all(|p| p[0].answer.penalty <= p[1].answer.penalty));
         // MQWK (Everything) is never beaten on this workload because it
         // subsumes both endpoints.
         assert!(matches!(
-            answers[0].refined,
+            steps[0].answer.refined,
             RefinedQuery::Everything { .. }
         ));
     }
@@ -430,12 +281,17 @@ mod tests {
             Weight::new(vec![0.3, 0.7]), // Anna
             Weight::new(vec![0.9, 0.1]), // Julia
         ];
-        let (members, missing) = w.partition_population(&population);
-        assert_eq!(members, vec![1, 2]); // Tony, Anna
-        assert_eq!(missing, vec![0, 3]); // Kevin, Julia
-                                         // The missing side is exactly the set of valid why-not inputs.
-        let wn: Vec<Weight> = missing.iter().map(|&i| population[i].clone()).collect();
+        let members = bichromatic_reverse_topk_rta(&tree, &population, w.q(), w.k());
+        // Tony and Anna are the members; the rest — Kevin and Julia — are
+        // exactly the valid why-not inputs, and the members are not.
+        assert_eq!(members, vec![1, 2]);
+        let wn: Vec<Weight> = [0, 3].iter().map(|&i| population[i].clone()).collect();
         assert!(w.validate_why_not(&wn).is_ok());
+        for i in members {
+            assert!(w
+                .validate_why_not(std::slice::from_ref(&population[i]))
+                .is_err());
+        }
     }
 
     #[test]
@@ -444,12 +300,21 @@ mod tests {
             2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
         ];
         let tree = RTree::bulk_load(2, &pts);
-        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let view = DeltaView::plain(Arc::new(FlatPoints::from_row_major(2, &pts)));
+        let w = Wqrtq::new(Snapshot::from(&tree).overlay(&view), &[4.0, 4.0], 3).unwrap();
         let wn = kevin_julia();
-        let exact = w.modify_preferences_exact_2d(&pts, &wn).unwrap();
-        let sampled = w.modify_preferences(&wn, 400, 3).unwrap();
-        assert!(exact.penalty <= sampled.penalty + 1e-9);
-        assert!(w.verify(&wn, &exact));
+        let mwk = |exact_2d| {
+            let options = WhyNotOptions {
+                strategies: vec![StrategyKind::Mwk],
+                exact_2d,
+                ..sampled(400, 0, 3)
+            };
+            w.advise(&wn, &options).unwrap().steps.remove(0)
+        };
+        let (exact, sampled) = (mwk(true), mwk(false));
+        assert!(exact.stats.exact && !sampled.stats.exact);
+        assert!(exact.answer.penalty <= sampled.answer.penalty + 1e-9);
+        assert!(w.verify(&wn, &exact.answer));
     }
 
     #[test]
@@ -473,8 +338,6 @@ mod tests {
 
     #[test]
     fn view_facade_matches_rebuilt_facade_bit_for_bit() {
-        use std::sync::Arc;
-        use wqrtq_geom::{DeltaView, FlatPoints};
         let pts = vec![
             2.0, 1.0, 6.0, 3.0, 1.0, 9.0, 9.0, 3.0, 7.0, 5.0, 5.0, 8.0, 3.0, 7.0,
         ];
@@ -504,10 +367,12 @@ mod tests {
             overlay.validate_why_not(&wn).unwrap(),
             oracle.validate_why_not(&wn).unwrap()
         );
-        let a = overlay.all_refinements(&wn, 150, 150, 11).unwrap();
-        let b = oracle.all_refinements(&wn, 150, 150, 11).unwrap();
+        let a = overlay.advise(&wn, &sampled(150, 150, 11)).unwrap().steps;
+        let b = oracle.advise(&wn, &sampled(150, 150, 11)).unwrap().steps;
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.strategy, y.strategy);
+            let (x, y) = (&x.answer, &y.answer);
             assert_eq!(x.penalty.to_bits(), y.penalty.to_bits(), "penalty drift");
             match (&x.refined, &y.refined) {
                 (

@@ -19,13 +19,17 @@
 //! | [`mwk`](mod@mwk)  | `Wm` and `k`    | weight-space hyperplane sampling + candidate scan (Lemmas 4–6) |
 //! | [`mqwk`](mod@mqwk) | `q`, `Wm`, `k`  | query-point sampling + MQP + MWK + R-tree reuse |
 //!
-//! The [`framework`] module ties the three into the unified `WQRTQ`
-//! facade of the paper's Figure 4, and the [`advisor`] module answers
+//! The [`framework`] module holds the unified `WQRTQ` facade of the
+//! paper's Figure 4 — a query under investigation, its why-not
+//! validation, explanation and verification — and the [`advisor`]
+//! module is its one door to a refinement: [`Wqrtq::advise`] answers
 //! the whole why-not question in one call — explanation plus every
-//! applicable strategy, verified and ranked cheapest-first into a
-//! [`RefinementPlan`]. Penalty semantics follow Equations (1), (3), (4)
-//! and (5); see `DESIGN.md` for the calibration of the normalising
-//! constants against the paper's worked examples.
+//! requested strategy, verified and ranked cheapest-first into a
+//! [`RefinementPlan`]. The free functions [`mqp()`], [`mwk()`] and
+//! [`mqwk()`] run one strategy without a facade. Penalty semantics
+//! follow Equations (1), (3), (4) and (5); see `DESIGN.md` for the
+//! calibration of the normalising constants against the paper's worked
+//! examples.
 //!
 //! Every algorithm takes its dataset as `impl Into<`[`Snapshot`]`>`: a
 //! bare `&RTree` (the paper's "index over `P`") or a serving layer's

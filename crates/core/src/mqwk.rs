@@ -98,7 +98,7 @@ pub fn mqwk<'a>(
     let base = DominanceFrontier::new(snap, q);
     Ok(refine(
         &base,
-        mqp_res,
+        &mqp_res,
         k,
         why_not,
         sample_size,
@@ -109,8 +109,8 @@ pub fn mqwk<'a>(
 }
 
 /// [`mqwk`] over `base`, a frontier [`DominanceFrontier::new`] found at
-/// the query point of the same snapshot: the MWK step of a plan hands
-/// its own frontier on, so a plan runs `FindIncom` once.
+/// the query point of the same snapshot, for a caller that already holds
+/// it: `FindIncom` is not run a second time.
 ///
 /// # Errors
 /// What [`mqwk`] returns for the same inputs.
@@ -128,7 +128,7 @@ pub fn mqwk_with_frontier<'a>(
     let mqp_res = mqp(snap, base.q(), k, why_not)?;
     Ok(refine(
         base,
-        mqp_res,
+        &mqp_res,
         k,
         why_not,
         sample_size,
@@ -138,14 +138,15 @@ pub fn mqwk_with_frontier<'a>(
     ))
 }
 
-/// Algorithm 3 past line 2: the endpoints and the sampled candidates.
-/// A sample is re-classified and its anchors' culprits found once: they
-/// price it ([`penalty_floor`]) and, if it may still win, seed its MWK
-/// sampler.
+/// Algorithm 3 past line 2: the endpoints and the sampled candidates,
+/// given `mqp_res`, MQP's answer at `base`'s query point — a plan hands
+/// in its MQP step's answer, so it solves MQP once. A sample is
+/// re-classified and its anchors' culprits found once: they price it
+/// ([`penalty_floor`]) and, if it may still win, seed its MWK sampler.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
-fn refine(
+pub(crate) fn refine(
     base: &DominanceFrontier,
-    mqp_res: MqpResult,
+    mqp_res: &MqpResult,
     k: usize,
     why_not: &[Weight],
     sample_size: usize,

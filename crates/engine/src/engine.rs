@@ -289,11 +289,6 @@ impl Engine {
         }
     }
 
-    /// An engine with `workers` threads and default cache capacity.
-    pub fn new(workers: usize) -> Self {
-        Self::builder().workers(workers).build()
-    }
-
     /// Read access to the catalog (names, epochs, handles).
     ///
     /// Mutations should go through [`Engine::register_dataset`] /
@@ -992,7 +987,7 @@ mod tests {
 
     #[test]
     fn builder_defaults_and_accessors() {
-        let engine = Engine::new(2);
+        let engine = Engine::builder().workers(2).build();
         assert_eq!(engine.worker_count(), 2);
         assert!(engine.catalog().dataset_names().is_empty());
     }

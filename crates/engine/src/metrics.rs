@@ -223,16 +223,6 @@ impl MetricsSnapshot {
         self.per_kind.iter().map(|k| k.index_nodes).sum()
     }
 
-    /// Every kind's latency histogram folded into one distribution —
-    /// the engine-wide percentiles.
-    pub fn merged_latency(&self) -> HistogramSnapshot {
-        let mut merged = HistogramSnapshot::default();
-        for k in &self.per_kind {
-            merged.merge(&k.latency);
-        }
-        merged
-    }
-
     /// The latency distribution of one pipeline stage.
     pub fn stage_latency(&self, stage: Stage) -> &HistogramSnapshot {
         &self.stages[stage.index()].latency

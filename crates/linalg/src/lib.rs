@@ -4,20 +4,17 @@
 //!
 //! The QP subproblems solved by MQP/MQWK are tiny (the data dimensionality
 //! is 2–13 in the paper), so a cache-friendly row-major dense [`Matrix`]
-//! with direct factorisations is both simpler and faster than any sparse
+//! with a direct factorisation is both simpler and faster than any sparse
 //! machinery:
 //!
 //! * [`cholesky::Cholesky`] — SPD factorisation used for the reduced KKT
 //!   systems of the interior-point method (with diagonal regularisation
 //!   fallback for near-singular systems).
-//! * [`lu::Lu`] — partially pivoted LU for general square systems.
 
 pub mod cholesky;
-pub mod lu;
 pub mod matrix;
 
 pub use cholesky::Cholesky;
-pub use lu::Lu;
 pub use matrix::Matrix;
 
 /// `y ← y + a·x`.
@@ -42,12 +39,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Euclidean norm.
-#[inline]
-pub fn norm2(x: &[f64]) -> f64 {
-    dot(x, x).sqrt()
-}
-
 /// Infinity norm (0 for empty slices).
 #[inline]
 pub fn norm_inf(x: &[f64]) -> f64 {
@@ -67,7 +58,6 @@ mod tests {
 
     #[test]
     fn norms() {
-        assert_eq!(norm2(&[3.0, 4.0]), 5.0);
         assert_eq!(norm_inf(&[-7.0, 3.0]), 7.0);
         assert_eq!(norm_inf(&[]), 0.0);
     }

@@ -31,12 +31,6 @@ impl WeightInterval {
     pub fn contains(&self, x: f64) -> bool {
         self.lo - 1e-12 <= x && x <= self.hi + 1e-12
     }
-
-    /// The weighting vector at the interval's midpoint.
-    pub fn midpoint_weight(&self) -> [f64; 2] {
-        let x = 0.5 * (self.lo + self.hi);
-        [x, 1.0 - x]
-    }
 }
 
 /// Computes the exact `MRTOPk(q)` weight intervals over a flat 2-D point
@@ -229,14 +223,6 @@ mod tests {
         let iv = monochromatic_reverse_topk_2d(&[], &[1.0, 1.0], 1);
         assert_eq!(iv.len(), 1);
         assert_eq!((iv[0].lo, iv[0].hi), (0.0, 1.0));
-    }
-
-    #[test]
-    fn midpoint_weight_is_on_simplex() {
-        let iv = WeightInterval { lo: 0.2, hi: 0.6 };
-        let w = iv.midpoint_weight();
-        assert!((w[0] - 0.4).abs() < 1e-12);
-        assert!((w[0] + w[1] - 1.0).abs() < 1e-12);
     }
 
     /// Brute-force oracle: rank of q at a specific x.

@@ -33,9 +33,10 @@
 //!
 //! ```no_run
 //! use wqrtq_server::{Client, Server};
-//! use wqrtq_engine::Request;
+//! use wqrtq_engine::{Engine, Request};
 //!
-//! let server = Server::builder().workers(2).bind("127.0.0.1:0")?;
+//! let engine = Engine::builder().workers(2).build();
+//! let server = Server::builder().engine(engine).bind("127.0.0.1:0")?;
 //! let mut client = Client::connect_v2(server.local_addr())?;
 //! client.register_dataset("products", 2, &[2.0, 1.0, 6.0, 3.0, 1.0, 9.0])?;
 //! let top = client.submit(&Request::TopK {

@@ -482,7 +482,6 @@ impl Shared {
 #[derive(Debug)]
 pub struct ServerBuilder {
     engine: Option<Engine>,
-    workers: Option<usize>,
     admission_capacity: usize,
     max_frame_len: usize,
     max_connections: usize,
@@ -494,7 +493,6 @@ impl Default for ServerBuilder {
     fn default() -> Self {
         Self {
             engine: None,
-            workers: None,
             admission_capacity: 256,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             max_connections: 1024,
@@ -505,20 +503,11 @@ impl Default for ServerBuilder {
 }
 
 impl ServerBuilder {
-    /// Serves over this pre-configured engine instead of building one.
+    /// The engine to serve (default: `Engine::builder().build()`, one
+    /// worker per available core). Size its pool with
+    /// [`wqrtq_engine::EngineBuilder::workers`].
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = Some(engine);
-        self
-    }
-
-    /// Worker threads for the engine the server builds when none was
-    /// supplied (default: available parallelism).
-    ///
-    /// # Panics
-    /// Panics if `workers` is zero.
-    pub fn workers(mut self, workers: usize) -> Self {
-        assert!(workers > 0, "need at least one worker");
-        self.workers = Some(workers);
         self
     }
 
@@ -586,10 +575,7 @@ impl ServerBuilder {
     /// Propagates socket and poller errors (bind, local address lookup,
     /// poller creation).
     pub fn bind(self, addr: impl ToSocketAddrs) -> std::io::Result<Server> {
-        let engine = self.engine.unwrap_or_else(|| match self.workers {
-            Some(workers) => Engine::new(workers),
-            None => Engine::builder().build(),
-        });
+        let engine = self.engine.unwrap_or_else(|| Engine::builder().build());
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -679,9 +665,10 @@ impl ServerBuilder {
 ///
 /// ```no_run
 /// use wqrtq_server::{Client, Server};
-/// use wqrtq_engine::{Request, Response};
+/// use wqrtq_engine::{Engine, Request, Response};
 ///
-/// let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
+/// let engine = Engine::builder().workers(2).build();
+/// let server = Server::builder().engine(engine).bind("127.0.0.1:0").unwrap();
 /// let mut client = Client::connect_v2(server.local_addr()).unwrap();
 /// client.register_dataset("p", 2, &[2.0, 1.0, 6.0, 3.0]).unwrap();
 /// let response = client

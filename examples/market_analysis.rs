@@ -11,6 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use wqrtq::core::advisor::WhyNotOptions;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::realistic::household_like_scaled;
 use wqrtq::geom::Weight;
@@ -85,10 +86,17 @@ fn main() {
     }
 
     println!("\nrefinement options (penalty-ordered):");
-    let answers = wqrtq
-        .all_refinements(&segment, 400, 400, 7)
+    let options = WhyNotOptions {
+        sample_size: 400,
+        query_samples: 400,
+        seed: 7,
+        ..WhyNotOptions::default()
+    };
+    let plan = wqrtq
+        .advise(&segment, &options)
         .expect("refinement succeeds");
-    for a in &answers {
+    for step in &plan.steps {
+        let a = &step.answer;
         match &a.refined {
             RefinedQuery::QueryPoint { q_prime } => {
                 let cut: f64 = q.iter().zip(q_prime).map(|(a, b)| (a - b).max(0.0)).sum();
@@ -106,7 +114,7 @@ fn main() {
                 a.penalty
             ),
         }
-        assert!(wqrtq.verify(&segment, a));
+        assert!(step.verified);
     }
     println!("\nall strategies verified against the index");
 }

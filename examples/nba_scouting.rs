@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release --example nba_scouting`
 
-use wqrtq::core::framework::{RefinedQuery, Wqrtq};
+use wqrtq::core::advisor::{StrategyKind, WhyNotOptions};
+use wqrtq::core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use wqrtq::data::realistic::nba_like_scaled;
 use wqrtq::geom::Weight;
 use wqrtq::query::rank::rank_of_point;
@@ -73,9 +74,25 @@ fn main() {
     println!("\n{} profile(s) exclude the player", why_not.len());
 
     let wqrtq = Wqrtq::new(&tree, &q, k).expect("dimensions match");
+    // One strategy at a time: a one-strategy plan, checked as it comes.
+    let refine = |strategy: StrategyKind, sample_size, query_samples| -> WqrtqAnswer {
+        let options = WhyNotOptions {
+            strategies: vec![strategy],
+            sample_size,
+            query_samples,
+            seed: 7,
+            ..WhyNotOptions::default()
+        };
+        let plan = wqrtq
+            .advise(&why_not, &options)
+            .expect("refinement succeeds");
+        let step = plan.recommended();
+        assert!(step.verified, "{} must verify", strategy.name());
+        step.answer.clone()
+    };
 
     // Training plan: MQP tells us which categories to improve.
-    let answer = wqrtq.modify_query(&why_not).expect("MQP succeeds");
+    let answer = refine(StrategyKind::Mqp, 0, 0);
     if let RefinedQuery::QueryPoint { q_prime } = &answer.refined {
         println!("\ntraining plan (penalty {:.4}):", answer.penalty);
         for (i, (old, new)) in q.iter().zip(q_prime).enumerate() {
@@ -89,12 +106,9 @@ fn main() {
             }
         }
     }
-    assert!(wqrtq.verify(&why_not, &answer));
 
     // Alternative: how little would the staffs need to re-weight?
-    let answer = wqrtq
-        .modify_preferences(&why_not, 600, 7)
-        .expect("MWK succeeds");
+    let answer = refine(StrategyKind::Mwk, 600, 0);
     if let RefinedQuery::Preferences {
         why_not: refined,
         k: k2,
@@ -114,15 +128,11 @@ fn main() {
             println!("  profile total weight shift: {shift:.4}");
         }
     }
-    assert!(wqrtq.verify(&why_not, &answer));
 
     // And the negotiated compromise.
-    let answer = wqrtq
-        .modify_all(&why_not, 300, 300, 7)
-        .expect("MQWK succeeds");
+    let answer = refine(StrategyKind::Mqwk, 300, 300);
     println!(
         "\ncompromise penalty: {:.4} (never worse than either)",
         answer.penalty
     );
-    assert!(wqrtq.verify(&why_not, &answer));
 }

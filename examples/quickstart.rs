@@ -7,6 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
+use wqrtq::core::advisor::WhyNotOptions;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::figure1;
 use wqrtq::query::brtopk::bichromatic_reverse_topk_rta;
@@ -60,10 +61,17 @@ fn main() {
     }
 
     println!("\n== Aspect 2: minimum-penalty refinements ==");
-    let answers = wqrtq
-        .all_refinements(&why_not, 800, 800, 2015)
+    let options = WhyNotOptions {
+        sample_size: 800,
+        query_samples: 800,
+        seed: 2015,
+        ..WhyNotOptions::default()
+    };
+    let plan = wqrtq
+        .advise(&why_not, &options)
         .expect("refinement succeeds");
-    for a in &answers {
+    for step in &plan.steps {
+        let a = &step.answer;
         match &a.refined {
             RefinedQuery::QueryPoint { q_prime } => println!(
                 "  MQP   penalty {:.3}: redesign the computer as ({:.2}, {:.2})",
@@ -92,7 +100,7 @@ fn main() {
                 }
             }
         }
-        assert!(wqrtq.verify(&why_not, a), "refinement must verify");
+        assert!(step.verified, "refinement must verify");
     }
     println!("\nAll refinements verified: Kevin and Julia now see Apple in their top-k.");
 }

@@ -14,7 +14,7 @@ use wqrtq_server::ClientFrame;
 
 fn main() {
     let server = Server::builder()
-        .workers(2)
+        .engine(Engine::builder().workers(2).build())
         .admission_capacity(64)
         .bind("127.0.0.1:0")
         .expect("bind ephemeral port");

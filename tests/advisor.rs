@@ -1,14 +1,15 @@
 //! Integration tests for the why-not advisor: plan optimality under
 //! randomised workloads (the recommendation is minimal and every
 //! alternative verifies), and the differential proof that a served
-//! plan's steps and explanations are bit-identical to direct framework
-//! calls on the same index.
+//! plan's steps and explanations are bit-identical to the free
+//! functions (`mqp`, `mwk`, `mqwk`, `explain`) on the same index.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use wqrtq::core::advisor::{StrategyKind, WhyNotOptions};
 use wqrtq::core::framework::Wqrtq;
 use wqrtq::core::penalty::Tolerances;
+use wqrtq::core::{mqp, mqwk, mwk};
 use wqrtq::engine::{
     Engine, PlanDelta, Refinement, Request, Response, WhyNotOptions as EngineOptions,
 };
@@ -95,9 +96,9 @@ proptest! {
     }
 }
 
-/// The direct-framework oracle for one strategy of a sampled-path plan:
-/// the facade over the catalog's shared index + view, then one
-/// `modify_*` call, converted to plain data the way the worker does.
+/// The free-function oracle for one strategy of a sampled-path plan:
+/// `mqp`, `mwk` or `mqwk` over the catalog's shared index + view,
+/// converted to plain data the way the worker does.
 fn direct_oracle(
     engine: &Engine,
     q: &[f64],
@@ -108,49 +109,43 @@ fn direct_oracle(
 ) -> Refinement {
     let handle = engine.catalog().handle("products").unwrap();
     let wn: Vec<Weight> = why_not.iter().map(|w| Weight::new(w.clone())).collect();
-    let wqrtq = Wqrtq::new(handle.snapshot(), q, k).unwrap();
-    let answer = match kind {
-        StrategyKind::Mqp => wqrtq.modify_query(&wn),
-        StrategyKind::Mwk => wqrtq.modify_preferences(&wn, options.sample_size, options.seed),
-        StrategyKind::Mqwk => wqrtq.modify_all(
-            &wn,
-            options.sample_size,
-            options.query_samples,
-            options.seed,
-        ),
-    }
-    .unwrap();
+    let (snap, tol, seed) = (handle.snapshot(), &options.tol, options.seed);
     // Mirror the worker's plain-data conversion.
-    use wqrtq::core::framework::RefinedQuery;
     let to_raw = |ws: Vec<Weight>| ws.into_iter().map(Weight::into_vec).collect::<Vec<_>>();
-    match answer.refined {
-        RefinedQuery::QueryPoint { q_prime } => Refinement {
-            q_prime: Some(q_prime),
-            why_not: None,
-            k: None,
-            penalty: answer.penalty,
-        },
-        RefinedQuery::Preferences { why_not, k } => Refinement {
-            q_prime: None,
-            why_not: Some(to_raw(why_not)),
-            k: Some(k),
-            penalty: answer.penalty,
-        },
-        RefinedQuery::Everything {
-            q_prime,
-            why_not,
-            k,
-        } => Refinement {
-            q_prime: Some(q_prime),
-            why_not: Some(to_raw(why_not)),
-            k: Some(k),
-            penalty: answer.penalty,
-        },
+    match kind {
+        StrategyKind::Mqp => {
+            let res = mqp(snap, q, k, &wn).unwrap();
+            Refinement {
+                q_prime: Some(res.q_prime),
+                why_not: None,
+                k: None,
+                penalty: res.penalty,
+            }
+        }
+        StrategyKind::Mwk => {
+            let res = mwk(snap, q, k, &wn, options.sample_size, tol, seed).unwrap();
+            Refinement {
+                q_prime: None,
+                why_not: Some(to_raw(res.refined)),
+                k: Some(res.k_prime),
+                penalty: res.penalty,
+            }
+        }
+        StrategyKind::Mqwk => {
+            let (sample_size, query_samples) = (options.sample_size, options.query_samples);
+            let res = mqwk(snap, q, k, &wn, sample_size, query_samples, tol, seed).unwrap();
+            Refinement {
+                q_prime: Some(res.q_prime),
+                why_not: Some(to_raw(res.refined)),
+                k: Some(res.k_prime),
+                penalty: res.penalty,
+            }
+        }
     }
 }
 
 /// Each step of a sampled-path plan is bit-identical to the matching
-/// direct `modify_*` call, and each explanation to the core `explain` —
+/// free function, and each explanation to the core `explain` —
 /// the engine is a serving layer, not a different algorithm.
 #[test]
 fn plan_steps_match_legacy_single_strategy_responses_bit_for_bit() {

@@ -2,7 +2,7 @@
 //! worker-count-independent batch results, epoch-driven cache
 //! invalidation, and concurrent shared-index serving.
 
-use wqrtq::core::WhyNotError;
+use wqrtq::core::{mwk, WhyNotError};
 use wqrtq::data::figure1;
 use wqrtq::data::synthetic::independent;
 use wqrtq::prelude::*;
@@ -216,15 +216,15 @@ fn mutation_bumps_epoch_and_evicts_stale_entries() {
 #[test]
 fn engine_refinements_match_direct_framework_calls() {
     // The engine is a serving layer, not a different algorithm: its
-    // refinement responses must equal one-shot Wqrtq calls on the same
-    // pre-built index.
+    // refinement responses must equal the one-shot free functions on the
+    // same pre-built index.
     let engine = populated_engine(3);
     let fig = figure1::dataset();
     let tree = RTree::bulk_load(2, &fig.flat_products());
-    let wqrtq = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
     let why_not = vec![Weight::new(vec![0.1, 0.9]), Weight::new(vec![0.9, 0.1])];
+    let tol = Tolerances::paper_default();
 
-    let direct = wqrtq.modify_preferences(&why_not, 120, 7).unwrap();
+    let direct = mwk(&tree, &[4.0, 4.0], 3, &why_not, 120, &tol, 7).unwrap();
     let served = engine.submit(Request::WhyNot {
         dataset: "figure1".into(),
         q: vec![4.0, 4.0],
@@ -241,10 +241,7 @@ fn engine_refinements_match_direct_framework_calls() {
         Response::Plan(plan) => {
             let r = &plan.recommended().refinement;
             assert!((r.penalty - direct.penalty).abs() < 1e-12);
-            match direct.refined {
-                RefinedQuery::Preferences { k, .. } => assert_eq!(r.k, Some(k)),
-                other => panic!("MWK returns Preferences, got {other:?}"),
-            }
+            assert_eq!(r.k, Some(direct.k_prime));
         }
         other => panic!("expected a one-step plan, got {other:?}"),
     }

@@ -2,6 +2,7 @@
 //! (Figures 1, 2, 5 and the §4 penalty examples), exercised through the
 //! public facade.
 
+use wqrtq::core::advisor::WhyNotOptions;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::core::mqp::mqp;
 use wqrtq::core::mqwk::mqwk;
@@ -149,21 +150,27 @@ fn facade_end_to_end_matches_paper_ordering() {
     let (data, tree) = setup();
     let wqrtq = Wqrtq::new(&tree, data.apple.coords(), 3).unwrap();
     let why_not = data.why_not_customers();
-    let answers = wqrtq.all_refinements(&why_not, 800, 800, 7).unwrap();
+    let options = WhyNotOptions {
+        sample_size: 800,
+        query_samples: 800,
+        seed: 7,
+        ..WhyNotOptions::default()
+    };
+    let steps = wqrtq.advise(&why_not, &options).unwrap().steps;
     assert!(matches!(
-        answers[0].refined,
+        steps[0].answer.refined,
         RefinedQuery::Everything { .. }
     ));
     assert!(matches!(
-        answers[1].refined,
+        steps[1].answer.refined,
         RefinedQuery::Preferences { .. }
     ));
     assert!(matches!(
-        answers[2].refined,
+        steps[2].answer.refined,
         RefinedQuery::QueryPoint { .. }
     ));
-    for a in &answers {
-        assert!(wqrtq.verify(&why_not, a));
+    for step in &steps {
+        assert!(wqrtq.verify(&why_not, &step.answer));
     }
 }
 

@@ -8,7 +8,7 @@
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use wqrtq_engine::{Request, Response, StrategyKind, WeightSet, WhyNotOptions};
+use wqrtq_engine::{Engine, Request, Response, StrategyKind, WeightSet, WhyNotOptions};
 use wqrtq_server::{Client, ClientError, ClientFrame, Server, ServerFrame};
 
 /// Figure 1 products (paper §1).
@@ -158,7 +158,10 @@ fn all_kind_requests(ds2: &str, ds3: &str, pop: &str) -> Vec<Request> {
 
 #[test]
 fn differential_loopback_wire_responses_bit_identical_to_direct_submit() {
-    let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
+    let server = Server::builder()
+        .engine(Engine::builder().workers(2).build())
+        .bind("127.0.0.1:0")
+        .unwrap();
     let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -220,7 +223,10 @@ fn differential_loopback_wire_responses_bit_identical_to_direct_submit() {
 
 #[test]
 fn wire_stats_snapshot_equals_engine_metrics_when_quiesced() {
-    let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
+    let server = Server::builder()
+        .engine(Engine::builder().workers(2).build())
+        .bind("127.0.0.1:0")
+        .unwrap();
     let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client
         .set_read_timeout(Some(Duration::from_secs(60)))
@@ -354,7 +360,10 @@ fn assert_still_serving(server: &Server) {
 }
 
 fn serving_fixture() -> Server {
-    let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
+    let server = Server::builder()
+        .engine(Engine::builder().workers(2).build())
+        .bind("127.0.0.1:0")
+        .unwrap();
     server
         .engine()
         .register_dataset("p", 2, PRODUCTS_2D.to_vec())
@@ -411,7 +420,7 @@ fn request_id_zero_is_reserved_and_rejected() {
 #[test]
 fn connections_beyond_the_cap_are_shed_at_the_door() {
     let server = Server::builder()
-        .workers(1)
+        .engine(Engine::builder().workers(1).build())
         .max_connections(1)
         .bind("127.0.0.1:0")
         .unwrap();
@@ -516,7 +525,7 @@ fn non_normalized_request_weights_are_typed_errors_not_worker_panics() {
 #[test]
 fn oversized_frame_is_rejected_before_allocation() {
     let server = Server::builder()
-        .workers(1)
+        .engine(Engine::builder().workers(1).build())
         .max_frame_len(1024)
         .bind("127.0.0.1:0")
         .unwrap();
@@ -548,7 +557,7 @@ fn slow_request(dataset: &str) -> Request {
 
 fn slow_fixture(workers: usize, admission: usize) -> Server {
     let server = Server::builder()
-        .engine(wqrtq_engine::Engine::builder().workers(workers).build())
+        .engine(Engine::builder().workers(workers).build())
         .admission_capacity(admission)
         .bind("127.0.0.1:0")
         .unwrap();
@@ -592,7 +601,7 @@ fn cheap_requests_are_answered_on_the_loop_and_the_rest_wait_for_the_pool() {
         .set_read_timeout(Some(Duration::from_secs(60)))
         .unwrap();
     // An independent engine over the same data is the oracle.
-    let twin = wqrtq_engine::Engine::builder().workers(1).build();
+    let twin = Engine::builder().workers(1).build();
     twin.register_dataset("slow3", 3, scatter(400, 3, 9))
         .unwrap();
     for e in [&**engine, &twin] {
@@ -1230,7 +1239,7 @@ fn slow_reader_overflowing_the_reply_backlog_is_killed() {
     // serving everyone else. Tiny kernel buffers on both ends make the
     // overflow reachable with a modest flood.
     let server = Server::builder()
-        .workers(1)
+        .engine(Engine::builder().workers(1).build())
         .admission_capacity(1)
         .socket_send_buffer(4096)
         .bind("127.0.0.1:0")
@@ -1281,7 +1290,7 @@ fn multiple_event_loops_serve_connections_concurrently() {
     // per-loop wakeups, and shared admission must all compose. Four
     // threads hammer the same dataset and every reply must pair up.
     let server = Server::builder()
-        .workers(2)
+        .engine(Engine::builder().workers(2).build())
         .event_loops(2)
         .bind("127.0.0.1:0")
         .unwrap();
@@ -1372,7 +1381,7 @@ fn a_plan_pipelined_between_top_ks_streams_its_parts_before_its_reply() {
     // built yet, so the loop serves none of them inline: the plan rides
     // the cycle's batch with its part observer attached.
     let server = serving_fixture();
-    let twin = wqrtq_engine::Engine::new(2);
+    let twin = Engine::builder().workers(2).build();
     twin.register_dataset("p", 2, PRODUCTS_2D.to_vec()).unwrap();
     let mut client = Client::connect_v2(server.local_addr()).unwrap();
     client

@@ -2,7 +2,8 @@
 //! Household 6-d) at reduced cardinality, plus robustness checks for
 //! degenerate inputs across the crate boundaries.
 
-use wqrtq::core::framework::Wqrtq;
+use wqrtq::core::advisor::{StrategyKind, WhyNotOptions};
+use wqrtq::core::framework::{Wqrtq, WqrtqAnswer};
 use wqrtq::core::mqwk::mqwk;
 use wqrtq::core::penalty::Tolerances;
 use wqrtq::data::realistic::{household_like_scaled, nba_like_scaled};
@@ -10,6 +11,17 @@ use wqrtq::data::workload::{build_case, WorkloadSpec};
 use wqrtq::geom::Weight;
 use wqrtq::query::rank::rank_of_point;
 use wqrtq::rtree::RTree;
+
+/// The MQP refinement of a one-vector why-not set, from a one-strategy
+/// plan.
+fn mqp_only(wqrtq: &Wqrtq, w: &Weight) -> WqrtqAnswer {
+    let options = WhyNotOptions {
+        strategies: vec![StrategyKind::Mqp],
+        ..WhyNotOptions::default()
+    };
+    let plan = wqrtq.advise(std::slice::from_ref(w), &options).unwrap();
+    plan.recommended().answer.clone()
+}
 
 #[test]
 fn nba_surrogate_pipeline() {
@@ -25,7 +37,14 @@ fn nba_surrogate_pipeline() {
     let wqrtq = Wqrtq::new(&tree, &case.q, case.k).unwrap();
     let ranks = wqrtq.validate_why_not(&case.why_not).unwrap();
     assert_eq!(ranks, case.actual_ranks);
-    for a in wqrtq.all_refinements(&case.why_not, 120, 80, 5).unwrap() {
+    let options = WhyNotOptions {
+        sample_size: 120,
+        query_samples: 80,
+        seed: 5,
+        ..WhyNotOptions::default()
+    };
+    for step in wqrtq.advise(&case.why_not, &options).unwrap().steps {
+        let a = step.answer;
         assert!(wqrtq.verify(&case.why_not, &a), "unverified: {a:?}");
     }
 }
@@ -77,7 +96,7 @@ fn degenerate_dataset_identical_points() {
     assert_eq!(rank_of_point(&tree, &w, &[0.5, 0.5]), 1);
     // MQP still works: constraint is the shared score.
     let wqrtq = Wqrtq::new(&tree, &[0.9, 0.9], 3).unwrap();
-    let a = wqrtq.modify_query(std::slice::from_ref(&w)).unwrap();
+    let a = mqp_only(&wqrtq, &w);
     assert!(wqrtq.verify(std::slice::from_ref(&w), &a));
 }
 
@@ -87,7 +106,7 @@ fn single_point_dataset() {
     let w = Weight::uniform(3);
     assert_eq!(rank_of_point(&tree, &w, &[0.9, 0.9, 0.9]), 2);
     let wqrtq = Wqrtq::new(&tree, &[0.9, 0.9, 0.9], 1).unwrap();
-    let a = wqrtq.modify_query(std::slice::from_ref(&w)).unwrap();
+    let a = mqp_only(&wqrtq, &w);
     assert!(wqrtq.verify(std::slice::from_ref(&w), &a));
 }
 

@@ -73,7 +73,10 @@ fn zero_k_why_not_is_a_typed_error_through_engine_submit() {
 
 #[test]
 fn zero_k_why_not_is_a_typed_error_over_wire_v2() {
-    let server = Server::builder().workers(2).bind("127.0.0.1:0").unwrap();
+    let server = Server::builder()
+        .engine(Engine::builder().workers(2).build())
+        .bind("127.0.0.1:0")
+        .unwrap();
     server
         .engine()
         .register_dataset("p", 2, PRODUCTS_2D.to_vec())
