@@ -30,7 +30,7 @@ use crate::request::{PlanDelta, Request, Response};
 use crate::storage::{DiskBackend, Durability, FsyncPolicy};
 use crate::worker::{Job, Pool, ProgressFn, ServeTask, TraceContext, WorkerContext};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
@@ -219,12 +219,14 @@ pub struct Engine {
 
 /// One request on its way to the worker pool — the one unit every
 /// submit path queues: the request, the boundary-assigned trace id, an
-/// optional progress observer, and the completion its response is
-/// routed into (invoked on the worker thread that finished it).
+/// optional progress observer and cancel flag, and the completion its
+/// response is routed into (invoked on the worker thread that finished
+/// it).
 pub struct BatchSubmission {
     pub(crate) request: Request,
     pub(crate) trace_id: u64,
     pub(crate) progress: Option<ProgressFn>,
+    pub(crate) cancel: Option<Arc<AtomicBool>>,
     pub(crate) complete: Box<dyn FnOnce(Response) + Send + 'static>,
 }
 
@@ -239,6 +241,7 @@ impl BatchSubmission {
             request,
             trace_id,
             progress: None,
+            cancel: None,
             complete: Box::new(complete),
         }
     }
@@ -252,6 +255,27 @@ impl BatchSubmission {
     pub fn with_progress(mut self, progress: impl FnMut(PlanDelta) + Send + 'static) -> Self {
         self.progress = Some(Box::new(progress));
         self
+    }
+
+    /// Attaches a cancel flag, shared with whoever would read the
+    /// response. A worker that claims a read (any kind but
+    /// [`Request::Append`] and [`Request::Delete`]) once the flag is set
+    /// skips it: no execution, no metrics, no progress calls, and the
+    /// completion receives a [`Response::Error`]. An admitted mutation
+    /// still lands.
+    pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
+        self.cancel = Some(cancel);
+        self
+    }
+
+    /// Whether a worker should skip this submission (see
+    /// [`BatchSubmission::with_cancel`]).
+    pub(crate) fn cancelled(&self) -> bool {
+        !self.request.kind().is_mutation()
+            && self
+                .cancel
+                .as_ref()
+                .is_some_and(|flag| flag.load(Ordering::Acquire))
     }
 }
 
@@ -569,7 +593,7 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::WeightSet;
+    use crate::request::{RequestKind, WeightSet};
     use wqrtq_core::advisor::{StrategyKind, WhyNotOptions};
 
     /// One-strategy, sampled-path options (the single-strategy form of
@@ -838,6 +862,74 @@ mod tests {
             );
         }
         assert_eq!(engine.metrics().async_submits, 3);
+    }
+
+    #[test]
+    fn a_cancelled_claim_skips_its_read_but_an_admitted_write_still_lands() {
+        let engine = figure1_engine(1);
+        let cancel = Arc::new(AtomicBool::new(true));
+        let plan = Request::WhyNot {
+            dataset: "products".into(),
+            q: vec![4.0, 4.0],
+            k: 3,
+            why_not: vec![vec![0.1, 0.9]],
+            options: WhyNotOptions::default(),
+        };
+        let topk = Request::TopK {
+            dataset: "products".into(),
+            weight: vec![0.5, 0.5],
+            k: 1,
+        };
+        let append = Request::Append {
+            dataset: "products".into(),
+            points: vec![0.5, 0.5],
+        };
+        let observed = Arc::new(AtomicU64::new(0));
+        let before = engine.metrics();
+        let (tx, rx) = mpsc::channel();
+        let items = [plan, topk, append]
+            .into_iter()
+            .enumerate()
+            .map(|(slot, request)| {
+                let done = tx.clone();
+                let seen = observed.clone();
+                BatchSubmission::new(request, slot as u64, move |response| {
+                    done.send((slot, response)).unwrap();
+                })
+                .with_progress(move |_| {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                })
+                .with_cancel(cancel.clone())
+            })
+            .collect();
+        engine.submit_batch_with(items);
+        drop(tx);
+        let mut replies: Vec<(usize, Response)> = rx.iter().collect();
+        replies.sort_by_key(|(slot, _)| *slot);
+        assert!(matches!(&replies[0].1, Response::Error(msg) if msg.contains("cancelled")));
+        assert!(matches!(&replies[1].1, Response::Error(msg) if msg.contains("cancelled")));
+        assert!(!replies[2].1.is_error(), "{:?}", replies[2].1);
+        assert_eq!(observed.load(Ordering::Relaxed), 0, "no serve, no progress");
+        let after = engine.metrics();
+        let requests = |m: &MetricsSnapshot, kind: RequestKind| {
+            m.per_kind
+                .iter()
+                .find(|k| k.kind == kind)
+                .map_or(0, |k| k.requests)
+        };
+        for kind in [RequestKind::WhyNot, RequestKind::TopK] {
+            assert_eq!(requests(&after, kind), requests(&before, kind), "{kind:?}");
+        }
+        assert_eq!(
+            requests(&after, RequestKind::Append),
+            requests(&before, RequestKind::Append) + 1
+        );
+        let top = engine.submit(Request::TopK {
+            dataset: "products".into(),
+            weight: vec![0.5, 0.5],
+            k: 1,
+        });
+        assert_eq!(top, Response::TopK(vec![(7, 0.5)]), "the append landed");
     }
 
     #[test]

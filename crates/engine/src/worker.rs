@@ -147,6 +147,10 @@ impl ServeTask {
     }
 }
 
+/// The answer a cancelled submission's completion receives (see
+/// [`BatchSubmission::with_cancel`]).
+const CANCELLED: &str = "request cancelled: nobody is waiting for its reply";
+
 /// The fixed thread pool.
 #[derive(Debug)]
 pub(crate) struct Pool {
@@ -208,6 +212,10 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
                 // Drain whatever the other copies of this task have not
                 // claimed yet; each item is a full serve + completion.
                 while let Some(mut item) = task.claim() {
+                    if item.cancelled() {
+                        (item.complete)(Response::Error(CANCELLED.into()));
+                        continue;
+                    }
                     let trace = TraceContext {
                         trace_id: item.trace_id,
                         submitted: task.submitted,

@@ -93,7 +93,11 @@ pub struct Zone {
 pub const ZONES: &[Zone] = &[
     Zone {
         name: "server-event-loop",
-        prefixes: &["crates/server/src/server.rs", "crates/server/src/poll.rs"],
+        prefixes: &[
+            "crates/server/src/server.rs",
+            "crates/server/src/conn.rs",
+            "crates/server/src/poll.rs",
+        ],
         check_indexing: true,
     },
     Zone {

@@ -14,12 +14,13 @@
 //!   source-of-truth table, [`wqrtq_engine::REQUEST_KIND_TABLE`]) plus
 //!   dataset/weight-set registration, compaction, and ping, each frame
 //!   tagged with a client-assigned request id;
-//! * [`server`] — per-connection reader/writer sessions with
-//!   **pipelining** (many frames in flight, responses completed out of
-//!   order by the shard pool and routed by request id), a bounded global
-//!   admission queue that answers overload with [`wire::ServerFrame::Busy`]
-//!   instead of buffering, and graceful shutdown that drains in-flight
-//!   work before closing;
+//! * [`server`] — a few event-loop threads driving every connection's
+//!   fd-free state machine (`conn.rs`) with **pipelining** (many frames
+//!   in flight, responses completed out of order by the engine's worker
+//!   pool and routed by request id), a bounded global admission queue
+//!   that answers overload with [`wire::ServerFrame::Busy`] instead of
+//!   buffering, and graceful shutdown that drains in-flight work before
+//!   closing;
 //! * [`client`] — a blocking client speaking the same protocol, used by
 //!   the loopback tests and `benchmark/`.
 //!
@@ -49,6 +50,7 @@
 //! ```
 
 pub mod client;
+mod conn;
 pub mod frame;
 mod poll;
 pub mod server;
@@ -59,5 +61,5 @@ pub use frame::{
     ByteReader, ByteWriter, DecodeError, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC_V2,
     PROTOCOL_VERSION,
 };
-pub use server::{ConnectionStats, Server, ServerBuilder, ServerStats};
+pub use server::{Server, ServerBuilder};
 pub use wire::{ClientFrame, ServerFrame, CONNECTION_ID};

@@ -1269,14 +1269,13 @@ fn slow_reader_overflowing_the_reply_backlog_is_killed() {
     // The connection dies without us ever reading.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        server.stats(); // reaps closed connections
-        if server.connection_stats().is_empty() {
+        if server.stats().connections_open == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "slow reader was never killed: {:?}",
-            server.connection_stats()
+            server.stats()
         );
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -1422,5 +1421,86 @@ fn a_plan_pipelined_between_top_ks_streams_its_parts_before_its_reply() {
             "{label}: not bit-identical to a direct submit"
         );
     }
+    server.shutdown();
+}
+
+#[test]
+fn server_stats_equal_the_wire_stats_reply_at_quiescence() {
+    let server = serving_fixture();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    client.ping().unwrap();
+    client
+        .submit(&Request::TopK {
+            dataset: "p".into(),
+            weight: vec![0.5, 0.5],
+            k: 1,
+        })
+        .unwrap();
+    let wire = client.stats().unwrap().server.expect("server slot filled");
+    // The reply was captured before it was written: one frame and one
+    // write later, the server's own reading is the same, field for field.
+    let expected = wqrtq_engine::ServerCounters {
+        frames_out: wire.frames_out + 1,
+        write_syscalls: wire.write_syscalls + 1,
+        ..wire
+    };
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats() != expected && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.stats(), expected);
+    server.shutdown();
+}
+
+#[test]
+fn a_reset_connection_drops_its_queued_reads() {
+    // One worker, eight distinct slow requests in one write: the first
+    // runs while the rest queue. The peer then leaves with our Hello
+    // unread, which reaches the server as a reset, not an EOF; the
+    // reads still queued for it are skipped instead of run for nobody.
+    let server = slow_fixture(1, 64);
+    let executed = || {
+        let metrics = server.engine().metrics();
+        let mono = metrics
+            .per_kind
+            .iter()
+            .find(|kind| kind.kind == wqrtq_engine::RequestKind::ReverseTopKMono);
+        mono.map_or(0, |kind| kind.requests)
+    };
+    {
+        let mut stream = raw_conn(&server);
+        let mut burst = wqrtq_server::MAGIC_V2.to_vec();
+        for id in 1..=8u64 {
+            let mut request = slow_request("slow3");
+            if let Request::ReverseTopKMono { samples, seed, .. } = &mut request {
+                *samples = 200_000;
+                *seed = id;
+            }
+            let payload = ClientFrame::Submit(request).encode(id);
+            burst.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            burst.extend_from_slice(&payload);
+        }
+        stream.write_all(&burst).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().frames_in < 8 {
+            assert!(Instant::now() < deadline, "frames never read");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    } // dropped with the Hello unread: the kernel resets the connection
+    let deadline = Instant::now() + Duration::from_secs(120);
+    loop {
+        let stats = server.stats();
+        if stats.in_flight == 0 && stats.connections_open == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "never drained: {stats:?}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let ran = executed();
+    assert!(ran <= 2, "{ran} of 8 slow reads ran for a reset peer");
+    assert_still_serving(&server);
     server.shutdown();
 }
