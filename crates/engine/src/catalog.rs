@@ -1,31 +1,23 @@
-//! The dataset catalog: named product datasets served as **delta
-//! overlays** — a bulk-loaded base (R-tree + column-major mirror) plus a
-//! small mutable tail — and named (immutable) customer weight
-//! populations.
+//! The dataset catalog: named product datasets — each one base
+//! `Generation` plus one [`Overlay`] — and named (immutable) customer
+//! weight populations.
 //!
 //! ## Mutation lifecycle
 //!
-//! * **Register** installs a fresh base. The index is built lazily on
-//!   first use, exactly once: a per-entry [`OnceLock`] makes concurrent
-//!   cold callers block on the single builder instead of racing
-//!   duplicate `bulk_load`s (the build still runs outside the catalog
-//!   lock, so other datasets never stall behind it).
-//! * **Append** validates, logs, then extends the delta memtable — in
-//!   place (amortised `O(rows)`) unless a snapshot still holds the
-//!   previous version, in which case exactly that append copies it
-//!   (`Arc::make_mut`); the built index is untouched.
-//! * **Delete** validates, logs, then tombstones a base row (id +
-//!   coordinates recorded) or drops a delta row — `O(Δ)`, index
-//!   untouched.
-//! * Both mutate nothing before the WAL record is written, so a failed
-//!   log leaves the catalog as it was ("unlogged means undone") with no
-//!   roll-back to get wrong; an empty append/delete is not a mutation
-//!   and writes nothing.
-//! * **Compaction** merges base + delta − tombstones into a fresh
-//!   bulk-loaded base in *canonical order* (see
-//!   [`wqrtq_geom::DeltaView::materialize_row_major`]), bumping the base
-//!   epoch. It is triggered by the engine off the request path and
-//!   abandoned harmlessly if the dataset mutated while merging.
+//! * **Register** installs a fresh `Generation`: the base epoch, the
+//!   row-major coordinates, and the index and mask built from them on
+//!   first use, once each — concurrent cold callers block on the one
+//!   builder behind the generation's [`OnceLock`], outside the catalog
+//!   lock, so other datasets never stall behind a build.
+//! * **Register**, **append** and **delete** lock, validate, log, then
+//!   apply (appends and deletes through the overlay, the index
+//!   untouched): a failed log leaves the catalog as it was ("unlogged
+//!   means undone"), and an empty append/delete logs nothing.
+//! * **Compaction** installs a new generation bulk-loaded from
+//!   [`Overlay::merge`]'s canonical order, bumping the base epoch, off
+//!   the request path; a mutation landing mid-merge abandons it.
+//! * **Recovery** rebuilds each overlay through [`Overlay::try_new`]: a
+//!   snapshot the catalog could not have written is a typed error.
 //!
 //! Every snapshot carries a [`DatasetEpoch`] triple
 //! `(base, delta, tombstones)` whose components only ever grow within a
@@ -40,7 +32,7 @@ use crate::storage::{
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, RwLock};
-use wqrtq_geom::{DeltaView, FlatPoints, Weight};
+use wqrtq_geom::{DeltaView, FlatPoints, Overlay, Weight};
 use wqrtq_query::Snapshot;
 use wqrtq_rtree::{DominanceIndex, RTree};
 
@@ -155,76 +147,74 @@ pub(crate) struct Peek {
 
 type BuiltIndex = (Arc<RTree>, Arc<FlatPoints>);
 
+/// One bulk-loaded base: its epoch, its row-major coordinates, and the
+/// index and mask built from them lazily. Replaced wholesale on
+/// re-registration and compaction, so they describe exactly this base.
 #[derive(Debug)]
+struct Generation {
+    epoch: u64,
+    coords: Arc<Vec<f64>>,
+    index: OnceLock<BuiltIndex>,
+    /// Built after the index on its own lock, so callers that only need
+    /// the tree never wait for the mask.
+    dom: OnceLock<Arc<DominanceIndex>>,
+}
+
+#[derive(Clone, Debug)]
 struct DatasetEntry {
     dim: usize,
-    base_coords: Arc<Vec<f64>>,
-    base_epoch: u64,
-    /// Appends since the base was built (monotone; also the delta id
-    /// allocator — the next appended row gets id `base_n + appends`).
-    appends: u64,
-    /// Rows deleted since the base was built (monotone).
-    deletes: u64,
-    /// Live appended rows (grown in place through `Arc::make_mut`: a
-    /// snapshot holding the old Arcs forces the copy, and keeps them).
-    delta_rows: Arc<Vec<f64>>,
-    delta_ids: Arc<Vec<u32>>,
-    /// Tombstoned base rows, id-sorted.
-    dead_rows: Arc<Vec<f64>>,
-    dead_ids: Arc<Vec<u32>>,
-    /// Built exactly once per base generation; replaced wholesale on
-    /// re-registration / compaction.
-    index: Arc<OnceLock<BuiltIndex>>,
-    /// The dominance mask of this base generation, built lazily after
-    /// the index (its own `OnceLock`, so mask construction never blocks
-    /// callers that only need the tree). Replaced wholesale together
-    /// with the index — the mask describes exactly one base epoch.
-    dom: Arc<OnceLock<Arc<DominanceIndex>>>,
+    base: Arc<Generation>,
+    overlay: Overlay,
 }
 
 impl DatasetEntry {
-    fn fresh(dim: usize, coords: Vec<f64>, base_epoch: u64) -> Self {
+    /// A generation over `coords` with an empty overlay.
+    fn new(dim: usize, epoch: u64, coords: Vec<f64>, index: OnceLock<BuiltIndex>) -> Self {
+        let overlay = Overlay::new(dim, coords.len() / dim);
+        let base = Generation {
+            epoch,
+            coords: Arc::new(coords),
+            index,
+            dom: OnceLock::new(),
+        };
         Self {
             dim,
-            base_coords: Arc::new(coords),
-            base_epoch,
-            appends: 0,
-            deletes: 0,
-            delta_rows: Arc::new(Vec::new()),
-            delta_ids: Arc::new(Vec::new()),
-            dead_rows: Arc::new(Vec::new()),
-            dead_ids: Arc::new(Vec::new()),
-            index: Arc::new(OnceLock::new()),
-            dom: Arc::new(OnceLock::new()),
+            base: Arc::new(base),
+            overlay,
         }
     }
 
     fn epoch(&self) -> DatasetEpoch {
         DatasetEpoch {
-            base: self.base_epoch,
-            delta: self.appends,
-            tombstones: self.deletes,
+            base: self.base.epoch,
+            delta: self.overlay.appends(),
+            tombstones: self.overlay.deletes(),
         }
     }
+}
 
-    fn base_len(&self) -> usize {
-        self.base_coords.len() / self.dim
-    }
-
-    fn live_len(&self) -> usize {
-        self.base_len() - self.dead_ids.len() + self.delta_ids.len()
-    }
-
-    /// Delta rows plus tombstones — the overlay size compaction bounds.
-    fn overlay_len(&self) -> usize {
-        self.delta_ids.len() + self.dead_ids.len()
-    }
+/// Row `i` of a row-major buffer: the base-row accessor the overlay's
+/// delete and merge read tombstoned and surviving rows through.
+fn row_major(coords: &[f64], dim: usize) -> impl Fn(usize, &mut [f64]) + '_ {
+    move |i, row| row.copy_from_slice(&coords[i * dim..(i + 1) * dim])
 }
 
 #[derive(Debug, Default)]
 struct CatalogInner {
     datasets: HashMap<String, DatasetEntry>,
     weight_sets: HashMap<String, Arc<Vec<Weight>>>,
+}
+
+impl CatalogInner {
+    fn dataset(&self, name: &str) -> Result<&DatasetEntry, EngineError> {
+        let unknown = || EngineError::UnknownDataset(name.to_string());
+        self.datasets.get(name).ok_or_else(unknown)
+    }
+
+    fn dataset_mut(&mut self, name: &str) -> Result<&mut DatasetEntry, EngineError> {
+        let unknown = || EngineError::UnknownDataset(name.to_string());
+        self.datasets.get_mut(name).ok_or_else(unknown)
+    }
 }
 
 /// Point-in-time mutation/build counters of a [`Catalog`].
@@ -284,12 +274,6 @@ impl Default for Catalog {
     }
 }
 
-/// Validates that every coordinate is finite (the request boundary's
-/// helper, reused so catalog-level and request-level rejection agree).
-fn check_finite(points: &[f64]) -> Result<(), EngineError> {
-    crate::request::check_finite(points, "coordinates")
-}
-
 impl Catalog {
     /// An empty catalog with the k-dominance pre-filter enabled.
     pub fn new() -> Self {
@@ -344,199 +328,91 @@ impl Catalog {
                 len: coords.len(),
             });
         }
-        check_finite(&coords)?;
+        crate::request::check_finite(&coords, "coordinates")?;
         let mut inner = self.inner.write().expect("catalog lock");
-        let base_epoch = match inner.datasets.get(name) {
-            Some(old) => old.base_epoch + 1,
-            None => 1,
-        };
-        let prev = inner.datasets.insert(
-            name.to_string(),
-            DatasetEntry::fresh(dim, coords, base_epoch),
-        );
-        if let Some(d) = self.durability.get() {
-            // lint: allow(no-panic) — the insert is two lines up and the
-            // write lock is still held.
-            let entry = inner.datasets.get(name).expect("just inserted");
-            let logged = d.log(WalRecordRef::Register {
-                name,
-                dim: dim as u64,
-                coords: &entry.base_coords,
-            });
-            if let Err(e) = logged {
-                // Unlogged means undone: restore the previous entry so
-                // the in-memory and durable states cannot diverge.
-                match prev {
-                    Some(p) => {
-                        inner.datasets.insert(name.to_string(), p);
-                    }
-                    None => {
-                        inner.datasets.remove(name);
-                    }
-                }
-                return Err(durability_err(e));
-            }
-        }
+        let base_epoch = inner.datasets.get(name).map_or(1, |old| old.base.epoch + 1);
+        self.log(WalRecordRef::Register {
+            name,
+            dim: dim as u64,
+            coords: &coords,
+        })?;
+        let entry = DatasetEntry::new(dim, base_epoch, coords, OnceLock::new());
+        inner.datasets.insert(name.to_string(), entry);
         Ok(())
     }
 
-    /// Appends points to a dataset's delta memtable: validate, log, then
-    /// extend in place — amortised `O(rows)` — unless a snapshot still
-    /// holds the previous version, which then keeps its rows while this
-    /// append copies them. No index is dropped or rebuilt; an empty
-    /// append changes and logs nothing. Returns the live point count
-    /// after the append.
+    /// Appends points to a dataset's overlay: validate, log, then apply
+    /// ([`Overlay::append`] — in place unless a snapshot holds the
+    /// buffers). No index is dropped or rebuilt; an empty append changes
+    /// and logs nothing. Returns the live point count after the append.
     ///
     /// # Errors
     /// [`EngineError::UnknownDataset`] / [`EngineError::RaggedCoordinates`]
     /// / [`EngineError::NonFiniteInput`] / [`EngineError::DatasetFull`] /
     /// [`EngineError::Durability`] (nothing was applied).
     pub fn append(&self, name: &str, points: &[f64]) -> Result<usize, EngineError> {
-        check_finite(points)?;
+        crate::request::check_finite(points, "coordinates")?;
         let mut inner = self.inner.write().expect("catalog lock");
-        let entry = inner
-            .datasets
-            .get_mut(name)
-            .ok_or_else(|| EngineError::UnknownDataset(name.to_string()))?;
-        if !points.len().is_multiple_of(entry.dim) {
-            return Err(EngineError::RaggedCoordinates {
-                dim: entry.dim,
-                len: points.len(),
-            });
+        let entry = inner.dataset_mut(name)?;
+        entry.overlay.check_append(points)?;
+        if points.is_empty() {
+            return Ok(entry.overlay.live_len()); // not a mutation: nothing to log
         }
-        let rows = (points.len() / entry.dim) as u64;
-        let next_id = entry.base_len() as u64 + entry.appends;
-        if next_id + rows > u32::MAX as u64 {
-            return Err(EngineError::DatasetFull);
-        }
-        if rows == 0 {
-            return Ok(entry.live_len()); // not a mutation: nothing to log
-        }
-        // Log first: nothing is mutated before the record is written, so
-        // a failed log needs no roll-back.
-        if let Some(d) = self.durability.get() {
-            d.log(WalRecordRef::Append { name, points })
-                .map_err(durability_err)?;
-        }
-        Arc::make_mut(&mut entry.delta_rows).extend_from_slice(points);
-        Arc::make_mut(&mut entry.delta_ids).extend((0..rows).map(|i| (next_id + i) as u32));
-        entry.appends += rows;
-        let live = entry.live_len();
-        if entry.index.get().is_some() {
-            // ordering: Relaxed — monotonic stats counter, read only by
-            // `stats()`.
-            self.rebuilds_avoided.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(live)
+        self.log(WalRecordRef::Append { name, points })?;
+        entry.overlay.append(points);
+        Ok(self.absorbed(entry))
     }
 
     /// Deletes points by id: validate, log, then apply — base rows are
-    /// tombstoned, appended rows are dropped from the memtable —
-    /// `O(Δ + |ids|)`, no index touched. All-or-nothing: an unknown or
-    /// already-deleted id fails the whole call without mutating or
-    /// logging anything; an empty delete changes and logs nothing.
-    /// Returns the live count after.
+    /// tombstoned, appended rows dropped ([`Overlay::delete`]), no index
+    /// touched. All-or-nothing: an unknown, already-deleted or repeated
+    /// id fails the whole call without mutating or logging anything; an
+    /// empty delete changes and logs nothing. Returns the live count
+    /// after.
     ///
     /// # Errors
     /// [`EngineError::UnknownDataset`] / [`EngineError::UnknownPointId`] /
     /// [`EngineError::Durability`] (nothing was applied).
     pub fn delete(&self, name: &str, ids: &[u32]) -> Result<usize, EngineError> {
         let mut inner = self.inner.write().expect("catalog lock");
-        let entry = inner
-            .datasets
-            .get_mut(name)
-            .ok_or_else(|| EngineError::UnknownDataset(name.to_string()))?;
-        if ids.is_empty() {
-            return Ok(entry.live_len()); // not a mutation: nothing to log
+        let entry = inner.dataset_mut(name)?;
+        let victims = entry.overlay.check_delete(ids)?;
+        if victims.is_empty() {
+            return Ok(entry.overlay.live_len()); // not a mutation: nothing to log
         }
-        let dim = entry.dim;
-        let base_n = entry.base_len() as u32;
-        // Validate first (all-or-nothing), splitting the victims into
-        // sorted base tombstones and a delta-row removal set; then merge
-        // each buffer in one pass — O(Δ + |ids| log |ids|) total, not
-        // O(|ids| × Δ) of per-id splicing.
-        let mut base_victims: Vec<u32> = Vec::new();
-        let mut delta_victims: Vec<u32> = Vec::new();
-        for &id in ids {
-            if id < base_n {
-                if entry.dead_ids.binary_search(&id).is_ok() {
-                    return Err(EngineError::UnknownPointId { id }); // tombstoned twice
-                }
-                base_victims.push(id);
-            } else {
-                entry
-                    .delta_ids
-                    .binary_search(&id)
-                    .map_err(|_| EngineError::UnknownPointId { id })?;
-                delta_victims.push(id);
-            }
-        }
-        base_victims.sort_unstable();
-        delta_victims.sort_unstable();
-        let dup_in = |v: &[u32]| v.windows(2).find(|w| w[0] == w[1]).map(|w| w[0]);
-        if let Some(id) = dup_in(&base_victims).or_else(|| dup_in(&delta_victims)) {
-            // The same id twice in one call is the same error as deleting
-            // an already-deleted point.
-            return Err(EngineError::UnknownPointId { id });
-        }
+        self.log(WalRecordRef::Delete { name, ids })?;
+        let base_row = row_major(&entry.base.coords, entry.dim);
+        entry.overlay.delete(&victims, base_row);
+        Ok(self.absorbed(entry))
+    }
 
-        // Log first: nothing is mutated before the record is written, so
-        // a failed log needs no roll-back.
-        if let Some(d) = self.durability.get() {
-            d.log(WalRecordRef::Delete { name, ids })
-                .map_err(durability_err)?;
+    /// Writes a mutation's WAL record — before anything is applied, so a
+    /// failed log needs no roll-back. A no-op without a durability layer.
+    fn log(&self, record: WalRecordRef<'_>) -> Result<(), EngineError> {
+        match self.durability.get() {
+            Some(d) => d.log(record).map(|_| ()).map_err(durability_err),
+            None => Ok(()),
         }
-        if !delta_victims.is_empty() {
-            let keep = entry.delta_ids.len() - delta_victims.len();
-            let mut delta_rows = Vec::with_capacity(keep * dim);
-            let mut delta_ids = Vec::with_capacity(keep);
-            for (pos, &id) in entry.delta_ids.iter().enumerate() {
-                if delta_victims.binary_search(&id).is_err() {
-                    delta_ids.push(id);
-                    delta_rows.extend_from_slice(&entry.delta_rows[pos * dim..(pos + 1) * dim]);
-                }
-            }
-            entry.delta_rows = Arc::new(delta_rows);
-            entry.delta_ids = Arc::new(delta_ids);
-        }
-        if !base_victims.is_empty() {
-            let total = entry.dead_ids.len() + base_victims.len();
-            let mut dead_ids = Vec::with_capacity(total);
-            let mut dead_rows = Vec::with_capacity(total * dim);
-            let mut push = |id: u32, from_base: bool, old_pos: usize| {
-                dead_ids.push(id);
-                if from_base {
-                    let at = id as usize * dim;
-                    dead_rows.extend_from_slice(&entry.base_coords[at..at + dim]);
-                } else {
-                    dead_rows
-                        .extend_from_slice(&entry.dead_rows[old_pos * dim..(old_pos + 1) * dim]);
-                }
-            };
-            // Merge the two sorted id runs.
-            let (mut i, mut j) = (0, 0);
-            while i < entry.dead_ids.len() || j < base_victims.len() {
-                let take_old = j >= base_victims.len()
-                    || (i < entry.dead_ids.len() && entry.dead_ids[i] < base_victims[j]);
-                if take_old {
-                    push(entry.dead_ids[i], false, i);
-                    i += 1;
-                } else {
-                    push(base_victims[j], true, 0);
-                    j += 1;
-                }
-            }
-            entry.dead_rows = Arc::new(dead_rows);
-            entry.dead_ids = Arc::new(dead_ids);
-        }
-        entry.deletes += ids.len() as u64;
-        let live = entry.live_len();
-        if entry.index.get().is_some() {
+    }
+
+    /// Bulk-loads a base's index and column-major mirror, counted.
+    fn build_index(&self, dim: usize, coords: &[f64]) -> BuiltIndex {
+        // ordering: Relaxed — monotonic stats counter, read only by
+        // `stats()` (a lazy build's OnceLock synchronizes the build).
+        self.index_builds.fetch_add(1, Ordering::Relaxed);
+        let flat = FlatPoints::from_row_major(dim, coords);
+        (Arc::new(RTree::bulk_load(dim, coords)), Arc::new(flat))
+    }
+
+    /// Counts a mutation the overlay absorbed while a built index existed
+    /// and returns the dataset's live count.
+    fn absorbed(&self, entry: &DatasetEntry) -> usize {
+        if entry.base.index.get().is_some() {
             // ordering: Relaxed — monotonic stats counter, read only by
             // `stats()`.
             self.rebuilds_avoided.fetch_add(1, Ordering::Relaxed);
         }
-        Ok(live)
+        entry.overlay.live_len()
     }
 
     /// Registers an immutable weight population. Every vector must be
@@ -556,22 +432,13 @@ impl Catalog {
         if inner.weight_sets.contains_key(name) {
             return Err(EngineError::WeightSetExists(name.to_string()));
         }
+        self.log(WalRecordRef::RegisterWeights {
+            name,
+            weights: &weights,
+        })?;
         inner
             .weight_sets
             .insert(name.to_string(), Arc::new(weights));
-        if let Some(d) = self.durability.get() {
-            // lint: allow(no-panic) — the insert is two lines up and the
-            // write lock is still held.
-            let ws = inner.weight_sets.get(name).expect("just inserted");
-            let logged = d.log(WalRecordRef::RegisterWeights {
-                name,
-                weights: ws.as_slice(),
-            });
-            if let Err(e) = logged {
-                inner.weight_sets.remove(name);
-                return Err(durability_err(e));
-            }
-        }
         Ok(())
     }
 
@@ -587,52 +454,21 @@ impl Catalog {
     }
 
     /// A consistent dataset snapshot, building the shared base index on
-    /// first use. The build runs *outside* the catalog lock — a cold
-    /// multi-million-point dataset never stalls requests against other
-    /// datasets — and the per-entry [`OnceLock`] guarantees exactly one
-    /// build per base generation: concurrent cold callers block on the
-    /// winner instead of burning cores on duplicate `bulk_load`s whose
-    /// losers would be discarded.
+    /// first use — outside the catalog lock, and exactly once per base
+    /// generation: concurrent cold callers block on the one builder
+    /// instead of burning cores on duplicate `bulk_load`s.
     pub fn handle(&self, name: &str) -> Result<DatasetHandle, EngineError> {
-        // Snapshot everything consistent under the read lock.
-        let (entry_snapshot, once, dom_once) = {
-            let inner = self.inner.read().expect("catalog lock");
-            let entry = inner
-                .datasets
-                .get(name)
-                .ok_or_else(|| EngineError::UnknownDataset(name.to_string()))?;
-            (
-                (
-                    entry.base_coords.clone(),
-                    entry.dim,
-                    entry.epoch(),
-                    entry.delta_rows.clone(),
-                    entry.delta_ids.clone(),
-                    entry.dead_rows.clone(),
-                    entry.dead_ids.clone(),
-                ),
-                entry.index.clone(),
-                entry.dom.clone(),
-            )
-        };
-        let (coords, dim, epoch, delta_rows, delta_ids, dead_rows, dead_ids) = entry_snapshot;
-        let (index, flat) = once
-            .get_or_init(|| {
-                // ordering: Relaxed — monotonic stats counter; the
-                // OnceLock provides the once-only synchronization.
-                self.index_builds.fetch_add(1, Ordering::Relaxed);
-                (
-                    Arc::new(RTree::bulk_load(dim, &coords)),
-                    Arc::new(FlatPoints::from_row_major(dim, &coords)),
-                )
-            })
+        // Under the read lock, clone the generation and the overlay.
+        let entry = DatasetEntry::clone(self.inner.read().expect("catalog lock").dataset(name)?);
+        let (dim, epoch, base) = (entry.dim, entry.epoch(), &entry.base);
+        let (index, flat) = base
+            .index
+            .get_or_init(|| self.build_index(dim, &base.coords))
             .clone();
-        // The mask rides its own OnceLock on the same base generation:
-        // built at most once per generation, outside the catalog lock,
-        // and counted separately from index builds (overlay gates assert
-        // exact `index_builds` values).
+        // The mask: at most once per generation, outside the lock, and
+        // counted apart from index builds (gates assert `index_builds`).
         let dom = self.prefilter.then(|| {
-            dom_once
+            base.dom
                 .get_or_init(|| {
                     // ordering: Relaxed — monotonic stats counter; the
                     // OnceLock provides the once-only synchronization.
@@ -641,14 +477,13 @@ impl Catalog {
                 })
                 .clone()
         });
-        let view = DeltaView::new(flat.clone(), delta_rows, delta_ids, dead_rows, dead_ids);
         Ok(DatasetHandle {
-            coords,
+            coords: base.coords.clone(),
             dim,
             epoch,
             index,
+            view: entry.overlay.view(flat.clone()),
             flat,
-            view,
             dom,
         })
     }
@@ -663,77 +498,40 @@ impl Catalog {
     /// # Errors
     /// [`EngineError::UnknownDataset`].
     pub fn compact_if(&self, name: &str, epoch: DatasetEpoch) -> Result<bool, EngineError> {
-        // Snapshot the raw parts — deliberately NOT through `handle()`,
-        // which would lazily bulk_load the *stale* base index only for
-        // this merge to throw it away (ingest-only datasets never built
-        // one). Materialisation needs the base coordinates alone.
-        let (dim, base_coords, delta_rows, delta_ids, dead_ids) = {
+        // Deliberately NOT through `handle()`, which would lazily build
+        // the *stale* base index only for this merge to throw it away:
+        // the merge needs the base coordinates alone.
+        let DatasetEntry { dim, base, overlay } = {
             let inner = self.inner.read().expect("catalog lock");
-            let entry = inner
-                .datasets
-                .get(name)
-                .ok_or_else(|| EngineError::UnknownDataset(name.to_string()))?;
-            if entry.epoch() != epoch || entry.overlay_len() == 0 {
+            let entry = inner.dataset(name)?;
+            if entry.epoch() != epoch || entry.overlay.is_empty() {
                 return Ok(false); // already merged, superseded, or nothing to do
             }
-            (
-                entry.dim,
-                entry.base_coords.clone(),
-                entry.delta_rows.clone(),
-                entry.delta_ids.clone(),
-                entry.dead_ids.clone(),
-            )
+            entry.clone()
         };
-        // Merge + build outside the lock (the expensive part), in
-        // canonical order: surviving base rows ascending, then appends.
-        let live_rows = base_coords.len() / dim - dead_ids.len() + delta_ids.len();
-        let mut live_coords = Vec::with_capacity(live_rows * dim);
-        for (row, chunk) in base_coords.chunks_exact(dim).enumerate() {
-            if dead_ids.binary_search(&(row as u32)).is_err() {
-                live_coords.extend_from_slice(chunk);
-            }
-        }
-        live_coords.extend_from_slice(&delta_rows);
-        let built: BuiltIndex = (
-            Arc::new(RTree::bulk_load(dim, &live_coords)),
-            Arc::new(FlatPoints::from_row_major(dim, &live_coords)),
-        );
-        // ordering: Relaxed — monotonic stats counter, read only by
-        // `stats()`.
-        self.index_builds.fetch_add(1, Ordering::Relaxed);
+        // Merge + build outside the lock (the expensive part).
+        let (live, _) = overlay.merge(row_major(&base.coords, dim));
+        let built = self.build_index(dim, &live);
 
         let mut inner = self.inner.write().expect("catalog lock");
-        let entry = inner
-            .datasets
-            .get_mut(name)
-            .ok_or_else(|| EngineError::UnknownDataset(name.to_string()))?;
+        let entry = inner.dataset_mut(name)?;
         if entry.epoch() != epoch {
             // ordering: Relaxed — monotonic stats counter, read only by
             // `stats()`.
             self.compactions_abandoned.fetch_add(1, Ordering::Relaxed);
             return Ok(false);
         }
-        if let Some(d) = self.durability.get() {
-            // Log the merge *before* installing it: a Compact record that
-            // cannot be made durable abandons the merge (the overlay and
-            // its trigger survive untouched), so the WAL always carries
-            // the record for any installed base.
-            if let Err(e) = d.log(WalRecordRef::Compact { name }) {
-                // ordering: Relaxed — monotonic stats counter.
-                self.compactions_abandoned.fetch_add(1, Ordering::Relaxed);
-                return Err(durability_err(e));
-            }
+        // Log the merge *before* installing it: a Compact record that
+        // cannot be made durable abandons the merge (the overlay and its
+        // trigger survive untouched), so the WAL always carries the
+        // record for any installed base.
+        if let Err(e) = self.log(WalRecordRef::Compact { name }) {
+            // ordering: Relaxed — monotonic stats counter.
+            self.compactions_abandoned.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
         }
-        // The stale generation's mask dies with it (the fresh entry's
-        // OnceLock rebuilds lazily).
-        let base_epoch = entry.base_epoch + 1;
-        let mut fresh = DatasetEntry::fresh(entry.dim, live_coords, base_epoch);
-        let once = OnceLock::new();
-        // lint: allow(no-panic) — `once` was created on the previous
-        // line; the first `set` on a fresh OnceLock cannot fail.
-        once.set(built).expect("fresh OnceLock");
-        fresh.index = Arc::new(once);
-        *entry = fresh;
+        // The stale generation's index and mask die with it.
+        *entry = DatasetEntry::new(dim, entry.base.epoch + 1, live, OnceLock::from(built));
         // ordering: Relaxed — monotonic stats counter; installation of
         // the merged base is published by the catalog write lock above.
         self.compactions.fetch_add(1, Ordering::Relaxed);
@@ -759,38 +557,27 @@ impl Catalog {
     pub(crate) fn peek(&self, name: &str) -> Option<Peek> {
         let inner = self.inner.try_read().ok()?;
         let entry = inner.datasets.get(name)?;
-        let ready = entry.overlay_len() == 0 && (!self.prefilter || entry.dom.get().is_some());
+        let ready = entry.overlay.is_empty() && (!self.prefilter || entry.base.dom.get().is_some());
+        let plain = entry.base.index.get().filter(|_| ready);
         Some(Peek {
             epoch: entry.epoch(),
-            plain: entry
-                .index
-                .get()
-                .filter(|_| ready)
-                .map(|(tree, _)| tree.clone()),
+            plain: plain.map(|(tree, _)| tree.clone()),
         })
     }
 
     /// Current epoch triple of a dataset.
     pub fn epoch(&self, name: &str) -> Result<DatasetEpoch, EngineError> {
-        self.inner
-            .read()
-            .expect("catalog lock")
-            .datasets
-            .get(name)
-            .map(DatasetEntry::epoch)
-            .ok_or_else(|| EngineError::UnknownDataset(name.to_string()))
+        let inner = self.inner.read().expect("catalog lock");
+        inner.dataset(name).map(DatasetEntry::epoch)
     }
 
     /// `(overlay rows, base rows)` of a dataset — the compaction-policy
     /// inputs.
     pub fn overlay_size(&self, name: &str) -> Result<(usize, usize), EngineError> {
-        self.inner
-            .read()
-            .expect("catalog lock")
-            .datasets
-            .get(name)
-            .map(|e| (e.overlay_len(), e.base_len()))
-            .ok_or_else(|| EngineError::UnknownDataset(name.to_string()))
+        let inner = self.inner.read().expect("catalog lock");
+        inner
+            .dataset(name)
+            .map(|e| (e.overlay.len(), e.base.coords.len() / e.dim))
     }
 
     /// Registered dataset names, sorted.
@@ -814,7 +601,7 @@ impl Catalog {
             .expect("catalog lock")
             .datasets
             .get(name)
-            .is_some_and(|e| e.index.get().is_some())
+            .is_some_and(|e| e.base.index.get().is_some())
     }
 
     /// Exports the complete catalog image under an already-held lock.
@@ -825,17 +612,20 @@ impl Catalog {
         let mut datasets: Vec<DatasetState> = inner
             .datasets
             .iter()
-            .map(|(name, e)| DatasetState {
-                name: name.clone(),
-                dim: e.dim as u64,
-                base_epoch: e.base_epoch,
-                appends: e.appends,
-                deletes: e.deletes,
-                base_coords: (*e.base_coords).clone(),
-                delta_rows: (*e.delta_rows).clone(),
-                delta_ids: (*e.delta_ids).clone(),
-                dead_rows: (*e.dead_rows).clone(),
-                dead_ids: (*e.dead_ids).clone(),
+            .map(|(name, e)| {
+                let [(delta_rows, delta_ids), (dead_rows, dead_ids)] = e.overlay.buffers();
+                DatasetState {
+                    name: name.clone(),
+                    dim: e.dim as u64,
+                    base_epoch: e.base.epoch,
+                    appends: e.overlay.appends(),
+                    deletes: e.overlay.deletes(),
+                    base_coords: e.base.coords.to_vec(),
+                    delta_rows: delta_rows.to_vec(),
+                    delta_ids: delta_ids.to_vec(),
+                    dead_rows: dead_rows.to_vec(),
+                    dead_ids: dead_ids.to_vec(),
+                }
             })
             .collect();
         datasets.sort_by(|a, b| a.name.cmp(&b.name));
@@ -862,43 +652,30 @@ impl Catalog {
     /// # Errors
     /// [`EngineError::Durability`] when the image violates an invariant
     /// the live catalog could never have produced — damage the CRC
-    /// cannot see, e.g. a buffer length that disagrees with its ids.
+    /// cannot see, e.g. a tombstone past the base or an allocator behind
+    /// its delta ids ([`Overlay::try_new`] names the rule).
     pub(crate) fn restore_state(&self, state: CatalogState) -> Result<(), EngineError> {
         let broken = |reason: &str| EngineError::Durability {
             reason: format!("recovered snapshot is inconsistent: {reason}"),
         };
         let mut inner = self.inner.write().expect("catalog lock");
         for d in state.datasets {
-            let dim = usize::try_from(d.dim).unwrap_or(0);
-            if dim == 0 {
-                return Err(broken("zero dimensionality"));
-            }
-            if !d.base_coords.len().is_multiple_of(dim) {
-                return Err(broken("ragged base coordinates"));
-            }
-            if d.delta_rows.len() != d.delta_ids.len() * dim {
-                return Err(broken("delta rows disagree with delta ids"));
-            }
-            if d.dead_rows.len() != d.dead_ids.len() * dim {
-                return Err(broken("tombstone rows disagree with tombstone ids"));
-            }
-            if !d.dead_ids.windows(2).all(|w| w[0] < w[1]) {
-                return Err(broken("tombstone ids not strictly ascending"));
-            }
-            let entry = DatasetEntry {
+            let dim = usize::try_from(d.dim)
+                .ok()
+                .filter(|&dim| dim > 0 && d.base_coords.len().is_multiple_of(dim))
+                .ok_or_else(|| broken("zero dimensionality or ragged base coordinates"))?;
+            let overlay = Overlay::try_new(
                 dim,
-                base_coords: Arc::new(d.base_coords),
-                base_epoch: d.base_epoch,
-                appends: d.appends,
-                deletes: d.deletes,
-                delta_rows: Arc::new(d.delta_rows),
-                delta_ids: Arc::new(d.delta_ids),
-                dead_rows: Arc::new(d.dead_rows),
-                dead_ids: Arc::new(d.dead_ids),
-                index: Arc::new(OnceLock::new()),
-                dom: Arc::new(OnceLock::new()),
-            };
-            inner.datasets.insert(d.name, entry);
+                d.base_coords.len() / dim,
+                (d.appends, d.deletes),
+                (Arc::new(d.delta_rows), Arc::new(d.delta_ids)),
+                (Arc::new(d.dead_rows), Arc::new(d.dead_ids)),
+            )
+            .map_err(|e| broken(&e.to_string()))?;
+            let fresh = DatasetEntry::new(dim, d.base_epoch, d.base_coords, OnceLock::new());
+            inner
+                .datasets
+                .insert(d.name, DatasetEntry { overlay, ..fresh });
         }
         for ws in state.weight_sets {
             let weights = ws
@@ -1225,29 +1002,22 @@ mod tests {
     }
 
     #[test]
-    fn append_grows_in_place_unless_a_snapshot_is_held() {
+    fn a_held_snapshot_keeps_its_rows_across_mutations() {
+        // Whether an unshared overlay grows in place is `Overlay`'s own
+        // test; here, a held handle keeps reading exactly its rows.
         let c = Catalog::new();
         c.register("sq", 2, unit_square()).unwrap();
-        c.append("sq", &[0.5, 0.5, 0.25, 0.75]).unwrap();
-        let delta_ptrs = |c: &Catalog| {
-            let inner = c.inner.read().unwrap();
-            let e = &inner.datasets["sq"];
-            (Arc::as_ptr(&e.delta_rows), Arc::as_ptr(&e.delta_ids))
-        };
-        // No handle outstanding: the same allocation is extended.
-        let before = delta_ptrs(&c);
-        c.append("sq", &[0.9, 0.9]).unwrap();
-        assert_eq!(before, delta_ptrs(&c), "append must not copy the delta");
-
-        // A held handle forces the copy and keeps reading its own rows.
+        c.append("sq", &[0.5, 0.5, 0.25, 0.75, 0.9, 0.9]).unwrap();
         let held = c.handle("sq").unwrap();
         let seen = held.view.materialize_row_major();
         c.append("sq", &[0.1, 0.1]).unwrap();
-        c.delete("sq", &[5]).unwrap();
-        assert_ne!(before, delta_ptrs(&c), "a shared delta is copied");
+        c.delete("sq", &[5, 0]).unwrap();
         assert_eq!(held.view.materialize_row_major(), seen);
         assert_eq!(held.view.delta_ids(), &[4, 5, 6]);
-        assert_eq!(c.handle("sq").unwrap().view.delta_ids(), &[4, 6, 7]);
+        assert!(held.view.dead_ids().is_empty());
+        let now = c.handle("sq").unwrap();
+        assert_eq!(now.view.delta_ids(), &[4, 6, 7]);
+        assert_eq!(now.view.dead_ids(), &[0]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! neighbours.
 
 use std::fmt;
+use wqrtq_geom::OverlayError;
 
 /// Errors raised by the catalog and the serving loop.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -139,3 +140,18 @@ impl fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+/// An overlay's refusal in the engine's vocabulary. Only a damaged
+/// durable image can break the two id-range rules.
+impl From<OverlayError> for EngineError {
+    fn from(e: OverlayError) -> Self {
+        match e {
+            OverlayError::Ragged { dim, len } => EngineError::RaggedCoordinates { dim, len },
+            OverlayError::Full => EngineError::DatasetFull,
+            OverlayError::NotLive(id) => EngineError::UnknownPointId { id },
+            OverlayError::DeltaIds | OverlayError::TombstoneIds => EngineError::Durability {
+                reason: e.to_string(),
+            },
+        }
+    }
+}

@@ -20,6 +20,8 @@
 //! * [`DeltaView`] — a *base + delta − tombstones* snapshot of a mutated
 //!   dataset whose rank kernels fuse the base scan with `O(Δ)` overlay
 //!   corrections, so appends and deletes serve without a rebuild.
+//! * [`Overlay`] — the appended and tombstoned rows of one base: their
+//!   buffers, mutations, invariants and canonical merge, in one place.
 //! * [`HalfSpace`] — the building block of safe regions (Definition 7 of
 //!   the paper).
 //! * [`Polygon2d`] — exact half-space intersection in two dimensions, used
@@ -34,7 +36,7 @@ pub mod poly2d;
 pub mod quantized;
 pub mod weight;
 
-pub use delta::DeltaView;
+pub use delta::{DeltaView, Overlay, OverlayError};
 pub use flat::{count_better_rows, FlatPoints};
 pub use halfspace::HalfSpace;
 pub use mbr::Mbr;

@@ -113,6 +113,7 @@ pub const ZONES: &[Zone] = &[
     Zone {
         name: "kernels",
         prefixes: &[
+            "crates/geom/src/delta.rs",
             "crates/geom/src/flat.rs",
             "crates/geom/src/quantized.rs",
             "crates/query/src/",

@@ -121,6 +121,9 @@ pub fn rta_over_order<'a>(
     if order.is_empty() || k == 0 {
         return Vec::new();
     }
+    // Past `live + 1` every `k` admits every weight; the clamp keeps the
+    // pool sizes (`2k`) and the overlay-adjusted caps from overflowing.
+    let k = k.min(snap.live_len() + 1);
     ctx.warm = true;
     ctx.pool.clear();
     ctx.pool_ids.clear();

@@ -45,6 +45,9 @@ pub fn monochromatic_reverse_topk_2d(points: &[f64], q: &[f64], k: usize) -> Vec
         return Vec::new();
     }
     let n = points.len() / 2;
+    // Past `n + 1` every `k` admits the whole segment; the clamp keeps
+    // the signed counts below exact.
+    let k = k.min(n + 1);
 
     // Count of points beating q just right of x = 0, plus crossing events.
     #[derive(Clone, Copy)]

@@ -72,6 +72,9 @@ pub fn is_in_topk<'a>(
     if k == 0 {
         return false;
     }
+    // Past `live + 1` every `k` gives the same verdict (`q` is in); the
+    // clamp keeps the overlay-adjusted `cap` below from wrapping.
+    let k = k.min(snap.live_len() + 1);
     let s = score(w, q);
     let view = snap.mutated();
     let d_add = view.map_or(0, |v| v.count_better_delta(w, s));

@@ -18,11 +18,13 @@
 //!   datasets across a full stop/start cycle with no re-registration.
 
 use std::path::PathBuf;
+use wqrtq::engine::storage::{CatalogState, DatasetState, SNAPSHOT_FILE};
 use wqrtq::engine::storage::{
     Durability, FsyncPolicy, MemBackend, StorageBackend, StorageError, WalRecordRef, RECORD_MAGIC,
 };
-use wqrtq::engine::{Engine, Request, Response, WeightSet};
+use wqrtq::engine::{Engine, EngineError, Request, Response, WeightSet};
 use wqrtq::prelude::{StrategyKind, WhyNotOptions};
+use wqrtq::Weight;
 use wqrtq_server::{Client, Server};
 
 /// A unique temp directory per test (removed on drop, best-effort).
@@ -574,4 +576,137 @@ fn server_restart_keeps_its_datasets() {
     // Register + weights + append, one record each.
     assert_eq!(stats.metrics.catalog.wal_replayed, 3);
     server.shutdown();
+}
+
+/// A one-dataset snapshot image over a 4-row 2-d base with one
+/// tombstone (id 1) and one append (id 4), as the catalog writes it;
+/// `edit` then breaks it (or not) before it is CRC-framed.
+fn snapshot_image(edit: impl FnOnce(&mut DatasetState)) -> Vec<u8> {
+    let base = vec![1.0, 4.0, 2.0, 2.0, 3.0, 1.0, 4.0, 3.0];
+    let mut d = DatasetState {
+        name: "d".into(),
+        dim: 2,
+        base_epoch: 1,
+        appends: 1,
+        deletes: 1,
+        dead_rows: base[2..4].to_vec(),
+        dead_ids: vec![1],
+        base_coords: base,
+        delta_rows: vec![0.5, 0.5],
+        delta_ids: vec![4],
+    };
+    edit(&mut d);
+    CatalogState {
+        last_lsn: 0,
+        datasets: vec![d],
+        weight_sets: Vec::new(),
+    }
+    .encode()
+}
+
+#[test]
+fn snapshots_a_catalog_could_not_write_refuse_to_build() {
+    // Each image is CRC-valid and decodes; each breaks one overlay rule
+    // that a recovered catalog used to accept and a pool worker then
+    // panicked on (the last one only at the next append).
+    type Edit = fn(&mut DatasetState);
+    let broken: [(&str, Edit); 4] = [
+        ("a tombstone past the base", |d| d.dead_ids = vec![9]),
+        ("a delta id inside the base", |d| d.delta_ids = vec![2]),
+        ("unsorted delta ids", |d| {
+            d.delta_rows = vec![0.5, 0.5, 0.25, 0.25];
+            d.delta_ids = vec![5, 4];
+            d.appends = 2;
+        }),
+        ("an allocator behind its delta ids", |d| d.appends = 0),
+    ];
+    for (what, edit) in broken {
+        let dir = TempDir::new("badoverlay");
+        std::fs::write(dir.path().join(SNAPSHOT_FILE), snapshot_image(edit)).unwrap();
+        match Engine::builder()
+            .workers(1)
+            .data_dir(dir.path())
+            .try_build()
+        {
+            Err(EngineError::Durability { reason }) => {
+                assert!(reason.contains("inconsistent"), "{what}: {reason}")
+            }
+            Err(other) => panic!("{what}: expected a durability error, got {other}"),
+            Ok(_) => panic!("{what}: the image must refuse to build"),
+        }
+    }
+
+    // The consistent image recovers and serves like the catalog it
+    // describes: same answers, same epoch, the allocator resumes at 5.
+    let dir = TempDir::new("goodoverlay");
+    std::fs::write(dir.path().join(SNAPSHOT_FILE), snapshot_image(|_| ())).unwrap();
+    let recovered = Engine::builder()
+        .workers(1)
+        .data_dir(dir.path())
+        .try_build()
+        .expect("a consistent image recovers");
+    let oracle = Engine::builder().workers(1).build();
+    oracle
+        .register_dataset("d", 2, vec![1.0, 4.0, 2.0, 2.0, 3.0, 1.0, 4.0, 3.0])
+        .unwrap();
+    oracle.append_points("d", &[0.5, 0.5]).unwrap();
+    oracle.delete_points("d", &[1]).unwrap();
+    for e in [&recovered, &oracle] {
+        assert_eq!(e.append_points("d", &[0.25, 0.75]).unwrap(), 5);
+        assert_eq!(e.delete_points("d", &[5]).unwrap(), 4, "id 5 was allocated");
+    }
+    let battery = || {
+        vec![
+            Request::TopK {
+                dataset: "d".into(),
+                weight: vec![0.3, 0.7],
+                k: 3,
+            },
+            Request::ReverseTopKBi {
+                dataset: "d".into(),
+                weights: WeightSet::Inline(vec![vec![0.2, 0.8], vec![0.8, 0.2]]),
+                q: vec![2.5, 2.5],
+                k: 2,
+            },
+        ]
+    };
+    let answers = recovered.submit_batch(battery());
+    assert!(answers.iter().all(|r| !r.is_error()), "{answers:?}");
+    assert_eq!(answers, oracle.submit_batch(battery()));
+    assert_eq!(
+        recovered.catalog().epoch("d").unwrap(),
+        oracle.catalog().epoch("d").unwrap()
+    );
+}
+
+#[test]
+fn the_snapshot_bytes_of_a_fixed_catalog_are_pinned() {
+    // Register, appends, deletes of base and appended rows, and a weight
+    // set: the CRC-32 of the `WQSN` image `checkpoint` writes for them.
+    // A changed value is a changed snapshot format.
+    let dir = TempDir::new("pinned");
+    let e = durable(dir.path());
+    e.register_dataset("d", 2, vec![1.0, 4.0, 2.0, 2.0, 3.0, 1.0, 4.0, 3.0])
+        .unwrap();
+    let rows = [0.5, 0.5, 2.5, 0.75, 3.5, 3.5]; // ids 4, 5, 6
+    e.append_points("d", &rows).unwrap();
+    e.delete_points("d", &[2, 5]).unwrap();
+    e.append_points("d", &[1.5, 1.25]).unwrap(); // id 7
+    e.delete_points("d", &[0, 4]).unwrap();
+    e.register_dataset("e", 3, vec![0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
+        .unwrap();
+    e.register_weights(
+        "pop",
+        vec![Weight::new(vec![0.25, 0.75]), Weight::new(vec![0.5, 0.5])],
+    )
+    .unwrap();
+    assert!(e.checkpoint().unwrap());
+    let bytes = std::fs::read(dir.path().join(SNAPSHOT_FILE)).unwrap();
+    assert_eq!(&bytes[..4], b"WQSN");
+    assert_eq!(
+        wqrtq_codec::crc32::checksum(&bytes),
+        0x9473_60b2,
+        "snapshot bytes changed ({} bytes)",
+        bytes.len()
+    );
 }

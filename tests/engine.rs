@@ -341,3 +341,79 @@ fn a_why_not_at_the_origin_is_a_typed_error() {
     });
     assert!(!topk.is_error(), "{topk:?}");
 }
+
+#[test]
+fn a_huge_k_answers_as_k_equals_live_plus_one() {
+    // With `n` live points, any `k > n` admits every weight, so each
+    // `k > n + 1` must answer exactly as `k = n + 1`: no overlay-adjusted
+    // count target may wrap (an empty answer in release, an overflow
+    // panic in debug), and no `k` may be narrowed to a smaller integer.
+    let engine = Engine::builder()
+        .workers(1)
+        .overlay_limit(usize::MAX)
+        .build();
+    for dim in [2usize, 3] {
+        for shape in ["plain", "mid-overlay", "all-deleted"] {
+            let name = format!("{shape}-{dim}d");
+            let base: Vec<f64> = (0..4 * dim).map(|i| ((i * 7) % 5) as f64 + 1.0).collect();
+            engine.register_dataset(&name, dim, base).unwrap();
+            let n = match shape {
+                "mid-overlay" => {
+                    let appended: Vec<f64> = (0..2 * dim).map(|i| 0.5 + i as f64).collect();
+                    engine.append_points(&name, &appended).unwrap();
+                    engine.delete_points(&name, &[1, 5]).unwrap() // a base row, an appended row
+                }
+                "all-deleted" => engine.delete_points(&name, &[0, 1, 2, 3]).unwrap(),
+                _ => 4,
+            };
+            let q = vec![2.0; dim];
+            let batch = |k: usize| {
+                vec![
+                    Request::TopK {
+                        dataset: name.clone(),
+                        weight: vec![1.0 / dim as f64; dim],
+                        k,
+                    },
+                    Request::ReverseTopKMono {
+                        dataset: name.clone(),
+                        q: q.clone(),
+                        k,
+                        samples: 64,
+                        seed: 3,
+                    },
+                    Request::ReverseTopKBi {
+                        dataset: name.clone(),
+                        weights: WeightSet::Inline(
+                            (1..4)
+                                .map(|i| {
+                                    let mut w =
+                                        vec![(1.0 - 0.2 * i as f64) / (dim - 1) as f64; dim];
+                                    w[0] = 0.2 * i as f64;
+                                    w
+                                })
+                                .collect(),
+                        ),
+                        q: q.clone(),
+                        k,
+                    },
+                ]
+            };
+            let reference = engine.submit_batch(batch(n + 1));
+            assert!(
+                reference.iter().all(|r| !r.is_error()),
+                "{name}: {reference:?}"
+            );
+            for k in [n, n + 1, n + 2, usize::MAX - 1, usize::MAX] {
+                let replies = engine.submit_batch(batch(k));
+                for reply in &replies {
+                    if let Response::Error(msg) = reply {
+                        assert!(!msg.contains("panicked"), "{name} k = {k}: {msg}");
+                    }
+                }
+                if k > n + 1 {
+                    assert_eq!(replies, reference, "{name} k = {k}");
+                }
+            }
+        }
+    }
+}
