@@ -178,9 +178,9 @@ impl EngineBuilder {
     fn spawn(self, catalog: Catalog) -> Engine {
         let (queue, queue_rx) = mpsc::channel();
         let ctx = Arc::new(WorkerContext {
+            metrics: Metrics::with_stages(catalog.stage_histograms()),
             catalog,
             cache: ResultCache::new(self.cache_capacity),
-            metrics: Metrics::new(),
             // One ring shard per worker (workers hint with their own
             // index) plus the boundary shard (index `workers`: requests
             // served inline; server loops hint with the connection id,
@@ -1462,5 +1462,43 @@ mod tests {
         });
         assert_eq!(r, Response::ReverseTopKBi(vec![1, 2])); // Tony, Anna
         assert_eq!(engine.metrics().scratch_reuses, 0);
+    }
+
+    #[test]
+    fn a_population_past_the_table_cap_is_answered_by_rta() {
+        use crate::catalog::SCORE_TABLE_MAX_WEIGHTS;
+        use wqrtq_geom::Point;
+        use wqrtq_obs::Stage;
+        use wqrtq_query::bichromatic_reverse_topk_naive;
+        let engine = Engine::builder().workers(1).build();
+        let coords: Vec<f64> = (0..200)
+            .flat_map(|i| {
+                let x = f64::from(i) / 200.0;
+                [x, 1.0 - x * x]
+            })
+            .collect();
+        engine.register_dataset("curve", 2, coords.clone()).unwrap();
+        let n = SCORE_TABLE_MAX_WEIGHTS;
+        let weights: Vec<Weight> = (0..=n)
+            .map(|i| Weight::from_first_2d(i as f64 / n as f64))
+            .collect();
+        engine.register_weights("huge", weights.clone()).unwrap();
+        let points: Vec<Point> = coords
+            .chunks_exact(2)
+            .map(|p| Point::new(p.to_vec()))
+            .collect();
+        for q in [[0.5, 0.7], [0.3, 0.95]] {
+            let r = engine.submit(Request::ReverseTopKBi {
+                dataset: "curve".into(),
+                weights: WeightSet::Named("huge".into()),
+                q: q.to_vec(),
+                k: 10,
+            });
+            let naive = bichromatic_reverse_topk_naive(&points, &weights, &q, 10);
+            assert_eq!(r, Response::ReverseTopKBi(naive));
+        }
+        let m = engine.metrics();
+        assert_eq!(m.stage_latency(Stage::TableBuild).count, 0);
+        assert_eq!(m.scratch_reuses, 1, "the second request reran RTA");
     }
 }

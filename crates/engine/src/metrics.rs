@@ -6,7 +6,9 @@
 //! term, via `rtree` traversal counters where the primitive reports
 //! them) and whether the result came from the cache. Pipeline stages
 //! (queue wait, cache lookup, index probe, …) feed a second histogram
-//! family keyed by [`Stage`]. [`MetricsSnapshot`] is a
+//! family keyed by [`Stage`], shared with the [`crate::Catalog`], which
+//! records its lazy index, mask and score-table builds into it.
+//! [`MetricsSnapshot`] is a
 //! consistent-enough point-in-time read for dashboards and tests; once
 //! workers quiesce it is exact, which is what the wire `Stats`
 //! differential test relies on. Cache counters live in
@@ -16,8 +18,13 @@ use crate::cache::CacheStats;
 use crate::catalog::CatalogStats;
 use crate::request::RequestKind;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 use wqrtq_obs::{Histogram, HistogramSnapshot, Stage};
+
+/// The latency histogram of every pipeline stage ([`Stage::ALL`] order):
+/// one set per engine, shared by [`Metrics`] and the catalog.
+pub(crate) type StageHistograms = Arc<[Histogram; Stage::COUNT]>;
 
 #[derive(Debug, Default)]
 struct KindCounters {
@@ -32,10 +39,10 @@ struct KindCounters {
 #[derive(Debug, Default)]
 pub struct Metrics {
     kinds: [KindCounters; RequestKind::ALL.len()],
-    /// Latency per pipeline stage ([`Stage::ALL`] order), recorded by
-    /// whichever layer owns the stage (workers for queue wait / cache
-    /// lookup / execute, the server for admission / serialize).
-    stages: [Histogram; Stage::COUNT],
+    /// Latency per pipeline stage, recorded by whichever layer owns the
+    /// stage (workers for queue wait / cache lookup / execute, the server
+    /// for admission / serialize, the catalog for its builds).
+    stages: StageHistograms,
     batches: AtomicU64,
     /// Requests submitted through the non-blocking completion-routed
     /// path ([`crate::Engine::submit_batch_with`]) — the serving layer's
@@ -54,6 +61,14 @@ impl Metrics {
     /// Fresh counters.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Fresh counters over an existing set of stage histograms.
+    pub(crate) fn with_stages(stages: StageHistograms) -> Self {
+        Self {
+            stages,
+            ..Self::default()
+        }
     }
 
     /// Records one served request.

@@ -543,15 +543,25 @@ fn simplex_weights(raw: &[Vec<f64>], field: &'static str) -> Result<Vec<Weight>,
 }
 
 /// Runs the bichromatic reverse top-k for one request on the worker's
-/// own scratch.
+/// own scratch: from the generation's score table when the population
+/// is registered as `named` and the catalog keeps a table for it that
+/// covers `k` (clamped to `live + 1`), else by RTA.
 fn execute_bichromatic(
     ctx: &WorkerContext,
     handle: &DatasetHandle,
     population: &[Weight],
+    named: Option<&str>,
     q: &[f64],
     k: usize,
     scratch: &mut ProbeCtx,
 ) -> Response {
+    let live_k = k.min(handle.live_len() + 1);
+    let table = named.and_then(|name| ctx.catalog.score_table(handle, name, population, live_k));
+    if let Some(members) =
+        table.and_then(|t| t.reverse_topk(handle.snapshot(), population, q, k, scratch))
+    {
+        return Response::ReverseTopKBi(members);
+    }
     // RTA reuses the worker's warm culprit pool / probe queue.
     if scratch.is_warm() {
         ctx.metrics.record_scratch_reuse();
@@ -658,13 +668,13 @@ fn execute(
             if let Err(e) = check_dim(handle.dim, q) {
                 return (Response::Error(e.to_string()), 0);
             }
-            let population: Arc<Vec<Weight>> = match weights {
+            let (population, named): (Arc<Vec<Weight>>, _) = match weights {
                 WeightSet::Named(name) => match ctx.catalog.weights(name) {
-                    Ok(ws) => ws,
+                    Ok(ws) => (ws, Some(name.as_str())),
                     Err(e) => return (Response::Error(e.to_string()), 0),
                 },
                 WeightSet::Inline(ws) => match simplex_weights(ws, "inline weight set") {
-                    Ok(ws) => Arc::new(ws),
+                    Ok(ws) => (Arc::new(ws), None),
                     Err(e) => return (Response::Error(e.to_string()), 0),
                 },
             };
@@ -677,7 +687,7 @@ fn execute(
             }
             probe(ctx, spans, || {
                 (
-                    execute_bichromatic(ctx, handle, &population, q, *k, scratch),
+                    execute_bichromatic(ctx, handle, &population, named, q, *k, scratch),
                     0,
                 )
             })

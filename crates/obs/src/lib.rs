@@ -27,7 +27,10 @@ pub use histogram::{Histogram, HistogramSnapshot, RELATIVE_ERROR_BOUND};
 pub use trace::{SlowRequest, SpanRecord, TraceSnapshot, Tracer};
 
 /// A stage of the request pipeline, shared vocabulary between the
-/// engine's stage histograms and the tracer's spans.
+/// engine's stage histograms and the tracer's spans. The build stages
+/// (from [`Stage::IndexBuild`] on) are per-dataset work a request may
+/// trigger but does not own: each build records one histogram sample
+/// and no span.
 ///
 /// The discriminants are the wire encoding of the stage (the `Stats`
 /// response carries per-stage histograms) — append-only, like request
@@ -49,11 +52,17 @@ pub enum Stage {
     Execute = 5,
     /// Server-side reply serialize + socket write/flush.
     Serialize = 6,
+    /// One base's bulk-loaded index and column store.
+    IndexBuild = 7,
+    /// One base's k-dominance mask (its culprit planes).
+    MaskBuild = 8,
+    /// One named population's score table over one base.
+    TableBuild = 9,
 }
 
 impl Stage {
     /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 7] = [
+    pub const ALL: [Stage; 10] = [
         Stage::Admission,
         Stage::QueueWait,
         Stage::CacheLookup,
@@ -61,6 +70,9 @@ impl Stage {
         Stage::AdvisorStep,
         Stage::Execute,
         Stage::Serialize,
+        Stage::IndexBuild,
+        Stage::MaskBuild,
+        Stage::TableBuild,
     ];
 
     /// Number of stages (array-of-histograms length).
@@ -76,6 +88,9 @@ impl Stage {
             Stage::AdvisorStep => "advisor_step",
             Stage::Execute => "execute",
             Stage::Serialize => "serialize",
+            Stage::IndexBuild => "index_build",
+            Stage::MaskBuild => "mask_build",
+            Stage::TableBuild => "table_build",
         }
     }
 
@@ -101,5 +116,10 @@ mod tests {
             assert_eq!(Stage::from_tag(i as u8), Some(stage));
         }
         assert_eq!(Stage::from_tag(Stage::COUNT as u8), None);
+        // Appended, never renumbered: the wire carries these tags.
+        assert_eq!(Stage::Serialize as u8, 6);
+        assert_eq!(Stage::IndexBuild as u8, 7);
+        assert_eq!(Stage::MaskBuild as u8, 8);
+        assert_eq!(Stage::TableBuild as u8, 9);
     }
 }

@@ -5,8 +5,18 @@
 //!
 //! * [`bichromatic_reverse_topk_naive`] — an independent rank scan per
 //!   weight over the raw points (the correctness oracle);
-//! * [`bichromatic_reverse_topk_rta`] — the RTA hot path: weights are
-//!   processed in similarity order; a rolling *culprit pool* (points
+//! * [`ScoreTable`] — the serving path for a *named* population, whose
+//!   weights never change: for every weight the `t` smallest base
+//!   scores, built once per base. `q` is a member for `w` iff fewer than
+//!   `k` live points score strictly below `f(w, q)`, and with the scores
+//!   sorted that is one comparison against the `k`-th, corrected by
+//!   counting through an overlay ([`ScoreTable::reverse_topk`]);
+//! * [`bichromatic_reverse_topk_rta`] — RTA, which serves what the table
+//!   does not: inline populations, `k` past the table's depth, a
+//!   population the engine builds no table for, and (one weight at a
+//!   time, via [`is_in_topk`]) an overlay whose tombstones hide how deep
+//!   the stored scores reach. Weights are processed in
+//!   similarity order; a rolling *culprit pool* (points
 //!   recently proven strictly better than `q`) provides the threshold
 //!   test via the fused [`count_better_rows`] kernel, and weights that
 //!   survive it go to the early-exit membership probe, which refills the
@@ -18,16 +28,17 @@
 //!   plane covering the verdict's cap, a capped count over that skyband
 //!   replaces the probe; the tree is never probed through the mask.
 //!
-//! The hot path is exposed in slice form ([`rta_sorted_order`] +
+//! RTA is exposed in slice form ([`rta_sorted_order`] +
 //! [`rta_over_order`]): the serving engine runs one request's whole
 //! order on the worker that picked it up, reusing that worker's
 //! [`ProbeCtx`]. The slice form exists so the `differential` test can
 //! split an order into contiguous chunks, run each on its own context,
 //! and check that the concatenated verdicts equal one unsharded run.
 
+use crate::rank::is_in_topk;
 use crate::snapshot::{ProbeCtx, Snapshot};
 use wqrtq_geom::{count_better_rows, DeltaView, Point, Weight};
-use wqrtq_rtree::DominanceIndex;
+use wqrtq_rtree::{DominanceIndex, ProbeScratch, RTree};
 
 /// Work counters of the RTA runs on one [`ProbeCtx`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -57,6 +68,138 @@ pub fn bichromatic_reverse_topk_naive(
         }
     }
     out
+}
+
+/// One population's score table over one base: for every weight, the
+/// `depth` smallest base scores (tombstoned rows included — an overlay
+/// is corrected by counting, so no ids are stored), padded with `+∞`
+/// past the base's last row.
+///
+/// The layout is rank-major: row `r` holds every weight's `(r + 1)`-th
+/// score, so an overlay-free request reads the one contiguous row `k − 1`.
+/// Scores are the same `dot` the query side and the naive oracle use (up
+/// to the sign of a zero), so every comparison is exact.
+#[derive(Debug)]
+pub struct ScoreTable {
+    depth: usize,
+    width: usize,
+    scores: Vec<f64>,
+}
+
+impl ScoreTable {
+    /// Builds the `depth`-deep table of `weights` over every row of
+    /// `tree`, each weight's scores from [`RTree::topk_into`].
+    ///
+    /// # Panics
+    /// Panics if a weight's dimensionality differs from the tree's.
+    pub fn build(tree: &RTree, weights: &[Weight], depth: usize) -> Self {
+        let width = weights.len();
+        let mut scores = vec![f64::INFINITY; depth * width];
+        let mut scratch = ProbeScratch::default();
+        for (i, w) in weights.iter().enumerate() {
+            let mut slots = scores.iter_mut().skip(i).step_by(width.max(1));
+            tree.topk_into(
+                w.as_slice(),
+                depth,
+                |_| false,
+                &mut scratch,
+                |_, s| slots.next().map(|slot| *slot = s).is_some(),
+            );
+        }
+        Self {
+            depth,
+            width,
+            scores,
+        }
+    }
+
+    /// Scores stored per weight.
+    pub fn depth(&self) -> usize {
+        self.depth
+    }
+
+    /// Every weight's `(r + 1)`-th smallest base score.
+    fn row(&self, r: usize) -> &[f64] {
+        &self.scores[r * self.width..(r + 1) * self.width]
+    }
+
+    /// How many of weight `i`'s stored scores lie strictly below `s` —
+    /// the base's exact count while it is below the depth.
+    fn stored_below(&self, i: usize, s: f64) -> usize {
+        let (mut lo, mut hi) = (0, self.depth);
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if self.scores[mid * self.width + i] < s {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The bichromatic reverse top-k of `q` over the snapshot's live rows,
+    /// for the population this table was built from over the snapshot's
+    /// base: the qualifying indices in ascending order, equal to
+    /// [`bichromatic_reverse_topk_naive`]'s. `None` when the table does
+    /// not serve the request — `k` (clamped to `live + 1`) is deeper than
+    /// the table, or `weights` is not the table's width.
+    ///
+    /// Without an overlay, `w` is a member iff its `k`-th score is not
+    /// below `f(w, q)`. Through one, with `p` stored scores below
+    /// `f(w, q)`, `live_better = p − dead_better + delta_better` is exact
+    /// while `p < depth`; at `p = depth` the base count is only known to
+    /// be `≥ depth`, which still rules `w` out when
+    /// `depth − dead_better + delta_better ≥ k` — otherwise that one
+    /// weight is decided by [`is_in_topk`] on `ctx`. (Differences
+    /// saturate at 0: the dead better rows are among the base's.)
+    pub fn reverse_topk<'a>(
+        &self,
+        snap: impl Into<Snapshot<'a>>,
+        weights: &[Weight],
+        q: &[f64],
+        k: usize,
+        ctx: &mut ProbeCtx,
+    ) -> Option<Vec<usize>> {
+        let snap = snap.into();
+        if weights.len() != self.width {
+            return None;
+        }
+        if k == 0 {
+            return Some(Vec::new());
+        }
+        let k = k.min(snap.live_len() + 1);
+        if k > self.depth {
+            return None;
+        }
+        let Some(view) = snap.mutated() else {
+            let kth = self.row(k - 1);
+            let members = weights.iter().zip(kth).enumerate();
+            return Some(
+                members
+                    .filter(|(_, (w, &kth))| kth >= w.score(q))
+                    .map(|(i, _)| i)
+                    .collect(),
+            );
+        };
+        let mut members = Vec::new();
+        for (i, w) in weights.iter().enumerate() {
+            let (w, sq) = (w.as_slice(), w.score(q));
+            let p = self.stored_below(i, sq);
+            // Live base rows below `sq`: exact while `p < depth` (every
+            // dead one is then stored), a lower bound at `p = depth`. The
+            // tombstones are swept first: they are few, and most outranked
+            // weights are decided before the appended rows are.
+            let base_live = p.saturating_sub(view.count_better_dead(w, sq));
+            let member = base_live < k
+                && base_live + view.count_better_delta(w, sq) < k
+                && (p < self.depth || is_in_topk(snap, w, q, k, ctx));
+            if member {
+                members.push(i);
+            }
+        }
+        Some(members)
+    }
 }
 
 /// The similarity order RTA processes weights in: lexicographic over the
@@ -302,8 +445,6 @@ fn rta_mutated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rank::is_in_topk;
-    use wqrtq_rtree::RTree;
 
     // The bit-identical-to-naive contract of every snapshot shape
     // (sharded and unsharded, cold and warm context) lives in

@@ -10,9 +10,10 @@
 //!   (`1 + #points strictly better`), the predicate behind every reverse
 //!   top-k decision;
 //! * [`brtopk`] — **bichromatic** reverse top-k (Definition 3): which of
-//!   the known customer weighting vectors put `q` in their top-k. The
-//!   RTA-style algorithm with threshold-buffer reuse \[31\] and a naive
-//!   per-weight oracle;
+//!   the known customer weighting vectors put `q` in their top-k. A
+//!   per-population score table for named populations, the RTA-style
+//!   algorithm with threshold-buffer reuse \[31\] for everything else,
+//!   and a naive per-weight oracle;
 //! * [`mrtopk`] — **monochromatic** reverse top-k (Definition 2) in two
 //!   dimensions, computing the exact qualifying weight intervals by a
 //!   plane sweep (the segment `BC` of the paper's Figure 2), and
@@ -34,7 +35,7 @@ pub mod topk;
 
 pub use brtopk::{
     bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta, rta_over_order, rta_sorted_order,
-    RtaStats,
+    RtaStats, ScoreTable,
 };
 pub use mrtopk::{monochromatic_reverse_topk_2d, WeightInterval};
 pub use mrtopk_nd::{monochromatic_reverse_topk_sampled, MrtopkEstimate};

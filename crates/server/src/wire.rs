@@ -850,18 +850,17 @@ fn decode_stats(r: &mut ByteReader<'_>) -> Result<StatsSnapshot, DecodeError> {
             })
         })
         .collect::<Result<_, DecodeError>>()?;
-    let stages = r.take_count(33, "stage snapshot count")?;
-    let stages = (0..stages)
-        .map(|_| {
-            let tag = r.take_u8("stage tag")?;
-            let stage =
-                Stage::from_tag(tag).ok_or_else(|| DecodeError::new("unknown stage tag"))?;
-            Ok(StageSnapshot {
-                stage,
-                latency: decode_histogram(r)?,
-            })
-        })
-        .collect::<Result<_, DecodeError>>()?;
+    let count = r.take_count(33, "stage snapshot count")?;
+    let mut stages = Vec::with_capacity(count);
+    for _ in 0..count {
+        let tag = r.take_u8("stage tag")?;
+        let latency = decode_histogram(r)?;
+        // A stage appended after this build is skipped, not refused: its
+        // histogram is self-delimiting, so newer servers stay readable.
+        if let Some(stage) = Stage::from_tag(tag) {
+            stages.push(StageSnapshot { stage, latency });
+        }
+    }
     let batches = r.take_u64("batches")?;
     let async_submits = r.take_u64("async submits")?;
     let scratch_reuses = r.take_u64("scratch reuses")?;
@@ -1279,6 +1278,55 @@ mod tests {
             // is canonical, so equality extends to the bit level.
             assert_eq!(got.encode(id), payload);
         }
+    }
+
+    #[test]
+    fn every_stage_tag_roundtrips_in_a_stats_reply() {
+        // The stage list is length-prefixed, so stages appended after
+        // `Serialize` (the build stages) travel without a version bump.
+        let mut stats = sample_stats(None);
+        stats.metrics.stages = Stage::ALL
+            .into_iter()
+            .enumerate()
+            .map(|(i, stage)| StageSnapshot {
+                stage,
+                latency: HistogramSnapshot {
+                    count: i as u64 + 1,
+                    sum: 1_000 * (i as u64 + 1),
+                    max: 1_000,
+                    buckets: vec![(100 + i as u16, i as u64 + 1)],
+                },
+            })
+            .collect();
+        assert!(
+            stats.metrics.stages.len() >= 10,
+            "the build stages ride along"
+        );
+        let reply = ServerFrame::Reply(Response::Stats(Box::new(stats)));
+        let payload = reply.encode(11);
+        let (id, got) = ServerFrame::decode(&payload).expect("roundtrip");
+        assert_eq!((id, &got), (11, &reply));
+        assert_eq!(got.encode(11), payload);
+    }
+
+    #[test]
+    fn a_stage_tag_this_build_does_not_know_is_skipped() {
+        let mut stats = sample_stats(None);
+        stats.metrics.per_kind.clear();
+        let known = stats.metrics.stages.clone();
+        stats.metrics.stages.insert(0, known[0].clone());
+        let mut w = ByteWriter::new();
+        encode_stats(&mut w, &stats);
+        let mut bytes = w.into_vec();
+        // The first stage's tag follows the two counts.
+        let mut counts = ByteWriter::new();
+        counts.put_usize(0);
+        counts.put_usize(0);
+        bytes[counts.into_vec().len()] = 0xEE;
+        let got = decode_stats(&mut ByteReader::new(&bytes)).expect("decodes");
+        assert_eq!(got.metrics.stages, known);
+        stats.metrics.stages = known;
+        assert_eq!(got, stats);
     }
 
     #[test]

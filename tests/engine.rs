@@ -417,3 +417,111 @@ fn a_huge_k_answers_as_k_equals_live_plus_one() {
         }
     }
 }
+
+#[test]
+fn hostile_bichromatic_requests_answer_as_the_naive_scan_named_or_inline() {
+    // A named population is served from its score table up to `k = 10`,
+    // an inline one by RTA: both must equal the naive scan over the live
+    // rows at every `k` around the table depth and the live count, with
+    // `q` a data point whose entries are ±0 and a denormal.
+    use wqrtq::query::brtopk::bichromatic_reverse_topk_naive;
+    let dim = 3;
+    let tiny = f64::MIN_POSITIVE / 8.0;
+    let coord = |g: usize, i: usize| match g {
+        0 if i.is_multiple_of(2) => -0.0,
+        0 => 0.0,
+        1 => tiny,
+        g => g as f64 * 0.25,
+    };
+    let q = vec![-0.0, tiny, 0.75];
+    let mut base: Vec<f64> = (0..160)
+        .flat_map(|i| {
+            [
+                coord(i * 7 % 9, i),
+                coord(i * 5 % 9, i + 1),
+                coord(i * 3 % 9, i),
+            ]
+        })
+        .collect();
+    base.extend_from_slice(&q);
+    base.extend_from_slice(&[0.0, tiny, 0.75]);
+    let n_base = base.len() / dim;
+    let population: Vec<Weight> = (0..24)
+        .map(|i| Weight::normalized(vec![(i % 5 + 1) as f64, (i % 3) as f64, (i % 4) as f64]))
+        .chain([Weight::new(vec![-0.0, 0.5, 0.5])])
+        .collect();
+    let inline: Vec<Vec<f64>> = population.iter().map(|w| w.as_slice().to_vec()).collect();
+
+    let engine = Engine::builder()
+        .workers(2)
+        .overlay_limit(usize::MAX)
+        .build();
+    engine.register_weights("pop", population.clone()).unwrap();
+    let row = |rows: &[f64], i: usize| rows[i * dim..(i + 1) * dim].to_vec();
+    for shape in ["plain", "mid-overlay", "all-deleted"] {
+        engine.register_dataset(shape, dim, base.clone()).unwrap();
+        let mut live: Vec<Vec<f64>> = (0..n_base).map(|i| row(&base, i)).collect();
+        match shape {
+            "mid-overlay" => {
+                // Appended: copies of q and rows that beat it; deleted: the
+                // best base rows under a uniform weight (inside most
+                // weights' stored top-10) and two appended rows.
+                let appended: Vec<f64> = (0..30)
+                    .flat_map(|i| match i % 3 {
+                        0 => q.clone(),
+                        1 => vec![coord(i % 2, i), coord(0, i + 1), coord(i % 4 + 1, i)],
+                        _ => vec![coord(i % 9, i), 1.0, coord(i % 7, i)],
+                    })
+                    .collect();
+                engine.append_points(shape, &appended).unwrap();
+                live.extend((0..30).map(|i| row(&appended, i)));
+                let uniform = |p: &[f64]| p.iter().sum::<f64>();
+                let mut best: Vec<usize> = (0..n_base).collect();
+                best.sort_by(|&a, &b| uniform(&live[a]).total_cmp(&uniform(&live[b])));
+                let mut dead: Vec<usize> = best[..20].to_vec();
+                dead.extend([n_base + 4, n_base + 9]);
+                let ids: Vec<u32> = dead.iter().map(|&i| i as u32).collect();
+                engine.delete_points(shape, &ids).unwrap();
+                dead.sort_unstable();
+                for &i in dead.iter().rev() {
+                    live.remove(i);
+                }
+            }
+            "all-deleted" => {
+                let ids: Vec<u32> = (0..n_base as u32).collect();
+                engine.delete_points(shape, &ids).unwrap();
+                live.clear();
+            }
+            _ => {}
+        }
+        let points: Vec<Point> = live.into_iter().map(Point::new).collect();
+        let n = points.len();
+        for k in [0, 1, 9, 10, 11, 32, 33, 128, 129, n, n + 1, usize::MAX] {
+            let expected = Response::ReverseTopKBi(bichromatic_reverse_topk_naive(
+                &points,
+                &population,
+                &q,
+                k,
+            ));
+            for weights in [
+                WeightSet::Named("pop".into()),
+                WeightSet::Inline(inline.clone()),
+            ] {
+                let reply = engine.submit(Request::ReverseTopKBi {
+                    dataset: shape.into(),
+                    weights: weights.clone(),
+                    q: q.clone(),
+                    k,
+                });
+                if let Response::Error(msg) = &reply {
+                    assert!(!msg.contains("panicked"), "{shape} k = {k}: {msg}");
+                }
+                assert_eq!(reply, expected, "{shape} k = {k} {weights:?}");
+            }
+        }
+    }
+    // The named replies with `k ≤ 10` after the `live + 1` clamp came
+    // from one table per dataset.
+    let builds = engine.metrics().stage_latency(Stage::TableBuild).count;
+    assert_eq!(builds, 3);
+}
