@@ -38,6 +38,9 @@ pub enum WhyNotError {
     /// The query point has zero norm: Eq. 1 prices a moved query point
     /// relative to `‖q‖`.
     ZeroQueryPoint,
+    /// The query point's squared norm `q · q` overflows `f64`: MQP's
+    /// objective `‖q′ − q‖²` would overflow with it.
+    QueryPointOverflow,
     /// The quadratic program could not be solved numerically.
     QpFailure(String),
     /// An advisor call requested an empty strategy set — there is
@@ -63,6 +66,10 @@ impl fmt::Display for WhyNotError {
             WhyNotError::ZeroQueryPoint => write!(
                 f,
                 "the query point must have a positive norm (a moved q is priced relative to ‖q‖)"
+            ),
+            WhyNotError::QueryPointOverflow => write!(
+                f,
+                "the query point is too large: its squared norm overflows f64"
             ),
             WhyNotError::QpFailure(msg) => write!(f, "quadratic programming failed: {msg}"),
             WhyNotError::NoStrategies => {
@@ -98,6 +105,9 @@ mod tests {
             .to_string()
             .contains("k = 9"));
         assert!(WhyNotError::ZeroQueryPoint.to_string().contains("norm"));
+        assert!(WhyNotError::QueryPointOverflow
+            .to_string()
+            .contains("overflows"));
         assert!(WhyNotError::QpFailure("nope".into())
             .to_string()
             .contains("nope"));

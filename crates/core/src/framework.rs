@@ -12,7 +12,7 @@
 
 use crate::error::WhyNotError;
 use crate::explain::{explain, Explanation};
-use crate::penalty::{has_positive_norm, Tolerances};
+use crate::penalty::{check_query_point, Tolerances};
 use wqrtq_geom::Weight;
 use wqrtq_query::{is_in_topk, rank_of_point, ProbeCtx, Snapshot};
 
@@ -74,8 +74,9 @@ impl<'a> Wqrtq<'a> {
     /// # Errors
     /// Returns [`WhyNotError::DimensionMismatch`] when `q` (or the
     /// snapshot's overlay) does not match the index,
-    /// [`WhyNotError::ZeroK`] for `k = 0`, and
-    /// [`WhyNotError::ZeroQueryPoint`] when `‖q‖` is not positive.
+    /// [`WhyNotError::ZeroK`] for `k = 0`,
+    /// [`WhyNotError::ZeroQueryPoint`] when `‖q‖` is not positive, and
+    /// [`WhyNotError::QueryPointOverflow`] when `q · q` is not finite.
     pub fn new(
         snapshot: impl Into<Snapshot<'a>>,
         q: &[f64],
@@ -93,9 +94,7 @@ impl<'a> Wqrtq<'a> {
         if k == 0 {
             return Err(WhyNotError::ZeroK);
         }
-        if !has_positive_norm(q) {
-            return Err(WhyNotError::ZeroQueryPoint);
-        }
+        check_query_point(q)?;
         Ok(Self {
             snapshot,
             q: q.to_vec(),
@@ -430,5 +429,13 @@ mod tests {
                 Err(WhyNotError::ZeroQueryPoint)
             ));
         }
+        // MQP squares `q′ − q`, so `q · q` must stay finite.
+        for huge in [[1e155, 0.0], [1e300, 1e300], [1e154, 1e154]] {
+            assert!(matches!(
+                Wqrtq::new(&tree, &huge, 3),
+                Err(WhyNotError::QueryPointOverflow)
+            ));
+        }
+        assert!(Wqrtq::new(&tree, &[1e153, 1e153], 3).is_ok());
     }
 }

@@ -33,7 +33,7 @@
 //!
 //! Every algorithm takes its dataset as `impl Into<`[`Snapshot`]`>`: a
 //! bare `&RTree` (the paper's "index over `P`") or a serving layer's
-//! index + delta overlay + dominance mask — one function per operation,
+//! index + delta overlay — one function per operation,
 //! the same answer either way.
 
 pub mod advisor;

@@ -9,7 +9,7 @@
 //! which would not scale with dimensionality (§4.2).
 
 use crate::error::WhyNotError;
-use crate::penalty::{has_positive_norm, query_point_penalty};
+use crate::penalty::{check_query_point, query_point_penalty};
 use crate::safe_region::SafeRegion;
 use wqrtq_geom::Weight;
 use wqrtq_qp::{solve, QpProblem};
@@ -39,7 +39,8 @@ pub struct MqpResult {
 ///
 /// # Errors
 /// [`WhyNotError::ZeroQueryPoint`] when `‖q‖` is not positive (Eq. 1
-/// divides by it), and what [`SafeRegion::build`] returns.
+/// divides by it), [`WhyNotError::QueryPointOverflow`] when `q · q` is
+/// not finite, and what [`SafeRegion::build`] returns.
 pub fn mqp<'a>(
     snap: impl Into<Snapshot<'a>>,
     q: &[f64],
@@ -53,9 +54,7 @@ pub fn mqp<'a>(
             got: q.len(),
         });
     }
-    if !has_positive_norm(q) {
-        return Err(WhyNotError::ZeroQueryPoint);
-    }
+    check_query_point(q)?;
     // Phase 1: top-k-th point per why-not vector (Algorithm 1, lines 1–12)
     // — shared with the safe-region constructor.
     let region = SafeRegion::build(snap, q, k, why_not)?;

@@ -10,6 +10,7 @@
 //! * Modifying everything: `Penalty(q′, Wm′, k′) = γ·Δq + λ·Penalty(Wm′,
 //!   k′)` (Eq. 5).
 
+use crate::error::WhyNotError;
 use wqrtq_geom::weight::MAX_SIMPLEX_DISTANCE;
 use wqrtq_geom::{l2_dist, l2_norm, Weight};
 
@@ -64,6 +65,22 @@ impl Default for Tolerances {
 /// not NaN).
 pub(crate) fn has_positive_norm(q: &[f64]) -> bool {
     l2_norm(q) > 0.0
+}
+
+/// Checks that a plan can move `q`: `‖q‖` is positive (Eq. 1 divides by
+/// it) and `q · q` is finite (else MQP's `‖q′ − q‖²` overflows).
+///
+/// # Errors
+/// [`WhyNotError::ZeroQueryPoint`] and
+/// [`WhyNotError::QueryPointOverflow`].
+pub(crate) fn check_query_point(q: &[f64]) -> Result<(), WhyNotError> {
+    if !has_positive_norm(q) {
+        return Err(WhyNotError::ZeroQueryPoint);
+    }
+    if !l2_norm(q).is_finite() {
+        return Err(WhyNotError::QueryPointOverflow);
+    }
+    Ok(())
 }
 
 /// Equation (1): normalised modification of the query point,

@@ -5,8 +5,8 @@
 //! ## Mutation lifecycle
 //!
 //! * **Register** installs a fresh `Generation`: the base epoch, the
-//!   row-major coordinates, and the index, the mask and each named
-//!   population's [`ScoreTable`] built from them on first use, once
+//!   row-major coordinates, and the index and each named population's
+//!   [`ScoreTable`] built from them on first use, once
 //!   each — concurrent cold callers block on the one builder behind the
 //!   generation's [`OnceLock`], outside the catalog lock, so other
 //!   datasets never stall behind a build. Each build records one
@@ -18,7 +18,7 @@
 //! * **Compaction** installs a new generation bulk-loaded from
 //!   [`Overlay::merge`]'s canonical order, bumping the base epoch, off
 //!   the request path; a mutation landing mid-merge abandons it. The old
-//!   generation's mask and score tables die with it.
+//!   generation's index and score tables die with it.
 //! * **Recovery** rebuilds each overlay through [`Overlay::try_new`]: a
 //!   snapshot the catalog could not have written is a typed error.
 //!
@@ -115,11 +115,8 @@ pub struct DatasetHandle {
     /// The delta overlay this request must answer against (plain when
     /// the dataset has not mutated since its base was built).
     pub view: DeltaView,
-    /// The k-dominance mask (its culprit planes) over the base tree,
-    /// built lazily per base generation next to the index. `None` when
-    /// the catalog was configured with the pre-filter off (the
-    /// differential-oracle opt-out) — membership verdicts then always
-    /// probe the tree.
+    /// Retired: always `None`. The k-dominance mask is no longer built;
+    /// the field stays only because `benchmark/` compiles against it.
     pub dom: Option<Arc<DominanceIndex>>,
     /// The generation the base fields come from: where its score tables
     /// live ([`Catalog::score_table`]).
@@ -133,13 +130,9 @@ impl DatasetHandle {
     }
 
     /// The borrowed form every query and why-not entry point takes:
-    /// base index + overlay + mask (when the pre-filter is on).
+    /// base index + overlay.
     pub fn snapshot(&self) -> Snapshot<'_> {
-        Snapshot {
-            tree: &self.index,
-            view: Some(&self.view),
-            dom: self.dom.as_deref(),
-        }
+        Snapshot::from(&*self.index).overlay(&self.view)
     }
 }
 
@@ -150,7 +143,7 @@ pub(crate) struct Peek {
     /// Epoch triple at peek time.
     pub(crate) epoch: DatasetEpoch,
     /// The base index, when the dataset is overlay-free and its index
-    /// and mask are built — a top-k over it needs no delta state.
+    /// is built — a top-k over it needs no delta state.
     pub(crate) plain: Option<Arc<RTree>>,
 }
 
@@ -169,7 +162,7 @@ pub(crate) const SCORE_TABLE_DEPTH: usize = 10;
 pub(crate) const SCORE_TABLE_MAX_WEIGHTS: usize = 1 << 14;
 
 /// One bulk-loaded base: its epoch, its row-major coordinates, and the
-/// index, mask and score tables built from them lazily. Replaced
+/// index and score tables built from them lazily. Replaced
 /// wholesale on re-registration and compaction, so they describe
 /// exactly this base.
 #[derive(Debug)]
@@ -177,9 +170,6 @@ struct Generation {
     epoch: u64,
     coords: Arc<Vec<f64>>,
     index: OnceLock<BuiltIndex>,
-    /// Built after the index on its own lock, so callers that only need
-    /// the tree never wait for the mask.
-    dom: OnceLock<Arc<DominanceIndex>>,
     /// Keyed by population name: populations are immutable and a name is
     /// never re-registered, so a table never goes stale within its base.
     /// The lock covers only finding a population's cell, never a build.
@@ -201,7 +191,6 @@ impl DatasetEntry {
             epoch,
             coords: Arc::new(coords),
             index,
-            dom: OnceLock::new(),
             tables: Mutex::default(),
         };
         Self {
@@ -260,9 +249,9 @@ pub struct CatalogStats {
     /// Compaction attempts abandoned because the dataset mutated while
     /// the merge was running (the next mutation re-triggers).
     pub compactions_abandoned: u64,
-    /// Dominance masks actually built (lazy first-use per base
-    /// generation). Deliberately separate from `index_builds`, whose
-    /// exact values the overlay-serving gates assert.
+    /// Retired: always 0 (no k-dominance mask is built). Kept for
+    /// `benchmark/`'s `engine.mask_builds` and its slot in the wire's
+    /// stats reply.
     pub mask_builds: u64,
     /// WAL records appended by the attached durability layer (0 when
     /// the engine runs without a `data_dir`).
@@ -277,20 +266,15 @@ pub struct CatalogStats {
 }
 
 /// Thread-safe catalog of datasets and weight populations.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Catalog {
     inner: RwLock<CatalogInner>,
-    /// Build the k-dominance mask per base generation and hand it to
-    /// serving snapshots.
-    prefilter: bool,
     index_builds: AtomicU64,
     rebuilds_avoided: AtomicU64,
     compactions: AtomicU64,
     compactions_abandoned: AtomicU64,
-    mask_builds: AtomicU64,
     /// The engine's stage histograms, which every lazy build records one
-    /// sample into ([`Stage::IndexBuild`], [`Stage::MaskBuild`],
-    /// [`Stage::TableBuild`]).
+    /// sample into ([`Stage::IndexBuild`], [`Stage::TableBuild`]).
     stages: StageHistograms,
     /// The durability layer, attached once (after recovery replay, so
     /// replayed mutations are not logged twice). `None` for in-memory
@@ -299,33 +283,10 @@ pub struct Catalog {
     durability: OnceLock<Arc<Durability>>,
 }
 
-impl Default for Catalog {
-    fn default() -> Self {
-        Self::with_config(true)
-    }
-}
-
 impl Catalog {
-    /// An empty catalog with the k-dominance pre-filter enabled.
+    /// An empty catalog.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty catalog; `prefilter` gates the k-dominance mask. Off
-    /// yields the unmasked reference plane the differential
-    /// oracles compare against.
-    pub fn with_config(prefilter: bool) -> Self {
-        Self {
-            inner: RwLock::default(),
-            prefilter,
-            index_builds: AtomicU64::new(0),
-            rebuilds_avoided: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            compactions_abandoned: AtomicU64::new(0),
-            mask_builds: AtomicU64::new(0),
-            stages: StageHistograms::default(),
-            durability: OnceLock::new(),
-        }
     }
 
     /// The stage histograms this catalog records its builds into, for
@@ -512,21 +473,6 @@ impl Catalog {
             .index
             .get_or_init(|| self.build_index(dim, &base.coords))
             .clone();
-        // The mask: at most once per generation, outside the lock, and
-        // counted apart from index builds (gates assert `index_builds`).
-        let dom = self.prefilter.then(|| {
-            base.dom
-                .get_or_init(|| {
-                    let started = Instant::now();
-                    // ordering: Relaxed — monotonic stats counter; the
-                    // OnceLock provides the once-only synchronization.
-                    self.mask_builds.fetch_add(1, Ordering::Relaxed);
-                    let dom = Arc::new(DominanceIndex::build(&index));
-                    self.record_build(Stage::MaskBuild, started);
-                    dom
-                })
-                .clone()
-        });
         Ok(DatasetHandle {
             coords: base.coords.clone(),
             dim,
@@ -534,7 +480,7 @@ impl Catalog {
             index,
             view: entry.overlay.view(flat.clone()),
             flat,
-            dom,
+            dom: None,
             generation: entry.base,
         })
     }
@@ -614,7 +560,7 @@ impl Catalog {
             self.compactions_abandoned.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
-        // The stale generation's index and mask die with it.
+        // The stale generation's index and score tables die with it.
         *entry = DatasetEntry::new(dim, entry.base.epoch + 1, live, OnceLock::from(built));
         // ordering: Relaxed — monotonic stats counter; installation of
         // the merged base is published by the catalog write lock above.
@@ -634,15 +580,14 @@ impl Catalog {
 
     /// An `O(1)` look at a dataset for a caller that must neither wait
     /// nor build: its epoch, plus its base index when the overlay is
-    /// empty and the index (and, with the pre-filter on, the mask) is
-    /// already built. `None` when the dataset is unknown or a writer
+    /// empty and the index is already built (a compaction installs its
+    /// merged base built). `None` when the dataset is unknown or a writer
     /// holds the catalog lock — the caller then leaves the request to
     /// [`Catalog::handle`] on the pool.
     pub(crate) fn peek(&self, name: &str) -> Option<Peek> {
         let inner = self.inner.try_read().ok()?;
         let entry = inner.datasets.get(name)?;
-        let ready = entry.overlay.is_empty() && (!self.prefilter || entry.base.dom.get().is_some());
-        let plain = entry.base.index.get().filter(|_| ready);
+        let plain = entry.base.index.get().filter(|_| entry.overlay.is_empty());
         Some(Peek {
             epoch: entry.epoch(),
             plain: plain.map(|(tree, _)| tree.clone()),
@@ -840,7 +785,7 @@ impl Catalog {
             rebuilds_avoided: self.rebuilds_avoided.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             compactions_abandoned: self.compactions_abandoned.load(Ordering::Relaxed),
-            mask_builds: self.mask_builds.load(Ordering::Relaxed),
+            mask_builds: 0,
             wal_appends: durability.wal_appends,
             snapshot_writes: durability.snapshot_writes,
             recoveries: durability.recoveries,
@@ -859,9 +804,7 @@ mod tests {
         vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     }
 
-    /// `n` points on the 2-d diagonal: point `i` has `i` dominators, so
-    /// from 40 points on the 10-skyband is at most a quarter of the set
-    /// and the mask keeps a plane.
+    /// `n` points on the 2-d diagonal.
     fn diagonal(n: usize) -> Vec<f64> {
         (0..n).flat_map(|i| [i as f64; 2]).collect()
     }
@@ -881,6 +824,9 @@ mod tests {
         let h2 = c.handle("sq").unwrap();
         assert!(Arc::ptr_eq(&h.index, &h2.index));
         assert_eq!(c.stats().index_builds, 1);
+        // The retired mask fields stay empty.
+        assert!(h.dom.is_none());
+        assert_eq!(c.stats().mask_builds, 0);
     }
 
     #[test]
@@ -904,6 +850,15 @@ mod tests {
         let mutated = c.peek("sq").unwrap();
         assert_eq!(mutated.epoch, c.epoch("sq").unwrap());
         assert!(mutated.plain.is_none(), "an overlay needs delta state");
+        // A compaction installs its merged base built: the next peek
+        // offers it, with no `handle()` in between.
+        assert!(c.compact_if("sq", mutated.epoch).unwrap());
+        let merged = c.peek("sq").unwrap();
+        assert_eq!(merged.epoch, DatasetEpoch::fresh(2));
+        let tree = merged.plain.expect("the merged base is offered");
+        assert_eq!(tree.len(), 5);
+        assert_eq!(c.stats().index_builds, 2, "the merge's build, no other");
+        assert!(Arc::ptr_eq(&tree, &c.handle("sq").unwrap().index));
     }
 
     #[test]
@@ -1222,48 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn mask_builds_lazily_and_separately_from_the_index() {
-        let c = Catalog::new();
-        c.register("diag", 2, diagonal(64)).unwrap();
-        let h = c.handle("diag").unwrap();
-        let dom = h.dom.expect("default catalog builds the mask");
-        assert!(!dom.culprit_planes().is_empty());
-        let s = c.stats();
-        assert_eq!((s.index_builds, s.mask_builds), (1, 1));
-        // A second handle shares the same mask — still one build each.
-        let h2 = c.handle("diag").unwrap();
-        assert!(Arc::ptr_eq(&dom, h2.dom.as_ref().unwrap()));
-        let s = c.stats();
-        assert_eq!((s.index_builds, s.mask_builds), (1, 1));
-    }
-
-    #[test]
-    fn prefilter_off_catalog_serves_the_unmasked_reference_plane() {
-        let c = Catalog::with_config(false);
-        c.register("sq", 2, unit_square()).unwrap();
-        let h = c.handle("sq").unwrap();
-        assert!(h.dom.is_none(), "prefilter off: no mask");
-        let s = c.stats();
-        assert_eq!(s.mask_builds, 0);
-    }
-
-    #[test]
-    fn compaction_retires_the_mask_with_its_base_generation() {
-        let c = Catalog::new();
-        c.register("diag", 2, diagonal(64)).unwrap();
-        let dom1 = c.handle("diag").unwrap().dom.unwrap();
-        c.append("diag", &[0.5, 0.5]).unwrap();
-        let epoch = c.epoch("diag").unwrap();
-        assert!(c.compact_if("diag", epoch).unwrap());
-        // The fresh base generation rebuilds its mask lazily, on demand.
-        assert_eq!(c.stats().mask_builds, 1);
-        let dom2 = c.handle("diag").unwrap().dom.unwrap();
-        assert!(!Arc::ptr_eq(&dom1, &dom2), "new base, new mask");
-        assert!(!dom2.culprit_planes().is_empty());
-        assert_eq!(c.stats().mask_builds, 2);
-    }
-
-    #[test]
     fn concurrent_cold_handles_build_exactly_once() {
         use std::sync::Barrier;
         let c = Arc::new(Catalog::new());
@@ -1362,10 +1275,10 @@ mod tests {
         ));
         assert_eq!(samples(Stage::TableBuild), 3);
 
-        // Every index and mask build recorded one sample too.
+        // Every index build recorded one sample too; no mask is built.
         let stats = c.stats();
         assert_eq!(samples(Stage::IndexBuild), stats.index_builds);
-        assert_eq!(samples(Stage::MaskBuild), stats.mask_builds);
-        assert_eq!((stats.index_builds, stats.mask_builds), (2, 2));
+        assert_eq!(stats.index_builds, 2);
+        assert_eq!(samples(Stage::MaskBuild), 0);
     }
 }

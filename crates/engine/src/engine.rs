@@ -49,7 +49,6 @@ pub struct EngineBuilder {
     workers: usize,
     cache_capacity: usize,
     overlay_limit: Option<usize>,
-    prefilter: bool,
     data_dir: Option<PathBuf>,
     fsync: FsyncPolicy,
 }
@@ -60,7 +59,6 @@ impl Default for EngineBuilder {
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
             cache_capacity: 256,
             overlay_limit: None,
-            prefilter: true,
             data_dir: None,
             fsync: FsyncPolicy::Always,
         }
@@ -99,16 +97,6 @@ impl EngineBuilder {
     /// [`Engine::compact`] manually).
     pub fn overlay_limit(mut self, limit: usize) -> Self {
         self.overlay_limit = Some(limit);
-        self
-    }
-
-    /// Whether the k-dominance pre-filter is built and consulted
-    /// (default true). Turning it off removes the mask's culprit planes
-    /// from every serving path — the opt-out the differential oracles use
-    /// to obtain the unmasked reference plane. Verdicts are bit-identical
-    /// either way.
-    pub fn prefilter(mut self, enabled: bool) -> Self {
-        self.prefilter = enabled;
         self
     }
 
@@ -153,7 +141,7 @@ impl EngineBuilder {
     /// opened, its images are structurally corrupt, or the recovered
     /// state violates a catalog invariant.
     pub fn try_build(self) -> Result<Engine, EngineError> {
-        let catalog = Catalog::with_config(self.prefilter);
+        let catalog = Catalog::new();
         if let Some(dir) = &self.data_dir {
             let durability_err = |e: crate::storage::StorageError| EngineError::Durability {
                 reason: e.to_string(),
@@ -458,7 +446,7 @@ impl Engine {
     /// 2. a cache hit of any query kind, keyed on an `O(1)` catalog peek;
     /// 3. a [`Request::TopK`] miss with `k` at most one leaf's worth
     ///    ([`wqrtq_rtree::DEFAULT_FANOUT`]) on a dataset whose overlay is
-    ///    empty and whose index and mask are already built.
+    ///    empty and whose index is already built.
     ///
     /// So the caller never builds an index, never waits on a lock a
     /// writer holds, and never runs work that grows with the overlay.
@@ -698,86 +686,6 @@ mod tests {
         assert_eq!(m.total_requests(), 5);
         assert_eq!(m.batches, 1);
         assert!(m.total_index_nodes() > 0, "TopK/Explain report index work");
-    }
-
-    #[test]
-    fn masked_plane_is_bit_identical_to_the_unmasked_oracle() {
-        let scatter = |n: usize, seed: u64| -> Vec<f64> {
-            let mut v = Vec::with_capacity(n * 3);
-            let mut s = seed | 1;
-            for _ in 0..n * 3 {
-                s = s
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                v.push((s >> 11) as f64 / (1u64 << 53) as f64 * 100.0);
-            }
-            v
-        };
-        // Big enough for the culprit planes to cover every k sent.
-        let coords = scatter(3000, 9);
-        let weights: Vec<Vec<f64>> = (0..96)
-            .map(|i| {
-                let a = (i as f64 + 1.0) / 97.0;
-                vec![a, (1.0 - a) * 0.7, (1.0 - a) * 0.3]
-            })
-            .collect();
-        let tiered = Engine::builder().workers(2).build();
-        let oracle = Engine::builder().workers(2).prefilter(false).build();
-        for e in [&tiered, &oracle] {
-            e.register_dataset("d", 3, coords.clone()).unwrap();
-        }
-        let q = vec![50.0, 50.0, 50.0];
-        let reqs = |k: usize| {
-            vec![
-                Request::ReverseTopKBi {
-                    dataset: "d".into(),
-                    weights: WeightSet::Inline(weights.clone()),
-                    q: q.clone(),
-                    k,
-                },
-                Request::TopK {
-                    dataset: "d".into(),
-                    weight: vec![0.2, 0.5, 0.3],
-                    k,
-                },
-                Request::WhyNot {
-                    dataset: "d".into(),
-                    q: q.clone(),
-                    k,
-                    why_not: vec![vec![0.6, 0.2, 0.2]],
-                    options: mqp_only(8),
-                },
-            ]
-        };
-        for k in [1usize, 5, 20] {
-            assert_eq!(
-                tiered.submit_batch(reqs(k)),
-                oracle.submit_batch(reqs(k)),
-                "pre-mutation, k={k}"
-            );
-        }
-        // Identical mutation streams: the mask built at the old base
-        // must keep correcting through the epoch triple.
-        for e in [&tiered, &oracle] {
-            e.append_points("d", &scatter(40, 11)).unwrap();
-            e.delete_points("d", &[3, 77, 2040]).unwrap();
-        }
-        for k in [1usize, 5, 20] {
-            assert_eq!(
-                tiered.submit_batch(reqs(k)),
-                oracle.submit_batch(reqs(k)),
-                "post-mutation, k={k}"
-            );
-        }
-        let mt = tiered.metrics();
-        assert_eq!(mt.catalog.mask_builds, 1, "one mask per base generation");
-        // The planes, not the tree probe, decided the masked side.
-        let handle = tiered.catalog().handle("d").unwrap();
-        let dom = handle.dom.expect("the served handle carries the mask");
-        for k in [1usize, 5, 20] {
-            assert!(dom.plane_usable_for(k), "a plane covers k={k}");
-        }
-        assert_eq!(oracle.metrics().catalog.mask_builds, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! them) and whether the result came from the cache. Pipeline stages
 //! (queue wait, cache lookup, index probe, …) feed a second histogram
 //! family keyed by [`Stage`], shared with the [`crate::Catalog`], which
-//! records its lazy index, mask and score-table builds into it.
+//! records its lazy index and score-table builds into it.
 //! [`MetricsSnapshot`] is a
 //! consistent-enough point-in-time read for dashboards and tests; once
 //! workers quiesce it is exact, which is what the wire `Stats`
@@ -406,7 +406,6 @@ impl std::fmt::Display for MetricsSnapshot {
             self.catalog.compactions,
             self.catalog.compactions_abandoned,
         )?;
-        writeln!(f, "  pre-filter: {} mask builds", self.catalog.mask_builds)?;
         writeln!(
             f,
             "  durability: {} wal appends, {} snapshots, {} recoveries ({} records replayed)",

@@ -290,7 +290,7 @@ impl SpanBuf {
 
 /// What a cache miss executes against.
 enum Target<'a> {
-    /// The pool's snapshot: overlay and mask included, the index built
+    /// The pool's snapshot: overlay included, the index built
     /// on first use; `progress` observes a [`Request::WhyNot`]'s partial
     /// results.
     Handle(DatasetHandle, &'a mut Option<ProgressFn>),

@@ -13,8 +13,8 @@
 //! kernel stack-allocates) every buffer, so a serving worker can reuse
 //! its scratch across millions of requests.
 //!
-//! Every kernel is exact `f64` in row order: the catalog's base store and
-//! the mask's culprit planes are this store. The Morton-clustered variant
+//! Every kernel is exact `f64` in row order: the catalog's base store is
+//! this store. The Morton-clustered variant
 //! with an `f32` pre-pass, [`crate::QuantizedPoints`], wraps one and
 //! serves MQWK's frontier only (its module docs say why).
 
@@ -198,49 +198,6 @@ impl FlatPoints {
             start += len;
         }
         (count, stats)
-    }
-
-    /// Appends the points scoring strictly below `threshold` under `w`,
-    /// in row order and up to `max_rows` of them — point indices (into
-    /// this store) to `out_ids`, row-major coordinates to `out_rows` —
-    /// returning how many were pushed.
-    ///
-    /// The culprit pools this fills re-score whatever they are handed,
-    /// so no verdict depends on which rows come back; the indices are
-    /// stable identities for deduplication (a pool must never count the
-    /// same point twice).
-    ///
-    /// # Panics
-    /// Panics if `w.len() != dim`.
-    pub fn collect_better_into(
-        &self,
-        w: &[f64],
-        threshold: f64,
-        max_rows: usize,
-        out_ids: &mut Vec<u32>,
-        out_rows: &mut Vec<f64>,
-    ) -> usize {
-        assert_eq!(w.len(), self.dim, "weight dimension mismatch");
-        let mut pushed = 0usize;
-        let mut buf = [0.0f64; BLOCK];
-        let mut start = 0;
-        while start < self.n && pushed < max_rows {
-            let len = BLOCK.min(self.n - start);
-            let buf = &mut buf[..len];
-            self.score_rows(w, start, buf);
-            for (i, &s) in (start..).zip(buf.iter()) {
-                if s < threshold {
-                    out_ids.push(i as u32);
-                    out_rows.extend((0..self.dim).map(|d| self.cols[d * self.n + i]));
-                    pushed += 1;
-                    if pushed == max_rows {
-                        return pushed;
-                    }
-                }
-            }
-            start += len;
-        }
-        pushed
     }
 }
 
@@ -442,7 +399,7 @@ mod tests {
             )),
             raw in proptest::collection::vec(0.01f64..1.0, 4),
             threshold in 0.0f64..15.0,
-            (cap, max_rows) in (0usize..700, 0usize..700),
+            cap in 0usize..700,
         ) {
             let w: Vec<f64> = {
                 let s: f64 = raw[..dim].iter().sum();
@@ -465,21 +422,6 @@ mod tests {
                 f.count_better_than_capped(&w, threshold, cap) >= cap,
                 count >= cap
             );
-            // The culprit sampler returns every better row, in row order,
-            // up to `max_rows`.
-            let better: Vec<u32> = (0..naive.len() as u32)
-                .filter(|&i| naive[i as usize] < threshold)
-                .take(max_rows)
-                .collect();
-            let (mut ids, mut rows) = (Vec::new(), Vec::new());
-            let pushed = f.collect_better_into(&w, threshold, max_rows, &mut ids, &mut rows);
-            prop_assert_eq!(pushed, better.len());
-            prop_assert_eq!(&ids, &better);
-            let expect_rows: Vec<f64> = better
-                .iter()
-                .flat_map(|&i| pts[i as usize * dim..(i as usize + 1) * dim].to_vec())
-                .collect();
-            prop_assert_eq!(rows, expect_rows);
         }
     }
 }

@@ -10,9 +10,9 @@
 //! (medians of three 20 s runs, seed 2015, 2-core x86-64 Xeon), with
 //! ~1 000 counts per plan where it once took ~5 600. Everywhere else it
 //! lost — nothing scans the whole-dataset base store above 2 048
-//! points, and the mask's culprit planes answered `rtopk_scan` faster
-//! exact (p50 420 → 328 µs, same box) — so those stay plain
-//! [`FlatPoints`].
+//! points, and the culprit planes (since removed) answered `rtopk_scan`
+//! faster exact (p50 420 → 328 µs, same box) — so the base store stays
+//! plain [`FlatPoints`].
 //!
 //! ## The two-tier scan
 //!

@@ -39,11 +39,11 @@
 //! * `variant-suffix` — in [`SINGLE_ENTRY_PATHS`] (the query, why-not
 //!   and engine crates), no `pub fn` may be named `*_view`, `*_masked`,
 //!   `*_scratch`, `*_with_stats`, `*_legacy` or `*_trace`: every query
-//!   operation is one function over a `Snapshot` (whose optional parts
-//!   select the tier) and a `ProbeCtx` (which owns the scratch and the
-//!   counters), and every engine submit path takes its options (trace
-//!   id, progress observer) on a `BatchSubmission`, so a suffixed twin is
-//!   a calling-convention cross-product growing back.
+//!   operation is one function over a `Snapshot` (whose optional
+//!   overlay selects the corrections) and a `ProbeCtx` (which owns the
+//!   scratch and the counters), and every engine submit path takes its
+//!   options (trace id, progress observer) on a `BatchSubmission`, so a
+//!   suffixed twin is a calling-convention cross-product growing back.
 //! * `drift` — cross-file vocabulary checks; see [`crate::drift`].
 //!
 //! Test code is exempt from `atomics-audit`, `no-panic`,
@@ -582,7 +582,7 @@ fn rule_variant_suffix(file: &SourceFile, out: &mut Vec<Violation>) {
                     message: format!(
                         "`pub fn {name}` is a `{suffix}` twin — keep one function per \
                          operation and carry the convention in its arguments: a query \
-                         takes `impl Into<Snapshot>` (overlay and mask are optional parts) \
+                         takes `impl Into<Snapshot>` (the overlay is an optional part) \
                          and `&mut ProbeCtx` (scratch + counters); a submit takes a \
                          `BatchSubmission` (trace id, progress observer, completion)"
                     ),

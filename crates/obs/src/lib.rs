@@ -54,7 +54,8 @@ pub enum Stage {
     Serialize = 6,
     /// One base's bulk-loaded index and column store.
     IndexBuild = 7,
-    /// One base's k-dominance mask (its culprit planes).
+    /// Retired: one base's k-dominance mask, which is no longer built.
+    /// The tag is never reused or renumbered; no sample is recorded.
     MaskBuild = 8,
     /// One named population's score table over one base.
     TableBuild = 9,

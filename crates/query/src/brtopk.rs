@@ -24,9 +24,7 @@
 //!   per-weight allocation. The pool test is sound for *any* pool
 //!   contents: pool members are dataset points, so `k` of them scoring
 //!   strictly below `f(w, q)` proves `rank(q, w) > k` regardless of how
-//!   the pool was assembled. When the snapshot's mask has a culprit
-//!   plane covering the verdict's cap, a capped count over that skyband
-//!   replaces the probe; the tree is never probed through the mask.
+//!   the pool was assembled.
 //!
 //! RTA is exposed in slice form ([`rta_sorted_order`] +
 //! [`rta_over_order`]): the serving engine runs one request's whole
@@ -37,14 +35,14 @@
 
 use crate::rank::is_in_topk;
 use crate::snapshot::{ProbeCtx, Snapshot};
-use wqrtq_geom::{count_better_rows, DeltaView, Point, Weight};
-use wqrtq_rtree::{DominanceIndex, ProbeScratch, RTree};
+use wqrtq_geom::{count_better_rows, Point, Weight};
+use wqrtq_rtree::{ProbeScratch, RTree};
 
 /// Work counters of the RTA runs on one [`ProbeCtx`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RtaStats {
-    /// Weights decided without an index probe (culprit pool, overlay
-    /// sweep or culprit plane).
+    /// Weights decided without an index probe (culprit pool or overlay
+    /// sweep).
     pub buffer_prunes: usize,
     /// Weights that needed an index probe.
     pub tree_verifications: usize,
@@ -245,13 +243,23 @@ pub fn bichromatic_reverse_topk_rta<'a>(
 /// nor — when `differential` splits an order into slices — on the other
 /// slices.
 ///
-/// Verdicts are those of the naive scan over the snapshot's live rows,
-/// whatever the snapshot carries; the mask's culprit planes, when one
-/// covers `k`, only shift the prune/verify split. An un-mutated snapshot
-/// takes the plane loop when a plane covers `k` and the seeded-pool loop
-/// otherwise, a mutated one the overlay-corrected loop — their pools
-/// differ in what may enter them (plane-local ids cannot be
-/// tombstone-checked).
+/// Verdicts are those of the naive scan over the snapshot's live rows.
+/// Every weight is corrected by the `O(Δ)` appended/tombstoned sweeps
+/// (both zero for an un-mutated snapshot), the pool keeps only *live*
+/// base points (a tombstoned culprit would prune unsoundly), and the
+/// base probe's count target shifts by the overlay corrections. Per
+/// weight, with `sq = f(w, q)`:
+///
+/// 1. `d_add` live appended rows beat `q`; if `d_add ≥ k`, `q` is out.
+/// 2. The pool holds live base points; `pool_better ≥ k − d_add` proves
+///    at least `k` live points beat `q` — out, no index work.
+/// 3. Otherwise probe the base index for target
+///    `cap = k − d_add + d_dead`: the probe decides `base_all < cap`,
+///    which is exactly `live_better < k`, and refills the pool with the
+///    culprits it scored. The pool keeps at most 2k recent culprits:
+///    enough slack that the k needed for a prune survive drift across
+///    the sorted weights, small enough that the fused count kernel
+///    stays in L1.
 pub fn rta_over_order<'a>(
     snap: impl Into<Snapshot<'a>>,
     weights: &[Weight],
@@ -261,185 +269,40 @@ pub fn rta_over_order<'a>(
     ctx: &mut ProbeCtx,
 ) -> Vec<usize> {
     let snap = snap.into();
-    if order.is_empty() || k == 0 {
+    if k == 0 {
         return Vec::new();
     }
     // Past `live + 1` every `k` admits every weight; the clamp keeps the
-    // pool sizes (`2k`) and the overlay-adjusted caps from overflowing.
+    // pool size (`2k`) and the overlay-adjusted caps from overflowing.
     let k = k.min(snap.live_len() + 1);
     ctx.warm = true;
     ctx.pool.clear();
     ctx.pool_ids.clear();
-    let plane = snap.dom.filter(|d| d.plane_usable_for(k));
-    match (snap.mutated(), plane) {
-        (Some(view), _) => rta_mutated(snap, view, weights, order, q, k, ctx),
-        (None, Some(d)) => rta_plane(snap, d, weights, order, q, k, ctx),
-        (None, None) => rta_plain(snap, weights, order, q, k, ctx),
-    }
-}
-
-/// Whether `k` distinct pooled dataset points strictly beat `sq` under
-/// `w` — proof that `q` is outranked, with zero index work.
-fn pool_outranks(ctx: &ProbeCtx, w: &Weight, sq: f64, k: usize) -> bool {
-    ctx.pool_ids.len() >= k && count_better_rows(&ctx.pool, w, sq) >= k
-}
-
-/// Un-mutated snapshot whose mask has a culprit plane covering `k`: a
-/// point with ≥ k dominators can never be a top-k member or a culprit,
-/// so every verdict is a capped count over the compact k-skyband — no
-/// tree probes at all. A rolling culprit pool still fronts the plane:
-/// most outranked weights are rejected by re-scoring ~2k recent culprit
-/// rows (a dozen FLOPs), and whenever the plane does rule a weight out,
-/// the pool is refreshed with culprits sampled from the same skyband, so
-/// it tracks the sorted weight walk. Pool ids here are *plane-local*
-/// indices — which is why this loop cannot serve a mutated snapshot
-/// (they cannot be tombstone-checked). Weights with negative entries
-/// (where the dominance argument fails) fall back to an exact probe
-/// individually.
-fn rta_plane(
-    snap: Snapshot<'_>,
-    d: &DominanceIndex,
-    weights: &[Weight],
-    order: &[usize],
-    q: &[f64],
-    k: usize,
-    ctx: &mut ProbeCtx,
-) -> Vec<usize> {
+    let view = snap.mutated();
     let mut result = Vec::new();
     for &idx in order {
-        let w = &weights[idx];
-        let sq = w.score(q);
-        if pool_outranks(ctx, w, sq, k) {
-            ctx.rta.buffer_prunes += 1;
-            continue;
-        }
-        match d.plane_outranked(w.as_slice(), sq, k) {
-            Some(outranked) => {
-                ctx.rta.buffer_prunes += 1;
-                if outranked {
-                    ctx.fresh.clear();
-                    d.plane_culprits_into(w.as_slice(), sq, k, 2 * k, &mut ctx.fresh);
-                    ctx.pool_fresh(snap.dim(), 2 * k, |_| false);
-                } else {
-                    result.push(idx);
-                }
-            }
-            None => {
-                ctx.rta.tree_verifications += 1;
-                if ctx.probe(snap, w.as_slice(), sq, k, false) {
-                    result.push(idx);
-                }
-            }
-        }
-    }
-    result
-}
-
-/// Un-mutated snapshot without a plane covering `k`, probing the tree.
-/// The pool keeps at most 2k recent culprits: enough slack that the k
-/// needed for a prune survive drift across the sorted weights, small
-/// enough that the fused count kernel stays in L1.
-fn rta_plain(
-    snap: Snapshot<'_>,
-    weights: &[Weight],
-    order: &[usize],
-    q: &[f64],
-    k: usize,
-    ctx: &mut ProbeCtx,
-) -> Vec<usize> {
-    let mut result = Vec::new();
-
-    // Seed: the first weight's exact top-k both decides its membership
-    // (q is in iff fewer than k of the k best strictly beat it — every
-    // other point scores no better than the k-th) and fills the pool.
-    let first = order[0];
-    let w0 = &weights[first];
-    let sq0 = w0.score(q);
-    ctx.rta.tree_verifications += 1;
-    let mut seeded_better = 0usize;
-    let mut bf = snap.tree.best_first(w0);
-    for _ in 0..k {
-        let Some(r) = bf.next_entry() else { break };
-        if r.score < sq0 {
-            seeded_better += 1;
-        }
-        ctx.pool_ids.push(r.id);
-        ctx.pool.extend_from_slice(r.coords);
-    }
-    if seeded_better < k {
-        result.push(first);
-    }
-
-    for &idx in &order[1..] {
-        let w = &weights[idx];
-        let sq = w.score(q);
-        if pool_outranks(ctx, w, sq, k) {
-            ctx.rta.buffer_prunes += 1;
-            continue;
-        }
-        ctx.rta.tree_verifications += 1;
-        if ctx.probe(snap, w.as_slice(), sq, k, true) {
-            result.push(idx);
-        }
-        ctx.pool_fresh(snap.dim(), 2 * k, |_| false);
-    }
-    result
-}
-
-/// Mutated snapshot: every weight's verdict is corrected by the `O(Δ)`
-/// appended/tombstoned sweeps, the culprit pool keeps only *live* base
-/// points (a tombstoned culprit would prune unsoundly), and the base
-/// probe's count target shifts by the overlay corrections — so the
-/// verdicts are exactly those of a dataset rebuilt from the live rows.
-///
-/// Soundness of the pruning ladder, per weight with `sq = f(w, q)`:
-///
-/// 1. `d_add` live appended rows beat `q`; if `d_add ≥ k`, `q` is out.
-/// 2. The pool holds live base points; `pool_better ≥ k − d_add` proves
-///    at least `k` live points beat `q` — out, no index work.
-/// 3. Every base point better than `q` — live or tombstoned — either
-///    sits in the mask's k-skyband plane or has `cap` dominators that
-///    do, so a capped plane count with `cap = k − d_add + d_dead`
-///    decides the verdict exactly.
-/// 4. Otherwise probe the base index for target `cap`: the probe decides
-///    `base_all < k − d_add + d_dead`, which is exactly
-///    `live_better < k`.
-fn rta_mutated(
-    snap: Snapshot<'_>,
-    view: &DeltaView,
-    weights: &[Weight],
-    order: &[usize],
-    q: &[f64],
-    k: usize,
-    ctx: &mut ProbeCtx,
-) -> Vec<usize> {
-    let mut result = Vec::new();
-    for &idx in order {
-        let w = &weights[idx];
-        let sq = w.score(q);
-        let d_add = view.count_better_delta(w.as_slice(), sq);
+        let w = weights[idx].as_slice();
+        let sq = weights[idx].score(q);
+        let d_add = view.map_or(0, |v| v.count_better_delta(w, sq));
         if d_add >= k || pool_outranks(ctx, w, sq, k - d_add) {
             ctx.rta.buffer_prunes += 1;
             continue;
         }
-        let cap = k - d_add + view.count_better_dead(w.as_slice(), sq);
-        if let Some(outranked) = snap
-            .dom
-            .and_then(|d| d.plane_outranked(w.as_slice(), sq, cap))
-        {
-            ctx.rta.buffer_prunes += 1;
-            if !outranked {
-                result.push(idx);
-            }
-            continue;
-        }
+        let cap = k - d_add + view.map_or(0, |v| v.count_better_dead(w, sq));
         ctx.rta.tree_verifications += 1;
-        if ctx.probe(snap, w.as_slice(), sq, cap, true) {
+        if ctx.probe(snap, w, sq, cap, true) {
             result.push(idx);
         }
-        ctx.pool_fresh(snap.dim(), 2 * k, |id| view.is_deleted(id));
+        let is_dead = |id| view.is_some_and(|v| v.is_deleted(id));
+        ctx.pool_fresh(snap.dim(), 2 * k, is_dead);
     }
     result
+}
+
+/// Whether `k` distinct pooled dataset points strictly beat `sq` under
+/// `w` — proof that `q` is outranked, with zero index work.
+fn pool_outranks(ctx: &ProbeCtx, w: &[f64], sq: f64, k: usize) -> bool {
+    ctx.pool_ids.len() >= k && count_better_rows(&ctx.pool, w, sq) >= k
 }
 
 #[cfg(test)]

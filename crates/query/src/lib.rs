@@ -21,7 +21,7 @@
 //!
 //! Every indexed operation is **one function** taking
 //! `impl Into<`[`Snapshot`]`>` — the base R-tree plus an optional delta
-//! overlay and an optional k-dominance mask (see [`snapshot`]). A bare
+//! overlay (see [`snapshot`]). A bare
 //! `&RTree` is a snapshot, so `topk(&tree, w, k)` is the paper's call and
 //! `topk(handle.snapshot(), w, k)` the serving one. Operations that
 //! probe in a hot loop take a reusable [`ProbeCtx`].

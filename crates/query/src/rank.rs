@@ -53,14 +53,8 @@ pub fn rank_of_point_scan(points: &[f64], w: &[f64], q: &[f64]) -> usize {
 /// gives `base_all < k − delta_better + dead_better`, which is the
 /// base probe with an adjusted count target `cap`. Once the appended
 /// rows alone supply `k` better points `q` is out with no index work;
-/// otherwise one of two rungs, each bit-identical to the naive count,
-/// decides `base_all < cap`:
-///
-/// 1. with a mask whose culprit planes cover `cap`, a capped count over
-///    the smallest covering skyband (dead better points are in the
-///    plane's count too, which is why `cap` carries them — see
-///    `DominanceIndex::plane_outranked`);
-/// 2. else the early-exit probe of the base index.
+/// otherwise the early-exit probe of the base index decides
+/// `base_all < cap`.
 pub fn is_in_topk<'a>(
     snap: impl Into<Snapshot<'a>>,
     w: &[f64],
@@ -82,9 +76,6 @@ pub fn is_in_topk<'a>(
         return false;
     }
     let cap = k - d_add + view.map_or(0, |v| v.count_better_dead(w, s));
-    if let Some(outranked) = snap.dom.and_then(|d| d.plane_outranked(w, s, cap)) {
-        return !outranked;
-    }
     ctx.probe(snap, w, s, cap, false)
 }
 

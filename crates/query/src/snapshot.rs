@@ -2,21 +2,18 @@
 //! reuses.
 //!
 //! The paper's algorithms all read "the index over `P`". A serving
-//! system adds two optional parts to that index — a [`DeltaView`] of
-//! rows appended and deleted since it was built, and a
-//! [`DominanceIndex`] pre-filter — neither of which changes an answer:
-//! an un-mutated dataset is an overlay with nothing in it, and the
-//! mask's culprit planes hold every point that can decide a top-k
-//! verdict, so a capped count over one decides it exactly. So there is
-//! one [`Snapshot`] with optional parts and one function per operation;
-//! which tier runs is decided from what the snapshot carries.
+//! system adds one optional part to that index — a [`DeltaView`] of rows
+//! appended and deleted since it was built — which never changes an
+//! answer: an un-mutated dataset is an overlay with nothing in it. So
+//! there is one [`Snapshot`] and one function per operation; whether the
+//! overlay corrections run is decided from what the snapshot carries.
 
 use crate::brtopk::RtaStats;
 use wqrtq_geom::DeltaView;
-use wqrtq_rtree::{search::CulpritBuf, DominanceIndex, OrdF64, ProbeScratch, RTree};
+use wqrtq_rtree::{search::CulpritBuf, OrdF64, ProbeScratch, RTree};
 
-/// A borrowed, consistent view of one dataset: the base index plus the
-/// optional overlay and mask. A bare `&RTree` converts into one, so the
+/// A borrowed, consistent view of one dataset: the base index plus an
+/// optional overlay. A bare `&RTree` converts into one, so the
 /// paper-facing call `mqp(&tree, q, k, wm)` and the serving call
 /// `mqp(handle.snapshot(), q, k, wm)` are the same function.
 #[derive(Clone, Copy, Debug)]
@@ -27,19 +24,11 @@ pub struct Snapshot<'a> {
     /// (its base must be the rows `tree` indexes). `None` and a plain
     /// view are equivalent.
     pub view: Option<&'a DeltaView>,
-    /// The k-dominance mask built from `tree`. Only membership tests and
-    /// RTA consult it (its culprit planes); every other operation
-    /// ignores it.
-    pub dom: Option<&'a DominanceIndex>,
 }
 
 impl<'a> From<&'a RTree> for Snapshot<'a> {
     fn from(tree: &'a RTree) -> Self {
-        Self {
-            tree,
-            view: None,
-            dom: None,
-        }
+        Self { tree, view: None }
     }
 }
 
@@ -48,14 +37,6 @@ impl<'a> Snapshot<'a> {
     pub fn overlay(self, view: &'a DeltaView) -> Self {
         Self {
             view: Some(view),
-            ..self
-        }
-    }
-
-    /// This snapshot with the dominance pre-filter `dom` available.
-    pub fn mask(self, dom: &'a DominanceIndex) -> Self {
-        Self {
-            dom: Some(dom),
             ..self
         }
     }
@@ -100,8 +81,9 @@ pub struct ProbeCtx {
     pub(crate) pool_ids: Vec<u32>,
     /// Culprits collected by the current probe (merged into the pool).
     pub(crate) fresh: CulpritBuf,
-    /// Whether any RTA has run on this context (culprit-plane requests
-    /// allocate nothing at all, so capacity alone can't signal warmth).
+    /// Whether any RTA has run on this context (a run whose probes meet
+    /// no culprit allocates no pool, so capacity alone can't signal
+    /// warmth).
     pub(crate) warm: bool,
 }
 
@@ -115,7 +97,7 @@ impl ProbeCtx {
     /// subsequent requests reuse its buffers instead of allocating
     /// (serving metrics count these as buffer-reuse hits).
     pub fn is_warm(&self) -> bool {
-        self.warm || self.pool.capacity() > 0
+        self.warm
     }
 
     /// Decides "do fewer than `cap` base points score strictly below

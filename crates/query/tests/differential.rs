@@ -1,20 +1,17 @@
 //! The one differential property behind the single-entry-point API:
-//! whatever a [`Snapshot`] carries — nothing, a plain overlay, a mutated
-//! overlay, a dominance mask, or any combination — every operation
-//! answers bit-identically to the naive scan over the snapshot's live
-//! rows ([`DeltaView::materialize_row_major`]).
+//! whatever a [`Snapshot`] carries — nothing, a plain overlay or a
+//! mutated overlay — every operation answers bit-identically to the
+//! naive scan over the snapshot's live rows
+//! ([`DeltaView::materialize_row_major`]).
 //!
 //! The data is drawn from a coarse grid (exact score ties between
 //! distinct points) with copies of `q` injected into both the base and
-//! the appended rows (ties right at the `k` boundary), `k` runs past the
-//! mask's build cap (forcing the tree-probe fallback).
+//! the appended rows (ties right at the `k` boundary).
 //!
 //! Weights with a negative entry — a plainly negative raw slice, and a
 //! population weight whose sub-EPS negative entry `Weight::new`
 //! tolerates — are checked against the same naive scan: the index's
-//! node bounds pick each dimension's corner by the entry's sign, and the
-//! culprit planes, whose dominance argument needs monotone scoring,
-//! step aside for them.
+//! node bounds pick each dimension's corner by the entry's sign.
 //!
 //! `WQRTQ_FUZZ_ROUNDS` scales the case count (default 8 rounds of 6).
 
@@ -26,7 +23,7 @@ use wqrtq_query::{
     rank_of_point, rank_of_point_scan, rta_over_order, rta_sorted_order, topk, topk_scan, ProbeCtx,
     Snapshot,
 };
-use wqrtq_rtree::{DominanceIndex, RTree};
+use wqrtq_rtree::RTree;
 
 fn cases() -> ProptestConfig {
     let rounds = std::env::var("WQRTQ_FUZZ_ROUNDS")
@@ -159,10 +156,10 @@ proptest! {
         extra in proptest::collection::vec((0usize..40, 0usize..40, 0usize..40), 0..12),
         shape in (2usize..4, 0usize..40, 0usize..40, 0usize..40),
         raw in proptest::collection::vec((0.01f64..1.0, 0.01f64..1.0, 0.01f64..1.0), 1..12),
-        params in (1usize..14, 2usize..6, 0usize..4, 0usize..3),
+        params in (1usize..14, 2usize..6, 0usize..4),
     ) {
         let (dim, q0, q1, q2) = shape;
-        let (k, del_stride, tie_copies, cap_choice) = params;
+        let (k, del_stride, tie_copies) = params;
         let row = |&(a, b, c): &(usize, usize, usize)| {
             [a as f64 * 0.25, b as f64 * 0.25, c as f64 * 0.25][..dim].to_vec()
         };
@@ -175,8 +172,6 @@ proptest! {
         }
         let n_base = base.len() / dim;
         let tree = RTree::bulk_load_with_fanout(dim, &base, 8);
-        // A cap of 2 or 5 puts most k past it; the default never does.
-        let dom = DominanceIndex::build_with_cap(&tree, [2, 5, 1024][cap_choice]);
         let flat = Arc::new(FlatPoints::from_row_major(dim, &base));
 
         // Overlay: tombstone every del_stride-th base row, append
@@ -213,19 +208,11 @@ proptest! {
         for (view, shapes) in [
             (
                 &plain,
-                vec![
-                    ("bare", bare),
-                    ("bare+mask", bare.mask(&dom)),
-                    ("plain view", bare.overlay(&plain)),
-                    ("plain view+mask", bare.overlay(&plain).mask(&dom)),
-                ],
+                vec![("bare", bare), ("plain view", bare.overlay(&plain))],
             ),
             (
                 &mutated,
-                vec![
-                    ("mutated view", bare.overlay(&mutated)),
-                    ("mutated view+mask", bare.overlay(&mutated).mask(&dom)),
-                ],
+                vec![("mutated view", bare.overlay(&mutated))],
             ),
         ] {
             let (live, ids) = view.materialize_row_major();

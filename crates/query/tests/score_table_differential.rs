@@ -23,7 +23,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use wqrtq_geom::{score, DeltaView, FlatPoints, Point, Weight};
 use wqrtq_query::{bichromatic_reverse_topk_naive, ProbeCtx, ScoreTable, Snapshot};
-use wqrtq_rtree::{DominanceIndex, RTree};
+use wqrtq_rtree::RTree;
 
 fn cases() -> ProptestConfig {
     let rounds = std::env::var("WQRTQ_FUZZ_ROUNDS")
@@ -133,7 +133,6 @@ proptest! {
         weights.push(Weight::new(signed_zero));
 
         let tree = RTree::bulk_load_with_fanout(dim, &base, 8);
-        let dom = DominanceIndex::build_with_cap(&tree, 1024);
         let tables: Vec<ScoreTable> =
             DEPTHS.map(|t| ScoreTable::build(&tree, &weights, t)).into();
         let flat = Arc::new(FlatPoints::from_row_major(dim, &base));
@@ -174,16 +173,11 @@ proptest! {
 
         let bare = Snapshot::from(&tree);
         check(bare, "bare", &tables, &weights, &base, &q)?;
-        check(bare.mask(&dom), "bare+mask", &tables, &weights, &base, &q)?;
         check(bare.overlay(&plain), "plain view", &tables, &weights, &base, &q)?;
         let (live, _) = mutated.materialize_row_major();
-        for (name, snap) in [
-            ("mutated view", bare.overlay(&mutated)),
-            ("mutated view+mask", bare.overlay(&mutated).mask(&dom)),
-        ] {
-            prop_assert_eq!(snap.live_len(), live.len() / dim);
-            check(snap, name, &tables, &weights, &live, &q)?;
-        }
+        let snap = bare.overlay(&mutated);
+        prop_assert_eq!(snap.live_len(), live.len() / dim);
+        check(snap, "mutated view", &tables, &weights, &live, &q)?;
     }
 }
 

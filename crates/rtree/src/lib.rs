@@ -23,10 +23,9 @@
 //!   with an allocation-free reusable [`ProbeScratch`];
 //! * [`RTree::split_by_dominance`] — the pruned traversal behind
 //!   `FindIncom` (Algorithm 2, lines 20–29);
-//! * [`DominanceIndex`] — the build-time k-dominance pre-filter: the
-//!   nested culprit planes that per-point dominator counts select,
-//!   whose capped counts decide membership verdicts without a tree
-//!   probe.
+//! * [`dominator_counts`] — per-point strict-dominator counts, capped
+//!   ([`DominanceIndex`] is its retired wrapper, read by no serving
+//!   path).
 //!
 //! Node fanout defaults to 64 entries (~4 KiB per node at d = 3 and two
 //! `f64` corners per entry), mirroring the paper's 4096-byte pages.
@@ -36,7 +35,7 @@ pub mod mask;
 pub mod search;
 pub mod tree;
 
-pub use mask::{dominator_counts, DominanceIndex, CULPRIT_PLANE_K, CULPRIT_PLANE_TIERS};
+pub use mask::{dominator_counts, DominanceIndex};
 pub use search::{BestFirst, CulpritBuf, ProbeResult, ProbeScratch};
 pub use tree::RTree;
 

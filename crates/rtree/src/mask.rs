@@ -1,203 +1,56 @@
-//! The k-dominance pre-filter: nested culprit planes selected at
-//! index-build time from per-point dominator counts, in the spirit of
-//! Chester et al., *Indexing Reverse Top-k Queries*.
+//! Per-point strict-dominator counts, in the spirit of Chester et al.,
+//! *Indexing Reverse Top-k Queries*.
 //!
 //! A point strictly dominated by `k` others can never be a top-k member
 //! under any non-negative weight vector: each dominator's computed score
 //! is no larger (round-to-nearest multiplies and adds are monotone and
 //! both sides run the same operation order), so at least `k` points rank
-//! at or ahead of it. [`DominanceIndex`] keeps, for one tree, the nested
-//! skybands those counts select — plain immutable data that serving
-//! reads through [`DominanceIndex::plane_outranked`].
+//! at or ahead of it. [`dominator_counts`] counts each point's
+//! dominators, saturated at a cap. No serving path reads the counts.
 //!
 //! ## Build
 //!
-//! [`dominator_counts`] counts each point's strict dominators, saturated
-//! at a cap. A capped count is exact over any superset of the points
-//! with fewer than `cap` dominators (the lemma in
-//! [`DominanceIndex::plane_outranked`]'s soundness paragraph, applied to
-//! "dominates `p`" instead of "scores below `q`"), so a point known to be
-//! saturated is never looked at again, as a target or as a source:
+//! A capped count is exact over any superset of the points with fewer
+//! than `cap` dominators (a point's first `cap` dominators in a
+//! dominance-compatible order each have fewer than `cap`, since a
+//! dominator's dominators dominate the point too), so a point known to
+//! be saturated is never looked at again, as a target or as a source:
 //! (1) *certify* — top-down, one capped branch-and-bound probe of each
 //! node's MBR lower corner; `cap` dominators there saturate the whole
 //! subtree; (2) *restrict* — only the leaves left open are read again;
 //! (3) *count bit-parallel* — the `m` open points, in a
 //! dominance-compatible order, are counted against each other through
 //! per-dimension sorted-prefix bitsets, one source chunk at a time.
-//! `O(nodes · probe + d · m² / 64)` time, `O(m)` scratch. The counts
-//! then select the nested culprit planes ([`CULPRIT_PLANE_TIERS`]): each
-//! skyband is copied once, as exact [`FlatPoints`] columns in leaf order,
-//! and the counts are dropped. The planes read only counts below the top
-//! tier, so the index counts to [`CULPRIT_PLANE_K`] and no further: the
-//! build takes 36 ms at uniform 100k×3, 78 ms at anti-correlated 50k×5
-//! and 16 ms at uniform 40k×3 (71, 169 and 28 ms counting to 1024;
-//! median of 7, 2-core x86-64 Xeon).
-//!
-//! ## Lifecycle under mutation
-//!
-//! The index describes one *base epoch* — it is built from the bulk-loaded
-//! tree and shared immutably until compaction rebuilds the base.
-//! Appends never join it (delta rows are counted separately). Deletes
-//! are absorbed by the verdict cap: tombstoned base points stay in the
-//! planes, so a view verdict inflates its cap by the number of dead
-//! points scoring better (`d_dead`), exactly as it does for a tree probe.
+//! `O(nodes · probe + d · m² / 64)` time, `O(m)` scratch.
 
 use crate::tree::RTree;
-use wqrtq_geom::{dominates, FlatPoints};
+use wqrtq_geom::dominates;
 
-/// Skyband thresholds of the nested culprit planes: one compact
-/// [`FlatPoints`] per tier, holding every point with fewer than that
-/// many dominators. A capped verdict picks the smallest tier at or
-/// above its cap — small caps (the common `k ≈ 10` regime) scan the
-/// tight inner skyband instead of the full outer one, and the middle
-/// tier absorbs the cap inflation view verdicts pay per tombstone.
-pub const CULPRIT_PLANE_TIERS: [u16; 3] = [10, 32, 128];
+/// The cap [`DominanceIndex::build`] counts to.
+const BUILD_CAP: u16 = 128;
 
-/// Cap ceiling of the culprit planes (the largest tier): verdicts with
-/// caps above this fall back to tree probes.
-pub const CULPRIT_PLANE_K: u16 = 128;
-
-/// Largest fraction of the dataset the culprit plane may hold (as a
-/// denominator): above `n / PLANE_MAX_FRACTION` points the plane would
-/// barely shrink the scan while doubling resident coordinates, so the
-/// build skips it and callers fall back to tree probes.
-const PLANE_MAX_FRACTION: usize = 4;
-
-/// Immutable culprit-plane index over one tree's points (one base
-/// epoch): the planes and the cap their counts were taken at, with no
-/// interior mutability, so it is shared (`Arc`) across serving workers
-/// as is.
+/// Retired: the k-dominance mask no serving path reads. Kept only
+/// because `benchmark/` compiles against it — `rtree.mask_build_s_*`
+/// times [`DominanceIndex::build`], which still runs
+/// [`dominator_counts`] at cap 128 and keeps nothing but the cap.
 #[derive(Debug)]
 pub struct DominanceIndex {
     cap: u16,
-    /// Nested culprit planes, ascending by skyband threshold: each entry
-    /// `(t, plane)` holds the `t`-skyband (every point with fewer than
-    /// `t` dominators) as exact columns in leaf order. Tiers whose skyband
-    /// would exceed a quarter of the dataset are dropped (high
-    /// dimensions / tiny sets), where a compact scan stops paying for
-    /// itself; verdicts then fall back to tree probes.
-    planes: Vec<(u16, FlatPoints)>,
 }
 
 impl DominanceIndex {
-    /// Builds the index at cap [`CULPRIT_PLANE_K`], the top tier.
+    /// Counts every point's dominators to cap 128 (see
+    /// [`dominator_counts`]) and drops the counts.
     pub fn build(tree: &RTree) -> Self {
-        Self::build_with_cap(tree, CULPRIT_PLANE_K)
+        std::hint::black_box(dominator_counts(tree, BUILD_CAP));
+        Self { cap: BUILD_CAP }
     }
 
-    /// Builds the planes from [`dominator_counts`] saturated at `cap`,
-    /// clamped to [`CULPRIT_PLANE_K`]: a count at or above the top tier
-    /// selects no plane, and every count below it is exact at that cap.
-    /// Tiers above `cap` collapse into one `cap`-skyband plane.
-    ///
-    /// # Panics
-    /// Panics if `cap` is zero.
-    pub fn build_with_cap(tree: &RTree, cap: u16) -> Self {
-        let cap = cap.min(CULPRIT_PLANE_K);
-        let counts = dominator_counts(tree, cap);
-        let mut planes = Vec::new();
-        if tree.len() >= PLANE_MAX_FRACTION {
-            let dim = tree.dim();
-            for tier in CULPRIT_PLANE_TIERS {
-                let t = tier.min(cap);
-                if planes.last().is_some_and(|(prev, _)| *prev >= t) {
-                    continue; // cap collapsed this tier into the previous one
-                }
-                let skyband = counts.iter().filter(|&&c| c < t).count();
-                if skyband > tree.len() / PLANE_MAX_FRACTION {
-                    break; // larger tiers are supersets — all too dense
-                }
-                let mut rows = Vec::with_capacity(skyband * dim);
-                tree.for_each_point(|id, p| {
-                    if counts[id as usize] < t {
-                        rows.extend_from_slice(p);
-                    }
-                });
-                planes.push((t, FlatPoints::from_row_major(dim, &rows)));
-            }
-        }
-        Self { cap, planes }
-    }
-
-    /// Whether `k` lies within the build cap (`0 < k ≤ cap`). No
-    /// serving path asks ([`DominanceIndex::plane_usable_for`] implies
-    /// it); `benchmark/`'s probe timings do.
+    /// Whether `k` lies within the build cap (`0 < k ≤ cap`). Only
+    /// `benchmark/`'s probe timings ask.
     #[inline]
     pub fn usable_for(&self, k: usize) -> bool {
         k > 0 && k <= self.cap as usize
-    }
-
-    /// Whether a `cap`-capped verdict may be served by a culprit plane:
-    /// some tier's skyband threshold is at or above `cap`.
-    #[inline]
-    pub fn plane_usable_for(&self, cap: usize) -> bool {
-        cap > 0
-            && self
-                .planes
-                .last()
-                .is_some_and(|(t, _)| (*t as usize) >= cap)
-    }
-
-    /// The nested culprit planes, ascending by skyband threshold.
-    #[inline]
-    pub fn culprit_planes(&self) -> &[(u16, FlatPoints)] {
-        &self.planes
-    }
-
-    /// Serves the verdict "do at least `cap` points score strictly
-    /// below `threshold` under `w`?" from a culprit plane alone, using
-    /// the smallest tier whose threshold covers `cap`.
-    ///
-    /// Sound in both directions: the plane is a subset of the dataset,
-    /// so its count never overshoots the exact one; and if the exact
-    /// better-set `B` has at least `cap` elements, its first `cap`
-    /// points in dominance order each have fewer than `cap ≤ tier`
-    /// dominators (every dominator of a better point is itself better,
-    /// so position `i` bounds the dominator count by `i − 1`) — all of
-    /// them are in the tier's skyband and the capped plane count reaches
-    /// `cap`. Deleted base points are counted like live ones, so view
-    /// callers inflate `cap` by the dead better-count, exactly as with
-    /// the probe cap. Returns `None` (caller falls back to a scan or
-    /// probe) when no tier covers `cap` or `w` has a negative entry
-    /// (the dominance argument needs monotone scoring).
-    pub fn plane_outranked(&self, w: &[f64], threshold: f64, cap: usize) -> Option<bool> {
-        if cap == 0 || w.iter().any(|&x| x < 0.0) {
-            return None;
-        }
-        let (_, plane) = self.planes.iter().find(|(t, _)| (*t as usize) >= cap)?;
-        Some(plane.count_better_than_capped(w, threshold, cap) >= cap)
-    }
-
-    /// Samples up to `max_rows` culprit points — points scoring
-    /// strictly below `threshold` under `w` — from the same tier a
-    /// [`DominanceIndex::plane_outranked`] call with this `cap` would
-    /// scan, appending to `out`. Returns the rows pushed (0 when no
-    /// tier covers `cap`).
-    ///
-    /// Every row is a real dataset point, so a caller may feed the
-    /// sample to a threshold-prune pool without affecting any verdict:
-    /// pools re-score their rows per weight, and k distinct dataset
-    /// points beating `q` prove it outranked regardless of how they
-    /// were found. The ids are *plane-local* point indices — stable
-    /// identities for pool deduplication within one base epoch, **not**
-    /// dataset ids (a pool must never mix the two id spaces).
-    pub fn plane_culprits_into(
-        &self,
-        w: &[f64],
-        threshold: f64,
-        cap: usize,
-        max_rows: usize,
-        out: &mut crate::search::CulpritBuf,
-    ) -> usize {
-        if cap == 0 {
-            return 0;
-        }
-        match self.planes.iter().find(|(t, _)| (*t as usize) >= cap) {
-            Some((_, plane)) => {
-                plane.collect_better_into(w, threshold, max_rows, &mut out.ids, &mut out.coords)
-            }
-            None => 0,
-        }
     }
 }
 
@@ -408,7 +261,6 @@ fn count_open_points(tree: &RTree, open: &[u32], cap: u16, counts: &mut [u16]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wqrtq_geom::score;
 
     fn scatter(n: usize, dim: usize, seed: u64) -> Vec<f64> {
         let mut v = Vec::with_capacity(n * dim);
@@ -456,92 +308,22 @@ mod tests {
         let mut pts = vec![0.0, 0.0]; // dominates everything below
         pts.extend(scatter(500, 2, 3).iter().map(|x| x + 1.0));
         let tree = RTree::bulk_load_with_fanout(2, &pts, 8);
-        let dom = DominanceIndex::build_with_cap(&tree, 4);
-        assert_eq!(dom.cap, 4);
-        assert!(dom.usable_for(1) && dom.usable_for(4));
-        assert!(!dom.usable_for(5) && !dom.usable_for(0));
+        let dom = DominanceIndex::build(&tree);
+        assert!(dom.usable_for(1) && dom.usable_for(128));
+        assert!(!dom.usable_for(129) && !dom.usable_for(0));
         let counts = dominator_counts(&tree, 4);
         assert!(counts.iter().all(|&c| c <= 4));
         // The origin point dominates ≥ 4 others? No — it is dominated by
         // nobody; everything else is dominated by it.
         assert_eq!(counts[0], 0);
         assert!(counts[1..].iter().all(|&c| c >= 1));
-        // Caps past the top tier select nothing more: they clamp to it.
-        assert_eq!(
-            DominanceIndex::build_with_cap(&tree, 1024).cap,
-            CULPRIT_PLANE_K
-        );
-        assert_eq!(DominanceIndex::build(&tree).cap, CULPRIT_PLANE_K);
     }
 
     #[test]
-    fn empty_tree_builds_empty_index() {
+    fn empty_tree_counts_nothing() {
         let tree = RTree::bulk_load_with_fanout(3, &[], 8);
         assert!(dominator_counts(&tree, 1024).is_empty());
-        let dom = DominanceIndex::build(&tree);
-        assert!(!dom.plane_usable_for(1));
-        assert_eq!(dom.plane_outranked(&[0.5, 0.5, 0.0], 1.0, 1), None);
-    }
-
-    #[test]
-    fn plane_verdicts_match_full_counts() {
-        // Every tier's capped verdict must equal brute-force counting
-        // over the *entire* dataset — for caps served by the inner tier,
-        // the outer tier, and caps between the two. Caps above the
-        // retained ceiling must decline instead of guessing.
-        let pts = scatter(3000, 2, 17);
-        let tree = RTree::bulk_load_with_fanout(2, &pts, 8);
-        let dom = DominanceIndex::build(&tree);
-        let planes = dom.culprit_planes();
-        assert!(planes.len() >= 2, "3000 uniform 2-d points keep both tiers");
-        assert!(planes.windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(planes.windows(2).all(|w| w[0].1.len() <= w[1].1.len()));
-        let ceiling = planes.last().unwrap().0 as usize;
-        assert!(dom.plane_usable_for(ceiling) && !dom.plane_usable_for(ceiling + 1));
-        for wraw in [[0.3, 0.7], [0.5, 0.5], [0.9, 0.1]] {
-            for qi in (0..1500).step_by(131) {
-                let q = &pts[qi * 2..qi * 2 + 2];
-                let t = score(&wraw, q);
-                let exact = pts.chunks_exact(2).filter(|p| score(&wraw, p) < t).count();
-                for cap in [1usize, 4, 16, 17, 60, 128, 129] {
-                    let expected = (cap <= ceiling).then_some(exact >= cap);
-                    assert_eq!(
-                        dom.plane_outranked(&wraw, t, cap),
-                        expected,
-                        "w {wraw:?} q {q:?} cap {cap} exact {exact}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn plane_tiers_collapse_under_a_small_cap() {
-        // cap = 8 < every tier threshold: the tiers collapse into one
-        // 8-skyband plane, and caps above the build cap decline.
-        let pts = scatter(800, 2, 23);
-        let tree = RTree::bulk_load_with_fanout(2, &pts, 8);
-        let dom = DominanceIndex::build_with_cap(&tree, 8);
-        assert_eq!(dom.culprit_planes().len(), 1);
-        assert_eq!(dom.culprit_planes()[0].0, 8);
-        assert!(dom.plane_usable_for(8) && !dom.plane_usable_for(9));
-        // Negative weight entries break the dominance argument.
-        assert_eq!(dom.plane_outranked(&[-0.1, 1.1], 2.0, 4), None);
-        // Caps beyond the ceiling, and cap = 0, decline.
-        assert_eq!(dom.plane_outranked(&[0.5, 0.5], 2.0, 9), None);
-        assert_eq!(dom.plane_outranked(&[0.5, 0.5], 2.0, 0), None);
-    }
-
-    #[test]
-    fn dense_skyband_drops_the_plane() {
-        // All-duplicate data: nothing dominates anything, the skyband is
-        // the whole dataset, and keeping a plane would just be a full
-        // copy — the build must decline it.
-        let pts: Vec<f64> = (0..300).flat_map(|_| [5.0, 5.0]).collect();
-        let tree = RTree::bulk_load_with_fanout(2, &pts, 8);
-        let dom = DominanceIndex::build(&tree);
-        assert!(dom.culprit_planes().is_empty());
-        assert_eq!(dom.plane_outranked(&[0.5, 0.5], 6.0, 1), None);
+        assert!(DominanceIndex::build(&tree).usable_for(1));
     }
 
     #[test]
@@ -552,7 +334,7 @@ mod tests {
     fn counts_match_the_per_point_probe_at_benchmark_scale() {
         // Stand-ins for the two shapes `rtopk_scan` sets up, uniform
         // 100k×3 and anti-correlated 50k×5 (every point near the plane
-        // Σx = d/2); `mask_differential` pins the planes at the real inputs.
+        // Σx = d/2).
         let uniform = scatter(100_000, 3, 29);
         let anti: Vec<f64> = scatter(50_000, 5, 31)
             .chunks_exact(5)
@@ -564,7 +346,7 @@ mod tests {
             .collect();
         for (dim, pts) in [(3, uniform), (5, anti)] {
             let tree = RTree::bulk_load(dim, &pts);
-            let cap = DominanceIndex::build(&tree).cap;
+            let cap = BUILD_CAP;
             let counts = dominator_counts(&tree, cap);
             let mut stack = Vec::new();
             tree.for_each_point(|id, p| {

@@ -443,10 +443,10 @@ impl RTree {
         result
     }
 
-    /// [`RTree::probe_topk_membership`] under the name the masked probe
-    /// had; `k_eff` and `dom` are ignored. Kept only for `benchmark/`,
-    /// whose `rtree.probe_masked_ns` and `rtree.mask_speedup_*` probes
-    /// still call it.
+    /// Retired: [`RTree::probe_topk_membership`] under the name the
+    /// masked probe had; `k_eff` and `dom` are ignored. Kept only for
+    /// `benchmark/`, whose `rtree.probe_masked_ns` and
+    /// `rtree.mask_speedup_*` probes still call it.
     #[allow(clippy::too_many_arguments)]
     pub fn probe_topk_membership_masked(
         &self,

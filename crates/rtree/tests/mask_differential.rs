@@ -1,25 +1,21 @@
 //! `dominator_counts` certifies subtrees, restricts to the open leaves
 //! and counts bit-parallel; this suite proves the counts are the ones the
-//! definition gives, and that `DominanceIndex` selects its planes from
-//! them.
+//! definition gives.
 //!
 //! The oracle is the definition taken literally: for every point, the
 //! number of points `wqrtq_geom::dominates` says dominate it, capped.
 //! The data sits on a coarse grid with negative values and both signs of
 //! zero, so copies, whole-dataset copies and equal-sum non-copies are
 //! everywhere — the territory where a sorted sweep goes wrong. Trees are
-//! bulk-loaded at several fan-outs and caps; the planes and their
-//! verdicts are then checked through the public surface, since they are
-//! what serving reads.
+//! bulk-loaded at several fan-outs and caps; the tree's membership probe
+//! is checked on the same trees against a full count.
 //!
 //! `WQRTQ_FUZZ_ROUNDS` scales the case count (default 8 rounds of 8).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wqrtq_geom::{dominates, score, FlatPoints};
-use wqrtq_rtree::{
-    dominator_counts, DominanceIndex, ProbeScratch, RTree, CULPRIT_PLANE_K, CULPRIT_PLANE_TIERS,
-};
+use wqrtq_geom::{dominates, score};
+use wqrtq_rtree::{dominator_counts, ProbeScratch, RTree};
 
 const CAPS: [u16; 4] = [1, 3, 17, 1024];
 const FANOUTS: [usize; 3] = [4, 8, 64];
@@ -82,10 +78,9 @@ fn gridded(rng: &mut StdRng, n: usize, dim: usize) -> Vec<f64> {
     coords
 }
 
-/// Everything serving reads from the index, against the oracle's
-/// (uncapped) `dominators`.
+/// The capped counts against the oracle's (uncapped) `dominators`, and
+/// the tree's membership probe against a full count.
 fn check(points: &Points, dominators: &[usize], tree: &RTree, cap: u16, what: &str) {
-    let dom = DominanceIndex::build_with_cap(tree, cap);
     let counts = dominator_counts(tree, cap);
     let expected: Vec<u16> = dominators
         .iter()
@@ -102,33 +97,7 @@ fn check(points: &Points, dominators: &[usize], tree: &RTree, cap: u16, what: &s
         assert!(*p || counts[id] == 0, "{what}: absent id {id}");
     }
 
-    // Planes: ascending tiers, each exactly the tier's skyband; with
-    // dense ids also the documented keep/collapse/drop rule.
-    let skyband = |t: u16| expected.iter().filter(|&&c| c < t).count();
-    let planes = dom.culprit_planes();
-    assert!(planes.windows(2).all(|w| w[0].0 < w[1].0), "{what}: tiers");
-    for (t, plane) in planes {
-        assert_eq!(plane.len(), skyband(*t), "{what}: tier {t} length");
-    }
-    if slots == points.ids.len() {
-        let mut tiers: Vec<u16> = Vec::new();
-        if tree.len() >= 4 {
-            for tier in CULPRIT_PLANE_TIERS {
-                let t = tier.min(cap);
-                if tiers.last().is_some_and(|&prev| prev >= t) {
-                    continue;
-                }
-                if skyband(t) > tree.len() / 4 {
-                    break;
-                }
-                tiers.push(t);
-            }
-        }
-        let built: Vec<u16> = planes.iter().map(|(t, _)| *t).collect();
-        assert_eq!(built, tiers, "{what}: tier list");
-    }
-
-    // Verdicts: the plane and the tree probe, each against a full count.
+    // Verdicts: the tree probe against a full count.
     let n = points.ids.len();
     let mut scratch = ProbeScratch::new();
     let mut weight = vec![0.0; points.dim];
@@ -142,10 +111,6 @@ fn check(points: &Points, dominators: &[usize], tree: &RTree, cap: u16, what: &s
             .filter(|p| score(&weight, p) < threshold)
             .count();
         for k in [1usize, 2, 10, 17, 128, 1024] {
-            if dom.plane_usable_for(k) {
-                let verdict = dom.plane_outranked(&weight, threshold, k);
-                assert_eq!(verdict, Some(exact >= k), "{what}: plane k {k} q {q:?}");
-            }
             let probe = tree.probe_topk_membership(&weight, threshold, k, &mut scratch, None);
             assert_eq!(probe.in_topk, exact < k, "{what}: probe k {k} q {q:?}");
         }
@@ -232,55 +197,9 @@ fn a_nan_row_does_not_panic() {
         coords[3 * 124..3 * 125].fill(f64::NAN);
         let tree = RTree::bulk_load_with_fanout(3, &coords, fanout);
         for cap in CAPS {
-            DominanceIndex::build_with_cap(&tree, cap);
             let counts = dominator_counts(&tree, cap);
             assert_eq!(counts.len(), 500);
             assert!(counts.iter().all(|&c| c <= cap));
-        }
-    }
-}
-
-#[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "six counts over 190k points: ~7 s unoptimised, well under 1 s optimised"
-)]
-fn top_tier_counts_select_the_planes_of_the_benchmark_inputs() {
-    // The sets `benchmark/` sets up (`rtopk_scan`'s two sides and
-    // `mutate_mix`'s base): counting to the top tier decides every tier
-    // as counting to 1024 does, and `build` keeps exactly those rows.
-    use wqrtq_data::synthetic::{anticorrelated, independent};
-    let sets = [
-        ("IND 100k×3", independent(100_000, 3, 2015)),
-        ("ANTI 50k×5", anticorrelated(50_000, 5, 2016)),
-        ("IND 40k×3", independent(40_000, 3, 2015)),
-    ];
-    for (what, data) in sets {
-        let tree = RTree::bulk_load(data.dim, &data.coords);
-        let narrow = dominator_counts(&tree, CULPRIT_PLANE_K);
-        let wide = dominator_counts(&tree, 1024);
-        for t in CULPRIT_PLANE_TIERS {
-            for (id, (n, w)) in narrow.iter().zip(&wide).enumerate() {
-                assert_eq!(*n < t, *w < t, "{what}: tier {t} id {id}");
-            }
-        }
-        let dom = DominanceIndex::build(&tree);
-        let skyband = |t: u16| wide.iter().filter(|&&c| c < t).count();
-        let tiers: Vec<u16> = CULPRIT_PLANE_TIERS
-            .into_iter()
-            .take_while(|&t| skyband(t) <= tree.len() / 4)
-            .collect();
-        let built: Vec<u16> = dom.culprit_planes().iter().map(|(t, _)| *t).collect();
-        assert_eq!(built, tiers, "{what}: tier list");
-        for (t, plane) in dom.culprit_planes() {
-            let mut rows = Vec::new();
-            tree.for_each_point(|id, p| {
-                if wide[id as usize] < *t {
-                    rows.extend_from_slice(p);
-                }
-            });
-            let expected = FlatPoints::from_row_major(data.dim, &rows);
-            assert!(*plane == expected, "{what}: tier {t} rows");
         }
     }
 }

@@ -525,3 +525,119 @@ fn hostile_bichromatic_requests_answer_as_the_naive_scan_named_or_inline() {
     let builds = engine.metrics().stage_latency(Stage::TableBuild).count;
     assert_eq!(builds, 3);
 }
+
+#[test]
+fn hostile_why_not_and_mono_requests_never_panic() {
+    // `WhyNot` and `ReverseTopKMono` on every dataset shape with `q` a
+    // data point, ±0, denormal, and entries whose square overflows or
+    // nearly does; the why-not vectors carry −0.0 and denormal entries,
+    // and the budgets are tiny. No reply may report a panic, and every
+    // mono reply equals that of an engine holding only the live rows.
+    let tiny = f64::MIN_POSITIVE / 8.0;
+    let engine = Engine::builder()
+        .workers(2)
+        .overlay_limit(usize::MAX)
+        .build();
+    for dim in [2usize, 3] {
+        let with_first = |first: f64, rest: f64| {
+            let mut v = vec![rest; dim];
+            v[0] = first;
+            v
+        };
+        let why_not_sets = [
+            vec![],
+            vec![with_first(-0.0, 1.0 / (dim - 1) as f64)],
+            vec![
+                with_first(-0.0, 1.0 / (dim - 1) as f64),
+                with_first(tiny, 1.0 / (dim - 1) as f64),
+            ],
+        ];
+        for shape in ["plain", "mid-overlay", "all-deleted", "all-duplicate"] {
+            let name = format!("{shape}-{dim}d");
+            let base: Vec<f64> = match shape {
+                "all-duplicate" => [1.5, 0.5, 2.0][..dim].repeat(6),
+                _ => (0..6 * dim).map(|i| ((i * 7) % 5) as f64 * 0.5).collect(),
+            };
+            engine.register_dataset(&name, dim, base.clone()).unwrap();
+            // The live rows in canonical order: base survivors, then
+            // surviving appends.
+            let live: Vec<f64> = match shape {
+                "mid-overlay" => {
+                    let appended: Vec<f64> = (0..3 * dim).map(|i| i as f64 * 0.3).collect();
+                    engine.append_points(&name, &appended).unwrap();
+                    // Base row 1 and appended row 7 (the appends are ids 6–8).
+                    engine.delete_points(&name, &[1, 7]).unwrap();
+                    let keep = |rows: &[f64], skip: usize| -> Vec<f64> {
+                        rows.chunks_exact(dim)
+                            .enumerate()
+                            .filter(|&(i, _)| i != skip)
+                            .flat_map(|(_, r)| r.to_vec())
+                            .collect()
+                    };
+                    [keep(&base, 1), keep(&appended, 1)].concat()
+                }
+                "all-deleted" => {
+                    engine.delete_points(&name, &[0, 1, 2, 3, 4, 5]).unwrap();
+                    Vec::new()
+                }
+                _ => base.clone(),
+            };
+            let oracle = Engine::builder().workers(1).build();
+            oracle.register_dataset(&name, dim, live.clone()).unwrap();
+            let n = live.len() / dim;
+            let sum = |r: &&[f64]| r.iter().sum::<f64>();
+            let worst = base
+                .chunks_exact(dim)
+                .max_by(|a, b| sum(a).total_cmp(&sum(b)));
+            let queries = [
+                worst.unwrap().to_vec(),
+                vec![-0.0; dim],
+                with_first(-0.0, 0.75),
+                vec![tiny; dim],
+                with_first(tiny, 0.5),
+                with_first(1e155, 0.5),
+                with_first(1.3e154, 0.5),
+                vec![1e300; dim],
+            ];
+            for k in [0, 1, 2, n, n + 1, usize::MAX] {
+                let mono: Vec<Request> = queries
+                    .iter()
+                    .map(|q| Request::ReverseTopKMono {
+                        dataset: name.clone(),
+                        q: q.clone(),
+                        k,
+                        samples: 16,
+                        seed: 3,
+                    })
+                    .collect();
+                let why_not = queries.iter().flat_map(|q| {
+                    why_not_sets.iter().map(|set| Request::WhyNot {
+                        dataset: name.clone(),
+                        q: q.clone(),
+                        k,
+                        why_not: set.clone(),
+                        options: WhyNotOptions {
+                            culprit_limit: 2,
+                            sample_size: 4,
+                            query_samples: 4,
+                            seed: 1,
+                            exact_2d: set.len() != 1,
+                            ..WhyNotOptions::default()
+                        },
+                    })
+                });
+                let batch: Vec<Request> = mono.iter().cloned().chain(why_not).collect();
+                let replies = engine.submit_batch(batch.clone());
+                for (reply, request) in replies.iter().zip(&batch) {
+                    if let Response::Error(msg) = reply {
+                        assert!(!msg.contains("panicked"), "{name} {request:?}: {msg}");
+                    }
+                }
+                let expected = oracle.submit_batch(mono.clone());
+                for ((got, want), request) in replies.iter().zip(&expected).zip(&mono) {
+                    assert_eq!(got, want, "{name} {request:?}");
+                }
+            }
+        }
+    }
+}
