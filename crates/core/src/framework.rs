@@ -280,7 +280,8 @@ mod tests {
             Weight::new(vec![0.3, 0.7]), // Anna
             Weight::new(vec![0.9, 0.1]), // Julia
         ];
-        let members = bichromatic_reverse_topk_rta(&tree, &population, w.q(), w.k());
+        let members =
+            bichromatic_reverse_topk_rta(&tree, &population, w.q(), w.k(), &mut ProbeCtx::new());
         // Tony and Anna are the members; the rest — Kevin and Julia — are
         // exactly the valid why-not inputs, and the members are not.
         assert_eq!(members, vec![1, 2]);

@@ -1409,4 +1409,69 @@ mod tests {
         assert_eq!(m.stage_latency(Stage::TableBuild).count, 0);
         assert_eq!(m.scratch_reuses, 1, "the second request reran RTA");
     }
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "two 2^20-sample runs: ~3 s optimised, ~40 s unoptimised"
+    )]
+    fn a_cancel_flag_stops_a_max_budget_mono_mid_run_and_nothing_is_cached() {
+        use crate::request::MAX_SAMPLE_BUDGET;
+        use crate::worker::serve;
+        use wqrtq_query::monochromatic_reverse_topk_sampled;
+        use wqrtq_rtree::RTree;
+        let engine = Engine::builder().workers(1).cache_capacity(8).build();
+        let coords: Vec<f64> = (0..300u32)
+            .flat_map(|i| {
+                let x = f64::from(i) / 300.0;
+                [x, (x * 7.0).fract(), 1.0 - x * x]
+            })
+            .collect();
+        engine.register_dataset("cube", 3, coords.clone()).unwrap();
+        let mono = Request::ReverseTopKMono {
+            dataset: "cube".into(),
+            q: vec![0.2, 0.3, 0.4],
+            k: 5,
+            samples: MAX_SAMPLE_BUDGET,
+            seed: 7,
+        };
+        // A worker puts the claimed submission's flag on its context; the
+        // claim-time check has already passed, so RTA's first look stops it.
+        let mut scratch = ProbeCtx::new();
+        scratch.cancel = Some(Arc::new(AtomicBool::new(true)));
+        let trace = TraceContext {
+            trace_id: 1,
+            submitted: Instant::now(),
+        };
+        let reply = serve(&engine.ctx, 0, trace, &mono, &mut scratch, &mut None);
+        assert!(
+            matches!(&reply, Response::Error(msg) if msg.contains("cancelled")),
+            "{reply:?}"
+        );
+        assert_eq!(
+            scratch.rta.buffer_prunes + scratch.rta.tree_verifications,
+            0
+        );
+        let before = engine.metrics().cache;
+        assert_eq!(before.len, 0, "a cancelled reply is not cached");
+
+        let full = engine.submit(mono.clone());
+        let after = engine.metrics().cache;
+        assert_eq!((after.hits, after.misses), (before.hits, before.misses + 1));
+        let direct = monochromatic_reverse_topk_sampled(
+            &RTree::bulk_load(3, &coords),
+            &[0.2, 0.3, 0.4],
+            5,
+            MAX_SAMPLE_BUDGET,
+            7,
+            &mut ProbeCtx::new(),
+        );
+        assert_eq!(
+            full,
+            Response::MonoSampled {
+                volume_fraction: direct.volume_fraction,
+                samples: MAX_SAMPLE_BUDGET,
+            }
+        );
+        assert!(direct.volume_fraction > 0.0 && direct.volume_fraction < 1.0);
+    }
 }

@@ -45,8 +45,8 @@ use wqrtq_core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use wqrtq_geom::Weight;
 use wqrtq_obs::{SpanRecord, Stage, Tracer};
 use wqrtq_query::{
-    monochromatic_reverse_topk_sampled, rta_over_order, rta_sorted_order, topk_with, ProbeCtx,
-    Snapshot,
+    bichromatic_reverse_topk_rta, monochromatic_reverse_topk_2d, simplex_population, topk_with,
+    MrtopkEstimate, ProbeCtx, Snapshot,
 };
 use wqrtq_rtree::{RTree, DEFAULT_FANOUT};
 
@@ -220,6 +220,8 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
                         trace_id: item.trace_id,
                         submitted: task.submitted,
                     };
+                    // A flag set mid-run stops RTA within a chunk.
+                    scratch.cancel = item.cancel.take();
                     let response = serve(
                         ctx,
                         worker,
@@ -228,6 +230,7 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
                         &mut scratch,
                         &mut item.progress,
                     );
+                    scratch.cancel = None;
                     (item.complete)(response);
                 }
             }
@@ -545,7 +548,9 @@ fn simplex_weights(raw: &[Vec<f64>], field: &'static str) -> Result<Vec<Weight>,
 /// Runs the bichromatic reverse top-k for one request on the worker's
 /// own scratch: from the generation's score table when the population
 /// is registered as `named` and the catalog keeps a table for it that
-/// covers `k` (clamped to `live + 1`), else by RTA.
+/// covers `k` (clamped to `live + 1`), else by RTA — the engine's one RTA
+/// call, which a sampled mono's drawn population also takes. A cancel
+/// flag that stopped RTA makes the reply [`CANCELLED`].
 fn execute_bichromatic(
     ctx: &WorkerContext,
     handle: &DatasetHandle,
@@ -566,9 +571,10 @@ fn execute_bichromatic(
     if scratch.is_warm() {
         ctx.metrics.record_scratch_reuse();
     }
-    let order = rta_sorted_order(population);
-    let mut members = rta_over_order(handle.snapshot(), population, &order, q, k, scratch);
-    members.sort_unstable();
+    let members = bichromatic_reverse_topk_rta(handle.snapshot(), population, q, k, scratch);
+    if scratch.is_cancelled() {
+        return Response::Error(CANCELLED.into());
+    }
     Response::ReverseTopKBi(members)
 }
 
@@ -624,8 +630,8 @@ fn execute(
             if let Err(e) = check_dim(handle.dim, q) {
                 return (Response::Error(e.to_string()), 0);
             }
-            if handle.dim == 2 {
-                probe(ctx, spans, || {
+            probe(ctx, spans, || {
+                let reply = if handle.dim == 2 {
                     // The exact sweep needs a flat live buffer; un-mutated
                     // datasets reuse the base verbatim, overlays materialise
                     // their live rows (O(n), amortised by the sweep's own
@@ -637,32 +643,24 @@ fn execute(
                         live_coords = handle.view.materialize_row_major().0;
                         &live_coords
                     };
-                    let intervals =
-                        wqrtq_query::mrtopk::monochromatic_reverse_topk_2d(coords, q, *k)
-                            .into_iter()
-                            .map(|iv| (iv.lo, iv.hi))
-                            .collect();
-                    (Response::MonoExact(intervals), 0)
-                })
-            } else {
-                probe(ctx, spans, || {
-                    let est = monochromatic_reverse_topk_sampled(
-                        handle.snapshot(),
-                        q,
-                        *k,
-                        *samples,
-                        *seed,
-                        scratch,
-                    );
-                    (
-                        Response::MonoSampled {
-                            volume_fraction: est.volume_fraction,
-                            samples: est.samples,
-                        },
-                        0,
-                    )
-                })
-            }
+                    let intervals = monochromatic_reverse_topk_2d(coords, q, *k);
+                    Response::MonoExact(intervals.into_iter().map(|iv| (iv.lo, iv.hi)).collect())
+                } else {
+                    let population = simplex_population(handle.dim, *samples, *seed);
+                    match execute_bichromatic(ctx, handle, &population, None, q, *k, scratch) {
+                        Response::ReverseTopKBi(members) => {
+                            let est = MrtopkEstimate::from_members(population, &members);
+                            let (volume_fraction, samples) = (est.volume_fraction, est.samples);
+                            Response::MonoSampled {
+                                volume_fraction,
+                                samples,
+                            }
+                        }
+                        cancelled => cancelled,
+                    }
+                };
+                (reply, 0)
+            })
         }
         Request::ReverseTopKBi { weights, q, k, .. } => {
             if let Err(e) = check_dim(handle.dim, q) {

@@ -11,11 +11,10 @@
 //!   `k` live points score strictly below `f(w, q)`, and with the scores
 //!   sorted that is one comparison against the `k`-th, corrected by
 //!   counting through an overlay ([`ScoreTable::reverse_topk`]);
-//! * [`bichromatic_reverse_topk_rta`] — RTA, which serves what the table
-//!   does not: inline populations, `k` past the table's depth, a
-//!   population the engine builds no table for, and (one weight at a
-//!   time, via [`is_in_topk`]) an overlay whose tombstones hide how deep
-//!   the stored scores reach. Weights are processed in
+//! * [`bichromatic_reverse_topk_rta`] — RTA, the one entry point for
+//!   every other weight list: inline populations, `k` past the table's
+//!   depth, a population the engine builds no table for, and a sampled
+//!   mono's drawn population ([`crate::mrtopk_nd`]). Weights are processed in
 //!   similarity order; a rolling *culprit pool* (points
 //!   recently proven strictly better than `q`) provides the threshold
 //!   test via the fused [`count_better_rows`] kernel, and weights that
@@ -26,10 +25,9 @@
 //!   strictly below `f(w, q)` proves `rank(q, w) > k` regardless of how
 //!   the pool was assembled.
 //!
-//! RTA is exposed in slice form ([`rta_sorted_order`] +
-//! [`rta_over_order`]): the serving engine runs one request's whole
-//! order on the worker that picked it up, reusing that worker's
-//! [`ProbeCtx`]. The slice form exists so the `differential` test can
+//! The entry point runs on the caller's [`ProbeCtx`] (in the engine, the
+//! worker's warm one). Its halves, [`rta_sorted_order`] and
+//! [`rta_over_order`], are public only so the `differential` test can
 //! split an order into contiguous chunks, run each on its own context,
 //! and check that the concatenated verdicts equal one unsharded run.
 
@@ -218,20 +216,24 @@ pub fn rta_sorted_order(weights: &[Weight]) -> Vec<usize> {
     order
 }
 
-/// RTA-style bichromatic reverse top-k over a snapshot — the one-shot
-/// wrapper over [`rta_over_order`]. Returns qualifying indices in
-/// ascending order.
+/// RTA-style bichromatic reverse top-k over a snapshot, on `ctx`: the
+/// qualifying indices in ascending order (incomplete if `ctx`'s cancel
+/// flag stopped the run).
 pub fn bichromatic_reverse_topk_rta<'a>(
     snap: impl Into<Snapshot<'a>>,
     weights: &[Weight],
     q: &[f64],
     k: usize,
+    ctx: &mut ProbeCtx,
 ) -> Vec<usize> {
     let order = rta_sorted_order(weights);
-    let mut result = rta_over_order(snap, weights, &order, q, k, &mut ProbeCtx::new());
+    let mut result = rta_over_order(snap, weights, &order, q, k, ctx);
     result.sort_unstable();
     result
 }
+
+/// Weights [`rta_over_order`] decides between two reads of the cancel flag.
+const CANCEL_POLL_CHUNK: usize = 256;
 
 /// Runs RTA over one contiguous slice of a similarity order (see
 /// [`rta_sorted_order`]). Returns the qualifying original indices in
@@ -242,6 +244,8 @@ pub fn bichromatic_reverse_topk_rta<'a>(
 /// entry), so verdicts never depend on what the context served before,
 /// nor — when `differential` splits an order into slices — on the other
 /// slices.
+///
+/// A set cancel flag on `ctx` stops the run within 256 weights.
 ///
 /// Verdicts are those of the naive scan over the snapshot's live rows.
 /// Every weight is corrected by the `O(Δ)` appended/tombstoned sweeps
@@ -280,7 +284,10 @@ pub fn rta_over_order<'a>(
     ctx.pool_ids.clear();
     let view = snap.mutated();
     let mut result = Vec::new();
-    for &idx in order {
+    for (n, &idx) in order.iter().enumerate() {
+        if n % CANCEL_POLL_CHUNK == 0 && ctx.is_cancelled() {
+            break;
+        }
         let w = weights[idx].as_slice();
         let sq = weights[idx].score(q);
         let d_add = view.map_or(0, |v| v.count_better_delta(w, sq));
@@ -353,17 +360,9 @@ mod tests {
 
     #[test]
     fn rta_matches_naive_on_paper_example() {
-        let weights = fig_customers();
         let mut ctx = ProbeCtx::new();
-        let mut res = rta_over_order(
-            &fig_tree(),
-            &weights,
-            &rta_sorted_order(&weights),
-            &[4.0, 4.0],
-            3,
-            &mut ctx,
-        );
-        res.sort_unstable();
+        let res =
+            bichromatic_reverse_topk_rta(&fig_tree(), &fig_customers(), &[4.0, 4.0], 3, &mut ctx);
         assert_eq!(res, vec![1, 2]);
         assert_eq!(ctx.rta.buffer_prunes + ctx.rta.tree_verifications, 4);
     }
@@ -373,16 +372,24 @@ mod tests {
         let res =
             bichromatic_reverse_topk_naive(&fig_products(), &fig_customers(), &[4.0, 4.0], 100);
         assert_eq!(res, vec![0, 1, 2, 3]);
-        let rta = bichromatic_reverse_topk_rta(&fig_tree(), &fig_customers(), &[4.0, 4.0], 100);
+        let rta = bichromatic_reverse_topk_rta(
+            &fig_tree(),
+            &fig_customers(),
+            &[4.0, 4.0],
+            100,
+            &mut ProbeCtx::new(),
+        );
         assert_eq!(rta, vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn empty_weights_and_k_zero() {
         assert!(bichromatic_reverse_topk_naive(&fig_products(), &[], &[4.0, 4.0], 3).is_empty());
-        let res = bichromatic_reverse_topk_rta(&fig_tree(), &fig_customers(), &[4.0, 4.0], 0);
+        let mut ctx = ProbeCtx::new();
+        let res =
+            bichromatic_reverse_topk_rta(&fig_tree(), &fig_customers(), &[4.0, 4.0], 0, &mut ctx);
         assert!(res.is_empty());
-        let res = bichromatic_reverse_topk_rta(&fig_tree(), &[], &[4.0, 4.0], 3);
+        let res = bichromatic_reverse_topk_rta(&fig_tree(), &[], &[4.0, 4.0], 3, &mut ctx);
         assert!(res.is_empty());
     }
 
@@ -404,14 +411,7 @@ mod tests {
             .collect();
         let q = [0.9, 0.9]; // dominated by many points: never in top-k
         let mut ctx = ProbeCtx::new();
-        let res = rta_over_order(
-            &tree,
-            &weights,
-            &rta_sorted_order(&weights),
-            &q,
-            5,
-            &mut ctx,
-        );
+        let res = bichromatic_reverse_topk_rta(&tree, &weights, &q, 5, &mut ctx);
         assert!(res.is_empty());
         assert!(
             ctx.rta.buffer_prunes > ctx.rta.tree_verifications,
@@ -430,7 +430,46 @@ mod tests {
         assert!(!ctx.is_warm());
         is_in_topk(&tree, &[0.5, 0.5], &[4.0, 4.0], 3, &mut ctx);
         assert!(!ctx.is_warm());
-        rta_over_order(&tree, &weights, &[0, 1, 2, 3], &[4.0, 4.0], 3, &mut ctx);
+        bichromatic_reverse_topk_rta(&tree, &weights, &[4.0, 4.0], 3, &mut ctx);
         assert!(ctx.is_warm());
+    }
+
+    #[test]
+    fn a_set_cancel_flag_stops_a_run_within_one_chunk() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let mut state = 99u64;
+        let mut unit = || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(7);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let pts: Vec<f64> = (0..2_000 * 3).map(|_| unit()).collect();
+        let tree = RTree::bulk_load(3, &pts);
+        let weights: Vec<Weight> = (0..10_000)
+            .map(|_| Weight::normalized(vec![unit() + 0.01, unit() + 0.01, unit() + 0.01]))
+            .collect();
+        let q = [0.05, 0.1, 0.08];
+        let mut plain = ProbeCtx::new();
+        let full = bichromatic_reverse_topk_rta(&tree, &weights, &q, 10, &mut plain);
+        assert!(!full.is_empty() && full.len() < weights.len());
+
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut unset = ProbeCtx::new();
+        unset.cancel = Some(flag.clone());
+        let got = bichromatic_reverse_topk_rta(&tree, &weights, &q, 10, &mut unset);
+        assert_eq!(got, full, "an unset flag changes nothing");
+        assert!(!unset.is_cancelled());
+        assert_eq!(unset.rta, plain.rta);
+
+        flag.store(true, Ordering::Release);
+        let mut set = ProbeCtx::new();
+        set.cancel = Some(flag);
+        bichromatic_reverse_topk_rta(&tree, &weights, &q, 10, &mut set);
+        assert!(set.is_cancelled());
+        let decided = set.rta.buffer_prunes + set.rta.tree_verifications;
+        assert!(
+            decided <= CANCEL_POLL_CHUNK,
+            "{decided} weights after the flag"
+        );
     }
 }

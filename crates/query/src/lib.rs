@@ -17,7 +17,8 @@
 //! * [`mrtopk`] — **monochromatic** reverse top-k (Definition 2) in two
 //!   dimensions, computing the exact qualifying weight intervals by a
 //!   plane sweep (the segment `BC` of the paper's Figure 2), and
-//!   [`mrtopk_nd`] — its sampled estimate in any dimension.
+//!   [`mrtopk_nd`] — its sampled estimate in any dimension: RTA over a
+//!   drawn simplex population.
 //!
 //! Every indexed operation is **one function** taking
 //! `impl Into<`[`Snapshot`]`>` — the base R-tree plus an optional delta
@@ -38,7 +39,7 @@ pub use brtopk::{
     RtaStats, ScoreTable,
 };
 pub use mrtopk::{monochromatic_reverse_topk_2d, WeightInterval};
-pub use mrtopk_nd::{monochromatic_reverse_topk_sampled, MrtopkEstimate};
+pub use mrtopk_nd::{monochromatic_reverse_topk_sampled, simplex_population, MrtopkEstimate};
 pub use rank::{is_in_topk, rank_of_point, rank_of_point_scan};
 pub use snapshot::{ProbeCtx, Snapshot};
 pub use topk::{kth_point, topk, topk_scan, topk_with, KthPoint, LiveBestFirst};

@@ -3,15 +3,15 @@
 //! For d > 2 the exact `MRTOPk(q)` is a union of cells of a hyperplane
 //! arrangement on the (d−1)-simplex, whose complexity grows quickly
 //! (the paper's §2 notes that published exact monochromatic algorithms
-//! are 2-D). This module provides the standard sampling estimate: draw
-//! weighting vectors uniformly from the simplex, test membership with a
-//! capped rank query, and report the qualifying samples plus the
-//! estimated volume fraction of the qualifying region.
+//! are 2-D). This module provides the standard sampling estimate: RTA
+//! over a population drawn uniformly from the simplex, reporting the
+//! qualifying samples plus the estimated volume fraction of the
+//! qualifying region.
 //!
 //! In 2-D the estimate converges to the exact interval measure from
 //! [`crate::mrtopk`], which the tests verify.
 
-use crate::rank::is_in_topk;
+use crate::brtopk::bichromatic_reverse_topk_rta;
 use crate::snapshot::{ProbeCtx, Snapshot};
 use wqrtq_geom::Weight;
 
@@ -24,6 +24,23 @@ pub struct MrtopkEstimate {
     pub samples: usize,
     /// Estimated fraction of the weight simplex in `MRTOPk(q)`.
     pub volume_fraction: f64,
+}
+
+impl MrtopkEstimate {
+    /// The estimate over a drawn `population` whose members are the
+    /// ascending indices `members`, moved out in draw order.
+    pub fn from_members(mut population: Vec<Weight>, members: &[usize]) -> Self {
+        let samples = population.len();
+        for (slot, &i) in members.iter().enumerate() {
+            population.swap(slot, i); // `i ≥ slot`: members ascend
+        }
+        population.truncate(members.len());
+        Self {
+            volume_fraction: members.len() as f64 / samples.max(1) as f64,
+            samples,
+            members: population,
+        }
+    }
 }
 
 /// Deterministic splitmix64 step (no external RNG needed here).
@@ -39,11 +56,21 @@ fn unit(state: &mut u64) -> f64 {
     (splitmix(state) >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Estimates `MRTOPk(q)` over the snapshot's live points by uniform
-/// simplex sampling. The weight sequence depends only on
-/// `(dim, samples, seed)` and each membership verdict is exact, so the
-/// estimate is identical for any two snapshots holding the same live
-/// rows.
+/// The `samples` weighting vectors the estimate for `(dim, samples,
+/// seed)` is taken over: uniform simplex draws via exponential spacings,
+/// a pure function of its arguments.
+pub fn simplex_population(dim: usize, samples: usize, seed: u64) -> Vec<Weight> {
+    let mut state = seed ^ 0xd1b54a32d192ed03;
+    let mut spacing = || -unit(&mut state).max(f64::EPSILON).ln();
+    (0..samples)
+        .map(|_| Weight::normalized((0..dim).map(|_| spacing()).collect::<Vec<_>>()))
+        .collect()
+}
+
+/// Estimates `MRTOPk(q)` over the snapshot's live points: RTA over
+/// [`simplex_population`]`(dim, samples, seed)` on `ctx`. Every verdict is
+/// exact, so the estimate is identical for any two snapshots holding the
+/// same live rows.
 ///
 /// # Panics
 /// Panics if `q` does not match the snapshot's dimensionality.
@@ -56,28 +83,10 @@ pub fn monochromatic_reverse_topk_sampled<'a>(
     ctx: &mut ProbeCtx,
 ) -> MrtopkEstimate {
     let snap = snap.into();
-    let dim = snap.dim();
-    assert_eq!(q.len(), dim, "query dimension mismatch");
-    let mut state = seed ^ 0xd1b54a32d192ed03;
-    let mut members = Vec::new();
-    for _ in 0..samples {
-        // Uniform simplex draw via exponential spacings.
-        let mut w: Vec<f64> = (0..dim)
-            .map(|_| -unit(&mut state).max(f64::EPSILON).ln())
-            .collect();
-        let total: f64 = w.iter().sum();
-        for x in &mut w {
-            *x /= total;
-        }
-        if is_in_topk(snap, &w, q, k, ctx) {
-            members.push(Weight::new(w));
-        }
-    }
-    MrtopkEstimate {
-        volume_fraction: members.len() as f64 / samples.max(1) as f64,
-        samples,
-        members,
-    }
+    assert_eq!(q.len(), snap.dim(), "query dimension mismatch");
+    let population = simplex_population(snap.dim(), samples, seed);
+    let members = bichromatic_reverse_topk_rta(snap, &population, q, k, ctx);
+    MrtopkEstimate::from_members(population, &members)
 }
 
 #[cfg(test)]
@@ -214,5 +223,79 @@ mod tests {
             monochromatic_reverse_topk_sampled(&tree, &[4.0, 4.0], 3, 200, 9, &mut ProbeCtx::new());
         assert_eq!(a.volume_fraction, b.volume_fraction);
         assert_eq!(a.members.len(), b.members.len());
+    }
+
+    /// Uniform rows in `[0, 1)^dim` from the module's own splitmix stream.
+    fn uniform_rows(dim: usize, n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        (0..n * dim).map(|_| unit(&mut state)).collect()
+    }
+
+    /// FNV-1a over the bits of every member entry, in draw order.
+    fn member_bits(est: &MrtopkEstimate) -> u64 {
+        est.members
+            .iter()
+            .flat_map(|w| w.as_slice().iter())
+            .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+                (h ^ x.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// The estimates the per-sample `is_in_topk` loop produced before the
+    /// sampler became one RTA run over its drawn population (commit
+    /// `a8cc9d6`): `volume_fraction` (its shortest round-trip form, so
+    /// bit-exact), member count and the members' bit hash, over a plain
+    /// tree and through an overlay (every 7th base row deleted, 60 rows
+    /// appended).
+    #[test]
+    fn estimates_are_pinned_to_the_per_sample_loop() {
+        use std::sync::Arc;
+        use wqrtq_geom::FlatPoints;
+        /// `(q, k, samples, seed, overlaid, "fraction count hash")`.
+        type Pin = (&'static [f64], usize, usize, u64, bool, &'static str);
+        #[rustfmt::skip]
+        let pins: [Pin; 8] = [
+            (&[0.04, 0.05, 0.03], 10, 1000, 1, false, "0.939 939 38abfd98fdb7cad6"),
+            (&[0.01, 0.2, 0.05], 5, 500, 42, false, "0.19 95 5a651b93cd76bd08"),
+            (&[0.06, 0.005, 0.07], 3, 2000, 7, false, "0.575 1150 985154c41286469e"),
+            (&[0.2; 5], 10, 1000, 3, false, "0.115 115 486dd135176d1cc9"),
+            (&[0.1, 0.4, 0.2, 0.3, 0.1], 3, 800, 99, false, "0.02875 23 145a3c8284a7c749"),
+            (&[0.3, 0.1, 0.25, 0.05, 0.2], 25, 1500, 2015, false,
+                "0.7146666666666667 1072 4c38663fd260dd34"),
+            (&[0.04, 0.05, 0.03], 10, 1000, 1, true, "0.879 879 16ee1fa6fe58ec9a"),
+            (&[0.3, 0.1, 0.25, 0.05, 0.2], 25, 1500, 2015, true, "0.112 168 f8c3d4f4285cde47"),
+        ];
+        for (q, k, samples, seed, overlaid, pinned) in pins {
+            let dim = q.len();
+            let n = if dim == 3 { 2000 } else { 1000 };
+            let pts = uniform_rows(dim, n, 11 + dim as u64);
+            let tree = RTree::bulk_load(dim, &pts);
+            let dead_ids: Vec<u32> = (0..n as u32).step_by(7).collect();
+            let dead_rows: Vec<f64> = dead_ids
+                .iter()
+                .flat_map(|&i| pts[i as usize * dim..(i as usize + 1) * dim].to_vec())
+                .collect();
+            let view = DeltaView::new(
+                Arc::new(FlatPoints::from_row_major(dim, &pts)),
+                Arc::new(uniform_rows(dim, 60, 99).iter().map(|x| x * 0.3).collect()),
+                Arc::new((0..60u32).map(|i| n as u32 + i).collect()),
+                Arc::new(dead_rows),
+                Arc::new(dead_ids),
+            );
+            let snap = if overlaid {
+                Snapshot::from(&tree).overlay(&view)
+            } else {
+                Snapshot::from(&tree)
+            };
+            let mut ctx = ProbeCtx::new();
+            let est = monochromatic_reverse_topk_sampled(snap, q, k, samples, seed, &mut ctx);
+            let got = format!(
+                "{} {} {:x}",
+                est.volume_fraction,
+                est.members.len(),
+                member_bits(&est)
+            );
+            assert_eq!(got, pinned, "q {q:?} k {k} seed {seed} overlay {overlaid}");
+        }
     }
 }

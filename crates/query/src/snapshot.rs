@@ -9,6 +9,8 @@
 //! overlay corrections run is decided from what the snapshot carries.
 
 use crate::brtopk::RtaStats;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use wqrtq_geom::DeltaView;
 use wqrtq_rtree::{search::CulpritBuf, OrdF64, ProbeScratch, RTree};
 
@@ -71,6 +73,9 @@ pub struct ProbeCtx {
     /// RTA prune/verify counters accumulated over every
     /// [`crate::rta_over_order`] run on this context.
     pub rta: RtaStats,
+    /// The running request's cancel flag: once set, an RTA run stops
+    /// early and its incomplete answer is the caller's to discard.
+    pub cancel: Option<Arc<AtomicBool>>,
     pub(crate) probe: ProbeScratch,
     /// The bounded top-k's appended rows: `(score, delta slot)`.
     pub(crate) top_delta: Vec<(OrdF64, u32)>,
@@ -98,6 +103,11 @@ impl ProbeCtx {
     /// (serving metrics count these as buffer-reuse hits).
     pub fn is_warm(&self) -> bool {
         self.warm
+    }
+
+    /// Whether the cancel flag is set.
+    pub fn is_cancelled(&self) -> bool {
+        matches!(&self.cancel, Some(flag) if flag.load(Ordering::Acquire))
     }
 
     /// Decides "do fewer than `cap` base points score strictly below

@@ -13,6 +13,9 @@
 //! tolerates — are checked against the same naive scan: the index's
 //! node bounds pick each dimension's corner by the entry's sign.
 //!
+//! The sampled monochromatic estimate is one more case: its members are
+//! the naive scan's qualifying weights of the population it draws.
+//!
 //! `WQRTQ_FUZZ_ROUNDS` scales the case count (default 8 rounds of 6).
 
 use proptest::prelude::*;
@@ -20,8 +23,8 @@ use std::sync::Arc;
 use wqrtq_geom::{score, DeltaView, FlatPoints, Point, Weight};
 use wqrtq_query::{
     bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta, is_in_topk, kth_point,
-    rank_of_point, rank_of_point_scan, rta_over_order, rta_sorted_order, topk, topk_scan, ProbeCtx,
-    Snapshot,
+    monochromatic_reverse_topk_sampled, rank_of_point, rank_of_point_scan, rta_over_order,
+    rta_sorted_order, simplex_population, topk, topk_scan, ProbeCtx, Snapshot,
 };
 use wqrtq_rtree::RTree;
 
@@ -116,7 +119,7 @@ fn check_shape(snap: Snapshot<'_>, shape: &str, c: &Case<'_>) -> Result<(), Test
         .collect();
     let naive = bichromatic_reverse_topk_naive(&live_points, c.weights, c.q, c.k);
     prop_assert_eq!(
-        &bichromatic_reverse_topk_rta(snap, c.weights, c.q, c.k),
+        &bichromatic_reverse_topk_rta(snap, c.weights, c.q, c.k, &mut ProbeCtx::new()),
         &naive,
         "{} one-shot RTA",
         shape
@@ -144,6 +147,23 @@ fn check_shape(snap: Snapshot<'_>, shape: &str, c: &Case<'_>) -> Result<(), Test
     let mut warm = rta_over_order(snap, c.weights, &order, c.q, c.k, &mut ctx);
     warm.sort_unstable();
     prop_assert_eq!(&warm, &naive, "{} warm-context RTA", shape);
+
+    // The sampled monochromatic estimate is the same query over the
+    // population its `(dim, samples, seed)` draws, on the warm context.
+    let (samples, seed) = (97, c.ids.len() as u64 ^ (c.k as u64) << 32);
+    let population = simplex_population(dim, samples, seed);
+    let naive = bichromatic_reverse_topk_naive(&live_points, &population, c.q, c.k);
+    let est = monochromatic_reverse_topk_sampled(snap, c.q, c.k, samples, seed, &mut ctx);
+    let members: Vec<&[f64]> = est.members.iter().map(Weight::as_slice).collect();
+    let drawn: Vec<&[f64]> = naive.iter().map(|&i| population[i].as_slice()).collect();
+    prop_assert_eq!(members, drawn, "{} sampled mono", shape);
+    prop_assert_eq!(est.samples, samples);
+    prop_assert_eq!(
+        est.volume_fraction,
+        naive.len() as f64 / samples as f64,
+        "{} sampled mono fraction",
+        shape
+    );
     Ok(())
 }
 

@@ -303,20 +303,6 @@ impl RTree {
     /// (strictly below when `strict`, else `≤`). Sub-trees entirely below
     /// contribute their cached counts; sub-trees entirely above are pruned.
     pub fn count_score_below(&self, weight: &[f64], threshold: f64, strict: bool) -> usize {
-        self.count_score_below_capped(weight, threshold, strict, usize::MAX)
-    }
-
-    /// Like [`RTree::count_score_below`] but stops descending once the
-    /// count reaches `cap` (the returned value may exceed `cap` by the
-    /// size of the last counted subtree). Used for "is the rank ≤ k?"
-    /// tests that don't need exact counts.
-    pub fn count_score_below_capped(
-        &self,
-        weight: &[f64],
-        threshold: f64,
-        strict: bool,
-        cap: usize,
-    ) -> usize {
         assert_eq!(weight.len(), self.dim(), "weight dimension mismatch");
         if self.is_empty() {
             return 0;
@@ -331,9 +317,6 @@ impl RTree {
         let mut count = 0usize;
         let mut stack = vec![self.root()];
         while let Some(node) = stack.pop() {
-            if count >= cap {
-                break;
-            }
             if !below(self.min_score(node, weight)) {
                 continue; // entire subtree at-or-above the threshold
             }
@@ -650,17 +633,6 @@ mod tests {
         // Non-strict at a tie threshold: p3 scores exactly 8.2.
         assert_eq!(t.count_score_below(&[0.1, 0.9], 8.2, false), 7);
         assert_eq!(t.count_score_below(&[0.1, 0.9], 8.2, true), 6);
-    }
-
-    #[test]
-    fn count_below_capped_stops_early_but_never_undercounts() {
-        let pts = scatter(1000, 2, 11);
-        let t = RTree::bulk_load_with_fanout(2, &pts, 16);
-        let w = [0.6, 0.4];
-        let exact = t.count_score_below(&w, 5.0, true);
-        let capped = t.count_score_below_capped(&w, 5.0, true, 10);
-        assert!(capped >= 10.min(exact));
-        assert!(capped <= exact);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use wqrtq::core::advisor::WhyNotOptions;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::realistic::household_like_scaled;
 use wqrtq::geom::Weight;
-use wqrtq::query::{rank_of_point, rta_over_order, rta_sorted_order, ProbeCtx};
+use wqrtq::query::{bichromatic_reverse_topk_rta, rank_of_point, ProbeCtx};
 use wqrtq::rtree::RTree;
 
 fn main() {
@@ -39,12 +39,10 @@ fn main() {
         base.iter().map(|c| (c * 0.98).max(0.0)).collect()
     };
 
-    // The shardable form of RTA, so the context's pruning counters can
-    // be printed (`bichromatic_reverse_topk_rta` is the one-shot wrapper).
+    // RTA on a caller-owned context, so its pruning counters can be
+    // printed.
     let mut ctx = ProbeCtx::new();
-    let order = rta_sorted_order(&customers);
-    let mut result = rta_over_order(&tree, &customers, &order, &q, k, &mut ctx);
-    result.sort_unstable();
+    let result = bichromatic_reverse_topk_rta(&tree, &customers, &q, k, &mut ctx);
     let stats = ctx.rta;
     println!(
         "reverse top-{k}: {} of {} households shortlist the bundle",

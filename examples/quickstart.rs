@@ -11,6 +11,7 @@ use wqrtq::core::advisor::WhyNotOptions;
 use wqrtq::core::framework::{RefinedQuery, Wqrtq};
 use wqrtq::data::figure1;
 use wqrtq::query::brtopk::bichromatic_reverse_topk_rta;
+use wqrtq::query::ProbeCtx;
 use wqrtq::rtree::RTree;
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
     let k = 3;
 
     println!("== Reverse top-{k} query for Apple q = {q:?} ==");
-    let result = bichromatic_reverse_topk_rta(&tree, &data.customers, q, k);
+    let result = bichromatic_reverse_topk_rta(&tree, &data.customers, q, k, &mut ProbeCtx::new());
     for &i in &result {
         println!(
             "  in result: {:8} {:?}",

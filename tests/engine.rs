@@ -641,3 +641,172 @@ fn hostile_why_not_and_mono_requests_never_panic() {
         }
     }
 }
+
+#[test]
+fn hostile_topk_append_delete_and_stats_requests_never_panic() {
+    // `TopK`, `Append`, `Delete` and `Stats` on empty, all-deleted,
+    // all-duplicate and mid-overlay datasets. Weights have the wrong
+    // dimension, ±0, denormal or 1e300 entries; appends are empty,
+    // ragged, duplicate, collinear or carry the same extremes; deletes
+    // repeat an id, name an unknown, dead or `u32::MAX` id, or are empty.
+    // No reply may report a panic, a mutation lands whole or not at all,
+    // and after every step each `TopK` reply equals that of an engine
+    // holding only the live rows: its dense ids mapped to stable ids, and
+    // ids compared only at untied scores — `topk`'s contract lets a
+    // rebuilt dataset order equal scores (−0.0 and 0.0 among them)
+    // differently from an overlay.
+    use wqrtq::geom::score;
+    let tiny = f64::MIN_POSITIVE / 8.0;
+    let no_panic = |reply: &Response, what: &str| {
+        if let Response::Error(msg) = reply {
+            assert!(!msg.contains("panicked"), "{what}: {msg}");
+        }
+    };
+    let engine = Engine::builder()
+        .workers(2)
+        .overlay_limit(usize::MAX)
+        .build();
+    let oracle = Engine::builder().workers(1).build();
+    for dim in [2usize, 3] {
+        let with_first = |first: f64, rest: f64| {
+            let mut v = vec![rest; dim];
+            v[0] = first;
+            v
+        };
+        let weights = [
+            vec![1.0 / dim as f64; dim],
+            vec![0.5; dim + 1],
+            Vec::new(),
+            vec![-0.0; dim],
+            with_first(-0.0, 1.0),
+            with_first(tiny, 0.5),
+            vec![tiny; dim],
+            vec![1e300; dim],
+            with_first(1e300, 0.0),
+        ];
+        for shape in ["empty", "all-deleted", "all-duplicate", "mid-overlay"] {
+            let name = format!("{shape}-{dim}d");
+            let base: Vec<f64> = match shape {
+                "empty" => Vec::new(),
+                "all-duplicate" => [1.5, 0.5, 2.0][..dim].repeat(6),
+                _ => (0..6 * dim).map(|i| ((i * 7) % 5) as f64 * 0.5).collect(),
+            };
+            engine.register_dataset(&name, dim, base.clone()).unwrap();
+            // The live rows by stable id, in canonical order.
+            let mut live: Vec<(u32, Vec<f64>)> = base
+                .chunks_exact(dim)
+                .enumerate()
+                .map(|(i, row)| (i as u32, row.to_vec()))
+                .collect();
+            let mut next_id = live.len() as u32;
+            let mut steps: Vec<Request> = match shape {
+                "all-deleted" => vec![Request::Delete {
+                    dataset: name.clone(),
+                    ids: (0..6).collect(),
+                }],
+                "mid-overlay" => vec![
+                    Request::Append {
+                        dataset: name.clone(),
+                        points: (0..3 * dim).map(|i| i as f64 * 0.3).collect(),
+                    },
+                    Request::Delete {
+                        dataset: name.clone(),
+                        ids: vec![1, 7],
+                    },
+                ],
+                _ => Vec::new(),
+            };
+            let duplicate = base.get(..dim).map_or(vec![1.0; dim], <[f64]>::to_vec);
+            let appends = [
+                Vec::new(),
+                vec![1.0; dim + 1],
+                [duplicate.clone(), duplicate].concat(),
+                (1..4).flat_map(|t| vec![t as f64 * 0.4; dim]).collect(),
+                [vec![-0.0; dim], with_first(0.0, -0.0), vec![tiny; dim]].concat(),
+                vec![1e300; dim],
+            ];
+            steps.extend(appends.into_iter().map(|points| Request::Append {
+                dataset: name.clone(),
+                points,
+            }));
+            let deletes = [
+                Vec::new(),
+                vec![0, 0],
+                vec![u32::MAX],
+                vec![next_id + 100],
+                vec![2],
+                vec![2],
+                vec![next_id, next_id + 1, next_id],
+                vec![next_id + 1],
+            ];
+            steps.extend(deletes.into_iter().map(|ids| Request::Delete {
+                dataset: name.clone(),
+                ids,
+            }));
+            for (step, request) in steps.iter().enumerate() {
+                let reply = engine.submit(request.clone());
+                let what = format!("{name} step {step} {request:?}");
+                no_panic(&reply, &what);
+                if let Response::Mutated { .. } = reply {
+                    match request {
+                        Request::Append { points, .. } => {
+                            for row in points.chunks_exact(dim) {
+                                live.push((next_id, row.to_vec()));
+                                next_id += 1;
+                            }
+                        }
+                        Request::Delete { ids, .. } => live.retain(|(id, _)| !ids.contains(id)),
+                        _ => unreachable!(),
+                    }
+                }
+                match reply {
+                    Response::Mutated { live_len } => assert_eq!(live_len, live.len(), "{what}"),
+                    Response::Error(_) => {}
+                    other => panic!("{what}: {other:?}"),
+                }
+                let stats = engine.submit(Request::Stats);
+                assert!(matches!(stats, Response::Stats(_)), "{what}: {stats:?}");
+
+                let rows: Vec<f64> = live.iter().flat_map(|(_, row)| row.clone()).collect();
+                let fresh = format!("{name}-{step}");
+                oracle.register_dataset(&fresh, dim, rows).unwrap();
+                let n = live.len();
+                for weight in &weights {
+                    for k in [0, 1, n, n + 1, usize::MAX] {
+                        let topk = |dataset: &str| Request::TopK {
+                            dataset: dataset.into(),
+                            weight: weight.clone(),
+                            k,
+                        };
+                        let got = engine.submit(topk(&name));
+                        let what = format!("{what} TopK w {weight:?} k {k}");
+                        no_panic(&got, &what);
+                        let want = match oracle.submit(topk(&fresh)) {
+                            Response::TopK(top) => Response::TopK(
+                                top.into_iter()
+                                    .map(|(i, s)| (live[i as usize].0, s))
+                                    .collect(),
+                            ),
+                            other => other,
+                        };
+                        let (Response::TopK(got), Response::TopK(want)) = (&got, &want) else {
+                            assert_eq!(got, want, "{what}");
+                            continue;
+                        };
+                        assert_eq!(got.len(), want.len(), "{what}");
+                        for (&(g_id, g), &(w_id, w)) in got.iter().zip(want) {
+                            assert_eq!(g, w, "{what}");
+                            let tied = live
+                                .iter()
+                                .filter(|(_, row)| score(weight, row) == w)
+                                .count();
+                            if tied == 1 {
+                                assert_eq!(g_id, w_id, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

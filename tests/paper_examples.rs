@@ -14,6 +14,7 @@ use wqrtq::query::brtopk::{bichromatic_reverse_topk_naive, bichromatic_reverse_t
 use wqrtq::query::mrtopk::monochromatic_reverse_topk_2d;
 use wqrtq::query::rank::rank_of_point;
 use wqrtq::query::topk::topk;
+use wqrtq::query::ProbeCtx;
 use wqrtq::rtree::RTree;
 
 fn setup() -> (figure1::Figure1, RTree) {
@@ -38,7 +39,7 @@ fn section_1_reverse_top3_returns_tony_and_anna() {
     let (data, tree) = setup();
     let q = data.apple.coords();
     let naive = bichromatic_reverse_topk_naive(&data.products, &data.customers, q, 3);
-    let rta = bichromatic_reverse_topk_rta(&tree, &data.customers, q, 3);
+    let rta = bichromatic_reverse_topk_rta(&tree, &data.customers, q, 3, &mut ProbeCtx::new());
     assert_eq!(naive, vec![figure1::TONY, figure1::ANNA]);
     assert_eq!(rta, naive);
 }

@@ -143,6 +143,7 @@ fn joint_beats_separate_on_synthetic_workloads() {
 fn rta_equals_naive_on_generated_population() {
     use wqrtq::geom::{Point, Weight};
     use wqrtq::query::brtopk::{bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta};
+    use wqrtq::query::ProbeCtx;
     let ds = independent(2_000, 3, 108);
     let tree = RTree::bulk_load(3, &ds.coords);
     let points: Vec<Point> = (0..ds.len())
@@ -155,9 +156,10 @@ fn rta_equals_naive_on_generated_population() {
         })
         .collect();
     let q = [0.2, 0.2, 0.2];
+    let mut ctx = ProbeCtx::new();
     for k in [1, 5, 20] {
         let naive = bichromatic_reverse_topk_naive(&points, &weights, &q, k);
-        let rta = bichromatic_reverse_topk_rta(&tree, &weights, &q, k);
+        let rta = bichromatic_reverse_topk_rta(&tree, &weights, &q, k, &mut ctx);
         assert_eq!(naive, rta, "k = {k}");
     }
 }
