@@ -234,6 +234,24 @@ impl ByteWriter {
         }
     }
 
+    /// The payload written so far (after the length prefix, if any).
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf[self.prefix_len()..]
+    }
+
+    /// Empties the payload, keeping the buffer for the next one.
+    pub fn clear(&mut self) {
+        self.buf.truncate(self.prefix_len());
+    }
+
+    fn prefix_len(&self) -> usize {
+        if self.framed {
+            4
+        } else {
+            0
+        }
+    }
+
     /// The finished payload.
     pub fn into_vec(self) -> Vec<u8> {
         self.buf
@@ -378,6 +396,21 @@ mod tests {
             write_frame(&mut wire, payload).unwrap();
             assert_eq!(w.into_frame(), wire);
         }
+    }
+
+    #[test]
+    fn a_cleared_writer_reads_back_only_its_next_payload() {
+        for mut w in [ByteWriter::new(), ByteWriter::framed()] {
+            w.put_str("stale");
+            w.clear();
+            w.put_u8(9);
+            assert_eq!(w.as_slice(), [9]);
+        }
+        let mut w = ByteWriter::framed();
+        w.put_u8(1);
+        w.clear();
+        w.put_u8(2);
+        assert_eq!(w.into_frame(), [1, 0, 0, 0, 2]);
     }
 
     #[test]

@@ -15,16 +15,18 @@
 
 use crate::error::WhyNotError;
 use crate::exact2d::mwk_exact_2d;
-use crate::explain::Explanation;
+use crate::explain::{explain, Explanation};
 use crate::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use crate::incomparable::DominanceFrontier;
 use crate::mqp::{mqp, MqpResult};
 use crate::mqwk;
-use crate::mwk::{mwk_with_frontier, Budget};
+use crate::mwk::{mwk_sampled, Budget};
 use crate::penalty::{delta_wm, query_point_penalty, Tolerances};
+use crate::sampling::WeightSampler;
 use std::cell::OnceCell;
 use wqrtq_geom::weight::MAX_SIMPLEX_DISTANCE;
 use wqrtq_geom::Weight;
+use wqrtq_query::ProbeCtx;
 
 /// One of the paper's three refinement strategies, as a plain
 /// (data-only) selector for the advisor and the serving layers.
@@ -52,9 +54,9 @@ impl StrategyKind {
         }
     }
 
-    /// The stable serialisation tag of this strategy — the single
-    /// source of truth for both the engine's cache fingerprint and the
-    /// server's wire codec, so the two can never drift.
+    /// The stable serialisation tag of this strategy: what the engine's
+    /// request encoding writes (the wire's submit bytes, and the bytes its
+    /// cache fingerprint hashes) and the plan replies carry.
     pub fn tag(self) -> u8 {
         match self {
             StrategyKind::Mqp => 1,
@@ -232,6 +234,7 @@ impl Wqrtq<'_> {
     /// place a plan runs a strategy. `k_max` is the worst rank of `q`
     /// under the why-not set, which [`Wqrtq::validate_why_not`] has
     /// checked: the strategies run without a second validation pass.
+    /// The sampled strategies stop early on `ctx`'s cancel flag.
     fn run_step(
         &self,
         why_not: &[Weight],
@@ -239,6 +242,7 @@ impl Wqrtq<'_> {
         options: &WhyNotOptions,
         k_max: usize,
         shared: &Shared,
+        ctx: &ProbeCtx,
     ) -> Result<RankedStep, WhyNotError> {
         let (snapshot, q, k, tol) = (self.snapshot(), self.q(), self.k(), self.tolerances());
         let frontier = || {
@@ -280,14 +284,16 @@ impl Wqrtq<'_> {
                     (refined, res.penalty, stats(true, 0, 0))
                 }
                 _ => {
-                    let res = mwk_with_frontier(
-                        frontier(),
+                    let frontier = frontier();
+                    let res = mwk_sampled(
+                        frontier,
                         k,
                         why_not,
                         options.sample_size,
                         tol,
-                        options.seed,
                         &Budget::UNBOUNDED,
+                        || WeightSampler::new(frontier, why_not, options.seed),
+                        ctx,
                     );
                     let refined = RefinedQuery::Preferences {
                         why_not: res.refined,
@@ -306,6 +312,7 @@ impl Wqrtq<'_> {
                     options.query_samples,
                     tol,
                     options.seed,
+                    ctx,
                 );
                 let refined = RefinedQuery::Everything {
                     q_prime: res.q_prime,
@@ -376,7 +383,7 @@ impl Wqrtq<'_> {
     /// why-not set, explains each vector, runs every requested strategy
     /// (exact 2-D MWK auto-selected where applicable), and returns the
     /// plan ranked cheapest-first. Equivalent to
-    /// [`Wqrtq::advise_with`] with a no-op observer.
+    /// [`Wqrtq::advise_with`] with a fresh context and a no-op observer.
     ///
     /// # Errors
     /// [`WhyNotError::NoStrategies`] when the strategy set is empty;
@@ -386,7 +393,7 @@ impl Wqrtq<'_> {
         why_not: &[Weight],
         options: &WhyNotOptions,
     ) -> Result<RefinementPlan, WhyNotError> {
-        self.advise_with(why_not, options, |_| {})
+        self.advise_with(why_not, options, &mut ProbeCtx::new(), |_| {})
     }
 
     /// [`Wqrtq::advise`], reporting each completed step through `emit`
@@ -396,12 +403,18 @@ impl Wqrtq<'_> {
     /// so a serving layer can stream partial answers while the more
     /// expensive strategies are still running.
     ///
+    /// The explanations run on `ctx`'s buffers. A set cancel flag on
+    /// `ctx` stops the plan between steps, and MWK's and MQWK's sampling
+    /// loops within a chunk of 256; a step cut short is not reported, and
+    /// the plan returned is then incomplete and the caller's to discard.
+    ///
     /// # Errors
     /// See [`Wqrtq::advise`].
     pub fn advise_with(
         &self,
         why_not: &[Weight],
         options: &WhyNotOptions,
+        ctx: &mut ProbeCtx,
         mut emit: impl FnMut(AdvisorEvent<'_>),
     ) -> Result<RefinementPlan, WhyNotError> {
         let strategies = canonical_strategies(&options.strategies);
@@ -420,31 +433,43 @@ impl Wqrtq<'_> {
         });
 
         let mut explanations = Vec::with_capacity(why_not.len());
-        for (index, w) in why_not.iter().enumerate() {
-            let started = std::time::Instant::now();
-            let explanation = self.explain(w, options.culprit_limit);
-            emit(AdvisorEvent::StageTimed {
-                stage: "explain",
-                nanos: stage_nanos(started),
-            });
-            emit(AdvisorEvent::Explained {
-                index,
-                explanation: &explanation,
-            });
-            explanations.push(explanation);
-        }
-
         let mut steps = Vec::with_capacity(strategies.len());
-        let shared = Shared::default();
-        for strategy in strategies {
-            let started = std::time::Instant::now();
-            let step = self.run_step(why_not, strategy, options, k_max, &shared)?;
-            emit(AdvisorEvent::StageTimed {
-                stage: strategy.name(),
-                nanos: stage_nanos(started),
-            });
-            emit(AdvisorEvent::Step(&step));
-            steps.push(step);
+        let (snapshot, q) = (self.snapshot(), self.q());
+        'run: {
+            for (index, w) in why_not.iter().enumerate() {
+                if ctx.is_cancelled() {
+                    break 'run;
+                }
+                let started = std::time::Instant::now();
+                let explanation = explain(snapshot, w, q, options.culprit_limit, ctx);
+                emit(AdvisorEvent::StageTimed {
+                    stage: "explain",
+                    nanos: stage_nanos(started),
+                });
+                emit(AdvisorEvent::Explained {
+                    index,
+                    explanation: &explanation,
+                });
+                explanations.push(explanation);
+            }
+
+            let shared = Shared::default();
+            for strategy in strategies {
+                if ctx.is_cancelled() {
+                    break 'run;
+                }
+                let started = std::time::Instant::now();
+                let step = self.run_step(why_not, strategy, options, k_max, &shared, ctx)?;
+                if ctx.is_cancelled() {
+                    break 'run;
+                }
+                emit(AdvisorEvent::StageTimed {
+                    stage: strategy.name(),
+                    nanos: stage_nanos(started),
+                });
+                emit(AdvisorEvent::Step(&step));
+                steps.push(step);
+            }
         }
         // Cheapest first; the stable sort keeps the canonical strategy
         // order on exact penalty ties.
@@ -586,6 +611,7 @@ mod tests {
             .advise_with(
                 &kevin_julia(),
                 &WhyNotOptions::default(),
+                &mut ProbeCtx::new(),
                 |event| match event {
                     AdvisorEvent::Explained { index, .. } => trace.push(format!("explain{index}")),
                     AdvisorEvent::Step(step) => trace.push(step.strategy.name().to_string()),
@@ -602,6 +628,52 @@ mod tests {
             ["validate", "explain", "explain", "MQP", "MWK", "MQWK"]
         );
         assert_eq!(plan.steps.len(), 3);
+    }
+
+    #[test]
+    fn a_set_cancel_flag_stops_the_plan_and_its_sampling_loops() {
+        use crate::incomparable::DominanceFrontier;
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Arc;
+        let tree = fig_tree();
+        let w = Wqrtq::new(&tree, &[4.0, 4.0], 3).unwrap();
+        let why_not = kevin_julia();
+        let options = WhyNotOptions {
+            exact_2d: false,
+            ..WhyNotOptions::default()
+        };
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut ctx = ProbeCtx::new();
+        ctx.cancel = Some(flag.clone());
+        // An unset flag changes nothing.
+        let unset = w.advise_with(&why_not, &options, &mut ctx, |_| {}).unwrap();
+        let plain = w.advise(&why_not, &options).unwrap();
+        assert_eq!(format!("{unset:?}"), format!("{plain:?}"));
+
+        // A set flag stops the plan before its next step, reporting none.
+        flag.store(true, Ordering::Release);
+        let mut reported = 0;
+        let stopped = w
+            .advise_with(&why_not, &options, &mut ctx, |event| {
+                if !matches!(event, AdvisorEvent::StageTimed { .. }) {
+                    reported += 1;
+                }
+            })
+            .unwrap();
+        assert_eq!(reported, 0);
+        assert!(stopped.explanations.is_empty() && stopped.steps.is_empty());
+
+        // Inside a step, MWK draws no sample at any budget, and MQWK
+        // evaluates its two endpoints but no sampled query point.
+        let (tol, q) = (Tolerances::paper_default(), [4.0, 4.0]);
+        let frontier = DominanceFrontier::new(&tree, &q);
+        let sampler = || WeightSampler::new(&frontier, &why_not, 7);
+        let budget = &Budget::UNBOUNDED;
+        let mwk = mwk_sampled(&frontier, 3, &why_not, 1 << 20, &tol, budget, sampler, &ctx);
+        assert_eq!(mwk.candidates_examined, why_not.len(), "only the originals");
+        let solved = mqp(&tree, &q, 3, &why_not).unwrap();
+        let mqwk = mqwk::refine(&frontier, &solved, 3, &why_not, 64, 4096, &tol, 7, &ctx);
+        assert_eq!((mqwk.candidates_evaluated, mqwk.candidates_pruned), (2, 0));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::mwk::{mwk_sampled, Budget, MwkResult};
 use crate::penalty::{eq4, query_point_penalty, Tolerances};
 use crate::sampling::{sample_query_points, WeightSampler};
 use wqrtq_geom::{score, Weight};
-use wqrtq_query::Snapshot;
+use wqrtq_query::{ProbeCtx, Snapshot};
 
 /// Which candidate family produced the best tuple.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -105,6 +105,7 @@ pub fn mqwk<'a>(
         query_samples,
         tol,
         seed,
+        &ProbeCtx::new(),
     ))
 }
 
@@ -135,6 +136,7 @@ pub fn mqwk_with_frontier<'a>(
         query_samples,
         tol,
         seed,
+        &ProbeCtx::new(),
     ))
 }
 
@@ -143,6 +145,10 @@ pub fn mqwk_with_frontier<'a>(
 /// in its MQP step's answer, so it solves MQP once. A sample is
 /// re-classified and its anchors' culprits found once: they price it
 /// ([`penalty_floor`]) and, if it may still win, seed its MWK sampler.
+///
+/// A set cancel flag on `ctx` stops the candidate loop within 256
+/// samples, and each MWK run within 256 draws; the incomplete answer is
+/// then the caller's to discard.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
 pub(crate) fn refine(
     base: &DominanceFrontier,
@@ -153,6 +159,7 @@ pub(crate) fn refine(
     query_samples: usize,
     tol: &Tolerances,
     seed: u64,
+    ctx: &ProbeCtx,
 ) -> MqwkResult {
     let (q, qmin) = (base.q(), &mqp_res.q_prime);
     // Line 3: sample |Q| query points from (qmin, q). What depends only
@@ -180,7 +187,7 @@ pub(crate) fn refine(
         best: best.penalty,
     };
     let sampler = || WeightSampler::with_culprits(base, why_not, reuse.culprits(base), seed);
-    let res = mwk_sampled(base, k, why_not, sample_size, tol, &budget, sampler);
+    let res = mwk_sampled(base, k, why_not, sample_size, tol, &budget, sampler, ctx);
     best.offer(q, res, &budget, RefinementSource::PreferenceEndpoint);
 
     // Lines 5–9: evaluate each sample through MWK over the re-classified
@@ -188,6 +195,9 @@ pub(crate) fn refine(
     // seeds its MWK with `seed + i + 1` whether or not its predecessors
     // ran.
     for (i, q_cand) in samples.iter().enumerate() {
+        if ctx.cancelled_at(i) {
+            break;
+        }
         let budget = Budget {
             floor: tol.gamma * query_point_penalty(q, q_cand),
             best: best.penalty,
@@ -206,7 +216,16 @@ pub(crate) fn refine(
         best.candidates_evaluated += 1;
         let seed = seed.wrapping_add(i as u64 + 1);
         let sampler = || WeightSampler::with_culprits(&frontier, why_not, culprits, seed);
-        let res = mwk_sampled(&frontier, k, why_not, sample_size, tol, &budget, sampler);
+        let res = mwk_sampled(
+            &frontier,
+            k,
+            why_not,
+            sample_size,
+            tol,
+            &budget,
+            sampler,
+            ctx,
+        );
         best.offer(q_cand, res, &budget, RefinementSource::Sampled);
     }
     best

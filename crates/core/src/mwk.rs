@@ -26,8 +26,9 @@ use crate::error::WhyNotError;
 use crate::incomparable::DominanceFrontier;
 use crate::penalty::{eq4, Tolerances};
 use crate::sampling::WeightSampler;
+use std::ops::ControlFlow;
 use wqrtq_geom::{l2_dist, Weight};
-use wqrtq_query::Snapshot;
+use wqrtq_query::{ProbeCtx, Snapshot};
 
 /// Result of the MWK refinement.
 #[derive(Clone, Debug)]
@@ -135,12 +136,17 @@ pub fn mwk_with_frontier(
     budget: &Budget,
 ) -> MwkResult {
     let sampler = || WeightSampler::new(frontier, why_not, seed);
-    mwk_sampled(frontier, k, why_not, sample_size, tol, budget, sampler)
+    let ctx = &ProbeCtx::new();
+    mwk_sampled(frontier, k, why_not, sample_size, tol, budget, sampler, ctx)
 }
 
 /// [`mwk_with_frontier`] drawing its weights from `sampler()`, which runs
 /// only once some original vector misses the top-k. MQWK passes samplers
 /// whose culprits its per-plan [`crate::incomparable::Reuse`] found.
+///
+/// A set cancel flag on `ctx` stops the draws within 256 samples; the
+/// incomplete answer is then the caller's to discard.
+#[allow(clippy::too_many_arguments)] // Algorithm 2's inputs plus the context
 pub(crate) fn mwk_sampled<'f>(
     frontier: &'f DominanceFrontier,
     k: usize,
@@ -149,6 +155,7 @@ pub(crate) fn mwk_sampled<'f>(
     tol: &Tolerances,
     budget: &Budget,
     sampler: impl FnOnce() -> WeightSampler<'f>,
+    ctx: &ProbeCtx,
 ) -> MwkResult {
     assert!(!why_not.is_empty(), "why-not set must be non-empty");
     let m = why_not.len();
@@ -194,18 +201,24 @@ pub(crate) fn mwk_sampled<'f>(
     // replace, that move alone prices the CW out of the budget.
     let mut candidates: Vec<f64> = Vec::new();
     let mut pool: Vec<(usize, usize)> = Vec::new();
+    let mut drawn = 0;
     sampler().sample_each(sample_size, |w| {
+        if ctx.cancelled_at(drawn) {
+            return ControlFlow::Break(());
+        }
+        drawn += 1;
         if why_not
             .iter()
             .all(|wi| budget.rules_out(penalty(k, l2_dist(wi, w))))
         {
-            return;
+            return ControlFlow::Continue(());
         }
         let better = frontier.count_better(w, cap);
         if better < cap {
             pool.push((frontier.num_dominating() + better + 1, pool.len()));
             candidates.extend_from_slice(w);
         }
+        ControlFlow::Continue(())
     });
     for (w, &rank) in why_not.iter().zip(&ranks) {
         pool.push((rank, pool.len()));

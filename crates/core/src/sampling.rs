@@ -26,6 +26,7 @@
 use crate::incomparable::{DominanceFrontier, Reuse};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::ControlFlow;
 use wqrtq_geom::{dot, Weight};
 
 /// Samples weighting vectors from the union of the `I`-hyperplanes of a
@@ -82,13 +83,20 @@ impl<'a> WeightSampler<'a> {
     /// hyperplanes are hit repeatedly.
     pub fn sample(&mut self, n: usize) -> Vec<Weight> {
         let mut out = Vec::with_capacity(n);
-        self.sample_each(n, |w| out.push(Weight::new(w)));
+        self.sample_each(n, |w| {
+            out.push(Weight::new(w));
+            ControlFlow::Continue(())
+        });
         out
     }
 
     /// [`WeightSampler::sample`], lending each draw to `sink` instead of
-    /// boxing it.
-    pub(crate) fn sample_each(&mut self, n: usize, mut sink: impl FnMut(&[f64])) {
+    /// boxing it; a `sink` that breaks ends the draws.
+    pub(crate) fn sample_each(
+        &mut self,
+        n: usize,
+        mut sink: impl FnMut(&[f64]) -> ControlFlow<()>,
+    ) {
         let m = self.frontier.num_incomparable();
         if m == 0 {
             return;
@@ -102,7 +110,9 @@ impl<'a> WeightSampler<'a> {
                 self.sample_on_plane(p_idx)
             };
             if drew {
-                sink(&self.w);
+                if sink(&self.w).is_break() {
+                    return;
+                }
                 drawn += 1;
             } else {
                 failures += 1;

@@ -1474,4 +1474,78 @@ mod tests {
         );
         assert!(direct.volume_fraction > 0.0 && direct.volume_fraction < 1.0);
     }
+
+    #[test]
+    fn a_cancel_flag_stops_a_max_budget_plan_between_steps_and_nothing_is_cached() {
+        use crate::request::{PlanDelta, MAX_SAMPLE_BUDGET};
+        use crate::worker::serve;
+        use std::sync::Mutex;
+        let engine = Engine::builder().workers(1).cache_capacity(8).build();
+        let twin = Engine::builder().workers(1).build();
+        let coords: Vec<f64> = (0..300u32)
+            .flat_map(|i| {
+                let x = f64::from(i) / 300.0;
+                [x, (x * 7.0).fract(), 1.0 - x * x]
+            })
+            .collect();
+        engine.register_dataset("cube", 3, coords.clone()).unwrap();
+        twin.register_dataset("cube", 3, coords).unwrap();
+        let plan = |budget: usize| Request::WhyNot {
+            dataset: "cube".into(),
+            q: vec![0.6, 0.6, 0.6],
+            k: 5,
+            why_not: vec![vec![0.2, 0.3, 0.5]],
+            options: WhyNotOptions {
+                sample_size: budget,
+                query_samples: budget,
+                seed: 7,
+                ..WhyNotOptions::default()
+            },
+        };
+        let trace = TraceContext {
+            trace_id: 1,
+            submitted: Instant::now(),
+        };
+        // The observer sets the flag when MQP's step arrives: MWK and
+        // MQWK, each at the largest budget, never start.
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut scratch = ProbeCtx::new();
+        scratch.cancel = Some(flag.clone());
+        let deltas = Arc::new(Mutex::new(Vec::new()));
+        let (seen, setter) = (deltas.clone(), flag.clone());
+        let mut progress: Option<ProgressFn> = Some(Box::new(move |delta: PlanDelta| {
+            if matches!(delta, PlanDelta::Step(_)) {
+                setter.store(true, Ordering::Release);
+            }
+            seen.lock().unwrap().push(delta);
+        }));
+        let reply = serve(
+            &engine.ctx,
+            0,
+            trace,
+            &plan(MAX_SAMPLE_BUDGET),
+            &mut scratch,
+            &mut progress,
+        );
+        assert!(
+            matches!(&reply, Response::Error(msg) if msg.contains("cancelled")),
+            "{reply:?}"
+        );
+        let deltas = deltas.lock().unwrap();
+        assert!(
+            matches!(deltas[..], [PlanDelta::Explained { .. }, PlanDelta::Step(ref step)]
+                if step.strategy == StrategyKind::Mqp)
+        );
+        assert_eq!(
+            engine.metrics().cache.len,
+            0,
+            "a cancelled reply is not cached"
+        );
+
+        // An unset flag changes nothing: the plan equals a flagless twin's.
+        flag.store(false, Ordering::Release);
+        let full = serve(&engine.ctx, 0, trace, &plan(64), &mut scratch, &mut None);
+        assert!(matches!(full, Response::Plan(ref p) if p.steps.len() == 3));
+        assert_eq!(full, twin.submit(plan(64)));
+    }
 }

@@ -17,9 +17,9 @@
 //! * [`Engine::submit_batch`] — fans a batch across a fixed worker pool
 //!   over mpsc channels and reassembles **ordered** responses; results
 //!   are deterministic and independent of the worker count;
-//! * [`ResultCache`] — an engine-level LRU keyed on `(dataset epoch,
-//!   request fingerprint)`, generalising the query crate's top-k view
-//!   cache to whole responses; epochs make stale hits impossible;
+//! * [`ResultCache`] — an engine-level LRU of whole responses keyed on
+//!   `(dataset epoch, request fingerprint)`; epochs make stale hits
+//!   impossible;
 //! * [`MetricsSnapshot`] — per-kind request counts, latency, index-node
 //!   accesses (via `rtree` traversal counters) and cache hit rate.
 //!

@@ -15,7 +15,10 @@
 
 use crate::error::EngineError;
 use crate::metrics::StatsSnapshot;
+use std::cell::RefCell;
+use wqrtq_codec::{ByteReader, ByteWriter, DecodeError};
 use wqrtq_core::advisor::{PenaltyBreakdown, StrategyKind, WhyNotOptions};
+use wqrtq_core::penalty::Tolerances;
 
 /// Upper bound on any sampling budget a request may carry
 /// (`sample_size`, `query_samples` — 2²⁰ samples is far beyond any
@@ -357,18 +360,41 @@ impl Request {
         }
     }
 
-    /// A stable 64-bit content fingerprint (FNV-1a over every field,
-    /// floats by bit pattern). Identical requests always fingerprint
-    /// identically across runs; combined with the dataset epoch this keys
-    /// the result cache.
+    /// A stable 64-bit content fingerprint: FNV-1a over the request's
+    /// wire encoding ([`Request::encode_into`]). The encoding decodes back
+    /// to the request, so distinct requests hash distinct bytes, and a
+    /// field the wire carries is part of the cache identity by
+    /// construction. Combined with the dataset epoch this keys the result
+    /// cache.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = Fnv::new();
+        thread_local! {
+            // One encoding buffer per thread, reused: the fingerprint runs
+            // on every served request and allocates nothing once warm.
+            static BUF: RefCell<ByteWriter> = RefCell::new(ByteWriter::new());
+        }
+        BUF.with_borrow_mut(|w| {
+            w.clear();
+            self.encode_into(w);
+            let hash = fnv1a(w.as_slice());
+            if w.as_slice().len() > RETAINED_ENCODING {
+                *w = ByteWriter::new();
+            }
+            hash
+        })
+    }
+
+    /// Appends the request's wire encoding: the kind's tag from
+    /// [`REQUEST_KIND_TABLE`], then its fields in declaration order
+    /// (integers little-endian, floats by bit pattern, strings and
+    /// vectors length-prefixed). The server's submit frame carries
+    /// exactly these bytes, and [`Request::fingerprint`] hashes them.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        w.put_u8(self.kind().wire_tag());
         match self {
             Request::TopK { dataset, weight, k } => {
-                h.write_u64(1);
-                h.write_str(dataset);
-                h.write_floats(weight);
-                h.write_u64(*k as u64);
+                w.put_str(dataset);
+                w.put_f64s(weight);
+                w.put_usize(*k);
             }
             Request::ReverseTopKMono {
                 dataset,
@@ -377,12 +403,11 @@ impl Request {
                 samples,
                 seed,
             } => {
-                h.write_u64(2);
-                h.write_str(dataset);
-                h.write_floats(q);
-                h.write_u64(*k as u64);
-                h.write_u64(*samples as u64);
-                h.write_u64(*seed);
+                w.put_str(dataset);
+                w.put_f64s(q);
+                w.put_usize(*k);
+                w.put_usize(*samples);
+                w.put_u64(*seed);
             }
             Request::ReverseTopKBi {
                 dataset,
@@ -390,23 +415,22 @@ impl Request {
                 q,
                 k,
             } => {
-                h.write_u64(3);
-                h.write_str(dataset);
+                w.put_str(dataset);
                 match weights {
                     WeightSet::Named(name) => {
-                        h.write_u64(1);
-                        h.write_str(name);
+                        w.put_u8(1);
+                        w.put_str(name);
                     }
                     WeightSet::Inline(ws) => {
-                        h.write_u64(2);
-                        h.write_u64(ws.len() as u64);
-                        for w in ws {
-                            h.write_floats(w);
+                        w.put_u8(2);
+                        w.put_usize(ws.len());
+                        for weight in ws {
+                            w.put_f64s(weight);
                         }
                     }
                 }
-                h.write_floats(q);
-                h.write_u64(*k as u64);
+                w.put_f64s(q);
+                w.put_usize(*k);
             }
             Request::WhyNot {
                 dataset,
@@ -415,49 +439,168 @@ impl Request {
                 why_not,
                 options,
             } => {
-                h.write_u64(8);
-                h.write_str(dataset);
-                h.write_floats(q);
-                h.write_u64(*k as u64);
-                h.write_u64(why_not.len() as u64);
-                for w in why_not {
-                    h.write_floats(w);
+                w.put_str(dataset);
+                w.put_f64s(q);
+                w.put_usize(*k);
+                w.put_usize(why_not.len());
+                for weight in why_not {
+                    w.put_f64s(weight);
                 }
-                // Every option influences the plan, so every option is
-                // part of the cache identity.
-                h.write_u64(options.tol.alpha.to_bits());
-                h.write_u64(options.tol.beta.to_bits());
-                h.write_u64(options.tol.gamma.to_bits());
-                h.write_u64(options.tol.lambda.to_bits());
-                h.write_u64(options.strategies.len() as u64);
-                for s in &options.strategies {
-                    h.write_u64(u64::from(s.tag()));
-                }
-                h.write_u64(options.culprit_limit as u64);
-                h.write_u64(options.sample_size as u64);
-                h.write_u64(options.query_samples as u64);
-                h.write_u64(options.seed);
-                h.write_u64(u64::from(options.exact_2d));
+                encode_options(w, options);
             }
             Request::Append { dataset, points } => {
-                h.write_u64(6);
-                h.write_str(dataset);
-                h.write_floats(points);
+                w.put_str(dataset);
+                w.put_f64s(points);
             }
             Request::Delete { dataset, ids } => {
-                h.write_u64(7);
-                h.write_str(dataset);
-                h.write_u64(ids.len() as u64);
+                w.put_str(dataset);
+                w.put_usize(ids.len());
                 for id in ids {
-                    h.write_u64(*id as u64);
+                    w.put_u64(u64::from(*id));
                 }
             }
-            Request::Stats => {
-                h.write_u64(9);
-            }
+            // Stats carries no body: the kind tag is the whole request.
+            Request::Stats => {}
         }
-        h.finish()
     }
+
+    /// Reads one request written by [`Request::encode_into`]. Values are
+    /// decoded unvalidated (a hostile float or budget is
+    /// [`Request::validate`]'s to refuse with a typed error); only bytes
+    /// that name no request fail here.
+    ///
+    /// # Errors
+    /// [`DecodeError`] on an unknown tag, a truncated field, or a count
+    /// longer than the remaining bytes.
+    pub fn decode(r: &mut ByteReader<'_>) -> Result<Request, DecodeError> {
+        let tag = r.take_u8("request tag")?;
+        let kind =
+            RequestKind::from_wire_tag(tag).ok_or(DecodeError::new("unknown request tag"))?;
+        Ok(match kind {
+            RequestKind::TopK => Request::TopK {
+                dataset: r.take_str("dataset")?,
+                weight: r.take_f64s("weight")?,
+                k: r.take_usize("k")?,
+            },
+            RequestKind::ReverseTopKMono => Request::ReverseTopKMono {
+                dataset: r.take_str("dataset")?,
+                q: r.take_f64s("query point")?,
+                k: r.take_usize("k")?,
+                samples: r.take_usize("samples")?,
+                seed: r.take_u64("seed")?,
+            },
+            RequestKind::ReverseTopKBi => {
+                let dataset = r.take_str("dataset")?;
+                let weights = match r.take_u8("weight-set tag")? {
+                    1 => WeightSet::Named(r.take_str("weight-set name")?),
+                    2 => {
+                        let count = r.take_count(8, "weight count")?;
+                        WeightSet::Inline(
+                            (0..count)
+                                .map(|_| r.take_f64s("weight vector"))
+                                .collect::<Result<_, _>>()?,
+                        )
+                    }
+                    _ => return Err(DecodeError::new("unknown weight-set tag")),
+                };
+                Request::ReverseTopKBi {
+                    dataset,
+                    weights,
+                    q: r.take_f64s("query point")?,
+                    k: r.take_usize("k")?,
+                }
+            }
+            RequestKind::WhyNot => {
+                let dataset = r.take_str("dataset")?;
+                let q = r.take_f64s("query point")?;
+                let k = r.take_usize("k")?;
+                let count = r.take_count(8, "why-not count")?;
+                let why_not = (0..count)
+                    .map(|_| r.take_f64s("why-not vector"))
+                    .collect::<Result<_, _>>()?;
+                Request::WhyNot {
+                    dataset,
+                    q,
+                    k,
+                    why_not,
+                    options: decode_options(r)?,
+                }
+            }
+            RequestKind::Append => Request::Append {
+                dataset: r.take_str("dataset")?,
+                points: r.take_f64s("points")?,
+            },
+            RequestKind::Delete => {
+                let dataset = r.take_str("dataset")?;
+                let count = r.take_count(8, "id count")?;
+                let ids = (0..count)
+                    .map(|_| {
+                        let id = r.take_u64("point id")?;
+                        u32::try_from(id).map_err(|_| DecodeError::new("point id exceeds u32"))
+                    })
+                    .collect::<Result<_, _>>()?;
+                Request::Delete { dataset, ids }
+            }
+            RequestKind::Stats => Request::Stats,
+        })
+    }
+}
+
+/// Encodings longer than this are not kept as the next fingerprint's
+/// buffer (a bulk `Append` would otherwise pin its size per thread).
+const RETAINED_ENCODING: usize = 64 * 1024;
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+// Strategies travel as `StrategyKind::tag`, their one serialisation tag.
+fn encode_options(w: &mut ByteWriter, options: &WhyNotOptions) {
+    w.put_f64(options.tol.alpha);
+    w.put_f64(options.tol.beta);
+    w.put_f64(options.tol.gamma);
+    w.put_f64(options.tol.lambda);
+    w.put_usize(options.strategies.len());
+    for s in &options.strategies {
+        w.put_u8(s.tag());
+    }
+    w.put_usize(options.culprit_limit);
+    w.put_usize(options.sample_size);
+    w.put_usize(options.query_samples);
+    w.put_u64(options.seed);
+    w.put_u8(u8::from(options.exact_2d));
+}
+
+fn decode_options(r: &mut ByteReader<'_>) -> Result<WhyNotOptions, DecodeError> {
+    // The tolerances are deliberately decoded *unvalidated* (the struct
+    // is plain data); `Request::validate` rejects hostile values with a
+    // typed engine error instead of a protocol error, so a bad frame
+    // costs its sender one error reply, not the connection.
+    let tol = Tolerances {
+        alpha: r.take_f64("alpha")?,
+        beta: r.take_f64("beta")?,
+        gamma: r.take_f64("gamma")?,
+        lambda: r.take_f64("lambda")?,
+    };
+    let count = r.take_count(1, "strategy count")?;
+    let strategies = (0..count)
+        .map(|_| {
+            StrategyKind::from_tag(r.take_u8("strategy kind")?)
+                .ok_or(DecodeError::new("unknown strategy kind tag"))
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(WhyNotOptions {
+        tol,
+        strategies,
+        culprit_limit: r.take_usize("culprit limit")?,
+        sample_size: r.take_usize("sample size")?,
+        query_samples: r.take_usize("query samples")?,
+        seed: r.take_u64("seed")?,
+        exact_2d: r.take_u8("exact-2d flag")? != 0,
+    })
 }
 
 /// A refinement result in plain data (mirrors the core framework's
@@ -582,43 +725,6 @@ impl Response {
     /// Whether this response is an error.
     pub fn is_error(&self) -> bool {
         matches!(self, Response::Error(_))
-    }
-}
-
-/// FNV-1a, 64-bit.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf29ce484222325)
-    }
-
-    fn write_byte(&mut self, b: u8) {
-        self.0 = (self.0 ^ b as u64).wrapping_mul(0x100000001b3);
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.write_byte(b);
-        }
-    }
-
-    fn write_str(&mut self, s: &str) {
-        self.write_u64(s.len() as u64);
-        for b in s.bytes() {
-            self.write_byte(b);
-        }
-    }
-
-    fn write_floats(&mut self, xs: &[f64]) {
-        self.write_u64(xs.len() as u64);
-        for x in xs {
-            self.write_u64(x.to_bits());
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
     }
 }
 
@@ -795,25 +901,163 @@ mod tests {
         assert!(bad_vector.validate().is_err());
     }
 
+    /// `base` with one field changed by `$edit`, matched by `$pat`.
+    macro_rules! perturb {
+        ($base:expr, $pat:pat => $edit:expr) => {{
+            let mut r = $base.clone();
+            match &mut r {
+                $pat => $edit,
+                _ => unreachable!("pattern names the base's kind"),
+            }
+            r
+        }};
+    }
+
+    fn flip(x: &mut f64) {
+        *x = f64::from_bits(x.to_bits() ^ 1);
+    }
+
     #[test]
     fn why_not_options_are_part_of_the_cache_identity() {
-        let base = why_not_request(WhyNotOptions::default());
-        assert_eq!(base.fingerprint(), base.clone().fingerprint());
-        let seeded = why_not_request(WhyNotOptions {
-            seed: 1,
-            ..WhyNotOptions::default()
-        });
-        assert_ne!(base.fingerprint(), seeded.fingerprint());
-        let subset = why_not_request(WhyNotOptions {
-            strategies: vec![StrategyKind::Mqp],
-            ..WhyNotOptions::default()
-        });
-        assert_ne!(base.fingerprint(), subset.fingerprint());
-        let sampled = why_not_request(WhyNotOptions {
+        // Every field of every kind is part of the cache identity, each
+        // why-not option included: changing one float bit, count, seed,
+        // name, order or option changes the fingerprint, and every
+        // request decodes back from its own encoding.
+        use Request as R;
+        let plan = why_not_request(WhyNotOptions {
+            tol: Tolerances::new(0.3, 0.7, 0.9, 0.1),
+            strategies: vec![StrategyKind::Mwk, StrategyKind::Mqp],
+            culprit_limit: 4,
+            sample_size: 64,
+            query_samples: 16,
+            seed: 9,
             exact_2d: false,
-            ..WhyNotOptions::default()
         });
-        assert_ne!(base.fingerprint(), sampled.fingerprint());
+        let top = topk("products", &[0.3, 0.7], 5);
+        let mono = R::ReverseTopKMono {
+            dataset: "p".into(),
+            q: vec![4.0, 4.0, 4.0],
+            k: 3,
+            samples: 500,
+            seed: 42,
+        };
+        let named = R::ReverseTopKBi {
+            dataset: "p".into(),
+            weights: WeightSet::Named("customers".into()),
+            q: vec![4.0, 4.0],
+            k: 3,
+        };
+        let inline = R::ReverseTopKBi {
+            dataset: "p".into(),
+            weights: WeightSet::Inline(vec![vec![0.1, 0.9], vec![0.5, 0.5]]),
+            q: vec![4.0, 4.0],
+            k: 3,
+        };
+        let append = R::Append {
+            dataset: "p".into(),
+            points: vec![1.0, 2.0],
+        };
+        let delete = R::Delete {
+            dataset: "p".into(),
+            ids: vec![0, 7],
+        };
+        let cases = [
+            (
+                top.clone(),
+                vec![
+                    perturb!(top, R::TopK { dataset, .. } => dataset.push('s')),
+                    perturb!(top, R::TopK { weight, .. } => flip(&mut weight[1])),
+                    perturb!(top, R::TopK { k, .. } => *k += 1),
+                ],
+            ),
+            (
+                mono.clone(),
+                vec![
+                    perturb!(mono, R::ReverseTopKMono { dataset, .. } => dataset.push('s')),
+                    perturb!(mono, R::ReverseTopKMono { q, .. } => flip(&mut q[2])),
+                    perturb!(mono, R::ReverseTopKMono { k, .. } => *k += 1),
+                    perturb!(mono, R::ReverseTopKMono { samples, .. } => *samples += 1),
+                    perturb!(mono, R::ReverseTopKMono { seed, .. } => *seed += 1),
+                ],
+            ),
+            (
+                named.clone(),
+                vec![
+                    perturb!(named, R::ReverseTopKBi { dataset, .. } => dataset.push('s')),
+                    perturb!(named, R::ReverseTopKBi {
+                        weights: WeightSet::Named(name), ..
+                    } => name.push('s')),
+                    perturb!(named, R::ReverseTopKBi { q, .. } => flip(&mut q[0])),
+                    perturb!(named, R::ReverseTopKBi { k, .. } => *k += 1),
+                ],
+            ),
+            (
+                inline.clone(),
+                vec![
+                    perturb!(inline, R::ReverseTopKBi {
+                        weights: WeightSet::Inline(ws), ..
+                    } => flip(&mut ws[1][0])),
+                    perturb!(inline, R::ReverseTopKBi {
+                        weights: WeightSet::Inline(ws), ..
+                    } => ws.swap(0, 1)),
+                    perturb!(inline, R::ReverseTopKBi { q, .. } => flip(&mut q[1])),
+                    perturb!(inline, R::ReverseTopKBi { k, .. } => *k += 1),
+                ],
+            ),
+            (
+                plan.clone(),
+                vec![
+                    perturb!(plan, R::WhyNot { dataset, .. } => dataset.push('s')),
+                    perturb!(plan, R::WhyNot { q, .. } => flip(&mut q[0])),
+                    perturb!(plan, R::WhyNot { k, .. } => *k += 1),
+                    perturb!(plan, R::WhyNot { why_not, .. } => flip(&mut why_not[0][1])),
+                    perturb!(plan, R::WhyNot { why_not, .. } => why_not.swap(0, 1)),
+                    perturb!(plan, R::WhyNot { options, .. } => flip(&mut options.tol.alpha)),
+                    perturb!(plan, R::WhyNot { options, .. } => flip(&mut options.tol.beta)),
+                    perturb!(plan, R::WhyNot { options, .. } => flip(&mut options.tol.gamma)),
+                    perturb!(plan, R::WhyNot { options, .. } => flip(&mut options.tol.lambda)),
+                    perturb!(plan, R::WhyNot { options, .. } => options.strategies.swap(0, 1)),
+                    perturb!(plan, R::WhyNot { options, .. } => options.strategies.truncate(1)),
+                    perturb!(plan, R::WhyNot { options, .. } => options.culprit_limit += 1),
+                    perturb!(plan, R::WhyNot { options, .. } => options.sample_size += 1),
+                    perturb!(plan, R::WhyNot { options, .. } => options.query_samples += 1),
+                    perturb!(plan, R::WhyNot { options, .. } => options.seed += 1),
+                    perturb!(plan, R::WhyNot { options, .. } => options.exact_2d = true),
+                ],
+            ),
+            (
+                append.clone(),
+                vec![
+                    perturb!(append, R::Append { dataset, .. } => dataset.push('s')),
+                    perturb!(append, R::Append { points, .. } => flip(&mut points[0])),
+                ],
+            ),
+            (
+                delete.clone(),
+                vec![
+                    perturb!(delete, R::Delete { dataset, .. } => dataset.push('s')),
+                    perturb!(delete, R::Delete { ids, .. } => ids.swap(0, 1)),
+                    perturb!(delete, R::Delete { ids, .. } => ids[1] += 1),
+                ],
+            ),
+            (R::Stats, vec![]),
+        ];
+        let mut seen = std::collections::HashSet::new();
+        for (base, perturbed) in &cases {
+            for r in std::iter::once(base).chain(perturbed) {
+                let mut w = ByteWriter::new();
+                r.encode_into(&mut w);
+                let bytes = w.into_vec();
+                let mut reader = ByteReader::new(&bytes);
+                assert_eq!(Request::decode(&mut reader).as_ref(), Ok(r));
+                assert_eq!(reader.finish(), Ok(()), "{r:?}");
+                assert_eq!(r.fingerprint(), r.clone().fingerprint());
+                assert!(seen.insert(r.fingerprint()), "{r:?} shares a fingerprint");
+            }
+            for r in perturbed {
+                assert_ne!(r.fingerprint(), base.fingerprint(), "{r:?}");
+            }
+        }
     }
 
     #[test]

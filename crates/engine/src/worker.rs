@@ -220,7 +220,8 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
                         trace_id: item.trace_id,
                         submitted: task.submitted,
                     };
-                    // A flag set mid-run stops RTA within a chunk.
+                    // A flag set mid-run stops RTA, or a plan's sampling
+                    // loops, within a chunk.
                     scratch.cancel = item.cancel.take();
                     let response = serve(
                         ctx,
@@ -313,6 +314,9 @@ enum Target<'a> {
 /// these methods, shared.
 struct Serving<'r> {
     request: &'r Request,
+    /// The request's [`Request::fingerprint`], taken once: it keys the
+    /// cache and names the request in the trace.
+    fingerprint: u64,
     started: Instant,
     spans: SpanBuf,
 }
@@ -326,6 +330,7 @@ impl<'r> Serving<'r> {
         spans.push_ended(&ctx.tracer, Stage::QueueWait, queue_wait);
         Self {
             request,
+            fingerprint: request.fingerprint(),
             started,
             spans,
         }
@@ -415,9 +420,8 @@ impl<'r> Serving<'r> {
 
     /// Records the spans into `shard` and hands the response back.
     fn finish(self, ctx: &WorkerContext, shard: usize, response: Response) -> Response {
-        let fingerprint = self.request.fingerprint();
         self.spans
-            .flush(ctx, shard, fingerprint, self.started.elapsed());
+            .flush(ctx, shard, self.fingerprint, self.started.elapsed());
         response
     }
 }
@@ -469,7 +473,7 @@ pub(crate) fn serve(
             Ok(handle) => {
                 let key = CacheKey {
                     epoch: handle.epoch,
-                    fingerprint: request.fingerprint(),
+                    fingerprint: serving.fingerprint,
                 };
                 match serving.lookup(ctx, &key, true) {
                     Some(hit) => hit,
@@ -515,7 +519,7 @@ pub(crate) fn serve_inline(
     };
     let key = CacheKey {
         epoch: peek.epoch,
-        fingerprint: request.fingerprint(),
+        fingerprint: serving.fingerprint,
     };
     let response = match serving.lookup(ctx, &key, target.is_some()) {
         Some(hit) => hit,
@@ -718,16 +722,18 @@ fn execute(
                     }
                 };
                 match progress {
-                    Some(emit) => wqrtq.advise_with(&why_not, options, |event| {
+                    Some(emit) => wqrtq.advise_with(&why_not, options, scratch, |event| {
                         on_event(&event);
                         if let Some(delta) = delta_from_event(&event) {
                             emit(delta);
                         }
                     }),
-                    None => wqrtq.advise_with(&why_not, options, |event| on_event(&event)),
+                    None => wqrtq.advise_with(&why_not, options, scratch, |event| on_event(&event)),
                 }
             };
+            // A flag that stopped the plan leaves it incomplete.
             match result {
+                _ if scratch.is_cancelled() => (Response::Error(CANCELLED.into()), 0),
                 Ok(plan) => (Response::Plan(plan_from(plan)), 0),
                 Err(e) => (Response::Error(e.to_string()), 0),
             }

@@ -122,9 +122,15 @@ pub const ZONES: &[Zone] = &[
     },
 ];
 
-/// Paths audited for bare narrowing `as` casts (the codec and the
-/// durable-format writers, where a silent truncation corrupts frames).
-pub const CAST_AUDIT_PATHS: &[&str] = &["crates/codec/src/", "crates/engine/src/storage/"];
+/// Paths audited for bare narrowing `as` casts (the codec, the
+/// durable-format writers, and the two decoders of untrusted request
+/// bytes, where a silent truncation corrupts frames).
+pub const CAST_AUDIT_PATHS: &[&str] = &[
+    "crates/codec/src/",
+    "crates/engine/src/storage/",
+    "crates/engine/src/request.rs",
+    "crates/server/src/wire.rs",
+];
 
 /// Crates whose public API is one function per operation (see the
 /// `variant-suffix` rule).

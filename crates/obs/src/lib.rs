@@ -100,7 +100,12 @@ impl Stage {
         self as usize
     }
 
-    /// Inverse of the discriminant, for wire decoding.
+    /// The discriminant, for wire encoding (the enum is `repr(u8)`).
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    /// Inverse of [`Stage::tag`], for wire decoding.
     pub fn from_tag(tag: u8) -> Option<Stage> {
         Stage::ALL.get(tag as usize).copied()
     }
@@ -114,7 +119,8 @@ mod tests {
     fn stage_tags_roundtrip_and_stay_dense() {
         for (i, stage) in Stage::ALL.into_iter().enumerate() {
             assert_eq!(stage.index(), i);
-            assert_eq!(Stage::from_tag(i as u8), Some(stage));
+            assert_eq!(Stage::from_tag(stage.tag()), Some(stage));
+            assert_eq!(usize::from(stage.tag()), i);
         }
         assert_eq!(Stage::from_tag(Stage::COUNT as u8), None);
         // Appended, never renumbered: the wire carries these tags.

@@ -232,9 +232,6 @@ pub fn bichromatic_reverse_topk_rta<'a>(
     result
 }
 
-/// Weights [`rta_over_order`] decides between two reads of the cancel flag.
-const CANCEL_POLL_CHUNK: usize = 256;
-
 /// Runs RTA over one contiguous slice of a similarity order (see
 /// [`rta_sorted_order`]). Returns the qualifying original indices in
 /// traversal order (callers sort); the prune/verify split is added to
@@ -285,7 +282,7 @@ pub fn rta_over_order<'a>(
     let view = snap.mutated();
     let mut result = Vec::new();
     for (n, &idx) in order.iter().enumerate() {
-        if n % CANCEL_POLL_CHUNK == 0 && ctx.is_cancelled() {
+        if ctx.cancelled_at(n) {
             break;
         }
         let w = weights[idx].as_slice();
@@ -436,6 +433,7 @@ mod tests {
 
     #[test]
     fn a_set_cancel_flag_stops_a_run_within_one_chunk() {
+        use crate::snapshot::CANCEL_POLL_CHUNK;
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let mut state = 99u64;

@@ -60,6 +60,10 @@ impl<'a> Snapshot<'a> {
     }
 }
 
+/// Loop items decided between two reads of the cancel flag (see
+/// [`ProbeCtx::cancelled_at`]).
+pub(crate) const CANCEL_POLL_CHUNK: usize = 256;
+
 /// Per-worker reusable buffers and work counters for the probing
 /// operations ([`crate::is_in_topk`], [`crate::topk_with`],
 /// [`crate::rta_over_order`], and the why-not explanation scan). One
@@ -73,8 +77,9 @@ pub struct ProbeCtx {
     /// RTA prune/verify counters accumulated over every
     /// [`crate::rta_over_order`] run on this context.
     pub rta: RtaStats,
-    /// The running request's cancel flag: once set, an RTA run stops
-    /// early and its incomplete answer is the caller's to discard.
+    /// The running request's cancel flag: once set, a loop that polls
+    /// it (RTA's, and the why-not advisor's) stops early and its
+    /// incomplete answer is the caller's to discard.
     pub cancel: Option<Arc<AtomicBool>>,
     pub(crate) probe: ProbeScratch,
     /// The bounded top-k's appended rows: `(score, delta slot)`.
@@ -108,6 +113,14 @@ impl ProbeCtx {
     /// Whether the cancel flag is set.
     pub fn is_cancelled(&self) -> bool {
         matches!(&self.cancel, Some(flag) if flag.load(Ordering::Acquire))
+    }
+
+    /// [`ProbeCtx::is_cancelled`], read only when item `n` of a loop
+    /// starts a chunk of 256 (item 0 included): a loop that stops on it
+    /// pays one flag read per chunk and runs at most a chunk past the
+    /// flag.
+    pub fn cancelled_at(&self, n: usize) -> bool {
+        n.is_multiple_of(CANCEL_POLL_CHUNK) && self.is_cancelled()
     }
 
     /// Decides "do fewer than `cap` base points score strictly below

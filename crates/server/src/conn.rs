@@ -22,7 +22,9 @@
 //! panic while serving, or the close itself sets it, and a worker that
 //! claims a non-mutation request of a doomed connection skips it
 //! ([`BatchSubmission::with_cancel`]) — nobody is left to read the
-//! answer.
+//! answer — and stops one it is running at the run's next cancel poll. A
+//! peer's EOF is not among them: it means "done sending", and the
+//! replies of what was read still run and drain.
 
 use crate::frame::{self, FrameError, MAGIC_V2, PROTOCOL_VERSION};
 use crate::poll::{INTEREST_READ, INTEREST_WRITE};
@@ -1304,6 +1306,84 @@ mod tests {
                     assert!(frames.is_empty());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_half_close_leaves_a_staged_plan_running_and_a_reset_dooms_it() {
+        // EOF is "done sending": the peer still reads its replies
+        // (`Client::finish_sending`), so a plan read before it runs and
+        // its reply is written. A reset says nobody will read: the same
+        // plan reaches the pool doomed, runs nothing and writes nothing.
+        let twin = engine_with_data();
+        let plan = Request::WhyNot {
+            dataset: "p".into(),
+            q: vec![4.5, 4.5],
+            k: 3,
+            why_not: vec![vec![0.1, 0.9]],
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mwk],
+                sample_size: 32,
+                query_samples: 8,
+                seed: 5,
+                exact_2d: false,
+                ..WhyNotOptions::default()
+            },
+        };
+        let reply = twin.submit(plan.clone());
+        assert!(!reply.is_error(), "{reply:?}");
+        let want = ServerFrame::Reply(reply).encode_frame(1);
+        let config = ServerBuilder::default()
+            .admission_capacity(ADMISSION)
+            .max_frame_len(MAX_FRAME);
+        for reset in [false, true] {
+            // A fresh engine each time: a cached plan is answered inline.
+            let engine = Arc::new(engine_with_data());
+            let mut input = MAGIC_V2.to_vec();
+            input.extend_from_slice(&framed(&ClientFrame::Submit(plan.clone()).encode(1)));
+            let script = Script {
+                reset_at: reset.then_some(input.len()),
+                input,
+                delivered: 0,
+                reset_fired: false,
+                hostile_end: None,
+                reads_after_hostile: 0,
+                stalled: false,
+                output: Vec::new(),
+                rng: Rng(SEED),
+            };
+            let (home, _wake_rx) = LoopShared::new().unwrap();
+            let home = Arc::new(home);
+            let server = Arc::new(Shared::new(engine.clone(), &config, vec![home.clone()]));
+            let state = Arc::new(ConnShared::new(1, ADMISSION + CONTROL_SLACK, home));
+            let mut conn = Connection::new(script, server, state.clone());
+            let (mut batch, mut scratch) = (Vec::new(), ProbeCtx::new());
+            // Every byte, then the EOF or the reset.
+            while !conn.read_closed && !state.is_doomed() {
+                conn.on_readable(&mut Intake::new(&mut batch, &mut scratch));
+            }
+            assert_eq!(state.is_doomed(), reset, "reset {reset}");
+            assert_eq!(batch.len(), 1, "the plan waits for the pool");
+            let before = executed(&engine);
+            engine.submit_batch_with(std::mem::take(&mut batch));
+            wait_until("the plan", || state.in_flight.load(Ordering::SeqCst) == 0);
+            assert_eq!(executed(&engine) - before, u64::from(!reset));
+            while !conn.closable() {
+                conn.on_writable();
+                conn.flush();
+            }
+            let (frames, _) = received(&conn.close().output);
+            let replies: Vec<Vec<u8>> = frames
+                .into_iter()
+                .filter(|(_, frame, _)| matches!(frame, ServerFrame::Reply(_)))
+                .map(|(_, _, bytes)| bytes)
+                .collect();
+            let expected = if reset {
+                Vec::new()
+            } else {
+                vec![want.clone()]
+            };
+            assert_eq!(replies, expected, "reset {reset}");
         }
     }
 }

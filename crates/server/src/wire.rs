@@ -11,6 +11,10 @@
 //! connection-level [`ServerFrame::ProtocolError`] frames that cannot be
 //! attributed to a parsed request.
 //!
+//! A submit's body is the engine's own request encoding
+//! ([`Request::encode_into`] / [`Request::decode`]), the bytes the result
+//! cache's [`Request::fingerprint`] hashes; this module frames it.
+//!
 //! Floats travel as IEEE-754 bit patterns ([`crate::frame::ByteWriter`]),
 //! so a decoded [`Response`] is bit-identical to the in-process value —
 //! the property the differential loopback test pins down.
@@ -19,8 +23,7 @@ use crate::frame::{ByteReader, ByteWriter, DecodeError};
 use wqrtq_engine::{
     CacheStats, CatalogStats, HistogramSnapshot, KindSnapshot, MetricsSnapshot, PenaltyBreakdown,
     Plan, PlanDelta, PlanExplanation, PlanStep, Refinement, Request, RequestKind, Response,
-    ServerCounters, Stage, StageSnapshot, StatsSnapshot, StrategyKind, Tolerances, WeightSet,
-    WhyNotOptions,
+    ServerCounters, Stage, StageSnapshot, StatsSnapshot, StrategyKind,
 };
 
 /// Reserved request id for connection-level errors that cannot be
@@ -154,7 +157,7 @@ impl ClientFrame {
         let mut w = ByteWriter::new();
         w.put_u64(id);
         w.put_u8(OP_SUBMIT);
-        encode_request(&mut w, request);
+        request.encode_into(&mut w);
         w.into_vec()
     }
 
@@ -163,10 +166,7 @@ impl ClientFrame {
         let mut w = ByteWriter::new();
         w.put_u64(id);
         match self {
-            ClientFrame::Submit(request) => {
-                w.put_u8(OP_SUBMIT);
-                encode_request(&mut w, request);
-            }
+            ClientFrame::Submit(request) => return Self::encode_submit(id, request),
             ClientFrame::RegisterDataset { name, dim, coords } => {
                 w.put_u8(OP_REGISTER_DATASET);
                 w.put_str(name);
@@ -199,7 +199,7 @@ impl ClientFrame {
         let id = r.take_u64("request id")?;
         let opcode = r.take_u8("opcode")?;
         let frame = match opcode {
-            OP_SUBMIT => ClientFrame::Submit(decode_request(&mut r)?),
+            OP_SUBMIT => ClientFrame::Submit(Request::decode(&mut r)?),
             OP_REGISTER_DATASET => ClientFrame::RegisterDataset {
                 name: r.take_str("dataset name")?,
                 dim: r.take_usize("dimension")?,
@@ -300,206 +300,6 @@ impl ServerFrame {
         r.finish()?;
         Ok((id, frame))
     }
-}
-
-// Request body tags come from the engine's source-of-truth vocabulary
-// table (`REQUEST_KIND_TABLE`) — the codec cannot drift from the engine
-// without the conformance test failing.
-fn encode_request(w: &mut ByteWriter, request: &Request) {
-    w.put_u8(request.kind().wire_tag());
-    match request {
-        Request::TopK { dataset, weight, k } => {
-            w.put_str(dataset);
-            w.put_f64s(weight);
-            w.put_usize(*k);
-        }
-        Request::ReverseTopKMono {
-            dataset,
-            q,
-            k,
-            samples,
-            seed,
-        } => {
-            w.put_str(dataset);
-            w.put_f64s(q);
-            w.put_usize(*k);
-            w.put_usize(*samples);
-            w.put_u64(*seed);
-        }
-        Request::ReverseTopKBi {
-            dataset,
-            weights,
-            q,
-            k,
-        } => {
-            w.put_str(dataset);
-            match weights {
-                WeightSet::Named(name) => {
-                    w.put_u8(1);
-                    w.put_str(name);
-                }
-                WeightSet::Inline(ws) => {
-                    w.put_u8(2);
-                    w.put_usize(ws.len());
-                    for weight in ws {
-                        w.put_f64s(weight);
-                    }
-                }
-            }
-            w.put_f64s(q);
-            w.put_usize(*k);
-        }
-        Request::WhyNot {
-            dataset,
-            q,
-            k,
-            why_not,
-            options,
-        } => {
-            w.put_str(dataset);
-            w.put_f64s(q);
-            w.put_usize(*k);
-            w.put_usize(why_not.len());
-            for weight in why_not {
-                w.put_f64s(weight);
-            }
-            encode_options(w, options);
-        }
-        Request::Append { dataset, points } => {
-            w.put_str(dataset);
-            w.put_f64s(points);
-        }
-        Request::Delete { dataset, ids } => {
-            w.put_str(dataset);
-            w.put_usize(ids.len());
-            for id in ids {
-                w.put_u64(u64::from(*id));
-            }
-        }
-        // Stats carries no body: the kind tag is the whole request.
-        Request::Stats => {}
-    }
-}
-
-// Strategy tags come from `StrategyKind::tag` — the same single source
-// the engine's cache fingerprint uses, so the codec and the fingerprint
-// cannot drift.
-fn strategy_kind_from_tag(tag: u8) -> Result<StrategyKind, DecodeError> {
-    StrategyKind::from_tag(tag).ok_or(DecodeError::new("unknown strategy kind tag"))
-}
-
-fn encode_options(w: &mut ByteWriter, options: &WhyNotOptions) {
-    w.put_f64(options.tol.alpha);
-    w.put_f64(options.tol.beta);
-    w.put_f64(options.tol.gamma);
-    w.put_f64(options.tol.lambda);
-    w.put_usize(options.strategies.len());
-    for s in &options.strategies {
-        w.put_u8(s.tag());
-    }
-    w.put_usize(options.culprit_limit);
-    w.put_usize(options.sample_size);
-    w.put_usize(options.query_samples);
-    w.put_u64(options.seed);
-    w.put_u8(u8::from(options.exact_2d));
-}
-
-fn decode_options(r: &mut ByteReader<'_>) -> Result<WhyNotOptions, DecodeError> {
-    // The tolerances are deliberately decoded *unvalidated* (the struct
-    // is plain data); `Request::validate` rejects hostile values with a
-    // typed engine error instead of a protocol error, so a bad frame
-    // costs its sender one error reply, not the connection.
-    let tol = Tolerances {
-        alpha: r.take_f64("alpha")?,
-        beta: r.take_f64("beta")?,
-        gamma: r.take_f64("gamma")?,
-        lambda: r.take_f64("lambda")?,
-    };
-    let count = r.take_count(1, "strategy count")?;
-    let strategies = (0..count)
-        .map(|_| strategy_kind_from_tag(r.take_u8("strategy kind")?))
-        .collect::<Result<_, _>>()?;
-    Ok(WhyNotOptions {
-        tol,
-        strategies,
-        culprit_limit: r.take_usize("culprit limit")?,
-        sample_size: r.take_usize("sample size")?,
-        query_samples: r.take_usize("query samples")?,
-        seed: r.take_u64("seed")?,
-        exact_2d: r.take_u8("exact-2d flag")? != 0,
-    })
-}
-
-fn decode_request(r: &mut ByteReader<'_>) -> Result<Request, DecodeError> {
-    let tag = r.take_u8("request tag")?;
-    let kind = RequestKind::from_wire_tag(tag).ok_or(DecodeError::new("unknown request tag"))?;
-    Ok(match kind {
-        RequestKind::TopK => Request::TopK {
-            dataset: r.take_str("dataset")?,
-            weight: r.take_f64s("weight")?,
-            k: r.take_usize("k")?,
-        },
-        RequestKind::ReverseTopKMono => Request::ReverseTopKMono {
-            dataset: r.take_str("dataset")?,
-            q: r.take_f64s("query point")?,
-            k: r.take_usize("k")?,
-            samples: r.take_usize("samples")?,
-            seed: r.take_u64("seed")?,
-        },
-        RequestKind::ReverseTopKBi => {
-            let dataset = r.take_str("dataset")?;
-            let weights = match r.take_u8("weight-set tag")? {
-                1 => WeightSet::Named(r.take_str("weight-set name")?),
-                2 => {
-                    let count = r.take_count(8, "weight count")?;
-                    WeightSet::Inline(
-                        (0..count)
-                            .map(|_| r.take_f64s("weight vector"))
-                            .collect::<Result<_, _>>()?,
-                    )
-                }
-                _ => return Err(DecodeError::new("unknown weight-set tag")),
-            };
-            Request::ReverseTopKBi {
-                dataset,
-                weights,
-                q: r.take_f64s("query point")?,
-                k: r.take_usize("k")?,
-            }
-        }
-        RequestKind::WhyNot => {
-            let dataset = r.take_str("dataset")?;
-            let q = r.take_f64s("query point")?;
-            let k = r.take_usize("k")?;
-            let count = r.take_count(8, "why-not count")?;
-            let why_not = (0..count)
-                .map(|_| r.take_f64s("why-not vector"))
-                .collect::<Result<_, _>>()?;
-            Request::WhyNot {
-                dataset,
-                q,
-                k,
-                why_not,
-                options: decode_options(r)?,
-            }
-        }
-        RequestKind::Append => Request::Append {
-            dataset: r.take_str("dataset")?,
-            points: r.take_f64s("points")?,
-        },
-        RequestKind::Delete => {
-            let dataset = r.take_str("dataset")?;
-            let count = r.take_count(8, "id count")?;
-            let ids = (0..count)
-                .map(|_| {
-                    let id = r.take_u64("point id")?;
-                    u32::try_from(id).map_err(|_| DecodeError::new("point id exceeds u32"))
-                })
-                .collect::<Result<_, _>>()?;
-            Request::Delete { dataset, ids }
-        }
-        RequestKind::Stats => Request::Stats,
-    })
 }
 
 // Response body tags (one per `Response` variant). Tags are never
@@ -667,7 +467,8 @@ fn encode_plan_step(w: &mut ByteWriter, step: &PlanStep) {
 }
 
 fn decode_plan_step(r: &mut ByteReader<'_>) -> Result<PlanStep, DecodeError> {
-    let strategy = strategy_kind_from_tag(r.take_u8("strategy kind")?)?;
+    let strategy = StrategyKind::from_tag(r.take_u8("strategy kind")?)
+        .ok_or(DecodeError::new("unknown strategy kind tag"))?;
     let refinement = decode_refinement(r)?;
     let breakdown = PenaltyBreakdown {
         combined: r.take_f64("combined penalty")?,
@@ -790,7 +591,7 @@ fn encode_stats(w: &mut ByteWriter, stats: &StatsSnapshot) {
     }
     w.put_usize(m.stages.len());
     for stage in &m.stages {
-        w.put_u8(stage.stage.index() as u8);
+        w.put_u8(stage.stage.tag());
         encode_histogram(w, &stage.latency);
     }
     w.put_u64(m.batches);
@@ -969,6 +770,7 @@ fn decode_response(r: &mut ByteReader<'_>) -> Result<Response, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wqrtq_engine::{Tolerances, WeightSet, WhyNotOptions};
 
     fn all_requests() -> Vec<Request> {
         vec![
@@ -1239,6 +1041,19 @@ mod tests {
             assert_eq!(got_id, id);
             assert_eq!(got, frame);
         }
+    }
+
+    #[test]
+    fn the_submit_bytes_of_every_request_kind_are_pinned() {
+        // A change to this CRC is a wire-format change: every deployed
+        // client would send bytes the server no longer reads.
+        let bytes: Vec<u8> = all_requests()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, request)| ClientFrame::encode_submit(i as u64 + 1, request))
+            .collect();
+        assert_eq!(bytes.len(), 763);
+        assert_eq!(wqrtq_codec::crc32::checksum(&bytes), 0x1f55_94dd);
     }
 
     #[test]

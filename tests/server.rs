@@ -1504,3 +1504,93 @@ fn a_reset_connection_drops_its_queued_reads() {
     assert_still_serving(&server);
     server.shutdown();
 }
+
+#[test]
+fn a_reset_peer_s_max_budget_plans_stop_and_free_both_workers() {
+    // Two valid plans at the sampling cap (|S| = |Q| = 2^20, the engine's
+    // `MAX_SAMPLE_BUDGET`) over IND 100k×3 hold both workers of the pool;
+    // run out, each would take hours. The peer then leaves with our Hello
+    // unread, which reaches the server as a reset and dooms the
+    // connection: the plans stop between steps or within a chunk of
+    // samples, and a `TopK` past one leaf (never answered on the loop)
+    // on a second connection is served within `BOUND` of the reset.
+    const BUDGET: usize = 1 << 20;
+    const BOUND: Duration = Duration::from_secs(10);
+    let server = Server::builder()
+        .engine(Engine::builder().workers(2).build())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let coords = scatter(100_000, 3, 2015);
+    server
+        .engine()
+        .register_dataset("ind", 3, coords.clone())
+        .unwrap();
+    server.engine().catalog().handle("ind").unwrap();
+    // A point near the origin corner, and a vector ranking it in the
+    // thousands.
+    let q = vec![1.5, 0.5, 0.5];
+    let why_not = vec![0.8, 0.1, 0.1];
+    let score = |p: &[f64]| p.iter().zip(&why_not).map(|(a, b)| a * b).sum::<f64>();
+    let rank = coords
+        .chunks_exact(3)
+        .filter(|p| score(p) < score(&q))
+        .count()
+        + 1;
+    assert!(rank > 10, "q ranks {rank}: not a why-not question");
+    {
+        let mut stream = raw_conn(&server);
+        let mut burst = wqrtq_server::MAGIC_V2.to_vec();
+        for id in 1..=2u64 {
+            let plan = Request::WhyNot {
+                dataset: "ind".into(),
+                q: q.clone(),
+                k: 10,
+                why_not: vec![why_not.clone()],
+                options: WhyNotOptions {
+                    sample_size: BUDGET,
+                    query_samples: BUDGET,
+                    seed: id,
+                    ..WhyNotOptions::default()
+                },
+            };
+            let payload = ClientFrame::Submit(plan).encode(id);
+            burst.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            burst.extend_from_slice(&payload);
+        }
+        stream.write_all(&burst).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while server.stats().frames_in < 2 {
+            assert!(Instant::now() < deadline, "frames never read");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Let both workers claim their plan and get going.
+        std::thread::sleep(Duration::from_millis(100));
+    } // dropped with the Hello unread: the kernel resets the connection
+    let reset = Instant::now();
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(BOUND + Duration::from_secs(5)))
+        .unwrap();
+    let top = client
+        .submit(&Request::TopK {
+            dataset: "ind".into(),
+            weight: vec![0.2, 0.3, 0.5],
+            k: 100,
+        })
+        .unwrap();
+    let waited = reset.elapsed();
+    assert!(
+        matches!(top, Response::TopK(ref t) if t.len() == 100),
+        "{top:?}"
+    );
+    assert!(
+        waited < BOUND,
+        "the TopK waited {waited:?} behind doomed plans"
+    );
+    let deadline = Instant::now() + BOUND;
+    while server.stats().in_flight != 0 {
+        assert!(Instant::now() < deadline, "the doomed plans never drained");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    server.shutdown();
+}
