@@ -632,7 +632,9 @@ mod tests {
 
     #[test]
     fn a_set_cancel_flag_stops_the_plan_and_its_sampling_loops() {
-        use crate::incomparable::DominanceFrontier;
+        use crate::incomparable::{DominanceFrontier, Reuse};
+        use crate::mqwk::RefinementSource;
+        use crate::sampling::{sample_query_points, sample_query_points_with};
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let tree = fig_tree();
@@ -674,6 +676,23 @@ mod tests {
         let solved = mqp(&tree, &q, 3, &why_not).unwrap();
         let mqwk = mqwk::refine(&frontier, &solved, 3, &why_not, 64, 4096, &tol, 7, &ctx);
         assert_eq!((mqwk.candidates_evaluated, mqwk.candidates_pruned), (2, 0));
+        // At the largest |Q|, MQWK draws at most one chunk of query points
+        // and builds no reuse over them: it answers its first endpoint.
+        let qmin = &solved.q_prime;
+        let drawn = sample_query_points_with(qmin, &q, 1 << 20, 7, &ctx);
+        assert!(drawn.len() <= 256, "{} drawn", drawn.len());
+        let samples = sample_query_points(qmin, &q, 1000, 7);
+        assert!(Reuse::new_with(&frontier, &samples, &why_not, &ctx).is_none());
+        let mqwk = mqwk::refine(&frontier, &solved, 3, &why_not, 64, 1 << 20, &tol, 7, &ctx);
+        assert_eq!(mqwk.source, RefinementSource::QueryEndpoint);
+        assert_eq!((mqwk.candidates_evaluated, mqwk.candidates_pruned), (2, 0));
+        // An unset flag draws and builds exactly what the plain calls do.
+        flag.store(false, Ordering::Release);
+        let drawn = sample_query_points_with(qmin, &q, 1000, 7, &ctx);
+        assert_eq!(format!("{drawn:?}"), format!("{samples:?}"));
+        let reuse = Reuse::new_with(&frontier, &samples, &why_not, &ctx).unwrap();
+        let plain = Reuse::new(&frontier, &samples, &why_not);
+        assert_eq!(format!("{reuse:?}"), format!("{plain:?}"));
     }
 
     #[test]

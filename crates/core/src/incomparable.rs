@@ -27,7 +27,7 @@ use std::sync::Arc;
 use wqrtq_geom::{
     dominates, incomparable as neither_dominates, score, DeltaView, QuantizedPoints, Weight,
 };
-use wqrtq_query::Snapshot;
+use wqrtq_query::{ProbeCtx, Snapshot};
 
 /// The classified frontier of a query point: everything needed to rank
 /// that point under arbitrary (positive) weighting vectors without the
@@ -348,6 +348,19 @@ impl<'f> Reuse<'f> {
     /// `hi`, so every point of the box beats it on one and loses on the
     /// other. A NaN coordinate, in a row or a sample, proves nothing.
     pub fn new(base: &'f DominanceFrontier, samples: &[Vec<f64>], anchors: &'f [Weight]) -> Self {
+        let reuse = Self::new_with(base, samples, anchors, &ProbeCtx::new());
+        // A fresh context carries no cancel flag.
+        reuse.unwrap_or_else(|| unreachable!("an uncancellable build was cancelled"))
+    }
+
+    /// [`Reuse::new`], polling `ctx`'s cancel flag once per 256 samples
+    /// in each pass over them; `None` once it is set.
+    pub fn new_with(
+        base: &'f DominanceFrontier,
+        samples: &[Vec<f64>],
+        anchors: &'f [Weight],
+        ctx: &ProbeCtx,
+    ) -> Option<Self> {
         let (rows, dim) = (&base.rows, base.q.len());
         let widen = |b: f64, x: f64, pick: fn(f64, f64) -> f64| {
             if b.is_nan() || x.is_nan() {
@@ -357,7 +370,10 @@ impl<'f> Reuse<'f> {
             }
         };
         let (mut lo, mut hi) = (vec![f64::INFINITY; dim], vec![f64::NEG_INFINITY; dim]);
-        for s in samples {
+        for (i, s) in samples.iter().enumerate() {
+            if ctx.cancelled_at(i) {
+                return None;
+            }
             for (d, &x) in s.iter().enumerate() {
                 lo[d] = widen(lo[d], x, f64::min);
                 hi[d] = widen(hi[d], x, f64::max);
@@ -371,21 +387,24 @@ impl<'f> Reuse<'f> {
             .collect();
         let shell_coords = shell.iter().flat_map(|&r| rows.row(r)).copied().collect();
         let mut scores = Vec::new();
-        let below = anchors
-            .iter()
-            .map(|w| {
-                let sq = score(w, &base.q);
-                let t = samples.iter().fold(sq, |t, s| t.max(score(w, s)));
-                base.rows_below(w, t, &mut scores)
-            })
-            .collect();
-        Self {
+        let mut below = Vec::with_capacity(anchors.len());
+        for w in anchors {
+            let mut t = score(w, &base.q);
+            for (i, s) in samples.iter().enumerate() {
+                if ctx.cancelled_at(i) {
+                    return None;
+                }
+                t = t.max(score(w, s));
+            }
+            below.push(base.rows_below(w, t, &mut scores));
+        }
+        Some(Self {
             base,
             anchors,
             shell,
             shell_coords,
             below,
-        }
+        })
     }
 
     /// The base frontier re-classified for `q′`, one of the samples —

@@ -29,7 +29,7 @@ use crate::incomparable::{DominanceFrontier, Reuse};
 use crate::mqp::{mqp, MqpResult};
 use crate::mwk::{mwk_sampled, Budget, MwkResult};
 use crate::penalty::{eq4, query_point_penalty, Tolerances};
-use crate::sampling::{sample_query_points, WeightSampler};
+use crate::sampling::{sample_query_points_with, WeightSampler};
 use wqrtq_geom::{score, Weight};
 use wqrtq_query::{ProbeCtx, Snapshot};
 
@@ -146,9 +146,10 @@ pub fn mqwk_with_frontier<'a>(
 /// re-classified and its anchors' culprits found once: they price it
 /// ([`penalty_floor`]) and, if it may still win, seed its MWK sampler.
 ///
-/// A set cancel flag on `ctx` stops the candidate loop within 256
-/// samples, and each MWK run within 256 draws; the incomplete answer is
-/// then the caller's to discard.
+/// A set cancel flag on `ctx` stops the query-point draws and the
+/// reuse set-up over them within 256 samples, the candidate loop within
+/// 256 samples, and each MWK run within 256 draws; the incomplete answer
+/// is then the caller's to discard.
 #[allow(clippy::too_many_arguments)] // mirrors Algorithm 3's input list
 pub(crate) fn refine(
     base: &DominanceFrontier,
@@ -162,12 +163,6 @@ pub(crate) fn refine(
     ctx: &ProbeCtx,
 ) -> MqwkResult {
     let (q, qmin) = (base.q(), &mqp_res.q_prime);
-    // Line 3: sample |Q| query points from (qmin, q). What depends only
-    // on them and on the anchors — which base rows any of them may
-    // re-classify, and which may beat any of them — is found once.
-    let samples = sample_query_points(qmin, q, query_samples, seed ^ 0x9e37_79b9);
-    let reuse = Reuse::new(base, &samples, why_not);
-
     // Endpoint candidate 1: move the query all the way to qmin, keep
     // preferences — penalty γ·Δq(qmin).
     let mut best = MqwkResult {
@@ -178,6 +173,16 @@ pub(crate) fn refine(
         candidates_evaluated: 2,
         candidates_pruned: 0,
         source: RefinementSource::QueryEndpoint,
+    };
+
+    // Line 3: sample |Q| query points from (qmin, q). What depends only
+    // on them and on the anchors — which base rows any of them may
+    // re-classify, and which may beat any of them — is found once.
+    let samples = sample_query_points_with(qmin, q, query_samples, seed ^ 0x9e37_79b9, ctx);
+    // A set flag may have cut the draws short, even to none.
+    let reuse = match Reuse::new_with(base, &samples, why_not, ctx) {
+        Some(reuse) if !ctx.is_cancelled() => reuse,
+        _ => return best,
     };
 
     // Endpoint candidate 2: keep q, run plain MWK — penalty λ·Eq.(4).
@@ -350,6 +355,7 @@ impl MqwkResult {
 mod tests {
     use super::*;
     use crate::mwk::{mwk, mwk_with_frontier};
+    use crate::sampling::sample_query_points;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

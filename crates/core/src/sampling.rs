@@ -28,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::ControlFlow;
 use wqrtq_geom::{dot, Weight};
+use wqrtq_query::ProbeCtx;
 
 /// Samples weighting vectors from the union of the `I`-hyperplanes of a
 /// dominance frontier, anchored at the why-not vectors.
@@ -314,22 +315,36 @@ fn step_range(w: &[f64], d: &[f64]) -> (f64, f64) {
 /// Samples `n` candidate query points uniformly from the open box
 /// `(qmin, q)` — the qualified sample space of MQWK (§4.4).
 pub fn sample_query_points(qmin: &[f64], q: &[f64], n: usize, seed: u64) -> Vec<Vec<f64>> {
+    sample_query_points_with(qmin, q, n, seed, &ProbeCtx::new())
+}
+
+/// [`sample_query_points`], polling `ctx`'s cancel flag once per 256
+/// draws: once it is set, the points drawn so far — fewer than `n` —
+/// are returned, for the caller to discard.
+pub fn sample_query_points_with(
+    qmin: &[f64],
+    q: &[f64],
+    n: usize,
+    seed: u64,
+    ctx: &ProbeCtx,
+) -> Vec<Vec<f64>> {
     assert_eq!(qmin.len(), q.len(), "dimension mismatch");
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            qmin.iter()
-                .zip(q)
-                .map(|(lo, hi)| {
-                    if hi > lo {
-                        rng.gen_range(*lo..*hi)
-                    } else {
-                        *lo
-                    }
-                })
-                .collect()
-        })
-        .collect()
+    let mut points = Vec::with_capacity(n);
+    for i in 0..n {
+        if ctx.cancelled_at(i) {
+            break;
+        }
+        let point = qmin.iter().zip(q).map(|(lo, hi)| {
+            if hi > lo {
+                rng.gen_range(*lo..*hi)
+            } else {
+                *lo
+            }
+        });
+        points.push(point.collect());
+    }
+    points
 }
 
 #[cfg(test)]

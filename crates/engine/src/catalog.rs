@@ -145,6 +145,16 @@ pub(crate) struct Peek {
     /// The base index, when the dataset is overlay-free and its index
     /// is built — a top-k over it needs no delta state.
     pub(crate) plain: Option<Arc<RTree>>,
+    /// The asked-for population's weights and its score table over
+    /// `plain`, when that table is already built.
+    pub(crate) table: Option<PeekedTable>,
+}
+
+/// A named population and its built score table over a plain base.
+#[derive(Debug)]
+pub(crate) struct PeekedTable {
+    pub(crate) weights: Arc<Vec<Weight>>,
+    pub(crate) table: Arc<ScoreTable>,
 }
 
 type BuiltIndex = (Arc<RTree>, Arc<FlatPoints>);
@@ -273,8 +283,9 @@ pub struct Catalog {
     rebuilds_avoided: AtomicU64,
     compactions: AtomicU64,
     compactions_abandoned: AtomicU64,
-    /// The engine's stage histograms, which every lazy build records one
-    /// sample into ([`Stage::IndexBuild`], [`Stage::TableBuild`]).
+    /// The engine's stage histograms, which every lazy build, every
+    /// compaction and the durability layer record one sample per
+    /// operation into ([`Stage::IndexBuild`] on).
     stages: StageHistograms,
     /// The durability layer, attached once (after recovery replay, so
     /// replayed mutations are not logged twice). `None` for in-memory
@@ -295,20 +306,21 @@ impl Catalog {
         self.stages.clone()
     }
 
-    /// Records one build that began at `started`.
-    fn record_build(&self, stage: Stage, started: Instant) {
+    /// Records one build or compaction that began at `started`.
+    fn record_stage(&self, stage: Stage, started: Instant) {
         self.stages[stage.index()].record_duration(started.elapsed());
     }
 
-    /// Attaches the durability layer. Must happen strictly after any
+    /// Attaches the durability layer, recording its storage stages into
+    /// this catalog's histograms. Must happen strictly after any
     /// recovery replay — mutations made before the attach are never
     /// logged (that is what makes replay idempotent).
     ///
     /// # Panics
     /// Panics if a layer is already attached.
-    pub(crate) fn attach_durability(&self, d: Arc<Durability>) {
+    pub(crate) fn attach_durability(&self, d: Durability) {
         self.durability
-            .set(d)
+            .set(Arc::new(d.with_stages(self.stages.clone())))
             // lint: allow(no-panic) — the documented `# Panics`
             // contract: attaching twice is an engine-construction bug.
             .expect("durability layer attached exactly once");
@@ -408,7 +420,7 @@ impl Catalog {
         self.index_builds.fetch_add(1, Ordering::Relaxed);
         let flat = FlatPoints::from_row_major(dim, coords);
         let built = (Arc::new(RTree::bulk_load(dim, coords)), Arc::new(flat));
-        self.record_build(Stage::IndexBuild, started);
+        self.record_stage(Stage::IndexBuild, started);
         built
     }
 
@@ -512,7 +524,7 @@ impl Catalog {
         let table = cell.get_or_init(|| {
             let started = Instant::now();
             let table = ScoreTable::build(&handle.index, population, SCORE_TABLE_DEPTH);
-            self.record_build(Stage::TableBuild, started);
+            self.record_stage(Stage::TableBuild, started);
             Arc::new(table)
         });
         Some(table.clone())
@@ -540,31 +552,34 @@ impl Catalog {
             entry.clone()
         };
         // Merge + build outside the lock (the expensive part).
+        let started = Instant::now();
         let (live, _) = overlay.merge(row_major(&base.coords, dim));
         let built = self.build_index(dim, &live);
 
         let mut inner = self.inner.write().expect("catalog lock");
         let entry = inner.dataset_mut(name)?;
-        if entry.epoch() != epoch {
-            // ordering: Relaxed — monotonic stats counter, read only by
-            // `stats()`.
-            self.compactions_abandoned.fetch_add(1, Ordering::Relaxed);
-            return Ok(false);
-        }
         // Log the merge *before* installing it: a Compact record that
         // cannot be made durable abandons the merge (the overlay and its
         // trigger survive untouched), so the WAL always carries the
         // record for any installed base.
-        if let Err(e) = self.log(WalRecordRef::Compact { name }) {
-            // ordering: Relaxed — monotonic stats counter.
+        let logged = if entry.epoch() == epoch {
+            self.log(WalRecordRef::Compact { name }).map(|()| true)
+        } else {
+            Ok(false) // superseded mid-merge
+        };
+        if !matches!(logged, Ok(true)) {
+            // ordering: Relaxed — monotonic stats counter, read only by
+            // `stats()`.
             self.compactions_abandoned.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
+            self.record_stage(Stage::Compaction, started);
+            return logged;
         }
         // The stale generation's index and score tables die with it.
         *entry = DatasetEntry::new(dim, entry.base.epoch + 1, live, OnceLock::from(built));
         // ordering: Relaxed — monotonic stats counter; installation of
         // the merged base is published by the catalog write lock above.
         self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.record_stage(Stage::Compaction, started);
         if let Some(d) = self.durability.get() {
             // Snapshot the post-merge catalog while the write lock still
             // excludes concurrent mutations, so the image and the WAL
@@ -581,16 +596,27 @@ impl Catalog {
     /// An `O(1)` look at a dataset for a caller that must neither wait
     /// nor build: its epoch, plus its base index when the overlay is
     /// empty and the index is already built (a compaction installs its
-    /// merged base built). `None` when the dataset is unknown or a writer
-    /// holds the catalog lock — the caller then leaves the request to
-    /// [`Catalog::handle`] on the pool.
-    pub(crate) fn peek(&self, name: &str) -> Option<Peek> {
+    /// merged base built), plus — over such a base — the score table of
+    /// the weights registered as `population`, when it is already built
+    /// and no other thread holds the tables' lock. `None` when the
+    /// dataset is unknown or a writer holds the catalog lock — the caller
+    /// then leaves the request to [`Catalog::handle`] on the pool.
+    pub(crate) fn peek(&self, name: &str, population: Option<&str>) -> Option<Peek> {
         let inner = self.inner.try_read().ok()?;
         let entry = inner.datasets.get(name)?;
         let plain = entry.base.index.get().filter(|_| entry.overlay.is_empty());
+        let table = plain.zip(population).and_then(|(_, population)| {
+            let weights = inner.weight_sets.get(population)?;
+            let tables = entry.base.tables.try_lock().ok()?;
+            Some(PeekedTable {
+                weights: weights.clone(),
+                table: tables.get(population)?.get()?.clone(),
+            })
+        });
         Some(Peek {
             epoch: entry.epoch(),
             plain: plain.map(|(tree, _)| tree.clone()),
+            table,
         })
     }
 
@@ -832,32 +858,62 @@ mod tests {
     #[test]
     fn peek_never_builds_never_waits_and_offers_only_plain_built_bases() {
         let c = Catalog::new();
-        assert!(c.peek("sq").is_none(), "unknown dataset");
+        assert!(c.peek("sq", None).is_none(), "unknown dataset");
         c.register("sq", 2, unit_square()).unwrap();
-        let cold = c.peek("sq").unwrap();
+        let ws = vec![Weight::new(vec![0.5, 0.5]), Weight::new(vec![0.25, 0.75])];
+        c.register_weights("w", ws.clone()).unwrap();
+        let tables_built = || c.stages[Stage::TableBuild.index()].snapshot().count;
+        let cold = c.peek("sq", Some("w")).unwrap();
         assert_eq!(cold.epoch, DatasetEpoch::fresh(1));
         assert!(cold.plain.is_none(), "no index yet");
+        assert!(cold.table.is_none(), "no table without an index");
         assert_eq!(c.stats().index_builds, 0, "the peek built nothing");
         let h = c.handle("sq").unwrap();
-        let warm = c.peek("sq").unwrap();
+        let warm = c.peek("sq", Some("w")).unwrap();
         assert!(Arc::ptr_eq(warm.plain.as_ref().unwrap(), &h.index));
+        assert!(warm.table.is_none(), "an unbuilt table");
+        assert_eq!(tables_built(), 0, "the peek built no table");
+
+        // A built table is offered with its population, and only its own.
+        let table = c.score_table(&h, "w", &ws, 10).unwrap();
+        let offered = c.peek("sq", Some("w")).unwrap().table.unwrap();
+        assert!(Arc::ptr_eq(&offered.table, &table));
+        assert!(Arc::ptr_eq(&offered.weights, &c.weights("w").unwrap()));
+        assert!(c.peek("sq", None).unwrap().table.is_none());
+        assert!(
+            c.peek("sq", Some("nope")).unwrap().table.is_none(),
+            "an unknown population"
+        );
+        {
+            let _tables = h.generation.tables.lock().unwrap();
+            let held = c.peek("sq", Some("w")).unwrap();
+            assert!(held.table.is_none(), "a held tables lock is not waited on");
+            assert!(held.plain.is_some(), "the index is still offered");
+        }
         {
             let _writer = c.inner.write().unwrap();
-            assert!(c.peek("sq").is_none(), "a held write lock is not waited on");
+            assert!(
+                c.peek("sq", Some("w")).is_none(),
+                "a held write lock is not waited on"
+            );
             assert_eq!(c.stats().index_builds, 1, "stats take no lock");
         }
         c.append("sq", &[2.0, 2.0]).unwrap();
-        let mutated = c.peek("sq").unwrap();
+        let mutated = c.peek("sq", Some("w")).unwrap();
         assert_eq!(mutated.epoch, c.epoch("sq").unwrap());
         assert!(mutated.plain.is_none(), "an overlay needs delta state");
+        assert!(mutated.table.is_none(), "so does a table through one");
         // A compaction installs its merged base built: the next peek
-        // offers it, with no `handle()` in between.
+        // offers it, with no `handle()` in between — but not the old
+        // generation's table.
         assert!(c.compact_if("sq", mutated.epoch).unwrap());
-        let merged = c.peek("sq").unwrap();
+        let merged = c.peek("sq", Some("w")).unwrap();
         assert_eq!(merged.epoch, DatasetEpoch::fresh(2));
+        assert!(merged.table.is_none(), "the merged base's table is unbuilt");
         let tree = merged.plain.expect("the merged base is offered");
         assert_eq!(tree.len(), 5);
         assert_eq!(c.stats().index_builds, 2, "the merge's build, no other");
+        assert_eq!(tables_built(), 1, "the one `score_table` build");
         assert!(Arc::ptr_eq(&tree, &c.handle("sq").unwrap().index));
     }
 
@@ -937,11 +993,11 @@ mod tests {
         fn wal_bytes(&self) -> std::io::Result<Vec<u8>> {
             self.inner.wal_bytes()
         }
-        fn wal_append(&self, record: &[u8], sync: bool) -> std::io::Result<()> {
+        fn wal_append(&self, record: &[u8]) -> std::io::Result<()> {
             if self.fail.load(Ordering::SeqCst) {
                 return Err(std::io::Error::other("injected WAL failure"));
             }
-            self.inner.wal_append(record, sync)
+            self.inner.wal_append(record)
         }
         fn wal_truncate(&self, len: u64) -> std::io::Result<()> {
             self.inner.wal_truncate(len)
@@ -966,7 +1022,7 @@ mod tests {
         };
         let recovered = Durability::open(Box::new(backend), FsyncPolicy::Never).unwrap();
         let c = Catalog::new();
-        c.attach_durability(Arc::new(recovered.durability));
+        c.attach_durability(recovered.durability);
         (c, fail)
     }
 
@@ -1079,6 +1135,29 @@ mod tests {
         assert!(!c.compact_if("sq", epoch).unwrap());
         let s = c.stats();
         assert_eq!(s.compactions, 1);
+    }
+
+    #[test]
+    fn a_compaction_records_one_sample_installed_or_abandoned() {
+        let (c, fail) = durable_catalog();
+        let samples = |stage: Stage| c.stages[stage.index()].snapshot().count;
+        c.register("sq", 2, unit_square()).unwrap();
+        c.append("sq", &[0.5, 0.5]).unwrap();
+        fail.store(true, Ordering::SeqCst);
+        assert!(c.compact_if("sq", c.epoch("sq").unwrap()).is_err());
+        assert_eq!(c.stats().compactions_abandoned, 1);
+        assert_eq!(samples(Stage::Compaction), 1, "abandoned: unlogged");
+        fail.store(false, Ordering::SeqCst);
+        assert!(c.compact_if("sq", c.epoch("sq").unwrap()).unwrap());
+        assert_eq!(samples(Stage::Compaction), 2, "installed");
+        assert_eq!(samples(Stage::Checkpoint), 1, "the install's checkpoint");
+        // Nothing to merge: no merge runs, and nothing is recorded.
+        assert!(!c.compact_if("sq", c.epoch("sq").unwrap()).unwrap());
+        assert_eq!(samples(Stage::Compaction), 2);
+        // Register, append, the failed Compact record and the logged one;
+        // this catalog's policy never fsyncs.
+        assert_eq!(samples(Stage::WalAppend), 4);
+        assert_eq!(samples(Stage::Fsync), 0);
     }
 
     #[test]

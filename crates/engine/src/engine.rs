@@ -158,7 +158,7 @@ impl EngineBuilder {
                 catalog.apply_replay(rec)?;
             }
             // Attach only now: the replay above must not log again.
-            catalog.attach_durability(Arc::new(recovered.durability));
+            catalog.attach_durability(recovered.durability);
         }
         Ok(self.spawn(catalog))
     }
@@ -265,6 +265,17 @@ impl BatchSubmission {
                 .as_ref()
                 .is_some_and(|flag| flag.load(Ordering::Acquire))
     }
+}
+
+/// A request [`Engine::serve_inline`] answered on the calling thread.
+#[derive(Debug)]
+pub struct InlineAnswer {
+    /// The reply, bit-identical to what the pool would have given.
+    pub response: Response,
+    /// Whether the answer executed a cache miss (rules 3 and 4 of
+    /// [`Engine::serve_inline`]) rather than being a `Stats` reply or a
+    /// cache hit: what a caller bounding the work it does inline counts.
+    pub executed: bool,
 }
 
 impl std::fmt::Debug for BatchSubmission {
@@ -446,10 +457,18 @@ impl Engine {
     /// 2. a cache hit of any query kind, keyed on an `O(1)` catalog peek;
     /// 3. a [`Request::TopK`] miss with `k` at most one leaf's worth
     ///    ([`wqrtq_rtree::DEFAULT_FANOUT`]) on a dataset whose overlay is
-    ///    empty and whose index is already built.
+    ///    empty and whose index is already built;
+    /// 4. a [`Request::ReverseTopKBi`] miss over a named population of at
+    ///    most `INLINE_TABLE_MAX_WEIGHTS` (2 048) weights, on such a
+    ///    dataset, whose score table over that index is already built and
+    ///    covers `k` (clamped to `live + 1`): one comparison per weight.
+    ///    An inline population, an unbuilt table, a deeper `k` and a
+    ///    larger population go to the pool.
     ///
-    /// So the caller never builds an index, never waits on a lock a
-    /// writer holds, and never runs work that grows with the overlay.
+    /// So the caller never builds an index or a table, never waits on a
+    /// lock another thread holds, and never runs work that grows with
+    /// the overlay; [`InlineAnswer::executed`] tells rules 3 and 4 from
+    /// the rest.
     /// The body is the pool's own — validation, cache lookup and fill,
     /// execution, stage histograms and metrics — with a near-zero queue
     /// wait, one async submission counted per answered request, and the
@@ -461,17 +480,17 @@ impl Engine {
         request: &Request,
         trace_id: u64,
         scratch: &mut ProbeCtx,
-    ) -> Option<Response> {
+    ) -> Option<InlineAnswer> {
         let trace = TraceContext {
             trace_id,
             submitted: Instant::now(),
         };
         let boundary = self.worker_count();
-        let response = crate::worker::serve_inline(&self.ctx, boundary, trace, request, scratch)?;
+        let answer = crate::worker::serve_inline(&self.ctx, boundary, trace, request, scratch)?;
         if !matches!(request, Request::Stats) {
             self.ctx.metrics.record_async_submit();
         }
-        Some(response)
+        Some(answer)
     }
 
     /// Records one boundary-owned pipeline-stage observation into the
@@ -1288,23 +1307,38 @@ mod tests {
 
     #[test]
     fn serve_inline_runs_only_cheap_requests_and_hands_the_rest_back_untouched() {
+        use crate::worker::INLINE_TABLE_MAX_WEIGHTS;
         use wqrtq_obs::Stage;
         use wqrtq_rtree::DEFAULT_FANOUT;
         let engine = figure1_engine(1);
         let twin = figure1_engine(1);
+        // Past the depth-10 table once `k` is clamped to `live + 1`, and
+        // a population just over the loop's cap.
+        let crowd: Vec<Weight> = (0..=INLINE_TABLE_MAX_WEIGHTS)
+            .map(|i| Weight::from_first_2d(i as f64 / INLINE_TABLE_MAX_WEIGHTS as f64))
+            .collect();
+        for e in [&engine, &twin] {
+            e.register_dataset("many", 2, scatter(64, 2, 9)).unwrap();
+            e.register_weights("crowd", crowd.clone()).unwrap();
+        }
         let topk = |k: usize| Request::TopK {
             dataset: "products".into(),
             weight: vec![0.5, 0.5],
             k,
         };
-        let rtopk = Request::ReverseTopKBi {
-            dataset: "products".into(),
-            weights: WeightSet::Named("customers".into()),
-            q: vec![4.0, 4.0],
-            k: 3,
-        };
+        let named =
+            |dataset: &str, population: &str, q: Vec<f64>, k: usize| Request::ReverseTopKBi {
+                dataset: dataset.into(),
+                weights: WeightSet::Named(population.into()),
+                q,
+                k,
+            };
+        let rtopk = named("products", "customers", vec![4.0, 4.0], 3);
         let mut scratch = ProbeCtx::new();
-        let mut inline = |r: &Request| engine.serve_inline(r, 7, &mut scratch);
+        let mut inline = |r: &Request| {
+            let answer = engine.serve_inline(r, 7, &mut scratch)?;
+            Some((answer.response, answer.executed))
+        };
 
         // Handed back before anything is recorded: an unbuilt index, a
         // mutation, an invalid request, an unknown dataset.
@@ -1334,15 +1368,19 @@ mod tests {
         assert!(!engine.catalog().is_indexed("products"));
 
         // Built and overlay-free: small-k misses run, large k and
-        // reverse top-k misses go back, and a warmed entry is a hit.
+        // reverse top-k misses without a built table go back, and a
+        // warmed entry is a hit.
         engine.catalog().handle("products").unwrap();
         let before = engine.metrics();
-        assert_eq!(inline(&topk(3)), Some(twin.submit(topk(3))));
+        assert_eq!(inline(&topk(3)), Some((twin.submit(topk(3)), true)));
         assert_eq!(inline(&topk(DEFAULT_FANOUT + 1)), None);
-        assert_eq!(inline(&rtopk), None);
+        assert_eq!(inline(&rtopk), None, "the loop never builds a table");
         let warmed = engine.submit(rtopk.clone());
-        assert_eq!(inline(&rtopk), Some(warmed));
-        assert!(matches!(inline(&Request::Stats), Some(Response::Stats(_))));
+        assert_eq!(inline(&rtopk), Some((warmed, false)));
+        assert!(matches!(
+            inline(&Request::Stats),
+            Some((Response::Stats(_), false))
+        ));
         let m = engine.metrics();
         assert_eq!(m.async_submits, before.async_submits + 2);
         assert_eq!((m.cache.hits, m.cache.misses), (1, before.cache.misses + 2));
@@ -1352,9 +1390,111 @@ mod tests {
             "inline requests keep every stage histogram populated"
         );
 
-        // An overlay is delta state: even a cheap top-k goes back.
+        // The table built, a named miss runs on the loop, bit-identical
+        // to the pool's answer, through the same stages.
+        let before = engine.metrics();
+        for (q, k) in [([3.5, 3.5], 3), ([6.0, 2.5], 1), ([9.5, 9.5], 40)] {
+            let request = named("products", "customers", q.to_vec(), k);
+            assert_eq!(inline(&request), Some((twin.submit(request), true)));
+        }
+        let m = engine.metrics();
+        assert_eq!(m.async_submits, before.async_submits + 3);
+        assert_eq!(m.cache.misses, before.cache.misses + 3);
+        for stage in [Stage::CacheLookup, Stage::IndexProbe, Stage::Execute] {
+            assert_eq!(
+                m.stage_latency(stage).count,
+                before.stage_latency(stage).count + 3,
+                "{stage:?}"
+            );
+        }
+        assert_eq!(
+            m.stage_latency(Stage::TableBuild).count,
+            before.stage_latency(Stage::TableBuild).count,
+            "no table was built"
+        );
+
+        // Each of these goes back, recording and counting nothing: an
+        // inline population, `k` past the table, a population over the
+        // cap, an unknown population, and `q` of the wrong dimension.
+        for warm in [
+            named("many", "customers", vec![0.5, 0.5], 10),
+            named("many", "crowd", vec![0.5, 0.5], 10),
+        ] {
+            assert!(!engine.submit(warm).is_error(), "tables built on the pool");
+        }
+        let untouched = engine.metrics();
+        assert_eq!(
+            inline(&Request::ReverseTopKBi {
+                dataset: "products".into(),
+                weights: WeightSet::Inline(vec![vec![0.5, 0.5]]),
+                q: vec![5.0, 5.0],
+                k: 3,
+            }),
+            None
+        );
+        assert_eq!(
+            inline(&named("many", "customers", vec![1.0, 1.0], 11)),
+            None
+        );
+        assert_eq!(inline(&named("many", "crowd", vec![1.0, 1.0], 10)), None);
+        assert_eq!(inline(&named("products", "nope", vec![4.0, 4.0], 3)), None);
+        assert_eq!(
+            inline(&named("products", "customers", vec![4.0, 4.0, 4.0], 3)),
+            None
+        );
+        assert_eq!(engine.metrics(), untouched);
+        // Under the cap and within the depth, the same dataset runs.
+        let request = named("many", "customers", vec![1.0, 1.0], 10);
+        assert_eq!(inline(&request), Some((twin.submit(request), true)));
+
+        // An overlay is delta state: even a cheap top-k or a built
+        // table's answer goes back.
         engine.append_points("products", &[1.0, 0.5]).unwrap();
+        let untouched = engine.metrics();
         assert_eq!(inline(&topk(1)), None);
+        assert_eq!(
+            inline(&named("products", "customers", vec![3.0, 3.0], 3)),
+            None
+        );
+        assert_eq!(engine.metrics(), untouched);
+    }
+
+    #[test]
+    fn storage_stages_record_one_sample_per_operation() {
+        use wqrtq_obs::Stage;
+        let dir = std::env::temp_dir().join(format!("wqrtq-stages-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        {
+            let engine = Engine::builder()
+                .workers(1)
+                .overlay_limit(usize::MAX)
+                .data_dir(&dir)
+                .build();
+            let storage = [
+                Stage::WalAppend,
+                Stage::Fsync,
+                Stage::Checkpoint,
+                Stage::Compaction,
+            ];
+            let samples = || storage.map(|stage| engine.metrics().stage_latency(stage).count);
+            engine.register_dataset("d", 2, scatter(32, 2, 4)).unwrap();
+            let registered = samples();
+            assert_eq!(registered, [1, 1, 0, 0], "one record, fsynced");
+            engine.append_points("d", &[1.0, 1.0]).unwrap();
+            assert!(engine.checkpoint().unwrap());
+            assert_eq!(samples(), [2, 2, 1, 0], "one append, one checkpoint");
+            // A compaction logs and fsyncs its record, then checkpoints.
+            assert!(engine.compact("d").unwrap());
+            assert_eq!(samples(), [3, 3, 2, 1]);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+        // Without a data directory there is nothing to record.
+        let engine = figure1_engine(1);
+        engine.append_points("products", &[1.0, 1.0]).unwrap();
+        assert!(engine.compact("products").unwrap());
+        let m = engine.metrics();
+        assert_eq!(m.stage_latency(Stage::WalAppend).count, 0);
+        assert_eq!(m.stage_latency(Stage::Compaction).count, 1);
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! them) and whether the result came from the cache. Pipeline stages
 //! (queue wait, cache lookup, index probe, …) feed a second histogram
 //! family keyed by [`Stage`], shared with the [`crate::Catalog`], which
-//! records its lazy index and score-table builds into it.
+//! records its lazy index and score-table builds, its compactions and
+//! its durability layer's WAL appends, fsyncs and checkpoints into it.
 //! [`MetricsSnapshot`] is a
 //! consistent-enough point-in-time read for dashboards and tests; once
 //! workers quiesce it is exact, which is what the wire `Stats`

@@ -35,9 +35,9 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// The full current WAL image.
     fn wal_bytes(&self) -> io::Result<Vec<u8>>;
 
-    /// Appends one framed record; when `sync` is set the bytes are
-    /// durable (fsynced) before returning.
-    fn wal_append(&self, record: &[u8], sync: bool) -> io::Result<()>;
+    /// Appends one framed record; [`StorageBackend::sync`] makes it
+    /// durable.
+    fn wal_append(&self, record: &[u8]) -> io::Result<()>;
 
     /// Truncates the WAL to `len` bytes (cutting a torn tail after a
     /// crash) and makes the truncation durable.
@@ -51,9 +51,9 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// the WAL to empty. See the trait docs for the crash contract.
     fn install_checkpoint(&self, snapshot: &[u8]) -> io::Result<()>;
 
-    /// Flushes any buffered WAL bytes durably (the graceful-shutdown
-    /// path — under [`super::FsyncPolicy::Never`] this is the only sync
-    /// that ever runs).
+    /// Makes every appended WAL byte durable (fsync): after an append
+    /// when the fsync policy asks for it, and at graceful shutdown (under
+    /// [`super::FsyncPolicy::Never`] the only sync that ever runs).
     fn sync(&self) -> io::Result<()>;
 }
 
@@ -112,13 +112,8 @@ impl StorageBackend for DiskBackend {
         fs::read(self.dir.join(WAL_FILE))
     }
 
-    fn wal_append(&self, record: &[u8], sync: bool) -> io::Result<()> {
-        let mut wal = self.wal.lock().expect("wal file lock");
-        wal.write_all(record)?;
-        if sync {
-            wal.sync_data()?;
-        }
-        Ok(())
+    fn wal_append(&self, record: &[u8]) -> io::Result<()> {
+        self.wal.lock().expect("wal file lock").write_all(record)
     }
 
     fn wal_truncate(&self, len: u64) -> io::Result<()> {
@@ -203,7 +198,7 @@ impl StorageBackend for MemBackend {
         Ok(self.state.lock().expect("mem state lock").wal.clone())
     }
 
-    fn wal_append(&self, record: &[u8], _sync: bool) -> io::Result<()> {
+    fn wal_append(&self, record: &[u8]) -> io::Result<()> {
         self.state
             .lock()
             .expect("mem state lock")

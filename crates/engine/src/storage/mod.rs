@@ -47,9 +47,12 @@ pub use backend::{
 pub use record::{WalReadout, WalRecord, WalRecordRef, MAX_WAL_RECORD_LEN, RECORD_MAGIC};
 pub use snapshot::{CatalogState, DatasetState, WeightSetState, SNAPSHOT_MAGIC};
 
+use crate::metrics::StageHistograms;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
+use wqrtq_obs::Stage;
 
 /// When WAL appends are forced to stable storage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -174,6 +177,9 @@ pub struct Durability {
     snapshot_writes: AtomicU64,
     recoveries: AtomicU64,
     wal_replayed: AtomicU64,
+    /// The engine's stage histograms, which every WAL append, fsync and
+    /// checkpoint records one sample into; `None` records nothing.
+    stages: Option<StageHistograms>,
 }
 
 impl Durability {
@@ -229,12 +235,28 @@ impl Durability {
             snapshot_writes: AtomicU64::new(0),
             recoveries: AtomicU64::new(u64::from(had_state)),
             wal_replayed: AtomicU64::new(records.len() as u64),
+            stages: None,
         };
         Ok(Recovered {
             durability,
             state,
             records,
         })
+    }
+
+    /// Records every later WAL append, fsync and checkpoint into
+    /// `stages` ([`Stage::WalAppend`], [`Stage::Fsync`],
+    /// [`Stage::Checkpoint`]).
+    pub(crate) fn with_stages(mut self, stages: StageHistograms) -> Self {
+        self.stages = Some(stages);
+        self
+    }
+
+    /// Records one `stage` sample that began at `started`.
+    fn record(&self, stage: Stage, started: Instant) {
+        if let Some(histogram) = self.stages.as_ref().and_then(|s| s.get(stage.index())) {
+            histogram.record_duration(started.elapsed());
+        }
     }
 
     /// Appends one mutation record under a fresh LSN, fsyncing per
@@ -273,7 +295,16 @@ impl Durability {
                 }
             }
         };
-        self.backend.wal_append(&framed, sync)?;
+        let started = Instant::now();
+        let appended = self.backend.wal_append(&framed);
+        self.record(Stage::WalAppend, started);
+        appended?;
+        if sync {
+            let started = Instant::now();
+            let synced = self.backend.sync();
+            self.record(Stage::Fsync, started);
+            synced?;
+        }
         // ordering: Relaxed — monotonic stats counter, read only by
         // `stats()`.
         self.wal_appends.fetch_add(1, Ordering::Relaxed);
@@ -289,7 +320,10 @@ impl Durability {
     /// every step, so a failure here never loses acknowledged state —
     /// at worst the old snapshot plus the full WAL remain.
     pub fn checkpoint(&self, state: &CatalogState) -> Result<(), StorageError> {
-        self.backend.install_checkpoint(&state.encode())?;
+        let started = Instant::now();
+        let installed = self.backend.install_checkpoint(&state.encode());
+        self.record(Stage::Checkpoint, started);
+        installed?;
         // ordering: Relaxed — monotonic stats counter, read only by
         // `stats()`.
         self.snapshot_writes.fetch_add(1, Ordering::Relaxed);

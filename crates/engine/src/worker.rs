@@ -16,8 +16,11 @@
 //!
 //! [`serve_inline`], behind [`crate::Engine::serve_inline`], lets an
 //! event loop answer the requests that are cheap by construction on its
-//! own thread and its own `ProbeCtx`; it shares [`serve`]'s validation,
-//! cache lookup and fill, execution and metrics ([`Serving`]) and hands
+//! own thread and its own `ProbeCtx` — a `Stats`, a cache hit, and over
+//! a built, overlay-free base a small-`k` top-k miss or a named
+//! bichromatic miss whose score table is built; it shares [`serve`]'s
+//! validation, cache lookup and fill, execution and metrics
+//! ([`Serving`]), reports whether it executed a miss, and hands
 //! everything else back untouched.
 //!
 //! Execution is deterministic — every algorithm is seed-driven — which
@@ -25,8 +28,8 @@
 //! determinism tests).
 
 use crate::cache::CacheKey;
-use crate::catalog::{Catalog, CatalogStats, DatasetEpoch, DatasetHandle};
-use crate::engine::BatchSubmission;
+use crate::catalog::{Catalog, CatalogStats, DatasetEpoch, DatasetHandle, PeekedTable};
+use crate::engine::{BatchSubmission, InlineAnswer};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::request::{
@@ -45,8 +48,8 @@ use wqrtq_core::framework::{RefinedQuery, Wqrtq, WqrtqAnswer};
 use wqrtq_geom::Weight;
 use wqrtq_obs::{SpanRecord, Stage, Tracer};
 use wqrtq_query::{
-    bichromatic_reverse_topk_rta, monochromatic_reverse_topk_2d, simplex_population, topk_with,
-    MrtopkEstimate, ProbeCtx, Snapshot,
+    bichromatic_reverse_topk_rta, monochromatic_reverse_topk_2d, simplex_population_with,
+    topk_with, MrtopkEstimate, ProbeCtx, Snapshot,
 };
 use wqrtq_rtree::{RTree, DEFAULT_FANOUT};
 
@@ -305,6 +308,14 @@ enum Target<'a> {
         weight: &'a [f64],
         k: usize,
     },
+    /// The loop's bichromatic reverse top-k of a named population from
+    /// its built score table over a built, overlay-free base index.
+    Table {
+        tree: Arc<RTree>,
+        named: PeekedTable,
+        q: &'a [f64],
+        k: usize,
+    },
 }
 
 /// One request between pickup and reply: its span buffer and the clock
@@ -394,6 +405,16 @@ impl<'r> Serving<'r> {
             Target::Plain { tree, weight, k } => {
                 execute_topk(ctx, spans, Snapshot::from(&*tree), weight, k, scratch)
             }
+            Target::Table { tree, named, q, k } => probe(ctx, spans, || {
+                let (snap, weights) = (Snapshot::from(&*tree), &named.weights[..]);
+                // `serve_inline` admits only a `k` the table serves; RTA,
+                // as on the pool, should it ever not.
+                let members = named
+                    .table
+                    .reverse_topk(snap, weights, q, k, scratch)
+                    .unwrap_or_else(|| bichromatic_reverse_topk_rta(snap, weights, q, k, scratch));
+                (Response::ReverseTopKBi(members), 0)
+            }),
         }))
         .unwrap_or_else(|panic| {
             let msg = panic
@@ -485,10 +506,24 @@ pub(crate) fn serve(
     serving.finish(ctx, shard, response)
 }
 
+/// The largest named population whose table answer the event loop
+/// runs itself; a larger one goes to the pool. An overlay-free table
+/// answer is one score and one comparison per weight. Measured through
+/// [`crate::Engine::serve_inline`] on a 2-core x86-64 host (release,
+/// `k = 10`, IND 100k×3 and ANTI 50k×5, unique query points; the whole
+/// call, validation and cache fill included), p50 over three runs:
+/// 1 000 weights take 9–11 µs at `d = 3` and `d = 5`, 2 048 take
+/// 15–18 µs, and a small-`k` top-k miss — the other work the loop runs —
+/// 7–12 µs. At the cap a table answer costs about two top-k misses, so
+/// the server's per-event miss budget (`INLINE_MISSES_PER_EVENT`) keeps
+/// the loop occupancy it was sized for.
+pub(crate) const INLINE_TABLE_MAX_WEIGHTS: usize = 2048;
+
 /// Serves one request on an event loop if it is cheap by construction —
-/// a [`Request::Stats`], a cache hit, or a [`Request::TopK`] miss with
-/// `k` at most one leaf's worth over a built, overlay-free base — and
-/// never waits for a writer. Anything else returns `None` having
+/// a [`Request::Stats`], a cache hit, a [`Request::TopK`] miss with `k`
+/// at most one leaf's worth, or a named [`Request::ReverseTopKBi`] miss
+/// its built score table answers, both over a built, overlay-free base —
+/// and never waits for a writer. Anything else returns `None` having
 /// recorded and counted nothing, for the pool to [`serve`].
 pub(crate) fn serve_inline(
     ctx: &WorkerContext,
@@ -496,22 +531,48 @@ pub(crate) fn serve_inline(
     trace: TraceContext,
     request: &Request,
     scratch: &mut ProbeCtx,
-) -> Option<Response> {
+) -> Option<InlineAnswer> {
     if matches!(request, Request::Stats) {
-        return Some(stats(ctx, ctx.catalog.stats()));
+        let response = stats(ctx, ctx.catalog.stats());
+        return Some(InlineAnswer {
+            response,
+            executed: false,
+        });
     }
     if request.kind().is_mutation() {
         return None;
     }
     let mut serving = Serving::begin(ctx, trace, request);
     serving.validate(ctx).ok()?;
+    let population = match request {
+        Request::ReverseTopKBi {
+            weights: WeightSet::Named(name),
+            ..
+        } => Some(name.as_str()),
+        _ => None,
+    };
     // An `O(1)` look at what is built; no snapshot, no delta state.
-    let peek = ctx.catalog.peek(request.dataset())?;
-    let target = match (request, peek.plain) {
-        (Request::TopK { weight, k, .. }, Some(tree)) if *k <= DEFAULT_FANOUT => {
+    let peek = ctx.catalog.peek(request.dataset(), population)?;
+    let target = match (request, peek.plain, peek.table) {
+        (Request::TopK { weight, k, .. }, Some(tree), _) if *k <= DEFAULT_FANOUT => {
             Some(Target::Plain {
                 tree,
                 weight,
+                k: *k,
+            })
+        }
+        // A built table implies the population's dimension is the
+        // base's: it is only ever built after the pool checked that.
+        (Request::ReverseTopKBi { q, k, .. }, Some(tree), Some(named))
+            if q.len() == tree.dim()
+                && *k >= 1
+                && (*k).min(tree.len() + 1) <= named.table.depth()
+                && named.weights.len() <= INLINE_TABLE_MAX_WEIGHTS =>
+        {
+            Some(Target::Table {
+                tree,
+                named,
+                q,
                 k: *k,
             })
         }
@@ -521,11 +582,12 @@ pub(crate) fn serve_inline(
         epoch: peek.epoch,
         fingerprint: serving.fingerprint,
     };
-    let response = match serving.lookup(ctx, &key, target.is_some()) {
-        Some(hit) => hit,
-        None => serving.execute(ctx, key, target?, scratch),
+    let (response, executed) = match serving.lookup(ctx, &key, target.is_some()) {
+        Some(hit) => (hit, false),
+        None => (serving.execute(ctx, key, target?, scratch), true),
     };
-    Some(serving.finish(ctx, shard, response))
+    let response = serving.finish(ctx, shard, response);
+    Some(InlineAnswer { response, executed })
 }
 
 /// Validates a vector against the dataset dimensionality.
@@ -650,7 +712,9 @@ fn execute(
                     let intervals = monochromatic_reverse_topk_2d(coords, q, *k);
                     Response::MonoExact(intervals.into_iter().map(|iv| (iv.lo, iv.hi)).collect())
                 } else {
-                    let population = simplex_population(handle.dim, *samples, *seed);
+                    // A flag that cuts the draws short stops RTA at its
+                    // first poll, and the reply is the cancelled error.
+                    let population = simplex_population_with(handle.dim, *samples, *seed, scratch);
                     match execute_bichromatic(ctx, handle, &population, None, q, *k, scratch) {
                         Response::ReverseTopKBi(members) => {
                             let est = MrtopkEstimate::from_members(population, &members);

@@ -29,8 +29,9 @@ pub use trace::{SlowRequest, SpanRecord, TraceSnapshot, Tracer};
 /// A stage of the request pipeline, shared vocabulary between the
 /// engine's stage histograms and the tracer's spans. The build stages
 /// (from [`Stage::IndexBuild`] on) are per-dataset work a request may
-/// trigger but does not own: each build records one histogram sample
-/// and no span.
+/// trigger but does not own, and the storage stages (from
+/// [`Stage::WalAppend`] on) are the durability layer's: each build or
+/// storage operation records one histogram sample and no span.
 ///
 /// The discriminants are the wire encoding of the stage (the `Stats`
 /// response carries per-stage histograms) — append-only, like request
@@ -59,11 +60,20 @@ pub enum Stage {
     MaskBuild = 8,
     /// One named population's score table over one base.
     TableBuild = 9,
+    /// One mutation record's WAL write, not yet durable (every attempt,
+    /// as with the storage stages below).
+    WalAppend = 10,
+    /// One WAL fsync, when the fsync policy asks for one.
+    Fsync = 11,
+    /// One snapshot installed and the WAL reset.
+    Checkpoint = 12,
+    /// One overlay merge run to its end, installed or abandoned.
+    Compaction = 13,
 }
 
 impl Stage {
     /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 14] = [
         Stage::Admission,
         Stage::QueueWait,
         Stage::CacheLookup,
@@ -74,6 +84,10 @@ impl Stage {
         Stage::IndexBuild,
         Stage::MaskBuild,
         Stage::TableBuild,
+        Stage::WalAppend,
+        Stage::Fsync,
+        Stage::Checkpoint,
+        Stage::Compaction,
     ];
 
     /// Number of stages (array-of-histograms length).
@@ -92,6 +106,10 @@ impl Stage {
             Stage::IndexBuild => "index_build",
             Stage::MaskBuild => "mask_build",
             Stage::TableBuild => "table_build",
+            Stage::WalAppend => "wal_append",
+            Stage::Fsync => "fsync",
+            Stage::Checkpoint => "checkpoint",
+            Stage::Compaction => "compaction",
         }
     }
 
@@ -128,5 +146,10 @@ mod tests {
         assert_eq!(Stage::IndexBuild as u8, 7);
         assert_eq!(Stage::MaskBuild as u8, 8);
         assert_eq!(Stage::TableBuild as u8, 9);
+        assert_eq!(Stage::WalAppend as u8, 10);
+        assert_eq!(Stage::Fsync as u8, 11);
+        assert_eq!(Stage::Checkpoint as u8, 12);
+        assert_eq!(Stage::Compaction as u8, 13);
+        assert_eq!(Stage::COUNT, 14);
     }
 }

@@ -39,7 +39,9 @@ pub use brtopk::{
     RtaStats, ScoreTable,
 };
 pub use mrtopk::{monochromatic_reverse_topk_2d, WeightInterval};
-pub use mrtopk_nd::{monochromatic_reverse_topk_sampled, simplex_population, MrtopkEstimate};
+pub use mrtopk_nd::{
+    monochromatic_reverse_topk_sampled, simplex_population, simplex_population_with, MrtopkEstimate,
+};
 pub use rank::{is_in_topk, rank_of_point, rank_of_point_scan};
 pub use snapshot::{ProbeCtx, Snapshot};
 pub use topk::{kth_point, topk, topk_scan, topk_with, KthPoint, LiveBestFirst};

@@ -60,17 +60,37 @@ fn unit(state: &mut u64) -> f64 {
 /// seed)` is taken over: uniform simplex draws via exponential spacings,
 /// a pure function of its arguments.
 pub fn simplex_population(dim: usize, samples: usize, seed: u64) -> Vec<Weight> {
+    simplex_population_with(dim, samples, seed, &ProbeCtx::new())
+}
+
+/// [`simplex_population`], polling `ctx`'s cancel flag once per 256
+/// draws: once it is set, the weights drawn so far — fewer than
+/// `samples` — are returned, for the caller to discard.
+pub fn simplex_population_with(
+    dim: usize,
+    samples: usize,
+    seed: u64,
+    ctx: &ProbeCtx,
+) -> Vec<Weight> {
     let mut state = seed ^ 0xd1b54a32d192ed03;
     let mut spacing = || -unit(&mut state).max(f64::EPSILON).ln();
-    (0..samples)
-        .map(|_| Weight::normalized((0..dim).map(|_| spacing()).collect::<Vec<_>>()))
-        .collect()
+    let mut population = Vec::with_capacity(samples);
+    for i in 0..samples {
+        if ctx.cancelled_at(i) {
+            break;
+        }
+        population.push(Weight::normalized(
+            (0..dim).map(|_| spacing()).collect::<Vec<_>>(),
+        ));
+    }
+    population
 }
 
 /// Estimates `MRTOPk(q)` over the snapshot's live points: RTA over
 /// [`simplex_population`]`(dim, samples, seed)` on `ctx`. Every verdict is
 /// exact, so the estimate is identical for any two snapshots holding the
-/// same live rows.
+/// same live rows. A cancel flag on `ctx` stops the draws and RTA within
+/// a chunk of 256; the estimate is then the caller's to discard.
 ///
 /// # Panics
 /// Panics if `q` does not match the snapshot's dimensionality.
@@ -84,7 +104,7 @@ pub fn monochromatic_reverse_topk_sampled<'a>(
 ) -> MrtopkEstimate {
     let snap = snap.into();
     assert_eq!(q.len(), snap.dim(), "query dimension mismatch");
-    let population = simplex_population(snap.dim(), samples, seed);
+    let population = simplex_population_with(snap.dim(), samples, seed, ctx);
     let members = bichromatic_reverse_topk_rta(snap, &population, q, k, ctx);
     MrtopkEstimate::from_members(population, &members)
 }
@@ -297,5 +317,24 @@ mod tests {
             );
             assert_eq!(got, pinned, "q {q:?} k {k} seed {seed} overlay {overlaid}");
         }
+    }
+
+    #[test]
+    fn a_set_cancel_flag_stops_the_draws_within_one_chunk() {
+        use crate::snapshot::CANCEL_POLL_CHUNK;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let mut ctx = ProbeCtx::new();
+        ctx.cancel = Some(Arc::new(AtomicBool::new(false)));
+        let bits = |ws: &[Weight]| -> Vec<u64> {
+            ws.iter()
+                .flat_map(|w| w.as_slice().iter().map(|x| x.to_bits()))
+                .collect()
+        };
+        let unset = simplex_population_with(3, 1000, 7, &ctx);
+        assert_eq!(bits(&unset), bits(&simplex_population(3, 1000, 7)));
+        ctx.cancel = Some(Arc::new(AtomicBool::new(true)));
+        let drawn = simplex_population_with(3, 1 << 20, 7, &ctx);
+        assert!(drawn.len() <= CANCEL_POLL_CHUNK, "{} drawn", drawn.len());
     }
 }

@@ -259,13 +259,12 @@ impl<'a> Intake<'a> {
         if self.misses_left == 0 {
             return None;
         }
-        let probed = self.scratch.nodes_visited;
-        let response = engine.serve_inline(request, trace_id, self.scratch)?;
-        // Hits and stats walk no index; only an executed miss spends.
-        if self.scratch.nodes_visited != probed {
+        let answer = engine.serve_inline(request, trace_id, self.scratch)?;
+        // Hits and stats are free; only an executed miss spends.
+        if answer.executed {
             self.misses_left -= 1;
         }
-        Some(response)
+        Some(answer.response)
     }
 }
 
@@ -618,6 +617,12 @@ impl<S: Read + Write> Connection<S> {
         if reserved {
             self.write_queue.push_back(bytes);
         }
+    }
+
+    /// Whether the loop queued frames of its own (inline answers,
+    /// control replies) that no write has taken yet.
+    pub(crate) fn has_queued_output(&self) -> bool {
+        !self.write_queue.is_empty()
     }
 
     /// Adopts completed replies and writes the queue out with vectored
@@ -1307,6 +1312,106 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A peer that hands over its whole input in one read, then
+    /// would-block, and takes every write whole.
+    struct Burst {
+        input: Vec<u8>,
+        delivered: usize,
+        output: Vec<u8>,
+    }
+
+    impl Read for Burst {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = (self.input.len() - self.delivered).min(buf.len());
+            if n == 0 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            buf[..n].copy_from_slice(&self.input[self.delivered..self.delivered + n]);
+            self.delivered += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Burst {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.output.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn table_answers_spend_the_events_miss_budget() {
+        // Named reverse top-k misses from a built score table walk no
+        // index node, yet each is a miss the loop executed: one event
+        // runs the budget's worth and stages the next for the pool.
+        let (engine, twin) = (Arc::new(engine_with_data()), engine_with_data());
+        let request = |i: usize| Request::ReverseTopKBi {
+            dataset: "p".into(),
+            weights: WeightSet::Named("pop".into()),
+            q: vec![3.0 + i as f64 / 64.0, 4.0],
+            k: 3,
+        };
+        assert!(!engine.submit(request(1000)).is_error(), "table built");
+        let burst = INLINE_MISSES_PER_EVENT + 1;
+        let mut input = MAGIC_V2.to_vec();
+        for id in 1..=burst {
+            let frame = ClientFrame::Submit(request(id)).encode(id as u64);
+            input.extend_from_slice(&framed(&frame));
+        }
+        let stream = Burst {
+            input,
+            delivered: 0,
+            output: Vec::new(),
+        };
+        let config = ServerBuilder::default()
+            .admission_capacity(ADMISSION)
+            .max_frame_len(MAX_FRAME);
+        let (home, _wake_rx) = LoopShared::new().unwrap();
+        let home = Arc::new(home);
+        let server = Arc::new(Shared::new(engine.clone(), &config, vec![home.clone()]));
+        let state = Arc::new(ConnShared::new(1, ADMISSION + CONTROL_SLACK, home));
+        let mut conn = Connection::new(stream, server, state.clone());
+        let (mut batch, mut scratch) = (Vec::new(), ProbeCtx::new());
+        let before = engine.metrics();
+        conn.on_readable(&mut Intake::new(&mut batch, &mut scratch));
+        assert_eq!(batch.len(), 1, "the last miss is staged");
+        let after = engine.metrics();
+        assert_eq!(
+            after.async_submits - before.async_submits,
+            INLINE_MISSES_PER_EVENT as u64
+        );
+        assert_eq!(
+            after.cache.misses - before.cache.misses,
+            INLINE_MISSES_PER_EVENT as u64,
+            "every inline answer was an executed miss"
+        );
+        assert_eq!(scratch.nodes_visited, 0, "and none walked the index");
+
+        engine.submit_batch_with(std::mem::take(&mut batch));
+        wait_until("the staged miss", || {
+            state.in_flight.load(Ordering::SeqCst) == 0
+        });
+        conn.flush();
+        let (frames, partial) = received(&conn.close().output);
+        assert!(!partial);
+        let replies: Vec<(u64, Vec<u8>)> = frames
+            .into_iter()
+            .filter(|(_, frame, _)| matches!(frame, ServerFrame::Reply(_)))
+            .map(|(id, _, bytes)| (id, bytes))
+            .collect();
+        let want: Vec<(u64, Vec<u8>)> = (1..=burst)
+            .map(|id| {
+                let reply = ServerFrame::Reply(twin.submit(request(id)));
+                (id as u64, reply.encode_frame(id as u64))
+            })
+            .collect();
+        assert_eq!(replies, want, "in order, the staged one last");
     }
 
     #[test]

@@ -21,19 +21,22 @@
 //! a per-loop self-pipe.
 //!
 //! One cycle: wait for readiness → each readable connection reads a
-//! burst and dispatches every complete frame → the submits staged this
-//! cycle go to the engine in **one** [`Engine::submit_batch_with`] call
-//! → completions that arrived meanwhile are adopted → each touched
-//! connection writes its queue out with vectored writes, re-registers
-//! the interest it asks for, and closes once it says it may.
+//! burst, dispatches every complete frame and writes out the answers it
+//! got on the loop (what earlier connections staged goes to the engine
+//! just before that write) → the submits staged this cycle go to the
+//! engine in **one** [`Engine::submit_batch_with`] call → completions that arrived
+//! meanwhile are adopted → each touched connection writes its queue out
+//! with vectored writes, re-registers the interest it asks for, and
+//! closes once it says it may.
 //!
 //! Control operations (registration, compaction, ping) run on the loop;
 //! [`ClientFrame::Submit`] goes through the admission gauge and is
 //! either answered on the loop or staged for the pool. A submit that is
 //! cheap by construction never leaves the loop that decoded it:
 //! [`Engine::serve_inline`] answers a `Stats`, a cache hit of any query
-//! kind, or a `TopK` miss with `k` at most one leaf's worth over a
-//! built, overlay-free dataset on the loop's own probe scratch. The loop
+//! kind, a `TopK` miss with `k` at most one leaf's worth, or a named
+//! `ReverseTopKBi` miss whose score table is built, over a built,
+//! overlay-free dataset on the loop's own probe scratch. The loop
 //! never builds an index, never waits for a writer, never runs work
 //! that grows with a dataset's overlay, and runs at most 64 misses per
 //! connection per readiness event — the rest of that burst is staged, so
@@ -574,6 +577,20 @@ impl EventLoop {
                                 let mut intake =
                                     Intake::new(&mut self.submit_buf, &mut self.scratch);
                                 slot.conn.on_readable(&mut intake);
+                                // Answers served inline go out now, not
+                                // behind the next connection's inline
+                                // work: held to the end of the cycle,
+                                // two depth-1 peers fall into lockstep
+                                // and each waits for both answers. What
+                                // is staged already goes to the pool
+                                // first, as it would before any write.
+                                if slot.conn.has_queued_output() {
+                                    if !self.submit_buf.is_empty() {
+                                        let batch = std::mem::take(&mut self.submit_buf);
+                                        self.shared.engine.submit_batch_with(batch);
+                                    }
+                                    slot.conn.flush();
+                                }
                             }
                         }
                         self.touched.push(token);

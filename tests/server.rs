@@ -626,17 +626,31 @@ fn cheap_requests_are_answered_on_the_loop_and_the_rest_wait_for_the_pool() {
         weight: vec![0.5, 0.5],
         k,
     };
-    let rtopk = |q: f64| Request::ReverseTopKBi {
-        dataset: "p".into(),
-        weights: WeightSet::Named("pop".into()),
+    let bichromatic = |dataset: &str, weights: WeightSet, q: f64| Request::ReverseTopKBi {
+        dataset: dataset.into(),
+        weights,
         q: vec![q, q],
         k: 3,
     };
-    assert!(!engine.submit(rtopk(4.0)).is_error(), "warm the cache");
+    let rtopk = |dataset: &str, q: f64| bichromatic(dataset, WeightSet::Named("pop".into()), q);
+    // Warms the cache and builds the population's score table over `p`.
+    assert!(!engine.submit(rtopk("p", 4.0)).is_error(), "warm the cache");
 
     let slow = slow_request("slow3");
-    let on_loop = [topk("p", 1), rtopk(4.0), Request::Stats];
-    let on_pool = [topk("cold", 1), topk("grown", 1), topk("p", 65), rtopk(5.0)];
+    let inline_population = WeightSet::Inline(customers());
+    let on_loop = [
+        topk("p", 1),
+        rtopk("p", 4.0),
+        rtopk("p", 5.0),
+        Request::Stats,
+    ];
+    let on_pool = [
+        topk("cold", 1),
+        topk("grown", 1),
+        topk("p", 65),
+        rtopk("grown", 5.0),
+        bichromatic("p", inline_population, 5.0),
+    ];
     let burst: Vec<&Request> = std::iter::once(&slow)
         .chain(&on_loop)
         .chain(&on_pool)
