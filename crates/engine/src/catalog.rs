@@ -19,8 +19,12 @@
 //!   [`Overlay::merge`]'s canonical order, bumping the base epoch, off
 //!   the request path; a mutation landing mid-merge abandons it. The old
 //!   generation's index and score tables die with it.
-//! * **Recovery** rebuilds each overlay through [`Overlay::try_new`]: a
-//!   snapshot the catalog could not have written is a typed error.
+//! * **Recovery** rebuilds each overlay through [`Overlay::try_new`]
+//!   and each population through [`Weight::try_new`]: a snapshot the
+//!   catalog could not have written is a typed error.
+//!
+//! Every writer takes the lock through `Catalog::write`, so each hold is
+//! one [`Stage::CatalogWrite`] sample.
 //!
 //! Every snapshot carries a [`DatasetEpoch`] triple
 //! `(base, delta, tombstones)` whose components only ever grow within a
@@ -34,8 +38,9 @@ use crate::storage::{
     CatalogState, DatasetState, Durability, StorageError, WalRecord, WalRecordRef, WeightSetState,
 };
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 use wqrtq_geom::{DeltaView, FlatPoints, Overlay, Weight};
 use wqrtq_obs::Stage;
@@ -49,19 +54,25 @@ fn durability_err(e: StorageError) -> EngineError {
     }
 }
 
-/// Rebuilds a [`Weight`] from persisted components without panicking:
-/// [`Weight::new`] asserts its invariants, so a damaged image must be
-/// rejected as a typed error first.
+/// Rebuilds a [`Weight`] from persisted components through the one
+/// check of its invariants, [`Weight::try_new`]: a damaged image is a
+/// typed error, not a panic.
 fn weight_from_state(w: Vec<f64>) -> Result<Weight, EngineError> {
-    let valid = !w.is_empty()
-        && w.iter().all(|x| x.is_finite() && *x >= -1e-9)
-        && (w.iter().sum::<f64>() - 1.0).abs() < 1e-6;
-    if !valid {
-        return Err(EngineError::Durability {
-            reason: "recovered weight vector violates its invariants".to_string(),
-        });
+    Weight::try_new(w).map_err(|_| EngineError::Durability {
+        reason: "recovered weight vector violates its invariants".to_string(),
+    })
+}
+
+/// A population has one dimension: every weight's is the first's.
+fn check_population_dim(weights: &[Weight]) -> Result<(), EngineError> {
+    let expected = weights.first().map_or(0, Weight::dim);
+    match weights.iter().find(|w| w.dim() != expected) {
+        Some(w) => Err(EngineError::DimensionMismatch {
+            expected,
+            got: w.dim(),
+        }),
+        None => Ok(()),
     }
-    Ok(Weight::new(w))
 }
 
 /// The versions of one dataset snapshot. Any mutation strictly increases
@@ -225,6 +236,36 @@ fn row_major(coords: &[f64], dim: usize) -> impl Fn(usize, &mut [f64]) + '_ {
     move |i, row| row.copy_from_slice(&coords[i * dim..(i + 1) * dim])
 }
 
+/// The catalog write lock, held: derefs to the catalog's maps and,
+/// when dropped, records the hold as one [`Stage::CatalogWrite`]
+/// sample, just before the lock is released.
+struct WriteHold<'a> {
+    inner: RwLockWriteGuard<'a, CatalogInner>,
+    stages: &'a StageHistograms,
+    started: Instant,
+}
+
+impl Deref for WriteHold<'_> {
+    type Target = CatalogInner;
+
+    fn deref(&self) -> &CatalogInner {
+        &self.inner
+    }
+}
+
+impl DerefMut for WriteHold<'_> {
+    fn deref_mut(&mut self) -> &mut CatalogInner {
+        &mut self.inner
+    }
+}
+
+impl Drop for WriteHold<'_> {
+    fn drop(&mut self) {
+        let held = self.started.elapsed();
+        self.stages[Stage::CatalogWrite.index()].record_duration(held);
+    }
+}
+
 #[derive(Debug, Default)]
 struct CatalogInner {
     datasets: HashMap<String, DatasetEntry>,
@@ -284,8 +325,9 @@ pub struct Catalog {
     compactions: AtomicU64,
     compactions_abandoned: AtomicU64,
     /// The engine's stage histograms, which every lazy build, every
-    /// compaction and the durability layer record one sample per
-    /// operation into ([`Stage::IndexBuild`] on).
+    /// compaction, every write-lock hold, recovery and the durability
+    /// layer record one sample per operation into ([`Stage::IndexBuild`]
+    /// on).
     stages: StageHistograms,
     /// The durability layer, attached once (after recovery replay, so
     /// replayed mutations are not logged twice). `None` for in-memory
@@ -306,9 +348,21 @@ impl Catalog {
         self.stages.clone()
     }
 
-    /// Records one build or compaction that began at `started`.
-    fn record_stage(&self, stage: Stage, started: Instant) {
+    /// Records one build, compaction or recovery phase that began at
+    /// `started`.
+    pub(crate) fn record_stage(&self, stage: Stage, started: Instant) {
         self.stages[stage.index()].record_duration(started.elapsed());
+    }
+
+    /// Takes the catalog write lock; every writer goes through here, so
+    /// each hold is one [`Stage::CatalogWrite`] sample ([`WriteHold`]).
+    fn write(&self) -> WriteHold<'_> {
+        let inner = self.inner.write().expect("catalog lock");
+        WriteHold {
+            inner,
+            stages: &self.stages,
+            started: Instant::now(),
+        }
     }
 
     /// Attaches the durability layer, recording its storage stages into
@@ -345,7 +399,7 @@ impl Catalog {
             });
         }
         crate::request::check_finite(&coords, "coordinates")?;
-        let mut inner = self.inner.write().expect("catalog lock");
+        let mut inner = self.write();
         let base_epoch = inner.datasets.get(name).map_or(1, |old| old.base.epoch + 1);
         self.log(WalRecordRef::Register {
             name,
@@ -368,7 +422,7 @@ impl Catalog {
     /// [`EngineError::Durability`] (nothing was applied).
     pub fn append(&self, name: &str, points: &[f64]) -> Result<usize, EngineError> {
         crate::request::check_finite(points, "coordinates")?;
-        let mut inner = self.inner.write().expect("catalog lock");
+        let mut inner = self.write();
         let entry = inner.dataset_mut(name)?;
         entry.overlay.check_append(points)?;
         if points.is_empty() {
@@ -390,7 +444,7 @@ impl Catalog {
     /// [`EngineError::UnknownDataset`] / [`EngineError::UnknownPointId`] /
     /// [`EngineError::Durability`] (nothing was applied).
     pub fn delete(&self, name: &str, ids: &[u32]) -> Result<usize, EngineError> {
-        let mut inner = self.inner.write().expect("catalog lock");
+        let mut inner = self.write();
         let entry = inner.dataset_mut(name)?;
         let victims = entry.overlay.check_delete(ids)?;
         if victims.is_empty() {
@@ -435,20 +489,18 @@ impl Catalog {
         entry.overlay.live_len()
     }
 
-    /// Registers an immutable weight population. Every vector must be
-    /// finite, non-negative, and not identically zero.
+    /// Registers an immutable weight population. Each [`Weight`] is
+    /// valid by construction; the population must have one dimension.
     ///
     /// # Errors
     /// [`EngineError::WeightSetExists`] when the name is taken —
     /// populations are immutable so cached bichromatic results keyed on
     /// the name can never go stale; register a new name instead.
-    /// [`EngineError::NonFiniteInput`] / [`EngineError::InvalidWeight`]
-    /// on malformed vectors.
+    /// [`EngineError::DimensionMismatch`] when a weight's dimension is
+    /// not the first's. Nothing is logged on either.
     pub fn register_weights(&self, name: &str, weights: Vec<Weight>) -> Result<(), EngineError> {
-        for w in &weights {
-            crate::request::check_weight(w.as_slice(), "weight set")?;
-        }
-        let mut inner = self.inner.write().expect("catalog lock");
+        check_population_dim(&weights)?;
+        let mut inner = self.write();
         if inner.weight_sets.contains_key(name) {
             return Err(EngineError::WeightSetExists(name.to_string()));
         }
@@ -556,7 +608,7 @@ impl Catalog {
         let (live, _) = overlay.merge(row_major(&base.coords, dim));
         let built = self.build_index(dim, &live);
 
-        let mut inner = self.inner.write().expect("catalog lock");
+        let mut inner = self.write();
         let entry = inner.dataset_mut(name)?;
         // Log the merge *before* installing it: a Compact record that
         // cannot be made durable abandons the merge (the overlay and its
@@ -713,7 +765,7 @@ impl Catalog {
         let broken = |reason: &str| EngineError::Durability {
             reason: format!("recovered snapshot is inconsistent: {reason}"),
         };
-        let mut inner = self.inner.write().expect("catalog lock");
+        let mut inner = self.write();
         for d in state.datasets {
             let dim = usize::try_from(d.dim)
                 .ok()
@@ -738,6 +790,7 @@ impl Catalog {
                 .into_iter()
                 .map(weight_from_state)
                 .collect::<Result<Vec<Weight>, EngineError>>()?;
+            check_population_dim(&weights).map_err(|e| broken(&e.to_string()))?;
             inner.weight_sets.insert(ws.name, Arc::new(weights));
         }
         Ok(())
@@ -792,7 +845,7 @@ impl Catalog {
         // The *write* lock excludes concurrent mutations between the
         // state export and the WAL reset inside the checkpoint — the
         // image and its `last_lsn` stay consistent.
-        let inner = self.inner.write().expect("catalog lock");
+        let inner = self.write();
         let state = Self::export_state_locked(&inner, d.last_lsn());
         d.checkpoint(&state).map_err(durability_err)?;
         Ok(true)
@@ -1239,12 +1292,46 @@ mod tests {
             c.weights("nope").unwrap_err(),
             EngineError::UnknownWeightSet("nope".into())
         );
-        // Weight's own constructor already rejects non-finite entries;
-        // the catalog's check is the backstop for any future bypass.
+        // A registered `Weight` is valid by construction; a request's
+        // raw vectors are checked by `check_weight`, which refuses any
+        // negative entry.
         assert!(crate::request::check_weight(&[f64::NAN, 1.0], "w").is_err());
         assert!(crate::request::check_weight(&[-0.5, 1.5], "w").is_err());
         assert!(crate::request::check_weight(&[0.0, 0.0], "w").is_err());
         assert!(crate::request::check_weight(&[0.3, 0.7], "w").is_ok());
+    }
+
+    #[test]
+    fn a_mixed_dimension_population_is_refused_before_its_wal_record() {
+        let (c, _fail) = durable_catalog();
+        let mixed = vec![
+            Weight::new(vec![0.5, 0.5]),
+            Weight::new(vec![0.2, 0.3, 0.5]),
+        ];
+        assert_eq!(
+            c.register_weights("w", mixed).unwrap_err(),
+            EngineError::DimensionMismatch {
+                expected: 2,
+                got: 3
+            }
+        );
+        assert_eq!(c.stats().wal_appends, 0, "nothing logged");
+        assert_eq!(
+            c.weights("w").unwrap_err(),
+            EngineError::UnknownWeightSet("w".into())
+        );
+        // The name is not taken.
+        c.register_weights("w", vec![Weight::new(vec![0.5, 0.5])])
+            .unwrap();
+        assert_eq!(c.stats().wal_appends, 1);
+        // An image holding such a population is damage the catalog could
+        // not have written.
+        let mut state = Catalog::export_state_locked(&c.inner.read().unwrap(), 1);
+        state.weight_sets[0].weights.push(vec![0.2, 0.3, 0.5]);
+        assert!(matches!(
+            Catalog::new().restore_state(state),
+            Err(EngineError::Durability { .. })
+        ));
     }
 
     #[test]

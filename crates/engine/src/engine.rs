@@ -35,7 +35,7 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 use wqrtq_geom::Weight;
-use wqrtq_obs::{SlowRequest, TraceSnapshot, Tracer};
+use wqrtq_obs::{SlowRequest, Stage, TraceSnapshot, Tracer};
 use wqrtq_query::ProbeCtx;
 
 /// Spans each worker's trace ring retains (oldest overwritten).
@@ -134,7 +134,9 @@ impl EngineBuilder {
     /// configured, first recovers: the latest snapshot is restored, the
     /// WAL's valid records beyond it are replayed in log order (a torn
     /// tail after a crash is truncated silently), and the WAL resumes
-    /// appending exactly where the last valid record ended.
+    /// appending exactly where the last valid record ended. Opening the
+    /// directory records one [`Stage::Recovery`] sample, and the restore
+    /// plus replay one [`Stage::Replay`] sample.
     ///
     /// # Errors
     /// [`EngineError::Durability`] when the data directory cannot be
@@ -146,17 +148,21 @@ impl EngineBuilder {
             let durability_err = |e: crate::storage::StorageError| EngineError::Durability {
                 reason: e.to_string(),
             };
+            let started = Instant::now();
             let backend = DiskBackend::open(dir).map_err(|e| EngineError::Durability {
                 reason: format!("cannot open data dir {}: {e}", dir.display()),
             })?;
             let recovered =
                 Durability::open(Box::new(backend), self.fsync).map_err(durability_err)?;
+            catalog.record_stage(Stage::Recovery, started);
+            let started = Instant::now();
             if let Some(state) = recovered.state {
                 catalog.restore_state(state)?;
             }
             for rec in recovered.records {
                 catalog.apply_replay(rec)?;
             }
+            catalog.record_stage(Stage::Replay, started);
             // Attach only now: the replay above must not log again.
             catalog.attach_durability(recovered.durability);
         }
@@ -498,7 +504,7 @@ impl Engine {
     /// (queue wait, cache lookup, execute); the layers in front of the
     /// pool — the wire server's serialize path, an admission gate —
     /// own stages the workers never see and report them here.
-    pub fn record_stage(&self, stage: wqrtq_obs::Stage, latency: std::time::Duration) {
+    pub fn record_stage(&self, stage: Stage, latency: std::time::Duration) {
         self.ctx.metrics.record_stage(stage, latency);
     }
 
@@ -1495,6 +1501,56 @@ mod tests {
         let m = engine.metrics();
         assert_eq!(m.stage_latency(Stage::WalAppend).count, 0);
         assert_eq!(m.stage_latency(Stage::Compaction).count, 1);
+    }
+
+    #[test]
+    fn recovery_replay_and_catalog_write_stages_record_one_sample_each() {
+        use wqrtq_obs::Stage;
+        let dir = std::env::temp_dir().join(format!("wqrtq-recovery-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let open = || {
+            Engine::builder()
+                .workers(1)
+                .overlay_limit(usize::MAX)
+                .data_dir(&dir)
+                .build()
+        };
+        let samples = |engine: &Engine| {
+            [Stage::Recovery, Stage::Replay, Stage::CatalogWrite]
+                .map(|stage| engine.metrics().stage_latency(stage).count)
+        };
+        {
+            let engine = open();
+            assert_eq!(samples(&engine), [1, 1, 0], "a fresh dir: nothing replayed");
+            engine.register_dataset("d", 2, scatter(32, 2, 4)).unwrap();
+            let w = Weight::new(vec![0.5, 0.5]);
+            engine.register_weights("w", vec![w]).unwrap();
+            engine.append_points("d", &[1.0, 1.0]).unwrap();
+            engine.delete_points("d", &[0]).unwrap();
+            assert_eq!(samples(&engine), [1, 1, 4], "one hold per mutation");
+            assert!(engine.checkpoint().unwrap());
+            engine.append_points("d", &[2.0, 2.0]).unwrap();
+            assert_eq!(samples(&engine), [1, 1, 6]);
+            // Reads take no write lock.
+            engine.submit(Request::TopK {
+                dataset: "d".into(),
+                weight: vec![0.5, 0.5],
+                k: 3,
+            });
+            assert_eq!(samples(&engine)[2], 6);
+        }
+        // Reopening: one recovery, one replay covering the snapshot's
+        // install and the one record logged after it, each a hold.
+        let engine = open();
+        assert_eq!(samples(&engine), [1, 1, 2]);
+        assert_eq!(engine.metrics().catalog.wal_replayed, 1);
+        drop(engine);
+        std::fs::remove_dir_all(&dir).unwrap();
+        // Without a data directory there is no recovery, and holds still
+        // count.
+        let engine = figure1_engine(1);
+        engine.append_points("products", &[1.0, 1.0]).unwrap();
+        assert_eq!(samples(&engine), [0, 0, 3], "dataset, population, append");
     }
 
     #[test]

@@ -329,7 +329,7 @@ pub struct ServerCounters {
     pub protocol_errors: u64,
     /// Requests admitted but not yet completed.
     pub in_flight: u64,
-    /// `read(2)` calls the event loops issued across all connections —
+    /// `read(2)` calls the event loop issued across all connections —
     /// `frames_in / read_syscalls` is the decode amortisation ratio.
     pub read_syscalls: u64,
     /// `write(2)`/`writev(2)` calls issued across all connections —

@@ -744,7 +744,10 @@ fn execute(
                     Err(e) => return (Response::Error(e.to_string()), 0),
                 },
             };
-            if let Some(w) = population.iter().find(|w| w.dim() != handle.dim) {
+            // A registered population has one dimension (the catalog
+            // checks it), so its first weight speaks for all of them.
+            let scan = if named.is_some() { 1 } else { population.len() };
+            if let Some(w) = population.iter().take(scan).find(|w| w.dim() != handle.dim) {
                 let e = EngineError::DimensionMismatch {
                     expected: handle.dim,
                     got: w.dim(),

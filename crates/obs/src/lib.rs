@@ -30,8 +30,9 @@ pub use trace::{SlowRequest, SpanRecord, TraceSnapshot, Tracer};
 /// engine's stage histograms and the tracer's spans. The build stages
 /// (from [`Stage::IndexBuild`] on) are per-dataset work a request may
 /// trigger but does not own, and the storage stages (from
-/// [`Stage::WalAppend`] on) are the durability layer's: each build or
-/// storage operation records one histogram sample and no span.
+/// [`Stage::WalAppend`] on) are the durability layer's and the catalog
+/// lock's: each build or storage operation records one histogram sample
+/// and no span.
 ///
 /// The discriminants are the wire encoding of the stage (the `Stats`
 /// response carries per-stage histograms) — append-only, like request
@@ -69,11 +70,21 @@ pub enum Stage {
     Checkpoint = 12,
     /// One overlay merge run to its end, installed or abandoned.
     Compaction = 13,
+    /// Opening a data dir at startup: snapshot decode, WAL scan and
+    /// torn-tail truncation, one sample per durable engine built.
+    Recovery = 14,
+    /// Installing the recovered snapshot and replaying every WAL record
+    /// after it, one sample per durable engine built.
+    Replay = 15,
+    /// One hold of the catalog write lock (registration, append,
+    /// delete, a compaction's install, a checkpoint), lock wait
+    /// excluded.
+    CatalogWrite = 16,
 }
 
 impl Stage {
     /// Every stage, in discriminant order.
-    pub const ALL: [Stage; 14] = [
+    pub const ALL: [Stage; 17] = [
         Stage::Admission,
         Stage::QueueWait,
         Stage::CacheLookup,
@@ -88,6 +99,9 @@ impl Stage {
         Stage::Fsync,
         Stage::Checkpoint,
         Stage::Compaction,
+        Stage::Recovery,
+        Stage::Replay,
+        Stage::CatalogWrite,
     ];
 
     /// Number of stages (array-of-histograms length).
@@ -110,6 +124,9 @@ impl Stage {
             Stage::Fsync => "fsync",
             Stage::Checkpoint => "checkpoint",
             Stage::Compaction => "compaction",
+            Stage::Recovery => "recovery",
+            Stage::Replay => "replay",
+            Stage::CatalogWrite => "catalog_write",
         }
     }
 
@@ -150,6 +167,9 @@ mod tests {
         assert_eq!(Stage::Fsync as u8, 11);
         assert_eq!(Stage::Checkpoint as u8, 12);
         assert_eq!(Stage::Compaction as u8, 13);
-        assert_eq!(Stage::COUNT, 14);
+        assert_eq!(Stage::Recovery as u8, 14);
+        assert_eq!(Stage::Replay as u8, 15);
+        assert_eq!(Stage::CatalogWrite as u8, 16);
+        assert_eq!(Stage::COUNT, 17);
     }
 }

@@ -28,7 +28,7 @@
 
 use crate::frame::{self, FrameError, MAGIC_V2, PROTOCOL_VERSION};
 use crate::poll::{INTEREST_READ, INTEREST_WRITE};
-use crate::server::{LoopShared, Shared};
+use crate::server::Shared;
 use crate::wire::{ClientFrame, ServerFrame, CONNECTION_ID};
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -78,8 +78,7 @@ const ARENA_SHRINK: usize = 1 << 20;
 /// connection closes.
 const BAD_PREAMBLE: &str = "bad connection preamble: this server speaks protocol v2 (send WQR2)";
 
-/// Adds one to a tally of the connection's loop. Each loop's block has
-/// that loop as its only writer.
+/// Adds one to a server tally; the event loop is its only writer.
 fn bump(counter: &AtomicU64) {
     // ordering: Relaxed — monotonic tally, read only by stats snapshots.
     counter.fetch_add(1, Ordering::Relaxed);
@@ -103,14 +102,14 @@ pub(crate) struct ConnShared {
     /// transport failure, close). Every submission it stages carries
     /// this flag, so the pool skips its queued reads.
     doomed: Arc<AtomicBool>,
-    /// The loop this connection lives on.
-    home: Arc<LoopShared>,
-    /// The connection's poller token on its home loop.
+    /// The server this connection lives on.
+    server: Arc<Shared>,
+    /// The connection's poller token on the event loop.
     token: AtomicU64,
 }
 
 impl ConnShared {
-    pub(crate) fn new(id: u64, backlog_cap: usize, home: Arc<LoopShared>) -> Self {
+    pub(crate) fn new(id: u64, backlog_cap: usize, server: Arc<Shared>) -> Self {
         Self {
             id,
             in_flight: AtomicUsize::new(0),
@@ -118,7 +117,7 @@ impl ConnShared {
             backlog: AtomicUsize::new(0),
             backlog_cap,
             doomed: Arc::new(AtomicBool::new(false)),
-            home,
+            server,
             token: AtomicU64::new(u64::MAX),
         }
     }
@@ -167,7 +166,7 @@ impl ConnShared {
         }
     }
 
-    /// Asks this connection's loop to look at it (write replies, check
+    /// Asks the event loop to look at this connection (write replies, check
     /// doom, re-check close eligibility).
     ///
     /// The poller is only kicked when there is a reason to flush *now*:
@@ -185,7 +184,11 @@ impl ConnShared {
     /// The wake pipe is de-duplicated, so a burst of parts costs one byte.
     fn notify(&self, urgent: bool) {
         let token = self.token.load(Ordering::Acquire);
-        self.home.dirty.lock().expect("dirty list lock").push(token);
+        self.server
+            .dirty
+            .lock()
+            .expect("dirty list lock")
+            .push(token);
         // ordering: SeqCst — the wake-or-not decision must observe
         // in_flight/backlog in the same total order the loop's own
         // SeqCst updates use; a weaker read here could skip the final
@@ -195,7 +198,7 @@ impl ConnShared {
             || self.in_flight.load(Ordering::SeqCst) == 0
             || self.backlog.load(Ordering::SeqCst) >= WAKE_BACKLOG
         {
-            self.home.wake();
+            self.server.wake();
         }
     }
 }
@@ -271,7 +274,6 @@ impl<'a> Intake<'a> {
 /// One connection's bytes → replies state machine (see the module docs).
 pub(crate) struct Connection<S> {
     stream: S,
-    server: Arc<Shared>,
     shared: Arc<ConnShared>,
     /// Whether the preamble has been seen and answered with a Hello.
     greeted: bool,
@@ -287,10 +289,9 @@ pub(crate) struct Connection<S> {
 }
 
 impl<S: Read + Write> Connection<S> {
-    pub(crate) fn new(stream: S, server: Arc<Shared>, shared: Arc<ConnShared>) -> Self {
+    pub(crate) fn new(stream: S, shared: Arc<ConnShared>) -> Self {
         Self {
             stream,
-            server,
             shared,
             greeted: false,
             arena: RecvArena::default(),
@@ -318,7 +319,7 @@ impl<S: Read + Write> Connection<S> {
             // lint: allow(no-panic) — `ensure_space` just grew the
             // arena, so `filled <= buf.len()` and the range is valid.
             let result = self.stream.read(&mut self.arena.buf[filled..]);
-            bump(&self.shared.home.counters.read_syscalls);
+            bump(&self.shared.server.tallies.read_syscalls);
             match result {
                 Ok(0) => {
                     eof = true;
@@ -334,7 +335,7 @@ impl<S: Read + Write> Connection<S> {
                         self.process_arena(intake);
                     }));
                     if served.is_err() {
-                        bump(&self.shared.home.counters.protocol_errors);
+                        bump(&self.shared.server.tallies.protocol_errors);
                         self.shared.doom();
                     }
                     if self.read_closed || self.shared.is_doomed() {
@@ -437,7 +438,7 @@ impl<S: Read + Write> Connection<S> {
             self.greeted = true;
             let hello = ServerFrame::Hello {
                 version: PROTOCOL_VERSION,
-                max_frame_len: self.server.max_frame_len as u64,
+                max_frame_len: self.shared.server.max_frame_len as u64,
             };
             self.push_control(CONNECTION_ID, hello);
             self.arena.consume_prefix(4);
@@ -448,10 +449,10 @@ impl<S: Read + Write> Connection<S> {
             // which `split_frame` bounds by the window it was handed, so
             // `cursor <= filled <= buf.len()` throughout.
             let window = &self.arena.buf[cursor..self.arena.filled];
-            match frame::split_frame(window, self.server.max_frame_len) {
+            match frame::split_frame(window, self.shared.server.max_frame_len) {
                 Ok(None) => break,
                 Ok(Some((consumed, payload))) => {
-                    bump(&self.shared.home.counters.frames_in);
+                    bump(&self.shared.server.tallies.frames_in);
                     // lint: allow(no-panic) — `payload` is a sub-range of
                     // the window `split_frame` was handed, offset back into
                     // the same buffer.
@@ -492,7 +493,7 @@ impl<S: Read + Write> Connection<S> {
             self.protocol_error("request id 0 is reserved".into());
             return;
         }
-        let engine = &self.server.engine;
+        let engine = &self.shared.server.engine;
         let reply = match message {
             ClientFrame::Submit(request) => return self.submit(intake, id, request),
             ClientFrame::Ping => ServerFrame::Pong,
@@ -517,9 +518,9 @@ impl<S: Read + Write> Connection<S> {
     }
 
     fn submit(&mut self, intake: &mut Intake<'_>, id: u64, request: Request) {
-        let server = &self.server;
+        let server = &self.shared.server;
         if !server.admission.try_acquire(server.admission_capacity) {
-            bump(&self.shared.home.counters.busy_rejections);
+            bump(&server.tallies.busy_rejections);
             self.push_control(id, ServerFrame::Busy);
             return;
         }
@@ -542,7 +543,7 @@ impl<S: Read + Write> Connection<S> {
         if let Some(response) = intake.serve_inline(&server.engine, &request, trace_id) {
             // Nothing was staged: the span ends where serving began.
             record_admission(admitted);
-            let bytes = encode_admitted(server, &self.shared, id, trace_id, response);
+            let bytes = encode_admitted(&self.shared, id, trace_id, response);
             self.queue(bytes, true);
             return;
         }
@@ -551,7 +552,7 @@ impl<S: Read + Write> Connection<S> {
         // can decrement, or the loop could observe 0/0 and close early.
         self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
         let is_plan = request.kind() == wqrtq_engine::RequestKind::WhyNot;
-        let complete = completion(server.clone(), self.shared.clone(), id, trace_id);
+        let complete = completion(self.shared.clone(), id, trace_id);
         let mut item = BatchSubmission::new(request, trace_id, complete)
             .with_cancel(self.shared.doomed.clone());
         if is_plan {
@@ -560,11 +561,9 @@ impl<S: Read + Write> Connection<S> {
             // order is guaranteed). They are best-effort: when a slow
             // reader fills the backlog, partials are dropped — only the
             // final reply dooms the connection on overflow.
-            let server = server.clone();
             let state = self.shared.clone();
             item = item.with_progress(move |delta| {
-                let bytes =
-                    encode_reply(&server, &state, id, trace_id, ServerFrame::ReplyPart(delta));
+                let bytes = encode_reply(&state, id, trace_id, ServerFrame::ReplyPart(delta));
                 state.push_frame(bytes, true);
                 state.notify(true);
             });
@@ -584,7 +583,7 @@ impl<S: Read + Write> Connection<S> {
     /// and protocol errors) produced on the loop thread itself.
     fn push_control(&mut self, id: u64, message: ServerFrame) {
         let trace_id = self.trace_id(id);
-        let bytes = encode_reply(&self.server, &self.shared, id, trace_id, message);
+        let bytes = encode_reply(&self.shared, id, trace_id, message);
         self.queue(bytes, false);
     }
 
@@ -592,7 +591,7 @@ impl<S: Read + Write> Connection<S> {
     /// the connection stops reading (replies still drain, then it
     /// closes).
     fn protocol_error(&mut self, message: String) {
-        bump(&self.shared.home.counters.protocol_errors);
+        bump(&self.shared.server.tallies.protocol_errors);
         self.push_control(CONNECTION_ID, ServerFrame::ProtocolError(message));
         self.read_closed = true;
     }
@@ -634,7 +633,7 @@ impl<S: Read + Write> Connection<S> {
         }
         self.write_queue
             .extend(self.shared.out.lock().expect("reply queue lock").drain(..));
-        let counters = &self.shared.home.counters;
+        let tallies = &self.shared.server.tallies;
         while !self.write_queue.is_empty() {
             let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
             let mut count = 0;
@@ -647,7 +646,7 @@ impl<S: Read + Write> Connection<S> {
             let result = self
                 .stream
                 .write_vectored(slices.get(..count).unwrap_or_default());
-            bump(&counters.write_syscalls);
+            bump(&tallies.write_syscalls);
             match result {
                 Ok(0) => {
                     self.shared.doom();
@@ -665,7 +664,7 @@ impl<S: Read + Write> Connection<S> {
                             self.write_queue.pop_front();
                             self.head_written = 0;
                             written -= remaining;
-                            bump(&counters.frames_out);
+                            bump(&tallies.frames_out);
                             // ordering: SeqCst — the backlog decrement
                             // joins the reserve/undo and close-eligibility
                             // total order.
@@ -696,13 +695,12 @@ impl<S: Read + Write> Connection<S> {
 /// Builds the completion for one admitted request: runs on a pool
 /// worker, encodes the reply there, and queues it for the loop.
 fn completion(
-    server: Arc<Shared>,
     state: Arc<ConnShared>,
     id: u64,
     trace_id: u64,
 ) -> impl FnOnce(Response) + Send + 'static {
     move |response: Response| {
-        let bytes = encode_admitted(&server, &state, id, trace_id, response);
+        let bytes = encode_admitted(&state, id, trace_id, response);
         // Push before dropping `in_flight`, notify after: the loop
         // treats `in_flight == 0 && backlog == 0` as fully drained, and
         // this ordering makes that check race-free.
@@ -718,13 +716,8 @@ fn completion(
 /// it (a pool completion or the loop): releases the admission permit,
 /// fills a `Stats` reply's server counters, and encodes, recording the
 /// serialize stage.
-fn encode_admitted(
-    server: &Shared,
-    state: &ConnShared,
-    id: u64,
-    trace_id: u64,
-    mut response: Response,
-) -> Vec<u8> {
+fn encode_admitted(state: &ConnShared, id: u64, trace_id: u64, mut response: Response) -> Vec<u8> {
+    let server = &state.server;
     // Admission is released *before* the reply is enqueued: once a
     // client has read a response, its permit is guaranteed free, so a
     // retry after draining can never spuriously see Busy.
@@ -739,7 +732,7 @@ fn encode_admitted(
         _ => false,
     };
     let started = std::time::Instant::now();
-    let bytes = encode_reply(server, state, id, trace_id, ServerFrame::Reply(response));
+    let bytes = encode_reply(state, id, trace_id, ServerFrame::Reply(response));
     // The stats reply serializes after the snapshot it carries was
     // captured; recording it would make the engine's histograms diverge
     // from that snapshot at quiescence.
@@ -753,14 +746,8 @@ fn encode_admitted(
 
 /// Encodes one server frame into its wire bytes (length prefix
 /// included), recording the serialize span for traced frame types.
-fn encode_reply(
-    server: &Shared,
-    state: &ConnShared,
-    id: u64,
-    trace_id: u64,
-    message: ServerFrame,
-) -> Vec<u8> {
-    let tracer = server.engine.tracer();
+fn encode_reply(state: &ConnShared, id: u64, trace_id: u64, message: ServerFrame) -> Vec<u8> {
+    let tracer = state.server.engine.tracer();
     let traced = matches!(message, ServerFrame::Reply(_) | ServerFrame::ReplyPart(_));
     let started = if traced { tracer.now_nanos() } else { 0 };
     let bytes = message.encode_frame(id);
@@ -1167,11 +1154,9 @@ mod tests {
                 output: Vec::new(),
                 rng: Rng(rng.next()),
             };
-            let (home, _wake_rx) = LoopShared::new().unwrap();
-            let home = Arc::new(home);
-            let server = Arc::new(Shared::new(engine.clone(), &config, vec![home.clone()]));
-            let state = Arc::new(ConnShared::new(round as u64 + 1, cap, home));
-            let mut conn = Connection::new(script, server.clone(), state.clone());
+            let (server, _wake_rx) = Shared::new(engine.clone(), &config).unwrap();
+            let state = Arc::new(ConnShared::new(round as u64 + 1, cap, Arc::new(server)));
+            let mut conn = Connection::new(script, state.clone());
             let mut batch = Vec::new();
             let mut scratch = ProbeCtx::new();
             let queued = |conn: &Connection<Script>| {
@@ -1225,7 +1210,11 @@ mod tests {
             wait_until("the pool to drain", || {
                 state.in_flight.load(Ordering::SeqCst) == 0
             });
-            assert_eq!(server.admission.len(), 0, "round {round}: permit leaked");
+            assert_eq!(
+                state.server.admission.len(),
+                0,
+                "round {round}: permit leaked"
+            );
 
             let (frames, partial) = received(&script.output);
             assert!(
@@ -1372,11 +1361,13 @@ mod tests {
         let config = ServerBuilder::default()
             .admission_capacity(ADMISSION)
             .max_frame_len(MAX_FRAME);
-        let (home, _wake_rx) = LoopShared::new().unwrap();
-        let home = Arc::new(home);
-        let server = Arc::new(Shared::new(engine.clone(), &config, vec![home.clone()]));
-        let state = Arc::new(ConnShared::new(1, ADMISSION + CONTROL_SLACK, home));
-        let mut conn = Connection::new(stream, server, state.clone());
+        let (server, _wake_rx) = Shared::new(engine.clone(), &config).unwrap();
+        let state = Arc::new(ConnShared::new(
+            1,
+            ADMISSION + CONTROL_SLACK,
+            Arc::new(server),
+        ));
+        let mut conn = Connection::new(stream, state.clone());
         let (mut batch, mut scratch) = (Vec::new(), ProbeCtx::new());
         let before = engine.metrics();
         conn.on_readable(&mut Intake::new(&mut batch, &mut scratch));
@@ -1457,11 +1448,13 @@ mod tests {
                 output: Vec::new(),
                 rng: Rng(SEED),
             };
-            let (home, _wake_rx) = LoopShared::new().unwrap();
-            let home = Arc::new(home);
-            let server = Arc::new(Shared::new(engine.clone(), &config, vec![home.clone()]));
-            let state = Arc::new(ConnShared::new(1, ADMISSION + CONTROL_SLACK, home));
-            let mut conn = Connection::new(script, server, state.clone());
+            let (server, _wake_rx) = Shared::new(engine.clone(), &config).unwrap();
+            let state = Arc::new(ConnShared::new(
+                1,
+                ADMISSION + CONTROL_SLACK,
+                Arc::new(server),
+            ));
+            let mut conn = Connection::new(script, state.clone());
             let (mut batch, mut scratch) = (Vec::new(), ProbeCtx::new());
             // Every byte, then the EOF or the reset.
             while !conn.read_closed && !state.is_doomed() {

@@ -14,7 +14,7 @@
 //!   source-of-truth table, [`wqrtq_engine::REQUEST_KIND_TABLE`]) plus
 //!   dataset/weight-set registration, compaction, and ping, each frame
 //!   tagged with a client-assigned request id;
-//! * [`server`] — a few event-loop threads driving every connection's
+//! * [`server`] — one event-loop thread driving every connection's
 //!   fd-free state machine (`conn.rs`) with **pipelining** (many frames
 //!   in flight, responses completed out of order by the engine's worker
 //!   pool and routed by request id), a bounded global admission queue

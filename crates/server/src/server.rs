@@ -1,4 +1,4 @@
-//! The TCP serving front door: a few event-loop threads drive every
+//! The TCP serving front door: one event-loop thread drives every
 //! connection's state machine over nonblocking sockets, with bounded
 //! admission and graceful shutdown.
 //!
@@ -10,15 +10,15 @@
 //! frames are split and decoded *in place*
 //! ([`crate::frame::split_frame`]), dispatch, admission, protocol
 //! errors, the bounded write queue, the interest it waits for and when
-//! it may close. This module is the driver around it. Each
-//! **event-loop thread** (one by default on small hosts, see
-//! [`ServerBuilder::event_loops`]) owns a readiness poller (`epoll` on
-//! Linux, `poll(2)` elsewhere — see `poll.rs`) and its connections,
-//! keyed by poller token. Loop 0 additionally owns the listener;
-//! accepted sockets are handed round-robin across loops. Nothing
-//! blocks: a loop sleeps only in its poller, and cross-thread wakeups (a
-//! pool worker finished a response, shutdown was requested) go through
-//! a per-loop self-pipe.
+//! it may close. This module is the driver around it. The one
+//! **event-loop thread** (`wqrtq-loop-0`) owns a readiness poller
+//! (`epoll` on Linux, `poll(2)` elsewhere — see `poll.rs`), the listener
+//! and every connection, keyed by poller token. Nothing blocks: the loop
+//! sleeps only in its poller, and cross-thread wakeups (a pool worker
+//! finished a response, shutdown was requested) go through a self-pipe.
+//! The paper's work runs on the engine pool; the loop only decodes,
+//! answers cheap requests and encodes, so one loop is what the measured
+//! hosts need.
 //!
 //! One cycle: wait for readiness → each readable connection reads a
 //! burst, dispatches every complete frame and writes out the answers it
@@ -66,7 +66,7 @@
 //!
 //! Running out of file descriptors takes the listener out of the poller
 //! until a connection closes or a backstop tick passes, so the pending
-//! connection the kernel keeps queued does not spin loop 0.
+//! connection the kernel keeps queued does not spin the loop.
 //!
 //! ## Shutdown
 //!
@@ -149,11 +149,9 @@ impl Gauge {
     }
 }
 
-/// One loop's server counters. Only the owning loop writes its block —
-/// a connection tallies into its home loop's — and a stats read sums
-/// the blocks of every loop.
+/// The server's tallies. The event loop is their only writer.
 #[derive(Debug, Default)]
-pub(crate) struct LoopCounters {
+pub(crate) struct Tallies {
     pub(crate) accepted: AtomicU64,
     pub(crate) frames_in: AtomicU64,
     pub(crate) frames_out: AtomicU64,
@@ -163,32 +161,51 @@ pub(crate) struct LoopCounters {
     pub(crate) write_syscalls: AtomicU64,
 }
 
-/// Per-loop state reachable from other threads: the wake pipe, the
-/// list of connections with fresh replies, sockets handed over by the
-/// accepting loop, and the loop's counters.
-#[derive(Debug)]
-pub(crate) struct LoopShared {
+/// Server-wide state: the engine, admission, limits, the tallies, and
+/// what other threads hand the loop — its wake pipe and the connections
+/// with fresh replies.
+pub(crate) struct Shared {
+    pub(crate) engine: Arc<Engine>,
+    pub(crate) admission: Gauge,
+    pub(crate) admission_capacity: usize,
+    pub(crate) max_frame_len: usize,
+    max_connections: usize,
+    socket_send_buffer: Option<usize>,
+    shutting_down: AtomicBool,
+    next_conn_id: AtomicU64,
+    /// Connections accepted and not yet closed.
+    open: AtomicU64,
     waker: WakeHandle,
     /// Deduplicates waker writes: one self-pipe byte per batch of
     /// completions, not one per completion.
     wake_pending: AtomicBool,
     /// Tokens with fresh replies (or a fresh doom) to look at.
     pub(crate) dirty: Mutex<Vec<u64>>,
-    /// Connections accepted by loop 0, awaiting registration here.
-    incoming: Mutex<Vec<(TcpStream, Arc<ConnShared>)>>,
-    pub(crate) counters: LoopCounters,
+    pub(crate) tallies: Tallies,
 }
 
-impl LoopShared {
-    /// A loop's shared half, and the receiving end of its wake pipe.
-    pub(crate) fn new() -> std::io::Result<(Self, UnixStream)> {
+impl Shared {
+    /// The server-wide state, and the receiving end of the loop's wake
+    /// pipe.
+    pub(crate) fn new(
+        engine: Arc<Engine>,
+        config: &ServerBuilder,
+    ) -> std::io::Result<(Self, UnixStream)> {
         let (waker, wake_rx) = poll::wake_pair()?;
         let shared = Self {
+            engine,
+            admission: Gauge::default(),
+            admission_capacity: config.admission_capacity,
+            max_frame_len: config.max_frame_len,
+            max_connections: config.max_connections,
+            socket_send_buffer: config.socket_send_buffer,
+            shutting_down: AtomicBool::new(false),
+            next_conn_id: AtomicU64::new(1),
+            open: AtomicU64::new(0),
             waker,
             wake_pending: AtomicBool::new(false),
             dirty: Mutex::new(Vec::new()),
-            incoming: Mutex::new(Vec::new()),
-            counters: LoopCounters::default(),
+            tallies: Tallies::default(),
         };
         Ok((shared, wake_rx))
     }
@@ -202,64 +219,25 @@ impl LoopShared {
             self.waker.wake();
         }
     }
-}
-
-/// Server-wide state: the engine, admission, limits, and every loop.
-pub(crate) struct Shared {
-    pub(crate) engine: Arc<Engine>,
-    pub(crate) admission: Gauge,
-    pub(crate) admission_capacity: usize,
-    pub(crate) max_frame_len: usize,
-    max_connections: usize,
-    socket_send_buffer: Option<usize>,
-    shutting_down: AtomicBool,
-    next_conn_id: AtomicU64,
-    /// Connections accepted and not yet closed, on any loop.
-    open: AtomicU64,
-    loops: Vec<Arc<LoopShared>>,
-}
-
-impl Shared {
-    pub(crate) fn new(
-        engine: Arc<Engine>,
-        config: &ServerBuilder,
-        loops: Vec<Arc<LoopShared>>,
-    ) -> Self {
-        Self {
-            engine,
-            admission: Gauge::default(),
-            admission_capacity: config.admission_capacity,
-            max_frame_len: config.max_frame_len,
-            max_connections: config.max_connections,
-            socket_send_buffer: config.socket_send_buffer,
-            shutting_down: AtomicBool::new(false),
-            next_conn_id: AtomicU64::new(1),
-            open: AtomicU64::new(0),
-            loops,
-        }
-    }
 
     /// The server's counters: the open gauge, the admission gauge, and
-    /// the sum of every loop's block.
+    /// the loop's tallies.
     pub(crate) fn counters(&self) -> ServerCounters {
         // ordering: Relaxed — monitoring snapshot of monotonic tallies;
-        // a loop's counters may straggle by the request it is serving.
-        let mut counters = ServerCounters {
-            connections_open: self.open.load(Ordering::Relaxed),
+        // the loop's tallies may straggle by the request it is serving.
+        let load = |tally: &AtomicU64| tally.load(Ordering::Relaxed);
+        let t = &self.tallies;
+        ServerCounters {
+            connections_accepted: load(&t.accepted),
+            connections_open: load(&self.open),
+            frames_in: load(&t.frames_in),
+            frames_out: load(&t.frames_out),
+            busy_rejections: load(&t.busy_rejections),
+            protocol_errors: load(&t.protocol_errors),
             in_flight: self.admission.len() as u64,
-            ..ServerCounters::default()
-        };
-        for ls in &self.loops {
-            let block = &ls.counters;
-            counters.connections_accepted += block.accepted.load(Ordering::Relaxed);
-            counters.frames_in += block.frames_in.load(Ordering::Relaxed);
-            counters.frames_out += block.frames_out.load(Ordering::Relaxed);
-            counters.busy_rejections += block.busy_rejections.load(Ordering::Relaxed);
-            counters.protocol_errors += block.protocol_errors.load(Ordering::Relaxed);
-            counters.read_syscalls += block.read_syscalls.load(Ordering::Relaxed);
-            counters.write_syscalls += block.write_syscalls.load(Ordering::Relaxed);
+            read_syscalls: load(&t.read_syscalls),
+            write_syscalls: load(&t.write_syscalls),
         }
-        counters
     }
 }
 
@@ -280,7 +258,6 @@ pub struct ServerBuilder {
     admission_capacity: usize,
     max_frame_len: usize,
     max_connections: usize,
-    event_loops: Option<usize>,
     socket_send_buffer: Option<usize>,
 }
 
@@ -291,7 +268,6 @@ impl Default for ServerBuilder {
             admission_capacity: 256,
             max_frame_len: DEFAULT_MAX_FRAME_LEN,
             max_connections: 1024,
-            event_loops: None,
             socket_send_buffer: None,
         }
     }
@@ -331,7 +307,7 @@ impl ServerBuilder {
     }
 
     /// Maximum concurrent connections (default 1024). Each connection
-    /// costs a read arena and a slot on an event loop — no threads;
+    /// costs a read arena and a slot on the event loop — no threads;
     /// this cap bounds connection-scoped resources the way
     /// `admission_capacity` bounds pool work. Connections beyond the
     /// cap are closed immediately.
@@ -344,15 +320,14 @@ impl ServerBuilder {
         self
     }
 
-    /// Event-loop threads multiplexing the connections (default: half
-    /// the available parallelism, clamped to 1..=4). Loop 0 also owns
-    /// the listener; accepted sockets spread round-robin.
+    /// Retired: the server runs one event-loop thread, so `1` is the
+    /// only value accepted and it changes nothing. The method stays only
+    /// because `benchmark/` compiles against it.
     ///
     /// # Panics
-    /// Panics if `loops` is zero.
-    pub fn event_loops(mut self, loops: usize) -> Self {
-        assert!(loops > 0, "need at least one event loop");
-        self.event_loops = Some(loops);
+    /// Panics if `loops` is not 1.
+    pub fn event_loops(self, loops: usize) -> Self {
+        assert_eq!(loops, 1, "the server runs one event loop");
         self
     }
 
@@ -366,11 +341,11 @@ impl ServerBuilder {
         self
     }
 
-    /// Binds the listener and starts the event loops.
+    /// Binds the listener and starts the event-loop thread.
     ///
     /// # Errors
     /// Propagates socket and poller errors (bind, local address lookup,
-    /// poller creation).
+    /// wake pipe and poller creation).
     pub fn bind(mut self, addr: impl ToSocketAddrs) -> std::io::Result<Server> {
         let engine = self
             .engine
@@ -379,60 +354,36 @@ impl ServerBuilder {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let loop_count = self.event_loops.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| (n.get() / 2).clamp(1, 4))
-                .unwrap_or(1)
-        });
-        let mut loops = Vec::with_capacity(loop_count);
-        let mut wake_rxs = Vec::with_capacity(loop_count);
-        for _ in 0..loop_count {
-            let (ls, rx) = LoopShared::new()?;
-            loops.push(Arc::new(ls));
-            wake_rxs.push(rx);
-        }
-        let shared = Arc::new(Shared::new(Arc::new(engine), &self, loops));
-        let mut handles = Vec::with_capacity(loop_count);
-        let mut listener = Some(listener);
-        for (index, wake_rx) in wake_rxs.into_iter().enumerate() {
-            let poller = Poller::new()?;
-            poller.add(wake_rx.as_raw_fd(), TOKEN_WAKER, INTEREST_READ)?;
-            let listener = if index == 0 { listener.take() } else { None };
-            if let Some(listener) = &listener {
-                poller.add(listener.as_raw_fd(), TOKEN_LISTENER, INTEREST_READ)?;
-            }
-            let state = EventLoop {
-                shared: shared.clone(),
-                // lint: allow(no-panic) — `index` enumerates `wake_rxs`,
-                // built beside `loops` with the same length.
-                home: shared.loops[index].clone(),
-                poller,
-                wake_rx,
-                listener,
-                accept_paused: None,
-                conns: HashMap::new(),
-                next_token: TOKEN_FIRST_CONN,
-                rr: 0,
-                submit_buf: Vec::new(),
-                scratch: ProbeCtx::new(),
-                events: Vec::new(),
-                touched: Vec::new(),
-                draining: false,
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("wqrtq-loop-{index}"))
-                    .spawn(move || state.run())
-                    // lint: allow(no-panic) — one-time bind()-path
-                    // setup, not the event loop: failing to spawn the
-                    // loop thread leaves nothing to serve with.
-                    .expect("spawn event-loop thread"),
-            );
-        }
+        let (shared, wake_rx) = Shared::new(Arc::new(engine), &self)?;
+        let shared = Arc::new(shared);
+        let poller = Poller::new()?;
+        poller.add(wake_rx.as_raw_fd(), TOKEN_WAKER, INTEREST_READ)?;
+        poller.add(listener.as_raw_fd(), TOKEN_LISTENER, INTEREST_READ)?;
+        let state = EventLoop {
+            shared: shared.clone(),
+            poller,
+            wake_rx,
+            listener: Some(listener),
+            accept_paused: None,
+            conns: HashMap::new(),
+            next_token: TOKEN_FIRST_CONN,
+            submit_buf: Vec::new(),
+            scratch: ProbeCtx::new(),
+            events: Vec::new(),
+            touched: Vec::new(),
+            draining: false,
+        };
+        let handle = std::thread::Builder::new()
+            .name("wqrtq-loop-0".into())
+            .spawn(move || state.run())
+            // lint: allow(no-panic) — one-time bind()-path setup, not
+            // the event loop: failing to spawn the loop thread leaves
+            // nothing to serve with.
+            .expect("spawn event-loop thread");
         Ok(Server {
             shared,
             addr,
-            handles: Mutex::new(handles),
+            handle: Mutex::new(Some(handle)),
         })
     }
 }
@@ -460,7 +411,7 @@ impl ServerBuilder {
 pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    handles: Mutex<Vec<JoinHandle<()>>>,
+    handle: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Server {
@@ -492,25 +443,17 @@ impl Server {
     /// connection, drain all in-flight work, flush and close every
     /// socket. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
-        // ordering: SeqCst — once-only shutdown latch; every loop reads
-        // it with SeqCst in the same total order as the wake handshake,
-        // so a woken loop cannot miss the flag that caused the wake.
+        // ordering: SeqCst — once-only shutdown latch; the loop reads it
+        // with SeqCst in the same total order as the wake handshake, so
+        // a woken loop cannot miss the flag that caused the wake.
         if self.shared.shutting_down.swap(true, Ordering::SeqCst) {
             return;
         }
-        for ls in &self.shared.loops {
-            ls.wake();
-        }
-        let handles: Vec<JoinHandle<()>> = self
-            .handles
-            .lock()
-            .expect("loop handle lock")
-            .drain(..)
-            .collect();
-        for handle in handles {
+        self.shared.wake();
+        if let Some(handle) = self.handle.lock().expect("loop handle lock").take() {
             let _ = handle.join();
         }
-        // Loops exit once every connection has closed; doomed sockets
+        // The loop exits once every connection has closed; doomed sockets
         // may leave completions still running on the pool, so wait for
         // the admission gauge to drain before declaring quiescence.
         self.shared.admission.wait_zero();
@@ -523,19 +466,18 @@ impl Drop for Server {
     }
 }
 
-/// A connection in a loop's slab: its state machine, plus the interest
+/// A connection in the loop's slab: its state machine, plus the interest
 /// currently registered with the poller for its socket.
 struct Slot {
     conn: Connection<TcpStream>,
     registered: Option<u32>,
 }
 
-/// One event-loop thread: a poller, its connections, the per-cycle
-/// submit batch, and the probe scratch for requests served inline.
+/// The event-loop thread: a poller, the listener, every connection, the
+/// per-cycle submit batch, and the probe scratch for requests served
+/// inline.
 struct EventLoop {
     shared: Arc<Shared>,
-    /// This loop's own entry in `shared.loops`.
-    home: Arc<LoopShared>,
     poller: Poller,
     wake_rx: UnixStream,
     listener: Option<TcpListener>,
@@ -544,7 +486,6 @@ struct EventLoop {
     accept_paused: Option<(Instant, u64)>,
     conns: HashMap<u64, Slot>,
     next_token: u64,
-    rr: usize,
     /// Submits staged during this wake-up, flushed to the engine in one
     /// batched hand-off at the end of the cycle.
     submit_buf: Vec<BatchSubmission>,
@@ -620,15 +561,7 @@ impl EventLoop {
             self.touched = touched;
             self.submit_staged();
             self.resume_accept();
-            if self.draining
-                && self.conns.is_empty()
-                && self
-                    .home
-                    .incoming
-                    .lock()
-                    .expect("incoming list lock")
-                    .is_empty()
-            {
+            if self.draining && self.conns.is_empty() {
                 break;
             }
         }
@@ -641,8 +574,8 @@ impl EventLoop {
         }
     }
 
-    /// Drains the wake pipe and collects cross-thread work: dirty
-    /// connections and handed-over sockets.
+    /// Drains the wake pipe and collects the connections other threads
+    /// marked dirty.
     fn on_wake(&mut self) {
         // Drain the pipe, then clear the dedupe flag, then take the
         // dirty list. A notify whose swap lands after the clear writes a
@@ -652,22 +585,17 @@ impl EventLoop {
         // work: the drain eats the byte, the flag stays set, and every
         // following notify is deduped until the backstop tick.
         poll::drain_wakes(&mut self.wake_rx);
-        let home = &self.home;
+        let shared = &self.shared;
         // ordering: SeqCst — the store must order before this cycle's
         // dirty-list drain in the same total order as `wake()`'s swap,
         // or a racing notify could be deduped against a wake that
         // already consumed its work.
-        home.wake_pending.store(false, Ordering::SeqCst);
-        let dirty = std::mem::take(&mut *home.dirty.lock().expect("dirty list lock"));
-        let incoming = std::mem::take(&mut *home.incoming.lock().expect("incoming list lock"));
+        shared.wake_pending.store(false, Ordering::SeqCst);
+        let dirty = std::mem::take(&mut *shared.dirty.lock().expect("dirty list lock"));
         self.touched.extend(dirty);
-        for (stream, state) in incoming {
-            self.register_conn(stream, state);
-        }
     }
 
-    /// Accepts until the listener would block, spreading connections
-    /// across the loops.
+    /// Accepts until the listener would block.
     fn accept_burst(&mut self) {
         loop {
             // ordering: SeqCst — shutdown latch read; see `shutdown()`.
@@ -734,53 +662,29 @@ impl EventLoop {
         if let Some(bytes) = self.shared.socket_send_buffer {
             let _ = poll::set_socket_buffers(stream.as_raw_fd(), Some(bytes), None);
         }
-        // ordering: Relaxed — the open gauge (see above), this loop's
+        // ordering: Relaxed — the open gauge (see above), the loop's
         // own accept tally, and a unique-id ticket (fetch_add is atomic
         // at any ordering).
         self.shared.open.fetch_add(1, Ordering::Relaxed);
-        self.home.counters.accepted.fetch_add(1, Ordering::Relaxed);
+        self.shared.tallies.accepted.fetch_add(1, Ordering::Relaxed);
         let id = self.shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
-
-        // lint: allow(no-panic) — `% loops.len()` keeps the index in
-        // bounds, and the loop set is non-empty by construction.
-        let home = self.shared.loops[self.rr % self.shared.loops.len()].clone();
-        self.rr += 1;
         let cap = self.shared.admission_capacity + CONTROL_SLACK;
-        let state = Arc::new(ConnShared::new(id, cap, home.clone()));
-        if Arc::ptr_eq(&home, &self.home) {
-            self.register_conn(stream, state);
-        } else {
-            home.incoming
-                .lock()
-                .expect("incoming list lock")
-                .push((stream, state));
-            home.wake();
-        }
-    }
-
-    fn register_conn(&mut self, stream: TcpStream, state: Arc<ConnShared>) {
+        let state = Arc::new(ConnShared::new(id, cap, self.shared.clone()));
         let token = self.next_token;
         self.next_token += 1;
         state.set_token(token);
-        let mut registered = None;
-        if !self.draining {
-            if self
-                .poller
-                .add(stream.as_raw_fd(), token, INTEREST_READ)
-                .is_ok()
-            {
-                registered = Some(INTEREST_READ);
-            } else {
+        // Accepting stops before the drain begins, so a new connection
+        // always reads.
+        let registered = match self.poller.add(stream.as_raw_fd(), token, INTEREST_READ) {
+            Ok(()) => Some(INTEREST_READ),
+            Err(_) => {
                 state.doom();
+                None
             }
-        }
-        let mut conn = Connection::new(stream, self.shared.clone(), state);
-        if self.draining {
-            conn.stop_reading(&mut Intake::new(&mut self.submit_buf, &mut self.scratch));
-        }
+        };
+        let conn = Connection::new(stream, state);
         self.conns.insert(token, Slot { conn, registered });
-        // Immediate close check for the doomed / accepted-mid-shutdown
-        // cases.
+        // Immediate close check for a connection the poller refused.
         self.touched.push(token);
     }
 

@@ -1145,6 +1145,52 @@ mod tests {
     }
 
     #[test]
+    fn a_decoder_built_before_the_recovery_stages_skips_their_rows() {
+        // Tags 14–16 reach a decoder that stops at `Compaction` as tags
+        // it does not know. This build stands in for that decoder by
+        // reading them as 17–19, the first tags past its own.
+        let latency = HistogramSnapshot {
+            count: 1,
+            sum: 10,
+            max: 10,
+            buckets: vec![(3, 1)],
+        };
+        let mut stats = sample_stats(None);
+        stats.metrics.per_kind.clear();
+        stats.metrics.stages = Stage::ALL
+            .into_iter()
+            .map(|stage| StageSnapshot {
+                stage,
+                latency: latency.clone(),
+            })
+            .collect();
+        let mut w = ByteWriter::new();
+        encode_stats(&mut w, &stats);
+        let mut bytes = w.into_vec();
+        let mut row = ByteWriter::new();
+        row.put_u8(0);
+        encode_histogram(&mut row, &latency);
+        let row_len = row.into_vec().len();
+        let mut counts = ByteWriter::new();
+        counts.put_usize(0);
+        counts.put_usize(0);
+        let first_tag = counts.into_vec().len();
+        let newer = [Stage::Recovery, Stage::Replay, Stage::CatalogWrite];
+        for stage in newer {
+            let at = first_tag + stage.index() * row_len;
+            assert_eq!(bytes[at], stage.tag());
+            bytes[at] += newer.len() as u8;
+        }
+        let got = decode_stats(&mut ByteReader::new(&bytes)).expect("decodes");
+        stats
+            .metrics
+            .stages
+            .retain(|row| !newer.contains(&row.stage));
+        assert_eq!(stats.metrics.stages.len(), 14);
+        assert_eq!(got, stats);
+    }
+
+    #[test]
     fn the_reserved_stats_slot_keeps_its_bytes_and_decodes_to_nothing() {
         let reply = ServerFrame::Reply(Response::Stats(Box::new(sample_stats(None))));
         let payload = reply.encode(3);

@@ -262,6 +262,32 @@ fn checkpoint_resets_the_wal_and_recovery_reads_the_snapshot() {
 }
 
 #[test]
+fn a_sub_eps_negative_weight_entry_registers_and_recovers_bit_identically() {
+    // `Weight::try_new` accepts entries down to -1e-9; registration and
+    // recovery apply that one rule.
+    let dir = TempDir::new("signedweight");
+    let signed = vec![1.0 + 5e-10, -5e-10];
+    let bits = |ws: &[Weight]| -> Vec<Vec<u64>> {
+        let bits = |w: &Weight| w.as_slice().iter().map(|x| x.to_bits()).collect();
+        ws.iter().map(bits).collect()
+    };
+    let want = bits(&[Weight::try_new(signed.clone()).unwrap()]);
+    {
+        let e = durable(dir.path());
+        let w = Weight::try_new(signed.clone()).unwrap();
+        e.register_weights("snapshotted", vec![w]).unwrap();
+        assert!(e.checkpoint().unwrap());
+        let w = Weight::try_new(signed).unwrap();
+        e.register_weights("logged", vec![w]).unwrap();
+    }
+    let recovered = durable(dir.path());
+    assert_eq!(recovered.metrics().catalog.wal_replayed, 1);
+    for name in ["snapshotted", "logged"] {
+        assert_eq!(bits(&recovered.catalog().weights(name).unwrap()), want);
+    }
+}
+
+#[test]
 fn compaction_checkpoints_automatically() {
     let dir = TempDir::new("autocheckpoint");
     let e = durable(dir.path());

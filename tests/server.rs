@@ -1298,13 +1298,11 @@ fn slow_reader_overflowing_the_reply_backlog_is_killed() {
 }
 
 #[test]
-fn multiple_event_loops_serve_connections_concurrently() {
-    // Connections spread round-robin across loops; cross-loop handoff,
-    // per-loop wakeups, and shared admission must all compose. Four
-    // threads hammer the same dataset and every reply must pair up.
+fn concurrent_connections_share_the_event_loop() {
+    // Four threads hammer the same dataset through the one loop and
+    // shared admission; every reply must pair up.
     let server = Server::builder()
         .engine(Engine::builder().workers(2).build())
-        .event_loops(2)
         .bind("127.0.0.1:0")
         .unwrap();
     server
@@ -1356,6 +1354,57 @@ fn multiple_event_loops_serve_connections_concurrently() {
     assert_eq!(stats.busy_rejections, 0);
     assert_eq!(stats.frames_in, 200);
     assert_eq!(stats.frames_out, 204, "200 replies + one Hello each");
+    server.shutdown();
+}
+
+/// Polls the server's open-connection gauge until it reads `want`.
+fn await_open(server: &Server, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().connections_open != want && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.stats().connections_open, want);
+}
+
+#[test]
+fn idle_and_half_greeted_peers_do_not_stall_a_working_connection() {
+    // 400 peers hold connections without finishing a request: 200
+    // greeted and silent, 200 stuck two bytes into the four-byte
+    // preamble. About 800 fds with both ends in this process, so the
+    // test fits a 1 024-fd soft limit.
+    let server = serving_fixture();
+    let mut idle: Vec<TcpStream> = (0..200).map(|_| greeted_raw_conn(&server)).collect();
+    for _ in 0..200 {
+        let mut stream = raw_conn(&server);
+        stream.write_all(&wqrtq_server::MAGIC_V2[..2]).unwrap();
+        idle.push(stream);
+    }
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let requests: Vec<Request> = (0..100)
+        .map(|i| Request::TopK {
+            dataset: "p".into(),
+            weight: vec![i as f64 / 100.0, 1.0 - i as f64 / 100.0],
+            k: 2,
+        })
+        .collect();
+    let burst: Vec<&Request> = requests.iter().collect();
+    let ids = client.send_request_batch(&burst).unwrap();
+    let mut pending: std::collections::HashSet<u64> = ids.into_iter().collect();
+    while !pending.is_empty() {
+        let (id, frame) = client.recv().unwrap();
+        assert!(pending.remove(&id), "duplicate or unknown reply id {id}");
+        match frame {
+            ServerFrame::Reply(Response::TopK(points)) => assert_eq!(points.len(), 2),
+            other => panic!("expected a top-k reply, got {other:?}"),
+        }
+    }
+    await_open(&server, 401);
+    drop(idle);
+    await_open(&server, 1);
+    client.ping().unwrap();
     server.shutdown();
 }
 
