@@ -3,12 +3,14 @@
 //!
 //! Per the paper (§3): a why-not vector `w` is excluded because more than
 //! `k − 1` points score strictly better than `q` under `w`; those points
-//! are the answer. We report them with a progressive (best-first) top-k
-//! scan that stops as soon as `q`'s score is reached, exactly as the
-//! paper suggests using progressive top-k algorithms.
+//! are the answer. The exact rank comes from the counted index (no
+//! point enumerated), and the culprits are a prefix of the snapshot's
+//! one ranked walk, [`ProbeCtx::bounded_topk`]: under its
+//! `(score via total_cmp, id)` order the rows scoring strictly below
+//! `f(w, q)` are exactly its first `rank − 1` entries, so the walk stops
+//! at the culprit limit instead of draining every better point.
 
-use wqrtq_geom::score;
-use wqrtq_query::{ProbeCtx, Snapshot};
+use wqrtq_query::{rank_of_point, ProbeCtx, Snapshot};
 
 /// A data point responsible for excluding a why-not weighting vector.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,10 +40,10 @@ pub struct Explanation {
 /// outrank it. `limit` bounds the number of returned culprits (the rank
 /// is still exact); pass `usize::MAX` for all of them.
 ///
-/// The progressive scan runs on the snapshot's merged live ranking (base
-/// index minus tombstones, plus appended rows), so culprits and the
-/// exact rank are those of a dataset rebuilt from the live rows. The
-/// index nodes it expands (the `|RT|` cost term) are added to
+/// Rank and culprits are those of the snapshot's live rows (base index
+/// minus tombstones, plus appended rows), so a dataset rebuilt from them
+/// gives the same explanation with its ids mapped. The index nodes the
+/// culprit walk expands (the `|RT|` cost term) are added to
 /// `ctx.nodes_visited`.
 pub fn explain<'a>(
     snap: impl Into<Snapshot<'a>>,
@@ -50,31 +52,21 @@ pub fn explain<'a>(
     limit: usize,
     ctx: &mut ProbeCtx,
 ) -> Explanation {
-    let sq = score(w, q);
-    let mut culprits = Vec::new();
-    let mut rank = 1usize;
-    let mut truncated = false;
-    let mut bf = snap.into().best_first(w);
-    while let Some(p) = bf.next_entry() {
-        if p.score >= sq {
-            break;
-        }
-        rank += 1;
-        if culprits.len() < limit {
-            culprits.push(Culprit {
-                id: p.id,
-                score: p.score,
-                coords: p.coords.to_vec(),
-            });
-        } else {
-            truncated = true;
-        }
-    }
-    ctx.nodes_visited += bf.nodes_visited();
+    let snap = snap.into();
+    let rank = rank_of_point(snap, w, q);
+    let better = rank - 1;
+    let mut culprits = Vec::with_capacity(limit.min(better));
+    ctx.bounded_topk(snap, w, limit.min(better), |p| {
+        culprits.push(Culprit {
+            id: p.id,
+            score: p.score,
+            coords: p.coords.to_vec(),
+        });
+    });
     Explanation {
         culprits,
         rank,
-        truncated,
+        truncated: better > limit,
     }
 }
 

@@ -9,9 +9,10 @@
 //! [`Request::validate`] is the engine's input firewall: every float a
 //! request carries must be finite (a single NaN or infinity would
 //! silently corrupt the strict `<` comparisons and `total_cmp` sorts in
-//! the kernels), and every weighting vector must be non-negative with at
-//! least one positive component. Workers reject invalid requests with a
-//! typed error before touching any index.
+//! the kernels), a `TopK` weight must be non-negative with at least one
+//! positive component, and a why-not vector or inline population member
+//! must pass [`Weight::check`], as a registered population does. Workers
+//! reject invalid requests with a typed error before touching any index.
 
 use crate::error::EngineError;
 use crate::metrics::StatsSnapshot;
@@ -19,6 +20,7 @@ use std::cell::RefCell;
 use wqrtq_codec::{ByteReader, ByteWriter, DecodeError};
 use wqrtq_core::advisor::{PenaltyBreakdown, StrategyKind, WhyNotOptions};
 use wqrtq_core::penalty::Tolerances;
+use wqrtq_geom::Weight;
 
 /// Upper bound on any sampling budget a request may carry
 /// (`sample_size`, `query_samples` — 2²⁰ samples is far beyond any
@@ -121,7 +123,8 @@ pub enum Request {
     Stats,
 }
 
-/// Validates one weighting vector: finite, non-negative, some positive.
+/// Validates a `TopK` weighting vector, which is scored as a raw slice:
+/// finite, non-negative, some positive.
 pub(crate) fn check_weight(w: &[f64], field: &'static str) -> Result<(), EngineError> {
     if !w.iter().all(|x| x.is_finite()) {
         return Err(EngineError::NonFiniteInput { field });
@@ -130,6 +133,15 @@ pub(crate) fn check_weight(w: &[f64], field: &'static str) -> Result<(), EngineE
         return Err(EngineError::InvalidWeight { field });
     }
     Ok(())
+}
+
+/// Validates a simplex weighting vector — an inline population member
+/// or a why-not vector — with [`Weight::check`], the rule a registered
+/// population meets: a non-finite entry is [`EngineError::NonFiniteInput`],
+/// any other failure [`EngineError::InvalidWeight`].
+pub(crate) fn check_simplex(w: &[f64], field: &'static str) -> Result<(), EngineError> {
+    check_finite(w, field)?;
+    Weight::check(w).map_err(|_| EngineError::InvalidWeight { field })
 }
 
 /// Validates one coordinate vector: finite throughout.
@@ -321,8 +333,10 @@ impl Request {
     }
 
     /// Validates the request's numeric payload before execution: every
-    /// coordinate finite, every weighting vector non-negative with a
-    /// positive component.
+    /// coordinate finite, a `TopK` weight non-negative with a positive
+    /// component, and every why-not vector and inline population member
+    /// a simplex vector by [`Weight::check`] — the rule a registered
+    /// population meets.
     ///
     /// # Errors
     /// [`EngineError::NonFiniteInput`] / [`EngineError::InvalidWeight`].
@@ -337,7 +351,7 @@ impl Request {
                 check_finite(q, "query point")?;
                 if let WeightSet::Inline(ws) = weights {
                     for w in ws {
-                        check_weight(w, "inline weight set")?;
+                        check_simplex(w, "inline weight set")?;
                     }
                 }
                 Ok(())
@@ -350,7 +364,7 @@ impl Request {
             } => {
                 check_finite(q, "query point")?;
                 for w in why_not {
-                    check_weight(w, "why-not vector")?;
+                    check_simplex(w, "why-not vector")?;
                 }
                 check_options(options)
             }

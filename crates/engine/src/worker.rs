@@ -601,10 +601,9 @@ fn check_dim(dim: usize, v: &[f64]) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Lifts a request's raw preference vectors onto the simplex type the
-/// algorithms take. [`Request::validate`] admits any non-negative vector
-/// (a `TopK` weight is scored as a raw slice and need not sum to 1);
-/// why-not vectors and inline populations must, and that is checked here.
+/// Lifts a request's why-not vectors or inline population onto the
+/// simplex type the algorithms take. [`Request::validate`] has already
+/// held them to [`Weight::check`], the rule `try_new` applies here.
 fn simplex_weights(raw: &[Vec<f64>], field: &'static str) -> Result<Vec<Weight>, EngineError> {
     raw.iter()
         .map(|w| Weight::try_new(w.clone()).map_err(|_| EngineError::InvalidWeight { field }))

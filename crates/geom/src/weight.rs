@@ -51,14 +51,26 @@ impl Weight {
         Self::try_new(w).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Creates a weighting vector from untrusted input: the one place
-    /// the simplex invariants are checked.
+    /// Creates a weighting vector from untrusted input, checked with
+    /// [`Weight::check`].
+    ///
+    /// # Errors
+    /// [`WeightError`] where [`Weight::check`] returns one.
+    pub fn try_new(w: impl Into<Vec<f64>>) -> Result<Self, WeightError> {
+        let w: Vec<f64> = w.into();
+        Self::check(&w)?;
+        Ok(Self {
+            w: w.into_boxed_slice(),
+        })
+    }
+
+    /// The one place the simplex invariants are checked, on a borrowed
+    /// vector: what [`Weight::try_new`] accepts.
     ///
     /// # Errors
     /// [`WeightError`] if `w` is empty, has a non-finite entry or one
     /// below `-EPS`, or does not sum to 1 within `1e-6`.
-    pub fn try_new(w: impl Into<Vec<f64>>) -> Result<Self, WeightError> {
-        let w: Vec<f64> = w.into();
+    pub fn check(w: &[f64]) -> Result<(), WeightError> {
         if w.is_empty() {
             return Err(WeightError::Empty);
         }
@@ -69,9 +81,7 @@ impl Weight {
         if (sum - 1.0).abs() >= 1e-6 {
             return Err(WeightError::BadSum(sum));
         }
-        Ok(Self {
-            w: w.into_boxed_slice(),
-        })
+        Ok(())
     }
 
     /// Creates a weighting vector by normalising arbitrary non-negative

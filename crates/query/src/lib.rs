@@ -44,4 +44,4 @@ pub use mrtopk_nd::{
 };
 pub use rank::{is_in_topk, rank_of_point, rank_of_point_scan};
 pub use snapshot::{ProbeCtx, Snapshot};
-pub use topk::{kth_point, topk, topk_scan, topk_with, KthPoint, LiveBestFirst};
+pub use topk::{kth_point, topk, topk_scan, topk_with, KthPoint};

@@ -8,10 +8,9 @@
 //! benchmarks.
 
 use crate::snapshot::{ProbeCtx, Snapshot};
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use wqrtq_geom::{score, DeltaView};
-use wqrtq_rtree::search::{BestFirst, RankedPoint};
+use wqrtq_geom::score;
+use wqrtq_rtree::search::RankedPoint;
 use wqrtq_rtree::OrdF64;
 
 /// The top `k`-th point of a weighting vector — the constraint generator
@@ -28,9 +27,13 @@ pub struct KthPoint {
 }
 
 /// Returns the `(id, score)` pairs of `TOPk(w)` over the snapshot's live
-/// points in ascending score order. Returns fewer than `k` entries when
-/// fewer live points exist. Bit-identical to a dataset rebuilt from the
-/// live rows (score ties permitting — see [`LiveBestFirst`]).
+/// points, ordered by score under `f64::total_cmp` and then by id.
+/// Returns fewer than `k` entries when fewer live points exist.
+///
+/// The order is a function of the live rows alone: a snapshot answers
+/// bit for bit as a dataset rebuilt from its live rows (or compacted)
+/// does, with ids mapped through the rebuild — equal scores, `−0.0`
+/// and `+0.0` among them, included.
 pub fn topk<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Vec<(u32, f64)> {
     topk_with(snap, w, k, &mut ProbeCtx::new())
 }
@@ -75,7 +78,7 @@ pub fn topk_scan(points: &[f64], w: &[f64], k: usize) -> Vec<(u32, f64)> {
 /// which includes `k = 0`.
 pub fn kth_point<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Option<KthPoint> {
     let (mut ranked, mut last) = (0, None);
-    ProbeCtx::new().bounded_topk(snap.into(), w, k, |p| {
+    ProbeCtx::new().bounded_topk(snap, w, k, |p| {
         ranked += 1;
         last = Some(p);
     });
@@ -87,20 +90,22 @@ pub fn kth_point<'a>(snap: impl Into<Snapshot<'a>>, w: &[f64], k: usize) -> Opti
 }
 
 impl ProbeCtx {
-    /// The bounded top-k: hands the first `k` entries of
-    /// `snap.best_first(w)` to `emit`, in order, without draining it.
-    /// The base's first `k` live points come from
-    /// [`wqrtq_rtree::RTree::topk_into`] (tombstones skipped), the
-    /// appended rows' `k` smallest by `(score via total_cmp, slot)` from
-    /// a k-bounded heap, and the two merge exactly as [`LiveBestFirst`]
-    /// merges them: base first on a tie.
-    fn bounded_topk<'a>(
+    /// The ranked walk of a snapshot: hands its first `k` live points,
+    /// by `(score via total_cmp, id)`, to `emit` in order. The base's
+    /// first `k` live points come from [`wqrtq_rtree::RTree::topk_into`]
+    /// (tombstones skipped), the appended rows' `k` smallest from a
+    /// k-bounded heap keyed `(score, delta slot)` — appended ids rise
+    /// with the slot, so that is their id order — and the two merge on
+    /// whole `(score, id)` keys. The index nodes expanded are added to
+    /// `self.nodes_visited`.
+    pub fn bounded_topk<'a>(
         &mut self,
-        snap: Snapshot<'a>,
+        snap: impl Into<Snapshot<'a>>,
         w: &[f64],
         k: usize,
         mut emit: impl FnMut(RankedPoint<'a>),
     ) {
+        let snap = snap.into();
         let view = snap.mutated();
         let mut buf = std::mem::take(&mut self.top_delta);
         buf.clear();
@@ -128,13 +133,20 @@ impl ProbeCtx {
                     coords: v.delta_row(slot as usize),
                 })
         });
+        let key = |p: &RankedPoint<'_>| (OrdF64(p.score), p.id);
         let mut head = delta.next();
         let mut left = k;
         let tree = snap.tree;
         let dead = |id| view.is_some_and(|v| v.is_deleted(id));
         let nodes = tree.topk_into(w, k, dead, &mut self.probe, |row, s| {
-            // Appended rows strictly ahead of this base point leave first.
-            while let Some(d) = head.filter(|d| d.score < s) {
+            let (id, coords) = tree.point(row as usize);
+            let base = RankedPoint {
+                id,
+                score: s,
+                coords,
+            };
+            // Appended rows keyed ahead of this base point leave first.
+            while let Some(d) = head.filter(|d| key(d) < key(&base)) {
                 emit(d);
                 head = delta.next();
                 left -= 1;
@@ -142,12 +154,7 @@ impl ProbeCtx {
                     return false;
                 }
             }
-            let (id, coords) = tree.point(row as usize);
-            emit(RankedPoint {
-                id,
-                score: s,
-                coords,
-            });
+            emit(base);
             left -= 1;
             left > 0
         });
@@ -160,94 +167,11 @@ impl ProbeCtx {
     }
 }
 
-/// Best-first enumeration of a snapshot's *live* points: the base
-/// index's incremental ranking with tombstoned rows skipped, merged with
-/// the appended rows, which are scored up front and then consumed
-/// lazily from a min-heap — `O(Δ + emitted · log Δ)` for `Δ` appended
-/// rows, so a shallow consumer never pays for ordering the whole
-/// overlay. The why-not culprit scan drives it exactly like a plain
-/// [`wqrtq_rtree::RTree::best_first`] traversal, which is what it
-/// reduces to on an un-mutated snapshot; [`topk`] and [`kth_point`]
-/// return its first `k` entries.
-///
-/// Order contract: ascending score. A base point and an appended row
-/// with the exact same score are emitted base-first (appended ids always
-/// sit above base ids, so this is ascending-id order); appended rows
-/// leave by `(score via total_cmp, delta slot)` — equal scores in append
-/// order, a strict total order because slots are distinct, so the
-/// sequence does not depend on how deep it is drained; ties *within*
-/// the base keep the index's traversal order, as ever.
-pub struct LiveBestFirst<'a> {
-    bf: BestFirst<'a>,
-    view: Option<&'a DeltaView>,
-    /// `(score, delta slot)` of the not-yet-emitted live appended rows,
-    /// min-first.
-    delta: BinaryHeap<Reverse<(OrdF64, u32)>>,
-    /// The next not-yet-emitted live base point, if already pulled.
-    pending: Option<RankedPoint<'a>>,
-}
-
-impl<'a> Snapshot<'a> {
-    /// Starts the merged live traversal under `w`: scores the appended
-    /// rows and heapifies them (`O(Δ)`; nothing is allocated for a plain
-    /// or absent view).
-    pub fn best_first(self, w: &[f64]) -> LiveBestFirst<'a> {
-        let view = self.mutated();
-        let delta: Vec<Reverse<(OrdF64, u32)>> = view.map_or_else(Vec::new, |v| {
-            v.delta_rows()
-                .chunks_exact(v.dim())
-                .enumerate()
-                .map(|(i, row)| Reverse((OrdF64(score(w, row)), i as u32)))
-                .collect()
-        });
-        LiveBestFirst {
-            bf: self.tree.best_first(w),
-            view,
-            delta: BinaryHeap::from(delta),
-            pending: None,
-        }
-    }
-}
-
-impl<'a> LiveBestFirst<'a> {
-    /// Index nodes expanded by the base traversal so far.
-    pub fn nodes_visited(&self) -> usize {
-        self.bf.nodes_visited()
-    }
-
-    /// Returns the next live point in ascending score order.
-    pub fn next_entry(&mut self) -> Option<RankedPoint<'a>> {
-        if self.pending.is_none() {
-            // Pull the next live base point, skipping tombstones.
-            while let Some(p) = self.bf.next_entry() {
-                if !self.view.is_some_and(|v| v.is_deleted(p.id)) {
-                    self.pending = Some(p);
-                    break;
-                }
-            }
-        }
-        let base_first = match (&self.pending, self.delta.peek()) {
-            (Some(p), Some(Reverse((OrdF64(ds), _)))) => p.score <= *ds, // tie: base first
-            (pending, _) => pending.is_some(),
-        };
-        if base_first {
-            return self.pending.take();
-        }
-        // A delta head exists only under an overlay.
-        let (Reverse((OrdF64(ds), slot)), view) = (self.delta.pop()?, self.view?);
-        Some(RankedPoint {
-            id: view.delta_ids()[slot as usize],
-            score: ds,
-            coords: view.delta_row(slot as usize),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use wqrtq_geom::FlatPoints;
+    use wqrtq_geom::{DeltaView, FlatPoints};
     use wqrtq_rtree::RTree;
 
     // The bit-identical-to-naive contract of every snapshot shape lives

@@ -20,7 +20,7 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
-use wqrtq_geom::{score, DeltaView, FlatPoints, Point, Weight};
+use wqrtq_geom::{DeltaView, FlatPoints, Point, Weight};
 use wqrtq_query::{
     bichromatic_reverse_topk_naive, bichromatic_reverse_topk_rta, is_in_topk, kth_point,
     monochromatic_reverse_topk_sampled, rank_of_point, rank_of_point_scan, rta_over_order,
@@ -87,19 +87,17 @@ fn check_shape(snap: Snapshot<'_>, shape: &str, c: &Case<'_>) -> Result<(), Test
         let got = topk(snap, w, c.k);
         prop_assert_eq!(got.len(), oracle.len(), "{} top-k length", shape);
         for (g, o) in got.iter().zip(&oracle) {
-            prop_assert_eq!(g.1, o.1, "{} top-k score w {:?}", shape, w);
-            // Ids must map through the live-row id table wherever the
-            // score is strict (exact ties may permute between
-            // structures).
-            let tied = c
-                .live
-                .chunks_exact(dim)
-                .filter(|p| score(w, p) == o.1)
-                .count()
-                > 1;
-            if !tied {
-                prop_assert_eq!(g.0, c.ids[o.0 as usize], "{} top-k id", shape);
-            }
+            // Every position, ties included: the live rows sit in
+            // ascending id order, so the scan's `(total_cmp, row)` order
+            // is the `(total_cmp, id)` order every ranking keeps.
+            prop_assert_eq!(
+                g.1.to_bits(),
+                o.1.to_bits(),
+                "{} top-k score w {:?}",
+                shape,
+                w
+            );
+            prop_assert_eq!(g.0, c.ids[o.0 as usize], "{} top-k id w {:?}", shape, w);
         }
         prop_assert_eq!(
             kth_point(snap, w, c.k).map(|p| p.score),

@@ -1,23 +1,19 @@
-//! `Snapshot::best_first` merges the base index's ranking with a lazily
-//! consumed heap of the appended rows; this suite drains it **to
-//! exhaustion** and proves the sequence is the one its order contract
-//! spells out, at overlay sizes and depths `differential.rs` never
-//! reaches (it appends ≤ 13 rows and stops at `k ≤ 13`).
+//! A snapshot's one ranked walk, `ProbeCtx::bounded_topk`, merges the
+//! base index's bounded top-k with a k-bounded heap of the appended
+//! rows; this suite runs it **to exhaustion** (`k` past the live count)
+//! and proves the sequence is the one order every ranking keeps, at
+//! overlay sizes and depths `differential.rs` never reaches (it appends
+//! ≤ 13 rows and stops at `k ≤ 13`).
 //!
-//! The oracle is the contract taken literally: score every live row,
-//! stable-sort, base before appended on a tie, appended rows among
-//! themselves by slot. One subtlety is pinned rather than avoided: the
-//! two streams are each ordered by `f64::total_cmp` (−0.0 before +0.0)
-//! but compared with each other by `<=`, under which the two zeros tie —
-//! so the oracle orders by value first, base-before-delta second, sign
-//! of zero third.
+//! The oracle is that order taken literally: score every live row and
+//! sort by `(score via f64::total_cmp, id)` — `−0.0` before `+0.0`, and
+//! equal scores by id whether the rows sit in the base, in the overlay
+//! or one in each. No tie is exempt: the sequence is a function of the
+//! live rows.
 //!
 //! The data sits on a coarse grid with both signs of zero, duplicated
 //! rows and copies of `q` in the base and in the overlay, under weights
-//! with zero entries, so exact ties are everywhere. Rows that tie *within
-//! the base* keep the index's traversal order, which no contract fixes:
-//! for those the score is compared and the id only has to be a base id
-//! (that every live id leaves exactly once is checked separately).
+//! with zero entries, so exact ties are everywhere.
 //!
 //! `WQRTQ_FUZZ_ROUNDS` scales the case count (default 8 rounds; each
 //! round runs every overlay size against every tombstone pattern).
@@ -54,9 +50,6 @@ struct Row {
     id: u32,
     score: f64,
     coords: Vec<f64>,
-    appended: bool,
-    /// Another live *base* row has the same score value.
-    base_tie: bool,
 }
 
 /// `n` gridded rows: few levels per coordinate, zeros of either sign.
@@ -101,12 +94,10 @@ fn weights(rng: &mut StdRng, dim: usize) -> Vec<Vec<f64>> {
     ]
 }
 
-/// The contract, literally: canonical order (live base rows ascending,
-/// then appended rows by slot) stable-sorted by score value, base before
-/// appended, then `total_cmp` (the sign of a zero).
+/// The order, literally: every live row sorted by `(score via
+/// total_cmp, id)`.
 fn oracle(view: &DeltaView, w: &[f64]) -> Vec<Row> {
     let (live, ids) = view.materialize_row_major();
-    let base_n = view.base_len() as u32;
     let mut rows: Vec<Row> = live
         .chunks_exact(view.dim())
         .zip(&ids)
@@ -114,111 +105,64 @@ fn oracle(view: &DeltaView, w: &[f64]) -> Vec<Row> {
             id,
             score: score(w, coords),
             coords: coords.to_vec(),
-            appended: id >= base_n,
-            base_tie: false,
         })
         .collect();
-    rows.sort_by(|a, b| {
-        a.score
-            .partial_cmp(&b.score)
-            .expect("finite scores")
-            .then(a.appended.cmp(&b.appended))
-            .then(a.score.total_cmp(&b.score))
-    });
-    // Base rows of one score value are adjacent after the sort.
-    for i in 1..rows.len() {
-        if !rows[i].appended && !rows[i - 1].appended && rows[i].score == rows[i - 1].score {
-            rows[i].base_tie = true;
-            rows[i - 1].base_tie = true;
-        }
-    }
+    rows.sort_by(|a, b| a.score.total_cmp(&b.score).then(a.id.cmp(&b.id)));
     rows
 }
 
-fn assert_same(got: (u32, f64, &[f64]), want: &Row, base_n: u32, what: &str) {
+fn assert_same(got: (u32, f64, &[f64]), want: &Row, what: &str) {
     let (id, score, coords) = got;
-    if want.base_tie {
-        assert_eq!(score, want.score, "{what}: score");
-        assert!(id < base_n, "{what}: a base row must be emitted");
-        return;
-    }
     assert_eq!(id, want.id, "{what}: id");
     assert_eq!(score.to_bits(), want.score.to_bits(), "{what}: score bits");
     let bits = |c: &[f64]| c.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(coords), bits(&want.coords), "{what}: coordinates");
 }
 
-/// Drains the traversal and checks every consumer against the oracle.
+/// Runs the walk to exhaustion and checks every consumer against the
+/// oracle.
 fn check(snap: Snapshot<'_>, view: &DeltaView, w: &[f64], what: &str) {
     let want = oracle(view, w);
-    let base_n = view.base_len() as u32;
     let (live, delta) = (want.len(), view.delta_len());
     assert_eq!(snap.live_len(), live, "{what}: live count");
 
-    let mut it = snap.best_first(w);
-    let mut emitted = Vec::with_capacity(live);
-    for (pos, row) in want.iter().enumerate() {
-        let p = it
-            .next_entry()
-            .unwrap_or_else(|| panic!("{what}: exhausted at {pos} of {live}"));
-        assert_same(
-            (p.id, p.score, p.coords),
-            row,
-            base_n,
-            &format!("{what} @{pos}"),
-        );
-        emitted.push(p.id);
+    let mut walked = Vec::with_capacity(live);
+    ProbeCtx::new().bounded_topk(snap, w, live + 1, |p| {
+        walked.push((p.id, p.score, p.coords.to_vec()));
+    });
+    assert_eq!(walked.len(), live, "{what}: the walk emits every live row");
+    for (pos, ((id, s, coords), row)) in walked.iter().zip(&want).enumerate() {
+        assert_same((*id, *s, coords), row, &format!("{what} @{pos}"));
     }
-    assert!(
-        it.next_entry().is_none(),
-        "{what}: emits past the live rows"
-    );
-    assert!(it.next_entry().is_none(), "{what}: exhaustion is sticky");
-    emitted.sort_unstable();
-    let mut ids: Vec<u32> = want.iter().map(|r| r.id).collect();
-    ids.sort_unstable();
-    assert_eq!(emitted, ids, "{what}: every live id exactly once");
 
     for k in [0, 1, delta, live, live + 1] {
-        // The bounded top-k is the traversal's prefix, base ties and
-        // signs of zero included.
-        let mut fresh = snap.best_first(w);
-        let prefix: Vec<(u32, u64)> = std::iter::from_fn(|| fresh.next_entry())
+        let prefix: Vec<(u32, u64)> = want
+            .iter()
             .take(k)
-            .map(|p| (p.id, p.score.to_bits()))
+            .map(|r| (r.id, r.score.to_bits()))
             .collect();
         let bounded: Vec<(u32, u64)> = topk(snap, w, k)
             .into_iter()
             .map(|(id, s)| (id, s.to_bits()))
             .collect();
         assert_eq!(bounded, prefix, "{what}: top-k prefix at k = {k}");
-        assert_eq!(
-            kth_point(snap, w, k).map(|p| (p.id, p.score.to_bits())),
-            k.checked_sub(1).and_then(|i| prefix.get(i).copied()),
-            "{what}: k-th point of the prefix at k = {k}"
-        );
-
         let got = kth_point(snap, w, k);
         match k.checked_sub(1).and_then(|i| want.get(i)) {
             None => assert!(got.is_none(), "{what}: k-th point at k = {k}"),
             Some(row) => {
                 let p = got.unwrap_or_else(|| panic!("{what}: no k-th point at k = {k}"));
-                let what = format!("{what} k-th k={k}");
-                assert_same((p.id, p.score, &p.coords), row, base_n, &what);
-                let top = topk(snap, w, k);
-                assert_eq!(top.len(), k, "{what}: top-k length");
-                assert_eq!(
-                    top[k - 1].1.to_bits(),
-                    p.score.to_bits(),
-                    "{what}: top-k tail"
+                assert_same(
+                    (p.id, p.score, &p.coords),
+                    row,
+                    &format!("{what} k-th k={k}"),
                 );
             }
         }
     }
 
-    // The unbounded culprit scan, from queries ranked past the overlay:
-    // a live row a little deeper than Δ (ties at the boundary) and a
-    // point every live row beats (the scan drains the whole traversal).
+    // The culprit scan, from queries ranked past the overlay: a live row
+    // a little deeper than Δ (ties at the boundary) and a point every
+    // live row beats (every live row is a culprit).
     let beaten_by_all = vec![8.0; view.dim()];
     let deep = want.get((delta + 3).min(live.saturating_sub(1)));
     for q in deep.map(|r| &r.coords).into_iter().chain([&beaten_by_all]) {
@@ -231,8 +175,17 @@ fn check(snap: Snapshot<'_>, view: &DeltaView, w: &[f64], what: &str) {
         assert_eq!(ex.culprits.len(), strictly_better, "{what}: culprit count");
         for (pos, (c, row)) in ex.culprits.iter().zip(&want).enumerate() {
             let what = format!("{what} culprit {pos}");
-            assert_same((c.id, c.score, &c.coords), row, base_n, &what);
+            assert_same((c.id, c.score, &c.coords), row, &what);
         }
+        let limit = strictly_better / 2;
+        let cut = explain(snap, w, q, limit, &mut ctx);
+        assert_eq!(cut.rank, ex.rank, "{what}: a limit keeps the rank");
+        assert_eq!(
+            cut.culprits,
+            ex.culprits[..limit],
+            "{what}: limited culprits"
+        );
+        assert_eq!(cut.truncated, limit < strictly_better, "{what}: truncated");
     }
 }
 

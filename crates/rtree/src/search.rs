@@ -6,6 +6,10 @@
 //! `hi` above for a non-negative entry, the reverse for a negative one),
 //! so the bounds hold for any finite weight; for non-negative weights
 //! they are the plain lower and upper corner scores.
+//!
+//! A ranking has one order: score by `f64::total_cmp` (`−0.0` before
+//! `+0.0`), then point id — never the store row, which depends on how
+//! the tree was packed.
 
 use crate::tree::RTree;
 use crate::{DominanceIndex, OrdF64};
@@ -24,23 +28,28 @@ pub struct RankedPoint<'a> {
     pub coords: &'a [f64],
 }
 
-/// A queued node id or store row; at equal scores nodes open first and
-/// points leave in (leaf, slot) order, which is row order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum HeapItem {
-    Node(u32),
-    Point(u32),
+/// A node's queue key: its lower bound, with `+0.0` lowered to `−0.0`
+/// so that no point inside sorts before it under `total_cmp` (a bound
+/// is `<=` every score below it, and only the two zeros tie under `<=`
+/// while `total_cmp` parts them).
+#[inline]
+fn node_key(bound: f64) -> OrdF64 {
+    OrdF64(if bound == 0.0 { -0.0 } else { bound })
 }
 
 /// Best-first traversal under a linear scoring function — the incremental
 /// ranking engine of the BRS top-k algorithm. Each call to `next` returns
-/// the unvisited point with the globally smallest score, so taking the
+/// the unvisited point with the smallest `(score, id)` key, so taking the
 /// first `k` elements yields `TOPk(w)` and scanning until the query point
-/// would appear yields its exact rank.
+/// would appear yields its exact rank. The sequence depends on the
+/// points alone, not on the fanout the tree was packed with.
 pub struct BestFirst<'a> {
     tree: &'a RTree,
     weight: Vec<f64>,
-    heap: BinaryHeap<Reverse<(OrdF64, HeapItem)>>,
+    /// Unopened nodes, min-first by key.
+    nodes: BinaryHeap<Reverse<(OrdF64, u32)>>,
+    /// Scored points not yet emitted as `(score, id, row)`, min-first.
+    points: BinaryHeap<Reverse<(OrdF64, u32, u32)>>,
     /// Child bounds of the node being opened.
     bounds: Vec<f64>,
     nodes_visited: usize,
@@ -49,16 +58,16 @@ pub struct BestFirst<'a> {
 impl<'a> BestFirst<'a> {
     fn new(tree: &'a RTree, weight: &[f64]) -> Self {
         assert_eq!(weight.len(), tree.dim(), "weight dimension mismatch");
-        let mut heap = BinaryHeap::new();
+        let mut nodes = BinaryHeap::new();
         if !tree.is_empty() {
             let root = tree.root();
-            let bound = tree.min_score(root, weight);
-            heap.push(Reverse((OrdF64(bound), HeapItem::Node(root))));
+            nodes.push(Reverse((node_key(tree.min_score(root, weight)), root)));
         }
         Self {
             tree,
             weight: weight.to_vec(),
-            heap,
+            nodes,
+            points: BinaryHeap::new(),
             bounds: Vec::new(),
             nodes_visited: 0,
         }
@@ -71,37 +80,38 @@ impl<'a> BestFirst<'a> {
         self.nodes_visited
     }
 
-    /// Returns the next point in ascending score order, with coordinates.
+    /// Returns the next point in `(score, id)` order, with coordinates:
+    /// the best scored point once its key precedes every unopened
+    /// node's (at an equal key the node opens first).
     pub fn next_entry(&mut self) -> Option<RankedPoint<'a>> {
         let tree = self.tree;
-        while let Some(Reverse((OrdF64(bound), item))) = self.heap.pop() {
-            let node = match item {
-                HeapItem::Point(row) => {
-                    let (id, coords) = tree.point(row as usize);
+        loop {
+            let next = self.nodes.peek().map(|&Reverse((key, _))| key);
+            if let Some(&Reverse((s, id, row))) = self.points.peek() {
+                if next.is_none_or(|key| s < key) {
+                    self.points.pop();
                     return Some(RankedPoint {
                         id,
-                        score: bound,
-                        coords,
+                        score: s.0,
+                        coords: tree.row(row as usize),
                     });
                 }
-                HeapItem::Node(node) => node,
-            };
+            }
+            let Reverse((_, node)) = self.nodes.pop()?;
             self.nodes_visited += 1;
             if tree.is_leaf(node) {
                 for row in tree.range(node) {
-                    let s = score(&self.weight, tree.row(row));
-                    self.heap
-                        .push(Reverse((OrdF64(s), HeapItem::Point(row as u32))));
+                    let (id, p) = tree.point(row);
+                    let s = OrdF64(score(&self.weight, p));
+                    self.points.push(Reverse((s, id, row as u32)));
                 }
             } else {
                 tree.child_bounds(node, &self.weight, &mut self.bounds);
                 for (c, &b) in tree.range(node).zip(&self.bounds) {
-                    self.heap
-                        .push(Reverse((OrdF64(b), HeapItem::Node(c as u32))));
+                    self.nodes.push(Reverse((node_key(b), c as u32)));
                 }
             }
         }
-        None
     }
 }
 
@@ -121,9 +131,10 @@ impl Iterator for BestFirst<'_> {
 pub struct ProbeScratch {
     heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
     bounds: Vec<f64>,
-    /// Top-k: scored points not yet emitted, min-first by `(score, row)`.
-    pending: BinaryHeap<Reverse<(OrdF64, u32)>>,
-    /// Top-k: the `k` smallest `(score, row)` keys accepted so far.
+    /// Top-k: scored points not yet emitted as `(score, id, row)`,
+    /// min-first.
+    pending: BinaryHeap<Reverse<(OrdF64, u32, u32)>>,
+    /// Top-k: the `k` smallest `(score, id)` keys accepted so far.
     kept: BinaryHeap<(OrdF64, u32)>,
 }
 
@@ -206,7 +217,8 @@ impl DominanceSplit {
 }
 
 impl RTree {
-    /// Starts a best-first (ascending score) traversal under `weight`.
+    /// Starts a best-first (ascending `(score, id)`) traversal under
+    /// `weight`.
     pub fn best_first(&self, weight: &[f64]) -> BestFirst<'_> {
         BestFirst::new(self, weight)
     }
@@ -220,12 +232,13 @@ impl RTree {
     ///
     /// The same best-first order, minus the pushes that cannot matter:
     /// a scored point enters only while it is among the `k` smallest
-    /// `(score, row)` keys accepted so far — anything larger has `k`
+    /// `(score, id)` keys accepted so far — anything larger has `k`
     /// accepted points leaving ahead of it — and a child is queued only
-    /// while its bound could still open it ahead of the current `k`-th
-    /// key. Points leave when their key precedes the best unopened
-    /// node's bound, so the sequence is the traversal's even where a
-    /// node's bound (`+0.0`) sorts after a point inside it (`−0.0`).
+    /// while its key could still open it ahead of the current `k`-th
+    /// key. A point leaves once its key precedes the best unopened
+    /// node's. A node bound of `+0.0` is keyed `−0.0` (see `node_key`):
+    /// keyed `+0.0`, it would let an already scored `−0.0` point leave
+    /// ahead of a `−0.0` point of smaller id inside it.
     ///
     /// # Panics
     /// Panics if `weight.len() != dim`.
@@ -251,12 +264,12 @@ impl RTree {
             return 0;
         }
         let root = self.root();
-        heap.push(Reverse((OrdF64(self.min_score(root, weight)), root)));
+        heap.push(Reverse((node_key(self.min_score(root, weight)), root)));
         let mut visited = 0;
         let mut emitted = 0;
         loop {
             let next = heap.peek().map(|&Reverse((bound, _))| bound);
-            if let Some(&Reverse((s, row))) = pending.peek() {
+            if let Some(&Reverse((s, _, row))) = pending.peek() {
                 if next.is_none_or(|bound| s < bound) {
                     pending.pop();
                     emitted += 1;
@@ -272,10 +285,11 @@ impl RTree {
             visited += 1;
             if self.is_leaf(node) {
                 for row in self.range(node) {
-                    if dead(self.ids[row]) {
+                    let (id, p) = self.point(row);
+                    if dead(id) {
                         continue;
                     }
-                    let key = (OrdF64(score(weight, self.row(row))), row as u32);
+                    let key = (OrdF64(score(weight, p)), id);
                     if kept.len() == k && kept.peek().is_some_and(|&last| key > last) {
                         continue;
                     }
@@ -283,15 +297,16 @@ impl RTree {
                     if kept.len() > k {
                         kept.pop();
                     }
-                    pending.push(Reverse(key));
+                    pending.push(Reverse((key.0, id, row as u32)));
                 }
             } else {
                 self.child_bounds(node, weight, bounds);
                 let full = kept.len() == k;
                 let limit = kept.peek().filter(|_| full).map(|&(s, _)| s);
                 for (c, &b) in self.range(node).zip(bounds.iter()) {
-                    if limit.is_none_or(|s| OrdF64(b) <= s) {
-                        heap.push(Reverse((OrdF64(b), c as u32)));
+                    let key = node_key(b);
+                    if limit.is_none_or(|s| key <= s) {
+                        heap.push(Reverse((key, c as u32)));
                     }
                 }
             }
@@ -574,6 +589,17 @@ mod tests {
             for w in [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.25, 0.75]] {
                 let mut bf = t.best_first(&w);
                 let drained: Vec<(u32, f64)> = bf.by_ref().collect();
+                // The one order: score by `total_cmp`, then id.
+                let mut sorted: Vec<(u32, f64)> = pts
+                    .chunks_exact(2)
+                    .enumerate()
+                    .map(|(id, p)| (id as u32, score(&w, p)))
+                    .collect();
+                sorted.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                let bits = |v: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    v.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+                };
+                assert_eq!(bits(&drained), bits(&sorted), "fanout {fanout} w {w:?}");
                 for k in [0, 1, 2, 7, 40, 299, 300, 301] {
                     let mut got = Vec::new();
                     let nodes = t.topk_into(
@@ -586,11 +612,7 @@ mod tests {
                             true
                         },
                     );
-                    let want: Vec<(u32, u64)> = drained
-                        .iter()
-                        .take(k)
-                        .map(|&(id, s)| (id, s.to_bits()))
-                        .collect();
+                    let want = bits(&sorted[..k.min(sorted.len())]);
                     assert_eq!(got, want, "fanout {fanout} w {w:?} k {k}");
                     let mut prefix = t.best_first(&w);
                     prefix.by_ref().take(k).for_each(drop);

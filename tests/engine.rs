@@ -527,6 +527,55 @@ fn hostile_bichromatic_requests_answer_as_the_naive_scan_named_or_inline() {
 }
 
 #[test]
+fn an_inline_vector_meets_the_rule_a_registered_one_does() {
+    // `Weight::try_new` admits an entry down to −1e-9; an inline
+    // population member and a why-not vector meet the same rule at the
+    // request boundary, and what it refuses stays refused.
+    let w = vec![1.0 + 5e-10, -5e-10];
+    let engine = Engine::builder().workers(1).build();
+    engine
+        .register_dataset("d", 2, vec![1.0, 0.0, 0.0, 1.0, 0.5, 0.5])
+        .unwrap();
+    engine
+        .register_weights("pop", vec![Weight::new(w.clone())])
+        .unwrap();
+    let bi = |weights| {
+        engine.submit(Request::ReverseTopKBi {
+            dataset: "d".into(),
+            weights,
+            q: vec![0.0, 1.0],
+            k: 1,
+        })
+    };
+    let named = bi(WeightSet::Named("pop".into()));
+    assert_eq!(named, Response::ReverseTopKBi(vec![0]));
+    assert_eq!(bi(WeightSet::Inline(vec![w.clone()])), named);
+    let why_not = |v: Vec<f64>| {
+        engine.submit(Request::WhyNot {
+            dataset: "d".into(),
+            q: vec![1.0, 0.0],
+            k: 1,
+            why_not: vec![v],
+            options: WhyNotOptions {
+                strategies: vec![StrategyKind::Mqp],
+                ..WhyNotOptions::default()
+            },
+        })
+    };
+    match why_not(w) {
+        Response::Plan(plan) => assert_eq!(plan.explanations[0].rank, 3),
+        other => panic!("a simplex why-not vector is answered: {other:?}"),
+    }
+    for bad in [vec![1.5, -0.5], vec![0.5, 0.25]] {
+        assert!(
+            bi(WeightSet::Inline(vec![bad.clone()])).is_error(),
+            "{bad:?}"
+        );
+        assert!(why_not(bad.clone()).is_error(), "{bad:?}");
+    }
+}
+
+#[test]
 fn hostile_why_not_and_mono_requests_never_panic() {
     // `WhyNot` and `ReverseTopKMono` on every dataset shape with `q` a
     // data point, ±0, denormal, and entries whose square overflows or
@@ -651,11 +700,9 @@ fn hostile_topk_append_delete_and_stats_requests_never_panic() {
     // repeat an id, name an unknown, dead or `u32::MAX` id, or are empty.
     // No reply may report a panic, a mutation lands whole or not at all,
     // and after every step each `TopK` reply equals that of an engine
-    // holding only the live rows: its dense ids mapped to stable ids, and
-    // ids compared only at untied scores — `topk`'s contract lets a
-    // rebuilt dataset order equal scores (−0.0 and 0.0 among them)
-    // differently from an overlay.
-    use wqrtq::geom::score;
+    // holding only the live rows, its dense ids mapped to stable ids —
+    // every id and every score bit, ties (−0.0 and 0.0 among them)
+    // included.
     let tiny = f64::MIN_POSITIVE / 8.0;
     let no_panic = |reply: &Response, what: &str| {
         if let Response::Error(msg) = reply {
@@ -793,17 +840,10 @@ fn hostile_topk_append_delete_and_stats_requests_never_panic() {
                             assert_eq!(got, want, "{what}");
                             continue;
                         };
-                        assert_eq!(got.len(), want.len(), "{what}");
-                        for (&(g_id, g), &(w_id, w)) in got.iter().zip(want) {
-                            assert_eq!(g, w, "{what}");
-                            let tied = live
-                                .iter()
-                                .filter(|(_, row)| score(weight, row) == w)
-                                .count();
-                            if tied == 1 {
-                                assert_eq!(g_id, w_id, "{what}");
-                            }
-                        }
+                        let bits = |top: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                            top.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+                        };
+                        assert_eq!(bits(got), bits(want), "{what}");
                     }
                 }
             }

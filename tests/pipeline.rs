@@ -9,7 +9,8 @@ use wqrtq::core::penalty::Tolerances;
 use wqrtq::data::synthetic::{anticorrelated, clustered, correlated, independent, Dataset};
 use wqrtq::data::workload::{build_case, WorkloadSpec};
 use wqrtq::query::rank::rank_of_point;
-use wqrtq::rtree::RTree;
+use wqrtq::query::{topk, topk_scan};
+use wqrtq::rtree::{ProbeScratch, RTree};
 
 fn run_all_solutions(ds: &Dataset, spec: &WorkloadSpec, seed: u64) {
     let tree = RTree::bulk_load(ds.dim, &ds.coords);
@@ -192,5 +193,51 @@ fn bulk_loaded_tree_answers_alike_at_every_fanout() {
             .map(|(id, s)| (id, s.to_bits()))
             .collect();
         assert_eq!(want, got, "fanout {fanout}");
+    }
+
+    // A gridded dataset with zeros of both signs and duplicate rows:
+    // exact ties everywhere, so only the one order — score by
+    // `total_cmp`, then id — makes the rankings fanout-independent.
+    let mut state = 109u64;
+    let mut grid: Vec<f64> = (0..600 * 3)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            match (state >> 33) % 6 {
+                0 => -0.0,
+                r => (r - 1) as f64,
+            }
+        })
+        .collect();
+    grid.extend_from_within(..90 * 3);
+    let n = grid.len() / 3;
+    let bits = |v: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        v.iter().map(|&(id, s)| (id, s.to_bits())).collect()
+    };
+    let mut scratch = ProbeScratch::new();
+    for w in [[1.0, 0.0, 0.0], [0.5, 0.0, 0.5], [0.25, 0.25, 0.5]] {
+        let want = bits(&topk_scan(&grid, &w, n));
+        for fanout in [4, 8, 64] {
+            let tree = RTree::bulk_load_with_fanout(3, &grid, fanout);
+            let walked: Vec<(u32, f64)> = tree.best_first(&w).collect();
+            assert_eq!(bits(&walked), want, "best_first fanout {fanout} w {w:?}");
+            let mut bounded = Vec::new();
+            tree.topk_into(
+                &w,
+                n,
+                |_| false,
+                &mut scratch,
+                |row, s| {
+                    bounded.push((tree.point(row as usize).0, s));
+                    true
+                },
+            );
+            assert_eq!(bits(&bounded), want, "topk_into fanout {fanout} w {w:?}");
+            for k in [1, 25, n] {
+                let top = topk(&tree, &w, k);
+                assert_eq!(bits(&top), want[..k], "topk fanout {fanout} w {w:?} k {k}");
+            }
+        }
     }
 }
