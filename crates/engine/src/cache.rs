@@ -7,8 +7,7 @@
 //!
 //! **Correctness does not depend on eviction.** Any mutation advances the
 //! dataset's epoch triple, so stale entries can never match a new key;
-//! explicit [`ResultCache::evict_dataset`] (called by the engine on
-//! mutation) just reclaims their capacity early.
+//! they age out through the LRU like any other cold entry.
 //!
 //! Eviction is true LRU in `O(log capacity)`: a tick-ordered
 //! `BTreeMap<tick, key>` mirrors the entry map's recency, so a full
@@ -32,7 +31,6 @@ pub struct CacheKey {
 
 #[derive(Debug)]
 struct Entry {
-    dataset: String,
     response: Response,
     last_used: u64,
 }
@@ -142,7 +140,7 @@ impl ResultCache {
     /// Inserts a response, evicting the least recently used entry when
     /// full. Error responses are the caller's to filter (the engine does
     /// not cache them).
-    pub fn insert(&self, key: CacheKey, dataset: &str, response: Response) {
+    pub fn insert(&self, key: CacheKey, response: Response) {
         let mut inner = self.inner.lock().expect("cache lock");
         if let Some(entry) = inner.get_and_touch(&key) {
             entry.response = response;
@@ -159,32 +157,11 @@ impl ResultCache {
         inner.map.insert(
             key,
             Entry {
-                dataset: dataset.to_string(),
                 response,
                 last_used: tick,
             },
         );
         inner.recency.insert(tick, key);
-    }
-
-    /// Drops every entry belonging to a dataset (any epoch). Returns how
-    /// many were dropped.
-    pub fn evict_dataset(&self, dataset: &str) -> usize {
-        let mut inner = self.inner.lock().expect("cache lock");
-        let before = inner.map.len();
-        let mut dropped_ticks = Vec::new();
-        inner.map.retain(|_, e| {
-            if e.dataset == dataset {
-                dropped_ticks.push(e.last_used);
-                false
-            } else {
-                true
-            }
-        });
-        for t in dropped_ticks {
-            inner.recency.remove(&t);
-        }
-        before - inner.map.len()
     }
 
     /// Current counters.
@@ -222,7 +199,7 @@ mod tests {
     fn hit_after_insert_miss_before() {
         let c = ResultCache::new(4);
         assert_eq!(c.get(&key(1, 7)), None);
-        c.insert(key(1, 7), "d", resp(1));
+        c.insert(key(1, 7), resp(1));
         assert_eq!(c.get(&key(1, 7)), Some(resp(1)));
         let s = c.stats();
         assert_eq!((s.hits, s.misses, s.len), (1, 1, 1));
@@ -233,7 +210,7 @@ mod tests {
     fn an_uncounted_probe_counts_only_its_hit() {
         let c = ResultCache::new(4);
         assert_eq!(c.lookup(&key(1, 7), false), None);
-        c.insert(key(1, 7), "d", resp(1));
+        c.insert(key(1, 7), resp(1));
         assert_eq!(c.lookup(&key(1, 7), false), Some(resp(1)));
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 0));
@@ -242,7 +219,7 @@ mod tests {
     #[test]
     fn epoch_triple_is_part_of_the_key() {
         let c = ResultCache::new(4);
-        c.insert(key(1, 7), "d", resp(1));
+        c.insert(key(1, 7), resp(1));
         assert_eq!(c.get(&key(2, 7)), None, "new epoch must not see old entry");
         let deltaed = CacheKey {
             epoch: DatasetEpoch {
@@ -267,11 +244,11 @@ mod tests {
     #[test]
     fn lru_eviction_at_capacity() {
         let c = ResultCache::new(2);
-        c.insert(key(1, 1), "d", resp(1));
-        c.insert(key(1, 2), "d", resp(2));
+        c.insert(key(1, 1), resp(1));
+        c.insert(key(1, 2), resp(2));
         // Touch 1 so 2 becomes the LRU.
         assert!(c.get(&key(1, 1)).is_some());
-        c.insert(key(1, 3), "d", resp(3));
+        c.insert(key(1, 3), resp(3));
         assert_eq!(c.stats().len, 2);
         assert!(c.get(&key(1, 1)).is_some());
         assert!(c.get(&key(1, 2)).is_none(), "LRU entry evicted");
@@ -304,7 +281,7 @@ mod tests {
                     model.push(fp);
                 }
             } else {
-                c.insert(key(1, fp), "d", resp(fp as usize));
+                c.insert(key(1, fp), resp(fp as usize));
                 if model.contains(&fp) {
                     model.retain(|&k| k != fp);
                 } else if model.len() == cap {
@@ -322,31 +299,10 @@ mod tests {
     }
 
     #[test]
-    fn evict_dataset_drops_only_that_dataset() {
-        let c = ResultCache::new(8);
-        c.insert(key(1, 1), "a", resp(1));
-        c.insert(key(1, 2), "a", resp(2));
-        c.insert(key(1, 3), "b", resp(3));
-        assert_eq!(c.evict_dataset("a"), 2);
-        assert_eq!(c.stats().len, 1);
-        assert!(c.get(&key(1, 3)).is_some());
-        // Eviction after a dataset drop still works (recency index must
-        // have been cleaned up alongside the map).
-        let c2 = ResultCache::new(2);
-        c2.insert(key(1, 1), "a", resp(1));
-        c2.insert(key(1, 2), "b", resp(2));
-        c2.evict_dataset("a");
-        c2.insert(key(1, 3), "b", resp(3));
-        c2.insert(key(1, 4), "b", resp(4));
-        assert_eq!(c2.stats().len, 2);
-        assert!(c2.get(&key(1, 2)).is_none(), "LRU of survivors evicted");
-    }
-
-    #[test]
     fn reinsert_same_key_updates_value_without_eviction() {
         let c = ResultCache::new(1);
-        c.insert(key(1, 1), "d", resp(1));
-        c.insert(key(1, 1), "d", resp(2));
+        c.insert(key(1, 1), resp(1));
+        c.insert(key(1, 1), resp(2));
         assert_eq!(c.get(&key(1, 1)), Some(resp(2)));
         assert_eq!(c.stats().len, 1);
     }

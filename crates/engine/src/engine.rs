@@ -5,7 +5,10 @@
 //! order), [`Engine::submit_with_progress`] and
 //! [`Engine::submit_batch_with`] each wrap their requests as
 //! [`BatchSubmission`]s — request, trace id, optional progress
-//! observer, completion — and queue them as one claimable task.
+//! observer, completion — and queue each as one job. Registrations,
+//! appends, deletes and compactions are requests too; the in-process
+//! [`Engine::register_dataset`] and its siblings run the same mutation
+//! function on the calling thread.
 //!
 //! ```
 //! use wqrtq_engine::{Engine, Request, Response};
@@ -28,7 +31,7 @@ use crate::error::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::request::{PlanDelta, Request, Response};
 use crate::storage::{DiskBackend, Durability, FsyncPolicy};
-use crate::worker::{Job, Pool, ProgressFn, ServeTask, TraceContext, WorkerContext};
+use crate::worker::{mutate, Job, Pool, ProgressFn, TraceContext, WorkerContext};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -212,13 +215,15 @@ pub struct Engine {
 }
 
 /// One request on its way to the worker pool — the one unit every
-/// submit path queues: the request, the boundary-assigned trace id, an
-/// optional progress observer and cancel flag, and the completion its
-/// response is routed into (invoked on the worker thread that finished
-/// it).
+/// submit path queues, as one job: the request, the boundary-assigned
+/// trace id, an optional progress observer and cancel flag, and the
+/// completion its response is routed into (invoked on the worker thread
+/// that finished it).
 pub struct BatchSubmission {
     pub(crate) request: Request,
     pub(crate) trace_id: u64,
+    /// When it was packaged: its queue wait runs from here.
+    pub(crate) submitted: Instant,
     pub(crate) progress: Option<ProgressFn>,
     pub(crate) cancel: Option<Arc<AtomicBool>>,
     pub(crate) complete: Box<dyn FnOnce(Response) + Send + 'static>,
@@ -234,6 +239,7 @@ impl BatchSubmission {
         Self {
             request,
             trace_id,
+            submitted: Instant::now(),
             progress: None,
             cancel: None,
             complete: Box::new(complete),
@@ -252,11 +258,12 @@ impl BatchSubmission {
     }
 
     /// Attaches a cancel flag, shared with whoever would read the
-    /// response. A worker that claims a read (any kind but
-    /// [`Request::Append`] and [`Request::Delete`]) once the flag is set
-    /// skips it: no execution, no metrics, no progress calls, and the
-    /// completion receives a [`Response::Error`]. An admitted mutation
-    /// still lands.
+    /// response. A worker that takes a read (any kind but a mutation:
+    /// [`RequestKind::is_mutation`]) once the flag is set skips it: no
+    /// execution, no metrics, no progress calls, and the completion
+    /// receives a [`Response::Error`]. An admitted mutation still lands.
+    ///
+    /// [`RequestKind::is_mutation`]: crate::RequestKind::is_mutation
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.cancel = Some(cancel);
         self
@@ -298,19 +305,12 @@ impl Engine {
         EngineBuilder::default()
     }
 
-    /// Hands `items` to the pool as one claimable task: `min(workers,
-    /// len)` copies of it are enqueued, so a run pays one mpsc send per
-    /// worker that could help, not one per request.
-    fn enqueue_units(&self, items: Vec<BatchSubmission>) {
-        if items.is_empty() {
-            return;
-        }
-        let sends = self.worker_count().max(1).min(items.len());
-        let task = Arc::new(ServeTask::new(items));
-        for _ in 0..sends {
+    /// Hands `items` to the pool, one job each, in order.
+    fn enqueue(&self, items: Vec<BatchSubmission>) {
+        for item in items {
             self.ctx
                 .queue
-                .send(Job::Serve(task.clone()))
+                .send(Job::Serve(item))
                 // lint: allow(no-panic) — a send fails only once every
                 // worker (receiver) exited, and workers only exit on the
                 // sentinels `Drop` sends; unreachable through `&self`.
@@ -321,17 +321,16 @@ impl Engine {
     /// Read access to the catalog (names, epochs, handles).
     ///
     /// Mutations should go through [`Engine::register_dataset`] /
-    /// [`Engine::append_points`] / [`Engine::delete_points`], which also
-    /// evict the mutated dataset's cache entries and schedule
-    /// compactions. (Mutating the catalog directly is still *safe* —
-    /// epoch-keyed cache entries can never serve stale data — it merely
-    /// leaves dead entries for LRU eviction to reclaim and skips the
-    /// compaction trigger.)
+    /// [`Engine::append_points`] / [`Engine::delete_points`] (or the
+    /// matching requests), which also schedule compactions. (Mutating the
+    /// catalog directly is still *safe* — epoch-keyed cache entries can
+    /// never serve stale data — it merely skips the compaction trigger.)
     pub fn catalog(&self) -> &Catalog {
         &self.ctx.catalog
     }
 
-    /// Registers (or replaces) a dataset and evicts its cached results.
+    /// Registers (or replaces) a dataset. Equivalent to submitting
+    /// [`Request::Register`], run on the calling thread.
     ///
     /// # Errors
     /// See [`Catalog::register`].
@@ -341,51 +340,64 @@ impl Engine {
         dim: usize,
         coords: Vec<f64>,
     ) -> Result<(), EngineError> {
-        self.ctx.catalog.register(name, dim, coords)?;
-        self.ctx.cache.evict_dataset(name);
-        Ok(())
+        let dataset = name.to_string();
+        let request = Request::Register {
+            dataset,
+            dim,
+            coords,
+        };
+        mutate(&self.ctx, request).map(drop)
     }
 
     /// Appends points into a dataset's delta overlay — `O(Δ)`, the built
-    /// index is untouched — evicting its cached results and scheduling a
-    /// compaction if the overlay outgrew its threshold. Returns the live
-    /// point count. Equivalent to submitting [`Request::Append`].
+    /// index is untouched — scheduling a compaction if the overlay
+    /// outgrew its threshold. Returns the live point count. Equivalent
+    /// to submitting [`Request::Append`].
     ///
     /// # Errors
     /// See [`Catalog::append`].
     pub fn append_points(&self, name: &str, points: &[f64]) -> Result<usize, EngineError> {
-        crate::worker::mutate(&self.ctx, name, |catalog| catalog.append(name, points))
+        let dataset = name.to_string();
+        let points = points.to_vec();
+        mutate(&self.ctx, Request::Append { dataset, points }).map(live_len)
     }
 
-    /// Deletes points by stable id (base rows are tombstoned, appended
-    /// rows drop out of the overlay) — `O(Δ)`, index untouched — with
-    /// the same eviction + compaction scheduling as appends. Returns the
-    /// live point count. Equivalent to submitting [`Request::Delete`].
+    /// Deletes points by id (base rows are tombstoned, appended rows drop
+    /// out of the overlay) — `O(Δ)`, index untouched — with the same
+    /// compaction scheduling as appends. Ids are stable within a base
+    /// generation; a compaction renumbers them in canonical order. Returns
+    /// the live point count. Equivalent to submitting [`Request::Delete`].
     ///
     /// # Errors
     /// See [`Catalog::delete`].
     pub fn delete_points(&self, name: &str, ids: &[u32]) -> Result<usize, EngineError> {
-        crate::worker::mutate(&self.ctx, name, |catalog| catalog.delete(name, ids))
+        let (dataset, ids) = (name.to_string(), ids.to_vec());
+        mutate(&self.ctx, Request::Delete { dataset, ids }).map(live_len)
     }
 
     /// Synchronously merges a dataset's overlay into a fresh bulk-loaded
     /// base (no-op when the overlay is empty). Returns whether a merge
     /// ran. Automatic compaction does the same off the request path; this
     /// entry point exists for deterministic id bookkeeping and tests.
+    /// Equivalent to submitting [`Request::Compact`].
     ///
     /// # Errors
     /// [`EngineError::UnknownDataset`].
     pub fn compact(&self, name: &str) -> Result<bool, EngineError> {
-        let epoch = self.ctx.catalog.epoch(name)?;
-        self.ctx.catalog.compact_if(name, epoch)
+        let dataset = name.to_string();
+        let reply = mutate(&self.ctx, Request::Compact { dataset })?;
+        Ok(matches!(reply, Response::Compacted { ran: true }))
     }
 
-    /// Registers an immutable customer weight population.
+    /// Registers an immutable customer weight population. Equivalent to
+    /// submitting [`Request::RegisterWeights`].
     ///
     /// # Errors
     /// See [`Catalog::register_weights`].
     pub fn register_weights(&self, name: &str, weights: Vec<Weight>) -> Result<(), EngineError> {
-        self.ctx.catalog.register_weights(name, weights)
+        let name = name.to_string();
+        let weights = weights.into_iter().map(Weight::into_vec).collect();
+        mutate(&self.ctx, Request::RegisterWeights { name, weights }).map(drop)
     }
 
     /// Writes a full snapshot of the catalog now and resets the WAL
@@ -432,13 +444,11 @@ impl Engine {
         self.submit_batch_with(vec![item]);
     }
 
-    /// Submits a run of requests in one queue operation, each with its
-    /// own caller-assigned trace id, completion and optional progress
-    /// observer (the same contract as [`Engine::submit_with_progress`],
-    /// amortised): a serving layer that decoded a burst of frames pays
-    /// one mpsc send per *worker that could help*, not one per request,
-    /// while idle workers still steal individual items, so a fast
-    /// request behind a slow one overtakes it.
+    /// Submits a run of requests, one job each, each with its own
+    /// caller-assigned trace id, completion and optional progress
+    /// observer (the same contract as [`Engine::submit_with_progress`]).
+    /// With more than one worker, a fast request queued behind a slow one
+    /// overtakes it.
     ///
     /// Completions and observers run on worker threads and must be quick
     /// and non-blocking.
@@ -451,7 +461,7 @@ impl Engine {
                 self.ctx.metrics.record_async_submit();
             }
         }
-        self.enqueue_units(items);
+        self.enqueue(items);
     }
 
     /// Serves `request` on the calling thread when it is cheap by
@@ -535,7 +545,7 @@ impl Engine {
             })
             .collect();
         drop(reply_tx);
-        self.enqueue_units(items);
+        self.enqueue(items);
         let mut responses: Vec<Option<Response>> = vec![None; n];
         for _ in 0..n {
             match reply_rx.recv() {
@@ -585,6 +595,15 @@ impl Engine {
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
         self.pool.as_ref().map_or(0, Pool::len)
+    }
+}
+
+/// The live count of a [`Response::Mutated`] — the reply the mutation
+/// function gives every registration, append and delete.
+fn live_len(reply: Response) -> usize {
+    match reply {
+        Response::Mutated { live_len } => live_len,
+        _ => 0,
     }
 }
 
@@ -1638,7 +1657,7 @@ mod tests {
             trace_id: 1,
             submitted: Instant::now(),
         };
-        let reply = serve(&engine.ctx, 0, trace, &mono, &mut scratch, &mut None);
+        let reply = serve(&engine.ctx, 0, trace, mono.clone(), &mut scratch, &mut None);
         assert!(
             matches!(&reply, Response::Error(msg) if msg.contains("cancelled")),
             "{reply:?}"
@@ -1673,9 +1692,12 @@ mod tests {
 
     #[test]
     fn a_cancel_flag_stops_a_max_budget_plan_between_steps_and_nothing_is_cached() {
-        use crate::request::{PlanDelta, MAX_SAMPLE_BUDGET};
+        use crate::request::{PlanDelta, MAX_PLAN_PAIRS};
         use crate::worker::serve;
         use std::sync::Mutex;
+        // The largest square plan `check_options` admits.
+        let side = 8191;
+        assert!(side * (side + 1) <= MAX_PLAN_PAIRS && (side + 1) * (side + 2) > MAX_PLAN_PAIRS);
         let engine = Engine::builder().workers(1).cache_capacity(8).build();
         let twin = Engine::builder().workers(1).build();
         let coords: Vec<f64> = (0..300u32)
@@ -1703,7 +1725,7 @@ mod tests {
             submitted: Instant::now(),
         };
         // The observer sets the flag when MQP's step arrives: MWK and
-        // MQWK, each at the largest budget, never start.
+        // MQWK, at the largest admissible plan, never start.
         let flag = Arc::new(AtomicBool::new(false));
         let mut scratch = ProbeCtx::new();
         scratch.cancel = Some(flag.clone());
@@ -1719,7 +1741,7 @@ mod tests {
             &engine.ctx,
             0,
             trace,
-            &plan(MAX_SAMPLE_BUDGET),
+            plan(side),
             &mut scratch,
             &mut progress,
         );
@@ -1740,7 +1762,7 @@ mod tests {
 
         // An unset flag changes nothing: the plan equals a flagless twin's.
         flag.store(false, Ordering::Release);
-        let full = serve(&engine.ctx, 0, trace, &plan(64), &mut scratch, &mut None);
+        let full = serve(&engine.ctx, 0, trace, plan(64), &mut scratch, &mut None);
         assert!(matches!(full, Response::Plan(ref p) if p.steps.len() == 3));
         assert_eq!(full, twin.submit(plan(64)));
     }

@@ -57,10 +57,11 @@ pub enum EngineError {
     /// A why-not plan request named no refinement strategies — there is
     /// nothing to run, so there can be no recommendation.
     EmptyStrategySet,
-    /// A sampling budget exceeds the serving cap
-    /// (`MAX_SAMPLE_BUDGET` in the request module): the samplers allocate
-    /// and loop proportionally to it, so an unbounded wire value could
-    /// pin a pool worker or abort the process on allocation.
+    /// A sampling budget exceeds the serving cap (`MAX_SAMPLE_BUDGET` in
+    /// the request module), or a plan's product of budgets exceeds
+    /// `MAX_PLAN_PAIRS`: the samplers allocate and loop proportionally to
+    /// them, so an unbounded wire value could pin a pool worker or abort
+    /// the process on allocation.
     SampleBudgetTooLarge {
         /// Which budget was oversized.
         field: &'static str,

@@ -30,6 +30,16 @@ use wqrtq_geom::Weight;
 /// abort the process on an impossible allocation.
 pub const MAX_SAMPLE_BUDGET: usize = 1 << 20;
 
+/// Upper bound on a plan's work, `sample_size · (query_samples + 1)`:
+/// MWK scores every weight sample, and MQWK every weight sample at every
+/// query sample. At ~0.33 µs per (sample, query sample) pair — 13.2 ms
+/// per plan at 200 × 200 over IND 100k×3 — the largest admissible
+/// square plan (8 191 × 8 191) runs ~22 s, where one at
+/// [`MAX_SAMPLE_BUDGET`] × [`MAX_SAMPLE_BUDGET`] would run ~4 days. The
+/// per-budget cap stays: it bounds memory, which this product does not
+/// when `query_samples` is 0.
+pub const MAX_PLAN_PAIRS: usize = 1 << 26;
+
 /// The weight population a bichromatic reverse top-k request runs
 /// against.
 #[derive(Clone, Debug, PartialEq)]
@@ -106,13 +116,39 @@ pub enum Request {
         /// Flat row-major coordinates of the rows to append.
         points: Vec<f64>,
     },
-    /// Deletes points (by stable id) from a dataset: base rows are
-    /// tombstoned, appended rows drop out of the delta overlay.
+    /// Deletes points by id from a dataset: base rows are tombstoned,
+    /// appended rows drop out of the delta overlay. Ids are stable within
+    /// a base generation; a compaction renumbers the live rows in
+    /// canonical order (base survivors ascending, then appends).
     Delete {
         /// Catalog dataset name.
         dataset: String,
-        /// Stable point ids to delete.
+        /// Point ids of the current base generation to delete.
         ids: Vec<u32>,
+    },
+    /// Registers (or replaces) a dataset from a flat `n × dim` buffer;
+    /// answered with [`Response::Mutated`] carrying `n`.
+    Register {
+        /// Catalog dataset name.
+        dataset: String,
+        /// Dimensionality.
+        dim: usize,
+        /// Flat row-major coordinates.
+        coords: Vec<f64>,
+    },
+    /// Registers an immutable customer weight population; answered with
+    /// [`Response::Mutated`] carrying its size.
+    RegisterWeights {
+        /// Catalog weight-set name.
+        name: String,
+        /// One simplex weighting vector per customer.
+        weights: Vec<Vec<f64>>,
+    },
+    /// Merges a dataset's delta overlay into a fresh bulk-loaded base
+    /// now, renumbering its ids; answered with [`Response::Compacted`].
+    Compact {
+        /// Catalog dataset name.
+        dataset: String,
     },
     /// Fetches the engine's observability snapshot (per-kind and
     /// per-stage latency histograms, cache/catalog/overlay counters) as
@@ -166,8 +202,9 @@ pub(crate) fn check_budget(value: usize, field: &'static str) -> Result<(), Engi
 
 /// Validates advisor options at the request boundary: the penalty-model
 /// coefficients must be finite, non-negative and satisfy the convexity
-/// constraints of Eqs. (4)/(5), the strategy set must be non-empty, and
-/// the sampling budgets must stay under [`MAX_SAMPLE_BUDGET`]. (The
+/// constraints of Eqs. (4)/(5), the strategy set must be non-empty, the
+/// sampling budgets must stay under [`MAX_SAMPLE_BUDGET`], and their
+/// product under [`MAX_PLAN_PAIRS`]. (The
 /// `WhyNotOptions` struct itself is deliberately plain data so it can
 /// travel through wire codecs unvalidated; this is where hostile or
 /// malformed values are stopped.)
@@ -199,6 +236,13 @@ pub(crate) fn check_options(options: &WhyNotOptions) -> Result<(), EngineError> 
     }
     check_budget(options.sample_size, "sample size")?;
     check_budget(options.query_samples, "query samples")?;
+    // Both factors are at most 2^20 here, so the product cannot overflow.
+    if options.sample_size * (options.query_samples + 1) > MAX_PLAN_PAIRS {
+        return Err(EngineError::SampleBudgetTooLarge {
+            field: "sample size × (query samples + 1)",
+            max: MAX_PLAN_PAIRS,
+        });
+    }
     Ok(())
 }
 
@@ -219,6 +263,12 @@ pub enum RequestKind {
     Delete,
     /// [`Request::Stats`].
     Stats,
+    /// [`Request::Register`].
+    Register,
+    /// [`Request::RegisterWeights`].
+    RegisterWeights,
+    /// [`Request::Compact`].
+    Compact,
 }
 
 /// The **source-of-truth vocabulary table**: every request kind with its
@@ -234,7 +284,7 @@ pub enum RequestKind {
 /// and new kinds take the next free tag regardless of their position in
 /// this table. Tags 4 and 5 are retired (the pre-advisor
 /// explain/refine kinds) and stay reserved.
-pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 7] = [
+pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 10] = [
     (RequestKind::TopK, "topk", 1),
     (RequestKind::ReverseTopKMono, "rtopk-mono", 2),
     (RequestKind::ReverseTopKBi, "rtopk-bi", 3),
@@ -242,6 +292,9 @@ pub const REQUEST_KIND_TABLE: [(RequestKind, &str, u8); 7] = [
     (RequestKind::Append, "append", 6),
     (RequestKind::Delete, "delete", 7),
     (RequestKind::Stats, "stats", 9),
+    (RequestKind::Register, "register", 10),
+    (RequestKind::RegisterWeights, "register-weights", 11),
+    (RequestKind::Compact, "compact", 12),
 ];
 
 impl RequestKind {
@@ -256,10 +309,18 @@ impl RequestKind {
         all
     };
 
-    /// Whether this kind mutates its dataset (served outside the result
-    /// cache and without resolving an index snapshot).
+    /// Whether this kind writes the catalog (served outside the result
+    /// cache, never fingerprinted, and without resolving an index
+    /// snapshot).
     pub fn is_mutation(self) -> bool {
-        matches!(self, RequestKind::Append | RequestKind::Delete)
+        matches!(
+            self,
+            RequestKind::Append
+                | RequestKind::Delete
+                | RequestKind::Register
+                | RequestKind::RegisterWeights
+                | RequestKind::Compact
+        )
     }
 
     fn row(self) -> &'static (RequestKind, &'static str, u8) {
@@ -315,11 +376,14 @@ impl Request {
             Request::Append { .. } => RequestKind::Append,
             Request::Delete { .. } => RequestKind::Delete,
             Request::Stats => RequestKind::Stats,
+            Request::Register { .. } => RequestKind::Register,
+            Request::RegisterWeights { .. } => RequestKind::RegisterWeights,
+            Request::Compact { .. } => RequestKind::Compact,
         }
     }
 
     /// The catalog dataset this request runs against (empty for the
-    /// dataset-less [`Request::Stats`]).
+    /// dataset-less [`Request::Stats`] and [`Request::RegisterWeights`]).
     pub fn dataset(&self) -> &str {
         match self {
             Request::TopK { dataset, .. }
@@ -327,16 +391,19 @@ impl Request {
             | Request::ReverseTopKBi { dataset, .. }
             | Request::WhyNot { dataset, .. }
             | Request::Append { dataset, .. }
-            | Request::Delete { dataset, .. } => dataset,
-            Request::Stats => "",
+            | Request::Delete { dataset, .. }
+            | Request::Register { dataset, .. }
+            | Request::Compact { dataset } => dataset,
+            Request::Stats | Request::RegisterWeights { .. } => "",
         }
     }
 
     /// Validates the request's numeric payload before execution: every
     /// coordinate finite, a `TopK` weight non-negative with a positive
-    /// component, and every why-not vector and inline population member
-    /// a simplex vector by [`Weight::check`] — the rule a registered
-    /// population meets.
+    /// component, and every why-not vector, inline population member and
+    /// registered population member a simplex vector by
+    /// [`Weight::check`]. A registration's shape and coordinates are the
+    /// catalog's to check as it takes them.
     ///
     /// # Errors
     /// [`EngineError::NonFiniteInput`] / [`EngineError::InvalidWeight`].
@@ -369,8 +436,16 @@ impl Request {
                 check_options(options)
             }
             Request::Append { points, .. } => check_finite(points, "appended points"),
-            Request::Delete { .. } => Ok(()),
-            Request::Stats => Ok(()),
+            Request::RegisterWeights { weights, .. } => {
+                for w in weights {
+                    check_simplex(w, "weight set")?;
+                }
+                Ok(())
+            }
+            Request::Delete { .. }
+            | Request::Stats
+            | Request::Register { .. }
+            | Request::Compact { .. } => Ok(()),
         }
     }
 
@@ -379,11 +454,12 @@ impl Request {
     /// to the request, so distinct requests hash distinct bytes, and a
     /// field the wire carries is part of the cache identity by
     /// construction. Combined with the dataset epoch this keys the result
-    /// cache.
+    /// cache. Mutations never enter the cache, so the engine never
+    /// fingerprints them.
     pub fn fingerprint(&self) -> u64 {
         thread_local! {
             // One encoding buffer per thread, reused: the fingerprint runs
-            // on every served request and allocates nothing once warm.
+            // on every served query and allocates nothing once warm.
             static BUF: RefCell<ByteWriter> = RefCell::new(ByteWriter::new());
         }
         BUF.with_borrow_mut(|w| {
@@ -437,10 +513,7 @@ impl Request {
                     }
                     WeightSet::Inline(ws) => {
                         w.put_u8(2);
-                        w.put_usize(ws.len());
-                        for weight in ws {
-                            w.put_f64s(weight);
-                        }
+                        put_vectors(w, ws);
                     }
                 }
                 w.put_f64s(q);
@@ -456,10 +529,7 @@ impl Request {
                 w.put_str(dataset);
                 w.put_f64s(q);
                 w.put_usize(*k);
-                w.put_usize(why_not.len());
-                for weight in why_not {
-                    w.put_f64s(weight);
-                }
+                put_vectors(w, why_not);
                 encode_options(w, options);
             }
             Request::Append { dataset, points } => {
@@ -475,6 +545,20 @@ impl Request {
             }
             // Stats carries no body: the kind tag is the whole request.
             Request::Stats => {}
+            Request::Register {
+                dataset,
+                dim,
+                coords,
+            } => {
+                w.put_str(dataset);
+                w.put_usize(*dim);
+                w.put_f64s(coords);
+            }
+            Request::RegisterWeights { name, weights } => {
+                w.put_str(name);
+                put_vectors(w, weights);
+            }
+            Request::Compact { dataset } => w.put_str(dataset),
         }
     }
 
@@ -507,14 +591,7 @@ impl Request {
                 let dataset = r.take_str("dataset")?;
                 let weights = match r.take_u8("weight-set tag")? {
                     1 => WeightSet::Named(r.take_str("weight-set name")?),
-                    2 => {
-                        let count = r.take_count(8, "weight count")?;
-                        WeightSet::Inline(
-                            (0..count)
-                                .map(|_| r.take_f64s("weight vector"))
-                                .collect::<Result<_, _>>()?,
-                        )
-                    }
+                    2 => WeightSet::Inline(take_vectors(r, "weight count", "weight vector")?),
                     _ => return Err(DecodeError::new("unknown weight-set tag")),
                 };
                 Request::ReverseTopKBi {
@@ -528,10 +605,7 @@ impl Request {
                 let dataset = r.take_str("dataset")?;
                 let q = r.take_f64s("query point")?;
                 let k = r.take_usize("k")?;
-                let count = r.take_count(8, "why-not count")?;
-                let why_not = (0..count)
-                    .map(|_| r.take_f64s("why-not vector"))
-                    .collect::<Result<_, _>>()?;
+                let why_not = take_vectors(r, "why-not count", "why-not vector")?;
                 Request::WhyNot {
                     dataset,
                     q,
@@ -556,12 +630,44 @@ impl Request {
                 Request::Delete { dataset, ids }
             }
             RequestKind::Stats => Request::Stats,
+            RequestKind::Register => Request::Register {
+                dataset: r.take_str("dataset")?,
+                dim: r.take_usize("dimension")?,
+                coords: r.take_f64s("coordinates")?,
+            },
+            RequestKind::RegisterWeights => Request::RegisterWeights {
+                name: r.take_str("weight-set name")?,
+                weights: take_vectors(r, "weight count", "weight vector")?,
+            },
+            RequestKind::Compact => Request::Compact {
+                dataset: r.take_str("dataset")?,
+            },
         })
     }
 }
 
+/// Writes a list of vectors: its count, then each length-prefixed.
+fn put_vectors(w: &mut ByteWriter, vectors: &[Vec<f64>]) {
+    w.put_usize(vectors.len());
+    for v in vectors {
+        w.put_f64s(v);
+    }
+}
+
+/// Reads a list written by [`put_vectors`], its count checked against
+/// the bytes left (each vector takes at least its 8-byte length).
+fn take_vectors(
+    r: &mut ByteReader<'_>,
+    count: &'static str,
+    each: &'static str,
+) -> Result<Vec<Vec<f64>>, DecodeError> {
+    let n = r.take_count(8, count)?;
+    (0..n).map(|_| r.take_f64s(each)).collect()
+}
+
 /// Encodings longer than this are not kept as the next fingerprint's
-/// buffer (a bulk `Append` would otherwise pin its size per thread).
+/// buffer (a large inline population would otherwise pin its size per
+/// thread).
 const RETAINED_ENCODING: usize = 64 * 1024;
 
 /// FNV-1a, 64-bit.
@@ -722,10 +828,15 @@ pub enum Response {
     /// The ranked why-not plan of a [`Request::WhyNot`].
     Plan(Plan),
     /// A mutation was applied; the dataset now holds this many live
-    /// points.
+    /// points (a registered population: this many weights).
     Mutated {
         /// Live points after the mutation.
         live_len: usize,
+    },
+    /// A [`Request::Compact`] finished.
+    Compacted {
+        /// Whether a merge ran: false when the overlay was empty.
+        ran: bool,
     },
     /// The observability snapshot answering a [`Request::Stats`]
     /// (boxed: the histogram-bearing snapshot dwarfs every other
@@ -810,7 +921,7 @@ mod tests {
         assert_eq!(r.kind(), RequestKind::TopK);
         assert_eq!(r.dataset(), "p");
         assert_eq!(r.kind().name(), "topk");
-        assert_eq!(RequestKind::ALL.len(), 7);
+        assert_eq!(RequestKind::ALL.len(), 10);
         assert_eq!(Request::Stats.kind(), RequestKind::Stats);
         assert_eq!(Request::Stats.dataset(), "");
         assert!(Request::Stats.validate().is_ok());
@@ -975,6 +1086,18 @@ mod tests {
             dataset: "p".into(),
             ids: vec![0, 7],
         };
+        let register = R::Register {
+            dataset: "p".into(),
+            dim: 2,
+            coords: vec![1.0, 2.0, 3.0, 4.0],
+        };
+        let population = R::RegisterWeights {
+            name: "customers".into(),
+            weights: vec![vec![0.1, 0.9], vec![0.5, 0.5]],
+        };
+        let compact = R::Compact {
+            dataset: "p".into(),
+        };
         let cases = [
             (
                 top.clone(),
@@ -1054,6 +1177,28 @@ mod tests {
                     perturb!(delete, R::Delete { ids, .. } => ids[1] += 1),
                 ],
             ),
+            (
+                register.clone(),
+                vec![
+                    perturb!(register, R::Register { dataset, .. } => dataset.push('s')),
+                    perturb!(register, R::Register { dim, .. } => *dim += 2),
+                    perturb!(register, R::Register { coords, .. } => flip(&mut coords[3])),
+                ],
+            ),
+            (
+                population.clone(),
+                vec![
+                    perturb!(population, R::RegisterWeights { name, .. } => name.push('s')),
+                    perturb!(population, R::RegisterWeights { weights, .. } => weights.swap(0, 1)),
+                    perturb!(population, R::RegisterWeights { weights, .. } => {
+                        flip(&mut weights[0][0])
+                    }),
+                ],
+            ),
+            (
+                compact.clone(),
+                vec![perturb!(compact, R::Compact { dataset } => dataset.push('s'))],
+            ),
             (R::Stats, vec![]),
         ];
         let mut seen = std::collections::HashSet::new();
@@ -1072,6 +1217,40 @@ mod tests {
                 assert_ne!(r.fingerprint(), base.fingerprint(), "{r:?}");
             }
         }
+    }
+
+    #[test]
+    fn a_plans_work_is_bounded_as_well_as_each_budget() {
+        let plan = |sample_size: usize, query_samples: usize| {
+            why_not_request(WhyNotOptions {
+                sample_size,
+                query_samples,
+                ..WhyNotOptions::default()
+            })
+        };
+        let too_much = Err(EngineError::SampleBudgetTooLarge {
+            field: "sample size × (query samples + 1)",
+            max: MAX_PLAN_PAIRS,
+        });
+        // Each factor at its cap passes the per-budget check and used to
+        // be admitted.
+        assert_eq!(
+            plan(MAX_SAMPLE_BUDGET, MAX_SAMPLE_BUDGET).validate(),
+            too_much
+        );
+        assert_eq!(plan(200, 200).validate(), Ok(()));
+        // The largest admissible square plan, and one sample past it.
+        assert_eq!(plan(8191, 8191).validate(), Ok(()));
+        assert_eq!(plan(8192, 8192).validate(), too_much);
+        // The per-budget cap still bounds a plan without query samples.
+        assert!(matches!(
+            plan(MAX_PLAN_PAIRS, 0).validate(),
+            Err(EngineError::SampleBudgetTooLarge {
+                field: "sample size",
+                ..
+            })
+        ));
+        assert_eq!(plan(MAX_SAMPLE_BUDGET, 0).validate(), Ok(()));
     }
 
     #[test]

@@ -54,7 +54,9 @@ pub enum WalRecord {
         /// Flat row-major appended coordinates.
         points: Vec<f64>,
     },
-    /// Points deleted by stable id.
+    /// Points deleted by id. Ids are stable within a base generation; a
+    /// compaction renumbers them in canonical order, and replay sees the
+    /// `Compact` record that did.
     Delete {
         /// Dataset name.
         name: String,

@@ -1,13 +1,15 @@
 //! The worker pool, per-worker scratch, and the request execution path.
 //!
-//! A fixed set of threads drains a shared mpsc work queue. A request
-//! runs start to finish on the worker that picked it up. Every request
-//! enters as a [`BatchSubmission`] — request, trace id, optional
-//! progress observer, completion — inside one claimable [`ServeTask`]
-//! per submit call, and [`Job::Serve`] lets idle workers steal whole
-//! requests of that run. The completion routes the response: into a
-//! slot of [`crate::Engine::submit_batch`]'s ordered reply, or to the
-//! caller. No worker ever waits on another.
+//! A fixed set of threads drains a shared mpsc work queue, first in,
+//! first out. Every request enters as one [`Job::Serve`] carrying its
+//! [`BatchSubmission`] — request, trace id, optional progress observer
+//! and cancel flag, completion — and runs start to finish on the worker
+//! that took it. The completion routes the response: into a slot of
+//! [`crate::Engine::submit_batch`]'s ordered reply, or to the caller. No
+//! worker ever waits on another.
+//!
+//! Every catalog write — a registration, append, delete or compaction,
+//! queued or called in process — runs through one function, [`mutate`].
 //!
 //! Each worker owns a [`ProbeCtx`] — the RTA culprit pool and the probe
 //! and top-k queues live across requests, so the steady-state hot path
@@ -33,11 +35,11 @@ use crate::engine::{BatchSubmission, InlineAnswer};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::request::{
-    Plan, PlanDelta, PlanExplanation, PlanStep, Refinement, Request, Response, WeightSet,
+    Plan, PlanDelta, PlanExplanation, PlanStep, Refinement, Request, RequestKind, Response,
+    WeightSet,
 };
 use crate::ResultCache;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -96,11 +98,9 @@ pub(crate) struct TraceContext {
 
 /// One unit of queued work.
 pub(crate) enum Job {
-    /// A claimable run of requests. Every submit path enqueues
-    /// `min(pool_size, len)` copies of the same task, so one mpsc send
-    /// covers many requests while idle workers still steal items — a
-    /// fast request behind a slow one overtakes it.
-    Serve(Arc<ServeTask>),
+    /// One request. With more than one worker, a fast request queued
+    /// behind a slow one overtakes it.
+    Serve(BatchSubmission),
     /// A scheduled overlay merge for a dataset, run off the request
     /// path. Carries the epoch the trigger observed: a dataset that
     /// mutated (or compacted) since is left alone.
@@ -110,44 +110,6 @@ pub(crate) enum Job {
     },
     /// Orderly shutdown sentinel (one per worker, sent on engine drop).
     Shutdown,
-}
-
-/// A run of requests submitted in one go. Items are handed out exactly
-/// once through an atomic claim counter: any worker that picks the job
-/// up drains whatever is left, so the run completes even if only one
-/// copy of the job is ever dequeued, and extra copies degrade to no-ops.
-pub(crate) struct ServeTask {
-    items: Vec<Mutex<Option<BatchSubmission>>>,
-    next: AtomicUsize,
-    /// Shared submission instant — the whole run entered the queue in
-    /// one send, so every item's queue wait starts here.
-    submitted: Instant,
-}
-
-impl ServeTask {
-    pub(crate) fn new(items: Vec<BatchSubmission>) -> Self {
-        Self {
-            items: items.into_iter().map(|u| Mutex::new(Some(u))).collect(),
-            next: AtomicUsize::new(0),
-            submitted: Instant::now(),
-        }
-    }
-
-    /// Claims the next unserved item, if any (each exactly once).
-    fn claim(&self) -> Option<BatchSubmission> {
-        loop {
-            // ordering: SeqCst — exactly-once claim ticket shared by
-            // every worker; the single total order over fetch_add is
-            // what guarantees no index is handed out twice.
-            let i = self.next.fetch_add(1, Ordering::SeqCst);
-            let slot = self.items.get(i)?;
-            // The slot can only be empty if a previous claimer of this
-            // index panicked between claim and take — skip forward.
-            if let Some(item) = slot.lock().expect("serve-task slot lock").take() {
-                return Some(item);
-            }
-        }
-    }
 }
 
 /// The answer a cancelled submission's completion receives (see
@@ -211,32 +173,28 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
             Err(_) => return, // channel torn down: shut down
         };
         match job {
-            Job::Serve(task) => {
-                // Drain whatever the other copies of this task have not
-                // claimed yet; each item is a full serve + completion.
-                while let Some(mut item) = task.claim() {
-                    if item.cancelled() {
-                        (item.complete)(Response::Error(CANCELLED.into()));
-                        continue;
-                    }
-                    let trace = TraceContext {
-                        trace_id: item.trace_id,
-                        submitted: task.submitted,
-                    };
-                    // A flag set mid-run stops RTA, or a plan's sampling
-                    // loops, within a chunk.
-                    scratch.cancel = item.cancel.take();
-                    let response = serve(
-                        ctx,
-                        worker,
-                        trace,
-                        &item.request,
-                        &mut scratch,
-                        &mut item.progress,
-                    );
-                    scratch.cancel = None;
-                    (item.complete)(response);
+            Job::Serve(mut item) => {
+                if item.cancelled() {
+                    (item.complete)(Response::Error(CANCELLED.into()));
+                    continue;
                 }
+                let trace = TraceContext {
+                    trace_id: item.trace_id,
+                    submitted: item.submitted,
+                };
+                // A flag set mid-run stops RTA, or a plan's sampling
+                // loops, within a chunk.
+                scratch.cancel = item.cancel.take();
+                let response = serve(
+                    ctx,
+                    worker,
+                    trace,
+                    item.request,
+                    &mut scratch,
+                    &mut item.progress,
+                );
+                scratch.cancel = None;
+                (item.complete)(response);
             }
             Job::Compact { dataset, epoch } => {
                 // Best-effort: an unknown dataset (dropped since the
@@ -323,25 +281,31 @@ enum Target<'a> {
 /// in how they resolve the dataset and whether they may hand a request
 /// back; validation, cache lookup and fill, execution and metrics are
 /// these methods, shared.
-struct Serving<'r> {
-    request: &'r Request,
+struct Serving {
+    kind: RequestKind,
     /// The request's [`Request::fingerprint`], taken once: it keys the
-    /// cache and names the request in the trace.
+    /// cache and names the request in the trace. A mutation is never
+    /// cached, so it is never encoded and hashed: its trace names it 0.
     fingerprint: u64,
     started: Instant,
     spans: SpanBuf,
 }
 
-impl<'r> Serving<'r> {
+impl Serving {
     /// Starts the clock and notes the queue wait since submission.
-    fn begin(ctx: &WorkerContext, trace: TraceContext, request: &'r Request) -> Self {
+    fn begin(ctx: &WorkerContext, trace: TraceContext, request: &Request) -> Self {
         let started = Instant::now();
         let mut spans = SpanBuf::new(trace.trace_id);
         let queue_wait = started.saturating_duration_since(trace.submitted);
         spans.push_ended(&ctx.tracer, Stage::QueueWait, queue_wait);
+        let kind = request.kind();
         Self {
-            request,
-            fingerprint: request.fingerprint(),
+            kind,
+            fingerprint: if kind.is_mutation() {
+                0
+            } else {
+                request.fingerprint()
+            },
             started,
             spans,
         }
@@ -349,9 +313,9 @@ impl<'r> Serving<'r> {
 
     /// Input firewall: rejects non-finite coordinates and malformed
     /// weighting vectors before any index or cache is touched.
-    fn validate(&mut self, ctx: &WorkerContext) -> Result<(), EngineError> {
+    fn validate(&mut self, ctx: &WorkerContext, request: &Request) -> Result<(), EngineError> {
         let admission = Instant::now();
-        let validated = self.request.validate();
+        let validated = request.validate();
         self.spans
             .push_ended(&ctx.tracer, Stage::Admission, admission.elapsed());
         validated
@@ -361,7 +325,7 @@ impl<'r> Serving<'r> {
     fn uncached(&self, ctx: &WorkerContext, response: Response) -> Response {
         let elapsed = self.started.elapsed();
         ctx.metrics
-            .record(self.request.kind(), elapsed, 0, false, response.is_error());
+            .record(self.kind, elapsed, 0, false, response.is_error());
         response
     }
 
@@ -378,8 +342,7 @@ impl<'r> Serving<'r> {
             .push_ended(&ctx.tracer, Stage::CacheLookup, lookup.elapsed());
         if cached.is_some() {
             let elapsed = self.started.elapsed();
-            ctx.metrics
-                .record(self.request.kind(), elapsed, 0, true, false);
+            ctx.metrics.record(self.kind, elapsed, 0, true, false);
         }
         cached
     }
@@ -389,6 +352,7 @@ impl<'r> Serving<'r> {
     fn execute(
         &mut self,
         ctx: &WorkerContext,
+        request: &Request,
         key: CacheKey,
         target: Target<'_>,
         scratch: &mut ProbeCtx,
@@ -396,7 +360,7 @@ impl<'r> Serving<'r> {
         if matches!(&target, Target::Handle(handle, _) if !handle.view.is_plain()) {
             ctx.metrics.record_delta_hit();
         }
-        let (request, spans) = (self.request, &mut self.spans);
+        let spans = &mut self.spans;
         let exec = Instant::now();
         let (response, index_nodes) = catch_unwind(AssertUnwindSafe(|| match target {
             Target::Handle(handle, progress) => {
@@ -427,10 +391,10 @@ impl<'r> Serving<'r> {
         spans.push_ended(&ctx.tracer, Stage::Execute, exec.elapsed());
 
         if !response.is_error() {
-            ctx.cache.insert(key, request.dataset(), response.clone());
+            ctx.cache.insert(key, response.clone());
         }
         ctx.metrics.record(
-            request.kind(),
+            self.kind,
             self.started.elapsed(),
             index_nodes,
             false,
@@ -464,29 +428,24 @@ fn stats(ctx: &WorkerContext, catalog: CatalogStats) -> Response {
 /// fill → metrics, with the spans recorded into `shard`. A
 /// [`Request::WhyNot`]'s `progress` observes partial results as the
 /// advisor produces them; a cache hit skips it entirely (the plan
-/// arrives whole, no steps run).
+/// arrives whole, no steps run). A mutation goes to [`mutate`] instead:
+/// no snapshot, no index build, no cache.
 pub(crate) fn serve(
     ctx: &WorkerContext,
     shard: usize,
     trace: TraceContext,
-    request: &Request,
+    request: Request,
     scratch: &mut ProbeCtx,
     progress: &mut Option<ProgressFn>,
 ) -> Response {
     if matches!(request, Request::Stats) {
         return stats(ctx, ctx.catalog.stats());
     }
-    let mut serving = Serving::begin(ctx, trace, request);
-    let response = if let Err(e) = serving.validate(ctx) {
+    let mut serving = Serving::begin(ctx, trace, &request);
+    let response = if let Err(e) = serving.validate(ctx, &request) {
         serving.fail(ctx, e)
-    } else if request.kind().is_mutation() {
-        // Mutations bypass the snapshot/cache machinery entirely: they
-        // must not build an index (the overlay absorbs them) and are
-        // never cached.
-        let response = match apply_mutation(ctx, request) {
-            Ok(live_len) => Response::Mutated { live_len },
-            Err(e) => Response::Error(e.to_string()),
-        };
+    } else if serving.kind.is_mutation() {
+        let response = mutate(ctx, request).unwrap_or_else(|e| Response::Error(e.to_string()));
         serving.uncached(ctx, response)
     } else {
         match ctx.catalog.handle(request.dataset()) {
@@ -498,7 +457,10 @@ pub(crate) fn serve(
                 };
                 match serving.lookup(ctx, &key, true) {
                     Some(hit) => hit,
-                    None => serving.execute(ctx, key, Target::Handle(handle, progress), scratch),
+                    None => {
+                        let target = Target::Handle(handle, progress);
+                        serving.execute(ctx, &request, key, target, scratch)
+                    }
                 }
             }
         }
@@ -543,7 +505,7 @@ pub(crate) fn serve_inline(
         return None;
     }
     let mut serving = Serving::begin(ctx, trace, request);
-    serving.validate(ctx).ok()?;
+    serving.validate(ctx, request).ok()?;
     let population = match request {
         Request::ReverseTopKBi {
             weights: WeightSet::Named(name),
@@ -584,7 +546,7 @@ pub(crate) fn serve_inline(
     };
     let (response, executed) = match serving.lookup(ctx, &key, target.is_some()) {
         Some(hit) => (hit, false),
-        None => (serving.execute(ctx, key, target?, scratch), true),
+        None => (serving.execute(ctx, request, key, target?, scratch), true),
     };
     let response = serving.finish(ctx, shard, response);
     Some(InlineAnswer { response, executed })
@@ -601,9 +563,10 @@ fn check_dim(dim: usize, v: &[f64]) -> Result<(), EngineError> {
     Ok(())
 }
 
-/// Lifts a request's why-not vectors or inline population onto the
-/// simplex type the algorithms take. [`Request::validate`] has already
-/// held them to [`Weight::check`], the rule `try_new` applies here.
+/// Lifts a request's why-not vectors or population onto the simplex
+/// type the algorithms take. [`Request::validate`] has already held a
+/// queued request's to [`Weight::check`], the rule `try_new` applies
+/// here.
 fn simplex_weights(raw: &[Vec<f64>], field: &'static str) -> Result<Vec<Weight>, EngineError> {
     raw.iter()
         .map(|w| Weight::try_new(w.clone()).map_err(|_| EngineError::InvalidWeight { field }))
@@ -804,58 +767,74 @@ fn execute(
                 Err(e) => (Response::Error(e.to_string()), 0),
             }
         }
-        Request::Append { .. } | Request::Delete { .. } | Request::Stats => {
-            // lint: allow(no-panic) — `worker_loop` routes mutations and
-            // stats to their own paths before snapshot resolution; this
-            // arm exists only to keep the match exhaustive.
+        Request::Append { .. }
+        | Request::Delete { .. }
+        | Request::Register { .. }
+        | Request::RegisterWeights { .. }
+        | Request::Compact { .. }
+        | Request::Stats => {
+            // lint: allow(no-panic) — `serve` routes mutations and stats
+            // to their own paths before snapshot resolution; this arm
+            // exists only to keep the match exhaustive.
             unreachable!("mutations and stats are dispatched before snapshot resolution")
         }
     }
 }
 
-/// Applies an [`Request::Append`] / [`Request::Delete`], evicts the
-/// dataset's cached responses, and schedules a compaction when the
-/// overlay outgrew its threshold. Returns the live point count.
-fn apply_mutation(ctx: &WorkerContext, request: &Request) -> Result<usize, EngineError> {
-    match request {
+/// The one mutation path — a queued request's (after [`serve`]
+/// validated it) and an in-process `Engine` call's alike. A registration
+/// replies [`Response::Mutated`] with the rows or weights it registered,
+/// a compaction [`Response::Compacted`]; an append or delete replies the
+/// live count it left and, past the overlay threshold, schedules a
+/// compaction off the request path. The request is taken by value, so a
+/// registration's coordinates move into the catalog uncopied. Stale
+/// cache entries need no eviction: the epoch a mutation moves is part
+/// of every cache key.
+pub(crate) fn mutate(ctx: &WorkerContext, request: Request) -> Result<Response, EngineError> {
+    let catalog = &ctx.catalog;
+    let (dataset, live_len) = match request {
+        Request::Register {
+            dataset,
+            dim,
+            coords,
+        } => {
+            let rows = coords.len().checked_div(dim).unwrap_or(0);
+            catalog.register(&dataset, dim, coords)?;
+            return Ok(Response::Mutated { live_len: rows });
+        }
+        Request::RegisterWeights { name, weights } => {
+            let population = simplex_weights(&weights, "weight set")?;
+            let live_len = population.len();
+            catalog.register_weights(&name, population)?;
+            return Ok(Response::Mutated { live_len });
+        }
+        Request::Compact { dataset } => {
+            let epoch = catalog.epoch(&dataset)?;
+            let ran = catalog.compact_if(&dataset, epoch)?;
+            return Ok(Response::Compacted { ran });
+        }
         Request::Append { dataset, points } => {
-            mutate(ctx, dataset, |catalog| catalog.append(dataset, points))
+            let live_len = catalog.append(&dataset, &points)?;
+            (dataset, live_len)
         }
         Request::Delete { dataset, ids } => {
-            mutate(ctx, dataset, |catalog| catalog.delete(dataset, ids))
+            let live_len = catalog.delete(&dataset, &ids)?;
+            (dataset, live_len)
         }
-        // lint: allow(no-panic) — the single caller matches on
-        // mutation kinds before calling; exhaustiveness arm only.
-        _ => unreachable!("apply_mutation called on a query request"),
-    }
-}
-
-/// The shared mutation path (worker jobs and the engine's direct
-/// `append_points` / `delete_points` methods): apply, evict the
-/// dataset's cache entries (stale keys could never *hit*, eviction just
-/// reclaims capacity early), then schedule an off-request-path
-/// compaction if the overlay outgrew its threshold.
-pub(crate) fn mutate(
-    ctx: &WorkerContext,
-    dataset: &str,
-    op: impl FnOnce(&Catalog) -> Result<usize, EngineError>,
-) -> Result<usize, EngineError> {
-    let catalog = &ctx.catalog;
-    let live_len = op(catalog)?;
-    ctx.cache.evict_dataset(dataset);
-    if let Ok((overlay, base_len)) = catalog.overlay_size(dataset) {
+        // lint: allow(no-panic) — `serve` and the engine's mutation
+        // methods pass only mutation kinds; exhaustiveness arm only.
+        _ => unreachable!("mutate called on a query request"),
+    };
+    if let Ok((overlay, base_len)) = catalog.overlay_size(&dataset) {
         if overlay > compaction_threshold(ctx.overlay_limit, base_len) {
-            if let Ok(epoch) = catalog.epoch(dataset) {
+            if let Ok(epoch) = catalog.epoch(&dataset) {
                 // A send failure means the pool is shutting down — the
                 // overlay simply persists until the next trigger.
-                let _ = ctx.queue.send(Job::Compact {
-                    dataset: dataset.to_string(),
-                    epoch,
-                });
+                let _ = ctx.queue.send(Job::Compact { dataset, epoch });
             }
         }
     }
-    Ok(live_len)
+    Ok(Response::Mutated { live_len })
 }
 
 fn plan_explanation_from(explanation: &Explanation) -> PlanExplanation {

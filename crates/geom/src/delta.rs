@@ -303,8 +303,9 @@ impl Overlay {
 
     /// The live rows in **canonical order** — surviving base rows
     /// ascending by id, then appended rows in append order — row-major,
-    /// with each row's stable id: what compaction bulk-loads and a rebuilt
-    /// oracle registers. Base rows are read through `base_row` (row `i`
+    /// with each row's id: what compaction bulk-loads and a rebuilt
+    /// oracle registers. Ids are stable within a base generation only:
+    /// the compacted base numbers these rows `0..live` in this order. Base rows are read through `base_row` (row `i`
     /// into a `dim`-long slice), so row-major and [`FlatPoints`] bases
     /// share it.
     pub fn merge(&self, base_row: impl Fn(usize, &mut [f64])) -> (Vec<f64>, Vec<u32>) {
@@ -410,7 +411,7 @@ impl DeltaView {
         &self.overlay.delta_rows
     }
 
-    /// Stable ids of the live appended rows (parallel to
+    /// Ids of the live appended rows (parallel to
     /// [`DeltaView::delta_rows`]).
     #[inline]
     pub fn delta_ids(&self) -> &[u32] {
@@ -453,8 +454,9 @@ impl DeltaView {
         count_better_rows(&self.overlay.dead_rows, w, threshold)
     }
 
-    /// The live rows in canonical order with their stable ids —
-    /// [`Overlay::merge`] over this view's base.
+    /// The live rows in canonical order with their ids — stable within
+    /// this base generation, renumbered `0..live` in this order by a
+    /// compaction — [`Overlay::merge`] over this view's base.
     pub fn materialize_row_major(&self) -> (Vec<f64>, Vec<u32>) {
         self.overlay.merge(|i, row| self.base.point_into(i, row))
     }

@@ -48,7 +48,8 @@ pub struct TraceSnapshot {
 pub struct SlowRequest {
     /// The request's trace id.
     pub trace_id: u64,
-    /// The request fingerprint (workload identity, cache-key hash).
+    /// The request fingerprint (workload identity, cache-key hash; 0 for
+    /// a mutation, which is never cached and so never fingerprinted).
     pub fingerprint: u64,
     /// End-to-end duration in nanoseconds.
     pub total_nanos: u64,

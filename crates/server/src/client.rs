@@ -4,9 +4,10 @@
 //! immediately — any number of requests may be in flight. [`Client::recv`]
 //! reads the next response frame, whichever request it answers (the
 //! server completes out of order). The `call` / `submit` / `register_*`
-//! conveniences wrap a single send + receive for the common sequential
-//! case; the bench load generator drives `send`/`recv` directly with a
-//! sliding pipeline window.
+//! / `compact` conveniences wrap a single send + receive for the common
+//! sequential case — a registration or compaction is one more
+//! [`Request`], submitted like any other; the bench load generator drives
+//! `send`/`recv` directly with a sliding pipeline window.
 
 use crate::frame::{self, DecodeError, FrameError, DEFAULT_MAX_FRAME_LEN, MAGIC_V2};
 use crate::wire::{ClientFrame, ServerFrame};
@@ -30,7 +31,8 @@ pub enum ClientError {
     /// The server refused the request with busy backpressure; retry
     /// after draining in-flight responses.
     Busy,
-    /// The server answered a control operation with a typed error.
+    /// The engine refused a registration, compaction or plan with a
+    /// typed error.
     Server(String),
     /// The server closed the connection (clean end of stream).
     Closed,
@@ -290,57 +292,64 @@ impl Client {
         }
     }
 
-    /// Registers (or replaces) a dataset.
+    /// Registers (or replaces) a dataset: submits [`Request::Register`].
     ///
     /// # Errors
-    /// [`ClientError::Server`] with the catalog's message on rejection.
+    /// [`ClientError::Server`] with the catalog's message on rejection;
+    /// [`ClientError::Busy`] under backpressure (nothing was registered).
     pub fn register_dataset(
         &mut self,
         name: &str,
         dim: usize,
         coords: &[f64],
     ) -> Result<(), ClientError> {
-        match self.call(&ClientFrame::RegisterDataset {
-            name: name.into(),
+        let request = Request::Register {
+            dataset: name.into(),
             dim,
             coords: coords.to_vec(),
-        })? {
-            ServerFrame::Registered => Ok(()),
-            ServerFrame::Reply(Response::Error(msg)) => Err(ClientError::Server(msg)),
+        };
+        match self.submit(&request)? {
+            Response::Mutated { .. } => Ok(()),
+            Response::Error(msg) => Err(ClientError::Server(msg)),
             _ => Err(ClientError::Unexpected("expected a registration ack")),
         }
     }
 
-    /// Registers an immutable weight population.
+    /// Registers an immutable weight population: submits
+    /// [`Request::RegisterWeights`].
     ///
     /// # Errors
-    /// [`ClientError::Server`] with the catalog's message on rejection.
+    /// [`ClientError::Server`] with the catalog's message on rejection;
+    /// [`ClientError::Busy`] under backpressure (nothing was registered).
     pub fn register_weights(
         &mut self,
         name: &str,
         weights: &[Vec<f64>],
     ) -> Result<(), ClientError> {
-        match self.call(&ClientFrame::RegisterWeights {
+        let request = Request::RegisterWeights {
             name: name.into(),
             weights: weights.to_vec(),
-        })? {
-            ServerFrame::Registered => Ok(()),
-            ServerFrame::Reply(Response::Error(msg)) => Err(ClientError::Server(msg)),
+        };
+        match self.submit(&request)? {
+            Response::Mutated { .. } => Ok(()),
+            Response::Error(msg) => Err(ClientError::Server(msg)),
             _ => Err(ClientError::Unexpected("expected a registration ack")),
         }
     }
 
-    /// Merges a dataset's delta overlay into its base; returns whether a
-    /// merge actually ran.
+    /// Merges a dataset's delta overlay into its base — submits
+    /// [`Request::Compact`] — and returns whether a merge actually ran.
     ///
     /// # Errors
-    /// [`ClientError::Server`] with the catalog's message on rejection.
+    /// [`ClientError::Server`] with the catalog's message on rejection;
+    /// [`ClientError::Busy`] under backpressure (nothing was merged).
     pub fn compact(&mut self, dataset: &str) -> Result<bool, ClientError> {
-        match self.call(&ClientFrame::Compact {
+        let request = Request::Compact {
             dataset: dataset.into(),
-        })? {
-            ServerFrame::Compacted { ran } => Ok(ran),
-            ServerFrame::Reply(Response::Error(msg)) => Err(ClientError::Server(msg)),
+        };
+        match self.submit(&request)? {
+            Response::Compacted { ran } => Ok(ran),
+            Response::Error(msg) => Err(ClientError::Server(msg)),
             _ => Err(ClientError::Unexpected("expected a compaction ack")),
         }
     }

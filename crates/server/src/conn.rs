@@ -3,9 +3,10 @@
 //!
 //! A [`Connection`] owns everything that is one connection's business —
 //! the preamble and its Hello, the read arena and the in-place frame
-//! split, dispatch (control operations, admission, the inline-or-pool
-//! decision, staging [`BatchSubmission`]s and a plan's `ReplyPart`
-//! observer), protocol errors, the write queue and its backlog, and the
+//! split, dispatch (a ping's pong; for every submit — registrations and
+//! compactions included — admission, the inline-or-pool decision,
+//! staging [`BatchSubmission`]s and a plan's `ReplyPart` observer),
+//! protocol errors, the write queue and its backlog, and the
 //! close and interest decisions — over any `Read + Write` stream. It
 //! holds no fd, no poller and no clock: the event loop
 //! ([`crate::server`]) instantiates it with a nonblocking `TcpStream`
@@ -35,10 +36,10 @@ use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use wqrtq_engine::{BatchSubmission, Engine, ProbeCtx, Request, Response, SpanRecord, Stage};
-use wqrtq_geom::Weight;
 
 /// Reply-backlog headroom beyond the admission capacity, reserved for
-/// control replies (pong, registered, compacted) and busy frames.
+/// the replies the loop gives without admission: pongs, busy frames and
+/// protocol errors.
 pub(crate) const CONTROL_SLACK: usize = 16;
 
 /// Bytes requested per `read(2)`; also the arena's resting size.
@@ -484,8 +485,8 @@ impl<S: Read + Write> Connection<S> {
         self.arena.consume_prefix(cursor);
     }
 
-    /// Serves one decoded frame: control operations on the loop, submits
-    /// through admission to the loop or into the cycle's batch.
+    /// Serves one decoded frame: a ping with a pong, a submit through
+    /// admission to the loop or into the cycle's batch.
     fn dispatch(&mut self, intake: &mut Intake<'_>, id: u64, message: ClientFrame) {
         // Id 0 is reserved for connection-level errors; a client using it
         // could not tell its own reply from a fatal ProtocolError.
@@ -493,28 +494,10 @@ impl<S: Read + Write> Connection<S> {
             self.protocol_error("request id 0 is reserved".into());
             return;
         }
-        let engine = &self.shared.server.engine;
-        let reply = match message {
-            ClientFrame::Submit(request) => return self.submit(intake, id, request),
-            ClientFrame::Ping => ServerFrame::Pong,
-            ClientFrame::RegisterDataset { name, dim, coords } => {
-                match engine.register_dataset(&name, dim, coords) {
-                    Ok(()) => ServerFrame::Registered,
-                    Err(e) => ServerFrame::Reply(Response::Error(e.to_string())),
-                }
-            }
-            ClientFrame::RegisterWeights { name, weights } => {
-                match register_weights(engine, &name, weights) {
-                    Ok(()) => ServerFrame::Registered,
-                    Err(msg) => ServerFrame::Reply(Response::Error(msg)),
-                }
-            }
-            ClientFrame::Compact { dataset } => match engine.compact(&dataset) {
-                Ok(ran) => ServerFrame::Compacted { ran },
-                Err(e) => ServerFrame::Reply(Response::Error(e.to_string())),
-            },
-        };
-        self.push_control(id, reply);
+        match message {
+            ClientFrame::Submit(request) => self.submit(intake, id, request),
+            ClientFrame::Ping => self.push_control(id, ServerFrame::Pong),
+        }
     }
 
     fn submit(&mut self, intake: &mut Intake<'_>, id: u64, request: Request) {
@@ -579,8 +562,8 @@ impl<S: Read + Write> Connection<S> {
         (self.shared.id << 32) | (id & 0xFFFF_FFFF)
     }
 
-    /// Queues a control reply (pong, hello, busy, registration acks, typed
-    /// and protocol errors) produced on the loop thread itself.
+    /// Queues a reply the loop gives without admission (pong, hello,
+    /// busy, protocol errors).
     fn push_control(&mut self, id: u64, message: ServerFrame) {
         let trace_id = self.trace_id(id);
         let bytes = encode_reply(&self.shared, id, trace_id, message);
@@ -765,31 +748,12 @@ fn encode_reply(state: &ConnShared, id: u64, trace_id: u64, message: ServerFrame
     bytes
 }
 
-/// Validates and registers an inline weight population through the
-/// fallible [`Weight::try_new`], so a hostile frame gets a typed error
-/// back instead of panicking the loop thread, and wire registration
-/// accepts exactly what in-process registration does.
-fn register_weights(engine: &Engine, name: &str, weights: Vec<Vec<f64>>) -> Result<(), String> {
-    let population = weights
-        .into_iter()
-        .map(Weight::try_new)
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|_| {
-            format!(
-                "invalid weighting vector in weight set `{name}`: components must be \
-                 finite, non-negative, and sum to 1"
-            )
-        })?;
-    engine
-        .register_weights(name, population)
-        .map_err(|e| e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     //! A seeded model test: one `Connection` driven over an in-memory
     //! stream, with completions from a real two-worker engine and every
-    //! reply checked against a twin engine's `submit`.
+    //! reply checked against a twin engine's `submit` — registrations and
+    //! compactions are submits staged on the pool like any other.
     //!
     //! `WQRTQ_FUZZ_ROUNDS` sets the round count (default 24).
 
@@ -799,6 +763,7 @@ mod tests {
     use std::io;
     use std::time::{Duration, Instant};
     use wqrtq_engine::{StrategyKind, WeightSet, WhyNotOptions};
+    use wqrtq_geom::Weight;
 
     const SEED: u64 = 0x5eed_c0de_2026_0036;
     const ADMISSION: usize = 4;
@@ -905,7 +870,7 @@ mod tests {
         Stats,
         /// A plan's reply (or `Busy`), after its streamed parts.
         Plan(Vec<u8>),
-        /// A control reply with exactly these bytes.
+        /// A pong with exactly these bytes, never `Busy`.
         Control(Vec<u8>),
     }
 
@@ -1053,32 +1018,27 @@ mod tests {
                     ClientFrame::Ping,
                     Expect::Control(ServerFrame::Pong.encode_frame(id)),
                 ),
-                1 => (
-                    ClientFrame::RegisterDataset {
-                        name: format!("r{round}-{id}"),
-                        dim: 2,
-                        coords: PRODUCTS.to_vec(),
-                    },
-                    Expect::Control(ServerFrame::Registered.encode_frame(id)),
-                ),
-                2 => {
-                    let name = format!("w{round}-{id}");
-                    let weights = if rng.one_in(2) {
-                        vec![vec![0.5, 0.5], vec![0.25, 0.75]]
-                    } else {
-                        vec![vec![0.3, 0.3]]
+                pick => {
+                    let request = match pick {
+                        1 => Request::Register {
+                            dataset: format!("r{round}-{id}"),
+                            dim: 2,
+                            coords: PRODUCTS.to_vec(),
+                        },
+                        2 => Request::RegisterWeights {
+                            name: format!("w{round}-{id}"),
+                            weights: if rng.one_in(2) {
+                                vec![vec![0.5, 0.5], vec![0.25, 0.75]]
+                            } else {
+                                vec![vec![0.3, 0.3]]
+                            },
+                        },
+                        // "p" has no overlay: `ran` is false on both.
+                        3 => Request::Compact {
+                            dataset: ["p", "no-such-dataset"][rng.range(0, 1)].into(),
+                        },
+                        _ => random_request(rng, plans == 0),
                     };
-                    let reply = match register_weights(twin, &name, weights.clone()) {
-                        Ok(()) => ServerFrame::Registered,
-                        Err(msg) => ServerFrame::Reply(Response::Error(msg)),
-                    };
-                    (
-                        ClientFrame::RegisterWeights { name, weights },
-                        Expect::Control(reply.encode_frame(id)),
-                    )
-                }
-                _ => {
-                    let request = random_request(rng, plans == 0);
                     let bytes = ServerFrame::Reply(twin.submit(request.clone())).encode_frame(id);
                     let expect = match request {
                         Request::Stats => Expect::Stats,
@@ -1114,8 +1074,12 @@ mod tests {
         (frames, at < output.len())
     }
 
+    /// Reads the engine ran: an admitted mutation lands whatever happens
+    /// to its connection.
     fn executed(engine: &Engine) -> u64 {
-        engine.metrics().per_kind.iter().map(|k| k.requests).sum()
+        let per_kind = engine.metrics().per_kind;
+        let reads = per_kind.iter().filter(|k| !k.kind.is_mutation());
+        reads.map(|k| k.requests).sum()
     }
 
     fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
@@ -1175,7 +1139,7 @@ mod tests {
                     let staged = std::mem::take(&mut batch);
                     if !fired && conn.stream.reset_fired {
                         // Submits still staged when the reset hits reach
-                        // the pool doomed: none of them runs.
+                        // the pool doomed: no read among them runs.
                         let n = staged.len();
                         wait_until("earlier submits", || {
                             state.in_flight.load(Ordering::SeqCst) == n

@@ -9,18 +9,18 @@
 //!   preamble magic, hard frame-size limits, and the checked byte codec
 //!   primitives (floats travel by IEEE-754 bit pattern, so responses
 //!   round-trip **bit-identically** to their in-process values);
-//! * [`wire`] — the message vocabulary: every engine request/response
-//!   kind (request body tags come from the engine's single
-//!   source-of-truth table, [`wqrtq_engine::REQUEST_KIND_TABLE`]) plus
-//!   dataset/weight-set registration, compaction, and ping, each frame
-//!   tagged with a client-assigned request id;
+//! * [`wire`] — the message vocabulary: a submit of any engine request
+//!   — queries, and the registrations, appends, deletes and compactions
+//!   that write the catalog (request body tags come from the engine's
+//!   single source-of-truth table, [`wqrtq_engine::REQUEST_KIND_TABLE`])
+//!   — and a ping, each frame tagged with a client-assigned request id;
 //! * [`server`] — one event-loop thread driving every connection's
 //!   fd-free state machine (`conn.rs`) with **pipelining** (many frames
 //!   in flight, responses completed out of order by the engine's worker
 //!   pool and routed by request id), a bounded global admission queue
 //!   that answers overload with [`wire::ServerFrame::Busy`] instead of
-//!   buffering, and graceful shutdown that drains in-flight work before
-//!   closing;
+//!   buffering — every submit, a registration included, passes it — and
+//!   graceful shutdown that drains in-flight work before closing;
 //! * [`client`] — a blocking client speaking the same protocol, used by
 //!   the loopback tests and `benchmark/`.
 //!

@@ -4,9 +4,8 @@
 //! to the OS through a vendored shim: a handful of `extern "C"`
 //! declarations resolved by the C runtime the Rust standard library
 //! already links — no `libc` crate. On Linux the backend is `epoll`
-//! (level-triggered); other unix hosts fall back to `poll(2)`.
-//! Non-unix hosts get a [`Poller::new`] that fails with
-//! `Unsupported` — the event-loop server is a unix front door.
+//! (level-triggered); other unix hosts fall back to `poll(2)`. The
+//! server is a unix front door: it builds only on unix hosts.
 //!
 //! The surface is deliberately tiny: register/modify/delete an fd with
 //! a `u64` token and a read/write interest mask, and wait for a batch
@@ -30,10 +29,8 @@ pub(crate) struct Event {
     pub(crate) writable: bool,
 }
 
-#[cfg(unix)]
-pub(crate) use unix_impl::{set_socket_buffers, wake_pair, Poller, WakeHandle};
+pub(crate) use unix_impl::{drain_wakes, set_socket_buffers, wake_pair, Poller, WakeHandle};
 
-#[cfg(unix)]
 mod unix_impl {
     use super::{Event, INTEREST_READ, INTEREST_WRITE};
     use std::io::{self, Read, Write};
@@ -392,34 +389,3 @@ mod unix_impl {
         }
     }
 }
-
-#[cfg(unix)]
-pub(crate) use unix_impl::drain_wakes;
-
-#[cfg(not(unix))]
-mod stub_impl {
-    use super::Event;
-    use std::io;
-
-    /// Unsupported-platform stub: the event-loop server needs a unix
-    /// readiness primitive.
-    #[derive(Debug)]
-    pub(crate) struct Poller;
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Self> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "the wqrtq event-loop server requires a unix host (epoll or poll)",
-            ))
-        }
-    }
-
-    #[allow(dead_code)]
-    fn _event_shape(e: Event) -> Event {
-        e
-    }
-}
-
-#[cfg(not(unix))]
-pub(crate) use stub_impl::Poller;

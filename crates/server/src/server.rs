@@ -12,7 +12,7 @@
 //! errors, the bounded write queue, the interest it waits for and when
 //! it may close. This module is the driver around it. The one
 //! **event-loop thread** (`wqrtq-loop-0`) owns a readiness poller
-//! (`epoll` on Linux, `poll(2)` elsewhere — see `poll.rs`), the listener
+//! (`epoll` on Linux, `poll(2)` on other unix hosts — see `poll.rs`), the listener
 //! and every connection, keyed by poller token. Nothing blocks: the loop
 //! sleeps only in its poller, and cross-thread wakeups (a pool worker
 //! finished a response, shutdown was requested) go through a self-pipe.
@@ -29,19 +29,21 @@
 //! with vectored writes, re-registers the interest it asks for, and
 //! closes once it says it may.
 //!
-//! Control operations (registration, compaction, ping) run on the loop;
-//! [`ClientFrame::Submit`] goes through the admission gauge and is
-//! either answered on the loop or staged for the pool. A submit that is
-//! cheap by construction never leaves the loop that decoded it:
+//! The loop answers a ping itself. Every other client operation is a
+//! [`ClientFrame::Submit`] — a query, or a registration, append, delete
+//! or compaction — that goes through the admission gauge and is either
+//! answered on the loop or staged for the pool as one job. A submit that
+//! is cheap by construction never leaves the loop that decoded it:
 //! [`Engine::serve_inline`] answers a `Stats`, a cache hit of any query
 //! kind, a `TopK` miss with `k` at most one leaf's worth, or a named
 //! `ReverseTopKBi` miss whose score table is built, over a built,
-//! overlay-free dataset on the loop's own probe scratch. The loop
-//! never builds an index, never waits for a writer, never runs work
-//! that grows with a dataset's overlay, and runs at most 64 misses per
-//! connection per readiness event — the rest of that burst is staged, so
-//! a deep pipeline still gets the workers. A plan request joins the
-//! batch with a progress observer attached that streams its
+//! overlay-free dataset on the loop's own probe scratch. Every catalog
+//! write goes to the pool: the loop never builds an index, never writes
+//! the catalog, never waits for a writer, never runs work that grows
+//! with a dataset's overlay, and runs at most 64 misses per connection
+//! per readiness event — the rest of that burst is staged, so a deep
+//! pipeline still gets the workers. A plan request joins the batch with
+//! a progress observer attached that streams its
 //! [`ServerFrame::ReplyPart`] frames ahead of the final reply.
 //!
 //! Responses are encoded on the thread that answered them (the pool

@@ -1,6 +1,6 @@
 //! The typed wire vocabulary: every engine [`Request`] / [`Response`]
-//! kind plus the catalog control operations (dataset and weight-set
-//! registration, compaction) and connection liveness.
+//! kind — registrations and compactions included — plus connection
+//! liveness.
 //!
 //! A frame payload is `u64 request id` + `u8 opcode` + body. Request ids
 //! are assigned by the client and echoed verbatim on the matching
@@ -60,17 +60,15 @@ pub const ENGINE_ERROR_VARIANTS: [&str; 15] = [
     "Durability",
 ];
 
-// Client → server opcodes.
+// Client → server opcodes. 0x02–0x04 are retired (the control frames
+// that registered and compacted outside the request vocabulary) and
+// stay reserved.
 const OP_SUBMIT: u8 = 0x01;
-const OP_REGISTER_DATASET: u8 = 0x02;
-const OP_REGISTER_WEIGHTS: u8 = 0x03;
-const OP_COMPACT: u8 = 0x04;
 const OP_PING: u8 = 0x05;
 
-// Server → client opcodes.
+// Server → client opcodes. 0x82–0x83 are retired (those control frames'
+// acknowledgements) and stay reserved.
 const OP_REPLY: u8 = 0x81;
-const OP_REGISTERED: u8 = 0x82;
-const OP_COMPACTED: u8 = 0x83;
 const OP_PONG: u8 = 0x84;
 const OP_BUSY: u8 = 0x85;
 const OP_PROTOCOL_ERROR: u8 = 0x86;
@@ -80,47 +78,19 @@ const OP_REPLY_PART: u8 = 0x88;
 /// One client → server message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ClientFrame {
-    /// Serve one engine request on the worker pool.
+    /// Serve one engine request — a query, a registration, an append,
+    /// a delete or a compaction — through admission.
     Submit(Request),
-    /// Register (or replace) a dataset in the catalog.
-    RegisterDataset {
-        /// Catalog name.
-        name: String,
-        /// Dimensionality.
-        dim: usize,
-        /// Flat row-major coordinates.
-        coords: Vec<f64>,
-    },
-    /// Register an immutable customer weight population.
-    RegisterWeights {
-        /// Catalog name.
-        name: String,
-        /// One weighting vector per customer.
-        weights: Vec<Vec<f64>>,
-    },
-    /// Synchronously merge a dataset's delta overlay into its base.
-    Compact {
-        /// Catalog dataset name.
-        dataset: String,
-    },
-    /// Liveness probe; answered with [`ServerFrame::Pong`].
+    /// Liveness probe; answered with [`ServerFrame::Pong`] by the event
+    /// loop itself.
     Ping,
 }
 
 /// One server → client message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ServerFrame {
-    /// The engine's response to a [`ClientFrame::Submit`] — or a typed
-    /// error for a control operation that failed.
+    /// The engine's response to a [`ClientFrame::Submit`].
     Reply(Response),
-    /// A registration succeeded.
-    Registered,
-    /// A compaction request completed; `ran` is false when the overlay
-    /// was already empty.
-    Compacted {
-        /// Whether a merge actually ran.
-        ran: bool,
-    },
     /// Liveness answer.
     Pong,
     /// The admission queue was full; the request was **not** executed.
@@ -163,31 +133,15 @@ impl ClientFrame {
 
     /// Encodes the message as a frame payload carrying `id`.
     pub fn encode(&self, id: u64) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(id);
         match self {
-            ClientFrame::Submit(request) => return Self::encode_submit(id, request),
-            ClientFrame::RegisterDataset { name, dim, coords } => {
-                w.put_u8(OP_REGISTER_DATASET);
-                w.put_str(name);
-                w.put_usize(*dim);
-                w.put_f64s(coords);
+            ClientFrame::Submit(request) => Self::encode_submit(id, request),
+            ClientFrame::Ping => {
+                let mut w = ByteWriter::new();
+                w.put_u64(id);
+                w.put_u8(OP_PING);
+                w.into_vec()
             }
-            ClientFrame::RegisterWeights { name, weights } => {
-                w.put_u8(OP_REGISTER_WEIGHTS);
-                w.put_str(name);
-                w.put_usize(weights.len());
-                for weight in weights {
-                    w.put_f64s(weight);
-                }
-            }
-            ClientFrame::Compact { dataset } => {
-                w.put_u8(OP_COMPACT);
-                w.put_str(dataset);
-            }
-            ClientFrame::Ping => w.put_u8(OP_PING),
         }
-        w.into_vec()
     }
 
     /// Decodes a frame payload.
@@ -200,22 +154,6 @@ impl ClientFrame {
         let opcode = r.take_u8("opcode")?;
         let frame = match opcode {
             OP_SUBMIT => ClientFrame::Submit(Request::decode(&mut r)?),
-            OP_REGISTER_DATASET => ClientFrame::RegisterDataset {
-                name: r.take_str("dataset name")?,
-                dim: r.take_usize("dimension")?,
-                coords: r.take_f64s("coordinates")?,
-            },
-            OP_REGISTER_WEIGHTS => {
-                let name = r.take_str("weight-set name")?;
-                let count = r.take_count(8, "weight count")?;
-                let weights = (0..count)
-                    .map(|_| r.take_f64s("weight vector"))
-                    .collect::<Result<_, _>>()?;
-                ClientFrame::RegisterWeights { name, weights }
-            }
-            OP_COMPACT => ClientFrame::Compact {
-                dataset: r.take_str("dataset name")?,
-            },
             OP_PING => ClientFrame::Ping,
             _ => return Err(DecodeError::new("unknown client opcode")),
         };
@@ -246,11 +184,6 @@ impl ServerFrame {
             ServerFrame::Reply(response) => {
                 w.put_u8(OP_REPLY);
                 encode_response(w, response);
-            }
-            ServerFrame::Registered => w.put_u8(OP_REGISTERED),
-            ServerFrame::Compacted { ran } => {
-                w.put_u8(OP_COMPACTED);
-                w.put_u8(u8::from(*ran));
             }
             ServerFrame::Pong => w.put_u8(OP_PONG),
             ServerFrame::Busy => w.put_u8(OP_BUSY),
@@ -283,10 +216,6 @@ impl ServerFrame {
         let opcode = r.take_u8("opcode")?;
         let frame = match opcode {
             OP_REPLY => ServerFrame::Reply(decode_response(&mut r)?),
-            OP_REGISTERED => ServerFrame::Registered,
-            OP_COMPACTED => ServerFrame::Compacted {
-                ran: r.take_u8("compacted flag")? != 0,
-            },
             OP_PONG => ServerFrame::Pong,
             OP_BUSY => ServerFrame::Busy,
             OP_PROTOCOL_ERROR => ServerFrame::ProtocolError(r.take_str("error message")?),
@@ -313,6 +242,7 @@ const RESP_MUTATED: u8 = 7;
 const RESP_ERROR: u8 = 8;
 const RESP_PLAN: u8 = 9;
 const RESP_STATS: u8 = 10;
+const RESP_COMPACTED: u8 = 11;
 
 // Plan-delta body tags (partial frames).
 const DELTA_EXPLAINED: u8 = 1;
@@ -362,6 +292,10 @@ fn encode_response(w: &mut ByteWriter, response: &Response) {
         Response::Mutated { live_len } => {
             w.put_u8(RESP_MUTATED);
             w.put_usize(*live_len);
+        }
+        Response::Compacted { ran } => {
+            w.put_u8(RESP_COMPACTED);
+            w.put_u8(u8::from(*ran));
         }
         Response::Error(msg) => {
             w.put_u8(RESP_ERROR);
@@ -636,21 +570,26 @@ fn encode_stats(w: &mut ByteWriter, stats: &StatsSnapshot) {
 
 fn decode_stats(r: &mut ByteReader<'_>) -> Result<StatsSnapshot, DecodeError> {
     let kinds = r.take_count(35, "kind snapshot count")?;
-    let per_kind = (0..kinds)
-        .map(|_| {
-            let tag = r.take_u8("kind tag")?;
-            let kind = RequestKind::from_wire_tag(tag)
-                .ok_or_else(|| DecodeError::new("unknown kind tag"))?;
-            Ok(KindSnapshot {
+    let mut per_kind = Vec::with_capacity(kinds);
+    for _ in 0..kinds {
+        let kind = RequestKind::from_wire_tag(r.take_u8("kind tag")?);
+        let requests = r.take_u64("kind requests")?;
+        let errors = r.take_u64("kind errors")?;
+        let latency = decode_histogram(r)?;
+        let index_nodes = r.take_u64("kind index nodes")?;
+        let cache_hits = r.take_u64("kind cache hits")?;
+        // A kind appended after this build is skipped, as a stage is.
+        if let Some(kind) = kind {
+            per_kind.push(KindSnapshot {
                 kind,
-                requests: r.take_u64("kind requests")?,
-                errors: r.take_u64("kind errors")?,
-                latency: decode_histogram(r)?,
-                index_nodes: r.take_u64("kind index nodes")?,
-                cache_hits: r.take_u64("kind cache hits")?,
-            })
-        })
-        .collect::<Result<_, DecodeError>>()?;
+                requests,
+                errors,
+                latency,
+                index_nodes,
+                cache_hits,
+            });
+        }
+    }
     let count = r.take_count(33, "stage snapshot count")?;
     let mut stages = Vec::with_capacity(count);
     for _ in 0..count {
@@ -762,6 +701,9 @@ fn decode_response(r: &mut ByteReader<'_>) -> Result<Response, DecodeError> {
         RESP_MUTATED => Response::Mutated {
             live_len: r.take_usize("live length")?,
         },
+        RESP_COMPACTED => Response::Compacted {
+            ran: r.take_u8("compacted flag")? != 0,
+        },
         RESP_ERROR => Response::Error(r.take_str("error message")?),
         _ => return Err(DecodeError::new("unknown response tag")),
     })
@@ -829,8 +771,24 @@ mod tests {
                 ids: vec![0, 7, u32::MAX],
             },
             Request::Stats,
+            Request::Register {
+                dataset: "products".into(),
+                dim: 2,
+                coords: vec![2.0, 1.0, 6.0, 3.0],
+            },
+            Request::RegisterWeights {
+                name: "customers".into(),
+                weights: vec![vec![0.1, 0.9], vec![0.5, 0.5]],
+            },
+            Request::Compact {
+                dataset: "products".into(),
+            },
         ]
     }
+
+    /// How many of [`all_requests`] the submit-bytes pin covers: the
+    /// kinds that existed when it was taken.
+    const PINNED_REQUESTS: usize = 9;
 
     fn sample_stats(server: Option<ServerCounters>) -> StatsSnapshot {
         StatsSnapshot {
@@ -1011,6 +969,8 @@ mod tests {
                 write_syscalls: 9,
             })))),
             Response::Mutated { live_len: 8 },
+            Response::Compacted { ran: true },
+            Response::Compacted { ran: false },
             Response::Error("unknown dataset `nope`".into()),
         ]
     }
@@ -1021,18 +981,6 @@ mod tests {
             .into_iter()
             .map(ClientFrame::Submit)
             .collect();
-        frames.push(ClientFrame::RegisterDataset {
-            name: "products".into(),
-            dim: 2,
-            coords: vec![2.0, 1.0, 6.0, 3.0],
-        });
-        frames.push(ClientFrame::RegisterWeights {
-            name: "customers".into(),
-            weights: vec![vec![0.1, 0.9], vec![0.5, 0.5]],
-        });
-        frames.push(ClientFrame::Compact {
-            dataset: "products".into(),
-        });
         frames.push(ClientFrame::Ping);
         for (i, frame) in frames.into_iter().enumerate() {
             let id = 1000 + i as u64;
@@ -1045,15 +993,24 @@ mod tests {
 
     #[test]
     fn the_submit_bytes_of_every_request_kind_are_pinned() {
-        // A change to this CRC is a wire-format change: every deployed
-        // client would send bytes the server no longer reads.
-        let bytes: Vec<u8> = all_requests()
-            .iter()
-            .enumerate()
-            .flat_map(|(i, request)| ClientFrame::encode_submit(i as u64 + 1, request))
-            .collect();
-        assert_eq!(bytes.len(), 763);
-        assert_eq!(wqrtq_codec::crc32::checksum(&bytes), 0x1f55_94dd);
+        // A change to either CRC is a wire-format change: every deployed
+        // client would send bytes the server no longer reads. The catalog
+        // writes (tags 10–12) are pinned apart, so the first pin covers
+        // exactly the bytes it always has.
+        let requests = all_requests();
+        let bytes = |requests: &[Request], first_id: usize| -> Vec<u8> {
+            requests
+                .iter()
+                .enumerate()
+                .flat_map(|(i, r)| ClientFrame::encode_submit((first_id + i) as u64, r))
+                .collect()
+        };
+        let pinned = bytes(&requests[..PINNED_REQUESTS], 1);
+        assert_eq!(pinned.len(), 763);
+        assert_eq!(wqrtq_codec::crc32::checksum(&pinned), 0x1f55_94dd);
+        let catalog_writes = bytes(&requests[PINNED_REQUESTS..], PINNED_REQUESTS + 1);
+        assert_eq!(catalog_writes.len(), 183);
+        assert_eq!(wqrtq_codec::crc32::checksum(&catalog_writes), 0xb5e9_c115);
     }
 
     #[test]
@@ -1063,9 +1020,6 @@ mod tests {
             .map(ServerFrame::Reply)
             .collect();
         frames.extend([
-            ServerFrame::Registered,
-            ServerFrame::Compacted { ran: true },
-            ServerFrame::Compacted { ran: false },
             ServerFrame::Pong,
             ServerFrame::Busy,
             ServerFrame::ProtocolError("bad magic".into()),
@@ -1141,6 +1095,25 @@ mod tests {
         let got = decode_stats(&mut ByteReader::new(&bytes)).expect("decodes");
         assert_eq!(got.metrics.stages, known);
         stats.metrics.stages = known;
+        assert_eq!(got, stats);
+    }
+
+    #[test]
+    fn a_kind_tag_this_build_does_not_know_is_skipped() {
+        // A server with request kinds this build lacks (as one with tags
+        // 10–12 was to every client built before them) stays readable.
+        let mut stats = sample_stats(None);
+        let known = stats.metrics.per_kind.clone();
+        stats.metrics.per_kind.insert(0, known[1].clone());
+        let mut w = ByteWriter::new();
+        encode_stats(&mut w, &stats);
+        let mut bytes = w.into_vec();
+        // The first kind's tag follows the kind count.
+        let mut count = ByteWriter::new();
+        count.put_usize(0);
+        bytes[count.into_vec().len()] = 0xEE;
+        let got = decode_stats(&mut ByteReader::new(&bytes)).expect("decodes");
+        stats.metrics.per_kind = known;
         assert_eq!(got, stats);
     }
 
@@ -1263,6 +1236,9 @@ mod tests {
                 ("append", 6),
                 ("delete", 7),
                 ("stats", 9),
+                ("register", 10),
+                ("register-weights", 11),
+                ("compact", 12),
             ]
         );
         let mut response_tags: Vec<u8> = all_responses()
@@ -1272,14 +1248,20 @@ mod tests {
             .collect();
         response_tags.sort_unstable();
         response_tags.dedup();
-        assert_eq!(response_tags, [1, 2, 3, 4, 7, 8, 9, 10]);
+        assert_eq!(response_tags, [1, 2, 3, 4, 7, 8, 9, 10, 11]);
         assert_eq!(
             [RESP_TOPK, RESP_MONO_EXACT, RESP_MONO_SAMPLED, RESP_RTOPK_BI],
             [1, 2, 3, 4]
         );
         assert_eq!(
-            [RESP_MUTATED, RESP_ERROR, RESP_PLAN, RESP_STATS],
-            [7, 8, 9, 10]
+            [
+                RESP_MUTATED,
+                RESP_ERROR,
+                RESP_PLAN,
+                RESP_STATS,
+                RESP_COMPACTED
+            ],
+            [7, 8, 9, 10, 11]
         );
 
         // …and the retired ones (requests 4 and 5, responses 5 and 6)
@@ -1294,6 +1276,23 @@ mod tests {
             let mut payload = ServerFrame::Reply(Response::TopK(Vec::new())).encode(1);
             payload[9] = retired;
             assert!(ServerFrame::decode(&payload).is_err());
+        }
+        // The retired control opcodes (client 0x02–0x04, server
+        // 0x82–0x83) decode as nothing: a frame carrying one is refused.
+        for (retired, body) in [
+            (0x02u8, &[][..]),
+            (0x03, &[]),
+            (0x04, &[]),
+            (0x82, &[]),
+            (0x83, &[1]),
+        ] {
+            let mut w = ByteWriter::new();
+            w.put_u64(1);
+            w.put_u8(retired);
+            let mut payload = w.into_vec();
+            payload.extend_from_slice(body);
+            assert!(ClientFrame::decode(&payload).is_err(), "{retired:#x}");
+            assert!(ServerFrame::decode(&payload).is_err(), "{retired:#x}");
         }
     }
 

@@ -154,6 +154,7 @@ fn describe(label: &str, response: &Response, fig: &figure1::Figure1) {
         Response::Mutated { live_len } => {
             println!("{label}: mutation applied, {live_len} live points");
         }
+        Response::Compacted { ran } => println!("{label}: compaction ran: {ran}"),
         Response::Stats(stats) => {
             println!(
                 "{label}: {} requests served",

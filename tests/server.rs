@@ -1569,15 +1569,69 @@ fn a_reset_connection_drops_its_queued_reads() {
 }
 
 #[test]
+fn a_wire_compaction_runs_on_the_pool_while_the_loop_answers_pings() {
+    // A merge of a 250k-row base and its overlay into a freshly
+    // bulk-loaded base is a catalog write, so it runs on the pool: pings
+    // a second connection sends after the compaction was read are all
+    // answered before the compaction's reply.
+    let server = Server::builder()
+        .engine(
+            Engine::builder()
+                .workers(2)
+                .overlay_limit(usize::MAX)
+                .build(),
+        )
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let engine = server.engine();
+    engine
+        .register_dataset("big", 3, scatter(250_000, 3, 7))
+        .unwrap();
+    engine.append_points("big", &scatter(20_000, 3, 8)).unwrap();
+    let doomed: Vec<u32> = (0..5_000).collect();
+    engine.delete_points("big", &doomed).unwrap();
+    let addr = server.local_addr();
+    let compaction = std::thread::spawn(move || {
+        let mut client = Client::connect_v2(addr).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .unwrap();
+        let ran = client.compact("big").map_err(|e| e.to_string());
+        (ran, Instant::now())
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().frames_in < 1 {
+        assert!(Instant::now() < deadline, "the compaction was never read");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(Duration::from_millis(20));
+    let mut pinger = Client::connect_v2(addr).unwrap();
+    let mut last_pong = Instant::now();
+    for _ in 0..8 {
+        pinger.ping().unwrap();
+        last_pong = Instant::now();
+    }
+    let (ran, replied) = compaction.join().unwrap();
+    assert_eq!(ran, Ok(true));
+    assert!(
+        last_pong < replied,
+        "a pong waited for the compaction: the loop ran the merge"
+    );
+    assert_eq!(engine.catalog().epoch("big").unwrap().base, 2);
+    server.shutdown();
+}
+
+#[test]
 fn a_reset_peer_s_max_budget_plans_stop_and_free_both_workers() {
-    // Two valid plans at the sampling cap (|S| = |Q| = 2^20, the engine's
-    // `MAX_SAMPLE_BUDGET`) over IND 100k×3 hold both workers of the pool;
-    // run out, each would take hours. The peer then leaves with our Hello
-    // unread, which reaches the server as a reset and dooms the
+    // Two valid plans at the largest square budget the engine admits
+    // (|S| = |Q| = 8191: |S|·(|Q|+1) within its 2^26 `MAX_PLAN_PAIRS`)
+    // over IND 100k×3 hold both workers of the pool; run out, each would
+    // take ~22 s optimised, past `BOUND`. The peer then leaves with our
+    // Hello unread, which reaches the server as a reset and dooms the
     // connection: the plans stop between steps or within a chunk of
     // samples, and a `TopK` past one leaf (never answered on the loop)
     // on a second connection is served within `BOUND` of the reset.
-    const BUDGET: usize = 1 << 20;
+    const BUDGET: usize = 8191;
     const BOUND: Duration = Duration::from_secs(10);
     let server = Server::builder()
         .engine(Engine::builder().workers(2).build())
