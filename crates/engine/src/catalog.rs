@@ -4,27 +4,35 @@
 //!
 //! ## Mutation lifecycle
 //!
+//! * **One way in.** Every catalog write is a mutation [`Request`] taken
+//!   by `Catalog::apply` — the pool's and the engine's mutations and
+//!   recovery's replay alike. It locks, validates, logs the request
+//!   itself as the WAL record, then moves its fields in (a
+//!   registration's coordinates are never copied): a failed log leaves
+//!   the catalog as it was ("unlogged means undone"), and an empty
+//!   append/delete logs nothing. The public surface only reads.
 //! * **Register** installs a fresh `Generation`: the base epoch, the
 //!   row-major coordinates, and the index and each named population's
 //!   [`ScoreTable`] built from them on first use, once
 //!   each — concurrent cold callers block on the one builder behind the
 //!   generation's [`OnceLock`], outside the catalog lock, so other
 //!   datasets never stall behind a build. Each build records one
-//!   [`Stage`] sample.
-//! * **Register**, **append** and **delete** lock, validate, log, then
-//!   apply (appends and deletes through the overlay, the index
-//!   untouched): a failed log leaves the catalog as it was ("unlogged
-//!   means undone"), and an empty append/delete logs nothing.
-//! * **Compaction** installs a new generation bulk-loaded from
-//!   [`Overlay::merge`]'s canonical order, bumping the base epoch, off
-//!   the request path; a mutation landing mid-merge abandons it. The old
-//!   generation's index and score tables die with it.
+//!   [`Stage`] sample. **Append** and **delete** go through the
+//!   overlay, the index untouched.
+//! * **Compaction** (`Request::Compact`, or the scheduled
+//!   `Job::Compact`'s `Catalog::compact_if`) installs a new generation
+//!   bulk-loaded from [`Overlay::merge`]'s canonical order, bumping the
+//!   base epoch, off the request path; a mutation landing mid-merge
+//!   abandons it. A generation's merge guard lets one merge of it run
+//!   at a time, so a second caller waits and then finds the epoch moved.
+//!   The old generation's index and score tables die with it.
 //! * **Recovery** rebuilds each overlay through [`Overlay::try_new`]
 //!   and each population through [`Weight::try_new`]: a snapshot the
 //!   catalog could not have written is a typed error.
 //!
 //! Every writer takes the lock through `Catalog::write`, so each hold is
-//! one [`Stage::CatalogWrite`] sample.
+//! one [`Stage::CatalogWrite`] sample. Lock order is merge guard, then
+//! catalog lock; no one takes a merge guard under the catalog lock.
 //!
 //! Every snapshot carries a [`DatasetEpoch`] triple
 //! `(base, delta, tombstones)` whose components only ever grow within a
@@ -34,9 +42,8 @@
 
 use crate::error::EngineError;
 use crate::metrics::StageHistograms;
-use crate::storage::{
-    CatalogState, DatasetState, Durability, StorageError, WalRecord, WalRecordRef, WeightSetState,
-};
+use crate::request::{check_finite, check_simplex, Request, RequestKind, Response};
+use crate::storage::{CatalogState, DatasetState, Durability, StorageError, WeightSetState};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,15 +71,36 @@ fn weight_from_state(w: Vec<f64>) -> Result<Weight, EngineError> {
 }
 
 /// A population has one dimension: every weight's is the first's.
-fn check_population_dim(weights: &[Weight]) -> Result<(), EngineError> {
-    let expected = weights.first().map_or(0, Weight::dim);
-    match weights.iter().find(|w| w.dim() != expected) {
+fn check_population_dim(weights: &[Vec<f64>]) -> Result<(), EngineError> {
+    let expected = weights.first().map_or(0, Vec::len);
+    match weights.iter().find(|w| w.len() != expected) {
         Some(w) => Err(EngineError::DimensionMismatch {
             expected,
-            got: w.dim(),
+            got: w.len(),
         }),
         None => Ok(()),
     }
+}
+
+/// A registration's shape and coordinates: a positive dimensionality,
+/// whole rows, finite throughout.
+fn check_registration(dim: usize, coords: &[f64]) -> Result<(), EngineError> {
+    if dim == 0 {
+        return Err(EngineError::ZeroDimension);
+    }
+    if !coords.len().is_multiple_of(dim) {
+        return Err(EngineError::RaggedCoordinates {
+            dim,
+            len: coords.len(),
+        });
+    }
+    check_finite(coords, "coordinates")
+}
+
+/// The reply to a request that writes nothing, should one reach
+/// [`Catalog::apply`].
+fn not_a_write(kind: RequestKind) -> Response {
+    Response::Error(format!("a {} request is not a catalog write", kind.name()))
 }
 
 /// The versions of one dataset snapshot. Any mutation strictly increases
@@ -191,6 +219,9 @@ struct Generation {
     epoch: u64,
     coords: Arc<Vec<f64>>,
     index: OnceLock<BuiltIndex>,
+    /// Held by [`Catalog::compact_if`] from its epoch check through the
+    /// install, so one merge of this base runs at a time.
+    merging: Mutex<()>,
     /// Keyed by population name: populations are immutable and a name is
     /// never re-registered, so a table never goes stale within its base.
     /// The lock covers only finding a population's cell, never a build.
@@ -212,6 +243,7 @@ impl DatasetEntry {
             epoch,
             coords: Arc::new(coords),
             index,
+            merging: Mutex::default(),
             tables: Mutex::default(),
         };
         Self {
@@ -380,87 +412,124 @@ impl Catalog {
             .expect("durability layer attached exactly once");
     }
 
-    /// Registers (or replaces) a dataset from a flat `n × dim` buffer.
-    /// Replacement bumps the base epoch and drops any built index.
+    /// The one catalog write: applies a mutation `request` and returns
+    /// its reply — [`Response::Mutated`] with the rows or weights a
+    /// registration took or the live count an append or delete left,
+    /// [`Response::Compacted`] for a compaction, which is
+    /// [`Catalog::compact_if`] at the current epoch. It locks,
+    /// validates, logs `request` as its WAL record, then moves the
+    /// fields in, so registered coordinates are never copied. A failed
+    /// log leaves the catalog as it was ("unlogged means undone"); an
+    /// empty append or delete changes and logs nothing. Re-registering
+    /// a dataset bumps its base epoch and drops its built index; a
+    /// delete is all-or-nothing. Recovery replays every WAL record
+    /// through here before the durability layer is attached, so nothing
+    /// is logged twice.
     ///
     /// # Errors
-    /// [`EngineError::ZeroDimension`] when `dim` is zero,
-    /// [`EngineError::RaggedCoordinates`] when the buffer length is not a
-    /// multiple of `dim`, [`EngineError::NonFiniteInput`] on NaN/infinite
-    /// coordinates.
-    pub fn register(&self, name: &str, dim: usize, coords: Vec<f64>) -> Result<(), EngineError> {
-        if dim == 0 {
-            return Err(EngineError::ZeroDimension);
-        }
-        if !coords.len().is_multiple_of(dim) {
-            return Err(EngineError::RaggedCoordinates {
+    /// A registration: [`EngineError::ZeroDimension`] /
+    /// [`EngineError::RaggedCoordinates`] / [`EngineError::NonFiniteInput`].
+    /// An append or delete: [`EngineError::UnknownDataset`] /
+    /// [`EngineError::RaggedCoordinates`] / [`EngineError::NonFiniteInput`]
+    /// / [`EngineError::DatasetFull`] / [`EngineError::UnknownPointId`]
+    /// (an unknown, already-deleted or repeated id). A population:
+    /// [`EngineError::NonFiniteInput`] / [`EngineError::InvalidWeight`] /
+    /// [`EngineError::DimensionMismatch`] / [`EngineError::WeightSetExists`]
+    /// (populations are immutable, so cached bichromatic results keyed on
+    /// the name never go stale). Any of them: [`EngineError::Durability`]
+    /// (nothing was applied).
+    pub(crate) fn apply(&self, request: Request) -> Result<Response, EngineError> {
+        let kind = request.kind();
+        // Validate — under the write lock wherever a check reads the
+        // catalog — and answer an empty append or delete right here.
+        let (mut inner, victims) = match &request {
+            Request::Compact { dataset } => {
+                let epoch = self.epoch(dataset)?;
+                let ran = self.compact_if(dataset, epoch)?;
+                return Ok(Response::Compacted { ran });
+            }
+            Request::Register { dim, coords, .. } => {
+                check_registration(*dim, coords)?;
+                (self.write(), Vec::new())
+            }
+            Request::RegisterWeights { name, weights } => {
+                for w in weights {
+                    check_simplex(w, "weight set")?;
+                }
+                check_population_dim(weights)?;
+                let inner = self.write();
+                if inner.weight_sets.contains_key(name) {
+                    return Err(EngineError::WeightSetExists(name.clone()));
+                }
+                (inner, Vec::new())
+            }
+            Request::Append { dataset, points } => {
+                check_finite(points, "coordinates")?;
+                let inner = self.write();
+                let overlay = &inner.dataset(dataset)?.overlay;
+                overlay.check_append(points)?;
+                if points.is_empty() {
+                    let live_len = overlay.live_len();
+                    return Ok(Response::Mutated { live_len });
+                }
+                (inner, Vec::new())
+            }
+            Request::Delete { dataset, ids } => {
+                let inner = self.write();
+                let overlay = &inner.dataset(dataset)?.overlay;
+                let victims = overlay.check_delete(ids)?;
+                if victims.is_empty() {
+                    let live_len = overlay.live_len();
+                    return Ok(Response::Mutated { live_len });
+                }
+                (inner, victims)
+            }
+            _ => return Ok(not_a_write(kind)),
+        };
+        self.log(&request)?;
+        let live_len = match request {
+            Request::Register {
+                dataset,
                 dim,
-                len: coords.len(),
-            });
-        }
-        crate::request::check_finite(&coords, "coordinates")?;
-        let mut inner = self.write();
-        let base_epoch = inner.datasets.get(name).map_or(1, |old| old.base.epoch + 1);
-        self.log(WalRecordRef::Register {
-            name,
-            dim: dim as u64,
-            coords: &coords,
-        })?;
-        let entry = DatasetEntry::new(dim, base_epoch, coords, OnceLock::new());
-        inner.datasets.insert(name.to_string(), entry);
-        Ok(())
-    }
-
-    /// Appends points to a dataset's overlay: validate, log, then apply
-    /// ([`Overlay::append`] — in place unless a snapshot holds the
-    /// buffers). No index is dropped or rebuilt; an empty append changes
-    /// and logs nothing. Returns the live point count after the append.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownDataset`] / [`EngineError::RaggedCoordinates`]
-    /// / [`EngineError::NonFiniteInput`] / [`EngineError::DatasetFull`] /
-    /// [`EngineError::Durability`] (nothing was applied).
-    pub fn append(&self, name: &str, points: &[f64]) -> Result<usize, EngineError> {
-        crate::request::check_finite(points, "coordinates")?;
-        let mut inner = self.write();
-        let entry = inner.dataset_mut(name)?;
-        entry.overlay.check_append(points)?;
-        if points.is_empty() {
-            return Ok(entry.overlay.live_len()); // not a mutation: nothing to log
-        }
-        self.log(WalRecordRef::Append { name, points })?;
-        entry.overlay.append(points);
-        Ok(self.absorbed(entry))
-    }
-
-    /// Deletes points by id: validate, log, then apply — base rows are
-    /// tombstoned, appended rows dropped ([`Overlay::delete`]), no index
-    /// touched. All-or-nothing: an unknown, already-deleted or repeated
-    /// id fails the whole call without mutating or logging anything; an
-    /// empty delete changes and logs nothing. Returns the live count
-    /// after.
-    ///
-    /// # Errors
-    /// [`EngineError::UnknownDataset`] / [`EngineError::UnknownPointId`] /
-    /// [`EngineError::Durability`] (nothing was applied).
-    pub fn delete(&self, name: &str, ids: &[u32]) -> Result<usize, EngineError> {
-        let mut inner = self.write();
-        let entry = inner.dataset_mut(name)?;
-        let victims = entry.overlay.check_delete(ids)?;
-        if victims.is_empty() {
-            return Ok(entry.overlay.live_len()); // not a mutation: nothing to log
-        }
-        self.log(WalRecordRef::Delete { name, ids })?;
-        let base_row = row_major(&entry.base.coords, entry.dim);
-        entry.overlay.delete(&victims, base_row);
-        Ok(self.absorbed(entry))
+                coords,
+            } => {
+                let rows = coords.len() / dim;
+                let base_epoch = inner
+                    .datasets
+                    .get(&dataset)
+                    .map_or(1, |old| old.base.epoch + 1);
+                let entry = DatasetEntry::new(dim, base_epoch, coords, OnceLock::new());
+                inner.datasets.insert(dataset, entry);
+                rows
+            }
+            Request::RegisterWeights { name, weights } => {
+                // Every vector passed `Weight::check` above.
+                let population: Vec<Weight> = weights.into_iter().map(Weight::new).collect();
+                let size = population.len();
+                inner.weight_sets.insert(name, Arc::new(population));
+                size
+            }
+            Request::Append { dataset, points } => {
+                let entry = inner.dataset_mut(&dataset)?;
+                entry.overlay.append(&points);
+                self.absorbed(entry)
+            }
+            Request::Delete { dataset, .. } => {
+                let entry = inner.dataset_mut(&dataset)?;
+                let base_row = row_major(&entry.base.coords, entry.dim);
+                entry.overlay.delete(&victims, base_row);
+                self.absorbed(entry)
+            }
+            _ => return Ok(not_a_write(kind)),
+        };
+        Ok(Response::Mutated { live_len })
     }
 
     /// Writes a mutation's WAL record — before anything is applied, so a
     /// failed log needs no roll-back. A no-op without a durability layer.
-    fn log(&self, record: WalRecordRef<'_>) -> Result<(), EngineError> {
+    fn log(&self, request: &Request) -> Result<(), EngineError> {
         match self.durability.get() {
-            Some(d) => d.log(record).map(|_| ()).map_err(durability_err),
+            Some(d) => d.log(request).map(|_| ()).map_err(durability_err),
             None => Ok(()),
         }
     }
@@ -487,31 +556,6 @@ impl Catalog {
             self.rebuilds_avoided.fetch_add(1, Ordering::Relaxed);
         }
         entry.overlay.live_len()
-    }
-
-    /// Registers an immutable weight population. Each [`Weight`] is
-    /// valid by construction; the population must have one dimension.
-    ///
-    /// # Errors
-    /// [`EngineError::WeightSetExists`] when the name is taken —
-    /// populations are immutable so cached bichromatic results keyed on
-    /// the name can never go stale; register a new name instead.
-    /// [`EngineError::DimensionMismatch`] when a weight's dimension is
-    /// not the first's. Nothing is logged on either.
-    pub fn register_weights(&self, name: &str, weights: Vec<Weight>) -> Result<(), EngineError> {
-        check_population_dim(&weights)?;
-        let mut inner = self.write();
-        if inner.weight_sets.contains_key(name) {
-            return Err(EngineError::WeightSetExists(name.to_string()));
-        }
-        self.log(WalRecordRef::RegisterWeights {
-            name,
-            weights: &weights,
-        })?;
-        inner
-            .weight_sets
-            .insert(name.to_string(), Arc::new(weights));
-        Ok(())
     }
 
     /// A registered weight population.
@@ -587,11 +631,24 @@ impl Catalog {
     /// check-merge-recheck dance makes compaction safe to run
     /// concurrently with mutations: a mutation that lands mid-merge
     /// abandons this attempt (its own trigger will schedule the next
-    /// one). Returns whether a merge was installed.
+    /// one). The generation's merge guard is held from the epoch check
+    /// through the install, so a second caller for the same epoch waits
+    /// for this merge and then returns `Ok(false)` instead of repeating
+    /// it. Returns whether a merge was installed.
     ///
     /// # Errors
-    /// [`EngineError::UnknownDataset`].
-    pub fn compact_if(&self, name: &str, epoch: DatasetEpoch) -> Result<bool, EngineError> {
+    /// [`EngineError::UnknownDataset`] / [`EngineError::Durability`]
+    /// (the `Compact` record was not logged: nothing installed).
+    pub(crate) fn compact_if(&self, name: &str, epoch: DatasetEpoch) -> Result<bool, EngineError> {
+        // The guard comes before the catalog lock, never under it.
+        let generation = self
+            .inner
+            .read()
+            .expect("catalog lock")
+            .dataset(name)?
+            .base
+            .clone();
+        let _merging = generation.merging.lock().expect("merge guard lock");
         // Deliberately NOT through `handle()`, which would lazily build
         // the *stale* base index only for this merge to throw it away:
         // the merge needs the base coordinates alone.
@@ -615,7 +672,10 @@ impl Catalog {
         // trigger survive untouched), so the WAL always carries the
         // record for any installed base.
         let logged = if entry.epoch() == epoch {
-            self.log(WalRecordRef::Compact { name }).map(|()| true)
+            let request = Request::Compact {
+                dataset: name.to_string(),
+            };
+            self.log(&request).map(|()| true)
         } else {
             Ok(false) // superseded mid-merge
         };
@@ -785,50 +845,15 @@ impl Catalog {
                 .insert(d.name, DatasetEntry { overlay, ..fresh });
         }
         for ws in state.weight_sets {
+            check_population_dim(&ws.weights).map_err(|e| broken(&e.to_string()))?;
             let weights = ws
                 .weights
                 .into_iter()
                 .map(weight_from_state)
                 .collect::<Result<Vec<Weight>, EngineError>>()?;
-            check_population_dim(&weights).map_err(|e| broken(&e.to_string()))?;
             inner.weight_sets.insert(ws.name, Arc::new(weights));
         }
         Ok(())
-    }
-
-    /// Replays one WAL record onto the catalog. Runs only during
-    /// recovery, strictly before the durability layer is attached, so
-    /// the replayed mutation is not logged a second time.
-    ///
-    /// # Errors
-    /// Propagates the underlying mutation error — any failure means the
-    /// durable log is inconsistent with the catalog's invariants.
-    pub(crate) fn apply_replay(&self, rec: WalRecord) -> Result<(), EngineError> {
-        match rec {
-            WalRecord::Register { name, dim, coords } => {
-                let dim = usize::try_from(dim).map_err(|_| EngineError::Durability {
-                    reason: "replayed register has an impossible dimensionality".to_string(),
-                })?;
-                self.register(&name, dim, coords)
-            }
-            WalRecord::Append { name, points } => self.append(&name, &points).map(|_| ()),
-            WalRecord::Delete { name, ids } => self.delete(&name, &ids).map(|_| ()),
-            WalRecord::RegisterWeights { name, weights } => {
-                let weights = weights
-                    .into_iter()
-                    .map(weight_from_state)
-                    .collect::<Result<Vec<Weight>, EngineError>>()?;
-                self.register_weights(&name, weights)
-            }
-            WalRecord::Compact { name } => {
-                // A logged Compact means the merge installed at exactly
-                // this point in the mutation order; the replayed catalog
-                // is in the same pre-merge state, so compacting at the
-                // current epoch reproduces the same base generation.
-                let epoch = self.epoch(&name)?;
-                self.compact_if(&name, epoch).map(|_| ())
-            }
-        }
     }
 
     /// Writes a full snapshot now and resets the WAL, returning whether
@@ -838,7 +863,7 @@ impl Catalog {
     /// # Errors
     /// [`EngineError::Durability`] when the snapshot cannot be
     /// installed; the previous snapshot and the full WAL remain intact.
-    pub fn checkpoint(&self) -> Result<bool, EngineError> {
+    pub(crate) fn checkpoint(&self) -> Result<bool, EngineError> {
         let Some(d) = self.durability.get() else {
             return Ok(false);
         };
@@ -878,6 +903,44 @@ mod tests {
     use super::*;
     use crate::storage::{FsyncPolicy, MemBackend, StorageBackend};
     use std::sync::atomic::AtomicBool;
+
+    /// The catalog's typed writes, as requests through [`Catalog::apply`].
+    impl Catalog {
+        fn register(&self, name: &str, dim: usize, coords: Vec<f64>) -> Result<(), EngineError> {
+            let dataset = name.to_string();
+            let request = Request::Register {
+                dataset,
+                dim,
+                coords,
+            };
+            self.apply(request).map(drop)
+        }
+
+        fn append(&self, name: &str, points: &[f64]) -> Result<usize, EngineError> {
+            let (dataset, points) = (name.to_string(), points.to_vec());
+            self.apply(Request::Append { dataset, points })
+                .map(live_len)
+        }
+
+        fn delete(&self, name: &str, ids: &[u32]) -> Result<usize, EngineError> {
+            let (dataset, ids) = (name.to_string(), ids.to_vec());
+            self.apply(Request::Delete { dataset, ids }).map(live_len)
+        }
+
+        fn register_weights(&self, name: &str, weights: Vec<Weight>) -> Result<(), EngineError> {
+            let name = name.to_string();
+            let weights = weights.into_iter().map(Weight::into_vec).collect();
+            self.apply(Request::RegisterWeights { name, weights })
+                .map(drop)
+        }
+    }
+
+    fn live_len(reply: Response) -> usize {
+        match reply {
+            Response::Mutated { live_len } => live_len,
+            other => panic!("expected a mutation reply, got {other:?}"),
+        }
+    }
 
     fn unit_square() -> Vec<f64> {
         vec![0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0, 1.0]
@@ -1211,6 +1274,50 @@ mod tests {
         // this catalog's policy never fsyncs.
         assert_eq!(samples(Stage::WalAppend), 4);
         assert_eq!(samples(Stage::Fsync), 0);
+    }
+
+    #[test]
+    fn a_requested_compaction_racing_the_scheduled_one_merges_once() {
+        // Two callers compact the same epoch at once, as a requested
+        // compaction racing the scheduled one: whichever takes the
+        // generation's merge guard second waits, then finds the epoch
+        // moved.
+        let uniform = |n: usize, seed: u64| -> Vec<f64> {
+            let mut x = seed;
+            (0..n * 3)
+                .map(|_| {
+                    x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (x >> 11) as f64 / (1u64 << 53) as f64
+                })
+                .collect()
+        };
+        for round in 0..3 {
+            let c = Catalog::new();
+            c.register("u", 3, uniform(60_000, round)).unwrap();
+            c.handle("u").unwrap();
+            c.append("u", &uniform(10_000, round + 100)).unwrap();
+            let epoch = c.epoch("u").unwrap();
+            let before = c.stats();
+            let start = std::sync::Barrier::new(2);
+            let compact = || {
+                start.wait();
+                c.compact_if("u", epoch).unwrap()
+            };
+            let ran = std::thread::scope(|s| {
+                let first = s.spawn(compact);
+                let second = compact();
+                [first.join().unwrap(), second]
+            });
+            assert_eq!(ran.iter().filter(|&&r| r).count(), 1, "round {round}");
+            let after = c.stats();
+            assert_eq!(after.index_builds - before.index_builds, 1, "round {round}");
+            assert_eq!(after.compactions - before.compactions, 1, "round {round}");
+            assert_eq!(
+                after.compactions_abandoned - before.compactions_abandoned,
+                0,
+                "round {round}"
+            );
+        }
     }
 
     #[test]

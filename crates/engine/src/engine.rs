@@ -162,8 +162,13 @@ impl EngineBuilder {
             if let Some(state) = recovered.state {
                 catalog.restore_state(state)?;
             }
-            for rec in recovered.records {
-                catalog.apply_replay(rec)?;
+            for (lsn, request) in recovered.records {
+                let kind = request.kind().name();
+                catalog
+                    .apply(request)
+                    .map_err(|e| EngineError::Durability {
+                        reason: format!("wal record {lsn} ({kind}) does not replay: {e}"),
+                    })?;
             }
             catalog.record_stage(Stage::Replay, started);
             // Attach only now: the replay above must not log again.
@@ -318,13 +323,10 @@ impl Engine {
         }
     }
 
-    /// Read access to the catalog (names, epochs, handles).
-    ///
-    /// Mutations should go through [`Engine::register_dataset`] /
-    /// [`Engine::append_points`] / [`Engine::delete_points`] (or the
-    /// matching requests), which also schedule compactions. (Mutating the
-    /// catalog directly is still *safe* — epoch-keyed cache entries can
-    /// never serve stale data — it merely skips the compaction trigger.)
+    /// Read access to the catalog (names, epochs, handles). Its public
+    /// surface only reads: every write is a mutation request, submitted
+    /// or made through [`Engine::register_dataset`] and its siblings,
+    /// which also schedule compactions.
     pub fn catalog(&self) -> &Catalog {
         &self.ctx.catalog
     }
@@ -333,7 +335,9 @@ impl Engine {
     /// [`Request::Register`], run on the calling thread.
     ///
     /// # Errors
-    /// See [`Catalog::register`].
+    /// [`EngineError::ZeroDimension`] / [`EngineError::RaggedCoordinates`]
+    /// / [`EngineError::NonFiniteInput`] / [`EngineError::Durability`]
+    /// (nothing was registered).
     pub fn register_dataset(
         &self,
         name: &str,
@@ -355,7 +359,10 @@ impl Engine {
     /// to submitting [`Request::Append`].
     ///
     /// # Errors
-    /// See [`Catalog::append`].
+    /// [`EngineError::UnknownDataset`] / [`EngineError::RaggedCoordinates`]
+    /// / [`EngineError::NonFiniteInput`] / [`EngineError::DatasetFull`] /
+    /// [`EngineError::Durability`] (nothing was appended). An empty
+    /// append changes and logs nothing.
     pub fn append_points(&self, name: &str, points: &[f64]) -> Result<usize, EngineError> {
         let dataset = name.to_string();
         let points = points.to_vec();
@@ -369,7 +376,10 @@ impl Engine {
     /// the live point count. Equivalent to submitting [`Request::Delete`].
     ///
     /// # Errors
-    /// See [`Catalog::delete`].
+    /// [`EngineError::UnknownDataset`] / [`EngineError::UnknownPointId`]
+    /// (an unknown, already-deleted or repeated id: nothing is deleted) /
+    /// [`EngineError::Durability`] (nothing was deleted). An empty
+    /// delete changes and logs nothing.
     pub fn delete_points(&self, name: &str, ids: &[u32]) -> Result<usize, EngineError> {
         let (dataset, ids) = (name.to_string(), ids.to_vec());
         mutate(&self.ctx, Request::Delete { dataset, ids }).map(live_len)
@@ -393,7 +403,12 @@ impl Engine {
     /// submitting [`Request::RegisterWeights`].
     ///
     /// # Errors
-    /// See [`Catalog::register_weights`].
+    /// [`EngineError::WeightSetExists`] when the name is taken —
+    /// populations are immutable, so cached bichromatic results keyed on
+    /// the name never go stale; register a new name instead.
+    /// [`EngineError::DimensionMismatch`] when a weight's dimension is
+    /// not the first's, [`EngineError::Durability`] when the population
+    /// could not be logged. Nothing is registered on any of them.
     pub fn register_weights(&self, name: &str, weights: Vec<Weight>) -> Result<(), EngineError> {
         let name = name.to_string();
         let weights = weights.into_iter().map(Weight::into_vec).collect();

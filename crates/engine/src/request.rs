@@ -474,12 +474,19 @@ impl Request {
     }
 
     /// Appends the request's wire encoding: the kind's tag from
-    /// [`REQUEST_KIND_TABLE`], then its fields in declaration order
-    /// (integers little-endian, floats by bit pattern, strings and
-    /// vectors length-prefixed). The server's submit frame carries
-    /// exactly these bytes, and [`Request::fingerprint`] hashes them.
+    /// [`REQUEST_KIND_TABLE`], then the request's body (`encode_body`). The
+    /// server's submit frame carries exactly these bytes, and
+    /// [`Request::fingerprint`] hashes them.
     pub fn encode_into(&self, w: &mut ByteWriter) {
         w.put_u8(self.kind().wire_tag());
+        self.encode_body(w);
+    }
+
+    /// Appends the request's fields in declaration order (integers
+    /// little-endian, floats by bit pattern, strings and vectors
+    /// length-prefixed), without the kind's tag: the body a submit frame
+    /// and a WAL record both carry behind their own tag byte.
+    pub(crate) fn encode_body(&self, w: &mut ByteWriter) {
         match self {
             Request::TopK { dataset, weight, k } => {
                 w.put_str(dataset);
@@ -574,6 +581,19 @@ impl Request {
         let tag = r.take_u8("request tag")?;
         let kind =
             RequestKind::from_wire_tag(tag).ok_or(DecodeError::new("unknown request tag"))?;
+        Request::decode_body(kind, r)
+    }
+
+    /// Reads the body [`Request::encode_body`] wrote for a request of
+    /// `kind`, as unvalidated as [`Request::decode`].
+    ///
+    /// # Errors
+    /// [`DecodeError`] on a truncated field or a count longer than the
+    /// remaining bytes.
+    pub(crate) fn decode_body(
+        kind: RequestKind,
+        r: &mut ByteReader<'_>,
+    ) -> Result<Request, DecodeError> {
         Ok(match kind {
             RequestKind::TopK => Request::TopK {
                 dataset: r.take_str("dataset")?,

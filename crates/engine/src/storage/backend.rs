@@ -40,7 +40,8 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     fn wal_append(&self, record: &[u8]) -> io::Result<()>;
 
     /// Truncates the WAL to `len` bytes (cutting a torn tail after a
-    /// crash) and makes the truncation durable.
+    /// crash, or the part of a failed append that landed) and makes the
+    /// truncation durable.
     fn wal_truncate(&self, len: u64) -> io::Result<()>;
 
     /// The current snapshot image, or `None` when none was ever

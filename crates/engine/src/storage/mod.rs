@@ -4,19 +4,20 @@
 //! memtable, id-sorted tombstones) is already LSM-shaped; this module
 //! persists it as the classic pair:
 //!
-//! * a **WAL** of mutation records (see [`record`]) appended inside the
-//!   catalog's write lock, so log order *is* apply order;
+//! * a **WAL** of mutation [`Request`]s (see [`record`]) appended inside
+//!   the catalog's write lock, so log order *is* apply order;
 //! * a **snapshot** of the full catalog (see [`snapshot`]) written
 //!   atomically whenever a compaction installs (and on explicit
 //!   [`crate::Engine::checkpoint`] calls), after which the WAL resets.
 //!
 //! **Recovery** ([`Durability::open`]) loads the snapshot, truncates any
 //! torn WAL tail to the longest valid prefix, and hands back the records
-//! beyond the snapshot's LSN; the engine replays them through the same
-//! catalog mutation methods that produced them, so the recovered catalog
-//! answers every request **bit-identically** to the never-restarted one
-//! and resumes the exact epoch triple (the snapshot persists the
-//! monotone `appends`/`deletes` counters, not just the live rows).
+//! beyond the snapshot's LSN; the engine replays them through
+//! `Catalog::apply`, the one catalog write that logged them, so the
+//! recovered catalog answers every request **bit-identically** to the
+//! never-restarted one and resumes the exact epoch triple (the snapshot
+//! persists the monotone `appends`/`deletes` counters, not just the live
+//! rows).
 //!
 //! ## Failure taxonomy
 //!
@@ -28,6 +29,14 @@
 //! a non-monotonic LSN — cannot be produced by a crash under this
 //! design, so it surfaces as a typed [`StorageError`], never a panic and
 //! never silent data loss.
+//!
+//! A *failed append* — a short write, ENOSPC, a failed fsync — is cut
+//! back: [`Durability::log`] truncates the log to the length it had
+//! before the record, so a refused mutation neither returns on restart
+//! nor hides the records logged after it behind torn bytes. When that
+//! truncation fails too, the log stops: every later append is
+//! [`StorageError::WalStopped`], and nothing is acknowledged behind
+//! bytes recovery could not read past.
 //!
 //! ## Fsync policy
 //!
@@ -44,13 +53,14 @@ pub mod snapshot;
 pub use backend::{
     DiskBackend, MemBackend, StorageBackend, SNAPSHOT_FILE, SNAPSHOT_TMP_FILE, WAL_FILE,
 };
-pub use record::{WalReadout, WalRecord, WalRecordRef, MAX_WAL_RECORD_LEN, RECORD_MAGIC};
+pub use record::{WalReadout, MAX_WAL_RECORD_LEN, RECORD_MAGIC, WAL_TAGS};
 pub use snapshot::{CatalogState, DatasetState, WeightSetState, SNAPSHOT_MAGIC};
 
 use crate::metrics::StageHistograms;
+use crate::request::Request;
 use std::fmt;
 use std::io;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 use wqrtq_obs::Stage;
 
@@ -104,6 +114,15 @@ pub enum StorageError {
         /// The cap.
         max: usize,
     },
+    /// The request is no mutation, so the log has no record for it.
+    NotAMutation {
+        /// The request kind's display name.
+        kind: &'static str,
+    },
+    /// A failed append could not be cut back, so the log may end in
+    /// bytes recovery stops at; it takes no more records until the data
+    /// directory is reopened.
+    WalStopped,
 }
 
 impl fmt::Display for StorageError {
@@ -120,6 +139,13 @@ impl fmt::Display for StorageError {
             StorageError::OversizedRecord { len, max } => {
                 write!(f, "wal record of {len} bytes exceeds the {max}-byte cap")
             }
+            StorageError::NotAMutation { kind } => {
+                write!(f, "a {kind} request is no mutation and has no wal record")
+            }
+            StorageError::WalStopped => write!(
+                f,
+                "wal stopped: a failed append could not be cut back; reopen to recover"
+            ),
         }
     }
 }
@@ -156,9 +182,9 @@ pub struct Recovered {
     pub durability: Durability,
     /// The snapshot image, if one was ever installed.
     pub state: Option<CatalogState>,
-    /// WAL records beyond the snapshot, in log order, to replay through
-    /// the normal catalog mutation methods.
-    pub records: Vec<WalRecord>,
+    /// WAL records beyond the snapshot, in log order, each with its LSN,
+    /// to replay through the catalog's one write entry point.
+    pub records: Vec<(u64, Request)>,
 }
 
 /// One engine's durability layer: an LSN allocator over a
@@ -173,6 +199,11 @@ pub struct Durability {
     next_lsn: AtomicU64,
     /// Appends since the last fsync (drives [`FsyncPolicy::EveryN`]).
     unsynced: AtomicU64,
+    /// WAL bytes up to the end of the last acknowledged record: where a
+    /// failed append is cut back to.
+    wal_len: AtomicU64,
+    /// Set when a cut-back failed: no later record is acknowledged.
+    stopped: AtomicBool,
     wal_appends: AtomicU64,
     snapshot_writes: AtomicU64,
     recoveries: AtomicU64,
@@ -220,17 +251,18 @@ impl Durability {
         }
         let snapshot_lsn = state.as_ref().map_or(0, |s| s.last_lsn);
         let next_lsn = prev_lsn.unwrap_or(0).max(snapshot_lsn) + 1;
-        let records: Vec<WalRecord> = readout
+        let records: Vec<(u64, Request)> = readout
             .records
             .into_iter()
             .filter(|&(lsn, _)| lsn > snapshot_lsn)
-            .map(|(_, rec)| rec)
             .collect();
         let durability = Durability {
             backend,
             fsync,
             next_lsn: AtomicU64::new(next_lsn),
             unsynced: AtomicU64::new(0),
+            wal_len: AtomicU64::new(readout.valid_len),
+            stopped: AtomicBool::new(false),
             wal_appends: AtomicU64::new(0),
             snapshot_writes: AtomicU64::new(0),
             recoveries: AtomicU64::new(u64::from(had_state)),
@@ -259,18 +291,33 @@ impl Durability {
         }
     }
 
-    /// Appends one mutation record under a fresh LSN, fsyncing per
+    /// Appends `request`'s record under a fresh LSN, fsyncing per
     /// policy, and returns the LSN. Callers hold the catalog write lock,
     /// so log order equals apply order.
     ///
+    /// A failed append or fsync leaves the log as it was: whatever part
+    /// of the record reached it is truncated away before the error
+    /// returns, so a refused mutation neither comes back on restart nor
+    /// hides the records after it behind torn bytes. If that truncation
+    /// fails too, the log stops, and every later call is
+    /// [`StorageError::WalStopped`].
+    ///
     /// # Errors
-    /// [`StorageError::OversizedRecord`] /  [`StorageError::Io`].
-    pub fn log(&self, rec: WalRecordRef<'_>) -> Result<u64, StorageError> {
-        // ordering: Relaxed — LSN ticket; callers serialize under the
-        // catalog write lock (see doc comment), which is the
-        // happens-before edge, so the counter only needs atomicity.
+    /// [`StorageError::NotAMutation`] / [`StorageError::OversizedRecord`]
+    /// / [`StorageError::Io`] / [`StorageError::WalStopped`].
+    pub fn log(&self, request: &Request) -> Result<u64, StorageError> {
+        // ordering: Relaxed — the stop flag, the LSN ticket and the log
+        // length are all read and written under the catalog write lock
+        // (see doc comment), which is the happens-before edge, so each
+        // only needs atomicity.
+        if self.stopped.load(Ordering::Relaxed) {
+            return Err(StorageError::WalStopped);
+        }
         let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
-        let framed = rec.encode(lsn);
+        let start = self.wal_len.load(Ordering::Relaxed);
+        let framed = record::encode(lsn, request).ok_or(StorageError::NotAMutation {
+            kind: request.kind().name(),
+        })?;
         let payload_len = framed.len() - record::RECORD_HEADER_LEN;
         if payload_len > MAX_WAL_RECORD_LEN {
             return Err(StorageError::OversizedRecord {
@@ -295,8 +342,27 @@ impl Durability {
                 }
             }
         };
+        if let Err(e) = self.write(&framed, sync) {
+            // ordering: Relaxed — under the catalog write lock, as above.
+            if self.backend.wal_truncate(start).is_err() {
+                self.stopped.store(true, Ordering::Relaxed);
+            }
+            return Err(e.into());
+        }
+        // ordering: Relaxed — the log length under the catalog write
+        // lock, as above; `wal_appends` is a monotonic stats counter,
+        // read only by `stats()`.
+        self.wal_len
+            .store(start + framed.len() as u64, Ordering::Relaxed);
+        self.wal_appends.fetch_add(1, Ordering::Relaxed);
+        Ok(lsn)
+    }
+
+    /// Appends one framed record and, when `sync`, fsyncs the log: one
+    /// [`Stage::WalAppend`] sample and, when synced, one [`Stage::Fsync`].
+    fn write(&self, framed: &[u8], sync: bool) -> io::Result<()> {
         let started = Instant::now();
-        let appended = self.backend.wal_append(&framed);
+        let appended = self.backend.wal_append(framed);
         self.record(Stage::WalAppend, started);
         appended?;
         if sync {
@@ -305,10 +371,7 @@ impl Durability {
             self.record(Stage::Fsync, started);
             synced?;
         }
-        // ordering: Relaxed — monotonic stats counter, read only by
-        // `stats()`.
-        self.wal_appends.fetch_add(1, Ordering::Relaxed);
-        Ok(lsn)
+        Ok(())
     }
 
     /// Atomically installs `state` as the current snapshot and resets
@@ -318,14 +381,24 @@ impl Durability {
     /// # Errors
     /// [`StorageError::Io`]. The install sequence is crash-safe at
     /// every step, so a failure here never loses acknowledged state —
-    /// at worst the old snapshot plus the full WAL remain.
+    /// at worst the old snapshot plus the full WAL remain. A failed
+    /// install may or may not have reset the log, so its length is read
+    /// back for the next cut-back; if it cannot be, the log stops.
     pub fn checkpoint(&self, state: &CatalogState) -> Result<(), StorageError> {
         let started = Instant::now();
         let installed = self.backend.install_checkpoint(&state.encode());
         self.record(Stage::Checkpoint, started);
-        installed?;
-        // ordering: Relaxed — monotonic stats counter, read only by
-        // `stats()`.
+        // ordering: Relaxed — the log length and the stop flag under the
+        // catalog write lock, as in `log`; `snapshot_writes` is a
+        // monotonic stats counter, read only by `stats()`.
+        if let Err(e) = installed {
+            match self.backend.wal_bytes() {
+                Ok(image) => self.wal_len.store(image.len() as u64, Ordering::Relaxed),
+                Err(_) => self.stopped.store(true, Ordering::Relaxed),
+            }
+            return Err(e.into());
+        }
+        self.wal_len.store(0, Ordering::Relaxed);
         self.snapshot_writes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -382,15 +455,15 @@ mod tests {
         let mem = MemBackend::new();
         {
             let d = open_mem(&mem).durability;
-            d.log(WalRecordRef::Register {
-                name: "p",
+            d.log(&Request::Register {
+                dataset: "p".into(),
                 dim: 1,
-                coords: &[1.0, 2.0],
+                coords: vec![1.0, 2.0],
             })
             .unwrap();
-            d.log(WalRecordRef::Append {
-                name: "p",
-                points: &[3.0],
+            d.log(&Request::Append {
+                dataset: "p".into(),
+                points: vec![3.0],
             })
             .unwrap();
             assert_eq!(d.stats().wal_appends, 2);
@@ -403,7 +476,9 @@ mod tests {
         // Appending resumes past the recovered LSNs.
         assert_eq!(
             rec.durability
-                .log(WalRecordRef::Compact { name: "p" })
+                .log(&Request::Compact {
+                    dataset: "p".into(),
+                })
                 .unwrap(),
             3
         );
@@ -413,10 +488,10 @@ mod tests {
     fn checkpoint_resets_the_wal_and_bounds_replay() {
         let mem = MemBackend::new();
         let d = open_mem(&mem).durability;
-        d.log(WalRecordRef::Register {
-            name: "p",
+        d.log(&Request::Register {
+            dataset: "p".into(),
             dim: 1,
-            coords: &[1.0],
+            coords: vec![1.0],
         })
         .unwrap();
         let state = CatalogState {
@@ -425,9 +500,9 @@ mod tests {
         };
         d.checkpoint(&state).unwrap();
         assert_eq!(mem.wal_len(), 0);
-        d.log(WalRecordRef::Append {
-            name: "p",
-            points: &[2.0],
+        d.log(&Request::Append {
+            dataset: "p".into(),
+            points: vec![2.0],
         })
         .unwrap();
         drop(d);
@@ -435,7 +510,7 @@ mod tests {
         assert_eq!(rec.state.as_ref().unwrap().last_lsn, 1);
         // Only the post-checkpoint record replays.
         assert_eq!(rec.records.len(), 1);
-        assert!(matches!(rec.records[0], WalRecord::Append { .. }));
+        assert!(matches!(rec.records[0], (_, Request::Append { .. })));
         assert_eq!(rec.durability.last_lsn(), 2);
     }
 
@@ -445,15 +520,15 @@ mod tests {
         // truncation: old records linger with LSNs the snapshot covers.
         let mem = MemBackend::new();
         let d = open_mem(&mem).durability;
-        d.log(WalRecordRef::Register {
-            name: "p",
+        d.log(&Request::Register {
+            dataset: "p".into(),
             dim: 1,
-            coords: &[1.0],
+            coords: vec![1.0],
         })
         .unwrap();
-        d.log(WalRecordRef::Append {
-            name: "p",
-            points: &[2.0],
+        d.log(&Request::Append {
+            dataset: "p".into(),
+            points: vec![2.0],
         })
         .unwrap();
         drop(d);
@@ -472,14 +547,14 @@ mod tests {
     fn torn_tail_is_truncated_and_appending_resumes() {
         let mem = MemBackend::new();
         let d = open_mem(&mem).durability;
-        d.log(WalRecordRef::Append {
-            name: "p",
-            points: &[1.0],
+        d.log(&Request::Append {
+            dataset: "p".into(),
+            points: vec![1.0],
         })
         .unwrap();
-        d.log(WalRecordRef::Append {
-            name: "p",
-            points: &[2.0],
+        d.log(&Request::Append {
+            dataset: "p".into(),
+            points: vec![2.0],
         })
         .unwrap();
         drop(d);
@@ -492,9 +567,9 @@ mod tests {
         // correctly (strictly increasing from the surviving prefix).
         assert_eq!(
             rec.durability
-                .log(WalRecordRef::Append {
-                    name: "p",
-                    points: &[9.0],
+                .log(&Request::Append {
+                    dataset: "p".into(),
+                    points: vec![9.0],
                 })
                 .unwrap(),
             2
@@ -505,9 +580,9 @@ mod tests {
     fn duplicate_lsn_is_a_typed_error() {
         let mem = MemBackend::new();
         let d = open_mem(&mem).durability;
-        d.log(WalRecordRef::Append {
-            name: "p",
-            points: &[1.0],
+        d.log(&Request::Append {
+            dataset: "p".into(),
+            points: vec![1.0],
         })
         .unwrap();
         drop(d);
@@ -528,9 +603,9 @@ mod tests {
         let rec = Durability::open(Box::new(mem.clone()), FsyncPolicy::EveryN(3)).unwrap();
         for i in 0..7u64 {
             rec.durability
-                .log(WalRecordRef::Append {
-                    name: "p",
-                    points: &[i as f64],
+                .log(&Request::Append {
+                    dataset: "p".into(),
+                    points: vec![i as f64],
                 })
                 .unwrap();
         }

@@ -10,17 +10,19 @@
 //! +----------+-----------+-----------+------------------------+
 //! ```
 //!
-//! The payload reuses [`wqrtq_codec`]'s primitives — little-endian
-//! integers, `f64`s by IEEE-754 bit pattern — so a replayed mutation is
-//! **bit-identical** to the one that was logged, exactly like a wire
-//! round trip. The CRC covers the payload; the magic and length let a
-//! scanner resynchronise its trust: any violation (bad magic, impossible
-//! length, short payload, CRC mismatch) marks the spot where the last
-//! crash tore the log, and everything before it is the longest valid
-//! prefix.
+//! A record is one mutation [`Request`]: the tag is its kind's WAL tag
+//! ([`WAL_TAGS`]) and the body is `Request::encode_body`'s, the bytes a
+//! submit frame carries behind its own tag. The codec's primitives —
+//! little-endian integers, `f64`s by IEEE-754 bit pattern — make a
+//! replayed mutation **bit-identical** to the one that was logged,
+//! exactly like a wire round trip. The CRC covers the payload; the magic
+//! and length let a scanner resynchronise its trust: any violation (bad
+//! magic, impossible length, short payload, CRC mismatch) marks the spot
+//! where the last crash tore the log, and everything before it is the
+//! longest valid prefix.
 
+use crate::request::{Request, RequestKind};
 use wqrtq_codec::{crc32, ByteReader, ByteWriter, DecodeError};
-use wqrtq_geom::Weight;
 
 /// Per-record magic preamble (`WQRW` — WQRTQ WAL record).
 pub const RECORD_MAGIC: [u8; 4] = *b"WQRW";
@@ -34,206 +36,66 @@ pub const RECORD_HEADER_LEN: usize = 12;
 /// first place.
 pub const MAX_WAL_RECORD_LEN: usize = 1 << 30;
 
-/// One durable mutation, as read back from the log (owned — the replay
-/// path feeds these through the normal catalog mutation methods).
-#[derive(Clone, Debug, PartialEq)]
-pub enum WalRecord {
-    /// Dataset registration (or replacement): a fresh base.
-    Register {
-        /// Dataset name.
-        name: String,
-        /// Dimensionality.
-        dim: u64,
-        /// Flat row-major base coordinates.
-        coords: Vec<f64>,
-    },
-    /// Rows appended to the delta memtable.
-    Append {
-        /// Dataset name.
-        name: String,
-        /// Flat row-major appended coordinates.
-        points: Vec<f64>,
-    },
-    /// Points deleted by id. Ids are stable within a base generation; a
-    /// compaction renumbers them in canonical order, and replay sees the
-    /// `Compact` record that did.
-    Delete {
-        /// Dataset name.
-        name: String,
-        /// The deleted ids, in request order.
-        ids: Vec<u32>,
-    },
-    /// An immutable weight population registration.
-    RegisterWeights {
-        /// Population name.
-        name: String,
-        /// One weighting vector per customer.
-        weights: Vec<Vec<f64>>,
-    },
-    /// An installed compaction: base + delta − tombstones merged into a
-    /// fresh base in canonical order. The merge is deterministic, so the
-    /// record carries no data — replay recomputes it.
-    Compact {
-        /// Dataset name.
-        name: String,
-    },
+/// The WAL's tag byte of each mutation kind — the log's own numbering,
+/// older than the wire's [`crate::REQUEST_KIND_TABLE`] tags and, like
+/// them, never renumbered. A CRC-valid record carrying any other tag is
+/// corrupt.
+pub const WAL_TAGS: [(RequestKind, u8); 5] = [
+    (RequestKind::Register, 1),
+    (RequestKind::Append, 2),
+    (RequestKind::Delete, 3),
+    (RequestKind::RegisterWeights, 4),
+    (RequestKind::Compact, 5),
+];
+
+/// Encodes `request` under `lsn` into a complete framed unit (header +
+/// payload), ready to append to the log; `None` for a kind the log does
+/// not carry (no mutation).
+pub fn encode(lsn: u64, request: &Request) -> Option<Vec<u8>> {
+    let kind = request.kind();
+    let &(_, tag) = WAL_TAGS.iter().find(|(k, _)| *k == kind)?;
+    let mut w = ByteWriter::new();
+    w.put_u64(lsn);
+    w.put_u8(tag);
+    request.encode_body(&mut w);
+    let payload = w.into_vec();
+    let mut framed = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
+    framed.extend_from_slice(&RECORD_MAGIC);
+    // lint: allow(narrowing-cast) — any record that reaches the WAL
+    // passed the `MAX_WAL_RECORD_LEN` (1 GiB) check in
+    // `Durability::log`, so the length fits in u32; an oversized
+    // encode is rejected there before these bytes are written.
+    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    framed.extend_from_slice(&crc32::checksum(&payload).to_le_bytes());
+    framed.extend_from_slice(&payload);
+    Some(framed)
 }
 
-/// A borrowed view of a mutation about to be logged — encoding borrows
-/// the catalog's own buffers, so logging a million-row append copies the
-/// rows into the record bytes exactly once (no intermediate owned
-/// `WalRecord`).
-#[derive(Clone, Copy, Debug)]
-pub enum WalRecordRef<'a> {
-    /// See [`WalRecord::Register`].
-    Register {
-        /// Dataset name.
-        name: &'a str,
-        /// Dimensionality.
-        dim: u64,
-        /// Flat row-major base coordinates.
-        coords: &'a [f64],
-    },
-    /// See [`WalRecord::Append`].
-    Append {
-        /// Dataset name.
-        name: &'a str,
-        /// Flat row-major appended coordinates.
-        points: &'a [f64],
-    },
-    /// See [`WalRecord::Delete`].
-    Delete {
-        /// Dataset name.
-        name: &'a str,
-        /// The deleted ids, in request order.
-        ids: &'a [u32],
-    },
-    /// See [`WalRecord::RegisterWeights`].
-    RegisterWeights {
-        /// Population name.
-        name: &'a str,
-        /// One weighting vector per customer.
-        weights: &'a [Weight],
-    },
-    /// See [`WalRecord::Compact`].
-    Compact {
-        /// Dataset name.
-        name: &'a str,
-    },
-}
-
-const TAG_REGISTER: u8 = 1;
-const TAG_APPEND: u8 = 2;
-const TAG_DELETE: u8 = 3;
-const TAG_REGISTER_WEIGHTS: u8 = 4;
-const TAG_COMPACT: u8 = 5;
-
-impl WalRecordRef<'_> {
-    /// Encodes the record under `lsn` into a complete framed unit
-    /// (header + payload), ready to append to the log.
-    pub fn encode(&self, lsn: u64) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_u64(lsn);
-        match *self {
-            WalRecordRef::Register { name, dim, coords } => {
-                w.put_u8(TAG_REGISTER);
-                w.put_str(name);
-                w.put_u64(dim);
-                w.put_f64s(coords);
-            }
-            WalRecordRef::Append { name, points } => {
-                w.put_u8(TAG_APPEND);
-                w.put_str(name);
-                w.put_f64s(points);
-            }
-            WalRecordRef::Delete { name, ids } => {
-                w.put_u8(TAG_DELETE);
-                w.put_str(name);
-                w.put_usize(ids.len());
-                for &id in ids {
-                    w.put_u64(u64::from(id));
-                }
-            }
-            WalRecordRef::RegisterWeights { name, weights } => {
-                w.put_u8(TAG_REGISTER_WEIGHTS);
-                w.put_str(name);
-                w.put_usize(weights.len());
-                for weight in weights {
-                    w.put_f64s(weight.as_slice());
-                }
-            }
-            WalRecordRef::Compact { name } => {
-                w.put_u8(TAG_COMPACT);
-                w.put_str(name);
-            }
-        }
-        let payload = w.into_vec();
-        let mut framed = Vec::with_capacity(RECORD_HEADER_LEN + payload.len());
-        framed.extend_from_slice(&RECORD_MAGIC);
-        // lint: allow(narrowing-cast) — any record that reaches the WAL
-        // passed the `MAX_WAL_RECORD_LEN` (1 GiB) check in
-        // `Durability::log`, so the length fits in u32; an oversized
-        // encode is rejected there before these bytes are written.
-        framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        framed.extend_from_slice(&crc32::checksum(&payload).to_le_bytes());
-        framed.extend_from_slice(&payload);
-        framed
-    }
-}
-
-/// Decodes one CRC-verified payload into `(lsn, record)`.
+/// Decodes one CRC-verified payload into `(lsn, request)`.
 ///
 /// # Errors
-/// [`DecodeError`] on a structurally malformed payload — the bytes
-/// passed their CRC, so this is not a torn write but genuine corruption
-/// (or a version the reader does not speak).
-pub fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord), DecodeError> {
+/// [`DecodeError`] on a structurally malformed payload or a tag outside
+/// [`WAL_TAGS`] — the bytes passed their CRC, so this is not a torn
+/// write but genuine corruption (or a version the reader does not
+/// speak).
+pub fn decode_payload(payload: &[u8]) -> Result<(u64, Request), DecodeError> {
     let mut r = ByteReader::new(payload);
     let lsn = r.take_u64("wal lsn")?;
     let tag = r.take_u8("wal record tag")?;
-    let record = match tag {
-        TAG_REGISTER => WalRecord::Register {
-            name: r.take_str("wal register name")?,
-            dim: r.take_u64("wal register dim")?,
-            coords: r.take_f64s("wal register coords")?,
-        },
-        TAG_APPEND => WalRecord::Append {
-            name: r.take_str("wal append name")?,
-            points: r.take_f64s("wal append points")?,
-        },
-        TAG_DELETE => {
-            let name = r.take_str("wal delete name")?;
-            let n = r.take_count(8, "wal delete id count")?;
-            let ids = (0..n)
-                .map(|_| {
-                    let id = r.take_u64("wal delete id")?;
-                    u32::try_from(id).map_err(|_| DecodeError::new("wal delete id exceeds u32"))
-                })
-                .collect::<Result<Vec<u32>, DecodeError>>()?;
-            WalRecord::Delete { name, ids }
-        }
-        TAG_REGISTER_WEIGHTS => {
-            let name = r.take_str("wal weights name")?;
-            let n = r.take_count(8, "wal weight count")?;
-            let weights = (0..n)
-                .map(|_| r.take_f64s("wal weight vector"))
-                .collect::<Result<Vec<Vec<f64>>, DecodeError>>()?;
-            WalRecord::RegisterWeights { name, weights }
-        }
-        TAG_COMPACT => WalRecord::Compact {
-            name: r.take_str("wal compact name")?,
-        },
-        _ => return Err(DecodeError::new("unknown wal record tag")),
-    };
+    let &(kind, _) = WAL_TAGS
+        .iter()
+        .find(|(_, t)| *t == tag)
+        .ok_or(DecodeError::new("unknown wal record tag"))?;
+    let request = Request::decode_body(kind, &mut r)?;
     r.finish()?;
-    Ok((lsn, record))
+    Ok((lsn, request))
 }
 
 /// The result of scanning a WAL image from its first byte.
 #[derive(Debug)]
 pub struct WalReadout {
     /// Every structurally valid record, in log order, with its LSN.
-    pub records: Vec<(u64, WalRecord)>,
+    pub records: Vec<(u64, Request)>,
     /// Bytes of the longest valid prefix — where appending may resume
     /// after truncating a torn tail.
     pub valid_len: u64,
@@ -298,86 +160,68 @@ pub fn scan_wal(image: &[u8]) -> Result<WalReadout, DecodeError> {
 mod tests {
     use super::*;
 
-    fn sample_records() -> Vec<(u64, WalRecord)> {
+    fn sample_records() -> Vec<(u64, Request)> {
         vec![
             (
                 1,
-                WalRecord::Register {
-                    name: "p".into(),
+                Request::Register {
+                    dataset: "p".into(),
                     dim: 2,
                     coords: vec![0.25, -0.0, 1.5, 2.0f64.powi(-1074)],
                 },
             ),
             (
                 2,
-                WalRecord::Append {
-                    name: "p".into(),
+                Request::Append {
+                    dataset: "p".into(),
                     points: vec![0.5, 0.5],
                 },
             ),
             (
                 3,
-                WalRecord::Delete {
-                    name: "p".into(),
+                Request::Delete {
+                    dataset: "p".into(),
                     ids: vec![1, 4],
                 },
             ),
             (
                 4,
-                WalRecord::RegisterWeights {
+                Request::RegisterWeights {
                     name: "cust".into(),
                     weights: vec![vec![0.5, 0.5], vec![0.9, 0.1]],
                 },
             ),
-            (5, WalRecord::Compact { name: "p".into() }),
+            (
+                5,
+                Request::Compact {
+                    dataset: "p".into(),
+                },
+            ),
         ]
     }
 
-    fn encode_all(records: &[(u64, WalRecord)]) -> Vec<u8> {
-        let mut image = Vec::new();
-        for (lsn, rec) in records {
-            image.extend_from_slice(&as_ref(rec).encode(*lsn));
-        }
-        image
+    fn framed(lsn: u64, request: &Request) -> Vec<u8> {
+        encode(lsn, request).expect("a mutation")
     }
 
-    fn as_ref(rec: &WalRecord) -> WalRecordRef<'_> {
-        match rec {
-            WalRecord::Register { name, dim, coords } => WalRecordRef::Register {
-                name,
-                dim: *dim,
-                coords,
-            },
-            WalRecord::Append { name, points } => WalRecordRef::Append { name, points },
-            WalRecord::Delete { name, ids } => WalRecordRef::Delete { name, ids },
-            WalRecord::RegisterWeights { name, weights } => {
-                // Tests only: round through Weight for the borrow shape.
-                unreachable!("weights variant exercised via encode_weights, got {name} {weights:?}")
-            }
-            WalRecord::Compact { name } => WalRecordRef::Compact { name },
+    fn encode_all(records: &[(u64, Request)]) -> Vec<u8> {
+        let mut image = Vec::new();
+        for (lsn, rec) in records {
+            image.extend_from_slice(&framed(*lsn, rec));
         }
+        image
     }
 
     #[test]
     fn roundtrip_is_bit_identical() {
         let records = sample_records();
-        let mut image = Vec::new();
-        for (lsn, rec) in &records {
-            let framed = match rec {
-                WalRecord::RegisterWeights { name, weights } => {
-                    let ws: Vec<Weight> = weights.iter().map(|w| Weight::new(w.clone())).collect();
-                    WalRecordRef::RegisterWeights { name, weights: &ws }.encode(*lsn)
-                }
-                other => as_ref(other).encode(*lsn),
-            };
-            image.extend_from_slice(&framed);
-        }
+        let image = encode_all(&records);
         let readout = scan_wal(&image).unwrap();
         assert!(!readout.torn);
         assert_eq!(readout.valid_len, image.len() as u64);
         assert_eq!(readout.records, records);
         // Bit-identity of the floats, not just PartialEq.
-        if let WalRecord::Register { coords, .. } = &readout.records[0].1 {
+        if let Request::Register { coords, .. } = &readout.records[0].1 {
             assert_eq!(coords[1].to_bits(), (-0.0f64).to_bits());
             assert_eq!(coords[3].to_bits(), 2.0f64.powi(-1074).to_bits());
         } else {
@@ -387,16 +231,16 @@ mod tests {
 
     #[test]
     fn every_truncation_offset_recovers_the_longest_valid_prefix() {
-        let records: Vec<(u64, WalRecord)> = sample_records()
+        let records: Vec<(u64, Request)> = sample_records()
             .into_iter()
-            .filter(|(_, r)| !matches!(r, WalRecord::RegisterWeights { .. }))
+            .filter(|(_, r)| !matches!(r, Request::RegisterWeights { .. }))
             .collect();
         let image = encode_all(&records);
         // Record end offsets, for computing the expected prefix.
         let mut ends = Vec::new();
         let mut pos = 0;
         for (lsn, rec) in &records {
-            pos += as_ref(rec).encode(*lsn).len();
+            pos += framed(*lsn, rec).len();
             ends.push(pos);
         }
         for cut in 0..=image.len() {
@@ -417,24 +261,13 @@ mod tests {
 
     #[test]
     fn flipped_payload_byte_is_a_torn_tail_not_garbage() {
-        let records = vec![
-            (
-                1,
-                WalRecord::Append {
-                    name: "p".into(),
-                    points: vec![1.0, 2.0],
-                },
-            ),
-            (
-                2,
-                WalRecord::Append {
-                    name: "p".into(),
-                    points: vec![3.0, 4.0],
-                },
-            ),
-        ];
+        let append = |points: Vec<f64>| Request::Append {
+            dataset: "p".into(),
+            points,
+        };
+        let records = vec![(1, append(vec![1.0, 2.0])), (2, append(vec![3.0, 4.0]))];
         let image = encode_all(&records);
-        let first_len = as_ref(&records[0].1).encode(1).len();
+        let first_len = framed(1, &records[0].1).len();
         // Flip a byte inside the second record's payload: the first
         // record must survive, the second must be rejected by its CRC.
         let mut bad = image.clone();
@@ -450,8 +283,8 @@ mod tests {
     fn oversized_length_field_is_torn_not_trusted() {
         let mut image = encode_all(&[(
             1,
-            WalRecord::Append {
-                name: "p".into(),
+            Request::Append {
+                dataset: "p".into(),
                 points: vec![1.0],
             },
         )]);
@@ -467,15 +300,22 @@ mod tests {
     fn crc_valid_garbage_payload_is_a_typed_decode_error() {
         // Hand-frame a payload with an unknown tag but a correct CRC:
         // this was *written* malformed, so it must be an error, not a
-        // silently dropped tail.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&7u64.to_le_bytes());
-        payload.push(99); // no such tag
-        let mut image = Vec::new();
-        image.extend_from_slice(&RECORD_MAGIC);
-        image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        image.extend_from_slice(&crc32::checksum(&payload).to_le_bytes());
-        image.extend_from_slice(&payload);
-        assert!(scan_wal(&image).is_err());
+        // silently dropped tail. The wire's own tags (a registration is
+        // 10 there) are unknown to the log too.
+        for tag in [0, 6, 7, 10, 11, 12, 99] {
+            let mut payload = Vec::new();
+            payload.extend_from_slice(&7u64.to_le_bytes());
+            payload.push(tag);
+            payload.extend_from_slice(&1u64.to_le_bytes());
+            payload.push(b'p');
+            let mut image = Vec::new();
+            image.extend_from_slice(&RECORD_MAGIC);
+            image.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            image.extend_from_slice(&crc32::checksum(&payload).to_le_bytes());
+            image.extend_from_slice(&payload);
+            assert!(scan_wal(&image).is_err(), "tag {tag}");
+        }
+        // A query request is no record at all.
+        assert!(encode(1, &Request::Stats).is_none());
     }
 }

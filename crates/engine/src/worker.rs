@@ -9,7 +9,10 @@
 //! worker ever waits on another.
 //!
 //! Every catalog write — a registration, append, delete or compaction,
-//! queued or called in process — runs through one function, [`mutate`].
+//! queued or called in process — runs through one function, [`mutate`]:
+//! [`Catalog::apply`], which recovery's replay calls too, plus the
+//! compaction trigger. A scheduled [`Job::Compact`] calls
+//! [`Catalog::compact_if`].
 //!
 //! Each worker owns a [`ProbeCtx`] — the RTA culprit pool and the probe
 //! and top-k queues live across requests, so the steady-state hot path
@@ -782,59 +785,29 @@ fn execute(
 }
 
 /// The one mutation path — a queued request's (after [`serve`]
-/// validated it) and an in-process `Engine` call's alike. A registration
-/// replies [`Response::Mutated`] with the rows or weights it registered,
-/// a compaction [`Response::Compacted`]; an append or delete replies the
-/// live count it left and, past the overlay threshold, schedules a
-/// compaction off the request path. The request is taken by value, so a
-/// registration's coordinates move into the catalog uncopied. Stale
-/// cache entries need no eviction: the epoch a mutation moves is part
-/// of every cache key.
+/// validated it) and an in-process `Engine` call's alike:
+/// [`Catalog::apply`], then, when an append or delete left the overlay
+/// past its threshold, a compaction scheduled off the request path.
+/// The request is taken by value, so a registration's coordinates move
+/// into the catalog uncopied. Stale cache entries need no eviction: the
+/// epoch a mutation moves is part of every cache key.
 pub(crate) fn mutate(ctx: &WorkerContext, request: Request) -> Result<Response, EngineError> {
     let catalog = &ctx.catalog;
-    let (dataset, live_len) = match request {
-        Request::Register {
-            dataset,
-            dim,
-            coords,
-        } => {
-            let rows = coords.len().checked_div(dim).unwrap_or(0);
-            catalog.register(&dataset, dim, coords)?;
-            return Ok(Response::Mutated { live_len: rows });
-        }
-        Request::RegisterWeights { name, weights } => {
-            let population = simplex_weights(&weights, "weight set")?;
-            let live_len = population.len();
-            catalog.register_weights(&name, population)?;
-            return Ok(Response::Mutated { live_len });
-        }
-        Request::Compact { dataset } => {
-            let epoch = catalog.epoch(&dataset)?;
-            let ran = catalog.compact_if(&dataset, epoch)?;
-            return Ok(Response::Compacted { ran });
-        }
-        Request::Append { dataset, points } => {
-            let live_len = catalog.append(&dataset, &points)?;
-            (dataset, live_len)
-        }
-        Request::Delete { dataset, ids } => {
-            let live_len = catalog.delete(&dataset, &ids)?;
-            (dataset, live_len)
-        }
-        // lint: allow(no-panic) — `serve` and the engine's mutation
-        // methods pass only mutation kinds; exhaustiveness arm only.
-        _ => unreachable!("mutate called on a query request"),
-    };
-    if let Ok((overlay, base_len)) = catalog.overlay_size(&dataset) {
-        if overlay > compaction_threshold(ctx.overlay_limit, base_len) {
-            if let Ok(epoch) = catalog.epoch(&dataset) {
-                // A send failure means the pool is shutting down — the
-                // overlay simply persists until the next trigger.
-                let _ = ctx.queue.send(Job::Compact { dataset, epoch });
+    let overlaid = matches!(request, Request::Append { .. } | Request::Delete { .. })
+        .then(|| request.dataset().to_string());
+    let response = catalog.apply(request)?;
+    if let Some(dataset) = overlaid {
+        if let Ok((overlay, base_len)) = catalog.overlay_size(&dataset) {
+            if overlay > compaction_threshold(ctx.overlay_limit, base_len) {
+                if let Ok(epoch) = catalog.epoch(&dataset) {
+                    // A send failure means the pool is shutting down — the
+                    // overlay simply persists until the next trigger.
+                    let _ = ctx.queue.send(Job::Compact { dataset, epoch });
+                }
             }
         }
     }
-    Ok(Response::Mutated { live_len })
+    Ok(response)
 }
 
 fn plan_explanation_from(explanation: &Explanation) -> PlanExplanation {

@@ -20,7 +20,7 @@
 use std::path::PathBuf;
 use wqrtq::engine::storage::{CatalogState, DatasetState, SNAPSHOT_FILE};
 use wqrtq::engine::storage::{
-    Durability, FsyncPolicy, MemBackend, StorageBackend, StorageError, WalRecordRef, RECORD_MAGIC,
+    Durability, FsyncPolicy, MemBackend, StorageBackend, StorageError, RECORD_MAGIC,
 };
 use wqrtq::engine::{Engine, EngineError, Request, Response, WeightSet};
 use wqrtq::prelude::{StrategyKind, WhyNotOptions};
@@ -344,10 +344,10 @@ fn log_stream(backend: MemBackend, n: usize) -> Durability {
     let d = recovered.durability;
     for i in 0..n {
         let coords = vec![i as f64, i as f64 + 0.5];
-        d.log(WalRecordRef::Register {
-            name: "t",
+        d.log(&Request::Register {
+            dataset: "t".into(),
             dim: 2,
-            coords: &coords,
+            coords,
         })
         .unwrap();
     }
@@ -396,7 +396,9 @@ fn wal_truncated_at_every_byte_offset_recovers_the_longest_valid_prefix() {
         // Appending must resume cleanly after any cut.
         recovered
             .durability
-            .log(WalRecordRef::Compact { name: "t" })
+            .log(&Request::Compact {
+                dataset: "t".into(),
+            })
             .unwrap();
     }
 }
@@ -486,21 +488,24 @@ fn a_compact_record_in_the_wal_replays_the_merge() {
         let d = Durability::open(Box::new(backend), FsyncPolicy::Always)
             .unwrap()
             .durability;
-        d.log(WalRecordRef::Register {
-            name: "d",
+        d.log(&Request::Register {
+            dataset: "d".into(),
             dim: 2,
-            coords: &[1.0, 2.0, 3.0, 4.0],
+            coords: vec![1.0, 2.0, 3.0, 4.0],
         })
         .unwrap();
-        d.log(WalRecordRef::Append {
-            name: "d",
-            points: &[5.0, 6.0],
+        d.log(&Request::Append {
+            dataset: "d".into(),
+            points: vec![5.0, 6.0],
         })
         .unwrap();
-        d.log(WalRecordRef::Compact { name: "d" }).unwrap();
-        d.log(WalRecordRef::Append {
-            name: "d",
-            points: &[7.0, 8.0],
+        d.log(&Request::Compact {
+            dataset: "d".into(),
+        })
+        .unwrap();
+        d.log(&Request::Append {
+            dataset: "d".into(),
+            points: vec![7.0, 8.0],
         })
         .unwrap();
     }
@@ -735,4 +740,301 @@ fn the_snapshot_bytes_of_a_fixed_catalog_are_pinned() {
         "snapshot bytes changed ({} bytes)",
         bytes.len()
     );
+}
+
+#[test]
+fn the_wal_bytes_of_a_fixed_mutation_stream_are_pinned() {
+    // One record of each mutation kind, logged as the catalog logs them:
+    // the length and CRC-32 of the WAL image. A changed value is a
+    // changed WAL format, and a log an older build wrote would no longer
+    // recover.
+    let backend = MemBackend::new();
+    let d = Durability::open(Box::new(backend.clone()), FsyncPolicy::Never)
+        .unwrap()
+        .durability;
+    for request in [
+        Request::Register {
+            dataset: "d".into(),
+            dim: 2,
+            coords: vec![1.0, 4.0, 2.0, 2.0],
+        },
+        Request::Append {
+            dataset: "d".into(),
+            points: vec![0.5, 0.5],
+        },
+        Request::Delete {
+            dataset: "d".into(),
+            ids: vec![0, 2],
+        },
+        Request::RegisterWeights {
+            name: "pop".into(),
+            weights: vec![vec![0.25, 0.75], vec![0.5, 0.5]],
+        },
+        Request::Compact {
+            dataset: "d".into(),
+        },
+    ] {
+        d.log(&request).unwrap();
+    }
+    let image = backend.wal_bytes().unwrap();
+    assert_eq!(image.len(), 304);
+    assert_eq!(
+        wqrtq_codec::crc32::checksum(&image),
+        0x5fea_c8dc,
+        "WAL bytes changed"
+    );
+}
+
+/// A storage call a [`Faulty`] backend counts.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Op {
+    Append,
+    Sync,
+    Truncate,
+    Checkpoint,
+}
+
+/// What a [`Faulty`] backend does on its faulted call.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fault {
+    /// `wal_append` writes nothing and fails with ENOSPC.
+    Enospc,
+    /// `wal_append` writes the first half of the record, then fails
+    /// with ENOSPC.
+    ShortWrite,
+    /// `sync` fails.
+    Fsync,
+    /// `wal_truncate` fails.
+    CutBack,
+    /// `install_checkpoint` fails before installing anything.
+    Checkpoint,
+    /// `install_checkpoint` installs the snapshot and resets the log,
+    /// then fails (its last step, the directory or log sync, failed).
+    CheckpointLate,
+}
+
+impl Fault {
+    fn op(self) -> Op {
+        match self {
+            Fault::Enospc | Fault::ShortWrite => Op::Append,
+            Fault::Fsync => Op::Sync,
+            Fault::CutBack => Op::Truncate,
+            Fault::Checkpoint | Fault::CheckpointLate => Op::Checkpoint,
+        }
+    }
+}
+
+/// A [`MemBackend`] that fails chosen calls: each `(fault, n)` fires on
+/// the `n`-th call (from 1) of its operation. Truncation has a file's
+/// `set_len` semantics: a length past the end pads with zeros.
+#[derive(Debug)]
+struct Faulty {
+    inner: MemBackend,
+    faults: Vec<(Fault, usize)>,
+    calls: std::sync::Mutex<Vec<Op>>,
+}
+
+impl Faulty {
+    fn new(inner: &MemBackend, faults: &[(Fault, usize)]) -> Box<Self> {
+        Box::new(Self {
+            inner: inner.clone(),
+            faults: faults.to_vec(),
+            calls: Default::default(),
+        })
+    }
+
+    /// Counts one call of `op` and returns the fault planned for it.
+    fn fault(&self, op: Op) -> Option<Fault> {
+        let mut calls = self.calls.lock().unwrap();
+        calls.push(op);
+        let n = calls.iter().filter(|&&c| c == op).count();
+        let planned = self.faults.iter().find(|&&(f, at)| f.op() == op && at == n);
+        planned.map(|&(f, _)| f)
+    }
+}
+
+fn enospc() -> std::io::Error {
+    std::io::Error::from_raw_os_error(28) // ENOSPC
+}
+
+impl StorageBackend for Faulty {
+    fn wal_bytes(&self) -> std::io::Result<Vec<u8>> {
+        self.inner.wal_bytes()
+    }
+    fn wal_append(&self, record: &[u8]) -> std::io::Result<()> {
+        match self.fault(Op::Append) {
+            Some(Fault::Enospc) => Err(enospc()),
+            Some(_) => {
+                self.inner.wal_append(&record[..record.len() / 2])?;
+                Err(enospc())
+            }
+            None => self.inner.wal_append(record),
+        }
+    }
+    fn wal_truncate(&self, len: u64) -> std::io::Result<()> {
+        if self.fault(Op::Truncate).is_some() {
+            return Err(std::io::Error::other("injected truncate failure"));
+        }
+        self.inner.mutate_wal(|wal| wal.resize(len as usize, 0));
+        Ok(())
+    }
+    fn snapshot_bytes(&self) -> std::io::Result<Option<Vec<u8>>> {
+        self.inner.snapshot_bytes()
+    }
+    fn install_checkpoint(&self, snapshot: &[u8]) -> std::io::Result<()> {
+        match self.fault(Op::Checkpoint) {
+            Some(Fault::CheckpointLate) => {
+                self.inner.install_checkpoint(snapshot)?;
+                Err(std::io::Error::other("injected late checkpoint failure"))
+            }
+            Some(_) => Err(std::io::Error::other("injected checkpoint failure")),
+            None => self.inner.install_checkpoint(snapshot),
+        }
+    }
+    fn sync(&self) -> std::io::Result<()> {
+        match self.fault(Op::Sync) {
+            Some(_) => Err(std::io::Error::other("injected fsync failure")),
+            None => self.inner.sync(),
+        }
+    }
+}
+
+/// Appends `0, 1, 2, …` of dataset `d`, one row each.
+fn appends(n: usize) -> Vec<Request> {
+    (0..n)
+        .map(|i| Request::Append {
+            dataset: "d".into(),
+            points: vec![i as f64, 1.0],
+        })
+        .collect()
+}
+
+/// The requests a fresh [`Durability`] over `mem` (no faults) recovers.
+fn recover(mem: &MemBackend) -> Vec<Request> {
+    let recovered = Durability::open(Box::new(mem.clone()), FsyncPolicy::Always).unwrap();
+    recovered.records.into_iter().map(|(_, r)| r).collect()
+}
+
+#[test]
+fn a_failed_append_or_fsync_leaves_the_log_as_it_was() {
+    // The second of three records fails; the third is acknowledged, and
+    // reopening recovers exactly the first and the third: the refused
+    // record neither comes back nor hides the one after it.
+    for fault in [Fault::Enospc, Fault::ShortWrite, Fault::Fsync] {
+        let mem = MemBackend::new();
+        let faulty = Faulty::new(&mem, &[(fault, 2)]);
+        let d = Durability::open(faulty, FsyncPolicy::Always)
+            .unwrap()
+            .durability;
+        let stream = appends(3);
+        let acked: Vec<Request> = stream
+            .iter()
+            .filter(|r| d.log(r).is_ok())
+            .cloned()
+            .collect();
+        assert_eq!(acked, [stream[0].clone(), stream[2].clone()], "{fault:?}");
+        drop(d);
+        assert_eq!(recover(&mem), acked, "{fault:?}: the acknowledged records");
+    }
+}
+
+#[test]
+fn a_failed_append_that_cannot_be_cut_back_stops_the_log() {
+    let mem = MemBackend::new();
+    let faulty = Faulty::new(&mem, &[(Fault::ShortWrite, 2), (Fault::CutBack, 1)]);
+    let d = Durability::open(faulty, FsyncPolicy::Always)
+        .unwrap()
+        .durability;
+    let stream = appends(3);
+    d.log(&stream[0]).unwrap();
+    assert!(matches!(d.log(&stream[1]), Err(StorageError::Io(_))));
+    // Half a record is stuck on the log: nothing after it may be
+    // acknowledged, since recovery stops at those bytes.
+    for request in &stream {
+        assert!(matches!(d.log(request), Err(StorageError::WalStopped)));
+    }
+    assert_eq!(d.stats().wal_appends, 1);
+    drop(d);
+    assert_eq!(recover(&mem), [stream[0].clone()]);
+}
+
+#[test]
+fn a_failed_checkpoint_loses_no_acknowledged_record() {
+    // Nothing installed: the whole log still recovers.
+    let mem = MemBackend::new();
+    let d = Durability::open(
+        Faulty::new(&mem, &[(Fault::Checkpoint, 1)]),
+        FsyncPolicy::Always,
+    )
+    .unwrap()
+    .durability;
+    let stream = appends(3);
+    d.log(&stream[0]).unwrap();
+    let state = CatalogState {
+        last_lsn: d.last_lsn(),
+        ..CatalogState::default()
+    };
+    assert!(d.checkpoint(&state).is_err());
+    d.log(&stream[1]).unwrap();
+    drop(d);
+    assert!(mem.snapshot_bytes().unwrap().is_none());
+    assert_eq!(recover(&mem), stream[..2]);
+
+    // Installed and the log reset, then an error: the next failed append
+    // is cut back to the reset log, not to its length before the
+    // checkpoint (which would pad it with zeros and bury the record
+    // after).
+    let mem = MemBackend::new();
+    let faults = [(Fault::CheckpointLate, 1), (Fault::ShortWrite, 2)];
+    let d = Durability::open(Faulty::new(&mem, &faults), FsyncPolicy::Always)
+        .unwrap()
+        .durability;
+    d.log(&stream[0]).unwrap();
+    let state = CatalogState {
+        last_lsn: d.last_lsn(),
+        ..CatalogState::default()
+    };
+    assert!(d.checkpoint(&state).is_err());
+    assert!(d.log(&stream[1]).is_err());
+    d.log(&stream[2]).unwrap();
+    drop(d);
+    let recovered = Durability::open(Box::new(mem.clone()), FsyncPolicy::Always).unwrap();
+    assert_eq!(recovered.state.unwrap().last_lsn, 1);
+    assert_eq!(recover(&mem), [stream[2].clone()]);
+}
+
+#[test]
+fn recovery_names_the_record_it_cannot_replay() {
+    // A CRC-valid record the catalog refuses: deleting an id that was
+    // never live.
+    let dir = TempDir::new("badreplay");
+    {
+        let backend = wqrtq::engine::storage::DiskBackend::open(dir.path()).unwrap();
+        let d = Durability::open(Box::new(backend), FsyncPolicy::Always)
+            .unwrap()
+            .durability;
+        d.log(&Request::Register {
+            dataset: "d".into(),
+            dim: 2,
+            coords: vec![1.0, 2.0, 3.0, 4.0],
+        })
+        .unwrap();
+        d.log(&Request::Delete {
+            dataset: "d".into(),
+            ids: vec![7],
+        })
+        .unwrap();
+    }
+    match Engine::builder()
+        .workers(1)
+        .data_dir(dir.path())
+        .try_build()
+    {
+        Err(EngineError::Durability { reason }) => {
+            assert!(reason.starts_with("wal record 2 (delete)"), "{reason}");
+            assert!(reason.contains("point id 7"), "{reason}");
+        }
+        Err(other) => panic!("expected a durability error, got {other}"),
+        Ok(_) => panic!("a record the catalog refuses must fail the build"),
+    }
 }
