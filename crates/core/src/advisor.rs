@@ -198,15 +198,15 @@ pub enum AdvisorEvent<'a> {
     /// One refinement strategy finished (events arrive in execution
     /// order, *before* the final plan ranks them).
     Step(&'a RankedStep),
-    /// One advisor stage finished: wall-clock timing for validation
-    /// (`"validate"`), each explanation (`"explain"`), and each
-    /// strategy (its [`StrategyKind::name`]). Carries no plan content —
-    /// serving layers fold these into their stage metrics and skip them
-    /// when streaming partial plans.
+    /// One strategy finished: its wall-clock time, reported just
+    /// before its [`AdvisorEvent::Step`]. Validation and explanations
+    /// are not timed. Carries no plan content — serving layers fold
+    /// these into their stage metrics and skip them when streaming
+    /// partial plans.
     StageTimed {
-        /// Stage label: `"validate"`, `"explain"`, or a strategy name.
-        stage: &'static str,
-        /// Wall-clock duration of the stage in nanoseconds.
+        /// The strategy timed.
+        strategy: StrategyKind,
+        /// Wall-clock duration of the strategy in nanoseconds.
         nanos: u64,
     },
 }
@@ -421,16 +421,8 @@ impl Wqrtq<'_> {
         if strategies.is_empty() {
             return Err(WhyNotError::NoStrategies);
         }
-        let stage_nanos = |started: std::time::Instant| {
-            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        };
-        let started = std::time::Instant::now();
         let ranks = self.validate_why_not(why_not)?;
         let k_max = ranks.iter().copied().max().expect("non-empty why-not set");
-        emit(AdvisorEvent::StageTimed {
-            stage: "validate",
-            nanos: stage_nanos(started),
-        });
 
         let mut explanations = Vec::with_capacity(why_not.len());
         let mut steps = Vec::with_capacity(strategies.len());
@@ -440,12 +432,7 @@ impl Wqrtq<'_> {
                 if ctx.is_cancelled() {
                     break 'run;
                 }
-                let started = std::time::Instant::now();
                 let explanation = explain(snapshot, w, q, options.culprit_limit, ctx);
-                emit(AdvisorEvent::StageTimed {
-                    stage: "explain",
-                    nanos: stage_nanos(started),
-                });
                 emit(AdvisorEvent::Explained {
                     index,
                     explanation: &explanation,
@@ -463,10 +450,8 @@ impl Wqrtq<'_> {
                 if ctx.is_cancelled() {
                     break 'run;
                 }
-                emit(AdvisorEvent::StageTimed {
-                    stage: strategy.name(),
-                    nanos: stage_nanos(started),
-                });
+                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                emit(AdvisorEvent::StageTimed { strategy, nanos });
                 emit(AdvisorEvent::Step(&step));
                 steps.push(step);
             }
@@ -615,18 +600,29 @@ mod tests {
                 |event| match event {
                     AdvisorEvent::Explained { index, .. } => trace.push(format!("explain{index}")),
                     AdvisorEvent::Step(step) => trace.push(step.strategy.name().to_string()),
-                    AdvisorEvent::StageTimed { stage, .. } => timed.push(stage),
+                    AdvisorEvent::StageTimed { strategy, .. } => {
+                        timed.push(strategy);
+                        trace.push(format!("timed {}", strategy.name()));
+                    }
                 },
             )
             .unwrap();
-        assert_eq!(trace, ["explain0", "explain1", "MQP", "MWK", "MQWK"]);
-        // Every stage reports its wall-clock: validation, one timing per
-        // explanation, one per strategy — each strictly before the
-        // content event it times.
+        // One timing per strategy, just before the step it times;
+        // validation and explanations are not timed.
         assert_eq!(
-            timed,
-            ["validate", "explain", "explain", "MQP", "MWK", "MQWK"]
+            trace,
+            [
+                "explain0",
+                "explain1",
+                "timed MQP",
+                "MQP",
+                "timed MWK",
+                "MWK",
+                "timed MQWK",
+                "MQWK"
+            ]
         );
+        assert_eq!(timed, StrategyKind::ALL);
         assert_eq!(plan.steps.len(), 3);
     }
 

@@ -41,7 +41,6 @@
 //! the stale entry was evicted yet.
 
 use crate::error::EngineError;
-use crate::metrics::StageHistograms;
 use crate::request::{check_finite, check_simplex, Request, RequestKind, Response};
 use crate::storage::{CatalogState, DatasetState, Durability, StorageError, WeightSetState};
 use std::collections::HashMap;
@@ -50,7 +49,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
 use std::time::Instant;
 use wqrtq_geom::{DeltaView, FlatPoints, Overlay, Weight};
-use wqrtq_obs::Stage;
+use wqrtq_obs::{Stage, Tracer};
 use wqrtq_query::{ScoreTable, Snapshot};
 use wqrtq_rtree::{DominanceIndex, RTree};
 
@@ -273,7 +272,7 @@ fn row_major(coords: &[f64], dim: usize) -> impl Fn(usize, &mut [f64]) + '_ {
 /// sample, just before the lock is released.
 struct WriteHold<'a> {
     inner: RwLockWriteGuard<'a, CatalogInner>,
-    stages: &'a StageHistograms,
+    tracer: &'a Tracer,
     started: Instant,
 }
 
@@ -294,7 +293,7 @@ impl DerefMut for WriteHold<'_> {
 impl Drop for WriteHold<'_> {
     fn drop(&mut self) {
         let held = self.started.elapsed();
-        self.stages[Stage::CatalogWrite.index()].record_duration(held);
+        self.tracer.sample(Stage::CatalogWrite, held);
     }
 }
 
@@ -349,18 +348,17 @@ pub struct CatalogStats {
 }
 
 /// Thread-safe catalog of datasets and weight populations.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Catalog {
     inner: RwLock<CatalogInner>,
     index_builds: AtomicU64,
     rebuilds_avoided: AtomicU64,
     compactions: AtomicU64,
     compactions_abandoned: AtomicU64,
-    /// The engine's stage histograms, which every lazy build, every
-    /// compaction, every write-lock hold, recovery and the durability
-    /// layer record one sample per operation into ([`Stage::IndexBuild`]
-    /// on).
-    stages: StageHistograms,
+    /// The engine's tracer, which every lazy build, every compaction,
+    /// every write-lock hold and the durability layer record one
+    /// [`Tracer::sample`] per operation into ([`Stage::IndexBuild`] on).
+    tracer: Arc<Tracer>,
     /// The durability layer, attached once (after recovery replay, so
     /// replayed mutations are not logged twice). `None` for in-memory
     /// engines — every hook below is then a single branch, leaving the
@@ -369,21 +367,18 @@ pub struct Catalog {
 }
 
 impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The stage histograms this catalog records its builds into, for
-    /// the engine's metrics to share.
-    pub(crate) fn stage_histograms(&self) -> StageHistograms {
-        self.stages.clone()
-    }
-
-    /// Records one build, compaction or recovery phase that began at
-    /// `started`.
-    pub(crate) fn record_stage(&self, stage: Stage, started: Instant) {
-        self.stages[stage.index()].record_duration(started.elapsed());
+    /// An empty catalog sampling its builds and storage operations into
+    /// `tracer`.
+    pub(crate) fn new(tracer: Arc<Tracer>) -> Self {
+        Self {
+            inner: RwLock::default(),
+            index_builds: AtomicU64::default(),
+            rebuilds_avoided: AtomicU64::default(),
+            compactions: AtomicU64::default(),
+            compactions_abandoned: AtomicU64::default(),
+            tracer,
+            durability: OnceLock::new(),
+        }
     }
 
     /// Takes the catalog write lock; every writer goes through here, so
@@ -392,13 +387,13 @@ impl Catalog {
         let inner = self.inner.write().expect("catalog lock");
         WriteHold {
             inner,
-            stages: &self.stages,
+            tracer: &self.tracer,
             started: Instant::now(),
         }
     }
 
-    /// Attaches the durability layer, recording its storage stages into
-    /// this catalog's histograms. Must happen strictly after any
+    /// Attaches the durability layer, sampling its storage stages into
+    /// this catalog's tracer. Must happen strictly after any
     /// recovery replay — mutations made before the attach are never
     /// logged (that is what makes replay idempotent).
     ///
@@ -406,7 +401,7 @@ impl Catalog {
     /// Panics if a layer is already attached.
     pub(crate) fn attach_durability(&self, d: Durability) {
         self.durability
-            .set(Arc::new(d.with_stages(self.stages.clone())))
+            .set(Arc::new(d.with_tracer(self.tracer.clone())))
             // lint: allow(no-panic) — the documented `# Panics`
             // contract: attaching twice is an engine-construction bug.
             .expect("durability layer attached exactly once");
@@ -543,7 +538,7 @@ impl Catalog {
         self.index_builds.fetch_add(1, Ordering::Relaxed);
         let flat = FlatPoints::from_row_major(dim, coords);
         let built = (Arc::new(RTree::bulk_load(dim, coords)), Arc::new(flat));
-        self.record_stage(Stage::IndexBuild, started);
+        self.tracer.sample(Stage::IndexBuild, started.elapsed());
         built
     }
 
@@ -620,7 +615,7 @@ impl Catalog {
         let table = cell.get_or_init(|| {
             let started = Instant::now();
             let table = ScoreTable::build(&handle.index, population, SCORE_TABLE_DEPTH);
-            self.record_stage(Stage::TableBuild, started);
+            self.tracer.sample(Stage::TableBuild, started.elapsed());
             Arc::new(table)
         });
         Some(table.clone())
@@ -683,7 +678,7 @@ impl Catalog {
             // ordering: Relaxed — monotonic stats counter, read only by
             // `stats()`.
             self.compactions_abandoned.fetch_add(1, Ordering::Relaxed);
-            self.record_stage(Stage::Compaction, started);
+            self.tracer.sample(Stage::Compaction, started.elapsed());
             return logged;
         }
         // The stale generation's index and score tables die with it.
@@ -691,7 +686,7 @@ impl Catalog {
         // ordering: Relaxed — monotonic stats counter; installation of
         // the merged base is published by the catalog write lock above.
         self.compactions.fetch_add(1, Ordering::Relaxed);
-        self.record_stage(Stage::Compaction, started);
+        self.tracer.sample(Stage::Compaction, started.elapsed());
         if let Some(d) = self.durability.get() {
             // Snapshot the post-merge catalog while the write lock still
             // excludes concurrent mutations, so the image and the WAL
@@ -901,8 +896,8 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::storage::{FsyncPolicy, MemBackend, StorageBackend};
-    use std::sync::atomic::AtomicBool;
+    use crate::storage::faulty::{Fault, Faulty};
+    use crate::storage::{FsyncPolicy, MemBackend};
 
     /// The catalog's typed writes, as requests through [`Catalog::apply`].
     impl Catalog {
@@ -935,6 +930,11 @@ mod tests {
         }
     }
 
+    /// An empty in-memory catalog with a tracer of its own.
+    fn catalog() -> Catalog {
+        Catalog::new(Arc::new(Tracer::new(1, 1, 1)))
+    }
+
     fn live_len(reply: Response) -> usize {
         match reply {
             Response::Mutated { live_len } => live_len,
@@ -953,7 +953,7 @@ mod tests {
 
     #[test]
     fn register_and_lazy_index() {
-        let c = Catalog::new();
+        let c = catalog();
         c.register("sq", 2, unit_square()).unwrap();
         assert!(!c.is_indexed("sq"));
         let h = c.handle("sq").unwrap();
@@ -973,12 +973,12 @@ mod tests {
 
     #[test]
     fn peek_never_builds_never_waits_and_offers_only_plain_built_bases() {
-        let c = Catalog::new();
+        let c = catalog();
         assert!(c.peek("sq", None).is_none(), "unknown dataset");
         c.register("sq", 2, unit_square()).unwrap();
         let ws = vec![Weight::new(vec![0.5, 0.5]), Weight::new(vec![0.25, 0.75])];
         c.register_weights("w", ws.clone()).unwrap();
-        let tables_built = || c.stages[Stage::TableBuild.index()].snapshot().count;
+        let tables_built = || c.tracer.stage_latency(Stage::TableBuild).count;
         let cold = c.peek("sq", Some("w")).unwrap();
         assert_eq!(cold.epoch, DatasetEpoch::fresh(1));
         assert!(cold.plain.is_none(), "no index yet");
@@ -1035,7 +1035,7 @@ mod tests {
 
     #[test]
     fn append_is_absorbed_by_the_overlay() {
-        let c = Catalog::new();
+        let c = catalog();
         c.register("sq", 2, unit_square()).unwrap();
         let h1 = c.handle("sq").unwrap();
         assert_eq!(c.append("sq", &[0.5, 0.5]).unwrap(), 5);
@@ -1062,7 +1062,7 @@ mod tests {
 
     #[test]
     fn delete_tombstones_base_and_drops_delta_rows() {
-        let c = Catalog::new();
+        let c = catalog();
         c.register("sq", 2, unit_square()).unwrap();
         c.append("sq", &[0.5, 0.5, 0.25, 0.75]).unwrap(); // ids 4, 5
         assert_eq!(c.delete("sq", &[1, 4]).unwrap(), 4);
@@ -1097,49 +1097,33 @@ mod tests {
         );
     }
 
-    /// A [`MemBackend`] whose `wal_append`
-    /// fails while the shared flag is set.
-    #[derive(Debug)]
-    struct FailingWal {
-        inner: MemBackend,
-        fail: Arc<AtomicBool>,
-    }
-
-    impl StorageBackend for FailingWal {
-        fn wal_bytes(&self) -> std::io::Result<Vec<u8>> {
-            self.inner.wal_bytes()
-        }
-        fn wal_append(&self, record: &[u8]) -> std::io::Result<()> {
-            if self.fail.load(Ordering::SeqCst) {
-                return Err(std::io::Error::other("injected WAL failure"));
-            }
-            self.inner.wal_append(record)
-        }
-        fn wal_truncate(&self, len: u64) -> std::io::Result<()> {
-            self.inner.wal_truncate(len)
-        }
-        fn snapshot_bytes(&self) -> std::io::Result<Option<Vec<u8>>> {
-            self.inner.snapshot_bytes()
-        }
-        fn install_checkpoint(&self, snapshot: &[u8]) -> std::io::Result<()> {
-            self.inner.install_checkpoint(snapshot)
-        }
-        fn sync(&self) -> std::io::Result<()> {
-            self.inner.sync()
-        }
-    }
-
-    /// A catalog logging to a [`FailingWal`], plus the failure switch.
-    fn durable_catalog() -> (Catalog, Arc<AtomicBool>) {
-        let fail = Arc::new(AtomicBool::new(false));
-        let backend = FailingWal {
-            inner: MemBackend::new(),
-            fail: fail.clone(),
-        };
-        let recovered = Durability::open(Box::new(backend), FsyncPolicy::Never).unwrap();
-        let c = Catalog::new();
+    /// A catalog logging to a [`Faulty`] backend over `mem` that fails
+    /// the planned `faults`, every record fsynced.
+    fn durable_catalog(mem: &MemBackend, faults: &[(Fault, usize)]) -> Catalog {
+        let backend = Faulty::new(mem, faults);
+        let recovered = Durability::open(backend, FsyncPolicy::Always).unwrap();
+        let c = catalog();
         c.attach_durability(recovered.durability);
-        (c, fail)
+        c
+    }
+
+    /// The catalog `mem` recovers, as `try_build` recovers one: the
+    /// snapshot restored, then every record after it replayed through
+    /// [`Catalog::apply`].
+    fn reopen(mem: &MemBackend) -> Catalog {
+        let recovered = Durability::open(Box::new(mem.clone()), FsyncPolicy::Always).unwrap();
+        let c = catalog();
+        if let Some(state) = recovered.state {
+            c.restore_state(state).unwrap();
+        }
+        for (_, request) in recovered.records {
+            c.apply(request).unwrap();
+        }
+        c
+    }
+
+    fn is_durability(e: EngineError) -> bool {
+        matches!(e, EngineError::Durability { .. })
     }
 
     /// Everything a mutation may change, read back through the public
@@ -1162,7 +1146,7 @@ mod tests {
 
     #[test]
     fn empty_mutations_are_not_mutations() {
-        let (c, _fail) = durable_catalog();
+        let c = durable_catalog(&MemBackend::new(), &[]);
         c.register("sq", 2, unit_square()).unwrap();
         c.append("sq", &[0.5, 0.5]).unwrap(); // id 4
         let before = (observe(&c, "sq"), c.stats());
@@ -1186,14 +1170,14 @@ mod tests {
 
     #[test]
     fn unlogged_means_undone() {
-        let (c, fail) = durable_catalog();
+        // Records 1–3 land; the next four fail.
+        let faults: Vec<_> = (4..=7).map(|n| (Fault::Enospc, n)).collect();
+        let c = durable_catalog(&MemBackend::new(), &faults);
         c.register("sq", 2, unit_square()).unwrap();
         c.append("sq", &[0.5, 0.5, 0.25, 0.75, 0.75, 0.25]).unwrap(); // ids 4, 5, 6
         c.delete("sq", &[2]).unwrap();
         let before = (observe(&c, "sq"), c.stats());
-        let is_durability = |e: EngineError| matches!(e, EngineError::Durability { .. });
 
-        fail.store(true, Ordering::SeqCst);
         assert!(is_durability(c.append("sq", &[0.1, 0.1]).unwrap_err()));
         assert!(is_durability(c.delete("sq", &[0, 3]).unwrap_err())); // base ids
         assert!(is_durability(c.delete("sq", &[4, 6]).unwrap_err())); // delta ids
@@ -1202,7 +1186,6 @@ mod tests {
 
         // The next successful mutations behave as if the failed ones had
         // never been submitted: same ids assigned, same ids deletable.
-        fail.store(false, Ordering::SeqCst);
         assert_eq!(c.append("sq", &[0.1, 0.1]).unwrap(), 7);
         assert_eq!(c.handle("sq").unwrap().view.delta_ids(), &[4, 5, 6, 7]);
         assert_eq!(c.delete("sq", &[1, 5]).unwrap(), 5);
@@ -1213,10 +1196,119 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_append_changes_nothing_and_its_ids_go_to_the_next() {
+        for fault in [Fault::Enospc, Fault::ShortWrite, Fault::Fsync] {
+            // Register and append are records 1 and 2; the third fails.
+            let mem = MemBackend::new();
+            let c = durable_catalog(&mem, &[(fault, 3)]);
+            c.register("sq", 2, unit_square()).unwrap();
+            c.append("sq", &[0.5, 0.5]).unwrap(); // id 4
+            let before = observe(&c, "sq");
+            let refused = c.append("sq", &[0.1, 0.9, 0.2, 0.2]).unwrap_err();
+            assert!(is_durability(refused), "{fault:?}");
+            assert_eq!(observe(&c, "sq"), before, "{fault:?}");
+            assert_eq!(c.append("sq", &[0.1, 0.9, 0.2, 0.2]).unwrap(), 7);
+            assert_eq!(c.handle("sq").unwrap().view.delta_ids(), &[4, 5, 6]);
+            // The log holds exactly the acknowledged mutations.
+            assert_eq!(observe(&reopen(&mem), "sq"), observe(&c, "sq"));
+        }
+    }
+
+    #[test]
+    fn a_compaction_whose_record_is_refused_leaves_the_overlay() {
+        let mem = MemBackend::new();
+        let c = durable_catalog(&mem, &[(Fault::ShortWrite, 4)]);
+        c.register("sq", 2, unit_square()).unwrap();
+        c.append("sq", &[0.5, 0.5]).unwrap();
+        c.delete("sq", &[1]).unwrap();
+        let before = observe(&c, "sq");
+        let compact = Request::Compact {
+            dataset: "sq".into(),
+        };
+        assert!(is_durability(c.apply(compact).unwrap_err()));
+        assert_eq!(observe(&c, "sq"), before, "the overlay is untouched");
+        let stats = c.stats();
+        assert_eq!((stats.compactions, stats.compactions_abandoned), (0, 1));
+        assert_eq!(c.handle("sq").unwrap().view.dead_ids(), &[1]);
+        assert_eq!(observe(&reopen(&mem), "sq"), before);
+    }
+
+    #[test]
+    fn a_compaction_whose_checkpoint_fails_stays_installed_and_recovers() {
+        for fault in [Fault::Checkpoint, Fault::CheckpointLate] {
+            // The compaction's checkpoint fails, then an explicit one.
+            let mem = MemBackend::new();
+            let c = durable_catalog(&mem, &[(fault, 1), (Fault::Checkpoint, 2)]);
+            c.register("sq", 2, unit_square()).unwrap();
+            c.append("sq", &[0.5, 0.5, 0.25, 0.75]).unwrap();
+            c.delete("sq", &[0, 4]).unwrap();
+            assert!(c.compact_if("sq", c.epoch("sq").unwrap()).unwrap());
+            let merged = observe(&c, "sq");
+            assert_eq!(merged.0, DatasetEpoch::fresh(2), "{fault:?}");
+            assert_eq!(merged.1, 4);
+            assert_eq!(c.stats().compactions, 1);
+            assert_eq!(observe(&reopen(&mem), "sq"), merged, "{fault:?}");
+            // A failed explicit checkpoint changes nothing either.
+            assert!(is_durability(c.checkpoint().unwrap_err()));
+            assert_eq!(observe(&reopen(&mem), "sq"), merged, "{fault:?}");
+            // A later one succeeds and recovers the same catalog.
+            assert!(c.checkpoint().unwrap());
+            assert_eq!(observe(&reopen(&mem), "sq"), merged, "{fault:?}");
+        }
+    }
+
+    #[test]
+    fn once_the_log_stops_every_mutation_is_refused() {
+        // The third record is torn and cannot be cut back out.
+        let mem = MemBackend::new();
+        let c = durable_catalog(&mem, &[(Fault::ShortWrite, 3), (Fault::CutBack, 1)]);
+        c.register("sq", 2, unit_square()).unwrap();
+        c.append("sq", &[0.5, 0.5]).unwrap();
+        assert!(is_durability(c.append("sq", &[0.1, 0.1]).unwrap_err()));
+        let before = (observe(&c, "sq"), c.dataset_names());
+        let refused = [
+            Request::Append {
+                dataset: "sq".into(),
+                points: vec![0.2, 0.2],
+            },
+            Request::Delete {
+                dataset: "sq".into(),
+                ids: vec![0, 4],
+            },
+            Request::Register {
+                dataset: "sq".into(),
+                dim: 2,
+                coords: vec![3.0, 3.0],
+            },
+            Request::Register {
+                dataset: "other".into(),
+                dim: 2,
+                coords: vec![3.0, 3.0],
+            },
+            Request::RegisterWeights {
+                name: "w".into(),
+                weights: vec![vec![0.5, 0.5]],
+            },
+            Request::Compact {
+                dataset: "sq".into(),
+            },
+        ];
+        for request in refused {
+            let kind = request.kind();
+            assert!(is_durability(c.apply(request).unwrap_err()), "{kind:?}");
+            assert_eq!((observe(&c, "sq"), c.dataset_names()), before, "{kind:?}");
+        }
+        assert!(c.weights("w").is_err());
+        assert_eq!(c.stats().wal_appends, 2);
+        // Recovery stops at the torn bytes: the two acknowledged records.
+        assert_eq!(observe(&reopen(&mem), "sq"), before.0);
+    }
+
+    #[test]
     fn a_held_snapshot_keeps_its_rows_across_mutations() {
         // Whether an unshared overlay grows in place is `Overlay`'s own
         // test; here, a held handle keeps reading exactly its rows.
-        let c = Catalog::new();
+        let c = catalog();
         c.register("sq", 2, unit_square()).unwrap();
         c.append("sq", &[0.5, 0.5, 0.25, 0.75, 0.9, 0.9]).unwrap();
         let held = c.handle("sq").unwrap();
@@ -1233,7 +1325,7 @@ mod tests {
 
     #[test]
     fn compaction_merges_in_canonical_order() {
-        let c = Catalog::new();
+        let c = catalog();
         c.register("sq", 2, unit_square()).unwrap();
         c.append("sq", &[0.5, 0.5]).unwrap();
         c.delete("sq", &[0]).unwrap();
@@ -1255,15 +1347,14 @@ mod tests {
 
     #[test]
     fn a_compaction_records_one_sample_installed_or_abandoned() {
-        let (c, fail) = durable_catalog();
-        let samples = |stage: Stage| c.stages[stage.index()].snapshot().count;
+        // The third record, the first `Compact`, fails.
+        let c = durable_catalog(&MemBackend::new(), &[(Fault::Enospc, 3)]);
+        let samples = |stage: Stage| c.tracer.stage_latency(stage).count;
         c.register("sq", 2, unit_square()).unwrap();
         c.append("sq", &[0.5, 0.5]).unwrap();
-        fail.store(true, Ordering::SeqCst);
         assert!(c.compact_if("sq", c.epoch("sq").unwrap()).is_err());
         assert_eq!(c.stats().compactions_abandoned, 1);
         assert_eq!(samples(Stage::Compaction), 1, "abandoned: unlogged");
-        fail.store(false, Ordering::SeqCst);
         assert!(c.compact_if("sq", c.epoch("sq").unwrap()).unwrap());
         assert_eq!(samples(Stage::Compaction), 2, "installed");
         assert_eq!(samples(Stage::Checkpoint), 1, "the install's checkpoint");
@@ -1271,9 +1362,9 @@ mod tests {
         assert!(!c.compact_if("sq", c.epoch("sq").unwrap()).unwrap());
         assert_eq!(samples(Stage::Compaction), 2);
         // Register, append, the failed Compact record and the logged one;
-        // this catalog's policy never fsyncs.
+        // every record but the failed one is fsynced.
         assert_eq!(samples(Stage::WalAppend), 4);
-        assert_eq!(samples(Stage::Fsync), 0);
+        assert_eq!(samples(Stage::Fsync), 3);
     }
 
     #[test]
@@ -1292,7 +1383,7 @@ mod tests {
                 .collect()
         };
         for round in 0..3 {
-            let c = Catalog::new();
+            let c = catalog();
             c.register("u", 3, uniform(60_000, round)).unwrap();
             c.handle("u").unwrap();
             c.append("u", &uniform(10_000, round + 100)).unwrap();
@@ -1322,7 +1413,7 @@ mod tests {
 
     #[test]
     fn compaction_abandons_when_superseded() {
-        let c = Catalog::new();
+        let c = catalog();
         c.register("d", 2, unit_square()).unwrap();
         c.append("d", &[0.5, 0.5]).unwrap();
         let old = c.epoch("d").unwrap();
@@ -1334,7 +1425,7 @@ mod tests {
 
     #[test]
     fn reregister_bumps_base_epoch() {
-        let c = Catalog::new();
+        let c = catalog();
         c.register("d", 2, unit_square()).unwrap();
         c.append("d", &[0.5, 0.5]).unwrap();
         c.register("d", 3, vec![0.0; 9]).unwrap();
@@ -1345,7 +1436,7 @@ mod tests {
 
     #[test]
     fn errors_are_typed() {
-        let c = Catalog::new();
+        let c = catalog();
         assert_eq!(
             c.handle("nope").unwrap_err(),
             EngineError::UnknownDataset("nope".into())
@@ -1387,7 +1478,7 @@ mod tests {
 
     #[test]
     fn weight_sets_are_immutable_and_validated() {
-        let c = Catalog::new();
+        let c = catalog();
         c.register_weights("cust", vec![Weight::new(vec![0.5, 0.5])])
             .unwrap();
         assert_eq!(c.weights("cust").unwrap().len(), 1);
@@ -1410,7 +1501,7 @@ mod tests {
 
     #[test]
     fn a_mixed_dimension_population_is_refused_before_its_wal_record() {
-        let (c, _fail) = durable_catalog();
+        let c = durable_catalog(&MemBackend::new(), &[]);
         let mixed = vec![
             Weight::new(vec![0.5, 0.5]),
             Weight::new(vec![0.2, 0.3, 0.5]),
@@ -1436,14 +1527,14 @@ mod tests {
         let mut state = Catalog::export_state_locked(&c.inner.read().unwrap(), 1);
         state.weight_sets[0].weights.push(vec![0.2, 0.3, 0.5]);
         assert!(matches!(
-            Catalog::new().restore_state(state),
+            catalog().restore_state(state),
             Err(EngineError::Durability { .. })
         ));
     }
 
     #[test]
     fn dataset_names_sorted() {
-        let c = Catalog::new();
+        let c = catalog();
         c.register("b", 1, vec![1.0]).unwrap();
         c.register("a", 1, vec![2.0]).unwrap();
         assert_eq!(c.dataset_names(), vec!["a".to_string(), "b".to_string()]);
@@ -1452,7 +1543,7 @@ mod tests {
     #[test]
     fn concurrent_cold_handles_build_exactly_once() {
         use std::sync::Barrier;
-        let c = Arc::new(Catalog::new());
+        let c = Arc::new(catalog());
         // Big enough that a build takes real time, so the race window is
         // wide open without the OnceLock.
         let n = 20_000;
@@ -1484,13 +1575,13 @@ mod tests {
     #[test]
     fn score_tables_are_built_once_per_generation_and_population() {
         use std::sync::Barrier;
-        let c = Catalog::new();
+        let c = catalog();
         c.register("diag", 2, diagonal(400)).unwrap();
         let ws: Vec<Weight> = (1..40)
             .map(|i| Weight::from_first_2d(f64::from(i) / 40.0))
             .collect();
         c.register_weights("w", ws.clone()).unwrap();
-        let samples = |stage: Stage| c.stages[stage.index()].snapshot().count;
+        let samples = |stage: Stage| c.tracer.stage_latency(stage).count;
         let h = c.handle("diag").unwrap();
 
         // Cold callers racing on one population share one build.

@@ -146,7 +146,13 @@ impl EngineBuilder {
     /// opened, its images are structurally corrupt, or the recovered
     /// state violates a catalog invariant.
     pub fn try_build(self) -> Result<Engine, EngineError> {
-        let catalog = Catalog::new();
+        // One ring shard per worker (workers hint with their own index)
+        // plus the boundary shard (index `workers`: requests served
+        // inline; the server loop hints with the connection id, which
+        // lands anywhere). Made first, so recovery samples into it.
+        let tracer = Tracer::new(self.workers + 1, TRACE_RING_CAPACITY, SLOW_LOG_CAPACITY);
+        let tracer = Arc::new(tracer);
+        let catalog = Catalog::new(tracer.clone());
         if let Some(dir) = &self.data_dir {
             let durability_err = |e: crate::storage::StorageError| EngineError::Durability {
                 reason: e.to_string(),
@@ -157,7 +163,7 @@ impl EngineBuilder {
             })?;
             let recovered =
                 Durability::open(Box::new(backend), self.fsync).map_err(durability_err)?;
-            catalog.record_stage(Stage::Recovery, started);
+            tracer.sample(Stage::Recovery, started.elapsed());
             let started = Instant::now();
             if let Some(state) = recovered.state {
                 catalog.restore_state(state)?;
@@ -170,24 +176,20 @@ impl EngineBuilder {
                         reason: format!("wal record {lsn} ({kind}) does not replay: {e}"),
                     })?;
             }
-            catalog.record_stage(Stage::Replay, started);
+            tracer.sample(Stage::Replay, started.elapsed());
             // Attach only now: the replay above must not log again.
             catalog.attach_durability(recovered.durability);
         }
-        Ok(self.spawn(catalog))
+        Ok(self.spawn(catalog, tracer))
     }
 
-    fn spawn(self, catalog: Catalog) -> Engine {
+    fn spawn(self, catalog: Catalog, tracer: Arc<Tracer>) -> Engine {
         let (queue, queue_rx) = mpsc::channel();
         let ctx = Arc::new(WorkerContext {
-            metrics: Metrics::with_stages(catalog.stage_histograms()),
+            metrics: Metrics::new(),
             catalog,
             cache: ResultCache::new(self.cache_capacity),
-            // One ring shard per worker (workers hint with their own
-            // index) plus the boundary shard (index `workers`: requests
-            // served inline; server loops hint with the connection id,
-            // which lands anywhere).
-            tracer: Tracer::new(self.workers + 1, TRACE_RING_CAPACITY, SLOW_LOG_CAPACITY),
+            tracer,
             // Workers re-enter the queue to schedule compactions.
             queue,
             overlay_limit: self.overlay_limit,
@@ -524,15 +526,6 @@ impl Engine {
         Some(answer)
     }
 
-    /// Records one boundary-owned pipeline-stage observation into the
-    /// engine's stage histograms. Workers record the stages they own
-    /// (queue wait, cache lookup, execute); the layers in front of the
-    /// pool — the wire server's serialize path, an admission gate —
-    /// own stages the workers never see and report them here.
-    pub fn record_stage(&self, stage: Stage, latency: std::time::Duration) {
-        self.ctx.metrics.record_stage(stage, latency);
-    }
-
     /// Fans a batch across the worker pool and reassembles responses in
     /// submission order. Responses are deterministic and independent of
     /// the worker count; failed requests yield [`Response::Error`] in
@@ -581,11 +574,13 @@ impl Engine {
     /// cache hit rate).
     pub fn metrics(&self) -> MetricsSnapshot {
         let ctx = &self.ctx;
-        ctx.metrics.snapshot(ctx.cache.stats(), ctx.catalog.stats())
+        ctx.metrics
+            .snapshot(ctx.cache.stats(), ctx.catalog.stats(), &ctx.tracer)
     }
 
-    /// The engine's tracer — boundary threads (the server's read and
-    /// write loops) record their admission and serialize spans here.
+    /// The engine's tracer, the one writer of its stage histograms — the
+    /// server's event loop and reply encoders record their admission
+    /// and serialize spans here.
     pub fn tracer(&self) -> &Tracer {
         &self.ctx.tracer
     }
@@ -1291,12 +1286,7 @@ mod tests {
             options: wqrtq_core::advisor::WhyNotOptions::default(),
         });
         let m = engine.metrics();
-        for stage in [
-            Stage::QueueWait,
-            Stage::Admission,
-            Stage::CacheLookup,
-            Stage::Execute,
-        ] {
+        for stage in [Stage::QueueWait, Stage::CacheLookup, Stage::Execute] {
             assert_eq!(
                 m.stage_latency(stage).count,
                 2,
@@ -1308,8 +1298,11 @@ mod tests {
             1,
             "only the top-k walks the index"
         );
-        // validate + one explanation + three strategies.
-        assert_eq!(m.stage_latency(Stage::AdvisorStep).count, 5);
+        // One span per strategy the plan ran.
+        assert_eq!(m.stage_latency(Stage::AdvisorStep).count, 3);
+        // Admission is the wire server's span: an in-process submit has
+        // none.
+        assert_eq!(m.stage_latency(Stage::Admission).count, 0);
     }
 
     #[test]

@@ -5,10 +5,10 @@
 //! instead of mean-only), index nodes expanded (the paper's `|RT|` cost
 //! term, via `rtree` traversal counters where the primitive reports
 //! them) and whether the result came from the cache. Pipeline stages
-//! (queue wait, cache lookup, index probe, …) feed a second histogram
-//! family keyed by [`Stage`], shared with the [`crate::Catalog`], which
-//! records its lazy index and score-table builds, its compactions and
-//! its durability layer's WAL appends, fsyncs and checkpoints into it.
+//! (queue wait, cache lookup, index probe, …, and the catalog's builds
+//! and storage operations) are not counted here: the engine's
+//! [`Tracer`] owns one histogram per [`Stage`], and
+//! [`Metrics::snapshot`] reads the stage rows from it.
 //! [`MetricsSnapshot`] is a
 //! consistent-enough point-in-time read for dashboards and tests; once
 //! workers quiesce it is exact, which is what the wire `Stats`
@@ -19,13 +19,8 @@ use crate::cache::CacheStats;
 use crate::catalog::CatalogStats;
 use crate::request::RequestKind;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
-use wqrtq_obs::{Histogram, HistogramSnapshot, Stage};
-
-/// The latency histogram of every pipeline stage ([`Stage::ALL`] order):
-/// one set per engine, shared by [`Metrics`] and the catalog.
-pub(crate) type StageHistograms = Arc<[Histogram; Stage::COUNT]>;
+use wqrtq_obs::{Histogram, HistogramSnapshot, Stage, Tracer};
 
 #[derive(Debug, Default)]
 struct KindCounters {
@@ -40,10 +35,6 @@ struct KindCounters {
 #[derive(Debug, Default)]
 pub struct Metrics {
     kinds: [KindCounters; RequestKind::ALL.len()],
-    /// Latency per pipeline stage, recorded by whichever layer owns the
-    /// stage (workers for queue wait / cache lookup / execute, the server
-    /// for admission / serialize, the catalog for its builds).
-    stages: StageHistograms,
     batches: AtomicU64,
     /// Requests submitted through the non-blocking completion-routed
     /// path ([`crate::Engine::submit_batch_with`]) — the serving layer's
@@ -62,14 +53,6 @@ impl Metrics {
     /// Fresh counters.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Fresh counters over an existing set of stage histograms.
-    pub(crate) fn with_stages(stages: StageHistograms) -> Self {
-        Self {
-            stages,
-            ..Self::default()
-        }
     }
 
     /// Records one served request.
@@ -94,11 +77,6 @@ impl Metrics {
         }
     }
 
-    /// Records one pipeline-stage latency observation.
-    pub fn record_stage(&self, stage: Stage, latency: Duration) {
-        self.stages[stage.index()].record_duration(latency);
-    }
-
     /// Records one submitted batch.
     pub fn record_batch(&self) {
         self.batches.fetch_add(1, Ordering::Relaxed);
@@ -120,8 +98,13 @@ impl Metrics {
     }
 
     /// A point-in-time snapshot, merged with the cache's and catalog's
-    /// counters.
-    pub fn snapshot(&self, cache: CacheStats, catalog: CatalogStats) -> MetricsSnapshot {
+    /// counters and `tracer`'s stage histograms.
+    pub fn snapshot(
+        &self,
+        cache: CacheStats,
+        catalog: CatalogStats,
+        tracer: &Tracer,
+    ) -> MetricsSnapshot {
         let per_kind = RequestKind::ALL
             .iter()
             .map(|&kind| {
@@ -140,7 +123,7 @@ impl Metrics {
             .iter()
             .map(|&stage| StageSnapshot {
                 stage,
-                latency: self.stages[stage.index()].snapshot(),
+                latency: tracer.stage_latency(stage),
             })
             .collect();
         MetricsSnapshot {
@@ -468,8 +451,14 @@ mod tests {
         }
     }
 
-    fn empty_catalog_stats() -> CatalogStats {
-        CatalogStats::default()
+    /// `m`'s snapshot over empty cache and catalog counters and
+    /// `tracer`'s stage rows.
+    fn snapshot_with(m: &Metrics, tracer: &Tracer) -> MetricsSnapshot {
+        m.snapshot(empty_cache_stats(), CatalogStats::default(), tracer)
+    }
+
+    fn snapshot(m: &Metrics) -> MetricsSnapshot {
+        snapshot_with(m, &Tracer::new(1, 1, 1))
     }
 
     #[test]
@@ -491,7 +480,7 @@ mod tests {
             true,
         );
         m.record_batch();
-        let s = m.snapshot(empty_cache_stats(), empty_catalog_stats());
+        let s = snapshot(&m);
         assert_eq!(s.total_requests(), 3);
         assert_eq!(s.batches, 1);
         assert_eq!(s.total_index_nodes(), 12);
@@ -516,7 +505,7 @@ mod tests {
                 false,
             );
         }
-        let s = m.snapshot(empty_cache_stats(), empty_catalog_stats());
+        let s = snapshot(&m);
         let h = &s.per_kind[RequestKind::TopK.index()].latency;
         assert_eq!(h.count, 100);
         assert_eq!(h.max, 100_000);
@@ -530,10 +519,11 @@ mod tests {
     #[test]
     fn stage_recordings_land_in_their_own_histograms() {
         let m = Metrics::new();
-        m.record_stage(Stage::QueueWait, Duration::from_micros(3));
-        m.record_stage(Stage::QueueWait, Duration::from_micros(5));
-        m.record_stage(Stage::Execute, Duration::from_micros(40));
-        let s = m.snapshot(empty_cache_stats(), empty_catalog_stats());
+        let tracer = Tracer::new(1, 1, 1);
+        tracer.sample(Stage::QueueWait, Duration::from_micros(3));
+        tracer.sample(Stage::QueueWait, Duration::from_micros(5));
+        tracer.sample(Stage::Execute, Duration::from_micros(40));
+        let s = snapshot_with(&m, &tracer);
         assert_eq!(s.stage_latency(Stage::QueueWait).count, 2);
         assert_eq!(s.stage_latency(Stage::Execute).count, 1);
         assert_eq!(s.stage_latency(Stage::CacheLookup).count, 0);
@@ -550,9 +540,7 @@ mod tests {
             false,
             false,
         );
-        let text = m
-            .snapshot(empty_cache_stats(), empty_catalog_stats())
-            .to_string();
+        let text = snapshot(&m).to_string();
         assert!(text.contains("topk"));
         assert!(!text.contains("whynot-refine"));
     }
@@ -560,7 +548,7 @@ mod tests {
     #[test]
     fn empty_snapshot_is_zero() {
         let m = Metrics::new();
-        let s = m.snapshot(empty_cache_stats(), empty_catalog_stats());
+        let s = snapshot(&m);
         assert_eq!(s.total_requests(), 0);
         assert_eq!(s.per_kind[0].avg_latency(), Duration::ZERO);
     }
@@ -575,9 +563,10 @@ mod tests {
             false,
             false,
         );
-        m.record_stage(Stage::Execute, Duration::from_micros(9));
+        let tracer = Tracer::new(1, 1, 1);
+        tracer.sample(Stage::Execute, Duration::from_micros(9));
         let snap = StatsSnapshot {
-            metrics: m.snapshot(empty_cache_stats(), empty_catalog_stats()),
+            metrics: snapshot_with(&m, &tracer),
             server: Some(ServerCounters {
                 frames_in: 3,
                 ..ServerCounters::default()

@@ -56,13 +56,13 @@ pub use backend::{
 pub use record::{WalReadout, MAX_WAL_RECORD_LEN, RECORD_MAGIC, WAL_TAGS};
 pub use snapshot::{CatalogState, DatasetState, WeightSetState, SNAPSHOT_MAGIC};
 
-use crate::metrics::StageHistograms;
 use crate::request::Request;
 use std::fmt;
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
-use wqrtq_obs::Stage;
+use wqrtq_obs::{Stage, Tracer};
 
 /// When WAL appends are forced to stable storage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -208,9 +208,9 @@ pub struct Durability {
     snapshot_writes: AtomicU64,
     recoveries: AtomicU64,
     wal_replayed: AtomicU64,
-    /// The engine's stage histograms, which every WAL append, fsync and
+    /// The engine's tracer, which every WAL append, fsync and
     /// checkpoint records one sample into; `None` records nothing.
-    stages: Option<StageHistograms>,
+    tracer: Option<Arc<Tracer>>,
 }
 
 impl Durability {
@@ -267,7 +267,7 @@ impl Durability {
             snapshot_writes: AtomicU64::new(0),
             recoveries: AtomicU64::new(u64::from(had_state)),
             wal_replayed: AtomicU64::new(records.len() as u64),
-            stages: None,
+            tracer: None,
         };
         Ok(Recovered {
             durability,
@@ -276,18 +276,18 @@ impl Durability {
         })
     }
 
-    /// Records every later WAL append, fsync and checkpoint into
-    /// `stages` ([`Stage::WalAppend`], [`Stage::Fsync`],
+    /// Samples every later WAL append, fsync and checkpoint into
+    /// `tracer` ([`Stage::WalAppend`], [`Stage::Fsync`],
     /// [`Stage::Checkpoint`]).
-    pub(crate) fn with_stages(mut self, stages: StageHistograms) -> Self {
-        self.stages = Some(stages);
+    pub(crate) fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
+        self.tracer = Some(tracer);
         self
     }
 
     /// Records one `stage` sample that began at `started`.
     fn record(&self, stage: Stage, started: Instant) {
-        if let Some(histogram) = self.stages.as_ref().and_then(|s| s.get(stage.index())) {
-            histogram.record_duration(started.elapsed());
+        if let Some(tracer) = &self.tracer {
+            tracer.sample(stage, started.elapsed());
         }
     }
 
@@ -431,6 +431,10 @@ impl Drop for Durability {
         let _ = self.backend.sync();
     }
 }
+
+#[cfg(test)]
+#[path = "../../tests/support/faulty.rs"]
+pub(crate) mod faulty;
 
 #[cfg(test)]
 mod tests {

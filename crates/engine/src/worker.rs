@@ -23,9 +23,9 @@
 //! event loop answer the requests that are cheap by construction on its
 //! own thread and its own `ProbeCtx` — a `Stats`, a cache hit, and over
 //! a built, overlay-free base a small-`k` top-k miss or a named
-//! bichromatic miss whose score table is built; it shares [`serve`]'s
-//! validation, cache lookup and fill, execution and metrics
-//! ([`Serving`]), reports whether it executed a miss, and hands
+//! bichromatic miss whose score table is built; it validates as
+//! [`serve`] does and shares its cache lookup and fill, execution and
+//! metrics ([`Serving`]), reports whether it executed a miss, and hands
 //! everything else back untouched.
 //!
 //! Execution is deterministic — every algorithm is seed-driven — which
@@ -65,8 +65,9 @@ pub(crate) struct WorkerContext {
     pub(crate) catalog: Catalog,
     pub(crate) cache: ResultCache,
     pub(crate) metrics: Metrics,
-    /// Span sink: per-worker ring buffers plus the slow-request log.
-    pub(crate) tracer: Tracer,
+    /// The stage histograms, per-worker span rings and the slow-request
+    /// log; shared with the catalog, which samples its builds into it.
+    pub(crate) tracer: Arc<Tracer>,
     /// Re-entrant handle to the work queue, used to schedule
     /// compactions. Workers holding this sender keep the channel open,
     /// so shutdown is signalled with explicit [`Job::Shutdown`]
@@ -215,10 +216,10 @@ fn span_nanos(d: Duration) -> u64 {
 }
 
 /// Per-request stage collector: buffers the stage spans of one request
-/// and, once the request is answered, records them into the stage
-/// histograms and the tracer (plus the slow-log entry) in one go. A
-/// request the event loop hands back is dropped unflushed, so it leaves
-/// no trace. The buffer is tiny (≤ a dozen spans).
+/// and, once the request is answered, records them into the tracer —
+/// each span's stage histogram and ring, plus the slow-log entry — in
+/// one go. A request the event loop hands back is dropped unrecorded,
+/// so it leaves no trace. The buffer is tiny (≤ a dozen spans).
 pub(crate) struct SpanBuf {
     trace_id: u64,
     spans: Vec<SpanRecord>,
@@ -242,17 +243,6 @@ impl SpanBuf {
             start_nanos: tracer.now_nanos().saturating_sub(nanos),
             duration_nanos: nanos,
         });
-    }
-
-    /// Records every span into its stage histogram and the `shard`
-    /// trace ring, and offers the request to the slow log.
-    fn flush(self, ctx: &WorkerContext, shard: usize, fingerprint: u64, total: Duration) {
-        for span in &self.spans {
-            ctx.metrics
-                .record_stage(span.stage, Duration::from_nanos(span.duration_nanos));
-        }
-        ctx.tracer
-            .record_request(shard, fingerprint, span_nanos(total), &self.spans);
     }
 }
 
@@ -282,8 +272,8 @@ enum Target<'a> {
 /// One request between pickup and reply: its span buffer and the clock
 /// its metrics are taken from. [`serve`] and [`serve_inline`] differ only
 /// in how they resolve the dataset and whether they may hand a request
-/// back; validation, cache lookup and fill, execution and metrics are
-/// these methods, shared.
+/// back; cache lookup and fill, execution and metrics are these
+/// methods, shared.
 struct Serving {
     kind: RequestKind,
     /// The request's [`Request::fingerprint`], taken once: it keys the
@@ -312,16 +302,6 @@ impl Serving {
             started,
             spans,
         }
-    }
-
-    /// Input firewall: rejects non-finite coordinates and malformed
-    /// weighting vectors before any index or cache is touched.
-    fn validate(&mut self, ctx: &WorkerContext, request: &Request) -> Result<(), EngineError> {
-        let admission = Instant::now();
-        let validated = request.validate();
-        self.spans
-            .push_ended(&ctx.tracer, Stage::Admission, admission.elapsed());
-        validated
     }
 
     /// Records an answer that neither came from nor goes to the cache.
@@ -406,10 +386,13 @@ impl Serving {
         response
     }
 
-    /// Records the spans into `shard` and hands the response back.
+    /// Records the spans into `shard`, offers the request to the slow
+    /// log, and hands the response back.
     fn finish(self, ctx: &WorkerContext, shard: usize, response: Response) -> Response {
-        self.spans
-            .flush(ctx, shard, self.fingerprint, self.started.elapsed());
+        let total = span_nanos(self.started.elapsed());
+        let spans = &self.spans.spans;
+        ctx.tracer
+            .record_request(shard, self.fingerprint, total, spans);
         response
     }
 }
@@ -421,12 +404,16 @@ impl Serving {
 /// cache or catalog traffic.
 fn stats(ctx: &WorkerContext, catalog: CatalogStats) -> Response {
     Response::Stats(Box::new(StatsSnapshot {
-        metrics: ctx.metrics.snapshot(ctx.cache.stats(), catalog),
+        metrics: ctx
+            .metrics
+            .snapshot(ctx.cache.stats(), catalog, &ctx.tracer),
         server: None,
     }))
 }
 
-/// Serves one request on a pool worker: validate → snapshot the dataset
+/// Serves one request on a pool worker: validate (the input firewall:
+/// non-finite coordinates and malformed weighting vectors die before
+/// any index or cache is touched) → snapshot the dataset
 /// (building its index on first use) → cache lookup → execute → cache
 /// fill → metrics, with the spans recorded into `shard`. A
 /// [`Request::WhyNot`]'s `progress` observes partial results as the
@@ -445,7 +432,7 @@ pub(crate) fn serve(
         return stats(ctx, ctx.catalog.stats());
     }
     let mut serving = Serving::begin(ctx, trace, &request);
-    let response = if let Err(e) = serving.validate(ctx, &request) {
+    let response = if let Err(e) = request.validate() {
         serving.fail(ctx, e)
     } else if serving.kind.is_mutation() {
         let response = mutate(ctx, request).unwrap_or_else(|e| Response::Error(e.to_string()));
@@ -508,7 +495,7 @@ pub(crate) fn serve_inline(
         return None;
     }
     let mut serving = Serving::begin(ctx, trace, request);
-    serving.validate(ctx, request).ok()?;
+    request.validate().ok()?;
     let population = match request {
         Request::ReverseTopKBi {
             weights: WeightSet::Named(name),
@@ -742,8 +729,8 @@ fn execute(
                 Err(e) => return (Response::Error(e.to_string()), 0),
             };
             // Every advisor event passes through `on_event` first, which
-            // peels off the timing events ([`AdvisorEvent::StageTimed`])
-            // into per-strategy `AdvisorStep` stage recordings; the
+            // peels off the timing events ([`AdvisorEvent::StageTimed`],
+            // one per strategy run) into `AdvisorStep` spans; the
             // remaining events become streamed plan deltas when the
             // caller asked for progress.
             let result = {

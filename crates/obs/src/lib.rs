@@ -10,10 +10,12 @@
 //!   by a log-linear scheme ([`RELATIVE_ERROR_BOUND`] bounded relative
 //!   error). Recording is one `fetch_add` plus two bookkeeping atomics;
 //!   snapshots are mergeable and answer p50/p90/p99/max.
-//! * [`Tracer`] — per-worker ring buffers of stage [`SpanRecord`]s with
-//!   a drainable [`TraceSnapshot`] and a bounded slow-request log
+//! * [`Tracer`] — one [`Histogram`] per pipeline [`Stage`], fed by its
+//!   spans ([`Tracer::record`]) and request-less samples
+//!   ([`Tracer::sample`]), plus per-worker rings of [`SpanRecord`]s
+//!   with a drainable [`TraceSnapshot`] and a bounded slow-request log
 //!   ([`SlowRequest`]). Recording never blocks: a contended ring shard
-//!   drops the span and counts it instead of waiting.
+//!   drops the span (its sample is kept) and counts it.
 //!
 //! The pipeline stage taxonomy lives here too ([`Stage`]) so the
 //! engine, the server and `benchmark/` agree on the decomposition.
@@ -26,13 +28,14 @@ mod trace;
 pub use histogram::{Histogram, HistogramSnapshot, RELATIVE_ERROR_BOUND};
 pub use trace::{SlowRequest, SpanRecord, TraceSnapshot, Tracer};
 
-/// A stage of the request pipeline, shared vocabulary between the
-/// engine's stage histograms and the tracer's spans. The build stages
-/// (from [`Stage::IndexBuild`] on) are per-dataset work a request may
-/// trigger but does not own, and the storage stages (from
-/// [`Stage::WalAppend`] on) are the durability layer's and the catalog
-/// lock's: each build or storage operation records one histogram sample
-/// and no span.
+/// A stage of the request pipeline: the key of the [`Tracer`]'s stage
+/// histograms and of its spans. The request stages (up to
+/// [`Stage::Serialize`]) are spans, each recorded once through
+/// [`Tracer::record`]. The build stages (from [`Stage::IndexBuild`] on)
+/// are per-dataset work a request may trigger but does not own, and the
+/// storage stages (from [`Stage::WalAppend`] on) are the durability
+/// layer's and the catalog lock's: each build or storage operation is
+/// one [`Tracer::sample`], a histogram sample and no span.
 ///
 /// The discriminants are the wire encoding of the stage (the `Stats`
 /// response carries per-stage histograms) — append-only, like request
@@ -40,7 +43,10 @@ pub use trace::{SlowRequest, SpanRecord, TraceSnapshot, Tracer};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Stage {
-    /// Server-side admission: frame decode + admission-gauge acquire.
+    /// Server-side admission of a wire submit: the admission-gauge
+    /// acquire and the routing, up to the pool hand-off or the start of
+    /// the event loop's inline answer. One span per admitted non-`Stats`
+    /// wire submit; an in-process submit records none.
     Admission = 0,
     /// Queue wait: `submit` to worker pickup.
     QueueWait = 1,
@@ -48,11 +54,14 @@ pub enum Stage {
     CacheLookup = 2,
     /// Index traversal / rank-kernel execution inside `execute`.
     IndexProbe = 3,
-    /// One why-not advisor stage (validate, explain, or one strategy).
+    /// One refinement strategy (MQP, MWK or MQWK) of a why-not plan:
+    /// one span per strategy the plan ran. Validation and explanations
+    /// are not timed apart; the plan's [`Stage::Execute`] covers them.
     AdvisorStep = 4,
     /// The whole `execute` body, catalog view to response.
     Execute = 5,
-    /// Server-side reply serialize + socket write/flush.
+    /// Server-side encode of one `Reply` or `ReplyPart` frame, other
+    /// than a `Stats` reply: one span per frame.
     Serialize = 6,
     /// One base's bulk-loaded index and column store.
     IndexBuild = 7,

@@ -1,5 +1,11 @@
-//! Span-based request tracing: per-worker ring buffers plus a bounded
-//! slow-request log.
+//! Span-based request tracing: one latency histogram per [`Stage`],
+//! per-worker ring buffers and a bounded slow-request log.
+//!
+//! A stage is observed once. [`Tracer::record`] puts a span's duration
+//! into its stage's histogram and the span into a ring shard;
+//! [`Tracer::sample`] takes an observation no request owns (a build, a
+//! WAL append, a lock hold) into the histogram alone. Nothing else
+//! writes a stage histogram.
 //!
 //! Design constraints, in priority order:
 //!
@@ -8,6 +14,8 @@
 //!    or a mis-hinted foreign thread) drops the span and increments
 //!    `dropped` instead of waiting. Tracing is diagnostic — losing a
 //!    span under contention is correct; stalling the hot path is not.
+//!    The dropped span's histogram sample is still taken: histograms
+//!    are lock-free.
 //! 2. **Bounded memory.** Rings overwrite their oldest span once full;
 //!    the slow-request log keeps only the top-N totals, guarded by an
 //!    atomic threshold so non-slow requests reject without locking.
@@ -15,10 +23,10 @@
 //!    nanoseconds since the tracer's construction (`Instant` epoch), so
 //!    records are plain `Copy` data.
 
-use crate::Stage;
+use crate::{Histogram, HistogramSnapshot, Stage};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One completed stage span of one traced request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,7 +128,8 @@ impl Ring {
     }
 }
 
-/// The tracing sink: sharded span rings plus the slow-request log.
+/// The tracing sink: the stage histograms, sharded span rings and the
+/// slow-request log.
 ///
 /// Construct one per engine with one shard per worker; server threads
 /// record with their connection id as the shard hint (any hint is safe
@@ -128,6 +137,8 @@ impl Ring {
 #[derive(Debug)]
 pub struct Tracer {
     epoch: Instant,
+    /// One latency histogram per stage, in [`Stage::ALL`] order.
+    stages: [Histogram; Stage::COUNT],
     shards: Vec<Mutex<Ring>>,
     dropped: AtomicU64,
     slow: Mutex<Vec<SlowRequest>>,
@@ -143,6 +154,7 @@ impl Tracer {
     pub fn new(shards: usize, ring_capacity: usize, slow_capacity: usize) -> Self {
         Tracer {
             epoch: Instant::now(),
+            stages: std::array::from_fn(|_| Histogram::new()),
             shards: (0..shards.max(1))
                 .map(|_| Mutex::new(Ring::new(ring_capacity.max(1))))
                 .collect(),
@@ -158,9 +170,11 @@ impl Tracer {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    /// Records one span into the hinted shard. Never blocks: if the
-    /// shard is contended the span is dropped and counted.
+    /// Records one span: its duration into its stage's histogram, the
+    /// span into the hinted shard. Never blocks: if the shard is
+    /// contended the span is dropped and counted, its sample kept.
     pub fn record(&self, shard_hint: usize, span: SpanRecord) {
+        self.stages[span.stage.index()].record(span.duration_nanos);
         match self.shards[shard_hint % self.shards.len()].try_lock() {
             Ok(mut ring) => ring.push(span),
             Err(_) => {
@@ -169,6 +183,18 @@ impl Tracer {
                 self.dropped.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Records one observation no request owns — a build, a storage
+    /// operation, a catalog lock hold — into `stage`'s histogram, with
+    /// no span.
+    pub fn sample(&self, stage: Stage, duration: Duration) {
+        self.stages[stage.index()].record_duration(duration);
+    }
+
+    /// A copy of `stage`'s latency histogram.
+    pub fn stage_latency(&self, stage: Stage) -> HistogramSnapshot {
+        self.stages[stage.index()].snapshot()
     }
 
     /// Records a whole request's spans and offers it to the slow log.
@@ -281,6 +307,25 @@ mod tests {
         rec.join().unwrap();
         drop(guard);
         assert_eq!(t.drain().dropped, 1);
+        // The dropped span is still one observation of its stage.
+        let wait = t.stage_latency(Stage::QueueWait);
+        assert_eq!((wait.count, wait.max), (1, 5));
+    }
+
+    #[test]
+    fn spans_and_samples_feed_their_own_stage_histograms() {
+        let t = Tracer::new(2, 8, 4);
+        t.record(0, span(1, Stage::QueueWait, 0, 3_000));
+        t.record(1, span(2, Stage::QueueWait, 0, 5_000));
+        t.record(0, span(1, Stage::Execute, 0, 40_000));
+        t.sample(Stage::WalAppend, Duration::from_micros(7));
+        assert_eq!(t.stage_latency(Stage::QueueWait).count, 2);
+        assert_eq!(t.stage_latency(Stage::Execute).count, 1);
+        assert_eq!(t.stage_latency(Stage::CacheLookup).count, 0);
+        let wal = t.stage_latency(Stage::WalAppend);
+        assert_eq!((wal.count, wal.max), (1, 7_000));
+        // A sample is no span: the rings hold the three spans alone.
+        assert_eq!(t.drain().spans.len(), 3);
     }
 
     #[test]

@@ -502,30 +502,35 @@ impl<S: Read + Write> Connection<S> {
 
     fn submit(&mut self, intake: &mut Intake<'_>, id: u64, request: Request) {
         let server = &self.shared.server;
+        let tracer = server.engine.tracer();
+        let started = tracer.now_nanos();
         if !server.admission.try_acquire(server.admission_capacity) {
             bump(&server.tallies.busy_rejections);
             self.push_control(id, ServerFrame::Busy);
             return;
         }
         let trace_id = self.trace_id(id);
-        let tracer = server.engine.tracer();
-        let admitted = tracer.now_nanos();
-        // The admission span covers the gauge acquisition and the staging
-        // for the pool — boundary cost a worker-side span can never see.
-        // Recorded with the connection id as the shard hint.
+        // The admission span covers the gauge acquisition and the routing,
+        // up to the pool hand-off or the inline answer's start — boundary
+        // cost a worker-side span can never see. Recorded with the
+        // connection id as the shard hint. A `Stats` request records
+        // none: its snapshot must equal `Engine::metrics()` at quiescence.
         let shard = self.shared.id as usize;
+        let traced = !matches!(request, Request::Stats);
         let record_admission = |ended: u64| {
-            let span = SpanRecord {
-                trace_id,
-                stage: Stage::Admission,
-                start_nanos: admitted,
-                duration_nanos: ended.saturating_sub(admitted),
-            };
-            tracer.record(shard, span);
+            if traced {
+                let span = SpanRecord {
+                    trace_id,
+                    stage: Stage::Admission,
+                    start_nanos: started,
+                    duration_nanos: ended.saturating_sub(started),
+                };
+                tracer.record(shard, span);
+            }
         };
+        let routed = tracer.now_nanos();
         if let Some(response) = intake.serve_inline(&server.engine, &request, trace_id) {
-            // Nothing was staged: the span ends where serving began.
-            record_admission(admitted);
+            record_admission(routed);
             let bytes = encode_admitted(&self.shared, id, trace_id, response);
             self.queue(bytes, true);
             return;
@@ -697,8 +702,7 @@ fn completion(
 
 /// The reply frame of an admitted request, on whichever thread answered
 /// it (a pool completion or the loop): releases the admission permit,
-/// fills a `Stats` reply's server counters, and encodes, recording the
-/// serialize stage.
+/// fills a `Stats` reply's server counters, and encodes.
 fn encode_admitted(state: &ConnShared, id: u64, trace_id: u64, mut response: Response) -> Vec<u8> {
     let server = &state.server;
     // Admission is released *before* the reply is enqueued: once a
@@ -707,31 +711,24 @@ fn encode_admitted(state: &ConnShared, id: u64, trace_id: u64, mut response: Res
     server.admission.release();
     // Server counters exist only at this layer; the engine leaves the
     // slot empty for us to fill.
-    let is_stats = match &mut response {
-        Response::Stats(stats) => {
-            stats.server = Some(server.counters());
-            true
-        }
-        _ => false,
-    };
-    let started = std::time::Instant::now();
-    let bytes = encode_reply(state, id, trace_id, ServerFrame::Reply(response));
-    // The stats reply serializes after the snapshot it carries was
-    // captured; recording it would make the engine's histograms diverge
-    // from that snapshot at quiescence.
-    if !is_stats {
-        server
-            .engine
-            .record_stage(Stage::Serialize, started.elapsed());
+    if let Response::Stats(stats) = &mut response {
+        stats.server = Some(server.counters());
     }
-    bytes
+    encode_reply(state, id, trace_id, ServerFrame::Reply(response))
 }
 
 /// Encodes one server frame into its wire bytes (length prefix
-/// included), recording the serialize span for traced frame types.
+/// included), recording one serialize span for a `Reply` or `ReplyPart`.
+/// A `Stats` reply records none: it serializes after the snapshot it
+/// carries was taken, and a sample would make the engine's histograms
+/// diverge from that snapshot at quiescence.
 fn encode_reply(state: &ConnShared, id: u64, trace_id: u64, message: ServerFrame) -> Vec<u8> {
     let tracer = state.server.engine.tracer();
-    let traced = matches!(message, ServerFrame::Reply(_) | ServerFrame::ReplyPart(_));
+    let traced = match &message {
+        ServerFrame::Reply(response) => !matches!(response, Response::Stats(_)),
+        ServerFrame::ReplyPart(_) => true,
+        _ => false,
+    };
     let started = if traced { tracer.now_nanos() } else { 0 };
     let bytes = message.encode_frame(id);
     if traced {

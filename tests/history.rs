@@ -21,7 +21,8 @@
 //!
 //! The battery covers `TopK` (ties at every `k`), `ReverseTopKBi` (named,
 //! so served from a score table or RTA, and inline), `ReverseTopKMono`
-//! (exact at d = 2, sampled at d = 3) and `WhyNot` with MQP only.
+//! (exact at d = 2, sampled at d = 3) and `WhyNot` plans: MQP, and the
+//! sampled MWK and MQWK at a fixed seed.
 //!
 //! `WQRTQ_FUZZ_ROUNDS` scales the rounds (default 4, alternating
 //! d = 2 and d = 3; the nightly soak raises it).
@@ -222,6 +223,25 @@ fn battery(dim: usize) -> Vec<Request> {
             ..WhyNotOptions::default()
         },
     });
+    // The sampled strategies: MWK draws weights from the frontier, MQWK
+    // query points and weights, each from a fixed seed.
+    for (strategy, seed) in [(StrategyKind::Mwk, 11), (StrategyKind::Mqwk, 13)] {
+        out.push(Request::WhyNot {
+            dataset: dataset(),
+            q: q(2.0),
+            k: 8,
+            why_not: vec![population(dim)[1].clone(), population(dim)[5].clone()],
+            options: WhyNotOptions {
+                strategies: vec![strategy],
+                culprit_limit: 5,
+                exact_2d: false,
+                sample_size: 32,
+                query_samples: 8,
+                seed,
+                ..WhyNotOptions::default()
+            },
+        });
+    }
     out
 }
 

@@ -299,6 +299,50 @@ fn wire_stats_snapshot_equals_engine_metrics_when_quiesced() {
     server.shutdown();
 }
 
+#[test]
+fn each_wire_submit_is_one_admission_and_each_reply_frame_one_serialize() {
+    let server = Server::builder()
+        .engine(Engine::builder().workers(2).build())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let engine = server.engine();
+    let samples = |stage| engine.metrics().stage_latency(stage).count;
+    let mut client = Client::connect_v2(server.local_addr()).unwrap();
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let topk = |k: usize| Request::TopK {
+        dataset: "p".into(),
+        weight: vec![0.5, 0.5],
+        k,
+    };
+    // Registrations and the first top-k (it builds the index) run on the
+    // pool; the repeat is a cache hit and the next a small-`k` miss over
+    // the built index, both answered on the loop.
+    client.register_dataset("p", 2, &PRODUCTS_2D).unwrap();
+    client.register_weights("pop", &customers()).unwrap();
+    for request in [topk(2), topk(2), topk(3)] {
+        assert!(!client.submit(&request).unwrap().is_error());
+    }
+    // A Stats request records neither stage.
+    client.stats().unwrap();
+    let mut parts = 0u64;
+    client
+        .submit_plan(&plan_request("p"), |_| parts += 1)
+        .unwrap();
+    assert_eq!(parts, 5, "two explanations and three strategies");
+    client.stats().unwrap();
+
+    let submits = 6;
+    assert_eq!(samples(wqrtq_engine::Stage::Admission), submits);
+    assert_eq!(samples(wqrtq_engine::Stage::Serialize), submits + parts);
+    // An in-process submit is no wire submit: it admits nothing.
+    assert!(!engine.submit(topk(4)).is_error());
+    assert_eq!(samples(wqrtq_engine::Stage::Admission), submits);
+    assert_eq!(samples(wqrtq_engine::Stage::Serialize), submits + parts);
+    server.shutdown();
+}
+
 /// A raw connection that speaks bytes, not the typed client.
 fn raw_conn(server: &Server) -> TcpStream {
     let stream = TcpStream::connect(server.local_addr()).unwrap();
