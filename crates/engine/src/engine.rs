@@ -4,11 +4,11 @@
 //! The pool has one way in. [`Engine::submit_batch`] (blocking, in slot
 //! order), [`Engine::submit_with_progress`] and
 //! [`Engine::submit_batch_with`] each wrap their requests as
-//! [`BatchSubmission`]s — request, trace id, optional progress
-//! observer, completion — and queue each as one job. Registrations,
-//! appends, deletes and compactions are requests too; the in-process
-//! [`Engine::register_dataset`] and its siblings run the same mutation
-//! function on the calling thread.
+//! [`BatchSubmission`]s — the admitted request, trace id, optional
+//! progress observer, completion — and queue each as one job.
+//! Registrations, appends, deletes and compactions are requests too; the
+//! in-process [`Engine::register_dataset`] and its siblings run the same
+//! mutation function on the calling thread.
 //!
 //! ```
 //! use wqrtq_engine::{Engine, Request, Response};
@@ -29,7 +29,7 @@ use crate::cache::ResultCache;
 use crate::catalog::Catalog;
 use crate::error::EngineError;
 use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::request::{PlanDelta, Request, Response};
+use crate::request::{PlanDelta, Request, RequestKind, Response};
 use crate::storage::{DiskBackend, Durability, FsyncPolicy};
 use crate::worker::{mutate, Job, Pool, ProgressFn, TraceContext, WorkerContext};
 use std::path::PathBuf;
@@ -221,32 +221,65 @@ pub struct Engine {
     pool: Option<Pool>,
 }
 
-/// One request on its way to the worker pool — the one unit every
-/// submit path queues, as one job: the request, the boundary-assigned
-/// trace id, an optional progress observer and cancel flag, and the
-/// completion its response is routed into (invoked on the worker thread
-/// that finished it).
-pub struct BatchSubmission {
+/// A request admitted once, by [`Engine::serve_inline`] on an event loop
+/// or [`BatchSubmission::new`] in process: the request, its kind, its
+/// [`Request::fingerprint`] (0 for a mutation or `Stats`, which the
+/// cache never holds) and the [`Request::validate`] verdict. A worker
+/// serves it from these, so nothing is hashed or checked twice.
+#[derive(Debug)]
+pub struct Admitted {
     pub(crate) request: Request,
-    pub(crate) trace_id: u64,
-    /// When it was packaged: its queue wait runs from here.
-    pub(crate) submitted: Instant,
+    pub(crate) kind: RequestKind,
+    pub(crate) fingerprint: u64,
+    pub(crate) verdict: Result<(), EngineError>,
+}
+
+impl From<Request> for Admitted {
+    fn from(request: Request) -> Self {
+        let kind = request.kind();
+        let cached = !kind.is_mutation() && kind != RequestKind::Stats;
+        Self {
+            fingerprint: if cached { request.fingerprint() } else { 0 },
+            verdict: request.validate(),
+            kind,
+            request,
+        }
+    }
+}
+
+impl From<Request> for Box<Admitted> {
+    fn from(request: Request) -> Self {
+        Box::new(Admitted::from(request))
+    }
+}
+
+/// One request on its way to the worker pool — the one unit every
+/// submit path queues, as one job: the admitted request, the
+/// boundary-assigned trace id, an optional progress observer and cancel
+/// flag, and the completion its response is routed into (invoked on the
+/// worker thread that finished it).
+pub struct BatchSubmission {
+    pub(crate) admitted: Box<Admitted>,
+    pub(crate) trace: TraceContext,
     pub(crate) progress: Option<ProgressFn>,
     pub(crate) cancel: Option<Arc<AtomicBool>>,
     pub(crate) complete: Box<dyn FnOnce(Response) + Send + 'static>,
 }
 
 impl BatchSubmission {
-    /// Packages one request for submission.
+    /// Packages one request for submission, admitting a [`Request`]
+    /// here and taking what [`Engine::serve_inline`] hands back as is.
     pub fn new(
-        request: Request,
+        request: impl Into<Box<Admitted>>,
         trace_id: u64,
         complete: impl FnOnce(Response) + Send + 'static,
     ) -> Self {
         Self {
-            request,
-            trace_id,
-            submitted: Instant::now(),
+            admitted: request.into(),
+            trace: TraceContext {
+                trace_id,
+                submitted: Instant::now(),
+            },
             progress: None,
             cancel: None,
             complete: Box::new(complete),
@@ -269,8 +302,6 @@ impl BatchSubmission {
     /// [`RequestKind::is_mutation`]) once the flag is set skips it: no
     /// execution, no metrics, no progress calls, and the completion
     /// receives a [`Response::Error`]. An admitted mutation still lands.
-    ///
-    /// [`RequestKind::is_mutation`]: crate::RequestKind::is_mutation
     pub fn with_cancel(mut self, cancel: Arc<AtomicBool>) -> Self {
         self.cancel = Some(cancel);
         self
@@ -279,7 +310,7 @@ impl BatchSubmission {
     /// Whether a worker should skip this submission (see
     /// [`BatchSubmission::with_cancel`]).
     pub(crate) fn cancelled(&self) -> bool {
-        !self.request.kind().is_mutation()
+        !self.admitted.kind.is_mutation()
             && self
                 .cancel
                 .as_ref()
@@ -301,7 +332,7 @@ pub struct InlineAnswer {
 impl std::fmt::Debug for BatchSubmission {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BatchSubmission")
-            .field("trace_id", &self.trace_id)
+            .field("trace_id", &self.trace.trace_id)
             .finish_non_exhaustive()
     }
 }
@@ -474,17 +505,18 @@ impl Engine {
         // the snapshot they return equals `Engine::metrics()` at the
         // same quiesced point.
         for item in &items {
-            if !matches!(item.request, Request::Stats) {
+            if item.admitted.kind != RequestKind::Stats {
                 self.ctx.metrics.record_async_submit();
             }
         }
         self.enqueue(items);
     }
 
-    /// Serves `request` on the calling thread when it is cheap by
-    /// construction; `None` means "submit it to the pool instead", and
-    /// such a request has recorded and counted nothing. Decided in this
-    /// order:
+    /// Admits `request` and serves it on the calling thread when it is
+    /// cheap by construction. Otherwise it hands the boxed [`Admitted`]
+    /// value back, having recorded and counted nothing, for the caller
+    /// to queue as is ([`BatchSubmission::new`]): the pool reuses its
+    /// fingerprint and validation verdict. Decided in this order:
     ///
     /// 1. [`Request::Stats`] (it never takes the catalog lock);
     /// 2. a cache hit of any query kind, keyed on an `O(1)` catalog peek;
@@ -502,28 +534,25 @@ impl Engine {
     /// lock another thread holds, and never runs work that grows with
     /// the overlay; [`InlineAnswer::executed`] tells rules 3 and 4 from
     /// the rest.
-    /// The body is the pool's own — validation, cache lookup and fill,
-    /// execution, stage histograms and metrics — with a near-zero queue
-    /// wait, one async submission counted per answered request, and the
-    /// spans recorded into the tracer's boundary shard. `scratch` is the
+    /// The body is the pool's own — cache lookup and fill, execution,
+    /// stage histograms and metrics — with a near-zero queue wait, one
+    /// async submission counted per answered request, and the spans
+    /// recorded into the tracer's boundary shard. `scratch` is the
     /// caller's own probe context, reused across calls: an event loop
     /// keeps one and calls this before staging a decoded submit.
     pub fn serve_inline(
         &self,
-        request: &Request,
+        request: Request,
         trace_id: u64,
         scratch: &mut ProbeCtx,
-    ) -> Option<InlineAnswer> {
+    ) -> Result<InlineAnswer, Box<Admitted>> {
+        let admitted = Admitted::from(request);
         let trace = TraceContext {
             trace_id,
             submitted: Instant::now(),
         };
-        let boundary = self.worker_count();
-        let answer = crate::worker::serve_inline(&self.ctx, boundary, trace, request, scratch)?;
-        if !matches!(request, Request::Stats) {
-            self.ctx.metrics.record_async_submit();
-        }
-        Some(answer)
+        crate::worker::serve_inline(&self.ctx, self.worker_count(), trace, &admitted, scratch)
+            .ok_or_else(|| Box::new(admitted))
     }
 
     /// Fans a batch across the worker pool and reassembles responses in
@@ -635,7 +664,7 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::{RequestKind, WeightSet};
+    use crate::request::WeightSet;
     use wqrtq_core::advisor::{StrategyKind, WhyNotOptions};
 
     /// One-strategy, sampled-path options (the single-strategy form of
@@ -1369,7 +1398,7 @@ mod tests {
         let rtopk = named("products", "customers", vec![4.0, 4.0], 3);
         let mut scratch = ProbeCtx::new();
         let mut inline = |r: &Request| {
-            let answer = engine.serve_inline(r, 7, &mut scratch)?;
+            let answer = engine.serve_inline(r.clone(), 7, &mut scratch).ok()?;
             Some((answer.response, answer.executed))
         };
 
@@ -1490,6 +1519,55 @@ mod tests {
             None
         );
         assert_eq!(engine.metrics(), untouched);
+
+        // A handed-back admission, queued as is, serves as a twin's
+        // direct submit of the same request: the same reply and the same
+        // counts — one `QueueWait`, and one miss and one `CacheLookup`
+        // for a query that reaches the cache.
+        let counts = |m: &MetricsSnapshot| {
+            let kinds = m.per_kind.iter();
+            let kinds: Vec<_> = kinds
+                .map(|k| (k.requests, k.errors, k.index_nodes, k.cache_hits))
+                .collect();
+            let stages: Vec<_> = m.stages.iter().map(|s| s.latency.count).collect();
+            let cache = (m.cache.hits, m.cache.misses, m.cache.len);
+            (kinds, stages, cache, m.catalog)
+        };
+        let delete = Request::Delete {
+            dataset: "products".into(),
+            ids: vec![0],
+        };
+        let unknown = Request::TopK {
+            dataset: "nope".into(),
+            weight: vec![0.5, 0.5],
+            k: 1,
+        };
+        for (request, built, looked_up) in [
+            (topk(1), false, 1),
+            (delete, false, 0),
+            (nan, false, 0),
+            (unknown, false, 0),
+            (topk(DEFAULT_FANOUT + 1), true, 1),
+        ] {
+            let (engine, twin) = (figure1_engine(1), figure1_engine(1));
+            if built {
+                engine.catalog().handle("products").unwrap();
+                twin.catalog().handle("products").unwrap();
+            }
+            let admitted = engine.serve_inline(request.clone(), 7, &mut scratch);
+            let (tx, rx) = mpsc::channel();
+            let queued = BatchSubmission::new(admitted.unwrap_err(), 7, move |response| {
+                tx.send(response).unwrap();
+            });
+            engine.submit_batch_with(vec![queued]);
+            let what = format!("{request:?}");
+            assert_eq!(rx.recv().unwrap(), twin.submit(request), "{what}");
+            let m = engine.metrics();
+            assert_eq!(counts(&m), counts(&twin.metrics()), "{what}");
+            assert_eq!(m.stage_latency(Stage::QueueWait).count, 1, "{what}");
+            let lookups = m.stage_latency(Stage::CacheLookup).count;
+            assert_eq!((m.cache.misses, lookups), (looked_up, looked_up), "{what}");
+        }
     }
 
     #[test]
@@ -1665,7 +1743,14 @@ mod tests {
             trace_id: 1,
             submitted: Instant::now(),
         };
-        let reply = serve(&engine.ctx, 0, trace, mono.clone(), &mut scratch, &mut None);
+        let reply = serve(
+            &engine.ctx,
+            0,
+            trace,
+            mono.clone().into(),
+            &mut scratch,
+            &mut None,
+        );
         assert!(
             matches!(&reply, Response::Error(msg) if msg.contains("cancelled")),
             "{reply:?}"
@@ -1749,7 +1834,7 @@ mod tests {
             &engine.ctx,
             0,
             trace,
-            plan(side),
+            plan(side).into(),
             &mut scratch,
             &mut progress,
         );
@@ -1770,7 +1855,14 @@ mod tests {
 
         // An unset flag changes nothing: the plan equals a flagless twin's.
         flag.store(false, Ordering::Release);
-        let full = serve(&engine.ctx, 0, trace, plan(64), &mut scratch, &mut None);
+        let full = serve(
+            &engine.ctx,
+            0,
+            trace,
+            plan(64).into(),
+            &mut scratch,
+            &mut None,
+        );
         assert!(matches!(full, Response::Plan(ref p) if p.steps.len() == 3));
         assert_eq!(full, twin.submit(plan(64)));
     }

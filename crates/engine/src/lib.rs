@@ -48,7 +48,7 @@ mod worker;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use catalog::{Catalog, CatalogStats, DatasetEpoch, DatasetHandle};
-pub use engine::{BatchSubmission, Engine, EngineBuilder, InlineAnswer};
+pub use engine::{Admitted, BatchSubmission, Engine, EngineBuilder, InlineAnswer};
 pub use error::EngineError;
 pub use metrics::{
     KindSnapshot, Metrics, MetricsSnapshot, ServerCounters, StageSnapshot, StatsSnapshot,

@@ -160,18 +160,6 @@ pub struct KindSnapshot {
     pub cache_hits: u64,
 }
 
-impl KindSnapshot {
-    /// Mean latency (zero when no requests).
-    pub fn avg_latency(&self) -> Duration {
-        Duration::from_nanos(self.latency.mean())
-    }
-
-    /// Worst single-request latency (exact, not bucketed).
-    pub fn max_latency(&self) -> Duration {
-        Duration::from_nanos(self.latency.max)
-    }
-}
-
 /// Aggregates for one pipeline stage.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StageSnapshot {
@@ -415,7 +403,7 @@ impl std::fmt::Display for MetricsSnapshot {
                 k.errors,
                 format!("{:.1?}", Duration::from_nanos(k.latency.p50())),
                 format!("{:.1?}", Duration::from_nanos(k.latency.p99())),
-                format!("{:.1?}", k.max_latency()),
+                format!("{:.1?}", Duration::from_nanos(k.latency.max)),
                 k.index_nodes,
                 k.cache_hits,
             )?;
@@ -487,8 +475,8 @@ mod tests {
         let topk = &s.per_kind[RequestKind::TopK.index()];
         assert_eq!(topk.requests, 2);
         assert_eq!(topk.cache_hits, 1);
-        assert_eq!(topk.avg_latency(), Duration::from_micros(20));
-        assert_eq!(topk.max_latency(), Duration::from_micros(30));
+        assert_eq!(topk.latency.mean(), 20_000);
+        assert_eq!(topk.latency.max, 30_000);
         let refine = &s.per_kind[RequestKind::WhyNot.index()];
         assert_eq!(refine.errors, 1);
     }
@@ -550,7 +538,7 @@ mod tests {
         let m = Metrics::new();
         let s = snapshot(&m);
         assert_eq!(s.total_requests(), 0);
-        assert_eq!(s.per_kind[0].avg_latency(), Duration::ZERO);
+        assert_eq!(s.per_kind[0].latency.mean(), 0);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! silently corrupt the strict `<` comparisons and `total_cmp` sorts in
 //! the kernels), a `TopK` weight must be non-negative with at least one
 //! positive component, and a why-not vector or inline population member
-//! must pass [`Weight::check`], as a registered population does. Workers
-//! reject invalid requests with a typed error before touching any index.
+//! must pass [`Weight::check`], as a registered population does. It runs
+//! once, at admission; the catalog checks a mutation's payload itself.
 
 use crate::error::EngineError;
 use crate::metrics::StatsSnapshot;
@@ -398,15 +398,16 @@ impl Request {
         }
     }
 
-    /// Validates the request's numeric payload before execution: every
+    /// Validates a query's numeric payload before execution: every
     /// coordinate finite, a `TopK` weight non-negative with a positive
-    /// component, and every why-not vector, inline population member and
-    /// registered population member a simplex vector by
-    /// [`Weight::check`]. A registration's shape and coordinates are the
-    /// catalog's to check as it takes them.
+    /// component, every why-not vector and inline population member a
+    /// simplex vector by [`Weight::check`], and a plan's options in
+    /// bounds. A mutation passes unscanned: the catalog checks its
+    /// payload as it applies it (`Catalog::apply`), live or replayed.
     ///
     /// # Errors
-    /// [`EngineError::NonFiniteInput`] / [`EngineError::InvalidWeight`].
+    /// [`EngineError::NonFiniteInput`] / [`EngineError::InvalidWeight`] /
+    /// [`EngineError::InvalidTolerances`] and a plan's other bounds.
     pub fn validate(&self) -> Result<(), EngineError> {
         match self {
             Request::TopK { weight, .. } => check_weight(weight, "weight"),
@@ -435,16 +436,11 @@ impl Request {
                 }
                 check_options(options)
             }
-            Request::Append { points, .. } => check_finite(points, "appended points"),
-            Request::RegisterWeights { weights, .. } => {
-                for w in weights {
-                    check_simplex(w, "weight set")?;
-                }
-                Ok(())
-            }
-            Request::Delete { .. }
+            Request::Append { .. }
+            | Request::Delete { .. }
             | Request::Stats
             | Request::Register { .. }
+            | Request::RegisterWeights { .. }
             | Request::Compact { .. } => Ok(()),
         }
     }

@@ -19,14 +19,11 @@
 //! performs no per-request allocations (tracked by the `scratch_reuses`
 //! metric).
 //!
-//! [`serve_inline`], behind [`crate::Engine::serve_inline`], lets an
-//! event loop answer the requests that are cheap by construction on its
-//! own thread and its own `ProbeCtx` — a `Stats`, a cache hit, and over
-//! a built, overlay-free base a small-`k` top-k miss or a named
-//! bichromatic miss whose score table is built; it validates as
-//! [`serve`] does and shares its cache lookup and fill, execution and
-//! metrics ([`Serving`]), reports whether it executed a miss, and hands
-//! everything else back untouched.
+//! [`serve_inline`], behind [`crate::Engine::serve_inline`], answers
+//! cheap requests on an event loop's own thread and `ProbeCtx`, sharing
+//! [`serve`]'s cache lookup and fill, execution and metrics ([`Serving`]).
+//! Both take the [`Admitted`] value made once at the boundary, and a
+//! request the loop hands back carries it into the pool.
 //!
 //! Execution is deterministic — every algorithm is seed-driven — which
 //! makes responses identical for any worker count (asserted by the
@@ -34,7 +31,7 @@
 
 use crate::cache::CacheKey;
 use crate::catalog::{Catalog, CatalogStats, DatasetEpoch, DatasetHandle, PeekedTable};
-use crate::engine::{BatchSubmission, InlineAnswer};
+use crate::engine::{Admitted, BatchSubmission, InlineAnswer};
 use crate::error::EngineError;
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::request::{
@@ -182,18 +179,14 @@ fn worker_loop(worker: usize, queue: &Mutex<Receiver<Job>>, ctx: &WorkerContext)
                     (item.complete)(Response::Error(CANCELLED.into()));
                     continue;
                 }
-                let trace = TraceContext {
-                    trace_id: item.trace_id,
-                    submitted: item.submitted,
-                };
                 // A flag set mid-run stops RTA, or a plan's sampling
                 // loops, within a chunk.
                 scratch.cancel = item.cancel.take();
                 let response = serve(
                     ctx,
                     worker,
-                    trace,
-                    item.request,
+                    item.trace,
+                    *item.admitted,
                     &mut scratch,
                     &mut item.progress,
                 );
@@ -276,9 +269,7 @@ enum Target<'a> {
 /// methods, shared.
 struct Serving {
     kind: RequestKind,
-    /// The request's [`Request::fingerprint`], taken once: it keys the
-    /// cache and names the request in the trace. A mutation is never
-    /// cached, so it is never encoded and hashed: its trace names it 0.
+    /// The admission's: it keys the cache and names the trace.
     fingerprint: u64,
     started: Instant,
     spans: SpanBuf,
@@ -286,19 +277,14 @@ struct Serving {
 
 impl Serving {
     /// Starts the clock and notes the queue wait since submission.
-    fn begin(ctx: &WorkerContext, trace: TraceContext, request: &Request) -> Self {
+    fn begin(ctx: &WorkerContext, trace: TraceContext, admitted: &Admitted) -> Self {
         let started = Instant::now();
         let mut spans = SpanBuf::new(trace.trace_id);
         let queue_wait = started.saturating_duration_since(trace.submitted);
         spans.push_ended(&ctx.tracer, Stage::QueueWait, queue_wait);
-        let kind = request.kind();
         Self {
-            kind,
-            fingerprint: if kind.is_mutation() {
-                0
-            } else {
-                request.fingerprint()
-            },
+            kind: admitted.kind,
+            fingerprint: admitted.fingerprint,
             started,
             spans,
         }
@@ -411,9 +397,9 @@ fn stats(ctx: &WorkerContext, catalog: CatalogStats) -> Response {
     }))
 }
 
-/// Serves one request on a pool worker: validate (the input firewall:
-/// non-finite coordinates and malformed weighting vectors die before
-/// any index or cache is touched) → snapshot the dataset
+/// Serves one admitted request on a pool worker: its verdict (the input
+/// firewall: non-finite coordinates and malformed weighting vectors die
+/// before any index or cache is touched) → snapshot the dataset
 /// (building its index on first use) → cache lookup → execute → cache
 /// fill → metrics, with the spans recorded into `shard`. A
 /// [`Request::WhyNot`]'s `progress` observes partial results as the
@@ -424,15 +410,16 @@ pub(crate) fn serve(
     ctx: &WorkerContext,
     shard: usize,
     trace: TraceContext,
-    request: Request,
+    admitted: Admitted,
     scratch: &mut ProbeCtx,
     progress: &mut Option<ProgressFn>,
 ) -> Response {
-    if matches!(request, Request::Stats) {
+    if admitted.kind == RequestKind::Stats {
         return stats(ctx, ctx.catalog.stats());
     }
-    let mut serving = Serving::begin(ctx, trace, &request);
-    let response = if let Err(e) = request.validate() {
+    let mut serving = Serving::begin(ctx, trace, &admitted);
+    let request = admitted.request;
+    let response = if let Err(e) = admitted.verdict {
         serving.fail(ctx, e)
     } else if serving.kind.is_mutation() {
         let response = mutate(ctx, request).unwrap_or_else(|e| Response::Error(e.to_string()));
@@ -471,31 +458,29 @@ pub(crate) fn serve(
 /// the loop occupancy it was sized for.
 pub(crate) const INLINE_TABLE_MAX_WEIGHTS: usize = 2048;
 
-/// Serves one request on an event loop if it is cheap by construction —
-/// a [`Request::Stats`], a cache hit, a [`Request::TopK`] miss with `k`
-/// at most one leaf's worth, or a named [`Request::ReverseTopKBi`] miss
-/// its built score table answers, both over a built, overlay-free base —
-/// and never waits for a writer. Anything else returns `None` having
-/// recorded and counted nothing, for the pool to [`serve`].
+/// Serves one request on an event loop if it is cheap by construction,
+/// by the rules [`crate::Engine::serve_inline`] lists, counting it as
+/// one async submission unless it is a `Stats`. Anything else returns
+/// `None` having recorded and counted nothing, for the pool to [`serve`].
 pub(crate) fn serve_inline(
     ctx: &WorkerContext,
     shard: usize,
     trace: TraceContext,
-    request: &Request,
+    admitted: &Admitted,
     scratch: &mut ProbeCtx,
 ) -> Option<InlineAnswer> {
-    if matches!(request, Request::Stats) {
+    if admitted.kind == RequestKind::Stats {
         let response = stats(ctx, ctx.catalog.stats());
         return Some(InlineAnswer {
             response,
             executed: false,
         });
     }
-    if request.kind().is_mutation() {
+    if admitted.kind.is_mutation() || admitted.verdict.is_err() {
         return None;
     }
-    let mut serving = Serving::begin(ctx, trace, request);
-    request.validate().ok()?;
+    let request = &admitted.request;
+    let mut serving = Serving::begin(ctx, trace, admitted);
     let population = match request {
         Request::ReverseTopKBi {
             weights: WeightSet::Named(name),
@@ -539,6 +524,7 @@ pub(crate) fn serve_inline(
         None => (serving.execute(ctx, request, key, target?, scratch), true),
     };
     let response = serving.finish(ctx, shard, response);
+    ctx.metrics.record_async_submit();
     Some(InlineAnswer { response, executed })
 }
 
@@ -771,9 +757,9 @@ fn execute(
     }
 }
 
-/// The one mutation path — a queued request's (after [`serve`]
-/// validated it) and an in-process `Engine` call's alike:
-/// [`Catalog::apply`], then, when an append or delete left the overlay
+/// The one mutation path — a queued request's and an in-process
+/// `Engine` call's alike: [`Catalog::apply`], which checks the payload,
+/// then, when an append or delete left the overlay
 /// past its threshold, a compaction scheduled off the request path.
 /// The request is taken by value, so a registration's coordinates move
 /// into the catalog uncopied. Stale cache entries need no eviction: the

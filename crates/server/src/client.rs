@@ -151,7 +151,7 @@ impl Client {
     ///
     /// # Errors
     /// Propagates transport errors.
-    pub fn send_request(&mut self, request: &Request) -> Result<u64, ClientError> {
+    fn send_request(&mut self, request: &Request) -> Result<u64, ClientError> {
         let id = self.next_id;
         self.next_id += 1;
         frame::write_frame(&mut self.writer, &ClientFrame::encode_submit(id, request))?;

@@ -252,23 +252,23 @@ impl<'a> Intake<'a> {
         }
     }
 
-    /// Serves `request` on the loop, or returns `None` to stage it. Once
-    /// the event's misses are spent, the rest of the burst is staged.
+    /// Serves `request` on the loop, or hands back its admission to stage
+    /// — as it does for the rest of a burst once its misses are spent.
     fn serve_inline(
         &mut self,
         engine: &Engine,
-        request: &Request,
+        request: Request,
         trace_id: u64,
-    ) -> Option<Response> {
+    ) -> Result<Response, Box<wqrtq_engine::Admitted>> {
         if self.misses_left == 0 {
-            return None;
+            return Err(request.into());
         }
         let answer = engine.serve_inline(request, trace_id, self.scratch)?;
         // Hits and stats are free; only an executed miss spends.
         if answer.executed {
             self.misses_left -= 1;
         }
-        Some(answer.response)
+        Ok(answer.response)
     }
 }
 
@@ -528,20 +528,23 @@ impl<S: Read + Write> Connection<S> {
                 tracer.record(shard, span);
             }
         };
+        let is_plan = request.kind() == wqrtq_engine::RequestKind::WhyNot;
         let routed = tracer.now_nanos();
-        if let Some(response) = intake.serve_inline(&server.engine, &request, trace_id) {
-            record_admission(routed);
-            let bytes = encode_admitted(&self.shared, id, trace_id, response);
-            self.queue(bytes, true);
-            return;
-        }
+        let admitted = match intake.serve_inline(&server.engine, request, trace_id) {
+            Ok(response) => {
+                record_admission(routed);
+                let bytes = encode_admitted(&self.shared, id, trace_id, response);
+                self.queue(bytes, true);
+                return;
+            }
+            Err(admitted) => admitted,
+        };
         // ordering: SeqCst — in_flight joins the close-eligibility total
         // order: the increment must be globally visible before the reply
         // can decrement, or the loop could observe 0/0 and close early.
         self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        let is_plan = request.kind() == wqrtq_engine::RequestKind::WhyNot;
         let complete = completion(self.shared.clone(), id, trace_id);
-        let mut item = BatchSubmission::new(request, trace_id, complete)
+        let mut item = BatchSubmission::new(admitted, trace_id, complete)
             .with_cancel(self.shared.doomed.clone());
         if is_plan {
             // Progressive partial frames ride the same bounded reply

@@ -475,6 +475,13 @@ struct Slot {
     registered: Option<u32>,
 }
 
+/// Hands the submits staged so far to the engine in one call.
+fn submit_staged(shared: &Shared, staged: &mut Vec<BatchSubmission>) {
+    if !staged.is_empty() {
+        shared.engine.submit_batch_with(std::mem::take(staged));
+    }
+}
+
 /// The event-loop thread: a poller, the listener, every connection, the
 /// per-cycle submit batch, and the probe scratch for requests served
 /// inline.
@@ -528,10 +535,7 @@ impl EventLoop {
                                 // is staged already goes to the pool
                                 // first, as it would before any write.
                                 if slot.conn.has_queued_output() {
-                                    if !self.submit_buf.is_empty() {
-                                        let batch = std::mem::take(&mut self.submit_buf);
-                                        self.shared.engine.submit_batch_with(batch);
-                                    }
+                                    submit_staged(&self.shared, &mut self.submit_buf);
                                     slot.conn.flush();
                                 }
                             }
@@ -548,7 +552,7 @@ impl EventLoop {
             // One engine hand-off for every submit this wake-up decoded
             // — the batching that amortises queue wake-ups across a
             // pipelined burst.
-            self.submit_staged();
+            submit_staged(&self.shared, &mut self.submit_buf);
             // Completions that landed while this cycle was busy are
             // adopted here rather than through a poller round trip:
             // one opportunistic drain saves a wake syscall per reply
@@ -561,18 +565,11 @@ impl EventLoop {
                 self.service(token);
             }
             self.touched = touched;
-            self.submit_staged();
+            submit_staged(&self.shared, &mut self.submit_buf);
             self.resume_accept();
             if self.draining && self.conns.is_empty() {
                 break;
             }
-        }
-    }
-
-    fn submit_staged(&mut self) {
-        if !self.submit_buf.is_empty() {
-            let batch = std::mem::take(&mut self.submit_buf);
-            self.shared.engine.submit_batch_with(batch);
         }
     }
 

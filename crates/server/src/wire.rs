@@ -869,6 +869,20 @@ mod tests {
         }
     }
 
+    fn sample_counters() -> ServerCounters {
+        ServerCounters {
+            connections_accepted: 2,
+            connections_open: 1,
+            frames_in: 40,
+            frames_out: 39,
+            busy_rejections: 1,
+            protocol_errors: 1,
+            in_flight: 2,
+            read_syscalls: 11,
+            write_syscalls: 9,
+        }
+    }
+
     fn sample_plan() -> Plan {
         Plan {
             explanations: vec![
@@ -957,17 +971,7 @@ mod tests {
             Response::ReverseTopKBi(vec![1, 2, 99]),
             Response::Plan(sample_plan()),
             Response::Stats(Box::new(sample_stats(None))),
-            Response::Stats(Box::new(sample_stats(Some(ServerCounters {
-                connections_accepted: 2,
-                connections_open: 1,
-                frames_in: 40,
-                frames_out: 39,
-                busy_rejections: 1,
-                protocol_errors: 1,
-                in_flight: 2,
-                read_syscalls: 11,
-                write_syscalls: 9,
-            })))),
+            Response::Stats(Box::new(sample_stats(Some(sample_counters())))),
             Response::Mutated { live_len: 8 },
             Response::Compacted { ran: true },
             Response::Compacted { ran: false },
@@ -1011,6 +1015,42 @@ mod tests {
         let catalog_writes = bytes(&requests[PINNED_REQUESTS..], PINNED_REQUESTS + 1);
         assert_eq!(catalog_writes.len(), 183);
         assert_eq!(wqrtq_codec::crc32::checksum(&catalog_writes), 0xb5e9_c115);
+    }
+
+    #[test]
+    fn the_committed_wire_corpus_decodes_to_the_values_written_here() {
+        // `tests/format/v1/` holds the pinned submit stream, the catalog
+        // writes and one `Stats` reply frame with server counters as
+        // committed bytes. Each file's length and CRC-32 are pinned, so
+        // none is rewritten in passing, and each decodes through the
+        // server's decoders to values this test writes out.
+        fn pinned(bytes: &'static [u8], len: usize, crc: u32) -> &'static [u8] {
+            let crc_of = wqrtq_codec::crc32::checksum(bytes);
+            assert_eq!((bytes.len(), crc_of), (len, crc), "a fixture moved");
+            bytes
+        }
+        let submits = include_bytes!("../../../tests/format/v1/submit_stream.bin");
+        let writes = include_bytes!("../../../tests/format/v1/catalog_writes.bin");
+        let reply = include_bytes!("../../../tests/format/v1/stats_reply.bin");
+        let stream = [
+            pinned(submits, 763, 0x1f55_94dd),
+            pinned(writes, 183, 0xb5e9_c115),
+        ]
+        .concat();
+        // Each submit payload's length, in stream order; ids run from 1.
+        let lengths = [58, 67, 69, 108, 183, 158, 59, 51, 10, 74, 83, 26];
+        let mut at = 0;
+        for (id, (request, len)) in (1..).zip(all_requests().into_iter().zip(lengths)) {
+            let decoded = ClientFrame::decode(&stream[at..at + len]).expect("a submit decodes");
+            assert_eq!(decoded, (id, ClientFrame::Submit(request)));
+            at += len;
+        }
+        assert_eq!(at, stream.len());
+        let stats = sample_stats(Some(sample_counters()));
+        let want = ServerFrame::Reply(Response::Stats(Box::new(stats)));
+        let decoded =
+            ServerFrame::decode(pinned(reply, 575, 0xcacd_f6a9)).expect("a reply decodes");
+        assert_eq!(decoded, (1, want));
     }
 
     #[test]

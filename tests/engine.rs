@@ -5,6 +5,7 @@
 use wqrtq::core::{mwk, WhyNotError};
 use wqrtq::data::figure1;
 use wqrtq::data::synthetic::independent;
+use wqrtq::engine::EngineError;
 use wqrtq::prelude::*;
 
 /// Options pinned to the sampled path (no exact-2D auto-selection); the
@@ -830,6 +831,8 @@ fn hostile_topk_append_delete_and_stats_requests_never_panic() {
     // dimension, ±0, denormal or 1e300 entries; appends are empty,
     // ragged, duplicate, collinear or carry the same extremes; deletes
     // repeat an id, name an unknown, dead or `u32::MAX` id, or are empty.
+    // A NaN or ±inf append replies the in-process call's error, and so
+    // does a population off the simplex.
     // No reply may report a panic, a mutation lands whole or not at all,
     // and after every step each `TopK` reply equals that of an engine
     // holding only the live rows, its dense ids mapped to stable ids —
@@ -846,6 +849,22 @@ fn hostile_topk_append_delete_and_stats_requests_never_panic() {
         .overlay_limit(usize::MAX)
         .build();
     let oracle = Engine::builder().workers(1).build();
+    // A population off the simplex is refused with the catalog's typed
+    // error (the in-process call takes `Weight`s, which cannot hold
+    // one), and its name stays free.
+    let lopsided = Request::RegisterWeights {
+        name: "lopsided".into(),
+        weights: vec![vec![0.5, 0.5], vec![0.5, 0.6]],
+    };
+    let refused = EngineError::InvalidWeight {
+        field: "weight set",
+    };
+    assert_eq!(
+        engine.submit(lopsided),
+        Response::Error(refused.to_string())
+    );
+    let uniform = vec![Weight::new(vec![0.5, 0.5])];
+    engine.register_weights("lopsided", uniform).unwrap();
     for dim in [2usize, 3] {
         let with_first = |first: f64, rest: f64| {
             let mut v = vec![rest; dim];
@@ -871,6 +890,15 @@ fn hostile_topk_append_delete_and_stats_requests_never_panic() {
                 _ => (0..6 * dim).map(|i| ((i * 7) % 5) as f64 * 0.5).collect(),
             };
             engine.register_dataset(&name, dim, base.clone()).unwrap();
+            // A non-finite append is refused whole, with the text the
+            // in-process call gives: the catalog checks it, once.
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let points = with_first(bad, 1.0);
+                let direct = engine.append_points(&name, &points).unwrap_err();
+                let dataset = name.clone();
+                let reply = engine.submit(Request::Append { dataset, points });
+                assert_eq!(reply, Response::Error(direct.to_string()), "{name} {bad}");
+            }
             // The live rows by stable id, in canonical order.
             let mut live: Vec<(u32, Vec<f64>)> = base
                 .chunks_exact(dim)
